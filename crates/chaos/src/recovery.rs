@@ -89,6 +89,8 @@ pub struct RecoveryReport {
     pub seed: u64,
     /// FNV-1a hash over every trace event of the run.
     pub trace_hash: u64,
+    /// Total trace events emitted.
+    pub trace_events: u64,
     /// FNV-1a hash over the causal span records minted during the run.
     pub span_hash: u64,
     /// Deterministic JSON dump of the metrics registry at quiesce.
@@ -459,10 +461,10 @@ pub fn run_recovery(seed: u64, opts: &RecoveryOptions) -> RecoveryReport {
     check_recovered_digest(&q, recovered_addr, &mut violations);
     check_torn_log_safety(&q, recovered_addr, victim.addr, &mut violations);
 
-    let trace_hash = q
+    let (trace_hash, trace_events) = q
         .world
         .trace_sink_as::<TraceRing>()
-        .map_or(0, |ring| ring.hash());
+        .map_or((0, 0), |ring| (ring.hash(), ring.seen()));
     q.world.refresh_metrics();
     let reg = q.world.metrics();
     let mut commits = 0usize;
@@ -478,6 +480,7 @@ pub fn run_recovery(seed: u64, opts: &RecoveryOptions) -> RecoveryReport {
     RecoveryReport {
         seed,
         trace_hash,
+        trace_events,
         span_hash: reg.span_hash(),
         metrics_json: reg.dump_json(),
         mttr,

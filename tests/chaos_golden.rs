@@ -1,0 +1,134 @@
+//! Golden hash table of the chaos harness: every workload × seed must
+//! reproduce exactly the committed trace hash, trace-event count, span
+//! hash and metrics-dump hash, in a fresh process, byte for byte.
+//!
+//! This is the oracle for any refactor of `crates/chaos` (and of every
+//! layer underneath it): the table covers all four workloads — commit
+//! store, ordered broadcast, commutative ops, durable recovery — over
+//! seeds 1..=10, the store on the multicast data plane, and the store
+//! under the hostile injector on the adversary corpus seeds. A change
+//! that moves no row changed no simulated behaviour. Regenerate
+//! deliberately with `UPDATE_GOLDEN=1 cargo test --test chaos_golden`.
+//!
+//! It is also the tier-1 smoke of the harness: `cargo test -q` runs one
+//! full seeded scenario of every workload under faults, with every
+//! oracle checked at quiesce.
+
+use std::fmt::Write as _;
+
+use chaos::{
+    run_bcast, run_commute, run_recovery, run_seed_with, BcastOptions, CommuteOptions,
+    RecoveryOptions, ScenarioOptions,
+};
+
+const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/chaos_hashes.txt");
+const CORPUS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus/adversary.seeds");
+
+const HEADER: &str = "\
+# Golden hashes of the chaos harness (tests/chaos_golden.rs).
+# workload seed trace_hash trace_events span_hash metrics_fnv1a passed
+";
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// One table row from any of the four report types.
+macro_rules! row {
+    ($out:expr, $label:expr, $r:expr) => {{
+        let r = &$r;
+        writeln!(
+            $out,
+            "{} {} {:#018x} {} {:#018x} {:#018x} {}",
+            $label,
+            r.seed,
+            r.trace_hash,
+            r.trace_events,
+            r.span_hash,
+            fnv1a(r.metrics_json.as_bytes()),
+            r.passed()
+        )
+        .expect("write to string");
+    }};
+}
+
+fn corpus_seeds() -> Vec<u64> {
+    std::fs::read_to_string(CORPUS)
+        .unwrap_or_else(|e| panic!("cannot read corpus {CORPUS}: {e}"))
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(|l| {
+            l.parse()
+                .unwrap_or_else(|_| panic!("bad corpus line {l:?}"))
+        })
+        .collect()
+}
+
+#[test]
+fn chaos_hashes_match_the_golden_table() {
+    let mut table = String::from(HEADER);
+
+    let store = ScenarioOptions::default();
+    for seed in 1..=10 {
+        let r = run_seed_with(seed, &store);
+        // The harness smoke test: a passing run that did real work.
+        assert!(r.passed(), "{}", r.failure_summary());
+        assert!(r.commits > 0, "seed {seed}: workload committed nothing");
+        assert!(r.faults > 0, "seed {seed}: plan scheduled no faults");
+        row!(table, "store", r);
+    }
+    let multicast = ScenarioOptions {
+        multicast_calls: true,
+        ..ScenarioOptions::default()
+    };
+    for seed in [1, 4, 7, 10] {
+        row!(table, "store+multicast", run_seed_with(seed, &multicast));
+    }
+    let adversarial = ScenarioOptions {
+        injector: Some(adversary::install_adversary),
+        ..ScenarioOptions::default()
+    };
+    for seed in corpus_seeds() {
+        row!(table, "store+adversary", run_seed_with(seed, &adversarial));
+    }
+    for seed in 1..=10 {
+        let r = run_bcast(seed, &BcastOptions::default());
+        assert!(r.passed(), "{}", r.failure_summary());
+        row!(table, "bcast", r);
+    }
+    for seed in 1..=10 {
+        let r = run_commute(seed, &CommuteOptions::default());
+        assert!(r.passed(), "{}", r.failure_summary());
+        row!(table, "commute", r);
+    }
+    for seed in 1..=10 {
+        let r = run_recovery(seed, &RecoveryOptions::default());
+        assert!(r.passed(), "{}", r.failure_summary());
+        row!(table, "recovery", r);
+    }
+
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        std::fs::write(GOLDEN, &table).expect("write golden");
+        return;
+    }
+    let golden = std::fs::read_to_string(GOLDEN)
+        .expect("golden file missing — run UPDATE_GOLDEN=1 cargo test --test chaos_golden");
+    let moved: Vec<String> = golden
+        .lines()
+        .zip(table.lines())
+        .filter(|(want, got)| want != got)
+        .map(|(want, got)| format!("  golden: {want}\n  actual: {got}"))
+        .collect();
+    assert!(
+        moved.is_empty() && golden.lines().count() == table.lines().count(),
+        "{} chaos row(s) drifted from tests/golden/chaos_hashes.txt (simulated behaviour \
+         changed); if that is intended, regenerate with UPDATE_GOLDEN=1:\n{}",
+        moved.len(),
+        moved.join("\n")
+    );
+}
