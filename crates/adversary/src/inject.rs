@@ -227,16 +227,16 @@ impl TrafficInjector for AdvInjector {
 /// The `ScenarioOptions::injector` entry point: arms a fuzzing
 /// [`AdvInjector`] against the standard chaos topology (ringmaster
 /// troupe, store members and spares, clients). The target list mirrors
-/// `chaos::run_scenario`'s spawn layout.
+/// `chaos::quiesce`'s spawn layout.
 pub fn install_adversary(seed: u64, w: &mut World) {
-    use chaos::scenario::{CLIENT_PORT, STORE_PORT};
+    use chaos::{CLIENT_PORT, MEMBER_PORT};
     use circus::binding::RINGMASTER_PORT;
     let mut targets = Vec::new();
     for h in 1..=3u32 {
         targets.push(SockAddr::new(HostId(h), RINGMASTER_PORT));
     }
     for h in 10..=14u32 {
-        targets.push(SockAddr::new(HostId(h), STORE_PORT));
+        targets.push(SockAddr::new(HostId(h), MEMBER_PORT));
     }
     for h in 20..=21u32 {
         targets.push(SockAddr::new(HostId(h), CLIENT_PORT));

@@ -18,9 +18,9 @@
 //! All three read the run's frozen `metrics_json` dump, so they apply
 //! equally to live runs and corpus replays.
 
-use chaos::{RunReport, Violation};
+use chaos::{Report, Violation};
 
-/// Reads one counter out of a [`RunReport`]'s metrics JSON dump. Lazy
+/// Reads one counter out of a [`Report`]'s metrics JSON dump. Lazy
 /// counters that never ticked are absent from the dump and read as 0.
 pub fn counter(json: &str, name: &str) -> u64 {
     let needle = format!("\"{name}\":");
@@ -54,7 +54,7 @@ pub fn sum_prefix(json: &str, prefix: &str) -> u64 {
 
 /// Runs the three adversary oracles against a finished run. Empty means
 /// the run passed.
-pub fn check_adversary(r: &RunReport) -> Vec<Violation> {
+pub fn check_adversary<E>(r: &Report<E>) -> Vec<Violation> {
     let json = &r.metrics_json;
     let mut out = Vec::new();
 

@@ -6,7 +6,7 @@
 //! is reported as a corpus failure with its seed, not as a bare abort.
 
 use adversary::{check_adversary, counter, install_adversary};
-use chaos::{run_seed_with, RunReport, ScenarioOptions};
+use chaos::{run, ScenarioOptions, Store};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 const CORPUS: &str = concat!(
@@ -37,9 +37,9 @@ fn corpus_replays_green() {
         ..ScenarioOptions::default()
     };
     let mut failures = Vec::new();
-    let mut reports: Vec<RunReport> = Vec::new();
+    let mut reports = Vec::new();
     for seed in corpus_seeds() {
-        match catch_unwind(AssertUnwindSafe(|| run_seed_with(seed, &opts))) {
+        match catch_unwind(AssertUnwindSafe(|| run(&Store, seed, &opts))) {
             Err(panic) => {
                 let msg = panic
                     .downcast_ref::<String>()

@@ -14,7 +14,7 @@
 //! bugs are pinned in `tests/corpus/adversary.seeds` regardless.
 
 use adversary::{check_adversary, counter, install_adversary};
-use chaos::{chaos_jobs, run_seed_with, run_sweep_parallel, sweep_seeds, ScenarioOptions};
+use chaos::{chaos_jobs, run, sweep_seeds, ScenarioOptions, Store};
 
 fn adversarial_options(multicast: bool) -> ScenarioOptions {
     ScenarioOptions {
@@ -25,7 +25,7 @@ fn adversarial_options(multicast: bool) -> ScenarioOptions {
 }
 
 fn sweep(seeds: &[u64], opts: &ScenarioOptions) {
-    let reports = run_sweep_parallel(seeds, opts, chaos_jobs());
+    let reports = chaos::sweep(&Store, seeds, opts, chaos_jobs());
     let mut failures = Vec::new();
     let mut injected_total = 0u64;
     for r in &reports {
@@ -82,8 +82,8 @@ fn adversarial_sweep_multicast() {
 #[test]
 fn same_seed_injection_is_bit_deterministic() {
     let opts = adversarial_options(false);
-    let a = run_seed_with(7, &opts);
-    let b = run_seed_with(7, &opts);
+    let a = run(&Store, 7, &opts);
+    let b = run(&Store, 7, &opts);
     assert_eq!(a.trace_hash, b.trace_hash, "trace hash diverged");
     assert_eq!(a.trace_events, b.trace_events, "event count diverged");
     assert_eq!(a.metrics_json, b.metrics_json, "metrics dump diverged");

@@ -19,8 +19,9 @@
 //!   the node-level done map must absorb without re-executing anything.
 
 use adversary::AdvInjector;
-use chaos::scenario::{CLIENT_PORT, STORE_MODULE, STORE_PORT};
-use chaos::{check_all, run_scenario, PlanOptions, ScenarioOptions};
+use chaos::{
+    check_all, run_scenario, PlanOptions, ScenarioOptions, CLIENT_PORT, MEMBER_MODULE, MEMBER_PORT,
+};
 use circus::CircusProcess;
 use simnet::{Duration, SockAddr, Time, World};
 use transactions::TroupeStoreService;
@@ -29,7 +30,7 @@ use transactions::TroupeStoreService;
 /// traffic, injects nothing.
 fn install_recorder(_seed: u64, w: &mut World) {
     let inj = AdvInjector::capture_only(w.metrics(), |from, to| {
-        from.port == CLIENT_PORT && to.port == STORE_PORT
+        from.port == CLIENT_PORT && to.port == MEMBER_PORT
     });
     w.set_injector(Box::new(inj), Duration::from_millis(1));
 }
@@ -60,7 +61,7 @@ fn snapshot(w: &World, addr: SockAddr) -> Snap {
             conns: p.node().conn_count(),
             store_digest: p
                 .node()
-                .service_as::<TroupeStoreService>(STORE_MODULE)
+                .service_as::<TroupeStoreService>(MEMBER_MODULE)
                 .expect("store member exports the store service")
                 .state_digest(),
         }
@@ -76,7 +77,7 @@ fn replay_and_assert(
     q: &mut chaos::Quiesced,
     captures: &[(Time, SockAddr, SockAddr, Vec<u8>)],
 ) -> (Vec<Snap>, Vec<Snap>) {
-    let members: Vec<SockAddr> = q.store_members.iter().map(|m| m.addr).collect();
+    let members: Vec<SockAddr> = q.members.iter().map(|m| m.addr).collect();
     let before: Vec<Snap> = members.iter().map(|&m| snapshot(&q.world, m)).collect();
     let delivered_before = q.world.metrics().get("net.delivered");
 

@@ -7,8 +7,7 @@
 //! incarnation the crashed members served under — exactly the id an
 //! attacker replaying old traffic would present.
 
-use chaos::scenario::STORE_MODULE;
-use chaos::{run_scenario, ScenarioOptions};
+use chaos::{run_scenario, ScenarioOptions, MEMBER_MODULE};
 use circus::{CallMessage, CircusProcess, ThreadId, TroupeId};
 use pairedmsg::{MsgType, Segment};
 use simnet::{Duration, HostId, SockAddr};
@@ -18,7 +17,7 @@ fn stale_incarnation_call_is_rejected_without_suspicion() {
     let mut q = run_scenario(2, &ScenarioOptions::default());
     assert_eq!(q.repairs, 2, "seed 2 must exercise the self-heal path");
 
-    let member = q.store_members[0].addr;
+    let member = q.members[0].addr;
     let current = q
         .world
         .with_proc(member, |p: &CircusProcess| p.node().troupe_id())
@@ -42,7 +41,7 @@ fn stale_incarnation_call_is_rejected_without_suspicion() {
         call_seq: 1,
         client_troupe: TroupeId::UNREGISTERED,
         server_troupe: stale,
-        module: STORE_MODULE,
+        module: MEMBER_MODULE,
         proc: 0,
         args: vec![0xde, 0xad],
     };

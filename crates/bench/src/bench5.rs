@@ -23,7 +23,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use chaos::{chaos_jobs, run_sweep, run_sweep_parallel, ScenarioOptions};
+use chaos::{chaos_jobs, sweep, ScenarioOptions, Store};
 
 /// The payload sizes the throughput section walks.
 const PAYLOADS: [usize; 3] = [64, 1024, 8192];
@@ -61,11 +61,11 @@ pub fn bench_5_json(quick: bool) -> String {
     let jobs = chaos_jobs();
 
     let t0 = Instant::now();
-    let serial = run_sweep(&seeds, &opts);
+    let serial = sweep(&Store, &seeds, &opts, 1);
     let serial_wall = t0.elapsed();
 
     let t0 = Instant::now();
-    let parallel = run_sweep_parallel(&seeds, &opts, jobs);
+    let parallel = sweep(&Store, &seeds, &opts, jobs);
     let parallel_wall = t0.elapsed();
 
     // The determinism cross-check: scheduling must not leak into a run.

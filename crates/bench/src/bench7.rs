@@ -27,7 +27,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use chaos::{run_recovery, RecoveryOptions};
+use chaos::{run, Recovery, ScenarioOptions};
 
 /// The one seed the grid runs under: the curves compare cells, not
 /// seeds, so one fixed seed keeps every record deterministic.
@@ -35,27 +35,30 @@ const SEED: u64 = 11;
 
 /// Runs one cell and appends its record.
 fn cell(out: &mut String, txns: usize, snapshot_every: usize, use_delta: bool) {
-    let opts = RecoveryOptions {
-        txns_per_client: txns,
+    let workload = Recovery {
         snapshot_every,
         use_delta,
         disk_faults: false,
-        multicast_calls: false,
+    };
+    let opts = ScenarioOptions {
+        txns_per_client: txns,
+        ..ScenarioOptions::default()
     };
     let t0 = Instant::now();
-    let r = run_recovery(SEED, &opts);
+    let r = run(&workload, SEED, &opts);
     let wall = t0.elapsed();
     let mode = if use_delta { "delta" } else { "full" };
-    let mttr_us = r.mttr.map_or(0, |d| d.as_micros());
-    let (log_bytes, replayed, deduped, snap_v, torn) = r.recovery.map_or((0, 0, 0, 0, 0), |i| {
-        (
-            i.log_bytes,
-            i.replayed,
-            i.deduped,
-            i.snapshot_version,
-            i.torn_bytes,
-        )
-    });
+    let mttr_us = r.extra.mttr.map_or(0, |d| d.as_micros());
+    let (log_bytes, replayed, deduped, snap_v, torn) =
+        r.extra.recovery.map_or((0, 0, 0, 0, 0), |i| {
+            (
+                i.log_bytes,
+                i.replayed,
+                i.deduped,
+                i.snapshot_version,
+                i.torn_bytes,
+            )
+        });
     let _ = writeln!(
         out,
         "{{\"experiment\":\"bench7\",\"section\":\"recovery\",\"mode\":\"{mode}\",\
@@ -63,8 +66,8 @@ fn cell(out: &mut String, txns: usize, snapshot_every: usize, use_delta: bool) {
          \"mttr_us\":{mttr_us},\"recovery_bytes\":{},\"log_bytes\":{log_bytes},\
          \"replayed\":{replayed},\"deduped\":{deduped},\"snapshot_version\":{snap_v},\
          \"torn_bytes\":{torn},\"commits\":{},\"passed\":{},\"wall_ms\":{:.2}}}",
-        r.recovery_bytes,
-        r.commits,
+        r.extra.recovery_bytes,
+        r.extra.commits,
         r.passed(),
         wall.as_secs_f64() * 1e3,
     );

@@ -1,19 +1,11 @@
-//! The ordered-broadcast chaos scenario: Figure 5.1 under a seeded
-//! fault schedule.
+//! The ordered-broadcast workload: Figure 5.1 under a seeded fault
+//! schedule.
 //!
-//! [`run_bcast`] builds the same full stack as the transactional
-//! scenario — a three-member Ringmaster troupe with its self-healing
-//! agent, warm spares, clients importing the service by name — but the
-//! replicated module is an [`OrderedBroadcastService`] and the clients
-//! are [`ChaosBroadcaster`]s running the two-phase propose/accept
-//! protocol through partitions, loss bursts, and member crashes. The
-//! initial placement comes from a configlang troupe specification
-//! solved by the [`ConfigManager`], and every crash flows back through
-//! it ([`WorkloadDriver`]): the machine leaves the database, the
-//! manager recomputes a placement, and the healed membership is checked
-//! against the spec.
+//! The replicated module is an [`OrderedBroadcastService`] and the
+//! clients speak [`ProposeAccept`] — the two-phase propose/accept
+//! protocol — through partitions, loss bursts, and member crashes.
 //!
-//! Two scenario-specific oracles sit on top of the base ones:
+//! Two workload-specific oracles sit on top of the shared ones:
 //!
 //! - **Identical applied order** (§5.4): at quiesce, every member's
 //!   `applied_order` is byte-identical, and so is the application-state
@@ -24,8 +16,11 @@
 //! - **No starvation** (Figure 5.1's liveness claim): every broadcast a
 //!   client confirmed is in every member's applied order, every queue
 //!   has drained, and every client finished its script. A queue-head
-//!   placeholder that never resolves — the stall this scenario was
-//!   built to flush out — fails this oracle, not a timeout.
+//!   placeholder that never resolves — the stall this workload was
+//!   built to flush out — fails this oracle, not a timeout. The quiesce
+//!   probe matters here: its accepts force a dispatch (and thus a queue
+//!   drain) at every member, so a straggler whose agreed time was
+//!   slightly in the future still applies before the oracles look.
 //!
 //! Members run with a proposal TTL of [`CHAOS_PROPOSAL_TTL_US`], well
 //! above the default: under chaos a client may retry one accept for the
@@ -36,40 +31,16 @@
 //! are explicitly immortal and the TTL must dominate their retry
 //! horizon.
 
-use circus::binding::BINDING_MODULE;
-use circus::{CircusProcess, ModuleAddr, NodeBuilder, NodeConfig};
-use configlang::{ConfigManager, Machine, Universe, Value};
-use ringmaster::{
-    spawn_ringmaster, RegisterTroupe, RingmasterService, SelfHealAgent, SpareAgent, SpareService,
-    SPARE_CTL_MODULE,
-};
-use simnet::{
-    Duration, HostId, NetConfig, NetView, Partition, SimRng, SockAddr, SyscallCosts, TraceRing,
-    World,
-};
+use std::fmt;
+
+use circus::Service;
+use simnet::{HostId, SockAddr, World};
 use transactions::{OrderedApply, OrderedBroadcastService};
 use wire::to_bytes;
 
-use crate::client::ChaosBroadcaster;
-use crate::drive::WorkloadDriver;
-use crate::oracle::{check_net_monotonicity, Violation};
-use crate::plan::{FaultPlan, PlanOptions, PlannedFault};
-use crate::scenario::Registrar;
-
-/// Module number of the replicated broadcast service.
-pub const BCAST_MODULE: u16 = 1;
-/// Port broadcast members listen on.
-pub const BCAST_PORT: u16 = 70;
-/// Port clients (and the registrar) listen on.
-pub const BCAST_CLIENT_PORT: u16 = 10;
-/// The name the broadcast troupe is registered under.
-pub const BCAST_NAME: &str = "bcast";
-/// The replication degree the troupe specification asks for.
-pub const BCAST_REPLICATION: usize = 3;
-
-/// The configlang specification the initial placement is solved from.
-pub const BCAST_SPEC: &str =
-    "troupe(x, y, z) where x.memory >= 8 and y.memory >= 8 and z.memory >= 8";
+use crate::client::ProposeAccept;
+use crate::harness::{Quiesced, Workload};
+use crate::oracle::{check_monotonicity, check_replication, Violation};
 
 /// Proposal TTL for chaos members: must dominate the clients' accept
 /// retry horizon (fault windows up to ~60 s of self-heal), or orphan GC
@@ -112,136 +83,54 @@ impl OrderedApply for ChaosApp {
     }
 }
 
-/// Scenario knobs beyond the fault plan itself.
-#[derive(Clone, Debug)]
-pub struct BcastOptions {
-    /// Broadcasts per client before the quiesce probe.
-    pub msgs_per_client: usize,
-    /// Bounds for the generated fault plan.
-    pub plan: PlanOptions,
-    /// Carry one-to-many call data as troupe-wide multicasts.
-    pub multicast_calls: bool,
-    /// Replace the generated plan with an explicit fault list —
-    /// regression tests use this to force, say, a kill in the middle of
-    /// a broadcast storm and check the rejoined spare agrees on order.
-    pub override_faults: Option<Vec<PlannedFault>>,
-}
+/// The ordered-broadcast workload.
+pub struct Bcast;
 
-impl Default for BcastOptions {
-    fn default() -> BcastOptions {
-        BcastOptions {
-            msgs_per_client: 30,
-            plan: PlanOptions::default(),
-            multicast_calls: false,
-            override_faults: None,
-        }
-    }
-}
-
-/// Everything one broadcast chaos run produced.
-#[derive(Clone, Debug)]
-pub struct BcastReport {
-    /// The seed.
-    pub seed: u64,
-    /// FNV-1a hash over every trace event of the run.
-    pub trace_hash: u64,
-    /// Total trace events emitted.
-    pub trace_events: u64,
-    /// Faults the plan scheduled.
-    pub faults: usize,
-    /// Crash/kill repairs performed by the self-healing agent.
-    pub repairs: usize,
+/// What a broadcast run reports beyond the common fields.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct BcastExtra {
     /// Client-confirmed broadcasts across all clients (probes included).
     pub broadcasts: usize,
-    /// Stale-binding rebinds across all clients.
-    pub rebinds: u32,
-    /// Unrecoverable client errors.
-    pub client_errors: Vec<String>,
-    /// Driver anomalies (failed heals, spec violations after repair...).
-    pub driver_warnings: Vec<String>,
-    /// Whether every client finished its script and probe.
-    pub all_clients_finished: bool,
-    /// Oracle violations.
-    pub violations: Vec<Violation>,
-    /// Simulated CPU total from the metrics registry.
-    pub cpu_total: Duration,
-    /// The world's network counters.
-    pub net: NetView,
-    /// Deterministic JSON dump of the metrics registry at quiesce.
-    pub metrics_json: String,
-    /// FNV-1a hash over the causal span records minted during the run.
-    pub span_hash: u64,
 }
 
-impl BcastReport {
-    /// `true` if the run is clean.
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-            && self.client_errors.is_empty()
-            && self.driver_warnings.is_empty()
-            && self.all_clients_finished
-    }
-
-    /// A copy-pasteable command reproducing this run by seed.
-    pub fn repro(&self) -> String {
-        format!("CHAOS_SEED={} cargo test -p chaos --test bcast", self.seed)
-    }
-
-    /// A one-paragraph failure description, repro line first.
-    pub fn failure_summary(&self) -> String {
-        let mut s = format!(
-            "bcast chaos seed {} FAILED — reproduce with:\n    {}\n\
-             trace hash {:#018x} over {} events; {} faults, {} repairs, \
-             {} broadcasts, {} rebinds\n",
-            self.seed,
-            self.repro(),
-            self.trace_hash,
-            self.trace_events,
-            self.faults,
-            self.repairs,
-            self.broadcasts,
-            self.rebinds,
-        );
-        if !self.all_clients_finished {
-            s.push_str("clients did not finish their scripts\n");
-        }
-        for w in &self.driver_warnings {
-            s.push_str(&format!("driver: {w}\n"));
-        }
-        for e in &self.client_errors {
-            s.push_str(&format!("client: {e}\n"));
-        }
-        for v in &self.violations {
-            s.push_str(&format!("violation: {v}\n"));
-        }
-        s
+impl fmt::Display for BcastExtra {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} broadcasts", self.broadcasts)
     }
 }
 
-/// The machine universe the configuration manager solves over: the five
-/// hosts that can run broadcast members (three initial members plus two
-/// warm spares), all satisfying the memory constraint.
-fn bcast_universe() -> Universe {
-    let mut u = Universe::new();
-    for id in 10..=14u32 {
-        u = u.with(Machine::named(id, &format!("vax-{id}")).with("memory", Value::Num(16)));
-    }
-    u
-}
+impl Workload for Bcast {
+    type Proto = ProposeAccept;
+    type Extra = BcastExtra;
+    const NAME: &'static str = "bcast";
+    const TROUPE: &'static str = "bcast";
+    const SCRIPT_SALT: u64 = 0x4243_5354;
+    const SCRIPT_LEN: usize = 30;
 
-fn member_view(w: &World, m: &ModuleAddr) -> Option<(SockAddr, Vec<u64>, u64, usize)> {
-    w.with_proc(m.addr, |p: &CircusProcess| {
-        let s = p
-            .node()
-            .service_as::<OrderedBroadcastService<ChaosApp>>(BCAST_MODULE)
-            .expect("broadcast member exports the broadcast service");
-        (
-            m.addr,
-            s.applied_order.clone(),
-            s.state_digest(),
-            s.queue_len(),
+    fn service(&self, _w: &mut World, _host: HostId) -> Box<dyn Service> {
+        Box::new(
+            OrderedBroadcastService::new(ChaosApp::default())
+                .with_proposal_ttl(CHAOS_PROPOSAL_TTL_US),
         )
-    })
+    }
+
+    fn check(&self, q: &Quiesced, extra: &mut BcastExtra, out: &mut Vec<Violation>) {
+        let views = q.member_views(|addr, s: &OrderedBroadcastService<ChaosApp>| {
+            (
+                addr,
+                s.applied_order.clone(),
+                s.state_digest(),
+                s.queue_len(),
+            )
+        });
+        let mut confirmed = Vec::new();
+        q.each_client::<ProposeAccept>(|_, a| confirmed.extend_from_slice(&a.confirmed));
+        extra.broadcasts = confirmed.len();
+        check_applied_order(&views, out);
+        check_no_starvation(&views, &confirmed, out);
+        check_replication(q, out);
+        check_monotonicity(q, out);
+    }
 }
 
 /// The identical-applied-order oracle: every current member's
@@ -305,342 +194,4 @@ fn check_no_starvation(
             }
         }
     }
-}
-
-fn check_replication(members: &[ModuleAddr], w: &World, out: &mut Vec<Violation>) {
-    const ORACLE: &str = "under-replication";
-    if members.len() != BCAST_REPLICATION {
-        out.push(Violation {
-            oracle: ORACLE,
-            detail: format!(
-                "broadcast troupe has {} registered member(s) at quiesce; the \
-                 specification asks for {BCAST_REPLICATION}",
-                members.len()
-            ),
-        });
-    }
-    let mut seen: Vec<SockAddr> = Vec::new();
-    for m in members {
-        if seen.contains(&m.addr) {
-            out.push(Violation {
-                oracle: ORACLE,
-                detail: format!("member {} registered twice", m.addr),
-            });
-        }
-        seen.push(m.addr);
-        if w.with_proc(m.addr, |_p: &CircusProcess| ()).is_none() {
-            out.push(Violation {
-                oracle: ORACLE,
-                detail: format!("registered member {} is not a live process", m.addr),
-            });
-        }
-    }
-}
-
-fn clients_finished(w: &World, clients: &[SockAddr]) -> bool {
-    clients.iter().all(|&c| {
-        w.with_proc(c, |p: &CircusProcess| {
-            p.agent_as::<ChaosBroadcaster>()
-                .is_some_and(|a| a.finished())
-        })
-        .unwrap_or(false)
-    })
-}
-
-/// Builds the broadcast world, runs the fault plan for `seed` against
-/// the live workload, quiesces, runs the oracles, and folds everything
-/// into a report.
-pub fn run_bcast(seed: u64, opts: &BcastOptions) -> BcastReport {
-    let plan = match &opts.override_faults {
-        Some(faults) => FaultPlan {
-            seed,
-            faults: faults.clone(),
-        },
-        None => FaultPlan::generate(seed, &opts.plan),
-    };
-    let mut w = World::with_config(seed, NetConfig::lan_1985(), SyscallCosts::default());
-    let baseline = w.net().clone();
-    w.set_trace_sink(Box::new(TraceRing::new(4_096)));
-
-    let config = NodeConfig {
-        assembly_timeout: Duration::from_micros(1_500_000),
-        multicast_calls: opts.multicast_calls,
-        ..NodeConfig::default()
-    };
-    let rm_hosts = vec![HostId(1), HostId(2), HostId(3)];
-    let rm = spawn_ringmaster(&mut w, &rm_hosts, config.clone());
-
-    // The initial placement is *solved*, not hard-coded: the manager
-    // instantiates the troupe spec over the machine database and the
-    // driver spawns members exactly where it says.
-    let mut warnings = Vec::new();
-    let mut cm = ConfigManager::new(bcast_universe());
-    let placed: Vec<u32> = match cm.instantiate(BCAST_NAME, BCAST_SPEC) {
-        Ok(_) => cm
-            .troupe(BCAST_NAME)
-            .expect("just instantiated")
-            .placement
-            .clone(),
-        Err(e) => {
-            warnings.push(format!("configlang instantiation failed: {e}"));
-            vec![10, 11, 12]
-        }
-    };
-    let members: Vec<ModuleAddr> = placed
-        .iter()
-        .map(|&h| ModuleAddr::new(SockAddr::new(HostId(h), BCAST_PORT), BCAST_MODULE))
-        .collect();
-    for m in &members {
-        let p = NodeBuilder::new(m.addr, config.clone())
-            .service(
-                BCAST_MODULE,
-                Box::new(
-                    OrderedBroadcastService::new(ChaosApp::default())
-                        .with_proposal_ttl(CHAOS_PROPOSAL_TTL_US),
-                ),
-            )
-            .binder(rm.clone())
-            .build()
-            .expect("valid node");
-        w.spawn(m.addr, Box::new(p));
-    }
-
-    // Warm spares on the machines the solver did not pick.
-    let spare_hosts: Vec<HostId> = (10..=14u32)
-        .filter(|h| !placed.contains(h))
-        .map(HostId)
-        .collect();
-    for &h in &spare_hosts {
-        let addr = SockAddr::new(h, BCAST_PORT);
-        let p = NodeBuilder::new(addr, config.clone())
-            .service(
-                BCAST_MODULE,
-                Box::new(
-                    OrderedBroadcastService::new(ChaosApp::default())
-                        .with_proposal_ttl(CHAOS_PROPOSAL_TTL_US),
-                ),
-            )
-            .service(
-                SPARE_CTL_MODULE,
-                Box::new(SpareService::new(rm.clone(), BCAST_NAME, BCAST_MODULE)),
-            )
-            .agent(Box::new(SpareAgent::new(rm.clone(), BCAST_NAME)))
-            .binder(rm.clone())
-            .build()
-            .expect("valid node");
-        w.spawn(addr, Box::new(p));
-    }
-
-    let registrar = SockAddr::new(HostId(90), BCAST_CLIENT_PORT);
-    let p = NodeBuilder::new(registrar, config.clone())
-        .agent(Box::new(Registrar {
-            binder: rm.clone(),
-            req: RegisterTroupe {
-                name: BCAST_NAME.into(),
-                members: members.clone(),
-            },
-            id: None,
-        }))
-        .build()
-        .expect("valid node");
-    w.spawn(registrar, Box::new(p));
-    w.poke(registrar, 0);
-    let deadline = w.now() + Duration::from_micros(30_000_000);
-    let registered = w.run(simnet::Until::pred(deadline, |w| {
-        w.with_proc(registrar, |p: &CircusProcess| {
-            p.agent_as::<Registrar>().is_some_and(|r| r.id.is_some())
-        })
-        .unwrap_or(false)
-    }));
-    if !registered {
-        warnings.push("broadcast troupe never registered".into());
-    }
-
-    // Payloads come from a workload RNG domain-separated from world and
-    // plan; message ids are globally unique per client.
-    let mut wrng = SimRng::new(seed ^ 0x4243_5354_u64.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let client_addrs: Vec<SockAddr> = [20u32, 21]
-        .iter()
-        .map(|&h| SockAddr::new(HostId(h), BCAST_CLIENT_PORT))
-        .collect();
-    for (i, &c) in client_addrs.iter().enumerate() {
-        let mut script = Vec::new();
-        for _ in 0..opts.msgs_per_client {
-            let len = 1 + wrng.below(6) as usize;
-            let mut payload = Vec::with_capacity(len);
-            for _ in 0..len {
-                payload.push(wrng.below(256) as u8);
-            }
-            script.push(payload);
-        }
-        let p = NodeBuilder::new(c, config.clone())
-            .agent(Box::new(ChaosBroadcaster::new(
-                rm.clone(),
-                BCAST_NAME,
-                BCAST_MODULE,
-                1 + i as u64 * 1_000_000,
-                script,
-            )))
-            .binder(rm.clone())
-            .build()
-            .expect("valid node");
-        w.spawn(c, Box::new(p));
-        w.poke(c, 0);
-    }
-
-    let mut d = WorkloadDriver {
-        w,
-        rm_hosts,
-        name: BCAST_NAME,
-        members,
-        spare_budget: spare_hosts.len(),
-        crashed: Vec::new(),
-        baseline: baseline.clone(),
-        warnings,
-        cm,
-    };
-
-    for pf in plan.faults.clone() {
-        d.apply(&pf);
-    }
-
-    // Quiesce: heal the network, let the healer drain its suspect queue,
-    // let every client finish, then push one probe broadcast through
-    // every client — the probe's accepts force a dispatch (and thus a
-    // queue drain) at every member, so a straggler whose agreed time was
-    // slightly in the future still applies before the oracles look.
-    d.w.set_partition(Partition::none());
-    d.w.set_net(baseline);
-    let healer = d.healer_addr();
-    let deadline = d.w.now() + Duration::from_micros(60_000_000);
-    let drained = d.w.run(simnet::Until::pred(deadline, |w| {
-        w.with_proc(healer, |p: &CircusProcess| {
-            let no_suspects = p
-                .node()
-                .service_as::<RingmasterService>(BINDING_MODULE)
-                .is_some_and(|s| s.suspect_count() == 0);
-            no_suspects && p.agent_as::<SelfHealAgent>().is_some_and(|h| h.idle())
-        })
-        .unwrap_or(false)
-    }));
-    if !drained {
-        d.warnings
-            .push("healer did not drain its suspect queue at quiesce".into());
-    }
-    let deadline = d.w.now() + Duration::from_micros(180_000_000);
-    let finished = d.w.run(simnet::Until::pred(deadline, |w| {
-        clients_finished(w, &client_addrs)
-    }));
-    if !finished {
-        d.warnings
-            .push("broadcasters did not finish before quiesce".into());
-    }
-
-    for (i, &c) in client_addrs.iter().enumerate() {
-        d.w.with_proc_mut(c, |p: &mut CircusProcess| {
-            if let Some(a) = p.agent_as_mut::<ChaosBroadcaster>() {
-                a.enqueue(vec![0xEE, i as u8]);
-            }
-        });
-        d.w.poke(c, 0);
-    }
-    let deadline = d.w.now() + Duration::from_micros(120_000_000);
-    let probed = d.w.run(simnet::Until::pred(deadline, |w| {
-        clients_finished(w, &client_addrs)
-    }));
-    if !probed {
-        d.warnings.push("probe broadcasts did not finish".into());
-    }
-    d.w.run(simnet::Until::Elapsed(Duration::from_micros(5_000_000)));
-
-    d.refresh_members();
-    let members = d.members.clone();
-    let views: Vec<_> = members
-        .iter()
-        .filter_map(|m| member_view(&d.w, m))
-        .collect();
-
-    let mut confirmed = Vec::new();
-    let mut broadcasts = 0usize;
-    let mut rebinds = 0u32;
-    let mut client_errors = Vec::new();
-    for &c in &client_addrs {
-        if let Some((conf, r, errs)) = d.w.with_proc(c, |p: &CircusProcess| {
-            let a = p
-                .agent_as::<ChaosBroadcaster>()
-                .expect("client process hosts a ChaosBroadcaster");
-            (a.confirmed.clone(), a.rebinds, a.errors.clone())
-        }) {
-            broadcasts += conf.len();
-            confirmed.extend(conf);
-            rebinds += r;
-            client_errors.extend(errs);
-        }
-    }
-
-    let mut violations = Vec::new();
-    check_applied_order(&views, &mut violations);
-    check_no_starvation(&views, &confirmed, &mut violations);
-    check_replication(&members, &d.w, &mut violations);
-    check_net_monotonicity(&d.w, &mut violations);
-
-    let (trace_hash, trace_events) =
-        d.w.trace_sink_as::<TraceRing>()
-            .map(|ring| (ring.hash(), ring.seen()))
-            .unwrap_or((0, 0));
-    d.w.refresh_metrics();
-    let reg = d.w.metrics();
-    let cpu_total = Duration::from_micros(reg.sum_suffix(".total_us"));
-    let metrics_json = reg.dump_json();
-    let span_hash = reg.span_hash();
-    let net = d.w.net_stats();
-
-    BcastReport {
-        seed,
-        trace_hash,
-        trace_events,
-        faults: plan.faults.len(),
-        repairs: d.healed_repairs(),
-        broadcasts,
-        rebinds,
-        client_errors,
-        driver_warnings: d.warnings,
-        all_clients_finished: finished && probed,
-        violations,
-        cpu_total,
-        net,
-        metrics_json,
-        span_hash,
-    }
-}
-
-/// Runs a broadcast sweep across worker threads, reports in seed order.
-pub fn run_bcast_sweep(seeds: &[u64], opts: &BcastOptions, jobs: usize) -> Vec<BcastReport> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    let jobs = jobs.max(1).min(seeds.len().max(1));
-    if jobs == 1 {
-        return seeds.iter().map(|&s| run_bcast(s, opts)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<BcastReport>>> = seeds.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&seed) = seeds.get(i) else { break };
-                let report = run_bcast(seed, opts);
-                *slots[i].lock().expect("sweep slot poisoned") = Some(report);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("sweep slot poisoned")
-                .expect("every seed produced a report")
-        })
-        .collect()
 }

@@ -1,16 +1,13 @@
-//! The commutative-operations chaos scenario: CRDT-style counters and
+//! The commutative-operations workload: CRDT-style counters and
 //! grow-only sets under a seeded fault schedule.
 //!
-//! [`run_commute`] builds the same full stack as the broadcast chaos
-//! scenario — Ringmaster troupe with self-healing, configlang-solved
-//! initial placement, warm spares, name-importing clients — but the
-//! replicated module is a [`CommutativeService`] and the clients are
-//! [`ChaosCmClient`]s. There is no commit protocol and no agreed order:
+//! The replicated module is a [`CommutativeService`] and the clients
+//! speak [`CmBatch`]. There is no commit protocol and no agreed order:
 //! members apply operations as they arrive, and the workload's only
 //! obligations are *delivery everywhere* (the all-ack collation plus
 //! same-id retry) and *idempotence* (the per-request dedup ledger).
 //!
-//! The scenario-specific oracle is **convergence without commit**: at
+//! The workload-specific oracle is **convergence without commit**: at
 //! quiesce every member's state digest is identical — the digest is
 //! order-*insensitive*, covering counters, set, and dedup ledger — and
 //! every batch a client confirmed is in every member's ledger. Members
@@ -19,177 +16,69 @@
 //! coincide, with zero aborts along the way (the property BENCH_8
 //! prices against the commit and broadcast protocols).
 
-use circus::binding::BINDING_MODULE;
-use circus::{CircusProcess, ModuleAddr, NodeBuilder, NodeConfig};
-use configlang::{ConfigManager, Machine, Universe, Value};
-use ringmaster::{
-    spawn_ringmaster, RegisterTroupe, RingmasterService, SelfHealAgent, SpareAgent, SpareService,
-    SPARE_CTL_MODULE,
-};
-use simnet::{
-    Duration, HostId, NetConfig, NetView, Partition, SimRng, SockAddr, SyscallCosts, TraceRing,
-    World,
-};
-use transactions::{CmOp, CommutativeService, ObjId};
+use std::fmt;
 
-use crate::client::ChaosCmClient;
-use crate::drive::WorkloadDriver;
-use crate::oracle::{check_net_monotonicity, Violation};
-use crate::plan::{FaultPlan, PlanOptions, PlannedFault};
-use crate::scenario::Registrar;
+use circus::Service;
+use simnet::{HostId, SockAddr, World};
+use transactions::CommutativeService;
 
-/// Module number of the replicated commutative service.
-pub const CM_MODULE: u16 = 1;
-/// Port commutative members listen on.
-pub const CM_PORT: u16 = 70;
-/// Port clients (and the registrar) listen on.
-pub const CM_CLIENT_PORT: u16 = 10;
-/// The name the commutative troupe is registered under.
-pub const CM_NAME: &str = "commute";
-/// The replication degree the troupe specification asks for.
-pub const CM_REPLICATION: usize = 3;
+use crate::client::CmBatch;
+use crate::harness::{Quiesced, Workload};
+use crate::oracle::{check_monotonicity, check_replication, Violation};
 
-/// The configlang specification the initial placement is solved from.
-pub const CM_SPEC: &str = "troupe(x, y, z) where x.memory >= 8 and y.memory >= 8 and z.memory >= 8";
+/// The commutative-operations workload.
+pub struct Commute;
 
-/// Scenario knobs beyond the fault plan itself.
-#[derive(Clone, Debug)]
-pub struct CommuteOptions {
-    /// Operation batches per client before the quiesce probe.
-    pub batches_per_client: usize,
-    /// Bounds for the generated fault plan.
-    pub plan: PlanOptions,
-    /// Carry one-to-many call data as troupe-wide multicasts.
-    pub multicast_calls: bool,
-    /// Replace the generated plan with an explicit fault list.
-    pub override_faults: Option<Vec<PlannedFault>>,
-}
-
-impl Default for CommuteOptions {
-    fn default() -> CommuteOptions {
-        CommuteOptions {
-            batches_per_client: 30,
-            plan: PlanOptions::default(),
-            multicast_calls: false,
-            override_faults: None,
-        }
-    }
-}
-
-/// Everything one commutative chaos run produced.
-#[derive(Clone, Debug)]
-pub struct CommuteReport {
-    /// The seed.
-    pub seed: u64,
-    /// FNV-1a hash over every trace event of the run.
-    pub trace_hash: u64,
-    /// Total trace events emitted.
-    pub trace_events: u64,
-    /// Faults the plan scheduled.
-    pub faults: usize,
-    /// Crash/kill repairs performed by the self-healing agent.
-    pub repairs: usize,
+/// What a commutative run reports beyond the common fields.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct CommuteExtra {
     /// Client-confirmed batches across all clients (probes included).
     pub batches: usize,
-    /// Stale-binding rebinds across all clients.
-    pub rebinds: u32,
-    /// Unrecoverable client errors.
-    pub client_errors: Vec<String>,
-    /// Driver anomalies.
-    pub driver_warnings: Vec<String>,
-    /// Whether every client finished its script and probe.
-    pub all_clients_finished: bool,
-    /// Oracle violations.
-    pub violations: Vec<Violation>,
-    /// Simulated CPU total from the metrics registry.
-    pub cpu_total: Duration,
-    /// The world's network counters.
-    pub net: NetView,
-    /// Deterministic JSON dump of the metrics registry at quiesce.
-    pub metrics_json: String,
-    /// FNV-1a hash over the causal span records minted during the run.
-    pub span_hash: u64,
 }
 
-impl CommuteReport {
-    /// `true` if the run is clean.
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-            && self.client_errors.is_empty()
-            && self.driver_warnings.is_empty()
-            && self.all_clients_finished
-    }
-
-    /// A copy-pasteable command reproducing this run by seed.
-    pub fn repro(&self) -> String {
-        format!(
-            "CHAOS_SEED={} cargo test -p chaos --test commute",
-            self.seed
-        )
-    }
-
-    /// A one-paragraph failure description, repro line first.
-    pub fn failure_summary(&self) -> String {
-        let mut s = format!(
-            "commute chaos seed {} FAILED — reproduce with:\n    {}\n\
-             trace hash {:#018x} over {} events; {} faults, {} repairs, \
-             {} batches, {} rebinds\n",
-            self.seed,
-            self.repro(),
-            self.trace_hash,
-            self.trace_events,
-            self.faults,
-            self.repairs,
-            self.batches,
-            self.rebinds,
-        );
-        if !self.all_clients_finished {
-            s.push_str("clients did not finish their scripts\n");
-        }
-        for w in &self.driver_warnings {
-            s.push_str(&format!("driver: {w}\n"));
-        }
-        for e in &self.client_errors {
-            s.push_str(&format!("client: {e}\n"));
-        }
-        for v in &self.violations {
-            s.push_str(&format!("violation: {v}\n"));
-        }
-        s
+impl fmt::Display for CommuteExtra {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} batches", self.batches)
     }
 }
 
-fn cm_universe() -> Universe {
-    let mut u = Universe::new();
-    for id in 10..=14u32 {
-        u = u.with(Machine::named(id, &format!("vax-{id}")).with("memory", Value::Num(16)));
+impl Workload for Commute {
+    type Proto = CmBatch;
+    type Extra = CommuteExtra;
+    const NAME: &'static str = "commute";
+    const TROUPE: &'static str = "commute";
+    const SCRIPT_SALT: u64 = 0x434F_4D4D;
+    const SCRIPT_LEN: usize = 30;
+
+    fn service(&self, _w: &mut World, _host: HostId) -> Box<dyn Service> {
+        Box::new(CommutativeService::new())
     }
-    u
-}
 
-/// `(addr, applied-batch count, digest, which confirmed ids are seen)`.
-struct CmView {
-    addr: SockAddr,
-    digest: u64,
-    missing: Vec<u64>,
-}
-
-fn member_view(w: &World, m: &ModuleAddr, confirmed: &[u64]) -> Option<CmView> {
-    w.with_proc(m.addr, |p: &CircusProcess| {
-        let s = p
-            .node()
-            .service_as::<CommutativeService>(CM_MODULE)
-            .expect("commutative member exports the commutative service");
-        CmView {
-            addr: m.addr,
+    fn check(&self, q: &Quiesced, extra: &mut CommuteExtra, out: &mut Vec<Violation>) {
+        let mut confirmed = Vec::new();
+        q.each_client::<CmBatch>(|_, a| confirmed.extend_from_slice(&a.confirmed));
+        extra.batches = confirmed.len();
+        let views = q.member_views(|addr, s: &CommutativeService| CmView {
+            addr,
             digest: s.state_digest(),
             missing: confirmed
                 .iter()
                 .copied()
                 .filter(|&id| !s.has_seen(id))
                 .collect(),
-        }
-    })
+        });
+        check_convergence(&views, out);
+        check_replication(q, out);
+        check_monotonicity(q, out);
+    }
+}
+
+/// One member at quiesce: its digest, and which confirmed ids its
+/// ledger lacks.
+struct CmView {
+    addr: SockAddr,
+    digest: u64,
+    missing: Vec<u64>,
 }
 
 /// The convergence-without-commit oracle: identical state digests at
@@ -225,327 +114,4 @@ fn check_convergence(views: &[CmView], out: &mut Vec<Violation>) {
             });
         }
     }
-}
-
-fn check_replication(members: &[ModuleAddr], w: &World, out: &mut Vec<Violation>) {
-    const ORACLE: &str = "under-replication";
-    if members.len() != CM_REPLICATION {
-        out.push(Violation {
-            oracle: ORACLE,
-            detail: format!(
-                "commutative troupe has {} registered member(s) at quiesce; the \
-                 specification asks for {CM_REPLICATION}",
-                members.len()
-            ),
-        });
-    }
-    let mut seen: Vec<SockAddr> = Vec::new();
-    for m in members {
-        if seen.contains(&m.addr) {
-            out.push(Violation {
-                oracle: ORACLE,
-                detail: format!("member {} registered twice", m.addr),
-            });
-        }
-        seen.push(m.addr);
-        if w.with_proc(m.addr, |_p: &CircusProcess| ()).is_none() {
-            out.push(Violation {
-                oracle: ORACLE,
-                detail: format!("registered member {} is not a live process", m.addr),
-            });
-        }
-    }
-}
-
-fn clients_finished(w: &World, clients: &[SockAddr]) -> bool {
-    clients.iter().all(|&c| {
-        w.with_proc(c, |p: &CircusProcess| {
-            p.agent_as::<ChaosCmClient>().is_some_and(|a| a.finished())
-        })
-        .unwrap_or(false)
-    })
-}
-
-/// Builds the commutative world, runs the fault plan for `seed` against
-/// the live workload, quiesces, runs the oracles, and folds everything
-/// into a report.
-pub fn run_commute(seed: u64, opts: &CommuteOptions) -> CommuteReport {
-    let plan = match &opts.override_faults {
-        Some(faults) => FaultPlan {
-            seed,
-            faults: faults.clone(),
-        },
-        None => FaultPlan::generate(seed, &opts.plan),
-    };
-    let mut w = World::with_config(seed, NetConfig::lan_1985(), SyscallCosts::default());
-    let baseline = w.net().clone();
-    w.set_trace_sink(Box::new(TraceRing::new(4_096)));
-
-    let config = NodeConfig {
-        assembly_timeout: Duration::from_micros(1_500_000),
-        multicast_calls: opts.multicast_calls,
-        ..NodeConfig::default()
-    };
-    let rm_hosts = vec![HostId(1), HostId(2), HostId(3)];
-    let rm = spawn_ringmaster(&mut w, &rm_hosts, config.clone());
-
-    let mut warnings = Vec::new();
-    let mut cm = ConfigManager::new(cm_universe());
-    let placed: Vec<u32> = match cm.instantiate(CM_NAME, CM_SPEC) {
-        Ok(_) => cm
-            .troupe(CM_NAME)
-            .expect("just instantiated")
-            .placement
-            .clone(),
-        Err(e) => {
-            warnings.push(format!("configlang instantiation failed: {e}"));
-            vec![10, 11, 12]
-        }
-    };
-    let members: Vec<ModuleAddr> = placed
-        .iter()
-        .map(|&h| ModuleAddr::new(SockAddr::new(HostId(h), CM_PORT), CM_MODULE))
-        .collect();
-    for m in &members {
-        let p = NodeBuilder::new(m.addr, config.clone())
-            .service(CM_MODULE, Box::new(CommutativeService::new()))
-            .binder(rm.clone())
-            .build()
-            .expect("valid node");
-        w.spawn(m.addr, Box::new(p));
-    }
-
-    let spare_hosts: Vec<HostId> = (10..=14u32)
-        .filter(|h| !placed.contains(h))
-        .map(HostId)
-        .collect();
-    for &h in &spare_hosts {
-        let addr = SockAddr::new(h, CM_PORT);
-        let p = NodeBuilder::new(addr, config.clone())
-            .service(CM_MODULE, Box::new(CommutativeService::new()))
-            .service(
-                SPARE_CTL_MODULE,
-                Box::new(SpareService::new(rm.clone(), CM_NAME, CM_MODULE)),
-            )
-            .agent(Box::new(SpareAgent::new(rm.clone(), CM_NAME)))
-            .binder(rm.clone())
-            .build()
-            .expect("valid node");
-        w.spawn(addr, Box::new(p));
-    }
-
-    let registrar = SockAddr::new(HostId(90), CM_CLIENT_PORT);
-    let p = NodeBuilder::new(registrar, config.clone())
-        .agent(Box::new(Registrar {
-            binder: rm.clone(),
-            req: RegisterTroupe {
-                name: CM_NAME.into(),
-                members: members.clone(),
-            },
-            id: None,
-        }))
-        .build()
-        .expect("valid node");
-    w.spawn(registrar, Box::new(p));
-    w.poke(registrar, 0);
-    let deadline = w.now() + Duration::from_micros(30_000_000);
-    let registered = w.run(simnet::Until::pred(deadline, |w| {
-        w.with_proc(registrar, |p: &CircusProcess| {
-            p.agent_as::<Registrar>().is_some_and(|r| r.id.is_some())
-        })
-        .unwrap_or(false)
-    }));
-    if !registered {
-        warnings.push("commutative troupe never registered".into());
-    }
-
-    // Batches come from a workload RNG domain-separated from world and
-    // plan: counter bumps over a small object set plus set inserts.
-    let mut wrng = SimRng::new(seed ^ 0x434F_4D4D_u64.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let objs = [ObjId(1), ObjId(2), ObjId(3)];
-    let client_addrs: Vec<SockAddr> = [20u32, 21]
-        .iter()
-        .map(|&h| SockAddr::new(HostId(h), CM_CLIENT_PORT))
-        .collect();
-    for (i, &c) in client_addrs.iter().enumerate() {
-        let mut script = Vec::new();
-        for b in 0..opts.batches_per_client {
-            let mut ops = Vec::new();
-            for _ in 0..=wrng.below(2) {
-                ops.push(if wrng.chance(0.3) {
-                    CmOp::Insert(1 + i as u64 * 10_000 + b as u64)
-                } else {
-                    let obj = objs[wrng.below(objs.len() as u64) as usize];
-                    CmOp::Incr(obj, 1 + wrng.below(5) as i64)
-                });
-            }
-            script.push(ops);
-        }
-        let p = NodeBuilder::new(c, config.clone())
-            .agent(Box::new(ChaosCmClient::new(
-                rm.clone(),
-                CM_NAME,
-                CM_MODULE,
-                1 + i as u64 * 1_000_000,
-                script,
-            )))
-            .binder(rm.clone())
-            .build()
-            .expect("valid node");
-        w.spawn(c, Box::new(p));
-        w.poke(c, 0);
-    }
-
-    let mut d = WorkloadDriver {
-        w,
-        rm_hosts,
-        name: CM_NAME,
-        members,
-        spare_budget: spare_hosts.len(),
-        crashed: Vec::new(),
-        baseline: baseline.clone(),
-        warnings,
-        cm,
-    };
-
-    for pf in plan.faults.clone() {
-        d.apply(&pf);
-    }
-
-    // Quiesce: heal, drain the healer, let every client finish, then one
-    // probe batch per client through its binding cache.
-    d.w.set_partition(Partition::none());
-    d.w.set_net(baseline);
-    let healer = d.healer_addr();
-    let deadline = d.w.now() + Duration::from_micros(60_000_000);
-    let drained = d.w.run(simnet::Until::pred(deadline, |w| {
-        w.with_proc(healer, |p: &CircusProcess| {
-            let no_suspects = p
-                .node()
-                .service_as::<RingmasterService>(BINDING_MODULE)
-                .is_some_and(|s| s.suspect_count() == 0);
-            no_suspects && p.agent_as::<SelfHealAgent>().is_some_and(|h| h.idle())
-        })
-        .unwrap_or(false)
-    }));
-    if !drained {
-        d.warnings
-            .push("healer did not drain its suspect queue at quiesce".into());
-    }
-    let deadline = d.w.now() + Duration::from_micros(180_000_000);
-    let finished = d.w.run(simnet::Until::pred(deadline, |w| {
-        clients_finished(w, &client_addrs)
-    }));
-    if !finished {
-        d.warnings
-            .push("commutative clients did not finish before quiesce".into());
-    }
-
-    for (i, &c) in client_addrs.iter().enumerate() {
-        d.w.with_proc_mut(c, |p: &mut CircusProcess| {
-            if let Some(a) = p.agent_as_mut::<ChaosCmClient>() {
-                a.enqueue(vec![CmOp::Insert(0xEE00 + i as u64)]);
-            }
-        });
-        d.w.poke(c, 0);
-    }
-    let deadline = d.w.now() + Duration::from_micros(120_000_000);
-    let probed = d.w.run(simnet::Until::pred(deadline, |w| {
-        clients_finished(w, &client_addrs)
-    }));
-    if !probed {
-        d.warnings.push("probe batches did not finish".into());
-    }
-    d.w.run(simnet::Until::Elapsed(Duration::from_micros(5_000_000)));
-
-    d.refresh_members();
-    let members = d.members.clone();
-
-    let mut confirmed = Vec::new();
-    let mut batches = 0usize;
-    let mut rebinds = 0u32;
-    let mut client_errors = Vec::new();
-    for &c in &client_addrs {
-        if let Some((conf, r, errs)) = d.w.with_proc(c, |p: &CircusProcess| {
-            let a = p
-                .agent_as::<ChaosCmClient>()
-                .expect("client process hosts a ChaosCmClient");
-            (a.confirmed.clone(), a.rebinds, a.errors.clone())
-        }) {
-            batches += conf.len();
-            confirmed.extend(conf);
-            rebinds += r;
-            client_errors.extend(errs);
-        }
-    }
-
-    let views: Vec<CmView> = members
-        .iter()
-        .filter_map(|m| member_view(&d.w, m, &confirmed))
-        .collect();
-    let mut violations = Vec::new();
-    check_convergence(&views, &mut violations);
-    check_replication(&members, &d.w, &mut violations);
-    check_net_monotonicity(&d.w, &mut violations);
-
-    let (trace_hash, trace_events) =
-        d.w.trace_sink_as::<TraceRing>()
-            .map(|ring| (ring.hash(), ring.seen()))
-            .unwrap_or((0, 0));
-    d.w.refresh_metrics();
-    let reg = d.w.metrics();
-    let cpu_total = Duration::from_micros(reg.sum_suffix(".total_us"));
-    let metrics_json = reg.dump_json();
-    let span_hash = reg.span_hash();
-    let net = d.w.net_stats();
-
-    CommuteReport {
-        seed,
-        trace_hash,
-        trace_events,
-        faults: plan.faults.len(),
-        repairs: d.healed_repairs(),
-        batches,
-        rebinds,
-        client_errors,
-        driver_warnings: d.warnings,
-        all_clients_finished: finished && probed,
-        violations,
-        cpu_total,
-        net,
-        metrics_json,
-        span_hash,
-    }
-}
-
-/// Runs a commutative sweep across worker threads, reports in seed
-/// order.
-pub fn run_commute_sweep(seeds: &[u64], opts: &CommuteOptions, jobs: usize) -> Vec<CommuteReport> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    let jobs = jobs.max(1).min(seeds.len().max(1));
-    if jobs == 1 {
-        return seeds.iter().map(|&s| run_commute(s, opts)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<CommuteReport>>> = seeds.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&seed) = seeds.get(i) else { break };
-                let report = run_commute(seed, opts);
-                *slots[i].lock().expect("sweep slot poisoned") = Some(report);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("sweep slot poisoned")
-                .expect("every seed produced a report")
-        })
-        .collect()
 }

@@ -1,275 +1,479 @@
-//! The per-seed harness and the sweep entry points.
+//! The one chaos harness: a [`Workload`] plugged into a fixed scenario.
 //!
-//! [`run_seed`] does one complete chaos run: generate the plan for the
-//! seed, drive the scenario, run the oracles, and fold everything into a
-//! [`RunReport`]. Because plan, world, and workload are all pure
-//! functions of the seed, two reports for the same seed must be
-//! identical — trace hash, event count, CPU totals, network counters and
-//! all — which is what the determinism test asserts, and what makes the
-//! copy-pasteable repro line from a failing sweep actually reproduce.
+//! Every chaos run has the same shape, whatever is being replicated.
+//! [`quiesce`] builds a world containing every layer of the system — a
+//! three-member Ringmaster troupe (its leader running the
+//! [`SelfHealAgent`](ringmaster::SelfHealAgent)), a three-member workload
+//! troupe placed by solving a configlang specification and registered
+//! from a third-party administrative process, warm spares that offer
+//! themselves via `register_spare`, and two [`Client`]s that import the
+//! troupe by name — then runs the workload's fault schedule against it
+//! through the [`Driver`], and finally *quiesces* the world: every
+//! client finishes its script, one probe item is forced through every
+//! binding cache (§6.2's lazy invalidation has no other trigger),
+//! retransmissions settle, and the frozen world is handed to the oracles
+//! as a [`Quiesced`].
+//!
+//! A [`Workload`] supplies only what actually differs between the
+//! synchronization schemes of §5.5: the member [`Service`], the client
+//! [`Protocol`] with its seeded script and quiesce probe, the oracles,
+//! and the extra report fields. (The recovery workload also replaces the
+//! fault schedule with a script of its own.) Adding a fifth workload is
+//! implementing this trait; sweeps, determinism, the golden table and
+//! the repro line come with it.
 
-use simnet::{Duration, NetView, TraceEvent, TraceRing};
+use std::fmt;
 
-use crate::oracle::{check_all, Violation};
-use crate::scenario::{run_scenario, Quiesced, ScenarioOptions};
+use circus::binding::{binding_procs, BINDING_MODULE};
+use circus::{
+    Agent, CallError, CallHandle, CircusProcess, CollationPolicy, ModuleAddr, NodeBuilder,
+    NodeConfig, NodeCtx, Service, Troupe, TroupeId,
+};
+use configlang::{ConfigManager, Machine, Universe, Value};
+use ringmaster::{spawn_ringmaster, RegisterTroupe, SpareAgent, SpareService, SPARE_CTL_MODULE};
+use simnet::{Duration, HostId, SimRng, SockAddr, TraceRing, Until, World};
+use wire::{from_bytes, to_bytes};
 
-/// How many retained trace events a report carries for inspection.
-const TRACE_SAMPLE: usize = 64;
+use crate::client::{Client, Protocol};
+use crate::drive::Driver;
+use crate::oracle::Violation;
+use crate::plan::{FaultPlan, PlanOptions, PlannedFault};
 
-/// Everything one chaos run produced.
+/// Module number of the replicated workload service.
+pub const MEMBER_MODULE: u16 = 1;
+/// Module number of the client-side commit voter (store workloads).
+pub const COMMIT_MODULE: u16 = 2;
+/// Port workload troupe members (and spares) listen on.
+pub const MEMBER_PORT: u16 = 70;
+/// Port clients (and the registrar) listen on.
+pub const CLIENT_PORT: u16 = 10;
+/// The replication degree the troupe specification asks for — and,
+/// because the healer replaces every confirmed-dead member from the
+/// spare pool, the degree the troupe must be back at by quiesce.
+pub const REPLICATION: usize = 3;
+/// The configlang specification the initial placement is solved from.
+pub const TROUPE_SPEC: &str =
+    "troupe(x, y, z) where x.memory >= 8 and y.memory >= 8 and z.memory >= 8";
+/// The hosts that can run workload members: three initial members plus
+/// two warm spares.
+const MEMBER_HOSTS: std::ops::RangeInclusive<u32> = 10..=14;
+
+/// Scenario knobs, shared by every workload.
 #[derive(Clone, Debug)]
-pub struct RunReport {
-    /// The seed.
+pub struct ScenarioOptions {
+    /// Script items per client before the quiesce probe. The default is
+    /// the store's; [`Workload::options`] gives each workload's own.
+    pub txns_per_client: usize,
+    /// Bounds for the generated fault plan.
+    pub plan: PlanOptions,
+    /// Carry one-to-many call data as troupe-wide multicasts (§4.3.3)
+    /// instead of the paper-faithful per-member unicast.
+    pub multicast_calls: bool,
+    /// Adversary factory: called with the scenario seed once the full
+    /// stack is spawned (before the fault plan runs), typically to
+    /// install a [`simnet::TrafficInjector`] on the world. A plain `fn`
+    /// pointer keeps the options `Clone` and the scenario a pure
+    /// function of `(seed, options)`.
+    pub injector: Option<fn(u64, &mut World)>,
+    /// Replace the generated plan with an explicit fault list —
+    /// regression tests use this to force, say, a kill in the middle of
+    /// a broadcast storm and check the rejoined spare agrees on order.
+    pub override_faults: Option<Vec<PlannedFault>>,
+}
+
+impl Default for ScenarioOptions {
+    fn default() -> ScenarioOptions {
+        ScenarioOptions {
+            txns_per_client: 40,
+            plan: PlanOptions::default(),
+            multicast_calls: false,
+            injector: None,
+            override_faults: None,
+        }
+    }
+}
+
+/// What one synchronization scheme brings to the chaos scenario.
+pub trait Workload: Sync {
+    /// The client side of the scheme: protocol, script, quiesce probe.
+    type Proto: Protocol;
+    /// Workload-specific report fields, printed after the common ones.
+    type Extra: Clone + Default + fmt::Debug + fmt::Display + Send;
+
+    /// The workload's name: `cargo test -p chaos --test <NAME>` is its
+    /// sweep, which is what a failing report's repro line says.
+    const NAME: &'static str;
+    /// The name the troupe is registered under.
+    const TROUPE: &'static str;
+    /// Domain-separates the script RNG from the world's, the plan's and
+    /// the other workloads'.
+    const SCRIPT_SALT: u64;
+    /// Script items per client this workload runs by default.
+    const SCRIPT_LEN: usize;
+    /// Whether the two hosts the placement left free run warm spares.
+    const WARM_SPARES: bool = true;
+
+    /// The default options for this workload.
+    fn options() -> ScenarioOptions {
+        ScenarioOptions {
+            txns_per_client: Self::SCRIPT_LEN,
+            ..ScenarioOptions::default()
+        }
+    }
+
+    /// A fresh member service for the process about to be spawned on
+    /// `host` (initial members and warm spares alike).
+    fn service(&self, w: &mut World, host: HostId) -> Box<dyn Service>;
+
+    /// Runs the fault schedule against the live workload and returns
+    /// the plan that was executed. The default drives the seed's
+    /// [`FaultPlan`] (or the override), then heals the network and lets
+    /// the healer drain its suspect queue.
+    fn faults(
+        &self,
+        d: &mut Driver,
+        seed: u64,
+        opts: &ScenarioOptions,
+        _extra: &mut Self::Extra,
+    ) -> FaultPlan {
+        let plan = match &opts.override_faults {
+            Some(faults) => FaultPlan {
+                seed,
+                faults: faults.clone(),
+            },
+            None => FaultPlan::generate(seed, &opts.plan),
+        };
+        for pf in &plan.faults {
+            d.apply(pf);
+        }
+        d.heal_and_drain();
+        plan
+    }
+
+    /// Runs the workload's oracles over the quiesced world and fills in
+    /// the report extras.
+    fn check(&self, q: &Quiesced, extra: &mut Self::Extra, out: &mut Vec<Violation>);
+}
+
+/// The quiesced world plus everything the oracles need to find their
+/// witnesses in it.
+pub struct Quiesced {
+    /// The frozen world.
+    pub world: World,
+    /// The generating seed.
     pub seed: u64,
-    /// FNV-1a hash over *every* trace event of the run.
-    pub trace_hash: u64,
-    /// Total trace events emitted.
-    pub trace_events: u64,
-    /// A few retained events (the oldest the ring still holds), for
-    /// eyeballing a diverging run.
-    pub trace_sample: Vec<TraceEvent>,
-    /// Faults the plan scheduled.
-    pub faults: usize,
-    /// Crash/kill repairs performed.
-    pub repairs: usize,
-    /// Client-confirmed commits across all clients (probes included).
-    pub commits: usize,
-    /// Aborted or ambiguously-failed submissions across all clients.
-    pub aborts: u32,
-    /// Stale-binding rebinds across all clients.
-    pub rebinds: u32,
-    /// Unrecoverable client errors.
-    pub client_errors: Vec<String>,
-    /// Driver anomalies (failed repair steps and the like).
-    pub driver_warnings: Vec<String>,
-    /// Whether every client finished its script and probe.
+    /// The fault plan that was executed.
+    pub plan: FaultPlan,
+    /// The name the workload troupe is registered under.
+    pub troupe: &'static str,
+    /// The troupe membership at quiesce (per the Ringmaster registry).
+    pub members: Vec<ModuleAddr>,
+    /// The client process addresses.
+    pub client_addrs: Vec<SockAddr>,
+    /// The Ringmaster member hosts.
+    pub ringmaster_hosts: Vec<HostId>,
+    /// `true` if every client finished its whole script (plus probe).
     pub all_clients_finished: bool,
-    /// Oracle violations.
-    pub violations: Vec<Violation>,
-    /// Simulated CPU time summed from the metrics registry over every
-    /// process the run charged (crashed processes included, up to their
-    /// last incarnation).
-    pub cpu_total: Duration,
-    /// The world's network counters, snapshotted from the registry.
-    pub net: NetView,
-    /// Deterministic JSON dump of the whole metrics registry at quiesce —
-    /// same seed, same bytes.
-    pub metrics_json: String,
-    /// FNV-1a hash over the causal span records minted during the run.
-    pub span_hash: u64,
+    /// Crash/kill repairs completed *by the self-healing agent* (probe,
+    /// evict, spare activation) — the driver performs none itself.
+    pub repairs: usize,
+    /// Non-fatal driver anomalies (a repair the healer never finished, a
+    /// lookup that never answered...). The sweep treats these as failures
+    /// too.
+    pub driver_warnings: Vec<String>,
 }
 
-impl RunReport {
-    /// `true` if the run is clean: no violations, no client errors, no
-    /// driver warnings, everyone finished.
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-            && self.client_errors.is_empty()
-            && self.driver_warnings.is_empty()
-            && self.all_clients_finished
-    }
-
-    /// A copy-pasteable command reproducing this run by seed.
-    pub fn repro(&self) -> String {
-        format!("CHAOS_SEED={} cargo test -p chaos --test sweep", self.seed)
-    }
-
-    /// A one-paragraph failure description, repro line first.
-    pub fn failure_summary(&self) -> String {
-        let mut s = format!(
-            "chaos seed {} FAILED — reproduce with:\n    {}\n\
-             trace hash {:#018x} over {} events; {} faults, {} repairs, \
-             {} commits, {} aborts, {} rebinds\n",
-            self.seed,
-            self.repro(),
-            self.trace_hash,
-            self.trace_events,
-            self.faults,
-            self.repairs,
-            self.commits,
-            self.aborts,
-            self.rebinds,
-        );
-        if !self.all_clients_finished {
-            s.push_str("clients did not finish their scripts\n");
-        }
-        for w in &self.driver_warnings {
-            s.push_str(&format!("driver: {w}\n"));
-        }
-        for e in &self.client_errors {
-            s.push_str(&format!("client: {e}\n"));
-        }
-        for v in &self.violations {
-            s.push_str(&format!("violation: {v}\n"));
-        }
-        s
-    }
-}
-
-/// One full chaos run with default options.
-pub fn run_seed(seed: u64) -> RunReport {
-    run_seed_with(seed, &ScenarioOptions::default())
-}
-
-/// One full chaos run with explicit options.
-pub fn run_seed_with(seed: u64, opts: &ScenarioOptions) -> RunReport {
-    let q = run_scenario(seed, opts);
-    let violations = check_all(&q);
-    report(&q, violations)
-}
-
-/// [`run_seed_with`] on the reference heap scheduler (test-only,
-/// `heap_sched` feature): the scheduler-equivalence suite asserts its
-/// reports are bit-identical to [`run_seed_with`]'s.
-#[cfg(feature = "heap_sched")]
-pub fn run_seed_with_heap(seed: u64, opts: &ScenarioOptions) -> RunReport {
-    let q = crate::scenario::run_scenario_heap(seed, opts);
-    let violations = check_all(&q);
-    report(&q, violations)
-}
-
-fn report(q: &Quiesced, violations: Vec<Violation>) -> RunReport {
-    use crate::client::RebindingClient;
-    use circus::CircusProcess;
-
-    let (trace_hash, trace_events, trace_sample) = q
-        .world
-        .trace_sink_as::<TraceRing>()
-        .map(|ring| {
-            let sample = ring.events().into_iter().take(TRACE_SAMPLE).collect();
-            (ring.hash(), ring.seen(), sample)
-        })
-        .unwrap_or((0, 0, Vec::new()));
-
-    let mut commits = 0usize;
-    let mut aborts = 0u32;
-    let mut rebinds = 0u32;
-    let mut client_errors = Vec::new();
-    for &c in &q.client_addrs {
-        if let Some((n, a, r, errs)) = q.world.with_proc(c, |p: &CircusProcess| {
+/// Visits the client agent of every live process in `clients`.
+pub fn each_client<P: Protocol>(
+    w: &World,
+    clients: &[SockAddr],
+    mut f: impl FnMut(SockAddr, &Client<P>),
+) {
+    for &c in clients {
+        w.with_proc(c, |p: &CircusProcess| {
             let a = p
-                .agent_as::<RebindingClient>()
-                .expect("client process hosts a RebindingClient");
-            (
-                a.committed_keys.len(),
-                a.aborts,
-                a.rebinds,
-                a.errors.clone(),
-            )
-        }) {
-            commits += n;
-            aborts += a;
-            rebinds += r;
-            client_errors.extend(errs);
+                .agent_as::<Client<P>>()
+                .expect("client process hosts the workload's client");
+            f(c, a);
+        });
+    }
+}
+
+impl Quiesced {
+    /// Visits every client agent, in address order.
+    pub fn each_client<P: Protocol>(&self, f: impl FnMut(SockAddr, &Client<P>)) {
+        each_client(&self.world, &self.client_addrs, f);
+    }
+
+    /// Reads the workload service of the live process at `addr`.
+    pub fn service_at<S: Service, R>(&self, addr: SockAddr, f: impl FnOnce(&S) -> R) -> Option<R> {
+        self.world
+            .with_proc(addr, |p: &CircusProcess| {
+                p.node().service_as::<S>(MEMBER_MODULE).map(f)
+            })
+            .flatten()
+    }
+
+    /// Reads the workload service of every live registered member.
+    pub fn member_views<S: Service, R>(&self, mut f: impl FnMut(SockAddr, &S) -> R) -> Vec<R> {
+        self.members
+            .iter()
+            .filter_map(|m| self.service_at(m.addr, |s| f(m.addr, s)))
+            .collect()
+    }
+}
+
+/// Registers the workload troupe with the Ringmaster from a third-party
+/// administrative process (§6.3: clients need only the binding agent's
+/// well-known address).
+struct Registrar {
+    binder: Troupe,
+    req: RegisterTroupe,
+    id: Option<TroupeId>,
+}
+
+impl Agent for Registrar {
+    fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, _tag: u64) {
+        let t = nc.fresh_thread();
+        let binder = self.binder.clone();
+        nc.call(
+            t,
+            &binder,
+            BINDING_MODULE,
+            binding_procs::REGISTER_TROUPE,
+            to_bytes(&self.req),
+            CollationPolicy::Majority,
+        );
+    }
+
+    fn on_call_done(
+        &mut self,
+        _nc: &mut NodeCtx<'_, '_, '_>,
+        _h: CallHandle,
+        result: Result<Vec<u8>, CallError>,
+    ) {
+        if let Ok(bytes) = result {
+            self.id = from_bytes(&bytes).ok();
         }
     }
-
-    // The registry is the single source of CPU and network totals: the
-    // report and any table derived from the registry can never disagree.
-    q.world.refresh_metrics();
-    let reg = q.world.metrics();
-    let cpu_total = Duration::from_micros(reg.sum_suffix(".total_us"));
-    let metrics_json = reg.dump_json();
-    let span_hash = reg.span_hash();
-
-    RunReport {
-        seed: q.seed,
-        trace_hash,
-        trace_events,
-        trace_sample,
-        faults: q.plan.faults.len(),
-        repairs: q.repairs,
-        commits,
-        aborts,
-        rebinds,
-        client_errors,
-        driver_warnings: q.driver_warnings.clone(),
-        all_clients_finished: q.all_clients_finished,
-        violations,
-        cpu_total,
-        net: q.world.net_stats(),
-        metrics_json,
-        span_hash,
-    }
 }
 
-/// How many worker threads a parallel sweep should use: the
-/// `CHAOS_JOBS` environment variable, or the machine's available
-/// parallelism.
-pub fn chaos_jobs() -> usize {
-    match std::env::var("CHAOS_JOBS") {
-        Ok(s) => s
-            .trim()
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| panic!("CHAOS_JOBS must be a positive integer, got {s:?}")),
-        Err(_) => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    }
-}
-
-/// Runs every seed serially and returns the reports in seed order.
-pub fn run_sweep(seeds: &[u64], opts: &ScenarioOptions) -> Vec<RunReport> {
-    seeds.iter().map(|&s| run_seed_with(s, opts)).collect()
-}
-
-/// Runs the sweep across `jobs` worker threads and returns the reports
-/// in the same order as `seeds`, exactly as the serial sweep would.
-///
-/// Each worker builds its own [`World`](simnet::World) — the simulator's
-/// interior (`Rc`-based metrics registry, payload handles) is
-/// deliberately thread-*un*safe, so nothing of a run crosses a thread
-/// boundary except the finished, plain-data [`RunReport`]. Every run is
-/// a pure function of its seed, so the schedule (which worker picks
-/// which seed, in what order) cannot change any report: parallel and
-/// serial sweeps are bit-identical, which `scripts/check.sh` and the
-/// sweep tests assert.
-pub fn run_sweep_parallel(seeds: &[u64], opts: &ScenarioOptions, jobs: usize) -> Vec<RunReport> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    let jobs = jobs.max(1).min(seeds.len().max(1));
-    if jobs == 1 {
-        return run_sweep(seeds, opts);
-    }
-
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<RunReport>>> = seeds.iter().map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&seed) = seeds.get(i) else { break };
-                let report = run_seed_with(seed, opts);
-                *slots[i].lock().expect("sweep slot poisoned") = Some(report);
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("sweep slot poisoned")
-                .expect("every seed produced a report")
+/// `true` once every client has finished its script (or failed hard).
+pub fn clients_finished<P: Protocol>(w: &World, clients: &[SockAddr]) -> bool {
+    clients.iter().all(|&c| {
+        w.with_proc(c, |p: &CircusProcess| {
+            p.agent_as::<Client<P>>().is_some_and(|a| a.finished())
         })
-        .collect()
+        .unwrap_or(false)
+    })
 }
 
-/// The seeds a sweep should run: the `CHAOS_SEED` environment variable
-/// (a single seed for replaying a failure) or the given default range.
-pub fn sweep_seeds(default: std::ops::Range<u64>) -> Vec<u64> {
-    match std::env::var("CHAOS_SEED") {
-        Ok(s) => {
-            let seed = s
-                .trim()
-                .parse::<u64>()
-                .unwrap_or_else(|_| panic!("CHAOS_SEED must be a u64, got {s:?}"));
-            vec![seed]
+/// Runs `wl` inside the caller-built `w` (fresh: nothing spawned, clock
+/// at zero): builds the stack, runs the fault schedule for `seed`
+/// against the live workload, quiesces, and returns everything the
+/// oracles need plus whatever the fault schedule noted in the extras.
+pub fn quiesce<W: Workload>(
+    wl: &W,
+    mut w: World,
+    seed: u64,
+    opts: &ScenarioOptions,
+) -> (Quiesced, W::Extra) {
+    let baseline = w.net().clone();
+    // The sink must be installed before the first spawn so the whole run,
+    // setup included, is covered by the trace hash. A bounded ring keeps
+    // memory flat no matter how long the run is: the hash still covers
+    // every event, only the retained window is capped.
+    w.set_trace_sink(Box::new(TraceRing::new(4_096)));
+
+    let config = NodeConfig {
+        assembly_timeout: Duration::from_micros(1_500_000),
+        multicast_calls: opts.multicast_calls,
+        ..NodeConfig::default()
+    };
+    let rm_hosts = vec![HostId(1), HostId(2), HostId(3)];
+    let rm = spawn_ringmaster(&mut w, &rm_hosts, config.clone());
+
+    // The initial placement is *solved*, not hard-coded: the manager
+    // instantiates the troupe spec over the machine database (every
+    // member-capable host satisfies the memory constraint) and members
+    // are spawned exactly where it says.
+    let mut warnings = Vec::new();
+    let universe = MEMBER_HOSTS.fold(Universe::new(), |u, id| {
+        u.with(Machine::named(id, &format!("vax-{id}")).with("memory", Value::Num(16)))
+    });
+    let mut cm = ConfigManager::new(universe);
+    let placed: Vec<u32> = match cm.instantiate(W::TROUPE, TROUPE_SPEC) {
+        Ok(_) => cm
+            .troupe(W::TROUPE)
+            .expect("just instantiated")
+            .placement
+            .clone(),
+        Err(e) => {
+            warnings.push(format!("configlang instantiation failed: {e}"));
+            vec![10, 11, 12]
         }
-        Err(_) => default.collect(),
+    };
+    let members: Vec<ModuleAddr> = placed
+        .iter()
+        .map(|&h| ModuleAddr::new(SockAddr::new(HostId(h), MEMBER_PORT), MEMBER_MODULE))
+        .collect();
+    for m in &members {
+        let service = wl.service(&mut w, m.addr.host);
+        let p = NodeBuilder::new(m.addr, config.clone())
+            .service(MEMBER_MODULE, service)
+            .binder(rm.clone())
+            .build()
+            .expect("valid node");
+        w.spawn(m.addr, Box::new(p));
     }
+
+    // Warm spares on the machines the solver did not pick: full member
+    // processes that register themselves with the Ringmaster at boot and
+    // wait to be activated by the healer. A spare never reuses a dead
+    // member's address — its peers still remember the dead process's
+    // paired-message call numbers.
+    let spare_hosts: Vec<HostId> = MEMBER_HOSTS
+        .filter(|h| W::WARM_SPARES && !placed.contains(h))
+        .map(HostId)
+        .collect();
+    for &h in &spare_hosts {
+        let addr = SockAddr::new(h, MEMBER_PORT);
+        let service = wl.service(&mut w, h);
+        let p = NodeBuilder::new(addr, config.clone())
+            .service(MEMBER_MODULE, service)
+            .service(
+                SPARE_CTL_MODULE,
+                Box::new(SpareService::new(rm.clone(), W::TROUPE, MEMBER_MODULE)),
+            )
+            .agent(Box::new(SpareAgent::new(rm.clone(), W::TROUPE)))
+            .binder(rm.clone())
+            .build()
+            .expect("valid node");
+        w.spawn(addr, Box::new(p));
+    }
+
+    let registrar = SockAddr::new(HostId(90), CLIENT_PORT);
+    let p = NodeBuilder::new(registrar, config.clone())
+        .agent(Box::new(Registrar {
+            binder: rm.clone(),
+            req: RegisterTroupe {
+                name: W::TROUPE.into(),
+                members: members.clone(),
+            },
+            id: None,
+        }))
+        .build()
+        .expect("valid node");
+    w.spawn(registrar, Box::new(p));
+    w.poke(registrar, 0);
+    let deadline = w.now() + Duration::from_micros(30_000_000);
+    let registered = w.run(Until::pred(deadline, |w| {
+        w.with_proc(registrar, |p: &CircusProcess| {
+            p.agent_as::<Registrar>().is_some_and(|r| r.id.is_some())
+        })
+        .unwrap_or(false)
+    }));
+    if !registered {
+        warnings.push(format!("{} troupe never registered", W::TROUPE));
+    }
+
+    // Scripts are drawn from a workload RNG domain-separated from both
+    // the world and the plan.
+    let mut wrng = SimRng::new(seed ^ W::SCRIPT_SALT.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let clients: Vec<SockAddr> = [20u32, 21]
+        .iter()
+        .map(|&h| SockAddr::new(HostId(h), CLIENT_PORT))
+        .collect();
+    for (i, &c) in clients.iter().enumerate() {
+        let script = (0..opts.txns_per_client)
+            .map(|n| W::Proto::script_item(&mut wrng, i, n))
+            .collect();
+        let client = Client::new(
+            rm.clone(),
+            W::TROUPE,
+            MEMBER_MODULE,
+            script,
+            W::Proto::new(i),
+        );
+        // Clients observe member deaths first (their calls fail), so
+        // they too carry the binder and report suspects to it.
+        let p = W::Proto::client_node(NodeBuilder::new(c, config.clone()).agent(Box::new(client)))
+            .binder(rm.clone())
+            .build()
+            .expect("valid node");
+        w.spawn(c, Box::new(p));
+        w.poke(c, 0);
+    }
+
+    // The adversary arms itself only after the honest stack is fully
+    // spawned, so its injection clock starts from a deterministic point
+    // in every run of the same seed.
+    if let Some(install) = opts.injector {
+        install(seed, &mut w);
+    }
+
+    let mut d = Driver {
+        w,
+        rm,
+        config,
+        rm_hosts,
+        name: W::TROUPE,
+        members,
+        clients,
+        warnings,
+        spare_budget: spare_hosts.len(),
+        crashed: Vec::new(),
+        baseline,
+        cm,
+    };
+    let mut extra = W::Extra::default();
+    let plan = wl.faults(&mut d, seed, opts, &mut extra);
+
+    // Quiesce: let every client finish its script, then force one probe
+    // item per client through its binding cache, so a binding left stale
+    // by the last reconfiguration is detected and repaired before the
+    // oracles look — and, for protocols that queue, so every member
+    // dispatches (and drains) once more.
+    let clients = d.clients.clone();
+    let deadline = d.w.now() + Duration::from_micros(180_000_000);
+    let finished = d.w.run(Until::pred(deadline, |w| {
+        clients_finished::<W::Proto>(w, &clients)
+    }));
+    if !finished {
+        d.warnings
+            .push("clients did not finish before quiesce".into());
+    }
+    for (i, &c) in clients.iter().enumerate() {
+        d.w.with_proc_mut(c, |p: &mut CircusProcess| {
+            if let Some(a) = p.agent_as_mut::<Client<W::Proto>>() {
+                a.enqueue(W::Proto::probe(i));
+            }
+        });
+        d.w.poke(c, 0);
+    }
+    let deadline = d.w.now() + Duration::from_micros(120_000_000);
+    let probed = d.w.run(Until::pred(deadline, |w| {
+        clients_finished::<W::Proto>(w, &clients)
+    }));
+    if !probed {
+        d.warnings.push("quiesce probes did not finish".into());
+    }
+    // Let retransmissions and deferred acks settle.
+    d.w.run(Until::Elapsed(Duration::from_micros(5_000_000)));
+
+    d.refresh_members();
+    let repairs = d.healed_repairs();
+    let q = Quiesced {
+        world: d.w,
+        seed,
+        plan,
+        troupe: W::TROUPE,
+        members: d.members,
+        client_addrs: clients,
+        ringmaster_hosts: d.rm_hosts,
+        all_clients_finished: finished && probed,
+        repairs,
+        driver_warnings: d.warnings,
+    };
+    (q, extra)
 }

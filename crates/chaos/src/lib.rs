@@ -5,58 +5,74 @@
 //! workload, the network's loss and jitter, every timer — so a failure
 //! found by sweeping seeds is replayed bit-for-bit from the seed alone.
 //!
-//! The pieces:
+//! There is **one** harness. The paper's point in §5.5 is that commit,
+//! ordered broadcast and commutative operations are interchangeable
+//! synchronization schemes over the same troupe and binding machinery;
+//! the crate says the same thing in code:
 //!
+//! - [`harness`] — the fixed scenario ([`quiesce`]: Ringmaster troupe
+//!   with its self-healing agent, a configlang-placed workload troupe,
+//!   warm spares, name-importing clients, fault schedule, quiesce) and
+//!   the [`Workload`] trait that plugs a scheme into it;
+//! - [`store`], [`bcast`], [`commute`], [`recovery`] — the four
+//!   workloads, each a small value supplying only what differs: the
+//!   member service, the client protocol with its seeded script and
+//!   probe, the oracles, the report extras (and, for [`Recovery`], a
+//!   fault script of its own: crash a durable member, reboot it on its
+//!   disk, rejoin by log replay);
+//! - [`client`] — the one rebinding [`Client`] (import by name, pace,
+//!   back off, retry, rebind when stale — Chapter 6) and the three
+//!   [`Protocol`]s it speaks;
 //! - [`plan`] — seeded [`FaultPlan`]s: host crashes and restarts, process
 //!   kills, single-host partitions, loss/duplication bursts, and
 //!   [`NetConfig`](simnet::NetConfig) swaps at simulated times, all
 //!   derived deterministically from the seed and calibrated against the
 //!   paired-message crash-detection horizon (a partition is *not* a
 //!   crash, §4.3.5);
-//! - [`scenario`] — the workload driver: a Ringmaster troupe, a
-//!   replicated transactional store registered with it, and
-//!   name-importing clients running replicated transactions concurrently
-//!   with the faults, including full crash repair (remove the dead
-//!   member, join a spare with state transfer, §6.4);
-//! - [`bcast`] and [`commute`] — the workload-diversity scenarios: the
-//!   same stack with the store swapped for the *ordered broadcast*
-//!   service of §5.4 (oracles: identical applied order at every member,
-//!   no starvation) and for the lock-free *commutative operations*
-//!   service (oracle: convergence without commit). Their initial
-//!   placement is solved from a configlang troupe specification, and
-//!   every crash is replayed through the configuration manager;
-//! - [`oracle`] — the invariants checked at quiesce: exactly-once
+//! - [`drive`] — the one fault [`Driver`]: injects the plan, watches the
+//!   in-system crash repair (§6.4), and replays every membership change
+//!   through the configuration manager;
+//! - [`oracle`] — the store invariants checked at quiesce (exactly-once
 //!   execution, replica-state convergence, transaction atomicity, no
-//!   surviving stale binding, and paired-message serial-number
-//!   monotonicity;
-//! - [`harness`] — [`run_seed`] ties it together and emits a
-//!   [`RunReport`] whose trace hash makes "same seed ⇒ same run" a
-//!   one-line assertion and whose [`RunReport::repro`] line makes a
-//!   failing sweep seed copy-pasteable.
+//!   surviving stale binding) and the two every workload shares
+//!   (paired-message serial-number monotonicity, no permanent
+//!   under-replication);
+//! - [`report`] — [`run`] ties it together and emits a [`Report`] whose
+//!   trace hash makes "same seed ⇒ same run" a one-line assertion and
+//!   whose [`Report::repro`] line makes a failing seed copy-pasteable;
+//!   [`sweep`] runs many seeds across worker threads.
+//!
+//! ```no_run
+//! use chaos::{assert_all_passed, sweep, Bcast, Workload};
+//! let reports = sweep(&Bcast, &[1, 2, 3], &Bcast::options(), 2);
+//! assert_all_passed(&reports);
+//! ```
 
 #![warn(missing_docs)]
 
 pub mod bcast;
 pub mod client;
 pub mod commute;
-mod drive;
+pub mod drive;
 pub mod harness;
 pub mod oracle;
 pub mod plan;
 pub mod recovery;
-pub mod scenario;
+pub mod report;
+pub mod store;
 
-pub use bcast::{run_bcast, run_bcast_sweep, BcastOptions, BcastReport, ChaosApp};
-pub use client::{ChaosBroadcaster, ChaosCmClient, RebindingClient, RemoveAgent};
-pub use commute::{run_commute, run_commute_sweep, CommuteOptions, CommuteReport};
-#[cfg(feature = "heap_sched")]
-pub use harness::run_seed_with_heap;
+pub use bcast::{Bcast, BcastExtra, ChaosApp};
+pub use client::{Client, CmBatch, ProposeAccept, Protocol, RebindingClient, Step, Txn};
+pub use commute::{Commute, CommuteExtra};
+pub use drive::Driver;
 pub use harness::{
-    chaos_jobs, run_seed, run_seed_with, run_sweep, run_sweep_parallel, sweep_seeds, RunReport,
+    quiesce, Quiesced, ScenarioOptions, Workload, CLIENT_PORT, COMMIT_MODULE, MEMBER_MODULE,
+    MEMBER_PORT, REPLICATION,
 };
 pub use oracle::{check_all, Violation};
 pub use plan::{Fault, FaultPlan, PlanOptions, PlannedFault};
-pub use recovery::{run_recovery, RecoveryOptions, RecoveryReport};
+pub use recovery::{Recovery, RecoveryExtra};
 #[cfg(feature = "heap_sched")]
-pub use scenario::run_scenario_heap;
-pub use scenario::{run_scenario, Quiesced, ScenarioOptions};
+pub use report::heap_world;
+pub use report::{assert_all_passed, chaos_jobs, run, run_in, sweep, sweep_seeds, Report};
+pub use store::{run_scenario, Store, StoreExtra};

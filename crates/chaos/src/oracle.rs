@@ -34,14 +34,14 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use circus::binding::{BINDING_MODULE, RINGMASTER_PORT};
+use circus::binding::RINGMASTER_PORT;
 use circus::{CircusProcess, ThreadId, Troupe};
-use ringmaster::RingmasterService;
 use simnet::SockAddr;
 use transactions::{ObjId, Op, TroupeStoreService};
 
-use crate::client::RebindingClient;
-use crate::scenario::{Quiesced, STORE_MODULE, STORE_NAME, STORE_REPLICATION};
+use crate::client::Txn;
+use crate::drive::ringmaster_at;
+use crate::harness::{Quiesced, REPLICATION};
 
 /// One invariant violation.
 #[derive(Clone, Debug)]
@@ -74,43 +74,26 @@ struct ClientView {
 }
 
 fn member_views(q: &Quiesced) -> Vec<MemberView> {
-    q.store_members
-        .iter()
-        .filter_map(|m| {
-            q.world.with_proc(m.addr, |p: &CircusProcess| {
-                let s = p
-                    .node()
-                    .service_as::<TroupeStoreService>(STORE_MODULE)
-                    .expect("store member exports the store service");
-                MemberView {
-                    addr: m.addr,
-                    ledger: s.committed_log().to_vec(),
-                    digest: s.state_digest(),
-                    snapshot: s.tm().store().snapshot(),
-                }
-            })
-        })
-        .collect()
+    q.member_views(|addr, s: &TroupeStoreService| MemberView {
+        addr,
+        ledger: s.committed_log().to_vec(),
+        digest: s.state_digest(),
+        snapshot: s.tm().store().snapshot(),
+    })
 }
 
 fn client_views(q: &Quiesced) -> Vec<ClientView> {
-    q.client_addrs
-        .iter()
-        .filter_map(|&c| {
-            q.world.with_proc(c, |p: &CircusProcess| {
-                let a = p
-                    .agent_as::<RebindingClient>()
-                    .expect("client process hosts a RebindingClient");
-                ClientView {
-                    addr: c,
-                    submitted: a.submitted.clone(),
-                    committed: a.committed_keys.clone(),
-                    aborted: a.aborted_keys.clone(),
-                    cached: a.cache().get(STORE_NAME).cloned(),
-                }
-            })
+    let mut views = Vec::new();
+    q.each_client::<Txn>(|addr, a| {
+        views.push(ClientView {
+            addr,
+            submitted: a.submitted.clone(),
+            committed: a.committed_keys.clone(),
+            aborted: a.aborted_keys.clone(),
+            cached: a.cache().get(q.troupe).cloned(),
         })
-        .collect()
+    });
+    views
 }
 
 fn check_exactly_once(members: &[MemberView], clients: &[ClientView], out: &mut Vec<Violation>) {
@@ -263,19 +246,11 @@ fn check_atomicity(members: &[MemberView], clients: &[ClientView], out: &mut Vec
 
 fn check_stale_bindings(q: &Quiesced, clients: &[ClientView], out: &mut Vec<Violation>) {
     const ORACLE: &str = "stale-binding";
+    let name = q.troupe;
     let mut registry: Vec<(SockAddr, Option<Troupe>)> = Vec::new();
     for &h in &q.ringmaster_hosts {
         let addr = SockAddr::new(h, RINGMASTER_PORT);
-        if let Some(binding) = q.world.with_proc(addr, |p: &CircusProcess| {
-            p.node()
-                .service_as::<RingmasterService>(BINDING_MODULE)
-                .and_then(|s| {
-                    s.bindings()
-                        .into_iter()
-                        .find(|(n, _)| n == STORE_NAME)
-                        .map(|(_, t)| t)
-                })
-        }) {
+        if let Some(binding) = ringmaster_at(&q.world, addr, |s| s.lookup(name).cloned()) {
             registry.push((addr, binding));
         }
     }
@@ -291,7 +266,7 @@ fn check_stale_bindings(q: &Quiesced, clients: &[ClientView], out: &mut Vec<Viol
             out.push(Violation {
                 oracle: ORACLE,
                 detail: format!(
-                    "ringmaster members disagree on '{STORE_NAME}': {first_addr} has \
+                    "ringmaster members disagree on '{name}': {first_addr} has \
                      {first:?}, {addr} has {binding:?}"
                 ),
             });
@@ -300,7 +275,7 @@ fn check_stale_bindings(q: &Quiesced, clients: &[ClientView], out: &mut Vec<Viol
     let Some(truth) = first else {
         out.push(Violation {
             oracle: ORACLE,
-            detail: format!("'{STORE_NAME}' is not in the registry at quiesce"),
+            detail: format!("'{name}' is not in the registry at quiesce"),
         });
         return;
     };
@@ -323,17 +298,16 @@ fn check_stale_bindings(q: &Quiesced, clients: &[ClientView], out: &mut Vec<Viol
     }
 }
 
-/// The serial-number-monotonicity oracle over any quiesced world: no
+/// The serial-number-monotonicity oracle (shared by every workload): no
 /// endpoint ever sent a call number out of order or delivered a call
 /// twice (§4.2.4). Every node publishes its endpoint totals into the
 /// registry; the oracle reads them back from there rather than reaching
-/// into the protocol structs. Shared with the broadcast and commutative
-/// workload scenarios, which quiesce worlds of their own.
-pub fn check_net_monotonicity(world: &simnet::World, out: &mut Vec<Violation>) {
+/// into the protocol structs.
+pub fn check_monotonicity(q: &Quiesced, out: &mut Vec<Violation>) {
     const ORACLE: &str = "serial-monotonicity";
-    world.refresh_metrics();
-    let reg = world.metrics();
-    for addr in world.proc_addrs() {
+    q.world.refresh_metrics();
+    let reg = q.world.metrics();
+    for addr in q.world.proc_addrs() {
         let regressions = reg.get(&format!("rpc.{addr}.send_call_regressions"));
         if regressions != 0 {
             out.push(Violation {
@@ -351,24 +325,24 @@ pub fn check_net_monotonicity(world: &simnet::World, out: &mut Vec<Violation>) {
     }
 }
 
-fn check_monotonicity(q: &Quiesced, out: &mut Vec<Violation>) {
-    check_net_monotonicity(&q.world, out);
-}
-
-fn check_replication(q: &Quiesced, out: &mut Vec<Violation>) {
+/// The no-permanent-under-replication oracle (shared by every
+/// workload): the troupe is back at its specified degree and every
+/// registered member is a distinct live process.
+pub fn check_replication(q: &Quiesced, out: &mut Vec<Violation>) {
     const ORACLE: &str = "under-replication";
-    if q.store_members.len() != STORE_REPLICATION {
+    if q.members.len() != REPLICATION {
         out.push(Violation {
             oracle: ORACLE,
             detail: format!(
-                "store troupe has {} registered member(s) at quiesce; the configured \
-                 replication degree is {STORE_REPLICATION}",
-                q.store_members.len()
+                "{} troupe has {} registered member(s) at quiesce; the specification \
+                 asks for {REPLICATION}",
+                q.troupe,
+                q.members.len()
             ),
         });
     }
     let mut seen: Vec<SockAddr> = Vec::new();
-    for m in &q.store_members {
+    for m in &q.members {
         if seen.contains(&m.addr) {
             out.push(Violation {
                 oracle: ORACLE,
@@ -391,7 +365,7 @@ fn check_replication(q: &Quiesced, out: &mut Vec<Violation>) {
     }
 }
 
-/// Runs all six oracles and returns every violation found.
+/// Runs all six store oracles and returns every violation found.
 pub fn check_all(q: &Quiesced) -> Vec<Violation> {
     let members = member_views(q);
     let clients = client_views(q);

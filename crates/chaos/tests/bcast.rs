@@ -3,7 +3,8 @@
 //! kill-mid-broadcast regression for spare rejoin with broadcast state.
 
 use chaos::{
-    chaos_jobs, run_bcast, run_bcast_sweep, sweep_seeds, BcastOptions, Fault, PlannedFault,
+    assert_all_passed, chaos_jobs, run, sweep, sweep_seeds, Bcast, Fault, PlannedFault,
+    ScenarioOptions, Workload,
 };
 use simnet::{Duration, Time};
 
@@ -11,37 +12,10 @@ use simnet::{Duration, Time};
 fn bcast_sweep_holds_the_oracles() {
     let seeds = sweep_seeds(1..11);
     let replaying = std::env::var("CHAOS_SEED").is_ok();
-    let opts = BcastOptions::default();
-    let reports = run_bcast_sweep(&seeds, &opts, chaos_jobs());
-    let mut failures = Vec::new();
-    let mut repairs = 0usize;
-    let mut broadcasts = 0usize;
-    for r in &reports {
-        println!(
-            "seed {:>3}: {} faults, {} repairs, {} broadcasts, {} rebinds, trace {:#018x} \
-             over {} events{}",
-            r.seed,
-            r.faults,
-            r.repairs,
-            r.broadcasts,
-            r.rebinds,
-            r.trace_hash,
-            r.trace_events,
-            if r.passed() { "" } else { "  FAILED" },
-        );
-        repairs += r.repairs;
-        broadcasts += r.broadcasts;
-        if !r.passed() {
-            failures.push(r.failure_summary());
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "{} of {} broadcast chaos runs failed:\n{}",
-        failures.len(),
-        reports.len(),
-        failures.join("\n")
-    );
+    let reports = sweep(&Bcast, &seeds, &Bcast::options(), chaos_jobs());
+    assert_all_passed(&reports);
+    let repairs: usize = reports.iter().map(|r| r.repairs).sum();
+    let broadcasts: usize = reports.iter().map(|r| r.extra.broadcasts).sum();
     if !replaying {
         // Across ten full fault schedules the sweep must actually have
         // exercised the repair pipeline and the workload.
@@ -55,9 +29,9 @@ fn bcast_sweep_holds_the_oracles() {
 
 #[test]
 fn bcast_same_seed_is_bit_identical() {
-    let opts = BcastOptions::default();
-    let a = run_bcast(3, &opts);
-    let b = run_bcast(3, &opts);
+    let opts = Bcast::options();
+    let a = run(&Bcast, 3, &opts);
+    let b = run(&Bcast, 3, &opts);
     assert_eq!(a.trace_hash, b.trace_hash, "trace hashes diverge");
     assert_eq!(a.trace_events, b.trace_events);
     assert_eq!(a.cpu_total, b.cpu_total);
@@ -73,7 +47,7 @@ fn bcast_same_seed_is_bit_identical() {
 /// position, or applied history would break.
 #[test]
 fn killed_member_mid_broadcast_rejoins_with_identical_order() {
-    let opts = BcastOptions {
+    let opts = ScenarioOptions {
         override_faults: Some(vec![
             PlannedFault {
                 at: Time::from_micros(20_000_000),
@@ -87,10 +61,10 @@ fn killed_member_mid_broadcast_rejoins_with_identical_order() {
                 },
             },
         ]),
-        ..BcastOptions::default()
+        ..Bcast::options()
     };
     for seed in [7, 8] {
-        let r = run_bcast(seed, &opts);
+        let r = run(&Bcast, seed, &opts);
         assert_eq!(r.repairs, 1, "seed {seed}: the kill was not repaired");
         assert!(r.passed(), "{}", r.failure_summary());
     }

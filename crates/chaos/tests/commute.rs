@@ -3,44 +3,20 @@
 //! schedule, since partitions are exactly the regime where commutative
 //! ops shine (no commit round to stall).
 
-use chaos::{chaos_jobs, run_commute, run_commute_sweep, sweep_seeds, CommuteOptions, PlanOptions};
+use chaos::{
+    assert_all_passed, chaos_jobs, run, sweep, sweep_seeds, Commute, PlanOptions, ScenarioOptions,
+    Workload,
+};
 use simnet::Duration;
 
 #[test]
 fn commute_sweep_converges_without_commit() {
     let seeds = sweep_seeds(1..11);
     let replaying = std::env::var("CHAOS_SEED").is_ok();
-    let opts = CommuteOptions::default();
-    let reports = run_commute_sweep(&seeds, &opts, chaos_jobs());
-    let mut failures = Vec::new();
-    let mut repairs = 0usize;
-    let mut batches = 0usize;
-    for r in &reports {
-        println!(
-            "seed {:>3}: {} faults, {} repairs, {} batches, {} rebinds, trace {:#018x} \
-             over {} events{}",
-            r.seed,
-            r.faults,
-            r.repairs,
-            r.batches,
-            r.rebinds,
-            r.trace_hash,
-            r.trace_events,
-            if r.passed() { "" } else { "  FAILED" },
-        );
-        repairs += r.repairs;
-        batches += r.batches;
-        if !r.passed() {
-            failures.push(r.failure_summary());
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "{} of {} commutative chaos runs failed:\n{}",
-        failures.len(),
-        reports.len(),
-        failures.join("\n")
-    );
+    let reports = sweep(&Commute, &seeds, &Commute::options(), chaos_jobs());
+    assert_all_passed(&reports);
+    let repairs: usize = reports.iter().map(|r| r.repairs).sum();
+    let batches: usize = reports.iter().map(|r| r.extra.batches).sum();
     if !replaying {
         assert!(repairs > 0, "no crash was ever repaired across the sweep");
         assert!(
@@ -52,9 +28,9 @@ fn commute_sweep_converges_without_commit() {
 
 #[test]
 fn commute_same_seed_is_bit_identical() {
-    let opts = CommuteOptions::default();
-    let a = run_commute(5, &opts);
-    let b = run_commute(5, &opts);
+    let opts = Commute::options();
+    let a = run(&Commute, 5, &opts);
+    let b = run(&Commute, 5, &opts);
     assert_eq!(a.trace_hash, b.trace_hash, "trace hashes diverge");
     assert_eq!(a.trace_events, b.trace_events);
     assert_eq!(a.cpu_total, b.cpu_total);
@@ -68,7 +44,7 @@ fn commute_same_seed_is_bit_identical() {
 /// commit round for the partition to abort.
 #[test]
 fn partition_storm_still_converges() {
-    let opts = CommuteOptions {
+    let opts = ScenarioOptions {
         plan: PlanOptions {
             partitions_only: Some((
                 Duration::from_micros(500_000),
@@ -76,10 +52,10 @@ fn partition_storm_still_converges() {
             )),
             ..PlanOptions::default()
         },
-        ..CommuteOptions::default()
+        ..Commute::options()
     };
     for seed in [21, 22, 23] {
-        let r = run_commute(seed, &opts);
+        let r = run(&Commute, seed, &opts);
         assert!(r.passed(), "{}", r.failure_summary());
     }
 }

@@ -3,7 +3,11 @@
 //! the same seed twice must give bit-identical traces and resource
 //! accounting; different seeds must actually diverge.
 
-use chaos::{run_seed, run_seed_with, ScenarioOptions};
+use chaos::{run, Report, ScenarioOptions, Store, StoreExtra};
+
+fn run_seed(seed: u64) -> Report<StoreExtra> {
+    run(&Store, seed, &ScenarioOptions::default())
+}
 
 #[test]
 fn same_seed_same_trace_and_resource_totals() {
@@ -29,8 +33,8 @@ fn same_seed_same_trace_and_resource_totals() {
     // And so must the workload's outcome.
     assert_eq!(a.faults, b.faults);
     assert_eq!(a.repairs, b.repairs);
-    assert_eq!(a.commits, b.commits);
-    assert_eq!(a.aborts, b.aborts);
+    assert_eq!(a.extra.commits, b.extra.commits);
+    assert_eq!(a.extra.aborts, b.extra.aborts);
     assert_eq!(a.rebinds, b.rebinds);
 
     // The observability layer is part of the contract as well: the full
@@ -49,8 +53,8 @@ fn multicast_mode_replays_bit_identically() {
         multicast_calls: true,
         ..ScenarioOptions::default()
     };
-    let a = run_seed_with(42, &opts);
-    let b = run_seed_with(42, &opts);
+    let a = run(&Store, 42, &opts);
+    let b = run(&Store, 42, &opts);
 
     assert_eq!(a.trace_hash, b.trace_hash, "trace hashes diverged");
     assert_eq!(a.cpu_total, b.cpu_total, "CPU totals diverged");

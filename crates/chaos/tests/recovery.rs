@@ -4,7 +4,7 @@
 //!
 //! `CHAOS_SEED=<n>` replays a single seed; the default sweep covers ten.
 
-use chaos::{run_recovery, sweep_seeds, RecoveryOptions};
+use chaos::{assert_all_passed, chaos_jobs, run, sweep, sweep_seeds, Recovery, Workload};
 
 #[test]
 fn recovery_sweep_with_hostile_disks() {
@@ -12,16 +12,23 @@ fn recovery_sweep_with_hostile_disks() {
     // flips at crash) on every seed: recovery must come out clean no
     // matter what the disk did to the log.
     let seeds = sweep_seeds(1..11);
-    for &seed in &seeds {
-        let r = run_recovery(seed, &RecoveryOptions::default());
-        assert!(r.passed(), "{}", r.failure_summary());
+    let reports = sweep(
+        &Recovery::default(),
+        &seeds,
+        &Recovery::options(),
+        chaos_jobs(),
+    );
+    assert_all_passed(&reports);
+    for r in &reports {
         assert!(
-            r.recovery.is_some(),
-            "seed {seed}: the recovered member never ran disk recovery"
+            r.extra.recovery.is_some(),
+            "seed {}: the recovered member never ran disk recovery",
+            r.seed
         );
         assert!(
-            r.mttr.is_some(),
-            "seed {seed}: the recovered member never rejoined"
+            r.extra.mttr.is_some(),
+            "seed {}: the recovered member never rejoined",
+            r.seed
         );
     }
 }
@@ -31,9 +38,9 @@ fn recovery_replays_the_local_log() {
     // The crash lands halfway through the workload, so the recovered
     // member must find real history on its disk — a snapshot, replayed
     // records, or both — rather than booting empty.
-    let r = run_recovery(2, &RecoveryOptions::default());
+    let r = run(&Recovery::default(), 2, &Recovery::options());
     assert!(r.passed(), "{}", r.failure_summary());
-    let info = r.recovery.expect("recovery ran");
+    let info = r.extra.recovery.expect("recovery ran");
     assert!(
         info.snapshot_version > 0 || info.replayed > 0,
         "nothing recovered from disk: {info:?}"
@@ -44,13 +51,13 @@ fn recovery_replays_the_local_log() {
 fn faultless_disks_lose_nothing() {
     // Every commit record is fsynced before the member acknowledges, so
     // with fault injection off the crash can tear nothing.
-    let opts = RecoveryOptions {
+    let faultless = Recovery {
         disk_faults: false,
-        ..RecoveryOptions::default()
+        ..Recovery::default()
     };
-    let r = run_recovery(3, &opts);
+    let r = run(&faultless, 3, &Recovery::options());
     assert!(r.passed(), "{}", r.failure_summary());
-    let info = r.recovery.expect("recovery ran");
+    let info = r.extra.recovery.expect("recovery ran");
     assert_eq!(info.torn_bytes, 0, "faultless disk tore the log: {info:?}");
 }
 
@@ -60,22 +67,17 @@ fn delta_catchup_moves_fewer_bytes_than_full_state() {
     // whether the rejoin asks for the delta past its replayed log head
     // or the survivors' whole state. The delta must be strictly
     // smaller: that saving is the point of keeping the log.
-    let delta = run_recovery(
-        5,
-        &RecoveryOptions {
-            use_delta: true,
-            ..RecoveryOptions::default()
-        },
-    );
-    let full = run_recovery(
-        5,
-        &RecoveryOptions {
-            use_delta: false,
-            ..RecoveryOptions::default()
-        },
-    );
+    let rejoin = |use_delta| {
+        let workload = Recovery {
+            use_delta,
+            ..Recovery::default()
+        };
+        run(&workload, 5, &Recovery::options())
+    };
+    let (delta, full) = (rejoin(true), rejoin(false));
     assert!(delta.passed(), "{}", delta.failure_summary());
     assert!(full.passed(), "{}", full.failure_summary());
+    let (delta, full) = (delta.extra, full.extra);
     assert_eq!(
         delta.delta_fetches, 1,
         "delta rejoin did not use the delta path"
@@ -93,12 +95,12 @@ fn delta_catchup_moves_fewer_bytes_than_full_state() {
 fn same_seed_same_recovery_run() {
     // Durability is inside the determinism contract: disk costs, fault
     // draws, replay, and catch-up must all replay bit-identically.
-    let a = run_recovery(7, &RecoveryOptions::default());
-    let b = run_recovery(7, &RecoveryOptions::default());
+    let a = run(&Recovery::default(), 7, &Recovery::options());
+    let b = run(&Recovery::default(), 7, &Recovery::options());
     assert_eq!(a.trace_hash, b.trace_hash, "trace hashes diverged");
     assert_eq!(a.span_hash, b.span_hash, "span trees diverged");
     assert_eq!(a.metrics_json, b.metrics_json, "metrics dumps diverged");
-    assert_eq!(a.mttr, b.mttr);
-    assert_eq!(a.recovery_bytes, b.recovery_bytes);
-    assert_eq!(a.commits, b.commits);
+    assert_eq!(a.extra.mttr, b.extra.mttr);
+    assert_eq!(a.extra.recovery_bytes, b.extra.recovery_bytes);
+    assert_eq!(a.extra.commits, b.extra.commits);
 }

@@ -1,18 +1,25 @@
-//! The multi-seed sweep: run the full chaos scenario over a range of
-//! seeds, check all five oracles after each, and print a copy-pasteable
-//! repro command for any seed that fails.
+//! The store sweep: run the commit-protocol workload under full chaos
+//! over a range of seeds, check all six oracles after each, and print a
+//! copy-pasteable repro command for any seed that fails.
 //!
 //! Replay a single failing seed with:
 //!
 //! ```text
-//! CHAOS_SEED=<seed> cargo test -p chaos --test sweep -- --nocapture
+//! CHAOS_SEED=<seed> cargo test -p chaos --test store -- --nocapture
 //! ```
 
 use chaos::{
-    chaos_jobs, run_seed, run_seed_with, run_sweep, run_sweep_parallel, sweep_seeds, PlanOptions,
-    RunReport, ScenarioOptions,
+    assert_all_passed, chaos_jobs, run, sweep, sweep_seeds, PlanOptions, Report, ScenarioOptions,
+    Store, StoreExtra,
 };
 use simnet::Duration;
+
+type RunReport = Report<StoreExtra>;
+
+/// A pinned regression seed riding along with the default range: it
+/// used to panic in the lock manager ("another holder exists") when a
+/// sole S-holder upgraded to X past queued waiters.
+const LOCK_UPGRADE_SEED: u64 = 10778257583429006674;
 
 /// Reads a counter out of the deterministic metrics dump. A counter that
 /// was never touched is absent from the dump and reads as zero.
@@ -31,39 +38,15 @@ fn sweep_seeds_through_all_oracles() {
     let seeds = sweep_seeds(1..11);
     let replaying = seeds.len() == 1;
 
-    let mut failures = Vec::new();
-    let mut repairs = 0usize;
-    let mut rebinds = 0u32;
-    let mut commits = 0usize;
-    let reports = run_sweep_parallel(&seeds, &ScenarioOptions::default(), chaos_jobs());
-    for (&seed, r) in seeds.iter().zip(&reports) {
-        println!(
-            "seed {seed}: hash={:#018x} events={} faults={} repairs={} commits={} \
-             aborts={} rebinds={} violations={}",
-            r.trace_hash,
-            r.trace_events,
-            r.faults,
-            r.repairs,
-            r.commits,
-            r.aborts,
-            r.rebinds,
-            r.violations.len(),
-        );
-        repairs += r.repairs;
-        rebinds += r.rebinds;
-        commits += r.commits;
-        if !r.passed() {
-            failures.push(r.failure_summary());
-        }
+    let mut seeds = seeds;
+    if !replaying {
+        seeds.push(LOCK_UPGRADE_SEED);
     }
-
-    assert!(
-        failures.is_empty(),
-        "{} of {} seeds failed:\n\n{}",
-        failures.len(),
-        seeds.len(),
-        failures.join("\n")
-    );
+    let reports = sweep(&Store, &seeds, &ScenarioOptions::default(), chaos_jobs());
+    assert_all_passed(&reports);
+    let repairs: usize = reports.iter().map(|r| r.repairs).sum();
+    let rebinds: u32 = reports.iter().map(|r| r.rebinds).sum();
+    let commits: usize = reports.iter().map(|r| r.extra.commits).sum();
 
     // The sweep as a whole must actually exercise the interesting paths;
     // a schedule that never crashes a member or never invalidates a
@@ -92,35 +75,9 @@ fn sweep_seeds_through_all_oracles_multicast() {
         ..ScenarioOptions::default()
     };
     let seeds = sweep_seeds(1..11);
-    let mut failures = Vec::new();
-    let mut multicasts = 0u64;
-    let reports = run_sweep_parallel(&seeds, &opts, chaos_jobs());
-    for (&seed, r) in seeds.iter().zip(&reports) {
-        println!(
-            "seed {seed} (multicast): hash={:#018x} events={} faults={} repairs={} \
-             commits={} aborts={} rebinds={} multicasts={} violations={}",
-            r.trace_hash,
-            r.trace_events,
-            r.faults,
-            r.repairs,
-            r.commits,
-            r.aborts,
-            r.rebinds,
-            r.net.multicasts,
-            r.violations.len(),
-        );
-        multicasts += r.net.multicasts;
-        if !r.passed() {
-            failures.push(r.failure_summary());
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "{} of {} seeds failed in multicast mode:\n\n{}",
-        failures.len(),
-        seeds.len(),
-        failures.join("\n")
-    );
+    let reports = sweep(&Store, &seeds, &opts, chaos_jobs());
+    assert_all_passed(&reports);
+    let multicasts: u64 = reports.iter().map(|r| r.net.multicasts).sum();
     if seeds.len() > 1 {
         assert!(
             multicasts > 0,
@@ -149,7 +106,7 @@ fn partitions_without_crashes_never_evict() {
     };
     let mut suspicions_total = 0u64;
     for seed in [11u64, 12, 13] {
-        let r = run_seed_with(seed, &opts);
+        let r = run(&Store, seed, &opts);
         assert!(
             r.passed(),
             "partition-only seed {seed} failed:\n{}",
@@ -190,7 +147,7 @@ fn self_heal_gate_two_crashes_two_ringmaster_repairs() {
         planned, 2,
         "seed 2's plan no longer schedules exactly two member crashes; pick a new gate seed"
     );
-    let r = run_seed(2);
+    let r = run(&Store, 2, &ScenarioOptions::default());
     assert!(r.passed(), "gate seed failed:\n{}", r.failure_summary());
     assert_eq!(
         r.repairs, 2,
@@ -209,8 +166,8 @@ fn self_heal_gate_two_crashes_two_ringmaster_repairs() {
 fn parallel_sweep_matches_serial_bit_for_bit() {
     let seeds: Vec<u64> = (1..6).collect();
     let opts = ScenarioOptions::default();
-    let serial = run_sweep(&seeds, &opts);
-    let parallel = run_sweep_parallel(&seeds, &opts, 2);
+    let serial = sweep(&Store, &seeds, &opts, 1);
+    let parallel = sweep(&Store, &seeds, &opts, 2);
 
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
@@ -233,7 +190,7 @@ fn parallel_sweep_matches_serial_bit_for_bit() {
         );
         assert_eq!(s.span_hash, p.span_hash, "seed {}: span forest", s.seed);
         assert_eq!(s.cpu_total, p.cpu_total, "seed {}: CPU total", s.seed);
-        assert_eq!(s.commits, p.commits, "seed {}: commits", s.seed);
+        assert_eq!(s.extra, p.extra, "seed {}: commits and aborts", s.seed);
     }
 }
 
@@ -245,7 +202,7 @@ fn self_heal_gate_holds_in_multicast_mode() {
         multicast_calls: true,
         ..ScenarioOptions::default()
     };
-    let r = run_seed_with(2, &opts);
+    let r = run(&Store, 2, &opts);
     assert!(
         r.passed(),
         "multicast gate seed failed:\n{}",

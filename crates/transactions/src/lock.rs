@@ -56,14 +56,16 @@ impl LockManager {
     }
 
     /// Requests `obj` in `mode` for `txn`. Re-entrant: a holder asking
-    /// again (or upgrading S→X when it is the only holder) is granted.
+    /// again (or upgrading S→X when it is the only holder) is granted —
+    /// queued waiters do not block a sole holder's upgrade, they are
+    /// behind it either way.
     pub fn acquire(&mut self, txn: TxnId, obj: ObjId, mode: Mode) -> Acquire {
         let state = self.locks.entry(obj).or_default();
         if let Some(&held) = state.holders.get(&txn) {
             match (held, mode) {
                 (Mode::Exclusive, _) | (_, Mode::Shared) => return Acquire::Granted,
                 (Mode::Shared, Mode::Exclusive) => {
-                    if state.holders.len() == 1 && state.waiters.is_empty() {
+                    if state.holders.len() == 1 {
                         state.holders.insert(txn, Mode::Exclusive);
                         return Acquire::Granted;
                     }
@@ -195,6 +197,22 @@ mod tests {
         assert_eq!(lm.acquire(T1, A, Mode::Shared), Acquire::Granted);
         assert_eq!(lm.acquire(T1, A, Mode::Exclusive), Acquire::Granted);
         assert!(lm.holds(T1, A, Mode::Exclusive));
+    }
+
+    /// A sole S-holder upgrading while others queue behind it: there is
+    /// no co-holder to wait for, so the upgrade is granted in place (this
+    /// state used to panic looking for "another holder").
+    #[test]
+    fn sole_holder_upgrades_past_queued_waiters() {
+        let mut lm = LockManager::new();
+        assert_eq!(lm.acquire(T1, A, Mode::Shared), Acquire::Granted);
+        assert_eq!(lm.acquire(T2, A, Mode::Exclusive), Acquire::Waiting(T1));
+        assert_eq!(lm.acquire(T1, A, Mode::Exclusive), Acquire::Granted);
+        assert!(lm.holds(T1, A, Mode::Exclusive));
+        // The waiter is still queued, and gets the lock once T1 is done.
+        assert!(!lm.holds(T2, A, Mode::Shared));
+        assert_eq!(lm.release_all(T1), vec![T2]);
+        assert!(lm.holds(T2, A, Mode::Exclusive));
     }
 
     #[test]

@@ -16,10 +16,7 @@
 
 use std::fmt::Write as _;
 
-use chaos::{
-    run_bcast, run_commute, run_recovery, run_seed_with, BcastOptions, CommuteOptions,
-    RecoveryOptions, ScenarioOptions,
-};
+use chaos::{run, Bcast, Commute, Recovery, Report, ScenarioOptions, Store, Workload};
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/chaos_hashes.txt");
 const CORPUS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus/adversary.seeds");
@@ -37,23 +34,21 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// One table row from any of the four report types.
-macro_rules! row {
-    ($out:expr, $label:expr, $r:expr) => {{
-        let r = &$r;
-        writeln!(
-            $out,
-            "{} {} {:#018x} {} {:#018x} {:#018x} {}",
-            $label,
-            r.seed,
-            r.trace_hash,
-            r.trace_events,
-            r.span_hash,
-            fnv1a(r.metrics_json.as_bytes()),
-            r.passed()
-        )
-        .expect("write to string");
-    }};
+/// Appends one table row; `must_pass` makes a failing run fatal at once
+/// (with its repro line) instead of a drifted `passed` column.
+fn row<E: std::fmt::Display>(table: &mut String, label: &str, r: &Report<E>, must_pass: bool) {
+    assert!(r.passed() || !must_pass, "{}", r.failure_summary());
+    writeln!(
+        table,
+        "{label} {} {:#018x} {} {:#018x} {:#018x} {}",
+        r.seed,
+        r.trace_hash,
+        r.trace_events,
+        r.span_hash,
+        fnv1a(r.metrics_json.as_bytes()),
+        r.passed()
+    )
+    .expect("write to string");
 }
 
 fn corpus_seeds() -> Vec<u64> {
@@ -75,41 +70,63 @@ fn chaos_hashes_match_the_golden_table() {
 
     let store = ScenarioOptions::default();
     for seed in 1..=10 {
-        let r = run_seed_with(seed, &store);
+        let r = run(&Store, seed, &store);
+        row(&mut table, "store", &r, true);
         // The harness smoke test: a passing run that did real work.
-        assert!(r.passed(), "{}", r.failure_summary());
-        assert!(r.commits > 0, "seed {seed}: workload committed nothing");
+        assert!(
+            r.extra.commits > 0,
+            "seed {seed}: workload committed nothing"
+        );
         assert!(r.faults > 0, "seed {seed}: plan scheduled no faults");
-        row!(table, "store", r);
     }
     let multicast = ScenarioOptions {
         multicast_calls: true,
         ..ScenarioOptions::default()
     };
     for seed in [1, 4, 7, 10] {
-        row!(table, "store+multicast", run_seed_with(seed, &multicast));
+        row(
+            &mut table,
+            "store+multicast",
+            &run(&Store, seed, &multicast),
+            false,
+        );
     }
     let adversarial = ScenarioOptions {
         injector: Some(adversary::install_adversary),
         ..ScenarioOptions::default()
     };
     for seed in corpus_seeds() {
-        row!(table, "store+adversary", run_seed_with(seed, &adversarial));
+        row(
+            &mut table,
+            "store+adversary",
+            &run(&Store, seed, &adversarial),
+            false,
+        );
     }
     for seed in 1..=10 {
-        let r = run_bcast(seed, &BcastOptions::default());
-        assert!(r.passed(), "{}", r.failure_summary());
-        row!(table, "bcast", r);
+        row(
+            &mut table,
+            "bcast",
+            &run(&Bcast, seed, &Bcast::options()),
+            true,
+        );
     }
     for seed in 1..=10 {
-        let r = run_commute(seed, &CommuteOptions::default());
-        assert!(r.passed(), "{}", r.failure_summary());
-        row!(table, "commute", r);
+        row(
+            &mut table,
+            "commute",
+            &run(&Commute, seed, &Commute::options()),
+            true,
+        );
     }
+    let recovery = Recovery::default();
     for seed in 1..=10 {
-        let r = run_recovery(seed, &RecoveryOptions::default());
-        assert!(r.passed(), "{}", r.failure_summary());
-        row!(table, "recovery", r);
+        row(
+            &mut table,
+            "recovery",
+            &run(&recovery, seed, &Recovery::options()),
+            true,
+        );
     }
 
     if std::env::var("UPDATE_GOLDEN").is_ok() {

@@ -10,13 +10,13 @@
 //! over *every* simulator event, trace tail sample, event counts, the
 //! full metrics dump, and the span forest.
 
-use chaos::{run_seed_with, run_seed_with_heap, ScenarioOptions};
+use chaos::{heap_world, run, run_in, ScenarioOptions, Store};
 
 /// Asserts two runs of `seed` (wheel vs heap) are observationally
 /// identical, down to the bytes of the metrics dump.
 fn assert_equivalent(seed: u64, opts: &ScenarioOptions, label: &str) {
-    let wheel = run_seed_with(seed, opts);
-    let heap = run_seed_with_heap(seed, opts);
+    let wheel = run(&Store, seed, opts);
+    let heap = run_in(&Store, heap_world(seed), seed, opts);
     assert_eq!(
         wheel.trace_hash, heap.trace_hash,
         "{label} seed {seed}: trace hash diverged (wheel {:#x} vs heap {:#x})",
