@@ -155,7 +155,7 @@ pub fn run<W: Workload>(wl: &W, seed: u64, opts: &ScenarioOptions) -> Report<W::
 
 /// [`run`] inside a caller-built world (fresh: nothing spawned, clock at
 /// zero) — how the scheduler-equivalence suite runs the same scenario
-/// on [`heap_world`].
+/// on `heap_world` (the test-only `heap_sched` feature).
 pub fn run_in<W: Workload>(
     wl: &W,
     world: World,

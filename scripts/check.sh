@@ -9,7 +9,10 @@
 # Any failing chaos seed prints a CHAOS_SEED=... repro line; replay it
 # with:
 #
-#     CHAOS_SEED=<seed> cargo test -p chaos --test sweep -- --nocapture
+#     CHAOS_SEED=<seed> cargo test -p chaos --test store -- --nocapture
+#
+# (`--test bcast`, `--test commute` and `--test recovery` replay the other
+# workloads; a failing report prints the exact line.)
 #
 # The adversarial sweep works the same way; replay one hostile seed with:
 #
@@ -36,32 +39,11 @@ cargo fmt --all --check
 phase "cargo clippy --workspace (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-phase "cargo clippy -p obs (deny warnings)"
-cargo clippy -p obs --all-targets -- -D warnings
-
-phase "cargo clippy -p simnet -p transactions (deny warnings; disk + wal)"
-cargo clippy -p simnet -p transactions --all-targets -- -D warnings
-
-phase "cargo clippy -p ringmaster (deny warnings)"
-cargo clippy -p ringmaster --all-targets -- -D warnings
-
-phase "cargo clippy -p adversary (deny warnings)"
-cargo clippy -p adversary --all-targets -- -D warnings
-
-phase "cargo clippy -p chaos -p bench -p configlang (deny warnings; workload diversity)"
-cargo clippy -p chaos -p bench -p configlang --all-targets -- -D warnings
-
 phase "cargo test --workspace"
 cargo test --workspace -q
 
-phase "metrics golden snapshot (fixed seed, fixed bytes)"
-cargo test --test metrics_golden -q
-
-phase "chaos sweep (10 seeds, all oracles, release, CHAOS_JOBS=${CHAOS_JOBS:-auto})"
-cargo test -p chaos --release --test sweep -- --nocapture
-
-phase "self-heal gate (two crashes => two ringmaster repairs)"
-cargo test -p chaos --release --test sweep self_heal_gate -- --nocapture
+phase "store chaos sweep (10 seeds + pinned, all oracles, self-heal gate, release, CHAOS_JOBS=${CHAOS_JOBS:-auto})"
+cargo test -p chaos --release --test store -- --nocapture
 
 phase "recovery chaos sweep (durable members, hostile disks, log-replay rejoin)"
 cargo test -p chaos --release --test recovery -- --nocapture

@@ -16,7 +16,10 @@
 
 use std::fmt::Write as _;
 
-use chaos::{run, Bcast, Commute, Recovery, Report, ScenarioOptions, Store, Workload};
+use chaos::{
+    assert_all_passed, chaos_jobs, sweep, Bcast, Commute, Recovery, Report, ScenarioOptions, Store,
+    Workload,
+};
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/chaos_hashes.txt");
 const CORPUS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus/adversary.seeds");
@@ -34,21 +37,31 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Appends one table row; `must_pass` makes a failing run fatal at once
-/// (with its repro line) instead of a drifted `passed` column.
-fn row<E: std::fmt::Display>(table: &mut String, label: &str, r: &Report<E>, must_pass: bool) {
-    assert!(r.passed() || !must_pass, "{}", r.failure_summary());
-    writeln!(
-        table,
-        "{label} {} {:#018x} {} {:#018x} {:#018x} {}",
-        r.seed,
-        r.trace_hash,
-        r.trace_events,
-        r.span_hash,
-        fnv1a(r.metrics_json.as_bytes()),
-        r.passed()
-    )
-    .expect("write to string");
+/// Sweeps `seeds`, requires every run clean, and appends one table row
+/// per seed under `label`.
+fn rows<W: Workload>(
+    table: &mut String,
+    label: &str,
+    wl: &W,
+    seeds: &[u64],
+    opts: &ScenarioOptions,
+) -> Vec<Report<W::Extra>> {
+    let reports = sweep(wl, seeds, opts, chaos_jobs());
+    assert_all_passed(&reports);
+    for r in &reports {
+        writeln!(
+            table,
+            "{label} {} {:#018x} {} {:#018x} {:#018x} {}",
+            r.seed,
+            r.trace_hash,
+            r.trace_events,
+            r.span_hash,
+            fnv1a(r.metrics_json.as_bytes()),
+            r.passed()
+        )
+        .expect("write to string");
+    }
+    reports
 }
 
 fn corpus_seeds() -> Vec<u64> {
@@ -68,66 +81,40 @@ fn corpus_seeds() -> Vec<u64> {
 fn chaos_hashes_match_the_golden_table() {
     let mut table = String::from(HEADER);
 
-    let store = ScenarioOptions::default();
-    for seed in 1..=10 {
-        let r = run(&Store, seed, &store);
-        row(&mut table, "store", &r, true);
-        // The harness smoke test: a passing run that did real work.
-        assert!(
-            r.extra.commits > 0,
-            "seed {seed}: workload committed nothing"
-        );
-        assert!(r.faults > 0, "seed {seed}: plan scheduled no faults");
+    let ten: Vec<u64> = (1..=10).collect();
+
+    // The harness smoke test rides along: passing runs that did real work.
+    for r in rows(&mut table, "store", &Store, &ten, &Store::options()) {
+        assert!(r.extra.commits > 0, "seed {}: nothing committed", r.seed);
+        assert!(r.faults > 0, "seed {}: plan scheduled no faults", r.seed);
     }
     let multicast = ScenarioOptions {
         multicast_calls: true,
-        ..ScenarioOptions::default()
+        ..Store::options()
     };
-    for seed in [1, 4, 7, 10] {
-        row(
-            &mut table,
-            "store+multicast",
-            &run(&Store, seed, &multicast),
-            false,
-        );
-    }
+    rows(
+        &mut table,
+        "store+multicast",
+        &Store,
+        &[1, 4, 7, 10],
+        &multicast,
+    );
     let adversarial = ScenarioOptions {
         injector: Some(adversary::install_adversary),
-        ..ScenarioOptions::default()
+        ..Store::options()
     };
-    for seed in corpus_seeds() {
-        row(
-            &mut table,
-            "store+adversary",
-            &run(&Store, seed, &adversarial),
-            false,
-        );
-    }
-    for seed in 1..=10 {
-        row(
-            &mut table,
-            "bcast",
-            &run(&Bcast, seed, &Bcast::options()),
-            true,
-        );
-    }
-    for seed in 1..=10 {
-        row(
-            &mut table,
-            "commute",
-            &run(&Commute, seed, &Commute::options()),
-            true,
-        );
-    }
+    let corpus = corpus_seeds();
+    rows(&mut table, "store+adversary", &Store, &corpus, &adversarial);
+    rows(&mut table, "bcast", &Bcast, &ten, &Bcast::options());
+    rows(&mut table, "commute", &Commute, &ten, &Commute::options());
     let recovery = Recovery::default();
-    for seed in 1..=10 {
-        row(
-            &mut table,
-            "recovery",
-            &run(&recovery, seed, &Recovery::options()),
-            true,
-        );
-    }
+    rows(
+        &mut table,
+        "recovery",
+        &recovery,
+        &ten,
+        &Recovery::options(),
+    );
 
     if std::env::var("UPDATE_GOLDEN").is_ok() {
         std::fs::write(GOLDEN, &table).expect("write golden");
