@@ -41,3 +41,25 @@ pub mod oracle;
 pub use gen::{hostile_datagram, stale_call_segment, HostileKind};
 pub use inject::{install_adversary, AdvInjector, ATTACKER_HOST};
 pub use oracle::{check_adversary, counter, sum_prefix};
+
+/// The committed regression seed corpus (`tests/corpus/adversary.seeds`
+/// at the repository root): one seed per line, `#` comments.
+pub fn corpus_seeds() -> Vec<u64> {
+    const CORPUS: &str = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/corpus/adversary.seeds"
+    );
+    let text = std::fs::read_to_string(CORPUS)
+        .unwrap_or_else(|e| panic!("cannot read corpus {CORPUS}: {e}"));
+    let seeds: Vec<u64> = text
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(|l| {
+            l.parse()
+                .unwrap_or_else(|_| panic!("bad corpus line {l:?}"))
+        })
+        .collect();
+    assert!(seeds.len() >= 5, "corpus must hold at least 5 seeds");
+    seeds
+}

@@ -5,30 +5,9 @@
 //! a panic anywhere in the stack (decode path, endpoint, node, scenario)
 //! is reported as a corpus failure with its seed, not as a bare abort.
 
-use adversary::{check_adversary, counter, install_adversary};
+use adversary::{check_adversary, corpus_seeds, counter, install_adversary};
 use chaos::{run, ScenarioOptions, Store};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-const CORPUS: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/../../tests/corpus/adversary.seeds"
-);
-
-fn corpus_seeds() -> Vec<u64> {
-    let text = std::fs::read_to_string(CORPUS)
-        .unwrap_or_else(|e| panic!("cannot read corpus {CORPUS}: {e}"));
-    let seeds: Vec<u64> = text
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(|l| {
-            l.parse()
-                .unwrap_or_else(|_| panic!("bad corpus line {l:?}"))
-        })
-        .collect();
-    assert!(seeds.len() >= 5, "corpus must hold at least 5 seeds");
-    seeds
-}
 
 #[test]
 fn corpus_replays_green() {

@@ -13,7 +13,7 @@ use std::fmt;
 
 use simnet::{Duration, NetConfig, NetView, SyscallCosts, TraceEvent, TraceRing, World};
 
-use crate::harness::{quiesce, Quiesced, ScenarioOptions, Workload};
+use crate::harness::{quiesce, ScenarioOptions, Workload};
 use crate::oracle::Violation;
 
 /// How many retained trace events a report carries for inspection.
@@ -147,15 +147,27 @@ pub fn assert_all_passed<E: fmt::Display>(reports: &[Report<E>]) {
     );
 }
 
+/// The world every chaos run starts from: the 1985 LAN, seeded.
+pub(crate) fn lan_world(seed: u64) -> World {
+    World::with_config(seed, NetConfig::lan_1985(), SyscallCosts::default())
+}
+
+/// The same world scheduled by the reference binary heap instead of the
+/// timer wheel — the other half of the scheduler-equivalence oracle.
+/// Test-only (`heap_sched` feature).
+#[cfg(feature = "heap_sched")]
+pub fn heap_world(seed: u64) -> World {
+    World::with_config_heap(seed, NetConfig::lan_1985(), SyscallCosts::default())
+}
+
 /// One full chaos run of `wl` for `seed`: scenario, oracles, report.
 pub fn run<W: Workload>(wl: &W, seed: u64, opts: &ScenarioOptions) -> Report<W::Extra> {
-    let w = World::with_config(seed, NetConfig::lan_1985(), SyscallCosts::default());
-    run_in(wl, w, seed, opts)
+    run_in(wl, lan_world(seed), seed, opts)
 }
 
 /// [`run`] inside a caller-built world (fresh: nothing spawned, clock at
 /// zero) — how the scheduler-equivalence suite runs the same scenario
-/// on `heap_world` (the test-only `heap_sched` feature).
+/// on `heap_world`.
 pub fn run_in<W: Workload>(
     wl: &W,
     world: World,
@@ -165,22 +177,7 @@ pub fn run_in<W: Workload>(
     let (q, mut extra) = quiesce(wl, world, seed, opts);
     let mut violations = Vec::new();
     wl.check(&q, &mut extra, &mut violations);
-    report::<W>(&q, violations, extra)
-}
 
-/// A world scheduled by the reference binary heap instead of the timer
-/// wheel — the other half of the scheduler-equivalence oracle.
-/// Test-only (`heap_sched` feature).
-#[cfg(feature = "heap_sched")]
-pub fn heap_world(seed: u64) -> World {
-    World::with_config_heap(seed, NetConfig::lan_1985(), SyscallCosts::default())
-}
-
-fn report<W: Workload>(
-    q: &Quiesced,
-    violations: Vec<Violation>,
-    extra: W::Extra,
-) -> Report<W::Extra> {
     let (trace_hash, trace_events, trace_sample) = q
         .world
         .trace_sink_as::<TraceRing>()
@@ -203,7 +200,7 @@ fn report<W: Workload>(
     let reg = q.world.metrics();
     Report {
         workload: W::NAME,
-        seed: q.seed,
+        seed,
         trace_hash,
         trace_events,
         trace_sample,
@@ -211,13 +208,13 @@ fn report<W: Workload>(
         repairs: q.repairs,
         rebinds,
         client_errors,
-        driver_warnings: q.driver_warnings.clone(),
         all_clients_finished: q.all_clients_finished,
         violations,
         cpu_total: Duration::from_micros(reg.sum_suffix(".total_us")),
         net: q.world.net_stats(),
         metrics_json: reg.dump_json(),
         span_hash: reg.span_hash(),
+        driver_warnings: q.driver_warnings,
         extra,
     }
 }

@@ -9,12 +9,13 @@
 use std::fmt;
 
 use circus::Service;
-use simnet::{HostId, NetConfig, SockAddr, SyscallCosts, World};
+use simnet::{HostId, SockAddr, World};
 use transactions::TroupeStoreService;
 
 use crate::client::Txn;
 use crate::harness::{each_client, quiesce, Quiesced, ScenarioOptions, Workload, COMMIT_MODULE};
 use crate::oracle::{check_all, Violation};
+use crate::report::lan_world;
 
 /// The store workload.
 pub struct Store;
@@ -69,6 +70,5 @@ impl Workload for Store {
 /// returns the frozen world for [`check_all`] (and whatever else the
 /// caller wants to do to it).
 pub fn run_scenario(seed: u64, opts: &ScenarioOptions) -> Quiesced {
-    let w = World::with_config(seed, NetConfig::lan_1985(), SyscallCosts::default());
-    quiesce(&Store, w, seed, opts).0
+    quiesce(&Store, lan_world(seed), seed, opts).0
 }

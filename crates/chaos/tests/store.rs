@@ -35,10 +35,8 @@ fn counter(r: &RunReport, name: &str) -> u64 {
 
 #[test]
 fn sweep_seeds_through_all_oracles() {
-    let seeds = sweep_seeds(1..11);
+    let mut seeds = sweep_seeds(1..11);
     let replaying = seeds.len() == 1;
-
-    let mut seeds = seeds;
     if !replaying {
         seeds.push(LOCK_UPGRADE_SEED);
     }

@@ -22,7 +22,6 @@ use chaos::{
 };
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/chaos_hashes.txt");
-const CORPUS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus/adversary.seeds");
 
 const HEADER: &str = "\
 # Golden hashes of the chaos harness (tests/chaos_golden.rs).
@@ -64,19 +63,6 @@ fn rows<W: Workload>(
     reports
 }
 
-fn corpus_seeds() -> Vec<u64> {
-    std::fs::read_to_string(CORPUS)
-        .unwrap_or_else(|e| panic!("cannot read corpus {CORPUS}: {e}"))
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(|l| {
-            l.parse()
-                .unwrap_or_else(|_| panic!("bad corpus line {l:?}"))
-        })
-        .collect()
-}
-
 #[test]
 fn chaos_hashes_match_the_golden_table() {
     let mut table = String::from(HEADER);
@@ -103,7 +89,7 @@ fn chaos_hashes_match_the_golden_table() {
         injector: Some(adversary::install_adversary),
         ..Store::options()
     };
-    let corpus = corpus_seeds();
+    let corpus = adversary::corpus_seeds();
     rows(&mut table, "store+adversary", &Store, &corpus, &adversarial);
     rows(&mut table, "bcast", &Bcast, &ten, &Bcast::options());
     rows(&mut table, "commute", &Commute, &ten, &Commute::options());

@@ -67,23 +67,11 @@ fn multicast_sweep_matches_heap_bit_for_bit() {
 
 #[test]
 fn adversary_corpus_matches_heap_bit_for_bit() {
-    let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus/adversary.seeds");
-    let seeds: Vec<u64> = std::fs::read_to_string(corpus)
-        .unwrap_or_else(|e| panic!("cannot read corpus {corpus}: {e}"))
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(|l| {
-            l.parse()
-                .unwrap_or_else(|_| panic!("bad corpus line {l:?}"))
-        })
-        .collect();
-    assert!(seeds.len() >= 5, "corpus must hold at least 5 seeds");
     let opts = ScenarioOptions {
         injector: Some(adversary::install_adversary),
         ..ScenarioOptions::default()
     };
-    for seed in seeds {
+    for seed in adversary::corpus_seeds() {
         assert_equivalent(seed, &opts, "adversary corpus");
     }
 }
