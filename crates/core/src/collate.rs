@@ -12,6 +12,8 @@
 use std::fmt;
 use std::rc::Rc;
 
+use simnet::Payload;
+
 /// The state of one troupe member's contribution to a replicated call.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum VoteSlot {
@@ -20,12 +22,13 @@ pub enum VoteSlot {
     /// This member's process has been declared dead (§4.2.3); no message
     /// will come.
     Dead,
-    /// The member's message.
-    Vote(Vec<u8>),
+    /// The member's message — as the runtime collects them, a window of
+    /// the datagram it arrived in.
+    Vote(Payload),
 }
 
 impl VoteSlot {
-    fn vote(&self) -> Option<&[u8]> {
+    fn vote(&self) -> Option<&Payload> {
         match self {
             VoteSlot::Vote(v) => Some(v),
             _ => None,
@@ -38,8 +41,9 @@ impl VoteSlot {
 pub enum Decision {
     /// Not enough messages yet; keep waiting.
     Wait,
-    /// Computation may proceed with this value.
-    Ready(Vec<u8>),
+    /// Computation may proceed with this value (one of the votes, shared
+    /// rather than copied, under the built-in policies).
+    Ready(Payload),
     /// The call fails.
     Fail(CollateError),
 }
@@ -136,9 +140,9 @@ impl Collation {
     /// Records member `i`'s message. Late or duplicate votes for a slot
     /// are ignored (the paired message layer already filtered duplicates;
     /// this guards against a member resurrecting).
-    pub fn add_vote(&mut self, i: usize, data: Vec<u8>) {
+    pub fn add_vote(&mut self, i: usize, data: impl Into<Payload>) {
         if let Some(slot @ VoteSlot::Pending) = self.slots.get_mut(i) {
-            *slot = VoteSlot::Vote(data);
+            *slot = VoteSlot::Vote(data.into());
         }
     }
 
@@ -167,17 +171,11 @@ impl Collation {
     /// `true` if every received vote is identical (dead/pending slots
     /// ignored) — what the watchdog checks as stragglers arrive.
     pub fn votes_agree(&self) -> bool {
-        let mut first: Option<&[u8]> = None;
-        for s in &self.slots {
-            if let VoteSlot::Vote(v) = s {
-                match first {
-                    None => first = Some(v),
-                    Some(f) if f != v.as_slice() => return false,
-                    Some(_) => {}
-                }
-            }
+        let mut votes = self.slots.iter().filter_map(VoteSlot::vote);
+        match votes.next() {
+            Some(first) => votes.all(|v| v == first),
+            None => true,
         }
-        true
     }
 
     /// The current verdict.
@@ -193,7 +191,7 @@ impl Collation {
     }
 
     fn decide_unanimous(&self) -> Decision {
-        let mut first: Option<&[u8]> = None;
+        let mut first: Option<&Payload> = None;
         let mut pending = 0usize;
         for s in &self.slots {
             match s {
@@ -201,15 +199,13 @@ impl Collation {
                 VoteSlot::Dead => {}
                 VoteSlot::Vote(v) => match first {
                     None => first = Some(v),
-                    Some(f) if f != v.as_slice() => {
-                        return Decision::Fail(CollateError::Disagreement)
-                    }
+                    Some(f) if f != v => return Decision::Fail(CollateError::Disagreement),
                     Some(_) => {}
                 },
             }
         }
         match (pending, first) {
-            (0, Some(v)) => Decision::Ready(v.to_vec()),
+            (0, Some(v)) => Decision::Ready(v.clone()),
             (0, None) => Decision::Fail(CollateError::AllDead),
             _ => Decision::Wait,
         }
@@ -218,7 +214,7 @@ impl Collation {
     fn decide_first_come(&self) -> Decision {
         for s in &self.slots {
             if let Some(v) = s.vote() {
-                return Decision::Ready(v.to_vec());
+                return Decision::Ready(v.clone());
             }
         }
         if self.slots.iter().all(|s| matches!(s, VoteSlot::Dead)) {
@@ -232,12 +228,12 @@ impl Collation {
         let n = self.slots.len();
         let quorum = n / 2 + 1;
         // Count identical votes.
-        let votes: Vec<&[u8]> = self.slots.iter().filter_map(|s| s.vote()).collect();
+        let votes = || self.slots.iter().filter_map(VoteSlot::vote);
         let mut best = 0usize;
-        for v in &votes {
-            let count = votes.iter().filter(|w| *w == v).count();
+        for v in votes() {
+            let count = votes().filter(|w| *w == v).count();
             if count >= quorum {
-                return Decision::Ready(v.to_vec());
+                return Decision::Ready(v.clone());
             }
             best = best.max(count);
         }
@@ -269,13 +265,13 @@ impl Collate for GatherAll {
             match s {
                 VoteSlot::Pending => return Decision::Wait,
                 VoteSlot::Dead => gathered.push(None),
-                VoteSlot::Vote(v) => gathered.push(Some(wire::Bytes(v.clone()))),
+                VoteSlot::Vote(v) => gathered.push(Some(wire::Bytes(v.to_vec()))),
             }
         }
         if gathered.iter().all(|g| g.is_none()) {
             return Decision::Fail(CollateError::AllDead);
         }
-        Decision::Ready(crate::message::wrap_reply_vote(wire::to_bytes(&gathered)))
+        Decision::Ready(crate::message::wrap_reply_vote(wire::to_bytes(&gathered)).into())
     }
 }
 
@@ -297,8 +293,8 @@ pub fn decode_gathered(payload: &[u8]) -> Result<Vec<Option<Vec<u8>>>, wire::Wir
 mod tests {
     use super::*;
 
-    fn bytes(b: u8) -> Vec<u8> {
-        vec![b]
+    fn bytes(b: u8) -> Payload {
+        Payload::from(vec![b])
     }
 
     #[test]
@@ -310,6 +306,23 @@ mod tests {
         assert_eq!(c.decide(), Decision::Wait);
         c.add_vote(2, bytes(1));
         assert_eq!(c.decide(), Decision::Ready(bytes(1)));
+    }
+
+    #[test]
+    fn built_in_policies_decide_with_a_shared_vote() {
+        for policy in [
+            CollationPolicy::Unanimous,
+            CollationPolicy::FirstCome,
+            CollationPolicy::Majority,
+        ] {
+            let vote = bytes(4);
+            let mut c = Collation::new(policy, 1);
+            c.add_vote(0, vote.clone());
+            match c.decide() {
+                Decision::Ready(v) => assert!(v.shares_buffer_with(&vote)),
+                other => panic!("expected ready, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -420,7 +433,7 @@ mod tests {
                 if n == 0 {
                     return Decision::Fail(CollateError::AllDead);
                 }
-                Decision::Ready(((sum / n) as u32).to_le_bytes().to_vec())
+                Decision::Ready(((sum / n) as u32).to_le_bytes().to_vec().into())
             }
         }
         let mut c = Collation::new(CollationPolicy::Custom(Rc::new(Average)), 3);
@@ -428,7 +441,10 @@ mod tests {
         c.add_vote(1, 20u32.to_le_bytes().to_vec());
         assert_eq!(c.decide(), Decision::Wait);
         c.add_vote(2, 30u32.to_le_bytes().to_vec());
-        assert_eq!(c.decide(), Decision::Ready(20u32.to_le_bytes().to_vec()));
+        assert_eq!(
+            c.decide(),
+            Decision::Ready(20u32.to_le_bytes().to_vec().into())
+        );
     }
 
     #[test]

@@ -12,11 +12,17 @@
 
 use crate::addr::TroupeId;
 use crate::thread::ThreadId;
+use simnet::Payload;
 use wire::{Externalize, Internalize, Reader, WireError, Writer};
 
 /// The contents of a call message.
+///
+/// `A` is how the externalized parameters are held: an owned `Vec<u8>` by
+/// default, or — as the runtime internalizes arriving calls
+/// ([`CallMessage::decode`]) — a [`Payload`] window of the datagram the
+/// message arrived in.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct CallMessage {
+pub struct CallMessage<A = Vec<u8>> {
     /// The distributed thread on whose behalf the call is made (§3.4.1).
     pub thread: ThreadId,
     /// Groups this message with its siblings from other members of the
@@ -36,10 +42,10 @@ pub struct CallMessage {
     /// the stub compiler (§4.3).
     pub proc: u16,
     /// Externalized parameters.
-    pub args: Vec<u8>,
+    pub args: A,
 }
 
-impl Externalize for CallMessage {
+impl<A: AsRef<[u8]>> Externalize for CallMessage<A> {
     fn externalize(&self, w: &mut Writer) {
         self.thread.externalize(w);
         w.put_u32(self.call_seq);
@@ -47,12 +53,16 @@ impl Externalize for CallMessage {
         self.server_troupe.externalize(w);
         w.put_u16(self.module);
         w.put_u16(self.proc);
-        w.put_bytes(&self.args);
+        w.put_bytes(self.args.as_ref());
     }
 }
 
-impl Internalize for CallMessage {
-    fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
+impl<A> CallMessage<A> {
+    /// Internalizes the fixed fields, then the parameters with `args`.
+    fn internalize_with<'a>(
+        r: &mut Reader<'a>,
+        args: impl FnOnce(&mut Reader<'a>) -> Result<A, WireError>,
+    ) -> Result<Self, WireError> {
         Ok(CallMessage {
             thread: ThreadId::internalize(r)?,
             call_seq: r.get_u32()?,
@@ -60,8 +70,26 @@ impl Internalize for CallMessage {
             server_troupe: TroupeId::internalize(r)?,
             module: r.get_u16()?,
             proc: r.get_u16()?,
-            args: r.get_bytes()?,
+            args: args(r)?,
         })
+    }
+}
+
+impl Internalize for CallMessage {
+    fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        CallMessage::internalize_with(r, Reader::get_bytes)
+    }
+}
+
+impl CallMessage<Payload> {
+    /// Internalizes the call message that is the whole of `data`, in
+    /// place: the parameters come back as a window of `data`, not a copy.
+    /// Accepts exactly what `wire::from_bytes::<CallMessage>` accepts.
+    pub fn decode(data: &Payload) -> Result<Self, WireError> {
+        let mut r = Reader::new(data);
+        let msg = CallMessage::internalize_with(&mut r, |r| Ok(data.slice(r.get_bytes_range()?)))?;
+        r.expect_end()?;
+        Ok(msg)
     }
 }
 
@@ -110,11 +138,47 @@ impl Externalize for ReturnMessage {
 
 impl Internalize for ReturnMessage {
     fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(match ReturnView::internalize(r)? {
+            ReturnView::Normal(data) => ReturnMessage::Normal(data.to_vec()),
+            ReturnView::Error(msg) => ReturnMessage::Error(msg.to_owned()),
+            ReturnView::WrongTroupe(id) => ReturnMessage::WrongTroupe(id),
+            ReturnView::NoSuchProcedure => ReturnMessage::NoSuchProcedure,
+        })
+    }
+}
+
+/// A [`ReturnMessage`] internalized in place: fully validated, but its
+/// results and error text are borrows of the message bytes. The runtime
+/// classifies each member's return this way — no allocation — and copies
+/// the results out only once, for the value the caller finally receives.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ReturnView<'a> {
+    /// Normal completion with externalized results.
+    Normal(&'a [u8]),
+    /// The remote procedure raised an error/exception.
+    Error(&'a str),
+    /// See [`ReturnMessage::WrongTroupe`].
+    WrongTroupe(TroupeId),
+    /// See [`ReturnMessage::NoSuchProcedure`].
+    NoSuchProcedure,
+}
+
+impl<'a> ReturnView<'a> {
+    /// Internalizes the return message that is the whole of `data`.
+    /// Accepts exactly what `wire::from_bytes::<ReturnMessage>` accepts.
+    pub fn decode(data: &'a [u8]) -> Result<Self, WireError> {
+        let mut r = Reader::new(data);
+        let view = ReturnView::internalize(&mut r)?;
+        r.expect_end()?;
+        Ok(view)
+    }
+
+    fn internalize(r: &mut Reader<'a>) -> Result<Self, WireError> {
         match r.get_u16()? {
-            ST_NORMAL => Ok(ReturnMessage::Normal(r.get_bytes()?)),
-            ST_ERROR => Ok(ReturnMessage::Error(r.get_string()?)),
-            ST_WRONG_TROUPE => Ok(ReturnMessage::WrongTroupe(TroupeId::internalize(r)?)),
-            ST_NO_SUCH_PROC => Ok(ReturnMessage::NoSuchProcedure),
+            ST_NORMAL => Ok(ReturnView::Normal(r.get_bytes_borrowed()?)),
+            ST_ERROR => Ok(ReturnView::Error(r.get_str_borrowed()?)),
+            ST_WRONG_TROUPE => Ok(ReturnView::WrongTroupe(TroupeId::internalize(r)?)),
+            ST_NO_SUCH_PROC => Ok(ReturnView::NoSuchProcedure),
             other => Err(WireError::BadChoice(other)),
         }
     }
@@ -124,8 +188,8 @@ impl Internalize for ReturnMessage {
 /// are raw [`ReturnMessage`] bytes; this extracts the payload of a
 /// normal return (`None` for errors and binding rejections).
 pub fn unwrap_reply_vote(vote: &[u8]) -> Option<Vec<u8>> {
-    match wire::from_bytes::<ReturnMessage>(vote) {
-        Ok(ReturnMessage::Normal(data)) => Some(data),
+    match ReturnView::decode(vote) {
+        Ok(ReturnView::Normal(data)) => Some(data.to_vec()),
         _ => None,
     }
 }
@@ -173,6 +237,57 @@ mod tests {
         ] {
             assert_eq!(from_bytes::<ReturnMessage>(&to_bytes(&m)).unwrap(), m);
         }
+    }
+
+    #[test]
+    fn in_place_decode_matches_owned_decode() {
+        let m = CallMessage {
+            thread: thread(),
+            call_seq: 7,
+            client_troupe: TroupeId(11),
+            server_troupe: TroupeId(22),
+            module: 1,
+            proc: 4,
+            args: vec![1, 2, 3],
+        };
+        let wire = Payload::from(to_bytes(&m));
+        let view = CallMessage::decode(&wire).unwrap();
+        assert_eq!((view.call_seq, view.module, view.proc), (7, 1, 4));
+        assert_eq!(view.args, m.args);
+        assert!(view.args.shares_buffer_with(&wire), "a window, not a copy");
+        assert_eq!(to_bytes(&view), &*wire, "both forms externalize alike");
+        // Same verdict as the owned decoder on every truncation and on
+        // trailing bytes.
+        for len in 0..wire.len() {
+            assert_eq!(
+                CallMessage::decode(&wire.slice(0..len)).err(),
+                from_bytes::<CallMessage>(&wire[..len]).err()
+            );
+        }
+        let mut long = wire.to_vec();
+        long.push(0);
+        assert_eq!(
+            CallMessage::decode(&Payload::from(long.clone())).err(),
+            from_bytes::<CallMessage>(&long).err()
+        );
+    }
+
+    #[test]
+    fn return_view_borrows_what_return_message_owns() {
+        let normal = to_bytes(&ReturnMessage::Normal(vec![9, 9, 9]));
+        assert_eq!(
+            ReturnView::decode(&normal),
+            Ok(ReturnView::Normal(&[9, 9, 9]))
+        );
+        let err = to_bytes(&ReturnMessage::Error("boom".into()));
+        assert_eq!(ReturnView::decode(&err), Ok(ReturnView::Error("boom")));
+        let mut bad_utf8 = err.clone();
+        bad_utf8[6] = 0xFF;
+        assert_eq!(ReturnView::decode(&bad_utf8), Err(WireError::BadString));
+        assert!(from_bytes::<ReturnMessage>(&bad_utf8).is_err());
+        let mut long = normal.clone();
+        long.extend_from_slice(&[0, 0]);
+        assert_eq!(ReturnView::decode(&long), Err(WireError::Trailing(2)));
     }
 
     #[test]

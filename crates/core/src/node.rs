@@ -22,11 +22,12 @@
 //! (§4.3.3).
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::rc::Rc;
 
 use crate::addr::{ModuleAddr, Troupe, TroupeId};
 use crate::binding::{self, reserved_procs};
 use crate::collate::{Collation, CollationPolicy, Decision};
-use crate::message::{CallMessage, ReturnMessage};
+use crate::message::{CallMessage, ReturnMessage, ReturnView};
 use crate::service::{
     CallError, NodeEffect, OutCall, Service, ServiceCtx, StateSince, Step, TroupeTarget,
 };
@@ -34,7 +35,13 @@ use crate::thread::{ThreadId, ThreadIdGen};
 use obs::SpanId;
 use pairedmsg::{Endpoint, Event as PmEvent, MsgType};
 use simnet::{Duration, Payload, SockAddr, Syscall, Time, TimerId};
-use wire::{from_bytes, to_bytes};
+use wire::{encode_with, from_bytes};
+
+/// Externalizes a message into its one allocation: the `Payload` every
+/// sender, retransmission and buffered copy of it then shares.
+fn encode(msg: &impl wire::Externalize) -> Payload {
+    encode_with(msg, Payload::copy_from)
+}
 
 /// Abstraction over the I/O facilities a node needs; implemented for the
 /// simulator's [`simnet::Ctx`] and by test mocks.
@@ -278,6 +285,9 @@ struct OutstandingCall {
     collation: Collation,
     purpose: CallPurpose,
     done: bool,
+    /// Members neither heard from nor given up on: the call's entries in
+    /// `Node::route`.
+    unresolved: usize,
     /// When the call began, for the `rpc.call_latency_us` histogram.
     begun: Time,
 }
@@ -290,7 +300,7 @@ struct OutstandingCall {
 /// messages arriving at a server bear the same thread ID and call
 /// sequence number if and only if they are part of the same replicated
 /// call" (§4.3.2), scoped by the client troupe ID.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 struct CallKey {
     client_troupe: TroupeId,
     thread: ThreadId,
@@ -308,12 +318,31 @@ enum PendState {
     Suspended,
 }
 
+/// The process addresses of a client troupe's members, as one many-to-one
+/// assembly holds them.
+enum Members {
+    /// An unregistered caller: the source of the call message is the
+    /// single "member" the return must reach.
+    Solo(SockAddr),
+    /// A registered troupe: the directory's own list, shared.
+    Troupe(Rc<[SockAddr]>),
+}
+
+impl Members {
+    fn as_slice(&self) -> &[SockAddr] {
+        match self {
+            Members::Solo(addr) => std::slice::from_ref(addr),
+            Members::Troupe(addrs) => addrs,
+        }
+    }
+}
+
 struct Pending {
     serial: u64,
     module: u16,
     proc: u16,
     /// Client troupe members (process addresses).
-    client_members: Vec<SockAddr>,
+    client_members: Members,
     /// Per member: the paired-message call number to reply on, once its
     /// call message has arrived.
     responders: Vec<Option<u32>>,
@@ -336,7 +365,7 @@ struct DoneCall {
     /// Encoded `ReturnMessage`, buffered for client members whose call
     /// messages arrive after execution ("execution of the procedure thus
     /// appears instantaneous to the slow client troupe members", §4.3.4).
-    reply: Vec<u8>,
+    reply: Payload,
     at: Time,
     /// Invoke span the buffered reply is attributed to.
     span: u64,
@@ -347,7 +376,7 @@ struct Parked {
     from: SockAddr,
     pm_cn: u32,
     span: u64,
-    msg: CallMessage,
+    msg: CallMessage<Payload>,
 }
 
 struct Conn {
@@ -372,15 +401,17 @@ pub struct Node {
     conns: BTreeMap<SockAddr, Conn>,
     conn_addrs: Vec<SockAddr>,
 
-    // Client engine.
-    outstanding: HashMap<u64, OutstandingCall>,
-    route: HashMap<(SockAddr, u32), (u64, usize)>,
+    // Client engine. `outstanding`, `route` and `pending` are walked when
+    // a peer dies, so they are ordered maps: the order in which calls then
+    // fail over is a function of their keys, not of a hasher's seed.
+    outstanding: BTreeMap<u64, OutstandingCall>,
+    route: BTreeMap<(SockAddr, u32), (u64, usize)>,
     seq_by_thread: HashMap<ThreadId, u32>,
     next_handle: u64,
 
     // Server engine.
     services: BTreeMap<u16, Box<dyn Service>>,
-    pending: HashMap<CallKey, Pending>,
+    pending: BTreeMap<CallKey, Pending>,
     pending_by_serial: HashMap<u64, CallKey>,
     pending_by_invocation: HashMap<u64, CallKey>,
     next_pending_serial: u64,
@@ -388,7 +419,7 @@ pub struct Node {
     done: HashMap<CallKey, DoneCall>,
 
     // Directory of client troupe memberships (§4.3.2).
-    directory: HashMap<TroupeId, Vec<SockAddr>>,
+    directory: HashMap<TroupeId, Rc<[SockAddr]>>,
     parked: HashMap<TroupeId, Vec<Parked>>,
     lookups_in_flight: HashMap<TroupeId, u64>,
     binder: Option<Troupe>,
@@ -462,12 +493,12 @@ impl Node {
             threads: ThreadIdGen::new(me),
             conns: BTreeMap::new(),
             conn_addrs: Vec::new(),
-            outstanding: HashMap::new(),
-            route: HashMap::new(),
+            outstanding: BTreeMap::new(),
+            route: BTreeMap::new(),
             seq_by_thread: HashMap::new(),
             next_handle: 1,
             services: BTreeMap::new(),
-            pending: HashMap::new(),
+            pending: BTreeMap::new(),
             pending_by_serial: HashMap::new(),
             pending_by_invocation: HashMap::new(),
             next_pending_serial: 1,
@@ -558,7 +589,7 @@ impl Node {
     /// Pre-populates the client-troupe directory (a third party such as
     /// the configuration manager may register whole troupes, §6.2).
     pub fn preload_directory(&mut self, id: TroupeId, members: Vec<SockAddr>) {
-        self.directory.insert(id, members);
+        self.directory.insert(id, members.into());
     }
 
     /// Creates a fresh distributed thread based at this process.
@@ -737,7 +768,7 @@ impl Node {
         }
         // Encode the call message once; every member's sender (and every
         // retransmission) shares this buffer.
-        let bytes = Payload::from(to_bytes(&msg));
+        let bytes = encode(&msg);
 
         // Mint the causal span covering this call. Application calls and
         // binding lookups start new trees; a nested call made by a service
@@ -746,14 +777,14 @@ impl Node {
         let reg = io.metrics();
         let now_us = io.now().as_micros();
         let span = match &purpose {
-            CallPurpose::App => reg.span_root(&format!("call m{module}.p{proc}"), now_us),
+            CallPurpose::App => reg.span_root(format_args!("call m{module}.p{proc}"), now_us),
             CallPurpose::Nested { key } => {
                 let parent = self
                     .pending
                     .get(key)
                     .map(|p| p.invoke_span)
                     .unwrap_or(SpanId::NONE);
-                reg.span_child(parent, &format!("nested m{module}.p{proc}"), now_us)
+                reg.span_child(parent, format_args!("nested m{module}.p{proc}"), now_us)
             }
             CallPurpose::DirLookup { .. } => reg.span_root("lookup", now_us),
             CallPurpose::SuspectReport => reg.span_root("report suspect", now_us),
@@ -763,6 +794,7 @@ impl Node {
             collation: Collation::new(collation, troupe.members.len()),
             purpose,
             done: false,
+            unresolved: 0,
             begun: io.now(),
         };
         self.outstanding.insert(handle, call);
@@ -772,29 +804,17 @@ impl Node {
         // ready_to_commit pattern, §5.3) can be grouped without a
         // binding-agent round trip.
         if troupe.id != TroupeId::UNREGISTERED {
-            self.directory
-                .insert(troupe.id, troupe.members.iter().map(|m| m.addr).collect());
+            let addrs = || troupe.members.iter().map(|m| m.addr);
+            let known = self
+                .directory
+                .get(&troupe.id)
+                .is_some_and(|d| d.iter().copied().eq(addrs()));
+            if !known {
+                self.directory.insert(troupe.id, addrs().collect());
+            }
         }
 
-        let members = troupe.members.clone();
         let now = io.now();
-        let mut live: Vec<(usize, SockAddr)> = Vec::with_capacity(members.len());
-        for (i, member) in members.iter().enumerate() {
-            // Fail fast on a member under a live dead-peer marker rather
-            // than re-running the whole retransmission schedule (§3.5.1's
-            // degraded-mode calls proceed against the survivors). Probes
-            // are exempt: their entire point is to test the suspect.
-            if proc != reserved_procs::NULL {
-                if let Some(&until) = self.dead_peers.get(&member.addr) {
-                    if now < until {
-                        self.call_mut(handle).collation.mark_dead(i);
-                        continue;
-                    }
-                    self.dead_peers.remove(&member.addr);
-                }
-            }
-            live.push((i, member.addr));
-        }
         if self.config.multicast_calls {
             // Troupe-wide call number (§4.3.3): every member of this call
             // is addressed under the same number, drawn from the
@@ -804,6 +824,12 @@ impl Node {
             // degenerates to plain unicast under the same number.
             let cn = self.next_call_number;
             self.next_call_number += 1;
+            let mut live: Vec<(usize, SockAddr)> = Vec::with_capacity(troupe.members.len());
+            for (i, member) in troupe.members.iter().enumerate() {
+                if self.admit_member(handle, proc, now, i, member.addr) {
+                    live.push((i, member.addr));
+                }
+            }
             if live.len() > 1 {
                 self.multicast_call(io, handle, cn, span.raw(), &bytes, &live);
             } else {
@@ -814,7 +840,11 @@ impl Node {
         } else {
             // Paper-faithful mode: per-peer call numbers, one unicast
             // transmission per member.
-            for &(i, addr) in &live {
+            for (i, member) in troupe.members.iter().enumerate() {
+                let addr = member.addr;
+                if !self.admit_member(handle, proc, now, i, addr) {
+                    continue;
+                }
                 let cn = {
                     let next = self.call_numbers.entry(addr).or_insert(1);
                     let cn = *next;
@@ -826,6 +856,32 @@ impl Node {
         }
         self.check_decision(io, handle);
         handle
+    }
+
+    /// Decides whether member `i` of a new call is addressed at all: one
+    /// under a live dead-peer marker is marked dead in the collation
+    /// instead, so the call fails fast on it rather than re-running the
+    /// whole retransmission schedule (§3.5.1's degraded-mode calls
+    /// proceed against the survivors). Probes are exempt: their entire
+    /// point is to test the suspect.
+    fn admit_member(
+        &mut self,
+        handle: u64,
+        proc: u16,
+        now: Time,
+        i: usize,
+        addr: SockAddr,
+    ) -> bool {
+        if proc != reserved_procs::NULL {
+            if let Some(&until) = self.dead_peers.get(&addr) {
+                if now < until {
+                    self.call_mut(handle).collation.mark_dead(i);
+                    return false;
+                }
+                self.dead_peers.remove(&addr);
+            }
+        }
+        true
     }
 
     /// Sends member `i`'s copy of a call by unicast. The send can only
@@ -851,7 +907,23 @@ impl Node {
             self.call_mut(handle).collation.mark_dead(i);
             return;
         }
-        self.route.insert((addr, cn), (handle, i));
+        self.add_route(addr, cn, handle, i);
+    }
+
+    /// Expects member `i`'s return for call `handle` from `(addr, cn)`.
+    fn add_route(&mut self, addr: SockAddr, cn: u32, handle: u64, i: usize) {
+        if let Some((displaced, _)) = self.route.insert((addr, cn), (handle, i)) {
+            self.resolve_route(displaced);
+        }
+        self.call_mut(handle).unresolved += 1;
+    }
+
+    /// Accounts for one of `handle`'s route entries having been removed
+    /// (the return arrived, or the member is given up on).
+    fn resolve_route(&mut self, handle: u64) {
+        if let Some(call) = self.outstanding.get_mut(&handle) {
+            call.unresolved -= 1;
+        }
     }
 
     /// Transmits one call's data segments to `live` members by multicast
@@ -892,7 +964,7 @@ impl Node {
                 self.call_mut(handle).collation.mark_dead(i);
                 continue;
             }
-            self.route.insert((addr, cn), (handle, i));
+            self.add_route(addr, cn, handle, i);
             addrs.push(addr);
         }
         if addrs.is_empty() {
@@ -919,13 +991,15 @@ impl Node {
                 Decision::Wait => {}
                 Decision::Ready(bytes) => {
                     self.call_mut(handle).done = true;
-                    let result = match from_bytes::<ReturnMessage>(&bytes) {
-                        Ok(ReturnMessage::Normal(data)) => Ok(data),
-                        Ok(ReturnMessage::Error(e)) => Err(CallError::Remote(e)),
-                        Ok(ReturnMessage::WrongTroupe(hint)) => {
+                    // The one copy of the results: out of the datagram
+                    // they arrived in, into the caller's vector.
+                    let result = match ReturnView::decode(&bytes) {
+                        Ok(ReturnView::Normal(data)) => Ok(data.to_vec()),
+                        Ok(ReturnView::Error(e)) => Err(CallError::Remote(e.to_owned())),
+                        Ok(ReturnView::WrongTroupe(hint)) => {
                             Err(CallError::StaleBinding(Some(hint)))
                         }
-                        Ok(ReturnMessage::NoSuchProcedure) => Err(CallError::NoSuchProcedure),
+                        Ok(ReturnView::NoSuchProcedure) => Err(CallError::NoSuchProcedure),
                         Err(_) => Err(CallError::Garbled),
                     };
                     self.complete_call(io, handle, result);
@@ -963,13 +1037,9 @@ impl Node {
         let Some(call) = self.outstanding.get(&handle) else {
             return;
         };
-        if !call.done {
-            return;
-        }
         // Route entries are removed as returns arrive or peers die; any
         // remaining entry means a member has yet to be heard from.
-        let unresolved = self.route.values().any(|(h, _)| *h == handle);
-        if !unresolved {
+        if call.done && call.unresolved == 0 {
             self.outstanding.remove(&handle);
         }
     }
@@ -1027,14 +1097,22 @@ impl Node {
             io.metrics().add("adv.rejected", 1);
             return;
         }
-        let mut events = Vec::new();
-        while let Some(ev) = conn.endpoint.poll_event() {
-            events.push(ev);
-        }
-        for ev in events {
-            self.on_pm_event(io, from, ev);
-        }
+        self.drain_pm_events(io, from);
         self.flush_all(io);
+    }
+
+    /// Handles every event the endpoint for `peer` has queued. Handling
+    /// one never queues another on the same endpoint (only datagrams and
+    /// timer ticks do), and `PeerDead` — always an endpoint's last event —
+    /// removes the connection, which ends the loop.
+    fn drain_pm_events(&mut self, io: &mut dyn NetIo, peer: SockAddr) {
+        while let Some(ev) = self
+            .conns
+            .get_mut(&peer)
+            .and_then(|conn| conn.endpoint.poll_event())
+        {
+            self.on_pm_event(io, peer, ev);
+        }
     }
 
     /// Feeds a timer expiry (call this from `Process::on_timer`). Returns
@@ -1048,24 +1126,14 @@ impl Node {
                 let addr = self.conn_addrs.get(conn_id as usize).copied();
                 if let Some(addr) = addr {
                     let now = io.now();
-                    let mut events = Vec::new();
-                    let mut live = false;
                     if let Some(conn) = self.conns.get_mut(&addr) {
                         if conn.arm_gen & 0x00FF_FFFF != gen {
                             // A superseded timer; the newer one governs.
                             return None;
                         }
-                        live = true;
                         conn.armed = None;
                         conn.endpoint.on_timer(now);
-                        while let Some(ev) = conn.endpoint.poll_event() {
-                            events.push(ev);
-                        }
-                    }
-                    for ev in events {
-                        self.on_pm_event(io, addr, ev);
-                    }
-                    if live {
+                        self.drain_pm_events(io, addr);
                         self.flush_all(io);
                     }
                 }
@@ -1112,34 +1180,37 @@ impl Node {
                 call_number,
                 data,
                 ..
-            } => self.on_return_message(io, from, call_number, &data),
+            } => self.on_return_message(io, from, call_number, data),
             PmEvent::Message {
                 msg_type: MsgType::Call,
                 call_number,
                 span,
                 data,
-            } => self.on_call_message(io, from, call_number, span, &data),
+            } => self.on_call_message(io, from, call_number, span, data),
             PmEvent::PeerDead => self.on_peer_dead(io, from),
         }
     }
 
     /// Handles a return message arriving from a server troupe member.
-    fn on_return_message(&mut self, io: &mut dyn NetIo, from: SockAddr, cn: u32, data: &[u8]) {
+    fn on_return_message(&mut self, io: &mut dyn NetIo, from: SockAddr, cn: u32, data: Payload) {
         let Some((handle, member_idx)) = self.route.remove(&(from, cn)) else {
             return; // Late return for a call already cleaned up (§4.3.4).
         };
+        self.resolve_route(handle);
         // Each member's return message is internalized by the stubs
         // (user-mode time grows with the degree of replication,
         // Table 4.1).
         io.charge_compute(self.config.compute_per_msg);
         // Fatal binding replies bypass collation: the server troupe's
         // incarnation no longer matches, so no member executed (§6.2).
-        match from_bytes::<ReturnMessage>(data) {
-            Ok(ReturnMessage::WrongTroupe(hint)) => {
+        // The message is checked whole but in place; what is collated is
+        // the arrival datagram's own window.
+        match ReturnView::decode(&data) {
+            Ok(ReturnView::WrongTroupe(hint)) => {
                 self.fail_call(io, handle, CallError::StaleBinding(Some(hint)));
                 return;
             }
-            Ok(ReturnMessage::NoSuchProcedure) => {
+            Ok(ReturnView::NoSuchProcedure) => {
                 self.fail_call(io, handle, CallError::NoSuchProcedure);
                 return;
             }
@@ -1151,7 +1222,7 @@ impl Node {
             }
         }
         if let Some(call) = self.outstanding.get_mut(&handle) {
-            call.collation.add_vote(member_idx, data.to_vec());
+            call.collation.add_vote(member_idx, data);
             // The watchdog compares stragglers against the value already
             // delivered (§4.3.4).
             if call.done && call.collation.is_watchdog() && !call.collation.votes_agree() {
@@ -1168,14 +1239,10 @@ impl Node {
     /// many-to-one calls stop expecting its call message.
     fn on_peer_dead(&mut self, io: &mut dyn NetIo, addr: SockAddr) {
         // Client side: mark the member dead in every outstanding call.
-        let affected: Vec<(u64, usize)> = self
-            .route
-            .iter()
-            .filter(|((a, _), _)| *a == addr)
-            .map(|(_, v)| *v)
-            .collect();
-        self.route.retain(|(a, _), _| *a != addr);
-        for (handle, idx) in affected {
+        let its_routes = (addr, 0)..=(addr, u32::MAX);
+        while let Some((&at, &(handle, idx))) = self.route.range(its_routes.clone()).next() {
+            self.route.remove(&at);
+            self.resolve_route(handle);
             if let Some(call) = self.outstanding.get_mut(&handle) {
                 call.collation.mark_dead(idx);
             }
@@ -1192,7 +1259,7 @@ impl Node {
                 if p.state != PendState::Collecting {
                     continue;
                 }
-                if let Some(i) = p.client_members.iter().position(|m| *m == addr) {
+                if let Some(i) = p.client_members.as_slice().iter().position(|m| *m == addr) {
                     p.args.mark_dead(i);
                     true
                 } else {
@@ -1255,10 +1322,10 @@ impl Node {
         from: SockAddr,
         pm_cn: u32,
         span: u64,
-        data: &[u8],
+        data: Payload,
     ) {
         io.charge_compute(self.config.compute_per_msg); // Internalize.
-        let Ok(msg) = from_bytes::<CallMessage>(data) else {
+        let Ok(msg) = CallMessage::decode(&data) else {
             // Garbled call; the client will time out and retry.
             io.metrics().add("adv.rejected", 1);
             return;
@@ -1269,7 +1336,7 @@ impl Node {
         // troupe ID must be rejected so stale client caches are detected.
         if msg.server_troupe != self.my_troupe && msg.server_troupe != TroupeId::UNREGISTERED {
             io.metrics().add("adv.rejected", 1);
-            let reply = to_bytes(&ReturnMessage::WrongTroupe(self.my_troupe));
+            let reply = encode(&ReturnMessage::WrongTroupe(self.my_troupe));
             self.send_return(io, from, pm_cn, span, reply);
             return;
         }
@@ -1290,7 +1357,7 @@ impl Node {
         }
 
         if !self.services.contains_key(&msg.module) && msg.proc < reserved_procs::RESERVED_BASE {
-            let reply = to_bytes(&ReturnMessage::NoSuchProcedure);
+            let reply = encode(&ReturnMessage::NoSuchProcedure);
             self.send_return(io, from, pm_cn, span, reply);
             return;
         }
@@ -1299,11 +1366,11 @@ impl Node {
         // for unregistered callers, else the directory or binding agent.
         // For an unregistered caller the source of the call message is the
         // single "member" the return must reach.
-        let members: Vec<SockAddr> = if msg.client_troupe == TroupeId::UNREGISTERED {
-            vec![from]
+        let members = if msg.client_troupe == TroupeId::UNREGISTERED {
+            Members::Solo(from)
         } else {
             match self.directory.get(&msg.client_troupe) {
-                Some(m) => m.clone(),
+                Some(m) => Members::Troupe(m.clone()),
                 None => {
                     self.park_and_lookup(io, from, pm_cn, span, msg);
                     return;
@@ -1320,8 +1387,8 @@ impl Node {
         from: SockAddr,
         pm_cn: u32,
         span: u64,
-        msg: CallMessage,
-        members: Vec<SockAddr>,
+        msg: CallMessage<Payload>,
+        members: Members,
         key: CallKey,
     ) {
         if !self.pending.contains_key(&key) {
@@ -1335,17 +1402,28 @@ impl Node {
             };
             let serial = self.next_pending_serial;
             self.next_pending_serial += 1;
-            let deadline = io.now() + self.config.assembly_timeout;
-            let n = members.len();
+            let now = io.now();
+            let deadline = now + self.config.assembly_timeout;
+            let n = members.as_slice().len();
+            // Client members already under a dead-peer marker will never
+            // send their copy of this call; mark them dead now so a
+            // degraded client troupe does not pay the assembly timeout on
+            // every call (§4.3.2). The sender itself is plainly alive.
+            let mut args = Collation::new(policy, n);
+            for (i, m) in members.as_slice().iter().enumerate() {
+                if *m != from && self.dead_peers.get(m).is_some_and(|&until| now < until) {
+                    args.mark_dead(i);
+                }
+            }
             self.pending.insert(
                 key,
                 Pending {
                     serial,
                     module: msg.module,
                     proc: msg.proc,
-                    client_members: members.clone(),
+                    client_members: members,
                     responders: vec![None; n],
-                    args: Collation::new(policy, n),
+                    args,
                     state: PendState::Collecting,
                     deadline,
                     invocation: 0,
@@ -1354,25 +1432,6 @@ impl Node {
                 },
             );
             self.pending_by_serial.insert(serial, key);
-            // Client members already under a dead-peer marker will never
-            // send their copy of this call; mark them dead now so a
-            // degraded client troupe does not pay the assembly timeout on
-            // every call (§4.3.2). The sender itself is plainly alive.
-            let now = io.now();
-            let dead_idx: Vec<usize> = members
-                .iter()
-                .enumerate()
-                .filter(|(_, m)| {
-                    **m != from && self.dead_peers.get(m).is_some_and(|&until| now < until)
-                })
-                .map(|(i, _)| i)
-                .collect();
-            if !dead_idx.is_empty() {
-                let p = self.pending.get_mut(&key).expect("just inserted");
-                for i in dead_idx {
-                    p.args.mark_dead(i);
-                }
-            }
             if n > 1 {
                 // Only multi-member assemblies can stall on a silent
                 // member; arm the assembly timeout.
@@ -1383,7 +1442,7 @@ impl Node {
             }
         }
         let p = self.pending.get_mut(&key).expect("just inserted");
-        match p.client_members.iter().position(|m| *m == from) {
+        match p.client_members.as_slice().iter().position(|m| *m == from) {
             Some(i) => {
                 p.responders[i] = Some(pm_cn);
                 p.args.add_vote(i, msg.args);
@@ -1397,7 +1456,7 @@ impl Node {
                 // own view is stale (it will rebind) or ours is (the
                 // next call, with no open assembly, triggers a fresh
                 // lookup through the binding agent).
-                let reply = to_bytes(&ReturnMessage::Error(
+                let reply = encode(&ReturnMessage::Error(
                     "caller is not a member of the calling troupe".into(),
                 ));
                 self.directory.remove(&key.client_troupe);
@@ -1433,7 +1492,7 @@ impl Node {
                     // server-side execution into the client's call tree.
                     let span = io.metrics().span_child(
                         SpanId::from_raw(p.call_span),
-                        &format!("invoke m{}.p{}", p.module, p.proc),
+                        format_args!("invoke m{}.p{}", p.module, p.proc),
                         io.now().as_micros(),
                     );
                     p.invoke_span = span;
@@ -1455,7 +1514,7 @@ impl Node {
                 self.apply_step(io, key, ctx, step);
             }
             Decision::Fail(e) => {
-                let reply = to_bytes(&ReturnMessage::Error(format!(
+                let reply = encode(&ReturnMessage::Error(format!(
                     "argument collation failed: {e}"
                 )));
                 self.finish_pending(io, key, reply);
@@ -1533,11 +1592,11 @@ impl Node {
     fn apply_step(&mut self, io: &mut dyn NetIo, key: CallKey, ctx: ServiceCtx, step: Step) {
         match step {
             Step::Reply(data) => {
-                let reply = to_bytes(&ReturnMessage::Normal(data));
+                let reply = encode(&ReturnMessage::Normal(data));
                 self.finish_pending(io, key, reply);
             }
             Step::Error(e) => {
-                let reply = to_bytes(&ReturnMessage::Error(e));
+                let reply = encode(&ReturnMessage::Error(e));
                 self.finish_pending(io, key, reply);
             }
             Step::Suspend => {
@@ -1563,7 +1622,7 @@ impl Node {
                 let troupe = match self.resolve_target(&key, &out) {
                     Ok(t) => t,
                     Err(e) => {
-                        let reply = to_bytes(&ReturnMessage::Error(e));
+                        let reply = encode(&ReturnMessage::Error(e));
                         self.finish_pending(io, key, reply);
                         return;
                     }
@@ -1601,7 +1660,7 @@ impl Node {
         for e in effects {
             match e {
                 NodeEffect::PreloadDirectory { id, members } => {
-                    self.directory.insert(id, members);
+                    self.directory.insert(id, members.into());
                 }
                 NodeEffect::InvalidateDirectory { id } => {
                     self.directory.remove(&id);
@@ -1651,22 +1710,20 @@ impl Node {
         match &out.target {
             TroupeTarget::Troupe(t) => Ok(t.clone()),
             TroupeTarget::Caller => {
-                let members = if key.client_troupe == TroupeId::UNREGISTERED {
+                let members: &[SockAddr] = if key.client_troupe == TroupeId::UNREGISTERED {
                     self.pending
                         .get(key)
-                        .map(|p| p.client_members.clone())
-                        .unwrap_or_default()
+                        .map_or(&[], |p| p.client_members.as_slice())
                 } else {
                     self.directory
                         .get(&key.client_troupe)
-                        .cloned()
                         .ok_or_else(|| "caller troupe unknown".to_string())?
                 };
                 Ok(Troupe::new(
                     key.client_troupe,
                     members
-                        .into_iter()
-                        .map(|a| ModuleAddr::new(a, out.module))
+                        .iter()
+                        .map(|&a| ModuleAddr::new(a, out.module))
                         .collect(),
                 ))
             }
@@ -1710,7 +1767,7 @@ impl Node {
 
     /// Sends the reply to every client member heard from, and buffers it
     /// for the rest (§4.3.4).
-    fn finish_pending(&mut self, io: &mut dyn NetIo, key: CallKey, reply: Vec<u8>) {
+    fn finish_pending(&mut self, io: &mut dyn NetIo, key: CallKey, reply: Payload) {
         let Some(p) = self.pending.remove(&key) else {
             return;
         };
@@ -1721,7 +1778,7 @@ impl Node {
         let all_answered = p.responders.iter().all(|r| r.is_some());
         for (i, responder) in p.responders.iter().enumerate() {
             if let Some(cn) = responder {
-                let to = p.client_members[i];
+                let to = p.client_members.as_slice()[i];
                 self.send_return(io, to, *cn, span, reply.clone());
             }
         }
@@ -1749,8 +1806,8 @@ impl Node {
             if p.state != PendState::Collecting || io.now() < p.deadline {
                 return;
             }
-            for i in 0..p.client_members.len() {
-                if p.responders[i].is_none() {
+            for (i, responder) in p.responders.iter().enumerate() {
+                if responder.is_none() {
                     p.args.mark_dead(i);
                 }
             }
@@ -1776,7 +1833,7 @@ impl Node {
         from: SockAddr,
         pm_cn: u32,
         span: u64,
-        msg: CallMessage,
+        msg: CallMessage<Payload>,
     ) {
         let troupe = msg.client_troupe;
         self.parked.entry(troupe).or_default().push(Parked {
@@ -1825,7 +1882,7 @@ impl Node {
             .flatten();
         match members {
             Some(t) => {
-                let addrs: Vec<SockAddr> = t.members.iter().map(|m| m.addr).collect();
+                let addrs: Rc<[SockAddr]> = t.members.iter().map(|m| m.addr).collect();
                 self.directory.insert(troupe, addrs);
                 let parked = self.parked.remove(&troupe).unwrap_or_default();
                 for pk in parked {
@@ -1834,7 +1891,10 @@ impl Node {
                         thread: pk.msg.thread,
                         call_seq: pk.msg.call_seq,
                     };
-                    let members = self.directory.get(&troupe).cloned().unwrap_or_default();
+                    // Re-read per call: a parked straggler's rejection
+                    // below forgets the directory entry.
+                    let members = self.directory.get(&troupe).cloned();
+                    let members = Members::Troupe(members.unwrap_or_else(|| Rc::from([])));
                     self.process_call(io, pk.from, pk.pm_cn, pk.span, pk.msg, members, key);
                 }
             }
@@ -1844,7 +1904,7 @@ impl Node {
 
     fn fail_parked(&mut self, io: &mut dyn NetIo, troupe: TroupeId, why: &str) {
         let parked = self.parked.remove(&troupe).unwrap_or_default();
-        let reply = to_bytes(&ReturnMessage::Error(why.to_string()));
+        let reply = encode(&ReturnMessage::Error(why.to_string()));
         for pk in parked {
             self.send_return(io, pk.from, pk.pm_cn, pk.span, reply.clone());
         }
@@ -1896,25 +1956,22 @@ impl Node {
         to: SockAddr,
         cn: u32,
         span: u64,
-        reply: Vec<u8>,
+        reply: Payload,
     ) {
         let now = io.now();
         let conn = self.conn_mut(to);
         // Oversize replies cannot happen through the stub layer; ignore
         // the error here as the client's probe machinery will surface a
         // stuck call.
-        let _ = conn.endpoint.send(now, MsgType::Return, cn, span, &reply);
+        let _ = conn.endpoint.send(now, MsgType::Return, cn, span, reply);
     }
 
     /// Transmits queued segments on every connection and re-arms
     /// retransmission timers.
     fn flush_all(&mut self, io: &mut dyn NetIo) {
-        let addrs: Vec<SockAddr> = self.conns.keys().copied().collect();
-        for addr in addrs {
+        let charge_overhead = self.config.charge_overhead;
+        for (&addr, conn) in self.conns.iter_mut() {
             let now = io.now();
-            let Some(conn) = self.conns.get_mut(&addr) else {
-                continue;
-            };
             while let Some(seg) = conn.endpoint.poll_transmit_segment() {
                 let span = seg.header.span;
                 io.send_spanned(addr, seg.encode(), span);
@@ -1933,7 +1990,7 @@ impl Node {
                     conn.arm_gen += 1;
                     let delay = t.since(now);
                     let tag = make_tag(TAG_CONN, ((conn.arm_gen & 0x00FF_FFFF) << 32) | conn.id);
-                    if self.config.charge_overhead {
+                    if charge_overhead {
                         // The timer package reads the clock to compute the
                         // absolute deadline, masks interrupts around its
                         // queue, and arms the interval timer (§4.2.4).
@@ -2122,6 +2179,47 @@ mod tests {
         );
         assert_eq!(io.sent.len(), 2, "both members re-admitted");
         assert!(n.dead_peers.is_empty());
+    }
+
+    /// A peer's death fails the calls waiting on it in handle order —
+    /// the order of their map keys, not of a hasher's seed — and leaves
+    /// no route or call bookkeeping behind.
+    #[test]
+    fn peer_death_fails_its_calls_in_handle_order() {
+        let mut n = node();
+        let mut io = MockIo::new();
+        let troupe = troupe_of(1);
+        let peer = troupe.members[0].addr;
+        let handles: Vec<CallHandle> = (0..8)
+            .map(|_| {
+                let thread = n.fresh_thread();
+                n.begin_call(
+                    &mut io,
+                    thread,
+                    &troupe,
+                    1,
+                    0,
+                    b"x".to_vec(),
+                    CollationPolicy::Unanimous,
+                )
+            })
+            .collect();
+        assert_eq!(n.route.len(), 8);
+        n.on_peer_dead(&mut io, peer);
+        for want in handles {
+            match n.poll_event() {
+                Some(AppEvent::CallDone { handle, result }) => {
+                    assert_eq!(handle, want);
+                    assert_eq!(result, Err(CallError::AllMembersDead));
+                }
+                other => panic!("expected {want:?} to fail next, got {other:?}"),
+            }
+        }
+        assert!(matches!(
+            n.poll_event(),
+            Some(AppEvent::MemberDead { addr }) if addr == peer
+        ));
+        assert!(n.route.is_empty() && n.outstanding.is_empty());
     }
 
     #[test]
@@ -2389,7 +2487,10 @@ mod tests {
             Vec::new(),
             CollationPolicy::Unanimous,
         );
-        assert_eq!(n.directory.get(&TroupeId(33)), Some(&vec![member.addr]));
+        assert_eq!(
+            n.directory.get(&TroupeId(33)).map(|m| &m[..]),
+            Some(&[member.addr][..])
+        );
         assert!(!n.directory.contains_key(&TroupeId::UNREGISTERED));
     }
 

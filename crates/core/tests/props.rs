@@ -136,7 +136,7 @@ proptest! {
             c.add_vote(i, vec![*v]);
         }
         if let Decision::Ready(out) = c.decide() {
-            let count = votes.iter().filter(|v| vec![**v] == out).count();
+            let count = votes.iter().filter(|v| out == vec![**v]).count();
             prop_assert!(count > n / 2, "{out:?} lacks a quorum in {votes:?}");
         }
     }
@@ -152,7 +152,7 @@ proptest! {
             c.add_vote(i, v.clone());
         }
         match c.decide() {
-            Decision::Ready(out) => prop_assert!(votes.contains(&out)),
+            Decision::Ready(out) => prop_assert!(votes.contains(&out.to_vec())),
             other => prop_assert!(false, "unexpected {other:?}"),
         }
     }

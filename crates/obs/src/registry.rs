@@ -11,15 +11,16 @@
 //!
 //! Handles are `Rc<Cell<_>>` under the hood, so a hot-path update is one
 //! `Cell` store — no string lookup. Name-based convenience methods
-//! (`add`, `set_gauge`, `observe`) do the lookup each time and are meant
-//! for cold paths and tests.
+//! (`add`, `set_gauge`, `observe`) do the lookup each time; they allocate
+//! a key only the first time a name is seen.
 //!
 //! Dumps ([`Registry::dump_text`], [`Registry::dump_json`]) iterate a
 //! `BTreeMap`, so output order is the sorted key order — deterministic by
 //! construction.
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::{self, Write as _};
 use std::rc::Rc;
 
 use crate::span::{SpanId, SpanRecord, SpanTree};
@@ -137,6 +138,21 @@ struct Inner {
     metrics: BTreeMap<String, Metric>,
     spans: Vec<SpanRecord>,
     next_span: u64,
+    /// Every distinct span label minted so far; records share these.
+    labels: BTreeSet<Rc<str>>,
+    /// Where a label is formatted before it is looked up in `labels`.
+    label_scratch: String,
+}
+
+impl Inner {
+    /// The metric named `name`, registered with `make` the first time.
+    /// Only that first time allocates (the key).
+    fn metric(&mut self, name: &str, make: impl FnOnce() -> Metric) -> &Metric {
+        if !self.metrics.contains_key(name) {
+            self.metrics.insert(name.to_string(), make());
+        }
+        &self.metrics[name]
+    }
 }
 
 /// Cheaply cloneable handle to one shared metrics table + span log.
@@ -154,11 +170,7 @@ impl Registry {
     /// Panics if `name` is already registered as a different metric kind.
     pub fn counter(&self, name: &str) -> Counter {
         let mut inner = self.0.borrow_mut();
-        match inner
-            .metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Counter(Counter(Rc::new(Cell::new(0)))))
-        {
+        match inner.metric(name, || Metric::Counter(Counter(Rc::new(Cell::new(0))))) {
             Metric::Counter(c) => c.clone(),
             other => panic!("metric {name:?} already registered as {other:?}"),
         }
@@ -167,11 +179,7 @@ impl Registry {
     /// Registers (or finds) the gauge named `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
         let mut inner = self.0.borrow_mut();
-        match inner
-            .metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Gauge(Rc::new(Cell::new(0)))))
-        {
+        match inner.metric(name, || Metric::Gauge(Gauge(Rc::new(Cell::new(0))))) {
             Metric::Gauge(g) => g.clone(),
             other => panic!("metric {name:?} already registered as {other:?}"),
         }
@@ -180,7 +188,7 @@ impl Registry {
     /// Registers (or finds) the histogram named `name`.
     pub fn histogram(&self, name: &str) -> Histogram {
         let mut inner = self.0.borrow_mut();
-        match inner.metrics.entry(name.to_string()).or_insert_with(|| {
+        match inner.metric(name, || {
             Metric::Histogram(Histogram(Rc::new(Cell::new(HistState::default()))))
         }) {
             Metric::Histogram(h) => h.clone(),
@@ -188,17 +196,17 @@ impl Registry {
         }
     }
 
-    /// Cold-path convenience: bump the counter `name` by `v`.
+    /// By-name convenience: bump the counter `name` by `v`.
     pub fn add(&self, name: &str, v: u64) {
         self.counter(name).add(v);
     }
 
-    /// Cold-path convenience: set the gauge `name` to `v`.
+    /// By-name convenience: set the gauge `name` to `v`.
     pub fn set_gauge(&self, name: &str, v: u64) {
         self.gauge(name).set(v);
     }
 
-    /// Cold-path convenience: record one histogram sample.
+    /// By-name convenience: record one histogram sample.
     pub fn observe(&self, name: &str, v: u64) {
         self.histogram(name).observe(v);
     }
@@ -241,8 +249,9 @@ impl Registry {
     // Spans
     // ------------------------------------------------------------------
 
-    /// Mints a root span (no parent).
-    pub fn span_root(&self, label: &str, at_us: u64) -> SpanId {
+    /// Mints a root span (no parent). See [`Registry::span_child`] for
+    /// how `label` is taken.
+    pub fn span_root(&self, label: impl fmt::Display, at_us: u64) -> SpanId {
         self.span_child(SpanId::NONE, label, at_us)
     }
 
@@ -251,15 +260,31 @@ impl Registry {
     /// Ids are allocated from a single registry-global counter, so for a
     /// deterministic workload the numbering — and therefore the whole
     /// tree — is reproducible bit-for-bit.
-    pub fn span_child(&self, parent: SpanId, label: &str, at_us: u64) -> SpanId {
-        let mut inner = self.0.borrow_mut();
+    ///
+    /// `label` is anything printable: a `&str`, or — on a hot path —
+    /// `format_args!("call m{module}.p{proc}")`. It is formatted into a
+    /// reused buffer and interned, so a label seen before costs no
+    /// allocation and every record bearing it shares one string.
+    pub fn span_child(&self, parent: SpanId, label: impl fmt::Display, at_us: u64) -> SpanId {
+        let mut guard = self.0.borrow_mut();
+        let inner = &mut *guard;
+        inner.label_scratch.clear();
+        write!(inner.label_scratch, "{label}").expect("writing to a String cannot fail");
+        let label = match inner.labels.get(inner.label_scratch.as_str()) {
+            Some(known) => known.clone(),
+            None => {
+                let fresh: Rc<str> = Rc::from(inner.label_scratch.as_str());
+                inner.labels.insert(fresh.clone());
+                fresh
+            }
+        };
         inner.next_span += 1;
         let id = SpanId(inner.next_span);
         inner.spans.push(SpanRecord {
             id,
             parent,
             at_us,
-            label: label.to_string(),
+            label,
         });
         id
     }

@@ -43,8 +43,9 @@ pub struct SpanRecord {
     pub parent: SpanId,
     /// Simulated time (µs) the span was minted.
     pub at_us: u64,
-    /// Human-readable label, e.g. `call m1.p2` or `invoke m1.p2`.
-    pub label: String,
+    /// Human-readable label, e.g. `call m1.p2` or `invoke m1.p2`. Shared
+    /// by every record with the same label (the registry interns them).
+    pub label: std::rc::Rc<str>,
 }
 
 /// The causal tree over a set of [`SpanRecord`]s.
@@ -171,7 +172,7 @@ mod tests {
             id: SpanId(id),
             parent: SpanId(parent),
             at_us: id * 10,
-            label: label.to_string(),
+            label: label.into(),
         }
     }
 

@@ -13,7 +13,8 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::config::Config;
 use crate::receiver::MsgReceiver;
-use crate::segment::{MsgType, Segment, SegmentError};
+use crate::replay::ReplayLog;
+use crate::segment::{MsgType, Segment, SegmentError, SegmentHeader};
 use crate::sender::{MsgSender, SendError, SenderTick};
 use simnet::{Payload, Time};
 
@@ -35,14 +36,6 @@ pub enum Event {
     /// Retransmissions or probes went unanswered long enough to presume
     /// the peer has crashed (§4.2.3). The endpoint is dead afterwards.
     PeerDead,
-}
-
-/// Record of a completed incoming message, kept for re-acknowledgment and
-/// replay suppression.
-#[derive(Debug)]
-struct CompletedRecv {
-    total: u8,
-    at: Time,
 }
 
 #[derive(Debug)]
@@ -83,7 +76,9 @@ pub struct Endpoint {
     config: Config,
     senders: BTreeMap<(MsgType, u32), MsgSender>,
     receivers: BTreeMap<(MsgType, u32), MsgReceiver>,
-    completed: BTreeMap<(MsgType, u32), CompletedRecv>,
+    /// Completed incoming messages, kept for re-acknowledgment and replay
+    /// suppression.
+    replay: ReplayLog,
     out: VecDeque<Segment>,
     events: VecDeque<Event>,
     probe: Option<ProbeState>,
@@ -93,14 +88,6 @@ pub struct Endpoint {
     /// Highest call number delivered upward as a complete Call message
     /// (monotonicity audit).
     highest_delivered_call: Option<u32>,
-    /// Highest call number among *purged* completed Call records; arrivals
-    /// at or below it are replays of exchanges we no longer remember and
-    /// are ignored. Calls above it that we still remember are handled by
-    /// the `completed` map, so a legitimate concurrent call that completes
-    /// after a higher-numbered one is NOT mistaken for a replay.
-    purged_call_watermark: Option<u32>,
-    /// Call numbers ever delivered upward as Calls (exactly-once audit).
-    delivered_call_numbers: BTreeSet<u32>,
     /// Highest call number we ourselves have sent (monotonicity audit).
     highest_sent_call: Option<u32>,
     dead: bool,
@@ -114,14 +101,12 @@ impl Endpoint {
             config,
             senders: BTreeMap::new(),
             receivers: BTreeMap::new(),
-            completed: BTreeMap::new(),
+            replay: ReplayLog::new(),
             out: VecDeque::new(),
             events: VecDeque::new(),
             probe: None,
             awaiting_reply: BTreeSet::new(),
             highest_delivered_call: None,
-            purged_call_watermark: None,
-            delivered_call_numbers: BTreeSet::new(),
             highest_sent_call: None,
             dead: false,
             stats: EndpointStats::default(),
@@ -210,9 +195,7 @@ impl Endpoint {
             return Ok(());
         }
         let mut sender = MsgSender::new(now, &self.config, msg_type, call_number, span, data)?;
-        for seg in sender.initial_segments() {
-            self.out.push_back(seg);
-        }
+        self.out.extend(sender.initial_segments());
         if msg_type == MsgType::Call {
             self.awaiting_reply.insert(call_number);
             if self.highest_sent_call.is_some_and(|hi| call_number <= hi) {
@@ -271,7 +254,7 @@ impl Endpoint {
         if self.dead {
             return;
         }
-        self.purge_completed(now);
+        self.replay.purge(now, self.config.replay_ttl);
         // Any arrival is a life sign: reset the probe clock (§4.2.3).
         if let Some(p) = &mut self.probe {
             p.unanswered = 0;
@@ -297,9 +280,7 @@ impl Endpoint {
         let key = (msg_type, call_number);
         let complete = match self.senders.get_mut(&key) {
             Some(s) => {
-                for seg in s.on_ack(now, number) {
-                    self.out.push_back(seg);
-                }
+                self.out.extend(s.on_ack(now, number));
                 s.complete()
             }
             None => return,
@@ -332,13 +313,8 @@ impl Endpoint {
                 }
             }
             MsgType::Call => {
-                let stale: Vec<(MsgType, u32)> = self
-                    .senders
-                    .keys()
-                    .filter(|(t, cn)| *t == MsgType::Return && *cn < h.call_number)
-                    .copied()
-                    .collect();
-                for k in stale {
+                let stale = (MsgType::Return, 0)..(MsgType::Return, h.call_number);
+                while let Some((&k, _)) = self.senders.range(stale.clone()).next() {
                     self.senders.remove(&k);
                 }
             }
@@ -347,14 +323,10 @@ impl Endpoint {
         // Duplicate of an already-delivered message: re-acknowledge if
         // asked ("subsequent please ack segments should be acknowledged
         // promptly", §4.2.4).
-        if let Some(info) = self.completed.get(&key) {
+        if let Some(total) = self.replay.total_of(key) {
             if h.please_ack {
-                self.out.push_back(Segment::ack(
-                    h.msg_type,
-                    h.call_number,
-                    info.total,
-                    info.total,
-                ));
+                self.out
+                    .push_back(Segment::ack(h.msg_type, h.call_number, total, total));
             }
             return;
         }
@@ -363,13 +335,18 @@ impl Endpoint {
         // concurrent call that finishes after a higher-numbered one still
         // gets through (suppressing on the highest *delivered* number
         // starved exactly that case).
-        if h.msg_type == MsgType::Call {
-            if let Some(wm) = self.purged_call_watermark {
-                if h.call_number <= wm {
-                    self.stats.replays_suppressed += 1;
-                    return;
-                }
-            }
+        if h.msg_type == MsgType::Call && self.replay.suppresses(h.call_number) {
+            self.stats.replays_suppressed += 1;
+            return;
+        }
+
+        // Fast path: the only segment of a message nobody is assembling
+        // yet *is* the message — deliver its data window as it stands. The
+        // general path below does exactly this with a one-slot receiver
+        // it creates and discards on the spot.
+        if h.total == 1 && h.number == 1 && !self.receivers.contains_key(&key) {
+            self.complete_message(now, seg.header, 1, seg.data, h.please_ack);
+            return;
         }
 
         let receiver = self
@@ -381,59 +358,70 @@ impl Endpoint {
             .stats
             .max_recv_buffered
             .max(receiver.buffered_out_of_order());
-        let mut want_ack = actions.send_ack;
         if actions.completed {
             let recv = self.receivers.remove(&key).expect("receiver exists");
             let total = recv.total();
-            let data = recv.assemble();
-            self.completed.insert(key, CompletedRecv { total, at: now });
-            match h.msg_type {
-                MsgType::Call => {
-                    self.highest_delivered_call = Some(
-                        self.highest_delivered_call
-                            .map_or(h.call_number, |hi| hi.max(h.call_number)),
-                    );
-                    self.stats.calls_delivered += 1;
-                    if !self.delivered_call_numbers.insert(h.call_number) {
-                        self.stats.duplicate_call_deliveries += 1;
-                    }
-                    // Deferred ack: hold the ack back in the hope the
-                    // return message will serve instead (§4.2.4).
-                    if self.config.deferred_ack {
-                        want_ack = false;
-                    }
-                }
-                MsgType::Return => {
-                    self.stats.returns_delivered += 1;
-                    // Exchange over: stop probing for it, but keep watch
-                    // over any other call still awaiting its return.
-                    self.awaiting_reply.remove(&h.call_number);
-                    if self
-                        .probe
-                        .as_ref()
-                        .is_some_and(|p| p.call_number == h.call_number)
-                    {
-                        self.probe = None;
-                        if let Some(&cn) = self.awaiting_reply.last() {
-                            self.arm_probe(now, cn);
-                        }
-                    }
-                }
-            }
-            if want_ack {
-                self.out
-                    .push_back(Segment::ack(h.msg_type, h.call_number, total, total));
-            }
-            self.events.push_back(Event::Message {
-                msg_type: h.msg_type,
-                call_number: h.call_number,
-                span: h.span,
-                data,
-            });
-        } else if want_ack {
+            self.complete_message(now, h, total, recv.assemble(), actions.send_ack);
+        } else if actions.send_ack {
             let ack = receiver.make_ack();
             self.out.push_back(ack);
         }
+    }
+
+    /// A whole message (its last missing segment bore header `h`) has
+    /// arrived: remember it, acknowledge it if due, deliver it upward.
+    fn complete_message(
+        &mut self,
+        now: Time,
+        h: SegmentHeader,
+        total: u8,
+        data: Payload,
+        mut want_ack: bool,
+    ) {
+        self.replay.record((h.msg_type, h.call_number), total, now);
+        match h.msg_type {
+            MsgType::Call => {
+                self.highest_delivered_call = Some(
+                    self.highest_delivered_call
+                        .map_or(h.call_number, |hi| hi.max(h.call_number)),
+                );
+                self.stats.calls_delivered += 1;
+                if !self.replay.note_call_delivered(h.call_number) {
+                    self.stats.duplicate_call_deliveries += 1;
+                }
+                // Deferred ack: hold the ack back in the hope the
+                // return message will serve instead (§4.2.4).
+                if self.config.deferred_ack {
+                    want_ack = false;
+                }
+            }
+            MsgType::Return => {
+                self.stats.returns_delivered += 1;
+                // Exchange over: stop probing for it, but keep watch
+                // over any other call still awaiting its return.
+                self.awaiting_reply.remove(&h.call_number);
+                if self
+                    .probe
+                    .as_ref()
+                    .is_some_and(|p| p.call_number == h.call_number)
+                {
+                    self.probe = None;
+                    if let Some(&cn) = self.awaiting_reply.last() {
+                        self.arm_probe(now, cn);
+                    }
+                }
+            }
+        }
+        if want_ack {
+            self.out
+                .push_back(Segment::ack(h.msg_type, h.call_number, total, total));
+        }
+        self.events.push_back(Event::Message {
+            msg_type: h.msg_type,
+            call_number: h.call_number,
+            span: h.span,
+            data,
+        });
     }
 
     fn arm_probe(&mut self, now: Time, call_number: u32) {
@@ -446,7 +434,11 @@ impl Endpoint {
             return;
         }
         // Don't re-arm for a call whose return already completed.
-        if self.completed.contains_key(&(MsgType::Return, call_number)) {
+        if self
+            .replay
+            .total_of((MsgType::Return, call_number))
+            .is_some()
+        {
             return;
         }
         self.probe = Some(ProbeState {
@@ -474,19 +466,11 @@ impl Endpoint {
         if self.dead {
             return;
         }
-        let keys: Vec<(MsgType, u32)> = self.senders.keys().copied().collect();
-        for key in keys {
-            let tick = self
-                .senders
-                .get_mut(&key)
-                .map(|s| s.on_tick(now))
-                .unwrap_or(SenderTick::Idle);
-            match tick {
+        for sender in self.senders.values_mut() {
+            match sender.on_tick(now) {
                 SenderTick::Idle => {}
-                SenderTick::Retransmit(segs) => {
-                    for s in segs {
-                        self.out.push_back(s);
-                    }
+                SenderTick::Retransmit(numbers) => {
+                    self.out.extend(numbers.map(|n| sender.segment(n, true)));
                 }
                 SenderTick::GiveUp => {
                     self.declare_dead();
@@ -527,19 +511,6 @@ impl Endpoint {
         self.events.push_back(Event::PeerDead);
     }
 
-    fn purge_completed(&mut self, now: Time) {
-        let ttl = self.config.replay_ttl;
-        let mut watermark = self.purged_call_watermark;
-        self.completed.retain(|&(msg_type, cn), c| {
-            let keep = now.since(c.at) < ttl;
-            if !keep && msg_type == MsgType::Call {
-                watermark = Some(watermark.map_or(cn, |wm| wm.max(cn)));
-            }
-            keep
-        });
-        self.purged_call_watermark = watermark;
-    }
-
     /// Drains the next segment to transmit, already encoded.
     pub fn poll_transmit(&mut self) -> Option<Payload> {
         self.poll_transmit_segment().map(|s| s.encode())
@@ -557,5 +528,77 @@ impl Endpoint {
     /// Drains the next upward event.
     pub fn poll_event(&mut self) -> Option<Event> {
         self.events.pop_front()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simnet::Duration;
+
+    /// Delivers everything `tx` has queued to `rx`.
+    fn carry(now: Time, tx: &mut Endpoint, rx: &mut Endpoint) {
+        while let Some(bytes) = tx.poll_transmit() {
+            rx.on_datagram(now, &bytes).unwrap();
+        }
+    }
+
+    /// Every piece of per-peer state is bounded by the replay TTL, not by
+    /// the number of exchanges ever made: after 10 000 sequential calls
+    /// whose clock runs far past `replay_ttl`, the completed records, the
+    /// purge queue and the exactly-once audit set each hold one TTL
+    /// window's worth — and the audit still fires above the watermark.
+    #[test]
+    fn per_peer_state_is_bounded_by_the_replay_ttl() {
+        const STEP: Duration = Duration::from_millis(50);
+        let config = Config::default();
+        let window = (config.replay_ttl.as_micros() / STEP.as_micros()) as usize;
+        let mut client = Endpoint::new(config.clone());
+        let mut server = Endpoint::new(config);
+        let mut now = Time::ZERO;
+        for cn in 1..=10_000u32 {
+            client.send(now, MsgType::Call, cn, 0, b"ping").unwrap();
+            carry(now, &mut client, &mut server);
+            assert!(matches!(
+                server.poll_event(),
+                Some(Event::Message { call_number, .. }) if call_number == cn
+            ));
+            server.send(now, MsgType::Return, cn, 0, b"pong").unwrap();
+            carry(now, &mut server, &mut client);
+            assert!(matches!(client.poll_event(), Some(Event::Message { .. })));
+            now += STEP;
+        }
+        for (name, e) in [("client", &client), ("server", &server)] {
+            let r = &e.replay;
+            assert!(
+                r.len() <= window + 1,
+                "{name} remembers {} exchanges, window {window}",
+                r.len()
+            );
+            assert!(r.order_len() <= window + 1, "{name} purge queue");
+            assert!(r.audit_len() <= window + 1, "{name} audit set");
+            // (The server's last return waits for a later call to
+            // acknowledge it implicitly.)
+            assert!(e.senders.len() <= 1 && e.receivers.is_empty());
+        }
+        assert_eq!(server.replay.watermark(), Some(10_000 - window as u32));
+        assert_eq!(server.stats().duplicate_call_deliveries, 0);
+
+        // A forged duplicate *below* the watermark is suppressed before
+        // delivery, so the audit has nothing to say about it...
+        let old = Segment::data(MsgType::Call, 17, 0, 1, 1, false, b"ping".to_vec());
+        server.on_segment(now, old);
+        assert_eq!(server.stats().replays_suppressed, 1);
+        assert!(server.poll_event().is_none());
+
+        // ...and one *above* it that somehow gets delivered twice (its
+        // completed record lost — which only a bug could cause) still
+        // trips the audit.
+        let live = 10_000;
+        assert!(server.replay.forget_record((MsgType::Call, live)));
+        let dup = Segment::data(MsgType::Call, live, 0, 1, 1, false, b"ping".to_vec());
+        server.on_segment(now, dup);
+        assert!(server.poll_event().is_some(), "re-delivered upward");
+        assert_eq!(server.stats().duplicate_call_deliveries, 1);
     }
 }

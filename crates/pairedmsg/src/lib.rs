@@ -21,7 +21,7 @@
 //! - crash detection uses probes and timeouts (§4.2.3), surfacing
 //!   [`endpoint::Event::PeerDead`];
 //! - completed call numbers are remembered to suppress replay of delayed
-//!   duplicates (§4.2.4).
+//!   duplicates (§4.2.4), for a bounded time ([`replay`]).
 //!
 //! The state machines are sans-io: they consume time and segments and
 //! produce segments, events, and timer deadlines, so they can be driven
@@ -37,6 +37,7 @@
 pub mod config;
 pub mod endpoint;
 pub mod receiver;
+pub mod replay;
 pub mod segment;
 pub mod sender;
 pub mod troupe;
@@ -44,6 +45,7 @@ pub mod troupe;
 pub use config::{Config, ProtocolMode};
 pub use endpoint::{Endpoint, EndpointStats, Event};
 pub use receiver::{MsgReceiver, RecvActions};
+pub use replay::ReplayLog;
 pub use segment::{MsgType, Segment, SegmentError, SegmentHeader, HEADER_LEN, MAX_SEGMENTS};
 pub use sender::{MsgSender, SendError, SenderTick};
 pub use troupe::TroupeSender;

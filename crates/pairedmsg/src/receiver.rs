@@ -127,7 +127,7 @@ impl MsgReceiver {
     /// Consumes the receiver, yielding the assembled message bytes. A
     /// single-segment message (the common case) is returned as the
     /// received window itself — no copy; multi-segment messages
-    /// concatenate once.
+    /// concatenate once, straight into the result's one allocation.
     ///
     /// # Panics
     ///
@@ -140,16 +140,18 @@ impl MsgReceiver {
                 .take()
                 .expect("complete message has all slots");
         }
-        let mut out = Vec::with_capacity(
-            self.slots
-                .iter()
-                .map(|s| s.as_ref().map_or(0, |p| p.len()))
-                .sum(),
-        );
-        for slot in self.slots {
-            out.extend_from_slice(&slot.expect("complete message has all slots"));
+        fn part(slot: &Option<Payload>) -> &[u8] {
+            slot.as_deref().expect("complete message has all slots")
         }
-        Payload::from(out)
+        let len = self.slots.iter().map(|s| part(s).len()).sum();
+        Payload::build(len, |out| {
+            let mut at = 0;
+            for slot in &self.slots {
+                let bytes = part(slot);
+                out[at..at + bytes.len()].copy_from_slice(bytes);
+                at += bytes.len();
+            }
+        })
     }
 }
 

@@ -1,0 +1,204 @@
+//! Memory of completed exchanges, for re-acknowledgment and replay
+//! suppression (§4.2.4).
+//!
+//! Each completed incoming message is remembered for the configured
+//! `replay_ttl`: while the record lives, a delayed duplicate is recognised
+//! (and re-acknowledged if it asks); once it expires, the call number
+//! folds into a *watermark* at or below which arriving calls are replays
+//! of exchanges no longer remembered.
+//!
+//! Expiry is O(expired), not O(remembered): records are also queued in
+//! completion order, and the endpoint's clock never runs backwards, so the
+//! expired records are always a prefix of that queue. (Fed a clock that
+//! does run backwards, the log stays correct but may keep a record past
+//! its time, until everything queued before it has expired too.)
+//!
+//! Everything here is bounded by the TTL window: the records, the queue,
+//! and the exactly-once audit set, which forgets a call number as soon as
+//! the watermark covers it — arrivals that low are suppressed before they
+//! could be delivered twice, so the audit cannot fire for them anyway.
+
+use std::collections::{BTreeSet, HashMap, VecDeque};
+
+use crate::segment::MsgType;
+use simnet::{Duration, Time};
+
+/// Identifies one message of one exchange.
+pub type MsgKey = (MsgType, u32);
+
+#[derive(Debug)]
+struct Completed {
+    total: u8,
+    at: Time,
+}
+
+/// The completed-exchange memory of one [`Endpoint`](crate::Endpoint).
+#[derive(Debug, Default)]
+pub struct ReplayLog {
+    /// Looked up by key only, never iterated, so the hasher's per-process
+    /// seed cannot leak into behaviour.
+    records: HashMap<MsgKey, Completed>,
+    /// `(key, completion time)` in completion order. An entry whose time
+    /// no longer matches its record (the key was recorded again) is stale
+    /// and skipped.
+    order: VecDeque<(MsgKey, Time)>,
+    /// Highest call number among *expired* Call records; arrivals at or
+    /// below it are replays of exchanges no longer remembered. Calls above
+    /// it that are still remembered are handled by `records`, so a
+    /// legitimate concurrent call that completes after a higher-numbered
+    /// one is NOT mistaken for a replay.
+    watermark: Option<u32>,
+    /// Call numbers above the watermark delivered upward as Calls
+    /// (exactly-once audit).
+    delivered_calls: BTreeSet<u32>,
+}
+
+impl ReplayLog {
+    /// An empty log.
+    pub fn new() -> ReplayLog {
+        ReplayLog::default()
+    }
+
+    /// Forgets every record completed `ttl` or longer before `now`,
+    /// folding expired call numbers into the watermark.
+    pub fn purge(&mut self, now: Time, ttl: Duration) {
+        let before = self.watermark;
+        while let Some(&(key, at)) = self.order.front() {
+            if now.since(at) < ttl {
+                break;
+            }
+            self.order.pop_front();
+            if self.records.get(&key).is_some_and(|c| c.at == at) {
+                self.records.remove(&key);
+                if let (MsgType::Call, cn) = key {
+                    self.watermark = Some(self.watermark.map_or(cn, |wm| wm.max(cn)));
+                }
+            }
+        }
+        if self.watermark != before {
+            let wm = self.watermark.expect("a watermark that moved is set");
+            while self.delivered_calls.first().is_some_and(|&cn| cn <= wm) {
+                self.delivered_calls.pop_first();
+            }
+        }
+    }
+
+    /// Remembers that message `key`, of `total` segments, completed at
+    /// `now`.
+    pub fn record(&mut self, key: MsgKey, total: u8, now: Time) {
+        self.records.insert(key, Completed { total, at: now });
+        self.order.push_back((key, now));
+    }
+
+    /// The segment count of the remembered message `key`, if it is still
+    /// remembered.
+    pub fn total_of(&self, key: MsgKey) -> Option<u8> {
+        self.records.get(&key).map(|c| c.total)
+    }
+
+    /// `true` if a call numbered `call_number` is a replay of an exchange
+    /// whose record has expired.
+    pub fn suppresses(&self, call_number: u32) -> bool {
+        self.watermark.is_some_and(|wm| call_number <= wm)
+    }
+
+    /// Notes that call `call_number` is being delivered upward. Returns
+    /// `false` if it was delivered before — an exactly-once violation.
+    pub fn note_call_delivered(&mut self, call_number: u32) -> bool {
+        self.delivered_calls.insert(call_number)
+    }
+
+    /// The replay watermark (see [`ReplayLog::suppresses`]).
+    pub fn watermark(&self) -> Option<u32> {
+        self.watermark
+    }
+
+    /// The remembered keys, sorted.
+    pub fn keys(&self) -> Vec<MsgKey> {
+        let mut keys: Vec<MsgKey> = self.records.keys().copied().collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    /// Number of remembered messages.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// `true` if nothing is remembered.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    #[cfg(test)]
+    pub(crate) fn order_len(&self) -> usize {
+        self.order.len()
+    }
+
+    #[cfg(test)]
+    pub(crate) fn audit_len(&self) -> usize {
+        self.delivered_calls.len()
+    }
+
+    /// Drops the record of `key` alone (not its audit entry): the fault a
+    /// test injects to reach the exactly-once audit.
+    #[cfg(test)]
+    pub(crate) fn forget_record(&mut self, key: MsgKey) -> bool {
+        self.records.remove(&key).is_some()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const TTL: Duration = Duration::from_secs(60);
+
+    fn at(ms: u64) -> Time {
+        Time::from_micros(ms * 1_000)
+    }
+
+    #[test]
+    fn records_expire_into_the_watermark() {
+        let mut log = ReplayLog::new();
+        log.record((MsgType::Call, 5), 1, at(0));
+        log.record((MsgType::Return, 9), 3, at(10));
+        log.record((MsgType::Call, 4), 1, at(20));
+        log.purge(at(59_999), TTL);
+        assert_eq!(log.len(), 3);
+        assert_eq!(log.watermark(), None);
+        log.purge(at(60_010), TTL);
+        assert_eq!(log.keys(), vec![(MsgType::Call, 4)]);
+        assert_eq!(log.total_of((MsgType::Return, 9)), None);
+        assert_eq!(log.watermark(), Some(5), "returns do not move it");
+        assert!(log.suppresses(5) && log.suppresses(1) && !log.suppresses(6));
+        // The lower-numbered straggler expires without lowering it.
+        log.purge(at(60_020), TTL);
+        assert!(log.is_empty());
+        assert_eq!(log.watermark(), Some(5));
+    }
+
+    #[test]
+    fn a_key_recorded_again_lives_by_its_newer_time() {
+        let mut log = ReplayLog::new();
+        log.record((MsgType::Return, 1), 1, at(0));
+        log.record((MsgType::Return, 1), 2, at(30_000));
+        log.purge(at(60_000), TTL);
+        assert_eq!(log.total_of((MsgType::Return, 1)), Some(2));
+        log.purge(at(90_000), TTL);
+        assert!(log.is_empty());
+    }
+
+    #[test]
+    fn audit_forgets_what_the_watermark_covers() {
+        let mut log = ReplayLog::new();
+        for cn in 1..=3 {
+            assert!(log.note_call_delivered(cn));
+            log.record((MsgType::Call, cn), 1, at(cn as u64));
+        }
+        assert!(!log.note_call_delivered(2), "duplicate above the watermark");
+        log.purge(at(60_002), TTL);
+        assert_eq!(log.watermark(), Some(2));
+        assert_eq!(log.delivered_calls.iter().copied().collect::<Vec<_>>(), [3]);
+    }
+}

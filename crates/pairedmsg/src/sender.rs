@@ -5,6 +5,12 @@
 //! retransmits the first unacknowledged segment with *please ack* set,
 //! while removing acknowledged segments from its queue. Transmission is
 //! complete when the queue is empty.
+//!
+//! Acknowledgment numbers are cumulative, so the queue of unacknowledged
+//! segments is always the suffix `acked + 1 ..= total`: the sender keeps
+//! one counter and the message buffer, and cuts each segment as a window
+//! of that buffer when it is (re)transmitted — it owns no per-segment
+//! state and allocates nothing.
 
 use crate::config::{Config, ProtocolMode};
 use crate::segment::{MsgType, Segment, MAX_SEGMENTS};
@@ -40,11 +46,12 @@ pub struct MsgSender {
     msg_type: MsgType,
     call_number: u32,
     span: u64,
-    /// Payloads of segments not yet acknowledged, paired with their
-    /// segment numbers (1-based). Ordered ascending. Each payload is a
-    /// zero-copy window into the original message buffer.
-    unacked: Vec<(u8, Payload)>,
+    /// The whole message; segment `n` is its `n`-th `chunk`-byte window.
+    data: Payload,
+    chunk: usize,
     total: u8,
+    /// Highest segment number acknowledged so far.
+    acked: u8,
     next_retransmit: Time,
     retransmit_interval: Duration,
     backoff_multiplier: u32,
@@ -64,8 +71,9 @@ pub struct MsgSender {
 pub enum SenderTick {
     /// Nothing due yet or already complete.
     Idle,
-    /// Retransmit these segments.
-    Retransmit(Vec<Segment>),
+    /// Retransmit the segments with these numbers, *please ack* set
+    /// (build each with [`MsgSender::segment`]).
+    Retransmit(std::ops::RangeInclusive<u8>),
     /// Too many retransmissions with no acknowledgment: the peer is
     /// presumed to have crashed (§4.2.3).
     GiveUp,
@@ -97,24 +105,14 @@ impl MsgSender {
                 max: config.max_message_len(),
             });
         }
-        let mut unacked = Vec::with_capacity(n_segments);
-        if data.is_empty() {
-            unacked.push((1u8, Payload::empty()));
-        } else {
-            // Segmentation is zero-copy: each piece is a window into the
-            // one message buffer.
-            for i in 0..n_segments {
-                let start = i * chunk;
-                let end = (start + chunk).min(data.len());
-                unacked.push((i as u8 + 1, data.slice(start..end)));
-            }
-        }
         Ok(MsgSender {
             msg_type,
             call_number,
             span,
+            data,
+            chunk,
             total: n_segments as u8,
-            unacked,
+            acked: 0,
             next_retransmit: now + config.retransmit_interval,
             retransmit_interval: config.retransmit_interval,
             backoff_multiplier: config.backoff_multiplier.max(1),
@@ -129,7 +127,12 @@ impl MsgSender {
         })
     }
 
-    fn make_segment(&self, number: u8, data: &Payload, please_ack: bool) -> Segment {
+    /// Segment `number` (1-based, `<= total`) of the message. Its data is
+    /// a zero-copy window into the one message buffer.
+    pub fn segment(&self, number: u8, please_ack: bool) -> Segment {
+        debug_assert!((1..=self.total).contains(&number));
+        let start = (number as usize - 1) * self.chunk;
+        let end = (start + self.chunk).min(self.data.len());
         Segment::data(
             self.msg_type,
             self.call_number,
@@ -137,7 +140,7 @@ impl MsgSender {
             self.total,
             number,
             please_ack,
-            data.clone(),
+            self.data.slice(start..end),
         )
     }
 
@@ -207,31 +210,10 @@ impl MsgSender {
     /// Segments for the initial transmission. The Circus discipline sends
     /// everything eagerly with no control bits (§4.2.2); the PARC
     /// discipline sends only the first segment, stop-and-wait (§4.2.5).
-    pub fn initial_segments(&mut self) -> Vec<Segment> {
-        match self.mode {
-            ProtocolMode::Circus => {
-                self.sent_through = self.total;
-                self.unacked
-                    .iter()
-                    .map(|(n, d)| {
-                        Segment::data(
-                            self.msg_type,
-                            self.call_number,
-                            self.span,
-                            self.total,
-                            *n,
-                            false,
-                            d.clone(),
-                        )
-                    })
-                    .collect()
-            }
-            ProtocolMode::Parc => {
-                self.sent_through = 1;
-                let (n, d) = &self.unacked[0];
-                vec![self.make_segment(*n, d, self.parc_please_ack(*n))]
-            }
-        }
+    pub fn initial_segments(&mut self) -> impl Iterator<Item = Segment> + '_ {
+        let parc = self.mode == ProtocolMode::Parc;
+        self.sent_through = if parc { 1 } else { self.total };
+        (1..=self.sent_through).map(move |n| self.segment(n, parc && self.parc_please_ack(n)))
     }
 
     /// Records that every segment has already been handed to the network
@@ -246,39 +228,37 @@ impl MsgSender {
 
     /// Processes an explicit acknowledgment number: removes every segment
     /// numbered `<= ack_number` and resets the retry counter if progress
-    /// was made. Returns any segments to transmit next (the PARC
+    /// was made. Returns the segment to transmit next, if any (the PARC
     /// discipline releases the following segment on each ack).
-    pub fn on_ack(&mut self, now: Time, ack_number: u8) -> Vec<Segment> {
-        let before = self.unacked.len();
-        self.unacked.retain(|(n, _)| *n > ack_number);
-        if self.unacked.len() < before {
+    pub fn on_ack(&mut self, now: Time, ack_number: u8) -> Option<Segment> {
+        let acked = ack_number.min(self.total);
+        if acked > self.acked {
+            self.acked = acked;
             // Progress resets the backoff to the base interval.
             self.retries = 0;
             self.next_retransmit = now + self.jittered_interval();
         }
-        if self.mode == ProtocolMode::Parc && ack_number >= self.sent_through {
-            if let Some((n, d)) = self
-                .unacked
-                .iter()
-                .find(|(n, _)| *n == self.sent_through + 1)
-            {
-                let seg = self.make_segment(*n, d, self.parc_please_ack(*n));
-                self.sent_through += 1;
-                return vec![seg];
-            }
+        if self.mode == ProtocolMode::Parc
+            && ack_number >= self.sent_through
+            && self.acked <= self.sent_through
+            && self.sent_through < self.total
+        {
+            self.sent_through += 1;
+            let n = self.sent_through;
+            return Some(self.segment(n, self.parc_please_ack(n)));
         }
-        Vec::new()
+        None
     }
 
     /// Treats the whole message as acknowledged (implicit acknowledgment
     /// by a reply, §4.2.2).
     pub fn ack_all(&mut self) {
-        self.unacked.clear();
+        self.acked = self.total;
     }
 
     /// `true` once every segment has been acknowledged.
     pub fn complete(&self) -> bool {
-        self.unacked.is_empty()
+        self.acked == self.total
     }
 
     /// When the next retransmission is due (`None` once complete).
@@ -300,49 +280,25 @@ impl MsgSender {
         }
         self.retries += 1;
         self.next_retransmit = now + self.jittered_interval();
-        // Only retransmit segments already sent (matters for PARC mode).
-        let sent = self.sent_through;
-        let to_send: Vec<&(u8, Payload)> = if self.retransmit_all {
-            self.unacked.iter().filter(|(n, _)| *n <= sent).collect()
+        // Only retransmit segments already sent (matters for PARC mode):
+        // all of them, or just the first unacknowledged one.
+        let first = self.acked + 1;
+        let last = if self.retransmit_all {
+            self.sent_through
         } else {
-            self.unacked
-                .iter()
-                .find(|(n, _)| *n <= sent)
-                .into_iter()
-                .collect()
+            self.sent_through.min(first)
         };
-        SenderTick::Retransmit(
-            to_send
-                .into_iter()
-                .map(|(n, d)| {
-                    Segment::data(
-                        self.msg_type,
-                        self.call_number,
-                        self.span,
-                        self.total,
-                        *n,
-                        true,
-                        d.clone(),
-                    )
-                })
-                .collect(),
-        )
+        SenderTick::Retransmit(first..=last)
     }
 
     /// Fast retransmission of the first unacknowledged segment, used when
     /// an explicit ack reveals a gap (§4.2.4).
     pub fn fast_retransmit(&mut self, now: Time) -> Option<Segment> {
-        let (n, d) = self.unacked.first()?;
+        if self.complete() {
+            return None;
+        }
         self.next_retransmit = now + self.jittered_interval();
-        Some(Segment::data(
-            self.msg_type,
-            self.call_number,
-            self.span,
-            self.total,
-            *n,
-            true,
-            d.clone(),
-        ))
+        Some(self.segment(self.acked + 1, true))
     }
 }
 
@@ -360,7 +316,7 @@ mod tests {
     #[test]
     fn small_message_is_one_segment() {
         let mut s = MsgSender::new(Time::ZERO, &config(), MsgType::Call, 1, 0, b"ab").unwrap();
-        let segs = s.initial_segments();
+        let segs: Vec<Segment> = s.initial_segments().collect();
         assert_eq!(segs.len(), 1);
         assert_eq!(segs[0].header.total, 1);
         assert_eq!(segs[0].header.number, 1);
@@ -370,14 +326,14 @@ mod tests {
     #[test]
     fn empty_message_still_has_one_segment() {
         let mut s = MsgSender::new(Time::ZERO, &config(), MsgType::Return, 1, 0, b"").unwrap();
-        assert_eq!(s.initial_segments().len(), 1);
+        assert_eq!(s.initial_segments().count(), 1);
     }
 
     #[test]
     fn large_message_segments_in_order() {
         let mut s =
             MsgSender::new(Time::ZERO, &config(), MsgType::Call, 1, 0, b"abcdefghij").unwrap();
-        let segs = s.initial_segments();
+        let segs: Vec<Segment> = s.initial_segments().collect();
         assert_eq!(segs.len(), 3);
         assert_eq!(segs[0].data, b"abcd");
         assert_eq!(segs[1].data, b"efgh");
@@ -409,14 +365,13 @@ mod tests {
     fn retransmit_first_unacked_with_please_ack() {
         let cfg = config();
         let mut s = MsgSender::new(Time::ZERO, &cfg, MsgType::Call, 1, 0, b"abcdefghij").unwrap();
-        let _ = s.initial_segments();
+        let _ = s.initial_segments().count();
         s.on_ack(Time::ZERO, 1);
         let due = s.deadline().unwrap();
         match s.on_tick(due) {
-            SenderTick::Retransmit(segs) => {
-                assert_eq!(segs.len(), 1);
-                assert_eq!(segs[0].header.number, 2);
-                assert!(segs[0].header.please_ack);
+            SenderTick::Retransmit(numbers) => {
+                assert_eq!(numbers, 2..=2);
+                assert!(s.segment(2, true).header.please_ack);
             }
             other => panic!("expected retransmit, got {other:?}"),
         }
@@ -429,7 +384,7 @@ mod tests {
             ..config()
         };
         let mut s = MsgSender::new(Time::ZERO, &cfg, MsgType::Call, 1, 0, b"x").unwrap();
-        let _ = s.initial_segments();
+        let _ = s.initial_segments().count();
         for _ in 0..2 {
             let now = s.deadline().unwrap();
             assert!(matches!(s.on_tick(now), SenderTick::Retransmit(_)));
@@ -445,7 +400,7 @@ mod tests {
             ..config()
         };
         let mut s = MsgSender::new(Time::ZERO, &cfg, MsgType::Call, 1, 0, b"abcdefgh").unwrap();
-        let _ = s.initial_segments();
+        let _ = s.initial_segments().count();
         let now = s.deadline().unwrap();
         assert!(matches!(s.on_tick(now), SenderTick::Retransmit(_)));
         s.on_ack(Time::ZERO, 1); // Progress.
@@ -473,7 +428,7 @@ mod tests {
     /// scheduled deadlines.
     fn drain_schedule(cfg: &Config) -> Vec<u64> {
         let mut s = MsgSender::new(Time::ZERO, cfg, MsgType::Call, 7, 0, b"x").unwrap();
-        let _ = s.initial_segments();
+        let _ = s.initial_segments().count();
         let mut waits = Vec::new();
         let mut last = Time::ZERO;
         loop {
@@ -534,7 +489,7 @@ mod tests {
             ..config()
         };
         let mut s = MsgSender::new(Time::ZERO, &cfg, MsgType::Call, 1, 0, b"abcdefgh").unwrap();
-        let _ = s.initial_segments();
+        let _ = s.initial_segments().count();
         let mut now = s.deadline().unwrap();
         assert!(matches!(s.on_tick(now), SenderTick::Retransmit(_)));
         now = s.deadline().unwrap();
@@ -553,10 +508,10 @@ mod tests {
             ..config()
         };
         let mut s = MsgSender::new(Time::ZERO, &cfg, MsgType::Call, 1, 0, b"abcdefghij").unwrap();
-        let _ = s.initial_segments();
+        let _ = s.initial_segments().count();
         let due = s.deadline().unwrap();
         match s.on_tick(due) {
-            SenderTick::Retransmit(segs) => assert_eq!(segs.len(), 3),
+            SenderTick::Retransmit(numbers) => assert_eq!(numbers, 1..=3),
             other => panic!("expected retransmit, got {other:?}"),
         }
     }

@@ -49,7 +49,7 @@ impl TroupeSender {
         let mut sender =
             MsgSender::new(Time::ZERO, &eager, MsgType::Call, call_number, span, data)?;
         Ok(TroupeSender {
-            segments: sender.initial_segments(),
+            segments: sender.initial_segments().collect(),
             call_number,
             span,
         })
@@ -89,7 +89,10 @@ mod tests {
         let ts = TroupeSender::new(&cfg, 9, 77, b"abcdefghij").unwrap();
         let mut plain =
             MsgSender::new(Time::ZERO, &cfg, MsgType::Call, 9, 77, b"abcdefghij").unwrap();
-        assert_eq!(ts.segments(), &plain.initial_segments()[..]);
+        assert_eq!(
+            ts.segments(),
+            &plain.initial_segments().collect::<Vec<_>>()[..]
+        );
         assert!(ts.segments().iter().all(|s| s.header.call_number == 9));
         assert!(ts.segments().iter().all(|s| s.header.span == 77));
     }

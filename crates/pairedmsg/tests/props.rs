@@ -142,3 +142,64 @@ proptest! {
         }
     }
 }
+
+/// The purge this crate used before the completion-ordered queue: scan
+/// every record. Kept here, and only here, as the reference.
+#[derive(Default)]
+struct RetainLog {
+    completed: std::collections::BTreeMap<(MsgType, u32), Time>,
+    watermark: Option<u32>,
+}
+
+impl RetainLog {
+    fn purge(&mut self, now: Time, ttl: simnet::Duration) {
+        let mut watermark = self.watermark;
+        self.completed.retain(|&(msg_type, cn), at| {
+            let keep = now.since(*at) < ttl;
+            if !keep && msg_type == MsgType::Call {
+                watermark = Some(watermark.map_or(cn, |wm| wm.max(cn)));
+            }
+            keep
+        });
+        self.watermark = watermark;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The queue purge forgets exactly what the full-scan purge forgot:
+    /// same surviving keys, same watermark, after every step of a random
+    /// sequence of completions and (never backwards) clock readings —
+    /// with few enough distinct keys that some complete again, both after
+    /// their record expired and while it is still remembered.
+    #[test]
+    fn queue_purge_matches_the_retain_purge(seed: u64, steps in 1usize..400) {
+        let ttl = simnet::Duration::from_millis(1_000);
+        let mut rng = simnet::SimRng::new(seed);
+        let mut log = pairedmsg::ReplayLog::new();
+        let mut reference = RetainLog::default();
+        let mut now = Time::ZERO;
+        for _ in 0..steps {
+            // Mostly small steps, sometimes none, sometimes past the TTL.
+            now += simnet::Duration::from_micros(match rng.below(8) {
+                0 => 0,
+                1 => 1_000_000 + rng.below(500_000),
+                _ => rng.below(300_000),
+            });
+            log.purge(now, ttl);
+            reference.purge(now, ttl);
+            prop_assert_eq!(log.watermark(), reference.watermark);
+            prop_assert_eq!(log.keys(), reference.completed.keys().copied().collect::<Vec<_>>());
+            for _ in 0..rng.below(4) {
+                let msg_type = if rng.chance(0.5) { MsgType::Call } else { MsgType::Return };
+                let key = (msg_type, rng.below(24) as u32);
+                let total = 1 + rng.below(3) as u8;
+                log.record(key, total, now);
+                reference.completed.insert(key, now);
+                prop_assert_eq!(log.total_of(key), Some(total));
+            }
+            prop_assert_eq!(log.len(), reference.completed.len());
+        }
+    }
+}

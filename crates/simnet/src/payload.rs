@@ -6,6 +6,12 @@
 //! is a refcount bump, never a byte copy. Slicing one (protocol headers,
 //! message segmentation) shares the same allocation.
 //!
+//! What each constructor costs: [`Payload::empty`] nothing (the empty
+//! window owns no buffer); [`Payload::build`] and [`Payload::copy_from`]
+//! one allocation; `From<Vec<u8>>` one allocation *and* a copy of the
+//! vector's bytes (`Rc<[u8]>` cannot adopt a `Vec`'s buffer), so encoders
+//! that know their length up front write through `build` instead.
+//!
 //! The simulator is single-threaded per [`World`](crate::World) (the
 //! chaos harness parallelizes across *worlds*, one per seed), so the
 //! refcount is a plain `Rc`: no atomics on the hot path, and the type is
@@ -23,16 +29,18 @@ use std::rc::Rc;
 /// underlying allocation.
 #[derive(Clone)]
 pub struct Payload {
-    bytes: Rc<[u8]>,
+    /// `None` only for the empty payload, which therefore costs no
+    /// allocation (every ack and probe segment carries one).
+    bytes: Option<Rc<[u8]>>,
     start: usize,
     end: usize,
 }
 
 impl Payload {
-    /// An empty payload.
+    /// An empty payload. Allocates nothing.
     pub fn empty() -> Payload {
         Payload {
-            bytes: Rc::from(&[][..]),
+            bytes: None,
             start: 0,
             end: 0,
         }
@@ -41,10 +49,31 @@ impl Payload {
     /// Copies `bytes` into a fresh payload (the one unavoidable copy at
     /// the boundary between borrowed data and the zero-copy plane).
     pub fn copy_from(bytes: &[u8]) -> Payload {
+        if bytes.is_empty() {
+            return Payload::empty();
+        }
         Payload {
-            bytes: Rc::from(bytes),
+            bytes: Some(Rc::from(bytes)),
             start: 0,
             end: bytes.len(),
+        }
+    }
+
+    /// Builds a `len`-byte payload in place: one allocation, which `fill`
+    /// writes straight into (it receives the zeroed buffer). This is the
+    /// constructor for encoders that know their output length up front —
+    /// a segment's header + data, a reassembled message — and would
+    /// otherwise build a `Vec` only to copy it into the `Rc`.
+    pub fn build(len: usize, fill: impl FnOnce(&mut [u8])) -> Payload {
+        if len == 0 {
+            return Payload::empty();
+        }
+        let mut bytes: Rc<[u8]> = std::iter::repeat_n(0u8, len).collect();
+        fill(Rc::get_mut(&mut bytes).expect("a fresh Rc has one owner"));
+        Payload {
+            bytes: Some(bytes),
+            start: 0,
+            end: len,
         }
     }
 
@@ -71,7 +100,7 @@ impl Payload {
             self.len()
         );
         Payload {
-            bytes: Rc::clone(&self.bytes),
+            bytes: self.bytes.clone(),
             start: self.start + range.start,
             end: self.start + range.end,
         }
@@ -79,7 +108,20 @@ impl Payload {
 
     /// The visible bytes as a plain slice.
     pub fn as_slice(&self) -> &[u8] {
-        &self.bytes[self.start..self.end]
+        match &self.bytes {
+            Some(bytes) => &bytes[self.start..self.end],
+            None => &[],
+        }
+    }
+
+    /// `true` if `self` and `other` are windows of the same allocation
+    /// (or both own none) — the structural zero-copy property tests pin.
+    pub fn shares_buffer_with(&self, other: &Payload) -> bool {
+        match (&self.bytes, &other.bytes) {
+            (Some(a), Some(b)) => Rc::ptr_eq(a, b),
+            (None, None) => true,
+            _ => false,
+        }
     }
 
     /// Copies the visible bytes out into a `Vec`.
@@ -101,14 +143,12 @@ impl AsRef<[u8]> for Payload {
     }
 }
 
+/// Copies the vector's bytes into a fresh `Rc<[u8]>` (one allocation and
+/// one copy; the vector's own buffer is freed). Prefer [`Payload::build`]
+/// where the length is known before the bytes are produced.
 impl From<Vec<u8>> for Payload {
     fn from(v: Vec<u8>) -> Payload {
-        let end = v.len();
-        Payload {
-            bytes: Rc::from(v),
-            start: 0,
-            end,
-        }
+        Payload::copy_from(&v)
     }
 }
 
@@ -176,7 +216,7 @@ mod tests {
     fn clone_shares_the_allocation() {
         let p = Payload::from(vec![1u8, 2, 3]);
         let q = p.clone();
-        assert!(Rc::ptr_eq(&p.bytes, &q.bytes));
+        assert!(p.shares_buffer_with(&q));
         assert_eq!(&*q, &[1, 2, 3]);
     }
 
@@ -184,9 +224,10 @@ mod tests {
     fn slice_is_a_window_not_a_copy() {
         let p = Payload::from(vec![0u8, 1, 2, 3, 4, 5]);
         let s = p.slice(2..5);
-        assert!(Rc::ptr_eq(&p.bytes, &s.bytes));
+        assert!(p.shares_buffer_with(&s));
         assert_eq!(&*s, &[2, 3, 4]);
         let ss = s.slice(1..2);
+        assert!(p.shares_buffer_with(&ss));
         assert_eq!(&*ss, &[3]);
     }
 
@@ -211,5 +252,26 @@ mod tests {
         assert!(e.is_empty());
         assert_eq!(e.len(), 0);
         assert_eq!(e.to_vec(), Vec::<u8>::new());
+        // Every way of making an empty payload yields the buffer-less one.
+        for other in [
+            Payload::copy_from(&[]),
+            Payload::from(Vec::new()),
+            Payload::build(0, |_| unreachable!("nothing to fill")),
+        ] {
+            assert!(other.bytes.is_none());
+            assert_eq!(other, e);
+        }
+        assert!(e.slice(0..0).is_empty());
+    }
+
+    #[test]
+    fn build_fills_in_place() {
+        let p = Payload::build(5, |buf| {
+            assert_eq!(buf, &[0; 5]);
+            buf[..2].copy_from_slice(&[7, 8]);
+            buf[4] = 9;
+        });
+        assert_eq!(p, &[7u8, 8, 0, 0, 9]);
+        assert!(p.shares_buffer_with(&p.slice(1..3)));
     }
 }

@@ -8,7 +8,7 @@
 //! where a level-`l` slot spans `64^l` microseconds, so the whole wheel
 //! covers `64^6` µs (≈ 19 hours of simulated time) and everything beyond
 //! that lives in a sorted overflow map until its frame comes around.
-//! Insert is `O(1)` (a shift, a mask, a `Vec::push`); expiry cascades an
+//! Insert is `O(1)` (a shift, a mask, a list link); expiry cascades an
 //! event down at most `LEVELS - 1` times over its whole life; and a full
 //! slot of same-microsecond events is drained as one *batch*, which is
 //! exactly the "batched same-tick delivery" the run loop wants.
@@ -55,8 +55,22 @@ const SLOT_MASK: u64 = (SLOTS as u64) - 1;
 /// the sorted map.
 const WHEEL_BITS: u32 = SLOT_BITS * LEVELS as u32;
 
-/// One queued entry: `(at, seq, item)`.
+/// One popped entry: `(at, seq, item)`.
 type Entry<T> = (u64, u64, T);
+
+/// "No node": the end of a slot list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One queued event in the slab. `next` threads the node onto exactly one
+/// list at a time: its slot's list while it waits in a level, nothing
+/// while it sits in the ready batch, the free list once popped.
+struct Node<T> {
+    at: u64,
+    seq: u64,
+    next: u32,
+    /// `None` only while the node is on the free list.
+    item: Option<T>,
+}
 
 /// A hierarchical timer wheel ordered by `(at, seq)` — a deterministic
 /// priority queue specialised for simulation time.
@@ -67,11 +81,26 @@ type Entry<T> = (u64, u64, T);
 /// popped timestamp (inserting into the past panics in debug builds and
 /// is clamped into the current batch in release builds — the simulator
 /// never does this).
+///
+/// # Memory
+///
+/// Every queued event lives in one slab (`nodes`); a slot is the head of
+/// an intrusive singly-linked list through the slab, so an insert links a
+/// node, a cascade *re*links it (the item never moves), and a pop returns
+/// the node to a free list threaded through the same slab. Once the slab
+/// and the ready batch have reached the run's high-water mark, the wheel
+/// allocates nothing: its heap footprint is the live events, not a
+/// buffer per occupied slot.
 pub struct TimerWheel<T> {
-    /// `levels[l][s]`: events whose base-64 digit `l` is `s` and whose
-    /// digits above `l` all equal `cur`'s.
-    levels: Vec<Vec<Vec<Entry<T>>>>,
-    /// Per-level occupancy bitmaps (bit `s` ⇔ `levels[l][s]` non-empty).
+    /// The slab: queued events and, threaded through `next`, free nodes.
+    nodes: Vec<Node<T>>,
+    /// Head of the free list.
+    free: u32,
+    /// `heads[l][s]`: list of the events whose base-64 digit `l` is `s`
+    /// and whose digits above `l` all equal `cur`'s. List order is
+    /// irrelevant — batches are seq-sorted when they become ready.
+    heads: [[u32; SLOTS]; LEVELS],
+    /// Per-level occupancy bitmaps (bit `s` ⇔ `heads[l][s]` non-empty).
     occ: [u64; LEVELS],
     /// Events at or beyond `cur`'s `64^LEVELS`-µs frame, ordered.
     overflow: std::collections::BTreeMap<(u64, u64), T>,
@@ -79,10 +108,11 @@ pub struct TimerWheel<T> {
     /// popped or sits in `batch`; every event in the levels has
     /// `at > cur`.
     cur: u64,
-    /// Ready events, sorted by `(at, seq)` **descending** so `pop` is a
-    /// `Vec::pop` from the tail. Normally one exact microsecond's slot;
-    /// below-horizon inserts splice in by binary search.
-    batch: Vec<Entry<T>>,
+    /// Ready events as `(at, seq, node)`, sorted by `(at, seq)`
+    /// **descending** so `pop` is a `Vec::pop` from the tail. Normally
+    /// one exact microsecond's slot; below-horizon inserts splice in by
+    /// binary search. The buffer persists across batches.
+    batch: Vec<(u64, u64, u32)>,
     len: usize,
 }
 
@@ -96,9 +126,9 @@ impl<T> TimerWheel<T> {
     /// An empty wheel anchored at time 0.
     pub fn new() -> TimerWheel<T> {
         TimerWheel {
-            levels: (0..LEVELS)
-                .map(|_| (0..SLOTS).map(|_| Vec::new()).collect())
-                .collect(),
+            nodes: Vec::new(),
+            free: NIL,
+            heads: [[NIL; SLOTS]; LEVELS],
             occ: [0; LEVELS],
             overflow: std::collections::BTreeMap::new(),
             cur: 0,
@@ -120,6 +150,38 @@ impl<T> TimerWheel<T> {
     /// Queues `item` at `(at, seq)`.
     pub fn insert(&mut self, at: u64, seq: u64, item: T) {
         self.len += 1;
+        if at > self.cur && (at >> WHEEL_BITS) != (self.cur >> WHEEL_BITS) {
+            self.overflow.insert((at, seq), item);
+            return;
+        }
+        let node = Node {
+            at,
+            seq,
+            next: NIL,
+            item: Some(item),
+        };
+        let idx = match self.free {
+            NIL => {
+                assert!(self.nodes.len() < NIL as usize, "timer wheel slab full");
+                self.nodes.push(node);
+                (self.nodes.len() - 1) as u32
+            }
+            idx => {
+                self.free = self.nodes[idx as usize].next;
+                self.nodes[idx as usize] = node;
+                idx
+            }
+        };
+        self.link(idx);
+    }
+
+    /// Files node `idx` (off every list) where its time belongs relative
+    /// to `cur`: the ready batch, or a level slot of the current frame.
+    fn link(&mut self, idx: u32) {
+        let (at, seq) = {
+            let n = &self.nodes[idx as usize];
+            (n.at, n.seq)
+        };
         if at <= self.cur {
             // At or before the horizon (the wheel peeked ahead of the
             // caller's clock): the event belongs in the ready batch, in
@@ -127,19 +189,17 @@ impl<T> TimerWheel<T> {
             // exactly at the batch's microsecond with the largest seq so
             // far — lands at the front of the descending batch.
             let pos = self.batch.partition_point(|&(a, s, _)| (a, s) > (at, seq));
-            self.batch.insert(pos, (at, seq, item));
+            self.batch.insert(pos, (at, seq, idx));
             return;
         }
-        if (at >> WHEEL_BITS) != (self.cur >> WHEEL_BITS) {
-            self.overflow.insert((at, seq), item);
-            return;
-        }
+        debug_assert_eq!(at >> WHEEL_BITS, self.cur >> WHEEL_BITS);
         // Highest differing base-64 digit picks the level; because all
         // digits above it match `cur`, the slot is lap-unambiguous.
-        let level = (63 - (at ^ self.cur).leading_zeros()) / SLOT_BITS;
-        let slot = ((at >> (SLOT_BITS * level)) & SLOT_MASK) as usize;
-        self.levels[level as usize][slot].push((at, seq, item));
-        self.occ[level as usize] |= 1 << slot;
+        let level = ((63 - (at ^ self.cur).leading_zeros()) / SLOT_BITS) as usize;
+        let slot = ((at >> (SLOT_BITS * level as u32)) & SLOT_MASK) as usize;
+        self.nodes[idx as usize].next = self.heads[level][slot];
+        self.heads[level][slot] = idx;
+        self.occ[level] |= 1 << slot;
     }
 
     /// The timestamp of the next event, or `None` if empty. Advances the
@@ -153,9 +213,13 @@ impl<T> TimerWheel<T> {
     /// Removes and returns the `(at, seq)`-minimal event.
     pub fn pop(&mut self) -> Option<Entry<T>> {
         self.refill();
-        let e = self.batch.pop()?;
+        let (at, seq, idx) = self.batch.pop()?;
         self.len -= 1;
-        Some(e)
+        let node = &mut self.nodes[idx as usize];
+        let item = node.item.take().expect("a batched node holds its item");
+        node.next = self.free;
+        self.free = idx;
+        Some((at, seq, item))
     }
 
     /// Ensures `batch` holds the front of the queue: cascades upper
@@ -173,7 +237,7 @@ impl<T> TimerWheel<T> {
             };
             let slot = self.occ[level].trailing_zeros() as usize;
             self.occ[level] &= !(1 << slot);
-            let mut entries = std::mem::take(&mut self.levels[level][slot]);
+            let mut idx = std::mem::replace(&mut self.heads[level][slot], NIL);
             let shift = SLOT_BITS * level as u32;
             // Advance to the slot's base: keep digits above `level`,
             // set digit `level` to `slot`, zero the rest.
@@ -181,18 +245,24 @@ impl<T> TimerWheel<T> {
             self.cur = frame | ((slot as u64) << shift);
             if level == 0 {
                 // One exact microsecond: this *is* the next batch.
-                // Cascades may have appended out of insertion order, so
+                // Cascades may have linked out of insertion order, so
                 // restore the heap's FIFO tie-break by seq.
-                debug_assert!(entries.iter().all(|&(at, _, _)| at == self.cur));
-                entries.sort_unstable_by_key(|&(_, seq, _)| std::cmp::Reverse(seq));
-                self.batch = entries;
+                while idx != NIL {
+                    let n = &self.nodes[idx as usize];
+                    debug_assert_eq!(n.at, self.cur);
+                    self.batch.push((n.at, n.seq, idx));
+                    idx = n.next;
+                }
+                self.batch
+                    .sort_unstable_by_key(|&(_, seq, _)| std::cmp::Reverse(seq));
                 return;
             }
             // Cascade: re-bucket each event strictly below `level`
             // (its digit `level` now matches `cur`'s).
-            self.len -= entries.len();
-            for (at, seq, item) in entries {
-                self.insert(at, seq, item);
+            while idx != NIL {
+                let next = self.nodes[idx as usize].next;
+                self.link(idx);
+                idx = next;
             }
         }
     }

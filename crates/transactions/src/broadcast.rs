@@ -532,7 +532,7 @@ impl Collate for MaxTime {
             }
         }
         if any {
-            Decision::Ready(circus::wrap_reply_vote(to_bytes(&max)))
+            Decision::Ready(circus::wrap_reply_vote(to_bytes(&max)).into())
         } else {
             Decision::Fail(circus::CollateError::AllDead)
         }
@@ -611,7 +611,7 @@ impl Collate for AllAck {
             }
         }
         if any {
-            Decision::Ready(circus::wrap_reply_vote(to_bytes(&Bytes(Vec::new()))))
+            Decision::Ready(circus::wrap_reply_vote(to_bytes(&Bytes(Vec::new()))).into())
         } else {
             Decision::Fail(circus::CollateError::AllDead)
         }
@@ -670,7 +670,7 @@ mod tests {
     }
 
     fn vote(t: u64) -> VoteSlot {
-        VoteSlot::Vote(circus::wrap_reply_vote(to_bytes(&t)))
+        VoteSlot::Vote(circus::wrap_reply_vote(to_bytes(&t)).into())
     }
 
     #[test]
@@ -679,7 +679,7 @@ mod tests {
         let slots = vec![vote(10), vote(30), vote(20)];
         assert_eq!(
             c.decide(&slots),
-            Decision::Ready(circus::wrap_reply_vote(to_bytes(&30u64)))
+            Decision::Ready(circus::wrap_reply_vote(to_bytes(&30u64)).into())
         );
     }
 
@@ -696,7 +696,7 @@ mod tests {
         let slots = vec![vote(10), VoteSlot::Dead];
         assert_eq!(
             c.decide(&slots),
-            Decision::Ready(circus::wrap_reply_vote(to_bytes(&10u64)))
+            Decision::Ready(circus::wrap_reply_vote(to_bytes(&10u64)).into())
         );
     }
 
@@ -710,7 +710,7 @@ mod tests {
         assert_eq!(c.decide(&[vote(10), VoteSlot::Pending]), Decision::Wait);
         assert_eq!(
             c.decide(&[vote(10), vote(30)]),
-            Decision::Ready(circus::wrap_reply_vote(to_bytes(&30u64)))
+            Decision::Ready(circus::wrap_reply_vote(to_bytes(&30u64)).into())
         );
     }
 
@@ -725,7 +725,7 @@ mod tests {
         // Differing reply bytes are fine: only the ack matters.
         assert_eq!(
             c.decide(&[vote(1), vote(2)]),
-            Decision::Ready(circus::wrap_reply_vote(to_bytes(&Bytes(Vec::new()))))
+            Decision::Ready(circus::wrap_reply_vote(to_bytes(&Bytes(Vec::new()))).into())
         );
     }
 

@@ -624,10 +624,10 @@ impl Collate for ReadyVotes {
         for s in slots {
             match s {
                 VoteSlot::Pending => pending = true,
-                VoteSlot::Dead => return Decision::Ready(to_bytes(&false)),
+                VoteSlot::Dead => return Decision::Ready(to_bytes(&false).into()),
                 VoteSlot::Vote(v) => {
                     if !from_bytes::<bool>(v).unwrap_or(false) {
-                        return Decision::Ready(to_bytes(&false));
+                        return Decision::Ready(to_bytes(&false).into());
                     }
                 }
             }
@@ -635,7 +635,7 @@ impl Collate for ReadyVotes {
         if pending {
             Decision::Wait
         } else {
-            Decision::Ready(to_bytes(&true))
+            Decision::Ready(to_bytes(&true).into())
         }
     }
 }
@@ -687,33 +687,33 @@ mod tests {
     fn ready_votes_all_true() {
         let c = ReadyVotes;
         let slots = vec![
-            VoteSlot::Vote(to_bytes(&true)),
-            VoteSlot::Vote(to_bytes(&true)),
+            VoteSlot::Vote(to_bytes(&true).into()),
+            VoteSlot::Vote(to_bytes(&true).into()),
         ];
-        assert_eq!(c.decide(&slots), Decision::Ready(to_bytes(&true)));
+        assert_eq!(c.decide(&slots), Decision::Ready(to_bytes(&true).into()));
     }
 
     #[test]
     fn ready_votes_any_false_aborts() {
         let c = ReadyVotes;
         let slots = vec![
-            VoteSlot::Vote(to_bytes(&true)),
-            VoteSlot::Vote(to_bytes(&false)),
+            VoteSlot::Vote(to_bytes(&true).into()),
+            VoteSlot::Vote(to_bytes(&false).into()),
         ];
-        assert_eq!(c.decide(&slots), Decision::Ready(to_bytes(&false)));
+        assert_eq!(c.decide(&slots), Decision::Ready(to_bytes(&false).into()));
     }
 
     #[test]
     fn ready_votes_waits_for_all() {
         let c = ReadyVotes;
-        let slots = vec![VoteSlot::Vote(to_bytes(&true)), VoteSlot::Pending];
+        let slots = vec![VoteSlot::Vote(to_bytes(&true).into()), VoteSlot::Pending];
         assert_eq!(c.decide(&slots), Decision::Wait);
     }
 
     #[test]
     fn ready_votes_dead_member_aborts() {
         let c = ReadyVotes;
-        let slots = vec![VoteSlot::Vote(to_bytes(&true)), VoteSlot::Dead];
-        assert_eq!(c.decide(&slots), Decision::Ready(to_bytes(&false)));
+        let slots = vec![VoteSlot::Vote(to_bytes(&true).into()), VoteSlot::Dead];
+        assert_eq!(c.decide(&slots), Decision::Ready(to_bytes(&false).into()));
     }
 }

@@ -31,5 +31,5 @@ pub mod writer;
 
 pub use error::WireError;
 pub use reader::{byte_copies, Reader};
-pub use types::{from_bytes, to_bytes, Bytes, Externalize, Internalize};
+pub use types::{encode_with, from_bytes, to_bytes, Bytes, Externalize, Internalize};
 pub use writer::Writer;

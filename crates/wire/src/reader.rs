@@ -131,21 +131,37 @@ impl<'a> Reader<'a> {
     /// [`Reader::get_bytes`] makes. The borrow lives as long as the
     /// datagram buffer, not the reader.
     pub fn get_bytes_borrowed(&mut self) -> Result<&'a [u8], WireError> {
+        let buf = self.buf;
+        Ok(&buf[self.get_bytes_range()?])
+    }
+
+    /// Reads a length-prefixed, word-padded opaque byte block as its
+    /// position in the underlying buffer. A caller that holds the buffer
+    /// as a refcounted payload turns the range into a shared window —
+    /// the block travels on without being copied or even borrowed.
+    pub fn get_bytes_range(&mut self) -> Result<std::ops::Range<usize>, WireError> {
         let n = self.get_u32()? as usize;
         if n > self.remaining() {
             return Err(WireError::Truncated);
         }
-        let data = self.take(n)?;
+        let start = self.pos;
+        self.take(n)?;
         if n % 2 == 1 {
             self.take(1)?; // Discard the pad byte.
         }
-        Ok(data)
+        Ok(start..start + n)
+    }
+
+    /// Reads a STRING as a borrow of the underlying buffer (validated
+    /// UTF-8, no allocation).
+    pub fn get_str_borrowed(&mut self) -> Result<&'a str, WireError> {
+        std::str::from_utf8(self.get_bytes_borrowed()?).map_err(|_| WireError::BadString)
     }
 
     /// Reads a STRING (length-prefixed UTF-8, word-padded).
     pub fn get_string(&mut self) -> Result<String, WireError> {
-        let bytes = self.get_bytes()?;
-        String::from_utf8(bytes).map_err(|_| WireError::BadString)
+        count_byte_copy();
+        Ok(self.get_str_borrowed()?.to_owned())
     }
 
     /// Reads a SEQUENCE length prefix.

@@ -25,11 +25,42 @@ pub trait Internalize: Sized {
     fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError>;
 }
 
-/// Externalizes a single value into a fresh byte vector.
-pub fn to_bytes<T: Externalize + ?Sized>(v: &T) -> Vec<u8> {
-    let mut w = Writer::new();
+thread_local! {
+    /// The buffer every [`encode_with`] on this thread externalizes into.
+    /// It keeps its capacity between calls, so once it has seen the
+    /// thread's largest routine message, encoding allocates nothing but
+    /// the caller's own exactly-sized copy.
+    static SCRATCH: std::cell::Cell<Vec<u8>> = const { std::cell::Cell::new(Vec::new()) };
+}
+
+/// A scratch buffer that grew beyond this is dropped rather than kept, so
+/// one large state transfer does not pin its size for the thread's life.
+/// 16 KiB holds every routine message (an 8 KiB bulk call with the
+/// `Writer`'s doubling) and is small beside any world's heap.
+const SCRATCH_KEEP: usize = 1 << 14;
+
+/// Externalizes `v` into the thread's scratch buffer and hands the encoded
+/// bytes to `sink`, returning what it returns.
+///
+/// The sink decides what the bytes become — a `Vec` ([`to_bytes`]), a
+/// refcounted datagram buffer, a log record — and so makes the *one*
+/// allocation of the encode, sized exactly; the `Writer`'s own growth
+/// happens in the reused scratch. Re-entrant: an `externalize` that itself
+/// encodes a nested value just sees an empty scratch.
+pub fn encode_with<T: Externalize + ?Sized, R>(v: &T, sink: impl FnOnce(&[u8]) -> R) -> R {
+    let mut w = Writer::reusing(SCRATCH.take());
     v.externalize(&mut w);
-    w.finish()
+    let buf = w.finish();
+    let out = sink(&buf);
+    if buf.capacity() <= SCRATCH_KEEP {
+        SCRATCH.set(buf);
+    }
+    out
+}
+
+/// Externalizes a single value into a fresh, exactly-sized byte vector.
+pub fn to_bytes<T: Externalize + ?Sized>(v: &T) -> Vec<u8> {
+    encode_with(v, <[u8]>::to_vec)
 }
 
 /// Internalizes a single value, requiring the buffer to be fully consumed.

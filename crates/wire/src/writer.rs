@@ -18,6 +18,13 @@ impl Writer {
         Writer::default()
     }
 
+    /// A writer that appends to `buf`'s allocation (cleared first): the
+    /// way to encode repeatedly without growing a fresh buffer each time.
+    pub fn reusing(mut buf: Vec<u8>) -> Writer {
+        buf.clear();
+        Writer { buf }
+    }
+
     /// Consumes the writer, returning the encoded bytes.
     pub fn finish(self) -> Vec<u8> {
         self.buf

@@ -54,7 +54,7 @@ impl Collate for AverageTemps {
         if n == 0 {
             return Decision::Fail(rdp::circus::CollateError::AllDead);
         }
-        Decision::Ready(to_bytes(&((sum / n) as i32)))
+        Decision::Ready(to_bytes(&((sum / n) as i32)).into())
     }
 }
 

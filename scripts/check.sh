@@ -42,6 +42,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 phase "cargo test --workspace"
 cargo test --workspace -q
 
+phase "allocation budget (n=3 echo call within its heap-allocation budget, wheel allocates nothing, release)"
+cargo test --release --test alloc_budget -- --nocapture
+
 phase "store chaos sweep (10 seeds + pinned, all oracles, self-heal gate, release, CHAOS_JOBS=${CHAOS_JOBS:-auto})"
 cargo test -p chaos --release --test store -- --nocapture
 
