@@ -1,7 +1,7 @@
 //! The unified metrics registry.
 //!
 //! A [`Registry`] is a cheaply cloneable handle to one shared table of
-//! named metrics plus the span log (see [`crate::span`]). The simulator
+//! named metrics plus the span stream (see [`crate::span`]). The simulator
 //! world owns one; every layer that wants to publish numbers clones the
 //! handle. Metrics come in three shapes:
 //!
@@ -17,9 +17,14 @@
 //! Dumps ([`Registry::dump_text`], [`Registry::dump_json`]) iterate a
 //! `BTreeMap`, so output order is the sorted key order — deterministic by
 //! construction.
+//!
+//! Spans are *consumed* as they are minted, not stored: each record is
+//! folded into a running FNV-1a hash and counted, and only the most recent
+//! 4 096 are retained for inspection, so the registry's memory does not
+//! grow with the length of the run.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::{self, Write as _};
 use std::rc::Rc;
 
@@ -133,15 +138,41 @@ enum Metric {
     Histogram(Histogram),
 }
 
-#[derive(Debug, Default)]
+/// How many of the most recent spans a registry retains (the same window
+/// the chaos harness gives its `TraceRing`): a few hundred calls' worth of
+/// forest for a post-mortem, 160 KB at most.
+const SPAN_WINDOW: usize = 4_096;
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+#[derive(Debug)]
 struct Inner {
     metrics: BTreeMap<String, Metric>,
-    spans: Vec<SpanRecord>,
+    /// The last [`SPAN_WINDOW`] spans, oldest first. Grows as it fills —
+    /// a short run holds no more than it minted.
+    recent_spans: VecDeque<SpanRecord>,
+    /// FNV-1a over every span ever minted, folded in at mint time.
+    span_hash: u64,
+    /// Spans minted so far; also the id of the latest one.
     next_span: u64,
     /// Every distinct span label minted so far; records share these.
     labels: BTreeSet<Rc<str>>,
     /// Where a label is formatted before it is looked up in `labels`.
     label_scratch: String,
+}
+
+impl Default for Inner {
+    fn default() -> Inner {
+        Inner {
+            metrics: BTreeMap::new(),
+            recent_spans: VecDeque::new(),
+            span_hash: FNV_OFFSET,
+            next_span: 0,
+            labels: BTreeSet::new(),
+            label_scratch: String::new(),
+        }
+    }
 }
 
 impl Inner {
@@ -153,9 +184,32 @@ impl Inner {
         }
         &self.metrics[name]
     }
+
+    /// Folds `r` into the running hash, then retains it as the newest of
+    /// the window. Evicting *before* the push keeps the deque's buffer at
+    /// [`SPAN_WINDOW`] slots instead of doubling past it.
+    fn record_span(&mut self, r: SpanRecord) {
+        let mut h = self.span_hash;
+        let mut mix = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= b as u64;
+                h = h.wrapping_mul(FNV_PRIME);
+            }
+        };
+        mix(&r.id.0.to_le_bytes());
+        mix(&r.parent.0.to_le_bytes());
+        mix(&r.at_us.to_le_bytes());
+        mix(r.label.as_bytes());
+        mix(&[0xff]);
+        self.span_hash = h;
+        if self.recent_spans.len() == SPAN_WINDOW {
+            self.recent_spans.pop_front();
+        }
+        self.recent_spans.push_back(r);
+    }
 }
 
-/// Cheaply cloneable handle to one shared metrics table + span log.
+/// Cheaply cloneable handle to one shared metrics table + span stream.
 #[derive(Clone, Debug, Default)]
 pub struct Registry(Rc<RefCell<Inner>>);
 
@@ -280,7 +334,7 @@ impl Registry {
         };
         inner.next_span += 1;
         let id = SpanId(inner.next_span);
-        inner.spans.push(SpanRecord {
+        inner.record_span(SpanRecord {
             id,
             parent,
             at_us,
@@ -289,39 +343,29 @@ impl Registry {
         id
     }
 
-    /// Every span minted so far, in minting order.
+    /// The retained spans — the most recent 4 096 — in minting order.
     pub fn span_records(&self) -> Vec<SpanRecord> {
-        self.0.borrow().spans.clone()
+        self.0.borrow().recent_spans.iter().cloned().collect()
     }
 
-    /// Number of spans minted.
+    /// Number of spans minted (retained or not).
     pub fn span_count(&self) -> u64 {
-        self.0.borrow().spans.len() as u64
+        self.0.borrow().next_span
     }
 
-    /// FNV-1a hash over every span record (id, parent, time, label).
-    /// Same seed ⇒ same hash; any divergence in call causality changes it.
+    /// FNV-1a hash over every span ever minted (id, parent, time, label),
+    /// retained or not. Same seed ⇒ same hash; any divergence in call
+    /// causality changes it.
     pub fn span_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        fn mix(h: &mut u64, bytes: &[u8]) {
-            for &b in bytes {
-                *h ^= b as u64;
-                *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        for r in self.0.borrow().spans.iter() {
-            mix(&mut h, &r.id.0.to_le_bytes());
-            mix(&mut h, &r.parent.0.to_le_bytes());
-            mix(&mut h, &r.at_us.to_le_bytes());
-            mix(&mut h, r.label.as_bytes());
-            mix(&mut h, &[0xff]);
-        }
-        h
+        self.0.borrow().span_hash
     }
 
-    /// Builds the causal tree over every span minted so far.
+    /// Builds the causal forest over the retained spans. A span whose
+    /// parent has left the window is a root, and
+    /// [`render`](SpanTree::render) says how much of the run the forest
+    /// covers.
     pub fn span_tree(&self) -> SpanTree {
-        SpanTree::build(self.span_records())
+        SpanTree::window(self.span_records(), self.span_count())
     }
 
     // ------------------------------------------------------------------
@@ -345,7 +389,7 @@ impl Registry {
                 }
             }
         }
-        out.push_str(&format!("spans {}\n", inner.spans.len()));
+        out.push_str(&format!("spans {}\n", inner.next_span));
         out
     }
 
@@ -365,7 +409,6 @@ impl Registry {
             }
             out
         }
-        let span_hash = self.span_hash();
         let inner = self.0.borrow();
         let mut out = String::from("{\"metrics\":{");
         let mut first = true;
@@ -388,8 +431,8 @@ impl Registry {
             }
         }
         out.push_str(&format!(
-            "}},\"spans\":{{\"count\":{},\"hash\":{span_hash}}}}}",
-            inner.spans.len()
+            "}},\"spans\":{{\"count\":{},\"hash\":{}}}}}",
+            inner.next_span, inner.span_hash
         ));
         out
     }
@@ -473,6 +516,92 @@ mod tests {
         s.span_root("call m1.p2", 10);
         s.span_child(SpanId(1), "invoke m1.p2", 20);
         assert_eq!(r.span_hash(), s.span_hash());
+    }
+
+    /// The span hash as it was computed before it became a running fold:
+    /// one pass over the stored records.
+    fn hash_of(records: &[SpanRecord]) -> u64 {
+        let mut h = FNV_OFFSET;
+        for r in records {
+            let fields: [&[u8]; 5] = [
+                &r.id.0.to_le_bytes(),
+                &r.parent.0.to_le_bytes(),
+                &r.at_us.to_le_bytes(),
+                r.label.as_bytes(),
+                &[0xff],
+            ];
+            for &b in fields.iter().flat_map(|f| f.iter()) {
+                h ^= b as u64;
+                h = h.wrapping_mul(FNV_PRIME);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn running_span_hash_equals_the_hash_of_the_records() {
+        let r = Registry::new();
+        assert_eq!(r.span_hash(), hash_of(&[]));
+        let mut parent = SpanId::NONE;
+        for i in 0..SPAN_WINDOW as u64 {
+            parent = r.span_child(parent, format_args!("call m{}.p{}", i % 3, i % 5), 7 * i);
+            if i % 4 == 3 {
+                parent = SpanId::NONE;
+            }
+        }
+        let records = r.span_records();
+        assert_eq!(records.len(), SPAN_WINDOW, "nothing evicted yet");
+        assert_eq!(r.span_hash(), hash_of(&records));
+    }
+
+    #[test]
+    fn span_window_keeps_the_tail_and_counts_everything() {
+        const EXTRA: u64 = 10;
+        let minted = SPAN_WINDOW as u64 + EXTRA;
+        let whole = Registry::new();
+        let mut all = Vec::new();
+        // Pairs: an odd-numbered `call` root and its even-numbered child.
+        for i in 0..minted {
+            let (parent, label) = if i % 2 == 0 {
+                (SpanId::NONE, "call")
+            } else {
+                (SpanId(i), "invoke")
+            };
+            let id = whole.span_child(parent, label, i);
+            all.push(SpanRecord {
+                id,
+                parent,
+                at_us: i,
+                label: label.into(),
+            });
+        }
+        assert_eq!(whole.span_count(), minted);
+        assert!(whole.dump_text().ends_with(&format!("spans {minted}\n")));
+        assert_eq!(
+            whole.span_hash(),
+            hash_of(&all),
+            "evicted spans stay hashed"
+        );
+        let kept = whole.span_records();
+        assert_eq!(kept.len(), SPAN_WINDOW);
+        assert_eq!(kept, all[EXTRA as usize..], "the most recent, oldest first");
+
+        // One more mint evicts root #11 and leaves its child #12 oldest.
+        whole.span_root("call", minted);
+        let tree = whole.span_tree();
+        assert_eq!(tree.roots()[0], EXTRA + 2, "child of an evicted parent");
+        assert_eq!(tree.record(EXTRA + 2).unwrap().parent, SpanId(EXTRA + 1));
+        assert!(tree.record(EXTRA + 1).is_none());
+        let header = format!("# last {SPAN_WINDOW} of {} spans\n", minted + 1);
+        assert!(tree.render().starts_with(&header), "{}", tree.render());
+    }
+
+    #[test]
+    fn whole_forest_renders_without_a_header() {
+        let r = Registry::new();
+        let root = r.span_root("call", 10);
+        r.span_child(root, "invoke", 20);
+        assert_eq!(r.span_tree().render(), "#1 call @10us\n  #2 invoke @20us\n");
     }
 
     #[test]

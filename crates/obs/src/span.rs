@@ -51,18 +51,27 @@ pub struct SpanRecord {
 /// The causal tree over a set of [`SpanRecord`]s.
 ///
 /// A record whose parent is [`SpanId::NONE`] — or whose parent id is not
-/// in the set (possible when the parent was minted by a process whose
-/// host later crashed and the records were filtered) — is a root.
+/// in the set (the registry retains only the most recent spans, so a long
+/// run's oldest retained children have lost their parents) — is a root.
 #[derive(Clone, Debug)]
 pub struct SpanTree {
     records: BTreeMap<u64, SpanRecord>,
     children: BTreeMap<u64, Vec<u64>>,
     roots: Vec<u64>,
+    /// Spans minted by the run the records were taken from.
+    minted: u64,
 }
 
 impl SpanTree {
     /// Builds the tree from a record set.
     pub fn build(records: Vec<SpanRecord>) -> SpanTree {
+        let minted = records.len() as u64;
+        SpanTree::window(records, minted)
+    }
+
+    /// Builds the forest over `records`, the retained tail of a run that
+    /// minted `minted` spans in all.
+    pub(crate) fn window(records: Vec<SpanRecord>, minted: u64) -> SpanTree {
         let map: BTreeMap<u64, SpanRecord> = records.into_iter().map(|r| (r.id.0, r)).collect();
         let mut children: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
         let mut roots = Vec::new();
@@ -77,6 +86,7 @@ impl SpanTree {
             records: map,
             children,
             roots,
+            minted,
         }
     }
 
@@ -139,8 +149,14 @@ impl SpanTree {
     }
 
     /// Indented text rendering of every root's subtree, deterministic.
+    /// A forest that covers only the tail of its run says so in a first
+    /// line `# last R of M spans`.
     pub fn render(&self) -> String {
         let mut out = String::new();
+        let retained = self.records.len() as u64;
+        if self.minted > retained {
+            out.push_str(&format!("# last {retained} of {} spans\n", self.minted));
+        }
         for &r in &self.roots {
             self.render_into(r, 0, &mut out);
         }

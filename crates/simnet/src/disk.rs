@@ -34,7 +34,7 @@ use std::rc::Rc;
 use crate::process::HostId;
 use crate::rng::SimRng;
 use crate::time::Duration;
-use obs::Registry;
+use obs::{Counter, Registry};
 
 /// Cost and fault parameters of one simulated disk.
 #[derive(Clone, Debug)]
@@ -129,6 +129,10 @@ struct DiskState {
     /// drains it into `Syscall::DiskIo` after each dispatch.
     pending_ns: u64,
     metrics: Registry,
+    /// Handles to the `disk.h<host>.<name>` counters bumped so far, by
+    /// `<name>`. Each is registered at its first bump, not in `Disk::new`:
+    /// a key is in the metrics dump only once what it counts has happened.
+    counters: BTreeMap<&'static str, Counter>,
 }
 
 impl DiskState {
@@ -137,13 +141,23 @@ impl DiskState {
         self.pending_ns += bytes as u64 * self.cfg.per_byte_ns;
     }
 
-    fn metric(&self, name: &str) -> String {
-        format!("disk.h{}.{}", self.host.0, name)
+    fn bump(&mut self, name: &'static str, v: u64) {
+        self.counters
+            .entry(name)
+            .or_insert_with(|| {
+                self.metrics
+                    .counter(&format!("disk.h{}.{}", self.host.0, name))
+            })
+            .add(v);
     }
 
-    fn bump(&self, name: &str, v: u64) {
-        let key = self.metric(name);
-        self.metrics.add(&key, v);
+    /// The named file, created empty on first touch (only that first
+    /// touch allocates a key).
+    fn file_mut(&mut self, name: &str) -> &mut SimFile {
+        if !self.files.contains_key(name) {
+            self.files.insert(name.to_string(), SimFile::default());
+        }
+        self.files.get_mut(name).expect("present or just inserted")
     }
 }
 
@@ -173,6 +187,7 @@ impl Disk {
             files: BTreeMap::new(),
             pending_ns: 0,
             metrics,
+            counters: BTreeMap::new(),
         })))
     }
 
@@ -194,20 +209,11 @@ impl Disk {
             } else {
                 s.rng.below(bytes.len() as u64 + 1) as usize
             };
-            let partial = &bytes[..kept];
-            s.files
-                .entry(file.to_string())
-                .or_default()
-                .data
-                .extend_from_slice(partial);
+            s.file_mut(file).data.extend_from_slice(&bytes[..kept]);
             s.bump("write_errors", 1);
             return Err(DiskError::Transient);
         }
-        s.files
-            .entry(file.to_string())
-            .or_default()
-            .data
-            .extend_from_slice(bytes);
+        s.file_mut(file).data.extend_from_slice(bytes);
         s.bump("appends", 1);
         s.bump("bytes_written", bytes.len() as u64);
         Ok(())
@@ -239,7 +245,7 @@ impl Disk {
     pub fn set_contents(&self, file: &str, bytes: &[u8]) {
         let mut s = self.0.borrow_mut();
         s.charge_op(bytes.len());
-        let f = s.files.entry(file.to_string()).or_default();
+        let f = s.file_mut(file);
         f.data = bytes.to_vec();
         f.synced_len = 0;
         s.bump("appends", 1);

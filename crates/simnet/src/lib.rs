@@ -19,7 +19,7 @@
 //! - a seeded [`rng::SimRng`] so every run is exactly reproducible;
 //! - **event tracing** ([`trace::TraceSink`]): every send, delivery, drop
 //!   (with reason), timer firing, spawn/kill, and host crash/restart can be
-//!   recorded; [`trace::TraceHash`] folds the stream into one value so
+//!   recorded; [`trace::TraceRing`] folds the stream into one value so
 //!   "same seed ⇒ same trace" is a one-line assertion.
 //!
 //! # Examples
@@ -76,5 +76,5 @@ pub use process::{HostId, Process, SockAddr, TimerId};
 pub use rng::SimRng;
 pub use sched::TimerWheel;
 pub use time::{Duration, Time};
-pub use trace::{DropReason, TraceEvent, TraceHash, TraceLog, TraceRing, TraceSink};
+pub use trace::{DropReason, TraceEvent, TraceRing, TraceSink};
 pub use world::{Ctx, ForgedDatagram, TrafficInjector, Until, World};

@@ -5,9 +5,9 @@
 //! process spawn/kill, a host crash/restart — can be reported to a
 //! [`TraceSink`] installed on the [`World`](crate::World). Because the
 //! simulation is deterministic, the sequence of [`TraceEvent`]s is a pure
-//! function of the seed and the workload; [`TraceHash`] folds it into a
+//! function of the seed and the workload; [`TraceRing`] folds it into a
 //! single value so "same seed ⇒ same trace" becomes a one-line assertion,
-//! and [`TraceLog`] keeps the events themselves for inspection.
+//! and keeps as many of the latest events as it is asked to for inspection.
 
 use std::any::Any;
 
@@ -251,147 +251,51 @@ pub trait TraceSink: Any {
     fn as_any(&self) -> &dyn Any;
 }
 
-/// Folds the whole event stream into one 64-bit hash: two runs with the
-/// same seed and workload must produce the same value.
-#[derive(Clone, Debug)]
-pub struct TraceHash {
-    hash: u64,
-    events: u64,
-}
-
-impl TraceHash {
-    /// Fresh hash state.
-    pub fn new() -> TraceHash {
-        TraceHash {
-            hash: 0xcbf2_9ce4_8422_2325,
-            events: 0,
-        }
-    }
-
-    /// The hash of everything recorded so far.
-    pub fn value(&self) -> u64 {
-        self.hash
-    }
-
-    /// How many events have been folded in.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-}
-
-impl Default for TraceHash {
-    fn default() -> TraceHash {
-        TraceHash::new()
-    }
-}
-
-impl TraceSink for TraceHash {
-    fn record(&mut self, ev: &TraceEvent) {
-        ev.fold_into(&mut self.hash);
-        self.events += 1;
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-/// Keeps the events themselves (optionally bounded), plus the running hash.
-#[derive(Clone, Debug)]
-pub struct TraceLog {
-    hash: TraceHash,
-    events: Vec<TraceEvent>,
-    limit: usize,
-    dropped: u64,
-}
-
-impl TraceLog {
-    /// An unbounded log.
-    pub fn new() -> TraceLog {
-        TraceLog::with_limit(usize::MAX)
-    }
-
-    /// A log keeping at most `limit` events (the hash still covers all of
-    /// them; [`TraceLog::dropped`] counts the overflow).
-    pub fn with_limit(limit: usize) -> TraceLog {
-        TraceLog {
-            hash: TraceHash::new(),
-            events: Vec::new(),
-            limit,
-            dropped: 0,
-        }
-    }
-
-    /// The recorded events, oldest first.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Events that exceeded the limit and were not kept.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The hash over *all* events, kept or not.
-    pub fn hash(&self) -> u64 {
-        self.hash.value()
-    }
-}
-
-impl Default for TraceLog {
-    fn default() -> TraceLog {
-        TraceLog::new()
-    }
-}
-
-impl TraceSink for TraceLog {
-    fn record(&mut self, ev: &TraceEvent) {
-        self.hash.record(ev);
-        if self.events.len() < self.limit {
-            self.events.push(ev.clone());
-        } else {
-            self.dropped += 1;
-        }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-/// A bounded ring sink: keeps the *last* `capacity` events plus the
-/// running hash and total count over everything it ever saw.
+/// The one trace sink: folds *every* event into a running FNV-1a hash,
+/// counts it, and retains the last `capacity` events.
 ///
-/// This is the sweep-scale sink: memory stays fixed no matter how long
-/// the run, the hash still certifies the full stream, and the retained
-/// tail is exactly what a failure post-mortem wants (the events leading
-/// up to the quiesce), where [`TraceLog`] keeps the uninteresting prefix.
+/// Two runs with the same seed and workload must produce the same
+/// [`hash`](TraceRing::hash), so "same seed ⇒ same trace" is a one-line
+/// assertion at any capacity. The capacity only decides how much of the
+/// stream can be inspected afterwards: none ([`TraceRing::new`]`(0)`, hash
+/// and count only), the tail leading up to the quiesce — what a failure
+/// post-mortem wants, at fixed memory however long the run (the chaos
+/// harness keeps 4 096) — or everything ([`TraceRing::unbounded`], for
+/// tests that inspect whole streams).
 #[derive(Clone, Debug)]
 pub struct TraceRing {
-    hash: TraceHash,
+    hash: u64,
+    seen: u64,
     ring: Vec<TraceEvent>,
     capacity: usize,
     head: usize,
 }
 
 impl TraceRing {
-    /// A ring keeping at most `capacity` events (must be nonzero).
+    /// A ring keeping at most `capacity` events; zero keeps none.
     pub fn new(capacity: usize) -> TraceRing {
-        assert!(capacity > 0, "TraceRing capacity must be nonzero");
         TraceRing {
-            hash: TraceHash::new(),
+            hash: 0xcbf2_9ce4_8422_2325,
+            seen: 0,
             ring: Vec::with_capacity(capacity.min(1024)),
             capacity,
             head: 0,
         }
     }
 
+    /// A ring that never evicts: memory grows with the run.
+    pub fn unbounded() -> TraceRing {
+        TraceRing::new(usize::MAX)
+    }
+
     /// The hash over *all* events ever recorded.
     pub fn hash(&self) -> u64 {
-        self.hash.value()
+        self.hash
     }
 
     /// Total number of events ever recorded (retained or evicted).
     pub fn seen(&self) -> u64 {
-        self.hash.events()
+        self.seen
     }
 
     /// The retained events, oldest first.
@@ -405,10 +309,11 @@ impl TraceRing {
 
 impl TraceSink for TraceRing {
     fn record(&mut self, ev: &TraceEvent) {
-        self.hash.record(ev);
+        ev.fold_into(&mut self.hash);
+        self.seen += 1;
         if self.ring.len() < self.capacity {
             self.ring.push(ev.clone());
-        } else {
+        } else if self.capacity > 0 {
             self.ring[self.head] = ev.clone();
             self.head = (self.head + 1) % self.capacity;
         }
@@ -441,14 +346,14 @@ mod tests {
                 host: HostId(3),
             },
         ];
-        let mut a = TraceHash::new();
-        let mut b = TraceHash::new();
+        let mut a = TraceRing::new(0);
+        let mut b = TraceRing::new(0);
         for e in &evs {
             a.record(e);
             b.record(e);
         }
-        assert_eq!(a.value(), b.value());
-        assert_eq!(a.events(), 2);
+        assert_eq!(a.hash(), b.hash());
+        assert_eq!(a.seen(), 2);
     }
 
     #[test]
@@ -497,12 +402,12 @@ mod tests {
                 span: 0,
             },
         ];
-        let mut h0 = TraceHash::new();
+        let mut h0 = TraceRing::new(0);
         h0.record(&base);
         for v in &variants {
-            let mut h = TraceHash::new();
+            let mut h = TraceRing::new(0);
             h.record(v);
-            assert_ne!(h.value(), h0.value(), "{v:?} collided with {base:?}");
+            assert_ne!(h.hash(), h0.hash(), "{v:?} collided with {base:?}");
         }
     }
 
@@ -515,13 +420,13 @@ mod tests {
                 addr: addr(1, 1),
             })
             .collect();
-        let mut h = TraceHash::new();
+        let mut h = TraceRing::new(0);
         for e in &evs {
             ring.record(e);
             h.record(e);
         }
         assert_eq!(ring.seen(), 5);
-        assert_eq!(ring.hash(), h.value());
+        assert_eq!(ring.hash(), h.hash());
         assert_eq!(ring.events(), evs[3..].to_vec(), "last two retained");
     }
 
@@ -542,19 +447,22 @@ mod tests {
     }
 
     #[test]
-    fn log_respects_limit_but_hash_covers_all() {
-        let mut log = TraceLog::with_limit(1);
-        let e = TraceEvent::Kill {
-            at: Time::ZERO,
-            addr: addr(1, 1),
-        };
-        log.record(&e);
-        log.record(&e);
-        assert_eq!(log.events().len(), 1);
-        assert_eq!(log.dropped(), 1);
-        let mut h = TraceHash::new();
-        h.record(&e);
-        h.record(&e);
-        assert_eq!(log.hash(), h.value());
+    fn capacity_decides_what_is_kept_never_the_hash() {
+        let evs: Vec<TraceEvent> = (0..3_000)
+            .map(|i| TraceEvent::Kill {
+                at: Time::from_micros(i),
+                addr: addr(1, 1),
+            })
+            .collect();
+        let mut none = TraceRing::new(0);
+        let mut all = TraceRing::unbounded();
+        for e in &evs {
+            none.record(e);
+            all.record(e);
+        }
+        assert!(none.events().is_empty());
+        assert_eq!(all.events(), evs);
+        assert_eq!(none.seen(), 3_000);
+        assert_eq!(none.hash(), all.hash());
     }
 }

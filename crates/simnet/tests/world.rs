@@ -2,7 +2,7 @@
 //! serialization, fault injection, and determinism.
 
 use simnet::{
-    trace::{DropReason, TraceEvent, TraceHash, TraceLog},
+    trace::{DropReason, TraceEvent, TraceRing},
     Ctx, Duration, HostId, NetConfig, Partition, Payload, Process, SockAddr, Syscall, SyscallCosts,
     Time, World,
 };
@@ -224,7 +224,7 @@ fn duplicated_multicast_counters_and_trace_agree() {
         ..NetConfig::lan_1985()
     };
     let mut world = World::with_config(7, config, SyscallCosts::default());
-    world.set_trace_sink(Box::new(TraceLog::new()));
+    world.set_trace_sink(Box::new(TraceRing::unbounded()));
     let members: Vec<SockAddr> = (1..=5).map(|h| addr(h, 7)).collect();
     for &m in &members {
         world.spawn(m, Box::new(Sink { got: 0 }));
@@ -249,11 +249,11 @@ fn duplicated_multicast_counters_and_trace_agree() {
     assert_eq!(stats.multicasts, 1);
 
     // The trace tells the same story, event by event.
-    let log = world.trace_sink_as::<TraceLog>().unwrap();
+    let log = world.trace_sink_as::<TraceRing>().unwrap();
     let mut sends = 0;
     let mut dups = 0;
     let mut delivers = 0;
-    for ev in log.events() {
+    for ev in &log.events() {
         match ev {
             TraceEvent::Send { len, .. } => {
                 assert_eq!(*len, 5, "payload length survives the fan-out");
@@ -398,7 +398,7 @@ fn killed_process_receives_no_further_datagrams() {
     let mut world = World::new(7);
     let server = addr(1, 7);
     let client = addr(0, 100);
-    world.set_trace_sink(Box::new(TraceLog::new()));
+    world.set_trace_sink(Box::new(TraceRing::unbounded()));
     world.spawn(server, Box::new(Echo));
     world.spawn(client, Box::new(Pinger::new(server, 1)));
     world.poke(client, 0);
@@ -421,7 +421,7 @@ fn killed_process_receives_no_further_datagrams() {
         Some(1)
     );
     assert!(world.net_stats().undeliverable > undeliverable_before);
-    let log = world.trace_sink_as::<TraceLog>().unwrap();
+    let log = world.trace_sink_as::<TraceRing>().unwrap();
     assert!(log
         .events()
         .iter()
@@ -497,7 +497,7 @@ fn oversize_send_counted_and_traced() {
     let mut world = World::new(7); // default net: mtu 1500
     let server = addr(1, 7);
     let client = addr(0, 100);
-    world.set_trace_sink(Box::new(TraceLog::new()));
+    world.set_trace_sink(Box::new(TraceRing::unbounded()));
     world.spawn(server, Box::new(Echo));
     world.spawn(client, Box::new(BigSender { to: server }));
     world.poke(client, 0);
@@ -506,7 +506,7 @@ fn oversize_send_counted_and_traced() {
     let stats = world.net_stats();
     assert_eq!(stats.oversize, 1);
     assert_eq!(stats.delivered, 0);
-    let log = world.trace_sink_as::<TraceLog>().unwrap();
+    let log = world.trace_sink_as::<TraceRing>().unwrap();
     assert!(log.events().iter().any(|e| matches!(
         e,
         TraceEvent::Drop {
@@ -556,13 +556,13 @@ fn spanned_sends_attribute_trace_events() {
     let mut world = World::new(7);
     let server = addr(1, 7);
     let client = addr(0, 100);
-    world.set_trace_sink(Box::new(TraceLog::new()));
+    world.set_trace_sink(Box::new(TraceRing::unbounded()));
     world.spawn(server, Box::new(Echo));
     world.spawn(client, Box::new(Spanner { to: server }));
     world.poke(client, 0);
     world.run(simnet::Until::Elapsed(Duration::from_secs(1)));
 
-    let log = world.trace_sink_as::<TraceLog>().unwrap();
+    let log = world.trace_sink_as::<TraceRing>().unwrap();
     assert!(log
         .events()
         .iter()
@@ -594,7 +594,7 @@ fn metrics_json_is_seed_deterministic() {
 fn trace_hash_is_seed_deterministic() {
     fn run(seed: u64) -> (u64, u64) {
         let mut world = World::with_config(seed, NetConfig::lossy(0.2), SyscallCosts::default());
-        world.set_trace_sink(Box::new(TraceHash::new()));
+        world.set_trace_sink(Box::new(TraceRing::new(0)));
         let server = addr(1, 7);
         let client = addr(0, 100);
         world.spawn(server, Box::new(Echo));
@@ -603,8 +603,8 @@ fn trace_hash_is_seed_deterministic() {
         world.crash_host(HostId(1));
         world.restart_host(HostId(1));
         world.run(simnet::Until::Elapsed(Duration::from_secs(5)));
-        let h = world.trace_sink_as::<TraceHash>().unwrap();
-        (h.value(), h.events())
+        let h = world.trace_sink_as::<TraceRing>().unwrap();
+        (h.hash(), h.seen())
     }
     assert_eq!(run(42), run(42));
     assert_ne!(run(42).0, run(43).0, "different seeds should diverge");

@@ -122,7 +122,8 @@ fn main() {
 
     // Everything the run did is in the world's metrics registry: CPU per
     // host, datagram counts, per-node RPC counters, call latency, and
-    // the causal span tree of every replicated call.
+    // the causal span trees of the latest replicated calls (all of them,
+    // in a run this short).
     println!(
         "\n==> metrics registry after the run\n{}",
         world.metrics_text()

@@ -45,6 +45,12 @@ cargo test --workspace -q
 phase "allocation budget (n=3 echo call within its heap-allocation budget, wheel allocates nothing, release)"
 cargo test --release --test alloc_budget -- --nocapture
 
+# benchmark/ is a workspace of its own (path deps on crates/*), so nothing
+# above compiles it: without this phase a crate change that breaks it goes
+# unnoticed until the benchmark is next run.
+phase "benchmark still builds and runs against the crates (benchmark/check.sh: fmt, clippy, tests, --smoke of every workload)"
+bash benchmark/check.sh >/dev/null
+
 phase "store chaos sweep (10 seeds + pinned, all oracles, self-heal gate, release, CHAOS_JOBS=${CHAOS_JOBS:-auto})"
 cargo test -p chaos --release --test store -- --nocapture
 

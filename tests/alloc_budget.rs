@@ -6,6 +6,9 @@
 //! - One n=3 unicast `Unanimous` 64-byte echo call must average at most
 //!   [`CALL_BUDGET`] heap allocations, measured over 1 000 calls after a
 //!   200-call warm-up. The budget moves down, never up, in later PRs.
+//! - The same call must leave no heap behind: once every TTL window and
+//!   high-water mark has been passed, 20 000 more calls may grow the live
+//!   heap by at most [`HEAP_GROWTH_BUDGET`] bytes in all.
 //! - The timer wheel must not allocate at all over a steady-state
 //!   pop + insert loop.
 
@@ -16,52 +19,71 @@ use rdp::circus::{
     Agent, CallError, CallHandle, CircusProcess, CollationPolicy, ModuleAddr, NodeBuilder,
     NodeConfig, NodeCtx, Service, ServiceCtx, Step, ThreadId, Troupe, TroupeId,
 };
-use rdp::simnet::{HostId, SockAddr, TimerWheel, Until, World};
+use rdp::simnet::{HostId, NetConfig, SockAddr, SyscallCosts, TimerWheel, Until, World};
 
 /// Allocations per replicated echo call the call path may spend.
 /// Measured: 23.5 (DESIGN.md "Data plane: who allocates what" names each
 /// one); the parent of the PR that introduced this gate spent 133.4.
 const CALL_BUDGET: f64 = 28.0;
 
+/// Bytes of live heap 20 000 steady-state echo calls may add. Measured:
+/// −456 (B-tree nodes come and go); the parent of the PR that introduced
+/// this gate grew by 5.2 MB — one doubling of a `Vec` that kept a 40-byte
+/// span record, four per call, for ever.
+const HEAP_GROWTH_BUDGET: i64 = 16 * 1024;
+
 thread_local! {
     /// Heap allocations made by this thread (`alloc`, `alloc_zeroed` and
     /// `realloc` calls; frees are not counted).
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread has allocated less bytes it has freed. A test's
+    /// world lives and dies on one thread, so differences of this are its
+    /// live-heap growth.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
+// `try_with`, not `with`: a thread being torn down may allocate or free
+// after its locals are gone, and nobody reads its counters any more.
+
 fn count() {
-    // A thread being torn down may allocate after its locals are gone;
-    // nobody reads its count any more.
     let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
+
+fn resize(from: usize, to: usize) {
+    let _ = LIVE_BYTES.try_with(|c| c.set(c.get() + to as i64 - from as i64));
 }
 
 struct Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a plain thread-local
-// integer (const-initialised, no destructor, so touching it allocates
+// upholds the `GlobalAlloc` contract; the counters are plain thread-local
+// integers (const-initialised, no destructor, so touching them allocates
 // nothing) and cannot affect the returned memory.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
+        resize(0, layout.size());
         // SAFETY: the caller's `layout` obligations pass through as given.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count();
+        resize(0, layout.size());
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count();
+        resize(layout.size(), new_size);
         // SAFETY: `ptr` came from this allocator (i.e. from `System`) with
         // `layout`, as the caller guarantees.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        resize(layout.size(), 0);
         // SAFETY: as for `realloc`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -72,6 +94,10 @@ static ALLOCATOR: Counting = Counting;
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+fn live_bytes() -> i64 {
+    LIVE_BYTES.with(Cell::get)
 }
 
 const MODULE: u16 = 1;
@@ -152,9 +178,9 @@ fn run_calls(w: &mut World, client: SockAddr, calls: u64) -> u64 {
     allocations() - before
 }
 
-#[test]
-fn replicated_echo_call_stays_within_its_allocation_budget() {
-    let mut w = World::new(1985);
+/// Spawns the n=3 echo troupe and its one sequential client into `w` and
+/// lets the world settle; returns the client's address.
+fn spawn_echo_rig(w: &mut World) -> SockAddr {
     let id = TroupeId(4242);
     let members: Vec<SockAddr> = (1..=3).map(|h| SockAddr::new(HostId(h), 70)).collect();
     for &a in &members {
@@ -185,21 +211,62 @@ fn replicated_echo_call_stays_within_its_allocation_budget() {
         .expect("valid client node");
     w.spawn(client, Box::new(p));
     w.run(Until::Idle);
+    client
+}
 
-    run_calls(&mut w, client, 200);
-    let spent = run_calls(&mut w, client, 1_000);
-    let per_call = spent as f64 / 1_000.0;
-    println!("allocations per n=3 64-byte echo call: {per_call:.2}");
-
+fn assert_every_echo_was_right(w: &World, client: SockAddr) {
     let wrong = w
         .with_proc(client, |p: &CircusProcess| {
             p.agent_as::<EchoClient>().map(|c| c.wrong)
         })
         .flatten();
     assert_eq!(wrong, Some(0), "every echo must return its arguments");
+}
+
+#[test]
+fn replicated_echo_call_stays_within_its_allocation_budget() {
+    let mut w = World::new(1985);
+    let client = spawn_echo_rig(&mut w);
+
+    run_calls(&mut w, client, 200);
+    let spent = run_calls(&mut w, client, 1_000);
+    let per_call = spent as f64 / 1_000.0;
+    println!("allocations per n=3 64-byte echo call: {per_call:.2}");
+
+    assert_every_echo_was_right(&w, client);
     assert!(
         per_call <= CALL_BUDGET,
         "{per_call:.2} allocations per call exceeds the budget of {CALL_BUDGET}"
+    );
+}
+
+#[test]
+fn replicated_echo_heap_is_flat() {
+    // The 1985 testbed: a call takes ~61 simulated ms, so the 20 000
+    // warm-up calls span 20 simulated minutes — past the 60 s replay and
+    // done-call TTLs, the span window and every buffer's high-water mark.
+    // Whatever still grows after that grows with the number of calls.
+    const CALLS: u64 = 20_000;
+    let mut w = World::with_config(1985, NetConfig::lan_1985(), SyscallCosts::vax_4_2bsd());
+    let client = spawn_echo_rig(&mut w);
+
+    run_calls(&mut w, client, CALLS);
+    let warm = live_bytes();
+    println!("live heap after {CALLS} echo calls: {warm} bytes");
+    for step in 1..=4 {
+        run_calls(&mut w, client, CALLS / 4);
+        println!(
+            "live heap after {} echo calls: {} bytes",
+            CALLS + step * CALLS / 4,
+            live_bytes()
+        );
+    }
+    let grown = live_bytes() - warm;
+
+    assert_every_echo_was_right(&w, client);
+    assert!(
+        grown < HEAP_GROWTH_BUDGET,
+        "live heap grew by {grown} bytes over {CALLS} calls (budget {HEAP_GROWTH_BUDGET})"
     );
 }
 
