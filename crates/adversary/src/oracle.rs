@@ -20,18 +20,6 @@
 
 use chaos::{Report, Violation};
 
-/// Reads one counter out of a [`Report`]'s metrics JSON dump. Lazy
-/// counters that never ticked are absent from the dump and read as 0.
-pub fn counter(json: &str, name: &str) -> u64 {
-    let needle = format!("\"{name}\":");
-    let Some(at) = json.find(&needle) else {
-        return 0;
-    };
-    let rest = &json[at + needle.len()..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().unwrap_or(0)
-}
-
 /// Sums every counter in the dump whose key starts with `prefix`.
 pub fn sum_prefix(json: &str, prefix: &str) -> u64 {
     let needle = format!("\"{prefix}");
@@ -55,13 +43,12 @@ pub fn sum_prefix(json: &str, prefix: &str) -> u64 {
 /// Runs the three adversary oracles against a finished run. Empty means
 /// the run passed.
 pub fn check_adversary<E>(r: &Report<E>) -> Vec<Violation> {
-    let json = &r.metrics_json;
     let mut out = Vec::new();
 
-    let injected = counter(json, "adv.injected");
-    let rejected = counter(json, "adv.rejected");
-    let accepted = counter(json, "adv.accepted");
-    let by_family = sum_prefix(json, "adv.gen.");
+    let injected = r.counter("adv.injected");
+    let rejected = r.counter("adv.rejected");
+    let accepted = r.counter("adv.accepted");
+    let by_family = sum_prefix(&r.metrics_json, "adv.gen.");
 
     if injected == 0 || rejected == 0 {
         out.push(Violation {
@@ -81,8 +68,8 @@ pub fn check_adversary<E>(r: &Report<E>) -> Vec<Violation> {
             ),
         });
     }
-    let evictions = counter(json, "ring.evictions");
-    let repairs = counter(json, "ring.repairs");
+    let evictions = r.counter("ring.evictions");
+    let repairs = r.counter("ring.repairs");
     if evictions != repairs {
         out.push(Violation {
             oracle: "adv-no-false-eviction",
@@ -99,15 +86,6 @@ pub fn check_adversary<E>(r: &Report<E>) -> Vec<Violation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_parses_and_defaults() {
-        let json =
-            r#"{"metrics":{"adv.injected":12,"adv.rejected":9},"spans":{"count":0,"hash":0}}"#;
-        assert_eq!(counter(json, "adv.injected"), 12);
-        assert_eq!(counter(json, "adv.rejected"), 9);
-        assert_eq!(counter(json, "adv.accepted"), 0);
-    }
 
     #[test]
     fn sum_prefix_sums_only_matching_keys() {

@@ -5,7 +5,7 @@
 //! a panic anywhere in the stack (decode path, endpoint, node, scenario)
 //! is reported as a corpus failure with its seed, not as a bare abort.
 
-use adversary::{check_adversary, corpus_seeds, counter, install_adversary};
+use adversary::{check_adversary, corpus_seeds, install_adversary};
 use chaos::{run, ScenarioOptions, Store};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -45,18 +45,15 @@ fn corpus_replays_green() {
     );
     // The corpus must keep covering the PR-4 decode-fix class: at least
     // one seed has to drive the segment-position generator.
-    let badpos: u64 = reports
-        .iter()
-        .map(|r| counter(&r.metrics_json, "adv.gen.badpos"))
-        .sum();
+    let badpos: u64 = reports.iter().map(|r| r.counter("adv.gen.badpos")).sum();
     assert!(badpos > 0, "no corpus seed exercised adv.gen.badpos");
     for r in &reports {
         eprintln!(
             "corpus seed {:>3}: injected={:<4} rejected={:<4} accepted={:<4} trace {:#018x}",
             r.seed,
-            counter(&r.metrics_json, "adv.injected"),
-            counter(&r.metrics_json, "adv.rejected"),
-            counter(&r.metrics_json, "adv.accepted"),
+            r.counter("adv.injected"),
+            r.counter("adv.rejected"),
+            r.counter("adv.accepted"),
             r.trace_hash,
         );
     }

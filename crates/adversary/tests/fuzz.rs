@@ -13,7 +13,7 @@
 //! instead of replaying the same 100 seeds forever — seeds that found
 //! bugs are pinned in `tests/corpus/adversary.seeds` regardless.
 
-use adversary::{check_adversary, counter, install_adversary};
+use adversary::{check_adversary, install_adversary};
 use chaos::{chaos_jobs, run, sweep_seeds, ScenarioOptions, Store};
 
 fn adversarial_options(multicast: bool) -> ScenarioOptions {
@@ -29,7 +29,7 @@ fn sweep(seeds: &[u64], opts: &ScenarioOptions) {
     let mut failures = Vec::new();
     let mut injected_total = 0u64;
     for r in &reports {
-        injected_total += counter(&r.metrics_json, "adv.injected");
+        injected_total += r.counter("adv.injected");
         if !r.passed() {
             failures.push(r.failure_summary());
         }
@@ -89,7 +89,7 @@ fn same_seed_injection_is_bit_deterministic() {
     assert_eq!(a.metrics_json, b.metrics_json, "metrics dump diverged");
     assert_eq!(a.span_hash, b.span_hash, "span hash diverged");
     assert!(
-        counter(&a.metrics_json, "adv.injected") > 0,
+        a.counter("adv.injected") > 0,
         "determinism check must exercise the injector"
     );
 }

@@ -6,23 +6,20 @@
 //!   time of the replicated program as a whole is determined by the
 //!   slowest member of each troupe" (unanimous) versus "the fastest"
 //!   (first-come);
-//! - **synchronization schemes** (§5.5): the optimistic troupe commit
-//!   protocol against the starvation-free ordered broadcast as the
-//!   number of conflicting clients grows — the trade-off that motivates
-//!   choosing "on a module-by-module basis".
+//! - **multi-segment disciplines** (§4.2.5): Circus's blast against the
+//!   Xerox PARC stop-and-wait — datagrams sent versus receiver
+//!   buffering.
+//!
+//! The third ablation, synchronization schemes under conflict (§5.5),
+//! is a rendering of the BENCH_8 grid: [`crate::bench8::sync_table`].
 
 use circus::{
-    Agent, CallError, CallHandle, CircusProcess, CollationPolicy, ModuleAddr, NodeBuilder,
-    NodeConfig, NodeCtx, Service, ServiceCtx, Step, Troupe, TroupeId,
+    Agent, CallError, CallHandle, CircusProcess, CollationPolicy, NodeBuilder, NodeConfig, NodeCtx,
+    Troupe, TroupeId,
 };
 use simnet::{Ctx, Duration, HostId, Payload, Process, SockAddr, Syscall, Time, TimerId, World};
-use transactions::{
-    Broadcaster, CmClient, CmOp, CommitVoterService, CommutativeService, ObjId, Op, OrderedApply,
-    OrderedBroadcastService, TroupeStoreService, TxnClient,
-};
-use wire::{from_bytes, to_bytes};
 
-const MODULE: u16 = 1;
+use crate::testbed::{spawn_troupe, EchoService, MODULE};
 
 /// A background process that keeps its host's CPU busy with a duty
 /// cycle, simulating a loaded 1985 timesharing machine: everything else
@@ -46,14 +43,6 @@ impl Process for LoadGenerator {
     }
 }
 
-struct EchoService;
-
-impl Service for EchoService {
-    fn dispatch(&mut self, _ctx: &mut ServiceCtx, _proc: u16, args: &[u8]) -> Step {
-        Step::Reply(args.to_vec())
-    }
-}
-
 struct PolicyClient {
     troupe: Troupe,
     policy: CollationPolicy,
@@ -62,8 +51,8 @@ struct PolicyClient {
     pub durations: Vec<Duration>,
 }
 
-impl Agent for PolicyClient {
-    fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, _tag: u64) {
+impl PolicyClient {
+    fn call_one(&mut self, nc: &mut NodeCtx<'_, '_, '_>) {
         self.started = nc.now();
         let thread = nc.fresh_thread();
         let troupe = self.troupe.clone();
@@ -76,6 +65,12 @@ impl Agent for PolicyClient {
             self.policy.clone(),
         );
     }
+}
+
+impl Agent for PolicyClient {
+    fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, _tag: u64) {
+        self.call_one(nc);
+    }
 
     fn on_call_done(
         &mut self,
@@ -86,17 +81,7 @@ impl Agent for PolicyClient {
         self.durations.push(nc.now().since(self.started));
         self.remaining -= 1;
         if self.remaining > 0 {
-            self.started = nc.now();
-            let thread = nc.fresh_thread();
-            let troupe = self.troupe.clone();
-            nc.call(
-                thread,
-                &troupe,
-                MODULE,
-                0,
-                vec![0u8; 32],
-                self.policy.clone(),
-            );
+            self.call_one(nc);
         }
     }
 }
@@ -106,18 +91,9 @@ impl Agent for PolicyClient {
 /// policy.
 pub fn run_waiting_policy(policy: CollationPolicy, calls: u32) -> f64 {
     let mut w = World::new(1985);
-    let id = TroupeId(3);
-    let mut members = Vec::new();
-    for h in 1..=3u32 {
-        let a = SockAddr::new(HostId(h), 70);
-        let p = NodeBuilder::new(a, NodeConfig::default())
-            .service(MODULE, Box::new(EchoService))
-            .troupe_id(id)
-            .build()
-            .expect("valid node");
-        w.spawn(a, Box::new(p));
-        members.push(ModuleAddr::new(a, MODULE));
-    }
+    let troupe = spawn_troupe(&mut w, TroupeId(3), 3, &NodeConfig::default(), || {
+        Box::new(EchoService)
+    });
     // Load down member 3's machine: 60 ms of competing CPU per 80 ms.
     w.spawn(
         SockAddr::new(HostId(3), 9),
@@ -126,7 +102,6 @@ pub fn run_waiting_policy(policy: CollationPolicy, calls: u32) -> f64 {
             period: Duration::from_millis(80),
         }),
     );
-    let troupe = Troupe::new(id, members);
     let client = SockAddr::new(HostId(10), 50);
     let p = NodeBuilder::new(client, NodeConfig::default())
         .agent(Box::new(PolicyClient {
@@ -154,245 +129,10 @@ pub fn run_waiting_policy(policy: CollationPolicy, calls: u32) -> f64 {
     durations.iter().map(|d| d.as_millis_f64()).sum::<f64>() / durations.len() as f64
 }
 
-/// Outcome of one synchronization-scheme run.
-#[derive(Clone, Copy, Debug)]
-pub struct SyncOutcome {
-    /// Committed transactions per second of simulated time.
-    pub throughput: f64,
-    /// Aborts observed (the optimistic protocol's starvation signal).
-    pub aborts: u32,
-    /// Seconds of simulated time to finish the workload.
-    pub elapsed_s: f64,
-}
-
-const STORE_MODULE: u16 = 1;
-const COMMIT_MODULE: u16 = 2;
-const TXNS_PER_CLIENT: usize = 6;
-
-/// Runs `clients` concurrent clients, each committing 6 conflicting
-/// increments through the **troupe commit protocol** against a 3-member
-/// store troupe.
-pub fn run_commit_protocol(clients: u32) -> SyncOutcome {
-    let mut w = World::new(42 + clients as u64);
-    let config = NodeConfig {
-        assembly_timeout: Duration::from_millis(1200),
-        ..NodeConfig::default()
-    };
-    let id = TroupeId(7);
-    let mut members = Vec::new();
-    for h in 1..=3u32 {
-        let a = SockAddr::new(HostId(h), 70);
-        let p = NodeBuilder::new(a, config.clone())
-            .service(
-                STORE_MODULE,
-                Box::new(TroupeStoreService::new(COMMIT_MODULE)),
-            )
-            .troupe_id(id)
-            .build()
-            .expect("valid node");
-        w.spawn(a, Box::new(p));
-        members.push(ModuleAddr::new(a, STORE_MODULE));
-    }
-    let troupe = Troupe::new(id, members);
-    let client_addrs: Vec<SockAddr> = (0..clients)
-        .map(|i| SockAddr::new(HostId(10 + i), 50))
-        .collect();
-    for &a in &client_addrs {
-        // Everyone increments the same object: maximal conflict.
-        let script = vec![vec![Op::Add(ObjId(1), 1)]; TXNS_PER_CLIENT];
-        let p = NodeBuilder::new(a, config.clone())
-            .agent(Box::new(TxnClient::new(
-                troupe.clone(),
-                STORE_MODULE,
-                script,
-            )))
-            .service(COMMIT_MODULE, Box::new(CommitVoterService))
-            .build()
-            .expect("valid node");
-        w.spawn(a, Box::new(p));
-    }
-    for &a in &client_addrs {
-        w.poke(a, 0);
-    }
-    let deadline = Time::from_secs(3600);
-    w.run(simnet::Until::pred(deadline, |w| {
-        client_addrs.iter().all(|&a| {
-            w.with_proc(a, |p: &CircusProcess| {
-                p.agent_as::<TxnClient>().unwrap().finished()
-            })
-            .unwrap_or(true)
-        })
-    }));
-    let elapsed_s = w.now().as_secs_f64();
-    let mut committed = 0u32;
-    let mut aborts = 0u32;
-    for &a in &client_addrs {
-        let (c, ab) = w
-            .with_proc(a, |p: &CircusProcess| {
-                let t = p.agent_as::<TxnClient>().unwrap();
-                (t.committed.len() as u32, t.aborts)
-            })
-            .unwrap();
-        committed += c;
-        aborts += ab;
-    }
-    SyncOutcome {
-        throughput: committed as f64 / elapsed_s,
-        aborts,
-        elapsed_s,
-    }
-}
-
-/// The same workload through the **ordered broadcast** protocol
-/// (starvation-free, §5.4).
-pub fn run_ordered_broadcast(clients: u32) -> SyncOutcome {
-    struct AddApply {
-        total: i64,
-        applied: u32,
-    }
-    impl OrderedApply for AddApply {
-        fn apply(&mut self, payload: &[u8]) -> Vec<u8> {
-            let delta: i64 = from_bytes(payload).unwrap_or(0);
-            self.total += delta;
-            self.applied += 1;
-            to_bytes(&self.total)
-        }
-    }
-
-    let mut w = World::new(42 + clients as u64);
-    let id = TroupeId(7);
-    let mut members = Vec::new();
-    for h in 1..=3u32 {
-        let a = SockAddr::new(HostId(h), 70);
-        let p = NodeBuilder::new(a, NodeConfig::default())
-            .service(
-                STORE_MODULE,
-                Box::new(OrderedBroadcastService::new(AddApply {
-                    total: 0,
-                    applied: 0,
-                })),
-            )
-            .troupe_id(id)
-            .build()
-            .expect("valid node");
-        w.spawn(a, Box::new(p));
-        members.push(ModuleAddr::new(a, STORE_MODULE));
-    }
-    let troupe = Troupe::new(id, members);
-    let client_addrs: Vec<SockAddr> = (0..clients)
-        .map(|i| SockAddr::new(HostId(10 + i), 50))
-        .collect();
-    for (i, &a) in client_addrs.iter().enumerate() {
-        let msgs = vec![to_bytes(&1i64); TXNS_PER_CLIENT];
-        let p = NodeBuilder::new(a, NodeConfig::default())
-            .agent(Box::new(Broadcaster::new(
-                troupe.clone(),
-                STORE_MODULE,
-                (i as u64 + 1) * 1_000_000,
-                msgs,
-            )))
-            .build()
-            .expect("valid node");
-        w.spawn(a, Box::new(p));
-    }
-    for &a in &client_addrs {
-        w.poke(a, 0);
-    }
-    let deadline = Time::from_secs(3600);
-    w.run(simnet::Until::pred(deadline, |w| {
-        client_addrs.iter().all(|&a| {
-            w.with_proc(a, |p: &CircusProcess| {
-                p.agent_as::<Broadcaster>().unwrap().finished()
-            })
-            .unwrap_or(true)
-        })
-    }));
-    let elapsed_s = w.now().as_secs_f64();
-    let done: usize = client_addrs
-        .iter()
-        .map(|&a| {
-            w.with_proc(a, |p: &CircusProcess| {
-                p.agent_as::<Broadcaster>().unwrap().results.len()
-            })
-            .unwrap_or(0)
-        })
-        .sum();
-    SyncOutcome {
-        throughput: done as f64 / elapsed_s,
-        aborts: 0, // Starvation-free: no aborts by construction (§5.4).
-        elapsed_s,
-    }
-}
-
-/// The same workload as **commutative operations**: every client bumps
-/// the same counter, but increments commute, so members apply them as
-/// they arrive — no locks to conflict on, no agreed order to wait for,
-/// no commit round to abort. One round trip per operation regardless of
-/// how many clients contend.
-pub fn run_commutative(clients: u32) -> SyncOutcome {
-    let mut w = World::new(42 + clients as u64);
-    let id = TroupeId(7);
-    let mut members = Vec::new();
-    for h in 1..=3u32 {
-        let a = SockAddr::new(HostId(h), 70);
-        let p = NodeBuilder::new(a, NodeConfig::default())
-            .service(STORE_MODULE, Box::new(CommutativeService::new()))
-            .troupe_id(id)
-            .build()
-            .expect("valid node");
-        w.spawn(a, Box::new(p));
-        members.push(ModuleAddr::new(a, STORE_MODULE));
-    }
-    let troupe = Troupe::new(id, members);
-    let client_addrs: Vec<SockAddr> = (0..clients)
-        .map(|i| SockAddr::new(HostId(10 + i), 50))
-        .collect();
-    for (i, &a) in client_addrs.iter().enumerate() {
-        // Maximal "conflict": everyone increments the same counter.
-        let script = vec![vec![CmOp::Incr(ObjId(1), 1)]; TXNS_PER_CLIENT];
-        let p = NodeBuilder::new(a, NodeConfig::default())
-            .agent(Box::new(CmClient::new(
-                troupe.clone(),
-                STORE_MODULE,
-                (i as u64 + 1) * 1_000_000,
-                script,
-            )))
-            .build()
-            .expect("valid node");
-        w.spawn(a, Box::new(p));
-    }
-    for &a in &client_addrs {
-        w.poke(a, 0);
-    }
-    let deadline = Time::from_secs(3600);
-    w.run(simnet::Until::pred(deadline, |w| {
-        client_addrs.iter().all(|&a| {
-            w.with_proc(a, |p: &CircusProcess| {
-                p.agent_as::<CmClient>().unwrap().finished()
-            })
-            .unwrap_or(true)
-        })
-    }));
-    let elapsed_s = w.now().as_secs_f64();
-    let done: u32 = client_addrs
-        .iter()
-        .map(|&a| {
-            w.with_proc(a, |p: &CircusProcess| {
-                p.agent_as::<CmClient>().unwrap().completed
-            })
-            .unwrap_or(0)
-        })
-        .sum();
-    SyncOutcome {
-        throughput: done as f64 / elapsed_s,
-        aborts: 0, // Nothing to abort: operations never conflict.
-        elapsed_s,
-    }
-}
-
 /// Formats the waiting-policy ablation.
-pub fn ablation_waiting(calls: u32) -> String {
+pub fn ablation_waiting() -> String {
     use std::fmt::Write as _;
+    let calls = 100;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -411,38 +151,6 @@ pub fn ablation_waiting(calls: u32) -> String {
         out,
         "Shape check: unanimous is bound by the slowest member, first-come by\n\
          the fastest, majority by the second-fastest."
-    );
-    out
-}
-
-/// Formats the synchronization-scheme ablation.
-pub fn ablation_sync() -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Ablation (Sec 5.5): optimistic troupe commit vs ordered broadcast\n\
-         under rising conflict (3-member troupe, 6 conflicting txns/client)"
-    );
-    let _ = writeln!(
-        out,
-        "{:<8} | {:>12} {:>8} | {:>12} {:>8}",
-        "clients", "commit tx/s", "aborts", "bcast tx/s", "aborts"
-    );
-    for clients in [1u32, 2, 4, 6] {
-        let commit = run_commit_protocol(clients);
-        let bcast = run_ordered_broadcast(clients);
-        let _ = writeln!(
-            out,
-            "{clients:<8} | {:>12.2} {:>8} | {:>12.2} {:>8}",
-            commit.throughput, commit.aborts, bcast.throughput, bcast.aborts
-        );
-    }
-    let _ = writeln!(
-        out,
-        "Shape check: the optimistic protocol aborts more as conflict rises\n\
-         (Eq 5.1's starvation); ordered broadcast never aborts — the paper's\n\
-         case for choosing the scheme per module (Sec 5.5)."
     );
     out
 }
@@ -533,18 +241,5 @@ mod tests {
             first < majority && majority <= unanimous,
             "first {first:.1} majority {majority:.1} unanimous {unanimous:.1}"
         );
-    }
-
-    #[test]
-    fn broadcast_never_aborts_commit_does_under_conflict() {
-        let commit = run_commit_protocol(4);
-        let bcast = run_ordered_broadcast(4);
-        assert_eq!(bcast.aborts, 0);
-        assert!(
-            commit.aborts > 0,
-            "4 clients on one object should conflict at least once"
-        );
-        // Both complete the workload.
-        assert!(commit.throughput > 0.0 && bcast.throughput > 0.0);
     }
 }

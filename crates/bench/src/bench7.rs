@@ -2,125 +2,190 @@
 //!
 //! The durable store writes a per-member commit log and snapshots to an
 //! in-sim disk; after a crash the member replays locally and rejoins by
-//! fetching only the *delta* of commits it missed. This benchmark runs
+//! fetching only the *delta* of commits it missed. This experiment runs
 //! the recovery chaos scenario over a grid of workload lengths (log
-//! length proxy) × snapshot intervals, in both rejoin modes, and emits
-//! one JSON record per cell (the BENCH_4/5/6 one-record-per-line
-//! convention):
+//! length proxy) × snapshot intervals, in both rejoin modes. One
+//! [`Cell`] per run: simulated MTTR (crash to the registry showing full
+//! strength with the recovered member in it), bytes of the state-fetch
+//! reply (`recovery_bytes`), and what the member found on its disk
+//! (`log_bytes`, `replayed`, `deduped`, `snapshot_version`).
 //!
-//! - `section: "recovery"` — per-cell: simulated MTTR (crash to the
-//!   registry showing full strength with the recovered member in it),
-//!   bytes of the state-fetch reply (`recovery_bytes`), and what the
-//!   member found on its disk (`log_bytes`, `replayed`, `deduped`,
-//!   `snapshot_version`). `mode` is `"delta"` (`get_state_since`) or
-//!   `"full"` (whole-state transfer).
+//! Every field is a pure function of the seed and the cell options.
+//! Disks are faultless here (the chaos recovery sweep covers hostile
+//! disks) so the curves show the protocol's cost, not the fault
+//! stream's.
 //!
-//! Every field except `wall_ms` is a pure function of the seed and the
-//! cell options — byte-stable across reruns. Disks are faultless here
-//! (the chaos recovery sweep covers hostile disks) so the curves show
-//! the protocol's cost, not the fault stream's.
-//!
-//! `repro --gate bench7` checks the reason the log exists: with a
-//! non-empty log, the delta rejoin must move strictly fewer bytes over
-//! the network than the full state transfer.
+//! [`claim`] is the reason the log exists: with a non-empty log, the
+//! delta rejoin (`get_state_since`) moves strictly fewer bytes over the
+//! network than the full state transfer.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use chaos::{run, Recovery, ScenarioOptions};
+use transactions::RecoveryInfo;
 
 /// The one seed the grid runs under: the curves compare cells, not
 /// seeds, so one fixed seed keeps every record deterministic.
 const SEED: u64 = 11;
 
-/// Runs one cell and appends its record.
-fn cell(out: &mut String, txns: usize, snapshot_every: usize, use_delta: bool) {
+/// One recovery run.
+#[derive(Clone, Copy, Debug)]
+pub struct Cell {
+    /// Delta rejoin (`get_state_since`) or whole-state transfer.
+    pub delta: bool,
+    /// Transactions each client submits: the log-length proxy.
+    pub txns_per_client: usize,
+    /// Commits between snapshots (0: never, the log keeps everything).
+    pub snapshot_every: usize,
+    /// Simulated crash-to-full-strength time.
+    pub mttr_us: u64,
+    /// Bytes of the state-fetch reply.
+    pub recovery_bytes: u64,
+    /// What the member found on its disk and replayed.
+    pub disk: RecoveryInfo,
+    /// Transactions committed over the whole run.
+    pub commits: usize,
+    /// Whether every oracle passed.
+    pub passed: bool,
+}
+
+fn cell(txns_per_client: usize, snapshot_every: usize, delta: bool) -> Cell {
     let workload = Recovery {
         snapshot_every,
-        use_delta,
+        use_delta: delta,
         disk_faults: false,
     };
     let opts = ScenarioOptions {
-        txns_per_client: txns,
+        txns_per_client,
         ..ScenarioOptions::default()
     };
-    let t0 = Instant::now();
     let r = run(&workload, SEED, &opts);
-    let wall = t0.elapsed();
-    let mode = if use_delta { "delta" } else { "full" };
-    let mttr_us = r.extra.mttr.map_or(0, |d| d.as_micros());
-    let (log_bytes, replayed, deduped, snap_v, torn) =
-        r.extra.recovery.map_or((0, 0, 0, 0, 0), |i| {
-            (
-                i.log_bytes,
-                i.replayed,
-                i.deduped,
-                i.snapshot_version,
-                i.torn_bytes,
-            )
-        });
-    let _ = writeln!(
-        out,
-        "{{\"experiment\":\"bench7\",\"section\":\"recovery\",\"mode\":\"{mode}\",\
-         \"seed\":{SEED},\"txns_per_client\":{txns},\"snapshot_every\":{snapshot_every},\
-         \"mttr_us\":{mttr_us},\"recovery_bytes\":{},\"log_bytes\":{log_bytes},\
-         \"replayed\":{replayed},\"deduped\":{deduped},\"snapshot_version\":{snap_v},\
-         \"torn_bytes\":{torn},\"commits\":{},\"passed\":{},\"wall_ms\":{:.2}}}",
-        r.extra.recovery_bytes,
-        r.extra.commits,
-        r.passed(),
-        wall.as_secs_f64() * 1e3,
-    );
+    Cell {
+        delta,
+        txns_per_client,
+        snapshot_every,
+        mttr_us: r.extra.mttr.map_or(0, |d| d.as_micros()),
+        recovery_bytes: r.extra.recovery_bytes,
+        disk: r.extra.recovery.unwrap_or_default(),
+        commits: r.extra.commits,
+        passed: r.passed(),
+    }
 }
 
-/// Builds the full BENCH_7 report. `quick` shrinks the grid; each cell
-/// is identical to its full-grid counterpart.
-pub fn bench_7_json(quick: bool) -> String {
-    let mut out = String::new();
-    let txns: &[usize] = if quick { &[16, 32] } else { &[16, 32, 64] };
-    let snaps: &[usize] = if quick { &[0, 8] } else { &[0, 4, 16] };
-    for &t in txns {
-        for &s in snaps {
-            cell(&mut out, t, s, true);
-            cell(&mut out, t, s, false);
+/// Workload length × snapshot interval, delta then full at each point.
+pub fn grid() -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for txns in [16, 32, 64] {
+        for snapshot_every in [0, 4, 16] {
+            cells.push(cell(txns, snapshot_every, true));
+            cells.push(cell(txns, snapshot_every, false));
         }
     }
+    cells
+}
+
+/// `BENCH_7.json`: one record per cell.
+pub fn json(cells: &[Cell]) -> String {
+    let mut out = String::new();
+    for c in cells {
+        let _ = writeln!(
+            out,
+            "{{\"experiment\":\"bench7\",\"section\":\"recovery\",\"mode\":\"{}\",\
+             \"seed\":{SEED},\"txns_per_client\":{},\"snapshot_every\":{},\
+             \"mttr_us\":{},\"recovery_bytes\":{},\"log_bytes\":{},\
+             \"replayed\":{},\"deduped\":{},\"snapshot_version\":{},\
+             \"torn_bytes\":{},\"commits\":{},\"passed\":{}}}",
+            if c.delta { "delta" } else { "full" },
+            c.txns_per_client,
+            c.snapshot_every,
+            c.mttr_us,
+            c.recovery_bytes,
+            c.disk.log_bytes,
+            c.disk.replayed,
+            c.disk.deduped,
+            c.disk.snapshot_version,
+            c.disk.torn_bytes,
+            c.commits,
+            c.passed,
+        );
+    }
     out
+}
+
+/// Every cell ran clean, and wherever a member recovered from a
+/// non-empty log its delta rejoin moved strictly fewer bytes than the
+/// full transfer of the same crash.
+pub fn claim(cells: &[Cell]) -> Result<String, String> {
+    if let Some(c) = cells.iter().find(|c| !c.passed) {
+        return Err(format!("a recovery cell failed its oracles: {c:?}"));
+    }
+    let mut checked = Vec::new();
+    for delta in cells.iter().filter(|c| c.delta && c.disk.log_bytes > 0) {
+        let full = cells
+            .iter()
+            .find(|c| {
+                !c.delta
+                    && c.txns_per_client == delta.txns_per_client
+                    && c.snapshot_every == delta.snapshot_every
+            })
+            .ok_or(format!("no full-transfer cell beside {delta:?}"))?;
+        if delta.recovery_bytes >= full.recovery_bytes {
+            return Err(format!(
+                "delta rejoin moved {} bytes, not strictly below the full transfer's {} \
+                 ({} txns/client, snapshot every {})",
+                delta.recovery_bytes,
+                full.recovery_bytes,
+                delta.txns_per_client,
+                delta.snapshot_every
+            ));
+        }
+        checked.push(format!(
+            "{} < {} B after a {}-byte log",
+            delta.recovery_bytes, full.recovery_bytes, delta.disk.log_bytes
+        ));
+    }
+    if checked.is_empty() {
+        return Err("no delta cell recovered from a non-empty log — nothing was measured".into());
+    }
+    Ok(format!("delta rejoin beats full: {}", checked.join(", ")))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn cells_are_deterministic() {
-        let mut a = String::new();
-        let mut b = String::new();
-        cell(&mut a, 16, 8, true);
-        cell(&mut b, 16, 8, true);
-        // Everything but the wall clock must be byte-identical.
-        let strip = |s: &str| s[..s.find(",\"wall_ms\"").expect("record has wall_ms")].to_string();
-        assert_eq!(strip(&a), strip(&b));
-        assert!(a.contains("\"passed\":true"), "cell failed: {a}");
+    fn pair(delta_bytes: u64, full_bytes: u64, log_bytes: usize) -> [Cell; 2] {
+        let delta = Cell {
+            delta: true,
+            txns_per_client: 16,
+            snapshot_every: 0,
+            mttr_us: 1,
+            recovery_bytes: delta_bytes,
+            disk: RecoveryInfo {
+                log_bytes,
+                ..RecoveryInfo::default()
+            },
+            commits: 34,
+            passed: true,
+        };
+        let full = Cell {
+            delta: false,
+            recovery_bytes: full_bytes,
+            ..delta
+        };
+        [delta, full]
     }
 
     #[test]
-    fn delta_cell_beats_full_cell() {
-        let mut delta = String::new();
-        let mut full = String::new();
-        cell(&mut delta, 16, 0, true);
-        cell(&mut full, 16, 0, false);
-        let bytes = |s: &str| {
-            let i = s.find("\"recovery_bytes\":").expect("field") + "\"recovery_bytes\":".len();
-            s[i..][..s[i..].find(',').expect("comma")]
-                .parse::<u64>()
-                .expect("number")
-        };
+    fn claim_fires_on_each_violation() {
+        assert!(claim(&pair(5, 344, 816)).is_ok());
+        assert!(claim(&pair(344, 344, 816)).is_err(), "delta not below full");
         assert!(
-            bytes(&delta) < bytes(&full),
-            "delta {} !< full {}",
-            bytes(&delta),
-            bytes(&full)
+            claim(&pair(5, 344, 0)).is_err(),
+            "empty log measures nothing"
         );
+        let mut failed = pair(5, 344, 816);
+        failed[1].passed = false;
+        assert!(claim(&failed).is_err(), "a cell failed its oracles");
     }
 }

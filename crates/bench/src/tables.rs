@@ -9,6 +9,9 @@ use analysis::{
 use simnet::{Syscall, SyscallCosts};
 use std::fmt::Write as _;
 
+/// Echo calls behind every measured row of Tables 4.1/4.3 and Fig 4.8.
+const CALLS: u32 = 500;
+
 /// Paper values for Table 4.1: (label, real, total, user, kernel).
 pub const PAPER_TABLE_4_1: &[(&str, f64, f64, f64, f64)] = &[
     ("UDP", 26.5, 13.3, 0.8, 12.4),
@@ -39,7 +42,7 @@ fn row(out: &mut String, label: &str, paper: (f64, f64, f64, f64), measured: (f6
 }
 
 /// Table 4.1: performance of UDP, TCP, and Circus (ms per call).
-pub fn table_4_1(calls: u32) -> String {
+pub fn table_4_1() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -55,25 +58,10 @@ pub fn table_4_1(calls: u32) -> String {
         "{:<12} | {:>6} {:>6} {:>6} {:>6} | {:>6} {:>6} {:>6} {:>6}",
         "transport", "real", "cpu", "user", "kern", "real", "cpu", "user", "kern"
     );
-    let udp = run_udp_echo(calls);
-    let (_, pr, pc, pu, pk) = PAPER_TABLE_4_1[0];
-    row(
-        &mut out,
-        "UDP",
-        (pr, pc, pu, pk),
-        (udp.real_ms, udp.total_cpu_ms, udp.user_ms, udp.kernel_ms),
-    );
-    let tcp = run_tcp_echo(calls);
-    let (_, pr, pc, pu, pk) = PAPER_TABLE_4_1[1];
-    row(
-        &mut out,
-        "TCP",
-        (pr, pc, pu, pk),
-        (tcp.real_ms, tcp.total_cpu_ms, tcp.user_ms, tcp.kernel_ms),
-    );
-    for n in 1..=5usize {
-        let r = run_circus_echo(n, calls);
-        let (label, pr, pc, pu, pk) = PAPER_TABLE_4_1[1 + n];
+    let measured = [run_udp_echo(CALLS), run_tcp_echo(CALLS)]
+        .into_iter()
+        .chain((1..=5).map(|n| run_circus_echo(n, CALLS)));
+    for (&(label, pr, pc, pu, pk), r) in PAPER_TABLE_4_1.iter().zip(measured) {
         row(
             &mut out,
             label,
@@ -120,7 +108,7 @@ pub fn table_4_2() -> String {
 
 /// Table 4.3: execution profile of Circus replicated calls (% of total
 /// client CPU per syscall, by degree of replication).
-pub fn table_4_3(calls: u32) -> String {
+pub fn table_4_3() -> String {
     let syscalls = [
         Syscall::SendMsg,
         Syscall::RecvMsg,
@@ -144,7 +132,7 @@ pub fn table_4_3(calls: u32) -> String {
     }
     let _ = writeln!(out, "{header}");
     for n in 1..=5usize {
-        let r = run_circus_echo(n, calls);
+        let r = run_circus_echo(n, CALLS);
         let (_, paper) = PAPER_TABLE_4_3[n - 1];
         let mut line = format!("{n:<3} |       ");
         for p in paper {
@@ -174,7 +162,7 @@ fn shorten(name: &str) -> &str {
 
 /// Figure 4.8: per-call time vs degree of replication (the linear-growth
 /// figure), as a text series with a linear fit.
-pub fn fig_4_8(calls: u32) -> String {
+pub fn fig_4_8() -> String {
     let paper = [48.0, 58.0, 69.4, 90.2, 109.5];
     let mut out = String::new();
     let _ = writeln!(
@@ -185,7 +173,7 @@ pub fn fig_4_8(calls: u32) -> String {
     let mut xs = Vec::new();
     let mut ys = Vec::new();
     for n in 1..=5usize {
-        let r = run_circus_echo(n, calls);
+        let r = run_circus_echo(n, CALLS);
         let _ = writeln!(out, "{n:<3} {:>10.1} {:>10.1}", paper[n - 1], r.real_ms);
         xs.push(n as f64);
         ys.push(r.real_ms);
@@ -200,32 +188,10 @@ pub fn fig_4_8(calls: u32) -> String {
     out
 }
 
-/// BENCH_4: the real (not modeled) multicast data plane of §4.3.3,
-/// measured against the paper-faithful unicast one at each degree of
-/// replication. One JSON record per line so shell tooling can consume it
-/// without a JSON parser; deterministic (fixed-seed world), so the file
-/// is byte-identical across reruns.
-pub fn bench_4_json(calls: u32) -> String {
-    let mut out = String::new();
-    for &multicast in &[false, true] {
-        let mode = if multicast { "multicast" } else { "unicast" };
-        for n in 1..=5usize {
-            let r = crate::testbed::run_circus_echo_mode(n, calls, multicast);
-            let _ = writeln!(
-                out,
-                "{{\"experiment\":\"bench4\",\"mode\":\"{mode}\",\"replicas\":{n},\
-                 \"calls\":{calls},\"real_ms\":{:.2},\"client_sendmsgs\":{}}}",
-                r.real_ms,
-                r.client_sendmsgs(),
-            );
-        }
-    }
-    out
-}
-
 /// §4.4.2: multicast + exponential round trips gives `E[T] = H_n * r`.
-pub fn fig_multicast_theory(calls: u32) -> String {
+pub fn fig_multicast_theory() -> String {
     let r = 20.0; // Mean round trip, ms.
+    let calls = 1000;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -255,7 +221,8 @@ pub fn fig_multicast_theory(calls: u32) -> String {
 }
 
 /// Equation 5.1: troupe commit deadlock probability.
-pub fn eq_5_1(trials: u32) -> String {
+pub fn eq_5_1() -> String {
+    let trials = 100_000;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -344,40 +311,4 @@ pub fn table_7_1() -> String {
         let _ = writeln!(out, "{prop:<28} {val:<18}");
     }
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn table_4_2_is_identity() {
-        let t = table_4_2();
-        assert!(t.contains("sendmsg"));
-        assert!(t.contains("8.1"));
-    }
-
-    #[test]
-    fn eq_5_1_matches() {
-        let t = eq_5_1(2000);
-        assert!(t.contains("0.5"));
-    }
-
-    #[test]
-    fn fig_6_3_prints_examples() {
-        let t = fig_6_3();
-        assert!(t.contains("0.1111"));
-    }
-
-    #[test]
-    fn small_table_4_1_runs() {
-        let t = table_4_1(20);
-        assert!(t.contains("UDP"));
-        assert!(t.contains("Circus n=5"));
-    }
-
-    #[test]
-    fn table_7_1_prints() {
-        assert!(table_7_1().contains("explicit replication"));
-    }
 }

@@ -60,43 +60,76 @@ fn world() -> World {
 }
 
 // ---------------------------------------------------------------------
-// UDP echo (Figure 4.5).
+// UDP and TCP echo (Figures 4.5 and 4.6).
 // ---------------------------------------------------------------------
 
-/// The UDP echo server: `loop { recvmsg(); sendmsg() }`.
-struct UdpServer;
+/// What tells the two raw echo programs apart.
+#[derive(Clone, Copy)]
+struct Transport {
+    send: Syscall,
+    recv: Syscall,
+    /// Whether the client arms and cancels its own timeout around every
+    /// receive (`alarm(t)` … `alarm(0)`: two `setitimer`s per call).
+    alarms: bool,
+}
 
-impl Process for UdpServer {
+/// Figure 4.5: `loop { sendmsg(); alarm(t); recvmsg(); alarm(0) }`
+/// against `loop { recvmsg(); sendmsg() }`.
+const UDP: Transport = Transport {
+    send: Syscall::SendMsg,
+    recv: Syscall::RecvMsg,
+    alarms: true,
+};
+
+/// Figure 4.6: `loop { write(); read() }` against `loop { read();
+/// write() }`. Connection establishment is ignored, as its cost "is
+/// amortized over the read and write loop" (§4.4.1); kernel timers
+/// replace the client alarms.
+const TCP: Transport = Transport {
+    send: Syscall::Write,
+    recv: Syscall::Read,
+    alarms: false,
+};
+
+struct RawServer(Transport);
+
+impl Process for RawServer {
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: SockAddr, data: Payload) {
-        ctx.send(from, data); // recvmsg auto-charged; sendmsg by send().
+        ctx.send_as(self.0.send, from, data);
+    }
+
+    fn recv_syscall(&self) -> Option<Syscall> {
+        Some(self.0.recv)
     }
 }
 
-/// The UDP echo client: `loop { sendmsg(); alarm(t); recvmsg(); alarm(0) }`.
-struct UdpClient {
+struct RawClient {
+    transport: Transport,
     server: SockAddr,
     remaining: u32,
     started: Time,
     finished: Option<Time>,
 }
 
-impl UdpClient {
+impl RawClient {
     fn send_one(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.send(self.server, vec![0u8; PAYLOAD]);
-        // `alarm(timeout)` — one setitimer (Figure 4.5).
-        ctx.charge(Syscall::SetITimer);
+        ctx.send_as(self.transport.send, self.server, vec![0u8; PAYLOAD]);
+        if self.transport.alarms {
+            ctx.charge(Syscall::SetITimer);
+        }
     }
 }
 
-impl Process for UdpClient {
+impl Process for RawClient {
     fn on_poke(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
         self.started = ctx.now();
         self.send_one(ctx);
     }
 
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, _from: SockAddr, _data: Payload) {
-        // `alarm(0)` — cancel the timeout.
-        ctx.charge(Syscall::SetITimer);
+        if self.transport.alarms {
+            ctx.charge(Syscall::SetITimer);
+        }
         self.remaining -= 1;
         if self.remaining == 0 {
             self.finished = Some(ctx.now());
@@ -104,105 +137,46 @@ impl Process for UdpClient {
             self.send_one(ctx);
         }
     }
+
+    fn recv_syscall(&self) -> Option<Syscall> {
+        Some(self.transport.recv)
+    }
+}
+
+fn run_raw_echo(transport: Transport, calls: u32) -> EchoResult {
+    let mut w = world();
+    let server = SockAddr::new(HostId(1), 7);
+    let client = SockAddr::new(HostId(0), 100);
+    w.spawn(server, Box::new(RawServer(transport)));
+    w.spawn(
+        client,
+        Box::new(RawClient {
+            transport,
+            server,
+            remaining: calls,
+            started: Time::ZERO,
+            finished: None,
+        }),
+    );
+    w.poke(client, 0);
+    w.run(simnet::Until::pred(Time::from_secs(3600), |w| {
+        w.with_proc(client, |c: &RawClient| c.finished.is_some())
+            .unwrap_or(false)
+    }));
+    let (started, finished) = w
+        .with_proc(client, |c: &RawClient| (c.started, c.finished.unwrap()))
+        .unwrap();
+    EchoResult::from_account(w.cpu(client), finished.since(started), calls)
 }
 
 /// Runs the UDP echo experiment (the lower bound of §4.4.1).
 pub fn run_udp_echo(calls: u32) -> EchoResult {
-    let mut w = world();
-    let server = SockAddr::new(HostId(1), 7);
-    let client = SockAddr::new(HostId(0), 100);
-    w.spawn(server, Box::new(UdpServer));
-    w.spawn(
-        client,
-        Box::new(UdpClient {
-            server,
-            remaining: calls,
-            started: Time::ZERO,
-            finished: None,
-        }),
-    );
-    w.poke(client, 0);
-    w.run(simnet::Until::pred(Time::from_secs(3600), |w| {
-        w.with_proc(client, |c: &UdpClient| c.finished.is_some())
-            .unwrap_or(false)
-    }));
-    let (started, finished) = w
-        .with_proc(client, |c: &UdpClient| (c.started, c.finished.unwrap()))
-        .unwrap();
-    EchoResult::from_account(w.cpu(client), finished.since(started), calls)
-}
-
-// ---------------------------------------------------------------------
-// TCP echo (Figure 4.6).
-// ---------------------------------------------------------------------
-
-/// The TCP echo server: `loop { read(); write() }`. Connection
-/// establishment is ignored, as its cost "is amortized over the read and
-/// write loop" (§4.4.1); kernel timers replace the client alarms.
-struct TcpServer;
-
-impl Process for TcpServer {
-    fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: SockAddr, data: Payload) {
-        ctx.send_as(Syscall::Write, from, data);
-    }
-
-    fn recv_syscall(&self) -> Option<Syscall> {
-        Some(Syscall::Read)
-    }
-}
-
-/// The TCP echo client: `loop { write(); read() }`.
-struct TcpClient {
-    server: SockAddr,
-    remaining: u32,
-    started: Time,
-    finished: Option<Time>,
-}
-
-impl Process for TcpClient {
-    fn on_poke(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
-        self.started = ctx.now();
-        ctx.send_as(Syscall::Write, self.server, vec![0u8; PAYLOAD]);
-    }
-
-    fn on_datagram(&mut self, ctx: &mut Ctx<'_>, _from: SockAddr, _data: Payload) {
-        self.remaining -= 1;
-        if self.remaining == 0 {
-            self.finished = Some(ctx.now());
-        } else {
-            ctx.send_as(Syscall::Write, self.server, vec![0u8; PAYLOAD]);
-        }
-    }
-
-    fn recv_syscall(&self) -> Option<Syscall> {
-        Some(Syscall::Read)
-    }
+    run_raw_echo(UDP, calls)
 }
 
 /// Runs the TCP echo experiment.
 pub fn run_tcp_echo(calls: u32) -> EchoResult {
-    let mut w = world();
-    let server = SockAddr::new(HostId(1), 7);
-    let client = SockAddr::new(HostId(0), 100);
-    w.spawn(server, Box::new(TcpServer));
-    w.spawn(
-        client,
-        Box::new(TcpClient {
-            server,
-            remaining: calls,
-            started: Time::ZERO,
-            finished: None,
-        }),
-    );
-    w.poke(client, 0);
-    w.run(simnet::Until::pred(Time::from_secs(3600), |w| {
-        w.with_proc(client, |c: &TcpClient| c.finished.is_some())
-            .unwrap_or(false)
-    }));
-    let (started, finished) = w
-        .with_proc(client, |c: &TcpClient| (c.started, c.finished.unwrap()))
-        .unwrap();
-    EchoResult::from_account(w.cpu(client), finished.since(started), calls)
+    run_raw_echo(TCP, calls)
 }
 
 // ---------------------------------------------------------------------
@@ -210,7 +184,7 @@ pub fn run_tcp_echo(calls: u32) -> EchoResult {
 // ---------------------------------------------------------------------
 
 /// The rpctest echo service of Figure 4.7.
-struct EchoService;
+pub(crate) struct EchoService;
 
 impl Service for EchoService {
     fn dispatch(&mut self, _ctx: &mut ServiceCtx, _proc: u16, args: &[u8]) -> Step {
@@ -222,7 +196,6 @@ impl Service for EchoService {
 struct RpcClient {
     troupe: Troupe,
     remaining: u32,
-    payload: usize,
     thread: Option<circus::ThreadId>,
     started: Time,
     finished: Option<Time>,
@@ -243,9 +216,9 @@ impl RpcClient {
         nc.call(
             thread,
             &troupe,
-            1,
+            MODULE,
             0,
-            vec![0u8; self.payload],
+            vec![0u8; PAYLOAD],
             CollationPolicy::Unanimous,
         );
     }
@@ -275,6 +248,33 @@ impl Agent for RpcClient {
     }
 }
 
+/// The module number every rig's troupe exports its service as.
+pub(crate) const MODULE: u16 = 1;
+
+/// Spawns a troupe of `replicas` members, one `service()` each, on
+/// hosts `1..=replicas`, and returns it.
+pub(crate) fn spawn_troupe(
+    w: &mut World,
+    id: TroupeId,
+    replicas: usize,
+    config: &NodeConfig,
+    service: impl Fn() -> Box<dyn Service>,
+) -> Troupe {
+    let members = (1..=replicas as u32)
+        .map(|h| {
+            let a = SockAddr::new(HostId(h), 70);
+            let p = NodeBuilder::new(a, config.clone())
+                .service(MODULE, service())
+                .troupe_id(id)
+                .build()
+                .expect("valid node");
+            w.spawn(a, Box::new(p));
+            ModuleAddr::new(a, MODULE)
+        })
+        .collect();
+    Troupe::new(id, members)
+}
+
 /// Runs the Circus replicated echo at the given degree of replication,
 /// with the paper-faithful unicast data plane.
 pub fn run_circus_echo(replicas: usize, calls: u32) -> EchoResult {
@@ -286,53 +286,19 @@ pub fn run_circus_echo(replicas: usize, calls: u32) -> EchoResult {
 /// troupe-wide multicast of §4.3.3, which charges the client one
 /// `sendmsg` per call segment regardless of the degree of replication.
 pub fn run_circus_echo_mode(replicas: usize, calls: u32, multicast: bool) -> EchoResult {
-    run_circus_echo_rig(replicas, calls, multicast, PAYLOAD).echo
-}
-
-/// Result of one echo rig run, with the simulator's own accounting
-/// alongside the per-call figures (for throughput benchmarks).
-pub struct RigResult {
-    /// The per-call figures.
-    pub echo: EchoResult,
-    /// Simulator events processed over the whole run.
-    pub events: u64,
-    /// Simulated time the run covered.
-    pub sim: Duration,
-}
-
-/// The echo rig with an explicit call payload size, reporting the
-/// simulator's event count so callers can compute events-per-second
-/// throughput (BENCH_5).
-pub fn run_circus_echo_rig(
-    replicas: usize,
-    calls: u32,
-    multicast: bool,
-    payload: usize,
-) -> RigResult {
     let mut w = world();
     let config = NodeConfig {
         multicast_calls: multicast,
         ..NodeConfig::default()
     };
-    let id = TroupeId(4242);
-    let mut members = Vec::new();
-    for i in 0..replicas {
-        let a = SockAddr::new(HostId(1 + i as u32), 70);
-        let p = NodeBuilder::new(a, config.clone())
-            .service(1, Box::new(EchoService))
-            .troupe_id(id)
-            .build()
-            .expect("valid node");
-        w.spawn(a, Box::new(p));
-        members.push(ModuleAddr::new(a, 1));
-    }
-    let troupe = Troupe::new(id, members);
+    let troupe = spawn_troupe(&mut w, TroupeId(4242), replicas, &config, || {
+        Box::new(EchoService)
+    });
     let client = SockAddr::new(HostId(0), 100);
     let p = NodeBuilder::new(client, config)
         .agent(Box::new(RpcClient {
             troupe,
             remaining: calls,
-            payload,
             thread: None,
             started: Time::ZERO,
             finished: None,
@@ -355,11 +321,7 @@ pub fn run_circus_echo_rig(
         })
         .unwrap();
     assert_eq!(failures, 0, "echo calls must not fail");
-    RigResult {
-        echo: EchoResult::from_account(w.cpu(client), finished.since(started), calls),
-        events: w.events_processed(),
-        sim: w.now().since(Time::ZERO),
-    }
+    EchoResult::from_account(w.cpu(client), finished.since(started), calls)
 }
 
 // ---------------------------------------------------------------------

@@ -74,6 +74,12 @@ impl<E> Report<E> {
             && self.all_clients_finished
     }
 
+    /// One counter out of the run's metrics dump. Lazy counters that
+    /// never ticked are absent from the dump and read as 0.
+    pub fn counter(&self, name: &str) -> u64 {
+        counter_in(&self.metrics_json, name)
+    }
+
     /// A copy-pasteable command reproducing this run by seed.
     pub fn repro(&self) -> String {
         format!(
@@ -81,6 +87,16 @@ impl<E> Report<E> {
             self.seed, self.workload
         )
     }
+}
+
+fn counter_in(json: &str, name: &str) -> u64 {
+    let needle = format!("\"{name}\":");
+    let Some(at) = json.find(&needle) else {
+        return 0;
+    };
+    let rest = &json[at + needle.len()..];
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
+    rest[..end].trim().parse().unwrap_or(0)
 }
 
 /// One sweep row: the common figures, then the workload's.
@@ -298,4 +314,18 @@ pub fn sweep<W: Workload>(
                 .expect("every seed produced a report")
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::counter_in;
+
+    #[test]
+    fn counter_parses_and_defaults() {
+        let json =
+            r#"{"metrics":{"adv.injected":12,"adv.rejected":9},"spans":{"count":0,"hash":0}}"#;
+        assert_eq!(counter_in(json, "adv.injected"), 12);
+        assert_eq!(counter_in(json, "adv.rejected"), 9);
+        assert_eq!(counter_in(json, "adv.accepted"), 0);
+    }
 }

@@ -9,29 +9,14 @@
 //! ```
 
 use chaos::{
-    assert_all_passed, chaos_jobs, run, sweep, sweep_seeds, PlanOptions, Report, ScenarioOptions,
-    Store, StoreExtra,
+    assert_all_passed, chaos_jobs, run, sweep, sweep_seeds, PlanOptions, ScenarioOptions, Store,
 };
 use simnet::Duration;
-
-type RunReport = Report<StoreExtra>;
 
 /// A pinned regression seed riding along with the default range: it
 /// used to panic in the lock manager ("another holder exists") when a
 /// sole S-holder upgraded to X past queued waiters.
 const LOCK_UPGRADE_SEED: u64 = 10778257583429006674;
-
-/// Reads a counter out of the deterministic metrics dump. A counter that
-/// was never touched is absent from the dump and reads as zero.
-fn counter(r: &RunReport, name: &str) -> u64 {
-    let needle = format!("\"{name}\":");
-    let Some(at) = r.metrics_json.find(&needle) else {
-        return 0;
-    };
-    let rest = &r.metrics_json[at + needle.len()..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().unwrap_or(0)
-}
 
 #[test]
 fn sweep_seeds_through_all_oracles() {
@@ -111,7 +96,7 @@ fn partitions_without_crashes_never_evict() {
             r.failure_summary()
         );
         assert_eq!(
-            counter(&r, "ring.evictions"),
+            r.counter("ring.evictions"),
             0,
             "seed {seed}: a live, merely partitioned member was evicted"
         );
@@ -120,11 +105,11 @@ fn partitions_without_crashes_never_evict() {
         // probe; the drained-queue check inside the quiesce (a driver
         // warning, failing `passed()` above) covers those still queued.
         assert_eq!(
-            counter(&r, "ring.suspicions"),
-            counter(&r, "ring.false_suspicions"),
+            r.counter("ring.suspicions"),
+            r.counter("ring.false_suspicions"),
             "seed {seed}: a suspicion was neither cleared nor (forbidden) acted on"
         );
-        suspicions_total += counter(&r, "ring.suspicions");
+        suspicions_total += r.counter("ring.suspicions");
     }
     // The schedule must actually tickle the detector, or this test
     // proves nothing: above-horizon partitions have to raise suspicions.
@@ -151,9 +136,9 @@ fn self_heal_gate_two_crashes_two_ringmaster_repairs() {
         r.repairs, 2,
         "the self-healing agent did not repair both crashed members"
     );
-    assert_eq!(counter(&r, "ring.evictions"), 2);
-    assert_eq!(counter(&r, "ring.repairs"), 2);
-    assert_eq!(counter(&r, "spare.activations"), 2);
+    assert_eq!(r.counter("ring.evictions"), 2);
+    assert_eq!(r.counter("ring.repairs"), 2);
+    assert_eq!(r.counter("spare.activations"), 2);
 }
 
 /// The parallel sweep is pure speed, zero semantics: every per-seed
@@ -207,6 +192,6 @@ fn self_heal_gate_holds_in_multicast_mode() {
         r.failure_summary()
     );
     assert_eq!(r.repairs, 2);
-    assert_eq!(counter(&r, "ring.evictions"), 2);
-    assert_eq!(counter(&r, "spare.activations"), 2);
+    assert_eq!(r.counter("ring.evictions"), 2);
+    assert_eq!(r.counter("spare.activations"), 2);
 }

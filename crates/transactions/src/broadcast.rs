@@ -40,8 +40,9 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use circus::{Collate, CollationPolicy, Decision, Service, ServiceCtx, Step, VoteSlot};
-use simnet::{Duration, Time};
 use wire::{from_bytes, to_bytes, Bytes, Externalize, Internalize, Reader, WireError, Writer};
+
+use crate::wedge::Wedge;
 
 /// Procedure number of `get_proposed_time`.
 pub const PROC_GET_PROPOSED_TIME: u16 = 0;
@@ -54,11 +55,6 @@ pub const PROC_ACCEPT_TIME: u16 = 1;
 /// when its broadcaster is genuinely gone — a reinstalling accept after
 /// GC is *correct* (see the module docs) but costs an extra queue pass.
 pub const DEFAULT_PROPOSAL_TTL_US: u64 = 30_000_000;
-
-/// How long a wedge (§6.4.1's quiescence for state transfer) holds
-/// without being released, mirroring the store's lease: an abandoned
-/// reconfiguration must not refuse broadcasts forever.
-const WEDGE_TTL: Duration = Duration::from_micros(12_000_000);
 
 /// Argument of `get_proposed_time`.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -236,8 +232,8 @@ pub struct OrderedBroadcastService<A: OrderedApply> {
     applied: BTreeMap<u64, (u64, Vec<u8>)>,
     /// GC horizon for orphaned proposals (simulated µs).
     proposal_ttl_us: u64,
-    /// Wedged for a membership change; lapses after [`WEDGE_TTL`].
-    wedged_at: Option<Time>,
+    /// Wedged for a membership change.
+    wedge: Wedge,
 }
 
 impl<A: OrderedApply> OrderedBroadcastService<A> {
@@ -250,7 +246,7 @@ impl<A: OrderedApply> OrderedBroadcastService<A> {
             applied_order: Vec::new(),
             applied: BTreeMap::new(),
             proposal_ttl_us: DEFAULT_PROPOSAL_TTL_US,
-            wedged_at: None,
+            wedge: Wedge::default(),
         }
     }
 
@@ -280,14 +276,6 @@ impl<A: OrderedApply> OrderedBroadcastService<A> {
             h = fnv(h, &id.to_be_bytes());
         }
         h
-    }
-
-    fn lapse_wedge(&mut self, now: Time) {
-        if let Some(at) = self.wedged_at {
-            if now.since(at) > WEDGE_TTL {
-                self.wedged_at = None;
-            }
-        }
     }
 
     /// Processes the queue head while it is accepted and due (Figure
@@ -338,8 +326,7 @@ fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
 
 impl<A: OrderedApply> Service for OrderedBroadcastService<A> {
     fn dispatch(&mut self, ctx: &mut ServiceCtx, proc: u16, args: &[u8]) -> Step {
-        self.lapse_wedge(ctx.now);
-        if self.wedged_at.is_some() {
+        if self.wedge.active(ctx.now) {
             // Refuse work while quiescing for a membership change; the
             // client retries with backoff and lands on the re-incarnated
             // troupe (or back here once the wedge lapses).
@@ -432,15 +419,12 @@ impl<A: OrderedApply> Service for OrderedBroadcastService<A> {
         // Every dispatch completes synchronously — there is nothing in
         // flight to drain — so the wedge lands immediately; dispatch
         // refuses new work until the unwedge (or the TTL lapse).
-        self.lapse_wedge(ctx.now);
-        if self.wedged_at.is_none() {
-            self.wedged_at = Some(ctx.now);
-        }
+        self.wedge.engage(ctx.now);
         Step::Reply(Vec::new())
     }
 
     fn unwedge(&mut self) {
-        self.wedged_at = None;
+        self.wedge.release();
     }
 
     fn get_state(&self) -> Vec<u8> {

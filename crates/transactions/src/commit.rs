@@ -21,20 +21,13 @@ use std::rc::Rc;
 use crate::store::TxnId;
 use crate::txn::{ExecOutcome, LocalTm, Op};
 use crate::wal::{CommitRecord, Wal};
+use crate::wedge::Wedge;
 use circus::{
     CallError, Collate, CollationPolicy, Decision, NodeEffect, OutCall, Service, ServiceCtx,
     StateSince, Step, ThreadId, TroupeTarget, VoteSlot,
 };
-use simnet::{Disk, Duration, SockAddr, Time};
+use simnet::{Disk, SockAddr};
 use wire::{from_bytes, to_bytes, Externalize, Internalize, Reader, WireError, Writer};
-
-/// How long a wedge (§6.4.1's quiescence for state transfer) holds
-/// without being released. A crashed reconfiguration must not leave the
-/// troupe rejecting transactions forever; the wedge lapses and service
-/// resumes. Generous against a healthy transfer: wedge + get_state +
-/// add_troupe_member + unwedge completes in well under a second of
-/// simulated time on a quiet troupe.
-const WEDGE_TTL: Duration = Duration::from_micros(12_000_000);
 
 /// Procedure number of `execute_transaction` at the store troupe.
 pub const PROC_EXECUTE: u16 = 0;
@@ -159,8 +152,7 @@ pub struct TroupeStoreService {
     /// refused with an abort, lock-waiters are aborted, and the wedge
     /// call replies once the last in-flight transaction resolves, so
     /// `get_state` sees identical committed sets at every member.
-    /// Transient — deliberately not part of `get_state`.
-    wedged_at: Option<Time>,
+    wedge: Wedge,
     /// Suspended `wedge` invocations awaiting the drain.
     wedge_waiters: Vec<u64>,
     /// The durable commit log, when this member has a local disk.
@@ -184,7 +176,7 @@ impl TroupeStoreService {
             by_invocation: HashMap::new(),
             waiting: HashMap::new(),
             committed: Vec::new(),
-            wedged_at: None,
+            wedge: Wedge::default(),
             wedge_waiters: Vec::new(),
             wal: None,
             retained: Vec::new(),
@@ -210,23 +202,12 @@ impl TroupeStoreService {
     /// `true` while the member is wedged for a membership change (the
     /// TTL is applied lazily at the next dispatch).
     pub fn is_wedged(&self) -> bool {
-        self.wedged_at.is_some()
-    }
-
-    /// Lapses an expired wedge (an abandoned reconfiguration must not
-    /// refuse transactions forever).
-    fn lapse_wedge(&mut self, now: Time) {
-        if let Some(at) = self.wedged_at {
-            if now.since(at) > WEDGE_TTL {
-                self.wedged_at = None;
-                self.wedge_waiters.clear();
-            }
-        }
+        self.wedge.held()
     }
 
     /// Replies to the suspended `wedge` calls once nothing is in flight.
     fn check_drained(&mut self, ctx: &mut ServiceCtx) {
-        if self.wedged_at.is_none() || !self.by_invocation.is_empty() {
+        if !self.wedge.held() || !self.by_invocation.is_empty() {
             return;
         }
         for inv in std::mem::take(&mut self.wedge_waiters) {
@@ -386,8 +367,7 @@ impl Service for TroupeStoreService {
                 let Ok(req) = from_bytes::<ExecuteRequest>(args) else {
                     return Step::Error("bad execute_transaction arguments".into());
                 };
-                self.lapse_wedge(ctx.now);
-                if self.wedged_at.is_some() {
+                if self.wedge.active(ctx.now) {
                     // Wedged (§6.4.1): refuse new work with an ordinary
                     // abort so the client retries with backoff and lands
                     // on the re-incarnated troupe.
@@ -462,9 +442,9 @@ impl Service for TroupeStoreService {
     }
 
     fn wedge(&mut self, ctx: &mut ServiceCtx) -> Step {
-        self.lapse_wedge(ctx.now);
-        if self.wedged_at.is_none() {
-            self.wedged_at = Some(ctx.now);
+        if self.wedge.engage(ctx.now) {
+            // Waiters of a lapsed wedge are never answered.
+            self.wedge_waiters.clear();
             // Abort every lock-waiter: each votes false so the whole
             // troupe aborts that transaction, and its client retries
             // after the membership change. Waiting out the locks instead
@@ -487,7 +467,7 @@ impl Service for TroupeStoreService {
     }
 
     fn unwedge(&mut self) {
-        self.wedged_at = None;
+        self.wedge.release();
         self.wedge_waiters.clear();
     }
 

@@ -22,17 +22,13 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use circus::{Service, ServiceCtx, Step};
-use simnet::{Duration, Time};
 use wire::{from_bytes, to_bytes, Externalize, Internalize, Reader, WireError, Writer};
 
 use crate::store::ObjId;
+use crate::wedge::Wedge;
 
 /// Procedure number of `apply_commutative` at the troupe.
 pub const PROC_CM_EXECUTE: u16 = 0;
-
-/// Wedge lease, as for the store and broadcast services: an abandoned
-/// reconfiguration must not refuse operations forever.
-const WEDGE_TTL: Duration = Duration::from_micros(12_000_000);
 
 /// One commutative operation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -104,8 +100,8 @@ pub struct CommutativeService {
     /// Ids of requests already applied (the idempotence ledger; it is
     /// part of the replicated state and travels in state transfer).
     seen: BTreeSet<u64>,
-    /// Wedged for a membership change; lapses after [`WEDGE_TTL`].
-    wedged_at: Option<Time>,
+    /// Wedged for a membership change.
+    wedge: Wedge,
 }
 
 impl CommutativeService {
@@ -115,7 +111,7 @@ impl CommutativeService {
             counters: BTreeMap::new(),
             gset: BTreeSet::new(),
             seen: BTreeSet::new(),
-            wedged_at: None,
+            wedge: Wedge::default(),
         }
     }
 
@@ -166,14 +162,6 @@ impl CommutativeService {
         h
     }
 
-    fn lapse_wedge(&mut self, now: Time) {
-        if let Some(at) = self.wedged_at {
-            if now.since(at) > WEDGE_TTL {
-                self.wedged_at = None;
-            }
-        }
-    }
-
     fn apply(&mut self, req: &CmRequest) {
         for op in &req.ops {
             match op {
@@ -197,8 +185,7 @@ impl Default for CommutativeService {
 
 impl Service for CommutativeService {
     fn dispatch(&mut self, ctx: &mut ServiceCtx, proc: u16, args: &[u8]) -> Step {
-        self.lapse_wedge(ctx.now);
-        if self.wedged_at.is_some() {
+        if self.wedge.active(ctx.now) {
             return Step::Error("commutative: wedged for membership change".into());
         }
         if proc != PROC_CM_EXECUTE {
@@ -220,15 +207,12 @@ impl Service for CommutativeService {
 
     fn wedge(&mut self, ctx: &mut ServiceCtx) -> Step {
         // Dispatches complete synchronously; the wedge lands at once.
-        self.lapse_wedge(ctx.now);
-        if self.wedged_at.is_none() {
-            self.wedged_at = Some(ctx.now);
-        }
+        self.wedge.engage(ctx.now);
         Step::Reply(Vec::new())
     }
 
     fn unwedge(&mut self) {
-        self.wedged_at = None;
+        self.wedge.release();
     }
 
     fn get_state(&self) -> Vec<u8> {

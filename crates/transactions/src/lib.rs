@@ -47,6 +47,7 @@ pub mod nested;
 pub mod store;
 pub mod txn;
 pub mod wal;
+mod wedge;
 
 pub use backoff::Backoff;
 pub use broadcast::{

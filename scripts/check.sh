@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
-# Full pre-merge gate: formatting, lints, the whole test suite, the
-# chaos sweep (parallel, in release), and the benchmark gates. Run from
-# the repository root:
+# Full pre-merge gate: formatting, lints, the whole test suite (which
+# holds the chaos sweeps of every workload, the adversary corpus, the
+# scheduler-equivalence replay and the golden files: chaos hashes,
+# metrics dump, every `repro` experiment), the release-only allocation
+# budget, the benchmark workspace, and the 100-seed adversary fuzz. Run
+# from the repository root:
 #
 #     scripts/check.sh
 #
-# CHAOS_JOBS=<n> caps the sweep's worker threads (default: all cores).
+# CHAOS_JOBS=<n> caps the sweeps' worker threads (default: all cores).
 # Any failing chaos seed prints a CHAOS_SEED=... repro line; replay it
 # with:
 #
@@ -39,7 +42,7 @@ cargo fmt --all --check
 phase "cargo clippy --workspace (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-phase "cargo test --workspace"
+phase "cargo test --workspace (unit + integration tests, every chaos sweep, adversary corpus, scheduler equivalence, golden files)"
 cargo test --workspace -q
 
 phase "allocation budget (n=3 echo call within its heap-allocation budget, wheel allocates nothing, release)"
@@ -51,50 +54,12 @@ cargo test --release --test alloc_budget -- --nocapture
 phase "benchmark still builds and runs against the crates (benchmark/check.sh: fmt, clippy, tests, --smoke of every workload)"
 bash benchmark/check.sh >/dev/null
 
-phase "store chaos sweep (10 seeds + pinned, all oracles, self-heal gate, release, CHAOS_JOBS=${CHAOS_JOBS:-auto})"
-cargo test -p chaos --release --test store -- --nocapture
-
-phase "recovery chaos sweep (durable members, hostile disks, log-replay rejoin)"
-cargo test -p chaos --release --test recovery -- --nocapture
-
-phase "broadcast chaos sweep (10 seeds, identical-applied-order + no-starvation oracles)"
-cargo test -p chaos --release --test bcast -- --nocapture
-
-phase "commutative chaos sweep (10 seeds, convergence-without-commit oracle)"
-cargo test -p chaos --release --test commute -- --nocapture
-
-phase "adversary corpus replay (tests/corpus/adversary.seeds)"
-cargo test -p adversary --release --test corpus -- --nocapture
-
 # The full fuzz sweep's seed range rotates off the committed epoch
 # counter (bump tests/corpus/seed_epoch to move CI onto 100 fresh
 # seeds); bug-finding seeds are pinned in the corpus regardless.
 adv_epoch=$(tr -d '[:space:]' < tests/corpus/seed_epoch)
 phase "adversary fuzz sweep (100 seeds from epoch ${adv_epoch}, hostile injector, release, CHAOS_JOBS=${CHAOS_JOBS:-auto})"
 ADV_SEED_BASE=$((adv_epoch * 100)) ADV_FULL=1 cargo test -p adversary --release --test fuzz -- --nocapture
-
-phase "BENCH_4 gate (multicast call plane beats unicast on client sendmsg)"
-cargo run -q --release -p bench --bin repro -- --quick bench4 >/dev/null
-cargo run -q --release -p bench --bin repro -- --gate bench4
-
-phase "BENCH_5 gate (parallel sweep beats serial wall clock)"
-cargo run -q --release -p bench --bin repro -- --quick bench5 >/dev/null
-cargo run -q --release -p bench --bin repro -- --gate bench5
-
-phase "scheduler equivalence (timer wheel vs reference heap, bit-for-bit)"
-cargo test --release --test sched_equivalence -- --nocapture
-
-phase "BENCH_6 gate (timer churn at least matches the BENCH_5 baseline)"
-cargo run -q --release -p bench --bin repro -- --quick bench6 >/dev/null
-cargo run -q --release -p bench --bin repro -- --gate bench6
-
-phase "BENCH_7 gate (delta rejoin moves fewer bytes than full state transfer)"
-cargo run -q --release -p bench --bin repro -- --quick bench7 >/dev/null
-cargo run -q --release -p bench --bin repro -- --gate bench7
-
-phase "BENCH_8 gate (commutative ops out-throughput commit under conflict)"
-cargo run -q --release -p bench --bin repro -- bench8 >/dev/null
-cargo run -q --release -p bench --bin repro -- --gate bench8
 
 phase "done"
 echo "All checks passed."

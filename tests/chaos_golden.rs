@@ -14,14 +14,14 @@
 //! full seeded scenario of every workload under faults, with every
 //! oracle checked at quiesce.
 
+mod golden;
+
 use std::fmt::Write as _;
 
 use chaos::{
     assert_all_passed, chaos_jobs, sweep, Bcast, Commute, Recovery, Report, ScenarioOptions, Store,
     Workload,
 };
-
-const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/chaos_hashes.txt");
 
 const HEADER: &str = "\
 # Golden hashes of the chaos harness (tests/chaos_golden.rs).
@@ -102,23 +102,5 @@ fn chaos_hashes_match_the_golden_table() {
         &Recovery::options(),
     );
 
-    if std::env::var("UPDATE_GOLDEN").is_ok() {
-        std::fs::write(GOLDEN, &table).expect("write golden");
-        return;
-    }
-    let golden = std::fs::read_to_string(GOLDEN)
-        .expect("golden file missing — run UPDATE_GOLDEN=1 cargo test --test chaos_golden");
-    let moved: Vec<String> = golden
-        .lines()
-        .zip(table.lines())
-        .filter(|(want, got)| want != got)
-        .map(|(want, got)| format!("  golden: {want}\n  actual: {got}"))
-        .collect();
-    assert!(
-        moved.is_empty() && golden.lines().count() == table.lines().count(),
-        "{} chaos row(s) drifted from tests/golden/chaos_hashes.txt (simulated behaviour \
-         changed); if that is intended, regenerate with UPDATE_GOLDEN=1:\n{}",
-        moved.len(),
-        moved.join("\n")
-    );
+    golden::check_golden("tests/golden/chaos_hashes.txt", &table);
 }

@@ -4,6 +4,8 @@
 //! here as a diff — regenerate deliberately with
 //! `UPDATE_GOLDEN=1 cargo test --test metrics_golden`.
 
+mod golden;
+
 use rdp::circus::{
     Agent, CallError, CallHandle, CollationPolicy, ModuleAddr, NodeBuilder, NodeConfig, NodeCtx,
     Service, ServiceCtx, Step, TimerKey, Troupe, TroupeId,
@@ -93,20 +95,5 @@ fn fixed_seed_metrics_dump_matches_golden() {
     w.poke(client, 0);
     w.run(simnet::Until::Elapsed(Duration::from_secs(30)));
 
-    let json = w.metrics_json();
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/metrics_seed42.json"
-    );
-    if std::env::var("UPDATE_GOLDEN").is_ok() {
-        std::fs::write(path, &json).expect("write golden");
-        return;
-    }
-    let golden = std::fs::read_to_string(path)
-        .expect("golden file missing — run UPDATE_GOLDEN=1 cargo test --test metrics_golden");
-    assert_eq!(
-        json, golden,
-        "metrics dump drifted from the golden snapshot; if the change is \
-         intentional, regenerate with UPDATE_GOLDEN=1"
-    );
+    golden::check_golden("tests/golden/metrics_seed42.json", &w.metrics_json());
 }
