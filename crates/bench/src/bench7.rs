@@ -8,16 +8,20 @@
 //! [`Cell`] per run: simulated MTTR (crash to the registry showing full
 //! strength with the recovered member in it), bytes of the state-fetch
 //! reply (`recovery_bytes`), and what the member found on its disk
-//! (`log_bytes`, `replayed`, `deduped`, `snapshot_version`).
+//! (`log_bytes`, `replayed`, `deduped`, `snapshot_version`), plus what
+//! durability cost the members that did not crash: the bytes the two
+//! survivors wrote to their disks per commit (`disk_bytes_per_commit`).
 //!
 //! Every field is a pure function of the seed and the cell options.
 //! Disks are faultless here (the chaos recovery sweep covers hostile
 //! disks) so the curves show the protocol's cost, not the fault
 //! stream's.
 //!
-//! [`claim`] is the reason the log exists: with a non-empty log, the
-//! delta rejoin (`get_state_since`) moves strictly fewer bytes over the
-//! network than the full state transfer.
+//! [`claim`] is the reason the log exists, and what it may cost: with a
+//! non-empty log, the delta rejoin (`get_state_since`) moves strictly
+//! fewer bytes over the network than the full state transfer; and with
+//! checkpoints on, the disk bytes written per commit do not grow with the
+//! length of the run.
 
 use std::fmt::Write as _;
 
@@ -45,6 +49,8 @@ pub struct Cell {
     pub disk: RecoveryInfo,
     /// Transactions committed over the whole run.
     pub commits: usize,
+    /// Bytes the surviving members wrote to disk, per commit.
+    pub disk_bytes_per_commit: f64,
     /// Whether every oracle passed.
     pub passed: bool,
 }
@@ -68,6 +74,7 @@ fn cell(txns_per_client: usize, snapshot_every: usize, delta: bool) -> Cell {
         recovery_bytes: r.extra.recovery_bytes,
         disk: r.extra.recovery.unwrap_or_default(),
         commits: r.extra.commits,
+        disk_bytes_per_commit: r.extra.survivor_disk_bytes as f64 / r.extra.commits.max(1) as f64,
         passed: r.passed(),
     }
 }
@@ -94,7 +101,8 @@ pub fn json(cells: &[Cell]) -> String {
              \"seed\":{SEED},\"txns_per_client\":{},\"snapshot_every\":{},\
              \"mttr_us\":{},\"recovery_bytes\":{},\"log_bytes\":{},\
              \"replayed\":{},\"deduped\":{},\"snapshot_version\":{},\
-             \"torn_bytes\":{},\"commits\":{},\"passed\":{}}}",
+             \"torn_bytes\":{},\"commits\":{},\"disk_bytes_per_commit\":{:.1},\
+             \"passed\":{}}}",
             if c.delta { "delta" } else { "full" },
             c.txns_per_client,
             c.snapshot_every,
@@ -106,15 +114,23 @@ pub fn json(cells: &[Cell]) -> String {
             c.disk.snapshot_version,
             c.disk.torn_bytes,
             c.commits,
+            c.disk_bytes_per_commit,
             c.passed,
         );
     }
     out
 }
 
-/// Every cell ran clean, and wherever a member recovered from a
-/// non-empty log its delta rejoin moved strictly fewer bytes than the
-/// full transfer of the same crash.
+/// How much `disk_bytes_per_commit` may rise from the shortest run to the
+/// longest at one checkpoint interval. The image grows a little as more
+/// objects get touched (≈ 4 % over this grid); re-writing history at every
+/// checkpoint, as the log did before it became append-only, doubles it.
+const FLAT: f64 = 1.25;
+
+/// Every cell ran clean; wherever a member recovered from a non-empty
+/// log its delta rejoin moved strictly fewer bytes than the full transfer
+/// of the same crash; and wherever checkpoints are on, a survivor's disk
+/// bytes per commit stay flat as the run grows.
 pub fn claim(cells: &[Cell]) -> Result<String, String> {
     if let Some(c) = cells.iter().find(|c| !c.passed) {
         return Err(format!("a recovery cell failed its oracles: {c:?}"));
@@ -147,14 +163,59 @@ pub fn claim(cells: &[Cell]) -> Result<String, String> {
     if checked.is_empty() {
         return Err("no delta cell recovered from a non-empty log — nothing was measured".into());
     }
-    Ok(format!("delta rejoin beats full: {}", checked.join(", ")))
+    // One mode is enough: the survivors' disks do not see how the
+    // crashed member rejoins.
+    let mut intervals: Vec<usize> = cells
+        .iter()
+        .filter(|c| c.delta && c.snapshot_every > 0)
+        .map(|c| c.snapshot_every)
+        .collect();
+    intervals.sort_unstable();
+    intervals.dedup();
+    let mut flat = Vec::new();
+    for every in intervals {
+        let runs = || {
+            cells
+                .iter()
+                .filter(|c| c.delta && c.snapshot_every == every)
+        };
+        let short = runs().min_by_key(|c| c.txns_per_client).expect("non-empty");
+        let long = runs().max_by_key(|c| c.txns_per_client).expect("non-empty");
+        if short.txns_per_client == long.txns_per_client {
+            continue;
+        }
+        if long.disk_bytes_per_commit > FLAT * short.disk_bytes_per_commit {
+            return Err(format!(
+                "disk bytes per commit grow with the run at snapshot every {every}: {:.1} at {} \
+                 txns/client, {:.1} at {}",
+                short.disk_bytes_per_commit,
+                short.txns_per_client,
+                long.disk_bytes_per_commit,
+                long.txns_per_client
+            ));
+        }
+        flat.push(format!(
+            "{:.1} → {:.1} B/commit every {every}",
+            short.disk_bytes_per_commit, long.disk_bytes_per_commit
+        ));
+    }
+    if flat.is_empty() {
+        return Err("no checkpointing interval ran at two lengths — flatness unmeasured".into());
+    }
+    Ok(format!(
+        "delta rejoin beats full: {}; disk cost flat from shortest to longest run: {}",
+        checked.join(", "),
+        flat.join(", ")
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn pair(delta_bytes: u64, full_bytes: u64, log_bytes: usize) -> [Cell; 2] {
+    /// A delta/full pair that recovered from a log, and two checkpointing
+    /// delta runs of different lengths with the given disk costs.
+    fn cells(delta_bytes: u64, full_bytes: u64, log_bytes: usize, disk: [f64; 2]) -> [Cell; 4] {
         let delta = Cell {
             delta: true,
             txns_per_client: 16,
@@ -166,6 +227,7 @@ mod tests {
                 ..RecoveryInfo::default()
             },
             commits: 34,
+            disk_bytes_per_commit: 99.3,
             passed: true,
         };
         let full = Cell {
@@ -173,19 +235,44 @@ mod tests {
             recovery_bytes: full_bytes,
             ..delta
         };
-        [delta, full]
+        let checkpointing = |txns_per_client, disk_bytes_per_commit| Cell {
+            txns_per_client,
+            snapshot_every: 4,
+            disk: RecoveryInfo::default(),
+            disk_bytes_per_commit,
+            ..delta
+        };
+        [
+            delta,
+            full,
+            checkpointing(16, disk[0]),
+            checkpointing(64, disk[1]),
+        ]
     }
 
     #[test]
     fn claim_fires_on_each_violation() {
-        assert!(claim(&pair(5, 344, 816)).is_ok());
-        assert!(claim(&pair(344, 344, 816)).is_err(), "delta not below full");
+        const FLAT_DISK: [f64; 2] = [177.4, 184.7];
+        assert!(claim(&cells(5, 344, 816, FLAT_DISK)).is_ok());
         assert!(
-            claim(&pair(5, 344, 0)).is_err(),
+            claim(&cells(344, 344, 816, FLAT_DISK)).is_err(),
+            "delta not below full"
+        );
+        assert!(
+            claim(&cells(5, 344, 0, FLAT_DISK)).is_err(),
             "empty log measures nothing"
         );
-        let mut failed = pair(5, 344, 816);
+        let mut failed = cells(5, 344, 816, FLAT_DISK);
         failed[1].passed = false;
         assert!(claim(&failed).is_err(), "a cell failed its oracles");
+        // What the whole-ledger snapshots of the parent commit measured.
+        assert!(
+            claim(&cells(5, 344, 816, [284.0, 722.2])).is_err(),
+            "disk bytes per commit grow with the run"
+        );
+        assert!(
+            claim(&cells(5, 344, 816, FLAT_DISK)[..3]).is_err(),
+            "one run length measures no growth"
+        );
     }
 }

@@ -91,6 +91,10 @@ pub struct RecoveryExtra {
     pub recovery: Option<RecoveryInfo>,
     /// Client-confirmed commits across all clients (probes included).
     pub commits: usize,
+    /// Bytes the surviving members wrote to their disks, summed, over the
+    /// whole run (`disk.h*.bytes_written`): what durability costs a
+    /// member that never had to recover.
+    pub survivor_disk_bytes: u64,
 }
 
 impl fmt::Display for RecoveryExtra {
@@ -221,6 +225,12 @@ impl Workload for Recovery {
             .service_at(recovered, |s: &TroupeStoreService| s.recovery)
             .flatten();
         extra.commits = StoreExtra::tally(&q.world, &q.client_addrs).commits;
+        extra.survivor_disk_bytes = q
+            .members
+            .iter()
+            .filter(|m| m.addr != recovered)
+            .map(|m| reg.get(&format!("disk.h{}.bytes_written", m.addr.host.0)))
+            .sum();
     }
 }
 

@@ -164,7 +164,7 @@ pub fn assert_all_passed<E: fmt::Display>(reports: &[Report<E>]) {
 }
 
 /// The world every chaos run starts from: the 1985 LAN, seeded.
-pub(crate) fn lan_world(seed: u64) -> World {
+pub fn lan_world(seed: u64) -> World {
     World::with_config(seed, NetConfig::lan_1985(), SyscallCosts::default())
 }
 

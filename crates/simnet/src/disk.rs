@@ -6,7 +6,7 @@
 //! module provides the storage substrate: a simulated disk per host with
 //!
 //! - **named files** supporting `append` / `read` / `set_contents` /
-//!   `fsync` / `remove`;
+//!   `fsync` / `truncate` / `remove`;
 //! - a **seeded cost model** (per-operation seek, per-byte transfer,
 //!   fsync barrier) whose accrued time the world drains into the owning
 //!   process's CPU account as [`Syscall::DiskIo`](crate::Syscall) — so
@@ -259,6 +259,19 @@ impl Disk {
         s.files.remove(file);
     }
 
+    /// Cuts the named file back to `len` bytes (no-op if it is absent or
+    /// already that short). Like [`remove`](Disk::remove) it costs one
+    /// operation whatever the size and takes effect at once: nothing
+    /// past `len` comes back after a crash.
+    pub fn truncate(&self, file: &str, len: usize) {
+        let mut s = self.0.borrow_mut();
+        s.charge_op(0);
+        if let Some(f) = s.files.get_mut(file) {
+            f.data.truncate(len);
+            f.synced_len = f.synced_len.min(len);
+        }
+    }
+
     /// Current length of the named file (0 if absent).
     pub fn len(&self, file: &str) -> usize {
         self.0.borrow().files.get(file).map_or(0, |f| f.data.len())
@@ -429,6 +442,25 @@ mod tests {
         // 500 µs op + 1000 bytes at 1 µs/byte + 4000 µs fsync.
         assert_eq!(d.take_pending(), Duration::from_micros(5_500));
         assert_eq!(d.take_pending(), Duration::ZERO);
+    }
+
+    #[test]
+    fn truncate_cuts_the_tail_for_good() {
+        let d = disk(DiskConfig::faultless());
+        d.append("log", b"durable").unwrap();
+        d.fsync("log");
+        d.append("log", b" tail").unwrap();
+        d.take_pending();
+        d.truncate("log", 4);
+        // One operation, no bytes, no barrier.
+        assert_eq!(d.take_pending(), Duration::from_micros(500));
+        assert_eq!(d.synced_len("log"), 4);
+        d.crash();
+        assert_eq!(d.read("log").unwrap(), b"dura");
+        d.truncate("log", 9);
+        assert_eq!(d.len("log"), 4, "truncate never extends");
+        d.truncate("absent", 0);
+        assert!(d.read("absent").is_none());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! The protocol is *generic* (any local concurrency control) and
 //! *optimistic* (assumes conflicts are rare).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::rc::Rc;
 
 use crate::store::TxnId;
@@ -105,11 +105,11 @@ const RETAIN_CAP: usize = 1024;
 /// What log-replay recovery found and did, kept for oracles and benches.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct RecoveryInfo {
-    /// Ledger length of the snapshot that was restored (0 = none).
+    /// Ledger length of the checkpoint that was restored (0 = none).
     pub snapshot_version: u64,
     /// Log records replayed into the store.
     pub replayed: usize,
-    /// Log records skipped because the snapshot already covered them.
+    /// Log records skipped because the checkpoint already covered them.
     pub deduped: usize,
     /// Torn/truncated log bytes discarded at the checksum boundary.
     pub torn_bytes: usize,
@@ -155,12 +155,13 @@ pub struct TroupeStoreService {
     wedge: Wedge,
     /// Suspended `wedge` invocations awaiting the drain.
     wedge_waiters: Vec<u64>,
-    /// The durable commit log, when this member has a local disk.
-    wal: Option<Wal>,
+    /// The durable commit log, when this member has a local disk (boxed:
+    /// a volatile member should not carry its size).
+    wal: Option<Box<Wal>>,
     /// Recent commit records kept to serve recovery *deltas* to peers
     /// (the volatile store merges writes away; the delta needs them
     /// per-commit). Capped at [`RETAIN_CAP`].
-    retained: Vec<CommitRecord>,
+    retained: VecDeque<CommitRecord>,
     /// What the last `on_start` recovery found (durable members only).
     pub recovery: Option<RecoveryInfo>,
 }
@@ -179,18 +180,18 @@ impl TroupeStoreService {
             wedge: Wedge::default(),
             wedge_waiters: Vec::new(),
             wal: None,
-            retained: Vec::new(),
+            retained: VecDeque::new(),
             recovery: None,
         }
     }
 
     /// Creates a *durable* store member: every commit is appended to a
-    /// checksummed log on `disk` (fsync'd), a snapshot is written every
+    /// checksummed log on `disk` (fsync'd), a checkpoint is written every
     /// `snapshot_every` commits (truncating the log), and `on_start`
-    /// recovers snapshot + log before the member serves anything.
+    /// recovers checkpoint + log before the member serves anything.
     pub fn with_durability(commit_module: u16, disk: Disk, snapshot_every: usize) -> Self {
         let mut s = TroupeStoreService::new(commit_module);
-        s.wal = Some(Wal::new(disk, snapshot_every));
+        s.wal = Some(Box::new(Wal::new(disk, snapshot_every)));
         s
     }
 
@@ -303,46 +304,42 @@ impl TroupeStoreService {
     /// Keeps a commit record for delta serving, bounded by [`RETAIN_CAP`].
     fn retain(&mut self, rec: CommitRecord) {
         if self.retained.len() >= RETAIN_CAP {
-            self.retained.remove(0);
+            self.retained.pop_front();
         }
-        self.retained.push(rec);
+        self.retained.push_back(rec);
     }
 
-    /// Snapshots the current state to disk (version = ledger length),
-    /// truncating the log. No-op without durability.
-    fn force_snapshot(&mut self) {
-        if self.wal.is_none() {
+    /// Checkpoints the current state whatever the cadence says — after
+    /// recovery and after a peer's delta, when the state holds commits
+    /// the log never saw or must not be replayed over again. It may not
+    /// fail: where the O(1) ledger append does, the ledger file is
+    /// rewritten whole (O(ledger), on these paths only). No-op without
+    /// durability.
+    fn force_checkpoint(&mut self) {
+        let Some(wal) = self.wal.as_mut() else {
             return;
+        };
+        let image = self.tm.store().snapshot();
+        if wal.checkpoint(&self.committed, &image).is_err() {
+            wal.install(&self.committed, &image);
         }
-        let state = self.get_state();
-        let version = self.committed.len() as u64;
-        self.wal
-            .as_mut()
-            .expect("checked above")
-            .write_snapshot(version, &state);
     }
 
-    /// Appends one commit to the log; heals a transiently failed append
-    /// (which may leave a partial frame) by re-snapshotting, and applies
-    /// the periodic snapshot cadence.
+    /// Appends one commit to the log and checkpoints when one is due: by
+    /// the periodic cadence, or because an append failed and only a
+    /// checkpoint can make the commits the log missed durable. A
+    /// checkpoint that fails in turn stays due at the next commit.
     fn log_commit(&mut self, rec: &CommitRecord, ctx: &mut ServiceCtx) {
         let Some(wal) = self.wal.as_mut() else {
             return;
         };
         match wal.append_commit(rec) {
             Ok(()) => ctx.metrics.add("wal.appends", 1),
-            Err(_) => {
-                // The log may now hold a partial frame; the snapshot
-                // below captures this commit anyway and truncates it.
-                ctx.metrics.add("wal.append_errors", 1);
-                ctx.metrics.add("wal.snapshots", 1);
-                self.force_snapshot();
-                return;
-            }
+            Err(_) => ctx.metrics.add("wal.append_errors", 1),
         }
         if wal.snapshot_due() {
             ctx.metrics.add("wal.snapshots", 1);
-            self.force_snapshot();
+            let _ = wal.checkpoint(&self.committed, &self.tm.store().snapshot());
         }
     }
 
@@ -482,40 +479,41 @@ impl Service for TroupeStoreService {
             // The installed ledger may contain commits this member never
             // saw individually, so its retained records no longer cover
             // the ledger (it will serve full copies until they do), and
-            // any stale log on disk must not replay over the new state.
+            // neither the ledger file nor any stale log on disk may
+            // replay over the new state.
             self.retained.clear();
-            self.force_snapshot();
+            if let Some(wal) = self.wal.as_mut() {
+                wal.install(&self.committed, &snap);
+            }
         }
     }
 
-    /// Log-replay recovery (durable members): restore the best valid
-    /// snapshot, replay intact log records past it, discard the torn
-    /// tail, and re-snapshot so the log is clean before the member
-    /// serves anything. The peer catch-up that follows (via
-    /// `get_state_since`) only needs the commits missing from here.
+    /// Log-replay recovery (durable members): restore the newest usable
+    /// checkpoint — image plus exactly the ledger prefix it pairs with —
+    /// replay intact log records past it, discard the torn tail, and
+    /// checkpoint again so the log is clean before the member serves
+    /// anything. The peer catch-up that follows (via `get_state_since`)
+    /// only needs the commits missing from here.
     fn on_start(&mut self, metrics: &obs::Registry) {
-        if self.wal.is_none() {
+        let Some(wal) = self.wal.as_mut() else {
             return;
-        }
-        let found = self.wal.as_mut().expect("checked above").recover();
+        };
+        let found = wal.recover();
         let mut info = RecoveryInfo {
             torn_bytes: found.torn_bytes,
             log_bytes: found.log_bytes,
             ..RecoveryInfo::default()
         };
-        if let Some((version, payload)) = &found.snapshot {
-            if let Ok((snap, ledger)) =
-                from_bytes::<(Vec<(u64, i64)>, Vec<(ThreadId, u64)>)>(payload)
-            {
-                info.snapshot_version = *version;
-                self.tm.store_mut().restore(&snap);
-                self.committed = ledger;
-            }
+        let restored = found.checkpoint.is_some();
+        if let Some(checkpoint) = found.checkpoint {
+            info.snapshot_version = checkpoint.ledger.len() as u64;
+            self.tm.store_mut().restore(&checkpoint.image);
+            self.committed = checkpoint.ledger;
         }
         let have: HashSet<(ThreadId, u64)> = self.committed.iter().copied().collect();
         for rec in found.records {
-            // Idempotent replay: a crash between snapshot and log
-            // truncation leaves records the snapshot already covers.
+            // Idempotent replay: a crash between slot and log truncation
+            // leaves records the checkpoint already covers.
             if have.contains(&rec.key()) {
                 info.deduped += 1;
                 continue;
@@ -524,7 +522,7 @@ impl Service for TroupeStoreService {
             self.committed.push(rec.key());
             info.replayed += 1;
         }
-        if info.log_bytes > 0 || found.snapshot.is_some() {
+        if info.log_bytes > 0 || restored {
             metrics.add("wal.recoveries", 1);
             metrics.add("wal.replayed", info.replayed as u64);
             if info.torn_bytes > 0 {
@@ -532,7 +530,7 @@ impl Service for TroupeStoreService {
             }
         }
         self.recovery = Some(info);
-        self.force_snapshot();
+        self.force_checkpoint();
     }
 
     fn recovery_token(&self) -> Option<Vec<u8>> {
@@ -587,8 +585,8 @@ impl Service for TroupeStoreService {
             self.retain(rec);
         }
         // Close the stale-log window: the state now includes commits the
-        // log never saw, so snapshot it before logging anything new.
-        self.force_snapshot();
+        // log never saw, so checkpoint it before logging anything new.
+        self.force_checkpoint();
     }
 }
 

@@ -66,4 +66,4 @@ pub use lock::{Acquire, LockManager, Mode};
 pub use nested::{NestedError, NestedTm};
 pub use store::{ObjId, Store, TxnId};
 pub use txn::{ExecOutcome, LocalTm, Op};
-pub use wal::{CommitRecord, Recovered, Wal};
+pub use wal::{Checkpoint, CommitRecord, Recovered, Wal};
