@@ -1960,10 +1960,14 @@ impl Node {
     ) {
         let now = io.now();
         let conn = self.conn_mut(to);
-        // Oversize replies cannot happen through the stub layer; ignore
-        // the error here as the client's probe machinery will surface a
-        // stuck call.
-        let _ = conn.endpoint.send(now, MsgType::Return, cn, span, reply);
+        if let Err(too_long) = conn.endpoint.send(now, MsgType::Return, cn, span, reply) {
+            // Silence would hang the caller for ever: its call was
+            // acknowledged and this member keeps answering its probes. A
+            // reply the protocol cannot carry is the procedure's error.
+            let error = encode(&ReturnMessage::Error(format!("reply not sent: {too_long}")));
+            // A few dozen bytes: this fits whatever a call fitted in.
+            let _ = conn.endpoint.send(now, MsgType::Return, cn, span, error);
+        }
     }
 
     /// Transmits queued segments on every connection and re-arms

@@ -21,6 +21,8 @@ pub const PROC_FAIL: u16 = 2;
 pub const PROC_NONDET: u16 = 3;
 /// Procedure recording the calling thread id, for propagation tests.
 pub const PROC_WHO: u16 = 4;
+/// Procedure whose reply is one byte more than a message can carry.
+pub const PROC_BLOAT: u16 = 5;
 
 /// A deterministic test service that counts executions.
 pub struct CountingService {
@@ -58,6 +60,7 @@ impl Service for CountingService {
                 self.seen_threads.push(ctx.thread);
                 Step::Reply(Vec::new())
             }
+            PROC_BLOAT => Step::Reply(vec![0; NodeConfig::default().pm.max_message_len() + 1]),
             _ => Step::Error("unknown procedure".into()),
         }
     }

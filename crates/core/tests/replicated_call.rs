@@ -1002,3 +1002,31 @@ fn stale_client_membership_rejected_not_looped() {
         w.net_stats().sent
     );
 }
+
+#[test]
+fn reply_too_long_to_send_is_an_error_not_silence() {
+    // Regression: the member used to drop such a reply on the floor while
+    // still acknowledging the call and answering the caller's probes, so
+    // the caller waited for ever.
+    let mut w = world(22);
+    let troupe = spawn_server_troupe(&mut w, 10, 1, 3);
+    let client = spawn_client(
+        &mut w,
+        vec![Request {
+            troupe,
+            module: MODULE,
+            proc: PROC_BLOAT,
+            args: Vec::new(),
+            collation: CollationPolicy::Unanimous,
+        }],
+    );
+    w.poke(client, 0);
+    // One round trip of single-segment messages at n = 3 is ~50 ms.
+    w.run(simnet::Until::Elapsed(Duration::from_millis(100)));
+    let results = client_results(&w, client);
+    let limit = NodeConfig::default().pm.max_message_len().to_string();
+    assert!(
+        matches!(&results[..], [Err(CallError::Remote(why))] if why.contains(&limit)),
+        "expected an error naming the {limit}-byte limit, got {results:?}"
+    );
+}

@@ -1,6 +1,9 @@
 //! Protocol tuning parameters.
 
+use simnet::net::ETHERNET_MTU;
 use simnet::Duration;
+
+use crate::segment::HEADER_LEN;
 
 /// Which multi-segment transmission discipline to use (§4.2.5).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -25,8 +28,13 @@ pub enum ProtocolMode {
 /// milliseconds.
 #[derive(Clone, Debug)]
 pub struct Config {
-    /// Maximum payload bytes per segment. With the 8-byte header this
-    /// must fit in the network MTU to avoid IP fragmentation (§4.2.4).
+    /// Maximum payload bytes per segment. Header plus payload must fit
+    /// the network MTU (§4.2.4): the simulated LAN drops a larger
+    /// datagram (`net.oversize`) and its sender ends in `PeerDead`. The
+    /// default fills the MTU exactly (`simnet::net::ETHERNET_MTU` less
+    /// [`HEADER_LEN`]: 1,500 − 16 = 1,484) because Table 4.2 charges
+    /// `sendmsg` and `recvmsg` per datagram whatever its size, so a
+    /// smaller segment only buys more of them.
     pub max_segment_data: usize,
     /// How long to wait before retransmitting the first unacknowledged
     /// segment (with *please ack* set). This is the *base* of the
@@ -68,10 +76,24 @@ pub struct Config {
     pub mode: ProtocolMode,
 }
 
+/// Payload bytes of a segment that, with its header, encodes to exactly
+/// one MTU-sized datagram: there is no slack.
+const MTU_SEGMENT_DATA: usize = ETHERNET_MTU - HEADER_LEN;
+
+// The header already grew once (8 → 16 bytes, when spans rode along). The
+// next change to it or to the MTU must stop here and be decided — every
+// multi-segment golden and documented datagram count rests on 1,484 —
+// rather than surface as `net.oversize` drops and a 4.5 s `PeerDead`, or
+// as a silently different grain.
+const _: () = assert!(
+    MTU_SEGMENT_DATA == 1_484,
+    "segment header and Ethernet MTU changed apart: revisit the default segment size"
+);
+
 impl Default for Config {
     fn default() -> Config {
         Config {
-            max_segment_data: 1024,
+            max_segment_data: MTU_SEGMENT_DATA,
             retransmit_interval: Duration::from_millis(300),
             max_retransmits: 4,
             backoff_multiplier: 2,
@@ -126,11 +148,14 @@ impl Config {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::MAX_SEGMENTS;
 
     #[test]
     fn default_limits() {
         let c = Config::default();
-        assert_eq!(c.max_message_len(), 1024 * 255);
+        // A full segment is one Ethernet frame, header included.
+        assert_eq!(c.max_segment_data + HEADER_LEN, ETHERNET_MTU);
+        assert_eq!(c.max_message_len(), MAX_SEGMENTS * c.max_segment_data);
         assert!(c.retransmit_interval < c.probe_interval);
         assert!(c.retransmit_interval <= c.retransmit_cap);
         assert!(c.backoff_multiplier >= 1);

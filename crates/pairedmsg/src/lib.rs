@@ -7,8 +7,14 @@
 //!
 //! This implementation follows the Circus protocol of §4.2 exactly:
 //!
-//! - messages are carried in segments with the 8-byte header of
-//!   Figure 4.2 ([`segment`]);
+//! - messages are carried in segments with the header of Figure 4.2 —
+//!   its 8 bytes plus an 8-byte causal span id, 16 in all ([`segment`]);
+//! - a segment is as large as the wire allows and no larger: by default
+//!   1,484 data bytes, the 1,500-byte Ethernet MTU less those 16, so a
+//!   full segment is exactly one frame. Table 4.2 charges per datagram
+//!   (`sendmsg` 8.1 ms, `select`+`sigblock`+`recvmsg` 5.0 ms, whatever the
+//!   size) and §4.2.4 asks only that a segment fit the MTU, so filling it
+//!   is what makes a bulk message cheapest ([`Config::max_segment_data`]);
 //! - senders transmit all segments eagerly, then periodically retransmit
 //!   the first unacknowledged one with *please ack* set ([`sender`]);
 //! - receivers assemble segments, track the highest-consecutive

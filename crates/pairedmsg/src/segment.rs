@@ -74,7 +74,9 @@ impl MsgType {
 /// segments field is a byte and zero is reserved (§4.2.1).
 pub const MAX_SEGMENTS: usize = 255;
 
-/// Size of the fixed segment header.
+/// Size of the fixed segment header: Figure 4.2's 8 bytes plus the span
+/// id. `Config::default()` cuts segments at the Ethernet MTU less this,
+/// with no slack; an assertion in [`crate::config`] ties the two.
 pub const HEADER_LEN: usize = 16;
 
 const PLEASE_ACK: u8 = 0b001;

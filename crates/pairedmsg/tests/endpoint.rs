@@ -1,7 +1,7 @@
 //! Integration tests driving two endpoints against each other through an
 //! in-memory "wire" with controllable loss.
 
-use pairedmsg::{Config, Endpoint, Event, MsgType};
+use pairedmsg::{Config, Endpoint, Event, MsgType, SendError};
 use simnet::Time;
 
 /// Carries every queued segment from `a` to `b`, dropping those whose
@@ -435,8 +435,14 @@ fn abandon_then_giveup_single_peer_dead() {
 #[test]
 fn oversize_message_rejected_at_send() {
     let (mut client, _server) = pair();
-    let huge = vec![0u8; 1024 * 255 + 1];
-    assert!(client.send(Time::ZERO, MsgType::Call, 1, 0, &huge).is_err());
+    let max = Config::default().max_message_len();
+    let fits = vec![0u8; max];
+    assert!(client.send(Time::ZERO, MsgType::Call, 1, 0, &fits).is_ok());
+    let huge = vec![0u8; max + 1];
+    assert_eq!(
+        client.send(Time::ZERO, MsgType::Call, 2, 0, &huge),
+        Err(SendError::TooLong { len: max + 1, max })
+    );
 }
 
 #[test]

@@ -221,6 +221,9 @@ impl Conversation {
 
 fn transcript(seed: u64) -> u64 {
     let config = Config {
+        // The grain the transcripts were recorded at: "sometimes three"
+        // segments below means 1,100..2,600 bytes over this.
+        max_segment_data: 1_024,
         max_retransmits: 60,
         // Short enough that records expire (and replays meet the
         // watermark) within one conversation.

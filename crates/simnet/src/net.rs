@@ -10,6 +10,12 @@
 use crate::process::HostId;
 use crate::time::Duration;
 
+/// Largest datagram the testbed's 10 Mbit/s Ethernet carries in one frame,
+/// in bytes (§4.4.1). Named once: [`NetConfig::lan_1985`] drops anything
+/// larger, and `pairedmsg::Config::default()` sizes its segments to fill
+/// exactly this, because Table 4.2 charges per datagram, not per byte.
+pub const ETHERNET_MTU: usize = 1500;
+
 /// Parameters of the simulated network.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
@@ -42,7 +48,7 @@ impl NetConfig {
             jitter_mean: Duration::from_micros(100),
             loss: 0.0,
             duplicate: 0.0,
-            mtu: 1500,
+            mtu: ETHERNET_MTU,
         }
     }
 

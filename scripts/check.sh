@@ -3,10 +3,13 @@
 # holds the chaos sweeps of every workload, the adversary corpus, the
 # scheduler-equivalence replay and the golden files: chaos hashes,
 # metrics dump, every `repro` experiment), the release-only allocation
-# budget, the benchmark workspace, and the 100-seed adversary fuzz. Run
-# from the repository root:
+# budget, the benchmark workspace, the benchmark's simulated clock, and
+# the 100-seed adversary fuzz. Run from the repository root:
 #
 #     scripts/check.sh
+#
+# UPDATE_GOLDEN=1 rewrites every golden file a phase compares against and
+# prints the lines that moved: do that only on purpose, and say why.
 #
 # CHAOS_JOBS=<n> caps the sweeps' worker threads (default: all cores).
 # Any failing chaos seed prints a CHAOS_SEED=... repro line; replay it
@@ -53,6 +56,29 @@ cargo test --release --test alloc_budget -- --nocapture
 # unnoticed until the benchmark is next run.
 phase "benchmark still builds and runs against the crates (benchmark/check.sh: fmt, clippy, tests, --smoke of every workload)"
 bash benchmark/check.sh >/dev/null
+
+# The benchmark's sim_* columns are a pure function of seed, size and the
+# code under crates/; the driver compares them parent against change, and
+# this pins them between its runs, so a moved simulated clock is a diff
+# here first. Reuses the build benchmark/check.sh just made.
+phase "benchmark simulated clock (--smoke, seed 1985: 5 workloads x 5 sim_* figures against tests/golden/bench_smoke_sim.txt)"
+sim_golden=tests/golden/bench_smoke_sim.txt
+sim_actual=target/bench_smoke_sim.actual
+: >"$sim_actual"
+for w in echo_small echo_bulk commit_contended ordered_bcast chaos_faults; do
+  CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$PWD/target}" \
+    bash benchmark/run.sh --smoke --workload "$w" --seed 1985 --trace 0 |
+    awk -v w="$w" '/^sim_/ { print w, $1, $2, $3 }' >>"$sim_actual"
+done
+if ! diff -u "$sim_golden" "$sim_actual"; then
+  if [ -n "${UPDATE_GOLDEN:-}" ]; then
+    cp "$sim_actual" "$sim_golden"
+    echo "UPDATE_GOLDEN rewrote $sim_golden: the lines above moved"
+  else
+    echo "the benchmark's simulated clock moved; if that is intended, rerun with UPDATE_GOLDEN=1 and say why" >&2
+    exit 1
+  fi
+fi
 
 # The full fuzz sweep's seed range rotates off the committed epoch
 # counter (bump tests/corpus/seed_epoch to move CI onto 100 fresh
