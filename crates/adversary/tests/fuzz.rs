@@ -18,7 +18,7 @@ use chaos::{chaos_jobs, run, sweep_seeds, ScenarioOptions, Store};
 
 fn adversarial_options(multicast: bool) -> ScenarioOptions {
     ScenarioOptions {
-        multicast_calls: multicast,
+        multicast_small_calls: multicast,
         injector: Some(install_adversary),
         ..ScenarioOptions::default()
     }

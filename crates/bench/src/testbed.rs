@@ -281,14 +281,15 @@ pub fn run_circus_echo(replicas: usize, calls: u32) -> EchoResult {
     run_circus_echo_mode(replicas, calls, false)
 }
 
-/// Runs the Circus replicated echo with a choice of call data plane:
-/// per-member unicast (the paper's measured implementation) or the
-/// troupe-wide multicast of §4.3.3, which charges the client one
-/// `sendmsg` per call segment regardless of the degree of replication.
+/// Runs the Circus replicated echo — single-segment calls, the one size
+/// whose data plane is a choice — per member (the paper's measured
+/// implementation) or by the troupe-wide multicast of §4.3.3, which
+/// charges the client one `sendmsg` per call segment regardless of the
+/// degree of replication.
 pub fn run_circus_echo_mode(replicas: usize, calls: u32, multicast: bool) -> EchoResult {
     let mut w = world();
     let config = NodeConfig {
-        multicast_calls: multicast,
+        multicast_small_calls: multicast,
         ..NodeConfig::default()
     };
     let troupe = spawn_troupe(&mut w, TroupeId(4242), replicas, &config, || {

@@ -66,9 +66,10 @@ pub struct ScenarioOptions {
     pub txns_per_client: usize,
     /// Bounds for the generated fault plan.
     pub plan: PlanOptions,
-    /// Carry one-to-many call data as troupe-wide multicasts (§4.3.3)
-    /// instead of the paper-faithful per-member unicast.
-    pub multicast_calls: bool,
+    /// Multicast single-segment one-to-many calls too (§4.3.3 on every
+    /// call; multi-segment ones always are):
+    /// [`NodeConfig::multicast_small_calls`] on every node.
+    pub multicast_small_calls: bool,
     /// Adversary factory: called with the scenario seed once the full
     /// stack is spawned (before the fault plan runs), typically to
     /// install a [`simnet::TrafficInjector`] on the world. A plain `fn`
@@ -86,7 +87,7 @@ impl Default for ScenarioOptions {
         ScenarioOptions {
             txns_per_client: 40,
             plan: PlanOptions::default(),
-            multicast_calls: false,
+            multicast_small_calls: false,
             injector: None,
             override_faults: None,
         }
@@ -287,7 +288,7 @@ pub fn quiesce<W: Workload>(
 
     let config = NodeConfig {
         assembly_timeout: Duration::from_micros(1_500_000),
-        multicast_calls: opts.multicast_calls,
+        multicast_small_calls: opts.multicast_small_calls,
         ..NodeConfig::default()
     };
     let rm_hosts = vec![HostId(1), HostId(2), HostId(3)];

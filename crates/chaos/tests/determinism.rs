@@ -50,7 +50,7 @@ fn same_seed_same_trace_and_resource_totals() {
 #[test]
 fn multicast_mode_replays_bit_identically() {
     let opts = ScenarioOptions {
-        multicast_calls: true,
+        multicast_small_calls: true,
         ..ScenarioOptions::default()
     };
     let a = run(&Store, 42, &opts);

@@ -54,7 +54,7 @@ fn sweep_seeds_through_all_oracles() {
 #[test]
 fn sweep_seeds_through_all_oracles_multicast() {
     let opts = ScenarioOptions {
-        multicast_calls: true,
+        multicast_small_calls: true,
         ..ScenarioOptions::default()
     };
     let seeds = sweep_seeds(1..11);
@@ -182,7 +182,7 @@ fn parallel_sweep_matches_serial_bit_for_bit() {
 #[test]
 fn self_heal_gate_holds_in_multicast_mode() {
     let opts = ScenarioOptions {
-        multicast_calls: true,
+        multicast_small_calls: true,
         ..ScenarioOptions::default()
     };
     let r = run(&Store, 2, &opts);

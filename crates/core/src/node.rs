@@ -33,7 +33,7 @@ use crate::service::{
 };
 use crate::thread::{ThreadId, ThreadIdGen};
 use obs::SpanId;
-use pairedmsg::{Endpoint, Event as PmEvent, MsgType};
+use pairedmsg::{Endpoint, Event as PmEvent, MsgSender, MsgType, ProtocolMode, MAX_SEGMENTS};
 use simnet::{Duration, Payload, SockAddr, Syscall, Time, TimerId};
 use wire::{encode_with, from_bytes};
 
@@ -230,13 +230,19 @@ pub struct NodeConfig {
     /// How long completed replies are buffered for slow client members
     /// (§4.3.4).
     pub done_ttl: Duration,
-    /// Transmit the data segments of one-to-many calls by troupe-wide
-    /// multicast — one `sendmsg` per segment regardless of the degree of
-    /// replication, unicast retransmission only toward stragglers
-    /// (§4.3.3's "m+n messages"). Off by default: the paper's measured
-    /// implementation is per-member unicast, and the reproduction tables
-    /// depend on that cost profile.
-    pub multicast_calls: bool,
+    /// *Also* multicast one-to-many calls that fit one segment. A call of
+    /// two or more segments to two or more live members always goes out
+    /// by troupe-wide multicast — one `sendmsg` per segment whatever the
+    /// degree of replication, unicast retransmission only toward
+    /// stragglers (§4.3.3's "m+n messages") — because from two segments
+    /// up that is measurably faster; the node reads that off the encoded
+    /// call, not off this field. For a single segment it buys no latency
+    /// (the stagger of n unicasts hides behind the client's n serial
+    /// receives) and members that start in step collide more, so the
+    /// default leaves such calls per member, as the paper measured them.
+    /// On gives §4.3.3's count on every call: what `BENCH_4.json`'s
+    /// `multicast` rows and the chaos multicast sweeps exercise.
+    pub multicast_small_calls: bool,
 }
 
 impl Default for NodeConfig {
@@ -247,7 +253,7 @@ impl Default for NodeConfig {
             compute_per_msg: Duration::from_millis_f64(3.0),
             assembly_timeout: Duration::from_secs(10),
             done_ttl: Duration::from_secs(60),
-            multicast_calls: false,
+            multicast_small_calls: false,
         }
     }
 }
@@ -434,25 +440,20 @@ pub struct Node {
     /// circuited by the prober's own stale marker.
     dead_peers: HashMap<SockAddr, Time>,
 
-    /// Next outgoing call number per peer, used when `multicast_calls`
-    /// is off — the paper's measured implementation, kept bit-identical.
+    /// Next outgoing call number per peer. A unicast call takes each
+    /// member's own next number. A multicast call must reach every member
+    /// under the *same* number — the precondition for byte-identical
+    /// segments (§4.3.3) — so it takes the largest of its members' next
+    /// numbers and moves all of them past it. Either way each peer sees a
+    /// strictly increasing sequence, which is all the replay watermark
+    /// and the monotonicity audit need, however the two kinds interleave
+    /// over overlapping troupes.
     /// Lives on the node, not the connection: a connection dropped after
     /// a false crash suspicion (healed partition) is recreated fresh, but
     /// the peer's surviving endpoint still remembers earlier call
     /// numbers — restarting at 1 would make new calls look like replays
     /// there, acknowledged (or suppressed) without ever being delivered.
     call_numbers: HashMap<SockAddr, u32>,
-
-    /// Next outgoing call number in multicast mode: one client-wide
-    /// monotone sequence shared by every peer, so all members of a
-    /// one-to-many call receive the *same* number — the precondition for
-    /// byte-identical segments and hence for multicast transmission
-    /// (§4.3.3). Each peer sees a strictly increasing subsequence, which
-    /// is all the replay watermark and the monotonicity audit need; it
-    /// survives connection teardown for the same reason `call_numbers`
-    /// does. The two sequences are never mixed: the mode is fixed at
-    /// node construction.
-    next_call_number: u32,
 
     /// One-to-many calls whose data segments went out by multicast, and
     /// the segments so transmitted (each charged a single `sendmsg`).
@@ -510,7 +511,6 @@ impl Node {
             binder: None,
             dead_peers: HashMap::new(),
             call_numbers: HashMap::new(),
-            next_call_number: 1,
             mcast_calls: 0,
             mcast_segments: 0,
             events: VecDeque::new(),
@@ -628,6 +628,9 @@ impl Node {
             replays_suppressed += s.replays_suppressed;
             max_recv_buffered = max_recv_buffered.max(s.max_recv_buffered);
         }
+        // Multicast segments bypass the endpoints; each went to the
+        // network once.
+        segments_sent += self.mcast_segments;
         let me = self.me;
         reg.set_gauge(&format!("rpc.{me}.segments_sent"), segments_sent);
         reg.set_gauge(&format!("rpc.{me}.calls_delivered"), calls_delivered);
@@ -814,32 +817,31 @@ impl Node {
             }
         }
 
+        // The data plane is read off the call (§4.3.3): two or more
+        // segments to two or more live members are sent once, by
+        // multicast; a single segment goes out per member unless the
+        // configuration multicasts those too. PARC's stop-and-wait has no
+        // blast to share, so its multi-segment calls stay per member (as
+        // does an oversize call, to fail there).
         let now = io.now();
-        if self.config.multicast_calls {
-            // Troupe-wide call number (§4.3.3): every member of this call
-            // is addressed under the same number, drawn from the
-            // client-wide monotone sequence, so the call's segments are
-            // byte-identical across members and a single multicast
-            // datagram can serve all. A call with a single live target
-            // degenerates to plain unicast under the same number.
-            let cn = self.next_call_number;
-            self.next_call_number += 1;
-            let mut live: Vec<(usize, SockAddr)> = Vec::with_capacity(troupe.members.len());
+        let shareable = match self.config.pm.segments_of(bytes.len()) {
+            1 => self.config.multicast_small_calls,
+            2..=MAX_SEGMENTS => self.config.pm.mode == ProtocolMode::Circus,
+            _ => false,
+        };
+        let mut blast = Vec::new();
+        if shareable {
             for (i, member) in troupe.members.iter().enumerate() {
                 if self.admit_member(handle, proc, now, i, member.addr) {
-                    live.push((i, member.addr));
+                    blast.push(member.addr);
                 }
             }
-            if live.len() > 1 {
-                self.multicast_call(io, handle, cn, span.raw(), &bytes, &live);
-            } else {
-                for &(i, addr) in &live {
-                    self.unicast_call(handle, cn, span.raw(), &bytes, now, i, addr);
-                }
-            }
+        }
+        if blast.len() > 1 {
+            self.multicast_call(io, handle, span.raw(), &bytes, troupe, &blast);
         } else {
-            // Paper-faithful mode: per-peer call numbers, one unicast
-            // transmission per member.
+            // Nothing to share, or fewer than two to share it with
+            // (admitting a member twice at one `now` answers the same).
             for (i, member) in troupe.members.iter().enumerate() {
                 let addr = member.addr;
                 if !self.admit_member(handle, proc, now, i, addr) {
@@ -926,54 +928,49 @@ impl Node {
         }
     }
 
-    /// Transmits one call's data segments to `live` members by multicast
-    /// (§4.3.3): each member's endpoint adopts a pre-transmitted sender —
+    /// Transmits one call's data segments to the members at `addrs` (two
+    /// or more of `troupe`'s, in its order) by multicast (§4.3.3): the
+    /// segments go to the wire once each, charged a single `sendmsg`, and
+    /// then each member's endpoint adopts a pre-transmitted sender —
     /// keeping per-member acknowledgment tracking, unicast retransmission
     /// toward stragglers, the implicit ack carried by the return message,
-    /// and crash-detection probing — while the segments themselves go to
-    /// the wire once each, charged a single `sendmsg`.
+    /// and crash-detection probing. Adopting *after* the blast starts
+    /// each retransmission clock at the last `sendmsg`, not k `sendmsg`s
+    /// before it.
     fn multicast_call(
         &mut self,
         io: &mut dyn NetIo,
         handle: u64,
-        cn: u32,
         span: u64,
         bytes: &Payload,
-        live: &[(usize, SockAddr)],
+        troupe: &Troupe,
+        addrs: &[SockAddr],
     ) {
-        let now = io.now();
-        let ts = match pairedmsg::TroupeSender::new(&self.config.pm, cn, span, bytes.clone()) {
-            Ok(ts) => ts,
-            Err(_) => {
-                // Oversize: no member can receive it (the stub layer
-                // prevents this; mirror the unicast path's treatment).
-                for &(i, _) in live {
-                    self.call_mut(handle).collation.mark_dead(i);
-                }
-                return;
+        let next = |a| self.call_numbers.get(a).copied().unwrap_or(1);
+        let cn = addrs.iter().map(next).max().expect("addresses members");
+        // Cut off to the side: the members' own senders differ from this
+        // one in their jitter seeds only.
+        let pm = &self.config.pm;
+        let cut = MsgSender::new(io.now(), pm, MsgType::Call, cn, span, bytes.clone())
+            .expect("the caller counted the segments");
+        self.mcast_calls += 1;
+        self.mcast_segments += u64::from(cut.total());
+        for number in 1..=cut.total() {
+            io.multicast_spanned(addrs, cut.segment(number, false).encode(), span);
+        }
+        let sent = io.now();
+        for (i, member) in troupe.members.iter().enumerate() {
+            let addr = member.addr;
+            if !addrs.contains(&addr) {
+                continue; // Not admitted.
             }
-        };
-        let mut addrs: Vec<SockAddr> = Vec::with_capacity(live.len());
-        for &(i, addr) in live {
-            let conn = self.conn_mut(addr);
-            if conn
-                .endpoint
-                .adopt_call(now, cn, span, bytes.clone())
-                .is_err()
-            {
+            let endpoint = &mut self.conn_mut(addr).endpoint;
+            if endpoint.adopt_call(sent, cn, span, bytes.clone()).is_err() {
                 self.call_mut(handle).collation.mark_dead(i);
                 continue;
             }
+            self.call_numbers.insert(addr, cn + 1);
             self.add_route(addr, cn, handle, i);
-            addrs.push(addr);
-        }
-        if addrs.is_empty() {
-            return;
-        }
-        self.mcast_calls += 1;
-        for seg in ts.segments() {
-            self.mcast_segments += 1;
-            io.multicast_spanned(&addrs, seg.encode(), span);
         }
     }
 
@@ -2252,10 +2249,13 @@ mod tests {
     }
 
     /// MockIo that records troupe-wide multicasts separately from
-    /// unicast sends, so tests can pin the m+n message discipline.
+    /// unicast sends, so tests can pin the m+n message discipline, and
+    /// every datagram's destination and `(call number, segment number)`
+    /// in wire order.
     struct McastIo {
         inner: MockIo,
         mcasts: Vec<(Vec<SockAddr>, Payload)>,
+        numbers: Vec<(SockAddr, (u32, u8))>,
     }
 
     impl McastIo {
@@ -2263,7 +2263,13 @@ mod tests {
             McastIo {
                 inner: MockIo::new(),
                 mcasts: Vec::new(),
+                numbers: Vec::new(),
             }
+        }
+
+        fn note(&mut self, to: SockAddr, bytes: &Payload) {
+            let h = header(bytes);
+            self.numbers.push((to, (h.call_number, h.number)));
         }
     }
 
@@ -2275,9 +2281,11 @@ mod tests {
             self.inner.me
         }
         fn send(&mut self, to: SockAddr, bytes: Payload) {
+            self.note(to, &bytes);
             self.inner.sent.push((to, bytes));
         }
         fn multicast_spanned(&mut self, tos: &[SockAddr], bytes: Payload, _span: u64) {
+            tos.iter().for_each(|&to| self.note(to, &bytes));
             self.mcasts.push((tos.to_vec(), bytes));
         }
         fn set_timer(&mut self, delay: Duration, tag: u64) -> TimerId {
@@ -2288,152 +2296,228 @@ mod tests {
         fn charge_compute(&mut self, _d: Duration) {}
     }
 
-    fn mcast_node() -> Node {
-        let config = NodeConfig {
-            multicast_calls: true,
+    fn header(bytes: &Payload) -> pairedmsg::SegmentHeader {
+        Segment::decode(bytes).expect("a segment").header
+    }
+
+    /// Arguments whose call message is cut into `k` default segments
+    /// (the call header fits the slack `k - 1` full segments leave).
+    fn args_of(k: usize) -> Vec<u8> {
+        vec![7; (k - 1) * pairedmsg::Config::default().max_segment_data + 1]
+    }
+
+    /// Begins one `Unanimous` call of `args` to `troupe` on a fresh thread.
+    fn call(n: &mut Node, io: &mut McastIo, troupe: &Troupe, args: Vec<u8>) {
+        let thread = n.fresh_thread();
+        n.begin_call(io, thread, troupe, 1, 0, args, CollationPolicy::Unanimous);
+    }
+
+    fn addrs_of(troupe: &Troupe) -> Vec<SockAddr> {
+        troupe.members.iter().map(|m| m.addr).collect()
+    }
+
+    /// The data plane is read off the call: one segment goes out per
+    /// member under per-member numbers; two segments to the same troupe
+    /// are blasted once each under one number — the largest any member
+    /// was due — and every member's counter moves past it.
+    #[test]
+    fn call_data_plane_is_chosen_by_segment_count() {
+        let mut n = node();
+        let mut io = McastIo::new();
+        let troupe = troupe_of(3);
+        // Put the first member one call ahead of the others.
+        call(&mut n, &mut io, &troupe_of(1), args_of(1));
+        io.inner.sent.clear();
+
+        call(&mut n, &mut io, &troupe, args_of(1));
+        assert!(io.mcasts.is_empty(), "a single segment is not shared");
+        let sent: Vec<(SockAddr, u32)> = io
+            .inner
+            .sent
+            .iter()
+            .map(|(to, bytes)| (*to, header(bytes).call_number))
+            .collect();
+        let per_member = addrs_of(&troupe).into_iter().zip([2, 1, 1]);
+        assert_eq!(sent, per_member.collect::<Vec<_>>());
+        io.inner.sent.clear();
+
+        call(&mut n, &mut io, &troupe, args_of(2));
+        assert!(io.inner.sent.is_empty(), "no per-member copies");
+        assert_eq!(io.mcasts.len(), 2, "two segments, two multicasts");
+        for (number, (tos, bytes)) in io.mcasts.iter().enumerate() {
+            assert_eq!(tos, &addrs_of(&troupe));
+            let h = header(bytes);
+            assert_eq!((h.call_number, h.total), (3, 2), "the max of 3, 2, 2");
+            assert_eq!(h.number as usize, number + 1);
+            assert!(!h.please_ack);
+        }
+        for addr in addrs_of(&troupe) {
+            assert_eq!(n.call_numbers[&addr], 4, "every counter past it");
+        }
+        // Each connection still runs a retransmission clock, so a
+        // straggler gets the unicast fallback.
+        assert!(n.conns.values().all(|c| c.armed.is_some()));
+        assert_eq!(n.route.len(), 1 + 3 + 3);
+    }
+
+    /// A single live target is not worth a multicast, and the PARC
+    /// discipline has no blast to share: both stay per member.
+    #[test]
+    fn one_live_member_or_parc_mode_keeps_bulk_calls_unicast() {
+        let troupe = troupe_of(3);
+        let mut n = node();
+        let mut io = McastIo::new();
+        for m in &troupe.members[1..] {
+            n.dead_peers
+                .insert(m.addr, Time::ZERO + Duration::from_secs(10));
+        }
+        call(&mut n, &mut io, &troupe, args_of(2));
+        assert!(io.mcasts.is_empty());
+        let dests: Vec<SockAddr> = io.inner.sent.iter().map(|(to, _)| *to).collect();
+        assert_eq!(dests, vec![troupe.members[0].addr; 2], "both segments");
+
+        let parc = NodeConfig {
+            pm: pairedmsg::Config::parc(),
             ..NodeConfig::uncharged()
         };
-        Node::new(SockAddr::new(HostId(0), 1), config)
+        let mut n = Node::new(SockAddr::new(HostId(0), 1), parc);
+        let mut io = McastIo::new();
+        call(&mut n, &mut io, &troupe, args_of(3));
+        assert!(io.mcasts.is_empty());
+        assert_eq!(io.inner.sent.len(), 3, "stop-and-wait: one segment each");
+        for (_, bytes) in &io.inner.sent {
+            let h = header(bytes);
+            assert!(h.number == 1 && h.please_ack);
+        }
     }
 
-    /// With multicast on, a one-to-many call blasts each segment once to
-    /// the whole troupe instead of once per member (§4.3.3's m+n count),
-    /// and every member receives byte-identical datagrams.
+    /// A call too long for any sender is nobody's to share: it fails
+    /// member by member, with nothing on the wire.
     #[test]
-    fn multicast_call_blasts_each_segment_once() {
-        let mut n = mcast_node();
+    fn oversize_call_fails_without_a_blast() {
+        let mut n = node();
         let mut io = McastIo::new();
-        let thread = n.fresh_thread();
+        call(&mut n, &mut io, &troupe_of(3), args_of(MAX_SEGMENTS + 1));
+        assert!(io.mcasts.is_empty() && io.inner.sent.is_empty());
+        assert!(matches!(
+            n.poll_event(),
+            Some(AppEvent::CallDone {
+                result: Err(CallError::AllMembersDead),
+                ..
+            })
+        ));
+    }
+
+    /// `multicast_small_calls` extends the blast to single segments —
+    /// §4.3.3's m+n count on every call.
+    #[test]
+    fn small_calls_are_multicast_on_request() {
+        let config = NodeConfig {
+            multicast_small_calls: true,
+            ..NodeConfig::uncharged()
+        };
+        let mut n = Node::new(SockAddr::new(HostId(0), 1), config);
+        let mut io = McastIo::new();
         let troupe = troupe_of(3);
-        n.begin_call(
-            &mut io,
-            thread,
-            &troupe,
-            1,
-            0,
-            b"x".to_vec(),
-            CollationPolicy::Unanimous,
-        );
+        call(&mut n, &mut io, &troupe, b"x".to_vec());
         assert!(io.inner.sent.is_empty(), "no per-member unicast copies");
         assert_eq!(io.mcasts.len(), 1, "one segment, one multicast");
-        let (tos, _) = &io.mcasts[0];
-        assert_eq!(
-            tos,
-            &troupe.members.iter().map(|m| m.addr).collect::<Vec<_>>()
-        );
-        // Retransmission timers are still armed per connection, so a
-        // straggler gets the unicast fallback.
+        assert_eq!(io.mcasts[0].0, addrs_of(&troupe));
         assert!(!io.inner.timers.is_empty());
+        // One live target still degenerates to the 2-message exchange.
+        call(&mut n, &mut io, &troupe_of(1), b"x".to_vec());
+        assert_eq!((io.mcasts.len(), io.inner.sent.len()), (1, 1));
     }
 
-    /// The zero-copy contract on the multicast fast path: a one-to-many
-    /// call to a five-member troupe encodes its segment exactly once.
+    /// The zero-copy contract on the multicast path: a two-segment call
+    /// to a five-member troupe encodes each segment exactly once.
     /// Per-member senders adopt a shared handle on the message bytes and
-    /// the single encoded datagram is refcount-shared across all five
+    /// each encoded datagram is refcount-shared across all five
     /// destinations — no per-destination encode, no per-destination copy.
     /// (The encode counter only counts in debug builds.)
     #[test]
     #[cfg(debug_assertions)]
-    fn multicast_call_to_five_members_encodes_once() {
-        let mut n = mcast_node();
+    fn multicast_call_to_five_members_encodes_each_segment_once() {
+        let mut n = node();
         let mut io = McastIo::new();
-        let thread = n.fresh_thread();
-        let troupe = troupe_of(5);
         let before = pairedmsg::segment::encodes();
-        n.begin_call(
-            &mut io,
-            thread,
-            &troupe,
-            1,
-            0,
-            b"one encode, five destinations".to_vec(),
-            CollationPolicy::Unanimous,
-        );
+        call(&mut n, &mut io, &troupe_of(5), args_of(2));
         let encoded = pairedmsg::segment::encodes() - before;
-        assert_eq!(io.mcasts.len(), 1, "single-segment message");
+        assert_eq!(io.mcasts.len(), 2);
         assert_eq!(io.mcasts[0].0.len(), 5, "all five members addressed");
-        assert_eq!(
-            encoded, 1,
-            "5-member multicast must encode the segment exactly once"
-        );
+        assert_eq!(encoded, 2, "one encode per segment, not per member");
     }
 
     /// Dead-marked members are excluded from the multicast address list
-    /// exactly as they are skipped by the unicast loop.
+    /// exactly as they are skipped by the unicast loop, and their
+    /// counters stay where they were.
     #[test]
     fn multicast_call_excludes_dead_members() {
-        let mut n = mcast_node();
+        let mut n = node();
         let mut io = McastIo::new();
         let troupe = troupe_of(3);
+        let dead = troupe.members[1].addr;
         n.dead_peers
-            .insert(troupe.members[1].addr, Time::ZERO + Duration::from_secs(10));
+            .insert(dead, Time::ZERO + Duration::from_secs(10));
         let thread = n.fresh_thread();
+        let args = args_of(2);
         n.begin_call(
             &mut io,
             thread,
             &troupe,
             1,
             0,
-            b"x".to_vec(),
+            args,
             CollationPolicy::Majority,
         );
-        assert_eq!(io.mcasts.len(), 1);
-        let (tos, _) = &io.mcasts[0];
-        assert_eq!(tos.len(), 2);
-        assert!(!tos.contains(&troupe.members[1].addr));
-    }
-
-    /// A single live target is not worth a multicast: the call falls back
-    /// to plain unicast (m+n degenerates to the 2-message exchange).
-    #[test]
-    fn multicast_mode_single_target_uses_unicast() {
-        let mut n = mcast_node();
-        let mut io = McastIo::new();
-        let thread = n.fresh_thread();
-        let troupe = troupe_of(1);
-        n.begin_call(
-            &mut io,
-            thread,
-            &troupe,
-            1,
-            0,
-            b"x".to_vec(),
-            CollationPolicy::Unanimous,
-        );
-        assert!(io.mcasts.is_empty());
-        assert_eq!(io.inner.sent.len(), 1);
-    }
-
-    /// Call numbers are client-wide and strictly monotone in multicast
-    /// mode, so every member of every troupe sees an increasing sequence
-    /// and the replay watermark stays valid.
-    #[test]
-    fn multicast_call_numbers_are_client_wide_monotone() {
-        let mut n = mcast_node();
-        let mut io = McastIo::new();
-        let troupe_a = troupe_of(3);
-        let members_b: Vec<ModuleAddr> = (2..=4)
-            .map(|h| ModuleAddr::new(SockAddr::new(HostId(h), 71), 1))
-            .collect();
-        let troupe_b = Troupe::new(TroupeId(10), members_b);
-        for troupe in [&troupe_a, &troupe_b, &troupe_a] {
-            let thread = n.fresh_thread();
-            n.begin_call(
-                &mut io,
-                thread,
-                troupe,
-                1,
-                0,
-                b"x".to_vec(),
-                CollationPolicy::Unanimous,
-            );
+        assert_eq!(io.mcasts.len(), 2);
+        for (tos, _) in &io.mcasts {
+            assert_eq!(tos, &[troupe.members[0].addr, troupe.members[2].addr]);
         }
-        let cns: Vec<u32> = io
-            .mcasts
-            .iter()
-            .map(|(_, bytes)| Segment::decode(bytes).unwrap().header.call_number)
-            .collect();
-        assert_eq!(cns, vec![1, 2, 3]);
+        assert!(!n.call_numbers.contains_key(&dead));
+        assert_eq!(n.route.len(), 2);
+    }
+
+    /// Unicast and multicast calls interleaved over overlapping troupes:
+    /// every peer sees strictly increasing call numbers (what the replay
+    /// watermark and the `send_call_regressions` audit need), and every
+    /// blast reaches all its members under one number.
+    #[test]
+    fn interleaved_data_planes_never_regress_a_peers_call_number() {
+        let mut n = node();
+        let mut io = McastIo::new();
+        let members = |hosts: std::ops::RangeInclusive<u32>| {
+            hosts
+                .map(|h| ModuleAddr::new(SockAddr::new(HostId(h), 70), 1))
+                .collect()
+        };
+        let a = Troupe::new(TroupeId(9), members(1..=3));
+        let b = Troupe::new(TroupeId(10), members(2..=5));
+        let solo = troupe_of(1);
+        let script = [
+            (&a, 1),
+            (&b, 2),
+            (&solo, 1),
+            (&a, 3),
+            (&a, 1),
+            (&b, 1),
+            (&solo, 2),
+            (&b, 2),
+            (&a, 2),
+        ];
+        for (troupe, k) in script {
+            let blasts = io.mcasts.len();
+            call(&mut n, &mut io, troupe, args_of(k));
+            let shared = k > 1 && troupe.members.len() > 1;
+            assert_eq!(io.mcasts.len() - blasts, if shared { k } else { 0 });
+        }
+        // Per peer, (call number, segment number) only ever climbs: a
+        // reused number would restart at segment 1.
+        let mut last: HashMap<SockAddr, (u32, u8)> = HashMap::new();
+        for &(to, at) in &io.numbers {
+            let before = last.insert(to, at).unwrap_or((0, 0));
+            assert!(at > before, "{to}: {at:?} after {before:?}");
+        }
         for conn in n.conns.values() {
             assert_eq!(conn.endpoint.stats().send_call_regressions, 0);
         }

@@ -126,6 +126,12 @@ impl Config {
         self.max_segment_data * crate::segment::MAX_SEGMENTS
     }
 
+    /// Segments a message of `len` bytes is cut into (an empty message
+    /// still travels as one).
+    pub fn segments_of(&self, len: usize) -> usize {
+        len.div_ceil(self.max_segment_data.max(1)).max(1)
+    }
+
     /// Worst-case time from first transmission to retransmission
     /// exhaustion (`PeerDead`), jitter excluded: one backed-off wait
     /// before each permitted retransmission plus the final wait that ends

@@ -196,27 +196,19 @@ impl Endpoint {
         }
         let mut sender = MsgSender::new(now, &self.config, msg_type, call_number, span, data)?;
         self.out.extend(sender.initial_segments());
-        if msg_type == MsgType::Call {
-            self.awaiting_reply.insert(call_number);
-            if self.highest_sent_call.is_some_and(|hi| call_number <= hi) {
-                self.stats.send_call_regressions += 1;
-            }
-            self.highest_sent_call = Some(
-                self.highest_sent_call
-                    .map_or(call_number, |hi| hi.max(call_number)),
-            );
-        }
-        self.senders.insert((msg_type, call_number), sender);
+        self.track(sender);
         Ok(())
     }
 
-    /// Adopts an outgoing call whose segments were (or are about to be)
-    /// transmitted out-of-band by a troupe-wide multicast (§4.3.3): full
-    /// sender bookkeeping — ack tracking, the unicast retransmission
-    /// schedule toward a straggling peer, crash-detection probing, the
-    /// monotonicity audit — without queuing any initial segments of its
-    /// own. The reliability story is then identical to [`Endpoint::send`]:
-    /// only the first copy of each segment travels by multicast.
+    /// Adopts an outgoing call whose segments a troupe-wide multicast
+    /// has just carried (§4.3.3), the last of them handed to the network
+    /// at `now`: full sender bookkeeping — ack tracking, the unicast
+    /// retransmission schedule toward a straggling peer, crash-detection
+    /// probing, the monotonicity audit — without queuing any initial
+    /// segments of its own. The reliability story is then identical to
+    /// [`Endpoint::send`]: only the first copy of each segment travels by
+    /// multicast, and the first retransmission is due one interval after
+    /// the wire had the message, not after it was queued.
     pub fn adopt_call(
         &mut self,
         now: Time,
@@ -229,16 +221,24 @@ impl Endpoint {
         }
         let mut sender = MsgSender::new(now, &self.config, MsgType::Call, call_number, span, data)?;
         sender.mark_transmitted();
-        self.awaiting_reply.insert(call_number);
-        if self.highest_sent_call.is_some_and(|hi| call_number <= hi) {
-            self.stats.send_call_regressions += 1;
-        }
-        self.highest_sent_call = Some(
-            self.highest_sent_call
-                .map_or(call_number, |hi| hi.max(call_number)),
-        );
-        self.senders.insert((MsgType::Call, call_number), sender);
+        self.track(sender);
         Ok(())
+    }
+
+    /// Takes over a message whose first transmission is accounted for.
+    fn track(&mut self, sender: MsgSender) {
+        let (msg_type, call_number) = (sender.msg_type(), sender.call_number());
+        if msg_type == MsgType::Call {
+            self.awaiting_reply.insert(call_number);
+            if self.highest_sent_call.is_some_and(|hi| call_number <= hi) {
+                self.stats.send_call_regressions += 1;
+            }
+            self.highest_sent_call = Some(
+                self.highest_sent_call
+                    .map_or(call_number, |hi| hi.max(call_number)),
+            );
+        }
+        self.senders.insert((msg_type, call_number), sender);
     }
 
     /// Feeds an incoming datagram. Decoding is zero-copy: the resulting
@@ -541,6 +541,79 @@ mod tests {
         while let Some(bytes) = tx.poll_transmit() {
             rx.on_datagram(now, &bytes).unwrap();
         }
+    }
+
+    fn small_segments() -> Config {
+        Config {
+            max_segment_data: 4,
+            ..Config::default()
+        }
+    }
+
+    /// The receiving endpoint cannot tell a multicast copy from a unicast
+    /// one: an adopted call completes through the normal event path when
+    /// the (multicast) segments arrive at the peer, and the return
+    /// message implicitly acknowledges the adopted sender.
+    #[test]
+    fn adopted_call_round_trips_through_endpoints() {
+        let cfg = small_segments();
+        let now = Time::ZERO;
+        let mut client = Endpoint::new(cfg.clone());
+        let mut server = Endpoint::new(cfg.clone());
+
+        // The blast is cut by a sender of the caller's own, off to the side.
+        let blast = MsgSender::new(now, &cfg, MsgType::Call, 1, 0, b"abcdefghij").unwrap();
+        assert_eq!(blast.total(), 3);
+        client.adopt_call(now, 1, 0, b"abcdefghij").unwrap();
+        assert!(client.poll_transmit().is_none(), "nothing of its own");
+
+        for n in 1..=blast.total() {
+            server
+                .on_datagram(now, &blast.segment(n, false).encode())
+                .unwrap();
+        }
+        let ev = server.poll_event().expect("call delivered");
+        assert!(matches!(
+            ev,
+            Event::Message {
+                msg_type: MsgType::Call,
+                call_number: 1,
+                ..
+            }
+        ));
+
+        // The return implicitly acknowledges the adopted sender.
+        server.send(now, MsgType::Return, 1, 0, b"ok").unwrap();
+        carry(now, &mut server, &mut client);
+        let ev = client.poll_event().expect("return delivered");
+        assert!(matches!(
+            ev,
+            Event::Message {
+                msg_type: MsgType::Return,
+                call_number: 1,
+                ..
+            }
+        ));
+        assert!(client.senders.is_empty());
+        assert_eq!(client.stats().send_call_regressions, 0);
+    }
+
+    /// A member that missed the multicast is served by the ordinary
+    /// unicast retransmission schedule (straggler fallback), whose clock
+    /// starts when the caller says the blast left.
+    #[test]
+    fn straggler_served_by_unicast_retransmission() {
+        let cfg = small_segments();
+        let blasted = Time::ZERO + Duration::from_millis(113);
+        let mut client = Endpoint::new(cfg.clone());
+        client.adopt_call(blasted, 1, 0, b"abcdefghij").unwrap();
+        let due = client.poll_timer().expect("retransmission armed");
+        assert_eq!(due, blasted + cfg.retransmit_interval);
+        client.on_timer(due);
+        let seg = client.poll_transmit_segment().expect("retransmit queued");
+        assert!(seg.is_data());
+        assert_eq!(seg.header.number, 1);
+        assert!(seg.header.please_ack, "retransmissions demand an ack");
     }
 
     /// Every piece of per-peer state is bounded by the replay TTL, not by

@@ -46,7 +46,6 @@ pub mod receiver;
 pub mod replay;
 pub mod segment;
 pub mod sender;
-pub mod troupe;
 
 pub use config::{Config, ProtocolMode};
 pub use endpoint::{Endpoint, EndpointStats, Event};
@@ -54,4 +53,3 @@ pub use receiver::{MsgReceiver, RecvActions};
 pub use replay::ReplayLog;
 pub use segment::{MsgType, Segment, SegmentError, SegmentHeader, HEADER_LEN, MAX_SEGMENTS};
 pub use sender::{MsgSender, SendError, SenderTick};
-pub use troupe::TroupeSender;

@@ -94,11 +94,7 @@ impl MsgSender {
     ) -> Result<MsgSender, SendError> {
         let data = data.into();
         let chunk = config.max_segment_data.max(1);
-        let n_segments = if data.is_empty() {
-            1
-        } else {
-            data.len().div_ceil(chunk)
-        };
+        let n_segments = config.segments_of(data.len());
         if n_segments > MAX_SEGMENTS {
             return Err(SendError::TooLong {
                 len: data.len(),
@@ -147,6 +143,11 @@ impl MsgSender {
     /// The causal span stamped on this message's segments.
     pub fn span(&self) -> u64 {
         self.span
+    }
+
+    /// How many segments the message was cut into.
+    pub fn total(&self) -> u8 {
+        self.total
     }
 
     /// In PARC mode, every segment but the last asks for an explicit ack

@@ -75,7 +75,7 @@ fn chaos_hashes_match_the_golden_table() {
         assert!(r.faults > 0, "seed {}: plan scheduled no faults", r.seed);
     }
     let multicast = ScenarioOptions {
-        multicast_calls: true,
+        multicast_small_calls: true,
         ..Store::options()
     };
     rows(

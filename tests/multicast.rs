@@ -1,16 +1,19 @@
-//! The m+n message count of §4.3.3: with `multicast_calls` on, a
-//! one-to-many call charges the client exactly one `sendmsg` per call
-//! segment (the troupe-wide multicast), where the paper-faithful unicast
-//! path charges one per segment *per member*. Return messages still
-//! arrive per member (the n half of m+n), and reliability is unchanged:
-//! every call completes with the same results in both modes.
+//! The message counts of the call data plane (§4.3.3, §4.4.1) — and the
+//! grain they are in: a default segment fills one Ethernet frame, so a
+//! message costs `ceil(len / 1,484)` datagrams per member and nothing
+//! else on a lossless LAN.
 //!
-//! And the grain those counts are in: a default segment fills one
-//! Ethernet frame, so a bulk call costs `ceil(len / 1,484)` datagrams per
-//! member and direction and nothing else on a lossless LAN.
+//! A one-to-many call that fits one segment is sent per member: n
+//! `sendmsg`s, as the paper measured. From two segments up it is sent
+//! once, by troupe-wide multicast: k `sendmsg`s instead of n·k, "m+n
+//! messages". `multicast_small_calls` extends that to single segments.
+//! Return messages arrive per member either way, and reliability is
+//! per member either way: acknowledgment, retransmission toward a
+//! straggler and crash detection are unicast.
 
 use std::any::Any;
 
+use rdp::circus::ThreadId;
 use rdp::circus::{
     Agent, CallError, CallHandle, CircusProcess, CollationPolicy, ModuleAddr, NodeBuilder,
     NodeConfig, NodeCtx, Service, ServiceCtx, Step, Troupe, TroupeId,
@@ -18,7 +21,7 @@ use rdp::circus::{
 use rdp::pairedmsg::{self, MsgType, Segment};
 use rdp::simnet::{
     Duration, ForgedDatagram, HostId, NetConfig, Payload, SockAddr, Syscall, SyscallCosts, Time,
-    TrafficInjector, Until, World,
+    TraceRing, TrafficInjector, Until, World,
 };
 
 const MODULE: u16 = 3;
@@ -29,10 +32,16 @@ const CLIENT: SockAddr = SockAddr {
     port: 10,
 };
 
-struct Echo;
+/// Echoes its arguments, and remembers on whose behalf: the client
+/// makes each call on a thread of its own.
+#[derive(Default)]
+struct Echo {
+    invoked: Vec<ThreadId>,
+}
 
 impl Service for Echo {
-    fn dispatch(&mut self, _ctx: &mut ServiceCtx, _proc: u16, args: &[u8]) -> Step {
+    fn dispatch(&mut self, ctx: &mut ServiceCtx, _proc: u16, args: &[u8]) -> Step {
+        self.invoked.push(ctx.thread);
         Step::Reply(args.to_vec())
     }
     fn get_state(&self) -> Vec<u8> {
@@ -87,19 +96,30 @@ impl Agent for ScriptedClient {
 
 /// A `members`-member echo troupe and one scripted client on the lossless
 /// 1985 LAN with the VAX syscall costs.
-fn testbed(members: u32, multicast: bool, payload: Vec<u8>, chained: u64) -> World {
-    let mut w = World::with_config(1985, NetConfig::lan_1985(), SyscallCosts::vax_4_2bsd());
+fn testbed(members: u32, multicast_small: bool, payload: Vec<u8>, chained: u64) -> World {
+    let w = World::with_config(1985, NetConfig::lan_1985(), SyscallCosts::vax_4_2bsd());
+    testbed_in(w, members, multicast_small, payload, chained)
+}
+
+/// The same troupe and client, spawned into `w`.
+fn testbed_in(
+    mut w: World,
+    members: u32,
+    multicast_small: bool,
+    payload: Vec<u8>,
+    chained: u64,
+) -> World {
     let config = NodeConfig {
-        multicast_calls: multicast,
+        multicast_small_calls: multicast_small,
         ..NodeConfig::default()
     };
     let id = TroupeId(9);
     let members: Vec<ModuleAddr> = (1..=members)
-        .map(|h| ModuleAddr::new(SockAddr::new(HostId(h), 70), MODULE))
+        .map(|h| ModuleAddr::new(member(h), MODULE))
         .collect();
     for m in &members {
         let p = NodeBuilder::new(m.addr, config.clone())
-            .service(MODULE, Box::new(Echo))
+            .service(MODULE, Box::<Echo>::default())
             .troupe_id(id)
             .build()
             .expect("valid node");
@@ -125,6 +145,18 @@ fn completions(w: &World) -> usize {
         client.results.iter().filter(|r| r.is_ok()).count()
     })
     .unwrap()
+}
+
+/// The threads whose calls the member at `addr` has executed, in order.
+fn invocations(w: &World, addr: SockAddr) -> Vec<ThreadId> {
+    w.with_proc(addr, |p: &CircusProcess| {
+        p.node().service_as::<Echo>(MODULE).unwrap().invoked.clone()
+    })
+    .unwrap()
+}
+
+fn member(host: u32) -> SockAddr {
+    SockAddr::new(HostId(host), 70)
 }
 
 /// Runs `calls` measured echo calls (after one warmup call) against a
@@ -192,8 +224,9 @@ impl TrafficInjector for WireTap {
     }
 }
 
-/// Runs `calls` echo calls of `payload` bytes back to back — unicast,
-/// `Unanimous`, n = 3: the benchmark's `echo_small`/`echo_bulk` rig — and
+/// Runs `calls` echo calls of `payload` bytes back to back — the default
+/// data plane, `Unanimous`, n = 3: the benchmark's `echo_small`/`echo_bulk`
+/// rig — and
 /// stops the moment the last completes (a little later its return, which
 /// no further call acknowledges, would be retransmitted). Returns the
 /// `sendmsg`s of all four processes, the wire tap, and the world.
@@ -206,7 +239,7 @@ fn closed_loop(calls: u64, payload: usize) -> (u64, WireTap, World) {
     let done = w.run(Until::pred(deadline, |w| completions(w) == calls as usize));
     assert!(done, "{calls} calls succeed");
     let sendmsgs = (1..=N)
-        .map(|h| SockAddr::new(HostId(h), 70))
+        .map(member)
         .chain([CLIENT])
         .map(|a| w.cpu(a).count_of(Syscall::SendMsg.index()))
         .sum();
@@ -218,7 +251,7 @@ fn closed_loop(calls: u64, payload: usize) -> (u64, WireTap, World) {
 fn unicast_charges_one_sendmsg_per_member() {
     let (sendmsgs, mcasts, ok) = measure(false, 4, b"ping".to_vec());
     assert_eq!(ok, 5, "warmup + 4 measured calls all complete");
-    assert_eq!(mcasts, 0, "paper-faithful mode never multicasts");
+    assert_eq!(mcasts, 0, "a single segment is not multicast unasked");
     assert_eq!(
         sendmsgs,
         4 * MEMBERS as u64,
@@ -240,17 +273,19 @@ fn multicast_charges_one_sendmsg_per_call_segment() {
 #[test]
 fn multisegment_call_multicasts_once_per_segment() {
     // Two and a half default segments of arguments: three segments (the
-    // call header is far smaller than the half segment left over).
+    // call header is far smaller than the half segment left over) — and
+    // nobody asked: the call's size selects the multicast.
     let grain = pairedmsg::Config::default().max_segment_data;
-    let (sendmsgs, mcasts, ok) = measure(true, 2, vec![7u8; grain * 5 / 2]);
+    let (sendmsgs, mcasts, ok) = measure(false, 2, vec![7u8; grain * 5 / 2]);
     assert_eq!(ok, 3);
     assert_eq!(mcasts, 2 * 3, "one multicast op per segment");
     assert_eq!(sendmsgs, 2 * 3);
 }
 
-/// The unicast floor on the paper's cost model (Table 4.2 charges per
-/// datagram): an 8 KiB echo at n = 3 is 3 members × (6 call + 6 return)
-/// full Ethernet frames and not one datagram more.
+/// The floor on the paper's cost model (Table 4.2 charges per datagram):
+/// an 8 KiB echo at n = 3 is 3 members × (6 call + 6 return) full
+/// Ethernet frames and not one datagram more, and the 6 call frames cost
+/// the client one `sendmsg` each, not one per member.
 #[test]
 fn bulk_echo_sends_exactly_the_frames_the_ethernet_needs() {
     const CALLS: u64 = 5;
@@ -261,9 +296,10 @@ fn bulk_echo_sends_exactly_the_frames_the_ethernet_needs() {
     let per_message = 8192usize.div_ceil(grain) as u64;
     assert_eq!(tap.totals, [per_message as u8; 2]);
     assert_eq!(per_message, 6);
-    assert_eq!(sendmsgs, CALLS * 3 * 2 * per_message, "36 per call");
-    assert_eq!(w.net_stats().sent, sendmsgs, "one datagram per sendmsg");
-    assert_eq!(tap.data, sendmsgs, "every datagram is a first transmission");
+    assert_eq!(sendmsgs, CALLS * (6 + 3 * 6), "24 per call");
+    assert_eq!(w.net_stats().multicasts, CALLS * 6);
+    assert_eq!(w.net_stats().sent, CALLS * 3 * (6 + 6), "36 per call");
+    assert_eq!(tap.data, CALLS * 36, "every datagram a first transmission");
     assert_eq!(tap.overhead, 0, "no ack, retransmission or probe");
     assert_eq!(w.net_stats().oversize, 0);
     assert_eq!(tap.largest, mtu, "a full segment is exactly one frame");
@@ -273,13 +309,122 @@ fn bulk_echo_sends_exactly_the_frames_the_ethernet_needs() {
 fn call_header_counts_toward_the_segment() {
     let grain = pairedmsg::Config::default().max_segment_data;
     // A segment's worth of arguments no longer fits one segment once the
-    // call header is in front of it; the echo's return spills too.
+    // call header is in front of it; the echo's return spills too. Two
+    // segments are enough to share: 2 for the call, 3 × 2 coming back.
     let (sendmsgs, tap, _) = closed_loop(2, grain);
     assert_eq!(tap.totals, [2, 2]);
-    assert_eq!(sendmsgs, 2 * 3 * (2 + 2));
+    assert_eq!(sendmsgs, 2 * (2 + 3 * 2));
     // The paper's own tables use calls like this one: a single segment.
     let (sendmsgs, tap, _) = closed_loop(2, 64);
     assert_eq!(tap.totals, [1, 1]);
     assert_eq!(sendmsgs, 2 * 3 * (1 + 1));
     assert_eq!(tap.overhead, 0);
+}
+
+/// `sendmsg`s per n = 3 echo call of k segments each way: 2n at k = 1,
+/// k + n·k from there up, and nothing but first transmissions at any
+/// size — at 9 segments per-member transmission took 381 ms a call, past
+/// the 300 ms interval, and re-sent a *please ack* every other call.
+#[test]
+fn sendmsgs_per_call_follow_the_segment_count() {
+    const N: u64 = 3;
+    const CALLS: u64 = 6;
+    let grain = pairedmsg::Config::default().max_segment_data;
+    for k in [1u64, 2, 3, 6, 9] {
+        // Arguments ending half-way into the k-th segment: the call and
+        // return headers fit the slack.
+        let (sendmsgs, tap, w) = closed_loop(CALLS, (k as usize - 1) * grain + grain / 2);
+        assert_eq!(tap.totals, [k as u8; 2]);
+        let (call, mcasts) = if k == 1 { (N, 0) } else { (k, k) };
+        assert_eq!(sendmsgs, CALLS * (call + N * k), "sendmsgs at k = {k}");
+        assert_eq!(w.net_stats().multicasts, CALLS * mcasts, "k = {k}");
+        assert_eq!(w.net_stats().sent, CALLS * 2 * N * k, "datagrams, k = {k}");
+        assert_eq!(tap.overhead, 0, "ack, retransmission or probe at k = {k}");
+    }
+}
+
+const BULK_CALLS: usize = 6;
+
+/// One seeded run of the bulk path under faults: [`BULK_CALLS`] 8 KiB
+/// echoes to five members over a LAN that loses and duplicates
+/// datagrams, with the last member killed while the second call's blast
+/// is on the wire. Returns the trace hash.
+fn faulty_bulk_run(seed: u64) -> u64 {
+    const SEGMENTS: u64 = 6;
+    let net = NetConfig {
+        loss: 0.03,
+        duplicate: 0.03,
+        ..NetConfig::lan_1985()
+    };
+    let mut w = World::with_config(seed, net, SyscallCosts::vax_4_2bsd());
+    w.set_trace_sink(Box::new(TraceRing::new(64)));
+    let payload = vec![0xAB; 8192];
+    let mut w = testbed_in(w, MEMBERS, false, payload.clone(), BULK_CALLS as u64 - 1);
+    w.set_injector(Box::<WireTap>::default(), Duration::ZERO);
+    w.poke(CLIENT, 0);
+    let deadline = w.now() + Duration::from_secs(120);
+    assert!(w.run(Until::pred(deadline, |w| completions(w) == 1)));
+
+    // The handler that completed the first call began the second, so its
+    // six frames have left the client. Kill a member that holds at most
+    // half of them.
+    let victim = member(MEMBERS);
+    let received = |w: &World| w.cpu(victim).count_of(Syscall::RecvMsg.index());
+    let half = received(&w) + SEGMENTS / 2;
+    assert!(w.run(Until::pred(deadline, |w| received(w) >= half)));
+    assert_eq!(w.net_stats().multicasts, 2 * SEGMENTS, "seed {seed}");
+    assert_eq!(invocations(&w, victim).len(), 1, "seed {seed}");
+    w.kill(victim);
+
+    assert!(
+        w.run(Until::pred(deadline, |w| completions(w) == BULK_CALLS)),
+        "seed {seed}: {} of {BULK_CALLS} calls succeeded",
+        completions(&w)
+    );
+    w.with_proc(CLIENT, |p: &CircusProcess| {
+        for (i, r) in p
+            .agent_as::<ScriptedClient>()
+            .unwrap()
+            .results
+            .iter()
+            .enumerate()
+        {
+            assert_eq!(r.as_deref(), Ok(&payload[..]), "seed {seed}, call {i}");
+        }
+    });
+    for survivor in (1..MEMBERS).map(member) {
+        let mut invoked = invocations(&w, survivor);
+        let ran = invoked.len();
+        invoked.sort();
+        invoked.dedup();
+        let distinct = invoked.len();
+        assert_eq!(
+            (ran, distinct),
+            (BULK_CALLS, BULK_CALLS),
+            "seed {seed}: {survivor} ran every call exactly once"
+        );
+    }
+    // Each call was blasted once, to however many members were thought
+    // alive; everything sent again went to one member at a time.
+    assert_eq!(w.net_stats().multicasts, BULK_CALLS as u64 * SEGMENTS);
+    let tap = w.injector_as::<WireTap>().expect("installed above");
+    assert!(tap.overhead > 0, "seed {seed}: nothing was retransmitted");
+    w.trace_sink_as::<TraceRing>()
+        .expect("installed above")
+        .hash()
+}
+
+/// The path every bulk call now takes, under the faults the chaos
+/// workloads never put it through (none of them sends a multi-segment
+/// one-to-many call): every call completes with the survivors' unanimous
+/// result, every survivor runs each call exactly once, only first
+/// transmissions are multicast, and a seed replays bit for bit.
+#[test]
+fn bulk_multicast_survives_loss_duplication_and_a_kill_mid_blast() {
+    for seed in 1..=10 {
+        let hash = faulty_bulk_run(seed);
+        if seed == 1 {
+            assert_eq!(hash, faulty_bulk_run(seed), "seed {seed} replays");
+        }
+    }
 }

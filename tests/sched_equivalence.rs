@@ -57,7 +57,7 @@ fn chaos_sweep_matches_heap_bit_for_bit() {
 #[test]
 fn multicast_sweep_matches_heap_bit_for_bit() {
     let opts = ScenarioOptions {
-        multicast_calls: true,
+        multicast_small_calls: true,
         ..ScenarioOptions::default()
     };
     for seed in [1, 4, 7, 10] {

@@ -64,7 +64,7 @@ impl Agent for OneShot {
 fn crashed_replica_spans(seed: u64, multicast: bool) {
     let mut w = World::new(seed);
     let config = NodeConfig {
-        multicast_calls: multicast,
+        multicast_small_calls: multicast,
         ..NodeConfig::default()
     };
     let id = TroupeId(9);
