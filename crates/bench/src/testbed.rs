@@ -192,10 +192,12 @@ impl Service for EchoService {
     }
 }
 
-/// The rpctest client: sequential replicated echo calls.
+/// The rpctest client: sequential replicated echo calls, each begun when
+/// the last completes — or, `paced`, one per poke.
 struct RpcClient {
     troupe: Troupe,
     remaining: u32,
+    paced: bool,
     thread: Option<circus::ThreadId>,
     started: Time,
     finished: Option<Time>,
@@ -242,7 +244,7 @@ impl Agent for RpcClient {
         self.remaining -= 1;
         if self.remaining == 0 {
             self.finished = Some(nc.now());
-        } else {
+        } else if !self.paced {
             self.call_one(nc);
         }
     }
@@ -275,6 +277,32 @@ pub(crate) fn spawn_troupe(
     Troupe::new(id, members)
 }
 
+/// Spawns the rpctest client, with `calls` echo calls to make of
+/// `troupe`, and returns its address.
+fn spawn_rpc_client(
+    w: &mut World,
+    config: NodeConfig,
+    troupe: Troupe,
+    calls: u32,
+    paced: bool,
+) -> SockAddr {
+    let client = SockAddr::new(HostId(0), 100);
+    let p = NodeBuilder::new(client, config)
+        .agent(Box::new(RpcClient {
+            troupe,
+            remaining: calls,
+            paced,
+            thread: None,
+            started: Time::ZERO,
+            finished: None,
+            failures: 0,
+        }))
+        .build()
+        .expect("valid node");
+    w.spawn(client, Box::new(p));
+    client
+}
+
 /// Runs the Circus replicated echo at the given degree of replication,
 /// with the paper-faithful unicast data plane.
 pub fn run_circus_echo(replicas: usize, calls: u32) -> EchoResult {
@@ -295,19 +323,7 @@ pub fn run_circus_echo_mode(replicas: usize, calls: u32, multicast: bool) -> Ech
     let troupe = spawn_troupe(&mut w, TroupeId(4242), replicas, &config, || {
         Box::new(EchoService)
     });
-    let client = SockAddr::new(HostId(0), 100);
-    let p = NodeBuilder::new(client, config)
-        .agent(Box::new(RpcClient {
-            troupe,
-            remaining: calls,
-            thread: None,
-            started: Time::ZERO,
-            finished: None,
-            failures: 0,
-        }))
-        .build()
-        .expect("valid node");
-    w.spawn(client, Box::new(p));
+    let client = spawn_rpc_client(&mut w, config, troupe, calls, false);
     w.poke(client, 0);
     w.run(simnet::Until::pred(Time::from_secs(36_000), |w| {
         w.with_proc(client, |p: &CircusProcess| {
@@ -323,6 +339,78 @@ pub fn run_circus_echo_mode(replicas: usize, calls: u32, multicast: bool) -> Ech
         .unwrap();
     assert_eq!(failures, 0, "echo calls must not fail");
     EchoResult::from_account(w.cpu(client), finished.since(started), calls)
+}
+
+/// What one call costs a caller that thinks between calls, summed over
+/// the client and every member.
+#[derive(Clone, Copy, Debug)]
+pub struct PacedResult {
+    /// `sendmsg` syscalls per call.
+    pub sendmsgs: f64,
+    /// CPU time per call, milliseconds.
+    pub cpu_ms: f64,
+    /// Return acknowledgments per call sent on the caller's own tick
+    /// (`rpc.*.acks_on_tick`).
+    pub acks_on_tick: f64,
+    /// *Please ack* re-sends per call (`rpc.*.retransmits`).
+    pub retransmits: f64,
+}
+
+/// Runs the Circus replicated echo with a caller that begins one call
+/// every `gap` rather than at the completion of the last, and measures
+/// `calls` whole periods of its steady state: what it costs to have a
+/// return acknowledged when the next call is not there to do it.
+pub fn run_paced_echo(replicas: usize, calls: u32, gap: Duration) -> PacedResult {
+    /// Periods run before the measured ones.
+    const WARMUP: u32 = 4;
+    let mut w = world();
+    let config = NodeConfig::default();
+    let troupe = spawn_troupe(&mut w, TroupeId(4242), replicas, &config, || {
+        Box::new(EchoService)
+    });
+    let members: Vec<SockAddr> = troupe.members.iter().map(|m| m.addr).collect();
+    let client = spawn_rpc_client(&mut w, config, troupe, WARMUP + calls, true);
+    let everyone: Vec<SockAddr> = members.into_iter().chain([client]).collect();
+    let periods = |w: &mut World, n: u32| {
+        for _ in 0..n {
+            w.poke(client, 0);
+            w.run(simnet::Until::Elapsed(gap));
+        }
+    };
+    let counters = |w: &World| {
+        w.refresh_metrics();
+        let reg = w.metrics();
+        (
+            reg.sum_suffix(".acks_on_tick"),
+            reg.sum_suffix(".retransmits"),
+        )
+    };
+    periods(&mut w, WARMUP);
+    for &a in &everyone {
+        w.reset_cpu(a);
+    }
+    let before = counters(&w);
+    periods(&mut w, calls);
+    let after = counters(&w);
+    let (finished, failures) = w
+        .with_proc(client, |p: &CircusProcess| {
+            let c = p.agent_as::<RpcClient>().unwrap();
+            (c.finished.is_some(), c.failures)
+        })
+        .unwrap();
+    assert!(finished && failures == 0, "every paced call completes");
+    let cpus: Vec<CpuView> = everyone.iter().map(|&a| w.cpu(a)).collect();
+    let per_call = |total: f64| total / calls as f64;
+    PacedResult {
+        sendmsgs: per_call(
+            cpus.iter()
+                .map(|c| c.count_of(Syscall::SendMsg.index()) as f64)
+                .sum(),
+        ),
+        cpu_ms: per_call(cpus.iter().map(CpuView::total_ms).sum()),
+        acks_on_tick: per_call((after.0 - before.0) as f64),
+        retransmits: per_call((after.1 - before.1) as f64),
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -611,43 +611,15 @@ impl Node {
     /// statistics — the chaos serial-number oracle and the §4.2.5
     /// ablation read the registry, never the stats structs.
     pub fn publish_metrics(&self, reg: &obs::Registry) {
-        let mut segments_sent = 0u64;
-        let mut calls_delivered = 0u64;
-        let mut returns_delivered = 0u64;
-        let mut duplicate_call_deliveries = 0u64;
-        let mut send_call_regressions = 0u64;
-        let mut replays_suppressed = 0u64;
-        let mut max_recv_buffered = 0usize;
+        let mut total = pairedmsg::EndpointStats::default();
         for c in self.conns.values() {
-            let s = c.endpoint.stats();
-            segments_sent += s.segments_sent;
-            calls_delivered += s.calls_delivered;
-            returns_delivered += s.returns_delivered;
-            duplicate_call_deliveries += s.duplicate_call_deliveries;
-            send_call_regressions += s.send_call_regressions;
-            replays_suppressed += s.replays_suppressed;
-            max_recv_buffered = max_recv_buffered.max(s.max_recv_buffered);
+            total.absorb(&c.endpoint.stats());
         }
         // Multicast segments bypass the endpoints; each went to the
         // network once.
-        segments_sent += self.mcast_segments;
+        total.segments_sent += self.mcast_segments;
         let me = self.me;
-        reg.set_gauge(&format!("rpc.{me}.segments_sent"), segments_sent);
-        reg.set_gauge(&format!("rpc.{me}.calls_delivered"), calls_delivered);
-        reg.set_gauge(&format!("rpc.{me}.returns_delivered"), returns_delivered);
-        reg.set_gauge(
-            &format!("rpc.{me}.duplicate_call_deliveries"),
-            duplicate_call_deliveries,
-        );
-        reg.set_gauge(
-            &format!("rpc.{me}.send_call_regressions"),
-            send_call_regressions,
-        );
-        reg.set_gauge(&format!("rpc.{me}.replays_suppressed"), replays_suppressed);
-        reg.set_gauge(
-            &format!("rpc.{me}.max_recv_buffered"),
-            max_recv_buffered as u64,
-        );
+        total.publish(reg, &format!("rpc.{me}"));
         reg.set_gauge(&format!("rpc.{me}.invocations"), self.invocations());
         reg.set_gauge(&format!("rpc.{me}.mcast_calls"), self.mcast_calls);
         reg.set_gauge(&format!("rpc.{me}.mcast_segments"), self.mcast_segments);

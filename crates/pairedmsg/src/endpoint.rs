@@ -8,8 +8,42 @@
 //!
 //! The endpoint is sans-io: feed it datagrams and timer ticks, drain
 //! segments to transmit and events to deliver upward.
+//!
+//! # How a return gets acknowledged
+//!
+//! A return is the last message of its exchange, so nothing the protocol
+//! must send anyway follows it. Three things can acknowledge it, tried in
+//! this order:
+//!
+//! 1. **The caller's next call** (§4.2.2): a call segment retires every
+//!    return with an earlier call number. Free, and the only path a
+//!    caller that calls again within the retransmission interval takes.
+//! 2. **The caller's own tick.** The return's first segment retires our
+//!    call's sender; the endpoint keeps that sender's pending
+//!    retransmission deadline, and once the return is complete an ack is
+//!    *owed*, due at that deadline. [`Endpoint::on_timer`] at or after it
+//!    emits one `ack(Return, cn, total, total)` — unless a call (path 1)
+//!    or a *please ack* duplicate (path 3) got there first. The owed ack
+//!    is never reported by [`Endpoint::poll_timer`]: whoever drives the
+//!    endpoint armed a timer for the call's deadline when the call went
+//!    out and that tick comes whether or not the sender still exists, so
+//!    the ack rides it and no timer is armed (nor its `gettimeofday` /
+//!    `sigblock` / `setitimer` charged, Table 4.2) on its account.
+//! 3. ***Please ack*, the fallback** (§4.2.2, §4.2.4): the callee's
+//!    retransmission timer re-sends the return's first unacknowledged
+//!    segment with *please ack* and the caller answers at once. Two
+//!    datagrams instead of one, and the only path on which liveness and
+//!    [`Event::PeerDead`] rest: it runs whenever the tick ack is lost,
+//!    loses the race, or no tick comes.
+//!
+//! The caller's tick normally wins the race with the callee's timer: the
+//! return was queued at least one `sendmsg`, one hop and the receive path
+//! after the call was. A caller pacing its calls a little over one
+//! interval apart (≈ 310 ms at the default 300) pays for path 2 just
+//! before path 1 would have made it unnecessary; that is the one band
+//! where this sends more than *please ack* alone would.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::config::Config;
 use crate::receiver::MsgReceiver;
@@ -45,12 +79,36 @@ struct ProbeState {
     unanswered: u32,
 }
 
+/// A call this endpoint sent, kept until its return needs nothing more
+/// from us.
+#[derive(Clone, Copy, Debug)]
+struct SentCall {
+    call_number: u32,
+    /// Segments of the delivered return whose ack we owe; 0 while the
+    /// return is still awaited.
+    returned: u8,
+    /// The pending retransmission deadline of the call's sender when the
+    /// return's first segment retired it: the tick the owed ack rides.
+    /// `None` while the sender lives, and for good if an explicit ack
+    /// retired it (the tick it names has been spent or re-armed).
+    tick: Option<Time>,
+}
+
 /// Traffic counters, used by the §4.2.5 protocol-discipline ablation and
 /// the chaos harness's serial-number-monotonicity oracle.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EndpointStats {
     /// Segments handed to the network (data, acks, and probes).
     pub segments_sent: u64,
+    /// Data segments re-sent, *please ack* set, by a retransmission
+    /// timer (a subset of `segments_sent`).
+    pub retransmits: u64,
+    /// Explicit acknowledgments handed to the network (a subset of
+    /// `segments_sent`).
+    pub acks_sent: u64,
+    /// Acknowledgments of a delivered return sent on the call's own tick
+    /// (a subset of `acks_sent`).
+    pub acks_on_tick: u64,
     /// Largest number of out-of-order segments buffered by any receiver
     /// at once — the buffering cost the PARC discipline avoids (§4.2.5).
     pub max_recv_buffered: usize,
@@ -70,6 +128,49 @@ pub struct EndpointStats {
     pub replays_suppressed: u64,
 }
 
+impl EndpointStats {
+    /// Folds another endpoint's counters into these: sums, and the
+    /// larger of the two buffering high-water marks.
+    pub fn absorb(&mut self, other: &EndpointStats) {
+        self.segments_sent += other.segments_sent;
+        self.retransmits += other.retransmits;
+        self.acks_sent += other.acks_sent;
+        self.acks_on_tick += other.acks_on_tick;
+        self.max_recv_buffered = self.max_recv_buffered.max(other.max_recv_buffered);
+        self.calls_delivered += other.calls_delivered;
+        self.returns_delivered += other.returns_delivered;
+        self.duplicate_call_deliveries += other.duplicate_call_deliveries;
+        self.send_call_regressions += other.send_call_regressions;
+        self.replays_suppressed += other.replays_suppressed;
+    }
+
+    /// Sets one gauge per counter, `{prefix}.{field name}`.
+    pub fn publish(&self, reg: &obs::Registry, prefix: &str) {
+        // One key buffer for the lot: a chaos sweep publishes every node
+        // of every scenario.
+        let mut key = String::with_capacity(prefix.len() + 32);
+        key.push_str(prefix);
+        key.push('.');
+        let stem = key.len();
+        for (name, value) in [
+            ("segments_sent", self.segments_sent),
+            ("retransmits", self.retransmits),
+            ("acks_sent", self.acks_sent),
+            ("acks_on_tick", self.acks_on_tick),
+            ("max_recv_buffered", self.max_recv_buffered as u64),
+            ("calls_delivered", self.calls_delivered),
+            ("returns_delivered", self.returns_delivered),
+            ("duplicate_call_deliveries", self.duplicate_call_deliveries),
+            ("send_call_regressions", self.send_call_regressions),
+            ("replays_suppressed", self.replays_suppressed),
+        ] {
+            key.truncate(stem);
+            key.push_str(name);
+            reg.set_gauge(&key, value);
+        }
+    }
+}
+
 /// State machine for all exchanges with one peer process.
 #[derive(Debug)]
 pub struct Endpoint {
@@ -82,9 +183,11 @@ pub struct Endpoint {
     out: VecDeque<Segment>,
     events: VecDeque<Event>,
     probe: Option<ProbeState>,
-    /// Calls we sent whose returns have not yet been delivered; drives
-    /// crash-detection probing.
-    awaiting_reply: BTreeSet<u32>,
+    /// Calls we sent (never more than are in flight at once, plus the
+    /// returns delivered since the last call). One whose return has not
+    /// yet been delivered drives crash-detection probing; one whose
+    /// return has been delivered owes its ack (see the module docs).
+    sent_calls: Vec<SentCall>,
     /// Highest call number delivered upward as a complete Call message
     /// (monotonicity audit).
     highest_delivered_call: Option<u32>,
@@ -105,7 +208,7 @@ impl Endpoint {
             out: VecDeque::new(),
             events: VecDeque::new(),
             probe: None,
-            awaiting_reply: BTreeSet::new(),
+            sent_calls: Vec::new(),
             highest_delivered_call: None,
             highest_sent_call: None,
             dead: false,
@@ -122,26 +225,7 @@ impl Endpoint {
     /// under `prefix` (e.g. `pm.h1:70`). Consumers read the registry;
     /// the raw [`EndpointStats`] struct stays an implementation detail.
     pub fn publish_metrics(&self, reg: &obs::Registry, prefix: &str) {
-        let s = self.stats;
-        reg.set_gauge(&format!("{prefix}.segments_sent"), s.segments_sent);
-        reg.set_gauge(
-            &format!("{prefix}.max_recv_buffered"),
-            s.max_recv_buffered as u64,
-        );
-        reg.set_gauge(&format!("{prefix}.calls_delivered"), s.calls_delivered);
-        reg.set_gauge(&format!("{prefix}.returns_delivered"), s.returns_delivered);
-        reg.set_gauge(
-            &format!("{prefix}.duplicate_call_deliveries"),
-            s.duplicate_call_deliveries,
-        );
-        reg.set_gauge(
-            &format!("{prefix}.send_call_regressions"),
-            s.send_call_regressions,
-        );
-        reg.set_gauge(
-            &format!("{prefix}.replays_suppressed"),
-            s.replays_suppressed,
-        );
+        self.stats.publish(reg, prefix);
     }
 
     /// `true` once the peer has been declared dead.
@@ -159,7 +243,7 @@ impl Endpoint {
     /// and probing for it.
     pub fn abandon_call(&mut self, now: Time, call_number: u32) {
         self.senders.remove(&(MsgType::Call, call_number));
-        self.awaiting_reply.remove(&call_number);
+        self.sent_calls.retain(|c| c.call_number != call_number);
         if self.dead {
             // Dead endpoints must stay inert: re-arming a probe here could
             // drive a second give-up cycle for a peer already reported dead.
@@ -171,10 +255,16 @@ impl Endpoint {
             .is_some_and(|p| p.call_number == call_number)
         {
             self.probe = None;
-            if let Some(&cn) = self.awaiting_reply.last() {
+            if let Some(cn) = self.newest_awaited() {
                 self.arm_probe(now, cn);
             }
         }
+    }
+
+    /// The newest call whose return has not yet been delivered.
+    fn newest_awaited(&self) -> Option<u32> {
+        let awaited = self.sent_calls.iter().filter(|c| c.returned == 0);
+        awaited.map(|c| c.call_number).max()
     }
 
     /// Starts transmitting a message attributed to causal span `span`
@@ -229,7 +319,16 @@ impl Endpoint {
     fn track(&mut self, sender: MsgSender) {
         let (msg_type, call_number) = (sender.msg_type(), sender.call_number());
         if msg_type == MsgType::Call {
-            self.awaiting_reply.insert(call_number);
+            // The call acknowledges every earlier return (§4.2.2): their
+            // acks are no longer owed.
+            self.sent_calls.retain(|c| {
+                c.call_number != call_number && (c.returned == 0 || c.call_number > call_number)
+            });
+            self.sent_calls.push(SentCall {
+                call_number,
+                returned: 0,
+                tick: None,
+            });
             if self.highest_sent_call.is_some_and(|hi| call_number <= hi) {
                 self.stats.send_call_regressions += 1;
             }
@@ -302,13 +401,14 @@ impl Endpoint {
         // any return with an earlier call number.
         match h.msg_type {
             MsgType::Return => {
-                if self
-                    .senders
-                    .remove(&(MsgType::Call, h.call_number))
-                    .is_some()
-                {
+                if let Some(call) = self.senders.remove(&(MsgType::Call, h.call_number)) {
                     // Our call is implicitly acknowledged; probing (if it
                     // had started) continues until the return completes.
+                    // The tick armed for the call still comes: remember
+                    // when, for the ack the return will be owed.
+                    if let Some(c) = self.sent_call_mut(h.call_number) {
+                        c.tick = call.deadline();
+                    }
                     self.arm_probe(now, h.call_number);
                 }
             }
@@ -327,6 +427,11 @@ impl Endpoint {
             if h.please_ack {
                 self.out
                     .push_back(Segment::ack(h.msg_type, h.call_number, total, total));
+                if h.msg_type == MsgType::Return {
+                    // That was the ack we owed.
+                    self.sent_calls
+                        .retain(|c| c.call_number != h.call_number || c.returned == 0);
+                }
             }
             return;
         }
@@ -397,16 +502,22 @@ impl Endpoint {
             }
             MsgType::Return => {
                 self.stats.returns_delivered += 1;
+                // The return's ack is owed on the call's tick — if that
+                // tick is known to be coming and the callee has not just
+                // asked for the ack outright.
+                match self.sent_call_mut(h.call_number) {
+                    Some(c) if c.tick.is_some() && !want_ack => c.returned = total,
+                    _ => self.sent_calls.retain(|c| c.call_number != h.call_number),
+                }
                 // Exchange over: stop probing for it, but keep watch
                 // over any other call still awaiting its return.
-                self.awaiting_reply.remove(&h.call_number);
                 if self
                     .probe
                     .as_ref()
                     .is_some_and(|p| p.call_number == h.call_number)
                 {
                     self.probe = None;
-                    if let Some(&cn) = self.awaiting_reply.last() {
+                    if let Some(cn) = self.newest_awaited() {
                         self.arm_probe(now, cn);
                     }
                 }
@@ -422,6 +533,12 @@ impl Endpoint {
             span: h.span,
             data,
         });
+    }
+
+    fn sent_call_mut(&mut self, call_number: u32) -> Option<&mut SentCall> {
+        self.sent_calls
+            .iter_mut()
+            .find(|c| c.call_number == call_number)
     }
 
     fn arm_probe(&mut self, now: Time, call_number: u32) {
@@ -448,7 +565,8 @@ impl Endpoint {
         });
     }
 
-    /// When the endpoint next needs a timer tick.
+    /// When the endpoint next needs a timer tick. An owed return ack
+    /// never asks for one: it rides the tick its call was given.
     pub fn poll_timer(&self) -> Option<Time> {
         if self.dead {
             return None;
@@ -461,11 +579,13 @@ impl Endpoint {
         }
     }
 
-    /// Advances retransmission and probe clocks to `now`.
+    /// Advances retransmission and probe clocks to `now`, and pays the
+    /// return acks that have come due.
     pub fn on_timer(&mut self, now: Time) {
         if self.dead {
             return;
         }
+        let queued = self.out.len();
         for sender in self.senders.values_mut() {
             match sender.on_tick(now) {
                 SenderTick::Idle => {}
@@ -478,22 +598,33 @@ impl Endpoint {
                 }
             }
         }
-        let probe_action = match &mut self.probe {
+        self.stats.retransmits += (self.out.len() - queued) as u64;
+        match &mut self.probe {
             Some(p) if now >= p.next => {
                 if p.unanswered >= self.config.max_unanswered_probes {
-                    None // Dead.
-                } else {
-                    p.unanswered += 1;
-                    p.next = now + self.config.probe_interval;
-                    Some(Segment::probe(p.call_number))
+                    self.declare_dead();
+                    return;
                 }
+                p.unanswered += 1;
+                p.next = now + self.config.probe_interval;
+                self.out.push_back(Segment::probe(p.call_number));
             }
-            _ => return,
-        };
-        match probe_action {
-            Some(seg) => self.out.push_back(seg),
-            None => self.declare_dead(),
+            _ => {}
         }
+        let (out, stats) = (&mut self.out, &mut self.stats);
+        self.sent_calls.retain(|c| {
+            let due = c.returned != 0 && c.tick.is_some_and(|t| now >= t);
+            if due {
+                out.push_back(Segment::ack(
+                    MsgType::Return,
+                    c.call_number,
+                    c.returned,
+                    c.returned,
+                ));
+                stats.acks_on_tick += 1;
+            }
+            !due
+        });
     }
 
     fn declare_dead(&mut self) {
@@ -506,7 +637,7 @@ impl Endpoint {
         self.senders.clear();
         self.receivers.clear();
         self.probe = None;
-        self.awaiting_reply.clear();
+        self.sent_calls.clear();
         self.out.clear();
         self.events.push_back(Event::PeerDead);
     }
@@ -518,11 +649,12 @@ impl Endpoint {
 
     /// Drains the next segment to transmit, in decoded form (for tests).
     pub fn poll_transmit_segment(&mut self) -> Option<Segment> {
-        let seg = self.out.pop_front();
-        if seg.is_some() {
-            self.stats.segments_sent += 1;
+        let seg = self.out.pop_front()?;
+        self.stats.segments_sent += 1;
+        if seg.header.ack && !seg.header.probe {
+            self.stats.acks_sent += 1;
         }
-        seg
+        Some(seg)
     }
 
     /// Drains the next upward event.
@@ -673,5 +805,443 @@ mod tests {
         server.on_segment(now, dup);
         assert!(server.poll_event().is_some(), "re-delivered upward");
         assert_eq!(server.stats().duplicate_call_deliveries, 1);
+    }
+
+    /// One line per segment, for transcripts: `C1 2/3 please-ack`,
+    /// `ack R1 3`, `probe 1`.
+    fn show(seg: &Segment) -> String {
+        let h = seg.header;
+        let t = match h.msg_type {
+            MsgType::Call => 'C',
+            MsgType::Return => 'R',
+        };
+        let cn = h.call_number;
+        match (h.probe, h.ack) {
+            (true, false) => format!("probe {cn}"),
+            (true, true) => format!("probe-reply {cn}"),
+            (false, true) => format!("ack {t}{cn} {}", h.number),
+            (false, false) if h.please_ack => {
+                format!("{t}{cn} {}/{} please-ack", h.number, h.total)
+            }
+            (false, false) => format!("{t}{cn} {}/{}", h.number, h.total),
+        }
+    }
+
+    /// [`carry`], reporting what crossed.
+    fn carry_shown(now: Time, tx: &mut Endpoint, rx: &mut Endpoint) -> Vec<String> {
+        let mut crossed = Vec::new();
+        while let Some(seg) = tx.poll_transmit_segment() {
+            crossed.push(show(&seg));
+            rx.on_datagram(now, &seg.encode()).unwrap();
+        }
+        crossed
+    }
+
+    fn ms(n: u64) -> Time {
+        Time::ZERO + Duration::from_millis(n)
+    }
+
+    /// How long the callee takes to answer in [`exchange`].
+    const SERVICE_MS: u64 = 40;
+
+    /// One whole exchange: `client` sends call `cn` at `at` ms, `server`
+    /// answers with `reply` [`SERVICE_MS`] later, and both messages arrive
+    /// and are delivered upward. Returns everything that crossed.
+    fn exchange(
+        at: u64,
+        cn: u32,
+        client: &mut Endpoint,
+        server: &mut Endpoint,
+        reply: &[u8],
+    ) -> Vec<String> {
+        client.send(ms(at), MsgType::Call, cn, 0, b"args").unwrap();
+        let mut crossed = carry_shown(ms(at), client, server);
+        assert!(matches!(
+            server.poll_event(),
+            Some(Event::Message { msg_type: MsgType::Call, call_number, .. }) if call_number == cn
+        ));
+        crossed.extend(carry_shown(ms(at), server, client));
+        let answered = ms(at + SERVICE_MS);
+        server
+            .send(answered, MsgType::Return, cn, 0, reply)
+            .unwrap();
+        crossed.extend(carry_shown(answered, server, client));
+        assert!(matches!(
+            client.poll_event(),
+            Some(Event::Message { msg_type: MsgType::Return, call_number, .. }) if call_number == cn
+        ));
+        crossed.extend(carry_shown(answered, client, server));
+        crossed
+    }
+
+    fn pair(config: Config) -> (Endpoint, Endpoint) {
+        (Endpoint::new(config.clone()), Endpoint::new(config))
+    }
+
+    /// A return no later call acknowledges is acknowledged once, by its
+    /// caller, on the tick the call was given — and that is the whole
+    /// cost: the callee never re-sends it.
+    #[test]
+    fn idle_return_is_acked_once_on_the_calls_own_tick() {
+        let (mut client, mut server) = pair(Config::default());
+        let crossed = exchange(0, 1, &mut client, &mut server, b"ok");
+        assert_eq!(crossed, ["C1 1/1", "R1 1/1"]);
+
+        // The owed ack asks for no timer of its own.
+        assert_eq!(client.poll_timer(), None);
+        assert!(client.is_idle());
+        assert_eq!(server.poll_timer(), Some(ms(SERVICE_MS + 300)));
+
+        // The tick the driver armed when call 1 went out: 300 ms, exactly.
+        client.on_timer(ms(300));
+        assert_eq!(carry_shown(ms(305), &mut client, &mut server), ["ack R1 1"]);
+        let s = client.stats();
+        assert_eq!((s.acks_sent, s.acks_on_tick, s.retransmits), (1, 1, 0));
+        assert!(client.sent_calls.is_empty());
+
+        // The callee is done; its own tick, 35 ms later, has nothing to do.
+        assert!(server.senders.is_empty());
+        assert_eq!(server.poll_timer(), None);
+        server.on_timer(ms(SERVICE_MS + 300));
+        assert_eq!(server.poll_transmit_segment(), None);
+        assert_eq!(server.stats().retransmits, 0);
+
+        // And the ack is paid once.
+        client.on_timer(ms(600));
+        assert_eq!(client.poll_transmit_segment(), None);
+    }
+
+    /// A caller that calls again before its tick acknowledges the return
+    /// the way §4.2.2 says, for nothing: no explicit ack is ever sent.
+    #[test]
+    fn next_call_before_the_tick_cancels_the_owed_ack() {
+        let (mut client, mut server) = pair(Config::default());
+        exchange(0, 1, &mut client, &mut server, b"ok");
+        assert!(server.senders.contains_key(&(MsgType::Return, 1)));
+
+        let crossed = exchange(100, 2, &mut client, &mut server, b"ok");
+        assert_eq!(crossed, ["C2 1/1", "R2 1/1"]);
+        assert!(
+            !server.senders.contains_key(&(MsgType::Return, 1)),
+            "call 2 retired return 1"
+        );
+
+        // Call 1's tick finds nothing owed for it; call 2's pays for 2.
+        client.on_timer(ms(300));
+        assert_eq!(client.poll_transmit_segment(), None);
+        client.on_timer(ms(400));
+        assert_eq!(carry_shown(ms(400), &mut client, &mut server), ["ack R2 1"]);
+        assert_eq!(client.stats().acks_sent, 1);
+        assert_eq!(server.stats().acks_sent, 0);
+    }
+
+    /// The tick ack is an optimization the *please ack* path backs up:
+    /// lost, it costs what the parent protocol always paid, and the
+    /// prompt ack that answers the re-send is the last one.
+    #[test]
+    fn lost_tick_ack_falls_back_to_please_ack() {
+        let (mut client, mut server) = pair(Config::default());
+        exchange(0, 1, &mut client, &mut server, b"ok");
+        client.on_timer(ms(300));
+        let lost = client.poll_transmit_segment().expect("the tick ack");
+        assert_eq!(show(&lost), "ack R1 1");
+
+        let due = server.poll_timer().expect("return unacknowledged");
+        assert_eq!(due, ms(SERVICE_MS + 300));
+        server.on_timer(due);
+        assert_eq!(
+            carry_shown(due, &mut server, &mut client),
+            ["R1 1/1 please-ack"]
+        );
+        assert_eq!(carry_shown(due, &mut client, &mut server), ["ack R1 1"]);
+        assert!(server.senders.is_empty());
+        assert!(client.poll_event().is_none(), "not delivered twice");
+        let (c, s) = (client.stats(), server.stats());
+        assert_eq!((c.acks_sent, c.acks_on_tick, s.retransmits), (2, 1, 1));
+
+        client.on_timer(ms(900));
+        assert_eq!(client.poll_transmit_segment(), None);
+    }
+
+    /// When the callee's timer wins the race (the caller's tick is late),
+    /// the *please ack* duplicate is answered at once and settles the
+    /// debt: the tick, when it comes, sends nothing.
+    #[test]
+    fn please_ack_duplicate_settles_the_owed_ack() {
+        let (mut client, mut server) = pair(Config::default());
+        exchange(0, 1, &mut client, &mut server, b"ok");
+        let due = ms(SERVICE_MS + 300);
+        server.on_timer(due);
+        assert_eq!(
+            carry_shown(due, &mut server, &mut client),
+            ["R1 1/1 please-ack"]
+        );
+        assert!(client.sent_calls.is_empty(), "nothing owed any more");
+        assert_eq!(carry_shown(due, &mut client, &mut server), ["ack R1 1"]);
+
+        client.on_timer(ms(350));
+        assert_eq!(client.poll_transmit_segment(), None);
+        assert_eq!(client.stats().acks_on_tick, 0);
+
+        // A plain duplicate (the network's, no *please ack*) is ignored
+        // and leaves a debt standing.
+        exchange(1_000, 2, &mut client, &mut server, b"ok");
+        let dup = Segment::data(MsgType::Return, 2, 0, 1, 1, false, b"ok".to_vec());
+        client.on_segment(ms(1_100), dup);
+        assert_eq!(client.poll_transmit_segment(), None);
+        client.on_timer(ms(1_300));
+        assert_eq!(
+            carry_shown(ms(1_300), &mut client, &mut server),
+            ["ack R2 1"]
+        );
+    }
+
+    /// The ack covers the whole return, and is owed only once the whole
+    /// return is here — though the deadline was fixed by its first segment.
+    #[test]
+    fn multi_segment_return_is_acked_in_full() {
+        let (mut client, mut server) = pair(small_segments());
+        client.send(ms(0), MsgType::Call, 1, 0, b"args").unwrap();
+        carry(ms(0), &mut client, &mut server);
+        server.poll_event().expect("call delivered");
+        server
+            .send(ms(40), MsgType::Return, 1, 0, b"abcdefghij")
+            .unwrap();
+
+        // Two of three segments arrive; the third is delayed past the tick.
+        let first = server.poll_transmit_segment().unwrap();
+        let second = server.poll_transmit_segment().unwrap();
+        let third = server.poll_transmit_segment().unwrap();
+        client.on_segment(ms(50), first);
+        client.on_segment(ms(50), second);
+        assert!(client.senders.is_empty(), "call implicitly acknowledged");
+        client.on_timer(ms(300));
+        assert!(
+            carry_shown(ms(300), &mut client, &mut server).is_empty(),
+            "nothing owed yet"
+        );
+
+        client.on_segment(ms(310), third);
+        assert!(client.poll_event().is_some());
+        // The call's tick has passed: whichever tick comes next pays.
+        client.on_timer(ms(320));
+        assert_eq!(carry_shown(ms(320), &mut client, &mut server), ["ack R1 3"]);
+        assert!(server.senders.is_empty(), "all three acknowledged");
+    }
+
+    /// An owed ack waits for its own deadline — a tick armed for an older
+    /// exchange does not pay it early — and never shows in `poll_timer`.
+    #[test]
+    fn early_tick_pays_nothing_and_poll_timer_ignores_the_debt() {
+        let (mut client, mut server) = pair(Config::default());
+        exchange(0, 1, &mut client, &mut server, b"ok");
+        exchange(200, 2, &mut client, &mut server, b"ok");
+        assert_eq!(client.poll_timer(), None, "no sender, no probe");
+
+        // Call 1's tick: call 2's ack is not due for another 200 ms.
+        client.on_timer(ms(300));
+        assert_eq!(client.poll_transmit_segment(), None);
+        assert_eq!(client.poll_timer(), None);
+        client.on_timer(ms(499));
+        assert_eq!(client.poll_transmit_segment(), None);
+        client.on_timer(ms(500));
+        assert_eq!(carry_shown(ms(500), &mut client, &mut server), ["ack R2 1"]);
+
+        // With a call in flight the timer is the call's, nothing else's.
+        exchange(1_000, 3, &mut client, &mut server, b"ok");
+        client
+            .send(ms(1_100), MsgType::Call, 4, 0, b"args")
+            .unwrap();
+        assert_eq!(client.poll_timer(), Some(ms(1_400)));
+    }
+
+    /// Liveness does not rest on the new path: a caller that dies holding
+    /// a return costs the callee every permitted re-send and ends in
+    /// `PeerDead` at the crash horizon, as before.
+    #[test]
+    fn dead_caller_still_ends_in_peer_dead_at_the_crash_horizon() {
+        let config = Config {
+            jitter_permille: 0,
+            ..Config::default()
+        };
+        let (mut client, mut server) = pair(config.clone());
+        exchange(0, 1, &mut client, &mut server, b"ok");
+        drop(client);
+
+        let mut resent = 0;
+        let died = loop {
+            let due = server.poll_timer().expect("armed until it gives up");
+            server.on_timer(due);
+            while let Some(seg) = server.poll_transmit_segment() {
+                assert_eq!(show(&seg), "R1 1/1 please-ack");
+                resent += 1;
+            }
+            if let Some(ev) = server.poll_event() {
+                assert_eq!(ev, Event::PeerDead);
+                break due;
+            }
+        };
+        assert_eq!(resent, config.max_retransmits);
+        assert_eq!(server.stats().retransmits, resent as u64);
+        assert_eq!(died, ms(SERVICE_MS) + config.crash_horizon());
+    }
+
+    /// Only a call whose sender the return itself retired owes an ack. A
+    /// call that outlived its interval was acknowledged explicitly — its
+    /// tick is spent — and a return for a call we never made is not ours
+    /// to acknowledge; both are left to *please ack*.
+    #[test]
+    fn explicitly_acked_calls_and_forged_returns_owe_nothing() {
+        let (mut client, mut server) = pair(Config::default());
+        client.send(ms(0), MsgType::Call, 1, 0, b"args").unwrap();
+        carry(ms(0), &mut client, &mut server);
+        server.poll_event().expect("call delivered");
+
+        // The call's tick comes before the return: re-send, explicit ack.
+        client.on_timer(ms(300));
+        assert_eq!(
+            carry_shown(ms(300), &mut client, &mut server),
+            ["C1 1/1 please-ack"]
+        );
+        assert_eq!(carry_shown(ms(300), &mut server, &mut client), ["ack C1 1"]);
+        assert!(client.senders.is_empty());
+
+        server.send(ms(400), MsgType::Return, 1, 0, b"ok").unwrap();
+        carry(ms(400), &mut server, &mut client);
+        client.poll_event().expect("return delivered");
+        assert!(client.sent_calls.is_empty());
+
+        // A return nobody asked for is delivered (the layer above drops
+        // it) and owes nothing either.
+        let forged = Segment::data(MsgType::Return, 77, 0, 1, 1, false, b"boo".to_vec());
+        client.on_segment(ms(400), forged);
+        assert!(client.sent_calls.is_empty());
+
+        for tick in [600, 900, 5_000] {
+            client.on_timer(ms(tick));
+        }
+        assert_eq!(client.poll_transmit_segment(), None);
+        assert_eq!(client.stats().acks_sent, 0);
+    }
+
+    /// The debt dies with the exchange's other state.
+    #[test]
+    fn abandoning_a_call_or_losing_the_peer_drops_what_is_owed() {
+        let (mut client, mut server) = pair(Config::default());
+        exchange(0, 1, &mut client, &mut server, b"ok");
+        assert_eq!(client.sent_calls.len(), 1);
+        client.abandon_call(ms(100), 1);
+        assert!(client.sent_calls.is_empty());
+        client.on_timer(ms(300));
+        assert_eq!(client.poll_transmit_segment(), None);
+
+        exchange(1_000, 2, &mut client, &mut server, b"ok");
+        client.declare_dead();
+        assert!(client.sent_calls.is_empty());
+        client.on_timer(ms(1_300));
+        assert_eq!(client.poll_transmit_segment(), None);
+
+        // The entries of a busy endpoint are the calls in flight plus the
+        // returns since the last call — never a history.
+        let (mut client, mut server) = pair(Config::default());
+        for cn in 1..=1_000u32 {
+            exchange(cn as u64 * 50, cn, &mut client, &mut server, b"ok");
+            assert_eq!(client.sent_calls.len(), 1);
+        }
+        assert!(client.sent_calls.capacity() <= 4);
+    }
+
+    /// Ticks both ends at each of `ticks` (ms) and carries whatever that
+    /// shakes loose, answers included.
+    fn idle(ticks: &[u64], client: &mut Endpoint, server: &mut Endpoint) -> Vec<String> {
+        let mut crossed = Vec::new();
+        for &tick in ticks {
+            client.on_timer(ms(tick));
+            server.on_timer(ms(tick));
+            crossed.extend(carry_shown(ms(tick), client, server));
+            crossed.extend(carry_shown(ms(tick), server, client));
+            crossed.extend(carry_shown(ms(tick), client, server));
+        }
+        crossed
+    }
+
+    /// With `deferred_ack` off a re-sent call is acknowledged the moment
+    /// it completes, before the return can do it: the call's sender is
+    /// retired by that ack, nothing is owed, and the idle return goes the
+    /// *please ack* way — the transcript the parent protocol produced.
+    #[test]
+    fn prompt_call_ack_transcript_is_unchanged() {
+        let config = Config {
+            deferred_ack: false,
+            jitter_permille: 0,
+            ..Config::default()
+        };
+        let (mut client, mut server) = pair(config);
+        client.send(ms(0), MsgType::Call, 1, 0, b"args").unwrap();
+        let lost = client.poll_transmit_segment().expect("first copy");
+        assert_eq!(show(&lost), "C1 1/1");
+        let mut crossed = idle(&[300], &mut client, &mut server);
+        server.poll_event().expect("call delivered");
+        server.send(ms(340), MsgType::Return, 1, 0, b"ok").unwrap();
+        crossed.extend(carry_shown(ms(340), &mut server, &mut client));
+        client.poll_event().expect("return delivered");
+        crossed.extend(idle(&[600, 640, 900, 1_200], &mut client, &mut server));
+        assert_eq!(
+            crossed,
+            [
+                "C1 1/1 please-ack",
+                "ack C1 1",
+                "R1 1/1",
+                "R1 1/1 please-ack",
+                "ack R1 1"
+            ]
+        );
+        assert_eq!(client.stats().acks_on_tick, 0);
+    }
+
+    /// The stop-and-wait discipline is untouched — every call segment but
+    /// the last acknowledged as it arrives, the last by the reply — and
+    /// the reply's own ack rides the call's tick like any other: the path
+    /// does not depend on the mode.
+    #[test]
+    fn parc_transcript_is_unchanged_up_to_the_returns_ack() {
+        let config = Config {
+            max_segment_data: 4,
+            jitter_permille: 0,
+            ..Config::parc()
+        };
+        let (mut client, mut server) = pair(config);
+        client
+            .send(ms(0), MsgType::Call, 1, 0, b"abcdefghij")
+            .unwrap();
+        let mut crossed = Vec::new();
+        loop {
+            let before = crossed.len();
+            crossed.extend(carry_shown(ms(0), &mut client, &mut server));
+            crossed.extend(carry_shown(ms(0), &mut server, &mut client));
+            if crossed.len() == before {
+                break;
+            }
+        }
+        server.poll_event().expect("call delivered");
+        server.send(ms(40), MsgType::Return, 1, 0, b"ok").unwrap();
+        crossed.extend(carry_shown(ms(40), &mut server, &mut client));
+        client.poll_event().expect("return delivered");
+        assert_eq!(
+            crossed,
+            [
+                "C1 1/3 please-ack",
+                "ack C1 1",
+                "C1 2/3 please-ack",
+                "ack C1 2",
+                "C1 3/3",
+                "R1 1/1"
+            ]
+        );
+        // The last ack that made progress restarted the call's clock.
+        assert_eq!(
+            idle(&[299, 300, 340, 640], &mut client, &mut server),
+            ["ack R1 1"]
+        );
     }
 }

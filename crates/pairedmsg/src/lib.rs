@@ -24,6 +24,16 @@
 //!   acknowledges its call; a later call acknowledges an earlier return);
 //! - the ack of a completed call is deferred in the hope the return will
 //!   serve instead (§4.2.4);
+//! - a return is acknowledged one of three ways, tried in order: by the
+//!   caller's next call, for nothing; failing that, by one ack the caller
+//!   sends on the tick its own call was given — no timer is armed for it,
+//!   so a caller that does call again pays nothing for the possibility;
+//!   failing that, by the callee re-sending the return with *please ack*
+//!   and the caller answering, the only path crash detection rests on.
+//!   A caller that paces its calls just past one retransmission interval
+//!   (≈ 310 ms) pays the second moments before the first would have
+//!   served: the one band where that costs more than it saves
+//!   ([`endpoint`], "How a return gets acknowledged");
 //! - crash detection uses probes and timeouts (§4.2.3), surfacing
 //!   [`endpoint::Event::PeerDead`];
 //! - completed call numbers are remembered to suppress replay of delayed

@@ -10,6 +10,10 @@
 //! Return messages arrive per member either way, and reliability is
 //! per member either way: acknowledgment, retransmission toward a
 //! straggler and crash detection are unicast.
+//!
+//! And what a call costs on top of its data when the caller does not
+//! call again at once: one ack per member, sent by the caller on its own
+//! call's tick — not the return again and then its ack.
 
 use std::any::Any;
 
@@ -155,6 +159,20 @@ fn invocations(w: &World, addr: SockAddr) -> Vec<ThreadId> {
     .unwrap()
 }
 
+/// The member at `addr` executed `calls` calls, no two on one thread:
+/// each of the client's calls exactly once.
+fn assert_ran_each_once(w: &World, addr: SockAddr, calls: usize, seed: u64) {
+    let mut invoked = invocations(w, addr);
+    let ran = invoked.len();
+    invoked.sort();
+    invoked.dedup();
+    assert_eq!(
+        (ran, invoked.len()),
+        (calls, calls),
+        "seed {seed}: {addr} ran every call exactly once"
+    );
+}
+
 fn member(host: u32) -> SockAddr {
     SockAddr::new(HostId(host), 70)
 }
@@ -195,6 +213,8 @@ struct WireTap {
     data: u64,
     /// Acks, probes and *please ack* retransmissions.
     overhead: u64,
+    /// The *please ack* retransmissions among them.
+    resent: u64,
     /// Segments per call message and per return message (the largest
     /// `total` field seen on each).
     totals: [u8; 2],
@@ -207,6 +227,7 @@ impl TrafficInjector for WireTap {
         let h = Segment::decode(data).expect("only segments travel").header;
         if h.ack || h.probe || h.please_ack {
             self.overhead += 1;
+            self.resent += (h.please_ack && !h.ack && !h.probe) as u64;
         } else {
             self.data += 1;
             let total = &mut self.totals[(h.msg_type == MsgType::Return) as usize];
@@ -224,26 +245,50 @@ impl TrafficInjector for WireTap {
     }
 }
 
+/// The closed-loop and paced rigs' degree of replication.
+const N: u32 = 3;
+
+/// The `sendmsg`s of the client and all [`N`] members, and the wire tap.
+fn sendmsgs_and_tap(w: &World) -> (u64, WireTap) {
+    let sendmsgs = (1..=N)
+        .map(member)
+        .chain([CLIENT])
+        .map(|a| w.cpu(a).count_of(Syscall::SendMsg.index()))
+        .sum();
+    (
+        sendmsgs,
+        *w.injector_as::<WireTap>().expect("tap installed"),
+    )
+}
+
 /// Runs `calls` echo calls of `payload` bytes back to back — the default
 /// data plane, `Unanimous`, n = 3: the benchmark's `echo_small`/`echo_bulk`
-/// rig — and
-/// stops the moment the last completes (a little later its return, which
-/// no further call acknowledges, would be retransmitted). Returns the
-/// `sendmsg`s of all four processes, the wire tap, and the world.
+/// rig — and stops the moment the last completes (a little later, on the
+/// last call's own tick, the client would acknowledge its returns, which
+/// no further call does: one ack per member). Returns the `sendmsg`s of
+/// all four processes, the wire tap, and the world.
 fn closed_loop(calls: u64, payload: usize) -> (u64, WireTap, World) {
-    const N: u32 = 3;
     let mut w = testbed(N, false, vec![0xAB; payload], calls - 1);
     w.set_injector(Box::<WireTap>::default(), Duration::ZERO);
     w.poke(CLIENT, 0);
     let deadline = w.now() + Duration::from_secs(10);
     let done = w.run(Until::pred(deadline, |w| completions(w) == calls as usize));
     assert!(done, "{calls} calls succeed");
-    let sendmsgs = (1..=N)
-        .map(member)
-        .chain([CLIENT])
-        .map(|a| w.cpu(a).count_of(Syscall::SendMsg.index()))
-        .sum();
-    let tap = *w.injector_as::<WireTap>().expect("installed above");
+    let (sendmsgs, tap) = sendmsgs_and_tap(&w);
+    (sendmsgs, tap, w)
+}
+
+/// A caller that thinks: `calls` 64-byte echo calls at n = 3 in `w` (a
+/// [`testbed_in`] world), one begun every `gap` whether or not the last
+/// is over, and a last `gap` for the last call to settle. Returns the
+/// `sendmsg`s of all four processes, the wire tap, and the world.
+fn paced(mut w: World, calls: u64, gap: Duration) -> (u64, WireTap, World) {
+    w.set_injector(Box::<WireTap>::default(), Duration::ZERO);
+    for _ in 0..calls {
+        w.poke(CLIENT, 0);
+        w.run(Until::Elapsed(gap));
+    }
+    let (sendmsgs, tap) = sendmsgs_and_tap(&w);
     (sendmsgs, tap, w)
 }
 
@@ -393,16 +438,7 @@ fn faulty_bulk_run(seed: u64) -> u64 {
         }
     });
     for survivor in (1..MEMBERS).map(member) {
-        let mut invoked = invocations(&w, survivor);
-        let ran = invoked.len();
-        invoked.sort();
-        invoked.dedup();
-        let distinct = invoked.len();
-        assert_eq!(
-            (ran, distinct),
-            (BULK_CALLS, BULK_CALLS),
-            "seed {seed}: {survivor} ran every call exactly once"
-        );
+        assert_ran_each_once(&w, survivor, BULK_CALLS, seed);
     }
     // Each call was blasted once, to however many members were thought
     // alive; everything sent again went to one member at a time.
@@ -426,5 +462,82 @@ fn bulk_multicast_survives_loss_duplication_and_a_kill_mid_blast() {
         if seed == 1 {
             assert_eq!(hash, faulty_bulk_run(seed), "seed {seed} replays");
         }
+    }
+}
+
+/// A return no later call acknowledges is acknowledged once, by its
+/// caller, on the tick the call already had: a 64-byte echo a second
+/// costs 2n + n `sendmsg`s, where the callee's timer re-sending the return
+/// with *please ack* and the caller answering cost 2n + 2n. A caller that
+/// calls again at once still pays for nothing but the data.
+#[test]
+fn idle_return_costs_one_ack_per_member() {
+    const CALLS: u64 = 5;
+    let n = N as u64;
+    let w = testbed(N, false, vec![0xAB; 64], 0);
+    let (sendmsgs, tap, w) = paced(w, CALLS, Duration::from_secs(1));
+    assert_eq!(completions(&w), CALLS as usize);
+    assert_eq!(sendmsgs, CALLS * 3 * n, "call, return, ack: 9 per call");
+    assert_eq!(w.net_stats().sent, CALLS * 3 * n);
+    assert_eq!(tap.data, CALLS * 2 * n);
+    assert_eq!(tap.overhead, CALLS * n, "one ack per member per call");
+    assert_eq!(tap.resent, 0, "no return was sent twice");
+    // The endpoints' own counters tell the tap's story.
+    w.refresh_metrics();
+    let reg = w.metrics();
+    assert_eq!(reg.get(&format!("rpc.{CLIENT}.acks_on_tick")), CALLS * n);
+    assert_eq!(reg.sum_suffix(".acks_sent"), CALLS * n);
+    assert_eq!(reg.sum_suffix(".retransmits"), 0);
+
+    let (sendmsgs, tap, _) = closed_loop(CALLS, 64);
+    assert_eq!(sendmsgs, CALLS * 2 * n, "back to back: 6 per call");
+    assert_eq!(tap.overhead, 0);
+}
+
+/// One seeded paced run over a LAN that loses and duplicates datagrams.
+/// Returns the trace hash.
+fn faulty_paced_run(seed: u64) -> u64 {
+    const CALLS: usize = 12;
+    let net = NetConfig {
+        loss: 0.03,
+        duplicate: 0.03,
+        ..NetConfig::lan_1985()
+    };
+    let mut w = World::with_config(seed, net, SyscallCosts::vax_4_2bsd());
+    w.set_trace_sink(Box::new(TraceRing::new(64)));
+    let payload = vec![0xAB; 64];
+    let w = testbed_in(w, N, false, payload.clone(), 0);
+    let (_, tap, mut w) = paced(w, CALLS as u64, Duration::from_secs(1));
+    let deadline = w.now() + Duration::from_secs(30);
+    assert!(
+        w.run(Until::pred(deadline, |w| completions(w) == CALLS)),
+        "seed {seed}: {} of {CALLS} calls succeeded",
+        completions(&w)
+    );
+    w.with_proc(CLIENT, |p: &CircusProcess| {
+        let client = p.agent_as::<ScriptedClient>().unwrap();
+        assert_eq!(client.results.len(), CALLS, "seed {seed}");
+        for r in &client.results {
+            assert_eq!(r.as_deref(), Ok(&payload[..]), "seed {seed}");
+        }
+    });
+    for m in (1..=N).map(member) {
+        assert_ran_each_once(&w, m, CALLS, seed);
+    }
+    assert!(tap.overhead > 0, "seed {seed}: nothing was acknowledged");
+    w.trace_sink_as::<TraceRing>()
+        .expect("installed above")
+        .hash()
+}
+
+/// The tick ack is an optimization over a path that is still there: with
+/// acks, returns and calls being lost and duplicated, every paced call
+/// completes, every member runs each exactly once, and a seed replays
+/// bit for bit.
+#[test]
+fn paced_calls_survive_loss_and_duplication() {
+    for seed in 1..=10 {
+        let hash = faulty_paced_run(seed);
+        assert_eq!(hash, faulty_paced_run(seed), "seed {seed} replays");
     }
 }
