@@ -1,0 +1,451 @@
+//! The many-to-one server algorithm (§4.3.2): group the call messages of
+//! one replicated call by `(client troupe, thread, call sequence)`,
+//! collate the argument sets, let the procedure execute exactly once,
+//! and keep its return for the client members still to call (§4.3.4).
+//!
+//! Invariants kept here: `pending`, `by_serial` and (once executing)
+//! `by_invocation` are one index — opened by [`Assemblies::join`] and
+//! [`Assemblies::execute`], closed by [`Assemblies::close`] alone; only a
+//! member of the client troupe opens an assembly; each executes once.
+
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap};
+use std::rc::Rc;
+
+use crate::collate::{CollateError, Collation, Decision};
+use crate::message::{Arrival, CallKey, CallMessage};
+use crate::netio::NetIo;
+use obs::SpanId;
+use simnet::{Duration, Payload, SockAddr, Time};
+
+/// Where an open assembly stands.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum PendState {
+    /// Collecting call messages from client troupe members.
+    Collecting,
+    /// The service is blocked on a nested call.
+    AwaitingNested,
+    /// The service suspended the invocation (waiting on a lock or other
+    /// internal condition); it will be advanced by `NodeEffect::StepFor`.
+    Suspended,
+}
+
+/// The process addresses of a client troupe's members, as one many-to-one
+/// assembly holds them.
+pub(crate) enum Members {
+    /// An unregistered caller: the source of the call message is the
+    /// single "member" the return must reach.
+    Solo(SockAddr),
+    /// A registered troupe: the directory's own list, shared.
+    Troupe(Rc<[SockAddr]>),
+}
+
+impl Members {
+    pub(crate) fn as_slice(&self) -> &[SockAddr] {
+        match self {
+            Members::Solo(addr) => std::slice::from_ref(addr),
+            Members::Troupe(addrs) => addrs,
+        }
+    }
+}
+
+struct Pending {
+    serial: u64,
+    module: u16,
+    proc: u16,
+    client_members: Members,
+    /// Per member: the paired-message call number to reply on, once its
+    /// call message has arrived.
+    responders: Vec<Option<u32>>,
+    args: Collation,
+    state: PendState,
+    deadline: Time,
+    /// Invocation id allocated when the service first executed; reused on
+    /// every resume so services can key per-invocation state.
+    invocation: u64,
+    /// Wire span of the call message that opened this assembly (the
+    /// first-arrived member copy, which is deterministic under a fixed
+    /// seed); parent of the invoke span.
+    call_span: u64,
+    /// Span minted when the service executed; nested calls made by the
+    /// service and the reply segments are attributed to it.
+    invoke_span: SpanId,
+}
+
+struct DoneCall {
+    /// Encoded `ReturnMessage`, buffered for client members whose call
+    /// messages arrive after execution ("execution of the procedure thus
+    /// appears instantaneous to the slow client troupe members", §4.3.4).
+    reply: Payload,
+    at: Time,
+    /// Invoke span the buffered reply is attributed to.
+    span: u64,
+}
+
+/// The sender of a call message is not a member of the troupe it claims
+/// to call for.
+#[derive(Debug)]
+pub(crate) struct Outsider;
+
+/// One execution of a procedure: what a service's context is made from.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Invocation {
+    pub(crate) id: u64,
+    pub(crate) module: u16,
+    pub(crate) proc: u16,
+    pub(crate) span: SpanId,
+}
+
+#[derive(Default)]
+pub(crate) struct Assemblies {
+    /// Walked when a peer dies, so ordered: assemblies then execute in
+    /// key order, not in a hasher's.
+    pending: BTreeMap<CallKey, Pending>,
+    /// Point lookups only, never walked.
+    by_serial: HashMap<u64, CallKey>,
+    /// Point lookups only, never walked.
+    by_invocation: HashMap<u64, CallKey>,
+    last_serial: u64,
+    last_invocation: u64,
+    /// Point lookups, and `purge_done`'s `retain` — whose predicate has no
+    /// side effect, so its order cannot be observed: otherwise never walked.
+    done: HashMap<CallKey, DoneCall>,
+}
+
+impl Assemblies {
+    /// Assemblies that reached a collation decision and ran service code.
+    pub(crate) fn invocations(&self) -> u64 {
+        self.last_invocation
+    }
+
+    /// One line per open assembly.
+    pub(crate) fn stuck(&self, out: &mut Vec<String>) {
+        for (k, p) in &self.pending {
+            out.push(format!(
+                "assembly {k:?} module={} proc={:#06x} state={:?} inv={}",
+                p.module, p.proc, p.state, p.invocation
+            ));
+        }
+    }
+
+    /// Forgets buffered returns older than `ttl`.
+    pub(crate) fn purge_done(&mut self, now: Time, ttl: Duration) {
+        self.done.retain(|_, d| now.since(d.at) < ttl);
+    }
+
+    /// The return of an already-answered call, ready and waiting for a
+    /// slow member (§4.3.4), with the span it is attributed to.
+    pub(crate) fn buffered(&self, key: &CallKey) -> Option<(Payload, u64)> {
+        self.done.get(key).map(|d| (d.reply.clone(), d.span))
+    }
+
+    pub(crate) fn is_open(&self, key: &CallKey) -> bool {
+        self.pending.contains_key(key)
+    }
+
+    /// Adds the call message `msg`, arrived at `at`, to its call's
+    /// assembly. The call's first message opens the assembly over
+    /// `members`, with the argument collation and deadline `fresh` makes,
+    /// and comes back with the serial to arm the assembly timeout under
+    /// if a silent member could stall it. Only a member's message opens
+    /// or joins anything: remote input must not open what no member's
+    /// call will close.
+    pub(crate) fn join(
+        &mut self,
+        at: &Arrival,
+        msg: CallMessage<Payload>,
+        members: Members,
+        fresh: impl FnOnce(&[SockAddr]) -> (Collation, Time),
+    ) -> Result<Option<u64>, Outsider> {
+        let key = msg.key();
+        let index_in = |m: &Members| m.as_slice().iter().position(|m| *m == at.from);
+        let (p, i, stall) = match self.pending.entry(key) {
+            Entry::Occupied(e) => {
+                let p = e.into_mut();
+                let i = index_in(&p.client_members).ok_or(Outsider)?;
+                (p, i, None)
+            }
+            Entry::Vacant(e) => {
+                let i = index_in(&members).ok_or(Outsider)?;
+                let n = members.as_slice().len();
+                let (args, deadline) = fresh(members.as_slice());
+                self.last_serial += 1;
+                let serial = self.last_serial;
+                self.by_serial.insert(serial, key);
+                let p = e.insert(Pending {
+                    serial,
+                    module: msg.module,
+                    proc: msg.proc,
+                    client_members: members,
+                    responders: vec![None; n],
+                    args,
+                    state: PendState::Collecting,
+                    deadline,
+                    invocation: 0,
+                    call_span: at.span,
+                    invoke_span: SpanId::NONE,
+                });
+                // Only multi-member assemblies can stall on a silent member.
+                (p, i, (n > 1).then_some(serial))
+            }
+        };
+        p.responders[i] = Some(at.pm_cn);
+        p.args.add_vote(i, msg.args);
+        Ok(stall)
+    }
+
+    /// If the assembly for `key` is collecting and its argument collation
+    /// has decided, moves it on: to an invocation with the collated
+    /// arguments (exactly-once execution, §4.1), or to the error that
+    /// must close it.
+    pub(crate) fn execute(
+        &mut self,
+        io: &dyn NetIo,
+        key: CallKey,
+    ) -> Option<Result<(Invocation, Payload), CollateError>> {
+        let p = self.pending.get_mut(&key)?;
+        if p.state != PendState::Collecting {
+            return None;
+        }
+        let args = match p.args.decide() {
+            Decision::Wait => return None,
+            Decision::Ready(args) => args,
+            Decision::Fail(e) => return Some(Err(e)),
+        };
+        self.last_invocation += 1;
+        p.invocation = self.last_invocation;
+        // The invoke span parents to the wire span of the call message
+        // that opened the assembly, stitching the server-side execution
+        // into the client's call tree.
+        p.invoke_span = io.metrics().span_child(
+            SpanId::from_raw(p.call_span),
+            format_args!("invoke m{}.p{}", p.module, p.proc),
+            io.now().as_micros(),
+        );
+        self.by_invocation.insert(p.invocation, key);
+        Some(Ok((p.invocation(), args)))
+    }
+
+    /// The service running `key`'s invocation suspended it, or made a
+    /// nested call.
+    pub(crate) fn set_state(&mut self, key: &CallKey, state: PendState) {
+        if let Some(p) = self.pending.get_mut(key) {
+            p.state = state;
+        }
+    }
+
+    /// The nested call the assembly for `key` waited on has finished:
+    /// the invocation to resume, if it was waiting.
+    pub(crate) fn resume(&mut self, key: &CallKey) -> Option<Invocation> {
+        let p = self.pending.get_mut(key)?;
+        if p.state != PendState::AwaitingNested {
+            return None;
+        }
+        p.state = PendState::Collecting; // Transitional; the step re-sets it.
+        Some(p.invocation())
+    }
+
+    /// The assembly whose invocation `id` is suspended.
+    pub(crate) fn suspended(&self, id: u64) -> Option<CallKey> {
+        let key = *self.by_invocation.get(&id)?;
+        (self.pending.get(&key)?.state == PendState::Suspended).then_some(key)
+    }
+
+    /// The span of the invocation the assembly for `key` is running.
+    pub(crate) fn invoke_span(&self, key: &CallKey) -> SpanId {
+        let p = self.pending.get(key);
+        p.map_or(SpanId::NONE, |p| p.invoke_span)
+    }
+
+    /// The client members of the open assembly for `key`.
+    pub(crate) fn members(&self, key: &CallKey) -> &[SockAddr] {
+        let p = self.pending.get(key);
+        p.map_or(&[], |p| p.client_members.as_slice())
+    }
+
+    /// Closes the assembly for `key`, out of every index at once:
+    /// `send`s `reply` to every client member heard from — to it, on its
+    /// call number, under the invoke span — and keeps it for the rest
+    /// (§4.3.4).
+    pub(crate) fn close(
+        &mut self,
+        key: &CallKey,
+        reply: Payload,
+        now: Time,
+        mut send: impl FnMut(SockAddr, u32, u64, Payload),
+    ) {
+        let Some(p) = self.pending.remove(key) else {
+            return;
+        };
+        self.by_serial.remove(&p.serial);
+        self.by_invocation.remove(&p.invocation);
+        let span = p.invoke_span.raw();
+        for (&to, cn) in p.client_members.as_slice().iter().zip(&p.responders) {
+            if let Some(cn) = cn {
+                send(to, *cn, span, reply.clone());
+            }
+        }
+        if p.responders.contains(&None) {
+            let at = now;
+            self.done.insert(*key, DoneCall { reply, at, span });
+        }
+    }
+
+    /// The assembly timeout armed under `serial` fired: the assembly it
+    /// belongs to, if that is still open, and whether it now proceeds
+    /// without the silent members ("the client receives notification if
+    /// any server troupe member crashes, so it can proceed with those
+    /// still available", §4.3.1 — mirrored here on the server side).
+    pub(crate) fn time_out(&mut self, serial: u64, now: Time) -> Option<(CallKey, bool)> {
+        let key = *self.by_serial.get(&serial)?;
+        let p = self.pending.get_mut(&key)?;
+        let due = p.state == PendState::Collecting && now >= p.deadline;
+        for (i, responder) in p.responders.iter().enumerate() {
+            if due && responder.is_none() {
+                p.args.mark_dead(i);
+            }
+        }
+        Some((key, due))
+    }
+
+    /// Every open assembly, in key order.
+    pub(crate) fn keys(&self) -> Vec<CallKey> {
+        self.pending.keys().copied().collect()
+    }
+
+    /// Stops the assembly for `key` expecting a call message from the
+    /// dead peer `addr`. `true` if it was collecting and `addr` is one of
+    /// its members: that may have decided the collation.
+    pub(crate) fn excuse(&mut self, key: &CallKey, addr: SockAddr) -> bool {
+        let Some(p) = self.pending.get_mut(key) else {
+            return false;
+        };
+        let members = p.client_members.as_slice();
+        let member = members.iter().position(|m| *m == addr);
+        let waiting = member.filter(|_| p.state == PendState::Collecting);
+        waiting.is_some_and(|i| {
+            p.args.mark_dead(i);
+            true
+        })
+    }
+}
+
+impl Pending {
+    fn invocation(&self) -> Invocation {
+        Invocation {
+            id: self.invocation,
+            module: self.module,
+            proc: self.proc,
+            span: self.invoke_span,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::addr::TroupeId;
+    use crate::collate::CollationPolicy;
+    use crate::netio::mock::MockIo;
+    use crate::thread::ThreadId;
+    use proptest::prelude::*;
+    use simnet::HostId;
+
+    fn host(h: u32) -> SockAddr {
+        SockAddr::new(HostId(h), 50)
+    }
+
+    /// The copy of troupe 7's call number `seq` that `from` sends.
+    fn message(from: SockAddr, seq: u32) -> (Arrival, CallMessage<Payload>) {
+        let (origin, pm_cn) = (host(9), seq);
+        let at = Arrival {
+            from,
+            pm_cn,
+            span: 0,
+        };
+        let msg = CallMessage {
+            thread: ThreadId { origin, serial: 1 },
+            call_seq: seq,
+            client_troupe: TroupeId(7),
+            server_troupe: TroupeId::UNREGISTERED,
+            module: 1,
+            proc: 0,
+            args: Payload::copy_from(b"same"),
+        };
+        (at, msg)
+    }
+
+    /// The three indexes are one: every open assembly is under its
+    /// serial, under its invocation exactly once it has one, and nothing
+    /// else is under either.
+    fn check(a: &Assemblies) {
+        let executing = a.pending.values().filter(|p| p.invocation != 0);
+        assert_eq!(a.by_serial.len(), a.pending.len());
+        assert_eq!(a.by_invocation.len(), executing.count());
+        for (key, p) in &a.pending {
+            assert_eq!(a.by_serial.get(&p.serial), Some(key));
+            let running = a.by_invocation.get(&p.invocation);
+            assert_eq!(running, (p.invocation != 0).then_some(key));
+            assert_eq!(p.invocation == 0, p.state == PendState::Collecting);
+        }
+    }
+
+    proptest! {
+        /// After any sequence of call messages (from the three members
+        /// and from an outsider), timeouts, member deaths, suspensions,
+        /// nested-call waits and replies, the indexes agree and no
+        /// outsider has opened anything; a closed call leaves its return
+        /// behind exactly if some member has yet to call; and closing
+        /// the rest leaves nothing.
+        fn indexes_agree_and_the_last_close_leaves_nothing(
+            ops in proptest::collection::vec((0u8..5, any::<u8>()), 1..120)
+        ) {
+            let mut a = Assemblies::default();
+            let io = MockIo::default();
+            let troupe: Rc<[SockAddr]> = (1..=3).map(host).collect();
+            let late = Time::ZERO + Duration::from_secs(11);
+            // Runs the assembly if it is ready, and leaves it executing.
+            let execute = |a: &mut Assemblies, key: CallKey, suspend: bool| match a.execute(&io, key) {
+                Some(Ok(_)) if suspend => a.set_state(&key, PendState::Suspended),
+                Some(Ok(_)) => a.set_state(&key, PendState::AwaitingNested),
+                Some(Err(_)) => a.close(&key, Payload::empty(), late, |_, _, _, _| {}),
+                None => {}
+            };
+            for (op, arg) in ops {
+                let (peer, flag) = (host(1 + u32::from(arg / 4) % 4), arg % 2 == 0);
+                let (at, msg) = message(peer, 1 + u32::from(arg) % 3);
+                let key = msg.key();
+                match op {
+                    0 | 1 if a.buffered(&key).is_none() => {
+                        let was_open = a.is_open(&key);
+                        let fresh = |m: &[SockAddr]| (Collation::new(CollationPolicy::Unanimous, m.len()), late);
+                        let joined = a.join(&at, msg, Members::Troupe(troupe.clone()), fresh);
+                        prop_assert_eq!(joined.is_ok(), troupe.contains(&peer));
+                        prop_assert_eq!(a.is_open(&key), was_open || joined.is_ok());
+                        execute(&mut a, key, flag);
+                    }
+                    2 if a.time_out(a.pending.get(&key).map_or(0, |p| p.serial), late).is_some() => {
+                        execute(&mut a, key, flag);
+                    }
+                    3 if a.excuse(&key, peer) => execute(&mut a, key, flag),
+                    4 if flag && a.resume(&key).is_some() => a.set_state(&key, PendState::Suspended),
+                    // The service replies.
+                    4 if a.suspended(a.pending.get(&key).map_or(0, |p| p.invocation)).is_some() => {
+                        let unheard = a.pending[&key].responders.contains(&None);
+                        let mut sent = 0;
+                        a.close(&key, Payload::empty(), late, |_, _, _, _| sent += 1);
+                        prop_assert_eq!(sent < 3, unheard);
+                        prop_assert_eq!(a.buffered(&key).is_some(), unheard);
+                    }
+                    _ => {}
+                }
+                check(&a);
+            }
+            for key in a.keys() {
+                a.close(&key, Payload::empty(), late, |_, _, _, _| {});
+            }
+            prop_assert!(a.pending.is_empty());
+            prop_assert!(a.by_serial.is_empty() && a.by_invocation.is_empty());
+        }
+    }
+}

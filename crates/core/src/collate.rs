@@ -158,6 +158,11 @@ impl Collation {
         matches!(self.slots.get(i), Some(VoteSlot::Vote(_)))
     }
 
+    /// Returns `true` if member `i` was given up on before it voted.
+    pub fn is_dead(&self, i: usize) -> bool {
+        matches!(self.slots.get(i), Some(VoteSlot::Dead))
+    }
+
     /// `true` if this collation runs the watchdog scheme (§4.3.4).
     pub fn is_watchdog(&self) -> bool {
         matches!(self.policy, CollationPolicy::FirstComeWatchdog)

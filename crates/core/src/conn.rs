@@ -1,0 +1,168 @@
+//! The table of paired-message connections, one per peer process, and
+//! the one protocol timer each keeps armed.
+
+use std::collections::BTreeMap;
+
+use crate::message::{encode, ReturnMessage};
+use crate::netio::{make_tag, NetIo, TAG_CONN};
+use pairedmsg::{Endpoint, Event, MsgType};
+use simnet::{Payload, SockAddr, Syscall, Time};
+
+struct Conn {
+    id: u64,
+    endpoint: Endpoint,
+    armed: Option<Time>,
+    /// Generation of the most recent timer armed for this connection;
+    /// firings of superseded timers are ignored, so re-arming an earlier
+    /// deadline does not leave a trail of live duplicate timers.
+    arm_gen: u64,
+}
+
+/// Only 24 bits of a timer's generation survive the tag.
+const GEN_MASK: u64 = 0x00FF_FFFF;
+
+/// Every connection of one node, made on first use.
+pub(crate) struct Conns {
+    me: SockAddr,
+    pm: pairedmsg::Config,
+    /// Ordered: `flush_all` walks it, and the order of its `sendmsg`s is
+    /// part of the trace.
+    table: BTreeMap<SockAddr, Conn>,
+    /// Connection id (what a timer tag carries) to peer address.
+    addrs: Vec<SockAddr>,
+}
+
+impl Conns {
+    pub(crate) fn new(me: SockAddr, pm: pairedmsg::Config) -> Conns {
+        Conns {
+            me,
+            pm,
+            table: BTreeMap::new(),
+            addrs: Vec::new(),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.table.len()
+    }
+
+    /// Every endpoint, in address order.
+    pub(crate) fn endpoints(&self) -> impl Iterator<Item = &Endpoint> {
+        self.table.values().map(|c| &c.endpoint)
+    }
+
+    /// The endpoint for `addr`, connecting first if need be.
+    pub(crate) fn endpoint(&mut self, addr: SockAddr) -> &mut Endpoint {
+        let (me, addrs, pm) = (self.me, &mut self.addrs, &self.pm);
+        let conn = self.table.entry(addr).or_insert_with(|| {
+            let id = addrs.len() as u64;
+            addrs.push(addr);
+            // Derive a per-connection jitter seed from the endpoint pair
+            // so retransmissions of different connections decorrelate
+            // deterministically under a fixed simulation seed.
+            let mut pm = pm.clone();
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            let host = me.host.0.to_le_bytes().into_iter();
+            for b in host
+                .chain(me.port.to_le_bytes())
+                .chain(addr.host.0.to_le_bytes())
+                .chain(addr.port.to_le_bytes())
+            {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+            pm.jitter_seed ^= h;
+            Conn {
+                id,
+                endpoint: Endpoint::new(pm),
+                armed: None,
+                arm_gen: 0,
+            }
+        });
+        &mut conn.endpoint
+    }
+
+    /// The next event the endpoint for `peer` has queued, if the
+    /// connection still exists.
+    pub(crate) fn poll_event(&mut self, peer: SockAddr) -> Option<Event> {
+        self.table.get_mut(&peer)?.endpoint.poll_event()
+    }
+
+    /// A `TAG_CONN` timer fired: ticks the endpoint it was armed for and
+    /// names the peer, unless a newer timer governs (or the connection
+    /// is gone).
+    pub(crate) fn on_timer(&mut self, low: u64, now: Time) -> Option<SockAddr> {
+        let (conn_id, gen) = (low & 0xFFFF_FFFF, low >> 32);
+        let addr = *self.addrs.get(conn_id as usize)?;
+        let conn = self.table.get_mut(&addr)?;
+        if conn.arm_gen & GEN_MASK != gen {
+            return None;
+        }
+        conn.armed = None;
+        conn.endpoint.on_timer(now);
+        Some(addr)
+    }
+
+    /// Drops the connection to a dead peer; a new one is made if the
+    /// address is reused by a replacement member.
+    pub(crate) fn remove(&mut self, addr: SockAddr) {
+        if let Some(conn) = self.table.remove(&addr) {
+            // Keep the id slot but point it nowhere.
+            self.addrs[conn.id as usize] = SockAddr::new(simnet::HostId(u32::MAX), 0);
+        }
+    }
+
+    /// Queues a return message on call number `cn` of the connection to
+    /// `to`.
+    pub(crate) fn send_return(
+        &mut self,
+        now: Time,
+        to: SockAddr,
+        cn: u32,
+        span: u64,
+        reply: Payload,
+    ) {
+        let endpoint = self.endpoint(to);
+        if let Err(too_long) = endpoint.send(now, MsgType::Return, cn, span, reply) {
+            // Silence would hang the caller for ever: its call was
+            // acknowledged and this member keeps answering its probes. A
+            // reply the protocol cannot carry is the procedure's error.
+            let error = encode(&ReturnMessage::Error(format!("reply not sent: {too_long}")));
+            // A few dozen bytes: this fits whatever a call fitted in.
+            let _ = endpoint.send(now, MsgType::Return, cn, span, error);
+        }
+    }
+
+    /// Transmits queued segments on every connection and re-arms
+    /// retransmission timers.
+    pub(crate) fn flush_all(&mut self, io: &mut dyn NetIo, charge_overhead: bool) {
+        for (&addr, conn) in self.table.iter_mut() {
+            let now = io.now();
+            while let Some(seg) = conn.endpoint.poll_transmit_segment() {
+                let span = seg.header.span;
+                io.send_spanned(addr, seg.encode(), span);
+            }
+            // Re-arm the protocol timer if none is armed or the deadline
+            // moved earlier; the generation stamp invalidates the
+            // superseded timer.
+            let Some(t) = conn.endpoint.poll_timer() else {
+                continue;
+            };
+            if conn.armed.is_some_and(|armed| armed <= t) {
+                continue;
+            }
+            conn.armed = Some(t);
+            conn.arm_gen += 1;
+            let tag = make_tag(TAG_CONN, ((conn.arm_gen & GEN_MASK) << 32) | conn.id);
+            if charge_overhead {
+                // The timer package reads the clock to compute the
+                // absolute deadline, masks interrupts around its
+                // queue, and arms the interval timer (§4.2.4).
+                io.charge(Syscall::GetTimeOfDay);
+                io.charge(Syscall::SigBlock);
+                io.charge(Syscall::SetITimer);
+            }
+            let _ = io.set_timer(t.since(now), tag);
+        }
+    }
+}

@@ -31,10 +31,15 @@
 #![warn(missing_docs)]
 
 pub mod addr;
+mod assembly;
 pub mod binding;
+mod calls;
 pub mod collate;
+mod conn;
+mod directory;
 pub mod message;
 pub mod model;
+mod netio;
 pub mod node;
 pub mod runtime;
 pub mod service;

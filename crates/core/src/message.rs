@@ -12,8 +12,35 @@
 
 use crate::addr::TroupeId;
 use crate::thread::ThreadId;
-use simnet::Payload;
+use simnet::{Payload, SockAddr};
 use wire::{Externalize, Internalize, Reader, WireError, Writer};
+
+/// Externalizes a message into its one allocation: the `Payload` every
+/// sender, retransmission and buffered copy of it then shares.
+pub(crate) fn encode(msg: &impl Externalize) -> Payload {
+    wire::encode_with(msg, Payload::copy_from)
+}
+
+/// Groups the call messages of one replicated call: "two or more call
+/// messages arriving at a server bear the same thread ID and call
+/// sequence number if and only if they are part of the same replicated
+/// call" (§4.3.2), scoped by the client troupe ID.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub(crate) struct CallKey {
+    pub(crate) client_troupe: TroupeId,
+    pub(crate) thread: ThreadId,
+    pub(crate) call_seq: u32,
+}
+
+/// Where a call message came from and how its return finds the way
+/// back: the sender, the paired-message call number to reply on, and the
+/// causal span the client stamped on the segments.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Arrival {
+    pub(crate) from: SockAddr,
+    pub(crate) pm_cn: u32,
+    pub(crate) span: u64,
+}
 
 /// The contents of a call message.
 ///
@@ -58,6 +85,15 @@ impl<A: AsRef<[u8]>> Externalize for CallMessage<A> {
 }
 
 impl<A> CallMessage<A> {
+    /// The replicated call this message is one member's copy of.
+    pub(crate) fn key(&self) -> CallKey {
+        CallKey {
+            client_troupe: self.client_troupe,
+            thread: self.thread,
+            call_seq: self.call_seq,
+        }
+    }
+
     /// Internalizes the fixed fields, then the parameters with `args`.
     fn internalize_with<'a>(
         r: &mut Reader<'a>,

@@ -1,0 +1,215 @@
+//! What a node asks of its environment — datagrams, timers, a CPU
+//! account, a metrics registry — and the one timer tag space it shares
+//! between its protocol timers and the application's.
+
+use simnet::{Duration, Payload, SockAddr, Syscall, Time, TimerId};
+
+/// Abstraction over the I/O facilities a node needs; implemented for the
+/// simulator's [`simnet::Ctx`] and by test mocks.
+pub trait NetIo {
+    /// Current time.
+    fn now(&self) -> Time;
+    /// This process's address.
+    fn me(&self) -> SockAddr;
+    /// Transmits a datagram (charging one `sendmsg`). The payload handle
+    /// is cheap to clone; implementations never copy the bytes.
+    fn send(&mut self, to: SockAddr, bytes: Payload);
+    /// Transmits a datagram attributed to causal span `span` (0 = none).
+    /// The default drops the attribution; the simulator overrides it so
+    /// network trace events carry the span.
+    fn send_spanned(&mut self, to: SockAddr, bytes: Payload, _span: u64) {
+        self.send(to, bytes);
+    }
+    /// Transmits the same datagram to every destination, attributed to
+    /// causal span `span`. The default degenerates to per-destination
+    /// unicast (m `sendmsg` charges, same shared payload); the simulator
+    /// overrides it with true Ethernet multicast — one `sendmsg` charge
+    /// for all copies (§4.3.3).
+    fn multicast_spanned(&mut self, tos: &[SockAddr], bytes: Payload, span: u64) {
+        for &to in tos {
+            self.send_spanned(to, bytes.clone(), span);
+        }
+    }
+    /// Arms a timer, returning its cancelable id.
+    fn set_timer(&mut self, delay: Duration, tag: u64) -> TimerId;
+    /// Cancels a pending timer. Returns `true` iff the timer was live.
+    /// The default is for logic-test mocks without a scheduler — it
+    /// reports every cancel as a miss; the simulator overrides it.
+    fn cancel_timer(&mut self, _id: TimerId) -> bool {
+        false
+    }
+    /// Charges a syscall to this process's CPU account.
+    fn charge(&mut self, sys: Syscall);
+    /// Charges user-mode computation.
+    fn charge_compute(&mut self, d: Duration);
+    /// The metrics registry this process publishes into. The default is a
+    /// fresh detached registry each call, so logic-test mocks compile
+    /// unchanged; the simulator overrides it with the world's registry.
+    fn metrics(&self) -> obs::Registry {
+        obs::Registry::new()
+    }
+}
+
+impl NetIo for simnet::Ctx<'_> {
+    fn now(&self) -> Time {
+        simnet::Ctx::now(self)
+    }
+    fn me(&self) -> SockAddr {
+        simnet::Ctx::me(self)
+    }
+    fn send(&mut self, to: SockAddr, bytes: Payload) {
+        simnet::Ctx::send(self, to, bytes);
+    }
+    fn send_spanned(&mut self, to: SockAddr, bytes: Payload, span: u64) {
+        simnet::Ctx::send_spanned(self, to, bytes, span);
+    }
+    fn multicast_spanned(&mut self, tos: &[SockAddr], bytes: Payload, span: u64) {
+        simnet::Ctx::multicast_spanned(self, tos, bytes, span);
+    }
+    fn set_timer(&mut self, delay: Duration, tag: u64) -> TimerId {
+        simnet::Ctx::set_timer(self, delay, tag)
+    }
+    fn cancel_timer(&mut self, id: TimerId) -> bool {
+        simnet::Ctx::cancel_timer(self, id)
+    }
+    fn charge(&mut self, sys: Syscall) {
+        simnet::Ctx::charge(self, sys);
+    }
+    fn charge_compute(&mut self, d: Duration) {
+        simnet::Ctx::charge_dur(self, Syscall::Compute, d);
+    }
+    fn metrics(&self) -> obs::Registry {
+        simnet::Ctx::metrics(self)
+    }
+}
+
+/// Timer tag kinds (the node multiplexes one tag space).
+const TAG_KIND_SHIFT: u64 = 56;
+/// Connection (paired message protocol) timer; low bits = connection id.
+pub const TAG_CONN: u64 = 0;
+/// Many-to-one assembly timeout; low bits = pending-call serial.
+pub const TAG_PENDING: u64 = 1;
+/// Application timer; low bits = the application's own tag.
+pub const TAG_APP: u64 = 2;
+
+pub(crate) fn make_tag(kind: u64, low: u64) -> u64 {
+    (kind << TAG_KIND_SHIFT) | (low & ((1 << TAG_KIND_SHIFT) - 1))
+}
+
+/// Splits a timer tag into (kind, low bits).
+pub fn split_tag(tag: u64) -> (u64, u64) {
+    (tag >> TAG_KIND_SHIFT, tag & ((1 << TAG_KIND_SHIFT) - 1))
+}
+
+/// An application timer tag, guaranteed to fit the node's 56-bit tag
+/// space.
+///
+/// The node multiplexes one `u64` timer tag space between its own
+/// protocol timers and the application's (the top byte is the kind), so
+/// application tags must fit in the low 56 bits. With raw `u64` tags an
+/// oversize tag came back truncated and the application silently never
+/// recognized its own timer — a real bug class (the PR-3 self-heal tick
+/// died exactly this way). `TimerKey::new` is `const` and asserts the
+/// bound, so a `const KEY: TimerKey = TimerKey::new(...)` with an
+/// oversize value is a *compile* error, not a silent truncation.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct TimerKey(u64);
+
+impl TimerKey {
+    /// Wraps a raw tag value. Panics (at compile time in `const`
+    /// contexts) if it exceeds the 56-bit tag space.
+    pub const fn new(raw: u64) -> TimerKey {
+        assert!(
+            raw < (1 << TAG_KIND_SHIFT),
+            "application timer tag exceeds the 56-bit tag space"
+        );
+        TimerKey(raw)
+    }
+
+    /// The raw tag value (always `< 2^56`).
+    pub const fn raw(self) -> u64 {
+        self.0
+    }
+}
+
+/// A cancelable handle for an armed application timer, returned by
+/// `Node::set_app_timer` / `NodeCtx::set_app_timer` and redeemed with
+/// `Node::cancel_app_timer` / `NodeCtx::cancel_app_timer`.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct TimerHandle(pub(crate) TimerId);
+
+/// The one in-memory `NetIo` for exercising a `Node`, or one of its
+/// engines, without a world.
+#[cfg(test)]
+pub(crate) mod mock {
+    use super::*;
+    use pairedmsg::{Segment, SegmentHeader};
+    use simnet::HostId;
+
+    /// Records unicast sends and troupe-wide multicasts apart, so tests
+    /// can pin the m+n message discipline; every datagram's destination
+    /// and `(call number, segment number)` in wire order; and timers.
+    #[derive(Default)]
+    pub(crate) struct MockIo {
+        pub(crate) now: Time,
+        pub(crate) sent: Vec<(SockAddr, Payload)>,
+        pub(crate) mcasts: Vec<(Vec<SockAddr>, Payload)>,
+        pub(crate) numbers: Vec<(SockAddr, (u32, u8))>,
+        pub(crate) timers: Vec<(Duration, u64)>,
+    }
+
+    /// The address every mocked process runs at.
+    pub(crate) const ME: SockAddr = SockAddr {
+        host: HostId(0),
+        port: 1,
+    };
+
+    pub(crate) fn header(bytes: &Payload) -> SegmentHeader {
+        Segment::decode(bytes).expect("a segment").header
+    }
+
+    impl MockIo {
+        fn note(&mut self, to: SockAddr, bytes: &Payload) {
+            let h = header(bytes);
+            self.numbers.push((to, (h.call_number, h.number)));
+        }
+    }
+
+    impl NetIo for MockIo {
+        fn now(&self) -> Time {
+            self.now
+        }
+        fn me(&self) -> SockAddr {
+            ME
+        }
+        fn send(&mut self, to: SockAddr, bytes: Payload) {
+            self.note(to, &bytes);
+            self.sent.push((to, bytes));
+        }
+        fn multicast_spanned(&mut self, tos: &[SockAddr], bytes: Payload, _span: u64) {
+            tos.iter().for_each(|&to| self.note(to, &bytes));
+            self.mcasts.push((tos.to_vec(), bytes));
+        }
+        fn set_timer(&mut self, delay: Duration, tag: u64) -> TimerId {
+            self.timers.push((delay, tag));
+            TimerId(self.timers.len() as u64 - 1)
+        }
+        fn charge(&mut self, _sys: Syscall) {}
+        fn charge_compute(&mut self, _d: Duration) {}
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tag_split_round_trips() {
+        for kind in [TAG_CONN, TAG_PENDING, TAG_APP] {
+            for low in [0u64, 1, 0xFFFF, (1 << 56) - 1] {
+                let tag = make_tag(kind, low);
+                assert_eq!(split_tag(tag), (kind, low & ((1 << 56) - 1)));
+            }
+        }
+    }
+}

@@ -7,6 +7,7 @@
 //! harness...). Server-only processes need no agent: exported services
 //! are dispatched by the node itself.
 
+use crate::calls::Call;
 use crate::node::{AppEvent, CallHandle, Node, NodeConfig, TimerHandle, TimerKey};
 use crate::service::{CallError, Service};
 use crate::{CollationPolicy, ThreadId, Troupe, TroupeId};
@@ -48,13 +49,17 @@ impl<'a, 'b, 'w> NodeCtx<'a, 'b, 'w> {
         args: Vec<u8>,
         collation: CollationPolicy,
     ) -> CallHandle {
-        self.node
-            .begin_call(self.io, thread, troupe, module, proc, args, collation)
+        let mut call = Call::solo(thread, troupe, (module, proc), args, collation);
+        call.client_troupe = self.node.troupe_id();
+        self.node.begin_call(self.io, call)
     }
 
-    /// Begins a call presented as coming from a plain unregistered
-    /// client, even on a registered troupe member — for administrative
-    /// calls one member makes alone (see [`Node::begin_call_solo`]).
+    /// Like [`NodeCtx::call`], but presents the caller as a plain
+    /// unregistered client even if this process is a registered troupe
+    /// member. A registered member's *solo* administrative call (e.g. the
+    /// join agent's state re-fetch, §6.4.1) must not be mistaken for one
+    /// message of a many-to-one replicated call — the server would wait
+    /// out the assembly timeout for the other members' copies (§4.3.2).
     pub fn call_solo(
         &mut self,
         thread: ThreadId,
@@ -64,8 +69,8 @@ impl<'a, 'b, 'w> NodeCtx<'a, 'b, 'w> {
         args: Vec<u8>,
         collation: CollationPolicy,
     ) -> CallHandle {
-        self.node
-            .begin_call_solo(self.io, thread, troupe, module, proc, args, collation)
+        let call = Call::solo(thread, troupe, (module, proc), args, collation);
+        self.node.begin_call(self.io, call)
     }
 
     /// Arms an application timer; it arrives at [`Agent::on_app_timer`]

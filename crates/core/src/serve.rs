@@ -1,0 +1,341 @@
+//! What a [`Node`] does with a call message (§4.3.2): it asks the
+//! `directory` who is calling, adds the message to its `assembly`, runs
+//! the exported service when the assembly is ready — sending the thread
+//! onward through `calls` if the service makes a nested call — and
+//! returns the reply to every member of the calling troupe.
+
+use std::rc::Rc;
+
+use super::{AppEvent, Node};
+use crate::addr::{ModuleAddr, Troupe, TroupeId};
+use crate::assembly::{Invocation, Members, Outsider, PendState};
+use crate::binding::binding_procs::LOOKUP_TROUPE_BY_ID;
+use crate::binding::{self, reserved_procs};
+use crate::calls::{Call, CallPurpose};
+use crate::collate::{Collation, CollationPolicy};
+use crate::message::{encode, Arrival, CallKey, CallMessage, ReturnMessage};
+use crate::netio::{make_tag, NetIo, TAG_PENDING};
+use crate::service::{self, CallError, NodeEffect, OutCall, ServiceCtx, Step, TroupeTarget};
+use simnet::{Payload, SockAddr, Syscall};
+
+impl Node {
+    fn reply(&mut self, io: &mut dyn NetIo, at: &Arrival, reply: Payload) {
+        (self.conns).send_return(io.now(), at.from, at.pm_cn, at.span, reply);
+    }
+
+    /// Handles a call message arriving from a client troupe member.
+    pub(super) fn on_call_message(&mut self, io: &mut dyn NetIo, at: Arrival, data: Payload) {
+        io.charge_compute(self.config.compute_per_msg); // Internalize.
+        let Ok(msg) = CallMessage::decode(&data) else {
+            // Garbled call; the client will time out and retry.
+            io.metrics().add("adv.rejected", 1);
+            return;
+        };
+        self.assemblies.purge_done(io.now(), self.config.done_ttl);
+
+        // Incarnation check (§6.2): a call bearing the wrong server
+        // troupe ID must be rejected so stale client caches are detected.
+        if msg.server_troupe != self.my_troupe && msg.server_troupe != TroupeId::UNREGISTERED {
+            io.metrics().add("adv.rejected", 1);
+            let reply = encode(&ReturnMessage::WrongTroupe(self.my_troupe));
+            return self.reply(io, &at, reply);
+        }
+
+        // A slow member of an already-answered call: its return message
+        // is ready and waiting (§4.3.4).
+        if let Some((reply, span)) = self.assemblies.buffered(&msg.key()) {
+            return self.reply(io, &Arrival { span, ..at }, reply);
+        }
+
+        if !self.services.contains_key(&msg.module) && msg.proc < reserved_procs::RESERVED_BASE {
+            let reply = encode(&ReturnMessage::NoSuchProcedure);
+            return self.reply(io, &at, reply);
+        }
+
+        // Determine the client troupe's membership (§4.3.2): singleton
+        // for unregistered callers — the source of the call message is
+        // the single "member" the return must reach — else the directory
+        // or the binding agent.
+        let members = if msg.client_troupe == TroupeId::UNREGISTERED {
+            Members::Solo(at.from)
+        } else {
+            match self.directory.members(msg.client_troupe) {
+                Some(m) => Members::Troupe(m.clone()),
+                None => return self.park_and_lookup(io, at, msg),
+            }
+        };
+        self.process_call(io, at, msg, members);
+    }
+
+    /// Adds a call message to its assembly — opening it if this is the
+    /// call's first — and executes the procedure if that completes it.
+    fn process_call(
+        &mut self,
+        io: &mut dyn NetIo,
+        at: Arrival,
+        msg: CallMessage<Payload>,
+        members: Members,
+    ) {
+        let (key, module, proc) = (msg.key(), msg.module, msg.proc);
+        let (now, wait) = (io.now(), self.config.assembly_timeout);
+        let (services, directory) = (&self.services, &self.directory);
+        let fresh = |members: &[SockAddr]| {
+            let service = (proc < reserved_procs::RESERVED_BASE).then(|| services.get(&module));
+            let policy = service.flatten().map(|s| s.arg_collation(proc));
+            let policy = policy.unwrap_or(CollationPolicy::Unanimous);
+            let mut args = Collation::new(policy, members.len());
+            // Client members already under a dead-peer marker will never
+            // send their copy of this call; excuse them now so a degraded
+            // client troupe does not pay the assembly timeout on every
+            // call (§4.3.2). The sender itself is plainly alive.
+            for (i, m) in members.iter().enumerate() {
+                if *m != at.from && directory.is_dead(*m, now) {
+                    args.mark_dead(i);
+                }
+            }
+            (args, now + wait)
+        };
+        match self.assemblies.join(&at, msg, members, fresh) {
+            Ok(None) => {}
+            Ok(Some(serial)) => {
+                if self.config.charge_overhead {
+                    io.charge(Syscall::SetITimer);
+                }
+                let _ = io.set_timer(wait, make_tag(TAG_PENDING, serial));
+            }
+            Err(Outsider) => {
+                // A caller we do not believe is in the client troupe: it
+                // opens nothing, and an assembly already open keeps its
+                // definite membership, so re-fetching the directory here
+                // could loop forever. Reject the straggler instead: either
+                // its own view is stale (it will rebind) or ours is (the
+                // next call, with no open assembly, triggers a fresh
+                // lookup through the binding agent).
+                let why = "caller is not a member of the calling troupe";
+                self.directory.forget(key.client_troupe);
+                return self.reply(io, &at, encode(&ReturnMessage::Error(why.into())));
+            }
+        }
+        self.try_execute(io, key);
+    }
+
+    /// Executes the procedure once the argument collation is ready
+    /// (exactly-once execution, §4.1).
+    pub(super) fn try_execute(&mut self, io: &mut dyn NetIo, key: CallKey) {
+        match self.assemblies.execute(io, key) {
+            None => {}
+            Some(Ok((invocation, args))) => {
+                let mut ctx = self.service_ctx(io, &key, &invocation);
+                io.charge_compute(self.config.compute_per_msg); // Internalize args.
+                let (services, me) = (&mut self.services, &mut self.my_troupe);
+                let Invocation { module, proc, .. } = invocation;
+                let step = service::dispatch(services, me, &mut ctx, module, proc, &args);
+                self.apply_effects(io, ctx.effects);
+                self.apply_step(io, key, step);
+            }
+            Some(Err(e)) => {
+                let why = format!("argument collation failed: {e}");
+                self.finish_pending(io, key, encode(&ReturnMessage::Error(why)));
+            }
+        }
+    }
+
+    fn service_ctx(&self, io: &dyn NetIo, key: &CallKey, invocation: &Invocation) -> ServiceCtx {
+        ServiceCtx {
+            thread: key.thread,
+            caller: key.client_troupe,
+            invocation: invocation.id,
+            now: io.now(),
+            me: self.me,
+            span: invocation.span,
+            metrics: io.metrics(),
+            effects: Vec::new(),
+        }
+    }
+
+    /// Applies a service's step: a reply closes the assembly, a nested
+    /// call sends the thread onward.
+    fn apply_step(&mut self, io: &mut dyn NetIo, key: CallKey, step: Step) {
+        let reply = match step {
+            Step::Reply(data) => ReturnMessage::Normal(data),
+            Step::Error(e) => ReturnMessage::Error(e),
+            Step::Suspend => return self.assemblies.set_state(&key, PendState::Suspended),
+            Step::Call(out) => match self.nested_call(io, key, out) {
+                Ok(()) => return,
+                Err(e) => ReturnMessage::Error(e),
+            },
+        };
+        self.finish_pending(io, key, encode(&reply));
+    }
+
+    /// Makes the nested call `out` on behalf of the invocation `key`.
+    fn nested_call(
+        &mut self,
+        io: &mut dyn NetIo,
+        key: CallKey,
+        mut out: OutCall,
+    ) -> Result<(), String> {
+        // A `get_state_since` call with empty args asks the node to stamp
+        // in the *local* module's recovery token (how much state the
+        // joiner already replayed from its log). The module may
+        // legitimately have no token — the callee then serves a full
+        // copy.
+        if out.proc == reserved_procs::GET_STATE_SINCE && out.args.is_empty() {
+            let service = self.services.get(&out.module);
+            if let Some(tok) = service.and_then(|s| s.recovery_token()) {
+                out.args = tok;
+            }
+        }
+        let troupe = self.resolve_target(&key, &out)?;
+        self.assemblies.set_state(&key, PendState::AwaitingNested);
+        // Thread-ID propagation (§3.4.1): the nested call runs on behalf
+        // of the incoming thread. A solo nested call presents as
+        // unregistered, so the server does not wait for the other
+        // members' (never-coming) copies.
+        let (procedure, args) = ((out.module, out.proc), out.args);
+        let mut call = Call::solo(key.thread, &troupe, procedure, args, out.collation);
+        if !out.solo {
+            call.client_troupe = self.my_troupe;
+        }
+        let parent = self.assemblies.invoke_span(&key);
+        self.begin(io, call, CallPurpose::Nested { key, parent });
+        Ok(())
+    }
+
+    /// Applies effects queued by a service handler.
+    fn apply_effects(&mut self, io: &mut dyn NetIo, effects: Vec<NodeEffect>) {
+        for e in effects {
+            match e {
+                NodeEffect::PreloadDirectory { id, members } => {
+                    self.directory.install(id, members.into());
+                }
+                NodeEffect::InvalidateDirectory { id } => self.directory.forget(id),
+                NodeEffect::StepFor { invocation, step } => {
+                    if let Some(key) = self.assemblies.suspended(invocation) {
+                        self.apply_step(io, key, step);
+                    }
+                }
+                NodeEffect::SetServiceState { module, state } => {
+                    self.set_service_state(module, &state);
+                }
+                NodeEffect::ApplyServiceDelta { module, delta } => {
+                    self.apply_service_delta(module, &delta);
+                }
+                NodeEffect::NotifyAgent { tag } => {
+                    self.events.push_back(AppEvent::Notify { tag });
+                }
+            }
+        }
+    }
+
+    fn resolve_target(&self, key: &CallKey, out: &OutCall) -> Result<Troupe, String> {
+        match &out.target {
+            TroupeTarget::Troupe(t) => Ok(t.clone()),
+            TroupeTarget::Caller => {
+                let members: &[SockAddr] = if key.client_troupe == TroupeId::UNREGISTERED {
+                    self.assemblies.members(key)
+                } else {
+                    let known = self.directory.members(key.client_troupe);
+                    known.ok_or_else(|| "caller troupe unknown".to_string())?
+                };
+                let members = members.iter().map(|&a| ModuleAddr::new(a, out.module));
+                Ok(Troupe::new(key.client_troupe, members.collect()))
+            }
+        }
+    }
+
+    /// Resumes a service blocked on a nested call.
+    pub(super) fn resume_service(
+        &mut self,
+        io: &mut dyn NetIo,
+        key: CallKey,
+        result: Result<Vec<u8>, CallError>,
+    ) {
+        let Some(invocation) = self.assemblies.resume(&key) else {
+            return;
+        };
+        let mut ctx = self.service_ctx(io, &key, &invocation);
+        let step = match self.services.get_mut(&invocation.module) {
+            Some(s) => s.resume(&mut ctx, result),
+            None => Step::Error("module vanished".into()),
+        };
+        self.apply_effects(io, ctx.effects);
+        self.apply_step(io, key, step);
+    }
+
+    /// Sends the reply to every client member heard from, and buffers it
+    /// for the rest (§4.3.4).
+    fn finish_pending(&mut self, io: &mut dyn NetIo, key: CallKey, reply: Payload) {
+        if !self.assemblies.is_open(&key) {
+            return;
+        }
+        io.charge_compute(self.config.compute_per_msg); // Externalize reply.
+        let (now, conns) = (io.now(), &mut self.conns);
+        let send = |to, cn, span, reply| conns.send_return(now, to, cn, span, reply);
+        self.assemblies.close(&key, reply, now, send);
+    }
+
+    /// Makes an administrative call to the binding agent troupe. Solo:
+    /// each member asks independently as it needs to, so presenting
+    /// `my_troupe` here would make the binding agent wait out the
+    /// assembly timeout for the other members' (never-coming) copies.
+    pub(super) fn ask_binder(
+        &mut self,
+        io: &mut dyn NetIo,
+        binder: &Troupe,
+        proc: u16,
+        args: Vec<u8>,
+        purpose: CallPurpose,
+    ) {
+        let (thread, majority) = (self.threads.fresh(), CollationPolicy::Majority);
+        let call = Call::solo(
+            thread,
+            binder,
+            (binding::BINDING_MODULE, proc),
+            args,
+            majority,
+        );
+        self.begin(io, call, purpose);
+    }
+
+    fn park_and_lookup(&mut self, io: &mut dyn NetIo, at: Arrival, msg: CallMessage<Payload>) {
+        let troupe = msg.client_troupe;
+        if !self.directory.park(at, msg) {
+            return; // Already asked: the answer releases this message too.
+        }
+        let Some(binder) = self.directory.binder.clone() else {
+            return self.fail_parked(io, troupe, "client troupe unknown and no binding agent");
+        };
+        let (args, purpose) = (
+            binding::encode_lookup_by_id(troupe),
+            CallPurpose::DirLookup { troupe },
+        );
+        self.ask_binder(io, &binder, LOOKUP_TROUPE_BY_ID, args, purpose);
+    }
+
+    pub(super) fn finish_lookup(
+        &mut self,
+        io: &mut dyn NetIo,
+        troupe: TroupeId,
+        result: Result<Vec<u8>, CallError>,
+    ) {
+        let reply = result.ok();
+        let found = reply.and_then(|bytes| binding::decode_lookup_reply(&bytes).ok());
+        let Some(found) = found.flatten() else {
+            return self.fail_parked(io, troupe, "client troupe not registered");
+        };
+        let members: Rc<[SockAddr]> = found.members.iter().map(|m| m.addr).collect();
+        for pk in self.directory.answer(troupe, Some(&members)) {
+            // Judged against the answer itself: a parked straggler's
+            // rejection forgets the directory entry.
+            self.process_call(io, pk.at, pk.msg, Members::Troupe(members.clone()));
+        }
+    }
+
+    fn fail_parked(&mut self, io: &mut dyn NetIo, troupe: TroupeId, why: &str) {
+        let reply = encode(&ReturnMessage::Error(why.to_string()));
+        for pk in self.directory.answer(troupe, None) {
+            self.reply(io, &pk.at, reply.clone());
+        }
+    }
+}

@@ -12,9 +12,11 @@
 //! with the collated reply.
 
 use crate::addr::{Troupe, TroupeId};
+use crate::binding::reserved_procs;
 use crate::collate::{CollateError, CollationPolicy};
 use crate::thread::ThreadId;
 use simnet::{SockAddr, Time};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Why a replicated call failed at the caller.
@@ -96,7 +98,7 @@ pub struct OutCall {
     /// Present the caller as a plain unregistered client even if this
     /// member is registered — for administrative calls one member makes
     /// alone (the nested-call analogue of
-    /// [`Node::begin_call_solo`](crate::node::Node::begin_call_solo)).
+    /// [`NodeCtx::call_solo`](crate::runtime::NodeCtx::call_solo)).
     pub solo: bool,
 }
 
@@ -318,6 +320,51 @@ pub trait Service: std::any::Any {
     /// Applies a delta produced by a peer's [`Service::get_state_since`].
     /// Only meaningful for services that override `get_state_since`.
     fn apply_delta(&mut self, _delta: &[u8]) {}
+}
+
+/// Runs procedure `proc` of the exported module `module`: the service's
+/// own, or one of the runtime-provided procedures every module answers
+/// (§6.2, §6.4.1) — of which `set_troupe_id` installs the new
+/// incarnation in `my_troupe`.
+pub(crate) fn dispatch(
+    services: &mut BTreeMap<u16, Box<dyn Service>>,
+    my_troupe: &mut TroupeId,
+    ctx: &mut ServiceCtx,
+    module: u16,
+    proc: u16,
+    args: &[u8],
+) -> Step {
+    use reserved_procs::*;
+    match (proc, services.get_mut(&module)) {
+        (..RESERVED_BASE, Some(s)) => s.dispatch(ctx, proc, args),
+        (NULL, _) => Step::Reply(Vec::new()),
+        (SET_TROUPE_ID, _) => match wire::from_bytes::<TroupeId>(args) {
+            Ok(id) => {
+                *my_troupe = id;
+                Step::Reply(Vec::new())
+            }
+            Err(e) => Step::Error(format!("bad troupe id: {e}")),
+        },
+        (GET_STATE, Some(s)) => Step::Reply(s.get_state()),
+        // An empty token (the caller has no durable state, or its module
+        // does not implement recovery) degenerates to a full copy, so
+        // mixed troupes stay compatible.
+        (GET_STATE_SINCE, Some(s)) if args.is_empty() => {
+            Step::Reply(StateSince::Full(s.get_state()).encode())
+        }
+        (GET_STATE_SINCE, Some(s)) => Step::Reply(s.get_state_since(args).encode()),
+        // The service may Suspend until in-flight invocations drain
+        // (§6.4.1) and later reply via `StepFor`.
+        (WEDGE, Some(s)) => s.wedge(ctx),
+        (UNWEDGE, Some(s)) => {
+            s.unwedge();
+            Step::Reply(Vec::new())
+        }
+        (..RESERVED_BASE | GET_STATE | GET_STATE_SINCE | WEDGE | UNWEDGE, None) => {
+            Step::Error("no such module".into())
+        }
+        _ => Step::Error("unknown reserved procedure".into()),
+    }
 }
 
 #[cfg(test)]

@@ -209,6 +209,15 @@ pub fn executions(world: &World, a: SockAddr) -> u32 {
         .unwrap()
 }
 
+/// Requires every live node to hold no unfinished call and no open
+/// assembly: what a world run to quiescence must look like.
+pub fn assert_quiescent(world: &World) {
+    for a in world.proc_addrs() {
+        let stuck = world.with_proc(a, |p: &CircusProcess| p.node().debug_stuck());
+        assert_eq!(stuck, Some(Vec::new()), "{a} still holds protocol state");
+    }
+}
+
 /// A fresh world with the 1985 LAN and cost model.
 pub fn world(seed: u64) -> World {
     World::with_config(

@@ -34,6 +34,7 @@ fn unreplicated_call_works_like_rpc() {
     run(&mut w, 5);
     assert_eq!(client_results(&w, client), vec![Ok(b"hello".to_vec())]);
     assert_eq!(executions(&w, troupe.members[0].addr), 1);
+    assert_quiescent(&w);
 }
 
 #[test]
@@ -59,6 +60,7 @@ fn one_to_many_executes_at_every_member() {
     for m in &troupe.members {
         assert_eq!(executions(&w, m.addr), 1);
     }
+    assert_quiescent(&w);
 }
 
 #[test]
@@ -83,6 +85,7 @@ fn sequential_calls_have_consistent_state() {
         .map(|r| from_bytes(r.as_ref().unwrap()).unwrap())
         .collect();
     assert_eq!(totals, vec![1, 3, 6]);
+    assert_quiescent(&w);
 }
 
 #[test]
@@ -105,6 +108,7 @@ fn deterministic_error_propagates() {
         client_results(&w, client),
         vec![Err(CallError::Remote("deterministic failure".into()))]
     );
+    assert_quiescent(&w);
 }
 
 #[test]
@@ -127,6 +131,7 @@ fn unanimous_detects_nondeterminism() {
         client_results(&w, client),
         vec![Err(CallError::Disagreement)]
     );
+    assert_quiescent(&w);
 }
 
 #[test]
@@ -148,6 +153,7 @@ fn first_come_ignores_nondeterminism() {
     let results = client_results(&w, client);
     assert_eq!(results.len(), 1);
     assert!(results[0].is_ok());
+    assert_quiescent(&w);
 }
 
 #[test]
@@ -176,6 +182,7 @@ fn crash_of_one_member_is_masked() {
         })
         .unwrap();
     assert_eq!(dead, vec![addr(2, 70)]);
+    assert_quiescent(&w);
 }
 
 #[test]
@@ -201,6 +208,7 @@ fn total_failure_reported() {
         client_results(&w, client),
         vec![Err(CallError::AllMembersDead)]
     );
+    assert_quiescent(&w);
 }
 
 #[test]
@@ -237,6 +245,7 @@ fn majority_collation_masks_one_divergent_member() {
         1,
         "majority should mask the divergent member's 101"
     );
+    assert_quiescent(&w);
 }
 
 #[test]
@@ -266,6 +275,7 @@ fn stale_binding_rejected() {
     for h in 1..=3 {
         assert_eq!(executions(&w, addr(h, 70)), 0);
     }
+    assert_quiescent(&w);
 }
 
 #[test]
@@ -320,6 +330,7 @@ fn many_to_one_executes_once_and_answers_all() {
         assert_eq!(results.len(), 1, "client {a} missing result");
         assert_eq!(from_bytes::<u32>(results[0].as_ref().unwrap()).unwrap(), 5);
     }
+    assert_quiescent(&w);
 }
 
 #[test]
@@ -372,6 +383,7 @@ fn many_to_many_call() {
         assert_eq!(results.len(), 1);
         assert_eq!(from_bytes::<u32>(results[0].as_ref().unwrap()).unwrap(), 3);
     }
+    assert_quiescent(&w);
 }
 
 /// A service that forwards every echo through a second troupe, recording
@@ -466,6 +478,7 @@ fn nested_call_propagates_thread_id() {
         assert_eq!(threads[0].origin, client, "thread id not propagated");
         assert_eq!(executions(&w, m.addr), 1);
     }
+    assert_quiescent(&w);
 }
 
 #[test]
@@ -523,6 +536,7 @@ fn reserved_procedures_work() {
         .with_proc(member, |p: &CircusProcess| p.node().troupe_id())
         .unwrap();
     assert_eq!(id, TroupeId(777));
+    assert_quiescent(&w);
 }
 
 /// A ready_to_commit-style callback service: on PROC_ECHO it calls BACK
@@ -591,6 +605,7 @@ fn callback_to_caller_troupe() {
     w.poke(client_addr, 0);
     run(&mut w, 10);
     assert_eq!(client_results(&w, client_addr), vec![Ok(b"yes".to_vec())]);
+    assert_quiescent(&w);
 }
 
 #[test]
@@ -624,6 +639,7 @@ fn exactly_once_under_heavy_loss() {
     for m in &troupe.members {
         assert_eq!(executions(&w, m.addr), 3);
     }
+    assert_quiescent(&w);
 }
 
 #[test]
@@ -728,6 +744,7 @@ fn watchdog_detects_late_disagreement() {
         alarms >= 1,
         "watchdog never fired on nondeterministic replies"
     );
+    assert_quiescent(&w);
 }
 
 #[test]
@@ -789,6 +806,7 @@ fn watchdog_silent_when_replies_agree() {
         .unwrap();
     assert!(done);
     assert_eq!(alarms, 0, "watchdog fired on identical replies");
+    assert_quiescent(&w);
 }
 
 #[test]
@@ -881,6 +899,7 @@ fn slow_client_member_served_from_buffer() {
         })
         .unwrap();
     assert_eq!(execs, 1, "exactly-once violated for the slow member");
+    assert_quiescent(&w);
 }
 
 #[test]
@@ -937,6 +956,7 @@ fn partition_minority_fails_majority_succeeds() {
     let results = client_results(&w, client);
     assert_eq!(results.len(), 2);
     assert_eq!(results[1], Ok(b"q2".to_vec()));
+    assert_quiescent(&w);
 }
 
 #[test]
@@ -1001,6 +1021,53 @@ fn stale_client_membership_rejected_not_looped() {
         "suspicious traffic volume: {}",
         w.net_stats().sent
     );
+    // And the rejected call opened no assembly: nothing would ever close
+    // it (no member of the troupe made that call).
+    assert_quiescent(&w);
+}
+
+#[test]
+fn forged_membership_claims_open_no_assemblies() {
+    // A process outside the client troupe claims its ID on call after
+    // call. Each is rejected, and none may leave state behind: remote
+    // input must not grow the server's tables (one-member troupe: no
+    // assembly timeout would ever collect them).
+    let mut w = world(23);
+    let server = spawn_server_troupe(&mut w, 10, 1, 1);
+    let server_addr = server.members[0].addr;
+    let client_id = TroupeId(70);
+    let member = addr(10, 50);
+    let forger = addr(11, 50);
+    let req = Request {
+        troupe: server.clone(),
+        module: MODULE,
+        proc: PROC_ECHO,
+        args: b"m".to_vec(),
+        collation: CollationPolicy::Unanimous,
+    };
+    let p = NodeBuilder::new(forger, NodeConfig::default())
+        .agent(Box::new(TestClient::new(vec![req; 5])))
+        .troupe_id(client_id)
+        .build()
+        .expect("valid node");
+    w.spawn(forger, Box::new(p));
+    for _ in 0..5 {
+        // The rejection forgets the directory entry; a real server
+        // would re-learn it from the binding agent.
+        w.with_proc_mut(server_addr, |p: &mut CircusProcess| {
+            p.node_mut().preload_directory(client_id, vec![member]);
+        })
+        .unwrap();
+        w.poke(forger, 0);
+        run(&mut w, 2);
+    }
+    let results = client_results(&w, forger);
+    assert_eq!(results.len(), 5);
+    assert!(results
+        .iter()
+        .all(|r| matches!(r, Err(CallError::Remote(_)))));
+    assert_eq!(executions(&w, server_addr), 0);
+    assert_quiescent(&w);
 }
 
 #[test]
@@ -1029,4 +1096,5 @@ fn reply_too_long_to_send_is_an_error_not_silence() {
         matches!(&results[..], [Err(CallError::Remote(why))] if why.contains(&limit)),
         "expected an error naming the {limit}-byte limit, got {results:?}"
     );
+    assert_quiescent(&w);
 }
