@@ -317,13 +317,13 @@ impl Assemblies {
     /// dead peer `addr`. `true` if it was collecting and `addr` is one of
     /// its members: that may have decided the collation.
     pub(crate) fn excuse(&mut self, key: &CallKey, addr: SockAddr) -> bool {
-        let Some(p) = self.pending.get_mut(key) else {
+        let waiting = self.pending.get_mut(key);
+        let Some(p) = waiting.filter(|p| p.state == PendState::Collecting) else {
             return false;
         };
         let members = p.client_members.as_slice();
         let member = members.iter().position(|m| *m == addr);
-        let waiting = member.filter(|_| p.state == PendState::Collecting);
-        waiting.is_some_and(|i| {
+        member.is_some_and(|i| {
             p.args.mark_dead(i);
             true
         })

@@ -28,14 +28,6 @@ const HEADER: &str = "\
 # workload seed trace_hash trace_events span_hash metrics_fnv1a passed
 ";
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// Sweeps `seeds`, requires every run clean, and appends one table row
 /// per seed under `label`.
 fn rows<W: Workload>(
@@ -55,7 +47,7 @@ fn rows<W: Workload>(
             r.trace_hash,
             r.trace_events,
             r.span_hash,
-            fnv1a(r.metrics_json.as_bytes()),
+            golden::fnv1a(r.metrics_json.as_bytes()),
             r.passed()
         )
         .expect("write to string");

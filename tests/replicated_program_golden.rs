@@ -44,14 +44,6 @@ const PROC_QUORUM: u16 = 0;
 /// timeout, or for a dead-peer marker, to excuse it).
 const PROC_STRICT: u16 = 1;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// The third troupe: echoes, counting executions.
 struct Leaf {
     executions: u32,
@@ -395,7 +387,7 @@ fn row(seed: u64) -> String {
     format!(
         "replicated_program {seed} {trace_hash:#018x} {trace_events} {:#018x} {:#018x}\n",
         reg.span_hash(),
-        fnv1a(reg.dump_json().as_bytes()),
+        golden::fnv1a(reg.dump_json().as_bytes()),
     )
 }
 
