@@ -31,7 +31,9 @@ use circus::{
 };
 use configlang::{ConfigManager, Machine, Universe, Value};
 use ringmaster::{spawn_ringmaster, RegisterTroupe, SpareAgent, SpareService, SPARE_CTL_MODULE};
-use simnet::{Duration, HostId, SimRng, SockAddr, TraceRing, Until, World};
+use simnet::{
+    Duration, HostId, NetConfig, SimRng, SockAddr, SyscallCosts, TraceRing, Until, World,
+};
 use wire::{from_bytes, to_bytes};
 
 use crate::client::{Client, Protocol};
@@ -269,16 +271,12 @@ pub fn clients_finished<P: Protocol>(w: &World, clients: &[SockAddr]) -> bool {
     })
 }
 
-/// Runs `wl` inside the caller-built `w` (fresh: nothing spawned, clock
-/// at zero): builds the stack, runs the fault schedule for `seed`
-/// against the live workload, quiesces, and returns everything the
-/// oracles need plus whatever the fault schedule noted in the extras.
-pub fn quiesce<W: Workload>(
-    wl: &W,
-    mut w: World,
-    seed: u64,
-    opts: &ScenarioOptions,
-) -> (Quiesced, W::Extra) {
+/// Runs `wl` in a fresh world (the 1985 LAN, seeded): builds the stack,
+/// runs the fault schedule for `seed` against the live workload,
+/// quiesces, and returns everything the oracles need plus whatever the
+/// fault schedule noted in the extras.
+pub fn quiesce<W: Workload>(wl: &W, seed: u64, opts: &ScenarioOptions) -> (Quiesced, W::Extra) {
+    let mut w = World::with_config(seed, NetConfig::lan_1985(), SyscallCosts::default());
     let baseline = w.net().clone();
     // The sink must be installed before the first spawn so the whole run,
     // setup included, is covered by the trace hash. A bounded ring keeps

@@ -72,9 +72,5 @@ pub use harness::{
 pub use oracle::{check_all, Violation};
 pub use plan::{Fault, FaultPlan, PlanOptions, PlannedFault};
 pub use recovery::{Recovery, RecoveryExtra};
-#[cfg(feature = "heap_sched")]
-pub use report::heap_world;
-pub use report::{
-    assert_all_passed, chaos_jobs, lan_world, run, run_in, sweep, sweep_seeds, Report,
-};
+pub use report::{assert_all_passed, chaos_jobs, run, sweep, sweep_seeds, Report};
 pub use store::{run_scenario, Store, StoreExtra};

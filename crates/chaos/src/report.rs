@@ -11,7 +11,7 @@
 
 use std::fmt;
 
-use simnet::{Duration, NetConfig, NetView, SyscallCosts, TraceEvent, TraceRing, World};
+use simnet::{Duration, NetView, TraceEvent, TraceRing};
 
 use crate::harness::{quiesce, ScenarioOptions, Workload};
 use crate::oracle::Violation;
@@ -163,34 +163,9 @@ pub fn assert_all_passed<E: fmt::Display>(reports: &[Report<E>]) {
     );
 }
 
-/// The world every chaos run starts from: the 1985 LAN, seeded.
-pub fn lan_world(seed: u64) -> World {
-    World::with_config(seed, NetConfig::lan_1985(), SyscallCosts::default())
-}
-
-/// The same world scheduled by the reference binary heap instead of the
-/// timer wheel — the other half of the scheduler-equivalence oracle.
-/// Test-only (`heap_sched` feature).
-#[cfg(feature = "heap_sched")]
-pub fn heap_world(seed: u64) -> World {
-    World::with_config_heap(seed, NetConfig::lan_1985(), SyscallCosts::default())
-}
-
 /// One full chaos run of `wl` for `seed`: scenario, oracles, report.
 pub fn run<W: Workload>(wl: &W, seed: u64, opts: &ScenarioOptions) -> Report<W::Extra> {
-    run_in(wl, lan_world(seed), seed, opts)
-}
-
-/// [`run`] inside a caller-built world (fresh: nothing spawned, clock at
-/// zero) — how the scheduler-equivalence suite runs the same scenario
-/// on `heap_world`.
-pub fn run_in<W: Workload>(
-    wl: &W,
-    world: World,
-    seed: u64,
-    opts: &ScenarioOptions,
-) -> Report<W::Extra> {
-    let (q, mut extra) = quiesce(wl, world, seed, opts);
+    let (q, mut extra) = quiesce(wl, seed, opts);
     let mut violations = Vec::new();
     wl.check(&q, &mut extra, &mut violations);
 

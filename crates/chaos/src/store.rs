@@ -15,7 +15,6 @@ use transactions::TroupeStoreService;
 use crate::client::Txn;
 use crate::harness::{each_client, quiesce, Quiesced, ScenarioOptions, Workload, COMMIT_MODULE};
 use crate::oracle::{check_all, Violation};
-use crate::report::lan_world;
 
 /// The store workload.
 pub struct Store;
@@ -70,5 +69,5 @@ impl Workload for Store {
 /// returns the frozen world for [`check_all`] (and whatever else the
 /// caller wants to do to it).
 pub fn run_scenario(seed: u64, opts: &ScenarioOptions) -> Quiesced {
-    quiesce(&Store, lan_world(seed), seed, opts).0
+    quiesce(&Store, seed, opts).0
 }

@@ -38,10 +38,10 @@
 //!   the insert binary-searches into the pending batch by `(at, seq)`
 //!   instead of corrupting a level.
 //!
-//! The equivalence suite (`tests/sched_equivalence.rs` at the workspace
-//! root) replays the full chaos sweep and the adversary corpus on both
-//! schedulers (`--features heap_sched`) and asserts identical trace
-//! hashes, metrics dumps, and span forests.
+//! `tests/sched_props.rs` checks the wheel against a `BinaryHeap` model
+//! of that order; `tests/golden/chaos_hashes.txt` at the workspace root
+//! was generated while a heap-scheduled world was asserted bit-identical
+//! to this one, so it pins the order the heap gave.
 
 /// Number of wheel levels; level `l` slots span `64^l` µs.
 pub const LEVELS: usize = 6;

@@ -9,10 +9,6 @@
 //! on the paper's uniprocessor VAXen.
 
 use std::any::Any;
-#[cfg(feature = "heap_sched")]
-use std::cmp::Reverse;
-#[cfg(feature = "heap_sched")]
-use std::collections::BinaryHeap;
 use std::collections::{BTreeMap, HashSet};
 
 use obs::{Counter, CpuView, NetView, Registry};
@@ -138,14 +134,6 @@ impl CpuCounters {
     }
 }
 
-/// An event waiting in the reference heap scheduler.
-#[cfg(feature = "heap_sched")]
-struct QueuedEvent {
-    at: Time,
-    seq: u64,
-    kind: EventKind,
-}
-
 enum EventKind {
     Datagram {
         from: SockAddr,
@@ -202,81 +190,6 @@ pub trait TrafficInjector: Any {
     fn as_any(&self) -> &dyn Any;
 }
 
-#[cfg(feature = "heap_sched")]
-impl PartialEq for QueuedEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-#[cfg(feature = "heap_sched")]
-impl Eq for QueuedEvent {}
-#[cfg(feature = "heap_sched")]
-impl PartialOrd for QueuedEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-#[cfg(feature = "heap_sched")]
-impl Ord for QueuedEvent {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-/// The event queue: the hierarchical [`TimerWheel`] by default, or — kept
-/// behind the test-only `heap_sched` feature — the original
-/// `BinaryHeap<(at, seq)>`, which the scheduler-equivalence suite replays
-/// as the reference implementation. Both pop in exactly `(at, seq)`
-/// order, so they are interchangeable bit for bit.
-// The wheel carries its slot heads inline (1.5 KiB); the heap variant it
-// dwarfs exists only in the equivalence suite's test builds.
-#[allow(clippy::large_enum_variant)]
-enum Queue {
-    Wheel(TimerWheel<EventKind>),
-    #[cfg(feature = "heap_sched")]
-    Heap(BinaryHeap<Reverse<QueuedEvent>>),
-}
-
-impl Queue {
-    fn insert(&mut self, at: Time, seq: u64, kind: EventKind) {
-        match self {
-            Queue::Wheel(w) => w.insert(at.as_micros(), seq, kind),
-            #[cfg(feature = "heap_sched")]
-            Queue::Heap(h) => h.push(Reverse(QueuedEvent { at, seq, kind })),
-        }
-    }
-
-    fn pop(&mut self) -> Option<(Time, EventKind)> {
-        match self {
-            Queue::Wheel(w) => w.pop().map(|(at, _, kind)| (Time::from_micros(at), kind)),
-            #[cfg(feature = "heap_sched")]
-            Queue::Heap(h) => h.pop().map(|Reverse(ev)| (ev.at, ev.kind)),
-        }
-    }
-
-    /// Timestamp of the next event (the run loop's peek). `&mut` because
-    /// the wheel advances its internal horizon to answer.
-    fn next_at(&mut self) -> Option<Time> {
-        match self {
-            Queue::Wheel(w) => w.next_at().map(Time::from_micros),
-            #[cfg(feature = "heap_sched")]
-            Queue::Heap(h) => h.peek().map(|Reverse(ev)| ev.at),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Queue::Wheel(w) => w.len(),
-            #[cfg(feature = "heap_sched")]
-            Queue::Heap(h) => h.len(),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[derive(Clone, Debug, Default)]
 struct HostState {
     down: bool,
@@ -306,7 +219,7 @@ pub struct Ctx<'a> {
 struct Core {
     now: Time,
     seq: u64,
-    queue: Queue,
+    queue: TimerWheel<EventKind>,
     rng: SimRng,
     net: NetConfig,
     costs: SyscallCosts,
@@ -319,12 +232,13 @@ struct Core {
     /// makes [`World::cancel_timer`]'s `bool` truthful: a hit moves the
     /// id to `cancelled`, a miss (already fired, already cancelled, or
     /// never ours) ticks `sim.timer.cancel_miss`.
+    /// Insert, remove, contains: never walked.
     live: HashSet<TimerId>,
     /// Cancelled timers whose queue entries have not yet popped. A
     /// cancelled timer still occupies its slot and still advances the
-    /// clock when it comes due — it just fires into the void. (The
-    /// scheduler-equivalence oracle depends on this: both schedulers pop
-    /// the tombstone identically.)
+    /// clock when it comes due — it just fires into the void (the golden
+    /// traces were recorded with the tombstone's pop in them).
+    /// Insert and remove only: never walked.
     cancelled: HashSet<TimerId>,
     pending: Vec<Pending>,
     /// Epoch of the process whose handler is currently running; set by the
@@ -346,7 +260,7 @@ impl Core {
     fn push(&mut self, at: Time, kind: EventKind) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.insert(at, seq, kind);
+        self.queue.insert(at.as_micros(), seq, kind);
     }
 
     /// Cancels a live timer; see [`World::cancel_timer`].
@@ -601,13 +515,13 @@ impl<'a> Ctx<'a> {
 }
 
 impl Core {
-    fn new(seed: u64, net: NetConfig, costs: SyscallCosts, queue: Queue) -> Core {
+    fn new(seed: u64, net: NetConfig, costs: SyscallCosts) -> Core {
         let registry = Registry::new();
         let net_ctr = NetCounters::new(&registry);
         Core {
             now: Time::ZERO,
             seq: 0,
-            queue,
+            queue: TimerWheel::new(),
             rng: SimRng::new(seed),
             net,
             costs,
@@ -651,21 +565,8 @@ impl World {
 
     /// Creates a world with explicit network and cost models.
     pub fn with_config(seed: u64, net: NetConfig, costs: SyscallCosts) -> World {
-        World::with_queue(seed, net, costs, Queue::Wheel(TimerWheel::new()))
-    }
-
-    /// Creates a world scheduled by the original binary heap instead of
-    /// the timer wheel. Test-only (`heap_sched` feature): the
-    /// scheduler-equivalence suite replays identical workloads on both
-    /// and asserts bit-identical traces.
-    #[cfg(feature = "heap_sched")]
-    pub fn with_config_heap(seed: u64, net: NetConfig, costs: SyscallCosts) -> World {
-        World::with_queue(seed, net, costs, Queue::Heap(BinaryHeap::new()))
-    }
-
-    fn with_queue(seed: u64, net: NetConfig, costs: SyscallCosts, queue: Queue) -> World {
         World {
-            core: Core::new(seed, net, costs, queue),
+            core: Core::new(seed, net, costs),
             procs: BTreeMap::new(),
             epoch_counter: 1,
             events: 0,
@@ -736,11 +637,6 @@ impl World {
                 span: 0,
             },
         );
-    }
-
-    /// Replaces the syscall cost table.
-    pub fn set_costs(&mut self, costs: SyscallCosts) {
-        self.core.costs = costs;
     }
 
     /// Imposes (or lifts, with `Partition::none()`) a network partition.
@@ -951,10 +847,10 @@ impl World {
     /// built from; external drivers may call it directly to interleave
     /// simulation with their own bookkeeping.
     pub fn step(&mut self) -> bool {
-        let (at, kind) = match self.core.queue.pop() {
-            Some(e) => e,
-            None => return false,
+        let Some((at, _, kind)) = self.core.queue.pop() else {
+            return false;
         };
+        let at = Time::from_micros(at);
         self.core.now = at;
         self.events += 1;
         match kind {
@@ -1131,12 +1027,6 @@ impl World {
         self.core.cancel_timer(id)
     }
 
-    /// The timestamp of the next queued event, if any. Peeking may
-    /// advance the scheduler's internal horizon (never the clock).
-    pub fn next_event_at(&mut self) -> Option<Time> {
-        self.core.queue.next_at()
-    }
-
     /// Runs the event loop until `until` is satisfied. Returns `true`
     /// if the stopping condition was met — always, except for
     /// [`Until::Pred`], which reports whether the predicate held before
@@ -1161,7 +1051,7 @@ impl World {
                     return true;
                 }
                 while let Some(at) = self.core.queue.next_at() {
-                    if at > deadline {
+                    if at > deadline.as_micros() {
                         break;
                     }
                     self.step();
@@ -1178,7 +1068,7 @@ impl World {
     /// `t` (the queue may retain later events).
     fn drive_to(&mut self, t: Time) {
         while let Some(at) = self.core.queue.next_at() {
-            if at > t {
+            if at > t.as_micros() {
                 break;
             }
             self.step();

@@ -2,7 +2,7 @@
 //! damages it behind the oracles' back, and requires the named violation.
 //! An oracle that has never been seen to fail vouches for nothing.
 
-use chaos::{lan_world, quiesce, Recovery, Violation, Workload, MEMBER_MODULE};
+use chaos::{quiesce, Recovery, Violation, Workload, MEMBER_MODULE};
 use circus::{CircusProcess, Service, ThreadId};
 use simnet::{HostId, SockAddr};
 use transactions::{CommitRecord, TroupeStoreService};
@@ -20,7 +20,7 @@ fn reports_of<'a>(violations: &'a [Violation], oracle: &str) -> Vec<&'a str> {
 #[test]
 fn recovery_oracles_fire_on_a_corrupt_value_and_a_phantom_commit() {
     let (seed, wl) = (3, Recovery::default());
-    let (mut q, mut extra) = quiesce(&wl, lan_world(seed), seed, &Recovery::options());
+    let (mut q, mut extra) = quiesce(&wl, seed, &Recovery::options());
     let recovered = extra.recovered.expect("the fault script ran");
     let check = |q: &chaos::Quiesced, extra: &mut chaos::RecoveryExtra| {
         let mut violations = Vec::new();
