@@ -38,7 +38,7 @@ use wire::to_bytes;
 
 use crate::agent::RingmasterService;
 use crate::api::RemoveTroupeMember;
-use crate::spare::PROC_ACTIVATE;
+use crate::spare::activate;
 
 /// Probe attempts before a suspicion is confirmed. Each attempt waits
 /// out the full retransmission schedule (`Config::crash_horizon`), so
@@ -207,16 +207,7 @@ impl SelfHealAgent {
     }
 
     fn start_activation(&mut self, nc: &mut NodeCtx<'_, '_, '_>, name: String, ctl: ModuleAddr) {
-        let thread = nc.fresh_thread();
-        let target = Troupe::new(TroupeId::UNREGISTERED, vec![ctl]);
-        self.inflight = Some(nc.call_solo(
-            thread,
-            &target,
-            ctl.module,
-            PROC_ACTIVATE,
-            to_bytes(&name),
-            CollationPolicy::FirstCome,
-        ));
+        self.inflight = Some(activate(nc, ctl, &name));
         self.deadline = nc.now() + OP_TIMEOUT;
         self.state = HealState::Activating { name };
     }

@@ -10,15 +10,16 @@
 //!   troupe via a nested replicated `set_troupe_id` (Figure 6.2);
 //! - [`ImportCache`] — the client-side cache with `rebind` support
 //!   (§6.1–§6.2's cache invalidation);
-//! - [`JoinAgent`] — adding a new troupe member: `get_state` transfer
-//!   from the survivors, then `add_troupe_member` (§6.4.1);
 //! - [`GcAgent`] — null-call probing and deletion of defunct bindings
 //!   (§6.1);
 //! - [`SelfHealAgent`] — in-system failure recovery: probe-confirmed
 //!   eviction of suspects reported by the call runtime, then automatic
 //!   replacement from a pool of warm spares (§6.4, automated);
-//! - [`SpareService`] / [`SpareAgent`] — the spare process's side of the
-//!   same protocol: registration and wedge/copy/join activation.
+//! - [`SpareService`] / [`SpareAgent`] — adding a new troupe member
+//!   (§6.4.1), the one way there is: the joining process exports the
+//!   control module and somebody — the healer, or an operator's process
+//!   — calls [`activate`] on it: wedge, copy state, `add_troupe_member`,
+//!   unwedge.
 //!
 //! The availability analysis that answers *when* to replace crashed
 //! members (§6.4.2) lives in the `analysis` crate.
@@ -30,7 +31,6 @@ pub mod api;
 pub mod cache;
 pub mod gc;
 pub mod heal;
-pub mod reconfigure;
 pub mod spare;
 
 pub use agent::RingmasterService;
@@ -38,8 +38,7 @@ pub use api::{AddTroupeMember, Rebind, RegisterSpare, RegisterTroupe, RemoveTrou
 pub use cache::{BindingRequest, ImportCache};
 pub use gc::GcAgent;
 pub use heal::SelfHealAgent;
-pub use reconfigure::JoinAgent;
-pub use spare::{SpareAgent, SpareService, PROC_ACTIVATE, SPARE_CTL_MODULE};
+pub use spare::{activate, SpareAgent, SpareService, PROC_ACTIVATE, SPARE_CTL_MODULE};
 
 use circus::{ModuleAddr, NodeBuilder, NodeConfig, Troupe, TroupeId};
 use simnet::{SockAddr, World};

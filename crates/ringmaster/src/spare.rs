@@ -14,11 +14,15 @@
 //!   quiesces, copy their state, register with `add_troupe_member`
 //!   (which re-incarnates the troupe), and unwedge.
 //!
-//! Wedging before the state fetch closes the window [`JoinAgent`]
-//! (crate::reconfigure::JoinAgent) merely shrinks: no state change can
-//! land between the snapshot and the membership change because the
-//! survivors refuse new work and drain what is in flight first. The
-//! contract is the generic wedge/`get_state`/`set_state` trio of the
+//! This is the only join path, whoever starts it: the self-healing agent
+//! calls `activate` on a spare the Ringmaster had registered; an
+//! operator's administrative process calls it on a process it has just
+//! started. Both go through [`activate`].
+//!
+//! Wedging before the state fetch is what makes the transfer consistent
+//! (§6.4.1): no state change can land between the snapshot and the
+//! membership change because the survivors refuse new work and drain
+//! what is in flight first. The contract is the generic wedge/`get_state`/`set_state` trio of the
 //! reserved procedure space, not anything store-specific: the
 //! transactional store drains its commits, the ordered-broadcast module
 //! carries its whole protocol state across (applied order, logical-clock
@@ -47,8 +51,24 @@ use crate::api::RegisterSpare;
 pub const SPARE_CTL_MODULE: u16 = 0xFE00;
 
 /// `activate(troupe_name) returns ()` — the one procedure of the control
-/// module. Called solo by the self-healing agent.
+/// module. Called solo, through [`activate`].
 pub const PROC_ACTIVATE: u16 = 0;
+
+/// The caller's half of a join: asks the control module at `ctl` to join
+/// its process to the troupe registered under `name`. The reply is empty
+/// on success and the control module's abort message otherwise.
+pub fn activate(nc: &mut NodeCtx<'_, '_, '_>, ctl: ModuleAddr, name: &str) -> CallHandle {
+    let thread = nc.fresh_thread();
+    let target = Troupe::new(TroupeId::UNREGISTERED, vec![ctl]);
+    nc.call_solo(
+        thread,
+        &target,
+        ctl.module,
+        PROC_ACTIVATE,
+        to_bytes(name),
+        CollationPolicy::FirstCome,
+    )
+}
 
 /// Delay before re-offering the spare if registration fails (the
 /// Ringmaster may still be forming when the spare boots).

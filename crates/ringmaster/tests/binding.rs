@@ -8,7 +8,8 @@ use circus::{
     NodeConfig, NodeCtx, Service, ServiceCtx, Step, ThreadId, Troupe, TroupeId,
 };
 use ringmaster::{
-    spawn_ringmaster, GcAgent, ImportCache, JoinAgent, RegisterTroupe, RingmasterService,
+    activate, spawn_ringmaster, GcAgent, ImportCache, RegisterTroupe, RingmasterService,
+    SpareService, SPARE_CTL_MODULE,
 };
 use simnet::{Duration, HostId, SockAddr, World};
 use wire::{from_bytes, to_bytes};
@@ -145,6 +146,67 @@ fn register_counter_troupe_from(
     Troupe::new(id, members)
 }
 
+/// An operator-driven join (§6.4.1): starts a fresh counter process on
+/// host 6 exporting the spare control module, has a third-party process
+/// call `activate` on it — what the healer does for a registered spare —
+/// and returns the joiner's address and the incarnation it ended up in.
+fn join_counter_troupe(w: &mut World, binder: &Troupe, window: Duration) -> (SockAddr, TroupeId) {
+    let newbie = SockAddr::new(HostId(6), 70);
+    let p = NodeBuilder::new(newbie, NodeConfig::default())
+        .service(APP_MODULE, Box::new(Counter { value: 0 }))
+        .service(
+            SPARE_CTL_MODULE,
+            Box::new(SpareService::new(binder.clone(), "counter", APP_MODULE)),
+        )
+        .binder(binder.clone())
+        .build()
+        .expect("valid node");
+    w.spawn(newbie, Box::new(p));
+
+    struct Operator {
+        ctl: ModuleAddr,
+        outcome: Option<Result<Vec<u8>, CallError>>,
+    }
+    impl Agent for Operator {
+        fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, _tag: u64) {
+            activate(nc, self.ctl, "counter");
+        }
+        fn on_call_done(
+            &mut self,
+            _nc: &mut NodeCtx<'_, '_, '_>,
+            _h: CallHandle,
+            result: Result<Vec<u8>, CallError>,
+        ) {
+            self.outcome = Some(result);
+        }
+    }
+    let operator = SockAddr::new(HostId(91), 10);
+    let p = NodeBuilder::new(operator, NodeConfig::default())
+        .agent(Box::new(Operator {
+            ctl: ModuleAddr::new(newbie, SPARE_CTL_MODULE),
+            outcome: None,
+        }))
+        .build()
+        .expect("valid node");
+    w.spawn(operator, Box::new(p));
+    w.poke(operator, 0);
+    w.run(simnet::Until::Elapsed(window));
+
+    let outcome = w
+        .with_proc(operator, |p: &CircusProcess| {
+            p.agent_as::<Operator>().unwrap().outcome.clone()
+        })
+        .unwrap();
+    assert!(
+        matches!(outcome, Some(Ok(_))),
+        "join did not finish cleanly: {outcome:?}"
+    );
+    let joined = w
+        .with_proc(newbie, |p: &CircusProcess| p.node().troupe_id())
+        .unwrap();
+    (newbie, joined)
+}
+
 #[test]
 fn register_and_lookup_by_name() {
     let mut w = world(1);
@@ -274,33 +336,8 @@ fn join_agent_transfers_state_and_reincarnates() {
     w.poke(driver, 0);
     w.run(simnet::Until::Elapsed(Duration::from_secs(10)));
 
-    // A new member joins via the JoinAgent (§6.4.1).
-    let newbie = SockAddr::new(HostId(6), 70);
-    let p = NodeBuilder::new(newbie, NodeConfig::default())
-        .service(APP_MODULE, Box::new(Counter { value: 0 }))
-        .binder(rm.clone())
-        .agent(Box::new(JoinAgent::new(rm.clone(), "counter", APP_MODULE)))
-        .build()
-        .expect("valid node");
-    w.spawn(newbie, Box::new(p));
-    w.poke(newbie, 0);
-    w.run(simnet::Until::Elapsed(Duration::from_secs(20)));
-
-    let joined = w
-        .with_proc(newbie, |p: &CircusProcess| {
-            let j = p.agent_as::<JoinAgent>().unwrap();
-            assert!(
-                j.finished(),
-                "join never finished: failed={:?} joined={:?} warn={:?}",
-                j.failed,
-                j.joined,
-                j.sync_warning
-            );
-            assert!(j.failed.is_none(), "join failed: {:?}", j.failed);
-            j.joined
-        })
-        .unwrap()
-        .expect("joined");
+    // A new member joins (§6.4.1).
+    let (newbie, joined) = join_counter_troupe(&mut w, &rm, Duration::from_secs(20));
     // New incarnation differs from the registration-time one.
     assert_ne!(joined, registered.id);
 
@@ -720,25 +757,7 @@ fn registration_survives_ringmaster_member_crash() {
     w.crash_host(HostId(3));
 
     // A new member joins through the surviving majority.
-    let newbie = SockAddr::new(HostId(6), 70);
-    let p = NodeBuilder::new(newbie, NodeConfig::default())
-        .service(APP_MODULE, Box::new(Counter { value: 0 }))
-        .binder(rm.clone())
-        .agent(Box::new(JoinAgent::new(rm.clone(), "counter", APP_MODULE)))
-        .build()
-        .expect("valid node");
-    w.spawn(newbie, Box::new(p));
-    w.poke(newbie, 0);
-    w.run(simnet::Until::Elapsed(Duration::from_secs(60)));
-
-    let joined = w
-        .with_proc(newbie, |p: &CircusProcess| {
-            let j = p.agent_as::<JoinAgent>().unwrap();
-            assert!(j.failed.is_none(), "{:?}", j.failed);
-            j.joined
-        })
-        .unwrap()
-        .expect("join must succeed through the surviving majority");
+    let (_, joined) = join_counter_troupe(&mut w, &rm, Duration::from_secs(60));
     assert_ne!(joined, registered.id);
 
     // The surviving Ringmaster members agree on the new registry entry.

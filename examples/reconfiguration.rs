@@ -8,9 +8,10 @@
 //!   (`troupe(x, y, z) where x.memory >= 8 ...`, §7.5.2);
 //! - a crash, detected by the client, and a **reconfiguration**: the
 //!   manager solves the troupe extension problem (§7.5.3) for a
-//!   replacement machine, whose `JoinAgent` fetches the module state
-//!   with `get_state` and registers via `add_troupe_member` (§6.4.1) —
-//!   re-incarnating the troupe (§6.2);
+//!   replacement machine, starts a process there and calls `activate`
+//!   on its spare control module, which wedges the survivors, fetches
+//!   the module state with `get_state` and registers via
+//!   `add_troupe_member` (§6.4.1) — re-incarnating the troupe (§6.2);
 //! - the client's stale binding is rejected and refreshed via `rebind`
 //!   (§6.1).
 //!
@@ -22,7 +23,9 @@ use rdp::circus::{
     NodeConfig, NodeCtx, Service, ServiceCtx, Step, Troupe, TroupeId,
 };
 use rdp::configlang::{ConfigManager, Machine, Placement, Universe, Value};
-use rdp::ringmaster::{spawn_ringmaster, ImportCache, JoinAgent, RegisterTroupe};
+use rdp::ringmaster::{
+    activate, spawn_ringmaster, ImportCache, RegisterTroupe, SpareService, SPARE_CTL_MODULE,
+};
 use rdp::simnet::{Duration, HostId, SockAddr, World};
 use rdp::wire::{from_bytes, to_bytes};
 
@@ -144,8 +147,9 @@ impl Agent for CountingClient {
     }
 }
 
-/// Third-party registrar used at program start (the configuration
-/// manager's role, §6.2).
+/// The configuration manager's process (§6.2): registers the troupe at
+/// program start (poke 0) and, when a replacement has been started on
+/// machine `m`, tells it to join (poke `m`).
 struct Registrar {
     binder: Troupe,
     req: RegisterTroupe,
@@ -153,7 +157,16 @@ struct Registrar {
 }
 
 impl Agent for Registrar {
-    fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, _tag: u64) {
+    fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, tag: u64) {
+        if tag != 0 {
+            let replacement = SockAddr::new(HostId(tag as u32), 70);
+            activate(
+                nc,
+                ModuleAddr::new(replacement, SPARE_CTL_MODULE),
+                &self.req.name,
+            );
+            return;
+        }
         let t = nc.fresh_thread();
         let binder = self.binder.clone();
         nc.call(
@@ -172,8 +185,12 @@ impl Agent for Registrar {
         _h: CallHandle,
         result: Result<Vec<u8>, CallError>,
     ) {
-        if let Ok(bytes) = result {
-            self.id = from_bytes(&bytes).ok();
+        match result {
+            // The registration's reply is the troupe id; an activation's
+            // is empty.
+            Ok(bytes) if self.id.is_none() => self.id = from_bytes(&bytes).ok(),
+            Ok(_) => {}
+            Err(e) => panic!("configuration manager's call failed: {e}"),
         }
     }
 }
@@ -270,8 +287,9 @@ fn main() {
     world.crash_host(victim);
     manager.machine_down(victim.0);
 
-    // The manager re-solves the placement (§7.5.3) and starts a
-    // replacement whose JoinAgent transfers state and registers.
+    // The manager re-solves the placement (§7.5.3), starts a
+    // replacement and activates it: the replacement wedges the
+    // survivors, transfers their state and registers.
     let actions = manager.reconfigure("counter").expect("replacement found");
     for a in &actions {
         if let Placement::Start { machine, .. } = a {
@@ -279,12 +297,15 @@ fn main() {
             let addr = SockAddr::new(HostId(*machine), 70);
             let p = NodeBuilder::new(addr, NodeConfig::default())
                 .service(APP_MODULE, Box::new(Counter { value: 0 }))
+                .service(
+                    SPARE_CTL_MODULE,
+                    Box::new(SpareService::new(rm.clone(), "counter", APP_MODULE)),
+                )
                 .binder(rm.clone())
-                .agent(Box::new(JoinAgent::new(rm.clone(), "counter", APP_MODULE)))
                 .build()
                 .expect("valid node");
             world.spawn(addr, Box::new(p));
-            world.poke(addr, 0);
+            world.poke(registrar, u64::from(*machine));
         }
     }
     world.run(simnet::Until::Elapsed(Duration::from_secs(60)));

@@ -8,7 +8,9 @@ use rdp::circus::{
     NodeConfig, NodeCtx, Troupe, TroupeId,
 };
 use rdp::configlang::{extend_troupe, parse, Machine, Universe, Value};
-use rdp::ringmaster::{spawn_ringmaster, JoinAgent, RegisterTroupe, RingmasterService};
+use rdp::ringmaster::{
+    activate, spawn_ringmaster, RegisterTroupe, RingmasterService, SpareService, SPARE_CTL_MODULE,
+};
 use rdp::simnet::{Duration, HostId, SockAddr, World};
 use rdp::transactions::{CommitVoterService, ObjId, Op, TroupeStoreService, TxnClient};
 use rdp::wire::{from_bytes, to_bytes};
@@ -16,14 +18,26 @@ use rdp::wire::{from_bytes, to_bytes};
 const STORE_MODULE: u16 = 1;
 const COMMIT_MODULE: u16 = 2;
 
+/// The administrative process: registers the troupe (poke 0) and tells
+/// a replacement started on host `h` to join it (poke `h`).
 struct Registrar {
     binder: Troupe,
     req: RegisterTroupe,
     id: Option<TroupeId>,
+    joined: Option<Result<Vec<u8>, CallError>>,
 }
 
 impl Agent for Registrar {
-    fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, _tag: u64) {
+    fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, tag: u64) {
+        if tag != 0 {
+            let replacement = SockAddr::new(HostId(tag as u32), 70);
+            activate(
+                nc,
+                ModuleAddr::new(replacement, SPARE_CTL_MODULE),
+                &self.req.name,
+            );
+            return;
+        }
         let t = nc.fresh_thread();
         let binder = self.binder.clone();
         nc.call(
@@ -42,7 +56,9 @@ impl Agent for Registrar {
         _h: CallHandle,
         result: Result<Vec<u8>, CallError>,
     ) {
-        if let Ok(bytes) = result {
+        if self.id.is_some() {
+            self.joined = Some(result);
+        } else if let Ok(bytes) = result {
             self.id = from_bytes(&bytes).ok();
         }
     }
@@ -100,6 +116,7 @@ fn configured_replicated_transactional_store_survives_crash_and_heals() {
                 members: members.clone(),
             },
             id: None,
+            joined: None,
         }))
         .build()
         .expect("valid node");
@@ -147,7 +164,23 @@ fn configured_replicated_transactional_store_survives_crash_and_heals() {
         assert!(done && errors.is_empty(), "client {c}: {errors:?}");
     }
 
-    // 5. Crash one member; join a replacement with state transfer.
+    // 5. Crash one member; join a replacement with state transfer while
+    // a third client is in the middle of its script (on an object of its
+    // own, so A and B stay what the first two clients left).
+    const C: ObjId = ObjId(3);
+    let busy = SockAddr::new(HostId(53), 10);
+    let p = NodeBuilder::new(busy, config.clone())
+        .agent(Box::new(TxnClient::new(
+            troupe.clone(),
+            STORE_MODULE,
+            vec![vec![Op::Add(C, 1)]; 12],
+        )))
+        .service(COMMIT_MODULE, Box::new(CommitVoterService))
+        .build()
+        .expect("valid node");
+    w.spawn(busy, Box::new(p));
+    w.poke(busy, 0);
+    w.run(simnet::Until::Elapsed(Duration::from_millis(500)));
     let victim = members[2].addr;
     w.crash_host(victim.host);
     let newbie = SockAddr::new(HostId(9), 70);
@@ -157,19 +190,22 @@ fn configured_replicated_transactional_store_survives_crash_and_heals() {
             STORE_MODULE,
             Box::new(TroupeStoreService::new(COMMIT_MODULE)),
         )
+        .service(
+            SPARE_CTL_MODULE,
+            Box::new(SpareService::new(rm.clone(), "store", STORE_MODULE)),
+        )
         .binder(rm.clone())
-        .agent(Box::new(JoinAgent::new(rm.clone(), "store", STORE_MODULE)))
         .build()
         .expect("valid node");
     w.spawn(newbie, Box::new(p));
-    w.poke(newbie, 0);
+    w.poke(registrar, u64::from(newbie.host.0));
     w.run(simnet::Until::Elapsed(Duration::from_secs(30)));
-    w.with_proc(newbie, |p: &CircusProcess| {
-        let j = p.agent_as::<JoinAgent>().unwrap();
-        assert!(j.failed.is_none(), "{:?}", j.failed);
-        j.joined.expect("joined");
-    })
-    .unwrap();
+    let joined = w
+        .with_proc(registrar, |p: &CircusProcess| {
+            p.agent_as::<Registrar>().unwrap().joined.clone()
+        })
+        .unwrap();
+    assert!(matches!(joined, Some(Ok(_))), "{joined:?}");
 
     // The self-healing Ringmaster notices the crash on its own: it
     // probes the dead member, evicts it, and re-incarnates the troupe —
@@ -211,6 +247,13 @@ fn configured_replicated_transactional_store_survives_crash_and_heals() {
     assert_eq!(read(&w, newbie, A), 8);
     assert_eq!(read(&w, newbie, B), 8);
 
+    // The busy client's binding went stale when the join re-incarnated
+    // the troupe; hand it the new one, as a rebind would (§6.2).
+    w.with_proc_mut(busy, |p: &mut CircusProcess| {
+        p.agent_as_mut::<TxnClient>().unwrap().troupe = current.clone();
+    })
+    .unwrap();
+
     // 6. More transactions against the NEW incarnation reach all three
     // current members (two survivors + the replacement).
     let c3 = SockAddr::new(HostId(52), 10);
@@ -227,9 +270,31 @@ fn configured_replicated_transactional_store_survives_crash_and_heals() {
     w.poke(c3, 0);
     w.run(simnet::Until::Elapsed(Duration::from_secs(60)));
 
+    let (done, errors) = w
+        .with_proc(busy, |p: &CircusProcess| {
+            let t = p.agent_as::<TxnClient>().unwrap();
+            (t.finished(), t.errors.clone())
+        })
+        .unwrap();
+    assert!(done && errors.is_empty(), "busy client: {errors:?}");
+
+    // The join happened under load: every commit the survivors made
+    // before, during and after it is in the replacement too, once.
+    let ledger = |w: &World, a: SockAddr| -> (u64, usize) {
+        w.with_proc(a, |p: &CircusProcess| {
+            let s = p
+                .node()
+                .service_as::<TroupeStoreService>(STORE_MODULE)
+                .unwrap();
+            (s.state_digest(), s.committed_log().len())
+        })
+        .unwrap()
+    };
     for m in [members[0].addr, members[1].addr, newbie] {
         assert_eq!(read(&w, m, A), 108, "member {m} diverged");
         assert_eq!(read(&w, m, B), 8, "member {m} diverged");
+        assert_eq!(read(&w, m, C), 12, "member {m} diverged");
+        assert_eq!(ledger(&w, m), ledger(&w, newbie), "member {m} diverged");
     }
 }
 
