@@ -72,6 +72,10 @@ struct Pending {
     invoke_span: SpanId,
 }
 
+/// How long completed replies are buffered for slow client members
+/// (§4.3.4).
+const DONE_TTL: Duration = Duration::from_secs(60);
+
 struct DoneCall {
     /// Encoded `ReturnMessage`, buffered for client members whose call
     /// messages arrive after execution ("execution of the procedure thus
@@ -128,9 +132,9 @@ impl Assemblies {
         }
     }
 
-    /// Forgets buffered returns older than `ttl`.
-    pub(crate) fn purge_done(&mut self, now: Time, ttl: Duration) {
-        self.done.retain(|_, d| now.since(d.at) < ttl);
+    /// Forgets buffered returns older than [`DONE_TTL`].
+    pub(crate) fn purge_done(&mut self, now: Time) {
+        self.done.retain(|_, d| now.since(d.at) < DONE_TTL);
     }
 
     /// The return of an already-answered call, ready and waiting for a

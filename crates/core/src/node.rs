@@ -82,9 +82,6 @@ pub struct NodeConfig {
     /// How long a server waits for the remaining call messages of a
     /// many-to-one call before treating silent client members as dead.
     pub assembly_timeout: Duration,
-    /// How long completed replies are buffered for slow client members
-    /// (§4.3.4).
-    pub done_ttl: Duration,
     /// *Also* multicast one-to-many calls that fit one segment. A call of
     /// two or more segments to two or more live members always goes out
     /// by troupe-wide multicast — one `sendmsg` per segment whatever the
@@ -107,7 +104,6 @@ impl Default for NodeConfig {
             charge_overhead: true,
             compute_per_msg: Duration::from_millis_f64(3.0),
             assembly_timeout: Duration::from_secs(10),
-            done_ttl: Duration::from_secs(60),
             multicast_small_calls: false,
         }
     }

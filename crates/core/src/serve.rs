@@ -31,7 +31,7 @@ impl Node {
             io.metrics().add("adv.rejected", 1);
             return;
         };
-        self.assemblies.purge_done(io.now(), self.config.done_ttl);
+        self.assemblies.purge_done(io.now());
 
         // Incarnation check (§6.2): a call bearing the wrong server
         // troupe ID must be rejected so stale client caches are detected.

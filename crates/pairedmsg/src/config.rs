@@ -20,12 +20,46 @@ pub enum ProtocolMode {
     Parc,
 }
 
+/// How long a sender waits before retransmitting the first
+/// unacknowledged segment (with *please ack* set): the base of the
+/// exponential backoff schedule.
+pub const RETRANSMIT_INTERVAL: Duration = Duration::from_millis(300);
+/// Factor applied to the retransmission interval after each
+/// unacknowledged retransmission. An acknowledgment that makes progress
+/// resets the interval to the base.
+pub const BACKOFF_MULTIPLIER: u64 = 2;
+/// Ceiling on the backed-off retransmission interval.
+pub const RETRANSMIT_CAP: Duration = Duration::from_micros(1_200_000);
+/// Interval between crash-detection probes while awaiting a reply
+/// (§4.2.3).
+pub const PROBE_INTERVAL: Duration = Duration::from_secs(2);
+/// Unanswered probes before declaring the peer dead.
+pub const MAX_UNANSWERED_PROBES: u32 = 3;
+
+const _: () = assert!(RETRANSMIT_INTERVAL.as_micros() < PROBE_INTERVAL.as_micros());
+const _: () = assert!(RETRANSMIT_INTERVAL.as_micros() <= RETRANSMIT_CAP.as_micros());
+const _: () = assert!(BACKOFF_MULTIPLIER >= 1);
+
+/// The retransmission interval after `retries` unacknowledged
+/// retransmissions: `base × multiplier^retries`, capped.
+pub(crate) fn backed_off_interval(retries: u32) -> Duration {
+    let mut us = RETRANSMIT_INTERVAL.as_micros();
+    for _ in 0..retries {
+        us = us.saturating_mul(BACKOFF_MULTIPLIER);
+        if us >= RETRANSMIT_CAP.as_micros() {
+            return RETRANSMIT_CAP;
+        }
+    }
+    Duration::from_micros(us)
+}
+
 /// Tunable parameters of the paired message protocol.
 ///
 /// The paper gives the structure of the protocol but not its constants
-/// (§4.2.3 discusses the timeout trade-off qualitatively). Defaults are
-/// scaled to the 1985 testbed, where a round trip took tens of
-/// milliseconds.
+/// (§4.2.3 discusses the timeout trade-off qualitatively). The ones no
+/// experiment or test varies are the constants above; they and the
+/// defaults here are scaled to the 1985 testbed, where a round trip took
+/// tens of milliseconds.
 #[derive(Clone, Debug)]
 pub struct Config {
     /// Maximum payload bytes per segment. Header plus payload must fit
@@ -36,19 +70,8 @@ pub struct Config {
     /// `sendmsg` and `recvmsg` per datagram whatever its size, so a
     /// smaller segment only buys more of them.
     pub max_segment_data: usize,
-    /// How long to wait before retransmitting the first unacknowledged
-    /// segment (with *please ack* set). This is the *base* of the
-    /// exponential backoff schedule; see [`Config::backoff_multiplier`].
-    pub retransmit_interval: Duration,
     /// Retransmissions of one message before declaring the peer dead.
     pub max_retransmits: u32,
-    /// Factor applied to the retransmission interval after each
-    /// unacknowledged retransmission (`1` = the fixed schedule of the
-    /// original protocol). An acknowledgment that makes progress resets
-    /// the interval to the base.
-    pub backoff_multiplier: u32,
-    /// Ceiling on the backed-off retransmission interval.
-    pub retransmit_cap: Duration,
     /// Width of the deterministic jitter window as a fraction of the
     /// current interval, in parts per thousand (`100` = the interval is
     /// perturbed by up to ±5%). Jitter is a pure function of
@@ -58,20 +81,9 @@ pub struct Config {
     /// Seed for the deterministic retransmission jitter; give each
     /// endpoint a distinct seed to decorrelate retransmit storms.
     pub jitter_seed: u64,
-    /// Interval between crash-detection probes while awaiting a reply
-    /// (§4.2.3).
-    pub probe_interval: Duration,
-    /// Unanswered probes before declaring the peer dead.
-    pub max_unanswered_probes: u32,
     /// How long a completed exchange's call number is remembered so that
     /// delayed duplicates cannot replay it (§4.2.4).
     pub replay_ttl: Duration,
-    /// Postpone the ack of a completed call in the hope that the return
-    /// message will serve as an implicit ack (§4.2.4).
-    pub deferred_ack: bool,
-    /// Retransmit *all* unacknowledged segments on timeout instead of
-    /// just the first; useful on unreliable networks (§4.2.4).
-    pub retransmit_all: bool,
     /// Multi-segment transmission discipline (§4.2.5).
     pub mode: ProtocolMode,
 }
@@ -94,17 +106,10 @@ impl Default for Config {
     fn default() -> Config {
         Config {
             max_segment_data: MTU_SEGMENT_DATA,
-            retransmit_interval: Duration::from_millis(300),
             max_retransmits: 4,
-            backoff_multiplier: 2,
-            retransmit_cap: Duration::from_micros(1_200_000),
             jitter_permille: 100,
             jitter_seed: 0,
-            probe_interval: Duration::from_secs(2),
-            max_unanswered_probes: 3,
             replay_ttl: Duration::from_secs(60),
-            deferred_ack: true,
-            retransmit_all: false,
             mode: ProtocolMode::Circus,
         }
     }
@@ -138,15 +143,9 @@ impl Config {
     /// in giving up. With the defaults this is
     /// 0.3 + 0.6 + 1.2 + 1.2 + 1.2 = 4.5 s.
     pub fn crash_horizon(&self) -> Duration {
-        let base = self.retransmit_interval.as_micros();
-        let cap = self.retransmit_cap.as_micros().max(base);
-        let mult = self.backoff_multiplier.max(1) as u64;
-        let mut total = 0u64;
-        let mut interval = base;
-        for _ in 0..=self.max_retransmits {
-            total = total.saturating_add(interval);
-            interval = interval.saturating_mul(mult).min(cap);
-        }
+        let total = (0..=self.max_retransmits).fold(0u64, |total, retries| {
+            total.saturating_add(backed_off_interval(retries).as_micros())
+        });
         Duration::from_micros(total)
     }
 }
@@ -162,9 +161,6 @@ mod tests {
         // A full segment is one Ethernet frame, header included.
         assert_eq!(c.max_segment_data + HEADER_LEN, ETHERNET_MTU);
         assert_eq!(c.max_message_len(), MAX_SEGMENTS * c.max_segment_data);
-        assert!(c.retransmit_interval < c.probe_interval);
-        assert!(c.retransmit_interval <= c.retransmit_cap);
-        assert!(c.backoff_multiplier >= 1);
     }
 
     #[test]
@@ -174,12 +170,5 @@ mod tests {
             Config::default().crash_horizon(),
             Duration::from_micros(4_500_000)
         );
-        // A multiplier of 1 degenerates to the fixed schedule.
-        let fixed = Config {
-            backoff_multiplier: 1,
-            max_retransmits: 8,
-            ..Config::default()
-        };
-        assert_eq!(fixed.crash_horizon(), Duration::from_micros(2_700_000));
     }
 }

@@ -45,7 +45,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use crate::config::Config;
+use crate::config::{Config, MAX_UNANSWERED_PROBES, PROBE_INTERVAL};
 use crate::receiver::MsgReceiver;
 use crate::replay::ReplayLog;
 use crate::segment::{MsgType, Segment, SegmentError, SegmentHeader};
@@ -357,7 +357,7 @@ impl Endpoint {
         // Any arrival is a life sign: reset the probe clock (§4.2.3).
         if let Some(p) = &mut self.probe {
             p.unanswered = 0;
-            p.next = now + self.config.probe_interval;
+            p.next = now + PROBE_INTERVAL;
         }
         let h = seg.header;
         if h.probe {
@@ -496,9 +496,7 @@ impl Endpoint {
                 }
                 // Deferred ack: hold the ack back in the hope the
                 // return message will serve instead (§4.2.4).
-                if self.config.deferred_ack {
-                    want_ack = false;
-                }
+                want_ack = false;
             }
             MsgType::Return => {
                 self.stats.returns_delivered += 1;
@@ -560,7 +558,7 @@ impl Endpoint {
         }
         self.probe = Some(ProbeState {
             call_number,
-            next: now + self.config.probe_interval,
+            next: now + PROBE_INTERVAL,
             unanswered: 0,
         });
     }
@@ -589,9 +587,7 @@ impl Endpoint {
         for sender in self.senders.values_mut() {
             match sender.on_tick(now) {
                 SenderTick::Idle => {}
-                SenderTick::Retransmit(numbers) => {
-                    self.out.extend(numbers.map(|n| sender.segment(n, true)));
-                }
+                SenderTick::Retransmit(n) => self.out.push_back(sender.segment(n, true)),
                 SenderTick::GiveUp => {
                     self.declare_dead();
                     return;
@@ -601,12 +597,12 @@ impl Endpoint {
         self.stats.retransmits += (self.out.len() - queued) as u64;
         match &mut self.probe {
             Some(p) if now >= p.next => {
-                if p.unanswered >= self.config.max_unanswered_probes {
+                if p.unanswered >= MAX_UNANSWERED_PROBES {
                     self.declare_dead();
                     return;
                 }
                 p.unanswered += 1;
-                p.next = now + self.config.probe_interval;
+                p.next = now + PROBE_INTERVAL;
                 self.out.push_back(Segment::probe(p.call_number));
             }
             _ => {}
@@ -665,87 +661,24 @@ impl Endpoint {
 
 #[cfg(test)]
 mod tests {
+    //! Only what needs the endpoint's private state; the two-endpoint
+    //! transcripts are in `tests/endpoint.rs`.
+
     use super::*;
     use simnet::Duration;
 
-    /// Delivers everything `tx` has queued to `rx`.
-    fn carry(now: Time, tx: &mut Endpoint, rx: &mut Endpoint) {
-        while let Some(bytes) = tx.poll_transmit() {
-            rx.on_datagram(now, &bytes).unwrap();
-        }
-    }
-
-    fn small_segments() -> Config {
-        Config {
-            max_segment_data: 4,
-            ..Config::default()
-        }
-    }
-
-    /// The receiving endpoint cannot tell a multicast copy from a unicast
-    /// one: an adopted call completes through the normal event path when
-    /// the (multicast) segments arrive at the peer, and the return
-    /// message implicitly acknowledges the adopted sender.
-    #[test]
-    fn adopted_call_round_trips_through_endpoints() {
-        let cfg = small_segments();
-        let now = Time::ZERO;
-        let mut client = Endpoint::new(cfg.clone());
-        let mut server = Endpoint::new(cfg.clone());
-
-        // The blast is cut by a sender of the caller's own, off to the side.
-        let blast = MsgSender::new(now, &cfg, MsgType::Call, 1, 0, b"abcdefghij").unwrap();
-        assert_eq!(blast.total(), 3);
-        client.adopt_call(now, 1, 0, b"abcdefghij").unwrap();
-        assert!(client.poll_transmit().is_none(), "nothing of its own");
-
-        for n in 1..=blast.total() {
-            server
-                .on_datagram(now, &blast.segment(n, false).encode())
-                .unwrap();
-        }
-        let ev = server.poll_event().expect("call delivered");
+    /// One single-segment exchange, hand-carried at `now`: call `cn` over,
+    /// delivered, answered, the return back and delivered.
+    fn exchange(now: Time, cn: u32, client: &mut Endpoint, server: &mut Endpoint) {
+        client.send(now, MsgType::Call, cn, 0, b"ping").unwrap();
+        server.on_segment(now, client.poll_transmit_segment().expect("the call"));
         assert!(matches!(
-            ev,
-            Event::Message {
-                msg_type: MsgType::Call,
-                call_number: 1,
-                ..
-            }
+            server.poll_event(),
+            Some(Event::Message { call_number, .. }) if call_number == cn
         ));
-
-        // The return implicitly acknowledges the adopted sender.
-        server.send(now, MsgType::Return, 1, 0, b"ok").unwrap();
-        carry(now, &mut server, &mut client);
-        let ev = client.poll_event().expect("return delivered");
-        assert!(matches!(
-            ev,
-            Event::Message {
-                msg_type: MsgType::Return,
-                call_number: 1,
-                ..
-            }
-        ));
-        assert!(client.senders.is_empty());
-        assert_eq!(client.stats().send_call_regressions, 0);
-    }
-
-    /// A member that missed the multicast is served by the ordinary
-    /// unicast retransmission schedule (straggler fallback), whose clock
-    /// starts when the caller says the blast left.
-    #[test]
-    fn straggler_served_by_unicast_retransmission() {
-        let cfg = small_segments();
-        let blasted = Time::ZERO + Duration::from_millis(113);
-        let mut client = Endpoint::new(cfg.clone());
-        client.adopt_call(blasted, 1, 0, b"abcdefghij").unwrap();
-        let due = client.poll_timer().expect("retransmission armed");
-        assert_eq!(due, blasted + cfg.retransmit_interval);
-        client.on_timer(due);
-        let seg = client.poll_transmit_segment().expect("retransmit queued");
-        assert!(seg.is_data());
-        assert_eq!(seg.header.number, 1);
-        assert!(seg.header.please_ack, "retransmissions demand an ack");
+        server.send(now, MsgType::Return, cn, 0, b"pong").unwrap();
+        client.on_segment(now, server.poll_transmit_segment().expect("the return"));
+        assert!(matches!(client.poll_event(), Some(Event::Message { .. })));
     }
 
     /// Every piece of per-peer state is bounded by the replay TTL, not by
@@ -762,15 +695,7 @@ mod tests {
         let mut server = Endpoint::new(config);
         let mut now = Time::ZERO;
         for cn in 1..=10_000u32 {
-            client.send(now, MsgType::Call, cn, 0, b"ping").unwrap();
-            carry(now, &mut client, &mut server);
-            assert!(matches!(
-                server.poll_event(),
-                Some(Event::Message { call_number, .. }) if call_number == cn
-            ));
-            server.send(now, MsgType::Return, cn, 0, b"pong").unwrap();
-            carry(now, &mut server, &mut client);
-            assert!(matches!(client.poll_event(), Some(Event::Message { .. })));
+            exchange(now, cn, &mut client, &mut server);
             now += STEP;
         }
         for (name, e) in [("client", &client), ("server", &server)] {
@@ -807,335 +732,20 @@ mod tests {
         assert_eq!(server.stats().duplicate_call_deliveries, 1);
     }
 
-    /// One line per segment, for transcripts: `C1 2/3 please-ack`,
-    /// `ack R1 3`, `probe 1`.
-    fn show(seg: &Segment) -> String {
-        let h = seg.header;
-        let t = match h.msg_type {
-            MsgType::Call => 'C',
-            MsgType::Return => 'R',
-        };
-        let cn = h.call_number;
-        match (h.probe, h.ack) {
-            (true, false) => format!("probe {cn}"),
-            (true, true) => format!("probe-reply {cn}"),
-            (false, true) => format!("ack {t}{cn} {}", h.number),
-            (false, false) if h.please_ack => {
-                format!("{t}{cn} {}/{} please-ack", h.number, h.total)
-            }
-            (false, false) => format!("{t}{cn} {}/{}", h.number, h.total),
-        }
-    }
-
-    /// [`carry`], reporting what crossed.
-    fn carry_shown(now: Time, tx: &mut Endpoint, rx: &mut Endpoint) -> Vec<String> {
-        let mut crossed = Vec::new();
-        while let Some(seg) = tx.poll_transmit_segment() {
-            crossed.push(show(&seg));
-            rx.on_datagram(now, &seg.encode()).unwrap();
-        }
-        crossed
-    }
-
-    fn ms(n: u64) -> Time {
-        Time::ZERO + Duration::from_millis(n)
-    }
-
-    /// How long the callee takes to answer in [`exchange`].
-    const SERVICE_MS: u64 = 40;
-
-    /// One whole exchange: `client` sends call `cn` at `at` ms, `server`
-    /// answers with `reply` [`SERVICE_MS`] later, and both messages arrive
-    /// and are delivered upward. Returns everything that crossed.
-    fn exchange(
-        at: u64,
-        cn: u32,
-        client: &mut Endpoint,
-        server: &mut Endpoint,
-        reply: &[u8],
-    ) -> Vec<String> {
-        client.send(ms(at), MsgType::Call, cn, 0, b"args").unwrap();
-        let mut crossed = carry_shown(ms(at), client, server);
-        assert!(matches!(
-            server.poll_event(),
-            Some(Event::Message { msg_type: MsgType::Call, call_number, .. }) if call_number == cn
-        ));
-        crossed.extend(carry_shown(ms(at), server, client));
-        let answered = ms(at + SERVICE_MS);
-        server
-            .send(answered, MsgType::Return, cn, 0, reply)
-            .unwrap();
-        crossed.extend(carry_shown(answered, server, client));
-        assert!(matches!(
-            client.poll_event(),
-            Some(Event::Message { msg_type: MsgType::Return, call_number, .. }) if call_number == cn
-        ));
-        crossed.extend(carry_shown(answered, client, server));
-        crossed
-    }
-
-    fn pair(config: Config) -> (Endpoint, Endpoint) {
-        (Endpoint::new(config.clone()), Endpoint::new(config))
-    }
-
-    /// A return no later call acknowledges is acknowledged once, by its
-    /// caller, on the tick the call was given — and that is the whole
-    /// cost: the callee never re-sends it.
-    #[test]
-    fn idle_return_is_acked_once_on_the_calls_own_tick() {
-        let (mut client, mut server) = pair(Config::default());
-        let crossed = exchange(0, 1, &mut client, &mut server, b"ok");
-        assert_eq!(crossed, ["C1 1/1", "R1 1/1"]);
-
-        // The owed ack asks for no timer of its own.
-        assert_eq!(client.poll_timer(), None);
-        assert!(client.is_idle());
-        assert_eq!(server.poll_timer(), Some(ms(SERVICE_MS + 300)));
-
-        // The tick the driver armed when call 1 went out: 300 ms, exactly.
-        client.on_timer(ms(300));
-        assert_eq!(carry_shown(ms(305), &mut client, &mut server), ["ack R1 1"]);
-        let s = client.stats();
-        assert_eq!((s.acks_sent, s.acks_on_tick, s.retransmits), (1, 1, 0));
-        assert!(client.sent_calls.is_empty());
-
-        // The callee is done; its own tick, 35 ms later, has nothing to do.
-        assert!(server.senders.is_empty());
-        assert_eq!(server.poll_timer(), None);
-        server.on_timer(ms(SERVICE_MS + 300));
-        assert_eq!(server.poll_transmit_segment(), None);
-        assert_eq!(server.stats().retransmits, 0);
-
-        // And the ack is paid once.
-        client.on_timer(ms(600));
-        assert_eq!(client.poll_transmit_segment(), None);
-    }
-
-    /// A caller that calls again before its tick acknowledges the return
-    /// the way §4.2.2 says, for nothing: no explicit ack is ever sent.
-    #[test]
-    fn next_call_before_the_tick_cancels_the_owed_ack() {
-        let (mut client, mut server) = pair(Config::default());
-        exchange(0, 1, &mut client, &mut server, b"ok");
-        assert!(server.senders.contains_key(&(MsgType::Return, 1)));
-
-        let crossed = exchange(100, 2, &mut client, &mut server, b"ok");
-        assert_eq!(crossed, ["C2 1/1", "R2 1/1"]);
-        assert!(
-            !server.senders.contains_key(&(MsgType::Return, 1)),
-            "call 2 retired return 1"
-        );
-
-        // Call 1's tick finds nothing owed for it; call 2's pays for 2.
-        client.on_timer(ms(300));
-        assert_eq!(client.poll_transmit_segment(), None);
-        client.on_timer(ms(400));
-        assert_eq!(carry_shown(ms(400), &mut client, &mut server), ["ack R2 1"]);
-        assert_eq!(client.stats().acks_sent, 1);
-        assert_eq!(server.stats().acks_sent, 0);
-    }
-
-    /// The tick ack is an optimization the *please ack* path backs up:
-    /// lost, it costs what the parent protocol always paid, and the
-    /// prompt ack that answers the re-send is the last one.
-    #[test]
-    fn lost_tick_ack_falls_back_to_please_ack() {
-        let (mut client, mut server) = pair(Config::default());
-        exchange(0, 1, &mut client, &mut server, b"ok");
-        client.on_timer(ms(300));
-        let lost = client.poll_transmit_segment().expect("the tick ack");
-        assert_eq!(show(&lost), "ack R1 1");
-
-        let due = server.poll_timer().expect("return unacknowledged");
-        assert_eq!(due, ms(SERVICE_MS + 300));
-        server.on_timer(due);
-        assert_eq!(
-            carry_shown(due, &mut server, &mut client),
-            ["R1 1/1 please-ack"]
-        );
-        assert_eq!(carry_shown(due, &mut client, &mut server), ["ack R1 1"]);
-        assert!(server.senders.is_empty());
-        assert!(client.poll_event().is_none(), "not delivered twice");
-        let (c, s) = (client.stats(), server.stats());
-        assert_eq!((c.acks_sent, c.acks_on_tick, s.retransmits), (2, 1, 1));
-
-        client.on_timer(ms(900));
-        assert_eq!(client.poll_transmit_segment(), None);
-    }
-
-    /// When the callee's timer wins the race (the caller's tick is late),
-    /// the *please ack* duplicate is answered at once and settles the
-    /// debt: the tick, when it comes, sends nothing.
-    #[test]
-    fn please_ack_duplicate_settles_the_owed_ack() {
-        let (mut client, mut server) = pair(Config::default());
-        exchange(0, 1, &mut client, &mut server, b"ok");
-        let due = ms(SERVICE_MS + 300);
-        server.on_timer(due);
-        assert_eq!(
-            carry_shown(due, &mut server, &mut client),
-            ["R1 1/1 please-ack"]
-        );
-        assert!(client.sent_calls.is_empty(), "nothing owed any more");
-        assert_eq!(carry_shown(due, &mut client, &mut server), ["ack R1 1"]);
-
-        client.on_timer(ms(350));
-        assert_eq!(client.poll_transmit_segment(), None);
-        assert_eq!(client.stats().acks_on_tick, 0);
-
-        // A plain duplicate (the network's, no *please ack*) is ignored
-        // and leaves a debt standing.
-        exchange(1_000, 2, &mut client, &mut server, b"ok");
-        let dup = Segment::data(MsgType::Return, 2, 0, 1, 1, false, b"ok".to_vec());
-        client.on_segment(ms(1_100), dup);
-        assert_eq!(client.poll_transmit_segment(), None);
-        client.on_timer(ms(1_300));
-        assert_eq!(
-            carry_shown(ms(1_300), &mut client, &mut server),
-            ["ack R2 1"]
-        );
-    }
-
-    /// The ack covers the whole return, and is owed only once the whole
-    /// return is here — though the deadline was fixed by its first segment.
-    #[test]
-    fn multi_segment_return_is_acked_in_full() {
-        let (mut client, mut server) = pair(small_segments());
-        client.send(ms(0), MsgType::Call, 1, 0, b"args").unwrap();
-        carry(ms(0), &mut client, &mut server);
-        server.poll_event().expect("call delivered");
-        server
-            .send(ms(40), MsgType::Return, 1, 0, b"abcdefghij")
-            .unwrap();
-
-        // Two of three segments arrive; the third is delayed past the tick.
-        let first = server.poll_transmit_segment().unwrap();
-        let second = server.poll_transmit_segment().unwrap();
-        let third = server.poll_transmit_segment().unwrap();
-        client.on_segment(ms(50), first);
-        client.on_segment(ms(50), second);
-        assert!(client.senders.is_empty(), "call implicitly acknowledged");
-        client.on_timer(ms(300));
-        assert!(
-            carry_shown(ms(300), &mut client, &mut server).is_empty(),
-            "nothing owed yet"
-        );
-
-        client.on_segment(ms(310), third);
-        assert!(client.poll_event().is_some());
-        // The call's tick has passed: whichever tick comes next pays.
-        client.on_timer(ms(320));
-        assert_eq!(carry_shown(ms(320), &mut client, &mut server), ["ack R1 3"]);
-        assert!(server.senders.is_empty(), "all three acknowledged");
-    }
-
-    /// An owed ack waits for its own deadline — a tick armed for an older
-    /// exchange does not pay it early — and never shows in `poll_timer`.
-    #[test]
-    fn early_tick_pays_nothing_and_poll_timer_ignores_the_debt() {
-        let (mut client, mut server) = pair(Config::default());
-        exchange(0, 1, &mut client, &mut server, b"ok");
-        exchange(200, 2, &mut client, &mut server, b"ok");
-        assert_eq!(client.poll_timer(), None, "no sender, no probe");
-
-        // Call 1's tick: call 2's ack is not due for another 200 ms.
-        client.on_timer(ms(300));
-        assert_eq!(client.poll_transmit_segment(), None);
-        assert_eq!(client.poll_timer(), None);
-        client.on_timer(ms(499));
-        assert_eq!(client.poll_transmit_segment(), None);
-        client.on_timer(ms(500));
-        assert_eq!(carry_shown(ms(500), &mut client, &mut server), ["ack R2 1"]);
-
-        // With a call in flight the timer is the call's, nothing else's.
-        exchange(1_000, 3, &mut client, &mut server, b"ok");
-        client
-            .send(ms(1_100), MsgType::Call, 4, 0, b"args")
-            .unwrap();
-        assert_eq!(client.poll_timer(), Some(ms(1_400)));
-    }
-
-    /// Liveness does not rest on the new path: a caller that dies holding
-    /// a return costs the callee every permitted re-send and ends in
-    /// `PeerDead` at the crash horizon, as before.
-    #[test]
-    fn dead_caller_still_ends_in_peer_dead_at_the_crash_horizon() {
-        let config = Config {
-            jitter_permille: 0,
-            ..Config::default()
-        };
-        let (mut client, mut server) = pair(config.clone());
-        exchange(0, 1, &mut client, &mut server, b"ok");
-        drop(client);
-
-        let mut resent = 0;
-        let died = loop {
-            let due = server.poll_timer().expect("armed until it gives up");
-            server.on_timer(due);
-            while let Some(seg) = server.poll_transmit_segment() {
-                assert_eq!(show(&seg), "R1 1/1 please-ack");
-                resent += 1;
-            }
-            if let Some(ev) = server.poll_event() {
-                assert_eq!(ev, Event::PeerDead);
-                break due;
-            }
-        };
-        assert_eq!(resent, config.max_retransmits);
-        assert_eq!(server.stats().retransmits, resent as u64);
-        assert_eq!(died, ms(SERVICE_MS) + config.crash_horizon());
-    }
-
-    /// Only a call whose sender the return itself retired owes an ack. A
-    /// call that outlived its interval was acknowledged explicitly — its
-    /// tick is spent — and a return for a call we never made is not ours
-    /// to acknowledge; both are left to *please ack*.
-    #[test]
-    fn explicitly_acked_calls_and_forged_returns_owe_nothing() {
-        let (mut client, mut server) = pair(Config::default());
-        client.send(ms(0), MsgType::Call, 1, 0, b"args").unwrap();
-        carry(ms(0), &mut client, &mut server);
-        server.poll_event().expect("call delivered");
-
-        // The call's tick comes before the return: re-send, explicit ack.
-        client.on_timer(ms(300));
-        assert_eq!(
-            carry_shown(ms(300), &mut client, &mut server),
-            ["C1 1/1 please-ack"]
-        );
-        assert_eq!(carry_shown(ms(300), &mut server, &mut client), ["ack C1 1"]);
-        assert!(client.senders.is_empty());
-
-        server.send(ms(400), MsgType::Return, 1, 0, b"ok").unwrap();
-        carry(ms(400), &mut server, &mut client);
-        client.poll_event().expect("return delivered");
-        assert!(client.sent_calls.is_empty());
-
-        // A return nobody asked for is delivered (the layer above drops
-        // it) and owes nothing either.
-        let forged = Segment::data(MsgType::Return, 77, 0, 1, 1, false, b"boo".to_vec());
-        client.on_segment(ms(400), forged);
-        assert!(client.sent_calls.is_empty());
-
-        for tick in [600, 900, 5_000] {
-            client.on_timer(ms(tick));
-        }
-        assert_eq!(client.poll_transmit_segment(), None);
-        assert_eq!(client.stats().acks_sent, 0);
-    }
-
     /// The debt dies with the exchange's other state.
     #[test]
     fn abandoning_a_call_or_losing_the_peer_drops_what_is_owed() {
-        let (mut client, mut server) = pair(Config::default());
-        exchange(0, 1, &mut client, &mut server, b"ok");
+        let ms = |n| Time::ZERO + Duration::from_millis(n);
+        let mut client = Endpoint::new(Config::default());
+        let mut server = Endpoint::new(Config::default());
+        exchange(ms(0), 1, &mut client, &mut server);
         assert_eq!(client.sent_calls.len(), 1);
         client.abandon_call(ms(100), 1);
         assert!(client.sent_calls.is_empty());
         client.on_timer(ms(300));
         assert_eq!(client.poll_transmit_segment(), None);
 
-        exchange(1_000, 2, &mut client, &mut server, b"ok");
+        exchange(ms(1_000), 2, &mut client, &mut server);
         client.declare_dead();
         assert!(client.sent_calls.is_empty());
         client.on_timer(ms(1_300));
@@ -1143,105 +753,12 @@ mod tests {
 
         // The entries of a busy endpoint are the calls in flight plus the
         // returns since the last call — never a history.
-        let (mut client, mut server) = pair(Config::default());
+        let mut client = Endpoint::new(Config::default());
+        let mut server = Endpoint::new(Config::default());
         for cn in 1..=1_000u32 {
-            exchange(cn as u64 * 50, cn, &mut client, &mut server, b"ok");
+            exchange(ms(cn as u64 * 50), cn, &mut client, &mut server);
             assert_eq!(client.sent_calls.len(), 1);
         }
         assert!(client.sent_calls.capacity() <= 4);
-    }
-
-    /// Ticks both ends at each of `ticks` (ms) and carries whatever that
-    /// shakes loose, answers included.
-    fn idle(ticks: &[u64], client: &mut Endpoint, server: &mut Endpoint) -> Vec<String> {
-        let mut crossed = Vec::new();
-        for &tick in ticks {
-            client.on_timer(ms(tick));
-            server.on_timer(ms(tick));
-            crossed.extend(carry_shown(ms(tick), client, server));
-            crossed.extend(carry_shown(ms(tick), server, client));
-            crossed.extend(carry_shown(ms(tick), client, server));
-        }
-        crossed
-    }
-
-    /// With `deferred_ack` off a re-sent call is acknowledged the moment
-    /// it completes, before the return can do it: the call's sender is
-    /// retired by that ack, nothing is owed, and the idle return goes the
-    /// *please ack* way — the transcript the parent protocol produced.
-    #[test]
-    fn prompt_call_ack_transcript_is_unchanged() {
-        let config = Config {
-            deferred_ack: false,
-            jitter_permille: 0,
-            ..Config::default()
-        };
-        let (mut client, mut server) = pair(config);
-        client.send(ms(0), MsgType::Call, 1, 0, b"args").unwrap();
-        let lost = client.poll_transmit_segment().expect("first copy");
-        assert_eq!(show(&lost), "C1 1/1");
-        let mut crossed = idle(&[300], &mut client, &mut server);
-        server.poll_event().expect("call delivered");
-        server.send(ms(340), MsgType::Return, 1, 0, b"ok").unwrap();
-        crossed.extend(carry_shown(ms(340), &mut server, &mut client));
-        client.poll_event().expect("return delivered");
-        crossed.extend(idle(&[600, 640, 900, 1_200], &mut client, &mut server));
-        assert_eq!(
-            crossed,
-            [
-                "C1 1/1 please-ack",
-                "ack C1 1",
-                "R1 1/1",
-                "R1 1/1 please-ack",
-                "ack R1 1"
-            ]
-        );
-        assert_eq!(client.stats().acks_on_tick, 0);
-    }
-
-    /// The stop-and-wait discipline is untouched — every call segment but
-    /// the last acknowledged as it arrives, the last by the reply — and
-    /// the reply's own ack rides the call's tick like any other: the path
-    /// does not depend on the mode.
-    #[test]
-    fn parc_transcript_is_unchanged_up_to_the_returns_ack() {
-        let config = Config {
-            max_segment_data: 4,
-            jitter_permille: 0,
-            ..Config::parc()
-        };
-        let (mut client, mut server) = pair(config);
-        client
-            .send(ms(0), MsgType::Call, 1, 0, b"abcdefghij")
-            .unwrap();
-        let mut crossed = Vec::new();
-        loop {
-            let before = crossed.len();
-            crossed.extend(carry_shown(ms(0), &mut client, &mut server));
-            crossed.extend(carry_shown(ms(0), &mut server, &mut client));
-            if crossed.len() == before {
-                break;
-            }
-        }
-        server.poll_event().expect("call delivered");
-        server.send(ms(40), MsgType::Return, 1, 0, b"ok").unwrap();
-        crossed.extend(carry_shown(ms(40), &mut server, &mut client));
-        client.poll_event().expect("return delivered");
-        assert_eq!(
-            crossed,
-            [
-                "C1 1/3 please-ack",
-                "ack C1 1",
-                "C1 2/3 please-ack",
-                "ack C1 2",
-                "C1 3/3",
-                "R1 1/1"
-            ]
-        );
-        // The last ack that made progress restarted the call's clock.
-        assert_eq!(
-            idle(&[299, 300, 340, 640], &mut client, &mut server),
-            ["ack R1 1"]
-        );
     }
 }

@@ -12,7 +12,7 @@
 //! of that buffer when it is (re)transmitted — it owns no per-segment
 //! state and allocates nothing.
 
-use crate::config::{Config, ProtocolMode};
+use crate::config::{backed_off_interval, Config, ProtocolMode, RETRANSMIT_INTERVAL};
 use crate::segment::{MsgType, Segment, MAX_SEGMENTS};
 use simnet::{Duration, Payload, Time};
 
@@ -53,12 +53,8 @@ pub struct MsgSender {
     /// Highest segment number acknowledged so far.
     acked: u8,
     next_retransmit: Time,
-    retransmit_interval: Duration,
-    backoff_multiplier: u32,
-    retransmit_cap: Duration,
     jitter_permille: u32,
     jitter_seed: u64,
-    retransmit_all: bool,
     retries: u32,
     max_retries: u32,
     mode: ProtocolMode,
@@ -71,9 +67,10 @@ pub struct MsgSender {
 pub enum SenderTick {
     /// Nothing due yet or already complete.
     Idle,
-    /// Retransmit the segments with these numbers, *please ack* set
-    /// (build each with [`MsgSender::segment`]).
-    Retransmit(std::ops::RangeInclusive<u8>),
+    /// Retransmit the segment with this number — the first
+    /// unacknowledged one — *please ack* set (build it with
+    /// [`MsgSender::segment`]).
+    Retransmit(u8),
     /// Too many retransmissions with no acknowledgment: the peer is
     /// presumed to have crashed (§4.2.3).
     GiveUp,
@@ -109,13 +106,9 @@ impl MsgSender {
             chunk,
             total: n_segments as u8,
             acked: 0,
-            next_retransmit: now + config.retransmit_interval,
-            retransmit_interval: config.retransmit_interval,
-            backoff_multiplier: config.backoff_multiplier.max(1),
-            retransmit_cap: config.retransmit_cap.max(config.retransmit_interval),
+            next_retransmit: now + RETRANSMIT_INTERVAL,
             jitter_permille: config.jitter_permille,
             jitter_seed: config.jitter_seed,
-            retransmit_all: config.retransmit_all,
             retries: 0,
             max_retries: config.max_retransmits,
             mode: config.mode,
@@ -161,27 +154,12 @@ impl MsgSender {
         self.msg_type
     }
 
-    /// The backed-off retransmission interval for the current retry
-    /// count: `base × multiplier^retries`, capped.
-    fn backed_off_interval(&self) -> Duration {
-        let cap = self.retransmit_cap.as_micros();
-        let mut us = self.retransmit_interval.as_micros();
-        for _ in 0..self.retries {
-            us = us.saturating_mul(self.backoff_multiplier as u64);
-            if us >= cap {
-                us = cap;
-                break;
-            }
-        }
-        Duration::from_micros(us)
-    }
-
     /// The current interval perturbed by a deterministic jitter: a pure
     /// function of the seed, the exchange, and the retry count, so the
     /// same run always produces the same schedule while concurrent
     /// senders (distinct seeds or call numbers) decorrelate.
     fn jittered_interval(&self) -> Duration {
-        let interval = self.backed_off_interval().as_micros();
+        let interval = backed_off_interval(self.retries).as_micros();
         if self.jitter_permille == 0 {
             return Duration::from_micros(interval);
         }
@@ -281,25 +259,10 @@ impl MsgSender {
         }
         self.retries += 1;
         self.next_retransmit = now + self.jittered_interval();
-        // Only retransmit segments already sent (matters for PARC mode):
-        // all of them, or just the first unacknowledged one.
-        let first = self.acked + 1;
-        let last = if self.retransmit_all {
-            self.sent_through
-        } else {
-            self.sent_through.min(first)
-        };
-        SenderTick::Retransmit(first..=last)
-    }
-
-    /// Fast retransmission of the first unacknowledged segment, used when
-    /// an explicit ack reveals a gap (§4.2.4).
-    pub fn fast_retransmit(&mut self, now: Time) -> Option<Segment> {
-        if self.complete() {
-            return None;
-        }
-        self.next_retransmit = now + self.jittered_interval();
-        Some(self.segment(self.acked + 1, true))
+        // PARC mode holds later segments back, but never the first
+        // unacknowledged one: `on_ack` releases it with the ack before it.
+        debug_assert!(self.acked < self.sent_through);
+        SenderTick::Retransmit(self.acked + 1)
     }
 }
 
@@ -370,8 +333,8 @@ mod tests {
         s.on_ack(Time::ZERO, 1);
         let due = s.deadline().unwrap();
         match s.on_tick(due) {
-            SenderTick::Retransmit(numbers) => {
-                assert_eq!(numbers, 2..=2);
+            SenderTick::Retransmit(number) => {
+                assert_eq!(number, 2);
                 assert!(s.segment(2, true).header.please_ack);
             }
             other => panic!("expected retransmit, got {other:?}"),
@@ -500,20 +463,5 @@ mod tests {
         s.on_ack(now, 1);
         let due = s.deadline().unwrap();
         assert_eq!(due.since(now).as_micros(), 300_000);
-    }
-
-    #[test]
-    fn retransmit_all_mode() {
-        let cfg = Config {
-            retransmit_all: true,
-            ..config()
-        };
-        let mut s = MsgSender::new(Time::ZERO, &cfg, MsgType::Call, 1, 0, b"abcdefghij").unwrap();
-        let _ = s.initial_segments().count();
-        let due = s.deadline().unwrap();
-        match s.on_tick(due) {
-            SenderTick::Retransmit(numbers) => assert_eq!(numbers, 1..=3),
-            other => panic!("expected retransmit, got {other:?}"),
-        }
     }
 }

@@ -1,11 +1,38 @@
 //! Integration tests driving two endpoints against each other through an
-//! in-memory "wire" with controllable loss.
+//! in-memory "wire" with controllable loss, and the transcripts of who
+//! acknowledges what, when (`endpoint`'s "How a return gets
+//! acknowledged"), carried by hand over the same wire.
 
-use pairedmsg::{Config, Endpoint, Event, MsgType, SendError};
-use simnet::Time;
+use pairedmsg::config::RETRANSMIT_INTERVAL;
+use pairedmsg::{Config, Endpoint, Event, MsgSender, MsgType, Segment, SendError};
+use simnet::{Duration, Time};
 
-/// Carries every queued segment from `a` to `b`, dropping those whose
-/// index (counting across the whole test) appears in `drop_list`.
+fn ms(n: u64) -> Time {
+    Time::ZERO + Duration::from_millis(n)
+}
+
+/// One line per segment, for transcripts: `C1 2/3 please-ack`,
+/// `ack R1 3`, `probe 1`.
+fn show(seg: &Segment) -> String {
+    let h = seg.header;
+    let t = match h.msg_type {
+        MsgType::Call => 'C',
+        MsgType::Return => 'R',
+    };
+    let cn = h.call_number;
+    match (h.probe, h.ack) {
+        (true, false) => format!("probe {cn}"),
+        (true, true) => format!("probe-reply {cn}"),
+        (false, true) => format!("ack {t}{cn} {}", h.number),
+        (false, false) if h.please_ack => {
+            format!("{t}{cn} {}/{} please-ack", h.number, h.total)
+        }
+        (false, false) => format!("{t}{cn} {}/{}", h.number, h.total),
+    }
+}
+
+/// The wire between two endpoints: its clock, and which datagrams
+/// (counting across the whole test) it loses.
 struct Wire {
     now: Time,
     counter: usize,
@@ -28,32 +55,42 @@ impl Wire {
         }
     }
 
-    /// Shuttles segments both ways until neither side has output.
-    fn settle(&mut self, a: &mut Endpoint, b: &mut Endpoint) {
+    /// Sets the clock to `n` ms.
+    fn at(&mut self, n: u64) -> &mut Wire {
+        self.now = ms(n);
+        self
+    }
+
+    /// The pump: everything `tx` has queued crosses to `rx`, through the
+    /// datagram encoding, unless the drop list claims it. Returns what
+    /// was sent, one [`show`] line per segment.
+    fn carry(&mut self, tx: &mut Endpoint, rx: &mut Endpoint) -> Vec<String> {
+        let mut crossed = Vec::new();
+        while let Some(seg) = tx.poll_transmit_segment() {
+            crossed.push(show(&seg));
+            if !self.drop_list.contains(&self.counter) {
+                rx.on_datagram(self.now, &seg.encode()).unwrap();
+            }
+            self.counter += 1;
+        }
+        crossed
+    }
+
+    /// Carries both ways until neither side has output.
+    fn settle(&mut self, a: &mut Endpoint, b: &mut Endpoint) -> Vec<String> {
+        let mut crossed = Vec::new();
         loop {
-            let mut moved = false;
-            while let Some(bytes) = a.poll_transmit() {
-                moved = true;
-                if !self.drop_list.contains(&self.counter) {
-                    b.on_datagram(self.now, &bytes).unwrap();
-                }
-                self.counter += 1;
-            }
-            while let Some(bytes) = b.poll_transmit() {
-                moved = true;
-                if !self.drop_list.contains(&self.counter) {
-                    a.on_datagram(self.now, &bytes).unwrap();
-                }
-                self.counter += 1;
-            }
-            if !moved {
-                break;
+            let before = crossed.len();
+            crossed.extend(self.carry(a, b));
+            crossed.extend(self.carry(b, a));
+            if crossed.len() == before {
+                return crossed;
             }
         }
     }
 
-    /// Advances time to each endpoint's next deadline and ticks it, then
-    /// settles; repeats `rounds` times.
+    /// Advances time to the earlier of the endpoints' next deadlines,
+    /// ticks both, then settles.
     fn tick_round(&mut self, a: &mut Endpoint, b: &mut Endpoint) {
         let deadline = [a.poll_timer(), b.poll_timer()].into_iter().flatten().min();
         if let Some(t) = deadline {
@@ -66,10 +103,18 @@ impl Wire {
 }
 
 fn pair() -> (Endpoint, Endpoint) {
-    (
-        Endpoint::new(Config::default()),
-        Endpoint::new(Config::default()),
-    )
+    pair_with(Config::default())
+}
+
+fn pair_with(config: Config) -> (Endpoint, Endpoint) {
+    (Endpoint::new(config.clone()), Endpoint::new(config))
+}
+
+fn small_segments() -> Config {
+    Config {
+        max_segment_data: 4,
+        ..Config::default()
+    }
 }
 
 fn expect_message(e: &mut Endpoint, ty: MsgType, cn: u32) -> Vec<u8> {
@@ -253,7 +298,7 @@ fn replay_after_completion_is_reacked_not_redelivered() {
 
     // A delayed duplicate of the call arrives with please-ack: the server
     // re-acks (so the sender stops) but does not re-deliver.
-    let mut seg = pairedmsg::Segment::decode(&call_bytes).unwrap();
+    let mut seg = Segment::decode(&call_bytes).unwrap();
     seg.header.please_ack = true;
     server.on_segment(wire.now, seg);
     assert!(server.poll_event().is_none());
@@ -393,7 +438,7 @@ fn dead_peer_reported_once_despite_queued_retransmits() {
     // activity (probe re-arm) or emit further events.
     client.abandon_call(now, 2);
     assert!(client.poll_timer().is_none());
-    client.on_timer(now + simnet::Duration::from_secs(60));
+    client.on_timer(now + Duration::from_secs(60));
     assert!(client.poll_event().is_none());
     assert!(client.poll_transmit().is_none());
 }
@@ -446,12 +491,10 @@ fn oversize_message_rejected_at_send() {
 }
 
 #[test]
-fn heavy_loss_eventually_delivers_with_retransmit_all() {
+fn heavy_loss_eventually_delivers() {
     let config = Config {
-        max_segment_data: 4,
-        retransmit_all: true,
         max_retransmits: 50,
-        ..Config::default()
+        ..small_segments()
     };
     let mut client = Endpoint::new(config.clone());
     let mut server = Endpoint::new(config);
@@ -548,24 +591,10 @@ fn parc_mode_bounds_receiver_buffering() {
         max_segment_data: 4,
         ..Config::parc()
     };
-    let mut tx = Endpoint::new(config.clone());
-    let mut rx = Endpoint::new(config);
-    let now = Time::ZERO;
-    tx.send(now, MsgType::Call, 1, 0, &[1u8; 4 * 6]).unwrap();
-    loop {
-        let mut moved = false;
-        while let Some(bytes) = tx.poll_transmit() {
-            moved = true;
-            rx.on_datagram(now, &bytes).unwrap();
-        }
-        while let Some(bytes) = rx.poll_transmit() {
-            moved = true;
-            tx.on_datagram(now, &bytes).unwrap();
-        }
-        if !moved {
-            break;
-        }
-    }
+    let (mut tx, mut rx) = pair_with(config);
+    tx.send(Time::ZERO, MsgType::Call, 1, 0, &[1u8; 4 * 6])
+        .unwrap();
+    Wire::new().settle(&mut tx, &mut rx);
     assert!(matches!(rx.poll_event(), Some(Event::Message { .. })));
     assert!(
         rx.stats().max_recv_buffered <= 1,
@@ -683,4 +712,357 @@ fn audit_counters_track_monotonic_sends() {
     client.send(Time::ZERO, MsgType::Call, 1, 0, b"a").unwrap();
     client.send(Time::ZERO, MsgType::Call, 2, 0, b"b").unwrap();
     assert_eq!(client.stats().send_call_regressions, 0);
+}
+
+/// The receiving endpoint cannot tell a multicast copy from a unicast
+/// one: an adopted call completes through the normal event path when
+/// the (multicast) segments arrive at the peer, and the return
+/// message implicitly acknowledges the adopted sender.
+#[test]
+fn adopted_call_round_trips_through_endpoints() {
+    let cfg = small_segments();
+    let now = Time::ZERO;
+    let (mut client, mut server) = pair_with(cfg.clone());
+
+    // The blast is cut by a sender of the caller's own, off to the side.
+    let blast = MsgSender::new(now, &cfg, MsgType::Call, 1, 0, b"abcdefghij").unwrap();
+    assert_eq!(blast.total(), 3);
+    client.adopt_call(now, 1, 0, b"abcdefghij").unwrap();
+    assert!(client.poll_transmit().is_none(), "nothing of its own");
+
+    for n in 1..=blast.total() {
+        server
+            .on_datagram(now, &blast.segment(n, false).encode())
+            .unwrap();
+    }
+    expect_message(&mut server, MsgType::Call, 1);
+
+    // The return implicitly acknowledges the adopted sender.
+    server.send(now, MsgType::Return, 1, 0, b"ok").unwrap();
+    Wire::new().carry(&mut server, &mut client);
+    expect_message(&mut client, MsgType::Return, 1);
+    assert!(client.is_idle());
+    assert_eq!(client.stats().send_call_regressions, 0);
+}
+
+/// A member that missed the multicast is served by the ordinary
+/// unicast retransmission schedule (straggler fallback), whose clock
+/// starts when the caller says the blast left.
+#[test]
+fn straggler_served_by_unicast_retransmission() {
+    let blasted = ms(113);
+    let mut client = Endpoint::new(small_segments());
+    client.adopt_call(blasted, 1, 0, b"abcdefghij").unwrap();
+    let due = client.poll_timer().expect("retransmission armed");
+    assert_eq!(due, blasted + RETRANSMIT_INTERVAL);
+    client.on_timer(due);
+    let seg = client.poll_transmit_segment().expect("retransmit queued");
+    assert!(seg.is_data());
+    assert_eq!(seg.header.number, 1);
+    assert!(seg.header.please_ack, "retransmissions demand an ack");
+}
+
+/// How long the callee takes to answer in [`exchange`].
+const SERVICE_MS: u64 = 40;
+
+/// One whole exchange: `client` sends call `cn` at `at` ms, `server`
+/// answers [`SERVICE_MS`] later, and both messages arrive and are
+/// delivered upward. Returns everything that crossed.
+fn exchange(at: u64, cn: u32, client: &mut Endpoint, server: &mut Endpoint) -> Vec<String> {
+    let mut wire = Wire::new();
+    client.send(ms(at), MsgType::Call, cn, 0, b"args").unwrap();
+    let mut crossed = wire.at(at).settle(client, server);
+    expect_message(server, MsgType::Call, cn);
+    server
+        .send(ms(at + SERVICE_MS), MsgType::Return, cn, 0, b"ok")
+        .unwrap();
+    crossed.extend(wire.at(at + SERVICE_MS).settle(server, client));
+    expect_message(client, MsgType::Return, cn);
+    crossed
+}
+
+/// A return no later call acknowledges is acknowledged once, by its
+/// caller, on the tick the call was given — and that is the whole
+/// cost: the callee never re-sends it.
+#[test]
+fn idle_return_is_acked_once_on_the_calls_own_tick() {
+    let (mut client, mut server) = pair();
+    let crossed = exchange(0, 1, &mut client, &mut server);
+    assert_eq!(crossed, ["C1 1/1", "R1 1/1"]);
+
+    // The owed ack asks for no timer of its own.
+    assert_eq!(client.poll_timer(), None);
+    assert!(client.is_idle());
+    assert_eq!(server.poll_timer(), Some(ms(SERVICE_MS + 300)));
+
+    // The tick the driver armed when call 1 went out: 300 ms, exactly.
+    client.on_timer(ms(300));
+    let mut wire = Wire::new();
+    assert_eq!(wire.at(305).carry(&mut client, &mut server), ["ack R1 1"]);
+    let s = client.stats();
+    assert_eq!((s.acks_sent, s.acks_on_tick, s.retransmits), (1, 1, 0));
+
+    // The callee is done; its own tick, 35 ms later, has nothing to do.
+    assert!(server.is_idle());
+    assert_eq!(server.poll_timer(), None);
+    server.on_timer(ms(SERVICE_MS + 300));
+    assert_eq!(server.poll_transmit_segment(), None);
+    assert_eq!(server.stats().retransmits, 0);
+
+    // And the ack is paid once.
+    client.on_timer(ms(600));
+    assert_eq!(client.poll_transmit_segment(), None);
+}
+
+/// A caller that calls again before its tick acknowledges the return
+/// the way §4.2.2 says, for nothing: no explicit ack is ever sent.
+#[test]
+fn next_call_before_the_tick_cancels_the_owed_ack() {
+    let (mut client, mut server) = pair();
+    exchange(0, 1, &mut client, &mut server);
+    assert_eq!(server.poll_timer(), Some(ms(SERVICE_MS + 300)));
+
+    let crossed = exchange(100, 2, &mut client, &mut server);
+    assert_eq!(crossed, ["C2 1/1", "R2 1/1"]);
+    assert_eq!(
+        server.poll_timer(),
+        Some(ms(100 + SERVICE_MS + 300)),
+        "call 2 retired return 1: only return 2 is still timed"
+    );
+
+    // Call 1's tick finds nothing owed for it; call 2's pays for 2.
+    client.on_timer(ms(300));
+    assert_eq!(client.poll_transmit_segment(), None);
+    client.on_timer(ms(400));
+    let mut wire = Wire::new();
+    assert_eq!(wire.at(400).carry(&mut client, &mut server), ["ack R2 1"]);
+    assert_eq!(client.stats().acks_sent, 1);
+    assert_eq!(server.stats().acks_sent, 0);
+}
+
+/// The tick ack is an optimization the *please ack* path backs up:
+/// lost, it costs what the parent protocol always paid, and the
+/// prompt ack that answers the re-send is the last one.
+#[test]
+fn lost_tick_ack_falls_back_to_please_ack() {
+    let (mut client, mut server) = pair();
+    exchange(0, 1, &mut client, &mut server);
+    client.on_timer(ms(300));
+    let lost = client.poll_transmit_segment().expect("the tick ack");
+    assert_eq!(show(&lost), "ack R1 1");
+
+    let due = server.poll_timer().expect("return unacknowledged");
+    assert_eq!(due, ms(SERVICE_MS + 300));
+    server.on_timer(due);
+    let mut wire = Wire::new();
+    assert_eq!(
+        wire.at(SERVICE_MS + 300).settle(&mut server, &mut client),
+        ["R1 1/1 please-ack", "ack R1 1"]
+    );
+    assert!(server.is_idle());
+    assert!(client.poll_event().is_none(), "not delivered twice");
+    let (c, s) = (client.stats(), server.stats());
+    assert_eq!((c.acks_sent, c.acks_on_tick, s.retransmits), (2, 1, 1));
+
+    client.on_timer(ms(900));
+    assert_eq!(client.poll_transmit_segment(), None);
+}
+
+/// When the callee's timer wins the race (the caller's tick is late),
+/// the *please ack* duplicate is answered at once and settles the
+/// debt: the tick, when it comes, sends nothing.
+#[test]
+fn please_ack_duplicate_settles_the_owed_ack() {
+    let (mut client, mut server) = pair();
+    exchange(0, 1, &mut client, &mut server);
+    server.on_timer(ms(SERVICE_MS + 300));
+    let mut wire = Wire::new();
+    assert_eq!(
+        wire.at(SERVICE_MS + 300).settle(&mut server, &mut client),
+        ["R1 1/1 please-ack", "ack R1 1"]
+    );
+
+    client.on_timer(ms(350));
+    assert_eq!(client.poll_transmit_segment(), None);
+    assert_eq!(client.stats().acks_on_tick, 0);
+
+    // A plain duplicate (the network's, no *please ack*) is ignored
+    // and leaves a debt standing.
+    exchange(1_000, 2, &mut client, &mut server);
+    let dup = Segment::data(MsgType::Return, 2, 0, 1, 1, false, b"ok".to_vec());
+    client.on_segment(ms(1_100), dup);
+    assert_eq!(client.poll_transmit_segment(), None);
+    client.on_timer(ms(1_300));
+    assert_eq!(wire.at(1_300).carry(&mut client, &mut server), ["ack R2 1"]);
+}
+
+/// The ack covers the whole return, and is owed only once the whole
+/// return is here — though the deadline was fixed by its first segment.
+#[test]
+fn multi_segment_return_is_acked_in_full() {
+    let (mut client, mut server) = pair_with(small_segments());
+    let mut wire = Wire::new();
+    client.send(ms(0), MsgType::Call, 1, 0, b"args").unwrap();
+    wire.carry(&mut client, &mut server);
+    expect_message(&mut server, MsgType::Call, 1);
+    server
+        .send(ms(40), MsgType::Return, 1, 0, b"abcdefghij")
+        .unwrap();
+
+    // Two of three segments arrive; the third is delayed past the tick.
+    let first = server.poll_transmit_segment().unwrap();
+    let second = server.poll_transmit_segment().unwrap();
+    let third = server.poll_transmit_segment().unwrap();
+    client.on_segment(ms(50), first);
+    client.on_segment(ms(50), second);
+    // The call is implicitly acknowledged: its 300 ms deadline is gone
+    // and only the probe for the unfinished return is timed.
+    assert!(client.poll_timer().is_some_and(|t| t > ms(300)));
+    client.on_timer(ms(300));
+    assert!(
+        wire.at(300).carry(&mut client, &mut server).is_empty(),
+        "nothing owed yet"
+    );
+
+    client.on_segment(ms(310), third);
+    assert!(client.poll_event().is_some());
+    // The call's tick has passed: whichever tick comes next pays.
+    client.on_timer(ms(320));
+    assert_eq!(wire.at(320).carry(&mut client, &mut server), ["ack R1 3"]);
+    assert!(server.is_idle(), "all three acknowledged");
+}
+
+/// An owed ack waits for its own deadline — a tick armed for an older
+/// exchange does not pay it early — and never shows in `poll_timer`.
+#[test]
+fn early_tick_pays_nothing_and_poll_timer_ignores_the_debt() {
+    let (mut client, mut server) = pair();
+    exchange(0, 1, &mut client, &mut server);
+    exchange(200, 2, &mut client, &mut server);
+    assert_eq!(client.poll_timer(), None, "no sender, no probe");
+
+    // Call 1's tick: call 2's ack is not due for another 200 ms.
+    client.on_timer(ms(300));
+    assert_eq!(client.poll_transmit_segment(), None);
+    assert_eq!(client.poll_timer(), None);
+    client.on_timer(ms(499));
+    assert_eq!(client.poll_transmit_segment(), None);
+    client.on_timer(ms(500));
+    let mut wire = Wire::new();
+    assert_eq!(wire.at(500).carry(&mut client, &mut server), ["ack R2 1"]);
+
+    // With a call in flight the timer is the call's, nothing else's.
+    exchange(1_000, 3, &mut client, &mut server);
+    client
+        .send(ms(1_100), MsgType::Call, 4, 0, b"args")
+        .unwrap();
+    assert_eq!(client.poll_timer(), Some(ms(1_400)));
+}
+
+/// Liveness does not rest on the new path: a caller that dies holding
+/// a return costs the callee every permitted re-send and ends in
+/// `PeerDead` at the crash horizon, as before.
+#[test]
+fn dead_caller_still_ends_in_peer_dead_at_the_crash_horizon() {
+    let config = Config {
+        jitter_permille: 0,
+        ..Config::default()
+    };
+    let (mut client, mut server) = pair_with(config.clone());
+    exchange(0, 1, &mut client, &mut server);
+    drop(client);
+
+    let mut resent = 0;
+    let died = loop {
+        let due = server.poll_timer().expect("armed until it gives up");
+        server.on_timer(due);
+        while let Some(seg) = server.poll_transmit_segment() {
+            assert_eq!(show(&seg), "R1 1/1 please-ack");
+            resent += 1;
+        }
+        if let Some(ev) = server.poll_event() {
+            assert_eq!(ev, Event::PeerDead);
+            break due;
+        }
+    };
+    assert_eq!(resent, config.max_retransmits);
+    assert_eq!(server.stats().retransmits, resent as u64);
+    assert_eq!(died, ms(SERVICE_MS) + config.crash_horizon());
+}
+
+/// Only a call whose sender the return itself retired owes an ack. A
+/// call that outlived its interval was acknowledged explicitly — its
+/// tick is spent — and a return for a call we never made is not ours
+/// to acknowledge; both are left to *please ack*.
+#[test]
+fn explicitly_acked_calls_and_forged_returns_owe_nothing() {
+    let (mut client, mut server) = pair();
+    let mut wire = Wire::new();
+    client.send(ms(0), MsgType::Call, 1, 0, b"args").unwrap();
+    wire.carry(&mut client, &mut server);
+    expect_message(&mut server, MsgType::Call, 1);
+
+    // The call's tick comes before the return: re-send, explicit ack.
+    client.on_timer(ms(300));
+    assert_eq!(
+        wire.at(300).settle(&mut client, &mut server),
+        ["C1 1/1 please-ack", "ack C1 1"]
+    );
+
+    server.send(ms(400), MsgType::Return, 1, 0, b"ok").unwrap();
+    wire.at(400).carry(&mut server, &mut client);
+    expect_message(&mut client, MsgType::Return, 1);
+
+    // A return nobody asked for is delivered (the layer above drops
+    // it) and owes nothing either.
+    let forged = Segment::data(MsgType::Return, 77, 0, 1, 1, false, b"boo".to_vec());
+    client.on_segment(ms(400), forged);
+
+    for tick in [600, 900, 5_000] {
+        client.on_timer(ms(tick));
+    }
+    assert_eq!(client.poll_transmit_segment(), None);
+    assert_eq!(client.stats().acks_sent, 0);
+}
+
+/// The stop-and-wait discipline is untouched — every call segment but
+/// the last acknowledged as it arrives, the last by the reply — and
+/// the reply's own ack rides the call's tick like any other: the path
+/// does not depend on the mode.
+#[test]
+fn parc_transcript_is_unchanged_up_to_the_returns_ack() {
+    let config = Config {
+        max_segment_data: 4,
+        jitter_permille: 0,
+        ..Config::parc()
+    };
+    let (mut client, mut server) = pair_with(config);
+    let mut wire = Wire::new();
+    client
+        .send(ms(0), MsgType::Call, 1, 0, b"abcdefghij")
+        .unwrap();
+    let mut crossed = wire.settle(&mut client, &mut server);
+    expect_message(&mut server, MsgType::Call, 1);
+    server.send(ms(40), MsgType::Return, 1, 0, b"ok").unwrap();
+    crossed.extend(wire.at(40).carry(&mut server, &mut client));
+    expect_message(&mut client, MsgType::Return, 1);
+    assert_eq!(
+        crossed,
+        [
+            "C1 1/3 please-ack",
+            "ack C1 1",
+            "C1 2/3 please-ack",
+            "ack C1 2",
+            "C1 3/3",
+            "R1 1/1"
+        ]
+    );
+    // The last ack that made progress restarted the call's clock.
+    let mut idle = Vec::new();
+    for tick in [299, 300, 340, 640] {
+        client.on_timer(ms(tick));
+        server.on_timer(ms(tick));
+        idle.extend(wire.at(tick).settle(&mut client, &mut server));
+    }
+    assert_eq!(idle, ["ack R1 1"]);
 }
