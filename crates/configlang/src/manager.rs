@@ -93,12 +93,6 @@ impl ConfigManager {
         &self.universe
     }
 
-    /// Mutable universe access (machines appear, crash, change
-    /// attributes).
-    pub fn universe_mut(&mut self) -> &mut Universe {
-        &mut self.universe
-    }
-
     /// Looks up a managed troupe.
     pub fn troupe(&self, name: &str) -> Option<&ManagedTroupe> {
         self.troupes.get(name)

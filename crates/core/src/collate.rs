@@ -153,11 +153,6 @@ impl Collation {
         }
     }
 
-    /// Returns `true` if member `i` has already voted.
-    pub fn has_vote(&self, i: usize) -> bool {
-        matches!(self.slots.get(i), Some(VoteSlot::Vote(_)))
-    }
-
     /// Returns `true` if member `i` was given up on before it voted.
     pub fn is_dead(&self, i: usize) -> bool {
         matches!(self.slots.get(i), Some(VoteSlot::Dead))
@@ -166,11 +161,6 @@ impl Collation {
     /// `true` if this collation runs the watchdog scheme (§4.3.4).
     pub fn is_watchdog(&self) -> bool {
         matches!(self.policy, CollationPolicy::FirstComeWatchdog)
-    }
-
-    /// `true` while some member has neither voted nor died.
-    pub fn awaiting_votes(&self) -> bool {
-        self.slots.iter().any(|s| matches!(s, VoteSlot::Pending))
     }
 
     /// `true` if every received vote is identical (dead/pending slots

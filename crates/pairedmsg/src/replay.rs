@@ -35,8 +35,8 @@ struct Completed {
 /// The completed-exchange memory of one [`Endpoint`](crate::Endpoint).
 #[derive(Debug, Default)]
 pub struct ReplayLog {
-    /// Looked up by key only, never iterated, so the hasher's per-process
-    /// seed cannot leak into behaviour.
+    /// Looked up by key only, so the hasher's per-process seed cannot leak
+    /// into behaviour; `keys` sorts what it collects: otherwise never walked.
     records: HashMap<MsgKey, Completed>,
     /// `(key, completion time)` in completion order. An entry whose time
     /// no longer matches its record (the key was recorded again) is stale

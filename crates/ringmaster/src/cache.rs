@@ -20,6 +20,7 @@ pub type BindingRequest = (u16, Vec<u8>);
 /// A client's cache of imported troupes, keyed by interface name.
 #[derive(Default)]
 pub struct ImportCache {
+    /// Point lookups only, never walked.
     cache: HashMap<String, Troupe>,
 }
 
@@ -32,13 +33,6 @@ impl ImportCache {
     /// The cached binding for `name`, if any.
     pub fn get(&self, name: &str) -> Option<&Troupe> {
         self.cache.get(name)
-    }
-
-    /// Every cached binding, for audit: an oracle can compare these
-    /// against the binding agent's registry after a run quiesces — a
-    /// surviving stale entry means a reconfiguration escaped detection.
-    pub fn entries(&self) -> impl Iterator<Item = (&str, &Troupe)> {
-        self.cache.iter().map(|(k, v)| (k.as_str(), v))
     }
 
     /// Builds the `lookup_troupe_by_name` request for a cache miss.

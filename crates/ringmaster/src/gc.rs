@@ -33,6 +33,7 @@ pub struct GcAgent {
     /// Time between sweeps.
     pub interval: Duration,
     /// In-flight probes: call handle → (troupe name, member probed).
+    /// Inserted and removed by handle, never walked.
     probes: HashMap<CallHandle, (String, ModuleAddr)>,
     /// Members deleted so far (observable by tests).
     pub collected: Vec<(String, ModuleAddr)>,

@@ -139,9 +139,12 @@ pub struct TroupeStoreService {
     /// Module number at the *caller* exporting `ready_to_commit`.
     commit_module: u16,
     next_txn: u64,
+    /// Point lookups and `is_empty` only, never walked.
     by_invocation: HashMap<u64, TxnRec>,
-    /// Suspended (lock-waiting) transactions: txn → invocation.
-    waiting: HashMap<TxnId, u64>,
+    /// Suspended (lock-waiting) transactions: txn → invocation. `wedge`
+    /// walks it, in key order — which is invocation order too: both
+    /// numbers are handed out in dispatch order.
+    waiting: BTreeMap<TxnId, u64>,
     /// Commit ledger: `(thread, nonce)` of every transaction this member
     /// committed, in commit order. Part of the module state (transferred
     /// by `get_state`/`set_state`) so a joining member inherits the
@@ -175,7 +178,7 @@ impl TroupeStoreService {
             commit_module,
             next_txn: 1,
             by_invocation: HashMap::new(),
-            waiting: HashMap::new(),
+            waiting: BTreeMap::new(),
             committed: Vec::new(),
             wedge: Wedge::default(),
             wedge_waiters: Vec::new(),
@@ -193,17 +196,6 @@ impl TroupeStoreService {
         let mut s = TroupeStoreService::new(commit_module);
         s.wal = Some(Box::new(Wal::new(disk, snapshot_every)));
         s
-    }
-
-    /// Whether this member writes a durable commit log.
-    pub fn is_durable(&self) -> bool {
-        self.wal.is_some()
-    }
-
-    /// `true` while the member is wedged for a membership change (the
-    /// TTL is applied lazily at the next dispatch).
-    pub fn is_wedged(&self) -> bool {
-        self.wedge.held()
     }
 
     /// Replies to the suspended `wedge` calls once nothing is in flight.
@@ -446,9 +438,7 @@ impl Service for TroupeStoreService {
             // troupe aborts that transaction, and its client retries
             // after the membership change. Waiting out the locks instead
             // could stall the drain behind a deadlock's assembly timeout.
-            let mut waiters: Vec<u64> = self.waiting.drain().map(|(_, inv)| inv).collect();
-            waiters.sort_unstable(); // HashMap order is not deterministic.
-            for inv in waiters {
+            for inv in std::mem::take(&mut self.waiting).into_values() {
                 ctx.push_effect(NodeEffect::StepFor {
                     invocation: inv,
                     step: self.vote_call(false),

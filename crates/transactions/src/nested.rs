@@ -18,7 +18,7 @@
 //! the conflicting transaction so the caller can abort and retry — the
 //! same optimistic posture as the troupe commit protocol.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::lock::Mode;
 use crate::store::{ObjId, TxnId};
@@ -61,7 +61,8 @@ struct NTxn {
 #[derive(Debug, Default)]
 pub struct NestedTm {
     committed: BTreeMap<ObjId, i64>,
-    txns: HashMap<TxnId, NTxn>,
+    /// Ordered: `acquire` walks it and names the first conflicting holder.
+    txns: BTreeMap<TxnId, NTxn>,
     next: u64,
 }
 

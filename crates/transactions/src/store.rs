@@ -21,6 +21,7 @@ pub struct TxnId(pub u64);
 #[derive(Debug, Default)]
 pub struct Store {
     committed: BTreeMap<ObjId, i64>,
+    /// Point lookups and `clear` only, never walked.
     workspaces: HashMap<TxnId, BTreeMap<ObjId, i64>>,
 }
 

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Full pre-merge gate: formatting, lints, the whole test suite (which
-# holds the chaos sweeps of every workload, the adversary corpus, the
-# scheduler-equivalence replay and the golden files: chaos hashes,
-# metrics dump, every `repro` experiment), the release-only allocation
-# budget, the benchmark workspace, the benchmark's simulated clock, and
-# the 100-seed adversary fuzz. Run from the repository root:
+# holds the chaos sweeps of every workload, the adversary corpus and the
+# golden files: chaos hashes, replicated program, metrics dump, every
+# `repro` experiment), the release-only allocation budget, the benchmark
+# workspace, the benchmark's simulated clock, and the 100-seed adversary
+# fuzz. Run from the repository root:
 #
 #     scripts/check.sh
 #
@@ -39,17 +39,27 @@ phase() {
   echo "==> $1"
 }
 
-phase "cargo fmt --check (and the shape of crates/core/src: audited hash maps, no file over 900 lines)"
+phase "cargo fmt --check (and the shape of the source: audited hash maps, no crates/core/src file over 900 lines, no cargo feature)"
 cargo fmt --all --check
 # A HashMap/HashSet field iterates in a per-process order: each one in the
-# call runtime says, on the line above it, why that is never observed.
-awk 'FNR == 1 { prev = "" } /^ +(pub(\(crate\))? )?[a-z_]+: Hash(Map|Set)</ && prev !~ /never walked/ { print FILENAME ":" FNR ": unaudited" $0; bad = 1 } { prev = $0 } END { exit bad }' crates/core/src/*.rs
+# protocol crates says, on the line above it, why that is never observed.
+awk 'FNR == 1 { prev = "" } /^ +(pub(\(crate\))? )?[a-z_]+: Hash(Map|Set)</ && prev !~ /never walked/ { print FILENAME ":" FNR ": unaudited" $0; bad = 1 } { prev = $0 } END { exit bad }' crates/{core,pairedmsg,ringmaster,simnet,transactions}/src/*.rs
 wc -l crates/core/src/*.rs | awk '$2 != "total" && $1 > 900 { print $2 ": " $1 " lines (over 900)"; bad = 1 } END { exit bad }'
+# A cargo feature is a second program nobody tests: there are none, and
+# nothing is compiled conditionally on one.
+if grep -n '^\[features\]' Cargo.toml crates/*/Cargo.toml; then
+  echo "a [features] table (named above): replace the code it selects, do not fork it" >&2
+  exit 1
+fi
+if grep -rn 'cfg(feature' crates src tests; then
+  echo "code conditional on a cargo feature (named above)" >&2
+  exit 1
+fi
 
 phase "cargo clippy --workspace (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-phase "cargo test --workspace (unit + integration tests, every chaos sweep, adversary corpus, scheduler equivalence, golden files)"
+phase "cargo test --workspace (unit + integration tests, every chaos sweep, adversary corpus, golden files)"
 cargo test --workspace -q
 
 phase "allocation budget (n=3 echo call within its heap-allocation budget, wheel allocates nothing, release)"
