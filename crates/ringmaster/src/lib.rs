@@ -38,7 +38,7 @@ pub use api::{AddTroupeMember, Rebind, RegisterSpare, RegisterTroupe, RemoveTrou
 pub use cache::{BindingRequest, ImportCache};
 pub use gc::GcAgent;
 pub use heal::SelfHealAgent;
-pub use spare::{activate, SpareAgent, SpareService, PROC_ACTIVATE, SPARE_CTL_MODULE};
+pub use spare::{activate, SpareAgent, SpareService, SPARE_CTL_MODULE};
 
 use circus::{ModuleAddr, NodeBuilder, NodeConfig, Troupe, TroupeId};
 use simnet::{SockAddr, World};

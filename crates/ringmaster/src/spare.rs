@@ -52,7 +52,7 @@ pub const SPARE_CTL_MODULE: u16 = 0xFE00;
 
 /// `activate(troupe_name) returns ()` — the one procedure of the control
 /// module. Called solo, through [`activate`].
-pub const PROC_ACTIVATE: u16 = 0;
+const PROC_ACTIVATE: u16 = 0;
 
 /// The caller's half of a join: asks the control module at `ctl` to join
 /// its process to the troupe registered under `name`. The reply is empty

@@ -154,7 +154,7 @@ fn configured_replicated_transactional_store_survives_crash_and_heals() {
     w.poke(c1, 0);
     w.poke(c2, 0);
     w.run(simnet::Until::Elapsed(Duration::from_secs(600)));
-    for c in [c1, c2] {
+    let assert_finished = |w: &World, c: SockAddr| {
         let (done, errors) = w
             .with_proc(c, |p: &CircusProcess| {
                 let t = p.agent_as::<TxnClient>().unwrap();
@@ -162,7 +162,9 @@ fn configured_replicated_transactional_store_survives_crash_and_heals() {
             })
             .unwrap();
         assert!(done && errors.is_empty(), "client {c}: {errors:?}");
-    }
+    };
+    assert_finished(&w, c1);
+    assert_finished(&w, c2);
 
     // 5. Crash one member; join a replacement with state transfer while
     // a third client is in the middle of its script (on an object of its
@@ -270,13 +272,7 @@ fn configured_replicated_transactional_store_survives_crash_and_heals() {
     w.poke(c3, 0);
     w.run(simnet::Until::Elapsed(Duration::from_secs(60)));
 
-    let (done, errors) = w
-        .with_proc(busy, |p: &CircusProcess| {
-            let t = p.agent_as::<TxnClient>().unwrap();
-            (t.finished(), t.errors.clone())
-        })
-        .unwrap();
-    assert!(done && errors.is_empty(), "busy client: {errors:?}");
+    assert_finished(&w, busy);
 
     // The join happened under load: every commit the survivors made
     // before, during and after it is in the replacement too, once.
