@@ -5,22 +5,29 @@
 //! clients speak [`ProposeAccept`] — the two-phase propose/accept
 //! protocol — through partitions, loss bursts, and member crashes.
 //!
-//! Two workload-specific oracles sit on top of the shared ones:
+//! Three workload-specific oracles sit on top of the shared ones:
 //!
 //! - **Identical applied order** (§5.4): at quiesce, every member's
-//!   `applied_order` is byte-identical, and so is the application-state
-//!   digest — the app is an order-*sensitive* checksum, so two members
-//!   that applied the same messages in different orders cannot collide.
-//!   This is the oracle that catches a rejoined spare whose state
-//!   transfer dropped the queue or the applied history.
+//!   folded `applied_order` (count and order-sensitive fold) is equal,
+//!   and so is the application-state digest — the app is an
+//!   order-*sensitive* checksum, so two members that applied the same
+//!   messages in different orders cannot collide. A violation prints
+//!   each side's window of most recent ids. This is the oracle that
+//!   catches a rejoined spare whose state transfer dropped the queue or
+//!   the applied history.
 //! - **No starvation** (Figure 5.1's liveness claim): every broadcast a
-//!   client confirmed is in every member's applied order, every queue
+//!   client confirmed is in every member's applied-id set, every queue
 //!   has drained, and every client finished its script. A queue-head
 //!   placeholder that never resolves — the stall this workload was
 //!   built to flush out — fails this oracle, not a timeout. The quiesce
 //!   probe matters here: its accepts force a dispatch (and thus a queue
 //!   drain) at every member, so a straggler whose agreed time was
 //!   slightly in the future still applies before the oracles look.
+//! - **Bounded state**
+//!   ([`check_bounded_state`](crate::oracle::check_bounded_state)): at
+//!   quiesce no member holds more retry-cache entries than there are
+//!   clients, more applied-id ranges than one per client plus one per
+//!   id a client minted and never confirmed, or anything queued.
 //!
 //! Members run with a proposal TTL of [`CHAOS_PROPOSAL_TTL_US`], well
 //! above the default: under chaos a client may retry one accept for the
@@ -35,12 +42,12 @@ use std::fmt;
 
 use circus::Service;
 use simnet::{HostId, SockAddr, World};
-use transactions::{OrderedApply, OrderedBroadcastService};
+use transactions::{AppliedOrder, OrderedApply, OrderedBroadcastService};
 use wire::to_bytes;
 
 use crate::client::ProposeAccept;
 use crate::harness::{Quiesced, Workload};
-use crate::oracle::{check_monotonicity, check_replication, Violation};
+use crate::oracle::{check_bounded_state, check_monotonicity, check_replication, Violation};
 
 /// Proposal TTL for chaos members: must dominate the clients' accept
 /// retry horizon (fault windows up to ~60 s of self-heal), or orphan GC
@@ -115,27 +122,55 @@ impl Workload for Bcast {
     }
 
     fn check(&self, q: &Quiesced, extra: &mut BcastExtra, out: &mut Vec<Violation>) {
-        let views = q.member_views(|addr, s: &OrderedBroadcastService<ChaosApp>| {
-            (
-                addr,
-                s.applied_order.clone(),
-                s.state_digest(),
-                s.queue_len(),
-            )
+        let (mut confirmed, mut unconfirmed) = (Vec::new(), 0);
+        q.each_client::<ProposeAccept>(|_, a| {
+            confirmed.extend_from_slice(&a.confirmed);
+            unconfirmed += a.unconfirmed();
         });
-        let mut confirmed = Vec::new();
-        q.each_client::<ProposeAccept>(|_, a| confirmed.extend_from_slice(&a.confirmed));
         extra.broadcasts = confirmed.len();
+        let clients = q.client_addrs.len();
+        let views = q.member_views(|addr, s: &OrderedBroadcastService<ChaosApp>| {
+            check_bounded_state(
+                addr,
+                &[
+                    ("retry-cache entries", s.retry_cache_len(), clients),
+                    ("applied-id ranges", s.id_ranges(), clients + unconfirmed),
+                    ("queued messages", s.queue_len(), 0),
+                ],
+                out,
+            );
+            BcastView {
+                addr,
+                order: s.applied_order.clone(),
+                digest: s.state_digest(),
+                queued: s.queue_len(),
+                missing: confirmed
+                    .iter()
+                    .copied()
+                    .filter(|&id| !s.has_applied(id))
+                    .collect(),
+            }
+        });
         check_applied_order(&views, out);
-        check_no_starvation(&views, &confirmed, out);
+        check_no_starvation(&views, out);
         check_replication(q, out);
         check_monotonicity(q, out);
     }
 }
 
-/// The identical-applied-order oracle: every current member's
+/// One member at quiesce: its folded applied order and state digest, its
+/// queue length, and which confirmed ids its applied-id set lacks.
+struct BcastView {
+    addr: SockAddr,
+    order: AppliedOrder,
+    digest: u64,
+    queued: usize,
+    missing: Vec<u64>,
+}
+
+/// The identical-applied-order oracle: every current member's folded
 /// `applied_order` equal, every state digest equal.
-fn check_applied_order(views: &[(SockAddr, Vec<u64>, u64, usize)], out: &mut Vec<Violation>) {
+fn check_applied_order(views: &[BcastView], out: &mut Vec<Violation>) {
     const ORACLE: &str = "identical-applied-order";
     let Some(first) = views.first() else {
         out.push(Violation {
@@ -144,22 +179,33 @@ fn check_applied_order(views: &[(SockAddr, Vec<u64>, u64, usize)], out: &mut Vec
         });
         return;
     };
+    let show = |o: &AppliedOrder| {
+        format!(
+            "{} (fold {:#018x}, most recent {:?})",
+            o.len(),
+            o.fold(),
+            o.recent()
+        )
+    };
     for v in &views[1..] {
-        if v.1 != first.1 {
+        if v.order != first.order {
             out.push(Violation {
                 oracle: ORACLE,
                 detail: format!(
-                    "applied orders diverge: {} applied {:?}, {} applied {:?}",
-                    first.0, first.1, v.0, v.1
+                    "applied orders diverge: {} applied {}, {} applied {}",
+                    first.addr,
+                    show(&first.order),
+                    v.addr,
+                    show(&v.order)
                 ),
             });
         }
-        if v.2 != first.2 {
+        if v.digest != first.digest {
             out.push(Violation {
                 oracle: ORACLE,
                 detail: format!(
                     "state digests diverge: {} has {:#018x}, {} has {:#018x}",
-                    first.0, first.2, v.0, v.2
+                    first.addr, first.digest, v.addr, v.digest
                 ),
             });
         }
@@ -168,30 +214,27 @@ fn check_applied_order(views: &[(SockAddr, Vec<u64>, u64, usize)], out: &mut Vec
 
 /// The no-starvation oracle: every confirmed broadcast applied at every
 /// member, every queue drained.
-fn check_no_starvation(
-    views: &[(SockAddr, Vec<u64>, u64, usize)],
-    confirmed: &[u64],
-    out: &mut Vec<Violation>,
-) {
+fn check_no_starvation(views: &[BcastView], out: &mut Vec<Violation>) {
     const ORACLE: &str = "no-starvation";
     for v in views {
-        if v.3 != 0 {
+        if v.queued != 0 {
             out.push(Violation {
                 oracle: ORACLE,
-                detail: format!("member {} still queues {} message(s) at quiesce", v.0, v.3),
+                detail: format!(
+                    "member {} still queues {} message(s) at quiesce",
+                    v.addr, v.queued
+                ),
             });
         }
-        for &id in confirmed {
-            if !v.1.contains(&id) {
-                out.push(Violation {
-                    oracle: ORACLE,
-                    detail: format!(
-                        "broadcast {id} was confirmed to its client but member {} never \
-                         applied it",
-                        v.0
-                    ),
-                });
-            }
+        for id in &v.missing {
+            out.push(Violation {
+                oracle: ORACLE,
+                detail: format!(
+                    "broadcast {id} was confirmed to its client but member {} never \
+                     applied it",
+                    v.addr
+                ),
+            });
         }
     }
 }

@@ -408,11 +408,21 @@ impl Protocol for Txn {
 /// mint a second accepted time and split the troupe's applied order.
 pub struct ProposeAccept {
     next_msg_id: u64,
+    /// Ids minted so far.
+    minted: usize,
     msg_id: u64,
     accepted_time: Option<u64>,
     /// Message ids whose accept every member acknowledged — each must
     /// appear in every member's applied order at quiesce.
     pub confirmed: Vec<u64>,
+}
+
+impl ProposeAccept {
+    /// Ids minted but never confirmed (abandoned, or still in progress):
+    /// each may split a member's applied-id range in two.
+    pub fn unconfirmed(&self) -> usize {
+        self.minted - self.confirmed.len()
+    }
 }
 
 impl Protocol for ProposeAccept {
@@ -425,6 +435,7 @@ impl Protocol for ProposeAccept {
     fn new(client: usize) -> ProposeAccept {
         ProposeAccept {
             next_msg_id: 1 + client as u64 * 1_000_000,
+            minted: 0,
             msg_id: 0,
             accepted_time: None,
             confirmed: Vec::new(),
@@ -443,6 +454,7 @@ impl Protocol for ProposeAccept {
     fn start(&mut self) {
         self.msg_id = self.next_msg_id;
         self.next_msg_id += 1;
+        self.minted += 1;
         self.accepted_time = None;
     }
 
@@ -497,10 +509,20 @@ impl Protocol for ProposeAccept {
 /// idempotence id until every member has acknowledged it.
 pub struct CmBatch {
     next_op_id: u64,
+    /// Ids minted so far.
+    minted: usize,
     op_id: u64,
     /// Idempotence ids every member acknowledged — each must be in
     /// every member's seen ledger at quiesce.
     pub confirmed: Vec<u64>,
+}
+
+impl CmBatch {
+    /// Ids minted but never confirmed (abandoned, or still in progress):
+    /// each may split a member's dedup-ledger range in two.
+    pub fn unconfirmed(&self) -> usize {
+        self.minted - self.confirmed.len()
+    }
 }
 
 impl Protocol for CmBatch {
@@ -511,6 +533,7 @@ impl Protocol for CmBatch {
     fn new(client: usize) -> CmBatch {
         CmBatch {
             next_op_id: 1 + client as u64 * 1_000_000,
+            minted: 0,
             op_id: 0,
             confirmed: Vec::new(),
         }
@@ -539,6 +562,7 @@ impl Protocol for CmBatch {
     fn start(&mut self) {
         self.op_id = self.next_op_id;
         self.next_op_id += 1;
+        self.minted += 1;
     }
 
     fn request(&mut self, _thread: ThreadId, ops: &Vec<CmOp>) -> Request {

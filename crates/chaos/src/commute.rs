@@ -14,7 +14,11 @@
 //! may apply the batches in wildly different interleavings under
 //! partitions and loss bursts; commutativity says the end states still
 //! coincide, with zero aborts along the way (the property BENCH_8
-//! prices against the commit and broadcast protocols).
+//! prices against the commit and broadcast protocols). Beside it,
+//! **bounded state**
+//! ([`check_bounded_state`](crate::oracle::check_bounded_state)): each
+//! member holds its dedup ledger in at most one range per client, plus
+//! one per id a client minted and never confirmed.
 
 use std::fmt;
 
@@ -24,7 +28,7 @@ use transactions::CommutativeService;
 
 use crate::client::CmBatch;
 use crate::harness::{Quiesced, Workload};
-use crate::oracle::{check_monotonicity, check_replication, Violation};
+use crate::oracle::{check_bounded_state, check_monotonicity, check_replication, Violation};
 
 /// The commutative-operations workload.
 pub struct Commute;
@@ -55,17 +59,24 @@ impl Workload for Commute {
     }
 
     fn check(&self, q: &Quiesced, extra: &mut CommuteExtra, out: &mut Vec<Violation>) {
-        let mut confirmed = Vec::new();
-        q.each_client::<CmBatch>(|_, a| confirmed.extend_from_slice(&a.confirmed));
+        let (mut confirmed, mut unconfirmed) = (Vec::new(), 0);
+        q.each_client::<CmBatch>(|_, a| {
+            confirmed.extend_from_slice(&a.confirmed);
+            unconfirmed += a.unconfirmed();
+        });
         extra.batches = confirmed.len();
-        let views = q.member_views(|addr, s: &CommutativeService| CmView {
-            addr,
-            digest: s.state_digest(),
-            missing: confirmed
-                .iter()
-                .copied()
-                .filter(|&id| !s.has_seen(id))
-                .collect(),
+        let ranges = q.client_addrs.len() + unconfirmed;
+        let views = q.member_views(|addr, s: &CommutativeService| {
+            check_bounded_state(addr, &[("dedup-ledger ranges", s.id_ranges(), ranges)], out);
+            CmView {
+                addr,
+                digest: s.state_digest(),
+                missing: confirmed
+                    .iter()
+                    .copied()
+                    .filter(|&id| !s.has_seen(id))
+                    .collect(),
+            }
         });
         check_convergence(&views, out);
         check_replication(q, out);

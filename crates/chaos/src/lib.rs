@@ -34,9 +34,10 @@
 //!   through the configuration manager;
 //! - [`oracle`] — the store invariants checked at quiesce (exactly-once
 //!   execution, replica-state convergence, transaction atomicity, no
-//!   surviving stale binding) and the two every workload shares
+//!   surviving stale binding), the two every workload shares
 //!   (paired-message serial-number monotonicity, no permanent
-//!   under-replication);
+//!   under-replication) and the one the broadcast and commutative
+//!   workloads share (no tracked structure over its bound at quiesce);
 //! - [`report`] — [`run`] ties it together and emits a [`Report`] whose
 //!   trace hash makes "same seed ⇒ same run" a one-line assertion and
 //!   whose [`Report::repro`] line makes a failing seed copy-pasteable;

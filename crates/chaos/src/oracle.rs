@@ -365,6 +365,28 @@ pub fn check_replication(q: &Quiesced, out: &mut Vec<Violation>) {
     }
 }
 
+/// The bounded-state oracle (broadcast and commutative workloads): at
+/// quiesce, nothing `member` tracks exceeds its bound. `tracked` rows
+/// are `(what, held, bound)`; the bounds are counted in clients, never
+/// in messages, so a ledger that keeps an entry per message fails here
+/// in any run of more messages than clients.
+pub fn check_bounded_state(
+    member: SockAddr,
+    tracked: &[(&str, usize, usize)],
+    out: &mut Vec<Violation>,
+) {
+    for &(what, held, bound) in tracked {
+        if held > bound {
+            out.push(Violation {
+                oracle: "bounded-state",
+                detail: format!(
+                    "member {member} holds {held} {what} at quiesce; the bound is {bound}"
+                ),
+            });
+        }
+    }
+}
+
 /// Runs all six store oracles and returns every violation found.
 pub fn check_all(q: &Quiesced) -> Vec<Violation> {
     let members = member_views(q);

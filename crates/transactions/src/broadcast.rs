@@ -15,7 +15,7 @@
 //! once it is accepted, its time has arrived, and no earlier-proposed
 //! message remains unaccepted.
 //!
-//! Fault coverage forced three hardenings beyond Figure 5.1:
+//! Fault coverage forced these hardenings beyond Figure 5.1:
 //!
 //! * **Orphan GC.** A broadcaster that dies between the two phases
 //!   leaves a `Proposed` entry that would head the queue forever and
@@ -23,25 +23,49 @@
 //!   discarded when it blocks the drain. GC is safe against a *slow*
 //!   (not dead) broadcaster because `accept_time` carries the payload
 //!   and reinstalls a collected entry at the agreed time.
-//! * **Idempotence.** Applied messages are remembered with their
-//!   accepted time and result: a duplicated or retried `accept_time`
-//!   replies the cached result instead of re-applying, and a duplicated
-//!   `get_proposed_time` replies the *stored* accepted time instead of
-//!   re-queuing, so retries and network duplicates cannot reorder
-//!   members. (The cache grows with the run; a real system would prune
-//!   it against a client-acknowledged watermark.)
+//! * **Idempotence.** Two things are kept, for two different reasons.
+//!   *Which ids were applied here* is an exact [`IdSet`] that is never
+//!   pruned and never inferred from: it alone decides whether a message
+//!   applies, so no retry, duplicate or reordering can apply one twice
+//!   or skip one. (Paired messages deliver a lower-numbered call after a
+//!   higher one, so a member can see a client's *first* `accept_time(k)`
+//!   after that client's `get_proposed_time(k+1)` — it must apply — and
+//!   a crossed *second* `accept_time(k)` after k was applied — it must
+//!   not. Only an exact set tells them apart.) *What the answer was* —
+//!   `(accepted time, result)` — matters only to the one client that
+//!   might retry, so it lives in a retry cache keyed `(origin, msg_id)`
+//!   that the origin itself retires: its `get_proposed_time` for id k
+//!   drops that origin's entries below k. A duplicated `accept_time`
+//!   replies the cached result and a duplicated `get_proposed_time` the
+//!   *stored* accepted time, so retries and network duplicates cannot
+//!   reorder members; the cache holds O(clients) entries, the set one
+//!   range per client.
+//! * **The sequential-client contract.** A client's block is sequential:
+//!   proposing id k says every lower id of that origin is finished
+//!   (the assumption `TroupeStoreService::watermarks()` states). A
+//!   retired id that is asked about all the same is answered without
+//!   touching state — a duplicate `accept_time` replies the empty
+//!   result, a duplicate `get_proposed_time` replies an error and never
+//!   queues a placeholder (one would head the queue until the proposal
+//!   TTL). A client that breaks the contract therefore gets a worse
+//!   *answer*, never a double apply. A pipelined client (ROADMAP 5c)
+//!   will need an explicit low-water mark in its calls; it arrives with
+//!   that client.
 //! * **Full state transfer.** `get_state`/`set_state` externalize the
-//!   queue, the applied order, and the idempotence cache along with the
-//!   application snapshot, so a spare that rejoins mid-broadcast
-//!   continues the protocol instead of replying "unknown message" and
-//!   diverging.
+//!   application snapshot, the folded applied order, the id set, the
+//!   retry cache and the queue (each entry with its origin), so a spare
+//!   that rejoins mid-broadcast continues the protocol — and answers a
+//!   live retry exactly as the dead member would — instead of replying
+//!   "unknown message" and diverging.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use circus::{Collate, CollationPolicy, Decision, Service, ServiceCtx, Step, VoteSlot};
 use wire::{from_bytes, to_bytes, Bytes, Externalize, Internalize, Reader, WireError, Writer};
 
+use crate::idset::{fnv, IdSet, FNV_OFFSET};
+use crate::pack_origin;
 use crate::wedge::Wedge;
 
 /// Procedure number of `get_proposed_time`.
@@ -214,6 +238,97 @@ struct QEntry {
     /// and the pre-apply clone in `drain` are refcount bumps.
     payload: simnet::Payload,
     status: QStatus,
+    /// The proposing (or accepting) client, packed: the retry cache is
+    /// keyed by it when the entry applies.
+    origin: u64,
+}
+
+/// How many of the most recently applied ids [`AppliedOrder`] keeps for
+/// diagnostics.
+pub const RECENT_IDS: usize = 16;
+
+/// The order in which a member applied its messages, folded: a count, a
+/// running FNV fold taken at apply time, and a window of the last
+/// [`RECENT_IDS`] ids. Two members applied the same ids in the same
+/// order iff their folded orders are equal (up to a 64-bit collision);
+/// the window says *where* two unequal ones part.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct AppliedOrder {
+    count: u64,
+    fold: u64,
+    recent: VecDeque<u64>,
+}
+
+impl Default for AppliedOrder {
+    fn default() -> AppliedOrder {
+        AppliedOrder {
+            count: 0,
+            fold: FNV_OFFSET,
+            recent: VecDeque::with_capacity(RECENT_IDS),
+        }
+    }
+}
+
+impl AppliedOrder {
+    fn push(&mut self, msg_id: u64) {
+        self.count += 1;
+        self.fold = fnv(self.fold, &msg_id.to_be_bytes());
+        if self.recent.len() == RECENT_IDS {
+            self.recent.pop_front();
+        }
+        self.recent.push_back(msg_id);
+    }
+
+    /// Messages applied so far.
+    pub fn len(&self) -> usize {
+        self.count as usize
+    }
+
+    /// Whether nothing has been applied yet.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// The order-sensitive fold of every id applied so far.
+    pub fn fold(&self) -> u64 {
+        self.fold
+    }
+
+    /// The last [`RECENT_IDS`] ids applied, oldest first (the whole order
+    /// while it is that short).
+    pub fn recent(&self) -> Vec<u64> {
+        self.recent.iter().copied().collect()
+    }
+
+    /// The wire form: `(count, fold, recent)`.
+    pub fn to_wire(&self) -> (u64, u64, Vec<u64>) {
+        (self.count, self.fold, self.recent())
+    }
+
+    /// Rebuilds a folded order from its wire form; `None` if the window
+    /// is longer than [`RECENT_IDS`] or than the count.
+    pub fn from_wire((count, fold, recent): (u64, u64, Vec<u64>)) -> Option<AppliedOrder> {
+        if recent.len() > RECENT_IDS || recent.len() as u64 > count {
+            return None;
+        }
+        let mut order = AppliedOrder::default();
+        order.recent.extend(recent);
+        order.count = count;
+        order.fold = fold;
+        Some(order)
+    }
+}
+
+/// The folded order of applying `ids` one after another — what tests and
+/// oracles compare a member against.
+impl FromIterator<u64> for AppliedOrder {
+    fn from_iter<I: IntoIterator<Item = u64>>(ids: I) -> AppliedOrder {
+        let mut order = AppliedOrder::default();
+        for id in ids {
+            order.push(id);
+        }
+        order
+    }
 }
 
 /// One troupe member's half of the ordered broadcast protocol, wrapping
@@ -225,11 +340,15 @@ pub struct OrderedBroadcastService<A: OrderedApply> {
     queue: BTreeMap<(u64, u64), QEntry>,
     /// Where each known message currently sits in the queue.
     position: BTreeMap<u64, (u64, u64)>,
-    /// The order in which messages were accepted for processing
+    /// The order in which messages were accepted for processing, folded
     /// (observable by tests: must be identical at every member).
-    pub applied_order: Vec<u64>,
-    /// Idempotence cache: applied message → (accepted time, result).
-    applied: BTreeMap<u64, (u64, Vec<u8>)>,
+    pub applied_order: AppliedOrder,
+    /// Every id ever applied here. Exact, never pruned: safety (no double
+    /// apply, no skipped apply) rests on this set alone.
+    applied_ids: IdSet,
+    /// Retry cache: `(origin, msg_id)` → (accepted time, result), for the
+    /// originating client's retries only; its next proposal retires it.
+    retry: BTreeMap<(u64, u64), (u64, Vec<u8>)>,
     /// GC horizon for orphaned proposals (simulated µs).
     proposal_ttl_us: u64,
     /// Wedged for a membership change.
@@ -243,8 +362,9 @@ impl<A: OrderedApply> OrderedBroadcastService<A> {
             app,
             queue: BTreeMap::new(),
             position: BTreeMap::new(),
-            applied_order: Vec::new(),
-            applied: BTreeMap::new(),
+            applied_order: AppliedOrder::default(),
+            applied_ids: IdSet::new(),
+            retry: BTreeMap::new(),
             proposal_ttl_us: DEFAULT_PROPOSAL_TTL_US,
             wedge: Wedge::default(),
         }
@@ -267,15 +387,38 @@ impl<A: OrderedApply> OrderedBroadcastService<A> {
         self.queue.len()
     }
 
+    /// Whether message `msg_id` was applied at this member.
+    pub fn has_applied(&self, msg_id: u64) -> bool {
+        self.applied_ids.contains(msg_id)
+    }
+
+    /// Ranges the applied-id set is held in: one per client that mints
+    /// consecutive ids, plus one per id a client abandoned.
+    pub fn id_ranges(&self) -> usize {
+        self.applied_ids.range_count()
+    }
+
+    /// Retry-cache entries held: one per client between its broadcasts.
+    pub fn retry_cache_len(&self) -> usize {
+        self.retry.len()
+    }
+
     /// Order-sensitive digest of the replicated state: the application
-    /// snapshot plus the applied order. Equal at every member iff the
-    /// members applied the same messages in the same order.
+    /// snapshot, the applied count and the applied-order fold. Equal at
+    /// every member iff the members applied the same messages in the same
+    /// order.
     pub fn state_digest(&self) -> u64 {
-        let mut h = fnv(FNV_OFFSET, &self.app.snapshot());
-        for id in &self.applied_order {
-            h = fnv(h, &id.to_be_bytes());
+        let h = fnv(FNV_OFFSET, &self.app.snapshot());
+        let h = fnv(h, &self.applied_order.count.to_be_bytes());
+        fnv(h, &self.applied_order.fold.to_be_bytes())
+    }
+
+    /// Drops `origin`'s retry-cache entries below `msg_id`: by proposing
+    /// `msg_id` the (sequential) client says it is done with them.
+    fn retire(&mut self, origin: u64, msg_id: u64) {
+        while let Some((&key, _)) = self.retry.range((origin, 0)..(origin, msg_id)).next() {
+            self.retry.remove(&key);
         }
-        h
     }
 
     /// Processes the queue head while it is accepted and due (Figure
@@ -300,28 +443,19 @@ impl<A: OrderedApply> OrderedBroadcastService<A> {
             if time > now {
                 break;
             }
-            let payload = entry.payload.clone();
+            let (payload, origin) = (entry.payload.clone(), entry.origin);
             self.queue.remove(&(time, msg_id));
             self.position.remove(&msg_id);
             let result = self.app.apply(&payload);
+            self.applied_ids.insert(msg_id);
             self.applied_order.push(msg_id);
-            self.applied.insert(msg_id, (time, result.clone()));
+            self.retry.insert((origin, msg_id), (time, result.clone()));
             if msg_id == for_msg {
                 wanted = Some(result);
             }
         }
         wanted
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 impl<A: OrderedApply> Service for OrderedBroadcastService<A> {
@@ -337,12 +471,21 @@ impl<A: OrderedApply> Service for OrderedBroadcastService<A> {
                 let Ok(p) = ProposeRef::parse(args) else {
                     return Step::Error("bad get_proposed_time arguments".into());
                 };
-                if let Some(&(time, _)) = self.applied.get(&p.msg_id) {
+                let origin = pack_origin(ctx.thread.origin);
+                self.retire(origin, p.msg_id);
+                if self.applied_ids.contains(p.msg_id) {
                     // Duplicate of a message already applied: replying
                     // the *stored* accepted time keeps any late collation
-                    // from moving the message.
+                    // from moving the message. Once its client has moved
+                    // on there is no time to reply — and no placeholder
+                    // either: nothing would ever accept it.
                     ctx.metrics.add("bcast.dup_proposes", 1);
-                    return Step::Reply(to_bytes(&time));
+                    return match self.retry.get(&(origin, p.msg_id)) {
+                        Some(&(time, _)) => Step::Reply(to_bytes(&time)),
+                        None => Step::Error(
+                            "ordered broadcast: message already applied and retired".into(),
+                        ),
+                    };
                 }
                 if let Some(&(time, _)) = self.position.get(&p.msg_id) {
                     let entry = &self.queue[&(time, p.msg_id)];
@@ -362,6 +505,7 @@ impl<A: OrderedApply> Service for OrderedBroadcastService<A> {
                     QEntry {
                         payload: simnet::Payload::copy_from(p.payload),
                         status: QStatus::Proposed,
+                        origin,
                     },
                 );
                 self.position.insert(p.msg_id, (time, p.msg_id));
@@ -371,11 +515,15 @@ impl<A: OrderedApply> Service for OrderedBroadcastService<A> {
                 let Ok(a) = AcceptRef::parse(args) else {
                     return Step::Error("bad accept_time arguments".into());
                 };
-                if let Some((_, result)) = self.applied.get(&a.msg_id) {
+                let origin = pack_origin(ctx.thread.origin);
+                if self.applied_ids.contains(a.msg_id) {
                     // Duplicate or retried accept for an applied message:
-                    // reply the cached result, never re-apply.
+                    // reply the cached result (empty once its client has
+                    // retired it), never re-apply.
                     ctx.metrics.add("bcast.dup_accepts", 1);
-                    return Step::Reply(to_bytes(&Bytes(result.clone())));
+                    let result = self.retry.get(&(origin, a.msg_id));
+                    let result = result.map(|(_, r)| r.clone()).unwrap_or_default();
+                    return Step::Reply(to_bytes(&Bytes(result)));
                 }
                 let payload = match self.position.remove(&a.msg_id) {
                     Some(old) => {
@@ -397,6 +545,7 @@ impl<A: OrderedApply> Service for OrderedBroadcastService<A> {
                     QEntry {
                         payload,
                         status: QStatus::Accepted,
+                        origin,
                     },
                 );
                 self.position.insert(a.msg_id, (a.accepted_time, a.msg_id));
@@ -431,44 +580,49 @@ impl<A: OrderedApply> Service for OrderedBroadcastService<A> {
         // The full protocol state, not just the app snapshot: a rejoined
         // member must know the queue (to keep accepting in-flight
         // broadcasts), the applied order (the oracle's object of proof),
-        // and the idempotence cache (so retried accepts stay no-ops).
-        let applied: Vec<(u64, u64, Bytes)> = self
-            .applied
+        // the applied ids (so retried accepts stay no-ops) and the retry
+        // cache (so a live retry gets the dead member's answer).
+        let retry = self
+            .retry
             .iter()
-            .map(|(&id, &(time, ref result))| (id, time, Bytes(result.clone())))
+            .map(|(&(origin, id), &(time, ref result))| (origin, id, time, Bytes(result.clone())))
             .collect();
-        let queue: Vec<(u64, u64, u16, Bytes)> = self
+        let queue = self
             .queue
             .iter()
-            .map(|(&(time, id), e)| (time, id, e.status.to_wire(), Bytes(e.payload.to_vec())))
+            .map(|(&(time, id), e)| {
+                let payload = Bytes(e.payload.to_vec());
+                (time, id, e.origin, e.status.to_wire(), payload)
+            })
             .collect();
-        to_bytes(&(
+        let state: StateWire = (
             Bytes(self.app.snapshot()),
-            self.applied_order.clone(),
-            applied,
+            self.applied_order.to_wire(),
+            self.applied_ids.to_wire(),
+            retry,
             queue,
-        ))
+        );
+        to_bytes(&state)
     }
 
     fn set_state(&mut self, state: &[u8]) {
-        type Wire = (
-            Bytes,
-            Vec<u64>,
-            Vec<(u64, u64, Bytes)>,
-            Vec<(u64, u64, u16, Bytes)>,
-        );
-        let Ok((Bytes(snapshot), order, applied, queue)) = from_bytes::<Wire>(state) else {
+        let Ok((Bytes(snapshot), order, ids, retry, queue)) = from_bytes::<StateWire>(state) else {
             return; // Garbled transfer: keep the blank state, the donor retries.
+        };
+        let (Some(order), Some(ids)) = (AppliedOrder::from_wire(order), IdSet::from_wire(ids))
+        else {
+            return; // As above.
         };
         self.app.restore(&snapshot);
         self.applied_order = order;
-        self.applied = applied
+        self.applied_ids = ids;
+        self.retry = retry
             .into_iter()
-            .map(|(id, time, Bytes(result))| (id, (time, result)))
+            .map(|(origin, id, time, Bytes(result))| ((origin, id), (time, result)))
             .collect();
         self.queue.clear();
         self.position.clear();
-        for (time, id, status, Bytes(payload)) in queue {
+        for (time, id, origin, status, Bytes(payload)) in queue {
             let Some(status) = QStatus::from_wire(status) else {
                 continue;
             };
@@ -477,12 +631,29 @@ impl<A: OrderedApply> Service for OrderedBroadcastService<A> {
                 QEntry {
                     payload: simnet::Payload::copy_from(&payload),
                     status,
+                    origin,
                 },
             );
             self.position.insert(id, (time, id));
         }
     }
 }
+
+/// What `get_state` externalizes and `set_state` expects: the application
+/// snapshot, the folded applied order ([`AppliedOrder::to_wire`]), the
+/// applied ids ([`IdSet::to_wire`]), the retry cache as `(origin, msg_id,
+/// accepted time, result)` rows, and the queue.
+pub type StateWire = (
+    Bytes,
+    (u64, u64, Vec<u64>),
+    Vec<(u64, u64)>,
+    Vec<(u64, u64, u64, Bytes)>,
+    Vec<QueueWire>,
+);
+
+/// One queue entry in state transfer: `(time, msg_id, origin, status,
+/// payload)`.
+pub type QueueWire = (u64, u64, u64, u16, Bytes);
 
 /// Reply collator for `get_proposed_time`: wait for every live member,
 /// then yield the **maximum** proposal (Figure 5.1's client side).
@@ -744,10 +915,20 @@ mod tests {
         })
     }
 
+    /// The folded order of applying `ids` one after another.
+    fn order(ids: &[u64]) -> AppliedOrder {
+        ids.iter().copied().collect()
+    }
+
     fn ctx(now_us: u64) -> ServiceCtx {
+        ctx_from(0, now_us)
+    }
+
+    /// A dispatch context for a call from the client on host `origin`.
+    fn ctx_from(origin: u32, now_us: u64) -> ServiceCtx {
         ServiceCtx {
             thread: circus::ThreadId {
-                origin: simnet::SockAddr::new(simnet::HostId(0), 0),
+                origin: simnet::SockAddr::new(simnet::HostId(origin), 0),
                 serial: 0,
             },
             caller: circus::TroupeId(0),
@@ -761,7 +942,17 @@ mod tests {
     }
 
     fn propose(s: &mut OrderedBroadcastService<Log>, now: u64, id: u64, payload: &[u8]) -> Step {
-        let mut c = ctx(now);
+        propose_from(s, 0, now, id, payload)
+    }
+
+    fn propose_from(
+        s: &mut OrderedBroadcastService<Log>,
+        origin: u32,
+        now: u64,
+        id: u64,
+        payload: &[u8],
+    ) -> Step {
+        let mut c = ctx_from(origin, now);
         s.dispatch(
             &mut c,
             PROC_GET_PROPOSED_TIME,
@@ -773,7 +964,18 @@ mod tests {
     }
 
     fn accept(s: &mut OrderedBroadcastService<Log>, now: u64, id: u64, t: u64, p: &[u8]) -> Step {
-        let mut c = ctx(now);
+        accept_from(s, 0, now, id, t, p)
+    }
+
+    fn accept_from(
+        s: &mut OrderedBroadcastService<Log>,
+        origin: u32,
+        now: u64,
+        id: u64,
+        t: u64,
+        p: &[u8],
+    ) -> Step {
+        let mut c = ctx_from(origin, now);
         s.dispatch(
             &mut c,
             PROC_ACCEPT_TIME,
@@ -804,7 +1006,7 @@ mod tests {
         assert!(s.applied_order.is_empty(), "msg 2 must wait behind msg 1");
         // Accept msg 1 at time 240 (< 250): both drain, 1 before 2.
         accept(&mut s, 400, 1, 240, b"first");
-        assert_eq!(s.applied_order, vec![1, 2]);
+        assert_eq!(s.applied_order, order(&[1, 2]));
         assert_eq!(s.app().entries, vec![b"first".to_vec(), b"second".to_vec()]);
     }
 
@@ -817,7 +1019,7 @@ mod tests {
         for id in [2u64, 1] {
             accept(&mut s, 500, id, 300, &id.to_be_bytes());
         }
-        assert_eq!(s.applied_order, vec![1, 2], "ties break by message id");
+        assert_eq!(s.applied_order, order(&[1, 2]), "ties break by message id");
     }
 
     #[test]
@@ -832,18 +1034,18 @@ mod tests {
         accept(&mut s, 400, 2, 150, b"early");
         assert_eq!(
             s.applied_order,
-            vec![2],
+            order(&[2]),
             "accepted head must not wait on a later proposal"
         );
         // And the inverse: accepted *behind* a proposed head stays put.
         accept(&mut s, 500, 3, 450, b"blocked");
         assert_eq!(
             s.applied_order,
-            vec![2],
+            order(&[2]),
             "accepted behind a proposed head must wait"
         );
         accept(&mut s, 600, 1, 320, b"late");
-        assert_eq!(s.applied_order, vec![2, 1, 3]);
+        assert_eq!(s.applied_order, order(&[2, 1, 3]));
     }
 
     #[test]
@@ -858,7 +1060,7 @@ mod tests {
         assert!(s.applied_order.is_empty(), "TTL not yet reached");
         // Past the TTL the orphan is collected and the queue flows.
         accept(&mut s, 2_000, 11, 1_500, b"after");
-        assert_eq!(s.applied_order, vec![10, 11]);
+        assert_eq!(s.applied_order, order(&[10, 11]));
         assert_eq!(s.queue_len(), 0);
         assert_eq!(
             s.app().entries,
@@ -873,11 +1075,11 @@ mod tests {
         propose(&mut s, 100, 9, b"slow");
         // Another broadcast's drain collects the orphan...
         accept(&mut s, 2_000, 10, 1_900, b"other");
-        assert_eq!(s.applied_order, vec![10]);
+        assert_eq!(s.applied_order, order(&[10]));
         // ...but the slow broadcaster was alive after all: its accept
         // carries the payload and the message still applies.
         let r = reply_bytes(accept(&mut s, 2_100, 9, 2_050, b"slow"));
-        assert_eq!(s.applied_order, vec![10, 9]);
+        assert_eq!(s.applied_order, order(&[10, 9]));
         assert!(!from_bytes::<Bytes>(&r).unwrap().0.is_empty());
     }
 
@@ -888,7 +1090,7 @@ mod tests {
         let first = reply_bytes(accept(&mut s, 200, 1, 150, b"m"));
         let dup = reply_bytes(accept(&mut s, 300, 1, 150, b"m"));
         assert_eq!(first, dup, "retried accept must reply the cached result");
-        assert_eq!(s.applied_order, vec![1], "never applied twice");
+        assert_eq!(s.applied_order, order(&[1]), "never applied twice");
         assert_eq!(s.app().entries.len(), 1);
     }
 
@@ -903,7 +1105,7 @@ mod tests {
         let r = reply_bytes(propose(&mut s, 900, 1, b"m"));
         assert_eq!(from_bytes::<u64>(&r).unwrap(), 150);
         assert_eq!(s.queue_len(), 0);
-        assert_eq!(s.applied_order, vec![1]);
+        assert_eq!(s.applied_order, order(&[1]));
     }
 
     #[test]
@@ -911,9 +1113,116 @@ mod tests {
         // A rejoined spare that missed the propose phase entirely.
         let mut s = log_service();
         let r = reply_bytes(accept(&mut s, 200, 5, 150, b"installed"));
-        assert_eq!(s.applied_order, vec![5]);
+        assert_eq!(s.applied_order, order(&[5]));
         assert_eq!(s.app().entries, vec![b"installed".to_vec()]);
         assert!(!from_bytes::<Bytes>(&r).unwrap().0.is_empty());
+    }
+
+    /// Two client hosts for the hazard tests: `A` is the one under test,
+    /// `B` a bystander whose cache entry `A`'s proposals must not retire.
+    const A: u32 = 1;
+    const B: u32 = 2;
+
+    /// `B` broadcasts message 900; returns the reply to its accept.
+    fn bystander_broadcast(s: &mut OrderedBroadcastService<Log>) -> Vec<u8> {
+        propose_from(s, B, 10, 900, b"other");
+        reply_bytes(accept_from(s, B, 20, 900, 15, b"other"))
+    }
+
+    #[test]
+    fn h1_first_accept_arriving_after_the_next_proposal_still_applies() {
+        let mut s = log_service();
+        bystander_broadcast(&mut s);
+        // A's accept of 10 is slow to reach this member; A collated the
+        // others' replies first-come and went on to broadcast 11.
+        propose_from(&mut s, A, 100, 10, b"k");
+        propose_from(&mut s, A, 200, 11, b"k+1");
+        let early = reply_bytes(accept_from(&mut s, A, 300, 11, 250, b"k+1"));
+        assert!(
+            from_bytes::<Bytes>(&early).unwrap().0.is_empty(),
+            "11 waits behind 10's placeholder"
+        );
+        assert_eq!(s.applied_order, order(&[900]));
+        assert_eq!(s.queue_len(), 2);
+        // The *first* accept of 10 this member ever sees: it applies, and
+        // 11 behind it — nothing was inferred from A having moved on.
+        let late = reply_bytes(accept_from(&mut s, A, 400, 10, 150, b"k"));
+        assert!(!from_bytes::<Bytes>(&late).unwrap().0.is_empty());
+        assert_eq!(s.applied_order, order(&[900, 10, 11]));
+        assert_eq!(
+            s.app().entries,
+            vec![b"other".to_vec(), b"k".to_vec(), b"k+1".to_vec()]
+        );
+        assert!(s.has_applied(10) && s.has_applied(11));
+        assert_eq!(s.queue_len(), 0);
+    }
+
+    #[test]
+    fn h2_second_accept_after_the_client_moved_on_is_not_reapplied() {
+        let mut s = log_service();
+        let others = bystander_broadcast(&mut s);
+        propose_from(&mut s, A, 100, 10, b"k");
+        let first = reply_bytes(accept_from(&mut s, A, 200, 10, 150, b"k"));
+        assert!(!from_bytes::<Bytes>(&first).unwrap().0.is_empty());
+        // A's next proposal retires A's cache entry for 10 — and only it.
+        propose_from(&mut s, A, 300, 11, b"k+1");
+        assert_eq!(s.retry_cache_len(), 1);
+        // A retry of accept(10) that crossed the original arrives now.
+        let mut c = ctx_from(A, 400);
+        let accept_10 = to_bytes(&Accept {
+            msg_id: 10,
+            accepted_time: 150,
+            payload: b"k".to_vec(),
+        });
+        let second = reply_bytes(s.dispatch(&mut c, PROC_ACCEPT_TIME, &accept_10));
+        assert!(
+            from_bytes::<Bytes>(&second).unwrap().0.is_empty(),
+            "a retired duplicate replies the empty result"
+        );
+        assert_eq!(c.metrics.get("bcast.dup_accepts"), 1);
+        assert_eq!(s.applied_order, order(&[900, 10]), "applied once");
+        assert_eq!(s.app().entries.len(), 2);
+        // The bystander's own retry is still answered from the cache.
+        assert_eq!(
+            reply_bytes(accept_from(&mut s, B, 500, 900, 15, b"other")),
+            others
+        );
+    }
+
+    #[test]
+    fn h3_retired_proposal_is_refused_and_queues_no_placeholder() {
+        let mut s = log_service();
+        propose_from(&mut s, A, 100, 10, b"k");
+        accept_from(&mut s, A, 200, 10, 150, b"k");
+        propose_from(&mut s, A, 300, 11, b"k+1");
+        let queued = s.queue_len();
+        // A duplicate of propose(10) surfaces after 11 retired it: there
+        // is no stored time left to reply, and a placeholder would head
+        // the queue until the proposal TTL.
+        assert!(matches!(
+            propose_from(&mut s, A, 400, 10, b"k"),
+            Step::Error(_)
+        ));
+        assert_eq!(s.queue_len(), queued);
+        accept_from(&mut s, A, 500, 11, 350, b"k+1");
+        assert_eq!(s.applied_order, order(&[10, 11]));
+        assert_eq!(s.queue_len(), 0);
+    }
+
+    #[test]
+    fn ledgers_stay_small_however_many_messages_apply() {
+        let mut s = log_service();
+        for (client, base) in [(A, 1_000u64), (B, 2_000)] {
+            for i in 0..200 {
+                let (id, now) = (base + i, 1_000 * (base + i));
+                propose_from(&mut s, client, now, id, b"m");
+                accept_from(&mut s, client, now + 10, id, now + 5, b"m");
+            }
+        }
+        assert_eq!(s.applied_order.len(), 400);
+        assert_eq!(s.applied_order.recent().len(), RECENT_IDS);
+        assert_eq!(s.id_ranges(), 2, "one range per client");
+        assert_eq!(s.retry_cache_len(), 2, "one live entry per client");
     }
 
     #[test]
@@ -921,13 +1230,13 @@ mod tests {
         let mut donor = log_service();
         propose(&mut donor, 100, 1, b"done");
         accept(&mut donor, 200, 1, 150, b"done");
-        // An in-flight broadcast: proposed and accepted but not yet
-        // drained (blocked behind an in-flight proposal), plus a bare
-        // proposal.
-        propose(&mut donor, 300, 2, b"pending");
-        propose(&mut donor, 400, 3, b"blocked");
-        accept(&mut donor, 500, 3, 450, b"blocked");
-        assert_eq!(donor.applied_order, vec![1]);
+        // Two other clients' in-flight broadcasts: one proposed and
+        // accepted but not yet drained (blocked behind an in-flight
+        // proposal), plus that bare proposal.
+        propose_from(&mut donor, A, 300, 2, b"pending");
+        propose_from(&mut donor, B, 400, 3, b"blocked");
+        accept_from(&mut donor, B, 500, 3, 450, b"blocked");
+        assert_eq!(donor.applied_order, order(&[1]));
 
         let mut spare = log_service();
         spare.set_state(&donor.get_state());
@@ -938,20 +1247,38 @@ mod tests {
         // The spare continues the in-flight broadcasts exactly as the
         // donor would: accept msg 2, both drain, identical orders.
         for s in [&mut donor, &mut spare] {
-            accept(s, 600, 2, 420, b"pending");
-            assert_eq!(s.applied_order, vec![1, 2, 3]);
+            accept_from(s, A, 600, 2, 420, b"pending");
+            assert_eq!(s.applied_order, order(&[1, 2, 3]));
         }
         assert_eq!(donor.state_digest(), spare.state_digest());
-        // And the idempotence cache traveled too: a duplicate accept of
-        // msg 1 at the spare replies the cached result, not a re-apply.
-        let dup = reply_bytes(accept(&mut spare, 700, 1, 150, b"done"));
-        assert_eq!(
-            from_bytes::<Bytes>(&dup).unwrap().0,
-            from_bytes::<Bytes>(&reply_bytes(accept(&mut donor, 700, 1, 150, b"done")))
-                .unwrap()
-                .0
-        );
-        assert_eq!(spare.applied_order, vec![1, 2, 3]);
+        // And the idempotence state traveled too: a duplicate accept of
+        // msg 1 at the spare replies the cached result, not a re-apply —
+        // and msg 3, drained from the transferred queue, is cached under
+        // the origin that queue entry carried.
+        for (origin, id, t, payload) in [(0, 1, 150, &b"done"[..]), (B, 3, 450, b"blocked")] {
+            let dup = reply_bytes(accept_from(&mut spare, origin, 700, id, t, payload));
+            assert!(!from_bytes::<Bytes>(&dup).unwrap().0.is_empty());
+            assert_eq!(
+                dup,
+                reply_bytes(accept_from(&mut donor, origin, 700, id, t, payload))
+            );
+        }
+        assert_eq!(spare.applied_order, order(&[1, 2, 3]));
+        assert_eq!(spare.get_state(), donor.get_state());
+    }
+
+    #[test]
+    fn garbled_ledgers_leave_the_blank_state() {
+        let mut donor = log_service();
+        propose(&mut donor, 100, 1, b"m");
+        accept(&mut donor, 200, 1, 150, b"m");
+        let (app, order, _, retry, queue) = from_bytes::<StateWire>(&donor.get_state()).unwrap();
+        // Adjacent ranges: no `IdSet` ever emits them.
+        let ids = vec![(1, 1), (2, 2)];
+        let mut spare = log_service();
+        spare.set_state(&to_bytes(&(app, order, ids, retry, queue)));
+        assert!(spare.applied_order.is_empty() && !spare.has_applied(1));
+        assert!(spare.app().entries.is_empty());
     }
 
     #[test]

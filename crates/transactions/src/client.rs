@@ -141,21 +141,13 @@ impl Agent for TxnClient {
     }
 }
 
-/// Phase of one broadcast in flight.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Phase {
-    Proposing,
+/// One broadcast in flight. The payload is held through the proposal
+/// because `accept_time` carries it (a member that missed the proposal
+/// installs the message from the accept), and moves into the accept.
+#[derive(Debug)]
+enum InFlight {
+    Proposing { msg_id: u64, payload: Vec<u8> },
     Accepting,
-}
-
-/// One broadcast in flight. The payload rides along because
-/// `accept_time` carries it (a member that missed the proposal installs
-/// the message from the accept).
-#[derive(Clone, Debug)]
-struct InFlight {
-    phase: Phase,
-    msg_id: u64,
-    payload: Vec<u8>,
 }
 
 /// An agent that performs ordered broadcasts (Figure 5.1's
@@ -166,7 +158,8 @@ pub struct Broadcaster {
     pub troupe: Troupe,
     /// Module number of the broadcast service.
     pub module: u16,
-    /// Messages to broadcast, consumed front to back.
+    /// Messages to broadcast, consumed front to back: each entry is taken
+    /// out (left empty) as its broadcast starts.
     script: Vec<Vec<u8>>,
     next: usize,
     /// Globally unique message-id seed (callers give each broadcaster a
@@ -204,14 +197,15 @@ impl Broadcaster {
         if self.next >= self.script.len() {
             return;
         }
-        let payload = self.script[self.next].clone();
+        let payload = std::mem::take(&mut self.script[self.next]);
         self.next += 1;
         let msg_id = self.next_msg_id;
         self.next_msg_id += 1;
-        self.inflight = Some(InFlight {
-            phase: Phase::Proposing,
+        let propose = Propose { msg_id, payload };
+        let args = to_bytes(&propose);
+        self.inflight = Some(InFlight::Proposing {
             msg_id,
-            payload: payload.clone(),
+            payload: propose.payload,
         });
         let thread = nc.fresh_thread();
         let troupe = self.troupe.clone();
@@ -220,7 +214,7 @@ impl Broadcaster {
             &troupe,
             self.module,
             PROC_GET_PROPOSED_TIME,
-            to_bytes(&Propose { msg_id, payload }),
+            args,
             max_time_collation(),
         );
     }
@@ -239,28 +233,23 @@ impl Agent for Broadcaster {
         _handle: CallHandle,
         result: Result<Vec<u8>, CallError>,
     ) {
-        let Some(inflight) = self.inflight.clone() else {
+        let Some(inflight) = self.inflight.take() else {
             return;
         };
         let bytes = match result {
             Ok(b) => b,
             Err(e) => {
                 self.errors.push(format!("broadcast failed: {e}"));
-                self.inflight = None;
                 return;
             }
         };
-        match inflight.phase {
-            Phase::Proposing => {
+        match inflight {
+            InFlight::Proposing { msg_id, payload } => {
                 let Ok(max) = from_bytes::<u64>(&bytes) else {
                     self.errors.push("garbled max proposal".into());
-                    self.inflight = None;
                     return;
                 };
-                self.inflight = Some(InFlight {
-                    phase: Phase::Accepting,
-                    ..inflight.clone()
-                });
+                self.inflight = Some(InFlight::Accepting);
                 let thread = nc.fresh_thread();
                 let troupe = self.troupe.clone();
                 nc.call(
@@ -269,9 +258,9 @@ impl Agent for Broadcaster {
                     self.module,
                     PROC_ACCEPT_TIME,
                     to_bytes(&Accept {
-                        msg_id: inflight.msg_id,
+                        msg_id,
                         accepted_time: max,
-                        payload: inflight.payload,
+                        payload,
                     }),
                     // Members may drain different amounts of queue at
                     // accept time depending on concurrent broadcasts, so
@@ -281,11 +270,10 @@ impl Agent for Broadcaster {
                     CollationPolicy::FirstCome,
                 );
             }
-            Phase::Accepting => {
+            InFlight::Accepting => {
                 if let Ok(Bytes(result)) = from_bytes::<Bytes>(&bytes) {
                     self.results.push(result);
                 }
-                self.inflight = None;
                 self.propose_next(nc);
             }
         }

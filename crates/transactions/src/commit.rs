@@ -18,6 +18,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::rc::Rc;
 
+use crate::pack_origin;
 use crate::store::TxnId;
 use crate::txn::{ExecOutcome, LocalTm, Op};
 use crate::wal::{CommitRecord, Wal};
@@ -26,7 +27,7 @@ use circus::{
     CallError, Collate, CollationPolicy, Decision, NodeEffect, OutCall, Service, ServiceCtx,
     StateSince, Step, ThreadId, TroupeTarget, VoteSlot,
 };
-use simnet::{Disk, SockAddr};
+use simnet::Disk;
 use wire::{from_bytes, to_bytes, Externalize, Internalize, Reader, WireError, Writer};
 
 /// Procedure number of `execute_transaction` at the store troupe.
@@ -115,11 +116,6 @@ pub struct RecoveryInfo {
     pub torn_bytes: usize,
     /// Total log bytes read.
     pub log_bytes: usize,
-}
-
-/// Packs a thread origin into the u64 key used by recovery tokens.
-fn pack_origin(a: SockAddr) -> u64 {
-    ((a.host.0 as u64) << 16) | a.port as u64
 }
 
 /// Per-invocation transaction bookkeeping at a store member.

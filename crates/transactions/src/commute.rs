@@ -10,7 +10,11 @@
 //!
 //! Exactly-once is the only obligation left, and it is discharged
 //! locally: every request carries a client-unique `op_id`, and a member
-//! that has already seen the id acknowledges without re-applying. A
+//! that has already seen the id acknowledges without re-applying. The
+//! ids seen are an exact [`IdSet`] — never pruned, never inferred from —
+//! which costs one range per client that mints consecutive ids, not one
+//! entry per request; the reply is the same for a first delivery and a
+//! replay, so there is nothing else to remember. A
 //! client whose replicated call fails ambiguously (partition, crash of a
 //! member mid-call) simply retries the *same* request: members that
 //! already applied it dedup, members that missed it apply it, and the
@@ -24,6 +28,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use circus::{Service, ServiceCtx, Step};
 use wire::{from_bytes, to_bytes, Externalize, Internalize, Reader, WireError, Writer};
 
+use crate::idset::{fnv, IdSet, FNV_OFFSET};
 use crate::store::ObjId;
 use crate::wedge::Wedge;
 
@@ -99,7 +104,7 @@ pub struct CommutativeService {
     gset: BTreeSet<u64>,
     /// Ids of requests already applied (the idempotence ledger; it is
     /// part of the replicated state and travels in state transfer).
-    seen: BTreeSet<u64>,
+    seen: IdSet,
     /// Wedged for a membership change.
     wedge: Wedge,
 }
@@ -110,7 +115,7 @@ impl CommutativeService {
         CommutativeService {
             counters: BTreeMap::new(),
             gset: BTreeSet::new(),
-            seen: BTreeSet::new(),
+            seen: IdSet::new(),
             wedge: Wedge::default(),
         }
     }
@@ -127,12 +132,18 @@ impl CommutativeService {
 
     /// Whether a request id has been applied at this member.
     pub fn has_seen(&self, op_id: u64) -> bool {
-        self.seen.contains(&op_id)
+        self.seen.contains(op_id)
     }
 
     /// Number of distinct requests applied.
     pub fn applied(&self) -> usize {
-        self.seen.len()
+        self.seen.len() as usize
+    }
+
+    /// Ranges the dedup ledger is held in: one per client that mints
+    /// consecutive ids, plus one per id a client abandoned.
+    pub fn id_ranges(&self) -> usize {
+        self.seen.range_count()
     }
 
     /// Order-insensitive digest of the full replicated state (counters,
@@ -140,26 +151,15 @@ impl CommutativeService {
     /// requests — in any order — digest identically; that is the
     /// convergence-without-commit claim the chaos oracle checks.
     pub fn state_digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let eat = |h: u64, bytes: &[u8]| -> u64 {
-            let mut h = h;
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-            h
-        };
+        let mut h = FNV_OFFSET;
         for (&obj, &v) in &self.counters {
-            h = eat(h, &obj.to_be_bytes());
-            h = eat(h, &v.to_be_bytes());
+            h = fnv(h, &obj.to_be_bytes());
+            h = fnv(h, &v.to_be_bytes());
         }
         for &e in &self.gset {
-            h = eat(h, &e.to_be_bytes());
+            h = fnv(h, &e.to_be_bytes());
         }
-        for &id in &self.seen {
-            h = eat(h, &id.to_be_bytes());
-        }
-        h
+        self.seen.fold_into(h)
     }
 
     fn apply(&mut self, req: &CmRequest) {
@@ -194,7 +194,7 @@ impl Service for CommutativeService {
         let Ok(req) = from_bytes::<CmRequest>(args) else {
             return Step::Error("bad apply_commutative arguments".into());
         };
-        if self.seen.contains(&req.op_id) {
+        if self.seen.contains(req.op_id) {
             ctx.metrics.add("cm.dups", 1);
         } else {
             self.apply(&req);
@@ -218,18 +218,20 @@ impl Service for CommutativeService {
     fn get_state(&self) -> Vec<u8> {
         let counters: Vec<(u64, i64)> = self.counters.iter().map(|(&k, &v)| (k, v)).collect();
         let gset: Vec<u64> = self.gset.iter().copied().collect();
-        let seen: Vec<u64> = self.seen.iter().copied().collect();
-        to_bytes(&(counters, gset, seen))
+        to_bytes(&(counters, gset, self.seen.to_wire()))
     }
 
     fn set_state(&mut self, state: &[u8]) {
-        let Ok((counters, gset, seen)) = from_bytes::<(Vec<(u64, i64)>, Vec<u64>, Vec<u64>)>(state)
-        else {
+        type Wire = (Vec<(u64, i64)>, Vec<u64>, Vec<(u64, u64)>);
+        let Ok((counters, gset, seen)) = from_bytes::<Wire>(state) else {
             return; // Garbled transfer: keep the blank state, the donor retries.
+        };
+        let Some(seen) = IdSet::from_wire(seen) else {
+            return; // As above.
         };
         self.counters = counters.into_iter().collect();
         self.gset = gset.into_iter().collect();
-        self.seen = seen.into_iter().collect();
+        self.seen = seen;
     }
 }
 

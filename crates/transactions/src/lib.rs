@@ -42,6 +42,7 @@ pub mod client;
 pub mod commit;
 pub mod commute;
 pub mod deadlock;
+pub mod idset;
 pub mod lock;
 pub mod nested;
 pub mod store;
@@ -52,8 +53,8 @@ mod wedge;
 pub use backoff::Backoff;
 pub use broadcast::{
     all_ack_collation, max_time_collation, strict_max_time_collation, Accept, AcceptRef,
-    OrderedApply, OrderedBroadcastService, Propose, ProposeRef, DEFAULT_PROPOSAL_TTL_US,
-    PROC_ACCEPT_TIME, PROC_GET_PROPOSED_TIME,
+    AppliedOrder, OrderedApply, OrderedBroadcastService, Propose, ProposeRef,
+    DEFAULT_PROPOSAL_TTL_US, PROC_ACCEPT_TIME, PROC_GET_PROPOSED_TIME, RECENT_IDS,
 };
 pub use client::{Broadcaster, CmClient, TxnClient};
 pub use commit::{
@@ -62,8 +63,15 @@ pub use commit::{
 };
 pub use commute::{CmOp, CmRequest, CommutativeService, PROC_CM_EXECUTE};
 pub use deadlock::WaitsFor;
+pub use idset::IdSet;
 pub use lock::{Acquire, LockManager, Mode};
 pub use nested::{NestedError, NestedTm};
 pub use store::{ObjId, Store, TxnId};
 pub use txn::{ExecOutcome, LocalTm, Op};
 pub use wal::{Checkpoint, CommitRecord, Recovered, Wal};
+
+/// Packs a thread origin into the `u64` that keys per-client state (the
+/// commit service's recovery watermarks, the broadcast retry cache).
+pub(crate) fn pack_origin(a: simnet::SockAddr) -> u64 {
+    ((a.host.0 as u64) << 16) | a.port as u64
+}

@@ -1,15 +1,15 @@
 //! Property tests for the ordered broadcast protocol: concurrent
 //! broadcasters, skewed member clocks, per-member reordered and
-//! duplicated accept delivery — every member must end with a
-//! byte-identical `applied_order` (Figure 5.1's claim, the `MaxTime`
-//! max-of-proposals rule).
+//! duplicated accept delivery — every member must end with an
+//! identical folded `applied_order` and a byte-identical application
+//! log (Figure 5.1's claim, the `MaxTime` max-of-proposals rule).
 
 use circus::Service;
 use proptest::prelude::*;
 use transactions::broadcast::{
     Accept, OrderedApply, Propose, PROC_ACCEPT_TIME, PROC_GET_PROPOSED_TIME,
 };
-use transactions::OrderedBroadcastService;
+use transactions::{AppliedOrder, OrderedBroadcastService};
 use wire::{from_bytes, to_bytes};
 
 /// A deterministic app: logs payload bytes.
@@ -112,9 +112,16 @@ proptest! {
         let mut expect: Vec<(u64, u64)> =
             accepted.iter().map(|&(id, t, _)| (t, id)).collect();
         expect.sort();
-        let expect: Vec<u64> = expect.into_iter().map(|(_, id)| id).collect();
+        // The app's own log spells the order out (payload byte 0 is the
+        // message's index + 1); the folded order must be that of the ids.
+        let log: Vec<Vec<u8>> = expect
+            .iter()
+            .map(|&(_, id)| vec![(id - 100) as u8 + 1, 0xAB])
+            .collect();
+        let expect: AppliedOrder = expect.into_iter().map(|(_, id)| id).collect();
         for svc in &members {
             prop_assert_eq!(&svc.applied_order, &expect);
+            prop_assert_eq!(&svc.app().entries, &log);
             prop_assert_eq!(svc.queue_len(), 0);
         }
         // Byte-identical application, not just id agreement.

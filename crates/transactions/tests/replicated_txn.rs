@@ -5,8 +5,8 @@
 use circus::{CircusProcess, ModuleAddr, NodeBuilder, NodeConfig, Troupe, TroupeId};
 use simnet::{Duration, HostId, SockAddr, World};
 use transactions::{
-    Broadcaster, CommitVoterService, ObjId, Op, OrderedApply, OrderedBroadcastService,
-    TroupeStoreService, TxnClient,
+    AppliedOrder, Broadcaster, CommitVoterService, ObjId, Op, OrderedApply,
+    OrderedBroadcastService, TroupeStoreService, TxnClient,
 };
 use wire::{from_bytes, to_bytes};
 
@@ -264,13 +264,15 @@ fn spawn_broadcast_troupe(w: &mut World, n: usize) -> Troupe {
     Troupe::new(id, members)
 }
 
-fn applied_order(w: &World, m: SockAddr) -> Vec<u64> {
+/// What member `m` applied, in order: the folded id order, and the
+/// app's own log of the payloads.
+fn applied_order(w: &World, m: SockAddr) -> (AppliedOrder, Vec<Vec<u8>>) {
     w.with_proc(m, |p: &CircusProcess| {
-        p.node()
+        let s = p
+            .node()
             .service_as::<OrderedBroadcastService<LogApp>>(BCAST_MODULE)
-            .unwrap()
-            .applied_order
-            .clone()
+            .unwrap();
+        (s.applied_order.clone(), s.app().log.clone())
     })
     .unwrap()
 }
@@ -310,7 +312,7 @@ fn ordered_broadcast_identical_order_at_all_members() {
 
     // Every member accepted all 15 messages in the SAME total order.
     let order0 = applied_order(&w, troupe.members[0].addr);
-    assert_eq!(order0.len(), 15);
+    assert_eq!((order0.0.len(), order0.1.len()), (15, 15));
     for m in &troupe.members[1..] {
         assert_eq!(
             applied_order(&w, m.addr),
@@ -356,7 +358,7 @@ fn ordered_broadcast_no_starvation_under_contention() {
         assert!(finished && errors.is_empty(), "broadcaster {s}: {errors:?}");
     }
     let order0 = applied_order(&w, troupe.members[0].addr);
-    assert_eq!(order0.len(), 60);
+    assert_eq!((order0.0.len(), order0.1.len()), (60, 60));
     for m in &troupe.members[1..] {
         assert_eq!(applied_order(&w, m.addr), order0);
     }

@@ -39,7 +39,7 @@ phase() {
   echo "==> $1"
 }
 
-phase "cargo fmt --check (and the shape of the source: audited hash maps, no crates/core/src file over 900 lines, no cargo feature)"
+phase "cargo fmt --check (and the shape of the source: audited hash maps, no crates/core/src file over 900 lines, no cargo feature, no ledger that grows with the run)"
 cargo fmt --all --check
 # A HashMap/HashSet field iterates in a per-process order: each one in the
 # protocol crates says, on the line above it, why that is never observed.
@@ -55,6 +55,13 @@ if grep -rn 'cfg(feature' crates src tests; then
   echo "code conditional on a cargo feature (named above)" >&2
   exit 1
 fi
+# The broadcast and commutative ledgers are bounded by the number of
+# clients (tests/alloc_budget.rs holds them flat); the phrase is how the
+# old, unbounded cache described itself.
+if grep -rn 'grows with the run' crates/transactions/src; then
+  echo "a ledger that admits it grows with the run (named above): bound it" >&2
+  exit 1
+fi
 
 phase "cargo clippy --workspace (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -62,7 +69,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 phase "cargo test --workspace (unit + integration tests, every chaos sweep, adversary corpus, golden files)"
 cargo test --workspace -q
 
-phase "allocation budget (n=3 echo call within its heap-allocation budget, wheel allocates nothing, release)"
+phase "allocation budget (n=3 echo call and library broadcast within their heap-allocation budgets, wheel allocates nothing, ordered_broadcast_heap_is_flat and commutative_heap_is_flat beside the echo's, release)"
 cargo test --release --test alloc_budget -- --nocapture
 
 # benchmark/ is a workspace of its own (path deps on crates/*), so nothing

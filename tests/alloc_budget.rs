@@ -10,7 +10,11 @@
 //!   [`BULK_CALL_BUDGET`]. The budgets move down, never up, in later PRs.
 //! - The same call must leave no heap behind: once every TTL window and
 //!   high-water mark has been passed, 20 000 more calls may grow the live
-//!   heap by at most [`HEAP_GROWTH_BUDGET`] bytes in all.
+//!   heap by at most [`HEAP_GROWTH_BUDGET`] bytes in all. The same holds
+//!   for 20 000 ordered broadcasts and 20 000 commutative requests: what
+//!   a member remembers of a message is bounded by the number of clients.
+//! - One ordered broadcast by the library `Broadcaster` must average at
+//!   most [`BROADCAST_BUDGET`] allocations.
 //! - The timer wheel must not allocate at all over a steady-state
 //!   pop + insert loop.
 
@@ -22,6 +26,12 @@ use rdp::circus::{
     NodeConfig, NodeCtx, Service, ServiceCtx, Step, ThreadId, Troupe, TroupeId,
 };
 use rdp::simnet::{HostId, NetConfig, SockAddr, SyscallCosts, TimerWheel, Until, World};
+use rdp::transactions::{
+    max_time_collation, Accept, Broadcaster, CmOp, CmRequest, CommutativeService, ObjId,
+    OrderedApply, OrderedBroadcastService, Propose, PROC_ACCEPT_TIME, PROC_CM_EXECUTE,
+    PROC_GET_PROPOSED_TIME,
+};
+use rdp::wire::{from_bytes, to_bytes};
 
 /// Allocations per replicated echo call the call path may spend.
 /// Measured: 23.5 (DESIGN.md "Data plane: who allocates what" names each
@@ -32,6 +42,11 @@ const CALL_BUDGET: f64 = 25.0;
 /// The same for an 8 KiB echo call: the 54.5 measured, plus 10 %. Sending
 /// the call once per member spent 65.5.
 const BULK_CALL_BUDGET: f64 = 60.0;
+
+/// Allocations per ordered broadcast (two n=3 calls, an 8-byte payload)
+/// by the library `Broadcaster`. Measured: 67.0; the `Broadcaster` that
+/// cloned the payload five times per broadcast spent five more.
+const BROADCAST_BUDGET: f64 = 69.0;
 
 /// Bytes of live heap 20 000 steady-state echo calls may add. Measured:
 /// −456 (B-tree nodes come and go); the parent of the PR that introduced
@@ -117,6 +132,15 @@ impl Service for Echo {
     }
 }
 
+/// A closed-loop test client: poked with a number of operations to run,
+/// it runs them one at a time, all on one distributed thread (the call
+/// engine numbers calls per thread, and remembers each thread), and
+/// counts the ones done. It keeps no per-operation state, so whatever
+/// grows with the run is the system's.
+trait ClosedLoop: Agent + 'static {
+    fn completed(&self) -> u64;
+}
+
 /// Sequential echo calls; stops issuing once `remaining` reaches zero.
 struct EchoClient {
     troupe: Troupe,
@@ -169,12 +193,19 @@ impl Agent for EchoClient {
     }
 }
 
-/// Runs `calls` more echo calls to completion and returns the number of
-/// heap allocations the whole world made meanwhile.
-fn run_calls(w: &mut World, client: SockAddr, calls: u64) -> u64 {
+impl ClosedLoop for EchoClient {
+    fn completed(&self) -> u64 {
+        self.completed
+    }
+}
+
+/// Has client `A` at `client` run `calls` more operations to completion
+/// and returns the number of heap allocations the whole world made
+/// meanwhile.
+fn run_calls<A: ClosedLoop>(w: &mut World, client: SockAddr, calls: u64) -> u64 {
     let done = |w: &World| {
         w.with_proc(client, |p: &CircusProcess| {
-            p.agent_as::<EchoClient>().map_or(0, |c| c.completed)
+            p.agent_as::<A>().map_or(0, |c| c.completed())
         })
         .unwrap_or(0)
     };
@@ -182,47 +213,67 @@ fn run_calls(w: &mut World, client: SockAddr, calls: u64) -> u64 {
     let before = allocations();
     w.poke(client, calls);
     while done(w) < target {
-        assert!(w.step(), "the echo exchange stalled");
+        assert!(w.step(), "the exchange stalled");
     }
     allocations() - before
 }
 
-/// Spawns the n=3 echo troupe and its one sequential client, which sends
-/// `payload` bytes a call, into `w` and lets the world settle; returns the
-/// client's address.
-fn spawn_echo_rig(w: &mut World, payload: usize) -> SockAddr {
+/// The three member addresses every rig here spawns its troupe on.
+fn member_addrs() -> Vec<SockAddr> {
+    (1..=3).map(|h| SockAddr::new(HostId(h), 70)).collect()
+}
+
+/// Spawns an n=3 troupe of `service()` members and one client process
+/// hosting `agent(troupe)` into `w` and lets the world settle; returns
+/// the client's address.
+fn spawn_rig<S: Service, A: Agent + 'static>(
+    w: &mut World,
+    service: impl Fn() -> S,
+    agent: impl FnOnce(Troupe) -> A,
+) -> SockAddr {
     let id = TroupeId(4242);
-    let members: Vec<SockAddr> = (1..=3).map(|h| SockAddr::new(HostId(h), 70)).collect();
+    let members = member_addrs();
     for &a in &members {
         let p = NodeBuilder::new(a, NodeConfig::default())
-            .service(MODULE, Box::new(Echo))
+            .service(MODULE, Box::new(service()))
             .troupe_id(id)
             .build()
             .expect("valid member node");
         w.spawn(a, Box::new(p));
     }
     let client = SockAddr::new(HostId(10), 50);
-    let agent = EchoClient {
-        troupe: Troupe::new(
-            id,
-            members
-                .iter()
-                .map(|&a| ModuleAddr::new(a, MODULE))
-                .collect(),
-        ),
-        payload,
-        thread: None,
-        remaining: 0,
-        completed: 0,
-        wrong: 0,
-    };
+    let troupe = Troupe::new(
+        id,
+        members
+            .iter()
+            .map(|&a| ModuleAddr::new(a, MODULE))
+            .collect(),
+    );
     let p = NodeBuilder::new(client, NodeConfig::default())
-        .agent(Box::new(agent))
+        .agent(Box::new(agent(troupe)))
         .build()
         .expect("valid client node");
     w.spawn(client, Box::new(p));
     w.run(Until::Idle);
     client
+}
+
+/// Spawns the n=3 echo troupe and its one sequential client, which sends
+/// `payload` bytes a call, into `w` and lets the world settle; returns the
+/// client's address.
+fn spawn_echo_rig(w: &mut World, payload: usize) -> SockAddr {
+    spawn_rig(
+        w,
+        || Echo,
+        |troupe| EchoClient {
+            troupe,
+            payload,
+            thread: None,
+            remaining: 0,
+            completed: 0,
+            wrong: 0,
+        },
+    )
 }
 
 fn assert_every_echo_was_right(w: &World, client: SockAddr) {
@@ -240,8 +291,8 @@ fn assert_call_allocates_at_most(budget: f64, payload: usize) {
     let mut w = World::new(1985);
     let client = spawn_echo_rig(&mut w, payload);
 
-    run_calls(&mut w, client, 200);
-    let spent = run_calls(&mut w, client, 1_000);
+    run_calls::<EchoClient>(&mut w, client, 200);
+    let spent = run_calls::<EchoClient>(&mut w, client, 1_000);
     let per_call = spent as f64 / 1_000.0;
     println!("allocations per n=3 {payload}-byte echo call: {per_call:.2}");
 
@@ -262,33 +313,300 @@ fn replicated_bulk_echo_call_stays_within_its_allocation_budget() {
     assert_call_allocates_at_most(BULK_CALL_BUDGET, 8192);
 }
 
-#[test]
-fn replicated_echo_heap_is_flat() {
-    // The 1985 testbed: a call takes ~61 simulated ms, so the 20 000
-    // warm-up calls span 20 simulated minutes — past the 60 s replay and
-    // done-call TTLs, the span window and every buffer's high-water mark.
-    // Whatever still grows after that grows with the number of calls.
-    const CALLS: u64 = 20_000;
-    let mut w = World::with_config(1985, NetConfig::lan_1985(), SyscallCosts::vax_4_2bsd());
-    let client = spawn_echo_rig(&mut w, 64);
+/// The 1985 testbed, where the heap-flat tests run: an echo call takes
+/// ~61 simulated ms, so 20 000 warm-up operations span 20 simulated
+/// minutes or more — past the 60 s replay and done-call TTLs, the span
+/// window and every buffer's high-water mark. Whatever still grows after
+/// that grows with the number of operations.
+fn testbed_1985() -> World {
+    World::with_config(1985, NetConfig::lan_1985(), SyscallCosts::vax_4_2bsd())
+}
 
-    run_calls(&mut w, client, CALLS);
+/// Warms the rig up with 20 000 of client `A`'s operations, runs 20 000
+/// more and holds the live heap's growth over those to
+/// [`HEAP_GROWTH_BUDGET`].
+fn assert_heap_is_flat<A: ClosedLoop>(w: &mut World, client: SockAddr, what: &str) {
+    const CALLS: u64 = 20_000;
+    run_calls::<A>(w, client, CALLS);
     let warm = live_bytes();
-    println!("live heap after {CALLS} echo calls: {warm} bytes");
+    println!("live heap after {CALLS} {what}: {warm} bytes");
     for step in 1..=4 {
-        run_calls(&mut w, client, CALLS / 4);
+        run_calls::<A>(w, client, CALLS / 4);
         println!(
-            "live heap after {} echo calls: {} bytes",
+            "live heap after {} {what}: {} bytes",
             CALLS + step * CALLS / 4,
             live_bytes()
         );
     }
     let grown = live_bytes() - warm;
-
-    assert_every_echo_was_right(&w, client);
     assert!(
         grown < HEAP_GROWTH_BUDGET,
-        "live heap grew by {grown} bytes over {CALLS} calls (budget {HEAP_GROWTH_BUDGET})"
+        "live heap grew by {grown} bytes over {CALLS} {what} (budget {HEAP_GROWTH_BUDGET})"
+    );
+}
+
+#[test]
+fn replicated_echo_heap_is_flat() {
+    let mut w = testbed_1985();
+    let client = spawn_echo_rig(&mut w, 64);
+    assert_heap_is_flat::<EchoClient>(&mut w, client, "echo calls");
+    assert_every_echo_was_right(&w, client);
+}
+
+/// The broadcast application: a running sum of the 8-byte payloads.
+struct Sum(u64);
+
+impl OrderedApply for Sum {
+    fn apply(&mut self, payload: &[u8]) -> Vec<u8> {
+        self.0 += from_bytes::<u64>(payload).unwrap_or(0);
+        to_bytes(&self.0)
+    }
+}
+
+/// First message id [`BroadcastLoop`] mints.
+const FIRST_MSG_ID: u64 = 1_000;
+
+/// Sequential ordered broadcasts (Figure 5.1's client side), message
+/// `id` carrying `id` as its payload.
+struct BroadcastLoop {
+    troupe: Troupe,
+    thread: Option<ThreadId>,
+    msg_id: u64,
+    accepting: bool,
+    remaining: u64,
+    wrong: u64,
+}
+
+impl BroadcastLoop {
+    fn propose(&mut self, nc: &mut NodeCtx<'_, '_, '_>) {
+        let thread = *self.thread.get_or_insert_with(|| nc.fresh_thread());
+        let troupe = self.troupe.clone();
+        let propose = Propose {
+            msg_id: self.msg_id,
+            payload: to_bytes(&self.msg_id),
+        };
+        nc.call(
+            thread,
+            &troupe,
+            MODULE,
+            PROC_GET_PROPOSED_TIME,
+            to_bytes(&propose),
+            max_time_collation(),
+        );
+    }
+}
+
+impl Agent for BroadcastLoop {
+    fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, tag: u64) {
+        self.remaining = tag;
+        self.propose(nc);
+    }
+
+    fn on_call_done(
+        &mut self,
+        nc: &mut NodeCtx<'_, '_, '_>,
+        _handle: CallHandle,
+        result: Result<Vec<u8>, CallError>,
+    ) {
+        let Ok(bytes) = result else {
+            self.wrong += 1;
+            return;
+        };
+        if self.accepting {
+            self.accepting = false;
+            self.msg_id += 1;
+            self.remaining -= 1;
+            if self.remaining > 0 {
+                self.propose(nc);
+            }
+            return;
+        }
+        self.accepting = true;
+        let (thread, troupe) = (self.thread.expect("proposed on it"), self.troupe.clone());
+        let accept = Accept {
+            msg_id: self.msg_id,
+            accepted_time: from_bytes(&bytes).unwrap_or(0),
+            payload: to_bytes(&self.msg_id),
+        };
+        nc.call(
+            thread,
+            &troupe,
+            MODULE,
+            PROC_ACCEPT_TIME,
+            to_bytes(&accept),
+            CollationPolicy::FirstCome,
+        );
+    }
+}
+
+impl ClosedLoop for BroadcastLoop {
+    fn completed(&self) -> u64 {
+        self.msg_id - FIRST_MSG_ID
+    }
+}
+
+#[test]
+fn ordered_broadcast_heap_is_flat() {
+    let mut w = testbed_1985();
+    let client = spawn_rig(
+        &mut w,
+        || OrderedBroadcastService::new(Sum(0)),
+        |troupe| BroadcastLoop {
+            troupe,
+            thread: None,
+            msg_id: FIRST_MSG_ID,
+            accepting: false,
+            remaining: 0,
+            wrong: 0,
+        },
+    );
+    assert_heap_is_flat::<BroadcastLoop>(&mut w, client, "ordered broadcasts");
+
+    // Let the last accept reach the members the first-come collation did
+    // not wait for, then: everything applied, nothing remembered per
+    // message.
+    w.run(Until::Idle);
+    let (done, wrong) = w
+        .with_proc(client, |p: &CircusProcess| {
+            let c = p.agent_as::<BroadcastLoop>().expect("the client");
+            (c.completed(), c.wrong)
+        })
+        .expect("the client is alive");
+    assert_eq!((done, wrong), (40_000, 0));
+    let sum: u64 = (FIRST_MSG_ID..FIRST_MSG_ID + done).sum();
+    for a in member_addrs() {
+        let view = w.with_proc(a, |p: &CircusProcess| {
+            let s = p
+                .node()
+                .service_as::<OrderedBroadcastService<Sum>>(MODULE)
+                .expect("the member");
+            (
+                s.applied_order.len() as u64,
+                s.app().0,
+                s.id_ranges(),
+                s.retry_cache_len(),
+                s.queue_len(),
+            )
+        });
+        assert_eq!(view, Some((done, sum, 1, 1, 0)), "member {a}");
+    }
+}
+
+/// Sequential commutative requests: one counter increment each.
+struct CommuteLoop {
+    troupe: Troupe,
+    thread: Option<ThreadId>,
+    op_id: u64,
+    remaining: u64,
+    wrong: u64,
+}
+
+impl CommuteLoop {
+    fn submit(&mut self, nc: &mut NodeCtx<'_, '_, '_>) {
+        let thread = *self.thread.get_or_insert_with(|| nc.fresh_thread());
+        let troupe = self.troupe.clone();
+        let req = CmRequest {
+            op_id: self.op_id,
+            ops: vec![CmOp::Incr(ObjId(1), 1)],
+        };
+        nc.call(
+            thread,
+            &troupe,
+            MODULE,
+            PROC_CM_EXECUTE,
+            to_bytes(&req),
+            CollationPolicy::Unanimous,
+        );
+    }
+}
+
+impl Agent for CommuteLoop {
+    fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, tag: u64) {
+        self.remaining = tag;
+        self.submit(nc);
+    }
+
+    fn on_call_done(
+        &mut self,
+        nc: &mut NodeCtx<'_, '_, '_>,
+        _handle: CallHandle,
+        result: Result<Vec<u8>, CallError>,
+    ) {
+        if result.is_err() {
+            self.wrong += 1;
+        }
+        self.op_id += 1;
+        self.remaining -= 1;
+        if self.remaining > 0 {
+            self.submit(nc);
+        }
+    }
+}
+
+impl ClosedLoop for CommuteLoop {
+    fn completed(&self) -> u64 {
+        self.op_id
+    }
+}
+
+#[test]
+fn commutative_heap_is_flat() {
+    let mut w = testbed_1985();
+    let client = spawn_rig(&mut w, CommutativeService::new, |troupe| CommuteLoop {
+        troupe,
+        thread: None,
+        op_id: 0,
+        remaining: 0,
+        wrong: 0,
+    });
+    assert_heap_is_flat::<CommuteLoop>(&mut w, client, "commutative requests");
+
+    let wrong = w.with_proc(client, |p: &CircusProcess| {
+        p.agent_as::<CommuteLoop>().map(|c| c.wrong)
+    });
+    assert_eq!(wrong.flatten(), Some(0));
+    for a in member_addrs() {
+        let view = w.with_proc(a, |p: &CircusProcess| {
+            let s = p
+                .node()
+                .service_as::<CommutativeService>(MODULE)
+                .expect("the member");
+            (s.counter(ObjId(1)), s.applied(), s.id_ranges())
+        });
+        assert_eq!(view, Some((40_000, 40_000, 1)), "member {a}");
+    }
+}
+
+#[test]
+fn library_broadcaster_stays_within_its_allocation_budget() {
+    const WARM: u64 = 200;
+    const TIMED: u64 = 1_000;
+    let mut w = World::new(1985);
+    let script = (0..WARM + TIMED).map(|i| to_bytes(&i)).collect();
+    let client = spawn_rig(
+        &mut w,
+        || OrderedBroadcastService::new(Sum(0)),
+        |troupe| Broadcaster::new(troupe, MODULE, FIRST_MSG_ID, script),
+    );
+    let done = |w: &World| {
+        w.with_proc(client, |p: &CircusProcess| {
+            p.agent_as::<Broadcaster>().map_or(0, |b| b.results.len())
+        })
+        .unwrap_or(0) as u64
+    };
+    w.poke(client, 0);
+    while done(&w) < WARM {
+        assert!(w.step(), "the broadcasts stalled");
+    }
+    let before = allocations();
+    while done(&w) < WARM + TIMED {
+        assert!(w.step(), "the broadcasts stalled");
+    }
+    let per_broadcast = (allocations() - before) as f64 / TIMED as f64;
+    println!("allocations per n=3 ordered broadcast: {per_broadcast:.2}");
+    assert!(
+        per_broadcast <= BROADCAST_BUDGET,
+        "{per_broadcast:.2} allocations per broadcast exceeds the budget of {BROADCAST_BUDGET}"
     );
 }
 

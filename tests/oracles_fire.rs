@@ -2,11 +2,18 @@
 //! damages it behind the oracles' back, and requires the named violation.
 //! An oracle that has never been seen to fail vouches for nothing.
 
-use chaos::{quiesce, Recovery, Violation, Workload, MEMBER_MODULE};
+use chaos::{
+    quiesce, Bcast, ChaosApp, Commute, Quiesced, Recovery, ScenarioOptions, Violation, Workload,
+    MEMBER_MODULE,
+};
 use circus::{CircusProcess, Service, ThreadId};
 use simnet::{HostId, SockAddr};
-use transactions::{CommitRecord, TroupeStoreService};
-use wire::{from_bytes, to_bytes};
+use transactions::broadcast::StateWire;
+use transactions::{
+    AppliedOrder, CommitRecord, CommutativeService, OrderedBroadcastService, TroupeStoreService,
+    RECENT_IDS,
+};
+use wire::{from_bytes, to_bytes, Bytes};
 
 /// What `oracle` reported among `violations`.
 fn reports_of<'a>(violations: &'a [Violation], oracle: &str) -> Vec<&'a str> {
@@ -15,6 +22,133 @@ fn reports_of<'a>(violations: &'a [Violation], oracle: &str) -> Vec<&'a str> {
         .filter(|v| v.oracle == oracle)
         .map(|v| v.detail.as_str())
         .collect()
+}
+
+/// Runs `wl`'s oracles over `q`.
+fn check<W: Workload>(wl: &W, q: &Quiesced) -> Vec<Violation> {
+    let mut violations = Vec::new();
+    wl.check(q, &mut W::Extra::default(), &mut violations);
+    violations
+}
+
+/// Replaces the workload-service state of member `addr` with
+/// `doctor(that state)`, through the service's own `set_state`.
+fn doctor_state<S: Service>(
+    q: &mut Quiesced,
+    addr: SockAddr,
+    doctor: impl FnOnce(Vec<u8>) -> Vec<u8>,
+) {
+    q.world
+        .with_proc_mut(addr, |p: &mut CircusProcess| {
+            let s = p
+                .node_mut()
+                .service_as_mut::<S>(MEMBER_MODULE)
+                .expect("the member runs the workload's service");
+            let state = doctor(s.get_state());
+            s.set_state(&state);
+        })
+        .expect("the member is alive");
+}
+
+/// Requires at least one violation, every one of them `oracle`'s.
+fn assert_only(violations: &[Violation], oracle: &str) {
+    assert!(
+        !violations.is_empty() && violations.iter().all(|v| v.oracle == oracle),
+        "expected {oracle} and only it: {violations:?}"
+    );
+}
+
+#[test]
+fn bcast_oracles_fire_on_a_swapped_order_a_forgotten_id_and_a_hoarded_cache() {
+    type Member = OrderedBroadcastService<ChaosApp>;
+    // Scripts short enough that the recent-ids window is the whole order,
+    // so the test can rebuild the fold of a doctored order exactly.
+    let opts = ScenarioOptions {
+        txns_per_client: 5,
+        ..Bcast::options()
+    };
+    let (mut q, _) = quiesce(&Bcast, 3, &opts);
+    assert!(check(&Bcast, &q).is_empty(), "the scenario starts clean");
+    let victim = q.members[1].addr;
+    let mut clean = Vec::new();
+    doctor_state::<Member>(&mut q, victim, |state| {
+        clean = state.clone();
+        state
+    });
+    let decode = |state: &[u8]| from_bytes::<StateWire>(state).expect("the member's own state");
+
+    // Two applied ids swapped in one member's order: same ids, same
+    // count, same application state bytes — only the fold knows.
+    doctor_state::<Member>(&mut q, victim, |state| {
+        let (app, (count, _, mut ids), set, retry, queue) = decode(&state);
+        assert!(ids.len() as u64 == count && ids.len() <= RECENT_IDS);
+        ids.swap(0, 1);
+        let swapped: AppliedOrder = ids.into_iter().collect();
+        to_bytes(&(app, swapped.to_wire(), set, retry, queue))
+    });
+    let violations = check(&Bcast, &q);
+    assert_only(&violations, "identical-applied-order");
+    assert!(
+        violations
+            .iter()
+            .any(|v| v.detail.contains("applied orders diverge")),
+        "{violations:?}"
+    );
+
+    // One confirmed id gone from one member's applied-id set.
+    doctor_state::<Member>(&mut q, victim, |_| {
+        let (app, order, mut set, retry, queue) = decode(&clean);
+        assert!(set[0].0 < set[0].1, "a client's run of ids");
+        set[0].0 += 1;
+        to_bytes(&(app, order, set, retry, queue))
+    });
+    let violations = check(&Bcast, &q);
+    assert_only(&violations, "no-starvation");
+    assert_eq!(violations.len(), 1, "{violations:?}");
+    assert!(violations[0].detail.contains("never applied it"));
+
+    // A member that remembers every answer it ever gave: one retry-cache
+    // entry per applied id, as the pre-compaction ledger held.
+    doctor_state::<Member>(&mut q, victim, |_| {
+        let (app, order, set, _, queue) = decode(&clean);
+        let hoard: Vec<(u64, u64, u64, Bytes)> = set
+            .iter()
+            .flat_map(|&(lo, hi)| lo..=hi)
+            .map(|id| (0, id, 0, Bytes(Vec::new())))
+            .collect();
+        assert_eq!(hoard.len() as u64, order.0);
+        to_bytes(&(app, order, set, hoard, queue))
+    });
+    let violations = check(&Bcast, &q);
+    assert_only(&violations, "bounded-state");
+    assert_eq!(violations.len(), 1, "{violations:?}");
+    assert!(violations[0].detail.contains("retry-cache entries"));
+
+    doctor_state::<Member>(&mut q, victim, |_| clean.clone());
+    assert!(check(&Bcast, &q).is_empty(), "the clean state is clean");
+}
+
+#[test]
+fn commute_oracle_fires_on_a_forgotten_id() {
+    let (mut q, _) = quiesce(&Commute, 3, &Commute::options());
+    assert!(check(&Commute, &q).is_empty(), "the scenario starts clean");
+    // One confirmed id gone from one member's dedup ledger.
+    let victim = q.members[1].addr;
+    doctor_state::<CommutativeService>(&mut q, victim, |state| {
+        type State = (Vec<(u64, i64)>, Vec<u64>, Vec<(u64, u64)>);
+        let (counters, gset, mut seen) = from_bytes::<State>(&state).expect("the member's state");
+        assert!(seen[0].0 < seen[0].1, "a client's run of ids");
+        seen[0].0 += 1;
+        to_bytes(&(counters, gset, seen))
+    });
+    let violations = check(&Commute, &q);
+    assert_only(&violations, "convergence-without-commit");
+    let reports = reports_of(&violations, "convergence-without-commit");
+    assert!(
+        reports.iter().any(|d| d.contains("never applied it"))
+            && reports.iter().any(|d| d.contains("state digests diverge")),
+        "{violations:?}"
+    );
 }
 
 #[test]
