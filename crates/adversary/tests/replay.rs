@@ -22,7 +22,7 @@ use adversary::AdvInjector;
 use chaos::{
     check_all, run_scenario, PlanOptions, ScenarioOptions, CLIENT_PORT, MEMBER_MODULE, MEMBER_PORT,
 };
-use circus::CircusProcess;
+use circus::testbed::node;
 use simnet::{Duration, SockAddr, Time, World};
 use transactions::TroupeStoreService;
 
@@ -51,22 +51,20 @@ struct Snap {
 }
 
 fn snapshot(w: &World, addr: SockAddr) -> Snap {
-    w.with_proc(addr, |p: &CircusProcess| {
+    node(w, addr, |n| {
         let reg = obs::Registry::new();
-        p.node().publish_metrics(&reg);
+        n.publish_metrics(&reg);
         Snap {
             addr,
             duplicate_call_deliveries: reg.get(&format!("rpc.{addr}.duplicate_call_deliveries")),
             replays_suppressed: reg.get(&format!("rpc.{addr}.replays_suppressed")),
-            conns: p.node().conn_count(),
-            store_digest: p
-                .node()
+            conns: n.conn_count(),
+            store_digest: n
                 .service_as::<TroupeStoreService>(MEMBER_MODULE)
                 .expect("store member exports the store service")
                 .state_digest(),
         }
     })
-    .unwrap_or_else(|| panic!("member {addr} vanished"))
 }
 
 /// Re-delivers `captures` verbatim, lets the world settle, and asserts

@@ -8,7 +8,8 @@
 //! attacker replaying old traffic would present.
 
 use chaos::{run_scenario, ScenarioOptions, MEMBER_MODULE};
-use circus::{CallMessage, CircusProcess, ThreadId, TroupeId};
+use circus::testbed::node;
+use circus::{CallMessage, Node, ThreadId, TroupeId};
 use pairedmsg::{MsgType, Segment};
 use simnet::{Duration, HostId, SockAddr};
 
@@ -18,10 +19,7 @@ fn stale_incarnation_call_is_rejected_without_suspicion() {
     assert_eq!(q.repairs, 2, "seed 2 must exercise the self-heal path");
 
     let member = q.members[0].addr;
-    let current = q
-        .world
-        .with_proc(member, |p: &CircusProcess| p.node().troupe_id())
-        .expect("member alive");
+    let current = node(&q.world, member, Node::troupe_id);
     assert!(current.0 > 1, "store troupe id should have advanced");
     let stale = TroupeId(current.0 - 1);
 
@@ -65,9 +63,6 @@ fn stale_incarnation_call_is_rejected_without_suspicion() {
         "a forged stale call must not evict anyone"
     );
     // The member is still bound under its current incarnation.
-    let after = q
-        .world
-        .with_proc(member, |p: &CircusProcess| p.node().troupe_id())
-        .expect("member still alive");
+    let after = node(&q.world, member, Node::troupe_id);
     assert_eq!(after, current, "rejection must not disturb the binding");
 }

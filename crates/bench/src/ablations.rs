@@ -13,13 +13,12 @@
 //! The third ablation, synchronization schemes under conflict (§5.5),
 //! is a rendering of the BENCH_8 grid: [`crate::bench8::sync_table`].
 
-use circus::{
-    Agent, CallError, CallHandle, CircusProcess, CollationPolicy, NodeBuilder, NodeConfig, NodeCtx,
-    Troupe, TroupeId,
+use circus::testbed::{
+    addr, agent, enqueue, spawn_caller, spawn_troupe, Caller, CountingService, Request, MODULE,
+    PROC_ECHO,
 };
-use simnet::{Ctx, Duration, HostId, Payload, Process, SockAddr, Syscall, Time, TimerId, World};
-
-use crate::testbed::{spawn_troupe, EchoService, MODULE};
+use circus::{CollationPolicy, NodeConfig, TroupeId};
+use simnet::{Ctx, Duration, Payload, Process, SockAddr, Syscall, Time, TimerId, World};
 
 /// A background process that keeps its host's CPU busy with a duty
 /// cycle, simulating a loaded 1985 timesharing machine: everything else
@@ -43,90 +42,46 @@ impl Process for LoadGenerator {
     }
 }
 
-struct PolicyClient {
-    troupe: Troupe,
-    policy: CollationPolicy,
-    remaining: u32,
-    started: Time,
-    pub durations: Vec<Duration>,
-}
-
-impl PolicyClient {
-    fn call_one(&mut self, nc: &mut NodeCtx<'_, '_, '_>) {
-        self.started = nc.now();
-        let thread = nc.fresh_thread();
-        let troupe = self.troupe.clone();
-        nc.call(
-            thread,
-            &troupe,
-            MODULE,
-            0,
-            vec![0u8; 32],
-            self.policy.clone(),
-        );
-    }
-}
-
-impl Agent for PolicyClient {
-    fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, _tag: u64) {
-        self.call_one(nc);
-    }
-
-    fn on_call_done(
-        &mut self,
-        nc: &mut NodeCtx<'_, '_, '_>,
-        _h: CallHandle,
-        _r: Result<Vec<u8>, CallError>,
-    ) {
-        self.durations.push(nc.now().since(self.started));
-        self.remaining -= 1;
-        if self.remaining > 0 {
-            self.call_one(nc);
-        }
-    }
-}
-
 /// Mean latency (ms/call) of a replicated echo to a 3-member troupe with
 /// one member on a machine kept ~75% busy, under the given waiting
 /// policy.
 pub fn run_waiting_policy(policy: CollationPolicy, calls: u32) -> f64 {
     let mut w = World::new(1985);
-    let troupe = spawn_troupe(&mut w, TroupeId(3), 3, &NodeConfig::default(), || {
-        Box::new(EchoService)
-    });
+    let config = NodeConfig::default();
+    let members = [addr(1, 70), addr(2, 70), addr(3, 70)];
+    let troupe = spawn_troupe(
+        &mut w,
+        TroupeId(3),
+        &members,
+        MODULE,
+        &config,
+        None,
+        CountingService::default,
+    );
     // Load down member 3's machine: 60 ms of competing CPU per 80 ms.
     w.spawn(
-        SockAddr::new(HostId(3), 9),
+        addr(3, 9),
         Box::new(LoadGenerator {
             busy: Duration::from_millis(60),
             period: Duration::from_millis(80),
         }),
     );
-    let client = SockAddr::new(HostId(10), 50);
-    let p = NodeBuilder::new(client, NodeConfig::default())
-        .agent(Box::new(PolicyClient {
-            troupe,
-            policy,
-            remaining: calls,
-            started: Time::ZERO,
-            durations: Vec::new(),
-        }))
-        .build()
-        .expect("valid node");
-    w.spawn(client, Box::new(p));
-    w.poke(client, 0);
+    // Back to back, each call on a thread of its own.
+    let client = spawn_caller(&mut w, addr(10, 50), config, None);
+    let echo = Request::new(&troupe, MODULE, PROC_ECHO, vec![0u8; 32]).collate(policy);
+    enqueue(&mut w, client, vec![echo; calls as usize]);
+    w.poke(client, u64::from(calls) - 1);
+    let completed = |w: &World| agent(w, client, |c: &Caller| c.completed.len());
     w.run(simnet::Until::pred(Time::from_secs(36_000), |w| {
-        w.with_proc(client, |p: &CircusProcess| {
-            p.agent_as::<PolicyClient>().unwrap().remaining == 0
-        })
-        .unwrap_or(false)
+        completed(w) == calls as usize
     }));
-    let durations = w
-        .with_proc(client, |p: &CircusProcess| {
-            p.agent_as::<PolicyClient>().unwrap().durations.clone()
-        })
-        .unwrap();
-    durations.iter().map(|d| d.as_millis_f64()).sum::<f64>() / durations.len() as f64
+    let total_ms: f64 = agent(&w, client, |c: &Caller| {
+        c.completed
+            .iter()
+            .map(|c| c.done.since(c.begun).as_millis_f64())
+            .sum()
+    });
+    total_ms / f64::from(calls)
 }
 
 /// Formats the waiting-policy ablation.

@@ -24,15 +24,14 @@
 
 use std::fmt::Write as _;
 
-use circus::{Agent, CircusProcess, NodeBuilder, NodeConfig, Service, Troupe, TroupeId};
-use simnet::{Duration, HostId, SockAddr, Time, World};
+use circus::testbed::{addr, agent, spawn_troupe, MODULE};
+use circus::{Agent, NodeBuilder, NodeConfig, Service, Troupe, TroupeId};
+use simnet::{Duration, SockAddr, Time, World};
 use transactions::{
     Broadcaster, CmClient, CmOp, CommitVoterService, CommutativeService, ObjId, Op, OrderedApply,
     OrderedBroadcastService, TroupeStoreService, TxnClient,
 };
 use wire::{from_bytes, to_bytes};
-
-use crate::testbed::{spawn_troupe, MODULE};
 
 /// A synchronization scheme of chapter 5.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -85,19 +84,26 @@ struct Progress {
 /// The rig every scheme shares: a 3-member troupe of `service()`s,
 /// `clients` nodes each completed by `client(builder, index, troupe)`
 /// around an agent of type `A`, run until every agent reports finished.
-fn run_rig<A: Agent>(
+fn run_rig<A: Agent, S: Service>(
     scheme: Scheme,
     clients: u32,
     config: NodeConfig,
-    service: impl Fn() -> Box<dyn Service>,
+    service: impl FnMut() -> S,
     client: impl Fn(NodeBuilder, u64, &Troupe) -> NodeBuilder,
     progress: impl Fn(&A) -> Progress,
 ) -> Cell {
     let mut w = World::new(42 + clients as u64);
-    let troupe = spawn_troupe(&mut w, TroupeId(7), 3, &config, service);
-    let client_addrs: Vec<SockAddr> = (0..clients)
-        .map(|i| SockAddr::new(HostId(10 + i), 50))
-        .collect();
+    let members = [addr(1, 70), addr(2, 70), addr(3, 70)];
+    let troupe = spawn_troupe(
+        &mut w,
+        TroupeId(7),
+        &members,
+        MODULE,
+        &config,
+        None,
+        service,
+    );
+    let client_addrs: Vec<SockAddr> = (0..clients).map(|i| addr(10 + i, 50)).collect();
     for (i, &a) in client_addrs.iter().enumerate() {
         let p = client(NodeBuilder::new(a, config.clone()), i as u64, &troupe)
             .build()
@@ -107,12 +113,7 @@ fn run_rig<A: Agent>(
     for &a in &client_addrs {
         w.poke(a, 0);
     }
-    let read = |w: &World, a: SockAddr| {
-        w.with_proc(a, |p: &CircusProcess| {
-            progress(p.agent_as::<A>().expect("the client's agent"))
-        })
-        .expect("client process")
-    };
+    let read = |w: &World, a: SockAddr| agent(w, a, &progress);
     w.run(simnet::Until::pred(Time::from_secs(3600), |w| {
         client_addrs.iter().all(|&a| read(w, a).finished)
     }));
@@ -158,7 +159,7 @@ pub fn run(scheme: Scheme, clients: u32) -> Cell {
                 assembly_timeout: Duration::from_millis(1200),
                 ..NodeConfig::default()
             },
-            || Box::new(TroupeStoreService::new(COMMIT_MODULE)),
+            || TroupeStoreService::new(COMMIT_MODULE),
             |b, _, troupe| {
                 let script = vec![vec![Op::Add(ObjId(1), 1)]; OPS_PER_CLIENT];
                 b.agent(Box::new(TxnClient::new(troupe.clone(), MODULE, script)))
@@ -174,7 +175,7 @@ pub fn run(scheme: Scheme, clients: u32) -> Cell {
             scheme,
             clients,
             NodeConfig::default(),
-            || Box::new(OrderedBroadcastService::new(AddApply { total: 0 })),
+            || OrderedBroadcastService::new(AddApply { total: 0 }),
             |b, i, troupe| {
                 let msgs = vec![to_bytes(&1i64); OPS_PER_CLIENT];
                 b.agent(Box::new(Broadcaster::new(
@@ -195,7 +196,7 @@ pub fn run(scheme: Scheme, clients: u32) -> Cell {
             scheme,
             clients,
             NodeConfig::default(),
-            || Box::new(CommutativeService::new()),
+            CommutativeService::new,
             |b, i, troupe| {
                 let script = vec![vec![CmOp::Incr(ObjId(1), 1)]; OPS_PER_CLIENT];
                 b.agent(Box::new(CmClient::new(

@@ -6,10 +6,11 @@
 //! split — exactly the quantities of Table 4.1, produced by actually
 //! running the protocols in the simulated testbed.
 
-use circus::{
-    Agent, CallError, CallHandle, CircusProcess, CollationPolicy, ModuleAddr, NodeBuilder,
-    NodeConfig, NodeCtx, Service, ServiceCtx, Step, Troupe, TroupeId,
+use circus::testbed::{
+    addr, agent, enqueue, spawn_caller, spawn_troupe, Caller, CountingService, Request, MODULE,
+    PROC_ECHO,
 };
+use circus::{NodeConfig, ThreadId, TroupeId};
 use simnet::{
     CpuView, Ctx, Duration, HostId, NetConfig, Payload, Process, SockAddr, Syscall, SyscallCosts,
     Time, World,
@@ -183,124 +184,37 @@ pub fn run_tcp_echo(calls: u32) -> EchoResult {
 // Circus replicated echo (Figure 4.7).
 // ---------------------------------------------------------------------
 
-/// The rpctest echo service of Figure 4.7.
-pub(crate) struct EchoService;
-
-impl Service for EchoService {
-    fn dispatch(&mut self, _ctx: &mut ServiceCtx, _proc: u16, args: &[u8]) -> Step {
-        Step::Reply(args.to_vec())
-    }
-}
-
-/// The rpctest client: sequential replicated echo calls, each begun when
-/// the last completes — or, `paced`, one per poke.
-struct RpcClient {
-    troupe: Troupe,
-    remaining: u32,
-    paced: bool,
-    thread: Option<circus::ThreadId>,
-    started: Time,
-    finished: Option<Time>,
-    failures: u32,
-}
-
-impl RpcClient {
-    fn call_one(&mut self, nc: &mut NodeCtx<'_, '_, '_>) {
-        let thread = match self.thread {
-            Some(t) => t,
-            None => {
-                let t = nc.fresh_thread();
-                self.thread = Some(t);
-                t
-            }
-        };
-        let troupe = self.troupe.clone();
-        nc.call(
-            thread,
-            &troupe,
-            MODULE,
-            0,
-            vec![0u8; PAYLOAD],
-            CollationPolicy::Unanimous,
-        );
-    }
-}
-
-impl Agent for RpcClient {
-    fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, _tag: u64) {
-        self.started = nc.now();
-        self.call_one(nc);
-    }
-
-    fn on_call_done(
-        &mut self,
-        nc: &mut NodeCtx<'_, '_, '_>,
-        _handle: CallHandle,
-        result: Result<Vec<u8>, CallError>,
-    ) {
-        if result.is_err() {
-            self.failures += 1;
-        }
-        self.remaining -= 1;
-        if self.remaining == 0 {
-            self.finished = Some(nc.now());
-        } else if !self.paced {
-            self.call_one(nc);
-        }
-    }
-}
-
-/// The module number every rig's troupe exports its service as.
-pub(crate) const MODULE: u16 = 1;
-
-/// Spawns a troupe of `replicas` members, one `service()` each, on
-/// hosts `1..=replicas`, and returns it.
-pub(crate) fn spawn_troupe(
-    w: &mut World,
-    id: TroupeId,
-    replicas: usize,
-    config: &NodeConfig,
-    service: impl Fn() -> Box<dyn Service>,
-) -> Troupe {
-    let members = (1..=replicas as u32)
-        .map(|h| {
-            let a = SockAddr::new(HostId(h), 70);
-            let p = NodeBuilder::new(a, config.clone())
-                .service(MODULE, service())
-                .troupe_id(id)
-                .build()
-                .expect("valid node");
-            w.spawn(a, Box::new(p));
-            ModuleAddr::new(a, MODULE)
-        })
-        .collect();
-    Troupe::new(id, members)
-}
-
-/// Spawns the rpctest client, with `calls` echo calls to make of
-/// `troupe`, and returns its address.
-fn spawn_rpc_client(
-    w: &mut World,
-    config: NodeConfig,
-    troupe: Troupe,
-    calls: u32,
-    paced: bool,
-) -> SockAddr {
-    let client = SockAddr::new(HostId(0), 100);
-    let p = NodeBuilder::new(client, config)
-        .agent(Box::new(RpcClient {
-            troupe,
-            remaining: calls,
-            paced,
-            thread: None,
-            started: Time::ZERO,
-            finished: None,
-            failures: 0,
-        }))
-        .build()
-        .expect("valid node");
-    w.spawn(client, Box::new(p));
+/// The rpctest rig of Figure 4.7: a troupe of `replicas` echo servers on
+/// hosts `1..=replicas` and one client on host 0 with `calls` echo calls
+/// queued, all on one distributed thread. Returns the client's address.
+fn spawn_rpctest(w: &mut World, config: NodeConfig, replicas: usize, calls: u32) -> SockAddr {
+    let members: Vec<SockAddr> = (1..=replicas as u32).map(|h| addr(h, 70)).collect();
+    let troupe = spawn_troupe(
+        w,
+        TroupeId(4242),
+        &members,
+        MODULE,
+        &config,
+        None,
+        CountingService::default,
+    );
+    let client = spawn_caller(w, addr(0, 100), config, None);
+    let thread = ThreadId {
+        origin: client,
+        serial: 1,
+    };
+    let echo = Request::new(&troupe, MODULE, PROC_ECHO, vec![0u8; PAYLOAD]).on(thread);
+    enqueue(w, client, vec![echo; calls as usize]);
     client
+}
+
+/// Requires the rpctest client to have finished all of its `calls`, every
+/// one successfully.
+fn assert_all_echoed(w: &World, client: SockAddr, calls: u32) {
+    let ok = agent(w, client, |c: &Caller| {
+        c.completed.iter().filter(|c| c.result.is_ok()).count()
+    });
+    assert_eq!(ok, calls as usize, "every echo call must succeed");
 }
 
 /// Runs the Circus replicated echo at the given degree of replication,
@@ -320,24 +234,17 @@ pub fn run_circus_echo_mode(replicas: usize, calls: u32, multicast: bool) -> Ech
         multicast_small_calls: multicast,
         ..NodeConfig::default()
     };
-    let troupe = spawn_troupe(&mut w, TroupeId(4242), replicas, &config, || {
-        Box::new(EchoService)
-    });
-    let client = spawn_rpc_client(&mut w, config, troupe, calls, false);
-    w.poke(client, 0);
+    let client = spawn_rpctest(&mut w, config, replicas, calls);
+    // Back to back: each call begun when the last completes.
+    w.poke(client, u64::from(calls) - 1);
+    let completed = |w: &World| agent(w, client, |c: &Caller| c.completed.len());
     w.run(simnet::Until::pred(Time::from_secs(36_000), |w| {
-        w.with_proc(client, |p: &CircusProcess| {
-            p.agent_as::<RpcClient>().unwrap().finished.is_some()
-        })
-        .unwrap_or(false)
+        completed(w) == calls as usize
     }));
-    let (started, finished, failures) = w
-        .with_proc(client, |p: &CircusProcess| {
-            let c = p.agent_as::<RpcClient>().unwrap();
-            (c.started, c.finished.expect("finished"), c.failures)
-        })
-        .unwrap();
-    assert_eq!(failures, 0, "echo calls must not fail");
+    assert_all_echoed(&w, client, calls);
+    let (started, finished) = agent(&w, client, |c: &Caller| {
+        (c.completed[0].begun, c.completed[calls as usize - 1].done)
+    });
     EchoResult::from_account(w.cpu(client), finished.since(started), calls)
 }
 
@@ -364,13 +271,11 @@ pub fn run_paced_echo(replicas: usize, calls: u32, gap: Duration) -> PacedResult
     /// Periods run before the measured ones.
     const WARMUP: u32 = 4;
     let mut w = world();
-    let config = NodeConfig::default();
-    let troupe = spawn_troupe(&mut w, TroupeId(4242), replicas, &config, || {
-        Box::new(EchoService)
-    });
-    let members: Vec<SockAddr> = troupe.members.iter().map(|m| m.addr).collect();
-    let client = spawn_rpc_client(&mut w, config, troupe, WARMUP + calls, true);
-    let everyone: Vec<SockAddr> = members.into_iter().chain([client]).collect();
+    let client = spawn_rpctest(&mut w, NodeConfig::default(), replicas, WARMUP + calls);
+    let everyone: Vec<SockAddr> = (1..=replicas as u32)
+        .map(|h| addr(h, 70))
+        .chain([client])
+        .collect();
     let periods = |w: &mut World, n: u32| {
         for _ in 0..n {
             w.poke(client, 0);
@@ -392,13 +297,7 @@ pub fn run_paced_echo(replicas: usize, calls: u32, gap: Duration) -> PacedResult
     let before = counters(&w);
     periods(&mut w, calls);
     let after = counters(&w);
-    let (finished, failures) = w
-        .with_proc(client, |p: &CircusProcess| {
-            let c = p.agent_as::<RpcClient>().unwrap();
-            (c.finished.is_some(), c.failures)
-        })
-        .unwrap();
-    assert!(finished && failures == 0, "every paced call completes");
+    assert_all_echoed(&w, client, WARMUP + calls);
     let cpus: Vec<CpuView> = everyone.iter().map(|&a| w.cpu(a)).collect();
     let per_call = |total: f64| total / calls as f64;
     PacedResult {

@@ -67,10 +67,7 @@ pub struct ChaosApp {
 
 impl OrderedApply for ChaosApp {
     fn apply(&mut self, payload: &[u8]) -> Vec<u8> {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in payload {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        let h = obs::fnv1a(payload);
         self.total = self.total.wrapping_mul(31).wrapping_add(h);
         self.count += 1;
         to_bytes(&self.count)

@@ -211,10 +211,9 @@ impl<P: Protocol> Client<P> {
         };
         self.pending = Some(Pending::Binding);
         let thread = nc.fresh_thread();
-        let binder = self.binder.clone();
         nc.call(
             thread,
-            &binder,
+            &self.binder,
             BINDING_MODULE,
             proc,
             args,

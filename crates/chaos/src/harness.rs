@@ -24,17 +24,13 @@
 
 use std::fmt;
 
-use circus::binding::{binding_procs, BINDING_MODULE};
-use circus::{
-    Agent, CallError, CallHandle, CircusProcess, CollationPolicy, ModuleAddr, NodeBuilder,
-    NodeConfig, NodeCtx, Service, Troupe, TroupeId,
-};
+use circus::testbed::{agent, enqueue, spawn_caller, Caller};
+use circus::{CircusProcess, ModuleAddr, NodeBuilder, NodeConfig, Service};
 use configlang::{ConfigManager, Machine, Universe, Value};
-use ringmaster::{spawn_ringmaster, RegisterTroupe, SpareAgent, SpareService, SPARE_CTL_MODULE};
+use ringmaster::{registration, spawn_ringmaster, SpareAgent, SpareService, SPARE_CTL_MODULE};
 use simnet::{
     Duration, HostId, NetConfig, SimRng, SockAddr, SyscallCosts, TraceRing, Until, World,
 };
-use wire::{from_bytes, to_bytes};
 
 use crate::client::{Client, Protocol};
 use crate::drive::Driver;
@@ -226,41 +222,6 @@ impl Quiesced {
     }
 }
 
-/// Registers the workload troupe with the Ringmaster from a third-party
-/// administrative process (§6.3: clients need only the binding agent's
-/// well-known address).
-struct Registrar {
-    binder: Troupe,
-    req: RegisterTroupe,
-    id: Option<TroupeId>,
-}
-
-impl Agent for Registrar {
-    fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, _tag: u64) {
-        let t = nc.fresh_thread();
-        let binder = self.binder.clone();
-        nc.call(
-            t,
-            &binder,
-            BINDING_MODULE,
-            binding_procs::REGISTER_TROUPE,
-            to_bytes(&self.req),
-            CollationPolicy::Majority,
-        );
-    }
-
-    fn on_call_done(
-        &mut self,
-        _nc: &mut NodeCtx<'_, '_, '_>,
-        _h: CallHandle,
-        result: Result<Vec<u8>, CallError>,
-    ) {
-        if let Ok(bytes) = result {
-            self.id = from_bytes(&bytes).ok();
-        }
-    }
-}
-
 /// `true` once every client has finished its script (or failed hard).
 pub fn clients_finished<P: Protocol>(w: &World, clients: &[SockAddr]) -> bool {
     clients.iter().all(|&c| {
@@ -351,26 +312,17 @@ pub fn quiesce<W: Workload>(wl: &W, seed: u64, opts: &ScenarioOptions) -> (Quies
         w.spawn(addr, Box::new(p));
     }
 
+    // The troupe is registered from a third-party administrative process
+    // (§6.3: clients need only the binding agent's well-known address).
     let registrar = SockAddr::new(HostId(90), CLIENT_PORT);
-    let p = NodeBuilder::new(registrar, config.clone())
-        .agent(Box::new(Registrar {
-            binder: rm.clone(),
-            req: RegisterTroupe {
-                name: W::TROUPE.into(),
-                members: members.clone(),
-            },
-            id: None,
-        }))
-        .build()
-        .expect("valid node");
-    w.spawn(registrar, Box::new(p));
+    spawn_caller(&mut w, registrar, config.clone(), None);
+    enqueue(&mut w, registrar, [registration(&rm, W::TROUPE, &members)]);
     w.poke(registrar, 0);
     let deadline = w.now() + Duration::from_micros(30_000_000);
     let registered = w.run(Until::pred(deadline, |w| {
-        w.with_proc(registrar, |p: &CircusProcess| {
-            p.agent_as::<Registrar>().is_some_and(|r| r.id.is_some())
+        agent(w, registrar, |r: &Caller| {
+            r.completed.iter().any(|c| c.result.is_ok())
         })
-        .unwrap_or(false)
     }));
     if !registered {
         warnings.push(format!("{} troupe never registered", W::TROUPE));

@@ -61,17 +61,10 @@ impl Conns {
             // so retransmissions of different connections decorrelate
             // deterministically under a fixed simulation seed.
             let mut pm = pm.clone();
-            let mut h = 0xcbf2_9ce4_8422_2325u64;
-            let host = me.host.0.to_le_bytes().into_iter();
-            for b in host
-                .chain(me.port.to_le_bytes())
-                .chain(addr.host.0.to_le_bytes())
-                .chain(addr.port.to_le_bytes())
-            {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-            pm.jitter_seed ^= h;
+            let h = obs::fnv1a(&me.host.0.to_le_bytes());
+            let h = obs::fnv1a_fold(h, &me.port.to_le_bytes());
+            let h = obs::fnv1a_fold(h, &addr.host.0.to_le_bytes());
+            pm.jitter_seed ^= obs::fnv1a_fold(h, &addr.port.to_le_bytes());
             Conn {
                 id,
                 endpoint: Endpoint::new(pm),

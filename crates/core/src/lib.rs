@@ -23,7 +23,10 @@
 //! - [`model`] — Chapter 3's formal semantics (event sequences, balanced
 //!   intervals, Theorems 3.4 and 3.7), executable and property-tested;
 //! - [`runtime::CircusProcess`] — the `simnet` driver and the [`runtime::Agent`]
-//!   trait for application code.
+//!   trait for application code;
+//! - [`testbed`] — what tests, examples and experiments stand their
+//!   troupes up with and drive their calls through: one spawn, one
+//!   counting echo service, one scripted client agent, a blocking `call`.
 //!
 //! When every troupe has one member, the system degenerates to a
 //! conventional remote procedure call facility (§4.1).
@@ -43,6 +46,7 @@ mod netio;
 pub mod node;
 pub mod runtime;
 pub mod service;
+pub mod testbed;
 pub mod thread;
 
 pub use addr::{ModuleAddr, Troupe, TroupeId};

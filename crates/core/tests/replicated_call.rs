@@ -2,18 +2,81 @@
 //! one-to-many, many-to-one, many-to-many, crashes, collators, nested
 //! calls, and binding invalidation.
 
-mod common;
-
+use circus::testbed::*;
 use circus::{
-    Agent, CallError, CircusProcess, CollationPolicy, ModuleAddr, NodeBuilder, NodeConfig, NodeCtx,
-    OutCall, Service, ServiceCtx, Step, Troupe, TroupeId, TroupeTarget,
+    CallError, CollationPolicy, NodeConfig, OutCall, Service, ServiceCtx, Step, ThreadId, Troupe,
+    TroupeId, TroupeTarget,
 };
-use common::*;
-use simnet::{Duration, HostId, World};
+use simnet::{Duration, HostId, SockAddr, World};
 use wire::{from_bytes, to_bytes};
 
 fn run(world: &mut World, d: u64) {
     world.run(simnet::Until::Elapsed(Duration::from_secs(d)));
+}
+
+/// Spawns `n` members at port 70 of hosts `first_host..`, each exporting
+/// `service()` as [`MODULE`], as troupe `id`.
+fn spawn_members<S: Service>(
+    world: &mut World,
+    id: u64,
+    first_host: u32,
+    n: u32,
+    service: impl FnMut() -> S,
+) -> Troupe {
+    let addrs: Vec<SockAddr> = (first_host..first_host + n).map(|h| addr(h, 70)).collect();
+    let config = NodeConfig::default();
+    spawn_troupe(world, TroupeId(id), &addrs, MODULE, &config, None, service)
+}
+
+/// Spawns a server troupe of `CountingService`s.
+fn spawn_server_troupe(world: &mut World, id: u64, first_host: u32, n: u32) -> Troupe {
+    spawn_members(world, id, first_host, n, CountingService::default)
+}
+
+/// Spawns the unreplicated client, at host 100, with `script` queued: one
+/// call per poke.
+fn spawn_client(world: &mut World, script: Vec<Request>) -> SockAddr {
+    let client = spawn_caller(world, addr(100, 200), NodeConfig::default(), None);
+    enqueue(world, client, script);
+    client
+}
+
+/// Spawns a replicated client: troupe `id` with a member at port 50 of
+/// each of `hosts`, every member about to make `request` on the troupe's
+/// one thread. Returns the members' addresses.
+fn spawn_client_troupe(
+    world: &mut World,
+    id: u64,
+    hosts: &[u32],
+    request: Request,
+) -> Vec<SockAddr> {
+    let addrs: Vec<SockAddr> = hosts.iter().map(|&h| addr(h, 50)).collect();
+    let config = NodeConfig::default();
+    spawn_troupe(
+        world,
+        TroupeId(id),
+        &addrs,
+        MODULE,
+        &config,
+        None,
+        CountingService::default,
+    );
+    let thread = ThreadId {
+        origin: addr(200, 1),
+        serial: 1,
+    };
+    for &a in &addrs {
+        enqueue(world, a, [request.clone().on(thread)]);
+    }
+    addrs
+}
+
+/// Tells the member at `server` that client troupe `id` is `members`
+/// (§4.3.2; the binding-agent path is tested in `ringmaster`).
+fn introduce(world: &mut World, server: SockAddr, id: u64, members: &[SockAddr]) {
+    node_mut(world, server, |n| {
+        n.preload_directory(TroupeId(id), members.to_vec())
+    });
 }
 
 #[test]
@@ -22,18 +85,12 @@ fn unreplicated_call_works_like_rpc() {
     let troupe = spawn_server_troupe(&mut w, 10, 1, 1);
     let client = spawn_client(
         &mut w,
-        vec![Request {
-            troupe: troupe.clone(),
-            module: MODULE,
-            proc: PROC_ECHO,
-            args: b"hello".to_vec(),
-            collation: CollationPolicy::Unanimous,
-        }],
+        vec![Request::new(&troupe, MODULE, PROC_ECHO, b"hello".to_vec())],
     );
     w.poke(client, 0);
     run(&mut w, 5);
-    assert_eq!(client_results(&w, client), vec![Ok(b"hello".to_vec())]);
-    assert_eq!(executions(&w, troupe.members[0].addr), 1);
+    assert_eq!(results(&w, client), vec![Ok(b"hello".to_vec())]);
+    assert_eq!(executions(&w, troupe.members[0]), 1);
     assert_quiescent(&w);
 }
 
@@ -43,22 +100,16 @@ fn one_to_many_executes_at_every_member() {
     let troupe = spawn_server_troupe(&mut w, 10, 1, 3);
     let client = spawn_client(
         &mut w,
-        vec![Request {
-            troupe: troupe.clone(),
-            module: MODULE,
-            proc: PROC_ADD,
-            args: to_bytes(&7u32),
-            collation: CollationPolicy::Unanimous,
-        }],
+        vec![Request::new(&troupe, MODULE, PROC_ADD, to_bytes(&7u32))],
     );
     w.poke(client, 0);
     run(&mut w, 5);
-    let results = client_results(&w, client);
+    let results = results(&w, client);
     assert_eq!(results.len(), 1);
     assert_eq!(from_bytes::<u32>(results[0].as_ref().unwrap()).unwrap(), 7);
     // Exactly-once at ALL replicas (§4.1).
-    for m in &troupe.members {
-        assert_eq!(executions(&w, m.addr), 1);
+    for &m in &troupe.members {
+        assert_eq!(executions(&w, m), 1);
     }
     assert_quiescent(&w);
 }
@@ -67,19 +118,13 @@ fn one_to_many_executes_at_every_member() {
 fn sequential_calls_have_consistent_state() {
     let mut w = world(3);
     let troupe = spawn_server_troupe(&mut w, 10, 1, 3);
-    let req = |n: u32| Request {
-        troupe: troupe.clone(),
-        module: MODULE,
-        proc: PROC_ADD,
-        args: to_bytes(&n),
-        collation: CollationPolicy::Unanimous,
-    };
+    let req = |n: u32| Request::new(&troupe, MODULE, PROC_ADD, to_bytes(&n));
     let client = spawn_client(&mut w, vec![req(1), req(2), req(3)]);
     for _ in 0..3 {
         w.poke(client, 0);
         run(&mut w, 5);
     }
-    let results = client_results(&w, client);
+    let results = results(&w, client);
     let totals: Vec<u32> = results
         .iter()
         .map(|r| from_bytes(r.as_ref().unwrap()).unwrap())
@@ -94,18 +139,12 @@ fn deterministic_error_propagates() {
     let troupe = spawn_server_troupe(&mut w, 10, 1, 3);
     let client = spawn_client(
         &mut w,
-        vec![Request {
-            troupe,
-            module: MODULE,
-            proc: PROC_FAIL,
-            args: Vec::new(),
-            collation: CollationPolicy::Unanimous,
-        }],
+        vec![Request::new(&troupe, MODULE, PROC_FAIL, Vec::new())],
     );
     w.poke(client, 0);
     run(&mut w, 5);
     assert_eq!(
-        client_results(&w, client),
+        results(&w, client),
         vec![Err(CallError::Remote("deterministic failure".into()))]
     );
     assert_quiescent(&w);
@@ -117,20 +156,11 @@ fn unanimous_detects_nondeterminism() {
     let troupe = spawn_server_troupe(&mut w, 10, 1, 3);
     let client = spawn_client(
         &mut w,
-        vec![Request {
-            troupe,
-            module: MODULE,
-            proc: PROC_NONDET,
-            args: Vec::new(),
-            collation: CollationPolicy::Unanimous,
-        }],
+        vec![Request::new(&troupe, MODULE, PROC_NONDET, Vec::new())],
     );
     w.poke(client, 0);
     run(&mut w, 5);
-    assert_eq!(
-        client_results(&w, client),
-        vec![Err(CallError::Disagreement)]
-    );
+    assert_eq!(results(&w, client), vec![Err(CallError::Disagreement)]);
     assert_quiescent(&w);
 }
 
@@ -140,17 +170,12 @@ fn first_come_ignores_nondeterminism() {
     let troupe = spawn_server_troupe(&mut w, 10, 1, 3);
     let client = spawn_client(
         &mut w,
-        vec![Request {
-            troupe,
-            module: MODULE,
-            proc: PROC_NONDET,
-            args: Vec::new(),
-            collation: CollationPolicy::FirstCome,
-        }],
+        vec![Request::new(&troupe, MODULE, PROC_NONDET, Vec::new())
+            .collate(CollationPolicy::FirstCome)],
     );
     w.poke(client, 0);
     run(&mut w, 5);
-    let results = client_results(&w, client);
+    let results = results(&w, client);
     assert_eq!(results.len(), 1);
     assert!(results[0].is_ok());
     assert_quiescent(&w);
@@ -164,23 +189,18 @@ fn crash_of_one_member_is_masked() {
     w.crash_host(HostId(2));
     let client = spawn_client(
         &mut w,
-        vec![Request {
-            troupe: troupe.clone(),
-            module: MODULE,
-            proc: PROC_ECHO,
-            args: b"still here".to_vec(),
-            collation: CollationPolicy::Unanimous,
-        }],
+        vec![Request::new(
+            &troupe,
+            MODULE,
+            PROC_ECHO,
+            b"still here".to_vec(),
+        )],
     );
     w.poke(client, 0);
     run(&mut w, 60); // Crash detection needs probe timeouts.
-    assert_eq!(client_results(&w, client), vec![Ok(b"still here".to_vec())]);
+    assert_eq!(results(&w, client), vec![Ok(b"still here".to_vec())]);
     // The client should have been notified of the dead member.
-    let dead = w
-        .with_proc(client, |p: &CircusProcess| {
-            p.agent_as::<TestClient>().unwrap().dead_members.clone()
-        })
-        .unwrap();
+    let dead = agent(&w, client, |c: &Caller| c.dead_members.clone());
     assert_eq!(dead, vec![addr(2, 70)]);
     assert_quiescent(&w);
 }
@@ -194,20 +214,11 @@ fn total_failure_reported() {
     }
     let client = spawn_client(
         &mut w,
-        vec![Request {
-            troupe,
-            module: MODULE,
-            proc: PROC_ECHO,
-            args: Vec::new(),
-            collation: CollationPolicy::Unanimous,
-        }],
+        vec![Request::new(&troupe, MODULE, PROC_ECHO, Vec::new())],
     );
     w.poke(client, 0);
     run(&mut w, 120);
-    assert_eq!(
-        client_results(&w, client),
-        vec![Err(CallError::AllMembersDead)]
-    );
+    assert_eq!(results(&w, client), vec![Err(CallError::AllMembersDead)]);
     assert_quiescent(&w);
 }
 
@@ -220,26 +231,17 @@ fn majority_collation_masks_one_divergent_member() {
     // cannot: hosts differ. Use PROC_ECHO for 2 members and corrupt one
     // member's state so PROC_ADD diverges.
     let divergent = troupe.members[2].addr;
-    w.with_proc_mut(divergent, |p: &mut CircusProcess| {
-        p.node_mut()
-            .service_as_mut::<CountingService>(MODULE)
-            .unwrap()
-            .total = 100;
-    })
-    .unwrap();
+    service_mut(&mut w, divergent, MODULE, |s: &mut CountingService| {
+        s.total = 100
+    });
     let client = spawn_client(
         &mut w,
-        vec![Request {
-            troupe,
-            module: MODULE,
-            proc: PROC_ADD,
-            args: to_bytes(&1u32),
-            collation: CollationPolicy::Majority,
-        }],
+        vec![Request::new(&troupe, MODULE, PROC_ADD, to_bytes(&1u32))
+            .collate(CollationPolicy::Majority)],
     );
     w.poke(client, 0);
     run(&mut w, 5);
-    let results = client_results(&w, client);
+    let results = results(&w, client);
     assert_eq!(
         from_bytes::<u32>(results[0].as_ref().unwrap()).unwrap(),
         1,
@@ -256,24 +258,18 @@ fn stale_binding_rejected() {
     troupe.id = TroupeId(9999);
     let client = spawn_client(
         &mut w,
-        vec![Request {
-            troupe,
-            module: MODULE,
-            proc: PROC_ECHO,
-            args: Vec::new(),
-            collation: CollationPolicy::Unanimous,
-        }],
+        vec![Request::new(&troupe, MODULE, PROC_ECHO, Vec::new())],
     );
     w.poke(client, 0);
     run(&mut w, 5);
     assert_eq!(
-        client_results(&w, client),
+        results(&w, client),
         vec![Err(CallError::StaleBinding(Some(TroupeId(10))))]
     );
     // No member executed the call (§6.2: such calls "cannot be allowed
     // to succeed").
-    for h in 1..=3 {
-        assert_eq!(executions(&w, addr(h, 70)), 0);
+    for h in 0..3 {
+        assert_eq!(executions(&w, troupe.members[h]), 0);
     }
     assert_quiescent(&w);
 }
@@ -285,37 +281,10 @@ fn many_to_one_executes_once_and_answers_all() {
     // (§4.3.2).
     let mut w = world(11);
     let server = spawn_server_troupe(&mut w, 20, 1, 1);
-    let client_troupe_id = TroupeId(30);
-    let thread = circus::ThreadId {
-        origin: addr(200, 1),
-        serial: 1,
-    };
-    let mut client_addrs = Vec::new();
-    for i in 0..3u32 {
-        let a = addr(10 + i, 50);
-        let agent = TestClient::new(vec![Request {
-            troupe: server.clone(),
-            module: MODULE,
-            proc: PROC_ADD,
-            args: to_bytes(&5u32),
-            collation: CollationPolicy::Unanimous,
-        }])
-        .with_thread(thread);
-        let p = NodeBuilder::new(a, NodeConfig::default())
-            .agent(Box::new(agent))
-            .troupe_id(client_troupe_id)
-            .build()
-            .expect("valid node");
-        w.spawn(a, Box::new(p));
-        client_addrs.push(a);
-    }
-    // The server must know the client troupe's membership (§4.3.2);
-    // preload its directory (the binding-agent path is tested separately).
-    w.with_proc_mut(server.members[0].addr, |p: &mut CircusProcess| {
-        p.node_mut()
-            .preload_directory(client_troupe_id, client_addrs.clone());
-    })
-    .unwrap();
+    let add = Request::new(&server, MODULE, PROC_ADD, to_bytes(&5u32));
+    let client_addrs = spawn_client_troupe(&mut w, 30, &[10, 11, 12], add);
+    // The server must know the client troupe's membership (§4.3.2).
+    introduce(&mut w, server.members[0].addr, 30, &client_addrs);
 
     for &a in &client_addrs {
         w.poke(a, 0);
@@ -323,10 +292,10 @@ fn many_to_one_executes_once_and_answers_all() {
     run(&mut w, 5);
 
     // Exactly once at the server despite three call messages.
-    assert_eq!(executions(&w, server.members[0].addr), 1);
+    assert_eq!(executions(&w, server.members[0]), 1);
     // Every client member received the result.
     for &a in &client_addrs {
-        let results = client_results(&w, a);
+        let results = results(&w, a);
         assert_eq!(results.len(), 1, "client {a} missing result");
         assert_eq!(from_bytes::<u32>(results[0].as_ref().unwrap()).unwrap(), 5);
     }
@@ -339,47 +308,21 @@ fn many_to_many_call() {
     // member executes once; each client member gets a result (§4.3.3).
     let mut w = world(12);
     let server = spawn_server_troupe(&mut w, 20, 1, 3);
-    let client_troupe_id = TroupeId(30);
-    let thread = circus::ThreadId {
-        origin: addr(200, 1),
-        serial: 9,
-    };
-    let mut client_addrs = Vec::new();
-    for i in 0..2u32 {
-        let a = addr(10 + i, 50);
-        let agent = TestClient::new(vec![Request {
-            troupe: server.clone(),
-            module: MODULE,
-            proc: PROC_ADD,
-            args: to_bytes(&3u32),
-            collation: CollationPolicy::Unanimous,
-        }])
-        .with_thread(thread);
-        let p = NodeBuilder::new(a, NodeConfig::default())
-            .agent(Box::new(agent))
-            .troupe_id(client_troupe_id)
-            .build()
-            .expect("valid node");
-        w.spawn(a, Box::new(p));
-        client_addrs.push(a);
-    }
+    let add = Request::new(&server, MODULE, PROC_ADD, to_bytes(&3u32));
+    let client_addrs = spawn_client_troupe(&mut w, 30, &[10, 11], add);
     for m in &server.members {
-        let addrs = client_addrs.clone();
-        w.with_proc_mut(m.addr, |p: &mut CircusProcess| {
-            p.node_mut().preload_directory(client_troupe_id, addrs);
-        })
-        .unwrap();
+        introduce(&mut w, m.addr, 30, &client_addrs);
     }
     for &a in &client_addrs {
         w.poke(a, 0);
     }
     run(&mut w, 5);
 
-    for m in &server.members {
-        assert_eq!(executions(&w, m.addr), 1);
+    for &m in &server.members {
+        assert_eq!(executions(&w, m), 1);
     }
     for &a in &client_addrs {
-        let results = client_results(&w, a);
+        let results = results(&w, a);
         assert_eq!(results.len(), 1);
         assert_eq!(from_bytes::<u32>(results[0].as_ref().unwrap()).unwrap(), 3);
     }
@@ -420,63 +363,37 @@ fn nested_call_propagates_thread_id() {
     // Downstream troupe B of CountingService (records thread ids).
     let b = spawn_server_troupe(&mut w, 40, 5, 2);
     // Middle troupe A of Forwarders (2 members) with troupe id 41.
-    let a_id = TroupeId(41);
-    let mut a_members = Vec::new();
-    for i in 0..2u32 {
-        let addr_a = addr(1 + i, 70);
-        let p = NodeBuilder::new(addr_a, NodeConfig::default())
-            .service(
-                MODULE,
-                Box::new(Forwarder {
-                    downstream: b.clone(),
-                    pending_args: Vec::new(),
-                }),
-            )
-            .troupe_id(a_id)
-            .build()
-            .expect("valid node");
-        w.spawn(addr_a, Box::new(p));
-        a_members.push(ModuleAddr::new(addr_a, MODULE));
-    }
-    let a_troupe = Troupe::new(a_id, a_members.clone());
+    let a_troupe = spawn_members(&mut w, 41, 1, 2, || Forwarder {
+        downstream: b.clone(),
+        pending_args: Vec::new(),
+    });
     // B's members must know A's membership to group the nested calls.
     for m in &b.members {
-        let addrs: Vec<_> = a_members.iter().map(|m| m.addr).collect();
-        w.with_proc_mut(m.addr, |p: &mut CircusProcess| {
-            p.node_mut().preload_directory(a_id, addrs);
-        })
-        .unwrap();
+        introduce(&mut w, m.addr, 41, &[addr(1, 70), addr(2, 70)]);
     }
 
     let client = spawn_client(
         &mut w,
-        vec![Request {
-            troupe: a_troupe,
-            module: MODULE,
-            proc: PROC_ECHO,
-            args: b"via A".to_vec(),
-            collation: CollationPolicy::Unanimous,
-        }],
+        vec![Request::new(
+            &a_troupe,
+            MODULE,
+            PROC_ECHO,
+            b"via A".to_vec(),
+        )],
     );
     w.poke(client, 0);
     run(&mut w, 10);
 
-    assert_eq!(client_results(&w, client), vec![Ok(b"via A".to_vec())]);
+    assert_eq!(results(&w, client), vec![Ok(b"via A".to_vec())]);
     // Each B member executed the nested call exactly once, on behalf of
     // the ORIGINAL thread (whose base is the client).
-    for m in &b.members {
-        let threads = w
-            .with_proc(m.addr, |p: &CircusProcess| {
-                p.node()
-                    .service_as::<CountingService>(MODULE)
-                    .unwrap()
-                    .seen_threads
-                    .clone()
-            })
-            .unwrap();
+    for &m in &b.members {
+        let threads = service(&w, m.addr, MODULE, |s: &CountingService| {
+            s.seen_threads.clone()
+        });
         assert_eq!(threads.len(), 1);
         assert_eq!(threads[0].origin, client, "thread id not propagated");
-        assert_eq!(executions(&w, m.addr), 1);
+        assert_eq!(executions(&w, m), 1);
     }
     assert_quiescent(&w);
 }
@@ -490,41 +407,32 @@ fn reserved_procedures_work() {
     let client = spawn_client(
         &mut w,
         vec![
-            Request {
-                troupe: troupe.clone(),
-                module: MODULE,
-                proc: PROC_ADD,
-                args: to_bytes(&9u32),
-                collation: CollationPolicy::Unanimous,
-            },
-            Request {
-                troupe: troupe.clone(),
-                module: MODULE,
-                proc: circus::binding::reserved_procs::GET_STATE,
-                args: Vec::new(),
-                collation: CollationPolicy::Unanimous,
-            },
-            Request {
-                troupe: troupe.clone(),
-                module: MODULE,
-                proc: circus::binding::reserved_procs::NULL,
-                args: Vec::new(),
-                collation: CollationPolicy::Unanimous,
-            },
-            Request {
-                troupe: troupe.clone(),
-                module: MODULE,
-                proc: circus::binding::reserved_procs::SET_TROUPE_ID,
-                args: to_bytes(&TroupeId(777)),
-                collation: CollationPolicy::Unanimous,
-            },
+            Request::new(&troupe, MODULE, PROC_ADD, to_bytes(&9u32)),
+            Request::new(
+                &troupe,
+                MODULE,
+                circus::binding::reserved_procs::GET_STATE,
+                Vec::new(),
+            ),
+            Request::new(
+                &troupe,
+                MODULE,
+                circus::binding::reserved_procs::NULL,
+                Vec::new(),
+            ),
+            Request::new(
+                &troupe,
+                MODULE,
+                circus::binding::reserved_procs::SET_TROUPE_ID,
+                to_bytes(&TroupeId(777)),
+            ),
         ],
     );
     for _ in 0..4 {
         w.poke(client, 0);
         run(&mut w, 5);
     }
-    let results = client_results(&w, client);
+    let results = results(&w, client);
     assert_eq!(results.len(), 4);
     // get_state returned the externalized (executions, total).
     let state: (u32, u32) = from_bytes(results[1].as_ref().unwrap()).unwrap();
@@ -532,10 +440,7 @@ fn reserved_procedures_work() {
     // null returned empty.
     assert_eq!(results[2], Ok(Vec::new()));
     // set_troupe_id installed the new incarnation.
-    let id = w
-        .with_proc(member, |p: &CircusProcess| p.node().troupe_id())
-        .unwrap();
-    assert_eq!(id, TroupeId(777));
+    assert_eq!(node(&w, member, circus::Node::troupe_id), TroupeId(777));
     assert_quiescent(&w);
 }
 
@@ -576,35 +481,26 @@ impl Service for ReadyResponder {
 #[test]
 fn callback_to_caller_troupe() {
     let mut w = world(15);
-    let server_addr = addr(1, 70);
-    let server_id = TroupeId(50);
-    let p = NodeBuilder::new(server_addr, NodeConfig::default())
-        .service(MODULE, Box::new(CallbackServer))
-        .troupe_id(server_id)
-        .build()
-        .expect("valid node");
-    w.spawn(server_addr, Box::new(p));
-    let server = Troupe::new(server_id, vec![ModuleAddr::new(server_addr, MODULE)]);
+    let server = spawn_members(&mut w, 50, 1, 1, || CallbackServer);
 
     // The client exports module 2 to receive callbacks.
     let client_addr = addr(100, 200);
-    let agent = TestClient::new(vec![Request {
-        troupe: server.clone(),
-        module: MODULE,
-        proc: PROC_ECHO,
-        args: Vec::new(),
-        collation: CollationPolicy::Unanimous,
-    }]);
-    let p = NodeBuilder::new(client_addr, NodeConfig::default())
-        .agent(Box::new(agent))
-        .service(2, Box::new(ReadyResponder))
-        .build()
-        .expect("valid node");
-    w.spawn(client_addr, Box::new(p));
+    let config = NodeConfig::default();
+    spawn_troupe(
+        &mut w,
+        TroupeId::UNREGISTERED,
+        &[client_addr],
+        2,
+        &config,
+        None,
+        || ReadyResponder,
+    );
+    let ask = Request::new(&server, MODULE, PROC_ECHO, Vec::new());
+    enqueue(&mut w, client_addr, [ask]);
 
     w.poke(client_addr, 0);
     run(&mut w, 10);
-    assert_eq!(client_results(&w, client_addr), vec![Ok(b"yes".to_vec())]);
+    assert_eq!(results(&w, client_addr), vec![Ok(b"yes".to_vec())]);
     assert_quiescent(&w);
 }
 
@@ -616,19 +512,13 @@ fn exactly_once_under_heavy_loss() {
         simnet::SyscallCosts::vax_4_2bsd(),
     );
     let troupe = spawn_server_troupe(&mut w, 10, 1, 3);
-    let req = |n: u32| Request {
-        troupe: troupe.clone(),
-        module: MODULE,
-        proc: PROC_ADD,
-        args: to_bytes(&n),
-        collation: CollationPolicy::Unanimous,
-    };
+    let req = |n: u32| Request::new(&troupe, MODULE, PROC_ADD, to_bytes(&n));
     let client = spawn_client(&mut w, vec![req(1), req(1), req(1)]);
     for _ in 0..3 {
         w.poke(client, 0);
         run(&mut w, 30);
     }
-    let results = client_results(&w, client);
+    let results = results(&w, client);
     assert_eq!(results.len(), 3, "calls lost under loss: {results:?}");
     // Each call executed exactly once at each member: totals 1,2,3.
     let totals: Vec<u32> = results
@@ -636,8 +526,8 @@ fn exactly_once_under_heavy_loss() {
         .map(|r| from_bytes(r.as_ref().unwrap()).unwrap())
         .collect();
     assert_eq!(totals, vec![1, 2, 3]);
-    for m in &troupe.members {
-        assert_eq!(executions(&w, m.addr), 3);
+    for &m in &troupe.members {
+        assert_eq!(executions(&w, m), 3);
     }
     assert_quiescent(&w);
 }
@@ -649,27 +539,17 @@ fn deterministic_across_seeds() {
     fn outcome(seed: u64) -> (Vec<u32>, Vec<u32>) {
         let mut w = world(seed);
         let troupe = spawn_server_troupe(&mut w, 10, 1, 3);
-        let req = |n: u32| Request {
-            troupe: troupe.clone(),
-            module: MODULE,
-            proc: PROC_ADD,
-            args: to_bytes(&n),
-            collation: CollationPolicy::Unanimous,
-        };
+        let req = |n: u32| Request::new(&troupe, MODULE, PROC_ADD, to_bytes(&n));
         let client = spawn_client(&mut w, vec![req(2), req(3)]);
         w.poke(client, 0);
         run(&mut w, 5);
         w.poke(client, 0);
         run(&mut w, 5);
-        let totals = client_results(&w, client)
+        let totals = results(&w, client)
             .iter()
             .map(|r| from_bytes(r.as_ref().unwrap()).unwrap())
             .collect();
-        let execs = troupe
-            .members
-            .iter()
-            .map(|m| executions(&w, m.addr))
-            .collect();
+        let execs = troupe.members.iter().map(|&m| executions(&w, m)).collect();
         (totals, execs)
     }
     assert_eq!(outcome(100), outcome(101));
@@ -681,64 +561,21 @@ fn watchdog_detects_late_disagreement() {
     // reply, but late replies are compared and inconsistency raises an
     // alarm. PROC_NONDET replies differ per member, so the watchdog must
     // fire; plain FirstCome (tested above) stays silent.
-    struct WatchdogClient {
-        troupe: Troupe,
-        result: Option<Vec<u8>>,
-        alarms: u32,
-    }
-    impl Agent for WatchdogClient {
-        fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, _tag: u64) {
-            let t = nc.fresh_thread();
-            let troupe = self.troupe.clone();
-            nc.call(
-                t,
-                &troupe,
-                MODULE,
-                PROC_NONDET,
-                Vec::new(),
-                CollationPolicy::FirstComeWatchdog,
-            );
-        }
-        fn on_call_done(
-            &mut self,
-            _nc: &mut NodeCtx<'_, '_, '_>,
-            _h: circus::CallHandle,
-            result: Result<Vec<u8>, CallError>,
-        ) {
-            self.result = result.ok();
-        }
-        fn on_determinism_violation(
-            &mut self,
-            _nc: &mut NodeCtx<'_, '_, '_>,
-            _h: circus::CallHandle,
-        ) {
-            self.alarms += 1;
-        }
-    }
-
     let mut w = world(17);
     let troupe = spawn_server_troupe(&mut w, 10, 1, 3);
-    let client = addr(100, 200);
-    let p = NodeBuilder::new(client, NodeConfig::default())
-        .agent(Box::new(WatchdogClient {
-            troupe,
-            result: None,
-            alarms: 0,
-        }))
-        .build()
-        .expect("valid node");
-    w.spawn(client, Box::new(p));
+    let watched = CollationPolicy::FirstComeWatchdog;
+    let client = spawn_client(
+        &mut w,
+        vec![Request::new(&troupe, MODULE, PROC_NONDET, Vec::new()).collate(watched)],
+    );
     w.poke(client, 0);
     run(&mut w, 10);
 
-    let (result, alarms) = w
-        .with_proc(client, |p: &CircusProcess| {
-            let c = p.agent_as::<WatchdogClient>().unwrap();
-            (c.result.clone(), c.alarms)
-        })
-        .unwrap();
+    let (result, alarms) = agent(&w, client, |c: &Caller| {
+        (c.completed[0].result.clone(), c.violations.len())
+    });
     // Computation proceeded with the first reply...
-    assert!(result.is_some(), "first-come result must be delivered");
+    assert!(result.is_ok(), "first-come result must be delivered");
     // ...and the watchdog flagged the inconsistency.
     assert!(
         alarms >= 1,
@@ -749,62 +586,19 @@ fn watchdog_detects_late_disagreement() {
 
 #[test]
 fn watchdog_silent_when_replies_agree() {
-    struct QuietClient {
-        troupe: Troupe,
-        done: bool,
-        alarms: u32,
-    }
-    impl Agent for QuietClient {
-        fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, _tag: u64) {
-            let t = nc.fresh_thread();
-            let troupe = self.troupe.clone();
-            nc.call(
-                t,
-                &troupe,
-                MODULE,
-                PROC_ECHO,
-                b"same".to_vec(),
-                CollationPolicy::FirstComeWatchdog,
-            );
-        }
-        fn on_call_done(
-            &mut self,
-            _nc: &mut NodeCtx<'_, '_, '_>,
-            _h: circus::CallHandle,
-            _r: Result<Vec<u8>, CallError>,
-        ) {
-            self.done = true;
-        }
-        fn on_determinism_violation(
-            &mut self,
-            _nc: &mut NodeCtx<'_, '_, '_>,
-            _h: circus::CallHandle,
-        ) {
-            self.alarms += 1;
-        }
-    }
-
     let mut w = world(18);
     let troupe = spawn_server_troupe(&mut w, 10, 1, 3);
-    let client = addr(100, 200);
-    let p = NodeBuilder::new(client, NodeConfig::default())
-        .agent(Box::new(QuietClient {
-            troupe,
-            done: false,
-            alarms: 0,
-        }))
-        .build()
-        .expect("valid node");
-    w.spawn(client, Box::new(p));
+    let watched = CollationPolicy::FirstComeWatchdog;
+    let client = spawn_client(
+        &mut w,
+        vec![Request::new(&troupe, MODULE, PROC_ECHO, b"same".to_vec()).collate(watched)],
+    );
     w.poke(client, 0);
     run(&mut w, 10);
-    let (done, alarms) = w
-        .with_proc(client, |p: &CircusProcess| {
-            let c = p.agent_as::<QuietClient>().unwrap();
-            (c.done, c.alarms)
-        })
-        .unwrap();
-    assert!(done);
+    let (done, alarms) = agent(&w, client, |c: &Caller| {
+        (c.completed.len(), c.violations.len())
+    });
+    assert_eq!(done, 1);
     assert_eq!(alarms, 0, "watchdog fired on identical replies");
     assert_quiescent(&w);
 }
@@ -829,76 +623,36 @@ fn slow_client_member_served_from_buffer() {
     }
 
     let mut w = world(19);
-    let server_addr = addr(1, 70);
-    let server_id = TroupeId(60);
-    let p = NodeBuilder::new(server_addr, NodeConfig::default())
-        .service(MODULE, Box::new(FirstComeService { executions: 0 }))
-        .troupe_id(server_id)
-        .build()
-        .expect("valid node");
-    w.spawn(server_addr, Box::new(p));
-    let server = Troupe::new(server_id, vec![ModuleAddr::new(server_addr, MODULE)]);
+    let server = spawn_members(&mut w, 60, 1, 1, || FirstComeService { executions: 0 });
+    let server_addr = server.members[0].addr;
+    let executions =
+        |w: &World| service(w, server_addr, MODULE, |s: &FirstComeService| s.executions);
 
     // A 2-member client troupe sharing one logical thread; the second
     // member is poked much later.
-    let client_id = TroupeId(61);
-    let thread = circus::ThreadId {
-        origin: addr(200, 1),
-        serial: 1,
-    };
-    let fast = addr(10, 50);
-    let slow = addr(11, 50);
-    for a in [fast, slow] {
-        let agent = TestClient::new(vec![Request {
-            troupe: server.clone(),
-            module: MODULE,
-            proc: PROC_ECHO,
-            args: b"hi".to_vec(),
-            collation: CollationPolicy::Unanimous,
-        }])
-        .with_thread(thread);
-        let p = NodeBuilder::new(a, NodeConfig::default())
-            .agent(Box::new(agent))
-            .troupe_id(client_id)
-            .build()
-            .expect("valid node");
-        w.spawn(a, Box::new(p));
-    }
-    w.with_proc_mut(server_addr, |p: &mut CircusProcess| {
-        p.node_mut().preload_directory(client_id, vec![fast, slow]);
-    })
-    .unwrap();
+    let hi = Request::new(&server, MODULE, PROC_ECHO, b"hi".to_vec());
+    let clients = spawn_client_troupe(&mut w, 61, &[10, 11], hi);
+    let (fast, slow) = (clients[0], clients[1]);
+    introduce(&mut w, server_addr, 61, &clients);
 
     // Fast member calls immediately; the server (first-come args)
     // executes at once.
     w.poke(fast, 0);
     run(&mut w, 5);
-    assert_eq!(client_results(&w, fast), vec![Ok(b"hi".to_vec())]);
-    let execs = w
-        .with_proc(server_addr, |p: &CircusProcess| {
-            p.node()
-                .service_as::<FirstComeService>(MODULE)
-                .unwrap()
-                .executions
-        })
-        .unwrap();
-    assert_eq!(execs, 1);
+    assert_eq!(results(&w, fast), vec![Ok(b"hi".to_vec())]);
+    assert_eq!(executions(&w), 1);
 
     // The slow member calls 20 seconds later: the buffered return is
     // ready and waiting; the procedure is NOT executed again.
     run(&mut w, 20);
     w.poke(slow, 0);
     run(&mut w, 5);
-    assert_eq!(client_results(&w, slow), vec![Ok(b"hi".to_vec())]);
-    let execs = w
-        .with_proc(server_addr, |p: &CircusProcess| {
-            p.node()
-                .service_as::<FirstComeService>(MODULE)
-                .unwrap()
-                .executions
-        })
-        .unwrap();
-    assert_eq!(execs, 1, "exactly-once violated for the slow member");
+    assert_eq!(results(&w, slow), vec![Ok(b"hi".to_vec())]);
+    assert_eq!(
+        executions(&w),
+        1,
+        "exactly-once violated for the slow member"
+    );
     assert_quiescent(&w);
 }
 
@@ -914,20 +668,10 @@ fn partition_minority_fails_majority_succeeds() {
     let client = spawn_client(
         &mut w,
         vec![
-            Request {
-                troupe: troupe.clone(),
-                module: MODULE,
-                proc: PROC_ECHO,
-                args: b"q1".to_vec(),
-                collation: CollationPolicy::Majority,
-            },
-            Request {
-                troupe: troupe.clone(),
-                module: MODULE,
-                proc: PROC_ECHO,
-                args: b"q2".to_vec(),
-                collation: CollationPolicy::Majority,
-            },
+            Request::new(&troupe, MODULE, PROC_ECHO, b"q1".to_vec())
+                .collate(CollationPolicy::Majority),
+            Request::new(&troupe, MODULE, PROC_ECHO, b"q2".to_vec())
+                .collate(CollationPolicy::Majority),
         ],
     );
 
@@ -939,21 +683,20 @@ fn partition_minority_fails_majority_succeeds() {
     ]));
     w.poke(client, 0);
     run(&mut w, 120);
-    let results = client_results(&w, client);
-    assert_eq!(results.len(), 1);
+    let minority = results(&w, client);
     assert!(
         matches!(
-            results[0],
-            Err(CallError::NoMajority) | Err(CallError::AllMembersDead)
+            minority[..],
+            [Err(CallError::NoMajority) | Err(CallError::AllMembersDead)]
         ),
-        "minority side must not proceed: {results:?}"
+        "minority side must not proceed: {minority:?}"
     );
 
     // Heal the partition; the next call reaches a majority and succeeds.
     w.set_partition(simnet::Partition::none());
     w.poke(client, 0);
     run(&mut w, 60);
-    let results = client_results(&w, client);
+    let results = results(&w, client);
     assert_eq!(results.len(), 2);
     assert_eq!(results[1], Ok(b"q2".to_vec()));
     assert_quiescent(&w);
@@ -969,34 +712,11 @@ fn stale_client_membership_rejected_not_looped() {
     let server = spawn_server_troupe(&mut w, 10, 1, 1);
     let server_addr = server.members[0].addr;
 
-    let client_id = TroupeId(70);
-    let thread = circus::ThreadId {
-        origin: addr(200, 1),
-        serial: 1,
-    };
-    let known = addr(10, 50);
-    let unknown = addr(11, 50);
-    for a in [known, unknown] {
-        let agent = TestClient::new(vec![Request {
-            troupe: server.clone(),
-            module: MODULE,
-            proc: PROC_ECHO,
-            args: b"m".to_vec(),
-            collation: CollationPolicy::Unanimous,
-        }])
-        .with_thread(thread);
-        let p = NodeBuilder::new(a, NodeConfig::default())
-            .agent(Box::new(agent))
-            .troupe_id(client_id)
-            .build()
-            .expect("valid node");
-        w.spawn(a, Box::new(p));
-    }
+    let m = Request::new(&server, MODULE, PROC_ECHO, b"m".to_vec());
+    let clients = spawn_client_troupe(&mut w, 70, &[10, 11], m);
+    let (known, unknown) = (clients[0], clients[1]);
     // The server believes the troupe is ONLY the known member.
-    w.with_proc_mut(server_addr, |p: &mut CircusProcess| {
-        p.node_mut().preload_directory(client_id, vec![known]);
-    })
-    .unwrap();
+    introduce(&mut w, server_addr, 70, &[known]);
 
     // The known member opens the assembly; then the unknown one calls.
     w.poke(known, 0);
@@ -1006,9 +726,9 @@ fn stale_client_membership_rejected_not_looped() {
 
     // The known member's call succeeded (singleton membership, unanimous
     // over one vote).
-    assert_eq!(client_results(&w, known), vec![Ok(b"m".to_vec())]);
+    assert_eq!(results(&w, known), vec![Ok(b"m".to_vec())]);
     // The unknown member got a CLEAN error — no hang, no lookup loop.
-    let results = client_results(&w, unknown);
+    let results = results(&w, unknown);
     assert_eq!(results.len(), 1, "stale member's call must complete");
     assert!(
         matches!(results[0], Err(CallError::Remote(_))),
@@ -1035,38 +755,23 @@ fn forged_membership_claims_open_no_assemblies() {
     let mut w = world(23);
     let server = spawn_server_troupe(&mut w, 10, 1, 1);
     let server_addr = server.members[0].addr;
-    let client_id = TroupeId(70);
     let member = addr(10, 50);
-    let forger = addr(11, 50);
-    let req = Request {
-        troupe: server.clone(),
-        module: MODULE,
-        proc: PROC_ECHO,
-        args: b"m".to_vec(),
-        collation: CollationPolicy::Unanimous,
-    };
-    let p = NodeBuilder::new(forger, NodeConfig::default())
-        .agent(Box::new(TestClient::new(vec![req; 5])))
-        .troupe_id(client_id)
-        .build()
-        .expect("valid node");
-    w.spawn(forger, Box::new(p));
+    let req = Request::new(&server, MODULE, PROC_ECHO, b"m".to_vec());
+    let forger = spawn_client_troupe(&mut w, 70, &[11], req.clone())[0];
+    enqueue(&mut w, forger, vec![req; 4]);
     for _ in 0..5 {
         // The rejection forgets the directory entry; a real server
         // would re-learn it from the binding agent.
-        w.with_proc_mut(server_addr, |p: &mut CircusProcess| {
-            p.node_mut().preload_directory(client_id, vec![member]);
-        })
-        .unwrap();
+        introduce(&mut w, server_addr, 70, &[member]);
         w.poke(forger, 0);
         run(&mut w, 2);
     }
-    let results = client_results(&w, forger);
+    let results = results(&w, forger);
     assert_eq!(results.len(), 5);
     assert!(results
         .iter()
         .all(|r| matches!(r, Err(CallError::Remote(_)))));
-    assert_eq!(executions(&w, server_addr), 0);
+    assert_eq!(executions(&w, server.members[0]), 0);
     assert_quiescent(&w);
 }
 
@@ -1079,18 +784,12 @@ fn reply_too_long_to_send_is_an_error_not_silence() {
     let troupe = spawn_server_troupe(&mut w, 10, 1, 3);
     let client = spawn_client(
         &mut w,
-        vec![Request {
-            troupe,
-            module: MODULE,
-            proc: PROC_BLOAT,
-            args: Vec::new(),
-            collation: CollationPolicy::Unanimous,
-        }],
+        vec![Request::new(&troupe, MODULE, PROC_BLOAT, Vec::new())],
     );
     w.poke(client, 0);
     // One round trip of single-segment messages at n = 3 is ~50 ms.
     w.run(simnet::Until::Elapsed(Duration::from_millis(100)));
-    let results = client_results(&w, client);
+    let results = results(&w, client);
     let limit = NodeConfig::default().pm.max_message_len().to_string();
     assert!(
         matches!(&results[..], [Err(CallError::Remote(why))] if why.contains(&limit)),

@@ -18,14 +18,19 @@
 //! across runs. That turns the registry itself into an oracle — any
 //! nondeterminism anywhere in the stack shows up as a diff here.
 //!
+//! The crate also holds the one FNV-1a ([`fnv1a`], [`fnv1a_fold`]) every
+//! deterministic digest in the workspace is folded with.
+//!
 //! This crate is a leaf: no dependencies, no simulator types. Layers above
 //! translate their domain types (sim time, syscall kinds) into plain
 //! integers at the boundary.
 
+mod fnv;
 mod registry;
 mod span;
 mod view;
 
+pub use fnv::{fnv1a, fnv1a_fold, FNV1A_BASIS};
 pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 pub use span::{SpanId, SpanRecord, SpanTree};
 pub use view::{CpuView, NetView};

@@ -28,6 +28,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::{self, Write as _};
 use std::rc::Rc;
 
+use crate::fnv::{fnv1a_fold, FNV1A_BASIS};
 use crate::span::{SpanId, SpanRecord, SpanTree};
 
 /// Handle to a monotone counter. Cloning shares the underlying cell.
@@ -143,9 +144,6 @@ enum Metric {
 /// forest for a post-mortem, 160 KB at most.
 const SPAN_WINDOW: usize = 4_096;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 #[derive(Debug)]
 struct Inner {
     metrics: BTreeMap<String, Metric>,
@@ -167,7 +165,7 @@ impl Default for Inner {
         Inner {
             metrics: BTreeMap::new(),
             recent_spans: VecDeque::new(),
-            span_hash: FNV_OFFSET,
+            span_hash: FNV1A_BASIS,
             next_span: 0,
             labels: BTreeSet::new(),
             label_scratch: String::new(),
@@ -190,12 +188,7 @@ impl Inner {
     /// [`SPAN_WINDOW`] slots instead of doubling past it.
     fn record_span(&mut self, r: SpanRecord) {
         let mut h = self.span_hash;
-        let mut mix = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
+        let mut mix = |bytes: &[u8]| h = fnv1a_fold(h, bytes);
         mix(&r.id.0.to_le_bytes());
         mix(&r.parent.0.to_le_bytes());
         mix(&r.at_us.to_le_bytes());
@@ -521,7 +514,7 @@ mod tests {
     /// The span hash as it was computed before it became a running fold:
     /// one pass over the stored records.
     fn hash_of(records: &[SpanRecord]) -> u64 {
-        let mut h = FNV_OFFSET;
+        let mut h = FNV1A_BASIS;
         for r in records {
             let fields: [&[u8]; 5] = [
                 &r.id.0.to_le_bytes(),
@@ -530,9 +523,8 @@ mod tests {
                 r.label.as_bytes(),
                 &[0xff],
             ];
-            for &b in fields.iter().flat_map(|f| f.iter()) {
-                h ^= b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
+            for f in fields {
+                h = fnv1a_fold(h, f);
             }
         }
         h

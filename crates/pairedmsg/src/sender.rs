@@ -164,17 +164,9 @@ impl MsgSender {
             return Duration::from_micros(interval);
         }
         // FNV-1a over (seed, call number, message type, retry count).
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in self
-            .jitter_seed
-            .to_le_bytes()
-            .into_iter()
-            .chain(self.call_number.to_le_bytes())
-            .chain([self.msg_type as u8, self.retries as u8])
-        {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        let h = obs::fnv1a(&self.jitter_seed.to_le_bytes());
+        let h = obs::fnv1a_fold(h, &self.call_number.to_le_bytes());
+        let h = obs::fnv1a_fold(h, &[self.msg_type as u8, self.retries as u8]);
         // Map the hash to ±half the jitter window around the interval.
         let window = interval * self.jitter_permille as u64 / 1000;
         let offset = if window == 0 { 0 } else { h % (window + 1) };

@@ -49,14 +49,9 @@ struct Fold(u64);
 
 impl Fold {
     fn bytes(&mut self, tag: u8, bytes: &[u8]) {
-        for &b in [tag]
-            .iter()
-            .chain(&(bytes.len() as u32).to_le_bytes())
-            .chain(bytes)
-        {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        let h = obs::fnv1a_fold(self.0, &[tag]);
+        let h = obs::fnv1a_fold(h, &(bytes.len() as u32).to_le_bytes());
+        self.0 = obs::fnv1a_fold(h, bytes);
     }
 
     fn words(&mut self, tag: u8, words: &[u64]) {
@@ -235,7 +230,7 @@ fn transcript(seed: u64) -> u64 {
         server: Endpoint::new(config),
         rng: SimRng::new(seed),
         now: Time::ZERO,
-        fold: Fold(0xcbf2_9ce4_8422_2325),
+        fold: Fold(obs::FNV1A_BASIS),
         late: Vec::new(),
         call: 0,
         answered: false,

@@ -36,12 +36,7 @@ pub const NOTIFY_HEAL: u64 = 0x4845_414C; // "HEAL"
 /// contention), the counters — and hence the IDs — agree.
 fn make_id(name: &str, generation: u64) -> TroupeId {
     // FNV-1a over the name, mixed with the generation.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h ^= generation.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let h = simnet::fnv1a(name.as_bytes()) ^ generation.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     // Avoid the reserved UNREGISTERED value.
     TroupeId(h.max(1))
 }
@@ -160,15 +155,9 @@ impl RingmasterService {
     }
 
     /// Looks up a troupe by name (for co-located helpers such as the
-    /// garbage collector).
+    /// healer, and for tests reading the registry).
     pub fn lookup(&self, name: &str) -> Option<&Troupe> {
         self.registry.get(name).map(|e| &e.troupe)
-    }
-
-    /// All registered names (for the garbage collector's enumeration,
-    /// §6.1).
-    pub fn names(&self) -> Vec<String> {
-        self.registry.keys().cloned().collect()
     }
 
     /// The full registry — `(name, current troupe)` in name order — for
@@ -373,6 +362,6 @@ mod tests {
         let t = Troupe::new(TroupeId(9), Vec::new());
         let rm = RingmasterService::new(t.clone());
         assert_eq!(rm.lookup("ringmaster"), Some(&t));
-        assert_eq!(rm.names(), vec!["ringmaster".to_string()]);
+        assert_eq!(rm.bindings(), vec![("ringmaster".to_string(), t)]);
     }
 }

@@ -4,8 +4,10 @@
 //! runtime needs `lookup_troupe_by_id` for many-to-one grouping); this
 //! module supplies the argument/result encodings for the full interface.
 
-use circus::{ModuleAddr, Troupe, TroupeId};
-use wire::{Externalize, Internalize, Reader, WireError, Writer};
+use circus::binding::{binding_procs, BINDING_MODULE};
+use circus::testbed::Request;
+use circus::{CollationPolicy, ModuleAddr, Troupe, TroupeId};
+use wire::{to_bytes, Externalize, Internalize, Reader, WireError, Writer};
 
 /// `register_troupe(troupe_name, troupe) returns (troupe_id)` — initial
 /// registration of a whole troupe by a third party such as the
@@ -16,6 +18,18 @@ pub struct RegisterTroupe {
     pub name: String,
     /// Module addresses of all members.
     pub members: Vec<ModuleAddr>,
+}
+
+/// The `register_troupe` call a configuration manager's process makes of
+/// the Ringmaster troupe `binder` (§6.2), as data; the reply is the
+/// [`TroupeId`] the troupe was registered under.
+pub fn registration(binder: &Troupe, name: &str, members: &[ModuleAddr]) -> Request {
+    let args = to_bytes(&RegisterTroupe {
+        name: name.into(),
+        members: members.to_vec(),
+    });
+    Request::new(binder, BINDING_MODULE, binding_procs::REGISTER_TROUPE, args)
+        .collate(CollationPolicy::Majority)
 }
 
 impl Externalize for RegisterTroupe {

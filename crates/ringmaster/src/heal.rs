@@ -190,14 +190,13 @@ impl SelfHealAgent {
 
     fn start_eviction(&mut self, nc: &mut NodeCtx<'_, '_, '_>, name: String, member: ModuleAddr) {
         let thread = nc.fresh_thread();
-        let binder = self.binder.clone();
         let req = RemoveTroupeMember {
             name: name.clone(),
             member,
         };
         self.inflight = Some(nc.call_solo(
             thread,
-            &binder,
+            &self.binder,
             BINDING_MODULE,
             binding_procs::REMOVE_TROUPE_MEMBER,
             to_bytes(&req),

@@ -10,11 +10,10 @@
 //!   troupe via a nested replicated `set_troupe_id` (Figure 6.2);
 //! - [`ImportCache`] — the client-side cache with `rebind` support
 //!   (§6.1–§6.2's cache invalidation);
-//! - [`GcAgent`] — null-call probing and deletion of defunct bindings
-//!   (§6.1);
 //! - [`SelfHealAgent`] — in-system failure recovery: probe-confirmed
-//!   eviction of suspects reported by the call runtime, then automatic
-//!   replacement from a pool of warm spares (§6.4, automated);
+//!   eviction of suspects reported by the call runtime — or found by its
+//!   own liveness sweep, §6.1's "are you there?" collector — then
+//!   automatic replacement from a pool of warm spares (§6.4, automated);
 //! - [`SpareService`] / [`SpareAgent`] — adding a new troupe member
 //!   (§6.4.1), the one way there is: the joining process exports the
 //!   control module and somebody — the healer, or an operator's process
@@ -29,16 +28,16 @@
 pub mod agent;
 pub mod api;
 pub mod cache;
-pub mod gc;
 pub mod heal;
 pub mod spare;
 
 pub use agent::RingmasterService;
-pub use api::{AddTroupeMember, Rebind, RegisterSpare, RegisterTroupe, RemoveTroupeMember};
+pub use api::{
+    registration, AddTroupeMember, Rebind, RegisterSpare, RegisterTroupe, RemoveTroupeMember,
+};
 pub use cache::{BindingRequest, ImportCache};
-pub use gc::GcAgent;
 pub use heal::SelfHealAgent;
-pub use spare::{activate, SpareAgent, SpareService, SPARE_CTL_MODULE};
+pub use spare::{activate, activation, SpareAgent, SpareService, SPARE_CTL_MODULE};
 
 use circus::{ModuleAddr, NodeBuilder, NodeConfig, Troupe, TroupeId};
 use simnet::{SockAddr, World};

@@ -35,6 +35,7 @@
 //! that crashes mid-activation cannot wedge the troupe forever.
 
 use circus::binding::{binding_procs, reserved_procs, BINDING_MODULE};
+use circus::testbed::Request;
 use circus::{
     Agent, CallError, CallHandle, CollationPolicy, ModuleAddr, NodeCtx, NodeEffect, OutCall,
     Service, ServiceCtx, StateSince, Step, TimerKey, Troupe, TroupeId, TroupeTarget,
@@ -59,15 +60,21 @@ const PROC_ACTIVATE: u16 = 0;
 /// on success and the control module's abort message otherwise.
 pub fn activate(nc: &mut NodeCtx<'_, '_, '_>, ctl: ModuleAddr, name: &str) -> CallHandle {
     let thread = nc.fresh_thread();
-    let target = Troupe::new(TroupeId::UNREGISTERED, vec![ctl]);
-    nc.call_solo(
-        thread,
-        &target,
-        ctl.module,
-        PROC_ACTIVATE,
-        to_bytes(name),
-        CollationPolicy::FirstCome,
-    )
+    let r = activation(ctl, name);
+    nc.call_solo(thread, &r.troupe, r.module, r.proc, r.args, r.collation)
+}
+
+/// [`activate`] as data, for an operator's process that scripts its calls
+/// (it belongs to no troupe, so its plain call is a solo one).
+pub fn activation(ctl: ModuleAddr, name: &str) -> Request {
+    Request {
+        troupe: Troupe::new(TroupeId::UNREGISTERED, vec![ctl]),
+        module: ctl.module,
+        proc: PROC_ACTIVATE,
+        args: to_bytes(name),
+        collation: CollationPolicy::FirstCome,
+        thread: None,
+    }
 }
 
 /// Delay before re-offering the spare if registration fails (the
@@ -378,10 +385,9 @@ impl SpareAgent {
             name: self.name.clone(),
             ctl: ModuleAddr::new(nc.me(), SPARE_CTL_MODULE),
         };
-        let binder = self.binder.clone();
         self.waiting = Some(nc.call_solo(
             thread,
-            &binder,
+            &self.binder,
             BINDING_MODULE,
             binding_procs::REGISTER_SPARE,
             to_bytes(&req),

@@ -70,7 +70,7 @@ pub mod world;
 pub use cpu::{Syscall, SyscallCosts, ALL_SYSCALLS};
 pub use disk::{Disk, DiskConfig, DiskError};
 pub use net::{NetConfig, Partition};
-pub use obs::{CpuView, NetView, Registry, SpanId};
+pub use obs::{fnv1a, CpuView, NetView, Registry, SpanId};
 pub use payload::Payload;
 pub use process::{HostId, Process, SockAddr, TimerId};
 pub use rng::SimRng;

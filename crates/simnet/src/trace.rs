@@ -144,10 +144,7 @@ impl TraceEvent {
     /// field, so any divergence between two runs changes the hash.
     fn fold_into(&self, h: &mut u64) {
         fn mix(h: &mut u64, v: u64) {
-            for b in v.to_le_bytes() {
-                *h ^= b as u64;
-                *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            *h = obs::fnv1a_fold(*h, &v.to_le_bytes());
         }
         fn mix_addr(h: &mut u64, a: SockAddr) {
             mix(h, a.host.0 as u64);
@@ -275,7 +272,7 @@ impl TraceRing {
     /// A ring keeping at most `capacity` events; zero keeps none.
     pub fn new(capacity: usize) -> TraceRing {
         TraceRing {
-            hash: 0xcbf2_9ce4_8422_2325,
+            hash: obs::FNV1A_BASIS,
             seen: 0,
             ring: Vec::with_capacity(capacity.min(1024)),
             capacity,

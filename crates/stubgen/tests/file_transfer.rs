@@ -8,15 +8,14 @@ mod file_system {
     include!("generated/file_system.rs");
 }
 
-use circus::{
-    Agent, CallError, CallHandle, CircusProcess, CollationPolicy, ModuleAddr, NodeBuilder,
-    NodeConfig, NodeCtx, ServiceCtx, Troupe, TroupeId,
+use circus::testbed::{
+    addr, call, service, service_mut, spawn_caller, spawn_troupe, Request, MODULE,
 };
+use circus::{CallError, NodeConfig, ServiceCtx, Troupe, TroupeId};
 use file_system::{client, FileSystemDispatcher, FileSystemError, FileSystemHandler};
-use simnet::{Duration, HostId, SockAddr, World};
+use simnet::{Duration, SockAddr, World};
 use std::collections::BTreeMap;
 
-const MODULE: u16 = 1;
 const PAGE_WORDS: usize = 8;
 
 /// An in-memory file server implementing the generated handler.
@@ -65,80 +64,30 @@ impl FileSystemHandler for Fs {
     }
 }
 
-/// The Figure 7.5 client: two explicit bindings, copying `file` from
-/// server 1 to server 2 page by page.
-struct TransferClient {
-    /// binding1 in the paper's terms.
-    source: Troupe,
-    /// binding2.
-    dest: Troupe,
-    file: String,
-    page: u32,
-    state: u8, // 0 = checking eof, 1 = reading, 2 = writing.
-    pub copied_pages: u32,
-    pub done: bool,
-}
-
-impl TransferClient {
-    fn check_eof(&mut self, nc: &mut NodeCtx<'_, '_, '_>) {
-        self.state = 0;
-        let (proc, args) = client::end_of_file_q_request(&self.file, &self.page);
-        let t = nc.fresh_thread();
-        let troupe = self.source.clone();
-        nc.call(t, &troupe, MODULE, proc, args, CollationPolicy::Unanimous);
-    }
-}
-
-impl Agent for TransferClient {
-    fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, _tag: u64) {
-        self.check_eof(nc);
-    }
-
-    fn on_call_done(
-        &mut self,
-        nc: &mut NodeCtx<'_, '_, '_>,
-        _h: CallHandle,
-        result: Result<Vec<u8>, CallError>,
-    ) {
-        match self.state {
-            0 => match client::end_of_file_q_result(result) {
-                Ok(true) => self.done = true,
-                Ok(false) => {
-                    self.state = 1;
-                    let (proc, args) = client::read_request(&self.file, &self.page);
-                    let t = nc.fresh_thread();
-                    let troupe = self.source.clone();
-                    nc.call(t, &troupe, MODULE, proc, args, CollationPolicy::Unanimous);
-                }
-                Err(e) => panic!("eof check failed: {e:?}"),
-            },
-            1 => {
-                let data = client::read_result(result).expect("read page");
-                self.state = 2;
-                let (proc, args) = client::write_request(&self.file, &self.page, &data);
-                let t = nc.fresh_thread();
-                let troupe = self.dest.clone();
-                nc.call(t, &troupe, MODULE, proc, args, CollationPolicy::Unanimous);
-            }
-            _ => {
-                client::write_result(result).expect("write page");
-                self.copied_pages += 1;
-                self.page += 1;
-                self.check_eof(nc);
-            }
-        }
-    }
-}
-
+/// One unreplicated file server on `host`, as troupe `id`.
 fn spawn_fs(w: &mut World, host: u32, id: u64) -> Troupe {
-    let a = SockAddr::new(HostId(host), 70);
-    let p = NodeBuilder::new(a, NodeConfig::default())
-        .service(MODULE, Box::new(FileSystemDispatcher(Fs::default())))
-        .troupe_id(TroupeId(id))
-        .build()
-        .expect("valid node");
-    w.spawn(a, Box::new(p));
-    Troupe::new(TroupeId(id), vec![ModuleAddr::new(a, MODULE)])
+    let config = NodeConfig::default();
+    spawn_troupe(
+        w,
+        TroupeId(id),
+        &[addr(host, 70)],
+        MODULE,
+        &config,
+        None,
+        || FileSystemDispatcher(Fs::default()),
+    )
+}
+
+/// One call through the generated stubs over `binding`: the marshalled
+/// request goes out, the raw result comes back for the stub to unmarshal.
+fn invoke(
+    w: &mut World,
+    client: SockAddr,
+    binding: &Troupe,
+    (proc, args): (u16, Vec<u8>),
+) -> Result<Vec<u8>, CallError> {
+    let request = Request::new(binding, MODULE, proc, args);
+    call(w, client, request, Duration::from_secs(5))
 }
 
 #[test]
@@ -151,55 +100,48 @@ fn third_party_file_transfer_with_two_bindings() {
     let pages: Vec<Vec<u16>> = (0..5u16)
         .map(|p| (0..PAGE_WORDS as u16).map(|i| p * 100 + i).collect())
         .collect();
-    w.with_proc_mut(source.members[0].addr, |proc: &mut CircusProcess| {
-        let fs = proc
-            .node_mut()
-            .service_as_mut::<FileSystemDispatcher<Fs>>(MODULE)
-            .unwrap();
-        fs.0.files.insert("report".into(), pages.clone());
-    })
-    .unwrap();
+    let seed =
+        |fs: &mut FileSystemDispatcher<Fs>| fs.0.files.insert("report".into(), pages.clone());
+    service_mut(&mut w, source.members[0].addr, MODULE, seed);
 
-    let client_addr = SockAddr::new(HostId(10), 50);
-    let p = NodeBuilder::new(client_addr, NodeConfig::default())
-        .agent(Box::new(TransferClient {
-            source: source.clone(),
-            dest: dest.clone(),
-            file: "report".into(),
-            page: 0,
-            state: 0,
-            copied_pages: 0,
-            done: false,
-        }))
-        .build()
-        .expect("valid node");
-    w.spawn(client_addr, Box::new(p));
-    w.poke(client_addr, 0);
-    w.run(simnet::Until::Elapsed(Duration::from_secs(60)));
-
-    let (done, copied) = w
-        .with_proc(client_addr, |p: &CircusProcess| {
-            let c = p.agent_as::<TransferClient>().unwrap();
-            (c.done, c.copied_pages)
-        })
-        .unwrap();
-    assert!(done, "transfer never finished");
-    assert_eq!(copied, 5);
+    // The Figure 7.5 client: two explicit bindings, copying the file from
+    // server 1 to server 2 page by page — "while not end_of_file(binding1,
+    // file) do write(binding2, file, read(binding1, file))".
+    let client_addr = spawn_caller(&mut w, addr(10, 50), NodeConfig::default(), None);
+    let file = "report".to_string();
+    let mut page = 0u32;
+    loop {
+        let eof = invoke(
+            &mut w,
+            client_addr,
+            &source,
+            client::end_of_file_q_request(&file, &page),
+        );
+        if client::end_of_file_q_result(eof).expect("eof check") {
+            break;
+        }
+        let read = invoke(
+            &mut w,
+            client_addr,
+            &source,
+            client::read_request(&file, &page),
+        );
+        let data = client::read_result(read).expect("read page");
+        let written = invoke(
+            &mut w,
+            client_addr,
+            &dest,
+            client::write_request(&file, &page, &data),
+        );
+        client::write_result(written).expect("write page");
+        page += 1;
+    }
+    assert_eq!(page, 5, "pages copied");
 
     // The destination holds an identical copy.
-    let dest_pages = w
-        .with_proc(dest.members[0].addr, |proc: &CircusProcess| {
-            proc.node()
-                .service_as::<FileSystemDispatcher<Fs>>(MODULE)
-                .unwrap()
-                .0
-                .files
-                .get("report")
-                .cloned()
-        })
-        .unwrap()
-        .expect("file exists at destination");
-    assert_eq!(dest_pages, pages);
+    let copied = |fs: &FileSystemDispatcher<Fs>| fs.0.files.get("report").cloned();
+    let dest_pages = service(&w, dest.members[0].addr, MODULE, copied);
+    assert_eq!(dest_pages, Some(pages));
 }
 
 #[test]
@@ -225,40 +167,9 @@ fn typed_errors_cross_the_wire() {
     let mut w = World::new(76);
     let fs = spawn_fs(&mut w, 1, 10);
 
-    struct ErrClient {
-        fs: Troupe,
-        pub outcome: Option<Result<Vec<u16>, file_system::FileSystemFailure>>,
-    }
-    impl Agent for ErrClient {
-        fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, _tag: u64) {
-            let (proc, args) = client::read_request(&"ghost".to_string(), &0);
-            let t = nc.fresh_thread();
-            let fs = self.fs.clone();
-            nc.call(t, &fs, MODULE, proc, args, CollationPolicy::Unanimous);
-        }
-        fn on_call_done(
-            &mut self,
-            _nc: &mut NodeCtx<'_, '_, '_>,
-            _h: CallHandle,
-            result: Result<Vec<u8>, CallError>,
-        ) {
-            self.outcome = Some(client::read_result(result));
-        }
-    }
-    let a = SockAddr::new(HostId(10), 50);
-    let p = NodeBuilder::new(a, NodeConfig::default())
-        .agent(Box::new(ErrClient { fs, outcome: None }))
-        .build()
-        .expect("valid node");
-    w.spawn(a, Box::new(p));
-    w.poke(a, 0);
-    w.run(simnet::Until::Elapsed(Duration::from_secs(10)));
-    let outcome = w
-        .with_proc(a, |p: &CircusProcess| {
-            p.agent_as::<ErrClient>().unwrap().outcome.clone()
-        })
-        .unwrap()
-        .expect("completed");
+    let client_addr = spawn_caller(&mut w, addr(10, 50), NodeConfig::default(), None);
+    let read = client::read_request(&"ghost".to_string(), &0);
+    let outcome = client::read_result(invoke(&mut w, client_addr, &fs, read));
     assert_eq!(
         outcome,
         Err(file_system::FileSystemFailure::Reported(

@@ -8,14 +8,12 @@ mod name_server {
     include!("generated/name_server.rs");
 }
 
-use circus::{
-    Agent, CallError, CallHandle, CircusProcess, CollationPolicy, ModuleAddr, NodeBuilder,
-    NodeConfig, NodeCtx, ServiceCtx, Troupe, TroupeId,
-};
+use circus::testbed::{addr, call, spawn_caller, spawn_troupe, Request, MODULE};
+use circus::{NodeConfig, ServiceCtx, TroupeId};
 use name_server::{
     client, NameServerDispatcher, NameServerError, NameServerFailure, NameServerHandler, Property,
 };
-use simnet::{Duration, HostId, SockAddr, World};
+use simnet::{Duration, World};
 use std::collections::BTreeMap;
 
 /// A deterministic in-memory name server implementing the generated
@@ -58,153 +56,58 @@ impl NameServerHandler for NameServerImpl {
     }
 }
 
-const MODULE: u16 = 1;
-
-/// Scripted client driving the generated stubs.
-struct StubClient {
-    troupe: Troupe,
-    script: Vec<(u16, Vec<u8>, CollationPolicy)>,
-    next: usize,
-    kinds: Vec<u16>,
-    in_flight: Option<u16>,
-    pub outcomes: Vec<String>,
-}
-
-impl StubClient {
-    fn fire(&mut self, nc: &mut NodeCtx<'_, '_, '_>) {
-        if self.next >= self.script.len() {
-            return;
-        }
-        let (proc, args, collation) = self.script[self.next].clone();
-        self.next += 1;
-        self.in_flight = Some(proc);
-        self.kinds.push(proc);
-        let thread = nc.fresh_thread();
-        let troupe = self.troupe.clone();
-        nc.call(thread, &troupe, MODULE, proc, args, collation);
-    }
-}
-
-impl Agent for StubClient {
-    fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, _tag: u64) {
-        self.fire(nc);
-    }
-
-    fn on_call_done(
-        &mut self,
-        nc: &mut NodeCtx<'_, '_, '_>,
-        _handle: CallHandle,
-        result: Result<Vec<u8>, CallError>,
-    ) {
-        let proc = self.in_flight.take().expect("a call was in flight");
-        let kind_index = self.kinds.len() - 1;
-        let explicit = matches!(
-            self.script.get(kind_index).map(|(_, _, c)| c),
-            Some(CollationPolicy::Custom(_))
-        );
-        let outcome = if explicit {
-            // Explicit replication: decode the whole response set.
-            match client::lookup_replies(result) {
-                Ok(set) => {
-                    let oks = set.iter().filter(|m| matches!(m, Some(Ok(_)))).count();
-                    format!("replies:{}/{}", oks, set.len())
-                }
-                Err(e) => format!("replies-failed:{e:?}"),
-            }
-        } else {
-            match proc {
-                name_server::procs::REGISTER => match client::register_result(result) {
-                    Ok(()) => "registered".to_string(),
-                    Err(NameServerFailure::Reported(e)) => format!("reported:{e:?}"),
-                    Err(e) => format!("failed:{e:?}"),
-                },
-                name_server::procs::LOOKUP => match client::lookup_result(result) {
-                    Ok(props) => format!("found:{}", props.len()),
-                    Err(NameServerFailure::Reported(e)) => format!("reported:{e:?}"),
-                    Err(e) => format!("failed:{e:?}"),
-                },
-                name_server::procs::DELETE => match client::delete_result(result) {
-                    Ok(()) => "deleted".to_string(),
-                    Err(NameServerFailure::Reported(e)) => format!("reported:{e:?}"),
-                    Err(e) => format!("failed:{e:?}"),
-                },
-                _ => "unknown".to_string(),
-            }
-        };
-        self.outcomes.push(outcome);
-        self.fire(nc);
-    }
-}
-
 #[test]
 fn generated_stubs_work_against_replicated_server() {
     let mut w = World::new(42);
-    let id = TroupeId(7);
-    let mut members = Vec::new();
-    for h in 1..=3u32 {
-        let a = SockAddr::new(HostId(h), 70);
-        let p = NodeBuilder::new(a, NodeConfig::default())
-            .service(
-                MODULE,
-                Box::new(NameServerDispatcher(NameServerImpl::default())),
-            )
-            .troupe_id(id)
-            .build()
-            .expect("valid node");
-        w.spawn(a, Box::new(p));
-        members.push(ModuleAddr::new(a, MODULE));
-    }
-    let troupe = Troupe::new(id, members.clone());
+    let config = NodeConfig::default();
+    let members = [addr(1, 70), addr(2, 70), addr(3, 70)];
+    let troupe = spawn_troupe(&mut w, TroupeId(7), &members, MODULE, &config, None, || {
+        NameServerDispatcher(NameServerImpl::default())
+    });
+    let client_addr = spawn_caller(&mut w, addr(10, 50), config, None);
+    // One call through the generated stubs: marshal, call, hand the raw
+    // result back for the stub to unmarshal.
+    let mut invoke = |(proc, args): (u16, Vec<u8>), collation| {
+        let request = Request::new(&troupe, MODULE, proc, args).collate(collation);
+        call(&mut w, client_addr, request, Duration::from_secs(5))
+    };
+    let unanimous = circus::CollationPolicy::Unanimous;
+    let reported = |e| NameServerFailure::Reported(e);
 
     let props = vec![Property {
         name: "address".into(),
         value: vec![10, 20, 30],
     }];
-    let (reg_proc, reg_args) = client::register_request(&"printer".to_string(), &props);
-    let (lk_proc, lk_args) = client::lookup_request(&"printer".to_string());
-    let (del_proc, del_args) = client::delete_request(&"printer".to_string());
-    let script = vec![
-        // Register, then a duplicate register (typed error), then lookup,
-        // an explicit-replication lookup, delete, and a failing lookup.
-        (reg_proc, reg_args.clone(), CollationPolicy::Unanimous),
-        (reg_proc, reg_args, CollationPolicy::Unanimous),
-        (lk_proc, lk_args.clone(), CollationPolicy::Unanimous),
-        (lk_proc, lk_args.clone(), circus::gather_all_collation()),
-        (del_proc, del_args, CollationPolicy::Unanimous),
-        (lk_proc, lk_args, CollationPolicy::Unanimous),
-    ];
+    let printer = "printer".to_string();
+    let register = || client::register_request(&printer, &props);
+    let lookup = || client::lookup_request(&printer);
 
-    let client_addr = SockAddr::new(HostId(10), 50);
-    let p = NodeBuilder::new(client_addr, NodeConfig::default())
-        .agent(Box::new(StubClient {
-            troupe,
-            script,
-            next: 0,
-            kinds: Vec::new(),
-            in_flight: None,
-            outcomes: Vec::new(),
-        }))
-        .build()
-        .expect("valid node");
-    w.spawn(client_addr, Box::new(p));
-    w.poke(client_addr, 0);
-    w.run(simnet::Until::Elapsed(Duration::from_secs(30)));
-
-    let outcomes = w
-        .with_proc(client_addr, |p: &CircusProcess| {
-            p.agent_as::<StubClient>().unwrap().outcomes.clone()
-        })
-        .unwrap();
+    // Register, then a duplicate register (typed error), then lookup,
+    // an explicit-replication lookup, delete, and a failing lookup.
     assert_eq!(
-        outcomes,
-        vec![
-            "registered".to_string(),
-            "reported:AlreadyExists".to_string(),
-            "found:1".to_string(),
-            "replies:3/3".to_string(),
-            "deleted".to_string(),
-            "reported:NotFound".to_string(),
-        ]
+        client::register_result(invoke(register(), unanimous.clone())),
+        Ok(())
+    );
+    assert_eq!(
+        client::register_result(invoke(register(), unanimous.clone())),
+        Err(reported(NameServerError::AlreadyExists))
+    );
+    assert_eq!(
+        client::lookup_result(invoke(lookup(), unanimous.clone())),
+        Ok(props.clone())
+    );
+    // Explicit replication: decode the whole response set.
+    let set =
+        client::lookup_replies(invoke(lookup(), circus::gather_all_collation())).expect("gathered");
+    assert_eq!(set, vec![Some(Ok(props.clone())); 3]);
+    let delete = client::delete_request(&printer);
+    assert_eq!(
+        client::delete_result(invoke(delete, unanimous.clone())),
+        Ok(())
+    );
+    assert_eq!(
+        client::lookup_result(invoke(lookup(), unanimous)),
+        Err(reported(NameServerError::NotFound))
     );
 }
 

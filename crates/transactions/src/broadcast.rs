@@ -64,9 +64,10 @@ use std::rc::Rc;
 use circus::{Collate, CollationPolicy, Decision, Service, ServiceCtx, Step, VoteSlot};
 use wire::{from_bytes, to_bytes, Bytes, Externalize, Internalize, Reader, WireError, Writer};
 
-use crate::idset::{fnv, IdSet, FNV_OFFSET};
+use crate::idset::IdSet;
 use crate::pack_origin;
 use crate::wedge::Wedge;
+use obs::{fnv1a_fold, FNV1A_BASIS};
 
 /// Procedure number of `get_proposed_time`.
 pub const PROC_GET_PROPOSED_TIME: u16 = 0;
@@ -263,7 +264,7 @@ impl Default for AppliedOrder {
     fn default() -> AppliedOrder {
         AppliedOrder {
             count: 0,
-            fold: FNV_OFFSET,
+            fold: FNV1A_BASIS,
             recent: VecDeque::with_capacity(RECENT_IDS),
         }
     }
@@ -272,7 +273,7 @@ impl Default for AppliedOrder {
 impl AppliedOrder {
     fn push(&mut self, msg_id: u64) {
         self.count += 1;
-        self.fold = fnv(self.fold, &msg_id.to_be_bytes());
+        self.fold = fnv1a_fold(self.fold, &msg_id.to_be_bytes());
         if self.recent.len() == RECENT_IDS {
             self.recent.pop_front();
         }
@@ -408,9 +409,9 @@ impl<A: OrderedApply> OrderedBroadcastService<A> {
     /// every member iff the members applied the same messages in the same
     /// order.
     pub fn state_digest(&self) -> u64 {
-        let h = fnv(FNV_OFFSET, &self.app.snapshot());
-        let h = fnv(h, &self.applied_order.count.to_be_bytes());
-        fnv(h, &self.applied_order.fold.to_be_bytes())
+        let h = fnv1a_fold(FNV1A_BASIS, &self.app.snapshot());
+        let h = fnv1a_fold(h, &self.applied_order.count.to_be_bytes());
+        fnv1a_fold(h, &self.applied_order.fold.to_be_bytes())
     }
 
     /// Drops `origin`'s retry-cache entries below `msg_id`: by proposing

@@ -69,10 +69,9 @@ impl TxnClient {
         // thread: a retried transaction is a new transaction (§2.3.1).
         let thread = nc.fresh_thread();
         self.thread = Some(thread);
-        let troupe = self.troupe.clone();
         nc.call(
             thread,
-            &troupe,
+            &self.troupe,
             self.module,
             PROC_EXECUTE,
             to_bytes(&ExecuteRequest {
@@ -208,10 +207,9 @@ impl Broadcaster {
             payload: propose.payload,
         });
         let thread = nc.fresh_thread();
-        let troupe = self.troupe.clone();
         nc.call(
             thread,
-            &troupe,
+            &self.troupe,
             self.module,
             PROC_GET_PROPOSED_TIME,
             args,
@@ -251,10 +249,9 @@ impl Agent for Broadcaster {
                 };
                 self.inflight = Some(InFlight::Accepting);
                 let thread = nc.fresh_thread();
-                let troupe = self.troupe.clone();
                 nc.call(
                     thread,
-                    &troupe,
+                    &self.troupe,
                     self.module,
                     PROC_ACCEPT_TIME,
                     to_bytes(&Accept {
@@ -331,10 +328,9 @@ impl CmClient {
         self.next_op_id += 1;
         self.waiting = true;
         let thread = nc.fresh_thread();
-        let troupe = self.troupe.clone();
         nc.call(
             thread,
-            &troupe,
+            &self.troupe,
             self.module,
             PROC_CM_EXECUTE,
             to_bytes(&CmRequest { op_id, ops }),

@@ -229,13 +229,7 @@ impl TroupeStoreService {
     pub fn state_digest(&self) -> u64 {
         let mut sorted = self.committed.clone();
         sorted.sort_unstable();
-        let bytes = to_bytes(&(self.tm.store().snapshot(), sorted));
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        obs::fnv1a(&to_bytes(&(self.tm.store().snapshot(), sorted)))
     }
 
     /// Builds the `ready_to_commit` call-back (§5.3).

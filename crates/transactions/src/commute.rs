@@ -28,9 +28,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use circus::{Service, ServiceCtx, Step};
 use wire::{from_bytes, to_bytes, Externalize, Internalize, Reader, WireError, Writer};
 
-use crate::idset::{fnv, IdSet, FNV_OFFSET};
+use crate::idset::IdSet;
 use crate::store::ObjId;
 use crate::wedge::Wedge;
+use obs::{fnv1a_fold, FNV1A_BASIS};
 
 /// Procedure number of `apply_commutative` at the troupe.
 pub const PROC_CM_EXECUTE: u16 = 0;
@@ -151,13 +152,13 @@ impl CommutativeService {
     /// requests — in any order — digest identically; that is the
     /// convergence-without-commit claim the chaos oracle checks.
     pub fn state_digest(&self) -> u64 {
-        let mut h = FNV_OFFSET;
+        let mut h = FNV1A_BASIS;
         for (&obj, &v) in &self.counters {
-            h = fnv(h, &obj.to_be_bytes());
-            h = fnv(h, &v.to_be_bytes());
+            h = fnv1a_fold(h, &obj.to_be_bytes());
+            h = fnv1a_fold(h, &v.to_be_bytes());
         }
         for &e in &self.gset {
-            h = fnv(h, &e.to_be_bytes());
+            h = fnv1a_fold(h, &e.to_be_bytes());
         }
         self.seen.fold_into(h)
     }

@@ -10,16 +10,7 @@
 
 use std::collections::BTreeMap;
 
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// One FNV-1a step per byte of `bytes`, continuing from `h`.
-pub(crate) fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
+use obs::fnv1a_fold;
 
 /// An exact set of `u64` ids held as inclusive ranges that are pairwise
 /// disjoint and never adjacent (so equal sets have equal representations).
@@ -84,8 +75,8 @@ impl IdSet {
     /// Folds the ranges into a running FNV digest.
     pub(crate) fn fold_into(&self, mut h: u64) -> u64 {
         for (&lo, &hi) in &self.ranges {
-            h = fnv(h, &lo.to_be_bytes());
-            h = fnv(h, &hi.to_be_bytes());
+            h = fnv1a_fold(h, &lo.to_be_bytes());
+            h = fnv1a_fold(h, &hi.to_be_bytes());
         }
         h
     }

@@ -75,6 +75,7 @@
 //! ([`Disk::truncate`]) before the next one is appended.
 
 use circus::ThreadId;
+use obs::{fnv1a, fnv1a_fold, FNV1A_BASIS};
 use simnet::{Disk, DiskError};
 use wire::{encode_with, from_bytes, Externalize, Internalize, Reader, WireError, Writer};
 
@@ -132,23 +133,6 @@ impl Internalize for CommitRecord {
     }
 }
 
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Continues an FNV-1a digest `h` over `bytes`.
-fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// FNV-1a over a byte slice (the same digest the trace ring and
-/// `state_digest` use; no new dependency).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_fold(FNV_BASIS, bytes)
-}
-
 /// Wraps `payload` in a frame.
 fn frame(payload: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(12 + payload.len());
@@ -201,7 +185,7 @@ impl Mark {
     const EMPTY: Mark = Mark {
         entries: 0,
         bytes: 0,
-        fnv: FNV_BASIS,
+        fnv: FNV1A_BASIS,
     };
 
     /// The boundary one frame holding `keys` further on, and that frame.

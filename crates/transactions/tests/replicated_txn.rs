@@ -2,8 +2,9 @@
 //! protocol under no conflict, conflict, and deadlock; and the ordered
 //! broadcast protocol's identical-order guarantee.
 
-use circus::{CircusProcess, ModuleAddr, NodeBuilder, NodeConfig, Troupe, TroupeId};
-use simnet::{Duration, HostId, SockAddr, World};
+use circus::testbed::{addr, agent, service, spawn_troupe};
+use circus::{NodeBuilder, NodeConfig, Troupe, TroupeId};
+use simnet::{Duration, SockAddr, World};
 use transactions::{
     AppliedOrder, Broadcaster, CommitVoterService, ObjId, Op, OrderedApply,
     OrderedBroadcastService, TroupeStoreService, TxnClient,
@@ -17,10 +18,6 @@ const COMMIT_MODULE: u16 = 2;
 const A: ObjId = ObjId(1);
 const B: ObjId = ObjId(2);
 
-fn addr(h: u32, p: u16) -> SockAddr {
-    SockAddr::new(HostId(h), p)
-}
-
 /// Node config with a short vote-assembly timeout so commit deadlocks
 /// resolve quickly in tests.
 fn config() -> NodeConfig {
@@ -31,23 +28,17 @@ fn config() -> NodeConfig {
 }
 
 /// Spawns a transactional store troupe of `n` members.
-fn spawn_store_troupe(w: &mut World, n: usize) -> Troupe {
-    let id = TroupeId(77);
-    let mut members = Vec::new();
-    for i in 0..n {
-        let a = addr(1 + i as u32, 70);
-        let p = NodeBuilder::new(a, config())
-            .service(
-                STORE_MODULE,
-                Box::new(TroupeStoreService::new(COMMIT_MODULE)),
-            )
-            .troupe_id(id)
-            .build()
-            .expect("valid node");
-        w.spawn(a, Box::new(p));
-        members.push(ModuleAddr::new(a, STORE_MODULE));
-    }
-    Troupe::new(id, members)
+fn spawn_store_troupe(w: &mut World, n: u32) -> Troupe {
+    let addrs: Vec<SockAddr> = (1..=n).map(|h| addr(h, 70)).collect();
+    spawn_troupe(
+        w,
+        TroupeId(77),
+        &addrs,
+        STORE_MODULE,
+        &config(),
+        None,
+        || TroupeStoreService::new(COMMIT_MODULE),
+    )
 }
 
 /// Spawns a transaction client (with its commit-voter module) at `a`.
@@ -61,8 +52,7 @@ fn spawn_txn_client(w: &mut World, a: SockAddr, troupe: Troupe, script: Vec<Vec<
 }
 
 fn client_state(w: &World, a: SockAddr) -> (bool, Vec<Vec<i64>>, u32, Vec<String>) {
-    w.with_proc(a, |p: &CircusProcess| {
-        let c = p.agent_as::<TxnClient>().unwrap();
+    agent(w, a, |c: &TxnClient| {
         (
             c.finished(),
             c.committed.clone(),
@@ -70,19 +60,12 @@ fn client_state(w: &World, a: SockAddr) -> (bool, Vec<Vec<i64>>, u32, Vec<String
             c.errors.clone(),
         )
     })
-    .unwrap()
 }
 
 fn member_committed(w: &World, m: SockAddr, obj: ObjId) -> i64 {
-    w.with_proc(m, |p: &CircusProcess| {
-        p.node()
-            .service_as::<TroupeStoreService>(STORE_MODULE)
-            .unwrap()
-            .tm()
-            .store()
-            .read_committed(obj)
+    service(w, m, STORE_MODULE, |s: &TroupeStoreService| {
+        s.tm().store().read_committed(obj)
     })
-    .unwrap()
 }
 
 #[test]
@@ -245,36 +228,40 @@ impl OrderedApply for LogApp {
 
 const BCAST_MODULE: u16 = 3;
 
-fn spawn_broadcast_troupe(w: &mut World, n: usize) -> Troupe {
-    let id = TroupeId(88);
-    let mut members = Vec::new();
-    for i in 0..n {
-        let a = addr(1 + i as u32, 71);
-        let p = NodeBuilder::new(a, NodeConfig::default())
-            .service(
+fn spawn_broadcast_troupe(w: &mut World, n: u32) -> Troupe {
+    let addrs: Vec<SockAddr> = (1..=n).map(|h| addr(h, 71)).collect();
+    let config = NodeConfig::default();
+    spawn_troupe(w, TroupeId(88), &addrs, BCAST_MODULE, &config, None, || {
+        OrderedBroadcastService::new(LogApp { log: Vec::new() })
+    })
+}
+
+/// Spawns `n` broadcasters at port 50 of hosts 20.., broadcaster `i`
+/// with `count` two-byte messages `[i, k]`, and returns their addresses.
+fn spawn_broadcasters(w: &mut World, troupe: &Troupe, n: u32, count: u8) -> Vec<SockAddr> {
+    let senders: Vec<SockAddr> = (0..n).map(|i| addr(20 + i, 50)).collect();
+    for (i, &s) in senders.iter().enumerate() {
+        let msgs: Vec<Vec<u8>> = (0..count).map(|k| vec![i as u8, k]).collect();
+        let first_id = (i as u64 + 1) * 1000;
+        let p = NodeBuilder::new(s, NodeConfig::default())
+            .agent(Box::new(Broadcaster::new(
+                troupe.clone(),
                 BCAST_MODULE,
-                Box::new(OrderedBroadcastService::new(LogApp { log: Vec::new() })),
-            )
-            .troupe_id(id)
+                first_id,
+                msgs,
+            )))
             .build()
             .expect("valid node");
-        w.spawn(a, Box::new(p));
-        members.push(ModuleAddr::new(a, BCAST_MODULE));
+        w.spawn(s, Box::new(p));
     }
-    Troupe::new(id, members)
+    senders
 }
 
 /// What member `m` applied, in order: the folded id order, and the
 /// app's own log of the payloads.
 fn applied_order(w: &World, m: SockAddr) -> (AppliedOrder, Vec<Vec<u8>>) {
-    w.with_proc(m, |p: &CircusProcess| {
-        let s = p
-            .node()
-            .service_as::<OrderedBroadcastService<LogApp>>(BCAST_MODULE)
-            .unwrap();
-        (s.applied_order.clone(), s.app().log.clone())
-    })
-    .unwrap()
+    let view = |s: &OrderedBroadcastService<LogApp>| (s.applied_order.clone(), s.app().log.clone());
+    service(w, m, BCAST_MODULE, view)
 }
 
 #[test]
@@ -282,31 +269,14 @@ fn ordered_broadcast_identical_order_at_all_members() {
     let mut w = World::new(5);
     let troupe = spawn_broadcast_troupe(&mut w, 3);
     // Three concurrent broadcasters, interleaved in time.
-    let senders: Vec<SockAddr> = (0..3).map(|i| addr(20 + i, 50)).collect();
-    for (i, &s) in senders.iter().enumerate() {
-        let msgs: Vec<Vec<u8>> = (0..5u8).map(|k| vec![i as u8, k]).collect();
-        let p = NodeBuilder::new(s, NodeConfig::default())
-            .agent(Box::new(Broadcaster::new(
-                troupe.clone(),
-                BCAST_MODULE,
-                (i as u64 + 1) * 1000,
-                msgs,
-            )))
-            .build()
-            .expect("valid node");
-        w.spawn(s, Box::new(p));
-    }
+    let senders = spawn_broadcasters(&mut w, &troupe, 3, 5);
     for &s in &senders {
         w.poke(s, 0);
     }
     w.run(simnet::Until::Elapsed(Duration::from_secs(120)));
 
     for &s in &senders {
-        let finished = w
-            .with_proc(s, |p: &CircusProcess| {
-                p.agent_as::<Broadcaster>().unwrap().finished()
-            })
-            .unwrap();
+        let finished = agent(&w, s, Broadcaster::finished);
         assert!(finished, "broadcaster {s} incomplete");
     }
 
@@ -329,32 +299,14 @@ fn ordered_broadcast_no_starvation_under_contention() {
     // progress without any aborts regardless of contention (§5.4).
     let mut w = World::new(6);
     let troupe = spawn_broadcast_troupe(&mut w, 3);
-    let senders: Vec<SockAddr> = (0..6).map(|i| addr(20 + i, 50)).collect();
-    for (i, &s) in senders.iter().enumerate() {
-        let msgs: Vec<Vec<u8>> = (0..10u8).map(|k| vec![i as u8, k]).collect();
-        let p = NodeBuilder::new(s, NodeConfig::default())
-            .agent(Box::new(Broadcaster::new(
-                troupe.clone(),
-                BCAST_MODULE,
-                (i as u64 + 1) * 1000,
-                msgs,
-            )))
-            .build()
-            .expect("valid node");
-        w.spawn(s, Box::new(p));
-    }
+    let senders = spawn_broadcasters(&mut w, &troupe, 6, 10);
     for &s in &senders {
         w.poke(s, 0);
     }
     w.run(simnet::Until::Elapsed(Duration::from_secs(300)));
 
     for &s in &senders {
-        let (finished, errors) = w
-            .with_proc(s, |p: &CircusProcess| {
-                let b = p.agent_as::<Broadcaster>().unwrap();
-                (b.finished(), b.errors.clone())
-            })
-            .unwrap();
+        let (finished, errors) = agent(&w, s, |b: &Broadcaster| (b.finished(), b.errors.clone()));
         assert!(finished && errors.is_empty(), "broadcaster {s}: {errors:?}");
     }
     let order0 = applied_order(&w, troupe.members[0].addr);

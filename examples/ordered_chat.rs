@@ -9,12 +9,11 @@
 //!
 //! Run with: `cargo run --example ordered_chat`
 
-use rdp::circus::{CircusProcess, ModuleAddr, NodeBuilder, NodeConfig, Troupe, TroupeId};
-use rdp::simnet::{Duration, HostId, SockAddr, World};
+use rdp::circus::testbed::{addr, service, spawn_troupe, MODULE};
+use rdp::circus::{NodeBuilder, NodeConfig, TroupeId};
+use rdp::simnet::{Duration, World};
 use rdp::transactions::{Broadcaster, OrderedApply, OrderedBroadcastService};
 use rdp::wire::to_bytes;
-
-const MODULE: u16 = 1;
 
 /// The chat-room state machine: a log of messages, applied in the
 /// acceptance order the protocol fixes.
@@ -33,28 +32,23 @@ fn main() {
     let mut world = World::new(2026);
 
     // The chat-room troupe.
-    let id = TroupeId(1);
-    let mut members = Vec::new();
-    for h in 1..=3u32 {
-        let a = SockAddr::new(HostId(h), 70);
-        let p = NodeBuilder::new(a, NodeConfig::default())
-            .service(
-                MODULE,
-                Box::new(OrderedBroadcastService::new(ChatRoom { log: Vec::new() })),
-            )
-            .troupe_id(id)
-            .build()
-            .expect("valid node");
-        world.spawn(a, Box::new(p));
-        members.push(ModuleAddr::new(a, MODULE));
-    }
-    let troupe = Troupe::new(id, members.clone());
+    let config = NodeConfig::default();
+    let members = [addr(1, 70), addr(2, 70), addr(3, 70)];
+    let troupe = spawn_troupe(
+        &mut world,
+        TroupeId(1),
+        &members,
+        MODULE,
+        &config,
+        None,
+        || OrderedBroadcastService::new(ChatRoom { log: Vec::new() }),
+    );
 
     // Three users, each posting three messages, all at once.
     let users = ["ada", "bob", "cyd"];
     let mut user_addrs = Vec::new();
     for (i, user) in users.iter().enumerate() {
-        let a = SockAddr::new(HostId(10 + i as u32), 50);
+        let a = addr(10 + i as u32, 50);
         let msgs: Vec<Vec<u8>> = (1..=3)
             .map(|k| format!("<{user}> message {k}").into_bytes())
             .collect();
@@ -76,20 +70,10 @@ fn main() {
     world.run(simnet::Until::Elapsed(Duration::from_secs(60)));
 
     // Every replica shows the identical transcript.
+    let transcript = |s: &OrderedBroadcastService<ChatRoom>| s.app().log.clone();
     let logs: Vec<Vec<String>> = members
         .iter()
-        .map(|m| {
-            world
-                .with_proc(m.addr, |p: &CircusProcess| {
-                    p.node()
-                        .service_as::<OrderedBroadcastService<ChatRoom>>(MODULE)
-                        .unwrap()
-                        .app()
-                        .log
-                        .clone()
-                })
-                .unwrap()
-        })
+        .map(|&m| service(&world, m, MODULE, transcript))
         .collect();
 
     println!("chat transcript at replica h1 (9 concurrent posts, 3 users):\n");

@@ -7,114 +7,55 @@
 //! to function as long as at least one member of each troupe survives"
 //! (§4.1).
 //!
+//! Everything here comes from `circus::testbed`, the module every test
+//! and experiment stands its troupes up with; `temperature_sensors` shows
+//! a service and client agents written out by hand.
+//!
 //! Run with: `cargo run --example quickstart`
 
-use rdp::circus::{
-    Agent, CallError, CallHandle, CircusProcess, CollationPolicy, ModuleAddr, NodeBuilder,
-    NodeConfig, NodeCtx, Service, ServiceCtx, Step, ThreadId, Troupe, TroupeId,
+use rdp::circus::testbed::{
+    addr, call, spawn_caller, spawn_troupe, CountingService, Request, MODULE, PROC_ECHO,
 };
-use rdp::simnet::{Duration, HostId, SockAddr, World};
-
-const MODULE: u16 = 1;
-
-/// The replicated module: an echo service with a call counter.
-struct Echo {
-    calls: u32,
-}
-
-impl Service for Echo {
-    fn dispatch(&mut self, _ctx: &mut ServiceCtx, _proc: u16, args: &[u8]) -> Step {
-        self.calls += 1;
-        Step::Reply(args.to_vec())
-    }
-}
-
-/// A client that fires one call per poke and remembers the outcomes.
-struct Client {
-    troupe: Troupe,
-    thread: Option<ThreadId>,
-    outcomes: Vec<Result<Vec<u8>, CallError>>,
-}
-
-impl Agent for Client {
-    fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, tag: u64) {
-        let thread = *self.thread.get_or_insert_with(|| nc.fresh_thread());
-        let troupe = self.troupe.clone();
-        nc.call(
-            thread,
-            &troupe,
-            MODULE,
-            0,
-            format!("ping #{tag}").into_bytes(),
-            CollationPolicy::Unanimous,
-        );
-    }
-
-    fn on_call_done(
-        &mut self,
-        _nc: &mut NodeCtx<'_, '_, '_>,
-        _handle: CallHandle,
-        result: Result<Vec<u8>, CallError>,
-    ) {
-        self.outcomes.push(result);
-    }
-}
+use rdp::circus::{NodeConfig, TroupeId};
+use rdp::simnet::{Duration, HostId, World};
 
 fn main() {
     let mut world = World::new(7);
+    let config = NodeConfig::default();
 
-    // Spawn the troupe: three replicas on three machines, one module
-    // each, sharing a troupe id (normally assigned by the Ringmaster).
-    let id = TroupeId(1);
-    let members: Vec<ModuleAddr> = (1..=3)
-        .map(|h| ModuleAddr::new(SockAddr::new(HostId(h), 70), MODULE))
-        .collect();
-    for m in &members {
-        let process = NodeBuilder::new(m.addr, NodeConfig::default())
-            .service(MODULE, Box::new(Echo { calls: 0 }))
-            .troupe_id(id)
-            .build()
-            .expect("valid node");
-        world.spawn(m.addr, Box::new(process));
-    }
-    let troupe = Troupe::new(id, members.clone());
-
-    // Spawn the client.
-    let client = SockAddr::new(HostId(10), 100);
-    let process = NodeBuilder::new(client, NodeConfig::default())
-        .agent(Box::new(Client {
-            troupe,
-            thread: None,
-            outcomes: Vec::new(),
-        }))
-        .build()
-        .expect("valid node");
-    world.spawn(client, Box::new(process));
+    // The troupe: three replicas of one module on three machines, sharing
+    // a troupe id (normally assigned by the Ringmaster). The module is the
+    // testbed's echo service, which counts its executions.
+    let machines = [addr(1, 70), addr(2, 70), addr(3, 70)];
+    let troupe = spawn_troupe(
+        &mut world,
+        TroupeId(1),
+        &machines,
+        MODULE,
+        &config,
+        None,
+        CountingService::default,
+    );
+    // The client: a process that makes the calls it is handed.
+    let client = spawn_caller(&mut world, addr(10, 100), config, None);
 
     println!("replicated echo, degree 3 — killing one member per round\n");
-    for round in 0..4u64 {
+    for round in 0..4u32 {
         if round > 0 {
-            let victim = HostId(round as u32);
-            println!("-- crashing host {victim} --");
-            world.crash_host(victim);
+            println!("-- crashing host {} --", HostId(round));
+            world.crash_host(HostId(round));
         }
-        world.poke(client, round);
-        // Crash detection needs probe timeouts, so give it time.
-        world.run(simnet::Until::Elapsed(Duration::from_secs(60)));
-        let (n, last) = world
-            .with_proc(client, |p: &CircusProcess| {
-                let c = p.agent_as::<Client>().unwrap();
-                (c.outcomes.len(), c.outcomes.last().cloned())
-            })
-            .unwrap();
-        match last {
-            Some(Ok(reply)) => println!(
-                "call {n}: ok, reply {:?} (members left: {})",
+        let ping = format!("ping #{round}").into_bytes();
+        let request = Request::new(&troupe, MODULE, PROC_ECHO, ping);
+        // Crash detection needs probe timeouts, so give the call time.
+        match call(&mut world, client, request, Duration::from_secs(60)) {
+            Ok(reply) => println!(
+                "call {}: ok, reply {:?} (members left: {})",
+                round + 1,
                 String::from_utf8_lossy(&reply),
                 3 - round
             ),
-            Some(Err(e)) => println!("call {n}: FAILED: {e}"),
-            None => println!("call never completed"),
+            Err(e) => println!("call {}: FAILED: {e}", round + 1),
         }
     }
     println!("\nwith every member dead, the total failure is reported, not hung —");

@@ -17,42 +17,25 @@
 //!
 //! Run with: `cargo run --example reconfiguration`
 
-use rdp::circus::binding::{binding_procs, BINDING_MODULE};
+use rdp::circus::binding::BINDING_MODULE;
+use rdp::circus::testbed::{
+    addr, agent, call, spawn_caller, spawn_troupe, CountingService, PROC_ADD,
+};
 use rdp::circus::{
-    Agent, CallError, CallHandle, CircusProcess, CollationPolicy, ModuleAddr, NodeBuilder,
-    NodeConfig, NodeCtx, Service, ServiceCtx, Step, Troupe, TroupeId,
+    Agent, CallError, CallHandle, CollationPolicy, ModuleAddr, NodeBuilder, NodeConfig, NodeCtx,
+    Troupe, TroupeId,
 };
 use rdp::configlang::{ConfigManager, Machine, Placement, Universe, Value};
 use rdp::ringmaster::{
-    activate, spawn_ringmaster, ImportCache, RegisterTroupe, SpareService, SPARE_CTL_MODULE,
+    activation, registration, spawn_ringmaster, ImportCache, SpareService, SPARE_CTL_MODULE,
 };
-use rdp::simnet::{Duration, HostId, SockAddr, World};
+use rdp::simnet::{Duration, HostId, World};
 use rdp::wire::{from_bytes, to_bytes};
 
+/// The replicated module is the testbed's counting service: its running
+/// total is the counter whose state must survive crashes, and it carries
+/// it to a joining member through `get_state`/`set_state`.
 const APP_MODULE: u16 = 1;
-
-/// The replicated module: a counter whose state must survive crashes.
-struct Counter {
-    value: u32,
-}
-
-impl Service for Counter {
-    fn dispatch(&mut self, _ctx: &mut ServiceCtx, _proc: u16, args: &[u8]) -> Step {
-        let n: u32 = from_bytes(args).unwrap_or(0);
-        self.value += n;
-        Step::Reply(to_bytes(&self.value))
-    }
-
-    fn get_state(&self) -> Vec<u8> {
-        to_bytes(&self.value)
-    }
-
-    fn set_state(&mut self, state: &[u8]) {
-        if let Ok(v) = from_bytes(state) {
-            self.value = v;
-        }
-    }
-}
 
 /// A client that increments the counter, rebinding when its cached
 /// troupe goes stale (§6.1's cache invalidation).
@@ -66,15 +49,14 @@ struct CountingClient {
 
 impl CountingClient {
     fn increment(&mut self, nc: &mut NodeCtx<'_, '_, '_>) {
-        let Some(troupe) = self.troupe.clone() else {
+        let Some(troupe) = &self.troupe else {
             // Need a binding first.
             let (proc, args) = ImportCache::lookup_request("counter");
             let t = nc.fresh_thread();
-            let binder = self.binder.clone();
             self.pending_increment = true;
             nc.call(
                 t,
-                &binder,
+                &self.binder,
                 BINDING_MODULE,
                 proc,
                 args,
@@ -85,9 +67,9 @@ impl CountingClient {
         let t = nc.fresh_thread();
         nc.call(
             t,
-            &troupe,
+            troupe,
             APP_MODULE,
-            0,
+            PROC_ADD,
             to_bytes(&1u32),
             CollationPolicy::Unanimous,
         );
@@ -131,11 +113,10 @@ impl Agent for CountingClient {
                 self.cache.invalidate("counter");
                 let (proc, args) = self.cache.rebind_request("counter");
                 let t = nc.fresh_thread();
-                let binder = self.binder.clone();
                 self.pending_increment = true;
                 nc.call(
                     t,
-                    &binder,
+                    &self.binder,
                     BINDING_MODULE,
                     proc,
                     args,
@@ -143,54 +124,6 @@ impl Agent for CountingClient {
                 );
             }
             Err(e) => self.log.push(format!("call failed: {e}")),
-        }
-    }
-}
-
-/// The configuration manager's process (§6.2): registers the troupe at
-/// program start (poke 0) and, when a replacement has been started on
-/// machine `m`, tells it to join (poke `m`).
-struct Registrar {
-    binder: Troupe,
-    req: RegisterTroupe,
-    pub id: Option<TroupeId>,
-}
-
-impl Agent for Registrar {
-    fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, tag: u64) {
-        if tag != 0 {
-            let replacement = SockAddr::new(HostId(tag as u32), 70);
-            activate(
-                nc,
-                ModuleAddr::new(replacement, SPARE_CTL_MODULE),
-                &self.req.name,
-            );
-            return;
-        }
-        let t = nc.fresh_thread();
-        let binder = self.binder.clone();
-        nc.call(
-            t,
-            &binder,
-            BINDING_MODULE,
-            binding_procs::REGISTER_TROUPE,
-            to_bytes(&self.req),
-            CollationPolicy::Majority,
-        );
-    }
-
-    fn on_call_done(
-        &mut self,
-        _nc: &mut NodeCtx<'_, '_, '_>,
-        _h: CallHandle,
-        result: Result<Vec<u8>, CallError>,
-    ) {
-        match result {
-            // The registration's reply is the troupe id; an activation's
-            // is empty.
-            Ok(bytes) if self.id.is_none() => self.id = from_bytes(&bytes).ok(),
-            Ok(_) => {}
-            Err(e) => panic!("configuration manager's call failed: {e}"),
         }
     }
 }
@@ -223,48 +156,37 @@ fn main() {
             "troupe(x, y, z) where x.memory >= 8 and y.memory >= 8 and z.memory >= 8",
         )
         .expect("spec satisfiable");
-    let mut members = Vec::new();
+    let mut machines = Vec::new();
     println!("configuration manager placement:");
     for a in &actions {
         if let Placement::Start { machine, .. } = a {
             println!("  start counter member on vax-{machine} (memory >= 8)");
-            let addr = SockAddr::new(HostId(*machine), 70);
-            let p = NodeBuilder::new(addr, NodeConfig::default())
-                .service(APP_MODULE, Box::new(Counter { value: 0 }))
-                .binder(rm.clone())
-                .build()
-                .expect("valid node");
-            world.spawn(addr, Box::new(p));
-            members.push(ModuleAddr::new(addr, APP_MODULE));
+            machines.push(addr(*machine, 70));
         }
     }
+    let config = NodeConfig::default();
+    let members = spawn_troupe(
+        &mut world,
+        TroupeId::UNREGISTERED,
+        &machines,
+        APP_MODULE,
+        &config,
+        Some(&rm),
+        CountingService::default,
+    )
+    .members;
 
-    // Register the whole troupe with the Ringmaster.
-    let registrar = SockAddr::new(HostId(90), 10);
-    let p = NodeBuilder::new(registrar, NodeConfig::default())
-        .agent(Box::new(Registrar {
-            binder: rm.clone(),
-            req: RegisterTroupe {
-                name: "counter".into(),
-                members: members.clone(),
-            },
-            id: None,
-        }))
-        .build()
-        .expect("valid node");
-    world.spawn(registrar, Box::new(p));
-    world.poke(registrar, 0);
-    world.run(simnet::Until::Elapsed(Duration::from_secs(10)));
-    let first_id = world
-        .with_proc(registrar, |p: &CircusProcess| {
-            p.agent_as::<Registrar>().unwrap().id
-        })
-        .unwrap()
-        .expect("registered");
+    // The configuration manager's own process (§6.2) registers the whole
+    // troupe with the Ringmaster.
+    let manager_addr = spawn_caller(&mut world, addr(90, 10), config, None);
+    let register = registration(&rm, "counter", &members);
+    let first_id =
+        call(&mut world, manager_addr, register, Duration::from_secs(10)).expect("registered");
+    let first_id: TroupeId = from_bytes(&first_id).expect("a troupe id");
     println!("registered as incarnation {}\n", first_id.0);
 
     // The client imports by name and increments three times.
-    let client = SockAddr::new(HostId(50), 10);
+    let client = addr(50, 10);
     let p = NodeBuilder::new(client, NodeConfig::default())
         .agent(Box::new(CountingClient {
             binder: rm.clone(),
@@ -294,9 +216,9 @@ fn main() {
     for a in &actions {
         if let Placement::Start { machine, .. } = a {
             println!("reconfiguration: start replacement on vax-{machine}");
-            let addr = SockAddr::new(HostId(*machine), 70);
-            let p = NodeBuilder::new(addr, NodeConfig::default())
-                .service(APP_MODULE, Box::new(Counter { value: 0 }))
+            let replacement = addr(*machine, 70);
+            let p = NodeBuilder::new(replacement, NodeConfig::default())
+                .service(APP_MODULE, Box::new(CountingService::default()))
                 .service(
                     SPARE_CTL_MODULE,
                     Box::new(SpareService::new(rm.clone(), "counter", APP_MODULE)),
@@ -304,10 +226,15 @@ fn main() {
                 .binder(rm.clone())
                 .build()
                 .expect("valid node");
-            world.spawn(addr, Box::new(p));
-            world.poke(registrar, u64::from(*machine));
+            world.spawn(replacement, Box::new(p));
+            let join = activation(ModuleAddr::new(replacement, SPARE_CTL_MODULE), "counter");
+            call(&mut world, manager_addr, join, Duration::from_secs(60))
+                .expect("the replacement joined");
         }
     }
+    // Meanwhile the Ringmaster's healer notices the crash on its own and
+    // evicts the dead member, which re-incarnates the troupe once more;
+    // let it finish before the client comes back.
     world.run(simnet::Until::Elapsed(Duration::from_secs(60)));
 
     // More increments: the first fails with a stale binding (the troupe
@@ -317,11 +244,7 @@ fn main() {
         world.run(simnet::Until::Elapsed(Duration::from_secs(30)));
     }
 
-    let log = world
-        .with_proc(client, |p: &CircusProcess| {
-            p.agent_as::<CountingClient>().unwrap().log.clone()
-        })
-        .unwrap();
+    let log = agent(&world, client, |c: &CountingClient| c.log.clone());
     println!("\nclient log:");
     for line in &log {
         println!("  {line}");

@@ -11,8 +11,9 @@
 //!
 //! Run with: `cargo run --example replicated_bank`
 
-use rdp::circus::{CircusProcess, ModuleAddr, NodeBuilder, NodeConfig, Troupe, TroupeId};
-use rdp::simnet::{Duration, HostId, SockAddr, World};
+use rdp::circus::testbed::{addr, agent, service, spawn_troupe};
+use rdp::circus::{NodeBuilder, NodeConfig, TroupeId};
+use rdp::simnet::{Duration, World};
 use rdp::transactions::{CommitVoterService, ObjId, Op, TroupeStoreService, TxnClient};
 
 const STORE_MODULE: u16 = 1;
@@ -29,25 +30,19 @@ fn main() {
     };
 
     // The bank troupe: three replicas of the transactional store.
-    let id = TroupeId(9);
-    let mut members = Vec::new();
-    for h in 1..=3u32 {
-        let a = SockAddr::new(HostId(h), 70);
-        let p = NodeBuilder::new(a, config.clone())
-            .service(
-                STORE_MODULE,
-                Box::new(TroupeStoreService::new(COMMIT_MODULE)),
-            )
-            .troupe_id(id)
-            .build()
-            .expect("valid node");
-        world.spawn(a, Box::new(p));
-        members.push(ModuleAddr::new(a, STORE_MODULE));
-    }
-    let troupe = Troupe::new(id, members.clone());
+    let replicas = [addr(1, 70), addr(2, 70), addr(3, 70)];
+    let troupe = spawn_troupe(
+        &mut world,
+        TroupeId(9),
+        &replicas,
+        STORE_MODULE,
+        &config,
+        None,
+        || TroupeStoreService::new(COMMIT_MODULE),
+    );
 
     // Open the accounts with one setup transaction.
-    let setup = SockAddr::new(HostId(10), 50);
+    let setup = addr(10, 50);
     let p = NodeBuilder::new(setup, config.clone())
         .agent(Box::new(TxnClient::new(
             troupe.clone(),
@@ -64,8 +59,8 @@ fn main() {
 
     // Two tellers, conflicting lock orders: teller 1 moves alice->bob,
     // teller 2 moves bob->alice, five transfers each.
-    let teller1 = SockAddr::new(HostId(11), 50);
-    let teller2 = SockAddr::new(HostId(12), 50);
+    let teller1 = addr(11, 50);
+    let teller2 = addr(12, 50);
     let t1_script = vec![vec![Op::Add(ALICE, -10), Op::Add(BOB, 10)]; 5];
     let t2_script = vec![vec![Op::Add(BOB, -25), Op::Add(ALICE, 25)]; 5];
     for (addr, script) in [(teller1, t1_script), (teller2, t2_script)] {
@@ -85,12 +80,9 @@ fn main() {
     world.run(simnet::Until::Elapsed(Duration::from_secs(600)));
 
     for (name, addr) in [("teller 1", teller1), ("teller 2", teller2)] {
-        let (done, committed, aborts) = world
-            .with_proc(addr, |p: &CircusProcess| {
-                let c = p.agent_as::<TxnClient>().unwrap();
-                (c.finished(), c.committed.len(), c.aborts)
-            })
-            .unwrap();
+        let (done, committed, aborts) = agent(&world, addr, |c: &TxnClient| {
+            (c.finished(), c.committed.len(), c.aborts)
+        });
         println!(
             "{name}: finished={done}, committed {committed} transfers, {aborts} aborts/retries"
         );
@@ -98,19 +90,11 @@ fn main() {
 
     println!("\nfinal balances at every replica:");
     let mut balances = Vec::new();
-    for m in &members {
-        let (alice, bob) = world
-            .with_proc(m.addr, |p: &CircusProcess| {
-                let s = p
-                    .node()
-                    .service_as::<TroupeStoreService>(STORE_MODULE)
-                    .unwrap();
-                (
-                    s.tm().store().read_committed(ALICE),
-                    s.tm().store().read_committed(BOB),
-                )
-            })
-            .unwrap();
+    for m in &troupe.members {
+        let (alice, bob) = service(&world, m.addr, STORE_MODULE, |s: &TroupeStoreService| {
+            let store = s.tm().store();
+            (store.read_committed(ALICE), store.read_committed(BOB))
+        });
         println!(
             "  {}: alice = {alice}, bob = {bob}, total = {}",
             m.addr,

@@ -16,15 +16,14 @@
 
 use std::rc::Rc;
 
+use rdp::circus::testbed::{addr, agent, node_mut, service, spawn_troupe, MODULE};
 use rdp::circus::{
-    gather_all_collation, unwrap_reply_vote, Agent, CallError, CallHandle, CircusProcess, Collate,
-    CollationPolicy, Decision, ModuleAddr, NodeBuilder, NodeConfig, NodeCtx, Service, ServiceCtx,
-    Step, ThreadId, Troupe, TroupeId, VoteSlot,
+    gather_all_collation, unwrap_reply_vote, Agent, CallError, CallHandle, Collate,
+    CollationPolicy, Decision, NodeBuilder, NodeConfig, NodeCtx, Service, ServiceCtx, Step,
+    ThreadId, Troupe, TroupeId, VoteSlot,
 };
-use rdp::simnet::{Duration, HostId, SockAddr, World};
+use rdp::simnet::{Duration, SockAddr, World};
 use rdp::wire::{from_bytes, to_bytes};
-
-const MODULE: u16 = 1;
 
 /// Figure 7.7's argument collator: wait for every live sensor, then
 /// yield the average of their readings.
@@ -93,10 +92,9 @@ struct Sensor {
 
 impl Agent for Sensor {
     fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, _tag: u64) {
-        let controller = self.controller.clone();
         nc.call(
             self.thread,
-            &controller,
+            &self.controller,
             MODULE,
             0,
             to_bytes(&self.reading),
@@ -136,10 +134,9 @@ struct Monitor {
 impl Agent for Monitor {
     fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, _tag: u64) {
         let thread = nc.fresh_thread();
-        let troupe = self.thermometers.clone();
         nc.call(
             thread,
-            &troupe,
+            &self.thermometers,
             MODULE,
             0,
             Vec::new(),
@@ -171,28 +168,27 @@ fn main() {
     let mut world = World::new(3);
 
     // The controller (unreplicated server with an averaging collator).
-    let controller_addr = SockAddr::new(HostId(1), 70);
-    let controller_id = TroupeId(5);
-    let p = NodeBuilder::new(controller_addr, NodeConfig::default())
-        .service(MODULE, Box::new(Controller { set_point: None }))
-        .troupe_id(controller_id)
-        .build()
-        .expect("valid node");
-    world.spawn(controller_addr, Box::new(p));
-    let controller = Troupe::new(
-        controller_id,
-        vec![ModuleAddr::new(controller_addr, MODULE)],
+    let config = NodeConfig::default();
+    let controller_addr = addr(1, 70);
+    let controller = spawn_troupe(
+        &mut world,
+        TroupeId(5),
+        &[controller_addr],
+        MODULE,
+        &config,
+        None,
+        || Controller { set_point: None },
     );
 
     // The sensor troupe (replicated CLIENT): one logical thread, three
     // members with different readings.
     let sensor_id = TroupeId(6);
     let shared_thread = ThreadId {
-        origin: SockAddr::new(HostId(100), 1),
+        origin: addr(100, 1),
         serial: 1,
     };
     let readings = [19, 22, 23];
-    let sensor_addrs: Vec<SockAddr> = (0..3).map(|i| SockAddr::new(HostId(10 + i), 50)).collect();
+    let sensor_addrs: Vec<SockAddr> = (0..3).map(|i| addr(10 + i, 50)).collect();
     for (i, &a) in sensor_addrs.iter().enumerate() {
         let p = NodeBuilder::new(a, NodeConfig::default())
             .agent(Box::new(Sensor {
@@ -201,18 +197,16 @@ fn main() {
                 thread: shared_thread,
                 acked: None,
             }))
+            // not the testbed: a troupe member whose agent is this example's own.
             .troupe_id(sensor_id)
             .build()
             .expect("valid node");
         world.spawn(a, Box::new(p));
     }
     // The controller needs the sensor troupe's membership (§4.3.2).
-    world
-        .with_proc_mut(controller_addr, |p: &mut CircusProcess| {
-            p.node_mut()
-                .preload_directory(sensor_id, sensor_addrs.clone());
-        })
-        .unwrap();
+    node_mut(&mut world, controller_addr, |n| {
+        n.preload_directory(sensor_id, sensor_addrs.clone())
+    });
 
     println!("sensor readings: {readings:?}");
     for &a in &sensor_addrs {
@@ -220,11 +214,9 @@ fn main() {
     }
     world.run(simnet::Until::Elapsed(Duration::from_secs(10)));
 
-    let set_point = world
-        .with_proc(controller_addr, |p: &CircusProcess| {
-            p.node().service_as::<Controller>(MODULE).unwrap().set_point
-        })
-        .unwrap();
+    let set_point = service(&world, controller_addr, MODULE, |c: &Controller| {
+        c.set_point
+    });
     println!(
         "controller executed ONCE with the averaged argument: set point = {:?}",
         set_point
@@ -232,22 +224,23 @@ fn main() {
     assert_eq!(set_point, Some((19 + 22 + 23) / 3));
 
     // ---- Figure 7.6: the response-set generator. ----
-    let thermo_id = TroupeId(8);
-    let mut thermo_members = Vec::new();
-    for (i, temp) in [18i32, 21, 24].iter().enumerate() {
-        let a = SockAddr::new(HostId(20 + i as u32), 70);
-        let p = NodeBuilder::new(a, NodeConfig::default())
-            .service(MODULE, Box::new(Thermometer { reading: *temp }))
-            .troupe_id(thermo_id)
-            .build()
-            .expect("valid node");
-        world.spawn(a, Box::new(p));
-        thermo_members.push(ModuleAddr::new(a, MODULE));
-    }
-    let monitor_addr = SockAddr::new(HostId(30), 50);
-    let p = NodeBuilder::new(monitor_addr, NodeConfig::default())
+    let thermo_addrs = [addr(20, 70), addr(21, 70), addr(22, 70)];
+    let mut temps = [18i32, 21, 24].into_iter();
+    let thermometers = spawn_troupe(
+        &mut world,
+        TroupeId(8),
+        &thermo_addrs,
+        MODULE,
+        &config,
+        None,
+        || Thermometer {
+            reading: temps.next().expect("one reading per member"),
+        },
+    );
+    let monitor_addr = addr(30, 50);
+    let p = NodeBuilder::new(monitor_addr, config)
         .agent(Box::new(Monitor {
-            thermometers: Troupe::new(thermo_id, thermo_members),
+            thermometers,
             readings: Vec::new(),
         }))
         .build()
@@ -256,11 +249,7 @@ fn main() {
     world.poke(monitor_addr, 0);
     world.run(simnet::Until::Elapsed(Duration::from_secs(10)));
 
-    let per_member = world
-        .with_proc(monitor_addr, |p: &CircusProcess| {
-            p.agent_as::<Monitor>().unwrap().readings.clone()
-        })
-        .unwrap();
+    let per_member = agent(&world, monitor_addr, |m: &Monitor| m.readings.clone());
     println!("\nexplicit replication: per-member thermometer replies = {per_member:?}");
     assert_eq!(per_member, vec![Some(18), Some(21), Some(24)]);
     println!("the client iterated the response set itself — the paper's generator (Fig 7.6).");

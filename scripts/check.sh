@@ -39,7 +39,7 @@ phase() {
   echo "==> $1"
 }
 
-phase "cargo fmt --check (and the shape of the source: audited hash maps, no crates/core/src file over 900 lines, no cargo feature, no ledger that grows with the run)"
+phase "cargo fmt --check (and the shape of the source: audited hash maps, no crates/core/src file over 900 lines, no cargo feature, no ledger that grows with the run, no spawn loop or echo service beside the testbed's)"
 cargo fmt --all --check
 # A HashMap/HashSet field iterates in a per-process order: each one in the
 # protocol crates says, on the line above it, why that is never observed.
@@ -62,6 +62,13 @@ if grep -rn 'grows with the run' crates/transactions/src; then
   echo "a ledger that admits it grows with the run (named above): bound it" >&2
   exit 1
 fi
+
+# Tests, examples and experiments stand their troupes up with
+# `circus::testbed` and serve its one echo: a hand-rolled member spawn or
+# a private echo service says, on the line above it, why it is
+# `not the testbed:`.
+find tests examples crates/*/tests crates/bench/src -name '*.rs' -print0 |
+  xargs -0 awk 'FNR == 1 { prev = "" } (/\.troupe_id\(/ || /impl Service for Echo/) && prev !~ /not the testbed:/ { print FILENAME ":" FNR ": a spawn or an echo of its own:" $0; bad = 1 } { prev = $0 } END { exit bad }'
 
 phase "cargo clippy --workspace (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings

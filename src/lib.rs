@@ -15,7 +15,7 @@
 //! | [`wire`] | §7.1 | Courier-style external data representation |
 //! | [`pairedmsg`] | §4.2 | the Circus paired message protocol (segments, acks, probes, crash detection) |
 //! | [`circus`] | Ch. 3–4 | troupes, thread IDs, collators, one-to-many / many-to-one / many-to-many replicated calls |
-//! | [`ringmaster`] | Ch. 6 | the binding agent: troupe IDs as incarnations, rebind, member join with state transfer, GC |
+//! | [`ringmaster`] | Ch. 6 | the binding agent: troupe IDs as incarnations, rebind, member join with state transfer, self-healing from warm spares |
 //! | [`transactions`] | Ch. 5 | replicated lightweight transactions: troupe commit protocol and ordered broadcast |
 //! | [`stubgen`] | Ch. 7 | the stub compiler: Courier-style IDL → Rust stubs |
 //! | [`configlang`] | §7.5 | the troupe configuration language, solver, and manager |

@@ -21,11 +21,15 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use rdp::circus::{
-    Agent, CallError, CallHandle, CircusProcess, CollationPolicy, ModuleAddr, NodeBuilder,
-    NodeConfig, NodeCtx, Service, ServiceCtx, Step, ThreadId, Troupe, TroupeId,
+use rdp::circus::testbed::{
+    addr, agent, agent_mut, enqueue, service, spawn_troupe, world, Caller, CountingService,
+    Request, MODULE, PROC_ECHO,
 };
-use rdp::simnet::{HostId, NetConfig, SockAddr, SyscallCosts, TimerWheel, Until, World};
+use rdp::circus::{
+    Agent, CallError, CallHandle, CollationPolicy, NodeBuilder, NodeConfig, NodeCtx, Service,
+    ThreadId, Troupe, TroupeId,
+};
+use rdp::simnet::{SockAddr, TimerWheel, Until, World};
 use rdp::transactions::{
     max_time_collation, Accept, Broadcaster, CmOp, CmRequest, CommutativeService, ObjId,
     OrderedApply, OrderedBroadcastService, Propose, PROC_ACCEPT_TIME, PROC_CM_EXECUTE,
@@ -34,19 +38,23 @@ use rdp::transactions::{
 use rdp::wire::{from_bytes, to_bytes};
 
 /// Allocations per replicated echo call the call path may spend.
-/// Measured: 23.5 (DESIGN.md "Data plane: who allocates what" names each
-/// one); the parent of the PR that introduced this gate spent 133.4. One
-/// stray `Vec` per call does not fit under it.
-const CALL_BUDGET: f64 = 25.0;
+/// Measured: 21.5 — the 23.5 DESIGN.md "Data plane: who allocates what"
+/// names one by one, less the two the client itself used to make in the
+/// measured window (its arguments and a copy of the troupe; the testbed
+/// `Caller`'s requests are queued beforehand). The parent of the PR that
+/// introduced this gate spent 133.4. One stray `Vec` per call does not
+/// fit under it.
+const CALL_BUDGET: f64 = 23.0;
 
-/// The same for an 8 KiB echo call: the 54.5 measured, plus 10 %. Sending
-/// the call once per member spent 65.5.
-const BULK_CALL_BUDGET: f64 = 60.0;
+/// The same for an 8 KiB echo call: the 52.5 measured, plus 10 %. Sending
+/// the call once per member spent eleven more.
+const BULK_CALL_BUDGET: f64 = 58.0;
 
 /// Allocations per ordered broadcast (two n=3 calls, an 8-byte payload)
-/// by the library `Broadcaster`. Measured: 67.0; the `Broadcaster` that
-/// cloned the payload five times per broadcast spent five more.
-const BROADCAST_BUDGET: f64 = 69.0;
+/// by the library `Broadcaster`. Measured: 65.0; the `Broadcaster` that
+/// copied the troupe for each call spent two more, the one that also
+/// cloned the payload five times per broadcast seven.
+const BROADCAST_BUDGET: f64 = 67.0;
 
 /// Bytes of live heap 20 000 steady-state echo calls may add. Measured:
 /// −456 (B-tree nodes come and go); the parent of the PR that introduced
@@ -122,93 +130,20 @@ fn live_bytes() -> i64 {
     LIVE_BYTES.with(Cell::get)
 }
 
-const MODULE: u16 = 1;
-
-struct Echo;
-
-impl Service for Echo {
-    fn dispatch(&mut self, _ctx: &mut ServiceCtx, _proc: u16, args: &[u8]) -> Step {
-        Step::Reply(args.to_vec())
-    }
-}
-
-/// A closed-loop test client: poked with a number of operations to run,
-/// it runs them one at a time, all on one distributed thread (the call
-/// engine numbers calls per thread, and remembers each thread), and
-/// counts the ones done. It keeps no per-operation state, so whatever
-/// grows with the run is the system's.
+/// A closed-loop test client with logic of its own: poked with a number
+/// of operations to run, it runs them one at a time, all on one
+/// distributed thread (the call engine numbers calls per thread, and
+/// remembers each thread), and counts the ones done. It keeps no
+/// per-operation state, so whatever grows with the run is the system's.
 trait ClosedLoop: Agent + 'static {
     fn completed(&self) -> u64;
-}
-
-/// Sequential echo calls; stops issuing once `remaining` reaches zero.
-struct EchoClient {
-    troupe: Troupe,
-    /// Bytes of arguments per call.
-    payload: usize,
-    thread: Option<ThreadId>,
-    remaining: u64,
-    completed: u64,
-    wrong: u64,
-}
-
-impl EchoClient {
-    fn call_one(&mut self, nc: &mut NodeCtx<'_, '_, '_>) {
-        let thread = *self.thread.get_or_insert_with(|| nc.fresh_thread());
-        let troupe = self.troupe.clone();
-        let fill = self.completed as u8;
-        nc.call(
-            thread,
-            &troupe,
-            MODULE,
-            0,
-            vec![fill; self.payload],
-            CollationPolicy::Unanimous,
-        );
-    }
-}
-
-impl Agent for EchoClient {
-    fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, tag: u64) {
-        self.remaining = tag;
-        self.call_one(nc);
-    }
-
-    fn on_call_done(
-        &mut self,
-        nc: &mut NodeCtx<'_, '_, '_>,
-        _handle: CallHandle,
-        result: Result<Vec<u8>, CallError>,
-    ) {
-        let fill = self.completed as u8;
-        let right = |r: &Vec<u8>| r.len() == self.payload && r.iter().all(|&b| b == fill);
-        if !result.is_ok_and(|r| right(&r)) {
-            self.wrong += 1;
-        }
-        self.completed += 1;
-        self.remaining -= 1;
-        if self.remaining > 0 {
-            self.call_one(nc);
-        }
-    }
-}
-
-impl ClosedLoop for EchoClient {
-    fn completed(&self) -> u64 {
-        self.completed
-    }
 }
 
 /// Has client `A` at `client` run `calls` more operations to completion
 /// and returns the number of heap allocations the whole world made
 /// meanwhile.
 fn run_calls<A: ClosedLoop>(w: &mut World, client: SockAddr, calls: u64) -> u64 {
-    let done = |w: &World| {
-        w.with_proc(client, |p: &CircusProcess| {
-            p.agent_as::<A>().map_or(0, |c| c.completed())
-        })
-        .unwrap_or(0)
-    };
+    let done = |w: &World| agent(w, client, A::completed);
     let target = done(w) + calls;
     let before = allocations();
     w.poke(client, calls);
@@ -218,85 +153,93 @@ fn run_calls<A: ClosedLoop>(w: &mut World, client: SockAddr, calls: u64) -> u64 
     allocations() - before
 }
 
+/// Has the testbed `Caller` at `client` make `calls` echo calls of
+/// `payload` bytes of `troupe`, back to back on one distributed thread,
+/// checks every echo and forgets it (so whatever grows with the run is
+/// the system's), and returns the number of heap allocations the whole
+/// world made between the first call and the last completion.
+fn run_echo_calls(
+    w: &mut World,
+    client: SockAddr,
+    troupe: &Troupe,
+    payload: usize,
+    calls: u64,
+) -> u64 {
+    let thread = ThreadId {
+        origin: client,
+        serial: 1,
+    };
+    let echo = |i: u64| Request::new(troupe, MODULE, PROC_ECHO, vec![i as u8; payload]).on(thread);
+    enqueue(w, client, (0..calls).map(echo));
+    let before = allocations();
+    w.poke(client, calls - 1);
+    while agent(w, client, |c: &Caller| c.completed.len() as u64) < calls {
+        assert!(w.step(), "the exchange stalled");
+    }
+    let spent = allocations() - before;
+    agent_mut(w, client, |c: &mut Caller| {
+        for (i, done) in c.completed.drain(..).enumerate() {
+            let right = vec![i as u8; payload];
+            assert_eq!(
+                done.result,
+                Ok(right),
+                "every echo must return its arguments"
+            );
+        }
+    });
+    spent
+}
+
 /// The three member addresses every rig here spawns its troupe on.
 fn member_addrs() -> Vec<SockAddr> {
-    (1..=3).map(|h| SockAddr::new(HostId(h), 70)).collect()
+    (1..=3).map(|h| addr(h, 70)).collect()
 }
 
 /// Spawns an n=3 troupe of `service()` members and one client process
 /// hosting `agent(troupe)` into `w` and lets the world settle; returns
-/// the client's address.
-fn spawn_rig<S: Service, A: Agent + 'static>(
+/// the troupe and the client's address.
+fn spawn_rig<S: Service, A: Agent>(
     w: &mut World,
-    service: impl Fn() -> S,
+    service: impl FnMut() -> S,
     agent: impl FnOnce(Troupe) -> A,
-) -> SockAddr {
-    let id = TroupeId(4242);
-    let members = member_addrs();
-    for &a in &members {
-        let p = NodeBuilder::new(a, NodeConfig::default())
-            .service(MODULE, Box::new(service()))
-            .troupe_id(id)
-            .build()
-            .expect("valid member node");
-        w.spawn(a, Box::new(p));
-    }
-    let client = SockAddr::new(HostId(10), 50);
-    let troupe = Troupe::new(
-        id,
-        members
-            .iter()
-            .map(|&a| ModuleAddr::new(a, MODULE))
-            .collect(),
+) -> (Troupe, SockAddr) {
+    let config = NodeConfig::default();
+    let troupe = spawn_troupe(
+        w,
+        TroupeId(4242),
+        &member_addrs(),
+        MODULE,
+        &config,
+        None,
+        service,
     );
-    let p = NodeBuilder::new(client, NodeConfig::default())
-        .agent(Box::new(agent(troupe)))
+    let client = addr(10, 50);
+    let p = NodeBuilder::new(client, config)
+        .agent(Box::new(agent(troupe.clone())))
         .build()
         .expect("valid client node");
     w.spawn(client, Box::new(p));
     w.run(Until::Idle);
-    client
+    (troupe, client)
 }
 
-/// Spawns the n=3 echo troupe and its one sequential client, which sends
-/// `payload` bytes a call, into `w` and lets the world settle; returns the
-/// client's address.
-fn spawn_echo_rig(w: &mut World, payload: usize) -> SockAddr {
-    spawn_rig(
-        w,
-        || Echo,
-        |troupe| EchoClient {
-            troupe,
-            payload,
-            thread: None,
-            remaining: 0,
-            completed: 0,
-            wrong: 0,
-        },
-    )
-}
-
-fn assert_every_echo_was_right(w: &World, client: SockAddr) {
-    let wrong = w
-        .with_proc(client, |p: &CircusProcess| {
-            p.agent_as::<EchoClient>().map(|c| c.wrong)
-        })
-        .flatten();
-    assert_eq!(wrong, Some(0), "every echo must return its arguments");
+/// Spawns the n=3 echo troupe and the testbed's `Caller` as its one
+/// client.
+fn spawn_echo_rig(w: &mut World) -> (Troupe, SockAddr) {
+    spawn_rig(w, CountingService::default, |_| Caller::default())
 }
 
 /// Holds the steady-state n=3 echo call of `payload` bytes to `budget`
 /// allocations.
 fn assert_call_allocates_at_most(budget: f64, payload: usize) {
     let mut w = World::new(1985);
-    let client = spawn_echo_rig(&mut w, payload);
+    let (troupe, client) = spawn_echo_rig(&mut w);
 
-    run_calls::<EchoClient>(&mut w, client, 200);
-    let spent = run_calls::<EchoClient>(&mut w, client, 1_000);
+    run_echo_calls(&mut w, client, &troupe, payload, 200);
+    let spent = run_echo_calls(&mut w, client, &troupe, payload, 1_000);
     let per_call = spent as f64 / 1_000.0;
     println!("allocations per n=3 {payload}-byte echo call: {per_call:.2}");
 
-    assert_every_echo_was_right(&w, client);
     assert!(
         per_call <= budget,
         "{per_call:.2} allocations per {payload}-byte call exceeds the budget of {budget}"
@@ -313,25 +256,22 @@ fn replicated_bulk_echo_call_stays_within_its_allocation_budget() {
     assert_call_allocates_at_most(BULK_CALL_BUDGET, 8192);
 }
 
-/// The 1985 testbed, where the heap-flat tests run: an echo call takes
-/// ~61 simulated ms, so 20 000 warm-up operations span 20 simulated
-/// minutes or more — past the 60 s replay and done-call TTLs, the span
-/// window and every buffer's high-water mark. Whatever still grows after
-/// that grows with the number of operations.
-fn testbed_1985() -> World {
-    World::with_config(1985, NetConfig::lan_1985(), SyscallCosts::vax_4_2bsd())
-}
+// The heap-flat tests run on the 1985 testbed (`world`), where an echo
+// call takes ~61 simulated ms, so 20 000 warm-up operations span 20
+// simulated minutes or more — past the 60 s replay and done-call TTLs,
+// the span window and every buffer's high-water mark. Whatever still
+// grows after that grows with the number of operations.
 
-/// Warms the rig up with 20 000 of client `A`'s operations, runs 20 000
-/// more and holds the live heap's growth over those to
+/// Warms the rig up with 20 000 operations (`run(w, n)` runs `n` more),
+/// runs 20 000 more and holds the live heap's growth over those to
 /// [`HEAP_GROWTH_BUDGET`].
-fn assert_heap_is_flat<A: ClosedLoop>(w: &mut World, client: SockAddr, what: &str) {
+fn assert_heap_is_flat(w: &mut World, what: &str, mut run: impl FnMut(&mut World, u64)) {
     const CALLS: u64 = 20_000;
-    run_calls::<A>(w, client, CALLS);
+    run(w, CALLS);
     let warm = live_bytes();
     println!("live heap after {CALLS} {what}: {warm} bytes");
     for step in 1..=4 {
-        run_calls::<A>(w, client, CALLS / 4);
+        run(w, CALLS / 4);
         println!(
             "live heap after {} {what}: {} bytes",
             CALLS + step * CALLS / 4,
@@ -347,10 +287,11 @@ fn assert_heap_is_flat<A: ClosedLoop>(w: &mut World, client: SockAddr, what: &st
 
 #[test]
 fn replicated_echo_heap_is_flat() {
-    let mut w = testbed_1985();
-    let client = spawn_echo_rig(&mut w, 64);
-    assert_heap_is_flat::<EchoClient>(&mut w, client, "echo calls");
-    assert_every_echo_was_right(&w, client);
+    let mut w = world(1985);
+    let (troupe, client) = spawn_echo_rig(&mut w);
+    assert_heap_is_flat(&mut w, "echo calls", |w, n| {
+        run_echo_calls(w, client, &troupe, 64, n);
+    });
 }
 
 /// The broadcast application: a running sum of the 8-byte payloads.
@@ -380,14 +321,13 @@ struct BroadcastLoop {
 impl BroadcastLoop {
     fn propose(&mut self, nc: &mut NodeCtx<'_, '_, '_>) {
         let thread = *self.thread.get_or_insert_with(|| nc.fresh_thread());
-        let troupe = self.troupe.clone();
         let propose = Propose {
             msg_id: self.msg_id,
             payload: to_bytes(&self.msg_id),
         };
         nc.call(
             thread,
-            &troupe,
+            &self.troupe,
             MODULE,
             PROC_GET_PROPOSED_TIME,
             to_bytes(&propose),
@@ -422,7 +362,7 @@ impl Agent for BroadcastLoop {
             return;
         }
         self.accepting = true;
-        let (thread, troupe) = (self.thread.expect("proposed on it"), self.troupe.clone());
+        let thread = self.thread.expect("proposed on it");
         let accept = Accept {
             msg_id: self.msg_id,
             accepted_time: from_bytes(&bytes).unwrap_or(0),
@@ -430,7 +370,7 @@ impl Agent for BroadcastLoop {
         };
         nc.call(
             thread,
-            &troupe,
+            &self.troupe,
             MODULE,
             PROC_ACCEPT_TIME,
             to_bytes(&accept),
@@ -447,8 +387,8 @@ impl ClosedLoop for BroadcastLoop {
 
 #[test]
 fn ordered_broadcast_heap_is_flat() {
-    let mut w = testbed_1985();
-    let client = spawn_rig(
+    let mut w = world(1985);
+    let (_, client) = spawn_rig(
         &mut w,
         || OrderedBroadcastService::new(Sum(0)),
         |troupe| BroadcastLoop {
@@ -460,26 +400,19 @@ fn ordered_broadcast_heap_is_flat() {
             wrong: 0,
         },
     );
-    assert_heap_is_flat::<BroadcastLoop>(&mut w, client, "ordered broadcasts");
+    assert_heap_is_flat(&mut w, "ordered broadcasts", |w, n| {
+        run_calls::<BroadcastLoop>(w, client, n);
+    });
 
     // Let the last accept reach the members the first-come collation did
     // not wait for, then: everything applied, nothing remembered per
     // message.
     w.run(Until::Idle);
-    let (done, wrong) = w
-        .with_proc(client, |p: &CircusProcess| {
-            let c = p.agent_as::<BroadcastLoop>().expect("the client");
-            (c.completed(), c.wrong)
-        })
-        .expect("the client is alive");
+    let (done, wrong) = agent(&w, client, |c: &BroadcastLoop| (c.completed(), c.wrong));
     assert_eq!((done, wrong), (40_000, 0));
     let sum: u64 = (FIRST_MSG_ID..FIRST_MSG_ID + done).sum();
     for a in member_addrs() {
-        let view = w.with_proc(a, |p: &CircusProcess| {
-            let s = p
-                .node()
-                .service_as::<OrderedBroadcastService<Sum>>(MODULE)
-                .expect("the member");
+        let view = service(&w, a, MODULE, |s: &OrderedBroadcastService<Sum>| {
             (
                 s.applied_order.len() as u64,
                 s.app().0,
@@ -488,7 +421,7 @@ fn ordered_broadcast_heap_is_flat() {
                 s.queue_len(),
             )
         });
-        assert_eq!(view, Some((done, sum, 1, 1, 0)), "member {a}");
+        assert_eq!(view, (done, sum, 1, 1, 0), "member {a}");
     }
 }
 
@@ -504,14 +437,13 @@ struct CommuteLoop {
 impl CommuteLoop {
     fn submit(&mut self, nc: &mut NodeCtx<'_, '_, '_>) {
         let thread = *self.thread.get_or_insert_with(|| nc.fresh_thread());
-        let troupe = self.troupe.clone();
         let req = CmRequest {
             op_id: self.op_id,
             ops: vec![CmOp::Incr(ObjId(1), 1)],
         };
         nc.call(
             thread,
-            &troupe,
+            &self.troupe,
             MODULE,
             PROC_CM_EXECUTE,
             to_bytes(&req),
@@ -551,29 +483,24 @@ impl ClosedLoop for CommuteLoop {
 
 #[test]
 fn commutative_heap_is_flat() {
-    let mut w = testbed_1985();
-    let client = spawn_rig(&mut w, CommutativeService::new, |troupe| CommuteLoop {
+    let mut w = world(1985);
+    let (_, client) = spawn_rig(&mut w, CommutativeService::new, |troupe| CommuteLoop {
         troupe,
         thread: None,
         op_id: 0,
         remaining: 0,
         wrong: 0,
     });
-    assert_heap_is_flat::<CommuteLoop>(&mut w, client, "commutative requests");
-
-    let wrong = w.with_proc(client, |p: &CircusProcess| {
-        p.agent_as::<CommuteLoop>().map(|c| c.wrong)
+    assert_heap_is_flat(&mut w, "commutative requests", |w, n| {
+        run_calls::<CommuteLoop>(w, client, n);
     });
-    assert_eq!(wrong.flatten(), Some(0));
+
+    assert_eq!(agent(&w, client, |c: &CommuteLoop| c.wrong), 0);
     for a in member_addrs() {
-        let view = w.with_proc(a, |p: &CircusProcess| {
-            let s = p
-                .node()
-                .service_as::<CommutativeService>(MODULE)
-                .expect("the member");
+        let view = service(&w, a, MODULE, |s: &CommutativeService| {
             (s.counter(ObjId(1)), s.applied(), s.id_ranges())
         });
-        assert_eq!(view, Some((40_000, 40_000, 1)), "member {a}");
+        assert_eq!(view, (40_000, 40_000, 1), "member {a}");
     }
 }
 
@@ -583,17 +510,12 @@ fn library_broadcaster_stays_within_its_allocation_budget() {
     const TIMED: u64 = 1_000;
     let mut w = World::new(1985);
     let script = (0..WARM + TIMED).map(|i| to_bytes(&i)).collect();
-    let client = spawn_rig(
+    let (_, client) = spawn_rig(
         &mut w,
         || OrderedBroadcastService::new(Sum(0)),
         |troupe| Broadcaster::new(troupe, MODULE, FIRST_MSG_ID, script),
     );
-    let done = |w: &World| {
-        w.with_proc(client, |p: &CircusProcess| {
-            p.agent_as::<Broadcaster>().map_or(0, |b| b.results.len())
-        })
-        .unwrap_or(0) as u64
-    };
+    let done = |w: &World| agent(w, client, |b: &Broadcaster| b.results.len() as u64);
     w.poke(client, 0);
     while done(&w) < WARM {
         assert!(w.step(), "the broadcasts stalled");

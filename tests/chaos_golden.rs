@@ -47,7 +47,7 @@ fn rows<W: Workload>(
             r.trace_hash,
             r.trace_events,
             r.span_hash,
-            golden::fnv1a(r.metrics_json.as_bytes()),
+            rdp::obs::fnv1a(r.metrics_json.as_bytes()),
             r.passed()
         )
         .expect("write to string");

@@ -2,17 +2,6 @@
 
 use std::io::Write as _;
 
-/// FNV-1a of `bytes`: how the hash tables fold a metrics dump into one
-/// column. (Not every golden test hashes.)
-#[allow(dead_code)]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// Holds `actual` to the committed file at `path` (relative to the
 /// repository root), byte for byte; a mismatch panics naming every
 /// drifted line. `UPDATE_GOLDEN=1` rewrites the file instead and names

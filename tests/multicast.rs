@@ -17,146 +17,83 @@
 
 use std::any::Any;
 
-use rdp::circus::ThreadId;
-use rdp::circus::{
-    Agent, CallError, CallHandle, CircusProcess, CollationPolicy, ModuleAddr, NodeBuilder,
-    NodeConfig, NodeCtx, Service, ServiceCtx, Step, Troupe, TroupeId,
+use rdp::circus::testbed::{
+    agent, enqueue, service, spawn_caller, spawn_troupe, Caller, CountingService, Request, MODULE,
+    PROC_WHO,
 };
+use rdp::circus::{NodeConfig, ThreadId, TroupeId};
 use rdp::pairedmsg::{self, MsgType, Segment};
 use rdp::simnet::{
     Duration, ForgedDatagram, HostId, NetConfig, Payload, SockAddr, Syscall, SyscallCosts, Time,
     TraceRing, TrafficInjector, Until, World,
 };
 
-const MODULE: u16 = 3;
-const PROC_ECHO: u16 = 0;
 const MEMBERS: u32 = 5;
 const CLIENT: SockAddr = SockAddr {
     host: HostId(10),
     port: 10,
 };
 
-/// Echoes its arguments, and remembers on whose behalf: the client
-/// makes each call on a thread of its own.
-#[derive(Default)]
-struct Echo {
-    invoked: Vec<ThreadId>,
-}
-
-impl Service for Echo {
-    fn dispatch(&mut self, ctx: &mut ServiceCtx, _proc: u16, args: &[u8]) -> Step {
-        self.invoked.push(ctx.thread);
-        Step::Reply(args.to_vec())
-    }
-    fn get_state(&self) -> Vec<u8> {
-        Vec::new()
-    }
-    fn set_state(&mut self, _state: &[u8]) {}
-}
-
-/// Fires one echo call per poke, then `chained` more back to back (each
-/// from the completion of the one before), and records completions.
-struct ScriptedClient {
-    troupe: Troupe,
-    payload: Vec<u8>,
-    chained: u64,
-    results: Vec<Result<Vec<u8>, CallError>>,
-}
-
-impl ScriptedClient {
-    fn call(&mut self, nc: &mut NodeCtx<'_, '_, '_>) {
-        let t = nc.fresh_thread();
-        let troupe = self.troupe.clone();
-        let payload = self.payload.clone();
-        nc.call(
-            t,
-            &troupe,
-            MODULE,
-            PROC_ECHO,
-            payload,
-            CollationPolicy::Unanimous,
-        );
-    }
-}
-
-impl Agent for ScriptedClient {
-    fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, _tag: u64) {
-        self.call(nc);
-    }
-
-    fn on_call_done(
-        &mut self,
-        nc: &mut NodeCtx<'_, '_, '_>,
-        _h: CallHandle,
-        result: Result<Vec<u8>, CallError>,
-    ) {
-        self.results.push(result);
-        if self.chained > 0 {
-            self.chained -= 1;
-            self.call(nc);
-        }
-    }
-}
-
-/// A `members`-member echo troupe and one scripted client on the lossless
-/// 1985 LAN with the VAX syscall costs.
-fn testbed(members: u32, multicast_small: bool, payload: Vec<u8>, chained: u64) -> World {
+/// A `members`-member echo troupe and one client, with `calls` echo calls
+/// of `payload` queued, on the lossless 1985 LAN with the VAX syscall
+/// costs. Each call is made on a thread of its own and the members
+/// remember on whose behalf they ran ([`PROC_WHO`]).
+fn rig(members: u32, multicast_small: bool, payload: Vec<u8>, calls: u64) -> World {
     let w = World::with_config(1985, NetConfig::lan_1985(), SyscallCosts::vax_4_2bsd());
-    testbed_in(w, members, multicast_small, payload, chained)
+    rig_in(w, members, multicast_small, payload, calls)
 }
 
 /// The same troupe and client, spawned into `w`.
-fn testbed_in(
+fn rig_in(
     mut w: World,
     members: u32,
     multicast_small: bool,
     payload: Vec<u8>,
-    chained: u64,
+    calls: u64,
 ) -> World {
     let config = NodeConfig {
         multicast_small_calls: multicast_small,
         ..NodeConfig::default()
     };
-    let id = TroupeId(9);
-    let members: Vec<ModuleAddr> = (1..=members)
-        .map(|h| ModuleAddr::new(member(h), MODULE))
-        .collect();
-    for m in &members {
-        let p = NodeBuilder::new(m.addr, config.clone())
-            .service(MODULE, Box::<Echo>::default())
-            .troupe_id(id)
-            .build()
-            .expect("valid node");
-        w.spawn(m.addr, Box::new(p));
-    }
-    let p = NodeBuilder::new(CLIENT, config)
-        .agent(Box::new(ScriptedClient {
-            troupe: Troupe::new(id, members),
-            payload,
-            chained,
-            results: Vec::new(),
-        }))
-        .build()
-        .expect("valid node");
-    w.spawn(CLIENT, Box::new(p));
+    let members: Vec<SockAddr> = (1..=members).map(member).collect();
+    let troupe = spawn_troupe(
+        &mut w,
+        TroupeId(9),
+        &members,
+        MODULE,
+        &config,
+        None,
+        CountingService::default,
+    );
+    spawn_caller(&mut w, CLIENT, config, None);
+    let echo = Request::new(&troupe, MODULE, PROC_WHO, payload);
+    enqueue(&mut w, CLIENT, vec![echo; calls as usize]);
     w
 }
 
 /// The client's successful completions so far.
 fn completions(w: &World) -> usize {
-    w.with_proc(CLIENT, |p: &CircusProcess| {
-        let client = p.agent_as::<ScriptedClient>().unwrap();
-        client.results.iter().filter(|r| r.is_ok()).count()
+    agent(w, CLIENT, |c: &Caller| {
+        c.completed.iter().filter(|c| c.result.is_ok()).count()
     })
-    .unwrap()
 }
 
 /// The threads whose calls the member at `addr` has executed, in order.
 fn invocations(w: &World, addr: SockAddr) -> Vec<ThreadId> {
-    w.with_proc(addr, |p: &CircusProcess| {
-        p.node().service_as::<Echo>(MODULE).unwrap().invoked.clone()
+    service(w, addr, MODULE, |s: &CountingService| {
+        s.seen_threads.clone()
     })
-    .unwrap()
+}
+
+/// Requires the client to have finished exactly `calls` calls, each
+/// returning `payload`.
+fn assert_all_echoed(w: &World, calls: usize, payload: &[u8], seed: u64) {
+    agent(w, CLIENT, |c: &Caller| {
+        assert_eq!(c.completed.len(), calls, "seed {seed}");
+        for (i, c) in c.completed.iter().enumerate() {
+            assert_eq!(c.result.as_deref(), Ok(payload), "seed {seed}, call {i}");
+        }
+    });
 }
 
 /// The member at `addr` executed `calls` calls, no two on one thread:
@@ -182,7 +119,7 @@ fn member(host: u32) -> SockAddr {
 /// `sendmsg` count, the network's multicast-operation count, and the
 /// number of successful completions.
 fn measure(multicast: bool, calls: u64, payload: Vec<u8>) -> (u64, u64, usize) {
-    let mut w = testbed(MEMBERS, multicast, payload, 0);
+    let mut w = rig(MEMBERS, multicast, payload, 1 + calls);
 
     // Warmup call: lets connections, directories, and the previous
     // return's ack traffic settle outside the measured window.
@@ -268,9 +205,9 @@ fn sendmsgs_and_tap(w: &World) -> (u64, WireTap) {
 /// no further call does: one ack per member). Returns the `sendmsg`s of
 /// all four processes, the wire tap, and the world.
 fn closed_loop(calls: u64, payload: usize) -> (u64, WireTap, World) {
-    let mut w = testbed(N, false, vec![0xAB; payload], calls - 1);
+    let mut w = rig(N, false, vec![0xAB; payload], calls);
     w.set_injector(Box::<WireTap>::default(), Duration::ZERO);
-    w.poke(CLIENT, 0);
+    w.poke(CLIENT, calls - 1);
     let deadline = w.now() + Duration::from_secs(10);
     let done = w.run(Until::pred(deadline, |w| completions(w) == calls as usize));
     assert!(done, "{calls} calls succeed");
@@ -279,7 +216,7 @@ fn closed_loop(calls: u64, payload: usize) -> (u64, WireTap, World) {
 }
 
 /// A caller that thinks: `calls` 64-byte echo calls at n = 3 in `w` (a
-/// [`testbed_in`] world), one begun every `gap` whether or not the last
+/// [`rig_in`] world with that many queued), one begun every `gap` whether or not the last
 /// is over, and a last `gap` for the last call to settle. Returns the
 /// `sendmsg`s of all four processes, the wire tap, and the world.
 fn paced(mut w: World, calls: u64, gap: Duration) -> (u64, WireTap, World) {
@@ -404,9 +341,9 @@ fn faulty_bulk_run(seed: u64) -> u64 {
     let mut w = World::with_config(seed, net, SyscallCosts::vax_4_2bsd());
     w.set_trace_sink(Box::new(TraceRing::new(64)));
     let payload = vec![0xAB; 8192];
-    let mut w = testbed_in(w, MEMBERS, false, payload.clone(), BULK_CALLS as u64 - 1);
+    let mut w = rig_in(w, MEMBERS, false, payload.clone(), BULK_CALLS as u64);
     w.set_injector(Box::<WireTap>::default(), Duration::ZERO);
-    w.poke(CLIENT, 0);
+    w.poke(CLIENT, BULK_CALLS as u64 - 1);
     let deadline = w.now() + Duration::from_secs(120);
     assert!(w.run(Until::pred(deadline, |w| completions(w) == 1)));
 
@@ -426,17 +363,7 @@ fn faulty_bulk_run(seed: u64) -> u64 {
         "seed {seed}: {} of {BULK_CALLS} calls succeeded",
         completions(&w)
     );
-    w.with_proc(CLIENT, |p: &CircusProcess| {
-        for (i, r) in p
-            .agent_as::<ScriptedClient>()
-            .unwrap()
-            .results
-            .iter()
-            .enumerate()
-        {
-            assert_eq!(r.as_deref(), Ok(&payload[..]), "seed {seed}, call {i}");
-        }
-    });
+    assert_all_echoed(&w, BULK_CALLS, &payload, seed);
     for survivor in (1..MEMBERS).map(member) {
         assert_ran_each_once(&w, survivor, BULK_CALLS, seed);
     }
@@ -474,7 +401,7 @@ fn bulk_multicast_survives_loss_duplication_and_a_kill_mid_blast() {
 fn idle_return_costs_one_ack_per_member() {
     const CALLS: u64 = 5;
     let n = N as u64;
-    let w = testbed(N, false, vec![0xAB; 64], 0);
+    let w = rig(N, false, vec![0xAB; 64], CALLS);
     let (sendmsgs, tap, w) = paced(w, CALLS, Duration::from_secs(1));
     assert_eq!(completions(&w), CALLS as usize);
     assert_eq!(sendmsgs, CALLS * 3 * n, "call, return, ack: 9 per call");
@@ -506,7 +433,7 @@ fn faulty_paced_run(seed: u64) -> u64 {
     let mut w = World::with_config(seed, net, SyscallCosts::vax_4_2bsd());
     w.set_trace_sink(Box::new(TraceRing::new(64)));
     let payload = vec![0xAB; 64];
-    let w = testbed_in(w, N, false, payload.clone(), 0);
+    let w = rig_in(w, N, false, payload.clone(), CALLS as u64);
     let (_, tap, mut w) = paced(w, CALLS as u64, Duration::from_secs(1));
     let deadline = w.now() + Duration::from_secs(30);
     assert!(
@@ -514,13 +441,7 @@ fn faulty_paced_run(seed: u64) -> u64 {
         "seed {seed}: {} of {CALLS} calls succeeded",
         completions(&w)
     );
-    w.with_proc(CLIENT, |p: &CircusProcess| {
-        let client = p.agent_as::<ScriptedClient>().unwrap();
-        assert_eq!(client.results.len(), CALLS, "seed {seed}");
-        for r in &client.results {
-            assert_eq!(r.as_deref(), Ok(&payload[..]), "seed {seed}");
-        }
-    });
+    assert_all_echoed(&w, CALLS, &payload, seed);
     for m in (1..=N).map(member) {
         assert_ran_each_once(&w, m, CALLS, seed);
     }

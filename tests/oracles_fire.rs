@@ -3,10 +3,11 @@
 //! An oracle that has never been seen to fail vouches for nothing.
 
 use chaos::{
-    quiesce, Bcast, ChaosApp, Commute, Quiesced, Recovery, ScenarioOptions, Violation, Workload,
-    MEMBER_MODULE,
+    quiesce, Bcast, ChaosApp, Commute, Quiesced, Recovery, ScenarioOptions, Store, Violation,
+    Workload, MEMBER_MODULE,
 };
-use circus::{CircusProcess, Service, ThreadId};
+use circus::testbed::service_mut;
+use circus::{Service, ThreadId};
 use simnet::{HostId, SockAddr};
 use transactions::broadcast::StateWire;
 use transactions::{
@@ -38,16 +39,19 @@ fn doctor_state<S: Service>(
     addr: SockAddr,
     doctor: impl FnOnce(Vec<u8>) -> Vec<u8>,
 ) {
-    q.world
-        .with_proc_mut(addr, |p: &mut CircusProcess| {
-            let s = p
-                .node_mut()
-                .service_as_mut::<S>(MEMBER_MODULE)
-                .expect("the member runs the workload's service");
-            let state = doctor(s.get_state());
-            s.set_state(&state);
-        })
-        .expect("the member is alive");
+    service_mut(&mut q.world, addr, MEMBER_MODULE, |s: &mut S| {
+        let state = doctor(s.get_state());
+        s.set_state(&state);
+    });
+}
+
+/// A store member's state with one object's value altered in the image
+/// and the commit ledger left as it was.
+fn alter_one_value(state: Vec<u8>) -> Vec<u8> {
+    type State = (Vec<(u64, i64)>, Vec<(ThreadId, u64)>);
+    let (mut image, ledger) = from_bytes::<State>(&state).expect("the store's own state");
+    image.first_mut().expect("something was committed").1 += 1;
+    to_bytes(&(image, ledger))
 }
 
 /// Requires at least one violation, every one of them `oracle`'s.
@@ -166,25 +170,9 @@ fn recovery_oracles_fire_on_a_corrupt_value_and_a_phantom_commit() {
         "the scenario starts clean"
     );
 
-    let on_recovered = |q: &mut chaos::Quiesced, f: &dyn Fn(&mut TroupeStoreService)| {
-        q.world
-            .with_proc_mut(recovered, |p: &mut CircusProcess| {
-                f(p.node_mut()
-                    .service_as_mut::<TroupeStoreService>(MEMBER_MODULE)
-                    .expect("the recovered member runs the store"))
-            })
-            .expect("the recovered member is alive");
-    };
-
     // (ii) One stored value altered on the recovered member only: same
     // ledger, different image.
-    on_recovered(&mut q, &|store| {
-        let (mut image, ledger) =
-            from_bytes::<(Vec<(u64, i64)>, Vec<(ThreadId, u64)>)>(&store.get_state())
-                .expect("the store's own state");
-        image.first_mut().expect("something was committed").1 += 1;
-        store.set_state(&to_bytes(&(image, ledger)));
-    });
+    doctor_state::<TroupeStoreService>(&mut q, recovered, alter_one_value);
     let violations = check(&q, &mut extra);
     let digest = reports_of(&violations, "recovered-digest");
     assert_eq!(digest.len(), 2, "one per survivor: {violations:?}");
@@ -206,9 +194,12 @@ fn recovery_oracles_fire_on_a_corrupt_value_and_a_phantom_commit() {
         nonce: 1,
         writes: Vec::new(),
     };
-    on_recovered(&mut q, &|store| {
-        store.apply_delta(&to_bytes(&vec![phantom.clone()]))
-    });
+    service_mut(
+        &mut q.world,
+        recovered,
+        MEMBER_MODULE,
+        |store: &mut TroupeStoreService| store.apply_delta(&to_bytes(&vec![phantom])),
+    );
     let violations = check(&q, &mut extra);
     let torn = reports_of(&violations, "torn-log-safety");
     assert_eq!(
@@ -225,4 +216,34 @@ fn recovery_oracles_fire_on_a_corrupt_value_and_a_phantom_commit() {
         2,
         "one per survivor: {violations:?}"
     );
+}
+
+#[test]
+fn store_oracles_fire_on_a_rewritten_value_and_a_dead_member() {
+    let (mut q, _) = quiesce(&Store, 3, &Store::options());
+    assert!(check(&Store, &q).is_empty(), "the scenario starts clean");
+    let victim = q.members[1].addr;
+
+    // One object's value rewritten in one member's store image, its
+    // ledger untouched: every commit is still where it should be, exactly
+    // once — only the state it adds up to is wrong.
+    doctor_state::<TroupeStoreService>(&mut q, victim, alter_one_value);
+    let violations = check(&Store, &q);
+    assert_only(&violations, "convergence");
+    let reports = reports_of(&violations, "convergence");
+    assert!(
+        reports.iter().any(|d| d.contains("state digests diverge"))
+            && reports
+                .iter()
+                .any(|d| d.contains("differs from ledger replay")),
+        "{violations:?}"
+    );
+
+    // One registered member's process gone (and with it the doctored
+    // state): the survivors agree, the registry still names three.
+    q.world.kill(victim);
+    let violations = check(&Store, &q);
+    assert_only(&violations, "under-replication");
+    assert_eq!(violations.len(), 1, "{violations:?}");
+    assert!(violations[0].detail.contains("is not a live process"));
 }

@@ -2,68 +2,37 @@
 //! one per claim, phrased the way the dissertation phrases them.
 
 use rdp::analysis;
-use rdp::circus::{
-    Agent, CallError, CallHandle, CircusProcess, CollationPolicy, ModuleAddr, NodeBuilder,
-    NodeConfig, NodeCtx, Service, ServiceCtx, Step, Troupe, TroupeId,
+use rdp::circus::testbed::{
+    addr, call, executions, spawn_caller, spawn_troupe, CountingService, Request, MODULE, PROC_ECHO,
 };
+use rdp::circus::{CallError, NodeConfig, Troupe, TroupeId};
 use rdp::simnet::{Duration, HostId, SockAddr, World};
 
-const MODULE: u16 = 1;
-
-struct Echo {
-    executions: u32,
+/// An `n`-member echo troupe on hosts `1..=n`, and one client.
+fn rig(w: &mut World, n: u32) -> (Troupe, SockAddr) {
+    let members: Vec<SockAddr> = (1..=n).map(|h| addr(h, 70)).collect();
+    let config = NodeConfig::default();
+    let troupe = spawn_troupe(
+        w,
+        TroupeId(1),
+        &members,
+        MODULE,
+        &config,
+        None,
+        CountingService::default,
+    );
+    (troupe, spawn_caller(w, addr(10, 50), config, None))
 }
 
-impl Service for Echo {
-    fn dispatch(&mut self, _ctx: &mut ServiceCtx, _proc: u16, args: &[u8]) -> Step {
-        self.executions += 1;
-        Step::Reply(args.to_vec())
-    }
-}
-
-struct OneShot {
-    troupe: Troupe,
-    result: Option<Result<Vec<u8>, CallError>>,
-}
-
-impl Agent for OneShot {
-    fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, _tag: u64) {
-        let t = nc.fresh_thread();
-        let troupe = self.troupe.clone();
-        nc.call(
-            t,
-            &troupe,
-            MODULE,
-            0,
-            b"claim".to_vec(),
-            CollationPolicy::Unanimous,
-        );
-    }
-
-    fn on_call_done(
-        &mut self,
-        _nc: &mut NodeCtx<'_, '_, '_>,
-        _h: CallHandle,
-        result: Result<Vec<u8>, CallError>,
-    ) {
-        self.result = Some(result);
-    }
-}
-
-fn spawn_troupe(w: &mut World, n: u32) -> Troupe {
-    let id = TroupeId(1);
-    let members: Vec<ModuleAddr> = (1..=n)
-        .map(|h| ModuleAddr::new(SockAddr::new(HostId(h), 70), MODULE))
-        .collect();
-    for m in &members {
-        let p = NodeBuilder::new(m.addr, NodeConfig::default())
-            .service(MODULE, Box::new(Echo { executions: 0 }))
-            .troupe_id(id)
-            .build()
-            .expect("valid node");
-        w.spawn(m.addr, Box::new(p));
-    }
-    Troupe::new(id, members)
+/// One echo call of `troupe`, given `secs` to complete.
+fn claim(
+    w: &mut World,
+    client: SockAddr,
+    troupe: &Troupe,
+    secs: u64,
+) -> Result<Vec<u8>, CallError> {
+    let echo = Request::new(troupe, MODULE, PROC_ECHO, b"claim".to_vec());
+    call(w, client, echo, Duration::from_secs(secs))
 }
 
 /// "A replicated distributed program constructed in this way will
@@ -72,27 +41,11 @@ fn spawn_troupe(w: &mut World, n: u32) -> Troupe {
 #[test]
 fn survives_all_but_one_member() {
     let mut w = World::new(1);
-    let troupe = spawn_troupe(&mut w, 5);
+    let (troupe, client) = rig(&mut w, 5);
     for h in 1..=4 {
         w.crash_host(HostId(h)); // Kill 4 of 5.
     }
-    let client = SockAddr::new(HostId(10), 50);
-    let p = NodeBuilder::new(client, NodeConfig::default())
-        .agent(Box::new(OneShot {
-            troupe,
-            result: None,
-        }))
-        .build()
-        .expect("valid node");
-    w.spawn(client, Box::new(p));
-    w.poke(client, 0);
-    w.run(simnet::Until::Elapsed(Duration::from_secs(120)));
-    let result = w
-        .with_proc(client, |p: &CircusProcess| {
-            p.agent_as::<OneShot>().unwrap().result.clone()
-        })
-        .unwrap();
-    assert_eq!(result, Some(Ok(b"claim".to_vec())));
+    assert_eq!(claim(&mut w, client, &troupe, 120), Ok(b"claim".to_vec()));
 }
 
 /// "The semantics of replicated procedure call can be summarized as
@@ -100,25 +53,11 @@ fn survives_all_but_one_member() {
 #[test]
 fn exactly_once_at_all_replicas() {
     let mut w = World::new(2);
-    let troupe = spawn_troupe(&mut w, 3);
-    let client = SockAddr::new(HostId(10), 50);
-    let p = NodeBuilder::new(client, NodeConfig::default())
-        .agent(Box::new(OneShot {
-            troupe: troupe.clone(),
-            result: None,
-        }))
-        .build()
-        .expect("valid node");
-    w.spawn(client, Box::new(p));
-    w.poke(client, 0);
+    let (troupe, client) = rig(&mut w, 3);
+    assert_eq!(claim(&mut w, client, &troupe, 30), Ok(b"claim".to_vec()));
     w.run(simnet::Until::Elapsed(Duration::from_secs(30)));
-    for m in &troupe.members {
-        let execs = w
-            .with_proc(m.addr, |p: &CircusProcess| {
-                p.node().service_as::<Echo>(MODULE).unwrap().executions
-            })
-            .unwrap();
-        assert_eq!(execs, 1, "member {} executed {execs} times", m.addr);
+    for &m in &troupe.members {
+        assert_eq!(executions(&w, m), 1, "member {m}");
     }
 }
 
@@ -130,24 +69,9 @@ fn exactly_once_at_all_replicas() {
 fn degree_of_replication_is_a_runtime_choice() {
     for n in 1..=4u32 {
         let mut w = World::new(3 + n as u64);
-        let troupe = spawn_troupe(&mut w, n);
-        let client = SockAddr::new(HostId(10), 50);
-        let p = NodeBuilder::new(client, NodeConfig::default())
-            .agent(Box::new(OneShot {
-                troupe,
-                result: None,
-            }))
-            .build()
-            .expect("valid node");
-        w.spawn(client, Box::new(p));
-        w.poke(client, 0);
-        w.run(simnet::Until::Elapsed(Duration::from_secs(30)));
-        let result = w
-            .with_proc(client, |p: &CircusProcess| {
-                p.agent_as::<OneShot>().unwrap().result.clone()
-            })
-            .unwrap();
-        assert_eq!(result, Some(Ok(b"claim".to_vec())), "degree {n}");
+        let (troupe, client) = rig(&mut w, n);
+        let reply = claim(&mut w, client, &troupe, 30);
+        assert_eq!(reply, Ok(b"claim".to_vec()), "degree {n}");
     }
 }
 
@@ -185,30 +109,15 @@ fn exactly_once_under_loss_and_duplication() {
         ..rdp::simnet::NetConfig::lan_1985()
     };
     let mut w = World::with_config(7, net, rdp::simnet::SyscallCosts::vax_4_2bsd());
-    let troupe = spawn_troupe(&mut w, 3);
-    let client = SockAddr::new(HostId(10), 50);
-    let p = NodeBuilder::new(client, NodeConfig::default())
-        .agent(Box::new(OneShot {
-            troupe: troupe.clone(),
-            result: None,
-        }))
-        .build()
-        .expect("valid node");
-    w.spawn(client, Box::new(p));
-    w.poke(client, 0);
+    let (troupe, client) = rig(&mut w, 3);
+    assert_eq!(claim(&mut w, client, &troupe, 60), Ok(b"claim".to_vec()));
+    // Let every retransmission and duplicate still in flight land.
     w.run(simnet::Until::Elapsed(Duration::from_secs(60)));
-    let result = w
-        .with_proc(client, |p: &CircusProcess| {
-            p.agent_as::<OneShot>().unwrap().result.clone()
-        })
-        .unwrap();
-    assert_eq!(result, Some(Ok(b"claim".to_vec())));
-    for m in &troupe.members {
-        let execs = w
-            .with_proc(m.addr, |p: &CircusProcess| {
-                p.node().service_as::<Echo>(MODULE).unwrap().executions
-            })
-            .unwrap();
-        assert_eq!(execs, 1, "duplicates must not re-execute at {}", m.addr);
+    for &m in &troupe.members {
+        assert_eq!(
+            executions(&w, m),
+            1,
+            "duplicates must not re-execute at {m}"
+        );
     }
 }

@@ -18,14 +18,16 @@ mod golden;
 
 use std::collections::BTreeMap;
 
-use rdp::circus::binding::{binding_procs, BINDING_MODULE};
-use rdp::circus::{
-    Agent, CallError, CallHandle, CircusProcess, CollationPolicy, ModuleAddr, NodeBuilder,
-    NodeConfig, NodeCtx, OutCall, Service, ServiceCtx, Step, ThreadId, Troupe, TroupeId,
-    TroupeTarget,
+use rdp::circus::testbed::{
+    addr, assert_quiescent, enqueue, executions, node, node_mut, results, service, spawn_caller,
+    spawn_troupe, world, CountingService, Request,
 };
-use rdp::ringmaster::{spawn_ringmaster, RegisterTroupe};
-use rdp::simnet::{Duration, HostId, NetConfig, SockAddr, SyscallCosts, TraceRing, Until, World};
+use rdp::circus::{
+    CallError, CollationPolicy, ModuleAddr, Node, NodeConfig, OutCall, Service, ServiceCtx, Step,
+    ThreadId, Troupe, TroupeId, TroupeTarget,
+};
+use rdp::ringmaster::{registration, spawn_ringmaster};
+use rdp::simnet::{Duration, HostId, SockAddr, TraceRing, Until, World};
 use rdp::wire::{from_bytes, to_bytes};
 
 const HEADER: &str = "\
@@ -43,18 +45,6 @@ const PROC_QUORUM: u16 = 0;
 /// Waits for every client member's call message (or for the assembly
 /// timeout, or for a dead-peer marker, to excuse it).
 const PROC_STRICT: u16 = 1;
-
-/// The third troupe: echoes, counting executions.
-struct Leaf {
-    executions: u32,
-}
-
-impl Service for Leaf {
-    fn dispatch(&mut self, _ctx: &mut ServiceCtx, _proc: u16, args: &[u8]) -> Step {
-        self.executions += 1;
-        Step::Reply(args.to_vec())
-    }
-}
 
 /// The server troupe's module: forwards the arguments to the leaf
 /// troupe, then asks the calling troupe whether it is ready (§5.3's
@@ -122,84 +112,8 @@ impl Service for Ready {
     }
 }
 
-/// One member of the client troupe: each poke makes the program's next
-/// call (the poke's tag is the procedure) on the troupe's one thread.
-struct Member {
-    thread: ThreadId,
-    server: Troupe,
-    calls: u32,
-    results: Vec<Result<Vec<u8>, CallError>>,
-}
-
-impl Agent for Member {
-    fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, tag: u64) {
-        self.calls += 1;
-        let server = self.server.clone();
-        nc.call(
-            self.thread,
-            &server,
-            WORK,
-            tag as u16,
-            to_bytes(&self.calls),
-            CollationPolicy::Unanimous,
-        );
-    }
-
-    fn on_call_done(
-        &mut self,
-        _nc: &mut NodeCtx<'_, '_, '_>,
-        _h: CallHandle,
-        result: Result<Vec<u8>, CallError>,
-    ) {
-        self.results.push(result);
-    }
-}
-
-/// Registers the client troupe with the Ringmaster, as a configuration
-/// manager would (§6.2).
-struct Registrar {
-    binder: Troupe,
-    req: RegisterTroupe,
-    id: Option<TroupeId>,
-}
-
-impl Agent for Registrar {
-    fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, _tag: u64) {
-        let t = nc.fresh_thread();
-        let binder = self.binder.clone();
-        nc.call(
-            t,
-            &binder,
-            BINDING_MODULE,
-            binding_procs::REGISTER_TROUPE,
-            to_bytes(&self.req),
-            CollationPolicy::Majority,
-        );
-    }
-
-    fn on_call_done(
-        &mut self,
-        _nc: &mut NodeCtx<'_, '_, '_>,
-        _h: CallHandle,
-        result: Result<Vec<u8>, CallError>,
-    ) {
-        self.id = result.ok().and_then(|bytes| from_bytes(&bytes).ok());
-    }
-}
-
-fn addr(host: u32, port: u16) -> SockAddr {
-    SockAddr::new(HostId(host), port)
-}
-
 fn run(w: &mut World, millis: u64) {
     w.run(Until::Elapsed(Duration::from_millis(millis)));
-}
-
-fn results(w: &World, member: SockAddr) -> Vec<Result<Vec<u8>, CallError>> {
-    w.with_proc(member, |p: &CircusProcess| {
-        p.agent_as::<Member>().expect("a member").results.clone()
-    })
-    .expect("member process")
 }
 
 /// What a call numbered `n` returns: the leaf's echo of the arguments
@@ -212,32 +126,51 @@ fn answer(n: u32) -> Result<Vec<u8>, CallError> {
 
 /// Runs the scripted world for `seed` and returns its table row.
 fn row(seed: u64) -> String {
-    let mut w = World::with_config(seed, NetConfig::lan_1985(), SyscallCosts::vax_4_2bsd());
+    let mut w = world(seed);
     w.set_trace_sink(Box::new(TraceRing::new(0)));
     let config = NodeConfig::default();
 
     let rm = spawn_ringmaster(&mut w, &[HostId(1), HostId(2), HostId(3)], config.clone());
 
-    // The leaf troupe knows the server troupe's membership, so the three
-    // nested calls of one invocation assemble into one execution.
+    // The leaf troupe (the testbed's counting echo) knows the server
+    // troupe's membership, so the three nested calls of one invocation
+    // assemble into one execution.
     let server_id = TroupeId(200);
     let server_addrs: Vec<SockAddr> = (20..23).map(|h| addr(h, 70)).collect();
-    let leaf_members: Vec<ModuleAddr> = (30..32)
-        .map(|h| ModuleAddr::new(addr(h, 70), WORK))
-        .collect();
-    let leaf = Troupe::new(TroupeId(300), leaf_members);
-    for m in &leaf.members {
-        let p = NodeBuilder::new(m.addr, config.clone())
-            .service(WORK, Box::new(Leaf { executions: 0 }))
-            .troupe_id(leaf.id)
-            .directory(server_id, server_addrs.clone())
-            .build()
-            .expect("valid node");
-        w.spawn(m.addr, Box::new(p));
+    let leaf_addrs = [addr(30, 70), addr(31, 70)];
+    let leaf = spawn_troupe(
+        &mut w,
+        TroupeId(300),
+        &leaf_addrs,
+        WORK,
+        &config,
+        None,
+        CountingService::default,
+    );
+    for &a in &leaf_addrs {
+        node_mut(&mut w, a, |n| {
+            n.preload_directory(server_id, server_addrs.clone())
+        });
     }
 
     // The server troupe. Its last member is told nothing about the
     // client troupe; it has the Ringmaster to ask.
+    let middle = || Middle {
+        leaf: leaf.clone(),
+        executions: 0,
+        from_leaf: BTreeMap::new(),
+    };
+    let (informed, uninformed) = server_addrs.split_at(2);
+    spawn_troupe(&mut w, server_id, informed, WORK, &config, None, middle);
+    spawn_troupe(
+        &mut w,
+        server_id,
+        uninformed,
+        WORK,
+        &config,
+        Some(&rm),
+        middle,
+    );
     let server = Troupe::new(
         server_id,
         server_addrs
@@ -245,23 +178,6 @@ fn row(seed: u64) -> String {
             .map(|&a| ModuleAddr::new(a, WORK))
             .collect(),
     );
-    let uninformed = server_addrs[2];
-    for &a in &server_addrs {
-        let mut b = NodeBuilder::new(a, config.clone())
-            .service(
-                WORK,
-                Box::new(Middle {
-                    leaf: leaf.clone(),
-                    executions: 0,
-                    from_leaf: BTreeMap::new(),
-                }),
-            )
-            .troupe_id(server_id);
-        if a == uninformed {
-            b = b.binder(rm.clone());
-        }
-        w.spawn(a, Box::new(b.build().expect("valid node")));
-    }
 
     // The client troupe: one thread, three members, registered through
     // the Ringmaster (whose own membership each member looks up when
@@ -271,79 +187,74 @@ fn row(seed: u64) -> String {
         serial: 1,
     };
     let clients: Vec<SockAddr> = (10..13).map(|h| addr(h, 50)).collect();
+    let program = spawn_troupe(
+        &mut w,
+        TroupeId::UNREGISTERED,
+        &clients,
+        READY,
+        &config,
+        Some(&rm),
+        || Ready,
+    );
     for &a in &clients {
-        let p = NodeBuilder::new(a, config.clone())
-            .agent(Box::new(Member {
-                thread,
-                server: server.clone(),
-                calls: 0,
-                results: Vec::new(),
-            }))
-            .service(READY, Box::new(Ready))
-            .binder(rm.clone())
-            .directory(server_id, server_addrs.clone())
-            .build()
-            .expect("valid node");
-        w.spawn(a, Box::new(p));
+        node_mut(&mut w, a, |n| {
+            n.preload_directory(server_id, server_addrs.clone())
+        });
     }
-    let registrar = addr(90, 10);
-    let p = NodeBuilder::new(registrar, config)
-        .agent(Box::new(Registrar {
-            binder: rm.clone(),
-            req: RegisterTroupe {
-                name: "program".into(),
-                members: clients.iter().map(|&a| ModuleAddr::new(a, READY)).collect(),
-            },
-            id: None,
-        }))
-        .build()
-        .expect("valid node");
-    w.spawn(registrar, Box::new(p));
+    let registrar = spawn_caller(&mut w, addr(90, 10), config, None);
+    enqueue(
+        &mut w,
+        registrar,
+        [registration(&rm, "program", &program.members)],
+    );
     w.poke(registrar, 0);
     run(&mut w, 5_000);
-    let client_id = w
-        .with_proc(registrar, |p: &CircusProcess| {
-            p.agent_as::<Registrar>().expect("the registrar").id
-        })
-        .expect("registrar process")
-        .expect("client troupe registered");
+    let registered = results(&w, registrar)
+        .pop()
+        .expect("the reply")
+        .expect("registered");
+    let client_id: TroupeId = from_bytes(&registered).expect("a troupe id");
     for &a in &clients {
-        let installed = w.with_proc(a, |p: &CircusProcess| p.node().troupe_id());
-        assert_eq!(installed, Some(client_id), "{a} holds the incarnation");
+        let installed = node(&w, a, Node::troupe_id);
+        assert_eq!(installed, client_id, "{a} holds the incarnation");
     }
-    for &a in &server_addrs[..2] {
-        w.with_proc_mut(a, |p: &mut CircusProcess| {
-            p.node_mut().preload_directory(client_id, clients.clone());
-        })
-        .expect("server process");
+    for &a in informed {
+        node_mut(&mut w, a, |n| {
+            n.preload_directory(client_id, clients.clone())
+        });
     }
 
     let executions = |w: &World| -> Vec<u32> {
-        let middle = server_addrs.iter().map(|&a| {
-            w.with_proc(a, |p: &CircusProcess| {
-                p.node()
-                    .service_as::<Middle>(WORK)
-                    .expect("middle")
-                    .executions
-            })
-        });
-        let leaves = leaf.members.iter().map(|m| {
-            w.with_proc(m.addr, |p: &CircusProcess| {
-                p.node().service_as::<Leaf>(WORK).expect("leaf").executions
-            })
-        });
-        middle.chain(leaves).map(|n| n.expect("process")).collect()
+        let middle = server_addrs
+            .iter()
+            .map(|&a| service(w, a, WORK, |m: &Middle| m.executions));
+        let leaves = leaf.members.iter().map(|&m| executions(w, m));
+        middle.chain(leaves).collect()
+    };
+
+    // The program: each poke makes a member's next call, numbered from 1,
+    // on the troupe's one thread.
+    let mut calls = [0u32; 3];
+    let mut poke = |w: &mut World, member: usize, proc: u16| {
+        calls[member] += 1;
+        let args = to_bytes(&calls[member]);
+        enqueue(
+            w,
+            clients[member],
+            [Request::new(&server, WORK, proc, args).on(thread)],
+        );
+        w.poke(clients[member], 0);
     };
 
     // Call 1: two members call at once — a quorum, so every server
     // member executes — and the third 2 s later, to find its return
     // waiting.
-    w.poke(clients[0], u64::from(PROC_QUORUM));
-    w.poke(clients[1], u64::from(PROC_QUORUM));
+    poke(&mut w, 0, PROC_QUORUM);
+    poke(&mut w, 1, PROC_QUORUM);
     run(&mut w, 2_000);
     assert_eq!(results(&w, clients[0]), vec![answer(1)]);
     assert_eq!(results(&w, clients[1]), vec![answer(1)]);
-    w.poke(clients[2], u64::from(PROC_QUORUM));
+    poke(&mut w, 2, PROC_QUORUM);
     run(&mut w, 1_000);
     assert_eq!(results(&w, clients[2]), vec![answer(1)]);
     assert_eq!(
@@ -356,8 +267,8 @@ fn row(seed: u64) -> String {
     // out the assembly timeout for it, and the call-back waits out the
     // crash horizon.
     w.crash_host(clients[2].host);
-    w.poke(clients[0], u64::from(PROC_STRICT));
-    w.poke(clients[1], u64::from(PROC_STRICT));
+    poke(&mut w, 0, PROC_STRICT);
+    poke(&mut w, 1, PROC_STRICT);
     run(&mut w, 9_000);
     assert_eq!(executions(&w), vec![1; 5], "still assembling");
     run(&mut w, 7_000);
@@ -366,8 +277,8 @@ fn row(seed: u64) -> String {
 
     // Call 3: the crash is now known, so neither the assembly nor the
     // call-back waits for the dead member.
-    w.poke(clients[0], u64::from(PROC_STRICT));
-    w.poke(clients[1], u64::from(PROC_STRICT));
+    poke(&mut w, 0, PROC_STRICT);
+    poke(&mut w, 1, PROC_STRICT);
     run(&mut w, 1_000);
     assert_eq!(results(&w, clients[0]).last(), Some(&answer(3)));
     assert_eq!(results(&w, clients[1]).last(), Some(&answer(3)));
@@ -375,10 +286,7 @@ fn row(seed: u64) -> String {
 
     // Let the suspicion the uninformed server reported run its course.
     run(&mut w, 30_000);
-    for a in w.proc_addrs() {
-        let stuck = w.with_proc(a, |p: &CircusProcess| p.node().debug_stuck());
-        assert_eq!(stuck, Some(Vec::new()), "{a} holds a call or an assembly");
-    }
+    assert_quiescent(&w);
 
     let ring = w.trace_sink_as::<TraceRing>().expect("the trace ring");
     let (trace_hash, trace_events) = (ring.hash(), ring.seen());
@@ -387,7 +295,7 @@ fn row(seed: u64) -> String {
     format!(
         "replicated_program {seed} {trace_hash:#018x} {trace_events} {:#018x} {:#018x}\n",
         reg.span_hash(),
-        golden::fnv1a(reg.dump_json().as_bytes()),
+        rdp::obs::fnv1a(reg.dump_json().as_bytes()),
     )
 }
 

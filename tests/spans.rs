@@ -4,55 +4,11 @@
 //! child, and the assembled tree makes the fan-out legible — even with a
 //! crashed replica, and identically for any seed.
 
-use rdp::circus::{
-    Agent, CallError, CallHandle, CircusProcess, CollationPolicy, ModuleAddr, NodeBuilder,
-    NodeConfig, NodeCtx, Service, ServiceCtx, Step, Troupe, TroupeId,
+use rdp::circus::testbed::{
+    addr, call, spawn_caller, spawn_troupe, CountingService, Request, MODULE, PROC_ECHO,
 };
-use rdp::simnet::{Duration, HostId, SockAddr, World};
-
-const MODULE: u16 = 3;
-const PROC_ECHO: u16 = 0;
-
-struct Echo;
-
-impl Service for Echo {
-    fn dispatch(&mut self, _ctx: &mut ServiceCtx, _proc: u16, args: &[u8]) -> Step {
-        Step::Reply(args.to_vec())
-    }
-    fn get_state(&self) -> Vec<u8> {
-        Vec::new()
-    }
-    fn set_state(&mut self, _state: &[u8]) {}
-}
-
-struct OneShot {
-    troupe: Troupe,
-    done: Option<Result<Vec<u8>, CallError>>,
-}
-
-impl Agent for OneShot {
-    fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, _tag: u64) {
-        let t = nc.fresh_thread();
-        let troupe = self.troupe.clone();
-        nc.call(
-            t,
-            &troupe,
-            MODULE,
-            PROC_ECHO,
-            b"ping".to_vec(),
-            CollationPolicy::Majority,
-        );
-    }
-
-    fn on_call_done(
-        &mut self,
-        _nc: &mut NodeCtx<'_, '_, '_>,
-        _h: CallHandle,
-        result: Result<Vec<u8>, CallError>,
-    ) {
-        self.done = Some(result);
-    }
-}
+use rdp::circus::{CollationPolicy, NodeConfig, TroupeId};
+use rdp::simnet::{Duration, World};
 
 /// Runs one one-to-many call against a 3-member troupe whose third
 /// member is crashed before the call, then checks the span tree against
@@ -67,42 +23,28 @@ fn crashed_replica_spans(seed: u64, multicast: bool) {
         multicast_small_calls: multicast,
         ..NodeConfig::default()
     };
-    let id = TroupeId(9);
-    let members: Vec<ModuleAddr> = (1..=3)
-        .map(|h| ModuleAddr::new(SockAddr::new(HostId(h), 70), MODULE))
-        .collect();
-    for m in &members {
-        let p = NodeBuilder::new(m.addr, config.clone())
-            .service(MODULE, Box::new(Echo))
-            .troupe_id(id)
-            .build()
-            .expect("valid node");
-        w.spawn(m.addr, Box::new(p));
-    }
-    let client = SockAddr::new(HostId(10), 10);
-    let p = NodeBuilder::new(client, config)
-        .agent(Box::new(OneShot {
-            troupe: Troupe::new(id, members.clone()),
-            done: None,
-        }))
-        .build()
-        .expect("valid node");
-    w.spawn(client, Box::new(p));
+    let members = [addr(1, 70), addr(2, 70), addr(3, 70)];
+    let troupe = spawn_troupe(
+        &mut w,
+        TroupeId(9),
+        &members,
+        MODULE,
+        &config,
+        None,
+        CountingService::default,
+    );
+    let client = spawn_caller(&mut w, addr(10, 10), config, None);
 
     // One replica is down for the whole run.
-    w.crash_host(members[2].addr.host);
-    w.poke(client, 0);
-    w.run(simnet::Until::Elapsed(Duration::from_secs(30)));
-
-    let done = w
-        .with_proc(client, |p: &CircusProcess| {
-            p.agent_as::<OneShot>().unwrap().done.clone()
-        })
-        .unwrap();
+    w.crash_host(members[2].host);
+    let ping = Request::new(&troupe, MODULE, PROC_ECHO, b"ping".to_vec())
+        .collate(CollationPolicy::Majority);
+    let done = call(&mut w, client, ping, Duration::from_secs(30));
     assert!(
-        matches!(done, Some(Ok(_))),
+        done.is_ok(),
         "majority collation should complete with 2/3 members: {done:?}"
     );
+    w.run(simnet::Until::Time(rdp::simnet::Time::from_secs(30)));
 
     // The registry's own delivery counters are the ground truth for how
     // many sub-calls actually reached a member.
@@ -110,7 +52,7 @@ fn crashed_replica_spans(seed: u64, multicast: bool) {
     let reg = w.metrics();
     let delivered: u64 = members
         .iter()
-        .map(|m| reg.get(&format!("rpc.{}.calls_delivered", m.addr)))
+        .map(|m| reg.get(&format!("rpc.{m}.calls_delivered")))
         .sum();
     assert_eq!(delivered, 2, "only the two live members get the sub-call");
 
