@@ -2,18 +2,22 @@
 //!
 //! Each oracle states a property the system promises *despite* the fault
 //! schedule, and checks it from independent witnesses: the commit ledger
-//! every store member keeps (in commit order, as part of its transferred
-//! state), the submission record every client keeps, the paired-message
-//! audit counters every endpoint keeps, and the Ringmaster's registry.
+//! every store member keeps (the set of `(origin, nonce)` keys it
+//! committed, part of its transferred state), the submission record
+//! every client keeps, the paired-message audit counters every endpoint
+//! keeps, and the Ringmaster's registry.
 //!
-//! 1. **Exactly-once execution** — no member ever committed the same
-//!    `(thread, nonce)` twice, and every commit a client was told about
-//!    is present at every current member (§4.2.4's at-most-once delivery
-//!    plus troupe-commit agreement give exactly-once).
+//! 1. **Exactly-once execution** — no member ever committed a
+//!    transaction whose key its ledger already held, and every commit a
+//!    client was told about is present at every current member (§4.2.4's
+//!    at-most-once delivery plus troupe-commit agreement give
+//!    exactly-once).
 //! 2. **Replica-state convergence** — all current members have identical
 //!    state digests, and that state equals an independent replay of the
-//!    commit ledger against the clients' submission records (§5.1: every
-//!    member serializes the same transactions in the same order).
+//!    clients' submissions the member's ledger holds (§5.1: every member
+//!    serializes the same transactions in the same order). The ledger
+//!    keeps no commit order, and needs none here: the workload's
+//!    transactions are `Add`s and `Read`s, which commute.
 //! 3. **Transaction atomicity** — a transaction is in either every
 //!    current member's ledger or none, and never in a ledger if its
 //!    client saw an explicit abort (all-or-nothing across the troupe).
@@ -31,13 +35,16 @@
 //!    as at least one member survives" (§3.5.1), but the self-healing
 //!    pipeline must also have restored full strength, not left the
 //!    system running degraded forever.
+//! 7. **Bounded state** — a member's ledger costs at most one range per
+//!    client plus one per submission that client did not see commit (the
+//!    only way a gap can open), however long the run.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use circus::binding::RINGMASTER_PORT;
 use circus::{CircusProcess, ThreadId, Troupe};
 use simnet::SockAddr;
-use transactions::{ObjId, Op, TroupeStoreService};
+use transactions::{Ledger, ObjId, Op, TroupeStoreService};
 
 use crate::client::Txn;
 use crate::drive::ringmaster_at;
@@ -60,7 +67,8 @@ impl std::fmt::Display for Violation {
 
 struct MemberView {
     addr: SockAddr,
-    ledger: Vec<(ThreadId, u64)>,
+    ledger: Ledger,
+    duplicates: u64,
     digest: u64,
     snapshot: Vec<(u64, i64)>,
 }
@@ -76,7 +84,8 @@ struct ClientView {
 fn member_views(q: &Quiesced) -> Vec<MemberView> {
     q.member_views(|addr, s: &TroupeStoreService| MemberView {
         addr,
-        ledger: s.committed_log().to_vec(),
+        ledger: s.ledger().clone(),
+        duplicates: s.duplicate_commits(),
         digest: s.state_digest(),
         snapshot: s.tm().store().snapshot(),
     })
@@ -98,24 +107,19 @@ fn client_views(q: &Quiesced) -> Vec<ClientView> {
 
 fn check_exactly_once(members: &[MemberView], clients: &[ClientView], out: &mut Vec<Violation>) {
     const ORACLE: &str = "exactly-once";
-    for m in members {
-        let mut seen = HashMap::new();
-        for (i, key) in m.ledger.iter().enumerate() {
-            if let Some(first) = seen.insert(*key, i) {
-                out.push(Violation {
-                    oracle: ORACLE,
-                    detail: format!(
-                        "member {} committed {key:?} twice (ledger entries {first} and {i})",
-                        m.addr
-                    ),
-                });
-            }
-        }
+    for m in members.iter().filter(|m| m.duplicates > 0) {
+        out.push(Violation {
+            oracle: ORACLE,
+            detail: format!(
+                "member {} committed {} transaction(s) whose key its ledger already held",
+                m.addr, m.duplicates
+            ),
+        });
     }
     for c in clients {
-        for key in &c.committed {
+        for key @ &(thread, nonce) in &c.committed {
             for m in members {
-                if !m.ledger.contains(key) {
+                if !m.ledger.contains(thread, nonce) {
                     out.push(Violation {
                         oracle: ORACLE,
                         detail: format!(
@@ -146,28 +150,17 @@ fn check_convergence(members: &[MemberView], clients: &[ClientView], out: &mut V
         }
     }
     // Independent replay: reconstruct what each member's state *should*
-    // be from its own ledger joined with the clients' submission records.
-    let ops_by_key: HashMap<(ThreadId, u64), &[Op]> = clients
-        .iter()
-        .flat_map(|c| c.submitted.iter())
-        .map(|(t, n, ops)| ((*t, *n), ops.as_slice()))
-        .collect();
+    // be from the clients' submission records its own ledger holds.
     for m in members {
         let mut replayed: BTreeMap<ObjId, i64> = BTreeMap::new();
-        let mut complete = true;
-        for key in &m.ledger {
-            let Some(ops) = ops_by_key.get(key) else {
-                out.push(Violation {
-                    oracle: ORACLE,
-                    detail: format!(
-                        "member {} ledger entry {key:?} matches no client submission",
-                        m.addr
-                    ),
-                });
-                complete = false;
-                continue;
-            };
-            for op in *ops {
+        let mut matched = 0;
+        let held = clients
+            .iter()
+            .flat_map(|c| &c.submitted)
+            .filter(|(t, n, _)| m.ledger.contains(*t, *n));
+        for (_, _, ops) in held {
+            matched += 1;
+            for op in ops {
                 match *op {
                     Op::Read(_) => {}
                     Op::Write(o, v) => {
@@ -179,7 +172,16 @@ fn check_convergence(members: &[MemberView], clients: &[ClientView], out: &mut V
                 }
             }
         }
-        if !complete {
+        let unmatched = m.ledger.len().saturating_sub(matched);
+        if unmatched > 0 {
+            out.push(Violation {
+                oracle: ORACLE,
+                detail: format!(
+                    "member {} ledger holds {unmatched} transaction(s) matching no client \
+                     submission",
+                    m.addr
+                ),
+            });
             continue;
         }
         let actual: BTreeMap<ObjId, i64> = m
@@ -203,34 +205,40 @@ fn check_convergence(members: &[MemberView], clients: &[ClientView], out: &mut V
 
 fn check_atomicity(members: &[MemberView], clients: &[ClientView], out: &mut Vec<Violation>) {
     const ORACLE: &str = "atomicity";
-    let mut union: Vec<(ThreadId, u64)> = Vec::new();
-    for m in members {
-        for key in &m.ledger {
-            if !union.contains(key) {
-                union.push(*key);
-            }
-        }
-    }
-    for key in &union {
+    let found = out.len();
+    for &(thread, nonce, _) in clients.iter().flat_map(|c| &c.submitted) {
         let holders: Vec<SockAddr> = members
             .iter()
-            .filter(|m| m.ledger.contains(key))
+            .filter(|m| m.ledger.contains(thread, nonce))
             .map(|m| m.addr)
             .collect();
-        if holders.len() != members.len() {
+        if !holders.is_empty() && holders.len() != members.len() {
             out.push(Violation {
                 oracle: ORACLE,
                 detail: format!(
-                    "{key:?} committed at {holders:?} but not at the other of {} members",
+                    "{:?} committed at {holders:?} but not at the other of {} members",
+                    (thread, nonce),
                     members.len()
                 ),
             });
         }
     }
+    // Ledgers may still differ in keys no client submitted (convergence
+    // names those): a split commit all the same.
+    let split = members.iter().find(|m| m.ledger != members[0].ledger);
+    if let (true, Some(m)) = (out.len() == found, split) {
+        out.push(Violation {
+            oracle: ORACLE,
+            detail: format!(
+                "members {} and {} committed different transaction sets",
+                members[0].addr, m.addr
+            ),
+        });
+    }
     for c in clients {
-        for key in &c.aborted {
+        for key @ &(thread, nonce) in &c.aborted {
             for m in members {
-                if m.ledger.contains(key) {
+                if m.ledger.contains(thread, nonce) {
                     out.push(Violation {
                         oracle: ORACLE,
                         detail: format!(
@@ -365,11 +373,11 @@ pub fn check_replication(q: &Quiesced, out: &mut Vec<Violation>) {
     }
 }
 
-/// The bounded-state oracle (broadcast and commutative workloads): at
-/// quiesce, nothing `member` tracks exceeds its bound. `tracked` rows
-/// are `(what, held, bound)`; the bounds are counted in clients, never
-/// in messages, so a ledger that keeps an entry per message fails here
-/// in any run of more messages than clients.
+/// The bounded-state oracle (every workload): at quiesce, nothing
+/// `member` tracks exceeds its bound. `tracked` rows are `(what, held,
+/// bound)`; the bounds are counted in clients and in attempts that never
+/// completed, never in messages, so a ledger that keeps an entry per
+/// message fails here in any run of more messages than clients.
 pub fn check_bounded_state(
     member: SockAddr,
     tracked: &[(&str, usize, usize)],
@@ -387,7 +395,23 @@ pub fn check_bounded_state(
     }
 }
 
-/// Runs all six store oracles and returns every violation found.
+/// The store's bounded-state rule: each member's ledger in at most one
+/// range per client plus one per submission the client did not see
+/// commit. Nonces are consecutive per client, so a range can only end at
+/// a nonce that never committed here — which the client cannot have seen
+/// commit without breaking exactly-once.
+fn check_ledger_bound(members: &[MemberView], clients: &[ClientView], out: &mut Vec<Violation>) {
+    let bound: usize = clients
+        .iter()
+        .map(|c| 1 + c.submitted.len().saturating_sub(c.committed.len()))
+        .sum();
+    for m in members {
+        let held = m.ledger.range_count();
+        check_bounded_state(m.addr, &[("commit-ledger ranges", held, bound)], out);
+    }
+}
+
+/// Runs all seven store oracles and returns every violation found.
 pub fn check_all(q: &Quiesced) -> Vec<Violation> {
     let members = member_views(q);
     let clients = client_views(q);
@@ -404,5 +428,6 @@ pub fn check_all(q: &Quiesced) -> Vec<Violation> {
     check_stale_bindings(q, &clients, &mut out);
     check_monotonicity(q, &mut out);
     check_replication(q, &mut out);
+    check_ledger_bound(&members, &clients, &mut out);
     out
 }

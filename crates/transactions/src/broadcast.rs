@@ -42,7 +42,7 @@
 //!   range per client.
 //! * **The sequential-client contract.** A client's block is sequential:
 //!   proposing id k says every lower id of that origin is finished
-//!   (the assumption `TroupeStoreService::watermarks()` states). A
+//!   (the assumption the commit service's recovery token rests on). A
 //!   retired id that is asked about all the same is answered without
 //!   touching state — a duplicate `accept_time` replies the empty
 //!   result, a duplicate `get_proposed_time` replies an error and never

@@ -15,9 +15,10 @@
 //! The protocol is *generic* (any local concurrency control) and
 //! *optimistic* (assumes conflicts are rare).
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
 
+use crate::ledger::{Ledger, LedgerWire};
 use crate::pack_origin;
 use crate::store::TxnId;
 use crate::txn::{ExecOutcome, LocalTm, Op};
@@ -27,6 +28,7 @@ use circus::{
     CallError, Collate, CollationPolicy, Decision, NodeEffect, OutCall, Service, ServiceCtx,
     StateSince, Step, ThreadId, TroupeTarget, VoteSlot,
 };
+use obs::fnv1a;
 use simnet::Disk;
 use wire::{from_bytes, to_bytes, Externalize, Internalize, Reader, WireError, Writer};
 
@@ -106,7 +108,7 @@ const RETAIN_CAP: usize = 1024;
 /// What log-replay recovery found and did, kept for oracles and benches.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct RecoveryInfo {
-    /// Ledger length of the checkpoint that was restored (0 = none).
+    /// Transactions the restored checkpoint held (0 = none).
     pub snapshot_version: u64,
     /// Log records replayed into the store.
     pub replayed: usize,
@@ -141,12 +143,14 @@ pub struct TroupeStoreService {
     /// walks it, in key order — which is invocation order too: both
     /// numbers are handed out in dispatch order.
     waiting: BTreeMap<TxnId, u64>,
-    /// Commit ledger: `(thread, nonce)` of every transaction this member
-    /// committed, in commit order. Part of the module state (transferred
-    /// by `get_state`/`set_state`) so a joining member inherits the
-    /// history; an audit oracle checks the ledgers of troupe members
-    /// agree (exactly-once, Theorem 5.1's same-order property).
-    committed: Vec<(ThreadId, u64)>,
+    /// Commit ledger: the `(origin, nonce)` of every transaction this
+    /// member committed, one range per client plus one per gap an
+    /// uncommitted attempt left. Part of the module state (transferred by
+    /// `get_state`/`set_state`) so a joining member inherits the history;
+    /// the audit oracles check the ledgers of troupe members agree.
+    committed: Ledger,
+    /// Commits whose key the ledger already held: exactly-once broken.
+    duplicate_commits: u64,
     /// Wedged for a membership change (§6.4.1): new transactions are
     /// refused with an abort, lock-waiters are aborted, and the wedge
     /// call replies once the last in-flight transaction resolves, so
@@ -175,7 +179,8 @@ impl TroupeStoreService {
             next_txn: 1,
             by_invocation: HashMap::new(),
             waiting: BTreeMap::new(),
-            committed: Vec::new(),
+            committed: Ledger::new(),
+            duplicate_commits: 0,
             wedge: Wedge::default(),
             wedge_waiters: Vec::new(),
             wal: None,
@@ -212,24 +217,29 @@ impl TroupeStoreService {
         &self.tm
     }
 
-    /// The `(thread, nonce)` commit ledger, in commit order.
-    pub fn committed_log(&self) -> &[(ThreadId, u64)] {
+    /// The commit ledger.
+    pub fn ledger(&self) -> &Ledger {
         &self.committed
+    }
+
+    /// Commits whose `(origin, nonce)` the ledger already held — each one
+    /// a transaction executed twice. Zero unless exactly-once is broken.
+    pub fn duplicate_commits(&self) -> u64 {
+        self.duplicate_commits
     }
 
     /// FNV-1a digest of the module state (committed image + ledger);
     /// every member of a quiesced troupe must report the same value.
     ///
-    /// The ledger is digested *sorted*, not in commit order: two-phase
-    /// locking forces every member to order conflicting transactions
-    /// identically (Theorem 5.1), but concurrent non-conflicting
-    /// transactions may legitimately commit in different local orders,
-    /// and one-copy serializability promises identical committed images
-    /// and identical transaction sets — not identical interleavings.
+    /// The ledger is a set, not a commit order: two-phase locking forces
+    /// every member to order conflicting transactions identically
+    /// (Theorem 5.1), but concurrent non-conflicting transactions may
+    /// legitimately commit in different local orders, and one-copy
+    /// serializability promises identical committed images and identical
+    /// transaction sets — not identical interleavings.
     pub fn state_digest(&self) -> u64 {
-        let mut sorted = self.committed.clone();
-        sorted.sort_unstable();
-        obs::fnv1a(&to_bytes(&(self.tm.store().snapshot(), sorted)))
+        let image = fnv1a(&to_bytes(&self.tm.store().snapshot()));
+        self.committed.fold_into(image)
     }
 
     /// Builds the `ready_to_commit` call-back (§5.3).
@@ -293,24 +303,17 @@ impl TroupeStoreService {
 
     /// Checkpoints the current state whatever the cadence says — after
     /// recovery and after a peer's delta, when the state holds commits
-    /// the log never saw or must not be replayed over again. It may not
-    /// fail: where the O(1) ledger append does, the ledger file is
-    /// rewritten whole (O(ledger), on these paths only). No-op without
-    /// durability.
+    /// the log never saw or must not be replayed over again. No-op
+    /// without durability.
     fn force_checkpoint(&mut self) {
-        let Some(wal) = self.wal.as_mut() else {
-            return;
-        };
-        let image = self.tm.store().snapshot();
-        if wal.checkpoint(&self.committed, &image).is_err() {
-            wal.install(&self.committed, &image);
+        if let Some(wal) = self.wal.as_mut() {
+            wal.checkpoint(&self.committed, &self.tm.store().snapshot());
         }
     }
 
     /// Appends one commit to the log and checkpoints when one is due: by
     /// the periodic cadence, or because an append failed and only a
-    /// checkpoint can make the commits the log missed durable. A
-    /// checkpoint that fails in turn stays due at the next commit.
+    /// checkpoint can make the commit the log missed durable.
     fn log_commit(&mut self, rec: &CommitRecord, ctx: &mut ServiceCtx) {
         let Some(wal) = self.wal.as_mut() else {
             return;
@@ -321,21 +324,8 @@ impl TroupeStoreService {
         }
         if wal.snapshot_due() {
             ctx.metrics.add("wal.snapshots", 1);
-            let _ = wal.checkpoint(&self.committed, &self.tm.store().snapshot());
+            wal.checkpoint(&self.committed, &self.tm.store().snapshot());
         }
-    }
-
-    /// Per-origin commit watermarks: the highest nonce committed from
-    /// each thread origin. Clients are strictly sequential per origin,
-    /// so a replayed log prefix is a nonce-prefix per origin and one
-    /// watermark per origin describes it exactly.
-    fn watermarks(&self) -> Vec<(u64, u64)> {
-        let mut marks: BTreeMap<u64, u64> = BTreeMap::new();
-        for &(t, nonce) in &self.committed {
-            let m = marks.entry(pack_origin(t.origin)).or_insert(0);
-            *m = (*m).max(nonce);
-        }
-        marks.into_iter().collect()
     }
 }
 
@@ -395,7 +385,9 @@ impl Service for TroupeStoreService {
                 // the log record needs per-commit writes, not the merged
                 // image.
                 let writes = self.tm.store().workspace(rec.txn);
-                self.committed.push((rec.thread, rec.nonce));
+                if !self.committed.insert(rec.thread, rec.nonce) {
+                    self.duplicate_commits += 1;
+                }
                 ctx.metrics.add("txn.commits", 1);
                 let unblocked = self.tm.commit(rec.txn);
                 let crec = CommitRecord {
@@ -449,28 +441,34 @@ impl Service for TroupeStoreService {
     }
 
     fn get_state(&self) -> Vec<u8> {
-        to_bytes(&(self.tm.store().snapshot(), self.committed.clone()))
+        to_bytes(&(self.tm.store().snapshot(), self.committed.to_wire()))
     }
 
+    /// Installs a peer's `(image, ledger)`. A state that does not decode,
+    /// or whose ledger is not well-formed, is dropped whole: the member
+    /// keeps what it had and the donor's transfer is retried.
     fn set_state(&mut self, state: &[u8]) {
-        if let Ok((snap, ledger)) = from_bytes::<(Vec<(u64, i64)>, Vec<(ThreadId, u64)>)>(state) {
-            self.tm.store_mut().restore(&snap);
-            self.committed = ledger;
-            // The installed ledger may contain commits this member never
-            // saw individually, so its retained records no longer cover
-            // the ledger (it will serve full copies until they do), and
-            // neither the ledger file nor any stale log on disk may
-            // replay over the new state.
-            self.retained.clear();
-            if let Some(wal) = self.wal.as_mut() {
-                wal.install(&self.committed, &snap);
-            }
+        let Ok((snap, ledger)) = from_bytes::<(Vec<(u64, i64)>, LedgerWire)>(state) else {
+            return;
+        };
+        let Some(ledger) = Ledger::from_wire(ledger) else {
+            return;
+        };
+        self.tm.store_mut().restore(&snap);
+        self.committed = ledger;
+        // The installed ledger may contain commits this member never saw
+        // individually, so its retained records no longer cover the
+        // ledger (it will serve full copies until they do), and no stale
+        // log on disk may replay over the new state.
+        self.retained.clear();
+        if let Some(wal) = self.wal.as_mut() {
+            wal.install(&self.committed, &snap);
         }
     }
 
     /// Log-replay recovery (durable members): restore the newest usable
-    /// checkpoint — image plus exactly the ledger prefix it pairs with —
-    /// replay intact log records past it, discard the torn tail, and
+    /// checkpoint — image and ledger — replay intact log records the
+    /// ledger does not hold yet, discard the torn tail, and
     /// checkpoint again so the log is clean before the member serves
     /// anything. The peer catch-up that follows (via `get_state_since`)
     /// only needs the commits missing from here.
@@ -486,20 +484,18 @@ impl Service for TroupeStoreService {
         };
         let restored = found.checkpoint.is_some();
         if let Some(checkpoint) = found.checkpoint {
-            info.snapshot_version = checkpoint.ledger.len() as u64;
+            info.snapshot_version = checkpoint.ledger.len();
             self.tm.store_mut().restore(&checkpoint.image);
             self.committed = checkpoint.ledger;
         }
-        let have: HashSet<(ThreadId, u64)> = self.committed.iter().copied().collect();
         for rec in found.records {
             // Idempotent replay: a crash between slot and log truncation
             // leaves records the checkpoint already covers.
-            if have.contains(&rec.key()) {
+            if !self.committed.insert(rec.thread, rec.nonce) {
                 info.deduped += 1;
                 continue;
             }
             self.tm.store_mut().apply_committed(&rec.writes);
-            self.committed.push(rec.key());
             info.replayed += 1;
         }
         if info.log_bytes > 0 || restored {
@@ -515,7 +511,10 @@ impl Service for TroupeStoreService {
 
     fn recovery_token(&self) -> Option<Vec<u8>> {
         self.wal.as_ref()?;
-        Some(to_bytes(&self.watermarks()))
+        // Per origin, the highest nonce committed. Clients are strictly
+        // sequential per origin, so what recovery lost is a nonce suffix
+        // per origin and one watermark per origin describes it exactly.
+        Some(to_bytes(&self.committed.watermarks()))
     }
 
     fn get_state_since(&self, token: &[u8]) -> StateSince {
@@ -531,12 +530,15 @@ impl Service for TroupeStoreService {
         // The delta is only sound if this member's retained records hold
         // *every* ledger entry past the requester's watermarks; if any
         // were dropped (RETAIN_CAP) or never seen individually
-        // (set_state install), fall back to the full copy.
-        let held: HashSet<(ThreadId, u64)> = self.retained.iter().map(CommitRecord::key).collect();
-        for &(t, nonce) in &self.committed {
-            if !covered(&t, nonce) && !held.contains(&(t, nonce)) {
-                return StateSince::Full(self.get_state());
-            }
+        // (set_state install), fall back to the full copy. Retained
+        // records are ledger entries, one each, so counting suffices.
+        let past = self
+            .retained
+            .iter()
+            .filter(|r| !covered(&r.thread, r.nonce))
+            .count();
+        if past as u64 != self.committed.len_above(&marks) {
+            return StateSince::Full(self.get_state());
         }
         let delta: Vec<CommitRecord> = self
             .retained
@@ -555,13 +557,11 @@ impl Service for TroupeStoreService {
         let Ok(records) = from_bytes::<Vec<CommitRecord>>(delta) else {
             return;
         };
-        let have: HashSet<(ThreadId, u64)> = self.committed.iter().copied().collect();
         for rec in records {
-            if have.contains(&rec.key()) {
+            if !self.committed.insert(rec.thread, rec.nonce) {
                 continue;
             }
             self.tm.store_mut().apply_committed(&rec.writes);
-            self.committed.push(rec.key());
             self.retain(rec);
         }
         // Close the stale-log window: the state now includes commits the

@@ -62,6 +62,35 @@ impl IdSet {
         })
     }
 
+    /// Number of ids held above `floor` (saturating, as [`len`](IdSet::len)).
+    pub fn len_above(&self, floor: u64) -> u64 {
+        // `hi > floor`, so `floor + 1` cannot wrap.
+        self.ranges
+            .iter()
+            .rev()
+            .take_while(|&(_, &hi)| hi > floor)
+            .fold(0u64, |n, (&lo, &hi)| {
+                n.saturating_add((hi - lo.max(floor + 1)).saturating_add(1))
+            })
+    }
+
+    /// Whether every id held here is held by `other`.
+    pub fn is_subset(&self, other: &IdSet) -> bool {
+        // `other`'s ranges never touch, so a run it holds lies in one.
+        self.ranges.iter().all(|(&lo, &hi)| {
+            other
+                .ranges
+                .range(..=lo)
+                .next_back()
+                .is_some_and(|(_, &top)| hi <= top)
+        })
+    }
+
+    /// The highest id held.
+    pub fn max(&self) -> Option<u64> {
+        self.ranges.last_key_value().map(|(_, &hi)| hi)
+    }
+
     /// Whether no id was ever inserted.
     pub fn is_empty(&self) -> bool {
         self.ranges.is_empty()
@@ -146,16 +175,35 @@ mod tests {
         /// merge and are hit again): membership agrees, the ranges stay
         /// disjoint and coalesced, and the wire form round-trips.
         #[test]
-        fn agrees_with_a_btreeset_model(ids in proptest::collection::vec(0u64..96, 0..200)) {
+        fn agrees_with_a_btreeset_model(
+            ids in proptest::collection::vec(0u64..96, 0..200),
+            others in proptest::collection::vec(0u64..96, 0..200),
+        ) {
             let mut set = IdSet::new();
             let mut model = BTreeSet::new();
             for &id in &ids {
                 prop_assert_eq!(set.insert(id), model.insert(id));
             }
+            let mut other = IdSet::new();
+            let mut other_model = BTreeSet::new();
+            for &id in &others {
+                other.insert(id);
+                other_model.insert(id);
+            }
+            prop_assert_eq!(other.is_subset(&set), other_model.is_subset(&model));
+            let mut half = IdSet::new();
+            for &id in &ids[..ids.len() / 2] {
+                half.insert(id);
+            }
+            prop_assert!(half.is_subset(&set));
             for id in 0..100 {
                 prop_assert_eq!(set.contains(id), model.contains(&id));
             }
             prop_assert_eq!(set.len(), model.len() as u64);
+            prop_assert_eq!(set.max(), model.last().copied());
+            for floor in [0, 31, 95] {
+                prop_assert_eq!(set.len_above(floor), model.range(floor + 1..).count() as u64);
+            }
             let wire = set.to_wire();
             for pair in wire.windows(2) {
                 prop_assert!(pair[0].1 + 1 < pair[1].0, "{:?} touch or overlap", pair);

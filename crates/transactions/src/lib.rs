@@ -43,6 +43,7 @@ pub mod commit;
 pub mod commute;
 pub mod deadlock;
 pub mod idset;
+pub mod ledger;
 pub mod lock;
 pub mod nested;
 pub mod store;
@@ -64,6 +65,7 @@ pub use commit::{
 pub use commute::{CmOp, CmRequest, CommutativeService, PROC_CM_EXECUTE};
 pub use deadlock::WaitsFor;
 pub use idset::IdSet;
+pub use ledger::{Ledger, LedgerWire};
 pub use lock::{Acquire, LockManager, Mode};
 pub use nested::{NestedError, NestedTm};
 pub use store::{ObjId, Store, TxnId};
@@ -71,7 +73,7 @@ pub use txn::{ExecOutcome, LocalTm, Op};
 pub use wal::{Checkpoint, CommitRecord, Recovered, Wal};
 
 /// Packs a thread origin into the `u64` that keys per-client state (the
-/// commit service's recovery watermarks, the broadcast retry cache).
+/// commit ledger and its recovery watermarks, the broadcast retry cache).
 pub(crate) fn pack_origin(a: simnet::SockAddr) -> u64 {
     ((a.host.0 as u64) << 16) | a.port as u64
 }

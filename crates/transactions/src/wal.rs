@@ -1,5 +1,4 @@
-//! A checksummed commit log, an append-only ledger file and checkpoint
-//! slots on the simulated disk.
+//! A checksummed commit log and checkpoint slots on the simulated disk.
 //!
 //! Chapter 5's transactions are deliberately *lightweight* — volatile,
 //! with permanence from replication — but §6.4's recovery story gets
@@ -9,15 +8,15 @@
 //! peer. This module is that local half, and it must not tax the commit
 //! path it protects: what a commit costs the disk does not depend on how
 //! many commits came before it. It must also survive a hostile disk
-//! ([`DiskConfig`](simnet::DiskConfig)'s fault hooks): every frame and
-//! slot carries an FNV-1a checksum, a torn or truncated tail is detected
-//! and discarded at the checksum boundary, and a transiently failed
-//! append (which may leave a *partial* frame on the platter) is contained
-//! as described under *Failed appends*.
+//! ([`DiskConfig`](simnet::DiskConfig)'s fault hooks): every frame
+//! carries an FNV-1a checksum, a torn or truncated tail is detected and
+//! discarded at the checksum boundary, and a transiently failed append
+//! (which may leave a *partial* frame on the platter) is contained as
+//! described under *Failed appends*.
 //!
 //! ## Frames
 //!
-//! The log and the ledger file are both sequences of frames:
+//! Both kinds of file are made of frames:
 //!
 //! ```text
 //! [u32 len (LE)] [u64 fnv1a(payload) (LE)] [payload]
@@ -28,66 +27,59 @@
 //! boundary is intact by induction (appends are framed and fsync'd in
 //! frame units), everything after is a crash's torn tail.
 //!
-//! ## The three kinds of file
+//! ## The two kinds of file
 //!
 //! * `wal.log` — one frame per commit, payload a [`CommitRecord`],
 //!   fsync'd before the commit is acknowledged. Holds the commits since
 //!   the last checkpoint.
-//! * `ledger` — the commit ledger, append-only: the payload of each frame
-//!   is the 18-byte `(thread, nonce)` keys committed since the previous
-//!   frame. A checkpoint *extends* this file; it never rewrites it.
-//! * `snap.0`, `snap.1` — two alternating checkpoint slots, each
-//!   `[u64 version][u64 fnv1a(payload)][payload]`. The payload is the
-//!   store image plus the identity of the ledger prefix the image pairs
-//!   with: its byte length and the running FNV-1a of its keys. The
-//!   version is that prefix's entry count, a monotone measure of
-//!   progress. A crash mid-write ruins at most the slot being replaced.
+//! * `snap.0`, `snap.1` — two alternating checkpoint slots, each one
+//!   frame whose payload is a sequence number, the store image and the
+//!   commit [`Ledger`] whole: per client, its committed nonces as ranges,
+//!   so a slot costs O(objects + clients) whatever the history. The
+//!   sequence number counts the slots ever written. A crash mid-write
+//!   ruins at most the slot being replaced.
 //!
 //! ## Checkpoint order
 //!
-//! ledger frame durable → slot durable → log truncated. A crash after the
-//! first step leaves a frame no slot names (recovery ignores it and
-//! replays the log instead); a crash after the second leaves log records
-//! the slot already covers (replay skips them by ledger key).
+//! Slot durable → log truncated. A crash in between leaves log records
+//! the slot already covers; replay skips them by ledger membership.
+//! [`Wal::install`] — a state that need not extend this member's own, a
+//! peer's transfer — goes the other way round, log truncated → slot
+//! durable, so no record of the old history replays over the new state.
 //!
 //! ## Recovery rule
 //!
-//! A slot is *usable* if its checksum holds and the ledger file actually
-//! holds the prefix it names — intact frames ending exactly at that byte
-//! length, with that many keys and that running digest. Recovery takes
-//! the usable slot with the highest version, restores its image and
-//! exactly that prefix, and replays the log on top. Ledger bytes past the
-//! prefix are ignored, and cut off before the file next grows. The log
-//! continues the *newest* checkpoint only, so if either slot file exists
-//! but is unusable — it may have been the newer one — the log is dropped;
-//! if no slot is usable nothing local is trusted and the member starts
-//! empty. What is missing comes from the ordinary peer transfer:
-//! recovery degrades to less state, never to a wrong ledger.
+//! A slot is *usable* if its frame is intact and its payload decodes to
+//! an image and a well-formed ledger. Recovery takes the usable slot with
+//! the highest sequence number, restores its image and ledger, and
+//! replays the log on top, skipping every record whose key the ledger
+//! already holds. The log continues the *newest* checkpoint only, so if
+//! either slot file exists but is unusable — it may have been the newer
+//! one — the log is dropped; if no slot is usable nothing local is
+//! trusted and the member starts empty. What is missing comes from the
+//! ordinary peer transfer: recovery degrades to less state, never to a
+//! wrong ledger.
 //!
 //! ## Failed appends
 //!
 //! A failed log append leaves the commit out of the log (and perhaps a
 //! partial frame in it), so the log takes no further record — a later
 //! one would replay without its predecessor — until a checkpoint covers
-//! the gap; one is due at once and again at every commit until it
-//! succeeds. A failed ledger append abandons that checkpoint with slot
-//! and log untouched; the partial frame is cut back
-//! ([`Disk::truncate`]) before the next one is appended.
+//! the gap; [`Wal::snapshot_due`] says so at once. A checkpoint rewrites
+//! a slot whole, which cannot fail, and removes the log, partial frame
+//! and all.
 
 use circus::ThreadId;
-use obs::{fnv1a, fnv1a_fold, FNV1A_BASIS};
+use obs::fnv1a;
 use simnet::{Disk, DiskError};
 use wire::{encode_with, from_bytes, Externalize, Internalize, Reader, WireError, Writer};
 
+use crate::ledger::{Ledger, LedgerWire};
+
 /// The log file name on the member's disk.
 pub const LOG_FILE: &str = "wal.log";
-/// The append-only ledger file.
-pub const LEDGER_FILE: &str = "ledger";
 /// The two alternating checkpoint slots.
 pub const SNAP_SLOTS: [&str; 2] = ["snap.0", "snap.1"];
-
-/// A ledger entry: the `(thread, nonce)` identifying one transaction.
-pub type LedgerKey = (ThreadId, u64);
 
 /// A store image: every object's committed value, in object order.
 type Image = Vec<(u64, i64)>;
@@ -105,11 +97,6 @@ pub struct CommitRecord {
 }
 
 impl CommitRecord {
-    /// The ledger key identifying this transaction.
-    pub fn key(&self) -> LedgerKey {
-        (self.thread, self.nonce)
-    }
-
     fn decode(bytes: &[u8]) -> Option<CommitRecord> {
         from_bytes::<CommitRecord>(bytes).ok()
     }
@@ -171,45 +158,11 @@ impl<'a> Iterator for Frames<'a> {
     }
 }
 
-/// A frame boundary in the ledger file: how many keys and bytes lie
-/// before it, and the running FNV-1a of those keys' encodings. Every
-/// slot names one; the empty file is one.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-struct Mark {
-    entries: u64,
-    bytes: u64,
-    fnv: u64,
-}
-
-impl Mark {
-    const EMPTY: Mark = Mark {
-        entries: 0,
-        bytes: 0,
-        fnv: FNV1A_BASIS,
-    };
-
-    /// The boundary one frame holding `keys` further on, and that frame.
-    fn extended(self, keys: &[LedgerKey]) -> (Mark, Vec<u8>) {
-        let mut w = Writer::new();
-        for key in keys {
-            key.externalize(&mut w);
-        }
-        let payload = w.finish();
-        let frame = frame(&payload);
-        let mark = Mark {
-            entries: self.entries + keys.len() as u64,
-            bytes: self.bytes + frame.len() as u64,
-            fnv: fnv1a_fold(self.fnv, &payload),
-        };
-        (mark, frame)
-    }
-}
-
 /// The checkpoint recovery starts from.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Checkpoint {
-    /// The ledger prefix the image pairs with, in commit order.
-    pub ledger: Vec<LedgerKey>,
+    /// The transactions the image holds.
+    pub ledger: Ledger,
     /// The store image: every object's committed value.
     pub image: Vec<(u64, i64)>,
 }
@@ -217,8 +170,7 @@ pub struct Checkpoint {
 /// What recovery found on the disk.
 #[derive(Clone, Debug, Default)]
 pub struct Recovered {
-    /// The newest checkpoint whose slot and ledger prefix both check out,
-    /// if any.
+    /// The newest usable checkpoint, if any.
     pub checkpoint: Option<Checkpoint>,
     /// Intact log records to replay on top of it, in append order. Empty
     /// when a slot exists that cannot be used: the log may continue that
@@ -235,13 +187,12 @@ pub struct Wal {
     disk: Disk,
     /// Slot the *next* checkpoint goes to (alternates).
     next_slot: usize,
+    /// Sequence number of the newest slot written or recovered (0: none).
+    seq: u64,
     /// Checkpoint after this many commits since the last one.
     snapshot_every: usize,
     /// Commits appended since the last checkpoint.
     since_snapshot: usize,
-    /// Where the ledger file's good prefix ends: the boundary the newest
-    /// slot names. Bytes past it are a failed or never-named frame.
-    mark: Mark,
     /// A failed append left a commit out of the log, which therefore
     /// takes no further record until a checkpoint covers the gap.
     gap: bool,
@@ -254,9 +205,9 @@ impl Wal {
         Wal {
             disk,
             next_slot: 0,
+            seq: 0,
             snapshot_every,
             since_snapshot: 0,
-            mark: Mark::EMPTY,
             gap: false,
         }
     }
@@ -290,125 +241,74 @@ impl Wal {
         self.gap || (self.snapshot_every > 0 && self.since_snapshot >= self.snapshot_every)
     }
 
-    /// Makes the state durable at a cost independent of its history:
-    /// extends the ledger file by the entries of `ledger` it does not
-    /// hold yet, writes `image` into the alternate slot, truncates the
-    /// log — in that order. `ledger` must extend what the file holds
-    /// (the previous checkpoint's, or recovery's). On a transient error
-    /// nothing has changed and the checkpoint is still due.
-    pub fn checkpoint(
-        &mut self,
-        ledger: &[LedgerKey],
-        image: &[(u64, i64)],
-    ) -> Result<(), DiskError> {
-        self.extend_ledger(ledger)?;
-        self.write_slot(image);
-        self.truncate_log();
-        Ok(())
-    }
-
-    /// Like [`Wal::checkpoint`] for a `ledger` that need not extend the
-    /// file's: rewrites the ledger file whole, so it costs O(ledger) and
-    /// cannot fail. For the state-transfer and recovery paths only.
-    pub fn install(&mut self, ledger: &[LedgerKey], image: &[(u64, i64)]) {
-        let (mark, frame) = Mark::EMPTY.extended(ledger);
-        self.disk.set_contents(LEDGER_FILE, &frame);
-        self.disk.fsync(LEDGER_FILE);
-        self.mark = mark;
-        self.write_slot(image);
-        // The other slot names a prefix of the file just replaced; left
-        // in place it would pass for a newer checkpoint lost to damage.
-        self.disk.remove(SNAP_SLOTS[self.next_slot]);
+    /// Makes the state durable: writes `image` and `ledger` into the
+    /// alternate slot, then truncates the log. `ledger` must hold every
+    /// record in the log (it is this member's own state, grown).
+    pub fn checkpoint(&mut self, ledger: &Ledger, image: &[(u64, i64)]) {
+        self.write_slot(ledger, image);
         self.truncate_log();
     }
 
-    /// Step 1: one more frame in the ledger file, durable.
-    fn extend_ledger(&mut self, ledger: &[LedgerKey]) -> Result<(), DiskError> {
-        let fresh = &ledger[self.mark.entries as usize..];
-        if fresh.is_empty() {
-            return Ok(());
-        }
-        // Whatever lies past the good prefix — the partial frame of a
-        // failed append, a frame whose slot never became durable, a
-        // crash's torn tail — goes before the file grows again.
-        if self.disk.len(LEDGER_FILE) != self.mark.bytes as usize {
-            self.disk.truncate(LEDGER_FILE, self.mark.bytes as usize);
-        }
-        let (mark, frame) = self.mark.extended(fresh);
-        self.disk.append(LEDGER_FILE, &frame)?;
-        self.disk.fsync(LEDGER_FILE);
-        self.mark = mark;
-        Ok(())
+    /// Like [`Wal::checkpoint`] for a state that need not extend this
+    /// member's own (state transfer): the log goes first, so a crash in
+    /// between recovers the older checkpoint alone rather than old
+    /// records on top of the new state.
+    pub fn install(&mut self, ledger: &Ledger, image: &[(u64, i64)]) {
+        self.truncate_log();
+        self.write_slot(ledger, image);
     }
 
-    /// Step 2: the image, paired with the ledger prefix ending at
-    /// `self.mark`, durable in the alternate slot.
-    fn write_slot(&mut self, image: &[(u64, i64)]) {
+    /// The image and ledger, durable in the alternate slot under the next
+    /// sequence number.
+    fn write_slot(&mut self, ledger: &Ledger, image: &[(u64, i64)]) {
         let slot = SNAP_SLOTS[self.next_slot];
-        // Decoded by `parse_slot` as `(u64, u64, Image)`.
+        self.seq += 1;
+        // Decoded by `parse_slot` as `(u64, Image, LedgerWire)`.
         let mut w = Writer::new();
-        w.put_u64(self.mark.bytes);
-        w.put_u64(self.mark.fnv);
+        w.put_u64(self.seq);
         w.put_seq_len(image.len());
         for entry in image {
             entry.externalize(&mut w);
         }
-        let payload = w.finish();
-        let mut content = Vec::with_capacity(16 + payload.len());
-        content.extend_from_slice(&self.mark.entries.to_le_bytes());
-        content.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        content.extend_from_slice(&payload);
-        self.disk.set_contents(slot, &content);
+        ledger.to_wire().externalize(&mut w);
+        self.disk.set_contents(slot, &frame(&w.finish()));
         self.disk.fsync(slot);
         self.next_slot ^= 1;
     }
 
-    /// Step 3, only once the slot is durable: a crash in between leaves a
-    /// stale log whose records the slot already covers — replay skips
-    /// them by ledger key (idempotent).
+    /// Removes the log: every record in it is covered, or (`install`)
+    /// must never replay.
     fn truncate_log(&mut self) {
         self.disk.remove(LOG_FILE);
         self.since_snapshot = 0;
         self.gap = false;
     }
 
-    /// Reads the slots, the ledger file and the log back, validating
-    /// checksums, pairing a slot with its ledger prefix and stopping
-    /// replay at the first torn frame (the module's *Recovery rule*).
-    /// The caller replays `records` and then checkpoints, which realigns
-    /// the log.
+    /// Reads the slots and the log back, validating checksums and
+    /// stopping replay at the first torn frame (the module's *Recovery
+    /// rule*). The caller replays `records` and then checkpoints, which
+    /// realigns the log.
     pub fn recover(&mut self) -> Recovered {
         let mut out = Recovered::default();
-        let (mut keys, marks) = self.read_ledger();
-
-        let mut best: Option<(usize, Mark, Image)> = None;
+        let mut best: Option<(usize, u64, Checkpoint)> = None;
         let mut unusable = false;
         for (i, slot) in SNAP_SLOTS.iter().enumerate() {
             let Some(bytes) = self.disk.read(slot) else {
                 continue;
             };
-            match parse_slot(&bytes).filter(|(named, _)| marks.contains(named)) {
-                Some((named, image)) => {
-                    if best
-                        .as_ref()
-                        .is_none_or(|(_, m, _)| named.entries > m.entries)
-                    {
-                        best = Some((i, named, image));
-                    }
+            match parse_slot(&bytes) {
+                Some((seq, cp)) if best.as_ref().is_none_or(|(_, s, _)| seq > *s) => {
+                    best = Some((i, seq, cp));
                 }
+                Some(_) => {}
                 None => unusable = true,
             }
         }
-        self.mark = Mark::EMPTY;
-        if let Some((i, named, image)) = best {
-            keys.truncate(named.entries as usize);
-            out.checkpoint = Some(Checkpoint {
-                ledger: keys,
-                image,
-            });
-            self.mark = named;
+        (self.next_slot, self.seq) = (0, 0);
+        if let Some((i, seq, cp)) = best {
+            out.checkpoint = Some(cp);
             // Keep alternating away from the surviving slot.
-            self.next_slot = i ^ 1;
+            (self.next_slot, self.seq) = (i ^ 1, seq);
         }
 
         let log = self.disk.read(LOG_FILE).unwrap_or_default();
@@ -430,54 +330,15 @@ impl Wal {
         self.gap = false;
         out
     }
-
-    /// The keys in the intact front of the ledger file, and every frame
-    /// boundary among them (the empty prefix first).
-    fn read_ledger(&self) -> (Vec<LedgerKey>, Vec<Mark>) {
-        let file = self.disk.read(LEDGER_FILE).unwrap_or_default();
-        let mut keys: Vec<LedgerKey> = Vec::new();
-        let mut marks = vec![Mark::EMPTY];
-        let mut frames = Frames::new(&file);
-        while let Some(payload) = frames.next() {
-            let whole = keys.len();
-            let mut r = Reader::new(payload);
-            while r.remaining() > 0 {
-                match LedgerKey::internalize(&mut r) {
-                    Ok(key) => keys.push(key),
-                    Err(_) => {
-                        keys.truncate(whole);
-                        return (keys, marks);
-                    }
-                }
-            }
-            marks.push(Mark {
-                entries: keys.len() as u64,
-                bytes: frames.off as u64,
-                fnv: fnv1a_fold(marks[marks.len() - 1].fnv, payload),
-            });
-        }
-        (keys, marks)
-    }
 }
 
-/// A slot's content, if its checksum holds: the ledger prefix it names
-/// and the store image.
-fn parse_slot(bytes: &[u8]) -> Option<(Mark, Image)> {
-    let entries = u64::from_le_bytes(bytes.get(0..8)?.try_into().expect("8 bytes"));
-    let crc = u64::from_le_bytes(bytes.get(8..16)?.try_into().expect("8 bytes"));
-    let payload = &bytes[16..];
-    if fnv1a(payload) != crc {
-        return None;
-    }
-    let (bytes, fnv, image) = from_bytes::<(u64, u64, Image)>(payload).ok()?;
-    Some((
-        Mark {
-            entries,
-            bytes,
-            fnv,
-        },
-        image,
-    ))
+/// A slot's sequence number and checkpoint, if its frame is intact and
+/// its ledger well-formed.
+fn parse_slot(bytes: &[u8]) -> Option<(u64, Checkpoint)> {
+    let payload = Frames::new(bytes).next()?;
+    let (seq, image, ledger) = from_bytes::<(u64, Image, LedgerWire)>(payload).ok()?;
+    let ledger = Ledger::from_wire(ledger)?;
+    Some((seq, Checkpoint { ledger, image }))
 }
 
 #[cfg(test)]
@@ -488,7 +349,7 @@ mod tests {
     use crate::commit::{ExecuteRequest, TroupeStoreService, PROC_EXECUTE};
     use crate::store::ObjId;
     use crate::txn::Op;
-    use circus::{Service, ServiceCtx, Step, TroupeId};
+    use circus::{Service, ServiceCtx, StateSince, Step, TroupeId};
     use obs::Registry;
     use simnet::{DiskConfig, HostId, SockAddr, Time};
     use wire::to_bytes;
@@ -510,6 +371,16 @@ mod tests {
 
     fn disk(cfg: DiskConfig) -> Disk {
         Disk::new(HostId(10), cfg, 7, Registry::new())
+    }
+
+    /// The ledger holding exactly `nonces`, all from the one client every
+    /// test here runs.
+    fn ledger_of(nonces: &[u64]) -> Ledger {
+        let mut ledger = Ledger::new();
+        for &n in nonces {
+            ledger.insert(thread(n as u32), n);
+        }
+        ledger
     }
 
     #[test]
@@ -554,36 +425,27 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_extends_the_ledger_truncates_the_log_and_alternates() {
+    fn checkpoint_truncates_the_log_and_alternates() {
         let d = disk(DiskConfig::faultless());
         let mut w = Wal::new(d.clone(), 2);
-        let (a, b, c) = (
-            rec(1, 1, vec![(5, 50)]),
-            rec(2, 2, vec![(6, 60)]),
-            rec(3, 3, vec![]),
-        );
-        w.append_commit(&a).unwrap();
-        w.append_commit(&b).unwrap();
+        w.append_commit(&rec(1, 1, vec![(5, 50)])).unwrap();
+        w.append_commit(&rec(2, 2, vec![(6, 60)])).unwrap();
         assert!(w.snapshot_due());
-        w.checkpoint(&[a.key(), b.key()], &[(5, 50), (6, 60)])
-            .unwrap();
+        w.checkpoint(&ledger_of(&[1, 2]), &[(5, 50), (6, 60)]);
         assert!(d.is_empty(LOG_FILE));
         assert!(!w.snapshot_due());
-        let one_frame = d.len(LEDGER_FILE);
-        assert_eq!(one_frame, 12 + 2 * 18);
-        w.checkpoint(&[a.key(), b.key(), c.key()], &[(5, 51), (6, 60)])
-            .unwrap();
+        let first = d.len(SNAP_SLOTS[0]);
+        w.checkpoint(&ledger_of(&[1, 2, 3]), &[(5, 51), (6, 60)]);
         assert_eq!(
-            d.len(LEDGER_FILE),
-            one_frame + 12 + 18,
-            "the second checkpoint appends only the new key"
+            d.len(SNAP_SLOTS[1]),
+            first,
+            "one more commit costs the slot nothing: it joins its client's range"
         );
-        assert!(SNAP_SLOTS.iter().all(|s| !d.is_empty(s)));
         let got = Wal::new(d, 2).recover();
         assert_eq!(
             got.checkpoint,
             Some(Checkpoint {
-                ledger: vec![a.key(), b.key(), c.key()],
+                ledger: ledger_of(&[1, 2, 3]),
                 image: vec![(5, 51), (6, 60)],
             })
         );
@@ -633,10 +495,11 @@ mod tests {
         vec![Op::Write(ObjId(n % 8), n as i64), Op::Add(ObjId(100), 1)]
     }
 
-    /// The image exactly the transactions in `ledger` leave behind.
-    fn replay(ledger: &[LedgerKey]) -> Vec<(u64, i64)> {
+    /// The image exactly the transactions `nonces` leave behind, committed
+    /// in that order.
+    fn replay(nonces: &[u64]) -> Vec<(u64, i64)> {
         let mut image = BTreeMap::new();
-        for &(_, n) in ledger {
+        for &n in nonces {
             image.insert(n % 8, n as i64);
             *image.entry(100).or_insert(0) += 1;
         }
@@ -651,8 +514,9 @@ mod tests {
     }
 
     /// Runs transaction `n` through `svc` as the only one in flight: the
-    /// dispatch votes at once and the vote comes back unanimous.
-    fn commit(svc: &mut TroupeStoreService, n: u64, metrics: &Registry) {
+    /// dispatch votes at once and the vote comes back `go` from every
+    /// member (commit) or not (abort).
+    fn decide(svc: &mut TroupeStoreService, n: u64, go: bool, metrics: &Registry) {
         let mut ctx = ServiceCtx {
             thread: thread(n as u32),
             caller: TroupeId(0),
@@ -669,8 +533,12 @@ mod tests {
         };
         let step = svc.dispatch(&mut ctx, PROC_EXECUTE, &to_bytes(&request));
         assert!(matches!(step, Step::Call(_)), "no lock to wait for");
-        let step = svc.resume(&mut ctx, Ok(to_bytes(&true)));
+        let step = svc.resume(&mut ctx, Ok(to_bytes(&go)));
         assert!(matches!(step, Step::Reply(_)));
+    }
+
+    fn commit(svc: &mut TroupeStoreService, n: u64, metrics: &Registry) {
+        decide(svc, n, true, metrics);
     }
 
     fn flip(d: &Disk, file: &str, byte: usize) {
@@ -681,53 +549,50 @@ mod tests {
     }
 
     /// Reboots a member on `d` and holds what it recovered to the
-    /// contract: the first `expect` entries of the pre-crash ledger
-    /// `before`, and the image exactly those transactions replay to.
-    /// Then checks that recovery left files the next checkpoints can
-    /// extend: more commits, another crash, nothing lost.
-    fn recover_and_check(d: &Disk, before: &[LedgerKey], expect: usize) -> TroupeStoreService {
+    /// contract: the first `expect` transactions of the pre-crash history
+    /// `before`, and the image exactly those replay to. Then checks that
+    /// recovery left files the next checkpoints can build on: more
+    /// commits, another crash, nothing lost.
+    fn recover_and_check(d: &Disk, before: &[u64], expect: usize) -> TroupeStoreService {
         let mut svc = boot(d, EVERY);
-        assert_eq!(svc.committed_log(), &before[..expect]);
+        assert_eq!(svc.ledger(), &ledger_of(&before[..expect]));
         assert_eq!(svc.tm().store().snapshot(), replay(&before[..expect]));
+        let mut grown = before[..expect].to_vec();
         for n in 1000..1000 + 2 * EVERY as u64 + 1 {
             commit(&mut svc, n, &Registry::new());
+            grown.push(n);
         }
-        let grown = svc.committed_log().to_vec();
         d.crash();
         let again = boot(d, EVERY);
-        assert_eq!(again.committed_log(), grown);
+        assert_eq!(again.ledger(), &ledger_of(&grown));
         assert_eq!(again.tm().store().snapshot(), replay(&grown));
         svc
     }
 
     /// Eleven commits through the real service — checkpoints at 4 and 8,
-    /// so `snap.0` holds v8, `snap.1` v4, the ledger file two frames and
-    /// the log commits 9–11 — then commit 12, whose checkpoint is due,
-    /// step by step on the same files: the log append, then `steps` of
-    /// ledger frame / slot / truncation. Returns the pre-crash ledger and
-    /// the Wal, mid-checkpoint.
-    fn mid_checkpoint(d: &Disk, steps: usize) -> (Vec<LedgerKey>, Wal) {
+    /// so `snap.0` holds the one after 8, `snap.1` the one after 4 and the
+    /// log commits 9–11 — then commit 12, whose checkpoint is due, step by
+    /// step on the same files: the log append, then `steps` of slot /
+    /// truncation. Returns the pre-crash history and the Wal,
+    /// mid-checkpoint.
+    fn mid_checkpoint(d: &Disk, steps: usize) -> (Vec<u64>, Wal) {
         let mut svc = boot(d, EVERY);
         for n in 1..=11 {
             commit(&mut svc, n, &Registry::new());
         }
-        let mut ledger = svc.committed_log().to_vec();
+        let history: Vec<u64> = (1..=12).collect();
         let mut wal = Wal::new(d.clone(), EVERY);
         assert_eq!(wal.recover().records.len(), 3);
-        let twelfth = rec(12, 12, vec![(4, 12), (100, 12)]);
-        wal.append_commit(&twelfth).unwrap();
-        ledger.push(twelfth.key());
+        wal.append_commit(&rec(12, 12, vec![(4, 12), (100, 12)]))
+            .unwrap();
         assert!(wal.snapshot_due());
         if steps >= 1 {
-            wal.extend_ledger(&ledger).unwrap();
+            wal.write_slot(&ledger_of(&history), &replay(&history));
         }
         if steps >= 2 {
-            wal.write_slot(&replay(&ledger));
-        }
-        if steps >= 3 {
             wal.truncate_log();
         }
-        (ledger, wal)
+        (history, wal)
     }
 
     #[test]
@@ -754,17 +619,17 @@ mod tests {
 
     #[test]
     fn crash_after_each_checkpoint_step_loses_nothing() {
-        for steps in 0..=3 {
+        for steps in 0..=2 {
             let d = disk(DiskConfig::faultless());
-            let (ledger, _) = mid_checkpoint(&d, steps);
+            let (history, _) = mid_checkpoint(&d, steps);
             d.crash();
-            let svc = recover_and_check(&d, &ledger, 12);
+            let svc = recover_and_check(&d, &history, 12);
             let info = svc.recovery.expect("recovery ran");
             let expect = match steps {
-                // Slot v8 plus the log; a frame no slot names is ignored.
-                0 | 1 => (8, 4, 0),
-                // Slot v12 covers the log not yet truncated.
-                2 => (12, 0, 4),
+                // The slot after 8 plus the log.
+                0 => (8, 4, 0),
+                // The slot after 12 covers the log not yet truncated.
+                1 => (12, 0, 4),
                 _ => (12, 0, 0),
             };
             assert_eq!(
@@ -776,158 +641,168 @@ mod tests {
     }
 
     #[test]
-    fn torn_ledger_tail_is_ignored_then_cut() {
-        let mut cfg = DiskConfig::faultless();
-        cfg.torn_tail = 1.0;
-        let d = disk(cfg);
-        let (ledger, wal) = mid_checkpoint(&d, 0);
-        // The ledger frame caught mid-append: no fsync before the crash.
-        let (_, frame) = wal.mark.extended(&ledger[8..]);
-        d.append(LEDGER_FILE, &frame).unwrap();
-        let whole = d.len(LEDGER_FILE);
-        d.crash();
-        assert!(d.len(LEDGER_FILE) > d.synced_len(LEDGER_FILE));
-        assert!(d.len(LEDGER_FILE) < whole, "torn, not whole");
-        recover_and_check(&d, &ledger, 12);
-    }
-
-    #[test]
-    fn flipped_ledger_bit_degrades_to_the_older_slot_then_to_nothing() {
-        // Each frame is 12 + 4 × 18 = 84 bytes. A bit in the second takes
-        // slot v8's prefix away: slot v4 remains, and the log, which
-        // continues v8, must not be replayed on it.
-        let d = disk(DiskConfig::faultless());
-        let (ledger, _) = mid_checkpoint(&d, 0);
-        flip(&d, LEDGER_FILE, 84 + 40);
-        d.crash();
-        let svc = recover_and_check(&d, &ledger, 4);
-        assert_eq!(svc.recovery.expect("recovery ran").replayed, 0);
-
-        // A bit in the first frame takes both prefixes away.
-        let d = disk(DiskConfig::faultless());
-        let (ledger, _) = mid_checkpoint(&d, 0);
-        flip(&d, LEDGER_FILE, 40);
-        d.crash();
-        recover_and_check(&d, &ledger, 0);
-    }
-
-    #[test]
     fn flipped_bit_in_the_newer_slot_degrades_to_the_older_without_the_log() {
-        for steps in [0, 2] {
+        for steps in [0, 1] {
             let d = disk(DiskConfig::faultless());
-            let (ledger, wal) = mid_checkpoint(&d, steps);
+            let (history, wal) = mid_checkpoint(&d, steps);
             // The slot written last is the one `next_slot` has left.
             let newer = SNAP_SLOTS[wal.next_slot ^ 1];
             flip(&d, newer, d.len(newer) - 1);
             d.crash();
-            // 0 steps: v8 is gone, v4 remains and the log continues v8.
-            // 2 steps: v12 is gone, v8 remains; the log (9–12) would in
+            // 0 steps: the slot after 8 is gone, the one after 4 remains
+            // and the log continues the lost one. 1 step: the slot after
+            // 12 is gone, the one after 8 remains; the log (9–12) would in
             // fact fit, but nothing on disk proves that it does.
-            let svc = recover_and_check(&d, &ledger, if steps == 0 { 4 } else { 8 });
+            let svc = recover_and_check(&d, &history, if steps == 0 { 4 } else { 8 });
             assert_eq!(svc.recovery.expect("recovery ran").replayed, 0);
         }
     }
 
     #[test]
-    fn install_replaces_ledger_slot_and_log_or_nothing() {
-        let other: Vec<LedgerKey> = (50..53).map(|n| (thread(n as u32), n)).collect();
-        // Crash between the ledger rewrite and the slot: neither old slot
-        // pairs with the new file, and the new ledger has no image yet.
+    fn install_replaces_slot_and_log_or_recovers_the_old_checkpoint() {
+        let other = [50, 51, 52];
+        // Crash between the log's removal and the new slot: the newest old
+        // checkpoint, without the log that continued it.
         let d = disk(DiskConfig::faultless());
-        mid_checkpoint(&d, 0);
-        let (_, frame) = Mark::EMPTY.extended(&other);
-        d.set_contents(LEDGER_FILE, &frame);
-        d.fsync(LEDGER_FILE);
+        let (history, mut wal) = mid_checkpoint(&d, 0);
+        wal.truncate_log();
         d.crash();
-        recover_and_check(&d, &[], 0);
+        recover_and_check(&d, &history, 8);
 
-        // The whole install: the new state, and no stale log over it.
+        // The whole install: the new state, and no stale log over it,
+        // although the slot it displaced held more transactions.
         let d = disk(DiskConfig::faultless());
         let (_, mut wal) = mid_checkpoint(&d, 0);
-        wal.install(&other, &replay(&other));
+        wal.install(&ledger_of(&other), &replay(&other));
         d.crash();
         recover_and_check(&d, &other, 3);
     }
 
     #[test]
-    fn every_append_failing_still_recovers_a_prefix() {
+    fn abort_gaps_survive_a_checkpoint_and_a_crash() {
+        // Nonces 1..=20 with 5 and 11 aborted: three ranges, checkpoints
+        // after 4, 8, 12 and 16 commits, 2 in the log at the crash. A
+        // volatile survivor ran the same history.
+        let metrics = Registry::new();
+        let d = disk(DiskConfig::faultless());
+        let mut svc = boot(&d, EVERY);
+        let mut survivor = TroupeStoreService::new(2);
+        for n in 1..=20 {
+            let go = n != 5 && n != 11;
+            decide(&mut svc, n, go, &metrics);
+            decide(&mut survivor, n, go, &metrics);
+        }
+        let committed: Vec<u64> = (1..=20).filter(|&n| n != 5 && n != 11).collect();
+        assert_eq!(svc.ledger(), &ledger_of(&committed));
+        assert_eq!(svc.ledger().range_count(), 3);
+        let token = svc.recovery_token().expect("a durable member");
+        d.crash();
+        let mut svc = boot(&d, EVERY);
+        let info = svc.recovery.expect("recovery ran");
+        assert_eq!((info.snapshot_version, info.replayed), (16, 2));
+        assert_eq!(svc.ledger(), &ledger_of(&committed));
+        assert_eq!(svc.tm().store().snapshot(), replay(&committed));
+        assert_eq!(svc.recovery_token(), Some(token.clone()), "same token");
+
+        // The survivor commits four more; at the recovered member's token
+        // it serves exactly those, in its commit order, as the ledger of
+        // `(thread, nonce)` keys did — and they close the gap.
+        for n in 21..=24 {
+            commit(&mut survivor, n, &metrics);
+        }
+        let StateSince::Delta(delta) = survivor.get_state_since(&token) else {
+            panic!("the survivor retains every commit past the token");
+        };
+        let records = from_bytes::<Vec<CommitRecord>>(&delta).expect("a delta");
+        // Transaction n writes n at object n % 8 and makes object 100 the
+        // number of commits so far: n − 2 past the two gaps.
+        let expect: Vec<CommitRecord> = (21..=24)
+            .map(|n: u64| rec(n as u32, n, vec![(n % 8, n as i64), (100, n as i64 - 2)]))
+            .collect();
+        assert_eq!(records, expect);
+        svc.apply_delta(&delta);
+        assert_eq!(svc.state_digest(), survivor.state_digest());
+    }
+
+    #[test]
+    fn every_append_failing_is_covered_by_a_checkpoint_at_once() {
         // The history of `mid_checkpoint`, copied to a disk on which every
-        // append fails: the boot checkpoint falls back to rewriting the
-        // ledger file, commits 13–20 reach neither log nor checkpoint.
+        // append fails: each commit of 13–20 misses the log and is made
+        // durable by the checkpoint the failure makes due.
         let src = disk(DiskConfig::faultless());
-        let (ledger, _) = mid_checkpoint(&src, 0);
+        let (history, _) = mid_checkpoint(&src, 0);
         let mut cfg = DiskConfig::faultless();
         cfg.write_error = 1.0;
         let metrics = Registry::new();
         let d = Disk::new(HostId(10), cfg, 7, metrics.clone());
-        for file in [LOG_FILE, LEDGER_FILE, SNAP_SLOTS[0], SNAP_SLOTS[1]] {
+        for file in [LOG_FILE, SNAP_SLOTS[0], SNAP_SLOTS[1]] {
             d.set_contents(file, &src.read(file).expect("written above"));
             d.fsync(file);
         }
         let mut svc = boot(&d, EVERY);
-        assert_eq!(svc.committed_log(), ledger);
+        assert_eq!(svc.ledger(), &ledger_of(&history));
         for n in 13..=20 {
             commit(&mut svc, n, &metrics);
         }
         assert_eq!(metrics.get("wal.appends"), 0);
         assert_eq!(metrics.get("wal.append_errors"), 8);
-        assert_eq!(metrics.get("wal.snapshots"), 8, "due at every commit");
-        let before = svc.committed_log().to_vec();
+        assert_eq!(metrics.get("wal.snapshots"), 8, "one per failed append");
         d.crash();
+        let all: Vec<u64> = (1..=20).collect();
         let svc = boot(&d, EVERY);
-        assert_eq!(svc.committed_log(), &before[..12]);
-        assert_eq!(svc.tm().store().snapshot(), replay(&before[..12]));
+        assert_eq!(svc.ledger(), &ledger_of(&all));
+        assert_eq!(svc.tm().store().snapshot(), replay(&all));
     }
 
     #[test]
     fn hostile_disk_never_recovers_a_wrong_ledger() {
-        // Transient errors on a fifth of all appends — log and ledger
-        // alike — and a crash every few commits that tears and flips
-        // whatever was unsynced: the recovered ledger is always a prefix
-        // of the pre-crash one, the image exactly its replay.
+        // Transient errors on a fifth of all log appends, and a crash every
+        // few commits that catches one more commit mid-append and tears and
+        // flips whatever was unsynced: the recovered ledger always holds a
+        // prefix of the history, the image exactly its replay.
         let cfg = DiskConfig {
             write_error: 0.2,
             ..DiskConfig::hostile()
         };
-        let (mut torn_log, mut torn_ledger, mut torn_at_crash) = (0, 0, 0);
-        let (mut lost, mut committed) = (0, 0);
+        let (mut torn_at_crash, mut lost, mut committed) = (0, 0, 0);
         for seed in 0..8u64 {
             let metrics = Registry::new();
             let d = Disk::new(HostId(10), cfg.clone(), seed, metrics.clone());
             let mut svc = boot(&d, EVERY);
-            let mut n = 0;
+            let mut history: Vec<u64> = Vec::new();
             for round in 0..40u64 {
                 for _ in 0..3 + (round * 7 + seed) % 11 {
-                    n += 1;
+                    let n = history.len() as u64 + 1;
                     commit(&mut svc, n, &metrics);
-                    // A failed append nothing has healed yet leaves its
-                    // partial frame unsynced.
-                    torn_log += usize::from(d.len(LOG_FILE) > d.synced_len(LOG_FILE));
-                    torn_ledger += usize::from(d.len(LEDGER_FILE) > d.synced_len(LEDGER_FILE));
+                    history.push(n);
+                    committed += 1;
                 }
-                let before = svc.committed_log().to_vec();
+                // Transaction n + 1's frame, never fsync'd: its writes are
+                // what `ops` leaves after n + 1 commits.
+                let n = history.len() as u64 + 1;
+                let caught = rec(n as u32, n, vec![(n % 8, n as i64), (100, n as i64)]);
+                let _ = d.append(LOG_FILE, &encode_with(&caught, frame));
+                history.push(n);
                 d.crash();
                 svc = boot(&d, EVERY);
-                let got = svc.committed_log();
-                assert!(
-                    before.starts_with(got),
-                    "seed {seed} round {round}: {got:?} is no prefix of {before:?}"
-                );
+                let got = svc.ledger().len() as usize;
+                assert!(got <= history.len(), "seed {seed} round {round}");
+                let kept = &history[..got];
+                assert_eq!(svc.ledger(), &ledger_of(kept), "seed {seed} round {round}");
                 assert_eq!(
                     svc.tm().store().snapshot(),
-                    replay(got),
+                    replay(kept),
                     "seed {seed} round {round}"
                 );
-                lost += before.len() - got.len();
+                lost += (history.len() - 1).saturating_sub(got);
+                history.truncate(got);
             }
+            assert!(metrics.get("wal.append_errors") > 0, "seed {seed}");
             torn_at_crash += metrics.get("disk.h10.torn_tails");
-            committed += n as usize;
         }
-        // The matrix was exercised, not vacuous.
-        assert!(torn_log > 0 && torn_ledger > 0 && torn_at_crash > 0);
-        assert!(
-            lost > 0 && 2 * lost < committed,
-            "lost {lost} of {committed}"
-        );
+        // The matrix was exercised, not vacuous: a bit flipped in the
+        // log's synced bytes costs acknowledged commits, never most.
+        assert!(torn_at_crash > 0);
+        assert!(2 * lost < committed, "lost {lost} of {committed}");
     }
 }

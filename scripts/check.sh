@@ -76,7 +76,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 phase "cargo test --workspace (unit + integration tests, every chaos sweep, adversary corpus, golden files)"
 cargo test --workspace -q
 
-phase "allocation budget (n=3 echo call and library broadcast within their heap-allocation budgets, wheel allocates nothing, ordered_broadcast_heap_is_flat and commutative_heap_is_flat beside the echo's, release)"
+phase "allocation budget (n=3 echo call and library broadcast within their heap-allocation budgets, wheel allocates nothing, ordered_broadcast_heap_is_flat, commutative_heap_is_flat and commit_store_heap_is_flat beside the echo's, release)"
 cargo test --release --test alloc_budget -- --nocapture
 
 # benchmark/ is a workspace of its own (path deps on crates/*), so nothing

@@ -11,8 +11,9 @@
 //! - The same call must leave no heap behind: once every TTL window and
 //!   high-water mark has been passed, 20 000 more calls may grow the live
 //!   heap by at most [`HEAP_GROWTH_BUDGET`] bytes in all. The same holds
-//!   for 20 000 ordered broadcasts and 20 000 commutative requests: what
-//!   a member remembers of a message is bounded by the number of clients.
+//!   for 20 000 ordered broadcasts, 20 000 commutative requests and 20 000
+//!   transactions committed on durable members: what a member remembers of
+//!   a message, in memory or on disk, is bounded by the number of clients.
 //! - One ordered broadcast by the library `Broadcaster` must average at
 //!   most [`BROADCAST_BUDGET`] allocations.
 //! - The timer wheel must not allocate at all over a steady-state
@@ -29,10 +30,11 @@ use rdp::circus::{
     Agent, CallError, CallHandle, CollationPolicy, NodeBuilder, NodeConfig, NodeCtx, Service,
     ThreadId, Troupe, TroupeId,
 };
-use rdp::simnet::{SockAddr, TimerWheel, Until, World};
+use rdp::simnet::{DiskConfig, SockAddr, TimerWheel, Until, World};
 use rdp::transactions::{
-    max_time_collation, Accept, Broadcaster, CmOp, CmRequest, CommutativeService, ObjId,
-    OrderedApply, OrderedBroadcastService, Propose, PROC_ACCEPT_TIME, PROC_CM_EXECUTE,
+    max_time_collation, Accept, Broadcaster, CmOp, CmRequest, CommitVoterService,
+    CommutativeService, ExecuteRequest, ObjId, Op, OrderedApply, OrderedBroadcastService, Propose,
+    TroupeStoreService, TxnOutcome, PROC_ACCEPT_TIME, PROC_CM_EXECUTE, PROC_EXECUTE,
     PROC_GET_PROPOSED_TIME,
 };
 use rdp::wire::{from_bytes, to_bytes};
@@ -203,6 +205,17 @@ fn spawn_rig<S: Service, A: Agent>(
     service: impl FnMut() -> S,
     agent: impl FnOnce(Troupe) -> A,
 ) -> (Troupe, SockAddr) {
+    spawn_rig_exporting(w, service, agent, |client| client)
+}
+
+/// [`spawn_rig`] with a client process that `exports` services of its
+/// own.
+fn spawn_rig_exporting<S: Service, A: Agent>(
+    w: &mut World,
+    service: impl FnMut() -> S,
+    agent: impl FnOnce(Troupe) -> A,
+    exports: impl FnOnce(NodeBuilder) -> NodeBuilder,
+) -> (Troupe, SockAddr) {
     let config = NodeConfig::default();
     let troupe = spawn_troupe(
         w,
@@ -214,7 +227,7 @@ fn spawn_rig<S: Service, A: Agent>(
         service,
     );
     let client = addr(10, 50);
-    let p = NodeBuilder::new(client, config)
+    let p = exports(NodeBuilder::new(client, config))
         .agent(Box::new(agent(troupe.clone())))
         .build()
         .expect("valid client node");
@@ -501,6 +514,110 @@ fn commutative_heap_is_flat() {
             (s.counter(ObjId(1)), s.applied(), s.id_ranges())
         });
         assert_eq!(view, (40_000, 40_000, 1), "member {a}");
+    }
+}
+
+/// Module number of the `ready_to_commit` voter at [`CommitLoop`]'s
+/// process.
+const COMMIT_MODULE: u16 = 2;
+
+/// Sequential transactions, each adding 1 to one object: the `n`th
+/// under nonce `n`, as a `TxnClient` mints them.
+struct CommitLoop {
+    troupe: Troupe,
+    thread: Option<ThreadId>,
+    nonce: u64,
+    remaining: u64,
+    wrong: u64,
+}
+
+impl CommitLoop {
+    fn submit(&mut self, nc: &mut NodeCtx<'_, '_, '_>) {
+        let thread = *self.thread.get_or_insert_with(|| nc.fresh_thread());
+        let req = ExecuteRequest {
+            nonce: self.nonce + 1,
+            ops: vec![Op::Add(ObjId(1), 1)],
+        };
+        nc.call(
+            thread,
+            &self.troupe,
+            MODULE,
+            PROC_EXECUTE,
+            to_bytes(&req),
+            CollationPolicy::Unanimous,
+        );
+    }
+}
+
+impl Agent for CommitLoop {
+    fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, tag: u64) {
+        self.remaining = tag;
+        self.submit(nc);
+    }
+
+    fn on_call_done(
+        &mut self,
+        nc: &mut NodeCtx<'_, '_, '_>,
+        _handle: CallHandle,
+        result: Result<Vec<u8>, CallError>,
+    ) {
+        let outcome = result.ok().and_then(|b| from_bytes::<TxnOutcome>(&b).ok());
+        if !matches!(outcome, Some(TxnOutcome::Committed(_))) {
+            self.wrong += 1;
+        }
+        self.nonce += 1;
+        self.remaining -= 1;
+        if self.remaining > 0 {
+            self.submit(nc);
+        }
+    }
+}
+
+impl ClosedLoop for CommitLoop {
+    fn completed(&self) -> u64 {
+        self.nonce
+    }
+}
+
+#[test]
+fn commit_store_heap_is_flat() {
+    let mut w = world(1985);
+    let disks: Vec<_> = member_addrs()
+        .iter()
+        .map(|a| w.install_disk(a.host, DiskConfig::faultless()))
+        .collect();
+    let mut disks = disks.into_iter();
+    let (_, client) = spawn_rig_exporting(
+        &mut w,
+        || {
+            let disk = disks.next().expect("one disk per member");
+            TroupeStoreService::with_durability(COMMIT_MODULE, disk, 64)
+        },
+        |troupe| CommitLoop {
+            troupe,
+            thread: None,
+            nonce: 0,
+            remaining: 0,
+            wrong: 0,
+        },
+        |client| client.service(COMMIT_MODULE, Box::new(CommitVoterService)),
+    );
+    assert_heap_is_flat(&mut w, "durable commits", |w, n| {
+        run_calls::<CommitLoop>(w, client, n);
+    });
+
+    // Everything committed everywhere, in one range per client.
+    let (done, wrong) = agent(&w, client, |c: &CommitLoop| (c.completed(), c.wrong));
+    assert_eq!((done, wrong), (40_000, 0));
+    for a in member_addrs() {
+        let view = service(&w, a, MODULE, |s: &TroupeStoreService| {
+            (
+                s.tm().store().read_committed(ObjId(1)) as u64,
+                s.ledger().len(),
+                s.ledger().range_count(),
+            )
+        });
+        assert_eq!(view, (done, done, 1), "member {a}");
     }
 }
 

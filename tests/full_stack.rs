@@ -195,9 +195,9 @@ fn configured_replicated_transactional_store_survives_crash_and_heals() {
 
     // The join happened under load: every commit the survivors made
     // before, during and after it is in the replacement too, once.
-    let ledger = |w: &World, a: SockAddr| -> (u64, usize) {
+    let ledger = |w: &World, a: SockAddr| -> (u64, u64) {
         service(w, a, STORE_MODULE, |s: &TroupeStoreService| {
-            (s.state_digest(), s.committed_log().len())
+            (s.state_digest(), s.ledger().len())
         })
     };
     for m in [members[0].addr, members[1].addr, newbie] {

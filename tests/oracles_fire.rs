@@ -3,16 +3,16 @@
 //! An oracle that has never been seen to fail vouches for nothing.
 
 use chaos::{
-    quiesce, Bcast, ChaosApp, Commute, Quiesced, Recovery, ScenarioOptions, Store, Violation,
+    quiesce, Bcast, ChaosApp, Commute, Quiesced, Recovery, ScenarioOptions, Store, Txn, Violation,
     Workload, MEMBER_MODULE,
 };
 use circus::testbed::service_mut;
-use circus::{Service, ThreadId};
+use circus::{Service, ServiceCtx, Step, ThreadId, TroupeId};
 use simnet::{HostId, SockAddr};
 use transactions::broadcast::StateWire;
 use transactions::{
-    AppliedOrder, CommitRecord, CommutativeService, OrderedBroadcastService, TroupeStoreService,
-    RECENT_IDS,
+    AppliedOrder, CommitRecord, CommutativeService, ExecuteRequest, LedgerWire, ObjId, Op,
+    OrderedBroadcastService, TroupeStoreService, PROC_EXECUTE, RECENT_IDS,
 };
 use wire::{from_bytes, to_bytes, Bytes};
 
@@ -48,7 +48,7 @@ fn doctor_state<S: Service>(
 /// A store member's state with one object's value altered in the image
 /// and the commit ledger left as it was.
 fn alter_one_value(state: Vec<u8>) -> Vec<u8> {
-    type State = (Vec<(u64, i64)>, Vec<(ThreadId, u64)>);
+    type State = (Vec<(u64, i64)>, LedgerWire);
     let (mut image, ledger) = from_bytes::<State>(&state).expect("the store's own state");
     image.first_mut().expect("something was committed").1 += 1;
     to_bytes(&(image, ledger))
@@ -246,4 +246,47 @@ fn store_oracles_fire_on_a_rewritten_value_and_a_dead_member() {
     assert_only(&violations, "under-replication");
     assert_eq!(violations.len(), 1, "{violations:?}");
     assert!(violations[0].detail.contains("is not a live process"));
+}
+
+#[test]
+fn exactly_once_fires_on_a_recommitted_key() {
+    let (mut q, _) = quiesce(&Store, 3, &Store::options());
+    assert!(check(&Store, &q).is_empty(), "the scenario starts clean");
+    let mut first = None;
+    q.each_client::<Txn>(|_, a| first = first.or(a.committed_keys.first().copied()));
+    let (thread, nonce) = first.expect("a client saw a commit");
+
+    // One member runs a committed `(origin, nonce)` again, read-only: the
+    // image is untouched and the ledger already holds the key, so only
+    // the duplicate count knows.
+    let (victim, now) = (q.members[1].addr, q.world.now());
+    service_mut(
+        &mut q.world,
+        victim,
+        MEMBER_MODULE,
+        |s: &mut TroupeStoreService| {
+            let mut ctx = ServiceCtx {
+                thread,
+                caller: TroupeId(0),
+                invocation: u64::MAX,
+                now,
+                me: victim,
+                span: obs::SpanId::NONE,
+                metrics: obs::Registry::new(),
+                effects: Vec::new(),
+            };
+            let again = ExecuteRequest {
+                nonce,
+                ops: vec![Op::Read(ObjId(1))],
+            };
+            let vote = s.dispatch(&mut ctx, PROC_EXECUTE, &to_bytes(&again));
+            assert!(matches!(vote, Step::Call(_)), "{vote:?}");
+            let reply = s.resume(&mut ctx, Ok(to_bytes(&true)));
+            assert!(matches!(reply, Step::Reply(_)), "{reply:?}");
+        },
+    );
+    let violations = check(&Store, &q);
+    assert_only(&violations, "exactly-once");
+    assert_eq!(violations.len(), 1, "{violations:?}");
+    assert!(violations[0].detail.contains("already held"));
 }
