@@ -22,11 +22,13 @@
 //! - `StaleCall` is *deliberately* well-formed but addressed to a
 //!   troupe incarnation that never exists, so every replica that sees
 //!   it rejects it identically (`WrongTroupe`);
+//! - `AckTrailer` carriers hold sub-minimum garbage: the forged ack in
+//!   their trailer is the attack, not the call;
 //! - capture-based bit flips (in the injector) force the type byte to
 //!   an invalid value if the flip alone left the segment decodable.
 
 use circus::{CallMessage, ThreadId, TroupeId};
-use pairedmsg::{MsgType, Segment, HEADER_LEN};
+use pairedmsg::{MsgType, Segment, HEADER_LEN, TRAILER_LEN};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use simnet::{HostId, SockAddr};
@@ -59,6 +61,11 @@ pub enum HostileKind {
     /// A captured datagram re-delivered verbatim, original source and
     /// destination. Capture-based; injector only.
     Replay,
+    /// A segment with control bit 3 (the ack trailer) set: on an ack or
+    /// a probe, with no room for the trailer, naming a return of 0
+    /// segments, or well-formed on a garbage call. The injector also
+    /// aims well-formed ones at a captured live return's sender.
+    AckTrailer,
 }
 
 impl HostileKind {
@@ -74,6 +81,7 @@ impl HostileKind {
             HostileKind::StaleCall => "stale",
             HostileKind::BitFlip => "bitflip",
             HostileKind::Replay => "replay",
+            HostileKind::AckTrailer => "trailer",
         }
     }
 }
@@ -160,7 +168,71 @@ pub fn hostile_datagram(attacker: SockAddr) -> Union<Hostile> {
         ),
         // Well-formed call, nonexistent troupe incarnation.
         boxed(stale_call_segment(attacker)),
+        // The ack-trailer bit, garbled or forged.
+        boxed(ack_trailer_segment()),
     ])
+}
+
+/// Control bit 3, the ack trailer, set where it is garbled — on an ack
+/// or a probe, or naming a return of 0 segments — or flipped on over a
+/// valid data segment's last five bytes, or carrying a well-formed
+/// forged ack on sub-minimum garbage.
+fn ack_trailer_segment() -> impl Strategy<Value = Hostile> {
+    (
+        valid_segment(),
+        0u8..4,
+        0u32..1000,
+        1u8..=8,
+        vec(any::<u8>(), 0..CALL_MESSAGE_MIN - TRAILER_LEN),
+    )
+        .prop_map(|(segment, which, acked, total, garbage)| {
+            let b = match which {
+                0 => {
+                    let mut b = segment;
+                    b[1] |= ACK_TRAILER_BIT;
+                    b
+                }
+                1 => {
+                    let control = match acked % 3 {
+                        0 => Segment::ack(MsgType::Return, acked, total, total),
+                        1 => Segment::probe(acked),
+                        _ => Segment::probe_reply(acked),
+                    };
+                    let mut b = control.encode().to_vec();
+                    b[1] |= ACK_TRAILER_BIT;
+                    b.extend_from_slice(&acked.to_be_bytes());
+                    b.push(total);
+                    b
+                }
+                2 => {
+                    let mut b = forged_trailer(acked, total, garbage);
+                    *b.last_mut().expect("a trailer") = 0;
+                    b
+                }
+                _ => forged_trailer(acked, total, garbage),
+            };
+            (HostileKind::AckTrailer, b)
+        })
+}
+
+/// The ack-trailer bit of the control byte (Figure 4.2's bit 3).
+const ACK_TRAILER_BIT: u8 = 0b1000;
+
+/// A single-segment call of `garbage` (too short to internalize) whose
+/// trailer acknowledges return `acked` of `total` segments in full.
+pub fn forged_trailer(acked: u32, total: u8, garbage: Vec<u8>) -> Vec<u8> {
+    let mut carrier = Segment::data(MsgType::Call, acked, 0, 1, 1, false, garbage);
+    carrier.acks_return = Some((acked, total));
+    carrier.encode().to_vec()
+}
+
+/// The call number and segment count of `bytes` if it is the data
+/// segment of a return: a return some member is sending, that a forged
+/// trailer can name.
+pub fn live_return(bytes: &[u8]) -> Option<(u32, u8)> {
+    let seg = Segment::decode_bytes(bytes).ok()?;
+    let h = seg.header;
+    (seg.is_data() && h.msg_type == MsgType::Return).then_some((h.call_number, h.total))
 }
 
 /// A well-formed single-segment call whose `server_troupe` is an
@@ -256,8 +328,52 @@ mod tests {
         }
         assert_eq!(
             seen.len(),
-            7,
-            "expected all 7 generated families, saw {seen:?}"
+            8,
+            "expected all 8 generated families, saw {seen:?}"
         );
+    }
+
+    /// Every garbled form of the trailer family fails to decode; every
+    /// form that decodes carries data no replica could execute, and one
+    /// in four forges a well-formed ack.
+    #[test]
+    fn trailer_family_is_garbled_or_harmless() {
+        let mut rng = TestRng::for_test(concat!(module_path!(), "::trailer"));
+        let strat = ack_trailer_segment();
+        let (mut garbled, mut forged) = (0, 0);
+        for _ in 0..2000 {
+            let (kind, bytes) = strat.generate(&mut rng);
+            assert_eq!(kind, HostileKind::AckTrailer);
+            assert_ne!(bytes[1] & ACK_TRAILER_BIT, 0, "bit 3 is always set");
+            match Segment::decode_bytes(&bytes) {
+                Err(_) => garbled += 1,
+                Ok(seg) => {
+                    assert!(seg.is_data() && seg.acks_return.is_some());
+                    assert!(seg.data.len() < CALL_MESSAGE_MIN);
+                    forged += 1;
+                }
+            }
+        }
+        assert!(
+            garbled > 500 && forged > 500,
+            "{garbled} garbled, {forged} forged"
+        );
+        assert_eq!(
+            Segment::decode_bytes(&forged_trailer(7, 2, vec![1, 2])).map(|s| s.acks_return),
+            Ok(Some((7, 2)))
+        );
+    }
+
+    #[test]
+    fn live_return_names_only_return_data() {
+        let ret = Segment::data(MsgType::Return, 9, 0, 3, 2, false, vec![1]).encode();
+        assert_eq!(live_return(&ret), Some((9, 3)));
+        let call = Segment::data(MsgType::Call, 9, 0, 1, 1, false, vec![1]).encode();
+        assert_eq!(live_return(&call), None);
+        assert_eq!(
+            live_return(&Segment::ack(MsgType::Return, 9, 1, 1).encode()),
+            None
+        );
+        assert_eq!(live_return(&[0; 3]), None);
     }
 }

@@ -4,8 +4,9 @@
 //! world calls [`observe`](simnet::TrafficInjector::observe) on every
 //! delivered datagram and [`inject`](simnet::TrafficInjector::inject) at
 //! seeded ticks; the injector answers with forged datagrams drawn from
-//! the [`gen`](crate::gen) taxonomy plus two capture-derived families
-//! (verbatim replay, guaranteed-garbled bit flip).
+//! the [`gen`](crate::gen) taxonomy plus three capture-derived attacks
+//! (verbatim replay, guaranteed-garbled bit flip, and a forged ack
+//! trailer naming a captured live return).
 //!
 //! Determinism contract: the injector owns a splitmix64 stream seeded
 //! from `seed ^ ADV_DOMAIN` and never touches the world's own RNG, and
@@ -13,7 +14,7 @@
 //! so two runs of the same seed are bit-identical — same trace hash,
 //! same metrics dump, same span hash.
 
-use crate::gen::{attacker_addr, hostile_datagram, HostileKind};
+use crate::gen::{attacker_addr, forged_trailer, hostile_datagram, live_return, HostileKind};
 use obs::Registry;
 use pairedmsg::Segment;
 use proptest::strategy::{Strategy, Union};
@@ -118,11 +119,11 @@ impl AdvInjector {
 
     /// One forged datagram, counting it in the `adv.*` metrics family.
     fn forge(&mut self) -> ForgedDatagram {
-        // Half the draws try a capture-derived attack; without captures
-        // yet, fall through to the generated taxonomy. The roll is taken
-        // unconditionally so the stream stays aligned across scenarios
-        // whose capture timing differs.
-        let roll = self.rng.below(4);
+        // Three draws in five try a capture-derived attack; without
+        // captures yet, fall through to the generated taxonomy. The roll
+        // is taken unconditionally so the stream stays aligned across
+        // scenarios whose capture timing differs.
+        let roll = self.rng.below(5);
         let capture = if !self.captures.is_empty() {
             let i = self.rng.below(self.captures.len() as u64) as usize;
             Some(self.captures[i].clone())
@@ -149,11 +150,18 @@ impl AdvInjector {
                 }
                 (HostileKind::BitFlip, self.attacker, c.to, d)
             }
-            _ => {
-                let (kind, bytes) = self.strategy.generate(&mut self.rng);
-                let i = self.rng.below(self.targets.len() as u64) as usize;
-                (kind, self.attacker, self.targets[i], bytes)
-            }
+            (4, Some(c)) => match live_return(&c.data) {
+                // A well-formed ack of a return its sender may still be
+                // sending, in a garbage call's trailer. It comes from a
+                // host that return is not addressed to, and an endpoint
+                // is one peer's: it must retire nothing.
+                Some((acked, total)) => {
+                    let forged = forged_trailer(acked, total, vec![self.rng.below(256) as u8]);
+                    (HostileKind::AckTrailer, self.attacker, c.from, forged)
+                }
+                None => self.generated(),
+            },
+            _ => self.generated(),
         };
         self.reg.add("adv.injected", 1);
         self.reg.add(&format!("adv.gen.{}", kind.name()), 1);
@@ -163,6 +171,13 @@ impl AdvInjector {
             self.reg.add("adv.accepted", 1);
         }
         ForgedDatagram { from, to, data }
+    }
+
+    /// A draw from the generated taxonomy, aimed at a random target.
+    fn generated(&mut self) -> (HostileKind, SockAddr, SockAddr, Vec<u8>) {
+        let (kind, bytes) = self.strategy.generate(&mut self.rng);
+        let i = self.rng.below(self.targets.len() as u64) as usize;
+        (kind, self.attacker, self.targets[i], bytes)
     }
 }
 

@@ -14,12 +14,14 @@
 //! - [`gen`]: proptest-driven generators for hostile datagrams — random
 //!   bytes, truncated or type-corrupted segment headers, out-of-range
 //!   call/segment positions (the PR-4 `number == 0` underflow class),
-//!   forged span IDs, and well-formed calls bearing stale incarnations.
+//!   forged span IDs, well-formed calls bearing stale incarnations, and
+//!   ack trailers, garbled or naming live returns.
 //! - [`inject`]: [`AdvInjector`], a [`simnet::TrafficInjector`] that a
 //!   chaos scenario arms via [`ScenarioOptions::injector`]. It watches
 //!   live traffic, and at seeded ticks injects generated hostiles plus
-//!   capture-derived ones (verbatim replays and guaranteed-garbled bit
-//!   flips) from a host that is not part of the system.
+//!   capture-derived ones (verbatim replays, guaranteed-garbled bit
+//!   flips, and trailers forging the ack of a captured return) from a
+//!   host that is not part of the system.
 //! - [`oracle`]: invariants layered on top of the five chaos oracles —
 //!   forged traffic must be *observed and rejected* (`adv.injected` /
 //!   `adv.rejected`), every injection must be accounted for by exactly

@@ -27,9 +27,10 @@ fn adversarial_options(multicast: bool) -> ScenarioOptions {
 fn sweep(seeds: &[u64], opts: &ScenarioOptions) {
     let reports = chaos::sweep(&Store, seeds, opts, chaos_jobs());
     let mut failures = Vec::new();
-    let mut injected_total = 0u64;
+    let (mut injected_total, mut trailers) = (0u64, 0u64);
     for r in &reports {
         injected_total += r.counter("adv.injected");
+        trailers += r.counter("adv.gen.trailer");
         if !r.passed() {
             failures.push(r.failure_summary());
         }
@@ -45,6 +46,7 @@ fn sweep(seeds: &[u64], opts: &ScenarioOptions) {
         failures.join("\n")
     );
     assert!(injected_total > 0, "injector never fired across the sweep");
+    assert!(trailers > 0, "no ack trailer was forged across the sweep");
 }
 
 /// Where the full sweep's seed range starts: `ADV_SEED_BASE`, or 0.

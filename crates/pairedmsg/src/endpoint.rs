@@ -12,34 +12,43 @@
 //! # How a return gets acknowledged
 //!
 //! A return is the last message of its exchange, so nothing the protocol
-//! must send anyway follows it. Three things can acknowledge it, tried in
+//! must send anyway follows it. Four things can acknowledge it, tried in
 //! this order:
 //!
 //! 1. **The caller's next call** (§4.2.2): a call segment retires every
 //!    return with an earlier call number. Free, and the only path a
 //!    caller that calls again within the retransmission interval takes.
-//! 2. **The caller's own tick.** The return's first segment retires our
+//! 2. **The caller's next return** to the same peer: the return of a
+//!    call-back (§5.3's `ready_to_commit`), sent while the ack is owed.
+//!    Its last initial segment carries the owed ack in a 5-byte trailer
+//!    ([`crate::segment`]) if it has that much room under
+//!    `max_segment_data`, so a datagram never outgrows the MTU. The
+//!    oldest debt rides; retransmissions carry none. Lost, it is lost
+//!    like a tick ack, and path 4 pays.
+//! 3. **The caller's own tick.** The return's first segment retires our
 //!    call's sender; the endpoint keeps that sender's pending
 //!    retransmission deadline, and once the return is complete an ack is
 //!    *owed*, due at that deadline. [`Endpoint::on_timer`] at or after it
-//!    emits one `ack(Return, cn, total, total)` — unless a call (path 1)
-//!    or a *please ack* duplicate (path 3) got there first. The owed ack
-//!    is never reported by [`Endpoint::poll_timer`]: whoever drives the
-//!    endpoint armed a timer for the call's deadline when the call went
-//!    out and that tick comes whether or not the sender still exists, so
-//!    the ack rides it and no timer is armed (nor its `gettimeofday` /
-//!    `sigblock` / `setitimer` charged, Table 4.2) on its account.
-//! 3. ***Please ack*, the fallback** (§4.2.2, §4.2.4): the callee's
+//!    emits one `ack(Return, cn, total, total)` — unless path 1, path 2
+//!    or a *please ack* duplicate (path 4) got there first. The owed ack
+//!    is never reported by [`Endpoint::poll_timer`], so no timer is armed
+//!    (nor its `gettimeofday` / `sigblock` / `setitimer` charged, Table
+//!    4.2) on its account: it rides whatever tick the driver armed for
+//!    this peer. That is the call's own deadline when no earlier timer
+//!    was armed; when one was (an earlier call's), the driver keeps it,
+//!    and if that tick finds the debt not yet due and nothing else
+//!    timed, no tick follows and the ack falls to path 4.
+//! 4. ***Please ack*, the fallback** (§4.2.2, §4.2.4): the callee's
 //!    retransmission timer re-sends the return's first unacknowledged
 //!    segment with *please ack* and the caller answers at once. Two
 //!    datagrams instead of one, and the only path on which liveness and
-//!    [`Event::PeerDead`] rest: it runs whenever the tick ack is lost,
-//!    loses the race, or no tick comes.
+//!    [`Event::PeerDead`] rest: it runs whenever a tick ack or a trailer
+//!    is lost, loses the race, or no tick comes.
 //!
 //! The caller's tick normally wins the race with the callee's timer: the
 //! return was queued at least one `sendmsg`, one hop and the receive path
 //! after the call was. A caller pacing its calls a little over one
-//! interval apart (≈ 310 ms at the default 300) pays for path 2 just
+//! interval apart (≈ 310 ms at the default 300) pays for path 3 just
 //! before path 1 would have made it unnecessary; that is the one band
 //! where this sends more than *please ack* alone would.
 
@@ -48,7 +57,7 @@ use std::collections::{BTreeMap, VecDeque};
 use crate::config::{Config, MAX_UNANSWERED_PROBES, PROBE_INTERVAL};
 use crate::receiver::MsgReceiver;
 use crate::replay::ReplayLog;
-use crate::segment::{MsgType, Segment, SegmentError, SegmentHeader};
+use crate::segment::{MsgType, Segment, SegmentError, SegmentHeader, TRAILER_LEN};
 use crate::sender::{MsgSender, SendError, SenderTick};
 use simnet::{Payload, Time};
 
@@ -88,7 +97,7 @@ struct SentCall {
     /// return is still awaited.
     returned: u8,
     /// The pending retransmission deadline of the call's sender when the
-    /// return's first segment retired it: the tick the owed ack rides.
+    /// return's first segment retired it: when the owed ack falls due.
     /// `None` while the sender lives, and for good if an explicit ack
     /// retired it (the tick it names has been spent or re-armed).
     tick: Option<Time>,
@@ -109,6 +118,10 @@ pub struct EndpointStats {
     /// Acknowledgments of a delivered return sent on the call's own tick
     /// (a subset of `acks_sent`).
     pub acks_on_tick: u64,
+    /// Acknowledgments of a delivered return carried in the trailer of a
+    /// return to the same peer (not in `acks_sent`: no segment of their
+    /// own).
+    pub acks_piggybacked: u64,
     /// Largest number of out-of-order segments buffered by any receiver
     /// at once — the buffering cost the PARC discipline avoids (§4.2.5).
     pub max_recv_buffered: usize,
@@ -136,6 +149,7 @@ impl EndpointStats {
         self.retransmits += other.retransmits;
         self.acks_sent += other.acks_sent;
         self.acks_on_tick += other.acks_on_tick;
+        self.acks_piggybacked += other.acks_piggybacked;
         self.max_recv_buffered = self.max_recv_buffered.max(other.max_recv_buffered);
         self.calls_delivered += other.calls_delivered;
         self.returns_delivered += other.returns_delivered;
@@ -157,6 +171,7 @@ impl EndpointStats {
             ("retransmits", self.retransmits),
             ("acks_sent", self.acks_sent),
             ("acks_on_tick", self.acks_on_tick),
+            ("acks_piggybacked", self.acks_piggybacked),
             ("max_recv_buffered", self.max_recv_buffered as u64),
             ("calls_delivered", self.calls_delivered),
             ("returns_delivered", self.returns_delivered),
@@ -270,7 +285,8 @@ impl Endpoint {
     /// Starts transmitting a message attributed to causal span `span`
     /// (0 = none). For a call the endpoint begins crash-detection probing
     /// once the call is fully acknowledged; sending a return cancels the
-    /// deferred ack it implicitly carries.
+    /// deferred ack it implicitly carries, and carries the oldest return
+    /// ack owed to this peer if its last segment has room.
     pub fn send(
         &mut self,
         now: Time,
@@ -286,8 +302,27 @@ impl Endpoint {
         }
         let mut sender = MsgSender::new(now, &self.config, msg_type, call_number, span, data)?;
         self.out.extend(sender.initial_segments());
+        if msg_type == MsgType::Return {
+            self.settle_owed_ack_in_trailer();
+        }
         self.track(sender);
         Ok(())
+    }
+
+    /// Settles the oldest owed return ack in the trailer of the segment
+    /// just queued — a return's last initial segment — if the trailer
+    /// fits under `max_segment_data`.
+    fn settle_owed_ack_in_trailer(&mut self) {
+        let Some(last) = self.out.back_mut() else {
+            return;
+        };
+        if last.data.len() + TRAILER_LEN > self.config.max_segment_data {
+            return;
+        }
+        if let Some(i) = self.sent_calls.iter().position(|c| c.returned != 0) {
+            let owed = self.sent_calls.remove(i);
+            last.acks_return = Some((owed.call_number, owed.returned));
+        }
     }
 
     /// Adopts an outgoing call whose segments a troupe-wide multicast
@@ -372,6 +407,10 @@ impl Endpoint {
             self.on_explicit_ack(h.msg_type, h.call_number, h.number, now);
             return;
         }
+        // A trailer acknowledges one of our returns, whatever the data.
+        if let Some((call_number, total)) = seg.acks_return {
+            self.on_explicit_ack(MsgType::Return, call_number, total, now);
+        }
         self.on_data_segment(now, seg);
     }
 
@@ -404,8 +443,8 @@ impl Endpoint {
                 if let Some(call) = self.senders.remove(&(MsgType::Call, h.call_number)) {
                     // Our call is implicitly acknowledged; probing (if it
                     // had started) continues until the return completes.
-                    // The tick armed for the call still comes: remember
-                    // when, for the ack the return will be owed.
+                    // The call's deadline stays due: remember when, for
+                    // the ack the return will be owed.
                     if let Some(c) = self.sent_call_mut(h.call_number) {
                         c.tick = call.deadline();
                     }
@@ -500,9 +539,9 @@ impl Endpoint {
             }
             MsgType::Return => {
                 self.stats.returns_delivered += 1;
-                // The return's ack is owed on the call's tick — if that
-                // tick is known to be coming and the callee has not just
-                // asked for the ack outright.
+                // The return's ack is owed from the call's tick on — if
+                // the call's sender still had a deadline and the callee
+                // has not just asked for the ack outright.
                 match self.sent_call_mut(h.call_number) {
                     Some(c) if c.tick.is_some() && !want_ack => c.returned = total,
                     _ => self.sent_calls.retain(|c| c.call_number != h.call_number),
@@ -564,7 +603,7 @@ impl Endpoint {
     }
 
     /// When the endpoint next needs a timer tick. An owed return ack
-    /// never asks for one: it rides the tick its call was given.
+    /// never asks for one: it rides a tick armed for something else.
     pub fn poll_timer(&self) -> Option<Time> {
         if self.dead {
             return None;
@@ -649,6 +688,9 @@ impl Endpoint {
         self.stats.segments_sent += 1;
         if seg.header.ack && !seg.header.probe {
             self.stats.acks_sent += 1;
+        }
+        if seg.acks_return.is_some() {
+            self.stats.acks_piggybacked += 1;
         }
         Some(seg)
     }

@@ -24,12 +24,14 @@
 //!   acknowledges its call; a later call acknowledges an earlier return);
 //! - the ack of a completed call is deferred in the hope the return will
 //!   serve instead (§4.2.4);
-//! - a return is acknowledged one of three ways, tried in order: by the
-//!   caller's next call, for nothing; failing that, by one ack the caller
-//!   sends on the tick its own call was given — no timer is armed for it,
-//!   so a caller that does call again pays nothing for the possibility;
-//!   failing that, by the callee re-sending the return with *please ack*
-//!   and the caller answering, the only path crash detection rests on.
+//! - a return is acknowledged one of four ways, tried in order: by the
+//!   caller's next call, for nothing; by the caller's next return to the
+//!   callee (a call-back's), in a 5-byte trailer on a spare control bit;
+//!   failing both, by one ack the caller sends on the tick its own call
+//!   was given — no timer is armed for it, so a caller that does call
+//!   again pays nothing for the possibility; failing that, by the callee
+//!   re-sending the return with *please ack* and the caller answering,
+//!   the only path crash detection rests on.
 //!   A caller that paces its calls just past one retransmission interval
 //!   (≈ 310 ms) pays the second moments before the first would have
 //!   served: the one band where that costs more than it saves
@@ -61,5 +63,7 @@ pub use config::{Config, ProtocolMode};
 pub use endpoint::{Endpoint, EndpointStats, Event};
 pub use receiver::{MsgReceiver, RecvActions};
 pub use replay::ReplayLog;
-pub use segment::{MsgType, Segment, SegmentError, SegmentHeader, HEADER_LEN, MAX_SEGMENTS};
+pub use segment::{
+    MsgType, Segment, SegmentError, SegmentHeader, HEADER_LEN, MAX_SEGMENTS, TRAILER_LEN,
+};
 pub use sender::{MsgSender, SendError, SenderTick};

@@ -4,7 +4,7 @@
 //! acknowledged"), carried by hand over the same wire.
 
 use pairedmsg::config::RETRANSMIT_INTERVAL;
-use pairedmsg::{Config, Endpoint, Event, MsgSender, MsgType, Segment, SendError};
+use pairedmsg::{Config, Endpoint, Event, MsgSender, MsgType, Segment, SendError, TRAILER_LEN};
 use simnet::{Duration, Time};
 
 fn ms(n: u64) -> Time {
@@ -12,7 +12,8 @@ fn ms(n: u64) -> Time {
 }
 
 /// One line per segment, for transcripts: `C1 2/3 please-ack`,
-/// `ack R1 3`, `probe 1`.
+/// `ack R1 3`, `probe 1`, and a data segment's ack trailer after a `+`:
+/// `R1 1/1 +ack R7 1`.
 fn show(seg: &Segment) -> String {
     let h = seg.header;
     let t = match h.msg_type {
@@ -20,7 +21,7 @@ fn show(seg: &Segment) -> String {
         MsgType::Return => 'R',
     };
     let cn = h.call_number;
-    match (h.probe, h.ack) {
+    let line = match (h.probe, h.ack) {
         (true, false) => format!("probe {cn}"),
         (true, true) => format!("probe-reply {cn}"),
         (false, true) => format!("ack {t}{cn} {}", h.number),
@@ -28,6 +29,10 @@ fn show(seg: &Segment) -> String {
             format!("{t}{cn} {}/{} please-ack", h.number, h.total)
         }
         (false, false) => format!("{t}{cn} {}/{}", h.number, h.total),
+    };
+    match seg.acks_return {
+        Some((acked, total)) => format!("{line} +ack R{acked} {total}"),
+        None => line,
     }
 }
 
@@ -1065,4 +1070,254 @@ fn parc_transcript_is_unchanged_up_to_the_returns_ack() {
         idle.extend(wire.at(tick).settle(&mut client, &mut server));
     }
     assert_eq!(idle, ["ack R1 1"]);
+}
+
+/// A call-back (§5.3's `ready_to_commit`): `client` calls `cn` at `at`
+/// ms; 10 ms later `server`, still executing it, calls the client back
+/// on its own call number `back`; the client returns 10 ms after that,
+/// and the server returns `reply` 10 ms after that. Each message crosses
+/// as it is sent and is delivered. Returns what crossed.
+fn callback(
+    at: u64,
+    cn: u32,
+    back: u32,
+    reply: &[u8],
+    client: &mut Endpoint,
+    server: &mut Endpoint,
+) -> Vec<String> {
+    let mut wire = Wire::new();
+    client.send(ms(at), MsgType::Call, cn, 0, b"args").unwrap();
+    let mut crossed = wire.at(at).carry(client, server);
+    expect_message(server, MsgType::Call, cn);
+    server
+        .send(ms(at + 10), MsgType::Call, back, 0, b"ready?")
+        .unwrap();
+    crossed.extend(wire.at(at + 10).carry(server, client));
+    expect_message(client, MsgType::Call, back);
+    client
+        .send(ms(at + 20), MsgType::Return, back, 0, b"yes")
+        .unwrap();
+    crossed.extend(wire.at(at + 20).carry(client, server));
+    expect_message(server, MsgType::Return, back);
+    server
+        .send(ms(at + 30), MsgType::Return, cn, 0, reply)
+        .unwrap();
+    crossed.extend(wire.at(at + 30).carry(server, client));
+    expect_message(client, MsgType::Return, cn);
+    crossed
+}
+
+/// The callee of a call-back owes the caller an ack for the call-back's
+/// return, and it is about to send that caller a return of its own: the
+/// ack rides in that return's trailer, and the tick that would have
+/// carried it alone has nothing left to send.
+#[test]
+fn callback_return_carries_the_owed_ack_and_no_tick_ack_follows() {
+    let (mut client, mut server) = pair();
+    let crossed = callback(0, 1, 7, b"ok", &mut client, &mut server);
+    assert_eq!(crossed, ["C1 1/1", "C7 1/1", "R7 1/1", "R1 1/1 +ack R7 1"]);
+    assert_eq!(server.stats().acks_piggybacked, 1);
+    assert_eq!(server.stats().acks_sent, 0, "no segment of its own");
+    // The trailer retired the client's return sender: nothing of the
+    // client's is timed any more.
+    assert!(client.is_idle());
+    assert_eq!(client.poll_timer(), None);
+
+    // The server's tick for call 7 (10 + 300 ms) finds nothing owed.
+    let mut wire = Wire::new();
+    server.on_timer(ms(310));
+    assert!(wire.at(310).carry(&mut server, &mut client).is_empty());
+    // What is left is the client's own debt for return 1, paid on its
+    // call's tick — the one bare ack of the exchange.
+    client.on_timer(ms(300));
+    assert_eq!(wire.at(300).carry(&mut client, &mut server), ["ack R1 1"]);
+    assert!(server.is_idle());
+    for tick in [330, 900, 5_000] {
+        server.on_timer(ms(tick));
+        client.on_timer(ms(tick));
+    }
+    assert!(wire.settle(&mut client, &mut server).is_empty());
+    assert_eq!(
+        (server.stats().acks_sent, server.stats().retransmits),
+        (0, 0)
+    );
+    assert_eq!(
+        (client.stats().acks_sent, client.stats().retransmits),
+        (1, 0)
+    );
+}
+
+/// The trailer is an optimization over a path that is still there: its
+/// carrier lost, the call-back's return is re-sent with *please ack* on
+/// the client's timer and answered at once, exactly as when a tick ack
+/// is lost — and nothing is delivered twice.
+#[test]
+fn lost_carrier_falls_back_to_please_ack() {
+    let (mut client, mut server) = pair();
+    let mut wire = Wire::dropping(vec![3]);
+    client.send(ms(0), MsgType::Call, 1, 0, b"args").unwrap();
+    wire.at(0).carry(&mut client, &mut server);
+    expect_message(&mut server, MsgType::Call, 1);
+    server.send(ms(10), MsgType::Call, 7, 0, b"ready?").unwrap();
+    wire.at(10).carry(&mut server, &mut client);
+    expect_message(&mut client, MsgType::Call, 7);
+    client.send(ms(20), MsgType::Return, 7, 0, b"yes").unwrap();
+    wire.at(20).carry(&mut client, &mut server);
+    expect_message(&mut server, MsgType::Return, 7);
+    server.send(ms(30), MsgType::Return, 1, 0, b"ok").unwrap();
+    assert_eq!(
+        wire.at(30).carry(&mut server, &mut client),
+        ["R1 1/1 +ack R7 1"],
+        "lost"
+    );
+    assert_eq!(server.stats().acks_piggybacked, 1);
+
+    // Every timer in turn: the client re-sends call 1 and return 7 with
+    // *please ack*, the server answers both, and its own re-sent return
+    // 1 — no trailer on a retransmission — is acknowledged at once.
+    let mut crossed = Vec::new();
+    for tick in [300, 310, 320, 330] {
+        client.on_timer(ms(tick));
+        server.on_timer(ms(tick));
+        crossed.extend(wire.at(tick).settle(&mut client, &mut server));
+    }
+    assert_eq!(
+        crossed,
+        [
+            "C1 1/1 please-ack",
+            "ack C1 1",
+            "R7 1/1 please-ack",
+            "ack R7 1",
+            "R1 1/1 please-ack",
+            "ack R1 1"
+        ]
+    );
+    expect_message(&mut client, MsgType::Return, 1);
+    assert!(client.poll_event().is_none() && server.poll_event().is_none());
+    assert!(client.is_idle() && server.is_idle());
+}
+
+/// The trailer never makes a segment longer than `max_segment_data`: a
+/// return whose last segment is full goes without, and the owed ack is
+/// paid on the tick as before; one with room carries it on its *last*
+/// segment.
+#[test]
+fn full_last_segment_gets_no_trailer_and_the_tick_pays() {
+    let grain = Config::default().max_segment_data;
+    let (mut client, mut server) = pair();
+    let crossed = callback(0, 1, 7, &vec![0; grain], &mut client, &mut server);
+    assert_eq!(crossed, ["C1 1/1", "C7 1/1", "R7 1/1", "R1 1/1"]);
+    server.on_timer(ms(310));
+    let mut wire = Wire::new();
+    assert_eq!(wire.at(310).carry(&mut server, &mut client), ["ack R7 1"]);
+    assert_eq!(server.stats().acks_on_tick, 1);
+    assert_eq!(server.stats().acks_piggybacked, 0);
+
+    // Five bytes short of full: room, on the last of two segments.
+    let (mut client, mut server) = pair();
+    let reply = vec![0; grain + grain - TRAILER_LEN];
+    let crossed = callback(0, 1, 7, &reply, &mut client, &mut server);
+    assert_eq!(
+        crossed,
+        ["C1 1/1", "C7 1/1", "R7 1/1", "R1 1/2", "R1 2/2 +ack R7 1"]
+    );
+    server.on_timer(ms(310));
+    assert!(wire.at(310).carry(&mut server, &mut client).is_empty());
+}
+
+/// Two call-backs' returns owed at once: the oldest rides the one
+/// return going back, the other is paid on its call's tick.
+#[test]
+fn with_two_debts_one_rides_the_trailer_and_the_tick_pays_the_other() {
+    let (mut client, mut server) = pair();
+    let mut wire = Wire::new();
+    client.send(ms(0), MsgType::Call, 1, 0, b"args").unwrap();
+    wire.at(0).carry(&mut client, &mut server);
+    expect_message(&mut server, MsgType::Call, 1);
+    server.send(ms(10), MsgType::Call, 7, 0, b"ready?").unwrap();
+    server
+        .send(ms(10), MsgType::Call, 8, 0, b"steady?")
+        .unwrap();
+    wire.at(10).carry(&mut server, &mut client);
+    for back in [7, 8] {
+        expect_message(&mut client, MsgType::Call, back);
+        client
+            .send(ms(20), MsgType::Return, back, 0, b"yes")
+            .unwrap();
+    }
+    wire.at(20).carry(&mut client, &mut server);
+    expect_message(&mut server, MsgType::Return, 7);
+    expect_message(&mut server, MsgType::Return, 8);
+    server.send(ms(30), MsgType::Return, 1, 0, b"ok").unwrap();
+    assert_eq!(
+        wire.at(30).carry(&mut server, &mut client),
+        ["R1 1/1 +ack R7 1"]
+    );
+    server.on_timer(ms(310));
+    assert_eq!(wire.at(310).carry(&mut server, &mut client), ["ack R8 1"]);
+    let s = server.stats();
+    assert_eq!((s.acks_piggybacked, s.acks_on_tick, s.acks_sent), (1, 1, 1));
+    client.on_timer(ms(300));
+    wire.at(300).settle(&mut client, &mut server);
+    assert!(client.is_idle() && server.is_idle());
+}
+
+/// The stop-and-wait discipline is untouched by the trailer: the call
+/// still goes a segment per ack, and a single-segment return carries the
+/// owed ack as in the eager discipline. A multi-segment return's first
+/// transmission is its first segment alone, which is full: no trailer,
+/// and the tick pays.
+#[test]
+fn parc_stop_and_wait_is_unchanged_by_the_trailer() {
+    let config = Config {
+        max_segment_data: 8,
+        jitter_permille: 0,
+        ..Config::parc()
+    };
+    let (mut client, mut server) = pair_with(config.clone());
+    let mut wire = Wire::new();
+    client
+        .send(ms(0), MsgType::Call, 1, 0, b"abcdefghij")
+        .unwrap();
+    let mut crossed = wire.settle(&mut client, &mut server);
+    expect_message(&mut server, MsgType::Call, 1);
+    server.send(ms(10), MsgType::Call, 7, 0, b"ready?").unwrap();
+    crossed.extend(wire.at(10).settle(&mut server, &mut client));
+    expect_message(&mut client, MsgType::Call, 7);
+    client.send(ms(20), MsgType::Return, 7, 0, b"yes").unwrap();
+    crossed.extend(wire.at(20).settle(&mut client, &mut server));
+    expect_message(&mut server, MsgType::Return, 7);
+    server.send(ms(30), MsgType::Return, 1, 0, b"ok").unwrap();
+    crossed.extend(wire.at(30).settle(&mut server, &mut client));
+    expect_message(&mut client, MsgType::Return, 1);
+    assert_eq!(
+        crossed,
+        [
+            "C1 1/2 please-ack",
+            "ack C1 1",
+            "C1 2/2",
+            "C7 1/1",
+            "R7 1/1",
+            "R1 1/1 +ack R7 1"
+        ]
+    );
+
+    let (mut client, mut server) = pair_with(config);
+    let mut wire = Wire::new();
+    client.send(ms(0), MsgType::Call, 1, 0, b"args").unwrap();
+    wire.settle(&mut client, &mut server);
+    expect_message(&mut server, MsgType::Call, 1);
+    server.send(ms(10), MsgType::Call, 7, 0, b"ready?").unwrap();
+    wire.at(10).settle(&mut server, &mut client);
+    expect_message(&mut client, MsgType::Call, 7);
+    client.send(ms(20), MsgType::Return, 7, 0, b"yes").unwrap();
+    wire.at(20).settle(&mut client, &mut server);
+    expect_message(&mut server, MsgType::Return, 7);
+    server
+        .send(ms(30), MsgType::Return, 1, 0, b"abcdefghij")
+        .unwrap();
+    let crossed = wire.at(30).settle(&mut server, &mut client);
+    assert_eq!(crossed, ["R1 1/2 please-ack", "ack R1 1", "R1 2/2"]);
+    server.on_timer(ms(310));
+    assert_eq!(wire.at(310).carry(&mut server, &mut client), ["ack R7 1"]);
 }

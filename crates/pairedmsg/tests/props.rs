@@ -76,7 +76,8 @@ proptest! {
     }
 
     /// encode ∘ decode is the identity on valid data segments, for the
-    /// full call-number and causal-span ranges.
+    /// full call-number and causal-span ranges, with and without an ack
+    /// trailer (a count of 0 stands for none).
     #[test]
     fn segment_encode_decode_round_trips(
         cn: u32,
@@ -84,9 +85,12 @@ proptest! {
         total in 1u8..=255,
         data in proptest::collection::vec(any::<u8>(), 0..100),
         please_ack: bool,
+        acked: u32,
+        acked_total: u8,
     ) {
         let number = 1 + (cn % total as u32) as u8;
-        let s = Segment::data(MsgType::Return, cn, span, total, number, please_ack, data);
+        let mut s = Segment::data(MsgType::Return, cn, span, total, number, please_ack, data);
+        s.acks_return = (acked_total != 0).then_some((acked, acked_total));
         let decoded = Segment::decode(&s.encode()).unwrap();
         prop_assert_eq!(decoded.header.span, span);
         prop_assert_eq!(decoded, s);

@@ -263,13 +263,16 @@ mod tests {
         let mut borrowed = Reader::new(&bytes);
         let before = byte_copies();
         let b = borrowed.get_bytes_borrowed().unwrap();
-        assert_eq!(
-            byte_copies(),
-            before,
-            "borrowed read must not copy the block"
-        );
+        let after_borrowed = byte_copies();
         let o = owned.get_bytes().unwrap();
-        assert!(byte_copies() > before, "owned read counts its copy");
+        // The counter is compiled out of release builds.
+        if cfg!(debug_assertions) {
+            assert_eq!(
+                after_borrowed, before,
+                "borrowed read must not copy the block"
+            );
+            assert!(byte_copies() > before, "owned read counts its copy");
+        }
         assert_eq!(b, o.as_slice());
         // Both readers consumed the pad byte and line up on the word.
         assert_eq!(borrowed.get_u16().unwrap(), 42);

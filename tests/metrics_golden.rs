@@ -3,9 +3,15 @@
 //! names, counter semantics, CPU costing, or the network model shows up
 //! here as a diff — regenerate deliberately with
 //! `UPDATE_GOLDEN=1 cargo test --test metrics_golden`.
+//!
+//! And the metric catalogue: the key families that run and a chaos
+//! `store` scenario emit, each documented in DESIGN.md.
 
 mod golden;
 
+use std::collections::BTreeSet;
+
+use rdp::chaos::{self, Store, Workload};
 use rdp::circus::testbed::{
     addr, enqueue, results, spawn_caller, spawn_troupe, CountingService, Request, MODULE, PROC_ADD,
 };
@@ -15,6 +21,12 @@ use rdp::wire::to_bytes;
 
 #[test]
 fn fixed_seed_metrics_dump_matches_golden() {
+    golden::check_golden("tests/golden/metrics_seed42.json", &metrics_seed42());
+}
+
+/// The metrics dump of a 3-member troupe answering three calls from one
+/// client, back to back, at seed 42.
+fn metrics_seed42() -> String {
     let mut w = World::new(42);
     let config = NodeConfig::default();
     let members = [addr(1, 70), addr(2, 70), addr(3, 70)];
@@ -38,6 +50,78 @@ fn fixed_seed_metrics_dump_matches_golden() {
     let totals = results(&w, client);
     let expected: Vec<_> = (1..=3u32).map(|n| Ok(to_bytes(&n))).collect();
     assert_eq!(totals, expected, "three sequential calls");
+    w.metrics_json()
+}
 
-    golden::check_golden("tests/golden/metrics_seed42.json", &w.metrics_json());
+/// The keys of a registry's JSON dump, in dump order.
+fn metric_keys(json: &str) -> Vec<&str> {
+    let mut rest = json
+        .strip_prefix(r#"{"metrics":{"#)
+        .expect("a registry dump");
+    let (mut keys, mut depth) = (Vec::new(), 0usize);
+    while let Some(c) = rest.chars().next() {
+        match c {
+            '"' if depth == 0 => {
+                let end = 1 + rest[1..].find('"').expect("a closed key");
+                keys.push(&rest[1..end]);
+                rest = &rest[end + 1..];
+                continue;
+            }
+            '{' => depth += 1,
+            '}' if depth == 0 => break,
+            '}' => depth -= 1,
+            _ => {}
+        }
+        rest = &rest[c.len_utf8()..];
+    }
+    keys
+}
+
+/// A key with each process address in it (`h10:10`) written `<addr>`.
+fn family(key: &str) -> String {
+    let is_addr = |part: &str| {
+        let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+        part.strip_prefix('h')
+            .and_then(|p| p.split_once(':'))
+            .is_some_and(|(host, port)| digits(host) && digits(port))
+    };
+    let parts: Vec<&str> = key
+        .split('.')
+        .map(|part| if is_addr(part) { "<addr>" } else { part })
+        .collect();
+    parts.join(".")
+}
+
+/// The metric catalogue: every key family the seed-42 run above
+/// and chaos `store` seed 1 emit, sorted, held to
+/// `tests/golden/metric_keys.txt` — a family added or gone fails here —
+/// and each one named, in backticks, in DESIGN.md's *Observability*.
+#[test]
+fn metric_families_match_the_catalogue() {
+    let store = chaos::run(&Store, 1, &Store::options());
+    assert!(store.passed(), "{}", store.failure_summary());
+    let dumps = [metrics_seed42(), store.metrics_json];
+    let families: BTreeSet<String> = dumps
+        .iter()
+        .flat_map(|dump| metric_keys(dump).into_iter().map(family))
+        .collect();
+    let mut catalogue = String::from(
+        "# Metric key families (tests/metrics_golden.rs): the seed-42 dump and chaos store seed 1.\n",
+    );
+    for f in &families {
+        catalogue.push_str(f);
+        catalogue.push('\n');
+    }
+    golden::check_golden("tests/golden/metric_keys.txt", &catalogue);
+
+    let design = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/DESIGN.md"))
+        .expect("DESIGN.md");
+    let undocumented: Vec<&String> = families
+        .iter()
+        .filter(|f| !design.contains(&format!("`{f}`")))
+        .collect();
+    assert!(
+        undocumented.is_empty(),
+        "metric families missing from DESIGN.md's catalogue: {undocumented:?}"
+    );
 }

@@ -13,15 +13,20 @@
 //!
 //! And what a call costs on top of its data when the caller does not
 //! call again at once: one ack per member, sent by the caller on its own
-//! call's tick — not the return again and then its ack.
+//! call's tick — not the return again and then its ack. A member that
+//! called its caller back owes an ack too, and pays it in the return it
+//! sends that caller next.
 
 use std::any::Any;
 
 use rdp::circus::testbed::{
-    agent, enqueue, service, spawn_caller, spawn_troupe, Caller, CountingService, Request, MODULE,
-    PROC_WHO,
+    agent, enqueue, executions, service, spawn_caller, spawn_troupe, Caller, CountingService,
+    Request, MODULE, PROC_ECHO, PROC_WHO,
 };
-use rdp::circus::{NodeConfig, ThreadId, TroupeId};
+use rdp::circus::{
+    CallError, CollationPolicy, ModuleAddr, NodeConfig, OutCall, Service, ServiceCtx, Step,
+    ThreadId, TroupeId, TroupeTarget,
+};
 use rdp::pairedmsg::{self, MsgType, Segment};
 use rdp::simnet::{
     Duration, ForgedDatagram, HostId, NetConfig, Payload, SockAddr, Syscall, SyscallCosts, Time,
@@ -461,4 +466,195 @@ fn paced_calls_survive_loss_and_duplication() {
         let hash = faulty_paced_run(seed);
         assert_eq!(hash, faulty_paced_run(seed), "seed {seed} replays");
     }
+}
+
+/// Three calls back to back, then silence: the last returns are
+/// acknowledged by *please ack*, not on the caller's tick. The client's
+/// one timer per member was armed for the first call's deadline and kept,
+/// being the earliest; when it fires the last call's ack is not yet due
+/// and nothing else is timed, so nothing re-arms. Reporting the debt from
+/// `Endpoint::poll_timer` would save each member's re-send and the
+/// client's answer, at a `setitimer` per call that moves Table 4.1 and
+/// `BENCH_4.json`: it belongs with ROADMAP 7a's timer work, the change
+/// that flips this test.
+#[test]
+fn back_to_back_calls_leave_the_last_ack_to_please_ack() {
+    let n = N as u64;
+    let mut w = rig(N, false, vec![0xAB; 64], 3);
+    w.set_injector(Box::<WireTap>::default(), Duration::ZERO);
+    w.poke(CLIENT, 2);
+    w.run(Until::Elapsed(Duration::from_secs(5)));
+    assert_eq!(completions(&w), 3);
+    w.refresh_metrics();
+    let reg = w.metrics();
+    assert_eq!(
+        reg.get(&format!("rpc.{CLIENT}.acks_on_tick")),
+        0,
+        "no tick came"
+    );
+    assert_eq!(
+        reg.sum_suffix(".retransmits"),
+        n,
+        "each member re-sent once"
+    );
+    assert_eq!(
+        reg.get(&format!("rpc.{CLIENT}.acks_sent")),
+        n,
+        "each answered"
+    );
+    let (sendmsgs, tap) = sendmsgs_and_tap(&w);
+    assert_eq!(sendmsgs, 3 * 2 * n + 2 * n);
+    assert_eq!((tap.overhead, tap.resent), (2 * n, n));
+}
+
+/// The module the client exports for [`CallBackService`]'s call-backs.
+const CALLBACK_MODULE: u16 = 2;
+
+/// A member that calls its caller back before it answers, as a store
+/// member does to vote in §5.3's commit round: it records the thread it
+/// runs on, has the caller echo the arguments, and returns the echo.
+#[derive(Default)]
+struct CallBackService {
+    seen_threads: Vec<ThreadId>,
+}
+
+impl Service for CallBackService {
+    fn dispatch(&mut self, ctx: &mut ServiceCtx, _proc: u16, args: &[u8]) -> Step {
+        self.seen_threads.push(ctx.thread);
+        Step::Call(OutCall {
+            target: TroupeTarget::Caller,
+            module: CALLBACK_MODULE,
+            proc: PROC_ECHO,
+            args: args.to_vec(),
+            collation: CollationPolicy::Unanimous,
+            solo: false,
+        })
+    }
+
+    fn resume(&mut self, _ctx: &mut ServiceCtx, reply: Result<Vec<u8>, CallError>) -> Step {
+        match reply {
+            Ok(echo) => Step::Reply(echo),
+            Err(e) => Step::Error(format!("call-back failed: {e}")),
+        }
+    }
+}
+
+/// An [`N`]-member troupe of [`CallBackService`]s and a client exporting
+/// the echo they call back, spawned into `w` with `calls` calls of
+/// `payload` queued.
+fn callback_rig(mut w: World, payload: &[u8], calls: u64) -> World {
+    let config = NodeConfig::default();
+    let members: Vec<SockAddr> = (1..=N).map(member).collect();
+    let troupe = spawn_troupe(
+        &mut w,
+        TroupeId(9),
+        &members,
+        MODULE,
+        &config,
+        None,
+        CallBackService::default,
+    );
+    spawn_troupe(
+        &mut w,
+        TroupeId::UNREGISTERED,
+        &[CLIENT],
+        CALLBACK_MODULE,
+        &config,
+        None,
+        CountingService::default,
+    );
+    let call = Request::new(&troupe, MODULE, PROC_ECHO, payload.to_vec());
+    enqueue(&mut w, CLIENT, vec![call; calls as usize]);
+    w
+}
+
+/// Every member ran each of the client's `calls` calls exactly once, and
+/// the client ran each call-back once for the whole troupe.
+fn assert_callbacks_ran_once(w: &World, calls: usize, seed: u64) {
+    for m in (1..=N).map(member) {
+        let mut ran = service(w, m, MODULE, |s: &CallBackService| s.seen_threads.clone());
+        ran.sort();
+        ran.dedup();
+        assert_eq!(ran.len(), calls, "seed {seed}: {m} ran every call once");
+    }
+    let echo = ModuleAddr::new(CLIENT, CALLBACK_MODULE);
+    assert_eq!(executions(w, echo), calls as u32, "seed {seed}: call-backs");
+}
+
+/// A member answering a call it called its caller back from owes that
+/// caller an ack for the call-back's return, and sends it the call's
+/// return: the ack rides in its 5-byte trailer. A call a second costs
+/// 4n + n `sendmsg`s — call, call-back, the call-back's return and the
+/// return per member, plus the client's own tick ack — where the
+/// members' tick acks made it 4n + 2n. And with trailers lost,
+/// duplicated or riding a lost return, every call still completes, each
+/// member runs it once, the client runs each call-back once, and a seed
+/// replays bit for bit.
+#[test]
+fn callback_return_carries_the_owed_ack() {
+    const CALLS: u64 = 5;
+    let n = N as u64;
+    let payload = [0xAB; 64];
+    let w = World::with_config(1985, NetConfig::lan_1985(), SyscallCosts::vax_4_2bsd());
+    let (sendmsgs, tap, w) = paced(
+        callback_rig(w, &payload, CALLS),
+        CALLS,
+        Duration::from_secs(1),
+    );
+    assert_all_echoed(&w, CALLS as usize, &payload, 1985);
+    assert_callbacks_ran_once(&w, CALLS as usize, 1985);
+    assert_eq!(sendmsgs, CALLS * 5 * n, "12 + 3 per call");
+    assert_eq!(w.net_stats().sent, CALLS * 5 * n);
+    assert_eq!(tap.data, CALLS * 4 * n);
+    assert_eq!((tap.overhead, tap.resent), (CALLS * n, 0));
+    w.refresh_metrics();
+    let reg = w.metrics();
+    assert_eq!(
+        reg.sum_suffix(".acks_piggybacked"),
+        CALLS * n,
+        "one per member per call"
+    );
+    assert_eq!(reg.get(&format!("rpc.{CLIENT}.acks_piggybacked")), 0);
+    // What is left bare is the client's ack of the members' returns.
+    assert_eq!(reg.sum_suffix(".acks_on_tick"), CALLS * n);
+    assert_eq!(reg.get(&format!("rpc.{CLIENT}.acks_on_tick")), CALLS * n);
+    assert_eq!(reg.sum_suffix(".retransmits"), 0);
+
+    for seed in 1..=10 {
+        let hash = faulty_callback_run(seed);
+        assert_eq!(hash, faulty_callback_run(seed), "seed {seed} replays");
+    }
+}
+
+/// One seeded run of [`callback_return_carries_the_owed_ack`]'s rig over
+/// a LAN that loses and duplicates datagrams. Returns the trace hash.
+fn faulty_callback_run(seed: u64) -> u64 {
+    const CALLS: usize = 12;
+    let net = NetConfig {
+        loss: 0.03,
+        duplicate: 0.03,
+        ..NetConfig::lan_1985()
+    };
+    let mut w = World::with_config(seed, net, SyscallCosts::vax_4_2bsd());
+    w.set_trace_sink(Box::new(TraceRing::new(64)));
+    let payload = [0xAB; 64];
+    let w = callback_rig(w, &payload, CALLS as u64);
+    let (_, tap, mut w) = paced(w, CALLS as u64, Duration::from_secs(1));
+    let deadline = w.now() + Duration::from_secs(30);
+    assert!(
+        w.run(Until::pred(deadline, |w| completions(w) == CALLS)),
+        "seed {seed}: {} of {CALLS} calls succeeded",
+        completions(&w)
+    );
+    assert_all_echoed(&w, CALLS, &payload, seed);
+    assert_callbacks_ran_once(&w, CALLS, seed);
+    assert!(tap.overhead > 0, "seed {seed}: nothing was acknowledged");
+    w.refresh_metrics();
+    assert!(
+        w.metrics().sum_suffix(".acks_piggybacked") > 0,
+        "seed {seed}"
+    );
+    w.trace_sink_as::<TraceRing>()
+        .expect("installed above")
+        .hash()
 }
