@@ -22,13 +22,13 @@
 //! - `StaleCall` is *deliberately* well-formed but addressed to a
 //!   troupe incarnation that never exists, so every replica that sees
 //!   it rejects it identically (`WrongTroupe`);
-//! - `AckTrailer` carriers hold sub-minimum garbage: the forged ack in
-//!   their trailer is the attack, not the call;
+//! - `PleaseAck` re-sends a captured call exactly as its caller would
+//!   retransmit it: the most it can earn is the genuine return again;
 //! - capture-based bit flips (in the injector) force the type byte to
 //!   an invalid value if the flip alone left the segment decodable.
 
 use circus::{CallMessage, ThreadId, TroupeId};
-use pairedmsg::{MsgType, Segment, HEADER_LEN, TRAILER_LEN};
+use pairedmsg::{MsgType, Segment, HEADER_LEN};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use simnet::{HostId, SockAddr};
@@ -61,11 +61,10 @@ pub enum HostileKind {
     /// A captured datagram re-delivered verbatim, original source and
     /// destination. Capture-based; injector only.
     Replay,
-    /// A segment with control bit 3 (the ack trailer) set: on an ack or
-    /// a probe, with no room for the trailer, naming a return of 0
-    /// segments, or well-formed on a garbage call. The injector also
-    /// aims well-formed ones at a captured live return's sender.
-    AckTrailer,
+    /// A captured call segment re-delivered with *please ack* set,
+    /// original source and destination: a forged demand for its return.
+    /// Capture-based; injector only.
+    PleaseAck,
 }
 
 impl HostileKind {
@@ -81,7 +80,7 @@ impl HostileKind {
             HostileKind::StaleCall => "stale",
             HostileKind::BitFlip => "bitflip",
             HostileKind::Replay => "replay",
-            HostileKind::AckTrailer => "trailer",
+            HostileKind::PleaseAck => "pleaseack",
         }
     }
 }
@@ -168,71 +167,18 @@ pub fn hostile_datagram(attacker: SockAddr) -> Union<Hostile> {
         ),
         // Well-formed call, nonexistent troupe incarnation.
         boxed(stale_call_segment(attacker)),
-        // The ack-trailer bit, garbled or forged.
-        boxed(ack_trailer_segment()),
     ])
 }
 
-/// Control bit 3, the ack trailer, set where it is garbled — on an ack
-/// or a probe, or naming a return of 0 segments — or flipped on over a
-/// valid data segment's last five bytes, or carrying a well-formed
-/// forged ack on sub-minimum garbage.
-fn ack_trailer_segment() -> impl Strategy<Value = Hostile> {
-    (
-        valid_segment(),
-        0u8..4,
-        0u32..1000,
-        1u8..=8,
-        vec(any::<u8>(), 0..CALL_MESSAGE_MIN - TRAILER_LEN),
-    )
-        .prop_map(|(segment, which, acked, total, garbage)| {
-            let b = match which {
-                0 => {
-                    let mut b = segment;
-                    b[1] |= ACK_TRAILER_BIT;
-                    b
-                }
-                1 => {
-                    let control = match acked % 3 {
-                        0 => Segment::ack(MsgType::Return, acked, total, total),
-                        1 => Segment::probe(acked),
-                        _ => Segment::probe_reply(acked),
-                    };
-                    let mut b = control.encode().to_vec();
-                    b[1] |= ACK_TRAILER_BIT;
-                    b.extend_from_slice(&acked.to_be_bytes());
-                    b.push(total);
-                    b
-                }
-                2 => {
-                    let mut b = forged_trailer(acked, total, garbage);
-                    *b.last_mut().expect("a trailer") = 0;
-                    b
-                }
-                _ => forged_trailer(acked, total, garbage),
-            };
-            (HostileKind::AckTrailer, b)
-        })
-}
-
-/// The ack-trailer bit of the control byte (Figure 4.2's bit 3).
-const ACK_TRAILER_BIT: u8 = 0b1000;
-
-/// A single-segment call of `garbage` (too short to internalize) whose
-/// trailer acknowledges return `acked` of `total` segments in full.
-pub fn forged_trailer(acked: u32, total: u8, garbage: Vec<u8>) -> Vec<u8> {
-    let mut carrier = Segment::data(MsgType::Call, acked, 0, 1, 1, false, garbage);
-    carrier.acks_return = Some((acked, total));
-    carrier.encode().to_vec()
-}
-
-/// The call number and segment count of `bytes` if it is the data
-/// segment of a return: a return some member is sending, that a forged
-/// trailer can name.
-pub fn live_return(bytes: &[u8]) -> Option<(u32, u8)> {
-    let seg = Segment::decode_bytes(bytes).ok()?;
-    let h = seg.header;
-    (seg.is_data() && h.msg_type == MsgType::Return).then_some((h.call_number, h.total))
+/// `bytes` as its caller's retransmission would carry it, if it is a
+/// data segment of a call: the same segment with *please ack* set.
+pub fn please_ack_duplicate(bytes: &[u8]) -> Option<Vec<u8>> {
+    let mut seg = Segment::decode_bytes(bytes).ok()?;
+    if !seg.is_data() || seg.header.msg_type != MsgType::Call {
+        return None;
+    }
+    seg.header.please_ack = true;
+    Some(seg.encode().to_vec())
 }
 
 /// A well-formed single-segment call whose `server_troupe` is an
@@ -328,52 +274,21 @@ mod tests {
         }
         assert_eq!(
             seen.len(),
-            8,
-            "expected all 8 generated families, saw {seen:?}"
-        );
-    }
-
-    /// Every garbled form of the trailer family fails to decode; every
-    /// form that decodes carries data no replica could execute, and one
-    /// in four forges a well-formed ack.
-    #[test]
-    fn trailer_family_is_garbled_or_harmless() {
-        let mut rng = TestRng::for_test(concat!(module_path!(), "::trailer"));
-        let strat = ack_trailer_segment();
-        let (mut garbled, mut forged) = (0, 0);
-        for _ in 0..2000 {
-            let (kind, bytes) = strat.generate(&mut rng);
-            assert_eq!(kind, HostileKind::AckTrailer);
-            assert_ne!(bytes[1] & ACK_TRAILER_BIT, 0, "bit 3 is always set");
-            match Segment::decode_bytes(&bytes) {
-                Err(_) => garbled += 1,
-                Ok(seg) => {
-                    assert!(seg.is_data() && seg.acks_return.is_some());
-                    assert!(seg.data.len() < CALL_MESSAGE_MIN);
-                    forged += 1;
-                }
-            }
-        }
-        assert!(
-            garbled > 500 && forged > 500,
-            "{garbled} garbled, {forged} forged"
-        );
-        assert_eq!(
-            Segment::decode_bytes(&forged_trailer(7, 2, vec![1, 2])).map(|s| s.acks_return),
-            Ok(Some((7, 2)))
+            7,
+            "expected all 7 generated families, saw {seen:?}"
         );
     }
 
     #[test]
-    fn live_return_names_only_return_data() {
-        let ret = Segment::data(MsgType::Return, 9, 0, 3, 2, false, vec![1]).encode();
-        assert_eq!(live_return(&ret), Some((9, 3)));
-        let call = Segment::data(MsgType::Call, 9, 0, 1, 1, false, vec![1]).encode();
-        assert_eq!(live_return(&call), None);
-        assert_eq!(
-            live_return(&Segment::ack(MsgType::Return, 9, 1, 1).encode()),
-            None
-        );
-        assert_eq!(live_return(&[0; 3]), None);
+    fn please_ack_duplicate_sets_the_bit_on_call_data_only() {
+        let call = Segment::data(MsgType::Call, 9, 4, 3, 2, false, vec![1]);
+        let dup = please_ack_duplicate(&call.encode()).expect("a call segment");
+        let asked = Segment::data(MsgType::Call, 9, 4, 3, 2, true, vec![1]);
+        assert_eq!(Segment::decode_bytes(&dup), Ok(asked));
+        let ret = Segment::data(MsgType::Return, 9, 0, 1, 1, false, vec![1]);
+        assert_eq!(please_ack_duplicate(&ret.encode()), None);
+        let ack = Segment::ack(MsgType::Call, 9, 1, 1);
+        assert_eq!(please_ack_duplicate(&ack.encode()), None);
+        assert_eq!(please_ack_duplicate(&[0; 3]), None);
     }
 }

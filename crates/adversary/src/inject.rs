@@ -5,8 +5,8 @@
 //! delivered datagram and [`inject`](simnet::TrafficInjector::inject) at
 //! seeded ticks; the injector answers with forged datagrams drawn from
 //! the [`gen`](crate::gen) taxonomy plus three capture-derived attacks
-//! (verbatim replay, guaranteed-garbled bit flip, and a forged ack
-//! trailer naming a captured live return).
+//! (verbatim replay, guaranteed-garbled bit flip, and a captured call
+//! re-sent with *please ack*).
 //!
 //! Determinism contract: the injector owns a splitmix64 stream seeded
 //! from `seed ^ ADV_DOMAIN` and never touches the world's own RNG, and
@@ -14,7 +14,7 @@
 //! so two runs of the same seed are bit-identical — same trace hash,
 //! same metrics dump, same span hash.
 
-use crate::gen::{attacker_addr, forged_trailer, hostile_datagram, live_return, HostileKind};
+use crate::gen::{attacker_addr, hostile_datagram, please_ack_duplicate, HostileKind};
 use obs::Registry;
 use pairedmsg::Segment;
 use proptest::strategy::{Strategy, Union};
@@ -150,15 +150,11 @@ impl AdvInjector {
                 }
                 (HostileKind::BitFlip, self.attacker, c.to, d)
             }
-            (4, Some(c)) => match live_return(&c.data) {
-                // A well-formed ack of a return its sender may still be
-                // sending, in a garbage call's trailer. It comes from a
-                // host that return is not addressed to, and an endpoint
-                // is one peer's: it must retire nothing.
-                Some((acked, total)) => {
-                    let forged = forged_trailer(acked, total, vec![self.rng.below(256) as u8]);
-                    (HostileKind::AckTrailer, self.attacker, c.from, forged)
-                }
+            (4, Some(c)) => match please_ack_duplicate(&c.data) {
+                // The caller's own retransmission, forged: it may bring
+                // back the genuine return (or an ack of the call), and must
+                // never run the call again.
+                Some(d) => (HostileKind::PleaseAck, c.from, c.to, d),
                 None => self.generated(),
             },
             _ => self.generated(),

@@ -14,14 +14,13 @@
 //! - [`gen`]: proptest-driven generators for hostile datagrams — random
 //!   bytes, truncated or type-corrupted segment headers, out-of-range
 //!   call/segment positions (the PR-4 `number == 0` underflow class),
-//!   forged span IDs, well-formed calls bearing stale incarnations, and
-//!   ack trailers, garbled or naming live returns.
+//!   forged span IDs, and well-formed calls bearing stale incarnations.
 //! - [`inject`]: [`AdvInjector`], a [`simnet::TrafficInjector`] that a
 //!   chaos scenario arms via [`ScenarioOptions::injector`]. It watches
 //!   live traffic, and at seeded ticks injects generated hostiles plus
-//!   capture-derived ones (verbatim replays, guaranteed-garbled bit
-//!   flips, and trailers forging the ack of a captured return) from a
-//!   host that is not part of the system.
+//!   capture-derived ones: verbatim replays and captured calls re-sent
+//!   with *please ack*, both from their original source, and bit flips
+//!   forced garbled, from a host that is not part of the system.
 //! - [`oracle`]: invariants layered on top of the five chaos oracles —
 //!   forged traffic must be *observed and rejected* (`adv.injected` /
 //!   `adv.rejected`), every injection must be accounted for by exactly

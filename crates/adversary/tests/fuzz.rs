@@ -27,10 +27,10 @@ fn adversarial_options(multicast: bool) -> ScenarioOptions {
 fn sweep(seeds: &[u64], opts: &ScenarioOptions) {
     let reports = chaos::sweep(&Store, seeds, opts, chaos_jobs());
     let mut failures = Vec::new();
-    let (mut injected_total, mut trailers) = (0u64, 0u64);
+    let (mut injected_total, mut please_acks) = (0u64, 0u64);
     for r in &reports {
         injected_total += r.counter("adv.injected");
-        trailers += r.counter("adv.gen.trailer");
+        please_acks += r.counter("adv.gen.pleaseack");
         if !r.passed() {
             failures.push(r.failure_summary());
         }
@@ -46,7 +46,10 @@ fn sweep(seeds: &[u64], opts: &ScenarioOptions) {
         failures.join("\n")
     );
     assert!(injected_total > 0, "injector never fired across the sweep");
-    assert!(trailers > 0, "no ack trailer was forged across the sweep");
+    assert!(
+        please_acks > 0,
+        "no please-ack duplicate was forged across the sweep"
+    );
 }
 
 /// Where the full sweep's seed range starts: `ADV_SEED_BASE`, or 0.

@@ -2,11 +2,11 @@
 //! once: `sendmsg`s and CPU per call against the gap between calls.
 //!
 //! A return is acknowledged by the caller's next call (§4.2.2) when
-//! there is one inside the retransmission interval; past it, by one ack
-//! from the caller on the tick its call was given — not by the callee
-//! re-sending the return with *please ack* and the caller answering,
-//! which is what the protocol paid before (3n + n = 12 `sendmsg`s at
-//! n = 3 where this table reads 9).
+//! there is one; when there is not, by nothing. A one-segment return is
+//! re-sent only when its caller's call timer asks, so a lossless call
+//! costs its call and its return per member at any pace: 2n = 6
+//! `sendmsg`s at n = 3, where a callee timing its returns would add a
+//! re-send and its ack per member past the interval (4n = 12).
 
 use std::fmt::Write as _;
 
@@ -17,8 +17,7 @@ use crate::testbed::{run_paced_echo, PacedResult};
 /// Degree of replication.
 const REPLICAS: usize = 3;
 
-/// Measured calls per gap (even: just past the interval, calls alternate
-/// between owing their ack and not).
+/// Measured calls per gap.
 const CALLS: u32 = 40;
 
 /// The retransmission interval the gaps straddle.
@@ -44,40 +43,22 @@ pub fn grid() -> Vec<Cell> {
         .collect()
 }
 
-/// A call costs 2n `sendmsg`s while the next call is there to
-/// acknowledge its returns, and never more than n on top of that: one
-/// ack per member, not a re-sent return and its ack.
+/// A call costs 2n `sendmsg`s, its call and its return per member,
+/// whether or not the next call comes inside the retransmission interval.
 pub fn claim(cells: &[Cell]) -> Result<String, String> {
-    let n = REPLICAS as f64;
-    let (mut within, mut beyond) = (None, None);
-    for c in cells {
-        let sendmsgs = c.cost.sendmsgs;
-        if c.gap_ms <= INTERVAL_MS {
-            if sendmsgs != 2.0 * n {
-                return Err(format!(
-                    "one call every {} ms costs {sendmsgs} sendmsgs, not 2n = {}",
-                    c.gap_ms,
-                    2.0 * n
-                ));
-            }
-            within = Some(sendmsgs);
-        } else if sendmsgs > 3.0 * n {
-            return Err(format!(
-                "one call every {} ms costs {sendmsgs} sendmsgs, more than 2n + n = {}",
-                c.gap_ms,
-                3.0 * n
-            ));
-        } else if c.gap_ms >= INTERVAL_MS + 40 {
-            beyond = Some(sendmsgs);
-        }
+    let floor = 2.0 * REPLICAS as f64;
+    if let Some(c) = cells.iter().find(|c| c.cost.sendmsgs != floor) {
+        return Err(format!(
+            "one call every {} ms costs {} sendmsgs, not 2n = {floor}",
+            c.gap_ms, c.cost.sendmsgs
+        ));
     }
-    match (within, beyond) {
-        (Some(w), Some(b)) => Ok(format!(
-            "{w} sendmsgs per call inside the interval, {b} well past it, never over {}",
-            3.0 * n
-        )),
-        _ => Err("the grid must straddle the retransmission interval".into()),
+    let inside = cells.iter().any(|c| c.gap_ms <= INTERVAL_MS);
+    let beyond = cells.iter().any(|c| c.gap_ms > INTERVAL_MS);
+    if !(inside && beyond) {
+        return Err("the grid must straddle the retransmission interval".into());
     }
+    Ok(format!("{floor} sendmsgs per call at every gap"))
 }
 
 /// Formats the grid. Panics if the claim does not hold over it, so the
@@ -88,30 +69,30 @@ pub fn table() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "Pacing (Sec 4.2.2): what acknowledging a return costs a caller that thinks\n\
+        "Pacing (Sec 4.2.2): what a call costs a caller that thinks\n\
          ({REPLICAS}-member troupe, 64-byte echo, one call every G ms; per call, all \
          {} processes)",
         REPLICAS + 1
     );
     let _ = writeln!(
         out,
-        "{:<6} | {:>9} {:>13} {:>12} {:>8}",
-        "G ms", "sendmsgs", "acks on tick", "retransmits", "cpu ms"
+        "{:<6} | {:>9} {:>12} {:>8}",
+        "G ms", "sendmsgs", "retransmits", "cpu ms"
     );
     for Cell { gap_ms, cost } in &cells {
         let _ = writeln!(
             out,
-            "{gap_ms:<6} | {:>9.2} {:>13.2} {:>12.2} {:>8.1}",
-            cost.sendmsgs, cost.acks_on_tick, cost.retransmits, cost.cpu_ms
+            "{gap_ms:<6} | {:>9.2} {:>12.2} {:>8.1}",
+            cost.sendmsgs, cost.retransmits, cost.cpu_ms
         );
     }
     let _ = writeln!(
         out,
         "Shape check: {held}.\n\
          Inside the {INTERVAL_MS} ms interval the next call acknowledges the returns for\n\
-         nothing; past it the caller sends one ack per member on its own call's\n\
-         tick, where the callee's timer used to re-send the return and be answered\n\
-         (4n = {}).",
+         nothing; past it nothing does, and nothing needs to: a one-segment return\n\
+         is re-sent only when its caller's call timer asks for it. A callee timing\n\
+         its returns would re-send each and be answered (4n = {}).",
         4 * REPLICAS
     );
     out
@@ -127,31 +108,31 @@ mod tests {
             cost: PacedResult {
                 sendmsgs,
                 cpu_ms: 200.0,
-                acks_on_tick: 0.0,
                 retransmits: 0.0,
             },
         }
     }
 
     #[test]
-    fn claim_fires_on_the_parents_twelve_and_on_a_raised_floor() {
-        let good = [cell(100, 6.0), cell(310, 7.5), cell(1000, 9.0)];
+    fn claim_fires_on_a_tick_ack_a_please_ack_and_a_raised_floor() {
+        let good = [cell(100, 6.0), cell(310, 6.0), cell(1000, 6.0)];
         assert!(claim(&good).is_ok());
 
-        // A return re-sent with *please ack* and then acknowledged.
-        let parent = [cell(100, 6.0), cell(310, 6.0), cell(1000, 12.0)];
-        assert!(claim(&parent).is_err());
+        // The caller acknowledging its returns on its own tick.
+        let tick = [cell(100, 6.0), cell(310, 7.5), cell(1000, 9.0)];
+        assert!(claim(&tick).is_err());
 
-        let band = [cell(100, 6.0), cell(310, 10.5), cell(1000, 9.0)];
-        assert!(claim(&band).is_err());
+        // The callee re-sending them with *please ack*, and the answers.
+        let please_ack = [cell(100, 6.0), cell(1000, 12.0)];
+        assert!(claim(&please_ack).is_err());
 
-        let floor = [cell(100, 6.03), cell(1000, 9.0)];
+        let floor = [cell(100, 6.03), cell(1000, 6.0)];
         assert!(claim(&floor).is_err());
 
         assert!(
             claim(&[cell(100, 6.0)]).is_err(),
             "nothing past the interval"
         );
-        assert!(claim(&[cell(1000, 9.0)]).is_err(), "nothing inside it");
+        assert!(claim(&[cell(1000, 6.0)]).is_err(), "nothing inside it");
     }
 }

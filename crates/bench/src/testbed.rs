@@ -256,17 +256,14 @@ pub struct PacedResult {
     pub sendmsgs: f64,
     /// CPU time per call, milliseconds.
     pub cpu_ms: f64,
-    /// Return acknowledgments per call sent on the caller's own tick
-    /// (`rpc.*.acks_on_tick`).
-    pub acks_on_tick: f64,
-    /// *Please ack* re-sends per call (`rpc.*.retransmits`).
+    /// Data segments sent again per call (`rpc.*.retransmits`).
     pub retransmits: f64,
 }
 
 /// Runs the Circus replicated echo with a caller that begins one call
 /// every `gap` rather than at the completion of the last, and measures
-/// `calls` whole periods of its steady state: what it costs to have a
-/// return acknowledged when the next call is not there to do it.
+/// `calls` whole periods of its steady state: what a call costs when the
+/// next call is not there to acknowledge its returns.
 pub fn run_paced_echo(replicas: usize, calls: u32, gap: Duration) -> PacedResult {
     /// Periods run before the measured ones.
     const WARMUP: u32 = 4;
@@ -282,21 +279,17 @@ pub fn run_paced_echo(replicas: usize, calls: u32, gap: Duration) -> PacedResult
             w.run(simnet::Until::Elapsed(gap));
         }
     };
-    let counters = |w: &World| {
+    let retransmits = |w: &World| {
         w.refresh_metrics();
-        let reg = w.metrics();
-        (
-            reg.sum_suffix(".acks_on_tick"),
-            reg.sum_suffix(".retransmits"),
-        )
+        w.metrics().sum_suffix(".retransmits")
     };
     periods(&mut w, WARMUP);
     for &a in &everyone {
         w.reset_cpu(a);
     }
-    let before = counters(&w);
+    let before = retransmits(&w);
     periods(&mut w, calls);
-    let after = counters(&w);
+    let after = retransmits(&w);
     assert_all_echoed(&w, client, WARMUP + calls);
     let cpus: Vec<CpuView> = everyone.iter().map(|&a| w.cpu(a)).collect();
     let per_call = |total: f64| total / calls as f64;
@@ -307,8 +300,7 @@ pub fn run_paced_echo(replicas: usize, calls: u32, gap: Duration) -> PacedResult
                 .sum(),
         ),
         cpu_ms: per_call(cpus.iter().map(CpuView::total_ms).sum()),
-        acks_on_tick: per_call((after.0 - before.0) as f64),
-        retransmits: per_call((after.1 - before.1) as f64),
+        retransmits: per_call((after - before) as f64),
     }
 }
 

@@ -12,52 +12,61 @@
 //! # How a return gets acknowledged
 //!
 //! A return is the last message of its exchange, so nothing the protocol
-//! must send anyway follows it. Four things can acknowledge it, tried in
-//! this order:
+//! must send anyway follows it. The caller's next call acknowledges it
+//! for nothing (§4.2.2: a call segment retires every return with an
+//! earlier call number); otherwise only an explicit ack, sent when asked,
+//! does. What differs between returns is whose clock re-sends one that
+//! was lost:
 //!
-//! 1. **The caller's next call** (§4.2.2): a call segment retires every
-//!    return with an earlier call number. Free, and the only path a
-//!    caller that calls again within the retransmission interval takes.
-//! 2. **The caller's next return** to the same peer: the return of a
-//!    call-back (§5.3's `ready_to_commit`), sent while the ack is owed.
-//!    Its last initial segment carries the owed ack in a 5-byte trailer
-//!    ([`crate::segment`]) if it has that much room under
-//!    `max_segment_data`, so a datagram never outgrows the MTU. The
-//!    oldest debt rides; retransmissions carry none. Lost, it is lost
-//!    like a tick ack, and path 4 pays.
-//! 3. **The caller's own tick.** The return's first segment retires our
-//!    call's sender; the endpoint keeps that sender's pending
-//!    retransmission deadline, and once the return is complete an ack is
-//!    *owed*, due at that deadline. [`Endpoint::on_timer`] at or after it
-//!    emits one `ack(Return, cn, total, total)` — unless path 1, path 2
-//!    or a *please ack* duplicate (path 4) got there first. The owed ack
-//!    is never reported by [`Endpoint::poll_timer`], so no timer is armed
-//!    (nor its `gettimeofday` / `sigblock` / `setitimer` charged, Table
-//!    4.2) on its account: it rides whatever tick the driver armed for
-//!    this peer. That is the call's own deadline when no earlier timer
-//!    was armed; when one was (an earlier call's), the driver keeps it,
-//!    and if that tick finds the debt not yet due and nothing else
-//!    timed, no tick follows and the ack falls to path 4.
-//! 4. ***Please ack*, the fallback** (§4.2.2, §4.2.4): the callee's
-//!    retransmission timer re-sends the return's first unacknowledged
-//!    segment with *please ack* and the caller answers at once. Two
-//!    datagrams instead of one, and the only path on which liveness and
-//!    [`Event::PeerDead`] rest: it runs whenever a tick ack or a trailer
-//!    is lost, loses the race, or no tick comes.
+//! - **A one-segment return to a call this endpoint never acknowledged
+//!   explicitly** is sent once and *held*: no timer, no *please ack*
+//!   ([`MsgSender::hold`]). Its caller's call timer is its
+//!   retransmission timer. When a *please ack* duplicate of the call
+//!   arrives, the held return's segment goes back instead of an ack of
+//!   the call, without *please ack*, counted in
+//!   [`EndpointStats::retransmits`]. The return is held until the
+//!   caller's next call or an explicit ack retires it, or until its
+//!   call's replay record expires (`replay_ttl`), lazily, in the purge
+//!   every arrival runs: no timer of its own.
+//! - **Any other return** keeps its own retransmission timer: one of two
+//!   or more segments, or one to a call already acknowledged explicitly
+//!   (a slow call the caller re-sent while it ran). The callee re-sends
+//!   its first unacknowledged segment with *please ack*, and the caller
+//!   answers at once (§4.2.2, §4.2.4).
 //!
-//! The caller's tick normally wins the race with the callee's timer: the
-//! return was queued at least one `sendmsg`, one hop and the receive path
-//! after the call was. A caller pacing its calls a little over one
-//! interval apart (≈ 310 ms at the default 300) pays for path 3 just
-//! before path 1 would have made it unnecessary; that is the one band
-//! where this sends more than *please ack* alone would.
+//! Whether a call was acknowledged explicitly is a bit on its replay
+//! record. The caller owes nothing: it never acknowledges a return
+//! unasked.
+//!
+//! **Why holding is safe.** Only an acknowledgment of a call retires the
+//! caller's call sender: an explicit ack of all of it, or a segment of
+//! the return (§4.2.2). The callee sent no explicit ack, so the caller's
+//! call timer runs until the return arrives, and a one-segment return
+//! arrives whole or not at all. A lost return therefore brings the call
+//! back with *please ack* within one backed-off interval, and the callee
+//! answers it with the return. If every copy is lost for the crash
+//! horizon, the caller raises [`Event::PeerDead`]: the outcome the
+//! callee's own timer reached, by the same horizon. A return of two or
+//! more segments is different: its first segment stops the caller's
+//! timer, so it keeps a timer of its own. What holding gives up is the
+//! callee noticing a dead *caller* through a one-segment return that
+//! nobody acknowledges.
+//!
+//! The argument needs the call's record, and with it the held return, to
+//! outlive the caller's re-sends: the record is made when the call
+//! arrives, the caller's schedule ends a crash horizon after its last
+//! progress at most, and a re-send that finds the record gone is
+//! suppressed as a replay. So returns are held only where `replay_ttl` is
+//! at least [`Config::crash_horizon`] (the horizon's final wait covers
+//! the jitter): 60 s against 4.5 s by default. An endpoint configured
+//! otherwise times every return.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::config::{Config, MAX_UNANSWERED_PROBES, PROBE_INTERVAL};
 use crate::receiver::MsgReceiver;
 use crate::replay::ReplayLog;
-use crate::segment::{MsgType, Segment, SegmentError, SegmentHeader, TRAILER_LEN};
+use crate::segment::{MsgType, Segment, SegmentError, SegmentHeader};
 use crate::sender::{MsgSender, SendError, SenderTick};
 use simnet::{Payload, Time};
 
@@ -88,40 +97,19 @@ struct ProbeState {
     unanswered: u32,
 }
 
-/// A call this endpoint sent, kept until its return needs nothing more
-/// from us.
-#[derive(Clone, Copy, Debug)]
-struct SentCall {
-    call_number: u32,
-    /// Segments of the delivered return whose ack we owe; 0 while the
-    /// return is still awaited.
-    returned: u8,
-    /// The pending retransmission deadline of the call's sender when the
-    /// return's first segment retired it: when the owed ack falls due.
-    /// `None` while the sender lives, and for good if an explicit ack
-    /// retired it (the tick it names has been spent or re-armed).
-    tick: Option<Time>,
-}
-
 /// Traffic counters, used by the §4.2.5 protocol-discipline ablation and
 /// the chaos harness's serial-number-monotonicity oracle.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EndpointStats {
     /// Segments handed to the network (data, acks, and probes).
     pub segments_sent: u64,
-    /// Data segments re-sent, *please ack* set, by a retransmission
-    /// timer (a subset of `segments_sent`).
+    /// Data segments sent again: by a retransmission timer, *please ack*
+    /// set, or a held return re-sent to answer its call's *please ack*
+    /// duplicate (a subset of `segments_sent`).
     pub retransmits: u64,
     /// Explicit acknowledgments handed to the network (a subset of
     /// `segments_sent`).
     pub acks_sent: u64,
-    /// Acknowledgments of a delivered return sent on the call's own tick
-    /// (a subset of `acks_sent`).
-    pub acks_on_tick: u64,
-    /// Acknowledgments of a delivered return carried in the trailer of a
-    /// return to the same peer (not in `acks_sent`: no segment of their
-    /// own).
-    pub acks_piggybacked: u64,
     /// Largest number of out-of-order segments buffered by any receiver
     /// at once — the buffering cost the PARC discipline avoids (§4.2.5).
     pub max_recv_buffered: usize,
@@ -148,8 +136,6 @@ impl EndpointStats {
         self.segments_sent += other.segments_sent;
         self.retransmits += other.retransmits;
         self.acks_sent += other.acks_sent;
-        self.acks_on_tick += other.acks_on_tick;
-        self.acks_piggybacked += other.acks_piggybacked;
         self.max_recv_buffered = self.max_recv_buffered.max(other.max_recv_buffered);
         self.calls_delivered += other.calls_delivered;
         self.returns_delivered += other.returns_delivered;
@@ -170,8 +156,6 @@ impl EndpointStats {
             ("segments_sent", self.segments_sent),
             ("retransmits", self.retransmits),
             ("acks_sent", self.acks_sent),
-            ("acks_on_tick", self.acks_on_tick),
-            ("acks_piggybacked", self.acks_piggybacked),
             ("max_recv_buffered", self.max_recv_buffered as u64),
             ("calls_delivered", self.calls_delivered),
             ("returns_delivered", self.returns_delivered),
@@ -192,22 +176,23 @@ pub struct Endpoint {
     config: Config,
     senders: BTreeMap<(MsgType, u32), MsgSender>,
     receivers: BTreeMap<(MsgType, u32), MsgReceiver>,
-    /// Completed incoming messages, kept for re-acknowledgment and replay
-    /// suppression.
+    /// Completed incoming messages, kept for re-acknowledgment, replay
+    /// suppression, and the lifetime of held returns.
     replay: ReplayLog,
     out: VecDeque<Segment>,
     events: VecDeque<Event>,
     probe: Option<ProbeState>,
-    /// Calls we sent (never more than are in flight at once, plus the
-    /// returns delivered since the last call). One whose return has not
-    /// yet been delivered drives crash-detection probing; one whose
-    /// return has been delivered owes its ack (see the module docs).
-    sent_calls: Vec<SentCall>,
+    /// Calls we sent whose returns have not yet been delivered; drives
+    /// crash-detection probing.
+    awaiting_return: Vec<u32>,
     /// Highest call number delivered upward as a complete Call message
     /// (monotonicity audit).
     highest_delivered_call: Option<u32>,
     /// Highest call number we ourselves have sent (monotonicity audit).
     highest_sent_call: Option<u32>,
+    /// Whether one-segment returns may be held: `replay_ttl` is at least
+    /// the crash horizon (module docs).
+    hold_returns: bool,
     dead: bool,
     stats: EndpointStats,
 }
@@ -216,6 +201,7 @@ impl Endpoint {
     /// Creates an endpoint with the given configuration.
     pub fn new(config: Config) -> Endpoint {
         Endpoint {
+            hold_returns: config.replay_ttl >= config.crash_horizon(),
             config,
             senders: BTreeMap::new(),
             receivers: BTreeMap::new(),
@@ -223,7 +209,7 @@ impl Endpoint {
             out: VecDeque::new(),
             events: VecDeque::new(),
             probe: None,
-            sent_calls: Vec::new(),
+            awaiting_return: Vec::new(),
             highest_delivered_call: None,
             highest_sent_call: None,
             dead: false,
@@ -248,9 +234,10 @@ impl Endpoint {
         self.dead
     }
 
-    /// `true` when no exchange is in progress (no timers needed).
+    /// `true` when no exchange is in progress (no timers needed): at
+    /// most held returns are left.
     pub fn is_idle(&self) -> bool {
-        self.senders.is_empty() && self.probe.is_none()
+        self.senders.values().all(MsgSender::held) && self.probe.is_none()
     }
 
     /// Abandons an outstanding call (e.g. the member was dropped from the
@@ -258,7 +245,7 @@ impl Endpoint {
     /// and probing for it.
     pub fn abandon_call(&mut self, now: Time, call_number: u32) {
         self.senders.remove(&(MsgType::Call, call_number));
-        self.sent_calls.retain(|c| c.call_number != call_number);
+        self.awaiting_return.retain(|&cn| cn != call_number);
         if self.dead {
             // Dead endpoints must stay inert: re-arming a probe here could
             // drive a second give-up cycle for a peer already reported dead.
@@ -278,15 +265,15 @@ impl Endpoint {
 
     /// The newest call whose return has not yet been delivered.
     fn newest_awaited(&self) -> Option<u32> {
-        let awaited = self.sent_calls.iter().filter(|c| c.returned == 0);
-        awaited.map(|c| c.call_number).max()
+        self.awaiting_return.iter().copied().max()
     }
 
     /// Starts transmitting a message attributed to causal span `span`
     /// (0 = none). For a call the endpoint begins crash-detection probing
     /// once the call is fully acknowledged; sending a return cancels the
-    /// deferred ack it implicitly carries, and carries the oldest return
-    /// ack owed to this peer if its last segment has room.
+    /// deferred ack it implicitly carries, and a one-segment return to a
+    /// call never acknowledged explicitly is held off the clock (module
+    /// docs).
     pub fn send(
         &mut self,
         now: Time,
@@ -302,27 +289,16 @@ impl Endpoint {
         }
         let mut sender = MsgSender::new(now, &self.config, msg_type, call_number, span, data)?;
         self.out.extend(sender.initial_segments());
-        if msg_type == MsgType::Return {
-            self.settle_owed_ack_in_trailer();
+        if msg_type == MsgType::Return
+            && self.hold_returns
+            && sender.total() == 1
+            && self.replay.acked((MsgType::Call, call_number)) == Some(false)
+        {
+            // Its caller's call timer is its retransmission timer.
+            sender.hold();
         }
         self.track(sender);
         Ok(())
-    }
-
-    /// Settles the oldest owed return ack in the trailer of the segment
-    /// just queued — a return's last initial segment — if the trailer
-    /// fits under `max_segment_data`.
-    fn settle_owed_ack_in_trailer(&mut self) {
-        let Some(last) = self.out.back_mut() else {
-            return;
-        };
-        if last.data.len() + TRAILER_LEN > self.config.max_segment_data {
-            return;
-        }
-        if let Some(i) = self.sent_calls.iter().position(|c| c.returned != 0) {
-            let owed = self.sent_calls.remove(i);
-            last.acks_return = Some((owed.call_number, owed.returned));
-        }
     }
 
     /// Adopts an outgoing call whose segments a troupe-wide multicast
@@ -354,16 +330,9 @@ impl Endpoint {
     fn track(&mut self, sender: MsgSender) {
         let (msg_type, call_number) = (sender.msg_type(), sender.call_number());
         if msg_type == MsgType::Call {
-            // The call acknowledges every earlier return (§4.2.2): their
-            // acks are no longer owed.
-            self.sent_calls.retain(|c| {
-                c.call_number != call_number && (c.returned == 0 || c.call_number > call_number)
-            });
-            self.sent_calls.push(SentCall {
-                call_number,
-                returned: 0,
-                tick: None,
-            });
+            if !self.awaiting_return.contains(&call_number) {
+                self.awaiting_return.push(call_number);
+            }
             if self.highest_sent_call.is_some_and(|hi| call_number <= hi) {
                 self.stats.send_call_regressions += 1;
             }
@@ -388,7 +357,14 @@ impl Endpoint {
         if self.dead {
             return;
         }
-        self.replay.purge(now, self.config.replay_ttl);
+        let senders = &mut self.senders;
+        self.replay.purge(now, self.config.replay_ttl, |cn| {
+            // A held return lives as long as its call's record.
+            let key = (MsgType::Return, cn);
+            if senders.get(&key).is_some_and(MsgSender::held) {
+                senders.remove(&key);
+            }
+        });
         // Any arrival is a life sign: reset the probe clock (§4.2.3).
         if let Some(p) = &mut self.probe {
             p.unanswered = 0;
@@ -406,10 +382,6 @@ impl Endpoint {
         if h.ack {
             self.on_explicit_ack(h.msg_type, h.call_number, h.number, now);
             return;
-        }
-        // A trailer acknowledges one of our returns, whatever the data.
-        if let Some((call_number, total)) = seg.acks_return {
-            self.on_explicit_ack(MsgType::Return, call_number, total, now);
         }
         self.on_data_segment(now, seg);
     }
@@ -440,14 +412,13 @@ impl Endpoint {
         // any return with an earlier call number.
         match h.msg_type {
             MsgType::Return => {
-                if let Some(call) = self.senders.remove(&(MsgType::Call, h.call_number)) {
+                if self
+                    .senders
+                    .remove(&(MsgType::Call, h.call_number))
+                    .is_some()
+                {
                     // Our call is implicitly acknowledged; probing (if it
                     // had started) continues until the return completes.
-                    // The call's deadline stays due: remember when, for
-                    // the ack the return will be owed.
-                    if let Some(c) = self.sent_call_mut(h.call_number) {
-                        c.tick = call.deadline();
-                    }
                     self.arm_probe(now, h.call_number);
                 }
             }
@@ -459,18 +430,12 @@ impl Endpoint {
             }
         }
 
-        // Duplicate of an already-delivered message: re-acknowledge if
-        // asked ("subsequent please ack segments should be acknowledged
+        // Duplicate of an already-delivered message: answer it if asked
+        // ("subsequent please ack segments should be acknowledged
         // promptly", §4.2.4).
         if let Some(total) = self.replay.total_of(key) {
             if h.please_ack {
-                self.out
-                    .push_back(Segment::ack(h.msg_type, h.call_number, total, total));
-                if h.msg_type == MsgType::Return {
-                    // That was the ack we owed.
-                    self.sent_calls
-                        .retain(|c| c.call_number != h.call_number || c.returned == 0);
-                }
+                self.answer_please_ack(h, total);
             }
             return;
         }
@@ -512,6 +477,24 @@ impl Endpoint {
         }
     }
 
+    /// A *please ack* duplicate of a message delivered in full, `total`
+    /// segments: a call whose return is held gets the return again (module
+    /// docs); anything else gets an ack of the whole message, which for a
+    /// call is noted on its record.
+    fn answer_please_ack(&mut self, h: SegmentHeader, total: u8) {
+        if h.msg_type == MsgType::Call {
+            let held = self.senders.get(&(MsgType::Return, h.call_number));
+            if let Some(ret) = held.filter(|s| s.held()) {
+                self.out.push_back(ret.segment(1, false));
+                self.stats.retransmits += 1;
+                return;
+            }
+            self.replay.note_acked((MsgType::Call, h.call_number));
+        }
+        self.out
+            .push_back(Segment::ack(h.msg_type, h.call_number, total, total));
+    }
+
     /// A whole message (its last missing segment bore header `h`) has
     /// arrived: remember it, acknowledge it if due, deliver it upward.
     fn complete_message(
@@ -539,13 +522,7 @@ impl Endpoint {
             }
             MsgType::Return => {
                 self.stats.returns_delivered += 1;
-                // The return's ack is owed from the call's tick on — if
-                // the call's sender still had a deadline and the callee
-                // has not just asked for the ack outright.
-                match self.sent_call_mut(h.call_number) {
-                    Some(c) if c.tick.is_some() && !want_ack => c.returned = total,
-                    _ => self.sent_calls.retain(|c| c.call_number != h.call_number),
-                }
+                self.awaiting_return.retain(|&cn| cn != h.call_number);
                 // Exchange over: stop probing for it, but keep watch
                 // over any other call still awaiting its return.
                 if self
@@ -572,12 +549,6 @@ impl Endpoint {
         });
     }
 
-    fn sent_call_mut(&mut self, call_number: u32) -> Option<&mut SentCall> {
-        self.sent_calls
-            .iter_mut()
-            .find(|c| c.call_number == call_number)
-    }
-
     fn arm_probe(&mut self, now: Time, call_number: u32) {
         // Only probe for the newest outstanding call.
         let newer = self
@@ -602,8 +573,8 @@ impl Endpoint {
         });
     }
 
-    /// When the endpoint next needs a timer tick. An owed return ack
-    /// never asks for one: it rides a tick armed for something else.
+    /// When the endpoint next needs a timer tick. A held return never
+    /// asks for one.
     pub fn poll_timer(&self) -> Option<Time> {
         if self.dead {
             return None;
@@ -616,8 +587,7 @@ impl Endpoint {
         }
     }
 
-    /// Advances retransmission and probe clocks to `now`, and pays the
-    /// return acks that have come due.
+    /// Advances retransmission and probe clocks to `now`.
     pub fn on_timer(&mut self, now: Time) {
         if self.dead {
             return;
@@ -646,20 +616,6 @@ impl Endpoint {
             }
             _ => {}
         }
-        let (out, stats) = (&mut self.out, &mut self.stats);
-        self.sent_calls.retain(|c| {
-            let due = c.returned != 0 && c.tick.is_some_and(|t| now >= t);
-            if due {
-                out.push_back(Segment::ack(
-                    MsgType::Return,
-                    c.call_number,
-                    c.returned,
-                    c.returned,
-                ));
-                stats.acks_on_tick += 1;
-            }
-            !due
-        });
     }
 
     fn declare_dead(&mut self) {
@@ -672,7 +628,7 @@ impl Endpoint {
         self.senders.clear();
         self.receivers.clear();
         self.probe = None;
-        self.sent_calls.clear();
+        self.awaiting_return.clear();
         self.out.clear();
         self.events.push_back(Event::PeerDead);
     }
@@ -688,9 +644,6 @@ impl Endpoint {
         self.stats.segments_sent += 1;
         if seg.header.ack && !seg.header.probe {
             self.stats.acks_sent += 1;
-        }
-        if seg.acks_return.is_some() {
-            self.stats.acks_piggybacked += 1;
         }
         Some(seg)
     }
@@ -774,33 +727,63 @@ mod tests {
         assert_eq!(server.stats().duplicate_call_deliveries, 1);
     }
 
-    /// The debt dies with the exchange's other state.
+    /// What a caller keeps of the calls it sent is the calls in flight,
+    /// never a history: a delivered return, an abandoned call and a lost
+    /// peer each take their entries.
     #[test]
-    fn abandoning_a_call_or_losing_the_peer_drops_what_is_owed() {
+    fn awaited_returns_are_the_calls_in_flight() {
         let ms = |n| Time::ZERO + Duration::from_millis(n);
-        let mut client = Endpoint::new(Config::default());
-        let mut server = Endpoint::new(Config::default());
-        exchange(ms(0), 1, &mut client, &mut server);
-        assert_eq!(client.sent_calls.len(), 1);
-        client.abandon_call(ms(100), 1);
-        assert!(client.sent_calls.is_empty());
-        client.on_timer(ms(300));
-        assert_eq!(client.poll_transmit_segment(), None);
-
-        exchange(ms(1_000), 2, &mut client, &mut server);
-        client.declare_dead();
-        assert!(client.sent_calls.is_empty());
-        client.on_timer(ms(1_300));
-        assert_eq!(client.poll_transmit_segment(), None);
-
-        // The entries of a busy endpoint are the calls in flight plus the
-        // returns since the last call — never a history.
         let mut client = Endpoint::new(Config::default());
         let mut server = Endpoint::new(Config::default());
         for cn in 1..=1_000u32 {
             exchange(ms(cn as u64 * 50), cn, &mut client, &mut server);
-            assert_eq!(client.sent_calls.len(), 1);
+            assert!(client.awaiting_return.is_empty());
         }
-        assert!(client.sent_calls.capacity() <= 4);
+        assert!(client.awaiting_return.capacity() <= 4);
+
+        for cn in [1_001, 1_002] {
+            client
+                .send(ms(60_000), MsgType::Call, cn, 0, b"ping")
+                .unwrap();
+        }
+        assert_eq!(client.awaiting_return, [1_001, 1_002]);
+        client.abandon_call(ms(60_100), 1_001);
+        assert_eq!(client.awaiting_return, [1_002]);
+        client.declare_dead();
+        assert!(client.awaiting_return.is_empty());
+    }
+
+    /// A held return lives exactly as long as its call's replay record —
+    /// the first arrival at or past `replay_ttl` purges both, and no
+    /// timer is ever armed for it — and paced calls, each retiring the
+    /// return before it, leave at most one held return per peer.
+    #[test]
+    fn a_held_return_lives_as_long_as_its_calls_record() {
+        let ttl = Config::default().replay_ttl;
+        let mut client = Endpoint::new(Config::default());
+        let mut server = Endpoint::new(Config::default());
+        exchange(Time::ZERO, 1, &mut client, &mut server);
+        let held = (MsgType::Return, 1);
+        assert!(server.senders[&held].held());
+        assert_eq!(server.poll_timer(), None);
+
+        // Any arrival runs the purge; a probe reply asks for nothing back.
+        let probe = Segment::probe_reply(9);
+        server.on_segment(Time::from_micros(ttl.as_micros() - 1), probe.clone());
+        assert!(server.senders.contains_key(&held), "the record still lives");
+        server.on_segment(Time::ZERO + ttl, probe);
+        assert_eq!(server.replay.total_of((MsgType::Call, 1)), None);
+        assert!(server.senders.is_empty(), "the return went with it");
+
+        const STEP: Duration = Duration::from_secs(1);
+        let mut now = Time::ZERO + ttl;
+        for cn in 2..=20_001u32 {
+            exchange(now, cn, &mut client, &mut server);
+            assert_eq!(server.senders.len(), 1, "call {cn}");
+            assert_eq!(server.poll_timer(), None);
+            now += STEP;
+        }
+        assert!(server.senders[&(MsgType::Return, 20_001)].held());
+        assert!(server.replay.len() <= (ttl.as_micros() / STEP.as_micros()) as usize + 1);
     }
 }

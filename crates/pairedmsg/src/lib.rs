@@ -24,18 +24,17 @@
 //!   acknowledges its call; a later call acknowledges an earlier return);
 //! - the ack of a completed call is deferred in the hope the return will
 //!   serve instead (§4.2.4);
-//! - a return is acknowledged one of four ways, tried in order: by the
-//!   caller's next call, for nothing; by the caller's next return to the
-//!   callee (a call-back's), in a 5-byte trailer on a spare control bit;
-//!   failing both, by one ack the caller sends on the tick its own call
-//!   was given — no timer is armed for it, so a caller that does call
-//!   again pays nothing for the possibility; failing that, by the callee
-//!   re-sending the return with *please ack* and the caller answering,
-//!   the only path crash detection rests on.
-//!   A caller that paces its calls just past one retransmission interval
-//!   (≈ 310 ms) pays the second moments before the first would have
-//!   served: the one band where that costs more than it saves
-//!   ([`endpoint`], "How a return gets acknowledged");
+//! - a one-segment return to a call the callee never acknowledged
+//!   explicitly is sent once, with no timer: the caller's call timer is
+//!   its retransmission timer. A lost return brings the call back with
+//!   *please ack*, and the callee answers with the return; the caller
+//!   never acknowledges a return unasked. Every other return keeps the
+//!   callee's timer and *please ack*. A return of two or more segments
+//!   needs it, because its first segment stops the caller's timer; so
+//!   does one to a call already acknowledged explicitly, because that ack
+//!   stopped it. The cost is that a callee no longer notices a dead
+//!   caller through a one-segment return ([`endpoint`], "How a return
+//!   gets acknowledged", which gives the whole argument);
 //! - crash detection uses probes and timeouts (§4.2.3), surfacing
 //!   [`endpoint::Event::PeerDead`];
 //! - completed call numbers are remembered to suppress replay of delayed
@@ -63,7 +62,5 @@ pub use config::{Config, ProtocolMode};
 pub use endpoint::{Endpoint, EndpointStats, Event};
 pub use receiver::{MsgReceiver, RecvActions};
 pub use replay::ReplayLog;
-pub use segment::{
-    MsgType, Segment, SegmentError, SegmentHeader, HEADER_LEN, MAX_SEGMENTS, TRAILER_LEN,
-};
+pub use segment::{MsgType, Segment, SegmentError, SegmentHeader, HEADER_LEN, MAX_SEGMENTS};
 pub use sender::{MsgSender, SendError, SenderTick};

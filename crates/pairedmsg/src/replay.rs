@@ -5,7 +5,10 @@
 //! `replay_ttl`: while the record lives, a delayed duplicate is recognised
 //! (and re-acknowledged if it asks); once it expires, the call number
 //! folds into a *watermark* at or below which arriving calls are replays
-//! of exchanges no longer remembered.
+//! of exchanges no longer remembered. A record also says whether the
+//! message was acknowledged explicitly, which decides how the return to a
+//! remembered call is retransmitted (`endpoint`, "How a return gets
+//! acknowledged").
 //!
 //! Expiry is O(expired), not O(remembered): records are also queued in
 //! completion order, and the endpoint's clock never runs backwards, so the
@@ -30,6 +33,8 @@ pub type MsgKey = (MsgType, u32);
 struct Completed {
     total: u8,
     at: Time,
+    /// An ack of the whole message went out.
+    acked: bool,
 }
 
 /// The completed-exchange memory of one [`Endpoint`](crate::Endpoint).
@@ -60,8 +65,9 @@ impl ReplayLog {
     }
 
     /// Forgets every record completed `ttl` or longer before `now`,
-    /// folding expired call numbers into the watermark.
-    pub fn purge(&mut self, now: Time, ttl: Duration) {
+    /// folding expired call numbers into the watermark and handing each
+    /// to `expired_call`.
+    pub fn purge(&mut self, now: Time, ttl: Duration, mut expired_call: impl FnMut(u32)) {
         let before = self.watermark;
         while let Some(&(key, at)) = self.order.front() {
             if now.since(at) < ttl {
@@ -72,6 +78,7 @@ impl ReplayLog {
                 self.records.remove(&key);
                 if let (MsgType::Call, cn) = key {
                     self.watermark = Some(self.watermark.map_or(cn, |wm| wm.max(cn)));
+                    expired_call(cn);
                 }
             }
         }
@@ -86,8 +93,27 @@ impl ReplayLog {
     /// Remembers that message `key`, of `total` segments, completed at
     /// `now`.
     pub fn record(&mut self, key: MsgKey, total: u8, now: Time) {
-        self.records.insert(key, Completed { total, at: now });
+        let record = Completed {
+            total,
+            at: now,
+            acked: false,
+        };
+        self.records.insert(key, record);
         self.order.push_back((key, now));
+    }
+
+    /// Notes that the remembered message `key` was acknowledged in full,
+    /// explicitly.
+    pub fn note_acked(&mut self, key: MsgKey) {
+        if let Some(c) = self.records.get_mut(&key) {
+            c.acked = true;
+        }
+    }
+
+    /// Whether the remembered message `key` was acknowledged explicitly;
+    /// `None` if it is not remembered.
+    pub fn acked(&self, key: MsgKey) -> Option<bool> {
+        self.records.get(&key).map(|c| c.acked)
     }
 
     /// The segment count of the remembered message `key`, if it is still
@@ -158,24 +184,46 @@ mod tests {
         Time::from_micros(ms * 1_000)
     }
 
+    /// Purges, collecting the expired call numbers.
+    fn purge(log: &mut ReplayLog, now: Time) -> Vec<u32> {
+        let mut expired = Vec::new();
+        log.purge(now, TTL, |cn| expired.push(cn));
+        expired
+    }
+
     #[test]
     fn records_expire_into_the_watermark() {
         let mut log = ReplayLog::new();
         log.record((MsgType::Call, 5), 1, at(0));
         log.record((MsgType::Return, 9), 3, at(10));
         log.record((MsgType::Call, 4), 1, at(20));
-        log.purge(at(59_999), TTL);
+        assert!(purge(&mut log, at(59_999)).is_empty());
         assert_eq!(log.len(), 3);
         assert_eq!(log.watermark(), None);
-        log.purge(at(60_010), TTL);
+        assert_eq!(purge(&mut log, at(60_010)), [5], "returns are not calls");
         assert_eq!(log.keys(), vec![(MsgType::Call, 4)]);
         assert_eq!(log.total_of((MsgType::Return, 9)), None);
         assert_eq!(log.watermark(), Some(5), "returns do not move it");
         assert!(log.suppresses(5) && log.suppresses(1) && !log.suppresses(6));
         // The lower-numbered straggler expires without lowering it.
-        log.purge(at(60_020), TTL);
+        assert_eq!(purge(&mut log, at(60_020)), [4]);
         assert!(log.is_empty());
         assert_eq!(log.watermark(), Some(5));
+    }
+
+    #[test]
+    fn the_acked_bit_lives_and_dies_with_its_record() {
+        let mut log = ReplayLog::new();
+        let key = (MsgType::Call, 3);
+        assert_eq!(log.acked(key), None);
+        log.note_acked(key);
+        assert_eq!(log.acked(key), None, "nothing to mark");
+        log.record(key, 1, at(0));
+        assert_eq!(log.acked(key), Some(false));
+        log.note_acked(key);
+        assert_eq!(log.acked(key), Some(true));
+        assert_eq!(purge(&mut log, at(60_000)), [3]);
+        assert_eq!(log.acked(key), None);
     }
 
     #[test]
@@ -183,9 +231,9 @@ mod tests {
         let mut log = ReplayLog::new();
         log.record((MsgType::Return, 1), 1, at(0));
         log.record((MsgType::Return, 1), 2, at(30_000));
-        log.purge(at(60_000), TTL);
+        purge(&mut log, at(60_000));
         assert_eq!(log.total_of((MsgType::Return, 1)), Some(2));
-        log.purge(at(90_000), TTL);
+        purge(&mut log, at(90_000));
         assert!(log.is_empty());
     }
 
@@ -197,7 +245,7 @@ mod tests {
             log.record((MsgType::Call, cn), 1, at(cn as u64));
         }
         assert!(!log.note_call_delivered(2), "duplicate above the watermark");
-        log.purge(at(60_002), TTL);
+        assert_eq!(purge(&mut log, at(60_002)), [1, 2]);
         assert_eq!(log.watermark(), Some(2));
         assert_eq!(log.delivered_calls.iter().copied().collect::<Vec<_>>(), [3]);
     }

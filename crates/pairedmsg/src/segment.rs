@@ -5,8 +5,7 @@
 //!
 //! ```text
 //! byte 0       message type (0 = call, 1 = return)
-//! byte 1       control bits (bit 0 = please ack, bit 1 = ack, bit 2 = probe,
-//!              bit 3 = ack trailer)
+//! byte 1       control bits (bit 0 = please ack, bit 1 = ack, bit 2 = probe)
 //! byte 2       total segments in the message (1..=255)
 //! byte 3       segment number (data: 1..=total; ack: ack number 0..=total)
 //! bytes 4..8   call number, most significant byte first
@@ -18,26 +17,11 @@
 //! one-to-many fan-out is reconstructable from the wire alone. Control
 //! segments (acks, probes) carry span 0.
 //!
-//! The probe bit and the ack-trailer bit occupy two of the paper's six
-//! unused control bits. The paper's crash-detection probes are "special
-//! control segments" (§4.2.3) and the probe bit is their encoding. The
-//! ack-trailer bit marks a *data* segment whose datagram ends, after its
-//! data, in 5 more bytes:
-//!
-//! ```text
-//! bytes 0..4   call number of a return the sender holds in full, MSB first
-//! byte 4       that return's segment count (1..=255)
-//! ```
-//!
-//! They acknowledge that whole return, as an ack segment
-//! `ack(Return, cn, count, count)` would, without a datagram of their
-//! own: an owed return ack rides the sender's next return to the same
-//! peer (`endpoint`, "How a return gets acknowledged"). The header is the
-//! same 16 bytes either way. The bit on an ack or a probe, a datagram too
-//! short to hold header and trailer, and a count of 0 are garbled.
+//! The probe bit occupies one of the paper's six unused control bits: the
+//! paper's crash-detection probes are "special control segments" (§4.2.3)
+//! and this is their encoding.
 
 use std::fmt;
-use std::ops::Range;
 
 use simnet::Payload;
 
@@ -95,14 +79,9 @@ pub const MAX_SEGMENTS: usize = 255;
 /// with no slack; an assertion in [`crate::config`] ties the two.
 pub const HEADER_LEN: usize = 16;
 
-/// Size of the ack trailer a data segment carries when control bit 3 is
-/// set: a call number and a segment count.
-pub const TRAILER_LEN: usize = 5;
-
-const PLEASE_ACK: u8 = 0b0001;
-const ACK: u8 = 0b0010;
-const PROBE: u8 = 0b0100;
-const ACK_TRAILER: u8 = 0b1000;
+const PLEASE_ACK: u8 = 0b001;
+const ACK: u8 = 0b010;
+const PROBE: u8 = 0b100;
 
 /// A decoded segment header.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -127,8 +106,7 @@ pub struct SegmentHeader {
     pub span: u64,
 }
 
-/// A whole segment: header plus (for data segments) payload bytes and
-/// an optional ack trailer.
+/// A whole segment: header plus (for data segments) payload bytes.
 ///
 /// The payload is a [`Payload`] handle: cloning a segment (retransmission
 /// queues, troupe blasts) shares the underlying bytes.
@@ -138,9 +116,6 @@ pub struct Segment {
     pub header: SegmentHeader,
     /// Payload; empty for control segments.
     pub data: Payload,
-    /// The ack trailer (data segments only): `(call number, segment
-    /// count)` of a return the sender acknowledges in full.
-    pub acks_return: Option<(u32, u8)>,
 }
 
 /// Errors decoding a segment from a datagram.
@@ -157,9 +132,6 @@ pub enum SegmentError {
         /// The claimed segment number.
         number: u8,
     },
-    /// The ack-trailer bit on an ack or a probe, on a datagram too short
-    /// to hold header and trailer, or naming a return of 0 segments.
-    BadTrailer,
 }
 
 impl fmt::Display for SegmentError {
@@ -170,7 +142,6 @@ impl fmt::Display for SegmentError {
             SegmentError::BadPosition { total, number } => {
                 write!(f, "bad segment position {number}/{total}")
             }
-            SegmentError::BadTrailer => write!(f, "malformed ack trailer"),
         }
     }
 }
@@ -201,7 +172,6 @@ impl Segment {
                 span,
             },
             data: data.into(),
-            acks_return: None,
         }
     }
 
@@ -220,7 +190,6 @@ impl Segment {
                 span: 0,
             },
             data: Payload::empty(),
-            acks_return: None,
         }
     }
 
@@ -238,7 +207,6 @@ impl Segment {
                 span: 0,
             },
             data: Payload::empty(),
-            acks_return: None,
         }
     }
 
@@ -256,7 +224,6 @@ impl Segment {
                 span: 0,
             },
             data: Payload::empty(),
-            acks_return: None,
         }
     }
 
@@ -278,44 +245,38 @@ impl Segment {
         if h.probe {
             bits |= PROBE;
         }
-        if self.acks_return.is_some() {
-            bits |= ACK_TRAILER;
-        }
-        let end = HEADER_LEN + self.data.len();
-        let len = end + self.acks_return.map_or(0, |_| TRAILER_LEN);
-        Payload::build(len, |out| {
+        Payload::build(HEADER_LEN + self.data.len(), |out| {
             out[0] = h.msg_type.to_byte();
             out[1] = bits;
             out[2] = h.total;
             out[3] = h.number;
             out[4..8].copy_from_slice(&h.call_number.to_be_bytes());
             out[8..HEADER_LEN].copy_from_slice(&h.span.to_be_bytes());
-            out[HEADER_LEN..end].copy_from_slice(&self.data);
-            if let Some((call_number, total)) = self.acks_return {
-                out[end..end + 4].copy_from_slice(&call_number.to_be_bytes());
-                out[end + 4] = total;
-            }
+            out[HEADER_LEN..].copy_from_slice(&self.data);
         })
     }
 
     /// Decodes a received datagram into a segment. The segment's data is
     /// a zero-copy window into `payload` (sharing its allocation).
     pub fn decode(payload: &Payload) -> Result<Segment, SegmentError> {
-        Segment::decode_with(payload, |data| payload.slice(data))
+        let header = Segment::decode_header(payload)?;
+        Ok(Segment {
+            header,
+            data: payload.slice(HEADER_LEN..payload.len()),
+        })
     }
 
     /// Decodes a borrowed byte slice into a segment, copying the data
     /// bytes out (the boundary case for callers without a [`Payload`]).
     pub fn decode_bytes(bytes: &[u8]) -> Result<Segment, SegmentError> {
-        Segment::decode_with(bytes, |data| Payload::copy_from(&bytes[data]))
+        let header = Segment::decode_header(bytes)?;
+        Ok(Segment {
+            header,
+            data: Payload::copy_from(&bytes[HEADER_LEN..]),
+        })
     }
 
-    /// Decodes `bytes`, taking the data from the range of them it
-    /// occupies with `data`.
-    fn decode_with(
-        bytes: &[u8],
-        data: impl FnOnce(Range<usize>) -> Payload,
-    ) -> Result<Segment, SegmentError> {
+    fn decode_header(bytes: &[u8]) -> Result<SegmentHeader, SegmentError> {
         if bytes.len() < HEADER_LEN {
             return Err(SegmentError::Truncated);
         }
@@ -342,27 +303,7 @@ impl Segment {
         if header.ack && !header.probe && number > total {
             return Err(SegmentError::BadPosition { total, number });
         }
-        let (end, acks_return) = if bits & ACK_TRAILER == 0 {
-            (bytes.len(), None)
-        } else {
-            if !is_data || bytes.len() < HEADER_LEN + TRAILER_LEN {
-                return Err(SegmentError::BadTrailer);
-            }
-            let end = bytes.len() - TRAILER_LEN;
-            let t = &bytes[end..];
-            if t[4] == 0 {
-                return Err(SegmentError::BadTrailer);
-            }
-            (
-                end,
-                Some((u32::from_be_bytes([t[0], t[1], t[2], t[3]]), t[4])),
-            )
-        };
-        Ok(Segment {
-            header,
-            data: data(HEADER_LEN..end),
-            acks_return,
-        })
+        Ok(header)
     }
 
     /// Returns `true` for a data segment (neither ack nor probe).
@@ -393,90 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn trailer_round_trips_and_leaves_the_header_alone() {
-        let plain = Segment::data(MsgType::Return, 42, 77, 3, 3, false, vec![9, 9, 9]);
-        let mut carrier = plain.clone();
-        carrier.acks_return = Some((0x0102_0304, 6));
-        let (plain_wire, wire) = (plain.encode(), carrier.encode());
-        assert_eq!(wire.len(), HEADER_LEN + 3 + TRAILER_LEN);
-        assert_eq!(&wire[HEADER_LEN + 3..], &[1, 2, 3, 4, 6]);
-        // Only bit 3 of the control byte tells the two headers apart.
-        assert_eq!(wire[1], plain_wire[1] | ACK_TRAILER);
-        assert_eq!(wire[0], plain_wire[0]);
-        assert_eq!(&wire[2..HEADER_LEN], &plain_wire[2..HEADER_LEN]);
-        let back = Segment::decode(&wire).unwrap();
-        assert_eq!(back, carrier);
-        assert_eq!(back.data, b"\x09\x09\x09", "the trailer is not data");
-        assert_eq!(Segment::decode_bytes(&wire).unwrap(), carrier);
-        assert_eq!(Segment::decode(&plain_wire).unwrap().acks_return, None);
-        // An empty message carries one too.
-        let mut empty = Segment::data(MsgType::Return, 1, 0, 1, 1, false, Vec::new());
-        empty.acks_return = Some((7, 1));
-        assert_eq!(Segment::decode(&empty.encode()).unwrap(), empty);
-    }
-
-    /// The bit on a control segment, a datagram with no room for the 5
-    /// bytes it promises, and a return of no segments are all garbled.
-    #[test]
-    fn malformed_trailers_rejected() {
-        for control in [
-            Segment::ack(MsgType::Return, 7, 1, 1),
-            Segment::probe(7),
-            Segment::probe_reply(7),
-        ] {
-            let mut bytes = control.encode().to_vec();
-            bytes[1] |= ACK_TRAILER;
-            bytes.extend_from_slice(&[0, 0, 0, 7, 1]);
-            assert_eq!(
-                Segment::decode_bytes(&bytes),
-                Err(SegmentError::BadTrailer),
-                "{control:?}"
-            );
-        }
-        let mut carrier = Segment::data(MsgType::Return, 1, 0, 1, 1, false, Vec::new());
-        carrier.acks_return = Some((7, 1));
-        let wire = carrier.encode();
-        for len in HEADER_LEN..HEADER_LEN + TRAILER_LEN {
-            assert_eq!(
-                Segment::decode_bytes(&wire[..len]),
-                Err(SegmentError::BadTrailer),
-                "length {len}"
-            );
-        }
-        let mut zero = wire.to_vec();
-        zero[HEADER_LEN + 4] = 0;
-        assert_eq!(Segment::decode_bytes(&zero), Err(SegmentError::BadTrailer));
-        // A plain data segment's last five bytes read as a trailer once
-        // the bit is flipped on: the data shrinks by them.
-        let mut flipped = Segment::data(MsgType::Call, 1, 0, 1, 1, false, vec![0, 0, 0, 0, 9, 2])
-            .encode()
-            .to_vec();
-        flipped[1] |= ACK_TRAILER;
-        let s = Segment::decode_bytes(&flipped).unwrap();
-        assert_eq!((s.data.to_vec(), s.acks_return), (vec![0], Some((9, 2))));
-    }
-
-    /// A segment whose data leaves the trailer room encodes to exactly one
-    /// frame at the default grain; a full one would not fit.
-    #[test]
-    fn trailer_fits_the_mtu_only_under_a_full_segment() {
-        let grain = crate::Config::default().max_segment_data;
-        let mut carrier = Segment::data(
-            MsgType::Return,
-            1,
-            0,
-            1,
-            1,
-            false,
-            vec![0; grain - TRAILER_LEN],
-        );
-        carrier.acks_return = Some((u32::MAX, 255));
-        assert_eq!(carrier.encode().len(), simnet::net::ETHERNET_MTU);
-        carrier.data = Payload::from(vec![0; grain]);
-        assert!(carrier.encode().len() > simnet::net::ETHERNET_MTU);
-    }
-
-    #[test]
     fn probe_round_trips() {
         let p = Segment::probe(100);
         let back = Segment::decode(&p.encode()).unwrap();
@@ -503,19 +360,12 @@ mod tests {
         if h.probe {
             bits |= PROBE;
         }
-        if s.acks_return.is_some() {
-            bits |= ACK_TRAILER;
-        }
         out.push(bits);
         out.push(h.total);
         out.push(h.number);
         out.extend_from_slice(&h.call_number.to_be_bytes());
         out.extend_from_slice(&h.span.to_be_bytes());
         out.extend_from_slice(&s.data);
-        if let Some((call_number, total)) = s.acks_return {
-            out.extend_from_slice(&call_number.to_be_bytes());
-            out.push(total);
-        }
         out
     }
 
@@ -530,14 +380,6 @@ mod tests {
             Segment::ack(MsgType::Call, 0x0102_0304, 1, 1),
             Segment::probe(100),
             Segment::probe_reply(100),
-            Segment {
-                acks_return: Some((0x0A0B_0C0D, 3)),
-                ..Segment::data(MsgType::Return, 9, 5, 2, 2, false, vec![1, 2])
-            },
-            Segment {
-                acks_return: Some((1, 255)),
-                ..Segment::data(MsgType::Return, 1, 0, 1, 1, true, Vec::new())
-            },
         ] {
             let wire = s.encode();
             assert_eq!(wire, encode_via_vec(&s), "{s:?}");

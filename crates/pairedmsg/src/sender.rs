@@ -4,7 +4,9 @@
 //! transmits every segment with no control bits, then periodically
 //! retransmits the first unacknowledged segment with *please ack* set,
 //! while removing acknowledged segments from its queue. Transmission is
-//! complete when the queue is empty.
+//! complete when the queue is empty. A held message ([`MsgSender::hold`])
+//! is never retransmitted on a timer: the endpoint re-sends it when
+//! asked.
 //!
 //! Acknowledgment numbers are cumulative, so the queue of unacknowledged
 //! segments is always the suffix `acked + 1 ..= total`: the sender keeps
@@ -52,7 +54,9 @@ pub struct MsgSender {
     total: u8,
     /// Highest segment number acknowledged so far.
     acked: u8,
-    next_retransmit: Time,
+    /// When the next retransmission is due; `None` once the message is
+    /// held off the clock ([`MsgSender::hold`]).
+    next_retransmit: Option<Time>,
     jitter_permille: u32,
     jitter_seed: u64,
     retries: u32,
@@ -106,7 +110,7 @@ impl MsgSender {
             chunk,
             total: n_segments as u8,
             acked: 0,
-            next_retransmit: now + RETRANSMIT_INTERVAL,
+            next_retransmit: Some(now + RETRANSMIT_INTERVAL),
             jitter_permille: config.jitter_permille,
             jitter_seed: config.jitter_seed,
             retries: 0,
@@ -187,6 +191,18 @@ impl MsgSender {
         (1..=self.sent_through).map(move |n| self.segment(n, parc && self.parc_please_ack(n)))
     }
 
+    /// Takes the message off the retransmission clock: it has been sent
+    /// once, and nothing re-sends it unless asked. An acknowledgment still
+    /// completes it.
+    pub fn hold(&mut self) {
+        self.next_retransmit = None;
+    }
+
+    /// `true` for a message [`MsgSender::hold`] took off the clock.
+    pub fn held(&self) -> bool {
+        self.next_retransmit.is_none()
+    }
+
     /// Records that every segment has already been handed to the network
     /// by other means (a troupe-wide multicast, §4.3.3): retransmission
     /// and acknowledgment tracking proceed as if the eager initial
@@ -207,7 +223,9 @@ impl MsgSender {
             self.acked = acked;
             // Progress resets the backoff to the base interval.
             self.retries = 0;
-            self.next_retransmit = now + self.jittered_interval();
+            if !self.held() {
+                self.next_retransmit = Some(now + self.jittered_interval());
+            }
         }
         if self.mode == ProtocolMode::Parc
             && ack_number >= self.sent_through
@@ -232,25 +250,26 @@ impl MsgSender {
         self.acked == self.total
     }
 
-    /// When the next retransmission is due (`None` once complete).
+    /// When the next retransmission is due (`None` once complete, and
+    /// while held).
     pub fn deadline(&self) -> Option<Time> {
         if self.complete() {
             None
         } else {
-            Some(self.next_retransmit)
+            self.next_retransmit
         }
     }
 
     /// Advances the retransmission clock.
     pub fn on_tick(&mut self, now: Time) -> SenderTick {
-        if self.complete() || now < self.next_retransmit {
+        if self.deadline().is_none_or(|due| now < due) {
             return SenderTick::Idle;
         }
         if self.retries >= self.max_retries {
             return SenderTick::GiveUp;
         }
         self.retries += 1;
-        self.next_retransmit = now + self.jittered_interval();
+        self.next_retransmit = Some(now + self.jittered_interval());
         // PARC mode holds later segments back, but never the first
         // unacknowledged one: `on_ack` releases it with the ack before it.
         debug_assert!(self.acked < self.sent_through);
@@ -372,6 +391,18 @@ mod tests {
             MsgSender::new(Time::ZERO, &config(), MsgType::Call, 1, 0, b"abcdefgh").unwrap();
         s.ack_all();
         assert!(s.complete());
+    }
+
+    #[test]
+    fn held_message_has_no_deadline_until_acknowledged() {
+        let mut s = MsgSender::new(Time::ZERO, &config(), MsgType::Return, 1, 0, b"x").unwrap();
+        let _ = s.initial_segments().count();
+        s.hold();
+        assert!(s.held());
+        assert_eq!(s.deadline(), None);
+        assert_eq!(s.on_tick(Time::from_secs(3_600)), SenderTick::Idle);
+        assert_eq!(s.on_ack(Time::ZERO, 1), None);
+        assert!(s.complete() && s.held());
     }
 
     #[test]

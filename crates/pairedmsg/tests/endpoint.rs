@@ -1,10 +1,10 @@
 //! Integration tests driving two endpoints against each other through an
-//! in-memory "wire" with controllable loss, and the transcripts of who
-//! acknowledges what, when (`endpoint`'s "How a return gets
+//! in-memory "wire" with controllable loss, and the transcripts of whose
+//! clock re-sends a lost return (`endpoint`'s "How a return gets
 //! acknowledged"), carried by hand over the same wire.
 
 use pairedmsg::config::RETRANSMIT_INTERVAL;
-use pairedmsg::{Config, Endpoint, Event, MsgSender, MsgType, Segment, SendError, TRAILER_LEN};
+use pairedmsg::{Config, Endpoint, Event, MsgSender, MsgType, Segment, SendError};
 use simnet::{Duration, Time};
 
 fn ms(n: u64) -> Time {
@@ -12,8 +12,7 @@ fn ms(n: u64) -> Time {
 }
 
 /// One line per segment, for transcripts: `C1 2/3 please-ack`,
-/// `ack R1 3`, `probe 1`, and a data segment's ack trailer after a `+`:
-/// `R1 1/1 +ack R7 1`.
+/// `ack R1 3`, `probe 1`.
 fn show(seg: &Segment) -> String {
     let h = seg.header;
     let t = match h.msg_type {
@@ -21,7 +20,7 @@ fn show(seg: &Segment) -> String {
         MsgType::Return => 'R',
     };
     let cn = h.call_number;
-    let line = match (h.probe, h.ack) {
+    match (h.probe, h.ack) {
         (true, false) => format!("probe {cn}"),
         (true, true) => format!("probe-reply {cn}"),
         (false, true) => format!("ack {t}{cn} {}", h.number),
@@ -29,10 +28,6 @@ fn show(seg: &Segment) -> String {
             format!("{t}{cn} {}/{} please-ack", h.number, h.total)
         }
         (false, false) => format!("{t}{cn} {}/{}", h.number, h.total),
-    };
-    match seg.acks_return {
-        Some((acked, total)) => format!("{line} +ack R{acked} {total}"),
-        None => line,
     }
 }
 
@@ -161,9 +156,8 @@ fn simple_exchange_no_loss() {
 
 #[test]
 fn exchange_uses_minimal_packets() {
-    // Fast path: one datagram per direction (deferred ack + implicit ack),
-    // plus the idle-return explicit ack round (return retransmitted with
-    // please-ack, then acked).
+    // One datagram per direction: the call's ack is deferred, the return
+    // acknowledges the call, and the return is held, not timed.
     let (mut client, mut server) = pair();
     let mut wire = Wire::new();
     client.send(wire.now, MsgType::Call, 1, 0, b"x").unwrap();
@@ -195,10 +189,10 @@ fn back_to_back_calls_implicitly_ack_returns() {
     // 10 calls + 10 returns, no acks needed in steady state: each call
     // implicitly acknowledges the previous return.
     assert_eq!(wire.counter, 20);
-    // Only the final return remains unacknowledged (server will
-    // retransmit it once, then get an explicit ack).
-    wire.tick_round(&mut client, &mut server);
-    assert!(server.poll_timer().is_none() || server.is_idle());
+    // The final return is held: nothing is timed on either side.
+    assert_eq!(client.poll_timer(), None);
+    assert_eq!(server.poll_timer(), None);
+    assert!(client.is_idle() && server.is_idle());
 }
 
 #[test]
@@ -300,15 +294,17 @@ fn replay_after_completion_is_reacked_not_redelivered() {
         .unwrap();
     wire.settle(&mut client, &mut server);
     expect_message(&mut client, MsgType::Return, 1);
+    // The next call retires the held return.
+    exchange(10, 2, &mut client, &mut server);
 
-    // A delayed duplicate of the call arrives with please-ack: the server
+    // A delayed duplicate of call 1 arrives with please-ack: the server
     // re-acks (so the sender stops) but does not re-deliver.
     let mut seg = Segment::decode(&call_bytes).unwrap();
     seg.header.please_ack = true;
     server.on_segment(wire.now, seg);
     assert!(server.poll_event().is_none());
     let out = server.poll_transmit_segment().unwrap();
-    assert!(out.header.ack);
+    assert_eq!(show(&out), "ack C1 1");
 }
 
 #[test]
@@ -786,195 +782,152 @@ fn exchange(at: u64, cn: u32, client: &mut Endpoint, server: &mut Endpoint) -> V
     crossed
 }
 
-/// A return no later call acknowledges is acknowledged once, by its
-/// caller, on the tick the call was given — and that is the whole
-/// cost: the callee never re-sends it.
+/// Ticks both endpoints at each of `ticks` ms and carries what they send.
+fn tick_at(ticks: &[u64], client: &mut Endpoint, server: &mut Endpoint) -> Vec<String> {
+    let mut wire = Wire::new();
+    let mut crossed = Vec::new();
+    for &tick in ticks {
+        client.on_timer(ms(tick));
+        server.on_timer(ms(tick));
+        crossed.extend(wire.at(tick).settle(client, server));
+    }
+    crossed
+}
+
+/// An idle exchange is its two messages and nothing more: the callee
+/// holds its one-segment return with no timer, and the caller never
+/// acknowledges it unasked.
 #[test]
-fn idle_return_is_acked_once_on_the_calls_own_tick() {
+fn idle_exchange_is_the_call_and_the_return_only() {
     let (mut client, mut server) = pair();
     let crossed = exchange(0, 1, &mut client, &mut server);
     assert_eq!(crossed, ["C1 1/1", "R1 1/1"]);
-
-    // The owed ack asks for no timer of its own.
-    assert_eq!(client.poll_timer(), None);
-    assert!(client.is_idle());
-    assert_eq!(server.poll_timer(), Some(ms(SERVICE_MS + 300)));
-
-    // The tick the driver armed when call 1 went out: 300 ms, exactly.
-    client.on_timer(ms(300));
-    let mut wire = Wire::new();
-    assert_eq!(wire.at(305).carry(&mut client, &mut server), ["ack R1 1"]);
-    let s = client.stats();
-    assert_eq!((s.acks_sent, s.acks_on_tick, s.retransmits), (1, 1, 0));
-
-    // The callee is done; its own tick, 35 ms later, has nothing to do.
-    assert!(server.is_idle());
     assert_eq!(server.poll_timer(), None);
-    server.on_timer(ms(SERVICE_MS + 300));
-    assert_eq!(server.poll_transmit_segment(), None);
-    assert_eq!(server.stats().retransmits, 0);
-
-    // And the ack is paid once.
-    client.on_timer(ms(600));
-    assert_eq!(client.poll_transmit_segment(), None);
-}
-
-/// A caller that calls again before its tick acknowledges the return
-/// the way §4.2.2 says, for nothing: no explicit ack is ever sent.
-#[test]
-fn next_call_before_the_tick_cancels_the_owed_ack() {
-    let (mut client, mut server) = pair();
-    exchange(0, 1, &mut client, &mut server);
-    assert_eq!(server.poll_timer(), Some(ms(SERVICE_MS + 300)));
-
-    let crossed = exchange(100, 2, &mut client, &mut server);
-    assert_eq!(crossed, ["C2 1/1", "R2 1/1"]);
-    assert_eq!(
-        server.poll_timer(),
-        Some(ms(100 + SERVICE_MS + 300)),
-        "call 2 retired return 1: only return 2 is still timed"
-    );
-
-    // Call 1's tick finds nothing owed for it; call 2's pays for 2.
-    client.on_timer(ms(300));
-    assert_eq!(client.poll_transmit_segment(), None);
-    client.on_timer(ms(400));
-    let mut wire = Wire::new();
-    assert_eq!(wire.at(400).carry(&mut client, &mut server), ["ack R2 1"]);
-    assert_eq!(client.stats().acks_sent, 1);
-    assert_eq!(server.stats().acks_sent, 0);
-}
-
-/// The tick ack is an optimization the *please ack* path backs up:
-/// lost, it costs what the parent protocol always paid, and the
-/// prompt ack that answers the re-send is the last one.
-#[test]
-fn lost_tick_ack_falls_back_to_please_ack() {
-    let (mut client, mut server) = pair();
-    exchange(0, 1, &mut client, &mut server);
-    client.on_timer(ms(300));
-    let lost = client.poll_transmit_segment().expect("the tick ack");
-    assert_eq!(show(&lost), "ack R1 1");
-
-    let due = server.poll_timer().expect("return unacknowledged");
-    assert_eq!(due, ms(SERVICE_MS + 300));
-    server.on_timer(due);
-    let mut wire = Wire::new();
-    assert_eq!(
-        wire.at(SERVICE_MS + 300).settle(&mut server, &mut client),
-        ["R1 1/1 please-ack", "ack R1 1"]
-    );
-    assert!(server.is_idle());
-    assert!(client.poll_event().is_none(), "not delivered twice");
-    let (c, s) = (client.stats(), server.stats());
-    assert_eq!((c.acks_sent, c.acks_on_tick, s.retransmits), (2, 1, 1));
-
-    client.on_timer(ms(900));
-    assert_eq!(client.poll_transmit_segment(), None);
-}
-
-/// When the callee's timer wins the race (the caller's tick is late),
-/// the *please ack* duplicate is answered at once and settles the
-/// debt: the tick, when it comes, sends nothing.
-#[test]
-fn please_ack_duplicate_settles_the_owed_ack() {
-    let (mut client, mut server) = pair();
-    exchange(0, 1, &mut client, &mut server);
-    server.on_timer(ms(SERVICE_MS + 300));
-    let mut wire = Wire::new();
-    assert_eq!(
-        wire.at(SERVICE_MS + 300).settle(&mut server, &mut client),
-        ["R1 1/1 please-ack", "ack R1 1"]
-    );
-
-    client.on_timer(ms(350));
-    assert_eq!(client.poll_transmit_segment(), None);
-    assert_eq!(client.stats().acks_on_tick, 0);
-
-    // A plain duplicate (the network's, no *please ack*) is ignored
-    // and leaves a debt standing.
-    exchange(1_000, 2, &mut client, &mut server);
-    let dup = Segment::data(MsgType::Return, 2, 0, 1, 1, false, b"ok".to_vec());
-    client.on_segment(ms(1_100), dup);
-    assert_eq!(client.poll_transmit_segment(), None);
-    client.on_timer(ms(1_300));
-    assert_eq!(wire.at(1_300).carry(&mut client, &mut server), ["ack R2 1"]);
-}
-
-/// The ack covers the whole return, and is owed only once the whole
-/// return is here — though the deadline was fixed by its first segment.
-#[test]
-fn multi_segment_return_is_acked_in_full() {
-    let (mut client, mut server) = pair_with(small_segments());
-    let mut wire = Wire::new();
-    client.send(ms(0), MsgType::Call, 1, 0, b"args").unwrap();
-    wire.carry(&mut client, &mut server);
-    expect_message(&mut server, MsgType::Call, 1);
-    server
-        .send(ms(40), MsgType::Return, 1, 0, b"abcdefghij")
-        .unwrap();
-
-    // Two of three segments arrive; the third is delayed past the tick.
-    let first = server.poll_transmit_segment().unwrap();
-    let second = server.poll_transmit_segment().unwrap();
-    let third = server.poll_transmit_segment().unwrap();
-    client.on_segment(ms(50), first);
-    client.on_segment(ms(50), second);
-    // The call is implicitly acknowledged: its 300 ms deadline is gone
-    // and only the probe for the unfinished return is timed.
-    assert!(client.poll_timer().is_some_and(|t| t > ms(300)));
-    client.on_timer(ms(300));
-    assert!(
-        wire.at(300).carry(&mut client, &mut server).is_empty(),
-        "nothing owed yet"
-    );
-
-    client.on_segment(ms(310), third);
-    assert!(client.poll_event().is_some());
-    // The call's tick has passed: whichever tick comes next pays.
-    client.on_timer(ms(320));
-    assert_eq!(wire.at(320).carry(&mut client, &mut server), ["ack R1 3"]);
-    assert!(server.is_idle(), "all three acknowledged");
-}
-
-/// An owed ack waits for its own deadline — a tick armed for an older
-/// exchange does not pay it early — and never shows in `poll_timer`.
-#[test]
-fn early_tick_pays_nothing_and_poll_timer_ignores_the_debt() {
-    let (mut client, mut server) = pair();
-    exchange(0, 1, &mut client, &mut server);
-    exchange(200, 2, &mut client, &mut server);
-    assert_eq!(client.poll_timer(), None, "no sender, no probe");
-
-    // Call 1's tick: call 2's ack is not due for another 200 ms.
-    client.on_timer(ms(300));
-    assert_eq!(client.poll_transmit_segment(), None);
     assert_eq!(client.poll_timer(), None);
-    client.on_timer(ms(499));
-    assert_eq!(client.poll_transmit_segment(), None);
-    client.on_timer(ms(500));
-    let mut wire = Wire::new();
-    assert_eq!(wire.at(500).carry(&mut client, &mut server), ["ack R2 1"]);
-
-    // With a call in flight the timer is the call's, nothing else's.
-    exchange(1_000, 3, &mut client, &mut server);
-    client
-        .send(ms(1_100), MsgType::Call, 4, 0, b"args")
-        .unwrap();
-    assert_eq!(client.poll_timer(), Some(ms(1_400)));
+    assert!(tick_at(&[300, 340, 5_000], &mut client, &mut server).is_empty());
+    for s in [client.stats(), server.stats()] {
+        assert_eq!((s.acks_sent, s.retransmits, s.segments_sent), (0, 0, 1));
+    }
 }
 
-/// Liveness does not rest on the new path: a caller that dies holding
-/// a return costs the callee every permitted re-send and ends in
-/// `PeerDead` at the crash horizon, as before.
+/// A lost return is recovered on the caller's clock: its call timer
+/// re-sends the call with *please ack* at call + 300 ms, and the callee
+/// answers with the return itself — no *please ack* on it, and no ack of
+/// the call. Lost again, the same happens one backed-off interval later.
 #[test]
-fn dead_caller_still_ends_in_peer_dead_at_the_crash_horizon() {
+fn lost_return_is_recovered_by_the_callers_call_timer() {
     let config = Config {
         jitter_permille: 0,
         ..Config::default()
     };
+    let (mut client, mut server) = pair_with(config);
+    // The return, then its first re-send.
+    let mut wire = Wire::dropping(vec![1, 3]);
+    client.send(ms(0), MsgType::Call, 1, 0, b"args").unwrap();
+    wire.settle(&mut client, &mut server);
+    expect_message(&mut server, MsgType::Call, 1);
+    server
+        .send(ms(SERVICE_MS), MsgType::Return, 1, 0, b"ok")
+        .unwrap();
+    assert_eq!(
+        wire.at(SERVICE_MS).settle(&mut server, &mut client),
+        ["R1 1/1"]
+    );
+    assert!(client.poll_event().is_none(), "lost");
+    assert_eq!(server.poll_timer(), None, "the callee times nothing");
+
+    let mut crossed = Vec::new();
+    for due in [300, 900] {
+        assert_eq!(client.poll_timer(), Some(ms(due)));
+        client.on_timer(ms(due));
+        crossed.extend(wire.at(due).settle(&mut client, &mut server));
+    }
+    assert_eq!(
+        crossed,
+        ["C1 1/1 please-ack", "R1 1/1", "C1 1/1 please-ack", "R1 1/1"]
+    );
+    assert_eq!(expect_message(&mut client, MsgType::Return, 1), b"ok");
+    assert!(server.poll_event().is_none(), "the call ran once");
+    let (c, s) = (client.stats(), server.stats());
+    assert_eq!((c.retransmits, c.acks_sent), (2, 0));
+    assert_eq!((s.retransmits, s.acks_sent), (2, 0));
+    assert!(client.is_idle() && server.is_idle());
+    assert!(tick_at(&[1_500, 5_000], &mut client, &mut server).is_empty());
+}
+
+/// A *please ack* duplicate that arrives while the call is still running
+/// is acknowledged at once, which stops the caller's call timer: the
+/// return then keeps a timer of its own, and the caller answers its
+/// *please ack*.
+#[test]
+fn please_ack_while_the_call_runs_is_acked_and_the_return_keeps_its_timer() {
+    let (mut client, mut server) = pair();
+    let mut wire = Wire::new();
+    client.send(ms(0), MsgType::Call, 1, 0, b"args").unwrap();
+    wire.settle(&mut client, &mut server);
+    expect_message(&mut server, MsgType::Call, 1);
+    assert_eq!(
+        tick_at(&[300], &mut client, &mut server),
+        ["C1 1/1 please-ack", "ack C1 1"]
+    );
+
+    server.send(ms(400), MsgType::Return, 1, 0, b"ok").unwrap();
+    assert_eq!(wire.at(400).settle(&mut server, &mut client), ["R1 1/1"]);
+    expect_message(&mut client, MsgType::Return, 1);
+    assert_eq!(server.poll_timer(), Some(ms(700)));
+    assert_eq!(
+        tick_at(&[700], &mut client, &mut server),
+        ["R1 1/1 please-ack", "ack R1 1"]
+    );
+    assert!(client.poll_event().is_none(), "not delivered twice");
+    assert!(server.is_idle() && server.poll_timer().is_none());
+}
+
+/// A return of two or more segments keeps its timer: its first segment
+/// stops the caller's call timer, so nothing on the caller's side would
+/// ever ask for a segment that went missing after it.
+#[test]
+fn multi_segment_return_keeps_its_timer() {
+    let (mut client, mut server) = pair_with(small_segments());
+    let mut wire = Wire::new();
+    client.send(ms(0), MsgType::Call, 1, 0, b"args").unwrap();
+    wire.settle(&mut client, &mut server);
+    expect_message(&mut server, MsgType::Call, 1);
+    server
+        .send(ms(SERVICE_MS), MsgType::Return, 1, 0, b"abcdefghij")
+        .unwrap();
+    assert_eq!(
+        wire.at(SERVICE_MS).settle(&mut server, &mut client),
+        ["R1 1/3", "R1 2/3", "R1 3/3"]
+    );
+    expect_message(&mut client, MsgType::Return, 1);
+    assert_eq!(client.poll_timer(), None);
+    assert_eq!(server.poll_timer(), Some(ms(SERVICE_MS + 300)));
+    assert_eq!(
+        tick_at(&[SERVICE_MS + 300], &mut client, &mut server),
+        ["R1 1/3 please-ack", "ack R1 3"]
+    );
+    assert!(server.is_idle() && server.poll_timer().is_none());
+}
+
+/// Liveness rests on the timed path where there is one: a caller that
+/// dies holding a timed return costs the callee every permitted re-send
+/// and ends in `PeerDead` at the crash horizon.
+#[test]
+fn dead_caller_of_a_timed_return_still_ends_in_peer_dead_at_the_crash_horizon() {
+    let config = Config {
+        jitter_permille: 0,
+        ..small_segments()
+    };
     let (mut client, mut server) = pair_with(config.clone());
-    exchange(0, 1, &mut client, &mut server);
+    let mut wire = Wire::new();
+    client.send(ms(0), MsgType::Call, 1, 0, b"args").unwrap();
+    wire.settle(&mut client, &mut server);
+    expect_message(&mut server, MsgType::Call, 1);
+    server
+        .send(ms(SERVICE_MS), MsgType::Return, 1, 0, b"abcdefghij")
+        .unwrap();
+    wire.at(SERVICE_MS).settle(&mut server, &mut client);
     drop(client);
 
     let mut resent = 0;
@@ -982,7 +935,7 @@ fn dead_caller_still_ends_in_peer_dead_at_the_crash_horizon() {
         let due = server.poll_timer().expect("armed until it gives up");
         server.on_timer(due);
         while let Some(seg) = server.poll_transmit_segment() {
-            assert_eq!(show(&seg), "R1 1/1 please-ack");
+            assert_eq!(show(&seg), "R1 1/3 please-ack");
             resent += 1;
         }
         if let Some(ev) = server.poll_event() {
@@ -995,47 +948,46 @@ fn dead_caller_still_ends_in_peer_dead_at_the_crash_horizon() {
     assert_eq!(died, ms(SERVICE_MS) + config.crash_horizon());
 }
 
-/// Only a call whose sender the return itself retired owes an ack. A
-/// call that outlived its interval was acknowledged explicitly — its
-/// tick is spent — and a return for a call we never made is not ours
-/// to acknowledge; both are left to *please ack*.
+/// What holding gives up: a caller that dies holding a one-segment return
+/// is never noticed through it. The callee sends nothing, times nothing
+/// and raises nothing; the return waits for its call's record to expire.
 #[test]
-fn explicitly_acked_calls_and_forged_returns_owe_nothing() {
+fn dead_caller_of_a_one_segment_return_is_not_noticed() {
     let (mut client, mut server) = pair();
-    let mut wire = Wire::new();
-    client.send(ms(0), MsgType::Call, 1, 0, b"args").unwrap();
-    wire.carry(&mut client, &mut server);
-    expect_message(&mut server, MsgType::Call, 1);
+    exchange(0, 1, &mut client, &mut server);
+    drop(client);
+    assert_eq!(server.poll_timer(), None);
+    let horizon = ms(SERVICE_MS) + Config::default().crash_horizon();
+    server.on_timer(horizon + Duration::from_secs(60));
+    assert_eq!(server.poll_transmit_segment(), None);
+    assert_eq!(server.poll_event(), None);
+    assert!(!server.is_dead());
+}
 
-    // The call's tick comes before the return: re-send, explicit ack.
-    client.on_timer(ms(300));
+/// A held return needs its call's record to outlive the caller's
+/// re-sends; an endpoint whose replay TTL is shorter than the crash
+/// horizon cannot promise that, and times every return instead.
+#[test]
+fn a_replay_ttl_short_of_the_crash_horizon_times_every_return() {
+    let config = Config {
+        replay_ttl: Config::default().crash_horizon() - Duration::from_micros(1),
+        ..Config::default()
+    };
+    let (mut client, mut server) = pair_with(config);
+    exchange(0, 1, &mut client, &mut server);
+    assert_eq!(server.poll_timer(), Some(ms(SERVICE_MS + 300)));
     assert_eq!(
-        wire.at(300).settle(&mut client, &mut server),
-        ["C1 1/1 please-ack", "ack C1 1"]
+        tick_at(&[SERVICE_MS + 300], &mut client, &mut server),
+        ["R1 1/1 please-ack", "ack R1 1"]
     );
-
-    server.send(ms(400), MsgType::Return, 1, 0, b"ok").unwrap();
-    wire.at(400).carry(&mut server, &mut client);
-    expect_message(&mut client, MsgType::Return, 1);
-
-    // A return nobody asked for is delivered (the layer above drops
-    // it) and owes nothing either.
-    let forged = Segment::data(MsgType::Return, 77, 0, 1, 1, false, b"boo".to_vec());
-    client.on_segment(ms(400), forged);
-
-    for tick in [600, 900, 5_000] {
-        client.on_timer(ms(tick));
-    }
-    assert_eq!(client.poll_transmit_segment(), None);
-    assert_eq!(client.stats().acks_sent, 0);
 }
 
 /// The stop-and-wait discipline is untouched — every call segment but
-/// the last acknowledged as it arrives, the last by the reply — and
-/// the reply's own ack rides the call's tick like any other: the path
-/// does not depend on the mode.
+/// the last acknowledged as it arrives, the last by the reply — and a
+/// one-segment reply is held as in the eager discipline: the rule does
+/// not depend on the mode.
 #[test]
-fn parc_transcript_is_unchanged_up_to_the_returns_ack() {
+fn parc_stop_and_wait_holds_a_one_segment_reply_too() {
     let config = Config {
         max_segment_data: 4,
         jitter_permille: 0,
@@ -1062,262 +1014,6 @@ fn parc_transcript_is_unchanged_up_to_the_returns_ack() {
             "R1 1/1"
         ]
     );
-    // The last ack that made progress restarted the call's clock.
-    let mut idle = Vec::new();
-    for tick in [299, 300, 340, 640] {
-        client.on_timer(ms(tick));
-        server.on_timer(ms(tick));
-        idle.extend(wire.at(tick).settle(&mut client, &mut server));
-    }
-    assert_eq!(idle, ["ack R1 1"]);
-}
-
-/// A call-back (§5.3's `ready_to_commit`): `client` calls `cn` at `at`
-/// ms; 10 ms later `server`, still executing it, calls the client back
-/// on its own call number `back`; the client returns 10 ms after that,
-/// and the server returns `reply` 10 ms after that. Each message crosses
-/// as it is sent and is delivered. Returns what crossed.
-fn callback(
-    at: u64,
-    cn: u32,
-    back: u32,
-    reply: &[u8],
-    client: &mut Endpoint,
-    server: &mut Endpoint,
-) -> Vec<String> {
-    let mut wire = Wire::new();
-    client.send(ms(at), MsgType::Call, cn, 0, b"args").unwrap();
-    let mut crossed = wire.at(at).carry(client, server);
-    expect_message(server, MsgType::Call, cn);
-    server
-        .send(ms(at + 10), MsgType::Call, back, 0, b"ready?")
-        .unwrap();
-    crossed.extend(wire.at(at + 10).carry(server, client));
-    expect_message(client, MsgType::Call, back);
-    client
-        .send(ms(at + 20), MsgType::Return, back, 0, b"yes")
-        .unwrap();
-    crossed.extend(wire.at(at + 20).carry(client, server));
-    expect_message(server, MsgType::Return, back);
-    server
-        .send(ms(at + 30), MsgType::Return, cn, 0, reply)
-        .unwrap();
-    crossed.extend(wire.at(at + 30).carry(server, client));
-    expect_message(client, MsgType::Return, cn);
-    crossed
-}
-
-/// The callee of a call-back owes the caller an ack for the call-back's
-/// return, and it is about to send that caller a return of its own: the
-/// ack rides in that return's trailer, and the tick that would have
-/// carried it alone has nothing left to send.
-#[test]
-fn callback_return_carries_the_owed_ack_and_no_tick_ack_follows() {
-    let (mut client, mut server) = pair();
-    let crossed = callback(0, 1, 7, b"ok", &mut client, &mut server);
-    assert_eq!(crossed, ["C1 1/1", "C7 1/1", "R7 1/1", "R1 1/1 +ack R7 1"]);
-    assert_eq!(server.stats().acks_piggybacked, 1);
-    assert_eq!(server.stats().acks_sent, 0, "no segment of its own");
-    // The trailer retired the client's return sender: nothing of the
-    // client's is timed any more.
-    assert!(client.is_idle());
-    assert_eq!(client.poll_timer(), None);
-
-    // The server's tick for call 7 (10 + 300 ms) finds nothing owed.
-    let mut wire = Wire::new();
-    server.on_timer(ms(310));
-    assert!(wire.at(310).carry(&mut server, &mut client).is_empty());
-    // What is left is the client's own debt for return 1, paid on its
-    // call's tick — the one bare ack of the exchange.
-    client.on_timer(ms(300));
-    assert_eq!(wire.at(300).carry(&mut client, &mut server), ["ack R1 1"]);
-    assert!(server.is_idle());
-    for tick in [330, 900, 5_000] {
-        server.on_timer(ms(tick));
-        client.on_timer(ms(tick));
-    }
-    assert!(wire.settle(&mut client, &mut server).is_empty());
-    assert_eq!(
-        (server.stats().acks_sent, server.stats().retransmits),
-        (0, 0)
-    );
-    assert_eq!(
-        (client.stats().acks_sent, client.stats().retransmits),
-        (1, 0)
-    );
-}
-
-/// The trailer is an optimization over a path that is still there: its
-/// carrier lost, the call-back's return is re-sent with *please ack* on
-/// the client's timer and answered at once, exactly as when a tick ack
-/// is lost — and nothing is delivered twice.
-#[test]
-fn lost_carrier_falls_back_to_please_ack() {
-    let (mut client, mut server) = pair();
-    let mut wire = Wire::dropping(vec![3]);
-    client.send(ms(0), MsgType::Call, 1, 0, b"args").unwrap();
-    wire.at(0).carry(&mut client, &mut server);
-    expect_message(&mut server, MsgType::Call, 1);
-    server.send(ms(10), MsgType::Call, 7, 0, b"ready?").unwrap();
-    wire.at(10).carry(&mut server, &mut client);
-    expect_message(&mut client, MsgType::Call, 7);
-    client.send(ms(20), MsgType::Return, 7, 0, b"yes").unwrap();
-    wire.at(20).carry(&mut client, &mut server);
-    expect_message(&mut server, MsgType::Return, 7);
-    server.send(ms(30), MsgType::Return, 1, 0, b"ok").unwrap();
-    assert_eq!(
-        wire.at(30).carry(&mut server, &mut client),
-        ["R1 1/1 +ack R7 1"],
-        "lost"
-    );
-    assert_eq!(server.stats().acks_piggybacked, 1);
-
-    // Every timer in turn: the client re-sends call 1 and return 7 with
-    // *please ack*, the server answers both, and its own re-sent return
-    // 1 — no trailer on a retransmission — is acknowledged at once.
-    let mut crossed = Vec::new();
-    for tick in [300, 310, 320, 330] {
-        client.on_timer(ms(tick));
-        server.on_timer(ms(tick));
-        crossed.extend(wire.at(tick).settle(&mut client, &mut server));
-    }
-    assert_eq!(
-        crossed,
-        [
-            "C1 1/1 please-ack",
-            "ack C1 1",
-            "R7 1/1 please-ack",
-            "ack R7 1",
-            "R1 1/1 please-ack",
-            "ack R1 1"
-        ]
-    );
-    expect_message(&mut client, MsgType::Return, 1);
-    assert!(client.poll_event().is_none() && server.poll_event().is_none());
+    assert!(tick_at(&[299, 300, 340, 640], &mut client, &mut server).is_empty());
     assert!(client.is_idle() && server.is_idle());
-}
-
-/// The trailer never makes a segment longer than `max_segment_data`: a
-/// return whose last segment is full goes without, and the owed ack is
-/// paid on the tick as before; one with room carries it on its *last*
-/// segment.
-#[test]
-fn full_last_segment_gets_no_trailer_and_the_tick_pays() {
-    let grain = Config::default().max_segment_data;
-    let (mut client, mut server) = pair();
-    let crossed = callback(0, 1, 7, &vec![0; grain], &mut client, &mut server);
-    assert_eq!(crossed, ["C1 1/1", "C7 1/1", "R7 1/1", "R1 1/1"]);
-    server.on_timer(ms(310));
-    let mut wire = Wire::new();
-    assert_eq!(wire.at(310).carry(&mut server, &mut client), ["ack R7 1"]);
-    assert_eq!(server.stats().acks_on_tick, 1);
-    assert_eq!(server.stats().acks_piggybacked, 0);
-
-    // Five bytes short of full: room, on the last of two segments.
-    let (mut client, mut server) = pair();
-    let reply = vec![0; grain + grain - TRAILER_LEN];
-    let crossed = callback(0, 1, 7, &reply, &mut client, &mut server);
-    assert_eq!(
-        crossed,
-        ["C1 1/1", "C7 1/1", "R7 1/1", "R1 1/2", "R1 2/2 +ack R7 1"]
-    );
-    server.on_timer(ms(310));
-    assert!(wire.at(310).carry(&mut server, &mut client).is_empty());
-}
-
-/// Two call-backs' returns owed at once: the oldest rides the one
-/// return going back, the other is paid on its call's tick.
-#[test]
-fn with_two_debts_one_rides_the_trailer_and_the_tick_pays_the_other() {
-    let (mut client, mut server) = pair();
-    let mut wire = Wire::new();
-    client.send(ms(0), MsgType::Call, 1, 0, b"args").unwrap();
-    wire.at(0).carry(&mut client, &mut server);
-    expect_message(&mut server, MsgType::Call, 1);
-    server.send(ms(10), MsgType::Call, 7, 0, b"ready?").unwrap();
-    server
-        .send(ms(10), MsgType::Call, 8, 0, b"steady?")
-        .unwrap();
-    wire.at(10).carry(&mut server, &mut client);
-    for back in [7, 8] {
-        expect_message(&mut client, MsgType::Call, back);
-        client
-            .send(ms(20), MsgType::Return, back, 0, b"yes")
-            .unwrap();
-    }
-    wire.at(20).carry(&mut client, &mut server);
-    expect_message(&mut server, MsgType::Return, 7);
-    expect_message(&mut server, MsgType::Return, 8);
-    server.send(ms(30), MsgType::Return, 1, 0, b"ok").unwrap();
-    assert_eq!(
-        wire.at(30).carry(&mut server, &mut client),
-        ["R1 1/1 +ack R7 1"]
-    );
-    server.on_timer(ms(310));
-    assert_eq!(wire.at(310).carry(&mut server, &mut client), ["ack R8 1"]);
-    let s = server.stats();
-    assert_eq!((s.acks_piggybacked, s.acks_on_tick, s.acks_sent), (1, 1, 1));
-    client.on_timer(ms(300));
-    wire.at(300).settle(&mut client, &mut server);
-    assert!(client.is_idle() && server.is_idle());
-}
-
-/// The stop-and-wait discipline is untouched by the trailer: the call
-/// still goes a segment per ack, and a single-segment return carries the
-/// owed ack as in the eager discipline. A multi-segment return's first
-/// transmission is its first segment alone, which is full: no trailer,
-/// and the tick pays.
-#[test]
-fn parc_stop_and_wait_is_unchanged_by_the_trailer() {
-    let config = Config {
-        max_segment_data: 8,
-        jitter_permille: 0,
-        ..Config::parc()
-    };
-    let (mut client, mut server) = pair_with(config.clone());
-    let mut wire = Wire::new();
-    client
-        .send(ms(0), MsgType::Call, 1, 0, b"abcdefghij")
-        .unwrap();
-    let mut crossed = wire.settle(&mut client, &mut server);
-    expect_message(&mut server, MsgType::Call, 1);
-    server.send(ms(10), MsgType::Call, 7, 0, b"ready?").unwrap();
-    crossed.extend(wire.at(10).settle(&mut server, &mut client));
-    expect_message(&mut client, MsgType::Call, 7);
-    client.send(ms(20), MsgType::Return, 7, 0, b"yes").unwrap();
-    crossed.extend(wire.at(20).settle(&mut client, &mut server));
-    expect_message(&mut server, MsgType::Return, 7);
-    server.send(ms(30), MsgType::Return, 1, 0, b"ok").unwrap();
-    crossed.extend(wire.at(30).settle(&mut server, &mut client));
-    expect_message(&mut client, MsgType::Return, 1);
-    assert_eq!(
-        crossed,
-        [
-            "C1 1/2 please-ack",
-            "ack C1 1",
-            "C1 2/2",
-            "C7 1/1",
-            "R7 1/1",
-            "R1 1/1 +ack R7 1"
-        ]
-    );
-
-    let (mut client, mut server) = pair_with(config);
-    let mut wire = Wire::new();
-    client.send(ms(0), MsgType::Call, 1, 0, b"args").unwrap();
-    wire.settle(&mut client, &mut server);
-    expect_message(&mut server, MsgType::Call, 1);
-    server.send(ms(10), MsgType::Call, 7, 0, b"ready?").unwrap();
-    wire.at(10).settle(&mut server, &mut client);
-    expect_message(&mut client, MsgType::Call, 7);
-    client.send(ms(20), MsgType::Return, 7, 0, b"yes").unwrap();
-    wire.at(20).settle(&mut client, &mut server);
-    expect_message(&mut server, MsgType::Return, 7);
-    server
-        .send(ms(30), MsgType::Return, 1, 0, b"abcdefghij")
-        .unwrap();
-    let crossed = wire.at(30).settle(&mut server, &mut client);
-    assert_eq!(crossed, ["R1 1/2 please-ack", "ack R1 1", "R1 2/2"]);
-    server.on_timer(ms(310));
-    assert_eq!(wire.at(310).carry(&mut server, &mut client), ["ack R7 1"]);
 }

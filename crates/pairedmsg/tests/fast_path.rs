@@ -14,7 +14,12 @@
 //!   against the commit before the fast path existed, where every message
 //!   went through `MsgReceiver`; a transcript folds every datagram either
 //!   side transmits, every event either side delivers, and both sides'
-//!   final counters.
+//!   final counters. Its conversations keep a replay TTL far short of the
+//!   crash horizon, so the server times every return. [`HELD_GOLDEN`]'s
+//!   TTL covers the horizon, so the server holds its one-segment returns
+//!   and re-sends them when the client's call timer asks (`endpoint`,
+//!   "How a return gets acknowledged"); it was recorded the same way, on
+//!   a copy of the endpoint with the fast path taken out.
 
 use pairedmsg::{Config, Endpoint, Event, MsgReceiver, MsgType, Segment};
 use proptest::prelude::*;
@@ -214,17 +219,29 @@ impl Conversation {
     }
 }
 
-fn transcript(seed: u64) -> u64 {
+/// The conversations' configuration: returns timed (`held` false) or
+/// held.
+fn config(held: bool) -> Config {
     let config = Config {
         // The grain the transcripts were recorded at: "sometimes three"
         // segments below means 1,100..2,600 bytes over this.
         max_segment_data: 1_024,
-        max_retransmits: 60,
-        // Short enough that records expire (and replays meet the
-        // watermark) within one conversation.
-        replay_ttl: Duration::from_secs(3),
+        max_retransmits: if held { 10 } else { 60 },
         ..Config::default()
     };
+    Config {
+        // Short enough that records expire (and replays meet the
+        // watermark) within one conversation: 3 s, or the 11.7 s horizon.
+        replay_ttl: if held {
+            config.crash_horizon()
+        } else {
+            Duration::from_secs(3)
+        },
+        ..config
+    }
+}
+
+fn transcript(seed: u64, config: Config) -> u64 {
     let mut c = Conversation {
         client: Endpoint::new(config.clone()),
         server: Endpoint::new(config),
@@ -256,7 +273,7 @@ fn transcript(seed: u64) -> u64 {
     c.fold.0
 }
 
-/// `(seed, transcript)` as the general path produced them.
+/// `(seed, transcript)` as the general path produced them, returns timed.
 const GOLDEN: [(u64, u64); 6] = [
     (1, 0x37d2_fa36_d799_2d80),
     (2, 0x121e_60d3_b0bc_ceb6),
@@ -266,14 +283,26 @@ const GOLDEN: [(u64, u64); 6] = [
     (u64::MAX, 0x4cc5_6e2d_0e40_6ce7),
 ];
 
+/// `(seed, transcript)` as the general path produced them, returns held.
+const HELD_GOLDEN: [(u64, u64); 6] = [
+    (1, 0x1d6f_b43c_80ac_2d86),
+    (2, 0x55f7_ef94_9024_f579),
+    (3, 0x53f8_2305_d74a_6e10),
+    (1985, 0x27a5_cf5c_6581_024d),
+    (0xDEAD_BEEF, 0xeb9f_222d_5d7b_0507),
+    (u64::MAX, 0x5e70_78af_1c75_a7b9),
+];
+
 #[test]
 fn conversations_match_the_general_path_transcripts() {
-    let actual: Vec<(u64, u64)> = GOLDEN
-        .iter()
-        .map(|&(seed, _)| (seed, transcript(seed)))
-        .collect();
-    assert_eq!(
-        actual, GOLDEN,
-        "transcripts diverged from the general path; actual: {actual:#x?}"
-    );
+    for (held, golden) in [(false, GOLDEN), (true, HELD_GOLDEN)] {
+        let actual: Vec<(u64, u64)> = golden
+            .iter()
+            .map(|&(seed, _)| (seed, transcript(seed, config(held))))
+            .collect();
+        assert_eq!(
+            actual, golden,
+            "transcripts (held: {held}) diverged from the general path; actual: {actual:#x?}"
+        );
+    }
 }

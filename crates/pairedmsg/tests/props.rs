@@ -76,8 +76,7 @@ proptest! {
     }
 
     /// encode ∘ decode is the identity on valid data segments, for the
-    /// full call-number and causal-span ranges, with and without an ack
-    /// trailer (a count of 0 stands for none).
+    /// full call-number and causal-span ranges.
     #[test]
     fn segment_encode_decode_round_trips(
         cn: u32,
@@ -85,12 +84,9 @@ proptest! {
         total in 1u8..=255,
         data in proptest::collection::vec(any::<u8>(), 0..100),
         please_ack: bool,
-        acked: u32,
-        acked_total: u8,
     ) {
         let number = 1 + (cn % total as u32) as u8;
-        let mut s = Segment::data(MsgType::Return, cn, span, total, number, please_ack, data);
-        s.acks_return = (acked_total != 0).then_some((acked, acked_total));
+        let s = Segment::data(MsgType::Return, cn, span, total, number, please_ack, data);
         let decoded = Segment::decode(&s.encode()).unwrap();
         prop_assert_eq!(decoded.header.span, span);
         prop_assert_eq!(decoded, s);
@@ -156,16 +152,20 @@ struct RetainLog {
 }
 
 impl RetainLog {
-    fn purge(&mut self, now: Time, ttl: simnet::Duration) {
+    /// Purges; returns the expired call numbers, sorted.
+    fn purge(&mut self, now: Time, ttl: simnet::Duration) -> Vec<u32> {
         let mut watermark = self.watermark;
+        let mut expired = Vec::new();
         self.completed.retain(|&(msg_type, cn), at| {
             let keep = now.since(*at) < ttl;
             if !keep && msg_type == MsgType::Call {
                 watermark = Some(watermark.map_or(cn, |wm| wm.max(cn)));
+                expired.push(cn);
             }
             keep
         });
         self.watermark = watermark;
+        expired
     }
 }
 
@@ -173,10 +173,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The queue purge forgets exactly what the full-scan purge forgot:
-    /// same surviving keys, same watermark, after every step of a random
-    /// sequence of completions and (never backwards) clock readings —
-    /// with few enough distinct keys that some complete again, both after
-    /// their record expired and while it is still remembered.
+    /// same surviving keys, same watermark, the same expired calls handed
+    /// out, after every step of a random sequence of completions and
+    /// (never backwards) clock readings — with few enough distinct keys
+    /// that some complete again, both after their record expired and while
+    /// it is still remembered.
     #[test]
     fn queue_purge_matches_the_retain_purge(seed: u64, steps in 1usize..400) {
         let ttl = simnet::Duration::from_millis(1_000);
@@ -191,8 +192,10 @@ proptest! {
                 1 => 1_000_000 + rng.below(500_000),
                 _ => rng.below(300_000),
             });
-            log.purge(now, ttl);
-            reference.purge(now, ttl);
+            let mut expired = Vec::new();
+            log.purge(now, ttl, |cn| expired.push(cn));
+            expired.sort_unstable();
+            prop_assert_eq!(expired, reference.purge(now, ttl));
             prop_assert_eq!(log.watermark(), reference.watermark);
             prop_assert_eq!(log.keys(), reference.completed.keys().copied().collect::<Vec<_>>());
             for _ in 0..rng.below(4) {

@@ -12,10 +12,9 @@
 //! straggler and crash detection are unicast.
 //!
 //! And what a call costs on top of its data when the caller does not
-//! call again at once: one ack per member, sent by the caller on its own
-//! call's tick — not the return again and then its ack. A member that
-//! called its caller back owes an ack too, and pays it in the return it
-//! sends that caller next.
+//! call again at once: nothing. A one-segment return is sent once and
+//! nobody acknowledges it unasked; under loss, the caller's call timer
+//! asks for it again.
 
 use std::any::Any;
 
@@ -155,8 +154,8 @@ struct WireTap {
     data: u64,
     /// Acks, probes and *please ack* retransmissions.
     overhead: u64,
-    /// The *please ack* retransmissions among them.
-    resent: u64,
+    /// The *please ack* retransmissions among them: of calls, of returns.
+    resent: [u64; 2],
     /// Segments per call message and per return message (the largest
     /// `total` field seen on each).
     totals: [u8; 2],
@@ -169,7 +168,9 @@ impl TrafficInjector for WireTap {
         let h = Segment::decode(data).expect("only segments travel").header;
         if h.ack || h.probe || h.please_ack {
             self.overhead += 1;
-            self.resent += (h.please_ack && !h.ack && !h.probe) as u64;
+            if h.please_ack && !h.ack && !h.probe {
+                self.resent[(h.msg_type == MsgType::Return) as usize] += 1;
+            }
         } else {
             self.data += 1;
             let total = &mut self.totals[(h.msg_type == MsgType::Return) as usize];
@@ -205,10 +206,10 @@ fn sendmsgs_and_tap(w: &World) -> (u64, WireTap) {
 
 /// Runs `calls` echo calls of `payload` bytes back to back — the default
 /// data plane, `Unanimous`, n = 3: the benchmark's `echo_small`/`echo_bulk`
-/// rig — and stops the moment the last completes (a little later, on the
-/// last call's own tick, the client would acknowledge its returns, which
-/// no further call does: one ack per member). Returns the `sendmsg`s of
-/// all four processes, the wire tap, and the world.
+/// rig — and stops the moment the last completes (a multi-segment return
+/// that no further call acknowledges is re-sent with *please ack* a little
+/// later). Returns the `sendmsg`s of all four processes, the wire tap, and
+/// the world.
 fn closed_loop(calls: u64, payload: usize) -> (u64, WireTap, World) {
     let mut w = rig(N, false, vec![0xAB; payload], calls);
     w.set_injector(Box::<WireTap>::default(), Duration::ZERO);
@@ -397,28 +398,26 @@ fn bulk_multicast_survives_loss_duplication_and_a_kill_mid_blast() {
     }
 }
 
-/// A return no later call acknowledges is acknowledged once, by its
-/// caller, on the tick the call already had: a 64-byte echo a second
-/// costs 2n + n `sendmsg`s, where the callee's timer re-sending the return
-/// with *please ack* and the caller answering cost 2n + 2n. A caller that
-/// calls again at once still pays for nothing but the data.
+/// A return no later call acknowledges costs nothing: a 64-byte echo a
+/// second costs its 2n `sendmsg`s, call and return per member, exactly as
+/// a caller that calls again at once does. (A caller acknowledging each
+/// return unasked would make it 2n + n; a callee re-sending it with
+/// *please ack* and the caller answering, 2n + 2n.)
 #[test]
-fn idle_return_costs_one_ack_per_member() {
+fn idle_return_costs_no_ack() {
     const CALLS: u64 = 5;
     let n = N as u64;
     let w = rig(N, false, vec![0xAB; 64], CALLS);
     let (sendmsgs, tap, w) = paced(w, CALLS, Duration::from_secs(1));
     assert_eq!(completions(&w), CALLS as usize);
-    assert_eq!(sendmsgs, CALLS * 3 * n, "call, return, ack: 9 per call");
-    assert_eq!(w.net_stats().sent, CALLS * 3 * n);
+    assert_eq!(sendmsgs, CALLS * 2 * n, "call and return: 6 per call");
+    assert_eq!(w.net_stats().sent, CALLS * 2 * n);
     assert_eq!(tap.data, CALLS * 2 * n);
-    assert_eq!(tap.overhead, CALLS * n, "one ack per member per call");
-    assert_eq!(tap.resent, 0, "no return was sent twice");
+    assert_eq!(tap.overhead, 0, "no ack, re-send or probe");
     // The endpoints' own counters tell the tap's story.
     w.refresh_metrics();
     let reg = w.metrics();
-    assert_eq!(reg.get(&format!("rpc.{CLIENT}.acks_on_tick")), CALLS * n);
-    assert_eq!(reg.sum_suffix(".acks_sent"), CALLS * n);
+    assert_eq!(reg.sum_suffix(".acks_sent"), 0);
     assert_eq!(reg.sum_suffix(".retransmits"), 0);
 
     let (sendmsgs, tap, _) = closed_loop(CALLS, 64);
@@ -427,8 +426,8 @@ fn idle_return_costs_one_ack_per_member() {
 }
 
 /// One seeded paced run over a LAN that loses and duplicates datagrams.
-/// Returns the trace hash.
-fn faulty_paced_run(seed: u64) -> u64 {
+/// Returns the trace hash and the returns the members re-sent.
+fn faulty_paced_run(seed: u64) -> (u64, u64) {
     const CALLS: usize = 12;
     let net = NetConfig {
         loss: 0.03,
@@ -450,35 +449,39 @@ fn faulty_paced_run(seed: u64) -> u64 {
     for m in (1..=N).map(member) {
         assert_ran_each_once(&w, m, CALLS, seed);
     }
-    assert!(tap.overhead > 0, "seed {seed}: nothing was acknowledged");
-    w.trace_sink_as::<TraceRing>()
+    assert_eq!(tap.resent[1], 0, "seed {seed}: a return asked for an ack");
+    w.refresh_metrics();
+    let resent = (1..=N)
+        .map(|m| w.metrics().get(&format!("rpc.{}.retransmits", member(m))))
+        .sum();
+    let hash = w
+        .trace_sink_as::<TraceRing>()
         .expect("installed above")
-        .hash()
+        .hash();
+    (hash, resent)
 }
 
-/// The tick ack is an optimization over a path that is still there: with
-/// acks, returns and calls being lost and duplicated, every paced call
-/// completes, every member runs each exactly once, and a seed replays
-/// bit for bit.
+/// Holding returns is safe under loss: with calls, returns and their
+/// re-sends lost and duplicated, every paced call completes with every
+/// member's echo, every member runs each exactly once, lost returns are
+/// re-sent when the client's call timer asks for them (no return ever
+/// asks for an ack), and a seed replays bit for bit.
 #[test]
 fn paced_calls_survive_loss_and_duplication() {
+    let mut resent = 0;
     for seed in 1..=10 {
-        let hash = faulty_paced_run(seed);
-        assert_eq!(hash, faulty_paced_run(seed), "seed {seed} replays");
+        let run = faulty_paced_run(seed);
+        assert_eq!(run, faulty_paced_run(seed), "seed {seed} replays");
+        resent += run.1;
     }
+    assert!(resent > 0, "no return was re-sent on demand");
 }
 
-/// Three calls back to back, then silence: the last returns are
-/// acknowledged by *please ack*, not on the caller's tick. The client's
-/// one timer per member was armed for the first call's deadline and kept,
-/// being the earliest; when it fires the last call's ack is not yet due
-/// and nothing else is timed, so nothing re-arms. Reporting the debt from
-/// `Endpoint::poll_timer` would save each member's re-send and the
-/// client's answer, at a `setitimer` per call that moves Table 4.1 and
-/// `BENCH_4.json`: it belongs with ROADMAP 7a's timer work, the change
-/// that flips this test.
+/// Three calls back to back, then silence: the last returns are held and
+/// nothing acknowledges them, because nothing needs to. No member re-sends
+/// and the client answers nothing.
 #[test]
-fn back_to_back_calls_leave_the_last_ack_to_please_ack() {
+fn back_to_back_calls_leave_nothing_to_acknowledge() {
     let n = N as u64;
     let mut w = rig(N, false, vec![0xAB; 64], 3);
     w.set_injector(Box::<WireTap>::default(), Duration::ZERO);
@@ -487,24 +490,11 @@ fn back_to_back_calls_leave_the_last_ack_to_please_ack() {
     assert_eq!(completions(&w), 3);
     w.refresh_metrics();
     let reg = w.metrics();
-    assert_eq!(
-        reg.get(&format!("rpc.{CLIENT}.acks_on_tick")),
-        0,
-        "no tick came"
-    );
-    assert_eq!(
-        reg.sum_suffix(".retransmits"),
-        n,
-        "each member re-sent once"
-    );
-    assert_eq!(
-        reg.get(&format!("rpc.{CLIENT}.acks_sent")),
-        n,
-        "each answered"
-    );
+    assert_eq!(reg.sum_suffix(".retransmits"), 0, "no member re-sent");
+    assert_eq!(reg.sum_suffix(".acks_sent"), 0, "nobody answered");
     let (sendmsgs, tap) = sendmsgs_and_tap(&w);
-    assert_eq!(sendmsgs, 3 * 2 * n + 2 * n);
-    assert_eq!((tap.overhead, tap.resent), (2 * n, n));
+    assert_eq!(sendmsgs, 3 * 2 * n);
+    assert_eq!((tap.overhead, tap.resent), (0, [0, 0]));
 }
 
 /// The module the client exports for [`CallBackService`]'s call-backs.
@@ -581,17 +571,17 @@ fn assert_callbacks_ran_once(w: &World, calls: usize, seed: u64) {
     assert_eq!(executions(w, echo), calls as u32, "seed {seed}: call-backs");
 }
 
-/// A member answering a call it called its caller back from owes that
-/// caller an ack for the call-back's return, and sends it the call's
-/// return: the ack rides in its 5-byte trailer. A call a second costs
-/// 4n + n `sendmsg`s — call, call-back, the call-back's return and the
-/// return per member, plus the client's own tick ack — where the
-/// members' tick acks made it 4n + 2n. And with trailers lost,
-/// duplicated or riding a lost return, every call still completes, each
-/// member runs it once, the client runs each call-back once, and a seed
-/// replays bit for bit.
+/// The commit round's shape (§5.3): each member calls the client back
+/// before it answers. A call a second costs 4n `sendmsg`s — call,
+/// call-back, the call-back's return and the return, per member — and
+/// nothing else: both returns are held, and neither side acknowledges one
+/// unasked (the client acknowledging the members' returns would add n,
+/// the members acknowledging its return n more). And with
+/// datagrams lost and duplicated, every call still completes, each member
+/// runs it once, the client runs each call-back once, and a seed replays
+/// bit for bit.
 #[test]
-fn callback_return_carries_the_owed_ack() {
+fn callback_round_costs_four_sendmsgs_per_member() {
     const CALLS: u64 = 5;
     let n = N as u64;
     let payload = [0xAB; 64];
@@ -603,21 +593,13 @@ fn callback_return_carries_the_owed_ack() {
     );
     assert_all_echoed(&w, CALLS as usize, &payload, 1985);
     assert_callbacks_ran_once(&w, CALLS as usize, 1985);
-    assert_eq!(sendmsgs, CALLS * 5 * n, "12 + 3 per call");
-    assert_eq!(w.net_stats().sent, CALLS * 5 * n);
+    assert_eq!(sendmsgs, CALLS * 4 * n, "12 per call");
+    assert_eq!(w.net_stats().sent, CALLS * 4 * n);
     assert_eq!(tap.data, CALLS * 4 * n);
-    assert_eq!((tap.overhead, tap.resent), (CALLS * n, 0));
+    assert_eq!(tap.overhead, 0);
     w.refresh_metrics();
     let reg = w.metrics();
-    assert_eq!(
-        reg.sum_suffix(".acks_piggybacked"),
-        CALLS * n,
-        "one per member per call"
-    );
-    assert_eq!(reg.get(&format!("rpc.{CLIENT}.acks_piggybacked")), 0);
-    // What is left bare is the client's ack of the members' returns.
-    assert_eq!(reg.sum_suffix(".acks_on_tick"), CALLS * n);
-    assert_eq!(reg.get(&format!("rpc.{CLIENT}.acks_on_tick")), CALLS * n);
+    assert_eq!(reg.sum_suffix(".acks_sent"), 0);
     assert_eq!(reg.sum_suffix(".retransmits"), 0);
 
     for seed in 1..=10 {
@@ -626,7 +608,7 @@ fn callback_return_carries_the_owed_ack() {
     }
 }
 
-/// One seeded run of [`callback_return_carries_the_owed_ack`]'s rig over
+/// One seeded run of [`callback_round_costs_four_sendmsgs_per_member`]'s rig over
 /// a LAN that loses and duplicates datagrams. Returns the trace hash.
 fn faulty_callback_run(seed: u64) -> u64 {
     const CALLS: usize = 12;
@@ -639,7 +621,7 @@ fn faulty_callback_run(seed: u64) -> u64 {
     w.set_trace_sink(Box::new(TraceRing::new(64)));
     let payload = [0xAB; 64];
     let w = callback_rig(w, &payload, CALLS as u64);
-    let (_, tap, mut w) = paced(w, CALLS as u64, Duration::from_secs(1));
+    let (_, _, mut w) = paced(w, CALLS as u64, Duration::from_secs(1));
     let deadline = w.now() + Duration::from_secs(30);
     assert!(
         w.run(Until::pred(deadline, |w| completions(w) == CALLS)),
@@ -648,12 +630,6 @@ fn faulty_callback_run(seed: u64) -> u64 {
     );
     assert_all_echoed(&w, CALLS, &payload, seed);
     assert_callbacks_ran_once(&w, CALLS, seed);
-    assert!(tap.overhead > 0, "seed {seed}: nothing was acknowledged");
-    w.refresh_metrics();
-    assert!(
-        w.metrics().sum_suffix(".acks_piggybacked") > 0,
-        "seed {seed}"
-    );
     w.trace_sink_as::<TraceRing>()
         .expect("installed above")
         .hash()

@@ -6,8 +6,10 @@ use chaos::{
     quiesce, Bcast, ChaosApp, Commute, Quiesced, Recovery, ScenarioOptions, Store, Txn, Violation,
     Workload, MEMBER_MODULE,
 };
+use circus::binding::{BINDING_MODULE, RINGMASTER_PORT};
 use circus::testbed::service_mut;
-use circus::{Service, ServiceCtx, Step, ThreadId, TroupeId};
+use circus::{ModuleAddr, Service, ServiceCtx, Step, ThreadId, Troupe, TroupeId};
+use ringmaster::RingmasterService;
 use simnet::{HostId, SockAddr};
 use transactions::broadcast::StateWire;
 use transactions::{
@@ -289,4 +291,44 @@ fn exactly_once_fires_on_a_recommitted_key() {
     assert_only(&violations, "exactly-once");
     assert_eq!(violations.len(), 1, "{violations:?}");
     assert!(violations[0].detail.contains("already held"));
+}
+
+#[test]
+fn stale_binding_fires_on_a_registry_that_moved_on() {
+    let (mut q, _) = quiesce(&Store, 3, &Store::options());
+    assert!(check(&Store, &q).is_empty(), "the scenario starts clean");
+    let mut cached = None;
+    q.each_client::<Txn>(|_, a| cached = a.cache().get(q.troupe).map(|t| t.id));
+    let cached = cached.expect("a client caches the store's binding");
+
+    // Every Ringmaster member re-binds the store's name, same members, to
+    // an incarnation no client has heard of: each client's cached binding
+    // now names a retired troupe id.
+    type Registry = (Vec<(String, (Troupe, u64))>, Vec<(String, Vec<ModuleAddr>)>);
+    for h in q.ringmaster_hosts.clone() {
+        let addr = SockAddr::new(h, RINGMASTER_PORT);
+        service_mut(
+            &mut q.world,
+            addr,
+            BINDING_MODULE,
+            |s: &mut RingmasterService| {
+                let (mut entries, spares) =
+                    from_bytes::<Registry>(&s.get_state()).expect("the registry's own state");
+                let (_, (troupe, _)) = entries
+                    .iter_mut()
+                    .find(|(name, _)| name == q.troupe)
+                    .expect("the store is bound");
+                troupe.id = TroupeId(troupe.id.0 + 1);
+                s.set_state(&to_bytes(&(entries, spares)));
+            },
+        );
+    }
+    let violations = check(&Store, &q);
+    assert_only(&violations, "stale-binding");
+    assert_eq!(violations.len(), q.client_addrs.len(), "{violations:?}");
+    let stale = format!("(incarnation {cached:?})");
+    assert!(
+        violations.iter().all(|v| v.detail.contains(&stale)),
+        "{violations:?}"
+    );
 }
