@@ -4,7 +4,7 @@
 //! *Replicated Distributed Programs*: the echo testbeds of §4.4.1
 //! ([`testbed`]), the table/figure formatters ([`tables`]), the grids
 //! with a claim to uphold ([`bench4`], [`bench7`], [`bench8`]; the
-//! [`pacing`] table asserts its own), and one
+//! [`pacing`] and [`mxn`] tables assert their own), and one
 //! table of all of them, [`EXPERIMENTS`], which the `repro` binary
 //! prints and `tests/repro_golden.rs` pins byte for byte.
 //!
@@ -17,6 +17,7 @@ pub mod ablations;
 pub mod bench4;
 pub mod bench7;
 pub mod bench8;
+pub mod mxn;
 pub mod pacing;
 pub mod tables;
 pub mod testbed;
@@ -114,4 +115,5 @@ pub const EXPERIMENTS: &[Experiment] = &[
     table("ablation.sync", || bench8::sync_table(&bench8::grid())),
     table("ablation.protocol", ablations::ablation_protocol),
     table("pacing", pacing::table),
+    table("mxn", mxn::table),
 ];

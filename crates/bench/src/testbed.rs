@@ -7,8 +7,8 @@
 //! running the protocols in the simulated testbed.
 
 use circus::testbed::{
-    addr, agent, enqueue, spawn_caller, spawn_troupe, Caller, CountingService, Request, MODULE,
-    PROC_ECHO,
+    addr, agent, enqueue, node_mut, spawn_caller, spawn_troupe, Caller, Completed, CountingService,
+    Request, MODULE, PROC_ECHO,
 };
 use circus::{NodeConfig, ThreadId, TroupeId};
 use simnet::{
@@ -301,6 +301,106 @@ pub fn run_paced_echo(replicas: usize, calls: u32, gap: Duration) -> PacedResult
         ),
         cpu_ms: per_call(cpus.iter().map(CpuView::total_ms).sum()),
         retransmits: per_call((after - before) as f64),
+    }
+}
+
+/// What one logical call of a replicated program costs: every member of
+/// the client troupe makes it, and it is executed once per server member.
+#[derive(Clone, Copy, Debug)]
+pub struct ProgramResult {
+    /// `sendmsg` syscalls per logical call, every process together.
+    pub sendmsgs: f64,
+    /// Simulated time per logical call, from its members' first begin to
+    /// their last completion, milliseconds.
+    pub ms: f64,
+}
+
+/// Runs the replicated program of §4.3.3: an `m`-member client troupe,
+/// registered with the `n` server members, makes `calls` one-segment
+/// echo calls on its one distributed thread, each member every call, one
+/// logical call a second; `multicast` is `multicast_small_calls` on every
+/// node. Each server member assembles the m call messages into one
+/// execution (§4.3.2) and returns to all m.
+pub fn run_troupe_echo(m: usize, n: usize, multicast: bool, calls: u32) -> ProgramResult {
+    /// Logical calls run before the measured ones.
+    const WARMUP: u32 = 2;
+    let mut w = world();
+    let config = NodeConfig {
+        multicast_small_calls: multicast,
+        ..NodeConfig::default()
+    };
+    let servers: Vec<SockAddr> = (1..=n as u32).map(|h| addr(h, 70)).collect();
+    let server = spawn_troupe(
+        &mut w,
+        TroupeId(4242),
+        &servers,
+        MODULE,
+        &config,
+        None,
+        CountingService::default,
+    );
+    let client_id = TroupeId(4343);
+    let clients: Vec<SockAddr> = (0..m as u32).map(|i| addr(100 + i, 100)).collect();
+    spawn_troupe(
+        &mut w,
+        client_id,
+        &clients,
+        MODULE,
+        &config,
+        None,
+        CountingService::default,
+    );
+    for &s in &servers {
+        node_mut(&mut w, s, |nd| {
+            nd.preload_directory(client_id, clients.clone())
+        });
+    }
+    let thread = ThreadId {
+        origin: clients[0],
+        serial: 1,
+    };
+    let echo = Request::new(&server, MODULE, PROC_ECHO, vec![0u8; PAYLOAD]).on(thread);
+    for &c in &clients {
+        enqueue(&mut w, c, vec![echo.clone(); (WARMUP + calls) as usize]);
+    }
+    let periods = |w: &mut World, k: u32| {
+        for _ in 0..k {
+            for &c in &clients {
+                w.poke(c, 0);
+            }
+            w.run(simnet::Until::Elapsed(Duration::from_secs(1)));
+        }
+    };
+    periods(&mut w, WARMUP);
+    let everyone: Vec<SockAddr> = servers.iter().chain(&clients).copied().collect();
+    for &a in &everyone {
+        w.reset_cpu(a);
+    }
+    periods(&mut w, calls);
+    for &c in &clients {
+        assert_all_echoed(&w, c, WARMUP + calls);
+    }
+    let completed: Vec<Vec<Completed>> = clients
+        .iter()
+        .map(|&c| agent(&w, c, |a: &Caller| a.completed.clone()))
+        .collect();
+    let measured = WARMUP as usize..(WARMUP + calls) as usize;
+    let span_ms: f64 = measured
+        .map(|i| {
+            let begun = completed.iter().map(|c| c[i].begun).min();
+            let done = completed.iter().map(|c| c[i].done).max();
+            done.expect("a member")
+                .since(begun.expect("a member"))
+                .as_millis_f64()
+        })
+        .sum();
+    let sendmsgs: u64 = everyone
+        .iter()
+        .map(|&a| w.cpu(a).count_of(Syscall::SendMsg.index()))
+        .sum();
+    ProgramResult {
+        sendmsgs: sendmsgs as f64 / f64::from(calls),
+        ms: span_ms / f64::from(calls),
     }
 }
 

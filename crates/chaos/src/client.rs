@@ -158,6 +158,13 @@ impl<P: Protocol> std::ops::Deref for Client<P> {
     }
 }
 
+/// For a test that doctors a client's record behind the oracles' back.
+impl<P: Protocol> std::ops::DerefMut for Client<P> {
+    fn deref_mut(&mut self) -> &mut P {
+        &mut self.proto
+    }
+}
+
 impl<P: Protocol> Client<P> {
     /// A client importing `name` from `binder` and running `script`
     /// against module `module` of whatever troupe the name resolves to.

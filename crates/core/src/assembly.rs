@@ -268,15 +268,18 @@ impl Assemblies {
     }
 
     /// Closes the assembly for `key`, out of every index at once:
-    /// `send`s `reply` to every client member heard from — to it, on its
-    /// call number, under the invoke span — and keeps it for the rest
-    /// (§4.3.4).
+    /// `send`s `reply` to every client member heard from, under the invoke
+    /// span, and keeps it for the rest (§4.3.4). The members heard from
+    /// are grouped by the call number each called on, one `send` per
+    /// group, so a group of two or more can share one multicast (§4.3.3).
+    /// In the fault-free case every member called on the same number and
+    /// the group is the whole troupe, which is sent as it stands.
     pub(crate) fn close(
         &mut self,
         key: &CallKey,
         reply: Payload,
         now: Time,
-        mut send: impl FnMut(SockAddr, u32, u64, Payload),
+        mut send: impl FnMut(&[SockAddr], u32, u64, &Payload),
     ) {
         let Some(p) = self.pending.remove(key) else {
             return;
@@ -284,9 +287,21 @@ impl Assemblies {
         self.by_serial.remove(&p.serial);
         self.by_invocation.remove(&p.invocation);
         let span = p.invoke_span.raw();
-        for (&to, cn) in p.client_members.as_slice().iter().zip(&p.responders) {
-            if let Some(cn) = cn {
-                send(to, *cn, span, reply.clone());
+        let members = p.client_members.as_slice();
+        match p.responders.split_first() {
+            Some((&Some(cn), rest)) if rest.iter().all(|&r| r == Some(cn)) => {
+                send(members, cn, span, &reply);
+            }
+            _ => {
+                let heard = members.iter().zip(&p.responders);
+                let mut heard: Vec<(u32, SockAddr)> =
+                    heard.filter_map(|(&to, cn)| Some(((*cn)?, to))).collect();
+                // Stable: each group keeps the troupe's order.
+                heard.sort_by_key(|&(cn, _)| cn);
+                for group in heard.chunk_by(|a, b| a.0 == b.0) {
+                    let tos: Vec<SockAddr> = group.iter().map(|&(_, to)| to).collect();
+                    send(&tos, group[0].0, span, &reply);
+                }
             }
         }
         if p.responders.contains(&None) {
@@ -394,6 +409,43 @@ mod tests {
         }
     }
 
+    /// The members heard from are grouped by the call number each called
+    /// on: in the fault-free case one send goes to the whole troupe; two
+    /// responders on different call numbers are two sends, and a member
+    /// not heard from finds the return buffered.
+    #[test]
+    fn close_sends_once_per_call_number() {
+        let troupe: Rc<[SockAddr]> = (1..=3).map(host).collect();
+        let closed = |arrivals: &[(u32, u32)]| {
+            let mut a = Assemblies::default();
+            let mut key = None;
+            for &(h, pm_cn) in arrivals {
+                let (mut at, msg) = message(host(h), 1);
+                at.pm_cn = pm_cn;
+                key = Some(msg.key());
+                let fresh = |m: &[SockAddr]| {
+                    let args = Collation::new(CollationPolicy::Unanimous, m.len());
+                    (args, Time::ZERO)
+                };
+                assert!(a
+                    .join(&at, msg, Members::Troupe(troupe.clone()), fresh)
+                    .is_ok());
+            }
+            let key = key.expect("a call message");
+            let mut sends = Vec::new();
+            a.close(&key, Payload::empty(), Time::ZERO, |tos, cn, _, _| {
+                sends.push((tos.to_vec(), cn));
+            });
+            (sends, a.buffered(&key).is_some())
+        };
+        let whole = (vec![(troupe.to_vec(), 4)], false);
+        assert_eq!(closed(&[(1, 4), (2, 4), (3, 4)]), whole);
+        let split = vec![(vec![host(1)], 4), (vec![host(2)], 7)];
+        assert_eq!(closed(&[(2, 7), (1, 4)]), (split, true));
+        let pair = vec![(vec![host(2), host(3)], 4), (vec![host(1)], 9)];
+        assert_eq!(closed(&[(3, 4), (1, 9), (2, 4)]), (pair, false));
+    }
+
     proptest! {
         /// After any sequence of call messages (from the three members
         /// and from an outsider), timeouts, member deaths, suspensions,
@@ -437,7 +489,7 @@ mod tests {
                     4 if a.suspended(a.pending.get(&key).map_or(0, |p| p.invocation)).is_some() => {
                         let unheard = a.pending[&key].responders.contains(&None);
                         let mut sent = 0;
-                        a.close(&key, Payload::empty(), late, |_, _, _, _| sent += 1);
+                        a.close(&key, Payload::empty(), late, |tos, _, _, _| sent += tos.len());
                         prop_assert_eq!(sent < 3, unheard);
                         prop_assert_eq!(a.buffered(&key).is_some(), unheard);
                     }

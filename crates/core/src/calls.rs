@@ -16,7 +16,7 @@ use crate::node::{CallHandle, NodeConfig};
 use crate::service::CallError;
 use crate::thread::ThreadId;
 use obs::SpanId;
-use pairedmsg::{MsgSender, MsgType, ProtocolMode, MAX_SEGMENTS};
+use pairedmsg::MsgType;
 use simnet::{Payload, SockAddr, Syscall, Time};
 
 /// Why a call was made, which is where its result must go.
@@ -123,18 +123,9 @@ pub(crate) struct ClientCalls {
     /// there, acknowledged (or suppressed) without ever being delivered.
     /// Point lookups only, never walked.
     call_numbers: HashMap<SockAddr, u32>,
-    /// One-to-many calls whose data segments went out by multicast, and
-    /// the segments so transmitted (each charged a single `sendmsg`).
-    mcast_calls: u64,
-    mcast_segments: u64,
 }
 
 impl ClientCalls {
-    /// Calls and segments sent by multicast so far.
-    pub(crate) fn multicast_totals(&self) -> (u64, u64) {
-        (self.mcast_calls, self.mcast_segments)
-    }
-
     /// One line per call still awaiting collation.
     pub(crate) fn stuck(&self, out: &mut Vec<String>) {
         for (h, c) in &self.outstanding {
@@ -212,14 +203,8 @@ impl ClientCalls {
         // The data plane is read off the call (§4.3.3): two or more
         // segments to two or more live members are sent once, by
         // multicast; a single segment goes out per member unless the
-        // configuration multicasts those too. PARC's stop-and-wait has no
-        // blast to share, so its multi-segment calls stay per member (as
-        // does an oversize call, to fail there).
-        let shareable = match config.pm.segments_of(bytes.len()) {
-            1 => config.multicast_small_calls,
-            2..=MAX_SEGMENTS => config.pm.mode == ProtocolMode::Circus,
-            _ => false,
-        };
+        // configuration multicasts those too.
+        let shareable = conns.shareable(bytes.len(), config.multicast_small_calls);
         let mut collation = Collation::new(call.collation, troupe.members.len());
         let mut blast = Vec::new();
         for (i, member) in troupe.members.iter().enumerate() {
@@ -229,7 +214,14 @@ impl ClientCalls {
                 blast.push(member.addr);
             }
         }
-        let shared = (blast.len() > 1).then(|| self.blast(io, &config.pm, span, &bytes, &blast));
+        // A blast must reach every member under the same number: the
+        // largest any of them is due.
+        let shared = (blast.len() > 1).then(|| {
+            let next = |a| self.call_numbers.get(a).copied().unwrap_or(1);
+            let cn = blast.iter().map(next).max().expect("addresses members");
+            conns.blast(io, MsgType::Call, cn, span, &bytes, &blast);
+            cn
+        });
 
         let call = Outstanding {
             collation,
@@ -244,22 +236,19 @@ impl ClientCalls {
             }
             let addr = member.addr;
             let next = self.call_numbers.entry(addr).or_insert(1);
-            let endpoint = conns.endpoint(addr);
-            let (cn, sent) = match shared {
-                Some((cn, at)) => (cn, endpoint.adopt_call(at, cn, span, bytes.clone()).is_ok()),
-                None => {
-                    let sent = endpoint.send(now, MsgType::Call, *next, span, bytes.clone());
-                    (*next, sent.is_ok())
+            let cn = shared.unwrap_or(*next);
+            *next = cn + 1;
+            if shared.is_none() {
+                let sent = conns
+                    .endpoint(addr)
+                    .send(now, MsgType::Call, cn, span, bytes.clone());
+                if sent.is_err() {
+                    // Only an oversize message fails to send, which the
+                    // stub layer prevents; treat it as an instantly dead
+                    // member.
+                    self.call_mut(handle).collation.mark_dead(i);
+                    continue;
                 }
-            };
-            if sent || shared.is_none() {
-                *next = cn + 1;
-            }
-            if !sent {
-                // Only an oversize message fails to send, which the stub
-                // layer prevents; treat it as an instantly dead member.
-                self.call_mut(handle).collation.mark_dead(i);
-                continue;
             }
             // Expect member `i`'s return from `(addr, cn)`.
             if let Some((displaced, _)) = self.route.insert((addr, cn), (handle, i)) {
@@ -268,38 +257,6 @@ impl ClientCalls {
             self.call_mut(handle).unresolved += 1;
         }
         handle
-    }
-
-    /// Transmits one call's data segments to the members at `addrs` (two
-    /// or more of a troupe's, in its order) by multicast (§4.3.3): the
-    /// segments go to the wire once each, charged a single `sendmsg`.
-    /// Returns the call number they went out under and when the last one
-    /// left: each member's endpoint then adopts a pre-transmitted sender
-    /// — keeping per-member acknowledgment tracking, unicast
-    /// retransmission toward stragglers, the implicit ack carried by the
-    /// return message, and crash-detection probing. Adopting *after* the
-    /// blast starts each retransmission clock at the last `sendmsg`, not
-    /// k `sendmsg`s before it.
-    fn blast(
-        &mut self,
-        io: &mut dyn NetIo,
-        pm: &pairedmsg::Config,
-        span: u64,
-        bytes: &Payload,
-        addrs: &[SockAddr],
-    ) -> (u32, Time) {
-        let next = |a| self.call_numbers.get(a).copied().unwrap_or(1);
-        let cn = addrs.iter().map(next).max().expect("addresses members");
-        // Cut off to the side: the members' own senders differ from this
-        // one in their jitter seeds only.
-        let cut = MsgSender::new(io.now(), pm, MsgType::Call, cn, span, bytes.clone())
-            .expect("the caller counted the segments");
-        self.mcast_calls += 1;
-        self.mcast_segments += u64::from(cut.total());
-        for number in 1..=cut.total() {
-            io.multicast_spanned(addrs, cut.segment(number, false).encode(), span);
-        }
-        (cn, io.now())
     }
 
     fn call_mut(&mut self, handle: u64) -> &mut Outstanding {
@@ -435,6 +392,7 @@ pub(crate) mod tests {
     use crate::message::ReturnMessage;
     use crate::netio::mock::*;
     use crate::thread::ThreadIdGen;
+    use pairedmsg::MAX_SEGMENTS;
     use proptest::prelude::*;
     use simnet::HostId;
 

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use crate::message::{encode, ReturnMessage};
 use crate::netio::{make_tag, NetIo, TAG_CONN};
-use pairedmsg::{Endpoint, Event, MsgType};
+use pairedmsg::{Endpoint, Event, MsgSender, MsgType, ProtocolMode, MAX_SEGMENTS};
 use simnet::{Payload, SockAddr, Syscall, Time};
 
 struct Conn {
@@ -30,6 +30,11 @@ pub(crate) struct Conns {
     table: BTreeMap<SockAddr, Conn>,
     /// Connection id (what a timer tag carries) to peer address.
     addrs: Vec<SockAddr>,
+    /// Calls and returns whose data segments went out by multicast, and
+    /// the segments so transmitted (each charged a single `sendmsg`).
+    mcast_calls: u64,
+    mcast_returns: u64,
+    mcast_segments: u64,
 }
 
 impl Conns {
@@ -39,6 +44,9 @@ impl Conns {
             pm,
             table: BTreeMap::new(),
             addrs: Vec::new(),
+            mcast_calls: 0,
+            mcast_returns: 0,
+            mcast_segments: 0,
         }
     }
 
@@ -105,16 +113,84 @@ impl Conns {
         }
     }
 
-    /// Queues a return message on call number `cn` of the connection to
-    /// `to`.
-    pub(crate) fn send_return(
+    /// Calls, returns and segments sent by multicast so far.
+    pub(crate) fn multicast_totals(&self) -> (u64, u64, u64) {
+        (self.mcast_calls, self.mcast_returns, self.mcast_segments)
+    }
+
+    /// Whether a message of `len` bytes to two or more peers goes out
+    /// once, by multicast (§4.3.3): two or more segments under the eager
+    /// discipline (PARC's stop-and-wait has no blast to share), and one
+    /// segment if `small` says so. An oversize message is nobody's to
+    /// share: it fails per peer.
+    pub(crate) fn shareable(&self, len: usize, small: bool) -> bool {
+        match self.pm.segments_of(len) {
+            1 => small,
+            2..=MAX_SEGMENTS => self.pm.mode == ProtocolMode::Circus,
+            _ => false,
+        }
+    }
+
+    /// Transmits one message to the peers at `addrs` (two or more) by
+    /// multicast (§4.3.3): each segment goes to the wire once, charged a
+    /// single `sendmsg`, under call number `cn`, which must be due on
+    /// every one of those connections. Each peer's endpoint then adopts
+    /// it — keeping per-peer acknowledgment tracking, unicast
+    /// retransmission toward a straggler, and, for a call, the implicit
+    /// ack the return carries and crash-detection probing. Adopting
+    /// *after* the blast starts each retransmission clock at the last
+    /// `sendmsg`, not k `sendmsg`s before it.
+    pub(crate) fn blast(
         &mut self,
-        now: Time,
-        to: SockAddr,
+        io: &mut dyn NetIo,
+        msg_type: MsgType,
         cn: u32,
         span: u64,
-        reply: Payload,
+        bytes: &Payload,
+        addrs: &[SockAddr],
     ) {
+        // Cut off to the side: the peers' own senders differ from this
+        // one in their jitter seeds only.
+        let cut = MsgSender::new(io.now(), &self.pm, msg_type, cn, span, bytes.clone())
+            .expect("the caller counted the segments");
+        match msg_type {
+            MsgType::Call => self.mcast_calls += 1,
+            MsgType::Return => self.mcast_returns += 1,
+        }
+        self.mcast_segments += u64::from(cut.total());
+        for number in 1..=cut.total() {
+            io.multicast_spanned(addrs, cut.segment(number, false).encode(), span);
+        }
+        let now = io.now();
+        for &addr in addrs {
+            let endpoint = self.endpoint(addr);
+            let adopted = endpoint.adopt(now, msg_type, cn, span, bytes.clone());
+            adopted.expect("the cut above fitted");
+        }
+    }
+
+    /// Sends a return message to the peers at `tos`, on call number `cn`
+    /// of each connection: once for all by [`Conns::blast`] when there are
+    /// two or more and the reply can be shared, else queued per peer.
+    pub(crate) fn send_return(
+        &mut self,
+        io: &mut dyn NetIo,
+        tos: &[SockAddr],
+        cn: u32,
+        span: u64,
+        reply: &Payload,
+    ) {
+        if tos.len() > 1 && self.shareable(reply.len(), true) {
+            return self.blast(io, MsgType::Return, cn, span, reply, tos);
+        }
+        for &to in tos {
+            self.queue_return(io.now(), to, cn, span, reply.clone());
+        }
+    }
+
+    /// Queues a return message on call number `cn` of the connection to
+    /// `to`.
+    fn queue_return(&mut self, now: Time, to: SockAddr, cn: u32, span: u64, reply: Payload) {
         let endpoint = self.endpoint(to);
         if let Err(too_long) = endpoint.send(now, MsgType::Return, cn, span, reply) {
             // Silence would hang the caller for ever: its call was

@@ -267,13 +267,18 @@ impl Node {
         }
         // Multicast segments bypass the endpoints; each went to the
         // network once.
-        let (mcast_calls, mcast_segments) = self.calls.multicast_totals();
+        let (mcast_calls, mcast_returns, mcast_segments) = self.conns.multicast_totals();
         total.segments_sent += mcast_segments;
         let me = self.me;
         total.publish(reg, &format!("rpc.{me}"));
         reg.set_gauge(&format!("rpc.{me}.invocations"), self.invocations());
         reg.set_gauge(&format!("rpc.{me}.mcast_calls"), mcast_calls);
         reg.set_gauge(&format!("rpc.{me}.mcast_segments"), mcast_segments);
+        // Only a member that closed a many-to-one assembly has one to
+        // count; a node that never did keeps the key out of the dump.
+        if mcast_returns > 0 {
+            reg.set_gauge(&format!("rpc.{me}.mcast_returns"), mcast_returns);
+        }
     }
 
     /// Drains the next application event.

@@ -20,7 +20,7 @@ use simnet::{Payload, SockAddr, Syscall};
 
 impl Node {
     fn reply(&mut self, io: &mut dyn NetIo, at: &Arrival, reply: Payload) {
-        (self.conns).send_return(io.now(), at.from, at.pm_cn, at.span, reply);
+        (self.conns).send_return(io, &[at.from], at.pm_cn, at.span, &reply);
     }
 
     /// Handles a call message arriving from a client troupe member.
@@ -263,15 +263,18 @@ impl Node {
         self.apply_step(io, key, step);
     }
 
-    /// Sends the reply to every client member heard from, and buffers it
-    /// for the rest (§4.3.4).
+    /// Sends the reply to every client member heard from — once for all
+    /// of them, by multicast, where they share a call number (§4.3.3) —
+    /// and buffers it for the rest (§4.3.4).
     fn finish_pending(&mut self, io: &mut dyn NetIo, key: CallKey, reply: Payload) {
         if !self.assemblies.is_open(&key) {
             return;
         }
         io.charge_compute(self.config.compute_per_msg); // Externalize reply.
         let (now, conns) = (io.now(), &mut self.conns);
-        let send = |to, cn, span, reply| conns.send_return(now, to, cn, span, reply);
+        let send = |tos: &[SockAddr], cn, span, reply: &Payload| {
+            conns.send_return(io, tos, cn, span, reply);
+        };
         self.assemblies.close(&key, reply, now, send);
     }
 

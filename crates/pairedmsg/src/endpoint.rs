@@ -269,11 +269,8 @@ impl Endpoint {
     }
 
     /// Starts transmitting a message attributed to causal span `span`
-    /// (0 = none). For a call the endpoint begins crash-detection probing
-    /// once the call is fully acknowledged; sending a return cancels the
-    /// deferred ack it implicitly carries, and a one-segment return to a
-    /// call never acknowledged explicitly is held off the clock (module
-    /// docs).
+    /// (0 = none): [`Endpoint::adopt`] it, then queue its initial
+    /// segments.
     pub fn send(
         &mut self,
         now: Time,
@@ -282,13 +279,58 @@ impl Endpoint {
         span: u64,
         data: impl Into<Payload>,
     ) -> Result<(), SendError> {
+        if let Some(mut sender) = self.sender(now, msg_type, call_number, span, data.into())? {
+            self.out.extend(sender.initial_segments());
+            self.track(sender);
+        }
+        Ok(())
+    }
+
+    /// Adopts an outgoing message whose segments a troupe-wide multicast
+    /// has just carried (§4.3.3), the last of them handed to the network
+    /// at `now`: full sender bookkeeping without queuing any initial
+    /// segments of its own. For a call that is ack tracking, the unicast
+    /// retransmission schedule toward a straggling peer, crash-detection
+    /// probing once the call is fully acknowledged, and the monotonicity
+    /// audit. A return follows the same rule as one sent by
+    /// [`Endpoint::send`]: one segment to a call never acknowledged
+    /// explicitly is held off the clock and re-sent, by unicast, when its
+    /// call's *please ack* duplicate arrives; any other return keeps its
+    /// timer (module docs). Only the first copy of each segment travels
+    /// by multicast, and the first retransmission is due one interval
+    /// after the wire had the message, not after it was queued.
+    pub fn adopt(
+        &mut self,
+        now: Time,
+        msg_type: MsgType,
+        call_number: u32,
+        span: u64,
+        data: impl Into<Payload>,
+    ) -> Result<(), SendError> {
+        if let Some(sender) = self.sender(now, msg_type, call_number, span, data.into())? {
+            self.track(sender);
+        }
+        Ok(())
+    }
+
+    /// The sender of a message handed to the network whole, held if its
+    /// caller re-asks for it (a one-segment return to a call never
+    /// acknowledged explicitly, module docs). `None` on a dead endpoint,
+    /// which transmits nothing: the caller should have replaced it after
+    /// the `PeerDead` event.
+    fn sender(
+        &self,
+        now: Time,
+        msg_type: MsgType,
+        call_number: u32,
+        span: u64,
+        data: Payload,
+    ) -> Result<Option<MsgSender>, SendError> {
         if self.dead {
-            // A dead endpoint transmits nothing; the caller should have
-            // replaced it after the PeerDead event.
-            return Ok(());
+            return Ok(None);
         }
         let mut sender = MsgSender::new(now, &self.config, msg_type, call_number, span, data)?;
-        self.out.extend(sender.initial_segments());
+        sender.mark_transmitted();
         if msg_type == MsgType::Return
             && self.hold_returns
             && sender.total() == 1
@@ -297,33 +339,7 @@ impl Endpoint {
             // Its caller's call timer is its retransmission timer.
             sender.hold();
         }
-        self.track(sender);
-        Ok(())
-    }
-
-    /// Adopts an outgoing call whose segments a troupe-wide multicast
-    /// has just carried (§4.3.3), the last of them handed to the network
-    /// at `now`: full sender bookkeeping — ack tracking, the unicast
-    /// retransmission schedule toward a straggling peer, crash-detection
-    /// probing, the monotonicity audit — without queuing any initial
-    /// segments of its own. The reliability story is then identical to
-    /// [`Endpoint::send`]: only the first copy of each segment travels by
-    /// multicast, and the first retransmission is due one interval after
-    /// the wire had the message, not after it was queued.
-    pub fn adopt_call(
-        &mut self,
-        now: Time,
-        call_number: u32,
-        span: u64,
-        data: impl Into<Payload>,
-    ) -> Result<(), SendError> {
-        if self.dead {
-            return Ok(());
-        }
-        let mut sender = MsgSender::new(now, &self.config, MsgType::Call, call_number, span, data)?;
-        sender.mark_transmitted();
-        self.track(sender);
-        Ok(())
+        Ok(Some(sender))
     }
 
     /// Takes over a message whose first transmission is accounted for.

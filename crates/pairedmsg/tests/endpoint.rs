@@ -728,7 +728,9 @@ fn adopted_call_round_trips_through_endpoints() {
     // The blast is cut by a sender of the caller's own, off to the side.
     let blast = MsgSender::new(now, &cfg, MsgType::Call, 1, 0, b"abcdefghij").unwrap();
     assert_eq!(blast.total(), 3);
-    client.adopt_call(now, 1, 0, b"abcdefghij").unwrap();
+    client
+        .adopt(now, MsgType::Call, 1, 0, b"abcdefghij")
+        .unwrap();
     assert!(client.poll_transmit().is_none(), "nothing of its own");
 
     for n in 1..=blast.total() {
@@ -753,7 +755,9 @@ fn adopted_call_round_trips_through_endpoints() {
 fn straggler_served_by_unicast_retransmission() {
     let blasted = ms(113);
     let mut client = Endpoint::new(small_segments());
-    client.adopt_call(blasted, 1, 0, b"abcdefghij").unwrap();
+    client
+        .adopt(blasted, MsgType::Call, 1, 0, b"abcdefghij")
+        .unwrap();
     let due = client.poll_timer().expect("retransmission armed");
     assert_eq!(due, blasted + RETRANSMIT_INTERVAL);
     client.on_timer(due);
@@ -761,6 +765,125 @@ fn straggler_served_by_unicast_retransmission() {
     assert!(seg.is_data());
     assert_eq!(seg.header.number, 1);
     assert!(seg.header.please_ack, "retransmissions demand an ack");
+}
+
+/// A return a troupe-wide multicast carried at `at` ms: the callee adopts
+/// it, and the caller receives the blast's copy unless `lost`. Returns
+/// what reached the caller, one [`show`] line per segment.
+fn blast_return(
+    at: u64,
+    data: &[u8],
+    config: &Config,
+    (client, server): (&mut Endpoint, &mut Endpoint),
+    lost: bool,
+) -> Vec<String> {
+    let cut = MsgSender::new(ms(at), config, MsgType::Return, 1, 0, data).unwrap();
+    server.adopt(ms(at), MsgType::Return, 1, 0, data).unwrap();
+    assert!(server.poll_transmit().is_none(), "nothing of its own");
+    let mut crossed = Vec::new();
+    for n in 1..=cut.total() {
+        let seg = cut.segment(n, false);
+        crossed.push(show(&seg));
+        if !lost {
+            client.on_datagram(ms(at), &seg.encode()).unwrap();
+        }
+    }
+    crossed
+}
+
+/// An adopted return follows the rule of a sent one. One segment to a
+/// call the callee never acknowledged explicitly is held: no timer. When
+/// the blast's copy is lost, the caller's call timer brings the call
+/// back with *please ack* and the callee re-sends the return to it alone,
+/// once; the caller's next call retires it, so a later *please ack*
+/// duplicate of the call gets an ack, not the return.
+#[test]
+fn adopted_one_segment_return_is_held_and_resent_on_please_ack() {
+    let config = Config {
+        jitter_permille: 0,
+        ..Config::default()
+    };
+    let (mut client, mut server) = pair_with(config.clone());
+    let mut wire = Wire::new();
+    client.send(ms(0), MsgType::Call, 1, 0, b"args").unwrap();
+    let call = client.poll_transmit().unwrap();
+    server.on_datagram(ms(0), &call).unwrap();
+    expect_message(&mut server, MsgType::Call, 1);
+    let pair = (&mut client, &mut server);
+    assert_eq!(blast_return(40, b"ok", &config, pair, true), ["R1 1/1"]);
+    assert_eq!(server.poll_timer(), None, "held: the callee times nothing");
+    assert!(server.is_idle());
+
+    assert_eq!(client.poll_timer(), Some(ms(300)));
+    client.on_timer(ms(300));
+    assert_eq!(
+        wire.at(300).settle(&mut client, &mut server),
+        ["C1 1/1 please-ack", "R1 1/1"]
+    );
+    assert_eq!(expect_message(&mut client, MsgType::Return, 1), b"ok");
+    assert_eq!(server.stats().retransmits, 1);
+    assert_eq!(server.stats().acks_sent, 0);
+    assert!(tick_at(&[900, 5_000], &mut client, &mut server).is_empty());
+
+    exchange(6_000, 2, &mut client, &mut server);
+    let mut again = Segment::decode(&call).unwrap();
+    again.header.please_ack = true;
+    server.on_segment(ms(6_100), again);
+    let answer = server.poll_transmit_segment().unwrap();
+    assert_eq!(show(&answer), "ack C1 1", "retired by the next call");
+    assert_eq!(server.stats().retransmits, 1);
+}
+
+/// An adopted return to a call the callee acknowledged while it ran keeps
+/// its timer: the ack stopped the caller's call timer, so only the callee
+/// can ask for it again.
+#[test]
+fn adopted_return_to_a_call_acked_while_it_ran_is_timed() {
+    let config = Config::default();
+    let (mut client, mut server) = pair_with(config.clone());
+    let mut wire = Wire::new();
+    client.send(ms(0), MsgType::Call, 1, 0, b"args").unwrap();
+    wire.settle(&mut client, &mut server);
+    expect_message(&mut server, MsgType::Call, 1);
+    assert_eq!(
+        tick_at(&[300], &mut client, &mut server),
+        ["C1 1/1 please-ack", "ack C1 1"]
+    );
+
+    let pair = (&mut client, &mut server);
+    assert_eq!(blast_return(400, b"ok", &config, pair, false), ["R1 1/1"]);
+    expect_message(&mut client, MsgType::Return, 1);
+    assert_eq!(server.poll_timer(), Some(ms(700)));
+    assert_eq!(
+        tick_at(&[700], &mut client, &mut server),
+        ["R1 1/1 please-ack", "ack R1 1"]
+    );
+    assert!(client.poll_event().is_none(), "not delivered twice");
+    assert!(server.is_idle() && server.poll_timer().is_none());
+}
+
+/// An adopted return of two segments keeps its timer, as a sent one does:
+/// its first segment stops the caller's call timer.
+#[test]
+fn adopted_two_segment_return_keeps_its_timer() {
+    let config = small_segments();
+    let (mut client, mut server) = pair_with(config.clone());
+    let mut wire = Wire::new();
+    client.send(ms(0), MsgType::Call, 1, 0, b"args").unwrap();
+    wire.settle(&mut client, &mut server);
+    expect_message(&mut server, MsgType::Call, 1);
+
+    let pair = (&mut client, &mut server);
+    let crossed = blast_return(SERVICE_MS, b"abcdefgh", &config, pair, false);
+    assert_eq!(crossed, ["R1 1/2", "R1 2/2"]);
+    assert_eq!(expect_message(&mut client, MsgType::Return, 1), b"abcdefgh");
+    assert_eq!(client.poll_timer(), None);
+    assert_eq!(server.poll_timer(), Some(ms(SERVICE_MS + 300)));
+    assert_eq!(
+        tick_at(&[SERVICE_MS + 300], &mut client, &mut server),
+        ["R1 1/2 please-ack", "ack R1 2"]
+    );
+    assert!(server.is_idle() && server.poll_timer().is_none());
 }
 
 /// How long the callee takes to answer in [`exchange`].

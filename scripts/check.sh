@@ -39,12 +39,18 @@ phase() {
   echo "==> $1"
 }
 
-phase "cargo fmt --check (and the shape of the source: audited hash maps, no crates/core/src file over 900 lines, no cargo feature, no ledger that grows with the run, no spawn loop or echo service beside the testbed's)"
+phase "cargo fmt --check (and the shape of the source: audited hash maps, no crates/core/src file over 900 lines, one multicast blast, no cargo feature, no ledger that grows with the run, no spawn loop or echo service beside the testbed's)"
 cargo fmt --all --check
 # A HashMap/HashSet field iterates in a per-process order: each one in the
 # protocol crates says, on the line above it, why that is never observed.
 awk 'FNR == 1 { prev = "" } /^ +(pub(\(crate\))? )?[a-z_]+: Hash(Map|Set)</ && prev !~ /never walked/ { print FILENAME ":" FNR ": unaudited" $0; bad = 1 } { prev = $0 } END { exit bad }' crates/{core,pairedmsg,ringmaster,simnet,transactions}/src/*.rs
 wc -l crates/core/src/*.rs | awk '$2 != "total" && $1 > 900 { print $2 ": " $1 " lines (over 900)"; bad = 1 } END { exit bad }'
+# Calls and returns share one blast, `Conns::blast`: a multicast sent
+# from anywhere else in the call runtime is a second copy of it.
+if grep -n '\.multicast_spanned(' crates/core/src/*.rs | grep -v '^crates/core/src/conn\.rs:'; then
+  echo "a multicast outside conn.rs (named above): send it through Conns::blast" >&2
+  exit 1
+fi
 # A cargo feature is a second program nobody tests: there are none, and
 # nothing is compiled conditionally on one.
 if grep -n '^\[features\]' Cargo.toml crates/*/Cargo.toml; then

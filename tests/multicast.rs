@@ -7,9 +7,11 @@
 //! `sendmsg`s, as the paper measured. From two segments up it is sent
 //! once, by troupe-wide multicast: k `sendmsg`s instead of n·k, "m+n
 //! messages". `multicast_small_calls` extends that to single segments.
-//! Return messages arrive per member either way, and reliability is
-//! per member either way: acknowledgment, retransmission toward a
-//! straggler and crash detection are unicast.
+//! Each server member returns to its one caller on its own; the return of
+//! a many-to-one call — a troupe calling back, as in the commit round —
+//! goes to the calling members once, by multicast. Reliability is per
+//! member either way: acknowledgment, retransmission toward a straggler
+//! and crash detection are unicast.
 //!
 //! And what a call costs on top of its data when the caller does not
 //! call again at once: nothing. A one-segment return is sent once and
@@ -572,16 +574,19 @@ fn assert_callbacks_ran_once(w: &World, calls: usize, seed: u64) {
 }
 
 /// The commit round's shape (§5.3): each member calls the client back
-/// before it answers. A call a second costs 4n `sendmsg`s — call,
-/// call-back, the call-back's return and the return, per member — and
-/// nothing else: both returns are held, and neither side acknowledges one
-/// unasked (the client acknowledging the members' returns would add n,
-/// the members acknowledging its return n more). And with
-/// datagrams lost and duplicated, every call still completes, each member
-/// runs it once, the client runs each call-back once, and a seed replays
-/// bit for bit.
+/// before it answers, and the client assembles the n call-backs into one
+/// execution (§4.3.2). A call a second costs 3n + 1 `sendmsg`s — per
+/// member the call, the call-back and the return, and the call-back's
+/// return once for all n by multicast (§4.3.3's m+n) — and nothing else:
+/// both returns are held, and neither side acknowledges one unasked. The
+/// network still carries 4n datagrams, the multicast's n copies among
+/// them. And with datagrams lost and duplicated, every call still
+/// completes, each member runs it once, the client runs each call-back
+/// once, a member that missed the multicast return gets it again by
+/// unicast when its call-back's timer asks, and a seed replays bit for
+/// bit.
 #[test]
-fn callback_round_costs_four_sendmsgs_per_member() {
+fn callback_round_costs_3n_plus_1_sendmsgs() {
     const CALLS: u64 = 5;
     let n = N as u64;
     let payload = [0xAB; 64];
@@ -593,24 +598,31 @@ fn callback_round_costs_four_sendmsgs_per_member() {
     );
     assert_all_echoed(&w, CALLS as usize, &payload, 1985);
     assert_callbacks_ran_once(&w, CALLS as usize, 1985);
-    assert_eq!(sendmsgs, CALLS * 4 * n, "12 per call");
+    assert_eq!(sendmsgs, CALLS * (3 * n + 1), "10 per call");
     assert_eq!(w.net_stats().sent, CALLS * 4 * n);
+    assert_eq!(w.net_stats().multicasts, CALLS);
     assert_eq!(tap.data, CALLS * 4 * n);
     assert_eq!(tap.overhead, 0);
     w.refresh_metrics();
     let reg = w.metrics();
+    assert_eq!(reg.get(&format!("rpc.{CLIENT}.mcast_returns")), CALLS);
     assert_eq!(reg.sum_suffix(".acks_sent"), 0);
     assert_eq!(reg.sum_suffix(".retransmits"), 0);
 
+    let mut resent = 0;
     for seed in 1..=10 {
-        let hash = faulty_callback_run(seed);
-        assert_eq!(hash, faulty_callback_run(seed), "seed {seed} replays");
+        let run = faulty_callback_run(seed);
+        assert_eq!(run, faulty_callback_run(seed), "seed {seed} replays");
+        resent += run.1;
     }
+    assert!(resent > 0, "no multicast return was re-sent by unicast");
 }
 
-/// One seeded run of [`callback_round_costs_four_sendmsgs_per_member`]'s rig over
-/// a LAN that loses and duplicates datagrams. Returns the trace hash.
-fn faulty_callback_run(seed: u64) -> u64 {
+/// One seeded run of [`callback_round_costs_3n_plus_1_sendmsgs`]'s rig
+/// over a LAN that loses and duplicates datagrams. Returns the trace hash
+/// and the client's re-sent segments: its held returns answering a
+/// member's *please ack* call-back among them.
+fn faulty_callback_run(seed: u64) -> (u64, u64) {
     const CALLS: usize = 12;
     let net = NetConfig {
         loss: 0.03,
@@ -630,7 +642,11 @@ fn faulty_callback_run(seed: u64) -> u64 {
     );
     assert_all_echoed(&w, CALLS, &payload, seed);
     assert_callbacks_ran_once(&w, CALLS, seed);
-    w.trace_sink_as::<TraceRing>()
+    w.refresh_metrics();
+    let resent = w.metrics().get(&format!("rpc.{CLIENT}.retransmits"));
+    let hash = w
+        .trace_sink_as::<TraceRing>()
         .expect("installed above")
-        .hash()
+        .hash();
+    (hash, resent)
 }

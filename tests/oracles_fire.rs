@@ -3,11 +3,11 @@
 //! An oracle that has never been seen to fail vouches for nothing.
 
 use chaos::{
-    quiesce, Bcast, ChaosApp, Commute, Quiesced, Recovery, ScenarioOptions, Store, Txn, Violation,
-    Workload, MEMBER_MODULE,
+    quiesce, Bcast, ChaosApp, Client, Commute, Quiesced, Recovery, ScenarioOptions, Store, Txn,
+    Violation, Workload, MEMBER_MODULE,
 };
 use circus::binding::{BINDING_MODULE, RINGMASTER_PORT};
-use circus::testbed::service_mut;
+use circus::testbed::{agent_mut, service_mut};
 use circus::{ModuleAddr, Service, ServiceCtx, Step, ThreadId, Troupe, TroupeId};
 use ringmaster::RingmasterService;
 use simnet::{HostId, SockAddr};
@@ -291,6 +291,32 @@ fn exactly_once_fires_on_a_recommitted_key() {
     assert_only(&violations, "exactly-once");
     assert_eq!(violations.len(), 1, "{violations:?}");
     assert!(violations[0].detail.contains("already held"));
+}
+
+#[test]
+fn atomicity_fires_on_a_commit_its_client_saw_abort() {
+    let (mut q, _) = quiesce(&Store, 3, &Store::options());
+    assert!(check(&Store, &q).is_empty(), "the scenario starts clean");
+    let mut first = None;
+    q.each_client::<Txn>(|addr, a| {
+        first = first.or(a.committed_keys.first().map(|&key| (addr, key)));
+    });
+    let (client, key) = first.expect("a client saw a commit");
+
+    // One client's view reports a key every member committed as
+    // explicitly aborted: the ledgers still agree with one another and
+    // with every commit a client saw, so only the abort contradicts them.
+    agent_mut(&mut q.world, client, |c: &mut Client<Txn>| {
+        c.aborted_keys.push(key);
+    });
+    let violations = check(&Store, &q);
+    assert_only(&violations, "atomicity");
+    assert_eq!(violations.len(), q.members.len(), "{violations:?}");
+    let aborted = format!("saw {key:?} abort, yet member");
+    assert!(
+        violations.iter().all(|v| v.detail.contains(&aborted)),
+        "{violations:?}"
+    );
 }
 
 #[test]
