@@ -47,7 +47,9 @@ use wire::to_bytes;
 
 use crate::client::ProposeAccept;
 use crate::harness::{Quiesced, Workload};
-use crate::oracle::{check_bounded_state, check_monotonicity, check_replication, Violation};
+use crate::oracle::{
+    check_bounded_state, check_census, check_monotonicity, check_replication, Violation,
+};
 
 /// Proposal TTL for chaos members: must dominate the clients' accept
 /// retry horizon (fault windows up to ~60 s of self-heal), or orphan GC
@@ -152,6 +154,7 @@ impl Workload for Bcast {
         check_no_starvation(&views, out);
         check_replication(q, out);
         check_monotonicity(q, out);
+        check_census::<ProposeAccept>(q, out);
     }
 }
 

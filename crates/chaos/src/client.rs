@@ -198,6 +198,11 @@ impl<P: Protocol> Client<P> {
         (self.next >= self.script.len() && self.pending.is_none()) || !self.errors.is_empty()
     }
 
+    /// Script items confirmed so far.
+    pub fn confirmed_items(&self) -> usize {
+        self.next
+    }
+
     /// The binding cache, for the stale-binding oracle.
     pub fn cache(&self) -> &ImportCache {
         &self.cache

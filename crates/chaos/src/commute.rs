@@ -28,7 +28,9 @@ use transactions::CommutativeService;
 
 use crate::client::CmBatch;
 use crate::harness::{Quiesced, Workload};
-use crate::oracle::{check_bounded_state, check_monotonicity, check_replication, Violation};
+use crate::oracle::{
+    check_bounded_state, check_census, check_monotonicity, check_replication, Violation,
+};
 
 /// The commutative-operations workload.
 pub struct Commute;
@@ -81,6 +83,7 @@ impl Workload for Commute {
         check_convergence(&views, out);
         check_replication(q, out);
         check_monotonicity(q, out);
+        check_census::<CmBatch>(q, out);
     }
 }
 

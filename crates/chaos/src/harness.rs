@@ -171,6 +171,13 @@ pub struct Quiesced {
     pub client_addrs: Vec<SockAddr>,
     /// The Ringmaster member hosts.
     pub ringmaster_hosts: Vec<HostId>,
+    /// Every address a process ran at during the run, dead ones
+    /// included, in address order.
+    pub spawned: Vec<SockAddr>,
+    /// Addresses outside the scenario that traffic may have been forged
+    /// from: one while an injector is installed (the adversary forges
+    /// from a single host of its own), otherwise none.
+    pub outsiders: usize,
     /// `true` if every client finished its whole script (plus probe).
     pub all_clients_finished: bool,
     /// Crash/kill repairs completed *by the self-healing agent* (probe,
@@ -414,6 +421,18 @@ pub fn quiesce<W: Workload>(wl: &W, seed: u64, opts: &ScenarioOptions) -> (Quies
 
     d.refresh_members();
     let repairs = d.healed_repairs();
+    // What the fault script spawned (a recovery process) is live now.
+    let mut spawned = d.w.proc_addrs();
+    spawned.extend(d.rm.members.iter().map(|m| m.addr));
+    spawned.extend(
+        placed
+            .iter()
+            .map(|&h| SockAddr::new(HostId(h), MEMBER_PORT)),
+    );
+    spawned.extend(spare_hosts.iter().map(|&h| SockAddr::new(h, MEMBER_PORT)));
+    spawned.extend([registrar].iter().chain(&clients));
+    spawned.sort_unstable();
+    spawned.dedup();
     let q = Quiesced {
         world: d.w,
         seed,
@@ -422,6 +441,8 @@ pub fn quiesce<W: Workload>(wl: &W, seed: u64, opts: &ScenarioOptions) -> (Quies
         members: d.members,
         client_addrs: clients,
         ringmaster_hosts: d.rm_hosts,
+        spawned,
+        outsiders: usize::from(opts.injector.is_some()),
         all_clients_finished: finished && probed,
         repairs,
         driver_warnings: d.warnings,

@@ -36,8 +36,9 @@
 //!   execution, replica-state convergence, transaction atomicity, no
 //!   surviving stale binding), the two every workload shares
 //!   (paired-message serial-number monotonicity, no permanent
-//!   under-replication) and the one the broadcast and commutative
-//!   workloads share (no tracked structure over its bound at quiesce);
+//!   under-replication, and no tracked structure over its bound at
+//!   quiesce — every service ledger, and every process's call-runtime
+//!   census);
 //! - [`report`] — [`run`] ties it together and emits a [`Report`] whose
 //!   trace hash makes "same seed ⇒ same run" a one-line assertion and
 //!   whose [`Report::repro`] line makes a failing seed copy-pasteable;

@@ -37,16 +37,21 @@
 //!    system running degraded forever.
 //! 7. **Bounded state** — a member's ledger costs at most one range per
 //!    client plus one per submission that client did not see commit (the
-//!    only way a gap can open), however long the run.
+//!    only way a gap can open), however long the run; and every live
+//!    process, clients and the Ringmaster troupe included, holds each
+//!    count of its call runtime's census within a bound counted in
+//!    processes, incarnations and attempts that confirmed nothing
+//!    ([`check_census`]).
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use circus::binding::RINGMASTER_PORT;
-use circus::{CircusProcess, ThreadId, Troupe};
+use circus::{census, CircusProcess, ThreadId, Troupe};
 use simnet::SockAddr;
 use transactions::{Ledger, ObjId, Op, TroupeStoreService};
 
-use crate::client::Txn;
+use crate::client::{Protocol, Txn};
 use crate::drive::ringmaster_at;
 use crate::harness::{Quiesced, REPLICATION};
 
@@ -374,12 +379,13 @@ pub fn check_replication(q: &Quiesced, out: &mut Vec<Violation>) {
 }
 
 /// The bounded-state oracle (every workload): at quiesce, nothing
-/// `member` tracks exceeds its bound. `tracked` rows are `(what, held,
-/// bound)`; the bounds are counted in clients and in attempts that never
-/// completed, never in messages, so a ledger that keeps an entry per
-/// message fails here in any run of more messages than clients.
+/// `process` tracks exceeds its bound. `tracked` rows are `(what, held,
+/// bound)`; the bounds are counted in processes, clients, incarnations
+/// and attempts that never completed, never in messages, so a map that
+/// keeps an entry per message fails here in any run of more messages
+/// than those.
 pub fn check_bounded_state(
-    member: SockAddr,
+    process: SockAddr,
     tracked: &[(&str, usize, usize)],
     out: &mut Vec<Violation>,
 ) {
@@ -388,9 +394,158 @@ pub fn check_bounded_state(
             out.push(Violation {
                 oracle: "bounded-state",
                 detail: format!(
-                    "member {member} holds {held} {what} at quiesce; the bound is {bound}"
+                    "process {process} holds {held} {what} at quiesce; the bound is {bound}"
                 ),
             });
+        }
+    }
+}
+
+/// What the bounded-state oracle counts in a quiesced world to bound the
+/// call runtime's [`census`](circus::Node::census) of every process.
+struct Scale {
+    /// Addresses a process ran at, plus any an injector forged from: the
+    /// most peers any process can have heard from or called.
+    processes: usize,
+    /// Incarnations the registry bound the workload troupe under: its
+    /// registration and each membership change since.
+    incarnations: usize,
+    /// Spare activations attempted, completed or aborted
+    /// (`spare.activations` + `spare.join_failures`).
+    activations: usize,
+    /// Per client: the threads it minted that did not carry a confirmed
+    /// script item (lookups, suspect reports, attempts that failed).
+    skipped: Vec<(SockAddr, usize)>,
+    /// Calls outstanding at every live process together.
+    in_flight: usize,
+    /// The most members any troupe in the scenario has.
+    widest: usize,
+}
+
+fn count(counts: &[(&str, usize)], label: &str) -> usize {
+    counts
+        .iter()
+        .find(|(l, _)| *l == label)
+        .map_or(0, |&(_, n)| n)
+}
+
+impl Scale {
+    /// The bound on `label` at a process whose census is `counts`, whose
+    /// connections delivered `delivered` messages, and which (a client)
+    /// minted `skipped` threads that confirmed nothing. Every label has
+    /// one: a census label added without its bound here panics, it does
+    /// not pass unchecked.
+    fn bound(
+        &self,
+        label: &str,
+        counts: &[(&str, usize)],
+        delivered: usize,
+        skipped: usize,
+    ) -> usize {
+        let held = |l| count(counts, l);
+        match label {
+            // Every thread a process mints calls from it at once, so its
+            // own serials run unbroken but for the ones that called again.
+            census::OWN_SEQ_RANGES => 1 + held(census::MULTI_CALL_THREADS),
+            // Nested calls on another process's thread: store members call
+            // each client back once per attempt they execute, and a
+            // committed attempt was executed by every member of the
+            // incarnation it ran on, so a run of a client's serials with
+            // no call-back here holds a thread that confirmed nothing —
+            // at most one range per client plus one per such thread.
+            // Ringmaster members install each incarnation once, on the
+            // thread that asked for it, and a spare whose activation
+            // aborts after one call leaves one more.
+            census::FOREIGN_SEQ_RANGES => {
+                let clients: usize = self.skipped.iter().map(|(_, s)| 1 + s).sum();
+                clients + self.incarnations + self.activations
+            }
+            // Only the healer calls twice on one thread (a repair it asks
+            // for, then the incarnation it installs), and a spare on the
+            // thread it is activated on: one per incarnation, one per
+            // activation.
+            census::MULTI_CALL_THREADS => self.incarnations + self.activations,
+            // One per peer.
+            census::CALL_NUMBERS | census::CONNECTIONS | census::DEAD_PEERS => self.processes,
+            // An agent has one call of its own out at a time; beyond it,
+            // one nested call per open assembly and one lookup per parked
+            // call message.
+            census::OUTSTANDING_CALLS => {
+                1 + held(census::OPEN_ASSEMBLIES) + held(census::PARKED_CALLS)
+            }
+            census::ROUTES => self.widest * held(census::OUTSTANDING_CALLS),
+            // Each serves a call some process still has outstanding.
+            census::OPEN_ASSEMBLIES => self.in_flight,
+            // An assembly closes short of a member when a client's vote
+            // round aborts (a no vote, or a member given up on): an
+            // attempt that confirmed nothing. Store members also buffer
+            // up to two per incarnation installed, because the healer
+            // numbers the install on its repair thread 2 and its peers 1.
+            census::BUFFERED_RETURNS => 2 * self.incarnations + skipped,
+            // The Ringmaster troupe's own, plus every incarnation.
+            census::DIRECTORY_ENTRIES => 1 + self.incarnations,
+            // Parked only while its lookup is out, at most one per peer.
+            census::PARKED_CALLS => self.processes * held(census::OUTSTANDING_CALLS),
+            // Each is a message delivered on a connection still held; its
+            // expiry is what bounds it in time (pairedmsg's
+            // `per_peer_state_is_bounded_by_the_replay_ttl`).
+            census::REPLAY_RECORDS => delivered,
+            other => panic!("census label {other:?} has no bound in the bounded-state oracle"),
+        }
+    }
+}
+
+/// The bounded-state oracle over the call runtime (every workload): every
+/// live process — members, spares, clients, the Ringmaster troupe, the
+/// registrar — holds each [`census`](circus::Node::census) count within
+/// the bound `Scale::bound` states for it. Reads the endpoint totals
+/// [`check_monotonicity`] published, so it runs after it.
+pub fn check_census<P: Protocol>(q: &Quiesced, out: &mut Vec<Violation>) {
+    let addrs = q.world.proc_addrs();
+    let mut censuses = Vec::with_capacity(addrs.len());
+    for a in addrs {
+        if let Some(c) = q.world.with_proc(a, |p: &CircusProcess| p.node().census()) {
+            censuses.push((a, c));
+        }
+    }
+    let mut skipped = Vec::with_capacity(q.client_addrs.len());
+    q.each_client::<P>(|addr, c| {
+        let minted = q
+            .world
+            .with_proc(addr, |p: &CircusProcess| p.node().threads_minted());
+        let minted = minted.unwrap_or(0) as usize;
+        skipped.push((addr, minted.saturating_sub(c.confirmed_items())));
+    });
+    let reg = q.world.metrics();
+    let generation = |a| ringmaster_at(&q.world, a, |s| s.generation(q.troupe)).unwrap_or(0);
+    let rm = q
+        .ringmaster_hosts
+        .iter()
+        .map(|&h| SockAddr::new(h, RINGMASTER_PORT));
+    let scale = Scale {
+        processes: q.spawned.len() + q.outsiders,
+        incarnations: rm.map(generation).max().unwrap_or(0) as usize,
+        activations: (reg.get("spare.activations") + reg.get("spare.join_failures")) as usize,
+        skipped,
+        in_flight: censuses
+            .iter()
+            .map(|(_, c)| count(c, census::OUTSTANDING_CALLS))
+            .sum(),
+        widest: REPLICATION.max(q.ringmaster_hosts.len()),
+    };
+    let mut key = String::new();
+    let mut delivered = |addr: SockAddr, what: &str| {
+        key.clear();
+        let _ = write!(key, "rpc.{addr}.{what}");
+        reg.get(&key) as usize
+    };
+    for (addr, counts) in &censuses {
+        let got = delivered(*addr, "calls_delivered") + delivered(*addr, "returns_delivered");
+        let skipped = scale.skipped.iter().find(|(c, _)| c == addr);
+        let skipped = skipped.map_or(0, |&(_, s)| s);
+        for &(label, held) in counts {
+            let bound = scale.bound(label, counts, got, skipped);
+            check_bounded_state(*addr, &[(label, held, bound)], out);
         }
     }
 }
@@ -427,6 +582,7 @@ pub fn check_all(q: &Quiesced) -> Vec<Violation> {
     check_atomicity(&members, &clients, &mut out);
     check_stale_bindings(q, &clients, &mut out);
     check_monotonicity(q, &mut out);
+    check_census::<Txn>(q, &mut out);
     check_replication(q, &mut out);
     check_ledger_bound(&members, &clients, &mut out);
     out

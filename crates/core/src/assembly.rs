@@ -12,6 +12,7 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
+use crate::census;
 use crate::collate::{CollateError, Collation, Decision};
 use crate::message::{Arrival, CallKey, CallMessage};
 use crate::netio::NetIo;
@@ -120,6 +121,12 @@ impl Assemblies {
     /// Assemblies that reached a collation decision and ran service code.
     pub(crate) fn invocations(&self) -> u64 {
         self.last_invocation
+    }
+
+    /// The engine's part of [`Node::census`](crate::Node::census).
+    pub(crate) fn census(&self, out: &mut Vec<(&'static str, usize)>) {
+        out.push((census::OPEN_ASSEMBLIES, self.pending.len()));
+        out.push((census::BUFFERED_RETURNS, self.done.len()));
     }
 
     /// One line per open assembly.

@@ -3,13 +3,16 @@
 //! all by multicast (§4.3.3) — and collate the returns.
 //!
 //! Invariants kept here: a call's `unresolved` is the number of its live
-//! `route` entries, and each peer's call numbers strictly increase.
+//! `route` entries, each peer's call numbers strictly increase, and a
+//! thread's `call_seq` never repeats over the node's life ([`CallSeqs`]).
 
 use std::collections::{BTreeMap, HashMap};
 
 use crate::addr::{Troupe, TroupeId};
+use crate::census;
 use crate::collate::{Collation, CollationPolicy, Decision};
 use crate::conn::Conns;
+use crate::idset::IdSet;
 use crate::message::{encode, CallKey, CallMessage, ReturnView};
 use crate::netio::NetIo;
 use crate::node::{CallHandle, NodeConfig};
@@ -101,6 +104,70 @@ pub(crate) enum Returned {
     Violation(CallHandle),
 }
 
+/// The call sequence number of every distributed thread this node has
+/// called on: its `k`th call on a thread goes out under `call_seq` k.
+///
+/// **A thread's `call_seq` never repeats over the node's life.** A server
+/// matches the copies of a many-to-one call by `(client troupe, thread,
+/// call_seq)` (§4.3.2), against its open assemblies and against the
+/// returns it buffers for `DONE_TTL` (60 s); a repeated number would
+/// join another call's assembly or be answered with another call's
+/// return.
+///
+/// So the table never forgets a thread. Forgetting one is safe only if
+/// every member of the client troupe forgets it in step, because each
+/// member numbers the calls it makes for the troupe on its own and the
+/// server assembles their copies by those numbers. The members' clocks
+/// disagree on when a thread went idle. A thread that calls again inside
+/// that window goes out as 1 from the member that forgot and as k + 1
+/// from the one that did not: the server opens two assemblies and runs
+/// the procedure twice.
+///
+/// Nor does it need to forget: it is exact and small. A thread that has
+/// called once from here (a library client mints one per submission, and
+/// a store member's `ready_to_commit` call-back runs on it) is a serial
+/// in its origin's [`IdSet`]. A base process mints serials consecutively,
+/// so that is one range per origin plus one per serial skipped here. A
+/// thread's second call moves it to `many` at 2, so [`CallSeqs::next`]
+/// returns what a map from every thread to its last number would.
+#[derive(Default)]
+pub(crate) struct CallSeqs {
+    /// Serials of the threads that have made exactly one call from here,
+    /// per origin.
+    once: BTreeMap<SockAddr, IdSet>,
+    /// The last `call_seq` of each thread that has made two or more.
+    many: BTreeMap<ThreadId, u32>,
+}
+
+impl CallSeqs {
+    /// The `call_seq` of `thread`'s next call from this node.
+    pub(crate) fn next(&mut self, thread: ThreadId) -> u32 {
+        if let Some(seq) = self.many.get_mut(&thread) {
+            *seq += 1;
+            return *seq;
+        }
+        let serial = u64::from(thread.serial);
+        let once = self.once.entry(thread.origin).or_default();
+        if once.insert(serial) {
+            return 1;
+        }
+        once.remove(serial);
+        if once.is_empty() {
+            self.once.remove(&thread.origin);
+        }
+        self.many.insert(thread, 2);
+        2
+    }
+
+    /// Ranges held for the threads that called once: those based at `me`,
+    /// and all others.
+    fn ranges(&self, me: SockAddr) -> (usize, usize) {
+        let all = self.once.values().map(IdSet::range_count).sum::<usize>();
+        let own = self.once.get(&me).map_or(0, IdSet::range_count);
+        (own, all - own)
+    }
+}
+
 #[derive(Default)]
 pub(crate) struct ClientCalls {
     /// `outstanding` and `route` are walked when a peer dies, so ordered:
@@ -108,8 +175,7 @@ pub(crate) struct ClientCalls {
     outstanding: BTreeMap<u64, Outstanding>,
     /// `(peer, call number)` of each awaited return to `(handle, member)`.
     route: BTreeMap<(SockAddr, u32), (u64, usize)>,
-    /// Point lookups only, never walked.
-    seq_by_thread: HashMap<ThreadId, u32>,
+    seqs: CallSeqs,
     last_handle: u64,
     /// Next outgoing call number per peer. A unicast call takes each
     /// member's own next number. A multicast call must reach every member
@@ -138,6 +204,25 @@ impl ClientCalls {
         }
     }
 
+    /// The engine's part of [`Node::census`](crate::Node::census), for
+    /// the node at `me`.
+    pub(crate) fn census(&self, me: SockAddr, out: &mut Vec<(&'static str, usize)>) {
+        let (own, foreign) = self.seqs.ranges(me);
+        out.extend([
+            (census::OWN_SEQ_RANGES, own),
+            (census::FOREIGN_SEQ_RANGES, foreign),
+            (census::MULTI_CALL_THREADS, self.seqs.many.len()),
+            (census::CALL_NUMBERS, self.call_numbers.len()),
+            (census::OUTSTANDING_CALLS, self.outstanding.len()),
+            (census::ROUTES, self.route.len()),
+        ]);
+    }
+
+    /// Makes `next` the call number of the next call to `peer`.
+    pub(crate) fn set_call_number(&mut self, peer: SockAddr, next: u32) {
+        self.call_numbers.insert(peer, next);
+    }
+
     /// Sends `call` to every member of its troupe that `admit` lets
     /// through now — a member refused is marked dead in the collation
     /// instead, so the call fails fast on it rather than re-running the
@@ -155,13 +240,10 @@ impl ClientCalls {
     ) -> u64 {
         self.last_handle += 1;
         let handle = self.last_handle;
-        let seq = self.seq_by_thread.entry(call.thread).or_insert(0);
-        *seq += 1;
-
         let (troupe, module, proc) = (call.troupe, call.module, call.proc);
         let msg = CallMessage {
             thread: call.thread,
-            call_seq: *seq,
+            call_seq: self.seqs.next(call.thread),
             client_troupe: call.client_troupe,
             server_troupe: troupe.id,
             module,
@@ -395,6 +477,7 @@ pub(crate) mod tests {
     use pairedmsg::MAX_SEGMENTS;
     use proptest::prelude::*;
     use simnet::HostId;
+    use std::collections::BTreeSet;
 
     fn members(hosts: std::ops::RangeInclusive<u32>) -> Vec<ModuleAddr> {
         let member = |h| ModuleAddr::new(SockAddr::new(HostId(h), 70), 1);
@@ -703,6 +786,39 @@ pub(crate) mod tests {
             }
             prop_assert!(r.calls.route.is_empty());
             prop_assert!(displaced || r.calls.outstanding.is_empty());
+        }
+
+        /// The table against the map it replaced: calls on threads of
+        /// three origins, their serials skipped, out of order and
+        /// repeated, get the numbers a map from every thread to its last
+        /// number gives. They cost at most a range per origin, plus one
+        /// per run of serials skipped between two that called, plus one
+        /// per thread that called twice.
+        fn call_seqs_agree_with_a_map_per_thread(
+            calls in proptest::collection::vec((0u32..3, 0u32..40), 1..200)
+        ) {
+            let mut seqs = CallSeqs::default();
+            let mut model: BTreeMap<ThreadId, u32> = BTreeMap::new();
+            for (host, serial) in calls {
+                let thread = ThreadId { origin: SockAddr::new(HostId(host), 9), serial };
+                let last = model.entry(thread).or_insert(0);
+                *last += 1;
+                prop_assert_eq!(seqs.next(thread), *last);
+            }
+            let multi = model.values().filter(|&&n| n > 1).count();
+            prop_assert_eq!(seqs.many.len(), multi);
+            let mut bound = multi;
+            for host in 0..3 {
+                let origin = model.keys().filter(|t| t.origin.host == HostId(host));
+                let called: BTreeSet<u32> = origin.map(|t| t.serial).collect();
+                let (Some(&lo), Some(&hi)) = (called.first(), called.last()) else {
+                    continue;
+                };
+                let gap_after = |s: &u32| called.contains(s) && !called.contains(&(s + 1));
+                bound += 1 + (lo..hi).filter(gap_after).count();
+            }
+            let (own, foreign) = seqs.ranges(SockAddr::new(HostId(0), 9));
+            prop_assert!(own + foreign <= bound, "{own} + {foreign} ranges");
         }
     }
 }

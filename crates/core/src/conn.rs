@@ -3,6 +3,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::census;
 use crate::message::{encode, ReturnMessage};
 use crate::netio::{make_tag, NetIo, TAG_CONN};
 use pairedmsg::{Endpoint, Event, MsgSender, MsgType, ProtocolMode, MAX_SEGMENTS};
@@ -52,6 +53,13 @@ impl Conns {
 
     pub(crate) fn len(&self) -> usize {
         self.table.len()
+    }
+
+    /// The table's part of [`Node::census`](crate::Node::census).
+    pub(crate) fn census(&self, out: &mut Vec<(&'static str, usize)>) {
+        let records = self.endpoints().map(Endpoint::replay_records).sum();
+        out.push((census::CONNECTIONS, self.len()));
+        out.push((census::REPLAY_RECORDS, records));
     }
 
     /// Every endpoint, in address order.

@@ -11,6 +11,7 @@ use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 use crate::addr::{Troupe, TroupeId};
+use crate::census;
 use crate::message::{Arrival, CallMessage};
 use simnet::{Payload, SockAddr, Time};
 
@@ -41,6 +42,16 @@ pub(crate) struct Directory {
 }
 
 impl Directory {
+    /// The directory's part of [`Node::census`](crate::Node::census).
+    pub(crate) fn census(&self, out: &mut Vec<(&'static str, usize)>) {
+        let parked = self.parked.values().map(Vec::len).sum();
+        out.extend([
+            (census::DIRECTORY_ENTRIES, self.members.len()),
+            (census::DEAD_PEERS, self.dead_peers.len()),
+            (census::PARKED_CALLS, parked),
+        ]);
+    }
+
     /// The membership of troupe `id`, if known.
     pub(crate) fn members(&self, id: TroupeId) -> Option<&Rc<[SockAddr]>> {
         self.members.get(&id)

@@ -13,6 +13,8 @@
 //! - [`Troupe`], [`ModuleAddr`], [`TroupeId`] — the representation handed
 //!   out by the binding agent (§4.3, §6.3);
 //! - [`ThreadId`] and the thread-ID propagation algorithm (§3.4.1);
+//! - [`IdSet`] — an exact set of ids held as ranges, shared by the call
+//!   runtime's per-thread call sequences and the services' ledgers;
 //! - [`CallMessage`]/[`ReturnMessage`] — call/return contents (§4.3);
 //! - [`Collation`] and collators: unanimous, first-come, majority, and
 //!   application-specific (§4.3.4–§4.3.6, §7.4);
@@ -37,9 +39,11 @@ pub mod addr;
 mod assembly;
 pub mod binding;
 mod calls;
+pub mod census;
 pub mod collate;
 mod conn;
 mod directory;
+pub mod idset;
 pub mod message;
 pub mod model;
 mod netio;
@@ -54,6 +58,7 @@ pub use collate::{
     decode_gathered, gather_all_collation, Collate, CollateError, Collation, CollationPolicy,
     Decision, GatherAll, VoteSlot,
 };
+pub use idset::IdSet;
 pub use message::{unwrap_reply_vote, wrap_reply_vote, CallMessage, ReturnMessage};
 pub use node::{AppEvent, CallHandle, NetIo, Node, NodeConfig, TimerHandle, TimerKey};
 pub use runtime::{Agent, BuildError, CircusProcess, NodeBuilder, NodeCtx};

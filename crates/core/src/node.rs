@@ -143,12 +143,40 @@ pub struct Node {
 
 impl Node {
     /// Debug view of client calls still awaiting collation and server
-    /// assemblies still open — for post-mortem inspection from tests.
+    /// assemblies still open, one line each, then the [`census`] on one
+    /// line — for post-mortem inspection from tests.
+    ///
+    /// [`census`]: Node::census
     pub fn debug_stuck(&self) -> Vec<String> {
         let mut out = Vec::new();
         self.calls.stuck(&mut out);
         self.assemblies.stuck(&mut out);
+        let counts = self.census().into_iter().map(|(l, n)| format!("{l}={n}"));
+        out.push(format!("census {}", counts.collect::<Vec<_>>().join(" ")));
         out
+    }
+
+    /// How much protocol state this node holds: one `(label, count)` per
+    /// map, labels from [`crate::census`], whose docs say what bounds
+    /// each count. The chaos harness checks every process against those
+    /// bounds at quiesce.
+    pub fn census(&self) -> Vec<(&'static str, usize)> {
+        let mut out = Vec::with_capacity(crate::census::LABELS.len());
+        self.calls.census(self.me, &mut out);
+        self.assemblies.census(&mut out);
+        self.directory.census(&mut out);
+        self.conns.census(&mut out);
+        out
+    }
+
+    /// Test hook: makes `next` the call number of this node's next call
+    /// to `peer`, behind its connection's back. Rewinding it breaks the
+    /// per-peer monotonicity the `serial-monotonicity` oracle audits, and
+    /// numbering calls to made-up peers inflates the `call numbers`
+    /// census: `tests/oracles_fire.rs` proves both oracles fire with it.
+    #[doc(hidden)]
+    pub fn set_call_number(&mut self, peer: SockAddr, next: u32) {
+        self.calls.set_call_number(peer, next);
     }
 
     /// Creates a node for the process at `me`.
@@ -245,6 +273,12 @@ impl Node {
     /// Creates a fresh distributed thread based at this process.
     pub fn fresh_thread(&mut self) -> ThreadId {
         self.threads.fresh()
+    }
+
+    /// How many threads this process has based here: their serials are
+    /// `1..=` this.
+    pub fn threads_minted(&self) -> u32 {
+        self.threads.minted()
     }
 
     /// Number of service invocations this member has started — assemblies
@@ -577,7 +611,7 @@ mod tests {
         let handles: Vec<CallHandle> = (0..8)
             .map(|_| call(&mut n, &mut io, &troupe, b"x"))
             .collect();
-        assert_eq!(n.debug_stuck().len(), 8);
+        assert_eq!(n.debug_stuck().len(), 8 + 1, "eight calls and the census");
         n.on_peer_dead(&mut io, peer);
         for want in handles {
             assert_fails_next(&mut n, want);
@@ -586,7 +620,14 @@ mod tests {
             n.poll_event(),
             Some(AppEvent::MemberDead { addr }) if addr == peer
         ));
-        assert!(n.debug_stuck().is_empty());
+        let stuck = n.debug_stuck();
+        assert_eq!(stuck.len(), 1, "{stuck:?}");
+        assert!(
+            stuck[0].contains("outstanding calls=0 routes=0"),
+            "{stuck:?}"
+        );
+        let labels: Vec<&str> = n.census().into_iter().map(|(l, _)| l).collect();
+        assert_eq!(labels, crate::census::LABELS, "every label, in order");
     }
 
     #[test]

@@ -428,6 +428,7 @@ pub fn service_mut<S: Service, R>(
 pub fn assert_quiescent(world: &World) {
     for a in world.proc_addrs() {
         let stuck = node(world, a, Node::debug_stuck);
-        assert!(stuck.is_empty(), "{a} still holds {stuck:?}");
+        // Nothing but the census line.
+        assert!(stuck.len() == 1, "{a} still holds {stuck:?}");
     }
 }

@@ -78,6 +78,11 @@ impl ThreadIdGen {
         self.next += 1;
         id
     }
+
+    /// How many IDs [`fresh`](ThreadIdGen::fresh) has handed out.
+    pub fn minted(&self) -> u32 {
+        self.next - 1
+    }
 }
 
 #[cfg(test)]

@@ -656,6 +656,55 @@ fn slow_client_member_served_from_buffer() {
     assert_quiescent(&w);
 }
 
+/// A thread's `call_seq` never repeats, however long the thread idles
+/// (the note on `CallSeqs` in `calls.rs`). Client member A's first call
+/// on the troupe's thread waits out the server's 10 s assembly timeout
+/// for silent member B, so the return buffered for B is younger than A's
+/// call. 65 s after that call began — past the 60 s `DONE_TTL` by A's
+/// own clock — A calls again on the thread. A table that had retired the
+/// thread would number it 1 again and get call 1's buffered return; this
+/// one numbers it 2, and the server executes it.
+#[test]
+fn thread_idle_past_done_ttl_calls_on_at_the_next_sequence_number() {
+    let mut w = world(23);
+    let server = spawn_server_troupe(&mut w, 20, 1, 1);
+    let add = |n: u32| Request::new(&server, MODULE, PROC_ADD, to_bytes(&n));
+    let clients = spawn_client_troupe(&mut w, 30, &[10, 11], add(5));
+    let (a, b) = (clients[0], clients[1]);
+    introduce(&mut w, server.members[0].addr, 30, &clients);
+    let thread = ThreadId {
+        origin: addr(200, 1),
+        serial: 1,
+    };
+    enqueue(&mut w, a, [add(7).on(thread)]);
+    let total = |r: &Result<Vec<u8>, CallError>| from_bytes::<u32>(r.as_ref().unwrap()).unwrap();
+
+    // Call 1 executes once the assembly gives up on B, at 10 s.
+    w.poke(a, 0);
+    run(&mut w, 65);
+    assert_eq!(results(&w, a).iter().map(total).collect::<Vec<_>>(), [5]);
+
+    // A's call 2 goes out; B's first call on the thread, its copy of
+    // call 1, still finds call 1's return buffered.
+    w.poke(a, 0);
+    run(&mut w, 1);
+    w.poke(b, 0);
+    run(&mut w, 15);
+    assert_eq!(results(&w, b).iter().map(total).collect::<Vec<_>>(), [5]);
+    assert_eq!(
+        results(&w, a).iter().map(total).collect::<Vec<_>>(),
+        [5, 12],
+        "call 2 ran, after call 1's return had been buffered for 56 s"
+    );
+    assert_eq!(executions(&w, server.members[0]), 2);
+    let census = node(&w, a, |n| n.census());
+    assert!(
+        census.contains(&(circus::census::MULTI_CALL_THREADS, 1)),
+        "{census:?}"
+    );
+    assert_quiescent(&w);
+}
+
 #[test]
 fn partition_minority_fails_majority_succeeds() {
     // §4.3.5: "to prevent troupe members in different partitions from

@@ -229,6 +229,13 @@ impl Endpoint {
         self.stats.publish(reg, prefix);
     }
 
+    /// Completed incoming messages remembered (for re-acknowledgment,
+    /// replay suppression and held returns), expired ones included until
+    /// the next arrival purges them.
+    pub fn replay_records(&self) -> usize {
+        self.replay.len()
+    }
+
     /// `true` once the peer has been declared dead.
     pub fn is_dead(&self) -> bool {
         self.dead

@@ -160,6 +160,13 @@ impl RingmasterService {
         self.registry.get(name).map(|e| &e.troupe)
     }
 
+    /// How many incarnations of the troupe named `name` have been bound:
+    /// its registration and every membership change since (0 if it was
+    /// never registered).
+    pub fn generation(&self, name: &str) -> u64 {
+        self.registry.get(name).map_or(0, |e| e.generation)
+    }
+
     /// The full registry — `(name, current troupe)` in name order — for
     /// audit oracles comparing client caches against the live bindings.
     pub fn bindings(&self) -> Vec<(String, Troupe)> {

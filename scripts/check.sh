@@ -39,11 +39,18 @@ phase() {
   echo "==> $1"
 }
 
-phase "cargo fmt --check (and the shape of the source: audited hash maps, no crates/core/src file over 900 lines, one multicast blast, no cargo feature, no ledger that grows with the run, no spawn loop or echo service beside the testbed's)"
+phase "cargo fmt --check (and the shape of the source: audited hash maps, no per-thread hash map in the call runtime, no crates/core/src file over 900 lines, one multicast blast, no cargo feature, no ledger that grows with the run, no spawn loop or echo service beside the testbed's)"
 cargo fmt --all --check
 # A HashMap/HashSet field iterates in a per-process order: each one in the
 # protocol crates says, on the line above it, why that is never observed.
 awk 'FNR == 1 { prev = "" } /^ +(pub(\(crate\))? )?[a-z_]+: Hash(Map|Set)</ && prev !~ /never walked/ { print FILENAME ":" FNR ": unaudited" $0; bad = 1 } { prev = $0 } END { exit bad }' crates/{core,pairedmsg,ringmaster,simnet,transactions}/src/*.rs
+# The call runtime keeps per-thread call sequences exactly, as ranges of
+# serials per origin (`CallSeqs` in calls.rs): a map with an entry for
+# every thread it ever called on is the per-call growth it replaced.
+if grep -n 'HashMap<ThreadId' crates/core/src/*.rs; then
+  echo "a HashMap keyed by ThreadId in the call runtime (named above): keep threads as CallSeqs does" >&2
+  exit 1
+fi
 wc -l crates/core/src/*.rs | awk '$2 != "total" && $1 > 900 { print $2 ": " $1 " lines (over 900)"; bad = 1 } END { exit bad }'
 # Calls and returns share one blast, `Conns::blast`: a multicast sent
 # from anywhere else in the call runtime is a second copy of it.
@@ -84,7 +91,9 @@ cargo test --workspace -q
 
 # Release builds compile some counters out (`pairedmsg::segment::encodes`,
 # `wire::byte_copies`), so a test that asserts one holds in debug only and
-# fails here. The allocation budgets and heap-flat gates run here too.
+# fails here. The allocation budgets and heap-flat gates run here too,
+# `commit_store_heap_is_flat` beside `commit_store_heap_is_flat_on_fresh_threads`
+# (a fresh distributed thread per transaction, as `TxnClient` makes them).
 phase "cargo test --workspace --release (the same suite, as the benchmark builds the crates)"
 cargo test --workspace --release -q
 

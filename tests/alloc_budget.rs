@@ -14,6 +14,9 @@
 //!   for 20 000 ordered broadcasts, 20 000 commutative requests and 20 000
 //!   transactions committed on durable members: what a member remembers of
 //!   a message, in memory or on disk, is bounded by the number of clients.
+//!   And it holds for 20 000 transactions each on a fresh distributed
+//!   thread, as a `TxnClient` makes them: what a call runtime remembers
+//!   of a thread is bounded too.
 //! - One ordered broadcast by the library `Broadcaster` must average at
 //!   most [`BROADCAST_BUDGET`] allocations.
 //! - The timer wheel must not allocate at all over a steady-state
@@ -134,9 +137,9 @@ fn live_bytes() -> i64 {
 
 /// A closed-loop test client with logic of its own: poked with a number
 /// of operations to run, it runs them one at a time, all on one
-/// distributed thread (the call engine numbers calls per thread, and
-/// remembers each thread), and counts the ones done. It keeps no
-/// per-operation state, so whatever grows with the run is the system's.
+/// distributed thread unless it says otherwise, and counts the ones done.
+/// It keeps no per-operation state, so whatever grows with the run is the
+/// system's.
 trait ClosedLoop: Agent + 'static {
     fn completed(&self) -> u64;
 }
@@ -522,10 +525,14 @@ fn commutative_heap_is_flat() {
 const COMMIT_MODULE: u16 = 2;
 
 /// Sequential transactions, each adding 1 to one object: the `n`th
-/// under nonce `n`, as a `TxnClient` mints them.
+/// under nonce `n`, as a `TxnClient` mints them — and, with
+/// `fresh_threads`, each on a thread of its own, as a `TxnClient` makes
+/// them. The members' `ready_to_commit` call-backs then run on a fresh
+/// thread each too.
 struct CommitLoop {
     troupe: Troupe,
     thread: Option<ThreadId>,
+    fresh_threads: bool,
     nonce: u64,
     remaining: u64,
     wrong: u64,
@@ -533,6 +540,9 @@ struct CommitLoop {
 
 impl CommitLoop {
     fn submit(&mut self, nc: &mut NodeCtx<'_, '_, '_>) {
+        if self.fresh_threads {
+            self.thread = None;
+        }
         let thread = *self.thread.get_or_insert_with(|| nc.fresh_thread());
         let req = ExecuteRequest {
             nonce: self.nonce + 1,
@@ -579,8 +589,9 @@ impl ClosedLoop for CommitLoop {
     }
 }
 
-#[test]
-fn commit_store_heap_is_flat() {
+/// Holds 20 000 durable commits, after 20 000 more warm the rig up, to
+/// [`HEAP_GROWTH_BUDGET`], each on a fresh thread if `fresh_threads`.
+fn assert_commit_store_heap_is_flat(fresh_threads: bool) {
     let mut w = world(1985);
     let disks: Vec<_> = member_addrs()
         .iter()
@@ -596,6 +607,7 @@ fn commit_store_heap_is_flat() {
         |troupe| CommitLoop {
             troupe,
             thread: None,
+            fresh_threads,
             nonce: 0,
             remaining: 0,
             wrong: 0,
@@ -619,6 +631,19 @@ fn commit_store_heap_is_flat() {
         });
         assert_eq!(view, (done, done, 1), "member {a}");
     }
+}
+
+#[test]
+fn commit_store_heap_is_flat() {
+    assert_commit_store_heap_is_flat(false);
+}
+
+/// Each submission on a fresh thread: the client calls once on each, and
+/// each member calls back once on each. The call runtime that kept an
+/// entry per thread it ever called on grew by hundreds of kilobytes here.
+#[test]
+fn commit_store_heap_is_flat_on_fresh_threads() {
+    assert_commit_store_heap_is_flat(true);
 }
 
 #[test]

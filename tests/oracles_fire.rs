@@ -3,11 +3,12 @@
 //! An oracle that has never been seen to fail vouches for nothing.
 
 use chaos::{
-    quiesce, Bcast, ChaosApp, Client, Commute, Quiesced, Recovery, ScenarioOptions, Store, Txn,
-    Violation, Workload, MEMBER_MODULE,
+    quiesce, Bcast, ChaosApp, Client, Commute, Protocol, Quiesced, Recovery, ScenarioOptions,
+    Store, Txn, Violation, Workload, MEMBER_MODULE,
 };
 use circus::binding::{BINDING_MODULE, RINGMASTER_PORT};
-use circus::testbed::{agent_mut, service_mut};
+use circus::census::{CALL_NUMBERS, OUTSTANDING_CALLS};
+use circus::testbed::{agent_mut, node, node_mut, service_mut};
 use circus::{ModuleAddr, Service, ServiceCtx, Step, ThreadId, Troupe, TroupeId};
 use ringmaster::RingmasterService;
 use simnet::{HostId, SockAddr};
@@ -355,6 +356,61 @@ fn stale_binding_fires_on_a_registry_that_moved_on() {
     let stale = format!("(incarnation {cached:?})");
     assert!(
         violations.iter().all(|v| v.detail.contains(&stale)),
+        "{violations:?}"
+    );
+}
+
+#[test]
+fn serial_monotonicity_fires_on_a_rewound_call_number() {
+    let (mut q, _) = quiesce(&Store, 3, &Store::options());
+    assert!(check(&Store, &q).is_empty(), "the scenario starts clean");
+    let (client, member) = (q.client_addrs[0], q.members[0].addr);
+
+    // One client's next call to one member rewound to call number 1, which
+    // that connection carried long ago; then the client starts one more
+    // transaction. The oracles look as soon as its call messages are out,
+    // before any reaches a member.
+    node_mut(&mut q.world, client, |n| n.set_call_number(member, 1));
+    agent_mut(&mut q.world, client, |c: &mut Client<Txn>| {
+        c.enqueue(Txn::probe(0))
+    });
+    q.world.poke(client, 0);
+    let outstanding = |q: &Quiesced| {
+        let census = node(&q.world, client, |n| n.census());
+        census.iter().any(|&(l, n)| l == OUTSTANDING_CALLS && n > 0)
+    };
+    while !outstanding(&q) {
+        assert!(q.world.step(), "the client never called");
+    }
+    let violations = check(&Store, &q);
+    assert_only(&violations, "serial-monotonicity");
+    assert_eq!(violations.len(), 1, "{violations:?}");
+    let sent = format!("{client} sent 1 non-monotonic call number");
+    assert!(violations[0].detail.contains(&sent), "{violations:?}");
+}
+
+#[test]
+fn bounded_state_fires_on_an_inflated_census_at_a_client() {
+    let (mut q, _) = quiesce(&Store, 3, &Store::options());
+    assert!(check(&Store, &q).is_empty(), "the scenario starts clean");
+    let client = q.client_addrs[0];
+
+    // A client that numbers calls to more peers than the world ever held
+    // processes: what a call-number table keyed by something that grows
+    // with the run would look like. No call is made, so nothing else can
+    // notice.
+    let peers = q.spawned.len() + q.outsiders + 1;
+    node_mut(&mut q.world, client, |n| {
+        for i in 0..peers {
+            n.set_call_number(SockAddr::new(HostId(200 + i as u32), 9), 1);
+        }
+    });
+    let violations = check(&Store, &q);
+    assert_only(&violations, "bounded-state");
+    assert_eq!(violations.len(), 1, "{violations:?}");
+    let held = format!("process {client} holds");
+    assert!(
+        violations[0].detail.contains(&held) && violations[0].detail.contains(CALL_NUMBERS),
         "{violations:?}"
     );
 }
