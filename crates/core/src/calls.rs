@@ -548,6 +548,16 @@ pub(crate) mod tests {
         troupe.members.iter().map(|m| m.addr).collect()
     }
 
+    /// A paired-message configuration no endpoint would accept fails when
+    /// the connection table is built, before any peer is contacted.
+    #[test]
+    #[should_panic(expected = "shorter than the crash horizon")]
+    fn a_replay_ttl_short_of_the_crash_horizon_fails_at_build() {
+        let mut config = NodeConfig::uncharged();
+        config.pm.replay_ttl = config.pm.crash_horizon() - simnet::Duration::from_micros(1);
+        Rig::new(config);
+    }
+
     /// The data plane is read off the call: one segment goes out per
     /// member under per-member numbers; two segments to the same troupe
     /// are blasted once each under one number — the largest any member

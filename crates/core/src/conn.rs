@@ -39,7 +39,10 @@ pub(crate) struct Conns {
 }
 
 impl Conns {
+    /// Panics on a `pm` no endpoint would accept, rather than at the first
+    /// datagram to or from a peer.
     pub(crate) fn new(me: SockAddr, pm: pairedmsg::Config) -> Conns {
+        pm.validate();
         Conns {
             me,
             pm,

@@ -70,7 +70,8 @@ pub enum AppEvent {
 /// Node configuration.
 #[derive(Clone, Debug)]
 pub struct NodeConfig {
-    /// Paired message protocol parameters.
+    /// Paired message protocol parameters; building a node with one that
+    /// fails [`pairedmsg::Config::validate`] panics.
     pub pm: pairedmsg::Config,
     /// Charge the protocol-overhead syscalls the 1985 implementation
     /// performed (select, sigblock, setitimer, gettimeofday) so that the

@@ -148,6 +148,19 @@ impl Config {
         });
         Duration::from_micros(total)
     }
+
+    /// Panics if `replay_ttl` is shorter than [`Config::crash_horizon`]: a
+    /// held return lives only as long as its call's record, which must
+    /// outlive the caller's re-sends (`endpoint`'s module docs). A `Config`
+    /// is the program's own, never remote input.
+    pub fn validate(&self) {
+        let horizon = self.crash_horizon();
+        let ttl = self.replay_ttl;
+        assert!(
+            ttl >= horizon,
+            "replay_ttl {ttl} is shorter than the crash horizon {horizon}"
+        );
+    }
 }
 
 #[cfg(test)]

@@ -56,10 +56,10 @@
 //! outlive the caller's re-sends: the record is made when the call
 //! arrives, the caller's schedule ends a crash horizon after its last
 //! progress at most, and a re-send that finds the record gone is
-//! suppressed as a replay. So returns are held only where `replay_ttl` is
-//! at least [`Config::crash_horizon`] (the horizon's final wait covers
-//! the jitter): 60 s against 4.5 s by default. An endpoint configured
-//! otherwise times every return.
+//! suppressed as a replay. So `replay_ttl` must be at least
+//! [`Config::crash_horizon`] (the horizon's final wait covers the
+//! jitter), 60 s against 4.5 s by default, and [`Endpoint::new`] refuses
+//! a configuration that breaks this.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -190,18 +190,20 @@ pub struct Endpoint {
     highest_delivered_call: Option<u32>,
     /// Highest call number we ourselves have sent (monotonicity audit).
     highest_sent_call: Option<u32>,
-    /// Whether one-segment returns may be held: `replay_ttl` is at least
-    /// the crash horizon (module docs).
-    hold_returns: bool,
     dead: bool,
     stats: EndpointStats,
 }
 
 impl Endpoint {
     /// Creates an endpoint with the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.replay_ttl` is shorter than
+    /// [`Config::crash_horizon`] ([`Config::validate`]).
     pub fn new(config: Config) -> Endpoint {
+        config.validate();
         Endpoint {
-            hold_returns: config.replay_ttl >= config.crash_horizon(),
             config,
             senders: BTreeMap::new(),
             receivers: BTreeMap::new(),
@@ -339,7 +341,6 @@ impl Endpoint {
         let mut sender = MsgSender::new(now, &self.config, msg_type, call_number, span, data)?;
         sender.mark_transmitted();
         if msg_type == MsgType::Return
-            && self.hold_returns
             && sender.total() == 1
             && self.replay.acked((MsgType::Call, call_number)) == Some(false)
         {
@@ -679,8 +680,8 @@ impl Endpoint {
 
 #[cfg(test)]
 mod tests {
-    //! Only what needs the endpoint's private state; the two-endpoint
-    //! transcripts are in `tests/endpoint.rs`.
+    //! Only what needs the endpoint's private state; the §4.2 rules are
+    //! checked over two endpoints in `tests/` (`spec`).
 
     use super::*;
     use simnet::Duration;

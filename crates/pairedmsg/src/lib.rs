@@ -32,9 +32,12 @@
 //!   callee's timer and *please ack*. A return of two or more segments
 //!   needs it, because its first segment stops the caller's timer; so
 //!   does one to a call already acknowledged explicitly, because that ack
-//!   stopped it. The cost is that a callee no longer notices a dead
-//!   caller through a one-segment return ([`endpoint`], "How a return
-//!   gets acknowledged", which gives the whole argument);
+//!   stopped it. That is the one rule: every endpoint holds, because
+//!   [`Endpoint::new`] requires a replay TTL of at least the crash horizon,
+//!   so a held return outlives its caller's re-sends. The cost is that a
+//!   callee no longer notices a dead caller through a one-segment return
+//!   ([`endpoint`], "How a return gets acknowledged", which gives the
+//!   whole argument);
 //! - crash detection uses probes and timeouts (§4.2.3), surfacing
 //!   [`endpoint::Event::PeerDead`];
 //! - completed call numbers are remembered to suppress replay of delayed

@@ -44,16 +44,6 @@ impl MsgReceiver {
         }
     }
 
-    /// The message type being assembled.
-    pub fn msg_type(&self) -> MsgType {
-        self.msg_type
-    }
-
-    /// The call number of the exchange.
-    pub fn call_number(&self) -> u32 {
-        self.call_number
-    }
-
     /// Total segments expected.
     pub fn total(&self) -> u8 {
         self.total

@@ -137,11 +137,6 @@ impl MsgSender {
         )
     }
 
-    /// The causal span stamped on this message's segments.
-    pub fn span(&self) -> u64 {
-        self.span
-    }
-
     /// How many segments the message was cut into.
     pub fn total(&self) -> u8 {
         self.total
@@ -237,12 +232,6 @@ impl MsgSender {
             return Some(self.segment(n, self.parc_please_ack(n)));
         }
         None
-    }
-
-    /// Treats the whole message as acknowledged (implicit acknowledgment
-    /// by a reply, §4.2.2).
-    pub fn ack_all(&mut self) {
-        self.acked = self.total;
     }
 
     /// `true` once every segment has been acknowledged.
@@ -383,14 +372,6 @@ mod tests {
         assert!(matches!(s.on_tick(now), SenderTick::Retransmit(_)));
         let now = s.deadline().unwrap();
         assert!(matches!(s.on_tick(now), SenderTick::Retransmit(_)));
-    }
-
-    #[test]
-    fn implicit_ack_completes() {
-        let mut s =
-            MsgSender::new(Time::ZERO, &config(), MsgType::Call, 1, 0, b"abcdefgh").unwrap();
-        s.ack_all();
-        assert!(s.complete());
     }
 
     #[test]

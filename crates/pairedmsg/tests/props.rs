@@ -1,50 +1,52 @@
 //! Property-based tests: any message survives any bounded loss pattern,
-//! and reassembly is exact for arbitrary payloads and segment sizes.
+//! reassembly is exact for arbitrary payloads and segment sizes, and an
+//! endpoint fed garbage or well-formed hostile segments neither panics nor
+//! breaks a §4.2 rule it alone answers for.
+
+mod spec;
 
 use pairedmsg::{Config, Endpoint, Event, MsgType, Segment};
 use proptest::prelude::*;
-use simnet::Time;
+use simnet::{Duration, Time};
+use spec::{Pair, Rule, CLIENT, SERVER};
 
-/// Drives a one-way transfer under a pseudo-random loss pattern; returns
-/// the delivered payload.
+/// Drives a one-way transfer, through the datagram encoding and under the
+/// §4.2 checker, with a pseudo-random loss pattern; returns the delivered
+/// payload.
 fn transfer_with_loss(payload: &[u8], seg_size: usize, loss_seed: u64, loss_pct: u8) -> Vec<u8> {
-    let config = Config {
+    let mut pair = Pair::new(Config {
         max_segment_data: seg_size.max(1),
         max_retransmits: 200,
+        // Records must outlive the schedule: a 239.7 s crash horizon.
+        replay_ttl: Duration::from_secs(240),
         ..Config::default()
-    };
-    let mut tx = Endpoint::new(config.clone());
-    let mut rx = Endpoint::new(config);
+    });
+    pair.spec.unreliable();
     let mut now = Time::ZERO;
     let mut rng = simnet::SimRng::new(loss_seed);
-    tx.send(now, MsgType::Call, 1, 0, payload).unwrap();
-
+    pair.ends[CLIENT]
+        .send(now, MsgType::Call, 1, 0, payload)
+        .unwrap();
     for _ in 0..10_000 {
         let mut moved = false;
-        while let Some(bytes) = tx.poll_transmit() {
-            moved = true;
-            if !rng.chance(loss_pct as f64 / 100.0) {
-                rx.on_datagram(now, &bytes).unwrap();
+        for from in [CLIENT, SERVER] {
+            for seg in pair.drain(now, from) {
+                moved = true;
+                if !rng.chance(loss_pct as f64 / 100.0) {
+                    pair.arrive(now, 1 - from, Segment::decode(&seg.encode()).unwrap());
+                }
             }
         }
-        while let Some(bytes) = rx.poll_transmit() {
-            moved = true;
-            if !rng.chance(loss_pct as f64 / 100.0) {
-                tx.on_datagram(now, &bytes).unwrap();
-            }
-        }
-        if let Some(Event::Message { data, .. }) = rx.poll_event() {
+        if let Some(Event::Message { data, .. }) = pair.event(SERVER) {
             return data.to_vec();
         }
         if !moved {
             // Advance to the next retransmission deadline.
-            match tx.poll_timer() {
-                Some(t) => {
-                    now = t;
-                    tx.on_timer(now);
-                }
-                None => break,
-            }
+            let Some(t) = pair.ends[CLIENT].poll_timer() else {
+                break;
+            };
+            now = t;
+            pair.tick(now, CLIENT);
         }
     }
     panic!("message never delivered");
@@ -140,6 +142,53 @@ proptest! {
             // as valid data segments; it must never kill the peer.
             prop_assert!(!matches!(ev, Event::PeerDead));
         }
+    }
+}
+
+/// One hostile step, decoded from a word: a data segment, an ack, a probe
+/// or probe reply from the peer, over call numbers 1..=4, with totals and
+/// segment numbers that need not agree (0 and past the total included); a
+/// tick of up to 20 s; or a call or return the endpoint sends of its own.
+fn hostile_step(pair: &mut Pair, now: &mut Time, w: u64) {
+    let msg_type = [MsgType::Call, MsgType::Return][(w >> 3) as usize & 1];
+    let cn = 1 + (w >> 8) as u32 % 4;
+    let (total, number) = ((w >> 16) as u8 % 4, (w >> 24) as u8 % 5);
+    let please_ack = w >> 4 & 1 == 1;
+    let seg = match w % 8 {
+        0..=3 => Segment::data(msg_type, cn, 0, total, number, please_ack, vec![w as u8; 3]),
+        4 => Segment::ack(msg_type, cn, total, number),
+        5 if please_ack => Segment::probe(cn),
+        5 => Segment::probe_reply(cn),
+        6 => {
+            *now += Duration::from_millis((w >> 32) % 20_000);
+            return pair.tick(*now, CLIENT);
+        }
+        _ => {
+            let data = vec![7u8; (w >> 32) as usize % 10];
+            let _ = pair.ends[CLIENT].send(*now, msg_type, cn, 0, data);
+            return;
+        }
+    };
+    pair.arrive(*now, CLIENT, seg);
+}
+
+proptest! {
+    /// Well-formed hostile segments, interleaved with ticks and traffic of
+    /// the endpoint's own: no panic, no call delivered twice (S1), no ack
+    /// ahead of the data it acknowledges (S3).
+    #[test]
+    fn endpoint_survives_hostile_segments(words in proptest::collection::vec(any::<u64>(), 0..120)) {
+        let mut pair = Pair::new(Config { max_segment_data: 4, ..Config::default() });
+        pair.spec.unreliable();
+        let mut now = Time::ZERO;
+        for w in words {
+            hostile_step(&mut pair, &mut now, w);
+            pair.drain(now, CLIENT);
+        }
+        let broken: Vec<_> = std::mem::take(&mut pair.spec.violations).into_iter()
+            .filter(|v| matches!(v.0, Rule::S1 | Rule::S3))
+            .collect();
+        prop_assert!(broken.is_empty(), "{broken:#?}");
     }
 }
 

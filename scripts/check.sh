@@ -39,7 +39,7 @@ phase() {
   echo "==> $1"
 }
 
-phase "cargo fmt --check (and the shape of the source: audited hash maps, no per-thread hash map in the call runtime, no crates/core/src file over 900 lines, one multicast blast, no cargo feature, no ledger that grows with the run, no spawn loop or echo service beside the testbed's)"
+phase "cargo fmt --check (and the shape of the source: audited hash maps, no per-thread hash map in the call runtime, no crates/core/src file over 900 lines, one multicast blast, no cargo feature, no ledger that grows with the run, no spawn loop or echo service beside the testbed's, EXPERIMENTS.md within 50,000 bytes, DESIGN.md within 85,000)"
 cargo fmt --all --check
 # A HashMap/HashSet field iterates in a per-process order: each one in the
 # protocol crates says, on the line above it, why that is never observed.
@@ -75,6 +75,15 @@ if grep -rn 'grows with the run' crates/transactions/src; then
   echo "a ledger that admits it grows with the run (named above): bound it" >&2
   exit 1
 fi
+# The prose is capped in bytes: a change's A/B is one row of EXPERIMENTS.md's
+# table, and DESIGN.md describes the system that exists, not its history.
+for cap in EXPERIMENTS.md:50000 DESIGN.md:85000; do
+  doc=${cap%%:*} max=${cap##*:}
+  if [ "$(wc -c <"$doc")" -gt "$max" ]; then
+    echo "$doc is $(wc -c <"$doc") bytes, over its cap of $max: shorten it" >&2
+    exit 1
+  fi
+done
 
 # Tests, examples and experiments stand their troupes up with
 # `circus::testbed` and serve its one echo: a hand-rolled member spawn or
