@@ -6,6 +6,10 @@
 
 use std::fmt::Write as _;
 
+use analysis::linear_fit;
+use simnet::Syscall;
+
+use crate::all_hold;
 use crate::testbed::run_circus_echo_mode;
 
 /// Echo calls per cell.
@@ -37,7 +41,7 @@ pub fn grid() -> Vec<Cell> {
                 replicas,
                 calls: CALLS,
                 real_ms: r.real_ms,
-                client_sendmsgs: r.client_sendmsgs(),
+                client_sendmsgs: r.client_cpu.count_of(Syscall::SendMsg.index()),
             });
         }
     }
@@ -62,24 +66,31 @@ pub fn json(cells: &[Cell]) -> String {
     out
 }
 
-/// A 5-member multicast call costs the client fewer `sendmsg`s than the
-/// unicast data plane.
+/// The client's `sendmsg` bill is exact: n per call with unicast, one
+/// per call with multicast, at every degree of replication n; and the
+/// flattened bill flattens the real-time slope, multicast's below
+/// unicast's (Figure 4.8's per-member growth less the per-member send).
 pub fn claim(cells: &[Cell]) -> Result<String, String> {
-    let sendmsgs = |multicast: bool| {
-        cells
-            .iter()
-            .find(|c| c.multicast == multicast && c.replicas == 5)
-            .map(|c| c.client_sendmsgs)
-            .ok_or(format!("no 5-member cell with multicast={multicast}"))
+    let plane = |multicast: bool| -> (Vec<f64>, Vec<f64>) {
+        let cells = cells.iter().filter(|c| c.multicast == multicast);
+        cells.map(|c| (c.replicas as f64, c.real_ms)).unzip()
     };
-    let (uni, mc) = (sendmsgs(false)?, sendmsgs(true)?);
-    if mc >= uni {
-        return Err(format!(
-            "multicast sendmsg count ({mc}) not below unicast ({uni}) for 5-member calls"
-        ));
-    }
+    let ((ux, uy), (mx, my)) = (plane(false), plane(true));
+    let (uni, mc) = (linear_fit(&ux, &uy).0, linear_fit(&mx, &my).0);
+    let per_call = |c: &Cell| if c.multicast { 1 } else { c.replicas as u64 };
+    let exact = (cells.iter()).all(|c| c.client_sendmsgs == per_call(c) * u64::from(c.calls));
+    let both = ux.len() > 1 && mx.len() > 1;
+    all_hold(
+        [
+            (both, "two or more cells on each plane"),
+            (exact, "n sendmsgs per call by unicast and one by multicast"),
+            (mc < uni, "a multicast real-time slope below unicast's"),
+        ],
+        cells,
+    )?;
     Ok(format!(
-        "5-member call: {mc} sendmsg (multicast) < {uni} (unicast)"
+        "n*calls client sendmsgs by unicast, calls by multicast, at every n; \
+         real time grows {mc:.2} ms per member by multicast < {uni:.2} by unicast"
     ))
 }
 
@@ -87,17 +98,34 @@ pub fn claim(cells: &[Cell]) -> Result<String, String> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn claim_fires_when_multicast_does_not_save_sendmsgs() {
-        let cell = |multicast, client_sendmsgs| Cell {
+    /// 500 calls at 1..=5 members on both planes, at the exact counts and
+    /// a slope of 8 (unicast) or 4 (multicast) ms per member.
+    fn good() -> Vec<Cell> {
+        let cell = |multicast, replicas: usize| Cell {
             multicast,
-            replicas: 5,
+            replicas,
             calls: 500,
-            real_ms: 80.0,
-            client_sendmsgs,
+            real_ms: 40.0 + if multicast { 4.0 } else { 8.0 } * replicas as f64,
+            client_sendmsgs: 500 * if multicast { 1 } else { replicas as u64 },
         };
-        assert!(claim(&[cell(false, 2500), cell(true, 500)]).is_ok());
-        assert!(claim(&[cell(false, 2500), cell(true, 2500)]).is_err());
-        assert!(claim(&[cell(false, 2500)]).is_err(), "no multicast cell");
+        let plane = |m| (1..=5).map(move |n| cell(m, n));
+        plane(false).chain(plane(true)).collect()
+    }
+
+    #[test]
+    fn claim_fires_on_a_wrong_count_a_steeper_multicast_and_a_missing_plane() {
+        assert!(claim(&good()).is_ok());
+        let doctored: [fn(&mut Vec<Cell>); 5] = [
+            |cells| cells[2].client_sendmsgs += 1,
+            |cells| cells[7].client_sendmsgs += 1,
+            |cells| cells[9].client_sendmsgs = 2500,
+            |cells| cells[5..].iter_mut().for_each(|c| c.real_ms *= 3.0),
+            |cells| cells.truncate(5),
+        ];
+        for (i, doctor) in doctored.into_iter().enumerate() {
+            let mut cells = good();
+            doctor(&mut cells);
+            assert!(claim(&cells).is_err(), "doctoring {i}");
+        }
     }
 }

@@ -10,13 +10,15 @@
 //!
 //! `bench4`, `bench7` and `bench8` print one JSON record per line,
 //! check the claim they exist to support over the records they just
-//! measured (multicast saves the client `sendmsg`s; a delta rejoin moves
-//! fewer bytes than a full transfer; commutative operations
-//! out-throughput the commit protocol under conflict) — a violated claim
-//! is reported on stderr and exits 1 — and write the records to
-//! `BENCH_4.json` / `BENCH_7.json` / `BENCH_8.json` in the current
-//! directory. `cargo test` holds every experiment to its committed output
-//! (`tests/repro_golden.rs`).
+//! measured (the client's exact `sendmsg` bill by unicast and by
+//! multicast; a delta rejoin moves fewer bytes than a full transfer;
+//! commutative operations out-throughput the commit protocol under
+//! conflict) — a violated claim is reported on stderr and exits 1 — and
+//! write the records to `BENCH_4.json` / `BENCH_7.json` / `BENCH_8.json`
+//! in the current directory. Tables 4.1 and 4.3, Figure 4.8, `multicast`,
+//! `pacing` and `mxn` panic instead of printing a table whose shape
+//! claim does not hold. `cargo test` holds every experiment to its
+//! committed output (`tests/repro_golden.rs`).
 
 use std::process::ExitCode;
 

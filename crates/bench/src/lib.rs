@@ -3,10 +3,11 @@
 //! Regenerates every table and figure in the evaluation of Cooper's
 //! *Replicated Distributed Programs*: the echo testbeds of §4.4.1
 //! ([`testbed`]), the table/figure formatters ([`tables`]), the grids
-//! with a claim to uphold ([`bench4`], [`bench7`], [`bench8`]; the
-//! [`pacing`] and [`mxn`] tables assert their own), and one
-//! table of all of them, [`EXPERIMENTS`], which the `repro` binary
-//! prints and `tests/repro_golden.rs` pins byte for byte.
+//! with a claim to uphold ([`bench4`], [`bench7`], [`bench8`]; Tables 4.1
+//! and 4.3, Figure 4.8, §4.4.2, [`pacing`] and [`mxn`] assert their own
+//! before they render), and one table of all of them, [`EXPERIMENTS`],
+//! which the `repro` binary prints and `tests/repro_golden.rs` pins byte
+//! for byte.
 //!
 //! Everything runs on the simulated clock from fixed seeds, so every
 //! experiment's output is the same bytes on every run and machine.
@@ -32,8 +33,8 @@ pub struct Experiment {
 
 /// The two kinds of experiment.
 pub enum Run {
-    /// A text table or figure; its golden is its block of
-    /// `repro_output.txt`.
+    /// A text table or figure; its golden is its marked block of
+    /// `EXPERIMENTS.md` (`<!-- repro:NAME -->`).
     Table(fn() -> String),
     /// A grid of typed records, emitted one JSON record per line, that
     /// exists to support a claim.
@@ -67,6 +68,18 @@ fn checked<C>(
     }
 }
 
+/// `Ok` when every check holds, else `Err` naming the first that does not,
+/// beside the measured `rows`.
+pub(crate) fn all_hold<const N: usize>(
+    checks: [(bool, &str); N],
+    rows: &(impl std::fmt::Debug + ?Sized),
+) -> Result<(), String> {
+    match checks.iter().find(|(held, _)| !held) {
+        Some((_, what)) => Err(format!("not {what}: {rows:?}")),
+        None => Ok(()),
+    }
+}
+
 const fn table(name: &'static str, run: fn() -> String) -> Experiment {
     Experiment {
         name,
@@ -74,8 +87,7 @@ const fn table(name: &'static str, run: fn() -> String) -> Experiment {
     }
 }
 
-/// Every experiment, in the order `repro` prints them. The tables, each
-/// followed by a blank line, concatenate to `repro_output.txt`.
+/// Every experiment, in the order `repro` prints them.
 pub const EXPERIMENTS: &[Experiment] = &[
     table("table4.1", tables::table_4_1),
     table("table4.2", tables::table_4_2),

@@ -12,6 +12,7 @@
 
 use std::fmt::Write as _;
 
+use crate::all_hold;
 use crate::testbed::{run_troupe_echo, ProgramResult};
 
 /// Largest degree of replication on either side.
@@ -53,24 +54,14 @@ pub fn grid() -> Vec<Cell> {
 /// A logical call costs exactly m + n `sendmsg`s with multicast calls and
 /// m·n + n with unicast ones, in every cell.
 pub fn claim(cells: &[Cell]) -> Result<String, String> {
-    for c in cells {
+    let what = "m + n sendmsgs per logical call with multicast calls, m*n + n without";
+    let exact = cells.iter().all(|c| {
         let (m, n) = (c.m as f64, c.n as f64);
-        for (plane, got, want) in [
-            ("unicast", c.unicast.sendmsgs, m * n + n),
-            ("multicast", c.multicast.sendmsgs, m + n),
-        ] {
-            if got != want {
-                return Err(format!(
-                    "m = {}, n = {}, {plane} calls: {got} sendmsgs per logical call, not {want}",
-                    c.m, c.n
-                ));
-            }
-        }
-    }
-    if cells.len() != MAX_DEGREE * MAX_DEGREE {
-        return Err(format!("{} cells, not the full grid", cells.len()));
-    }
-    Ok("m + n sendmsgs per logical call with multicast calls, m*n + n without".into())
+        c.unicast.sendmsgs == m * n + n && c.multicast.sendmsgs == m + n
+    });
+    let full = cells.len() == MAX_DEGREE * MAX_DEGREE;
+    all_hold([(exact, what), (full, "the full grid")], cells)?;
+    Ok(what.into())
 }
 
 /// Formats the grid. Panics if the claim does not hold over it, so the

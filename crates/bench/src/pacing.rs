@@ -12,6 +12,7 @@ use std::fmt::Write as _;
 
 use simnet::Duration;
 
+use crate::all_hold;
 use crate::testbed::{run_paced_echo, PacedResult};
 
 /// Degree of replication.
@@ -47,17 +48,16 @@ pub fn grid() -> Vec<Cell> {
 /// whether or not the next call comes inside the retransmission interval.
 pub fn claim(cells: &[Cell]) -> Result<String, String> {
     let floor = 2.0 * REPLICAS as f64;
-    if let Some(c) = cells.iter().find(|c| c.cost.sendmsgs != floor) {
-        return Err(format!(
-            "one call every {} ms costs {} sendmsgs, not 2n = {floor}",
-            c.gap_ms, c.cost.sendmsgs
-        ));
-    }
+    let at_floor = cells.iter().all(|c| c.cost.sendmsgs == floor);
     let inside = cells.iter().any(|c| c.gap_ms <= INTERVAL_MS);
-    let beyond = cells.iter().any(|c| c.gap_ms > INTERVAL_MS);
-    if !(inside && beyond) {
-        return Err("the grid must straddle the retransmission interval".into());
-    }
+    let straddles = inside && cells.iter().any(|c| c.gap_ms > INTERVAL_MS);
+    all_hold(
+        [
+            (at_floor, "2n sendmsgs per call at every gap"),
+            (straddles, "gaps either side of the retransmission interval"),
+        ],
+        cells,
+    )?;
     Ok(format!("{floor} sendmsgs per call at every gap"))
 }
 

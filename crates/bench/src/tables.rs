@@ -1,16 +1,29 @@
 //! Formatters that print each of the paper's tables and figures with
 //! paper-reported numbers beside measured ones.
+//!
+//! Table 4.1, Table 4.3, Figure 4.8 and §4.4.2 each check the shape the
+//! paper claims over the rows they measured, before printing them, and
+//! panic if it does not hold: the golden cannot be regenerated around a
+//! regression.
 
-use crate::testbed::{run_circus_echo, run_multicast_call, run_tcp_echo, run_udp_echo};
+use crate::all_hold;
+use crate::testbed::{
+    run_circus_echo_mode, run_multicast_call, run_tcp_echo, run_udp_echo, EchoResult,
+};
 use analysis::{
     availability, availability_simulated, deadlock_probability, deadlock_probability_simulated,
-    expected_max_exponential, harmonic, required_repair_time,
+    expected_max_exponential, harmonic, linear_fit, r_squared, required_repair_time,
 };
-use simnet::{Syscall, SyscallCosts};
+use simnet::{CpuView, Syscall, SyscallCosts, ALL_SYSCALLS};
 use std::fmt::Write as _;
 
 /// Echo calls behind every measured row of Tables 4.1/4.3 and Fig 4.8.
 const CALLS: u32 = 500;
+
+/// Whether `ys` strictly increases.
+fn rising(ys: &[f64]) -> bool {
+    ys.windows(2).all(|w| w[0] < w[1])
+}
 
 /// Paper values for Table 4.1: (label, real, total, user, kernel).
 pub const PAPER_TABLE_4_1: &[(&str, f64, f64, f64, f64)] = &[
@@ -58,10 +71,12 @@ pub fn table_4_1() -> String {
         "{:<12} | {:>6} {:>6} {:>6} {:>6} | {:>6} {:>6} {:>6} {:>6}",
         "transport", "real", "cpu", "user", "kern", "real", "cpu", "user", "kern"
     );
-    let measured = [run_udp_echo(CALLS), run_tcp_echo(CALLS)]
+    let measured: Vec<EchoResult> = [run_udp_echo(CALLS), run_tcp_echo(CALLS)]
         .into_iter()
-        .chain((1..=5).map(|n| run_circus_echo(n, CALLS)));
-    for (&(label, pr, pc, pu, pk), r) in PAPER_TABLE_4_1.iter().zip(measured) {
+        .chain((1..=5).map(|n| run_circus_echo_mode(n, CALLS, false)))
+        .collect();
+    claim_4_1(&measured).unwrap_or_else(|why| panic!("table4.1: claim violated: {why}"));
+    for (&(label, pr, pc, pu, pk), r) in PAPER_TABLE_4_1.iter().zip(&measured) {
         row(
             &mut out,
             label,
@@ -74,6 +89,35 @@ pub fn table_4_1() -> String {
         "\nShape checks: TCP < UDP; Circus n=1 ~ 2x UDP; linear growth in n."
     );
     out
+}
+
+/// Table 4.1's shape over its rows (UDP, TCP, Circus n = 1..=5): the raw
+/// echoes cost the CPU the paper measured (13.3 and 8.3 ms, ± 0.2) and
+/// the UDP one 20–32 ms of real time; TCP beats UDP in real time and CPU
+/// (§4.4.1's "somewhat surprising result"); an unreplicated Circus call
+/// takes 1.5–2.6 times a UDP exchange ("almost twice"); and user CPU,
+/// the stubs' unmarshalling of each member's return, rises with n.
+fn claim_4_1(rows: &[EchoResult]) -> Result<(), String> {
+    let [udp, tcp, circus @ ..] = rows else {
+        return Err(format!("{} rows, not UDP, TCP and Circus", rows.len()));
+    };
+    let ratio = circus.first().map_or(0.0, |c| c.real_ms / udp.real_ms);
+    let user: Vec<f64> = circus.iter().map(|r| r.user_ms).collect();
+    let about = |r: &EchoResult, paper: f64| (r.total_cpu_ms - paper).abs() <= 0.2;
+    let udp_real = (20.0..32.0).contains(&udp.real_ms);
+    all_hold(
+        [
+            (circus.len() == 5, "Circus at n = 1..=5"),
+            (about(udp, 13.3), "UDP CPU 13.3 ± 0.2 ms"),
+            (about(tcp, 8.3), "TCP CPU 8.3 ± 0.2 ms"),
+            (udp_real, "UDP real time 20-32 ms"),
+            (tcp.real_ms < udp.real_ms, "TCP real time below UDP's"),
+            (tcp.total_cpu_ms < udp.total_cpu_ms, "TCP CPU below UDP's"),
+            ((1.5..=2.6).contains(&ratio), "Circus n=1 1.5-2.6 x UDP"),
+            (rising(&user), "Circus user CPU rising with n"),
+        ],
+        rows,
+    )
 }
 
 /// Table 4.2: the syscall cost model (input calibration — identity by
@@ -131,8 +175,11 @@ pub fn table_4_3() -> String {
         let _ = write!(header, " {:>7}", shorten(s.name()));
     }
     let _ = writeln!(out, "{header}");
-    for n in 1..=5usize {
-        let r = run_circus_echo(n, CALLS);
+    let profiles: Vec<CpuView> = (1..=5)
+        .map(|n| run_circus_echo_mode(n, CALLS, false).client_cpu)
+        .collect();
+    claim_4_3(&profiles, &syscalls).unwrap_or_else(|why| panic!("table4.3: claim violated: {why}"));
+    for (n, cpu) in (1..=5usize).zip(&profiles) {
         let (_, paper) = PAPER_TABLE_4_3[n - 1];
         let mut line = format!("{n:<3} |       ");
         for p in paper {
@@ -140,11 +187,7 @@ pub fn table_4_3() -> String {
         }
         line.push_str(" |          ");
         for s in &syscalls {
-            let _ = write!(
-                line,
-                " {:>7.1}",
-                r.client_cpu.fraction_of(s.index()) * 100.0
-            );
+            let _ = write!(line, " {:>7.1}", cpu.fraction_of(s.index()) * 100.0);
         }
         let _ = writeln!(out, "{line}");
     }
@@ -154,6 +197,29 @@ pub fn table_4_3() -> String {
          the six calls account for more than half of the CPU time (Sec 4.4.1)."
     );
     out
+}
+
+/// Table 4.3's shape over the client's profile at n = 1..=5: `sendmsg`
+/// takes the largest share of the CPU at every n, a share that does not
+/// fall as n grows, and the six `profiled` calls take over half of it.
+fn claim_4_3(profiles: &[CpuView], profiled: &[Syscall]) -> Result<(), String> {
+    let share = |cpu: &CpuView, s: Syscall| cpu.fraction_of(s.index());
+    let sendmsg = |c: &CpuView| share(c, Syscall::SendMsg);
+    let top = |c: &CpuView| ALL_SYSCALLS.iter().all(|&s| share(c, s) <= sendmsg(c));
+    let largest = profiles.iter().all(top);
+    let rises = profiles
+        .windows(2)
+        .all(|w| sendmsg(&w[0]) <= sendmsg(&w[1]));
+    let six = |c: &CpuView| profiled.iter().map(|&s| share(c, s)).sum::<f64>();
+    let over_half = profiles.iter().all(|c| six(c) > 0.5);
+    all_hold(
+        [
+            (largest, "sendmsg the largest share at every n"),
+            (rises, "sendmsg's share never falling"),
+            (over_half, "the six calls over half the CPU"),
+        ],
+        profiles,
+    )
 }
 
 fn shorten(name: &str) -> &str {
@@ -173,19 +239,36 @@ pub fn fig_4_8() -> String {
     let mut xs = Vec::new();
     let mut ys = Vec::new();
     for n in 1..=5usize {
-        let r = run_circus_echo(n, CALLS);
-        let _ = writeln!(out, "{n:<3} {:>10.1} {:>10.1}", paper[n - 1], r.real_ms);
         xs.push(n as f64);
-        ys.push(r.real_ms);
+        ys.push(run_circus_echo_mode(n, CALLS, false).real_ms);
     }
-    let (slope, intercept) = analysis::linear_fit(&xs, &ys);
-    let r2 = analysis::r_squared(&xs, &ys);
+    claim_4_8(&xs, &ys).unwrap_or_else(|why| panic!("fig4.8: claim violated: {why}"));
+    for (n, y) in (1..=5usize).zip(&ys) {
+        let _ = writeln!(out, "{n:<3} {:>10.1} {y:>10.1}", paper[n - 1]);
+    }
+    let (slope, intercept) = linear_fit(&xs, &ys);
+    let r2 = r_squared(&xs, &ys);
     let _ = writeln!(
         out,
         "linear fit: {slope:.1} ms/member + {intercept:.1} ms (R^2 = {r2:.3});\n\
          the paper's point-to-point sends add 10-20 ms of real time per member."
     );
     out
+}
+
+/// Figure 4.8's shape: real time per call rises with every member, close
+/// to a line (R² > 0.93: the paper's own series bends where the client
+/// CPU saturates) of 8–25 ms per member (the paper's 10–20).
+fn claim_4_8(xs: &[f64], ys: &[f64]) -> Result<(), String> {
+    let (slope, _) = linear_fit(xs, ys);
+    all_hold(
+        [
+            (rising(ys), "rising with every member"),
+            (r_squared(xs, ys) > 0.93, "linear (R^2 > 0.93)"),
+            ((8.0..=25.0).contains(&slope), "8-25 ms per member"),
+        ],
+        ys,
+    )
 }
 
 /// §4.4.2: multicast + exponential round trips gives `E[T] = H_n * r`.
@@ -202,9 +285,15 @@ pub fn fig_multicast_theory() -> String {
         "{:<4} {:>8} {:>12} {:>12} {:>8}",
         "n", "H_n", "H_n*r (ms)", "measured", "ratio"
     );
-    for n in [1u32, 2, 4, 8, 16, 32, 64] {
-        let expected = expected_max_exponential(n, r);
-        let measured = run_multicast_call(n as usize, calls, r, 11);
+    let rows: Vec<(u32, f64, f64)> = [1u32, 2, 4, 8, 16, 32, 64]
+        .into_iter()
+        .map(|n| {
+            let measured = run_multicast_call(n as usize, calls, r, 11);
+            (n, expected_max_exponential(n, r), measured)
+        })
+        .collect();
+    claim_multicast(&rows).unwrap_or_else(|why| panic!("multicast: claim violated: {why}"));
+    for &(n, expected, measured) in &rows {
         let _ = writeln!(
             out,
             "{n:<4} {:>8.3} {expected:>12.1} {measured:>12.1} {:>8.2}",
@@ -218,6 +307,15 @@ pub fn fig_multicast_theory() -> String {
          call increases only logarithmically with the size of the troupe'."
     );
     out
+}
+
+/// §4.4.2's shape over `(n, Hₙ·r, measured)` rows: the measured mean is
+/// within 0.8–1.25 of Hₙ·r at every n.
+fn claim_multicast(rows: &[(u32, f64, f64)]) -> Result<(), String> {
+    let near =
+        |(_, expected, measured): &(u32, f64, f64)| (0.8..=1.25).contains(&(measured / expected));
+    let near = rows.iter().all(near);
+    all_hold([(near, "within 0.8-1.25 of H_n*r at every n")], rows)
 }
 
 /// Equation 5.1: troupe commit deadlock probability.
@@ -311,4 +409,104 @@ pub fn table_7_1() -> String {
         let _ = writeln!(out, "{prop:<28} {val:<18}");
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The committed Table 4.1 (UDP, TCP, Circus n = 1..=5): real, CPU
+    /// and user ms per call.
+    fn table_4_1_rows() -> Vec<EchoResult> {
+        let rows = [(24.3, 13.3, 0.0), (17.9, 8.3, 0.0), (44.9, 21.7, 6.0)];
+        let circus = [(53.6, 38.3, 9.0), (61.1, 55.0, 12.0), (72.0, 72.0, 15.0)];
+        let rows = rows.into_iter().chain(circus).chain([(89.3, 89.3, 18.0)]);
+        rows.map(|(real_ms, total_cpu_ms, user_ms)| EchoResult {
+            real_ms,
+            total_cpu_ms,
+            user_ms,
+            ..EchoResult::default()
+        })
+        .collect()
+    }
+
+    #[test]
+    fn claim_fires_on_a_doctored_table_4_1() {
+        assert_eq!(claim_4_1(&table_4_1_rows()), Ok(()));
+        let doctored: [fn(&mut Vec<EchoResult>); 6] = [
+            |rows| rows[0].total_cpu_ms = 13.6,
+            |rows| rows[1].total_cpu_ms = 8.0,
+            |rows| rows[1].real_ms = 25.0,
+            |rows| rows[2].real_ms = 70.0,
+            |rows| rows[5].user_ms = 11.0,
+            |rows| rows.truncate(6),
+        ];
+        for (i, doctor) in doctored.into_iter().enumerate() {
+            let mut rows = table_4_1_rows();
+            doctor(&mut rows);
+            assert!(claim_4_1(&rows).is_err(), "doctoring {i}");
+        }
+    }
+
+    /// A client profile, in tenths of a percent: the six profiled calls'
+    /// shares, `write`'s, and the rest as user-mode `compute`.
+    fn profile(six: [u64; 6], write: u64) -> CpuView {
+        let mut times_us = vec![0; ALL_SYSCALLS.len()];
+        times_us[..6].copy_from_slice(&six);
+        times_us[Syscall::Write.index()] = write;
+        let kernel_us: u64 = times_us.iter().sum();
+        times_us[Syscall::Compute.index()] = 1000 - kernel_us;
+        CpuView {
+            user_us: 1000 - kernel_us,
+            kernel_us,
+            times_us,
+            counts: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn claim_fires_on_a_doctored_table_4_3() {
+        let profiled = &ALL_SYSCALLS[..6];
+        let committed = [
+            [373, 129, 83, 63, 37, 39],
+            [422, 146, 94, 43, 25, 35],
+            [442, 153, 98, 35, 20, 33],
+            [450, 156, 100, 33, 19, 33],
+            [454, 157, 101, 34, 20, 34],
+        ];
+        let mut rows = committed.map(|six| profile(six, 0));
+        assert_eq!(claim_4_3(&rows, profiled), Ok(()));
+        rows.swap(2, 3);
+        assert!(claim_4_3(&rows, profiled).is_err(), "sendmsg's share falls");
+        rows.swap(2, 3);
+        rows[0] = profile([300, 50, 50, 50, 50, 50], 0);
+        assert!(claim_4_3(&rows, profiled).is_err(), "compute over sendmsg");
+        rows[0] = profile([300, 30, 30, 30, 30, 30], 280);
+        assert!(claim_4_3(&rows, profiled).is_err(), "the six under half");
+    }
+
+    #[test]
+    fn claim_fires_on_a_doctored_fig_4_8() {
+        let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
+        assert_eq!(claim_4_8(&xs, &[44.9, 53.6, 61.1, 72.0, 89.3]), Ok(()));
+        for ys in [
+            [44.9, 53.6, 53.0, 72.0, 89.3],
+            [44.9, 46.0, 47.0, 48.0, 49.0],
+            [44.9, 90.0, 135.0, 180.0, 225.0],
+            [40.0, 41.0, 42.0, 43.0, 90.0],
+        ] {
+            assert!(claim_4_8(&xs, &ys).is_err(), "{ys:?}");
+        }
+    }
+
+    #[test]
+    fn claim_fires_on_a_doctored_multicast_analysis() {
+        let rows = [(1, 20.0, 19.8), (16, 67.6, 68.2), (64, 94.9, 94.7)];
+        assert_eq!(claim_multicast(&rows), Ok(()));
+        for (i, measured) in [(1, 100.0), (2, 60.0)] {
+            let mut doctored = rows;
+            doctored[i].2 = measured;
+            assert!(claim_multicast(&doctored).is_err(), "{doctored:?}");
+        }
+    }
 }

@@ -17,7 +17,7 @@ use simnet::{
 };
 
 /// Result of one echo experiment.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct EchoResult {
     /// Mean wall-clock (simulated) time per call, milliseconds.
     pub real_ms: f64,
@@ -30,8 +30,6 @@ pub struct EchoResult {
     /// The client's CPU view, snapshotted from the metrics registry (for
     /// the Table 4.3 profile).
     pub client_cpu: CpuView,
-    /// Number of calls measured.
-    pub calls: u32,
 }
 
 impl EchoResult {
@@ -43,14 +41,7 @@ impl EchoResult {
             user_ms: client_cpu.user_ms() / n,
             kernel_ms: client_cpu.kernel_ms() / n,
             client_cpu,
-            calls,
         }
-    }
-
-    /// Total `sendmsg` syscalls charged to the client over the whole
-    /// experiment — the m half of the message count (§4.3.3).
-    pub fn client_sendmsgs(&self) -> u64 {
-        self.client_cpu.count_of(Syscall::SendMsg.index())
     }
 }
 
@@ -215,12 +206,6 @@ fn assert_all_echoed(w: &World, client: SockAddr, calls: u32) {
         c.completed.iter().filter(|c| c.result.is_ok()).count()
     });
     assert_eq!(ok, calls as usize, "every echo call must succeed");
-}
-
-/// Runs the Circus replicated echo at the given degree of replication,
-/// with the paper-faithful unicast data plane.
-pub fn run_circus_echo(replicas: usize, calls: u32) -> EchoResult {
-    run_circus_echo_mode(replicas, calls, false)
 }
 
 /// Runs the Circus replicated echo — single-segment calls, the one size
@@ -505,129 +490,4 @@ pub fn run_multicast_call(n: usize, calls: u32, mean_rt_ms: f64, seed: u64) -> f
         .unwrap();
     let total: f64 = durations.iter().map(|d| d.as_millis_f64()).sum();
     total / durations.len() as f64
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn udp_echo_matches_paper_cpu() {
-        let r = run_udp_echo(200);
-        // Table 4.1: UDP total CPU 13.3 ms/call (sendmsg + recvmsg + 2
-        // setitimer = 8.1 + 2.8 + 2.4).
-        assert!(
-            (r.total_cpu_ms - 13.3).abs() < 0.2,
-            "udp cpu {} != 13.3",
-            r.total_cpu_ms
-        );
-        // Real time ≈ both ends' CPU + 2 network trips: 20–30 ms.
-        assert!(
-            r.real_ms > 20.0 && r.real_ms < 32.0,
-            "udp real {}",
-            r.real_ms
-        );
-    }
-
-    #[test]
-    fn tcp_echo_cheaper_than_udp() {
-        let udp = run_udp_echo(200);
-        let tcp = run_tcp_echo(200);
-        // Table 4.1's surprise: the TCP echo is *faster* than UDP.
-        assert!(tcp.total_cpu_ms < udp.total_cpu_ms);
-        assert!(tcp.real_ms < udp.real_ms);
-        assert!(
-            (tcp.total_cpu_ms - 8.3).abs() < 0.2,
-            "tcp cpu {}",
-            tcp.total_cpu_ms
-        );
-    }
-
-    #[test]
-    fn circus_unreplicated_costs_about_twice_udp() {
-        let udp = run_udp_echo(100);
-        let circus = run_circus_echo(1, 100);
-        // §4.4.1: "An unreplicated Circus remote procedure call requires
-        // almost twice the time of a simple UDP exchange."
-        let ratio = circus.real_ms / udp.real_ms;
-        assert!(
-            (1.5..=2.6).contains(&ratio),
-            "circus/udp real ratio {ratio} (circus {} udp {})",
-            circus.real_ms,
-            udp.real_ms
-        );
-    }
-
-    #[test]
-    fn circus_grows_linearly_with_replication() {
-        let times: Vec<f64> = (1..=5).map(|n| run_circus_echo(n, 60).real_ms).collect();
-        // Monotone growth.
-        for i in 1..times.len() {
-            assert!(times[i] > times[i - 1], "{times:?}");
-        }
-        // Roughly linear (Figure 4.8). The paper's own series has a knee
-        // where the client CPU becomes the bottleneck (increments of
-        // +10.0, +11.4, +20.8, +19.3 ms), so demand a good but not
-        // perfect fit.
-        let x: Vec<f64> = (1..=5).map(|n| n as f64).collect();
-        let r2 = analysis::r_squared(&x, &times);
-        assert!(r2 > 0.93, "linear fit r2 {r2} for {times:?}");
-        // Paper slope: 10–20 ms per extra member.
-        let (slope, _) = analysis::linear_fit(&x, &times);
-        assert!(
-            (8.0..=25.0).contains(&slope),
-            "slope {slope} outside the paper's 10–20 ms band"
-        );
-    }
-
-    #[test]
-    fn multicast_mode_flattens_client_sendmsg_cost() {
-        let calls = 60u32;
-        let uni: Vec<EchoResult> = (1..=5)
-            .map(|n| run_circus_echo_mode(n, calls, false))
-            .collect();
-        let mc: Vec<EchoResult> = (1..=5)
-            .map(|n| run_circus_echo_mode(n, calls, true))
-            .collect();
-
-        // Unicast charges one sendmsg per member per call; multicast
-        // charges exactly one per call (single-segment payload), flat in
-        // the degree of replication.
-        for (i, (u, m)) in uni.iter().zip(&mc).enumerate() {
-            let n = (i + 1) as u64;
-            assert_eq!(u.client_sendmsgs(), n * calls as u64, "unicast n={n}");
-            assert_eq!(m.client_sendmsgs(), calls as u64, "multicast n={n}");
-        }
-
-        // The flattened sendmsg bill shows up as a flattened real-time
-        // slope (Figure 4.8's per-replica growth, minus the per-member
-        // transmission cost).
-        let x: Vec<f64> = (1..=5).map(|n| n as f64).collect();
-        let (uni_slope, _) =
-            analysis::linear_fit(&x, &uni.iter().map(|r| r.real_ms).collect::<Vec<_>>());
-        let (mc_slope, _) =
-            analysis::linear_fit(&x, &mc.iter().map(|r| r.real_ms).collect::<Vec<_>>());
-        assert!(
-            mc_slope < uni_slope,
-            "multicast slope {mc_slope} not below unicast slope {uni_slope}"
-        );
-        // n=1 falls back to unicast in both modes: identical cost there.
-        assert_eq!(uni[0].client_sendmsgs(), mc[0].client_sendmsgs());
-    }
-
-    #[test]
-    fn multicast_grows_logarithmically() {
-        // The §4.4.2 claim: with multicast and exponential round trips,
-        // E[T] ≈ H_n · r.
-        let r = 20.0;
-        for n in [1usize, 4, 16] {
-            let measured = run_multicast_call(n, 400, r, 7);
-            let expected = analysis::expected_max_exponential(n as u32, r);
-            let ratio = measured / expected;
-            assert!(
-                (0.8..=1.25).contains(&ratio),
-                "n={n}: measured {measured:.1}, H_n*r = {expected:.1}"
-            );
-        }
-    }
 }

@@ -69,6 +69,9 @@ pub struct Driver {
     /// spares spawned into the world, so the healer can always restore
     /// full strength.
     pub(crate) spare_budget: usize,
+    /// Spare processes spawned into the world so far: the warm spares,
+    /// and any the fault script started itself (a recovery process).
+    pub(crate) spares: usize,
     pub(crate) crashed: Vec<HostId>,
     pub(crate) baseline: NetConfig,
     /// The administrative plane: machine database plus troupe spec.

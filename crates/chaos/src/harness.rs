@@ -178,6 +178,9 @@ pub struct Quiesced {
     /// from: one while an injector is installed (the adversary forges
     /// from a single host of its own), otherwise none.
     pub outsiders: usize,
+    /// Spare processes the scenario spawned: its warm spares, and any its
+    /// fault script started (a recovery process offers itself as one).
+    pub spares: usize,
     /// `true` if every client finished its whole script (plus probe).
     pub all_clients_finished: bool,
     /// Crash/kill repairs completed *by the self-healing agent* (probe,
@@ -380,6 +383,7 @@ pub fn quiesce<W: Workload>(wl: &W, seed: u64, opts: &ScenarioOptions) -> (Quies
         clients,
         warnings,
         spare_budget: spare_hosts.len(),
+        spares: spare_hosts.len(),
         crashed: Vec::new(),
         baseline,
         cm,
@@ -443,6 +447,7 @@ pub fn quiesce<W: Workload>(wl: &W, seed: u64, opts: &ScenarioOptions) -> (Quies
         ringmaster_hosts: d.rm_hosts,
         spawned,
         outsiders: usize::from(opts.injector.is_some()),
+        spares: d.spares,
         all_clients_finished: finished && probed,
         repairs,
         driver_warnings: d.warnings,

@@ -37,11 +37,13 @@
 //!    system running degraded forever.
 //! 7. **Bounded state** — a member's ledger costs at most one range per
 //!    client plus one per submission that client did not see commit (the
-//!    only way a gap can open), however long the run; and every live
+//!    only way a gap can open), however long the run; every live
 //!    process, clients and the Ringmaster troupe included, holds each
 //!    count of its call runtime's census within a bound counted in
 //!    processes, incarnations and attempts that confirmed nothing
-//!    ([`check_census`]).
+//!    ([`check_census`]); and every live Ringmaster member's registry,
+//!    spare pools and suspect queue stay within what the scenario
+//!    registered, spawned and ran.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -498,8 +500,10 @@ impl Scale {
 /// The bounded-state oracle over the call runtime (every workload): every
 /// live process — members, spares, clients, the Ringmaster troupe, the
 /// registrar — holds each [`census`](circus::Node::census) count within
-/// the bound `Scale::bound` states for it. Reads the endpoint totals
-/// [`check_monotonicity`] published, so it runs after it.
+/// the bound `Scale::bound` states for it; then every live Ringmaster
+/// member's registry, spare pools and suspect queue hold theirs. Reads
+/// the endpoint totals [`check_monotonicity`] published, so it runs after
+/// it.
 pub fn check_census<P: Protocol>(q: &Quiesced, out: &mut Vec<Violation>) {
     let addrs = q.world.proc_addrs();
     let mut censuses = Vec::with_capacity(addrs.len());
@@ -546,6 +550,30 @@ pub fn check_census<P: Protocol>(q: &Quiesced, out: &mut Vec<Violation>) {
         for &(label, held) in counts {
             let bound = scale.bound(label, counts, got, skipped);
             check_bounded_state(*addr, &[(label, held, bound)], out);
+        }
+    }
+    check_ringmaster_state(q, scale.processes, out);
+}
+
+/// The bounded-state oracle over the Ringmaster's own state: every live
+/// member binds at most the two troupes a scenario registers (its own
+/// and the workload's), pools no more spares than the scenario spawned,
+/// and queues at most one suspect per address of the run's `processes`.
+/// That last is a bound and not zero because a member that does not
+/// lead hears every `report_suspect` and never drains its queue.
+fn check_ringmaster_state(q: &Quiesced, processes: usize, out: &mut Vec<Violation>) {
+    for &h in &q.ringmaster_hosts {
+        let addr = SockAddr::new(h, RINGMASTER_PORT);
+        let tracked = ringmaster_at(&q.world, addr, |s| {
+            let spares = s.spare_pools().iter().map(|(_, pool)| pool.len()).sum();
+            [
+                ("registry entries", s.bindings().len(), 2),
+                ("pooled spares", spares, q.spares),
+                ("queued suspects", s.suspect_count(), processes),
+            ]
+        });
+        if let Some(tracked) = tracked {
+            check_bounded_state(addr, &tracked, out);
         }
     }
 }

@@ -198,6 +198,7 @@ impl Workload for Recovery {
             .build()
             .expect("valid node");
         d.w.spawn(recovered, Box::new(p));
+        d.spares += 1;
 
         // MTTR: crash to the registry showing full strength again without
         // the dead member — with no warm spares in this world, that means

@@ -250,14 +250,13 @@ impl ClientCalls {
             proc,
             args: call.args,
         };
-        io.charge_compute(config.compute_per_msg); // Externalize once.
-        if config.charge_overhead {
-            // The timer package reads the clock and arms the interval
-            // timer for the exchange (§4.2.4), inside a critical region.
-            io.charge(Syscall::GetTimeOfDay);
-            io.charge(Syscall::SetITimer);
-            io.charge(Syscall::SigBlock);
-        }
+        // Externalize once; the timer package reads the clock and arms the
+        // interval timer for the exchange (§4.2.4), inside a critical
+        // region.
+        io.charge(Syscall::Compute);
+        io.charge(Syscall::GetTimeOfDay);
+        io.charge(Syscall::SetITimer);
+        io.charge(Syscall::SigBlock);
         // Encode the call message once; every member's sender (and every
         // retransmission) shares this buffer.
         let bytes = encode(&msg);
@@ -411,7 +410,6 @@ impl ClientCalls {
     pub(crate) fn on_return(
         &mut self,
         io: &mut dyn NetIo,
-        config: &NodeConfig,
         (from, cn): (SockAddr, u32),
         data: Payload,
     ) -> Option<Returned> {
@@ -421,7 +419,7 @@ impl ClientCalls {
         // Each member's return message is internalized by the stubs
         // (user-mode time grows with the degree of replication,
         // Table 4.1).
-        io.charge_compute(config.compute_per_msg);
+        io.charge(Syscall::Compute);
         // Fatal binding replies bypass collation: the server troupe's
         // incarnation no longer matches, so no member executed (§6.2).
         // The message is checked whole but in place; what is collated is
@@ -525,7 +523,7 @@ pub(crate) mod tests {
             let (io, conns, dead) = (&mut self.io, &mut self.conns, &self.dead);
             let admit = |addr, _| !dead.contains(&addr);
             let handle = (self.calls).begin(io, conns, &self.config, call, CallPurpose::App, admit);
-            conns.flush_all(io, false);
+            conns.flush_all(io);
             handle
         }
 
@@ -535,7 +533,7 @@ pub(crate) mod tests {
     }
 
     fn rig() -> Rig {
-        Rig::new(NodeConfig::uncharged())
+        Rig::new(NodeConfig::default())
     }
 
     /// Arguments whose call message is cut into `k` default segments
@@ -553,7 +551,7 @@ pub(crate) mod tests {
     #[test]
     #[should_panic(expected = "shorter than the crash horizon")]
     fn a_replay_ttl_short_of_the_crash_horizon_fails_at_build() {
-        let mut config = NodeConfig::uncharged();
+        let mut config = NodeConfig::default();
         config.pm.replay_ttl = config.pm.crash_horizon() - simnet::Duration::from_micros(1);
         Rig::new(config);
     }
@@ -611,7 +609,7 @@ pub(crate) mod tests {
 
         let mut r = Rig::new(NodeConfig {
             pm: pairedmsg::Config::parc(),
-            ..NodeConfig::uncharged()
+            ..NodeConfig::default()
         });
         r.unanimous(&troupe, args_of(3));
         assert!(r.io.mcasts.is_empty());
@@ -640,7 +638,7 @@ pub(crate) mod tests {
     fn small_calls_are_multicast_on_request() {
         let mut r = Rig::new(NodeConfig {
             multicast_small_calls: true,
-            ..NodeConfig::uncharged()
+            ..NodeConfig::default()
         });
         let troupe = troupe_of(3);
         r.unanimous(&troupe, b"x".to_vec());
@@ -778,7 +776,7 @@ pub(crate) mod tests {
                         let n = r.calls.route.len().max(1);
                         let at = r.calls.route.keys().copied().nth(usize::from(arg) % n);
                         if let Some(at) = at {
-                            r.calls.on_return(&mut r.io, &r.config, at, ok.clone());
+                            r.calls.on_return(&mut r.io, at, ok.clone());
                         }
                     }
                     3 => die(&mut r, peer(arg)),

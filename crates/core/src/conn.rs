@@ -215,7 +215,7 @@ impl Conns {
 
     /// Transmits queued segments on every connection and re-arms
     /// retransmission timers.
-    pub(crate) fn flush_all(&mut self, io: &mut dyn NetIo, charge_overhead: bool) {
+    pub(crate) fn flush_all(&mut self, io: &mut dyn NetIo) {
         for (&addr, conn) in self.table.iter_mut() {
             let now = io.now();
             while let Some(seg) = conn.endpoint.poll_transmit_segment() {
@@ -234,14 +234,12 @@ impl Conns {
             conn.armed = Some(t);
             conn.arm_gen += 1;
             let tag = make_tag(TAG_CONN, ((conn.arm_gen & GEN_MASK) << 32) | conn.id);
-            if charge_overhead {
-                // The timer package reads the clock to compute the
-                // absolute deadline, masks interrupts around its
-                // queue, and arms the interval timer (§4.2.4).
-                io.charge(Syscall::GetTimeOfDay);
-                io.charge(Syscall::SigBlock);
-                io.charge(Syscall::SetITimer);
-            }
+            // The timer package reads the clock to compute the absolute
+            // deadline, masks interrupts around its queue, and arms the
+            // interval timer (§4.2.4).
+            io.charge(Syscall::GetTimeOfDay);
+            io.charge(Syscall::SigBlock);
+            io.charge(Syscall::SetITimer);
             let _ = io.set_timer(t.since(now), tag);
         }
     }

@@ -38,10 +38,9 @@ pub trait NetIo {
     fn cancel_timer(&mut self, _id: TimerId) -> bool {
         false
     }
-    /// Charges a syscall to this process's CPU account.
+    /// Charges one operation, priced by the world's cost table, to this
+    /// process's CPU account.
     fn charge(&mut self, sys: Syscall);
-    /// Charges user-mode computation.
-    fn charge_compute(&mut self, d: Duration);
     /// The metrics registry this process publishes into. The default is a
     /// fresh detached registry each call, so logic-test mocks compile
     /// unchanged; the simulator overrides it with the world's registry.
@@ -74,9 +73,6 @@ impl NetIo for simnet::Ctx<'_> {
     }
     fn charge(&mut self, sys: Syscall) {
         simnet::Ctx::charge(self, sys);
-    }
-    fn charge_compute(&mut self, d: Duration) {
-        simnet::Ctx::charge_dur(self, Syscall::Compute, d);
     }
     fn metrics(&self) -> obs::Registry {
         simnet::Ctx::metrics(self)
@@ -195,7 +191,6 @@ pub(crate) mod mock {
             TimerId(self.timers.len() as u64 - 1)
         }
         fn charge(&mut self, _sys: Syscall) {}
-        fn charge_compute(&mut self, _d: Duration) {}
     }
 }
 

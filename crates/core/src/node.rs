@@ -73,13 +73,6 @@ pub struct NodeConfig {
     /// Paired message protocol parameters; building a node with one that
     /// fails [`pairedmsg::Config::validate`] panics.
     pub pm: pairedmsg::Config,
-    /// Charge the protocol-overhead syscalls the 1985 implementation
-    /// performed (select, sigblock, setitimer, gettimeofday) so that the
-    /// performance tables reproduce. Disable for pure-logic tests.
-    pub charge_overhead: bool,
-    /// User-mode CPU charged per message externalized or internalized
-    /// (stub marshaling cost).
-    pub compute_per_msg: Duration,
     /// How long a server waits for the remaining call messages of a
     /// many-to-one call before treating silent client members as dead.
     pub assembly_timeout: Duration,
@@ -102,21 +95,8 @@ impl Default for NodeConfig {
     fn default() -> NodeConfig {
         NodeConfig {
             pm: pairedmsg::Config::default(),
-            charge_overhead: true,
-            compute_per_msg: Duration::from_millis_f64(3.0),
             assembly_timeout: Duration::from_secs(10),
             multicast_small_calls: false,
-        }
-    }
-}
-
-impl NodeConfig {
-    /// A configuration with all CPU charging disabled, for logic tests.
-    pub fn uncharged() -> NodeConfig {
-        NodeConfig {
-            charge_overhead: false,
-            compute_per_msg: Duration::ZERO,
-            ..NodeConfig::default()
         }
     }
 }
@@ -396,12 +376,10 @@ impl Node {
     /// Feeds an incoming datagram (call this from `Process::on_datagram`).
     pub fn on_datagram(&mut self, io: &mut dyn NetIo, from: SockAddr, bytes: impl Into<Payload>) {
         let bytes = bytes.into();
-        if self.config.charge_overhead {
-            // SIGIO delivery: check readiness and enter the critical
-            // region (§4.2.4). `recvmsg` itself is charged by the world.
-            io.charge(Syscall::Select);
-            io.charge(Syscall::SigBlock);
-        }
+        // SIGIO delivery: check readiness and enter the critical region
+        // (§4.2.4). `recvmsg` itself is charged by the world.
+        io.charge(Syscall::Select);
+        io.charge(Syscall::SigBlock);
         let now = io.now();
         self.directory.heard_from(from);
         if self.conns.endpoint(from).on_datagram(now, &bytes).is_err() {
@@ -480,7 +458,7 @@ impl Node {
                 call_number,
                 data,
                 ..
-            } => match (self.calls).on_return(io, &self.config, (from, call_number), data) {
+            } => match (self.calls).on_return(io, (from, call_number), data) {
                 Some(Returned::Finished(call)) => self.finish_call(io, call),
                 Some(Returned::Violation(handle)) => {
                     let alarm = AppEvent::DeterminismViolation { handle };
@@ -534,7 +512,7 @@ impl Node {
     /// Transmits queued segments on every connection and re-arms
     /// retransmission timers.
     fn flush_all(&mut self, io: &mut dyn NetIo) {
-        self.conns.flush_all(io, self.config.charge_overhead);
+        self.conns.flush_all(io);
     }
 }
 
@@ -547,7 +525,7 @@ mod tests {
     use simnet::{HostId, Time};
 
     fn node() -> Node {
-        Node::new(ME, NodeConfig::uncharged())
+        Node::new(ME, NodeConfig::default())
     }
 
     /// Begins one call of `args` to `troupe` on a fresh thread.

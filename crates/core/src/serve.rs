@@ -25,7 +25,7 @@ impl Node {
 
     /// Handles a call message arriving from a client troupe member.
     pub(super) fn on_call_message(&mut self, io: &mut dyn NetIo, at: Arrival, data: Payload) {
-        io.charge_compute(self.config.compute_per_msg); // Internalize.
+        io.charge(Syscall::Compute); // Internalize.
         let Ok(msg) = CallMessage::decode(&data) else {
             // Garbled call; the client will time out and retry.
             io.metrics().add("adv.rejected", 1);
@@ -98,9 +98,7 @@ impl Node {
         match self.assemblies.join(&at, msg, members, fresh) {
             Ok(None) => {}
             Ok(Some(serial)) => {
-                if self.config.charge_overhead {
-                    io.charge(Syscall::SetITimer);
-                }
+                io.charge(Syscall::SetITimer);
                 let _ = io.set_timer(wait, make_tag(TAG_PENDING, serial));
             }
             Err(Outsider) => {
@@ -126,7 +124,7 @@ impl Node {
             None => {}
             Some(Ok((invocation, args))) => {
                 let mut ctx = self.service_ctx(io, &key, &invocation);
-                io.charge_compute(self.config.compute_per_msg); // Internalize args.
+                io.charge(Syscall::Compute); // Internalize args.
                 let (services, me) = (&mut self.services, &mut self.my_troupe);
                 let Invocation { module, proc, .. } = invocation;
                 let step = service::dispatch(services, me, &mut ctx, module, proc, &args);
@@ -270,7 +268,7 @@ impl Node {
         if !self.assemblies.is_open(&key) {
             return;
         }
-        io.charge_compute(self.config.compute_per_msg); // Externalize reply.
+        io.charge(Syscall::Compute); // Externalize reply.
         let (now, conns) = (io.now(), &mut self.conns);
         let send = |tos: &[SockAddr], cn, span, reply: &Payload| {
             conns.send_return(io, tos, cn, span, reply);

@@ -7,7 +7,7 @@ use circus::{
     CallError, CollationPolicy, NodeConfig, OutCall, Service, ServiceCtx, Step, ThreadId, Troupe,
     TroupeId, TroupeTarget,
 };
-use simnet::{Duration, HostId, SockAddr, World};
+use simnet::{Duration, HostId, SockAddr, Syscall, SyscallCosts, World};
 use wire::{from_bytes, to_bytes};
 
 fn run(world: &mut World, d: u64) {
@@ -92,6 +92,33 @@ fn unreplicated_call_works_like_rpc() {
     assert_eq!(results(&w, client), vec![Ok(b"hello".to_vec())]);
     assert_eq!(executions(&w, troupe.members[0]), 1);
     assert_quiescent(&w);
+}
+
+/// The world's cost table is the node's one price list: the stubs'
+/// marshalling is `Syscall::Compute`, 3.0 ms a message on the 1985 table
+/// and nothing on a free one, where no process is charged any CPU at all.
+#[test]
+fn the_cost_table_prices_every_charge_a_node_makes() {
+    let echo = |costs| {
+        let mut w = World::with_config(4, simnet::NetConfig::lan_1985(), costs);
+        let troupe = spawn_server_troupe(&mut w, 10, 1, 3);
+        let client = spawn_client(
+            &mut w,
+            vec![Request::new(&troupe, MODULE, PROC_ECHO, vec![])],
+        );
+        w.poke(client, 0);
+        run(&mut w, 5);
+        assert_eq!(results(&w, client), vec![Ok(Vec::new())]);
+        w.proc_addrs().into_iter().map(move |a| w.cpu(a))
+    };
+    let compute = Syscall::Compute.index();
+    let free = echo(SyscallCosts::free());
+    for (vax, free) in echo(SyscallCosts::vax_4_2bsd()).zip(free) {
+        assert!(vax.count_of(compute) > 0);
+        assert_eq!(vax.time_in_us(compute), 3_000 * vax.count_of(compute));
+        assert_eq!(free.count_of(compute), vax.count_of(compute));
+        assert_eq!(free.total_us(), 0, "{free:?}");
+    }
 }
 
 #[test]

@@ -1,11 +1,12 @@
 //! Thin read-only views assembled from registry values.
 //!
-//! The simulator's old ad-hoc stat structs (`NetStats`, `CpuAccount`)
-//! are replaced by these: the registry is the single source of truth,
-//! and a view is a point-in-time snapshot built *from* it, offered for
-//! ergonomic field access in tests and reports. Views carry plain
-//! integers (µs, counts); callers convert domain types (sim `Duration`,
-//! `Syscall` indices) at the boundary.
+//! The registry is the single source of truth: the simulator adds every
+//! datagram to the `net.*` counters and every CPU charge to the
+//! `cpu.<addr>.*` ones as it happens, and a view is a point-in-time
+//! snapshot built *from* them, offered for ergonomic field access in
+//! tests and reports. Views carry plain integers (µs, counts); callers
+//! convert domain types (sim `Duration`, `Syscall` indices) at the
+//! boundary.
 
 /// Snapshot of the network-layer counters (`net.*` keys).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

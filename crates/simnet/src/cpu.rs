@@ -15,8 +15,8 @@ use std::fmt;
 /// The first six are the calls the paper's execution profile found to
 /// account for more than half the CPU time of a Circus replicated call
 /// (Table 4.2). `Read`/`Write` model the leaner byte-stream interface used
-/// by the TCP comparison test (§4.4.1). `Compute` is a catch-all for
-/// user-mode protocol work.
+/// by the TCP comparison test (§4.4.1). `Compute` is user-mode work:
+/// priced per message marshalled, or charged for an explicit duration.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Syscall {
     /// `sendmsg`: send a datagram (scatter/gather interface).
@@ -35,7 +35,8 @@ pub enum Syscall {
     Read,
     /// `write` on a stream socket (TCP path).
     Write,
-    /// User-mode computation (stubs, copying, protocol logic).
+    /// User-mode computation: a message the stubs marshal, or work a
+    /// process charges for an explicit duration.
     Compute,
     /// Disk I/O (append/read/fsync on the simulated per-host disk). The
     /// cost tables keep this at zero: the disk charges explicit durations
@@ -62,18 +63,7 @@ impl Syscall {
     /// [`ALL_SYSCALLS`]); also the index convention of
     /// [`obs::CpuView`](obs::CpuView) slots.
     pub fn index(self) -> usize {
-        match self {
-            Syscall::SendMsg => 0,
-            Syscall::RecvMsg => 1,
-            Syscall::Select => 2,
-            Syscall::SetITimer => 3,
-            Syscall::GetTimeOfDay => 4,
-            Syscall::SigBlock => 5,
-            Syscall::Read => 6,
-            Syscall::Write => 7,
-            Syscall::Compute => 8,
-            Syscall::DiskIo => 9,
-        }
+        self as usize
     }
 
     /// The name used in reports, matching the paper's tables.
@@ -117,7 +107,9 @@ impl SyscallCosts {
     /// `read`/`write` interface is "more streamlined" than scatter/gather
     /// `sendmsg`/`recvmsg` (§4.4.1); `read` + `write` here sum to the
     /// 8.3 ms of client CPU per exchange its TCP echo measured
-    /// (Table 4.1).
+    /// (Table 4.1). `Compute` is one message the stubs externalize or
+    /// internalize: 3.0 ms, the per-member step of Table 4.1's user
+    /// column.
     pub fn vax_4_2bsd() -> SyscallCosts {
         let mut c = SyscallCosts {
             costs: [Duration::ZERO; 10],
@@ -130,7 +122,7 @@ impl SyscallCosts {
         c.set(Syscall::SigBlock, Duration::from_millis_f64(0.4));
         c.set(Syscall::Read, Duration::from_millis_f64(3.8));
         c.set(Syscall::Write, Duration::from_millis_f64(4.5));
-        c.set(Syscall::Compute, Duration::ZERO);
+        c.set(Syscall::Compute, Duration::from_millis_f64(3.0));
         c
     }
 
@@ -160,91 +152,6 @@ impl Default for SyscallCosts {
     }
 }
 
-/// Accumulated CPU usage of one handler dispatch, split the way
-/// `getrusage` reported it in the paper's experiments: user time and
-/// kernel ("system") time, plus a per-syscall breakdown.
-///
-/// This is the simulator's *internal* accumulator: the world publishes
-/// each dispatch's delta into the [`obs::Registry`](obs::Registry), and
-/// readers consume [`obs::CpuView`](obs::CpuView) snapshots via
-/// `World::cpu` instead of touching this struct.
-#[derive(Clone, Debug, Default)]
-pub struct CpuAccount {
-    user: Duration,
-    kernel: Duration,
-    per_syscall: [Duration; 10],
-    counts: [u64; 10],
-}
-
-impl CpuAccount {
-    /// A zeroed account.
-    pub fn new() -> CpuAccount {
-        CpuAccount::default()
-    }
-
-    /// Records one operation of duration `d`.
-    pub fn record(&mut self, sys: Syscall, d: Duration) {
-        if sys.is_kernel() {
-            self.kernel += d;
-        } else {
-            self.user += d;
-        }
-        self.per_syscall[sys.index()] += d;
-        self.counts[sys.index()] += 1;
-    }
-
-    /// Total user-mode CPU time.
-    pub fn user(&self) -> Duration {
-        self.user
-    }
-
-    /// Total kernel-mode CPU time.
-    pub fn kernel(&self) -> Duration {
-        self.kernel
-    }
-
-    /// Total CPU time (user + kernel).
-    pub fn total(&self) -> Duration {
-        self.user + self.kernel
-    }
-
-    /// CPU time attributed to one syscall kind.
-    pub fn time_in(&self, sys: Syscall) -> Duration {
-        self.per_syscall[sys.index()]
-    }
-
-    /// Number of invocations of one syscall kind.
-    pub fn count_of(&self, sys: Syscall) -> u64 {
-        self.counts[sys.index()]
-    }
-
-    /// Fraction of total CPU time spent in one syscall kind, or 0 if no
-    /// CPU time has been charged.
-    pub fn fraction_in(&self, sys: Syscall) -> f64 {
-        let total = self.total().as_micros();
-        if total == 0 {
-            0.0
-        } else {
-            self.time_in(sys).as_micros() as f64 / total as f64
-        }
-    }
-
-    /// Resets the account to zero.
-    pub fn reset(&mut self) {
-        *self = CpuAccount::default();
-    }
-
-    /// Adds another account into this one.
-    pub fn merge(&mut self, other: &CpuAccount) {
-        self.user += other.user;
-        self.kernel += other.kernel;
-        for i in 0..10 {
-            self.per_syscall[i] += other.per_syscall[i];
-            self.counts[i] += other.counts[i];
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,45 +165,9 @@ mod tests {
         assert_eq!(c.cost(Syscall::SetITimer).as_millis_f64(), 1.2);
         assert_eq!(c.cost(Syscall::GetTimeOfDay).as_millis_f64(), 0.7);
         assert_eq!(c.cost(Syscall::SigBlock).as_millis_f64(), 0.4);
-    }
-
-    #[test]
-    fn accounting_splits_user_and_kernel() {
-        let mut a = CpuAccount::new();
-        a.record(Syscall::SendMsg, Duration::from_millis(8));
-        a.record(Syscall::Compute, Duration::from_millis(2));
-        assert_eq!(a.kernel(), Duration::from_millis(8));
-        assert_eq!(a.user(), Duration::from_millis(2));
-        assert_eq!(a.total(), Duration::from_millis(10));
-        assert_eq!(a.count_of(Syscall::SendMsg), 1);
-        assert!((a.fraction_in(Syscall::SendMsg) - 0.8).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_adds_everything() {
-        let mut a = CpuAccount::new();
-        a.record(Syscall::Select, Duration::from_millis(1));
-        let mut b = CpuAccount::new();
-        b.record(Syscall::Select, Duration::from_millis(2));
-        b.record(Syscall::Compute, Duration::from_millis(3));
-        a.merge(&b);
-        assert_eq!(a.time_in(Syscall::Select), Duration::from_millis(3));
-        assert_eq!(a.user(), Duration::from_millis(3));
-        assert_eq!(a.count_of(Syscall::Select), 2);
-    }
-
-    #[test]
-    fn fraction_of_empty_account_is_zero() {
-        let a = CpuAccount::new();
-        assert_eq!(a.fraction_in(Syscall::SendMsg), 0.0);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let mut a = CpuAccount::new();
-        a.record(Syscall::SendMsg, Duration::from_millis(8));
-        a.reset();
-        assert_eq!(a.total(), Duration::ZERO);
-        assert_eq!(a.count_of(Syscall::SendMsg), 0);
+        assert_eq!(c.cost(Syscall::Compute).as_millis_f64(), 3.0);
+        for (i, s) in ALL_SYSCALLS.into_iter().enumerate() {
+            assert_eq!(s.index(), i, "{s}");
+        }
     }
 }

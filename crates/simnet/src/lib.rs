@@ -57,6 +57,7 @@
 #![warn(missing_docs)]
 
 pub mod cpu;
+mod ctx;
 pub mod disk;
 pub mod net;
 pub mod payload;

@@ -1,164 +1,28 @@
-//! The simulated world: event queue, hosts, processes, and the `Ctx`
-//! handle through which processes act.
+//! The simulated world: its processes and the loop that hands each event
+//! to one of them through a [`Ctx`] (defined beside the world's shared
+//! core, in `ctx.rs`).
 //!
 //! The world is a deterministic discrete-event simulator. All events live
 //! in one queue ordered by `(time, insertion sequence)`; all randomness
-//! comes from one seeded [`SimRng`]. Each host has a serial CPU: handling
-//! an event begins no earlier than the host's `busy_until`, and every
-//! syscall charge advances it — so CPU costs serialize exactly as they did
-//! on the paper's uniprocessor VAXen.
+//! comes from one seeded [`SimRng`](crate::SimRng). Each host has a serial
+//! CPU: handling an event begins no earlier than the host's `busy_until`,
+//! and every syscall charge advances it — so CPU costs serialize exactly
+//! as they did on the paper's uniprocessor VAXen.
 
 use std::any::Any;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
-use obs::{Counter, CpuView, NetView, Registry};
+use obs::{CpuView, NetView, Registry};
 
-use crate::cpu::{CpuAccount, Syscall, SyscallCosts, ALL_SYSCALLS};
+use crate::cpu::{Syscall, SyscallCosts};
+pub use crate::ctx::Ctx;
+use crate::ctx::{Core, CpuCounters, EventKind, Pending};
 use crate::disk::{Disk, DiskConfig};
 use crate::net::{NetConfig, Partition};
 use crate::payload::Payload;
 use crate::process::{HostId, Process, SockAddr, TimerId};
-use crate::rng::SimRng;
-use crate::sched::TimerWheel;
 use crate::time::{Duration, Time};
 use crate::trace::{DropReason, TraceEvent, TraceSink};
-
-/// Pre-resolved handles for the global `net.*` counters, so the hot path
-/// never does a name lookup.
-struct NetCounters {
-    sent: Counter,
-    delivered: Counter,
-    lost: Counter,
-    duplicated: Counter,
-    partitioned: Counter,
-    undeliverable: Counter,
-    oversize: Counter,
-    multicasts: Counter,
-}
-
-impl NetCounters {
-    fn new(reg: &Registry) -> NetCounters {
-        NetCounters {
-            sent: reg.counter("net.sent"),
-            delivered: reg.counter("net.delivered"),
-            lost: reg.counter("net.lost"),
-            duplicated: reg.counter("net.duplicated"),
-            partitioned: reg.counter("net.partitioned"),
-            undeliverable: reg.counter("net.undeliverable"),
-            oversize: reg.counter("net.oversize"),
-            multicasts: reg.counter("net.multicasts"),
-        }
-    }
-
-    fn view(&self) -> NetView {
-        NetView {
-            sent: self.sent.get(),
-            delivered: self.delivered.get(),
-            lost: self.lost.get(),
-            duplicated: self.duplicated.get(),
-            partitioned: self.partitioned.get(),
-            undeliverable: self.undeliverable.get(),
-            oversize: self.oversize.get(),
-            multicasts: self.multicasts.get(),
-        }
-    }
-}
-
-/// Pre-resolved handles for one process's `cpu.<addr>.*` counters.
-struct CpuCounters {
-    user_us: Counter,
-    kernel_us: Counter,
-    total_us: Counter,
-    sys_us: Vec<Counter>,
-    sys_n: Vec<Counter>,
-}
-
-impl CpuCounters {
-    fn new(reg: &Registry, addr: SockAddr) -> CpuCounters {
-        let p = format!("cpu.{addr}");
-        CpuCounters {
-            user_us: reg.counter(&format!("{p}.user_us")),
-            kernel_us: reg.counter(&format!("{p}.kernel_us")),
-            total_us: reg.counter(&format!("{p}.total_us")),
-            sys_us: ALL_SYSCALLS
-                .iter()
-                .map(|s| reg.counter(&format!("{p}.sys.{}.us", s.name())))
-                .collect(),
-            sys_n: ALL_SYSCALLS
-                .iter()
-                .map(|s| reg.counter(&format!("{p}.sys.{}.n", s.name())))
-                .collect(),
-        }
-    }
-
-    /// Publishes one dispatch's CPU delta into the registry.
-    fn publish(&self, delta: &CpuAccount) {
-        let (u, k) = (delta.user().as_micros(), delta.kernel().as_micros());
-        if u != 0 {
-            self.user_us.add(u);
-        }
-        if k != 0 {
-            self.kernel_us.add(k);
-        }
-        if u + k != 0 {
-            self.total_us.add(u + k);
-        }
-        for s in ALL_SYSCALLS {
-            let d = delta.time_in(s).as_micros();
-            if d != 0 {
-                self.sys_us[s.index()].add(d);
-            }
-            let n = delta.count_of(s);
-            if n != 0 {
-                self.sys_n[s.index()].add(n);
-            }
-        }
-    }
-
-    fn reset(&self) {
-        self.user_us.reset();
-        self.kernel_us.reset();
-        self.total_us.reset();
-        for c in self.sys_us.iter().chain(self.sys_n.iter()) {
-            c.reset();
-        }
-    }
-
-    fn view(&self) -> CpuView {
-        CpuView {
-            user_us: self.user_us.get(),
-            kernel_us: self.kernel_us.get(),
-            times_us: self.sys_us.iter().map(Counter::get).collect(),
-            counts: self.sys_n.iter().map(Counter::get).collect(),
-        }
-    }
-}
-
-enum EventKind {
-    Datagram {
-        from: SockAddr,
-        to: SockAddr,
-        data: Payload,
-        span: u64,
-    },
-    Timer {
-        owner: SockAddr,
-        id: TimerId,
-        tag: u64,
-        epoch: u64,
-    },
-    Start {
-        at: SockAddr,
-        epoch: u64,
-    },
-    Poke {
-        at: SockAddr,
-        tag: u64,
-    },
-    /// An armed [`TrafficInjector`] tick: the injector runs and may queue
-    /// forged datagrams and/or re-arm itself.
-    Inject,
-}
 
 /// A hostile datagram produced by a [`TrafficInjector`].
 #[derive(Clone, Debug)]
@@ -176,8 +40,8 @@ pub struct ForgedDatagram {
 /// fabrications). Installed with [`World::set_injector`].
 ///
 /// The injector must source all randomness from its own seeded generator
-/// — it never touches the world's [`SimRng`] — so an injection run stays
-/// a pure function of `(world seed, injector seed)`.
+/// — it never touches the world's [`SimRng`](crate::SimRng) — so an
+/// injection run stays a pure function of `(world seed, injector seed)`.
 pub trait TrafficInjector: Any {
     /// Observes a datagram about to be delivered (it has already passed
     /// the host-up and partition checks), letting the injector capture
@@ -188,357 +52,6 @@ pub trait TrafficInjector: Any {
     fn inject(&mut self, now: Time) -> (Vec<ForgedDatagram>, Option<Duration>);
     /// Downcast support for [`World::injector_as`].
     fn as_any(&self) -> &dyn Any;
-}
-
-#[derive(Clone, Debug, Default)]
-struct HostState {
-    down: bool,
-    busy_until: Time,
-}
-
-/// Deferred world mutations requested by a running process.
-enum Pending {
-    Spawn(SockAddr, Box<dyn Process>),
-    Kill(SockAddr),
-    CrashHost(HostId),
-    RestartHost(HostId),
-}
-
-/// Everything a process handler may touch while running.
-///
-/// Obtained only inside [`Process`] handlers; all effects (sends, timers,
-/// spawns) are routed through it so the simulation stays deterministic.
-pub struct Ctx<'a> {
-    core: &'a mut Core,
-    me: SockAddr,
-    vnow: Time,
-    delta: CpuAccount,
-}
-
-/// The shared, process-independent part of the world.
-struct Core {
-    now: Time,
-    seq: u64,
-    queue: TimerWheel<EventKind>,
-    rng: SimRng,
-    net: NetConfig,
-    costs: SyscallCosts,
-    partition: Partition,
-    registry: Registry,
-    net_ctr: NetCounters,
-    hosts: BTreeMap<HostId, HostState>,
-    next_timer: u64,
-    /// Timers armed but neither fired nor cancelled. Membership is what
-    /// makes [`World::cancel_timer`]'s `bool` truthful: a hit moves the
-    /// id to `cancelled`, a miss (already fired, already cancelled, or
-    /// never ours) ticks `sim.timer.cancel_miss`.
-    /// Insert, remove, contains: never walked.
-    live: HashSet<TimerId>,
-    /// Cancelled timers whose queue entries have not yet popped. A
-    /// cancelled timer still occupies its slot and still advances the
-    /// clock when it comes due — it just fires into the void (the golden
-    /// traces were recorded with the tombstone's pop in them).
-    /// Insert and remove only: never walked.
-    cancelled: HashSet<TimerId>,
-    pending: Vec<Pending>,
-    /// Epoch of the process whose handler is currently running; set by the
-    /// dispatcher so timers armed by the handler carry the owner's epoch
-    /// (stale timers for replaced processes are dropped at fire time).
-    epoch_hint: u64,
-    /// Optional structured event-trace recorder.
-    sink: Option<Box<dyn TraceSink>>,
-    /// The world seed, kept so per-host disk fault streams can be derived
-    /// from it without touching the world RNG.
-    seed: u64,
-    /// Simulated disks, one per host that opted in via
-    /// [`World::install_disk`]. Disks survive host crashes (minus the
-    /// unsynced tail) — that is the point.
-    disks: BTreeMap<HostId, Disk>,
-}
-
-impl Core {
-    fn push(&mut self, at: Time, kind: EventKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.insert(at.as_micros(), seq, kind);
-    }
-
-    /// Cancels a live timer; see [`World::cancel_timer`].
-    fn cancel_timer(&mut self, id: TimerId) -> bool {
-        if self.live.remove(&id) {
-            self.cancelled.insert(id);
-            true
-        } else {
-            // Cold path by construction (a miss is a caller bug or a
-            // benign race with the fire), so the lazy name lookup is
-            // fine — and the counter only appears in dumps once a miss
-            // actually happens, keeping miss-free golden snapshots
-            // byte-stable.
-            self.registry.add("sim.timer.cancel_miss", 1);
-            false
-        }
-    }
-
-    fn trace(&mut self, ev: TraceEvent) {
-        if let Some(sink) = self.sink.as_mut() {
-            sink.record(&ev);
-        }
-    }
-
-    /// Pay-for-what-you-use tracing: the event is only *constructed* when
-    /// a sink is installed. Hot-path call sites (every send, delivery,
-    /// drop, timer fire) use this so steady-state runs with no sink skip
-    /// the `TraceEvent` build entirely.
-    #[inline]
-    fn trace_with(&mut self, ev: impl FnOnce() -> TraceEvent) {
-        if let Some(sink) = self.sink.as_mut() {
-            sink.record(&ev());
-        }
-    }
-
-    fn host_up(&self, h: HostId) -> bool {
-        self.hosts.get(&h).map(|s| !s.down).unwrap_or(true)
-    }
-
-    fn busy_until(&self, h: HostId) -> Time {
-        self.hosts
-            .get(&h)
-            .map(|s| s.busy_until)
-            .unwrap_or(Time::ZERO)
-    }
-
-    fn set_busy_until(&mut self, h: HostId, t: Time) {
-        self.hosts.entry(h).or_default().busy_until = t;
-    }
-
-    /// Schedules the delivery (with loss/duplication/jitter) of one
-    /// datagram departing `from` at time `depart`, attributed to causal
-    /// span `span` (0 = none). The payload is never copied: each
-    /// scheduled copy (duplication, multicast fan-out) shares the same
-    /// buffer.
-    fn transmit(&mut self, from: SockAddr, to: SockAddr, data: Payload, span: u64, depart: Time) {
-        self.net_ctr.sent.inc();
-        self.trace_with(|| TraceEvent::Send {
-            at: depart,
-            from,
-            to,
-            len: data.len(),
-            span,
-        });
-        if data.len() > self.net.mtu {
-            self.net_ctr.oversize.inc();
-            self.trace_with(|| TraceEvent::Drop {
-                at: depart,
-                from,
-                to,
-                len: data.len(),
-                reason: DropReason::Oversize,
-                span,
-            });
-            return;
-        }
-        if self.rng.chance(self.net.loss) {
-            self.net_ctr.lost.inc();
-            self.trace_with(|| TraceEvent::Drop {
-                at: depart,
-                from,
-                to,
-                len: data.len(),
-                reason: DropReason::Loss,
-                span,
-            });
-            return;
-        }
-        let copies = if self.rng.chance(self.net.duplicate) {
-            self.net_ctr.duplicated.inc();
-            self.trace_with(|| TraceEvent::Duplicate {
-                at: depart,
-                from,
-                to,
-                span,
-            });
-            2
-        } else {
-            1
-        };
-        for _ in 0..copies {
-            let jitter = self.rng.exponential(self.net.jitter_mean);
-            let at = depart + self.net.latency_for(data.len()) + jitter;
-            self.push(
-                at,
-                EventKind::Datagram {
-                    from,
-                    to,
-                    data: data.clone(),
-                    span,
-                },
-            );
-        }
-    }
-}
-
-impl<'a> Ctx<'a> {
-    /// The current (virtual) time, including CPU charges accrued while
-    /// handling this event.
-    pub fn now(&self) -> Time {
-        self.vnow
-    }
-
-    /// The address of the running process.
-    pub fn me(&self) -> SockAddr {
-        self.me
-    }
-
-    /// Charges one operation at the configured cost, advancing virtual
-    /// time and the CPU account.
-    pub fn charge(&mut self, sys: Syscall) {
-        let d = self.core.costs.cost(sys);
-        self.charge_dur(sys, d);
-    }
-
-    /// Charges an operation with an explicit duration.
-    pub fn charge_dur(&mut self, sys: Syscall, d: Duration) {
-        self.delta.record(sys, d);
-        self.vnow += d;
-    }
-
-    /// Sends a datagram, charging one `sendmsg`.
-    pub fn send(&mut self, to: SockAddr, data: impl Into<Payload>) {
-        self.send_as(Syscall::SendMsg, to, data);
-    }
-
-    /// Sends a datagram attributed to causal span `span` (0 = none),
-    /// charging one `sendmsg`. Trace events for the datagram's journey
-    /// carry the span id.
-    pub fn send_spanned(&mut self, to: SockAddr, data: impl Into<Payload>, span: u64) {
-        self.charge(Syscall::SendMsg);
-        self.core
-            .transmit(self.me, to, data.into(), span, self.vnow);
-    }
-
-    /// Sends a datagram, charging the given syscall (e.g. `write` for the
-    /// stream-socket comparison rig).
-    pub fn send_as(&mut self, sys: Syscall, to: SockAddr, data: impl Into<Payload>) {
-        self.charge(sys);
-        self.core.transmit(self.me, to, data.into(), 0, self.vnow);
-    }
-
-    /// Sends the same datagram to every destination with a *single*
-    /// `sendmsg` charge, modelling Ethernet multicast (§4.3.3: "a
-    /// multicast implementation requires only m+n messages").
-    pub fn multicast(&mut self, tos: &[SockAddr], data: impl Into<Payload>) {
-        self.multicast_spanned(tos, data, 0);
-    }
-
-    /// Like [`Ctx::multicast`], but attributes every copy of the datagram
-    /// to causal span `span` (0 = none), so a multicast call segment's
-    /// journeys are stitched into the same trace tree as unicast ones.
-    /// The payload is converted once; every destination shares the same
-    /// buffer (`Payload::clone` is a refcount bump, not a byte copy).
-    pub fn multicast_spanned(&mut self, tos: &[SockAddr], data: impl Into<Payload>, span: u64) {
-        self.charge(Syscall::SendMsg);
-        self.core.net_ctr.multicasts.inc();
-        let data = data.into();
-        for &to in tos {
-            self.core
-                .transmit(self.me, to, data.clone(), span, self.vnow);
-        }
-    }
-
-    /// The world's metrics registry (cheap clone of a shared handle).
-    pub fn metrics(&self) -> Registry {
-        self.core.registry.clone()
-    }
-
-    /// Arms a timer to fire after `delay`; `tag` is returned to
-    /// [`Process::on_timer`]. Timer bookkeeping itself is free; protocol
-    /// code models its timer syscalls explicitly (`charge(SetITimer)`).
-    pub fn set_timer(&mut self, delay: Duration, tag: u64) -> TimerId {
-        let id = TimerId(self.core.next_timer);
-        self.core.next_timer += 1;
-        self.core.live.insert(id);
-        let epoch = self.core.epoch_hint;
-        self.core.push(
-            self.vnow + delay,
-            EventKind::Timer {
-                owner: self.me,
-                id,
-                tag,
-                epoch,
-            },
-        );
-        id
-    }
-
-    /// Cancels a pending timer. Returns `true` if the timer was live
-    /// (armed, not yet fired, not yet cancelled); a miss — already
-    /// fired, already cancelled, or a foreign id — returns `false` and
-    /// ticks the `sim.timer.cancel_miss` counter.
-    pub fn cancel_timer(&mut self, id: TimerId) -> bool {
-        self.core.cancel_timer(id)
-    }
-
-    /// Access to the world's random number generator.
-    pub fn rng(&mut self) -> &mut SimRng {
-        &mut self.core.rng
-    }
-
-    /// The disk installed on this process's host, if any. I/O time
-    /// accrued on it during this handler is charged to the process as
-    /// [`Syscall::DiskIo`] when the handler returns.
-    pub fn disk(&self) -> Option<Disk> {
-        self.core.disks.get(&self.me.host).cloned()
-    }
-
-    /// Requests that a new process be spawned at `addr` once this handler
-    /// returns. If a process already exists there it is replaced (this is
-    /// how a crashed troupe member's machine is reused).
-    pub fn spawn(&mut self, addr: SockAddr, proc: Box<dyn Process>) {
-        self.core.pending.push(Pending::Spawn(addr, proc));
-    }
-
-    /// Requests that the process at `addr` be destroyed once this handler
-    /// returns.
-    pub fn kill(&mut self, addr: SockAddr) {
-        self.core.pending.push(Pending::Kill(addr));
-    }
-
-    /// Requests a whole-host crash (all its processes die; fail-stop).
-    pub fn crash_host(&mut self, h: HostId) {
-        self.core.pending.push(Pending::CrashHost(h));
-    }
-
-    /// Requests that a crashed host come back up (empty of processes).
-    pub fn restart_host(&mut self, h: HostId) {
-        self.core.pending.push(Pending::RestartHost(h));
-    }
-}
-
-impl Core {
-    fn new(seed: u64, net: NetConfig, costs: SyscallCosts) -> Core {
-        let registry = Registry::new();
-        let net_ctr = NetCounters::new(&registry);
-        Core {
-            now: Time::ZERO,
-            seq: 0,
-            queue: TimerWheel::new(),
-            rng: SimRng::new(seed),
-            net,
-            costs,
-            partition: Partition::none(),
-            registry,
-            net_ctr,
-            hosts: BTreeMap::new(),
-            next_timer: 0,
-            live: HashSet::new(),
-            cancelled: HashSet::new(),
-            pending: Vec::new(),
-            epoch_hint: 0,
-            sink: None,
-            seed,
-            disks: BTreeMap::new(),
-        }
-    }
 }
 
 struct Slot {
@@ -957,27 +470,23 @@ impl World {
         if !self.core.host_up(addr.host) {
             return;
         }
-        let (mut proc, slot_epoch) = match self.procs.get_mut(&addr) {
-            Some(slot) => {
-                if let Some(e) = epoch {
-                    if e != slot.epoch {
-                        return;
-                    }
-                }
-                match slot.proc.take() {
-                    Some(p) => (p, slot.epoch),
-                    None => return,
-                }
-            }
-            None => return,
+        let Some(slot) = self.procs.get_mut(&addr) else {
+            return;
         };
-        let start = std::cmp::max(self.core.now, self.core.busy_until(addr.host));
-        self.core.epoch_hint = slot_epoch;
+        if epoch.is_some_and(|e| e != slot.epoch) {
+            return;
+        }
+        let Some(mut proc) = slot.proc.take() else {
+            return;
+        };
+        let host = self.core.hosts.entry(addr.host).or_default();
+        let start = std::cmp::max(self.core.now, host.busy_until);
+        self.core.epoch_hint = slot.epoch;
         let mut ctx = Ctx {
             core: &mut self.core,
+            cpu: &slot.cpu,
             me: addr,
             vnow: start,
-            delta: CpuAccount::new(),
         };
         if auto_recv.is_some() {
             if let Some(sys) = proc.recv_syscall() {
@@ -995,15 +504,10 @@ impl World {
             }
         }
         let end = ctx.vnow;
-        let delta = std::mem::take(&mut ctx.delta);
-        let _ = ctx;
-        self.core.set_busy_until(addr.host, end);
-        if let Some(slot) = self.procs.get_mut(&addr) {
-            if slot.epoch == slot_epoch {
-                slot.proc = Some(proc);
-                slot.cpu.publish(&delta);
-            }
-        }
+        self.core.hosts.entry(addr.host).or_default().busy_until = end;
+        // Kills and spawns the handler asked for wait in `pending`, so the
+        // slot is still this process's.
+        slot.proc = Some(proc);
         self.apply_pending();
     }
 

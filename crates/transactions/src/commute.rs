@@ -28,9 +28,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use circus::{Service, ServiceCtx, Step};
 use wire::{from_bytes, to_bytes, Externalize, Internalize, Reader, WireError, Writer};
 
-use crate::idset::IdSet;
 use crate::store::ObjId;
 use crate::wedge::Wedge;
+use circus::IdSet;
 use obs::{fnv1a_fold, FNV1A_BASIS};
 
 /// Procedure number of `apply_commutative` at the troupe.

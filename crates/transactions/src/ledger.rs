@@ -13,8 +13,8 @@ use std::collections::BTreeMap;
 use circus::ThreadId;
 use obs::fnv1a_fold;
 
-use crate::idset::IdSet;
 use crate::pack_origin;
+use circus::IdSet;
 
 /// The wire form of a [`Ledger`]: per origin, ascending, its nonce ranges
 /// ([`IdSet::to_wire`]).

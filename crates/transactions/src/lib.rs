@@ -42,7 +42,6 @@ pub mod client;
 pub mod commit;
 pub mod commute;
 pub mod deadlock;
-pub mod idset;
 pub mod ledger;
 pub mod lock;
 pub mod nested;
@@ -64,7 +63,6 @@ pub use commit::{
 };
 pub use commute::{CmOp, CmRequest, CommutativeService, PROC_CM_EXECUTE};
 pub use deadlock::WaitsFor;
-pub use idset::IdSet;
 pub use ledger::{Ledger, LedgerWire};
 pub use lock::{Acquire, LockManager, Mode};
 pub use nested::{NestedError, NestedTm};

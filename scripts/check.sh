@@ -39,7 +39,7 @@ phase() {
   echo "==> $1"
 }
 
-phase "cargo fmt --check (and the shape of the source: audited hash maps, no per-thread hash map in the call runtime, no crates/core/src file over 900 lines, one multicast blast, no cargo feature, no ledger that grows with the run, no spawn loop or echo service beside the testbed's, EXPERIMENTS.md within 50,000 bytes, DESIGN.md within 85,000)"
+phase "cargo fmt --check (and the shape of the source: audited hash maps, no per-thread hash map in the call runtime, no crates/*/src/*.rs file over 900 lines (every crate), one multicast blast, no cargo feature, no ledger that grows with the run, no spawn loop or echo service beside the testbed's, EXPERIMENTS.md within 50,000 bytes, DESIGN.md within 80,000)"
 cargo fmt --all --check
 # A HashMap/HashSet field iterates in a per-process order: each one in the
 # protocol crates says, on the line above it, why that is never observed.
@@ -51,7 +51,9 @@ if grep -n 'HashMap<ThreadId' crates/core/src/*.rs; then
   echo "a HashMap keyed by ThreadId in the call runtime (named above): keep threads as CallSeqs does" >&2
   exit 1
 fi
-wc -l crates/core/src/*.rs | awk '$2 != "total" && $1 > 900 { print $2 ": " $1 " lines (over 900)"; bad = 1 } END { exit bad }'
+# A file that has become its crate is split: no source file of any crate
+# runs past 900 lines.
+wc -l crates/*/src/*.rs | awk '$2 != "total" && $1 > 900 { print $2 ": " $1 " lines (over 900)"; bad = 1 } END { exit bad }'
 # Calls and returns share one blast, `Conns::blast`: a multicast sent
 # from anywhere else in the call runtime is a second copy of it.
 if grep -n '\.multicast_spanned(' crates/core/src/*.rs | grep -v '^crates/core/src/conn\.rs:'; then
@@ -77,7 +79,7 @@ if grep -rn 'grows with the run' crates/transactions/src; then
 fi
 # The prose is capped in bytes: a change's A/B is one row of EXPERIMENTS.md's
 # table, and DESIGN.md describes the system that exists, not its history.
-for cap in EXPERIMENTS.md:50000 DESIGN.md:85000; do
+for cap in EXPERIMENTS.md:50000 DESIGN.md:80000; do
   doc=${cap%%:*} max=${cap##*:}
   if [ "$(wc -c <"$doc")" -gt "$max" ]; then
     echo "$doc is $(wc -c <"$doc") bytes, over its cap of $max: shorten it" >&2

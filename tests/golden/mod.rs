@@ -8,19 +8,45 @@ use std::io::Write as _;
 /// the same lines on stderr (past the test harness's capture), so the
 /// update shows its blast radius — do that only on purpose, and say why.
 pub fn check_golden(path: &str, actual: &str) {
+    check(path, None, actual);
+}
+
+/// Holds `actual` to the fenced text block between `<!-- repro:NAME -->`
+/// and `<!-- /repro:NAME -->` in the committed document at `path`, the
+/// way [`check_golden`] holds a whole file; `UPDATE_GOLDEN=1` rewrites
+/// that block alone.
+#[allow(dead_code)]
+pub fn check_golden_block(path: &str, name: &str, actual: &str) {
+    check(path, Some(name), actual);
+}
+
+fn check(path: &str, block: Option<&str>, actual: &str) {
     let file = format!("{}/{path}", env!("CARGO_MANIFEST_DIR"));
     let update = std::env::var("UPDATE_GOLDEN").is_ok();
-    let golden = match std::fs::read_to_string(&file) {
-        Ok(golden) => golden,
-        Err(_) if update => String::new(),
+    let doc = match std::fs::read_to_string(&file) {
+        Ok(doc) => doc,
+        Err(_) if update && block.is_none() => String::new(),
         Err(e) => panic!("cannot read {path}: {e}; regenerate with UPDATE_GOLDEN=1"),
     };
-    if golden == actual {
+    let (start, end) = match block {
+        None => (0, doc.len()),
+        Some(name) => {
+            let open = format!("<!-- repro:{name} -->\n```text\n");
+            let close = format!("```\n<!-- /repro:{name} -->");
+            let start = doc.find(&open).map(|at| at + open.len());
+            let end = start.and_then(|start| doc[start..].find(&close).map(|n| start + n));
+            match (start, end) {
+                (Some(start), Some(end)) => (start, end),
+                _ => panic!("{path} has no block {open:?} … {close:?}: add one"),
+            }
+        }
+    };
+    if doc[start..end] == *actual {
         return;
     }
-    let (mut want, mut got) = (golden.lines(), actual.lines());
+    let (mut want, mut got) = (doc[start..end].lines(), actual.lines());
     let mut drifted = Vec::new();
-    for n in 1.. {
+    for n in doc[..start].lines().count() + 1.. {
         match (want.next(), got.next()) {
             (None, None) => break,
             (w, g) if w == g => {}
@@ -35,7 +61,8 @@ pub fn check_golden(path: &str, actual: &str) {
         drifted.push(format!("  {path}: only the final newline differs"));
     }
     if update {
-        std::fs::write(&file, actual).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        let rewritten = format!("{}{actual}{}", &doc[..start], &doc[end..]);
+        std::fs::write(&file, rewritten).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         let _ = writeln!(
             std::io::stderr(),
             "UPDATE_GOLDEN rewrote {} line(s) of {path}:\n{}",

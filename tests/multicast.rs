@@ -44,23 +44,14 @@ const CLIENT: SockAddr = SockAddr {
 /// of `payload` queued, on the lossless 1985 LAN with the VAX syscall
 /// costs. Each call is made on a thread of its own and the members
 /// remember on whose behalf they ran ([`PROC_WHO`]).
-fn rig(members: u32, multicast_small: bool, payload: Vec<u8>, calls: u64) -> World {
+fn rig(members: u32, payload: Vec<u8>, calls: u64) -> World {
     let w = World::with_config(1985, NetConfig::lan_1985(), SyscallCosts::vax_4_2bsd());
-    rig_in(w, members, multicast_small, payload, calls)
+    rig_in(w, members, payload, calls)
 }
 
 /// The same troupe and client, spawned into `w`.
-fn rig_in(
-    mut w: World,
-    members: u32,
-    multicast_small: bool,
-    payload: Vec<u8>,
-    calls: u64,
-) -> World {
-    let config = NodeConfig {
-        multicast_small_calls: multicast_small,
-        ..NodeConfig::default()
-    };
+fn rig_in(mut w: World, members: u32, payload: Vec<u8>, calls: u64) -> World {
+    let config = NodeConfig::default();
     let members: Vec<SockAddr> = (1..=members).map(member).collect();
     let troupe = spawn_troupe(
         &mut w,
@@ -118,34 +109,6 @@ fn assert_ran_each_once(w: &World, addr: SockAddr, calls: usize, seed: u64) {
 
 fn member(host: u32) -> SockAddr {
     SockAddr::new(HostId(host), 70)
-}
-
-/// Runs `calls` measured echo calls (after one warmup call) against a
-/// 5-member troupe on a lossless LAN and returns the client's measured
-/// `sendmsg` count, the network's multicast-operation count, and the
-/// number of successful completions.
-fn measure(multicast: bool, calls: u64, payload: Vec<u8>) -> (u64, u64, usize) {
-    let mut w = rig(MEMBERS, multicast, payload, 1 + calls);
-
-    // Warmup call: lets connections, directories, and the previous
-    // return's ack traffic settle outside the measured window.
-    w.poke(CLIENT, 0);
-    w.run(Until::Elapsed(Duration::from_millis(200)));
-    w.reset_cpu(CLIENT);
-    let mcasts_before = w.net_stats().multicasts;
-
-    // Each measured call gets 200 ms: far beyond the LAN round trip, but
-    // inside the 300 ms retransmission interval, so a lossless run
-    // carries no retransmissions or explicit acks — each call's returns
-    // are implicitly acknowledged by the next call.
-    for _ in 0..calls {
-        w.poke(CLIENT, 0);
-        w.run(Until::Elapsed(Duration::from_millis(200)));
-    }
-
-    let sendmsgs = w.cpu(CLIENT).count_of(Syscall::SendMsg.index());
-    let mcasts = w.net_stats().multicasts - mcasts_before;
-    (sendmsgs, mcasts, completions(&w))
 }
 
 /// What crossed the wire, decoded: a passive `TrafficInjector` whose one
@@ -213,7 +176,7 @@ fn sendmsgs_and_tap(w: &World) -> (u64, WireTap) {
 /// later). Returns the `sendmsg`s of all four processes, the wire tap, and
 /// the world.
 fn closed_loop(calls: u64, payload: usize) -> (u64, WireTap, World) {
-    let mut w = rig(N, false, vec![0xAB; payload], calls);
+    let mut w = rig(N, vec![0xAB; payload], calls);
     w.set_injector(Box::<WireTap>::default(), Duration::ZERO);
     w.poke(CLIENT, calls - 1);
     let deadline = w.now() + Duration::from_secs(10);
@@ -238,38 +201,29 @@ fn paced(mut w: World, calls: u64, gap: Duration) -> (u64, WireTap, World) {
 }
 
 #[test]
-fn unicast_charges_one_sendmsg_per_member() {
-    let (sendmsgs, mcasts, ok) = measure(false, 4, b"ping".to_vec());
-    assert_eq!(ok, 5, "warmup + 4 measured calls all complete");
-    assert_eq!(mcasts, 0, "a single segment is not multicast unasked");
-    assert_eq!(
-        sendmsgs,
-        4 * MEMBERS as u64,
-        "unicast: one sendmsg per member per (single-segment) call"
-    );
-}
-
-#[test]
-fn multicast_charges_one_sendmsg_per_call_segment() {
-    let (sendmsgs, mcasts, ok) = measure(true, 4, b"ping".to_vec());
-    assert_eq!(ok, 5, "warmup + 4 measured calls all complete");
-    assert_eq!(mcasts, 4, "one multicast op per single-segment call");
-    assert_eq!(
-        sendmsgs, 4,
-        "multicast: exactly 1 sendmsg per call segment, independent of troupe size"
-    );
-}
-
-#[test]
 fn multisegment_call_multicasts_once_per_segment() {
     // Two and a half default segments of arguments: three segments (the
     // call header is far smaller than the half segment left over) — and
-    // nobody asked: the call's size selects the multicast.
+    // nobody asked: the call's size selects the multicast. After one
+    // warmup call, two calls 200 ms apart: inside the retransmission
+    // interval, so each call's returns are acknowledged by the next.
     let grain = pairedmsg::Config::default().max_segment_data;
-    let (sendmsgs, mcasts, ok) = measure(false, 2, vec![7u8; grain * 5 / 2]);
-    assert_eq!(ok, 3);
-    assert_eq!(mcasts, 2 * 3, "one multicast op per segment");
-    assert_eq!(sendmsgs, 2 * 3);
+    let mut w = rig(MEMBERS, vec![7u8; grain * 5 / 2], 3);
+    w.poke(CLIENT, 0);
+    w.run(Until::Elapsed(Duration::from_millis(200)));
+    w.reset_cpu(CLIENT);
+    let before = w.net_stats().multicasts;
+    for _ in 0..2 {
+        w.poke(CLIENT, 0);
+        w.run(Until::Elapsed(Duration::from_millis(200)));
+    }
+    assert_eq!(completions(&w), 3);
+    assert_eq!(
+        w.net_stats().multicasts - before,
+        2 * 3,
+        "one multicast op per segment"
+    );
+    assert_eq!(w.cpu(CLIENT).count_of(Syscall::SendMsg.index()), 2 * 3);
 }
 
 /// The floor on the paper's cost model (Table 4.2 charges per datagram):
@@ -349,7 +303,7 @@ fn faulty_bulk_run(seed: u64) -> u64 {
     let mut w = World::with_config(seed, net, SyscallCosts::vax_4_2bsd());
     w.set_trace_sink(Box::new(TraceRing::new(64)));
     let payload = vec![0xAB; 8192];
-    let mut w = rig_in(w, MEMBERS, false, payload.clone(), BULK_CALLS as u64);
+    let mut w = rig_in(w, MEMBERS, payload.clone(), BULK_CALLS as u64);
     w.set_injector(Box::<WireTap>::default(), Duration::ZERO);
     w.poke(CLIENT, BULK_CALLS as u64 - 1);
     let deadline = w.now() + Duration::from_secs(120);
@@ -409,7 +363,7 @@ fn bulk_multicast_survives_loss_duplication_and_a_kill_mid_blast() {
 fn idle_return_costs_no_ack() {
     const CALLS: u64 = 5;
     let n = N as u64;
-    let w = rig(N, false, vec![0xAB; 64], CALLS);
+    let w = rig(N, vec![0xAB; 64], CALLS);
     let (sendmsgs, tap, w) = paced(w, CALLS, Duration::from_secs(1));
     assert_eq!(completions(&w), CALLS as usize);
     assert_eq!(sendmsgs, CALLS * 2 * n, "call and return: 6 per call");
@@ -439,7 +393,7 @@ fn faulty_paced_run(seed: u64) -> (u64, u64) {
     let mut w = World::with_config(seed, net, SyscallCosts::vax_4_2bsd());
     w.set_trace_sink(Box::new(TraceRing::new(64)));
     let payload = vec![0xAB; 64];
-    let w = rig_in(w, N, false, payload.clone(), CALLS as u64);
+    let w = rig_in(w, N, payload.clone(), CALLS as u64);
     let (_, tap, mut w) = paced(w, CALLS as u64, Duration::from_secs(1));
     let deadline = w.now() + Duration::from_secs(30);
     assert!(
@@ -485,7 +439,7 @@ fn paced_calls_survive_loss_and_duplication() {
 #[test]
 fn back_to_back_calls_leave_nothing_to_acknowledge() {
     let n = N as u64;
-    let mut w = rig(N, false, vec![0xAB; 64], 3);
+    let mut w = rig(N, vec![0xAB; 64], 3);
     w.set_injector(Box::<WireTap>::default(), Duration::ZERO);
     w.poke(CLIENT, 2);
     w.run(Until::Elapsed(Duration::from_secs(5)));

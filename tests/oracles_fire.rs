@@ -414,3 +414,29 @@ fn bounded_state_fires_on_an_inflated_census_at_a_client() {
         "{violations:?}"
     );
 }
+
+#[test]
+fn bounded_state_fires_on_a_ringmaster_hoarding_suspects() {
+    let (mut q, _) = quiesce(&Store, 3, &Store::options());
+    assert!(check(&Store, &q).is_empty(), "the scenario starts clean");
+    // A Ringmaster member that is not the leader queues more suspects than
+    // the world ever held processes; only the leader's healer drains one.
+    let member = SockAddr::new(q.ringmaster_hosts[1], RINGMASTER_PORT);
+    let made_up =
+        (0..=q.spawned.len() + q.outsiders).map(|i| SockAddr::new(HostId(200 + i as u32), 9));
+    service_mut(
+        &mut q.world,
+        member,
+        BINDING_MODULE,
+        |s: &mut RingmasterService| made_up.for_each(|addr| s.requeue_suspect(addr)),
+    );
+    let violations = check(&Store, &q);
+    assert_only(&violations, "bounded-state");
+    assert_eq!(violations.len(), 1, "{violations:?}");
+    let held = format!("process {member} holds");
+    let detail = &violations[0].detail;
+    assert!(
+        detail.contains(&held) && detail.contains("queued suspects"),
+        "{detail}"
+    );
+}
