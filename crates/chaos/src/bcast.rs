@@ -48,7 +48,8 @@ use wire::to_bytes;
 use crate::client::ProposeAccept;
 use crate::harness::{Quiesced, Workload};
 use crate::oracle::{
-    check_bounded_state, check_census, check_monotonicity, check_replication, Violation,
+    check_bounded_state, check_census, check_monotonicity, check_replication, check_split_calls,
+    Violation,
 };
 
 /// Proposal TTL for chaos members: must dominate the clients' accept
@@ -154,6 +155,7 @@ impl Workload for Bcast {
         check_no_starvation(&views, out);
         check_replication(q, out);
         check_monotonicity(q, out);
+        check_split_calls(q, out);
         check_census::<ProposeAccept>(q, out);
     }
 }

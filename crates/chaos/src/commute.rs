@@ -29,7 +29,8 @@ use transactions::CommutativeService;
 use crate::client::CmBatch;
 use crate::harness::{Quiesced, Workload};
 use crate::oracle::{
-    check_bounded_state, check_census, check_monotonicity, check_replication, Violation,
+    check_bounded_state, check_census, check_monotonicity, check_replication, check_split_calls,
+    Violation,
 };
 
 /// The commutative-operations workload.
@@ -83,6 +84,7 @@ impl Workload for Commute {
         check_convergence(&views, out);
         check_replication(q, out);
         check_monotonicity(q, out);
+        check_split_calls(q, out);
         check_census::<CmBatch>(q, out);
     }
 }

@@ -34,9 +34,10 @@
 //!   through the configuration manager;
 //! - [`oracle`] — the store invariants checked at quiesce (exactly-once
 //!   execution, replica-state convergence, transaction atomicity, no
-//!   surviving stale binding), the two every workload shares
-//!   (paired-message serial-number monotonicity, no permanent
-//!   under-replication, and no tracked structure over its bound at
+//!   surviving stale binding), the ones every workload shares
+//!   (paired-message serial-number monotonicity, one assembly per logical
+//!   call, no permanent under-replication, and no tracked structure over
+//!   its bound at
 //!   quiesce — every service ledger, and every process's call-runtime
 //!   census);
 //! - [`report`] — [`run`] ties it together and emits a [`Report`] whose

@@ -44,6 +44,10 @@
 //!    ([`check_census`]); and every live Ringmaster member's registry,
 //!    spare pools and suspect queue stay within what the scenario
 //!    registered, spawned and ran.
+//! 8. **One assembly per logical call** — no server ever timed out an
+//!    assembly on a client member it had heard on the same `(client
+//!    troupe, thread)` under another number ([`check_split_calls`]): the
+//!    members of a troupe number each call alike (§4.3.2).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -340,6 +344,31 @@ pub fn check_monotonicity(q: &Quiesced, out: &mut Vec<Violation>) {
     }
 }
 
+/// The split-call oracle (every workload): no server ever timed out an
+/// assembly on a client member it had heard on the same `(client troupe,
+/// thread)` under another number. The members of a troupe number a
+/// logical call alike (§4.3.2); one that did not split the call into two
+/// assemblies, each waiting out the assembly timeout and each executing.
+/// Reads the `rpc.<addr>.split_calls` totals [`check_monotonicity`]
+/// published, so it runs after it.
+pub fn check_split_calls(q: &Quiesced, out: &mut Vec<Violation>) {
+    let (reg, mut key) = (q.world.metrics(), String::new());
+    for addr in q.world.proc_addrs() {
+        key.clear();
+        let _ = write!(key, "rpc.{addr}.split_calls");
+        let split = reg.get(&key);
+        if split != 0 {
+            out.push(Violation {
+                oracle: "split-call",
+                detail: format!(
+                    "{addr} timed out {split} assembly wait(s) on a client member heard on \
+                     the same thread under another call_seq"
+                ),
+            });
+        }
+    }
+}
+
 /// The no-permanent-under-replication oracle (shared by every
 /// workload): the troupe is back at its specified degree and every
 /// registered member is a distinct live process.
@@ -447,8 +476,12 @@ impl Scale {
         let held = |l| count(counts, l);
         match label {
             // Every thread a process mints calls from it at once, so its
-            // own serials run unbroken but for the ones that called again.
-            census::OWN_SEQ_RANGES => 1 + held(census::MULTI_CALL_THREADS),
+            // own serials run unbroken, in the set of the troupe each first
+            // called as, but for the ones that called again. The healer
+            // also installs each incarnation as the Ringmaster on a repair
+            // thread of its own, between probe threads that only called
+            // alone: one range per incarnation.
+            census::OWN_SEQ_RANGES => 1 + held(census::MULTI_CALL_THREADS) + self.incarnations,
             // Nested calls on another process's thread: store members call
             // each client back once per attempt they execute, and a
             // committed attempt was executed by every member of the
@@ -462,11 +495,9 @@ impl Scale {
                 let clients: usize = self.skipped.iter().map(|(_, s)| 1 + s).sum();
                 clients + self.incarnations + self.activations
             }
-            // Only the healer calls twice on one thread (a repair it asks
-            // for, then the incarnation it installs), and a spare on the
-            // thread it is activated on: one per incarnation, one per
-            // activation.
-            census::MULTI_CALL_THREADS => self.incarnations + self.activations,
+            // Only a spare calls twice as one troupe on one thread: each
+            // step of its join, on the thread it is activated on.
+            census::MULTI_CALL_THREADS => self.activations,
             // One per peer.
             census::CALL_NUMBERS | census::CONNECTIONS | census::DEAD_PEERS => self.processes,
             // An agent has one call of its own out at a time; beyond it,
@@ -480,10 +511,8 @@ impl Scale {
             census::OPEN_ASSEMBLIES => self.in_flight,
             // An assembly closes short of a member when a client's vote
             // round aborts (a no vote, or a member given up on): an
-            // attempt that confirmed nothing. Store members also buffer
-            // up to two per incarnation installed, because the healer
-            // numbers the install on its repair thread 2 and its peers 1.
-            census::BUFFERED_RETURNS => 2 * self.incarnations + skipped,
+            // attempt that confirmed nothing.
+            census::BUFFERED_RETURNS => skipped,
             // The Ringmaster troupe's own, plus every incarnation.
             census::DIRECTORY_ENTRIES => 1 + self.incarnations,
             // Parked only while its lookup is out, at most one per peer.
@@ -594,7 +623,7 @@ fn check_ledger_bound(members: &[MemberView], clients: &[ClientView], out: &mut 
     }
 }
 
-/// Runs all seven store oracles and returns every violation found.
+/// Runs all eight store oracles and returns every violation found.
 pub fn check_all(q: &Quiesced) -> Vec<Violation> {
     let members = member_views(q);
     let clients = client_views(q);
@@ -610,6 +639,7 @@ pub fn check_all(q: &Quiesced) -> Vec<Violation> {
     check_atomicity(&members, &clients, &mut out);
     check_stale_bindings(q, &clients, &mut out);
     check_monotonicity(q, &mut out);
+    check_split_calls(q, &mut out);
     check_census::<Txn>(q, &mut out);
     check_replication(q, &mut out);
     check_ledger_bound(&members, &clients, &mut out);

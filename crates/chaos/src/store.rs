@@ -1,7 +1,7 @@
 //! The commit-protocol workload: a replicated transactional store.
 //!
 //! Members are [`TroupeStoreService`]s, clients run [`Txn`] scripts,
-//! and the oracles are the seven of [`check_all`]. This is the workload the adversary and the
+//! and the oracles are the eight of [`check_all`]. This is the workload the adversary and the
 //! benchmark drive, through its two halves [`run_scenario`] and
 //! [`check_all`]: they need the frozen [`Quiesced`] world itself, not
 //! just the folded report.

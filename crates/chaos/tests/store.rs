@@ -1,5 +1,5 @@
 //! The store sweep: run the commit-protocol workload under full chaos
-//! over a range of seeds, check all seven oracles after each, and print a
+//! over a range of seeds, check all eight oracles after each, and print a
 //! copy-pasteable repro command for any seed that fails.
 //!
 //! Replay a single failing seed with:

@@ -115,6 +115,11 @@ pub(crate) struct Assemblies {
     /// Point lookups, and `purge_done`'s `retain` — whose predicate has no
     /// side effect, so its order cannot be observed: otherwise never walked.
     done: HashMap<CallKey, DoneCall>,
+    /// Silent members of timed-out assemblies heard on the same `(client
+    /// troupe, thread)` under another number ([`Assemblies::time_out`]);
+    /// `None` until an assembly of two or more members opens, the only
+    /// kind that can split.
+    split_calls: Option<u64>,
 }
 
 impl Assemblies {
@@ -129,12 +134,30 @@ impl Assemblies {
         out.push((census::BUFFERED_RETURNS, self.done.len()));
     }
 
-    /// One line per open assembly.
+    /// The split calls counted here ([`Assemblies::time_out`]), once an
+    /// assembly of two or more members has opened.
+    pub(crate) fn split_calls(&self) -> Option<u64> {
+        self.split_calls
+    }
+
+    /// One line per open assembly, each followed by one per member it
+    /// waits for that called the same `(client troupe, thread)` under
+    /// another number; then the split calls counted, if there were any.
     pub(crate) fn stuck(&self, out: &mut Vec<String>) {
         for (k, p) in &self.pending {
             out.push(format!(
                 "assembly {k:?} module={} proc={:#06x} state={:?} inv={}",
                 p.module, p.proc, p.state, p.invocation
+            ));
+            for (member, seq) in self.split_members(k, p) {
+                out.push(format!(
+                    "split assembly {k:?}: {member} called it as call_seq {seq}"
+                ));
+            }
+        }
+        if let Some(n) = self.split_calls.filter(|&n| n > 0) {
+            out.push(format!(
+                "split calls={n}: timed out on members heard under another call_seq"
             ));
         }
     }
@@ -183,6 +206,9 @@ impl Assemblies {
                 self.last_serial += 1;
                 let serial = self.last_serial;
                 self.by_serial.insert(serial, key);
+                if n > 1 {
+                    self.split_calls.get_or_insert(0);
+                }
                 let p = e.insert(Pending {
                     serial,
                     module: msg.module,
@@ -321,17 +347,58 @@ impl Assemblies {
     /// belongs to, if that is still open, and whether it now proceeds
     /// without the silent members ("the client receives notification if
     /// any server troupe member crashes, so it can proceed with those
-    /// still available", §4.3.1 — mirrored here on the server side).
+    /// still available", §4.3.1 — mirrored here on the server side). A
+    /// silent member heard on the same `(client troupe, thread)` under
+    /// another number is alive and called, only not as this call: it is
+    /// counted as a split call.
     pub(crate) fn time_out(&mut self, serial: u64, now: Time) -> Option<(CallKey, bool)> {
         let key = *self.by_serial.get(&serial)?;
-        let p = self.pending.get_mut(&key)?;
-        let due = p.state == PendState::Collecting && now >= p.deadline;
+        let p = self.pending.get(&key)?;
+        if p.state != PendState::Collecting || now < p.deadline {
+            return Some((key, false));
+        }
+        let split = self.split_members(&key, p).count() as u64;
+        *self.split_calls.get_or_insert(0) += split;
+        let p = self.pending.get_mut(&key).expect("read above");
         for (i, responder) in p.responders.iter().enumerate() {
-            if due && responder.is_none() {
+            if responder.is_none() {
                 p.args.mark_dead(i);
             }
         }
-        Some((key, due))
+        Some((key, true))
+    }
+
+    /// The members the assembly `p` for `key` has not heard from that
+    /// called in another open assembly of the same `(client troupe,
+    /// thread)`, each with the `call_seq` it used there: one logical call
+    /// its troupe's members numbered differently (§4.3.2). `pending` is
+    /// ordered by key, so those assemblies are one range.
+    fn split_members<'a>(
+        &'a self,
+        key: &'a CallKey,
+        p: &'a Pending,
+    ) -> impl Iterator<Item = (SockAddr, u32)> + 'a {
+        let first = CallKey {
+            call_seq: 0,
+            ..*key
+        };
+        let pair = first..=CallKey {
+            call_seq: u32::MAX,
+            ..first
+        };
+        let members = p.client_members.as_slice().iter().zip(&p.responders);
+        let silent = members.filter_map(|(&m, heard)| heard.is_none().then_some(m));
+        silent.filter_map(move |member| {
+            let mut others = self.pending.range(pair.clone()).filter(|&(k, _)| k != key);
+            others.find_map(|(k, other)| {
+                let i = other
+                    .client_members
+                    .as_slice()
+                    .iter()
+                    .position(|&o| o == member)?;
+                other.responders[i].map(|_| (member, k.call_seq))
+            })
+        })
     }
 
     /// Every open assembly, in key order.
@@ -451,6 +518,44 @@ mod tests {
         assert_eq!(closed(&[(2, 7), (1, 4)]), (split, true));
         let pair = vec![(vec![host(2), host(3)], 4), (vec![host(1)], 9)];
         assert_eq!(closed(&[(3, 4), (1, 9), (2, 4)]), (pair, false));
+    }
+
+    /// A member heard on the assembly's `(client troupe, thread)` under
+    /// another number is a split call: named while both assemblies are
+    /// open, counted when the one it is silent in times out. A member
+    /// heard in no open assembly is merely silent.
+    #[test]
+    fn a_member_heard_under_another_number_is_a_split_call() {
+        let troupe: Rc<[SockAddr]> = (1..=3).map(host).collect();
+        let late = Time::ZERO + Duration::from_secs(11);
+        let mut a = Assemblies::default();
+        // Members 1 and 2 number the call 1; member 3 numbers it 2.
+        let mut serials = Vec::new();
+        for (h, seq) in [(1, 1), (3, 2), (2, 1)] {
+            let (at, msg) = message(host(h), seq);
+            let fresh =
+                |m: &[SockAddr]| (Collation::new(CollationPolicy::Unanimous, m.len()), late);
+            let joined = a.join(&at, msg, Members::Troupe(troupe.clone()), fresh);
+            serials.extend(joined.expect("a member"));
+        }
+        let mut stuck = Vec::new();
+        a.stuck(&mut stuck);
+        let named = stuck.iter().filter(|l| l.starts_with("split assembly"));
+        assert_eq!(named.count(), 1 + 2, "{stuck:?}");
+        assert_eq!(a.split_calls, Some(0));
+        let &[one, two] = serials.as_slice() else {
+            panic!("two assemblies: {serials:?}")
+        };
+        let (key_one, key_two) = (message(host(1), 1).1.key(), message(host(3), 2).1.key());
+        assert_eq!(a.time_out(one, late), Some((key_one, true)));
+        assert_eq!(a.split_calls, Some(1), "member 3, heard as 2");
+        a.close(&key_one, Payload::empty(), late, |_, _, _, _| {});
+        assert_eq!(a.time_out(two, late), Some((key_two, true)));
+        assert_eq!(
+            a.split_calls,
+            Some(1),
+            "members 1 and 2 are in no open assembly"
+        );
     }
 
     proptest! {

@@ -4,7 +4,8 @@
 //!
 //! Invariants kept here: a call's `unresolved` is the number of its live
 //! `route` entries, each peer's call numbers strictly increase, and a
-//! thread's `call_seq` never repeats over the node's life ([`CallSeqs`]).
+//! `(client troupe, thread)`'s `call_seq` never repeats over the node's
+//! life ([`CallSeqs`]).
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -105,14 +106,19 @@ pub(crate) enum Returned {
 }
 
 /// The call sequence number of every distributed thread this node has
-/// called on: its `k`th call on a thread goes out under `call_seq` k.
+/// called on, per client troupe it presented: its `k`th call on a thread
+/// as troupe `c` goes out under `call_seq` k.
 ///
-/// **A thread's `call_seq` never repeats over the node's life.** A server
-/// matches the copies of a many-to-one call by `(client troupe, thread,
+/// **The numbering key is the server's matching key.** A server matches
+/// the copies of a many-to-one call by `(client troupe, thread,
 /// call_seq)` (§4.3.2), against its open assemblies and against the
-/// returns it buffers for `DONE_TTL` (60 s); a repeated number would
+/// returns it buffers for `DONE_TTL` (60 s). So a number never repeats
+/// within a `(client troupe, thread)` over the node's life (it would
 /// join another call's assembly or be answered with another call's
-/// return.
+/// return), and nothing outside that pair moves it: a member's solo
+/// (`UNREGISTERED`) call on a thread would otherwise number its copy of
+/// the troupe's next call there one past its peers' copies, and the
+/// server would open two assemblies for one call.
 ///
 /// So the table never forgets a thread. Forgetting one is safe only if
 /// every member of the client troupe forgets it in step, because each
@@ -124,47 +130,54 @@ pub(crate) enum Returned {
 /// the procedure twice.
 ///
 /// Nor does it need to forget: it is exact and small. A thread that has
-/// called once from here (a library client mints one per submission, and
-/// a store member's `ready_to_commit` call-back runs on it) is a serial
-/// in its origin's [`IdSet`]. A base process mints serials consecutively,
-/// so that is one range per origin plus one per serial skipped here. A
-/// thread's second call moves it to `many` at 2, so [`CallSeqs::next`]
-/// returns what a map from every thread to its last number would.
+/// called once as one client troupe from here (a library client mints one
+/// per submission, and a store member's `ready_to_commit` call-back runs
+/// on it) is a serial in that troupe's [`IdSet`] for its origin. A base
+/// process mints serials consecutively, so that is one range per troupe
+/// and origin plus one per serial skipped there. A second call as the
+/// troupe moves the thread to `many` at 2, so [`CallSeqs::next`] returns
+/// what a map from every `(client troupe, thread)` to its last number
+/// would.
 #[derive(Default)]
 pub(crate) struct CallSeqs {
     /// Serials of the threads that have made exactly one call from here,
-    /// per origin.
-    once: BTreeMap<SockAddr, IdSet>,
-    /// The last `call_seq` of each thread that has made two or more.
-    many: BTreeMap<ThreadId, u32>,
+    /// per client troupe and origin.
+    once: BTreeMap<(TroupeId, SockAddr), IdSet>,
+    /// The last `call_seq` of each thread that has made two or more calls
+    /// from here as the client troupe.
+    many: BTreeMap<(TroupeId, ThreadId), u32>,
 }
 
 impl CallSeqs {
-    /// The `call_seq` of `thread`'s next call from this node.
-    pub(crate) fn next(&mut self, thread: ThreadId) -> u32 {
-        if let Some(seq) = self.many.get_mut(&thread) {
+    /// The `call_seq` of `thread`'s next call from this node as a member
+    /// of `client_troupe`.
+    pub(crate) fn next(&mut self, client_troupe: TroupeId, thread: ThreadId) -> u32 {
+        if let Some(seq) = self.many.get_mut(&(client_troupe, thread)) {
             *seq += 1;
             return *seq;
         }
-        let serial = u64::from(thread.serial);
-        let once = self.once.entry(thread.origin).or_default();
+        let (serial, origin) = (u64::from(thread.serial), (client_troupe, thread.origin));
+        let once = self.once.entry(origin).or_default();
         if once.insert(serial) {
             return 1;
         }
         once.remove(serial);
         if once.is_empty() {
-            self.once.remove(&thread.origin);
+            self.once.remove(&origin);
         }
-        self.many.insert(thread, 2);
+        self.many.insert((client_troupe, thread), 2);
         2
     }
 
-    /// Ranges held for the threads that called once: those based at `me`,
-    /// and all others.
+    /// Ranges held for the threads that called once, summed over the
+    /// client troupes: those based at `me`, and all others.
     fn ranges(&self, me: SockAddr) -> (usize, usize) {
-        let all = self.once.values().map(IdSet::range_count).sum::<usize>();
-        let own = self.once.get(&me).map_or(0, IdSet::range_count);
-        (own, all - own)
+        let (mut own, mut foreign) = (0, 0);
+        for (&(_, origin), serials) in &self.once {
+            let held = if origin == me { &mut own } else { &mut foreign };
+            *held += serials.range_count();
+        }
+        (own, foreign)
     }
 }
 
@@ -243,7 +256,7 @@ impl ClientCalls {
         let (troupe, module, proc) = (call.troupe, call.module, call.proc);
         let msg = CallMessage {
             thread: call.thread,
-            call_seq: self.seqs.next(call.thread),
+            call_seq: self.seqs.next(call.client_troupe, call.thread),
             client_troupe: call.client_troupe,
             server_troupe: troupe.id,
             module,
@@ -726,6 +739,23 @@ pub(crate) mod tests {
         }
     }
 
+    /// A member's solo call on a thread leaves the number its troupe's
+    /// next call there takes where it was: the server groups the copies by
+    /// `(client troupe, thread, call_seq)`, and the members that never
+    /// called alone number that call 1. (The healer asks for a repair
+    /// alone on a thread, then installs on it as the Ringmaster.)
+    #[test]
+    fn a_solo_call_leaves_the_troupe_sequence_where_it_was() {
+        let mut seqs = CallSeqs::default();
+        let (troupe, solo) = (TroupeId(5), TroupeId::UNREGISTERED);
+        let thread = ThreadIdGen::new(ME).fresh();
+        assert_eq!(seqs.next(solo, thread), 1);
+        assert_eq!(seqs.next(troupe, thread), 1, "as its peers number it");
+        assert_eq!(seqs.next(troupe, thread), 2);
+        assert_eq!(seqs.next(solo, thread), 2);
+        assert_eq!((seqs.ranges(ME), seqs.many.len()), ((0, 0), 2));
+    }
+
     /// The bookkeeping invariant: each call's `unresolved` is the number
     /// of its live `route` entries, every route leads to a call, and —
     /// unless a `displaced` route took some member's return away — a
@@ -796,29 +826,31 @@ pub(crate) mod tests {
             prop_assert!(displaced || r.calls.outstanding.is_empty());
         }
 
-        /// The table against the map it replaced: calls on threads of
-        /// three origins, their serials skipped, out of order and
-        /// repeated, get the numbers a map from every thread to its last
-        /// number gives. They cost at most a range per origin, plus one
-        /// per run of serials skipped between two that called, plus one
-        /// per thread that called twice.
+        /// The table against a map: calls on threads of three origins as
+        /// two client troupes, their serials skipped, out of order and
+        /// repeated, get the numbers a map from every `(client troupe,
+        /// thread)` to its last number gives, so a thread's calls as one
+        /// troupe never move its number as the other. They cost at most a
+        /// range per troupe and origin, plus one per run of serials
+        /// skipped between two that called, plus one per pair that called
+        /// twice.
         fn call_seqs_agree_with_a_map_per_thread(
-            calls in proptest::collection::vec((0u32..3, 0u32..40), 1..200)
+            calls in proptest::collection::vec((0u64..2, 0u32..3, 0u32..40), 1..200)
         ) {
             let mut seqs = CallSeqs::default();
-            let mut model: BTreeMap<ThreadId, u32> = BTreeMap::new();
-            for (host, serial) in calls {
+            let mut model: BTreeMap<(TroupeId, ThreadId), u32> = BTreeMap::new();
+            for (troupe, host, serial) in calls {
                 let thread = ThreadId { origin: SockAddr::new(HostId(host), 9), serial };
-                let last = model.entry(thread).or_insert(0);
+                let last = model.entry((TroupeId(troupe), thread)).or_insert(0);
                 *last += 1;
-                prop_assert_eq!(seqs.next(thread), *last);
+                prop_assert_eq!(seqs.next(TroupeId(troupe), thread), *last);
             }
             let multi = model.values().filter(|&&n| n > 1).count();
             prop_assert_eq!(seqs.many.len(), multi);
             let mut bound = multi;
-            for host in 0..3 {
-                let origin = model.keys().filter(|t| t.origin.host == HostId(host));
-                let called: BTreeSet<u32> = origin.map(|t| t.serial).collect();
+            for (troupe, host) in (0..2).flat_map(|t| (0..3).map(move |h| (TroupeId(t), HostId(h)))) {
+                let origin = model.keys().filter(|(c, t)| *c == troupe && t.origin.host == host);
+                let called: BTreeSet<u32> = origin.map(|(_, t)| t.serial).collect();
                 let (Some(&lo), Some(&hi)) = (called.first(), called.last()) else {
                     continue;
                 };

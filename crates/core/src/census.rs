@@ -23,21 +23,27 @@ pub const LABELS: [&str; 13] = [
 ];
 
 /// Ranges of the node's *own* threads' serials in the call-sequence table
-/// (`calls.rs`, `CallSeqs`): the threads that have called once from here.
-/// Every thread a node mints calls from it at once (each agent and the
-/// node's own binding-agent calls do), so the serials run unbroken but
-/// for the threads that called again: at most one range plus one per
-/// multi-call thread.
+/// (`calls.rs`, `CallSeqs`), summed over the client troupes the node
+/// called as: the table numbers calls per `(client troupe, thread)`, the
+/// prefix of the key a server matches copies by, so a member's solo calls
+/// never move its troupe's numbers. Every thread a node mints calls from
+/// it at once (each agent and the node's own binding-agent calls do), so
+/// the serials run unbroken in the set of the troupe each first called
+/// as, but for the threads that called again: one range plus one per
+/// multi-call thread. The healer's node also installs each incarnation as
+/// the Ringmaster on a repair thread of its own, between probe threads
+/// that only called alone: plus one per incarnation.
 pub const OWN_SEQ_RANGES: &str = "own-thread seq ranges";
 /// Ranges of *other* processes' thread serials in the call-sequence
-/// table: the threads a service here made exactly one nested call on
-/// (a `ready_to_commit` call-back on a client's thread, say). One per
-/// such origin, plus one per run of that origin's threads in between that
-/// made no single call here.
+/// table: the threads a service here made exactly one nested call on as
+/// one troupe (a `ready_to_commit` call-back on a client's thread, say).
+/// One per such origin and troupe, plus one per run of that origin's
+/// threads in between that made no single call here.
 pub const FOREIGN_SEQ_RANGES: &str = "foreign-thread seq ranges";
-/// Threads that have made two or more calls from this node: threads an
-/// agent reuses, and threads on which a service made more than one
-/// nested call.
+/// `(client troupe, thread)` pairs that have made two or more calls from
+/// this node: threads an agent reuses, and threads on which a service
+/// made more than one nested call as one troupe (a spare's join, on the
+/// thread it is activated on).
 pub const MULTI_CALL_THREADS: &str = "multi-call threads";
 /// Peers this node keeps a next call number for: every process it has
 /// ever called, dead ones included.

@@ -124,8 +124,10 @@ pub struct Node {
 
 impl Node {
     /// Debug view of client calls still awaiting collation and server
-    /// assemblies still open, one line each, then the [`census`] on one
-    /// line — for post-mortem inspection from tests.
+    /// assemblies still open, one line each (and one naming each member
+    /// an assembly waits for that called its thread under another
+    /// number, and one for the split calls counted so far), then the
+    /// [`census`] on one line — for post-mortem inspection from tests.
     ///
     /// [`census`]: Node::census
     pub fn debug_stuck(&self) -> Vec<String> {
@@ -293,6 +295,11 @@ impl Node {
         // count; a node that never did keeps the key out of the dump.
         if mcast_returns > 0 {
             reg.set_gauge(&format!("rpc.{me}.mcast_returns"), mcast_returns);
+        }
+        // Likewise only a node that opened an assembly of two or more
+        // client members has one that could split.
+        if let Some(split) = self.assemblies.split_calls() {
+            reg.set_gauge(&format!("rpc.{me}.split_calls"), split);
         }
     }
 

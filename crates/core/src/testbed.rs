@@ -424,7 +424,9 @@ pub fn service_mut<S: Service, R>(
 }
 
 /// Requires every live process to hold no unfinished call and no open
-/// assembly: what a world run to quiescence must look like.
+/// assembly, and never to have split a call (a server that timed out on a
+/// client member heard under another `call_seq`, which `debug_stuck`
+/// names): what a world run to quiescence must look like.
 pub fn assert_quiescent(world: &World) {
     for a in world.proc_addrs() {
         let stuck = node(world, a, Node::debug_stuck);

@@ -44,9 +44,9 @@ cargo fmt --all --check
 # A HashMap/HashSet field iterates in a per-process order: each one in the
 # protocol crates says, on the line above it, why that is never observed.
 awk 'FNR == 1 { prev = "" } /^ +(pub(\(crate\))? )?[a-z_]+: Hash(Map|Set)</ && prev !~ /never walked/ { print FILENAME ":" FNR ": unaudited" $0; bad = 1 } { prev = $0 } END { exit bad }' crates/{core,pairedmsg,ringmaster,simnet,transactions}/src/*.rs
-# The call runtime keeps per-thread call sequences exactly, as ranges of
-# serials per origin (`CallSeqs` in calls.rs): a map with an entry for
-# every thread it ever called on is the per-call growth it replaced.
+# The call runtime keeps call sequences exactly, as ranges of serials per
+# client troupe and origin (`CallSeqs` in calls.rs): a map with an entry
+# for every thread it ever called on is the per-call growth it replaced.
 if grep -n 'HashMap<ThreadId' crates/core/src/*.rs; then
   echo "a HashMap keyed by ThreadId in the call runtime (named above): keep threads as CallSeqs does" >&2
   exit 1

@@ -6,12 +6,17 @@ use chaos::{
     quiesce, Bcast, ChaosApp, Client, Commute, Protocol, Quiesced, Recovery, ScenarioOptions,
     Store, Txn, Violation, Workload, MEMBER_MODULE,
 };
-use circus::binding::{BINDING_MODULE, RINGMASTER_PORT};
+use circus::binding::{reserved_procs, BINDING_MODULE, RINGMASTER_PORT};
 use circus::census::{CALL_NUMBERS, OUTSTANDING_CALLS};
-use circus::testbed::{agent_mut, node, node_mut, service_mut};
-use circus::{ModuleAddr, Service, ServiceCtx, Step, ThreadId, Troupe, TroupeId};
+use circus::testbed::{
+    addr, agent_mut, call, enqueue, node, node_mut, results, service_mut, spawn_troupe,
+    CountingService, Request, MODULE, PROC_ECHO,
+};
+use circus::{
+    CallError, ModuleAddr, Node, NodeConfig, Service, ServiceCtx, Step, ThreadId, Troupe, TroupeId,
+};
 use ringmaster::RingmasterService;
-use simnet::{HostId, SockAddr};
+use simnet::{Duration, HostId, SockAddr, Until};
 use transactions::broadcast::StateWire;
 use transactions::{
     AppliedOrder, CommitRecord, CommutativeService, ExecuteRequest, LedgerWire, ObjId, Op,
@@ -387,6 +392,76 @@ fn serial_monotonicity_fires_on_a_rewound_call_number() {
     assert_eq!(violations.len(), 1, "{violations:?}");
     let sent = format!("{client} sent 1 non-monotonic call number");
     assert!(violations[0].detail.contains(&sent), "{violations:?}");
+}
+
+#[test]
+fn split_call_fires_on_a_member_a_call_ahead() {
+    let (mut q, _) = quiesce(&Store, 3, &Store::options());
+    assert!(check(&Store, &q).is_empty(), "the scenario starts clean");
+
+    // A registered client troupe of three on hosts the scenario never
+    // used, which every store member knows from its directory.
+    let id = TroupeId(0x5EED);
+    let callers: Vec<SockAddr> = (150..153).map(|h| addr(h, 70)).collect();
+    let config = NodeConfig::default();
+    spawn_troupe(
+        &mut q.world,
+        id,
+        &callers,
+        MODULE,
+        &config,
+        None,
+        CountingService::default,
+    );
+    q.spawned.extend(&callers);
+    for m in &q.members {
+        node_mut(&mut q.world, m.addr, |n| {
+            n.preload_directory(id, callers.clone())
+        });
+    }
+    // Every member calls the store's null procedure on `thread`, as one
+    // replicated client, and the world runs past the assembly timeout.
+    let store = Troupe::new(TroupeId::UNREGISTERED, q.members.clone());
+    let all_call = |q: &mut Quiesced, thread: ThreadId| {
+        for &c in &callers {
+            let null = Request::new(&store, MEMBER_MODULE, reserved_procs::NULL, Vec::new());
+            enqueue(&mut q.world, c, [null.on(thread)]);
+            q.world.poke(c, 0);
+        }
+        q.world.run(Until::Elapsed(Duration::from_secs(5)));
+        for &c in &callers {
+            assert_eq!(results(&q.world, c).last(), Some(&Ok(Vec::new())), "{c}");
+        }
+    };
+
+    // A replica that diverged: one troupe call more on the shared thread
+    // than its peers, to a troupe with no member left, so nothing goes out
+    // but the number is taken. Its copy of the next call carries 2 where
+    // theirs carry 1: each store member opens two assemblies and times one
+    // out on members it heard in the other.
+    let shared = node_mut(&mut q.world, callers[0], Node::fresh_thread);
+    let nobody = Troupe::new(TroupeId::UNREGISTERED, Vec::new());
+    let ahead = Request::new(&nobody, MODULE, PROC_ECHO, Vec::new()).on(shared);
+    let done = call(&mut q.world, callers[0], ahead, Duration::from_secs(1));
+    assert_eq!(done, Err(CallError::AllMembersDead));
+    all_call(&mut q, shared);
+
+    // The returns those assemblies buffered for the members they missed
+    // expire (60 s) at the next call message: one the members number
+    // alike, on a fresh thread, which assembles once.
+    q.world.run(Until::Elapsed(Duration::from_secs(61)));
+    let fresh = node_mut(&mut q.world, callers[0], Node::fresh_thread);
+    all_call(&mut q, fresh);
+
+    let violations = check(&Store, &q);
+    assert_only(&violations, "split-call");
+    assert_eq!(violations.len(), q.members.len(), "{violations:?}");
+    assert!(
+        violations
+            .iter()
+            .all(|v| v.detail.contains("under another call_seq")),
+        "{violations:?}"
+    );
 }
 
 #[test]
