@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
 use crate::census;
-use crate::collate::{CollateError, Collation, Decision};
+use crate::collate::{CollateError, Collation, Decision, Slots};
 use crate::message::{Arrival, CallKey, CallMessage};
 use crate::netio::NetIo;
 use obs::SpanId;
@@ -57,7 +57,7 @@ struct Pending {
     client_members: Members,
     /// Per member: the paired-message call number to reply on, once its
     /// call message has arrived.
-    responders: Vec<Option<u32>>,
+    responders: Slots<Option<u32>>,
     args: Collation,
     state: PendState,
     deadline: Time,
@@ -214,7 +214,7 @@ impl Assemblies {
                     module: msg.module,
                     proc: msg.proc,
                     client_members: members,
-                    responders: vec![None; n],
+                    responders: Slots::new(n, None),
                     args,
                     state: PendState::Collecting,
                     deadline,
@@ -306,13 +306,15 @@ impl Assemblies {
     /// are grouped by the call number each called on, one `send` per
     /// group, so a group of two or more can share one multicast (§4.3.3).
     /// In the fault-free case every member called on the same number and
-    /// the group is the whole troupe, which is sent as it stands.
+    /// the group is the whole troupe, which is sent as it stands — and,
+    /// when nobody is left to keep it for, is handed `reply` itself: the
+    /// only handle, so its first segment goes out from its own buffer.
     pub(crate) fn close(
         &mut self,
         key: &CallKey,
         reply: Payload,
         now: Time,
-        mut send: impl FnMut(&[SockAddr], u32, u64, &Payload),
+        mut send: impl FnMut(&[SockAddr], u32, u64, Payload),
     ) {
         let Some(p) = self.pending.remove(key) else {
             return;
@@ -321,9 +323,10 @@ impl Assemblies {
         self.by_invocation.remove(&p.invocation);
         let span = p.invoke_span.raw();
         let members = p.client_members.as_slice();
+        let kept = p.responders.contains(&None).then(|| reply.clone());
         match p.responders.split_first() {
             Some((&Some(cn), rest)) if rest.iter().all(|&r| r == Some(cn)) => {
-                send(members, cn, span, &reply);
+                send(members, cn, span, reply);
             }
             _ => {
                 let heard = members.iter().zip(&p.responders);
@@ -333,11 +336,11 @@ impl Assemblies {
                 heard.sort_by_key(|&(cn, _)| cn);
                 for group in heard.chunk_by(|a, b| a.0 == b.0) {
                     let tos: Vec<SockAddr> = group.iter().map(|&(_, to)| to).collect();
-                    send(&tos, group[0].0, span, &reply);
+                    send(&tos, group[0].0, span, reply.clone());
                 }
             }
         }
-        if p.responders.contains(&None) {
+        if let Some(reply) = kept {
             let at = now;
             self.done.insert(*key, DoneCall { reply, at, span });
         }

@@ -272,7 +272,7 @@ impl ClientCalls {
         io.charge(Syscall::SigBlock);
         // Encode the call message once; every member's sender (and every
         // retransmission) shares this buffer.
-        let bytes = encode(&msg);
+        let mut bytes = encode(&msg);
 
         // Mint the causal span covering this call. Application calls and
         // binding lookups start new trees; a nested call made by a service
@@ -333,9 +333,11 @@ impl ClientCalls {
             let cn = shared.unwrap_or(*next);
             *next = cn + 1;
             if shared.is_none() {
-                let sent = conns
-                    .endpoint(addr)
-                    .send(now, MsgType::Call, cn, span, bytes.clone());
+                // The first member's sender takes the only handle on the
+                // call and sends its first segment from its buffer; the
+                // others share the call and copy.
+                let endpoint = conns.endpoint(addr);
+                let sent = endpoint.send_shared(now, MsgType::Call, cn, span, &mut bytes);
                 if sent.is_err() {
                     // Only an oversize message fails to send, which the
                     // stub layer prevents; treat it as an instantly dead

@@ -10,6 +10,7 @@
 //! the current vote slots).
 
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
 use simnet::Payload;
@@ -115,20 +116,67 @@ impl fmt::Debug for CollationPolicy {
     }
 }
 
+/// One entry per member of a troupe, in member order: in place for a
+/// troupe of one — the `Members::Solo` rule, so the assembly an
+/// unregistered caller opens allocates nothing for its votes or its
+/// responders — and a vector for more.
+#[derive(Clone, Debug)]
+pub(crate) enum Slots<T> {
+    One([T; 1]),
+    Many(Vec<T>),
+}
+
+impl<T: Clone> Slots<T> {
+    /// `n` copies of `init`.
+    pub(crate) fn new(n: usize, init: T) -> Slots<T> {
+        match n {
+            1 => Slots::One([init]),
+            n => Slots::Many(vec![init; n]),
+        }
+    }
+}
+
+impl<T> Deref for Slots<T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        match self {
+            Slots::One(one) => one,
+            Slots::Many(many) => many,
+        }
+    }
+}
+
+impl<'a, T> IntoIterator for &'a Slots<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<T> DerefMut for Slots<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        match self {
+            Slots::One(one) => one,
+            Slots::Many(many) => many,
+        }
+    }
+}
+
 /// Collects the messages of one replicated call (or of one many-to-one
 /// argument set) and applies a collation policy.
 #[derive(Debug)]
 pub struct Collation {
     policy: CollationPolicy,
-    slots: Vec<VoteSlot>,
+    slots: Slots<VoteSlot>,
 }
 
 impl Collation {
-    /// A collation over `n` expected messages.
+    /// A collation over `n` expected messages. Allocates nothing for one.
     pub fn new(policy: CollationPolicy, n: usize) -> Collation {
         Collation {
             policy,
-            slots: vec![VoteSlot::Pending; n],
+            slots: Slots::new(n, VoteSlot::Pending),
         }
     }
 
@@ -310,7 +358,8 @@ mod tests {
             CollationPolicy::FirstCome,
             CollationPolicy::Majority,
         ] {
-            let vote = bytes(4);
+            // Past the inline limit, so there is a buffer to share.
+            let vote = Payload::from(vec![4u8; 40]);
             let mut c = Collation::new(policy, 1);
             c.add_vote(0, vote.clone());
             match c.decide() {

@@ -1,12 +1,12 @@
 //! The table of paired-message connections, one per peer process, and
 //! the one protocol timer each keeps armed.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::census;
 use crate::message::{encode, ReturnMessage};
 use crate::netio::{make_tag, NetIo, TAG_CONN};
-use pairedmsg::{Endpoint, Event, MsgSender, MsgType, ProtocolMode, MAX_SEGMENTS};
+use pairedmsg::{Endpoint, Event, MsgSender, MsgType, ProtocolMode, SegmentHeader, MAX_SEGMENTS};
 use simnet::{Payload, SockAddr, Syscall, Time};
 
 struct Conn {
@@ -29,8 +29,12 @@ pub(crate) struct Conns {
     /// Ordered: `flush_all` walks it, and the order of its `sendmsg`s is
     /// part of the trace.
     table: BTreeMap<SockAddr, Conn>,
-    /// Connection id (what a timer tag carries) to peer address.
-    addrs: Vec<SockAddr>,
+    /// Connection id (what a timer tag carries) to peer address: one entry
+    /// per connection in `table`, so a dropped connection's timers find
+    /// nothing. Point lookups only, never walked.
+    ids: HashMap<u64, SockAddr>,
+    /// The id of the next connection made.
+    next_id: u64,
     /// Calls and returns whose data segments went out by multicast, and
     /// the segments so transmitted (each charged a single `sendmsg`).
     mcast_calls: u64,
@@ -47,7 +51,8 @@ impl Conns {
             me,
             pm,
             table: BTreeMap::new(),
-            addrs: Vec::new(),
+            ids: HashMap::new(),
+            next_id: 0,
             mcast_calls: 0,
             mcast_returns: 0,
             mcast_segments: 0,
@@ -72,10 +77,11 @@ impl Conns {
 
     /// The endpoint for `addr`, connecting first if need be.
     pub(crate) fn endpoint(&mut self, addr: SockAddr) -> &mut Endpoint {
-        let (me, addrs, pm) = (self.me, &mut self.addrs, &self.pm);
+        let (me, ids, next_id, pm) = (self.me, &mut self.ids, &mut self.next_id, &self.pm);
         let conn = self.table.entry(addr).or_insert_with(|| {
-            let id = addrs.len() as u64;
-            addrs.push(addr);
+            let id = *next_id;
+            *next_id += 1;
+            ids.insert(id, addr);
             // Derive a per-connection jitter seed from the endpoint pair
             // so retransmissions of different connections decorrelate
             // deterministically under a fixed simulation seed.
@@ -105,7 +111,7 @@ impl Conns {
     /// is gone).
     pub(crate) fn on_timer(&mut self, low: u64, now: Time) -> Option<SockAddr> {
         let (conn_id, gen) = (low & 0xFFFF_FFFF, low >> 32);
-        let addr = *self.addrs.get(conn_id as usize)?;
+        let addr = *self.ids.get(&conn_id)?;
         let conn = self.table.get_mut(&addr)?;
         if conn.arm_gen & GEN_MASK != gen {
             return None;
@@ -119,8 +125,7 @@ impl Conns {
     /// address is reused by a replacement member.
     pub(crate) fn remove(&mut self, addr: SockAddr) {
         if let Some(conn) = self.table.remove(&addr) {
-            // Keep the id slot but point it nowhere.
-            self.addrs[conn.id as usize] = SockAddr::new(simnet::HostId(u32::MAX), 0);
+            self.ids.remove(&conn.id);
         }
     }
 
@@ -170,7 +175,7 @@ impl Conns {
         }
         self.mcast_segments += u64::from(cut.total());
         for number in 1..=cut.total() {
-            io.multicast_spanned(addrs, cut.segment(number, false).encode(), span);
+            io.multicast_spanned(addrs, cut.datagram(number, false), span);
         }
         let now = io.now();
         for &addr in addrs {
@@ -182,28 +187,30 @@ impl Conns {
 
     /// Sends a return message to the peers at `tos`, on call number `cn`
     /// of each connection: once for all by [`Conns::blast`] when there are
-    /// two or more and the reply can be shared, else queued per peer.
+    /// two or more and the reply can be shared, else queued per peer. A
+    /// `reply` handed over as its only handle is sent to its first peer
+    /// from its own buffer (`Endpoint::send_shared`).
     pub(crate) fn send_return(
         &mut self,
         io: &mut dyn NetIo,
         tos: &[SockAddr],
         cn: u32,
         span: u64,
-        reply: &Payload,
+        mut reply: Payload,
     ) {
         if tos.len() > 1 && self.shareable(reply.len(), true) {
-            return self.blast(io, MsgType::Return, cn, span, reply, tos);
+            return self.blast(io, MsgType::Return, cn, span, &reply, tos);
         }
         for &to in tos {
-            self.queue_return(io.now(), to, cn, span, reply.clone());
+            self.queue_return(io.now(), to, cn, span, &mut reply);
         }
     }
 
     /// Queues a return message on call number `cn` of the connection to
-    /// `to`.
-    fn queue_return(&mut self, now: Time, to: SockAddr, cn: u32, span: u64, reply: Payload) {
+    /// `to`, leaving `reply` a handle on it for the next peer.
+    fn queue_return(&mut self, now: Time, to: SockAddr, cn: u32, span: u64, reply: &mut Payload) {
         let endpoint = self.endpoint(to);
-        if let Err(too_long) = endpoint.send(now, MsgType::Return, cn, span, reply) {
+        if let Err(too_long) = endpoint.send_shared(now, MsgType::Return, cn, span, reply) {
             // Silence would hang the caller for ever: its call was
             // acknowledged and this member keeps answering its probes. A
             // reply the protocol cannot carry is the procedure's error.
@@ -218,9 +225,9 @@ impl Conns {
     pub(crate) fn flush_all(&mut self, io: &mut dyn NetIo) {
         for (&addr, conn) in self.table.iter_mut() {
             let now = io.now();
-            while let Some(seg) = conn.endpoint.poll_transmit_segment() {
-                let span = seg.header.span;
-                io.send_spanned(addr, seg.encode(), span);
+            while let Some(datagram) = conn.endpoint.poll_transmit() {
+                let span = SegmentHeader::decode(&datagram).map_or(0, |h| h.span);
+                io.send_spanned(addr, datagram, span);
             }
             // Re-arm the protocol timer if none is armed or the deadline
             // moved earlier; the generation stamp invalidates the
@@ -242,5 +249,46 @@ impl Conns {
             io.charge(Syscall::SetITimer);
             let _ = io.set_timer(t.since(now), tag);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::netio::mock::{MockIo, ME};
+    use crate::netio::split_tag;
+    use simnet::HostId;
+
+    /// Sends a call to `peer` and returns the low bits of the timer the
+    /// flush arms for it.
+    fn arm(conns: &mut Conns, io: &mut MockIo, peer: SockAddr, cn: u32) -> u64 {
+        let sent = conns
+            .endpoint(peer)
+            .send(io.now, MsgType::Call, cn, 0, b"x");
+        sent.expect("a small call");
+        conns.flush_all(io);
+        let &(_, tag) = io.timers.last().expect("a timer armed");
+        split_tag(tag).1
+    }
+
+    /// A dropped connection's timers reach nothing — not the connection
+    /// that replaces it at the same address — and the id table holds the
+    /// live connections only, however many times the peer reconnects.
+    #[test]
+    fn a_dropped_connection_forgets_its_id() {
+        let (mut conns, mut io) = (
+            Conns::new(ME, pairedmsg::Config::default()),
+            MockIo::default(),
+        );
+        let peer = SockAddr::new(HostId(7), 70);
+        let mut stale = arm(&mut conns, &mut io, peer, 1);
+        for cn in 2..=101 {
+            conns.remove(peer);
+            let live = arm(&mut conns, &mut io, peer, cn);
+            assert_eq!(conns.on_timer(stale, io.now), None, "cycle {cn}");
+            assert_eq!(conns.on_timer(live, io.now), Some(peer));
+            stale = live;
+        }
+        assert_eq!((conns.ids.len(), conns.len()), (1, 1));
     }
 }

@@ -16,9 +16,14 @@ use simnet::{Payload, SockAddr};
 use wire::{Externalize, Internalize, Reader, WireError, Writer};
 
 /// Externalizes a message into its one allocation: the `Payload` every
-/// sender, retransmission and buffered copy of it then shares.
+/// sender, retransmission and buffered copy of it then shares. Room for a
+/// segment header is left in front, so a sender that gets the only handle
+/// sends its first segment from this buffer too (`pairedmsg::MsgSender`).
 pub(crate) fn encode(msg: &impl Externalize) -> Payload {
-    wire::encode_with(msg, Payload::copy_from)
+    wire::encode_with(msg, |bytes| {
+        let fill = |out: &mut [u8]| out.copy_from_slice(bytes);
+        Payload::build_with_headroom(pairedmsg::HEADER_LEN, bytes.len(), fill)
+    })
 }
 
 /// Groups the call messages of one replicated call: "two or more call
@@ -220,14 +225,19 @@ impl<'a> ReturnView<'a> {
     }
 }
 
-/// Unwraps one *reply vote* as seen by a custom reply collator: votes
-/// are raw [`ReturnMessage`] bytes; this extracts the payload of a
+/// Reads one *reply vote* in place, as a custom reply collator sees it:
+/// votes are raw [`ReturnMessage`] bytes; this borrows the payload of a
 /// normal return (`None` for errors and binding rejections).
-pub fn unwrap_reply_vote(vote: &[u8]) -> Option<Vec<u8>> {
+pub fn reply_vote(vote: &[u8]) -> Option<&[u8]> {
     match ReturnView::decode(vote) {
-        Ok(ReturnView::Normal(data)) => Some(data.to_vec()),
+        Ok(ReturnView::Normal(data)) => Some(data),
         _ => None,
     }
+}
+
+/// [`reply_vote`], copied out.
+pub fn unwrap_reply_vote(vote: &[u8]) -> Option<Vec<u8>> {
+    reply_vote(vote).map(<[u8]>::to_vec)
 }
 
 /// Wraps a custom reply collator's decision as the raw normal-return
@@ -284,12 +294,14 @@ mod tests {
             server_troupe: TroupeId(22),
             module: 1,
             proc: 4,
-            args: vec![1, 2, 3],
+            // Past the inline limit, so the window has a buffer to share.
+            args: (1..=40u8).collect::<Vec<u8>>(),
         };
         let wire = Payload::from(to_bytes(&m));
         let view = CallMessage::decode(&wire).unwrap();
         assert_eq!((view.call_seq, view.module, view.proc), (7, 1, 4));
         assert_eq!(view.args, m.args);
+        assert!(view.args.len() > Payload::INLINE);
         assert!(view.args.shares_buffer_with(&wire), "a window, not a copy");
         assert_eq!(to_bytes(&view), &*wire, "both forms externalize alike");
         // Same verdict as the owned decoder on every truncation and on
@@ -329,9 +341,10 @@ mod tests {
     #[test]
     fn vote_helpers() {
         let raw = wrap_reply_vote(vec![1, 2, 3]);
+        assert_eq!(reply_vote(&raw), Some(&[1u8, 2, 3][..]));
         assert_eq!(unwrap_reply_vote(&raw), Some(vec![1, 2, 3]));
         let err = to_bytes(&ReturnMessage::Error("x".into()));
-        assert_eq!(unwrap_reply_vote(&err), None);
+        assert_eq!((reply_vote(&err), unwrap_reply_vote(&err)), (None, None));
     }
 
     #[test]

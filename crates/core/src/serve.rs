@@ -20,7 +20,7 @@ use simnet::{Payload, SockAddr, Syscall};
 
 impl Node {
     fn reply(&mut self, io: &mut dyn NetIo, at: &Arrival, reply: Payload) {
-        (self.conns).send_return(io, &[at.from], at.pm_cn, at.span, &reply);
+        (self.conns).send_return(io, &[at.from], at.pm_cn, at.span, reply);
     }
 
     /// Handles a call message arriving from a client troupe member.
@@ -270,7 +270,7 @@ impl Node {
         }
         io.charge(Syscall::Compute); // Externalize reply.
         let (now, conns) = (io.now(), &mut self.conns);
-        let send = |tos: &[SockAddr], cn, span, reply: &Payload| {
+        let send = |tos: &[SockAddr], cn, span, reply: Payload| {
             conns.send_return(io, tos, cn, span, reply);
         };
         self.assemblies.close(&key, reply, now, send);

@@ -3,7 +3,8 @@
 use simnet::net::ETHERNET_MTU;
 use simnet::Duration;
 
-use crate::segment::HEADER_LEN;
+use crate::segment::{HEADER_LEN, MAX_SEGMENTS};
+use crate::sender::SendError;
 
 /// Which multi-segment transmission discipline to use (§4.2.5).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -128,7 +129,19 @@ impl Config {
 impl Config {
     /// Largest message this configuration can carry.
     pub fn max_message_len(&self) -> usize {
-        self.max_segment_data * crate::segment::MAX_SEGMENTS
+        self.max_segment_data * MAX_SEGMENTS
+    }
+
+    /// `Ok` if a message of `len` bytes fits in [`MAX_SEGMENTS`]
+    /// segments.
+    pub fn fits(&self, len: usize) -> Result<(), SendError> {
+        if self.segments_of(len) > MAX_SEGMENTS {
+            return Err(SendError::TooLong {
+                len,
+                max: self.max_message_len(),
+            });
+        }
+        Ok(())
     }
 
     /// Segments a message of `len` bytes is cut into (an empty message
@@ -166,7 +179,6 @@ impl Config {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::MAX_SEGMENTS;
 
     #[test]
     fn default_limits() {

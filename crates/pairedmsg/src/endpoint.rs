@@ -7,7 +7,7 @@
 //! suppression of replayed call numbers (§4.2.4).
 //!
 //! The endpoint is sans-io: feed it datagrams and timer ticks, drain
-//! segments to transmit and events to deliver upward.
+//! datagrams to transmit and events to deliver upward.
 //!
 //! # How a return gets acknowledged
 //!
@@ -179,7 +179,8 @@ pub struct Endpoint {
     /// Completed incoming messages, kept for re-acknowledgment, replay
     /// suppression, and the lifetime of held returns.
     replay: ReplayLog,
-    out: VecDeque<Segment>,
+    /// Encoded datagrams to transmit.
+    out: VecDeque<Payload>,
     events: VecDeque<Event>,
     probe: Option<ProbeState>,
     /// Calls we sent whose returns have not yet been delivered; drives
@@ -279,7 +280,9 @@ impl Endpoint {
 
     /// Starts transmitting a message attributed to causal span `span`
     /// (0 = none): [`Endpoint::adopt`] it, then queue its initial
-    /// segments.
+    /// segments. Handed the only handle on a message with room in front,
+    /// the first segment is written there rather than copied
+    /// ([`MsgSender`]).
     pub fn send(
         &mut self,
         now: Time,
@@ -288,10 +291,31 @@ impl Endpoint {
         span: u64,
         data: impl Into<Payload>,
     ) -> Result<(), SendError> {
-        if let Some(mut sender) = self.sender(now, msg_type, call_number, span, data.into())? {
-            self.out.extend(sender.initial_segments());
-            self.track(sender);
+        self.send_shared(now, msg_type, call_number, span, &mut data.into())
+    }
+
+    /// [`Endpoint::send`] of a message other peers are sent as well:
+    /// `msg` is left a handle on it for the next. Sent to the first of
+    /// them while the caller holds it alone, it is taken over, its first
+    /// segment written in front of it; the others share it and copy. A
+    /// message too long to send is left as it was.
+    pub fn send_shared(
+        &mut self,
+        now: Time,
+        msg_type: MsgType,
+        call_number: u32,
+        span: u64,
+        msg: &mut Payload,
+    ) -> Result<(), SendError> {
+        if self.dead {
+            return Ok(());
         }
+        self.config.fits(msg.len())?;
+        let taken = std::mem::take(msg);
+        let mut sender = self.sender(now, msg_type, call_number, span, taken)?;
+        *msg = sender.message();
+        self.out.extend(sender.initial_datagrams());
+        self.track(sender);
         Ok(())
     }
 
@@ -316,7 +340,8 @@ impl Endpoint {
         span: u64,
         data: impl Into<Payload>,
     ) -> Result<(), SendError> {
-        if let Some(sender) = self.sender(now, msg_type, call_number, span, data.into())? {
+        if !self.dead {
+            let sender = self.sender(now, msg_type, call_number, span, data.into())?;
             self.track(sender);
         }
         Ok(())
@@ -324,9 +349,9 @@ impl Endpoint {
 
     /// The sender of a message handed to the network whole, held if its
     /// caller re-asks for it (a one-segment return to a call never
-    /// acknowledged explicitly, module docs). `None` on a dead endpoint,
-    /// which transmits nothing: the caller should have replaced it after
-    /// the `PeerDead` event.
+    /// acknowledged explicitly, module docs). Never asked of a dead
+    /// endpoint, which transmits nothing: the caller should have replaced
+    /// it after the `PeerDead` event.
     fn sender(
         &self,
         now: Time,
@@ -334,10 +359,7 @@ impl Endpoint {
         call_number: u32,
         span: u64,
         data: Payload,
-    ) -> Result<Option<MsgSender>, SendError> {
-        if self.dead {
-            return Ok(None);
-        }
+    ) -> Result<MsgSender, SendError> {
         let mut sender = MsgSender::new(now, &self.config, msg_type, call_number, span, data)?;
         sender.mark_transmitted();
         if msg_type == MsgType::Return
@@ -347,7 +369,7 @@ impl Endpoint {
             // Its caller's call timer is its retransmission timer.
             sender.hold();
         }
-        Ok(Some(sender))
+        Ok(sender)
     }
 
     /// Takes over a message whose first transmission is accounted for.
@@ -398,7 +420,8 @@ impl Endpoint {
         if h.probe {
             if !h.ack {
                 // A probe request: answer it.
-                self.out.push_back(Segment::probe_reply(h.call_number));
+                self.out
+                    .push_back(Segment::probe_reply(h.call_number).encode());
             }
             // A probe reply needs no action beyond the life sign above.
             return;
@@ -496,8 +519,7 @@ impl Endpoint {
             let total = recv.total();
             self.complete_message(now, h, total, recv.assemble(), actions.send_ack);
         } else if actions.send_ack {
-            let ack = receiver.make_ack();
-            self.out.push_back(ack);
+            self.out.push_back(receiver.make_ack().encode());
         }
     }
 
@@ -509,14 +531,14 @@ impl Endpoint {
         if h.msg_type == MsgType::Call {
             let held = self.senders.get(&(MsgType::Return, h.call_number));
             if let Some(ret) = held.filter(|s| s.held()) {
-                self.out.push_back(ret.segment(1, false));
+                self.out.push_back(ret.datagram(1, false));
                 self.stats.retransmits += 1;
                 return;
             }
             self.replay.note_acked((MsgType::Call, h.call_number));
         }
-        self.out
-            .push_back(Segment::ack(h.msg_type, h.call_number, total, total));
+        let ack = Segment::ack(h.msg_type, h.call_number, total, total);
+        self.out.push_back(ack.encode());
     }
 
     /// A whole message (its last missing segment bore header `h`) has
@@ -562,8 +584,8 @@ impl Endpoint {
             }
         }
         if want_ack {
-            self.out
-                .push_back(Segment::ack(h.msg_type, h.call_number, total, total));
+            let ack = Segment::ack(h.msg_type, h.call_number, total, total);
+            self.out.push_back(ack.encode());
         }
         self.events.push_back(Event::Message {
             msg_type: h.msg_type,
@@ -620,7 +642,7 @@ impl Endpoint {
         for sender in self.senders.values_mut() {
             match sender.on_tick(now) {
                 SenderTick::Idle => {}
-                SenderTick::Retransmit(n) => self.out.push_back(sender.segment(n, true)),
+                SenderTick::Retransmit(n) => self.out.push_back(sender.datagram(n, true)),
                 SenderTick::GiveUp => {
                     self.declare_dead();
                     return;
@@ -636,7 +658,7 @@ impl Endpoint {
                 }
                 p.unanswered += 1;
                 p.next = now + PROBE_INTERVAL;
-                self.out.push_back(Segment::probe(p.call_number));
+                self.out.push_back(Segment::probe(p.call_number).encode());
             }
             _ => {}
         }
@@ -657,19 +679,22 @@ impl Endpoint {
         self.events.push_back(Event::PeerDead);
     }
 
-    /// Drains the next segment to transmit, already encoded.
+    /// Drains the next datagram to transmit.
     pub fn poll_transmit(&mut self) -> Option<Payload> {
-        self.poll_transmit_segment().map(|s| s.encode())
-    }
-
-    /// Drains the next segment to transmit, in decoded form (for tests).
-    pub fn poll_transmit_segment(&mut self) -> Option<Segment> {
-        let seg = self.out.pop_front()?;
+        let datagram = self.out.pop_front()?;
+        let h = SegmentHeader::decode(&datagram).expect("the endpoint encodes whole segments");
         self.stats.segments_sent += 1;
-        if seg.header.ack && !seg.header.probe {
+        if h.ack && !h.probe {
             self.stats.acks_sent += 1;
         }
-        Some(seg)
+        Some(datagram)
+    }
+
+    /// Drains the next datagram to transmit, decoded (for tests): its data
+    /// is a window of the datagram.
+    pub fn poll_transmit_segment(&mut self) -> Option<Segment> {
+        let datagram = self.poll_transmit()?;
+        Some(Segment::decode(&datagram).expect("the endpoint encodes whole segments"))
     }
 
     /// Drains the next upward event.

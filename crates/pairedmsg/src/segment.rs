@@ -30,7 +30,8 @@ thread_local! {
     static ENCODES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Number of segment encodes performed by this thread so far (debug builds
+/// Number of datagrams this thread has built so far, by
+/// [`Segment::encode`] or [`SegmentHeader::prepend_to`] (debug builds
 /// only; always 0 in release). Lets tests pin the zero-copy contract, e.g.
 /// "a 5-member multicast performs exactly one encode per segment".
 pub fn encodes() -> u64 {
@@ -42,6 +43,11 @@ pub fn encodes() -> u64 {
     {
         0
     }
+}
+
+fn count_encode() {
+    #[cfg(debug_assertions)]
+    ENCODES.with(|c| c.set(c.get() + 1));
 }
 
 /// Whether a segment belongs to a call or a return message.
@@ -104,6 +110,76 @@ pub struct SegmentHeader {
     /// Causal span the message belongs to (0 = none; control segments
     /// always carry 0).
     pub span: u64,
+}
+
+impl SegmentHeader {
+    /// Writes the header's 16 bytes into `out`.
+    fn write(&self, out: &mut [u8]) {
+        let mut bits = 0u8;
+        if self.please_ack {
+            bits |= PLEASE_ACK;
+        }
+        if self.ack {
+            bits |= ACK;
+        }
+        if self.probe {
+            bits |= PROBE;
+        }
+        out[0] = self.msg_type.to_byte();
+        out[1] = bits;
+        out[2] = self.total;
+        out[3] = self.number;
+        out[4..8].copy_from_slice(&self.call_number.to_be_bytes());
+        out[8..HEADER_LEN].copy_from_slice(&self.span.to_be_bytes());
+    }
+
+    /// Builds the datagram of this header and the front of `message` in
+    /// the message's own buffer: writes the header into the
+    /// [`HEADER_LEN`] bytes reserved in front of it
+    /// ([`Payload::build_with_headroom`]), if `message` is the only handle
+    /// on that buffer, and widens `message` over them. `false` (and
+    /// `message` unchanged) otherwise: the datagram is then built by
+    /// [`Segment::encode`]. A datagram built here counts in [`encodes`]
+    /// as one `encode` builds does.
+    pub fn prepend_to(&self, message: &mut Payload) -> bool {
+        let written = message.prepend(HEADER_LEN, |out| self.write(out));
+        if written {
+            count_encode();
+        }
+        written
+    }
+
+    /// Decodes the header at the front of a datagram, checking it as
+    /// [`Segment::decode`] does.
+    pub fn decode(bytes: &[u8]) -> Result<SegmentHeader, SegmentError> {
+        if bytes.len() < HEADER_LEN {
+            return Err(SegmentError::Truncated);
+        }
+        let msg_type = MsgType::from_byte(bytes[0])?;
+        let bits = bytes[1];
+        let total = bytes[2];
+        let number = bytes[3];
+        let call_number = u32::from_be_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
+        let span = u64::from_be_bytes(bytes[8..16].try_into().expect("length checked"));
+        let header = SegmentHeader {
+            msg_type,
+            please_ack: bits & PLEASE_ACK != 0,
+            ack: bits & ACK != 0,
+            probe: bits & PROBE != 0,
+            total,
+            number,
+            call_number,
+            span,
+        };
+        let is_data = !header.ack && !header.probe;
+        if is_data && (total == 0 || number == 0 || number > total) {
+            return Err(SegmentError::BadPosition { total, number });
+        }
+        if header.ack && !header.probe && number > total {
+            return Err(SegmentError::BadPosition { total, number });
+        }
+        Ok(header)
+    }
 }
 
 /// A whole segment: header plus (for data segments) payload bytes.
@@ -227,31 +303,16 @@ impl Segment {
         }
     }
 
-    /// Encodes the segment as a datagram payload. This is the one place
-    /// header and data bytes are copied into a contiguous buffer — written
-    /// straight into the datagram's single allocation; every hop,
-    /// duplicate, and multicast destination afterwards shares it.
+    /// Encodes the segment as a datagram payload, copying header and data
+    /// into the datagram's one buffer (none for up to
+    /// [`Payload::INLINE`] bytes: acks, probes); every hop, duplicate and
+    /// multicast destination afterwards shares it. The other way a
+    /// datagram is built is [`SegmentHeader::prepend_to`], which writes a
+    /// message's first header in front of it instead.
     pub fn encode(&self) -> Payload {
-        #[cfg(debug_assertions)]
-        ENCODES.with(|c| c.set(c.get() + 1));
-        let h = &self.header;
-        let mut bits = 0u8;
-        if h.please_ack {
-            bits |= PLEASE_ACK;
-        }
-        if h.ack {
-            bits |= ACK;
-        }
-        if h.probe {
-            bits |= PROBE;
-        }
+        count_encode();
         Payload::build(HEADER_LEN + self.data.len(), |out| {
-            out[0] = h.msg_type.to_byte();
-            out[1] = bits;
-            out[2] = h.total;
-            out[3] = h.number;
-            out[4..8].copy_from_slice(&h.call_number.to_be_bytes());
-            out[8..HEADER_LEN].copy_from_slice(&h.span.to_be_bytes());
+            self.header.write(&mut out[..HEADER_LEN]);
             out[HEADER_LEN..].copy_from_slice(&self.data);
         })
     }
@@ -259,7 +320,7 @@ impl Segment {
     /// Decodes a received datagram into a segment. The segment's data is
     /// a zero-copy window into `payload` (sharing its allocation).
     pub fn decode(payload: &Payload) -> Result<Segment, SegmentError> {
-        let header = Segment::decode_header(payload)?;
+        let header = SegmentHeader::decode(payload)?;
         Ok(Segment {
             header,
             data: payload.slice(HEADER_LEN..payload.len()),
@@ -269,41 +330,11 @@ impl Segment {
     /// Decodes a borrowed byte slice into a segment, copying the data
     /// bytes out (the boundary case for callers without a [`Payload`]).
     pub fn decode_bytes(bytes: &[u8]) -> Result<Segment, SegmentError> {
-        let header = Segment::decode_header(bytes)?;
+        let header = SegmentHeader::decode(bytes)?;
         Ok(Segment {
             header,
             data: Payload::copy_from(&bytes[HEADER_LEN..]),
         })
-    }
-
-    fn decode_header(bytes: &[u8]) -> Result<SegmentHeader, SegmentError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(SegmentError::Truncated);
-        }
-        let msg_type = MsgType::from_byte(bytes[0])?;
-        let bits = bytes[1];
-        let total = bytes[2];
-        let number = bytes[3];
-        let call_number = u32::from_be_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-        let span = u64::from_be_bytes(bytes[8..16].try_into().expect("length checked"));
-        let header = SegmentHeader {
-            msg_type,
-            please_ack: bits & PLEASE_ACK != 0,
-            ack: bits & ACK != 0,
-            probe: bits & PROBE != 0,
-            total,
-            number,
-            call_number,
-            span,
-        };
-        let is_data = !header.ack && !header.probe;
-        if is_data && (total == 0 || number == 0 || number > total) {
-            return Err(SegmentError::BadPosition { total, number });
-        }
-        if header.ack && !header.probe && number > total {
-            return Err(SegmentError::BadPosition { total, number });
-        }
-        Ok(header)
     }
 
     /// Returns `true` for a data segment (neither ack nor probe).
@@ -359,7 +390,8 @@ mod tests {
 
     #[test]
     fn in_place_encode_matches_the_vec_encoder() {
-        let window = Payload::from(vec![0u8, 1, 2, 3, 4, 5, 6, 7]).slice(2..7);
+        // Past the inline limit, so the datagram has a buffer to share.
+        let window = Payload::from(vec![5u8; 48]).slice(2..42);
         for s in [
             Segment::data(MsgType::Call, 42, 77, 3, 2, true, vec![9, 9, 9]),
             Segment::data(MsgType::Return, u32::MAX, u64::MAX, 255, 255, false, window),
@@ -377,6 +409,28 @@ mod tests {
             assert_eq!(back, s);
             assert!(back.data.is_empty() || back.data.shares_buffer_with(&wire));
         }
+    }
+
+    /// A header written in front of a message makes the datagram
+    /// `encode` would copy together, in the message's own buffer; a
+    /// message another handle shares, or one with no room, is left alone.
+    #[test]
+    fn prepended_header_makes_the_encoded_datagram() {
+        let message = || Payload::build_with_headroom(HEADER_LEN, 40, |out| out.fill(3));
+        let seg = Segment::data(MsgType::Return, 9, 5, 1, 1, false, message());
+        let mut msg = message();
+        let before = encodes();
+        assert!(seg.header.prepend_to(&mut msg));
+        assert_eq!(encodes(), before + u64::from(cfg!(debug_assertions)));
+        assert_eq!(msg, seg.encode());
+
+        let mut shared = message();
+        let kept = shared.clone();
+        assert!(!seg.header.prepend_to(&mut shared));
+        assert_eq!(shared, kept);
+        let mut roomless = Payload::from(vec![3u8; 40]);
+        assert!(!seg.header.prepend_to(&mut roomless));
+        assert_eq!(roomless.len(), 40);
     }
 
     #[test]

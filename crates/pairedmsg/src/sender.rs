@@ -12,10 +12,18 @@
 //! segments is always the suffix `acked + 1 ..= total`: the sender keeps
 //! one counter and the message buffer, and cuts each segment as a window
 //! of that buffer when it is (re)transmitted — it owns no per-segment
-//! state and allocates nothing.
+//! state.
+//!
+//! A sender made from the only handle on a message encoded with room in
+//! front (`circus`'s encoder leaves [`HEADER_LEN`] bytes) writes its
+//! first segment's header there: that datagram is the front of the
+//! message's own buffer, and costs no allocation. Every other datagram —
+//! a later segment, a retransmission (*please ack* set), a copy of a
+//! message that other peers' senders share — is built by
+//! [`Segment::encode`], one allocation each past 30 bytes.
 
 use crate::config::{backed_off_interval, Config, ProtocolMode, RETRANSMIT_INTERVAL};
-use crate::segment::{MsgType, Segment, MAX_SEGMENTS};
+use crate::segment::{MsgType, Segment, SegmentHeader, HEADER_LEN};
 use simnet::{Duration, Payload, Time};
 
 /// Why a message could not be sent.
@@ -48,8 +56,12 @@ pub struct MsgSender {
     msg_type: MsgType,
     call_number: u32,
     span: u64,
-    /// The whole message; segment `n` is its `n`-th `chunk`-byte window.
+    /// The whole message, after segment 1's header if `headed`: segment
+    /// `n` is the `n`-th `chunk`-byte window past that header.
     data: Payload,
+    /// `data` begins with segment 1's header, written in front of the
+    /// message in its own buffer (module docs).
+    headed: bool,
     chunk: usize,
     total: u8,
     /// Highest segment number acknowledged so far.
@@ -73,7 +85,7 @@ pub enum SenderTick {
     Idle,
     /// Retransmit the segment with this number — the first
     /// unacknowledged one — *please ack* set (build it with
-    /// [`MsgSender::segment`]).
+    /// [`MsgSender::datagram`]).
     Retransmit(u8),
     /// Too many retransmissions with no acknowledgment: the peer is
     /// presumed to have crashed (§4.2.3).
@@ -81,7 +93,7 @@ pub enum SenderTick {
 }
 
 impl MsgSender {
-    /// Segments `data` and queues every segment. `initial_segments`
+    /// Segments `data` and queues every segment. `initial_datagrams`
     /// returns the first transmission.
     /// `span` is the causal span id stamped into every segment of the
     /// message (0 = none).
@@ -94,19 +106,15 @@ impl MsgSender {
         data: impl Into<Payload>,
     ) -> Result<MsgSender, SendError> {
         let data = data.into();
+        config.fits(data.len())?;
         let chunk = config.max_segment_data.max(1);
         let n_segments = config.segments_of(data.len());
-        if n_segments > MAX_SEGMENTS {
-            return Err(SendError::TooLong {
-                len: data.len(),
-                max: config.max_message_len(),
-            });
-        }
-        Ok(MsgSender {
+        let mut sender = MsgSender {
             msg_type,
             call_number,
             span,
             data,
+            headed: false,
             chunk,
             total: n_segments as u8,
             acked: 0,
@@ -117,24 +125,60 @@ impl MsgSender {
             max_retries: config.max_retransmits,
             mode: config.mode,
             sent_through: 0,
-        })
+        };
+        let header = sender.header(1, sender.initial_please_ack(1));
+        sender.headed = header.prepend_to(&mut sender.data);
+        Ok(sender)
+    }
+
+    /// Bytes of `data` in front of the message: segment 1's header, if
+    /// written there.
+    fn head(&self) -> usize {
+        if self.headed {
+            HEADER_LEN
+        } else {
+            0
+        }
     }
 
     /// Segment `number` (1-based, `<= total`) of the message. Its data is
     /// a zero-copy window into the one message buffer.
     pub fn segment(&self, number: u8, please_ack: bool) -> Segment {
         debug_assert!((1..=self.total).contains(&number));
-        let start = (number as usize - 1) * self.chunk;
+        let start = self.head() + (number as usize - 1) * self.chunk;
         let end = (start + self.chunk).min(self.data.len());
-        Segment::data(
-            self.msg_type,
-            self.call_number,
-            self.span,
-            self.total,
-            number,
+        Segment {
+            header: self.header(number, please_ack),
+            data: self.data.slice(start..end),
+        }
+    }
+
+    fn header(&self, number: u8, please_ack: bool) -> SegmentHeader {
+        SegmentHeader {
+            msg_type: self.msg_type,
             please_ack,
-            self.data.slice(start..end),
-        )
+            ack: false,
+            probe: false,
+            total: self.total,
+            number,
+            call_number: self.call_number,
+            span: self.span,
+        }
+    }
+
+    /// Segment `number` as a datagram: the one written in front of the
+    /// message if it is that segment with those bits, else a fresh encode.
+    pub fn datagram(&self, number: u8, please_ack: bool) -> Payload {
+        if self.headed && number == 1 && please_ack == self.initial_please_ack(1) {
+            let end = (HEADER_LEN + self.chunk).min(self.data.len());
+            return self.data.slice(0..end);
+        }
+        self.segment(number, please_ack).encode()
+    }
+
+    /// The message being sent.
+    pub fn message(&self) -> Payload {
+        self.data.slice(self.head()..self.data.len())
     }
 
     /// How many segments the message was cut into.
@@ -142,10 +186,11 @@ impl MsgSender {
         self.total
     }
 
-    /// In PARC mode, every segment but the last asks for an explicit ack
-    /// (§4.2.5); the last is implicitly acknowledged by the reply.
-    fn parc_please_ack(&self, number: u8) -> bool {
-        number < self.total
+    /// Whether segment `number` asks for an ack when first sent: never
+    /// under the Circus discipline; in PARC mode every segment but the
+    /// last (§4.2.5), the last being implicitly acknowledged by the reply.
+    fn initial_please_ack(&self, number: u8) -> bool {
+        self.mode == ProtocolMode::Parc && number < self.total
     }
 
     /// The message type being sent.
@@ -177,13 +222,13 @@ impl MsgSender {
         self.call_number
     }
 
-    /// Segments for the initial transmission. The Circus discipline sends
-    /// everything eagerly with no control bits (§4.2.2); the PARC
+    /// Datagrams for the initial transmission. The Circus discipline
+    /// sends everything eagerly with no control bits (§4.2.2); the PARC
     /// discipline sends only the first segment, stop-and-wait (§4.2.5).
-    pub fn initial_segments(&mut self) -> impl Iterator<Item = Segment> + '_ {
+    pub fn initial_datagrams(&mut self) -> impl Iterator<Item = Payload> + '_ {
         let parc = self.mode == ProtocolMode::Parc;
         self.sent_through = if parc { 1 } else { self.total };
-        (1..=self.sent_through).map(move |n| self.segment(n, parc && self.parc_please_ack(n)))
+        (1..=self.sent_through).map(move |n| self.datagram(n, self.initial_please_ack(n)))
     }
 
     /// Takes the message off the retransmission clock: it has been sent
@@ -210,9 +255,9 @@ impl MsgSender {
 
     /// Processes an explicit acknowledgment number: removes every segment
     /// numbered `<= ack_number` and resets the retry counter if progress
-    /// was made. Returns the segment to transmit next, if any (the PARC
+    /// was made. Returns the datagram to transmit next, if any (the PARC
     /// discipline releases the following segment on each ack).
-    pub fn on_ack(&mut self, now: Time, ack_number: u8) -> Option<Segment> {
+    pub fn on_ack(&mut self, now: Time, ack_number: u8) -> Option<Payload> {
         let acked = ack_number.min(self.total);
         if acked > self.acked {
             self.acked = acked;
@@ -229,7 +274,7 @@ impl MsgSender {
         {
             self.sent_through += 1;
             let n = self.sent_through;
-            return Some(self.segment(n, self.parc_please_ack(n)));
+            return Some(self.datagram(n, self.initial_please_ack(n)));
         }
         None
     }
@@ -277,10 +322,15 @@ mod tests {
         }
     }
 
+    fn initial_segments(s: &mut MsgSender) -> Vec<Segment> {
+        let decode = |d: Payload| Segment::decode(&d).expect("a segment");
+        s.initial_datagrams().map(decode).collect()
+    }
+
     #[test]
     fn small_message_is_one_segment() {
         let mut s = MsgSender::new(Time::ZERO, &config(), MsgType::Call, 1, 0, b"ab").unwrap();
-        let segs: Vec<Segment> = s.initial_segments().collect();
+        let segs = initial_segments(&mut s);
         assert_eq!(segs.len(), 1);
         assert_eq!(segs[0].header.total, 1);
         assert_eq!(segs[0].header.number, 1);
@@ -290,14 +340,14 @@ mod tests {
     #[test]
     fn empty_message_still_has_one_segment() {
         let mut s = MsgSender::new(Time::ZERO, &config(), MsgType::Return, 1, 0, b"").unwrap();
-        assert_eq!(s.initial_segments().count(), 1);
+        assert_eq!(s.initial_datagrams().count(), 1);
     }
 
     #[test]
     fn large_message_segments_in_order() {
         let mut s =
             MsgSender::new(Time::ZERO, &config(), MsgType::Call, 1, 0, b"abcdefghij").unwrap();
-        let segs: Vec<Segment> = s.initial_segments().collect();
+        let segs = initial_segments(&mut s);
         assert_eq!(segs.len(), 3);
         assert_eq!(segs[0].data, b"abcd");
         assert_eq!(segs[1].data, b"efgh");
@@ -329,7 +379,7 @@ mod tests {
     fn retransmit_first_unacked_with_please_ack() {
         let cfg = config();
         let mut s = MsgSender::new(Time::ZERO, &cfg, MsgType::Call, 1, 0, b"abcdefghij").unwrap();
-        let _ = s.initial_segments().count();
+        let _ = s.initial_datagrams().count();
         s.on_ack(Time::ZERO, 1);
         let due = s.deadline().unwrap();
         match s.on_tick(due) {
@@ -348,7 +398,7 @@ mod tests {
             ..config()
         };
         let mut s = MsgSender::new(Time::ZERO, &cfg, MsgType::Call, 1, 0, b"x").unwrap();
-        let _ = s.initial_segments().count();
+        let _ = s.initial_datagrams().count();
         for _ in 0..2 {
             let now = s.deadline().unwrap();
             assert!(matches!(s.on_tick(now), SenderTick::Retransmit(_)));
@@ -364,7 +414,7 @@ mod tests {
             ..config()
         };
         let mut s = MsgSender::new(Time::ZERO, &cfg, MsgType::Call, 1, 0, b"abcdefgh").unwrap();
-        let _ = s.initial_segments().count();
+        let _ = s.initial_datagrams().count();
         let now = s.deadline().unwrap();
         assert!(matches!(s.on_tick(now), SenderTick::Retransmit(_)));
         s.on_ack(Time::ZERO, 1); // Progress.
@@ -377,7 +427,7 @@ mod tests {
     #[test]
     fn held_message_has_no_deadline_until_acknowledged() {
         let mut s = MsgSender::new(Time::ZERO, &config(), MsgType::Return, 1, 0, b"x").unwrap();
-        let _ = s.initial_segments().count();
+        let _ = s.initial_datagrams().count();
         s.hold();
         assert!(s.held());
         assert_eq!(s.deadline(), None);
@@ -396,7 +446,7 @@ mod tests {
     /// scheduled deadlines.
     fn drain_schedule(cfg: &Config) -> Vec<u64> {
         let mut s = MsgSender::new(Time::ZERO, cfg, MsgType::Call, 7, 0, b"x").unwrap();
-        let _ = s.initial_segments().count();
+        let _ = s.initial_datagrams().count();
         let mut waits = Vec::new();
         let mut last = Time::ZERO;
         loop {
@@ -457,7 +507,7 @@ mod tests {
             ..config()
         };
         let mut s = MsgSender::new(Time::ZERO, &cfg, MsgType::Call, 1, 0, b"abcdefgh").unwrap();
-        let _ = s.initial_segments().count();
+        let _ = s.initial_datagrams().count();
         let mut now = s.deadline().unwrap();
         assert!(matches!(s.on_tick(now), SenderTick::Retransmit(_)));
         now = s.deadline().unwrap();

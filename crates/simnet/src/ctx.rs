@@ -383,7 +383,7 @@ impl<'a> Ctx<'a> {
     /// to causal span `span` (0 = none), so a multicast call segment's
     /// journeys are stitched into the same trace tree as unicast ones.
     /// The payload is converted once; every destination shares the same
-    /// buffer (`Payload::clone` is a refcount bump, not a byte copy).
+    /// buffer (`Payload::clone` never allocates).
     pub fn multicast_spanned(&mut self, tos: &[SockAddr], data: impl Into<Payload>, span: u64) {
         self.charge(Syscall::SendMsg);
         self.core.net_ctr.multicasts.inc();

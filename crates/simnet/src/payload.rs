@@ -1,16 +1,28 @@
 //! Cheaply-cloneable datagram payloads.
 //!
-//! Every datagram the simulator carries is a [`Payload`]: a reference-
-//! counted byte buffer plus a window into it. Cloning one — for a
-//! duplicated delivery, a multicast fan-out, or a retransmission queue —
-//! is a refcount bump, never a byte copy. Slicing one (protocol headers,
-//! message segmentation) shares the same allocation.
+//! Every datagram the simulator carries is a [`Payload`]. One of up to
+//! [`Payload::INLINE`] (30) bytes holds them in place, as a `[u8; 30]`
+//! beside its length: acks and probes, small results, small encodes. A
+//! longer one is a reference-counted byte buffer plus a window into it.
+//! Cloning either — for a duplicated delivery, a multicast fan-out, or a
+//! retransmission queue — allocates nothing: a refcount bump or a 32-byte
+//! copy. Slicing a buffered payload (protocol headers, message
+//! segmentation) shares the same allocation.
 //!
-//! What each constructor costs: [`Payload::empty`] nothing (the empty
-//! window owns no buffer); [`Payload::build`] and [`Payload::copy_from`]
-//! one allocation; `From<Vec<u8>>` one allocation *and* a copy of the
+//! What each constructor costs: [`Payload::empty`], and
+//! [`Payload::copy_from`] and [`Payload::build`] of up to 30 bytes,
+//! nothing; longer ones one allocation. `From<Vec<u8>>` copies the
 //! vector's bytes (`Rc<[u8]>` cannot adopt a `Vec`'s buffer), so encoders
 //! that know their length up front write through `build` instead.
+//!
+//! A buffer may be written once more after it is built, while one handle
+//! alone holds it: [`Payload::build_with_headroom`] leaves room in front
+//! of the window, and [`Payload::prepend`] fills that room and widens the
+//! window over it, if `Rc::get_mut` says no other handle exists (the rule
+//! `Rc::make_mut` follows, without its copy). That is how a message's
+//! first segment header is written in front of the message, not copied
+//! with it into a second buffer. A payload handed to the network is
+//! shared by then, so nothing it carries is ever written again.
 //!
 //! The simulator is single-threaded per [`World`](crate::World) (the
 //! chaos harness parallelizes across *worlds*, one per seed), so the
@@ -21,74 +33,139 @@ use std::fmt;
 use std::ops::{Deref, Range};
 use std::rc::Rc;
 
-/// An immutable, cheaply-cloneable byte buffer (a window into an
-/// `Rc<[u8]>`).
+/// An immutable, cheaply-cloneable byte string: up to 30 bytes in place,
+/// or a window into an `Rc<[u8]>`.
 ///
 /// Dereferences to `&[u8]`, so existing slice-based code reads it
-/// directly; `clone()` is a refcount bump; [`Payload::slice`] shares the
-/// underlying allocation.
+/// directly; `clone()` never allocates; [`Payload::slice`] of a buffered
+/// payload shares the underlying allocation.
 #[derive(Clone)]
-pub struct Payload {
-    /// `None` only for the empty payload, which therefore costs no
-    /// allocation (every ack and probe segment carries one).
-    bytes: Option<Rc<[u8]>>,
-    start: usize,
-    end: usize,
+pub struct Payload(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// `bytes[..len]`: no allocation (the empty payload is one of these).
+    Inline {
+        len: u8,
+        bytes: [u8; Payload::INLINE],
+    },
+    /// `bytes[start..end]`, a window of a shared buffer.
+    Shared {
+        bytes: Rc<[u8]>,
+        start: u32,
+        end: u32,
+    },
+}
+
+// As small as the `Option<Rc<[u8]>>` + two `usize`s it replaced: the
+// inline bytes fill what the tag and the `u32` offsets leave of 32.
+const _: () = assert!(std::mem::size_of::<Payload>() == 32);
+
+/// A window offset: buffers stay under 4 GiB.
+fn offset(n: usize) -> u32 {
+    u32::try_from(n).expect("a payload buffer is under 4 GiB")
 }
 
 impl Payload {
+    /// The most bytes a payload holds in place, with no allocation.
+    pub const INLINE: usize = 30;
+
     /// An empty payload. Allocates nothing.
     pub fn empty() -> Payload {
-        Payload {
-            bytes: None,
-            start: 0,
-            end: 0,
-        }
+        Payload(Repr::Inline {
+            len: 0,
+            bytes: [0; Payload::INLINE],
+        })
     }
 
-    /// Copies `bytes` into a fresh payload (the one unavoidable copy at
-    /// the boundary between borrowed data and the zero-copy plane).
+    /// Copies `bytes` into a fresh payload: in place up to
+    /// [`Payload::INLINE`] bytes, else one allocation (the one copy at the
+    /// boundary between borrowed data and the zero-copy plane).
     pub fn copy_from(bytes: &[u8]) -> Payload {
-        if bytes.is_empty() {
-            return Payload::empty();
+        if bytes.len() <= Payload::INLINE {
+            return Payload::build(bytes.len(), |out| out.copy_from_slice(bytes));
         }
-        Payload {
-            bytes: Some(Rc::from(bytes)),
+        Payload(Repr::Shared {
+            bytes: Rc::from(bytes),
             start: 0,
-            end: bytes.len(),
-        }
+            end: offset(bytes.len()),
+        })
     }
 
-    /// Builds a `len`-byte payload in place: one allocation, which `fill`
-    /// writes straight into (it receives the zeroed buffer). This is the
-    /// constructor for encoders that know their output length up front —
-    /// a segment's header + data, a reassembled message — and would
-    /// otherwise build a `Vec` only to copy it into the `Rc`.
+    /// Builds a `len`-byte payload in place, which `fill` writes straight
+    /// into (it receives the zeroed bytes): no allocation up to
+    /// [`Payload::INLINE`] bytes, else one. This is the constructor for
+    /// encoders that know their output length up front — a segment's
+    /// header + data, a reassembled message — and would otherwise build a
+    /// `Vec` only to copy it into the `Rc`.
     pub fn build(len: usize, fill: impl FnOnce(&mut [u8])) -> Payload {
-        if len == 0 {
-            return Payload::empty();
+        Payload::build_with_headroom(0, len, fill)
+    }
+
+    /// [`Payload::build`] with `headroom` zeroed bytes reserved in front of
+    /// the `len`-byte window, for [`Payload::prepend`] to fill later. A
+    /// payload short enough to live inline does so, with no headroom:
+    /// building anything in front of it copies it, allocating nothing.
+    pub fn build_with_headroom(
+        headroom: usize,
+        len: usize,
+        fill: impl FnOnce(&mut [u8]),
+    ) -> Payload {
+        if len <= Payload::INLINE {
+            let mut bytes = [0; Payload::INLINE];
+            fill(&mut bytes[..len]);
+            return Payload(Repr::Inline {
+                len: len as u8,
+                bytes,
+            });
         }
-        let mut bytes: Rc<[u8]> = std::iter::repeat_n(0u8, len).collect();
-        fill(Rc::get_mut(&mut bytes).expect("a fresh Rc has one owner"));
-        Payload {
-            bytes: Some(bytes),
-            start: 0,
-            end: len,
-        }
+        let mut bytes: Rc<[u8]> = std::iter::repeat_n(0u8, headroom + len).collect();
+        fill(&mut Rc::get_mut(&mut bytes).expect("a fresh Rc has one owner")[headroom..]);
+        Payload(Repr::Shared {
+            bytes,
+            start: offset(headroom),
+            end: offset(headroom + len),
+        })
+    }
+
+    /// Widens the window by `n` bytes at the front, which `fill` writes,
+    /// if this handle is the only one on its buffer and the buffer holds
+    /// `n` bytes in front of the window (left by
+    /// [`Payload::build_with_headroom`]). Otherwise — an inline payload, a
+    /// shared buffer, no room — changes nothing and returns `false`: the
+    /// caller copies instead. No other handle can see the bytes written,
+    /// so the payload stays immutable to everyone who holds it.
+    pub fn prepend(&mut self, n: usize, fill: impl FnOnce(&mut [u8])) -> bool {
+        let Repr::Shared { bytes, start, .. } = &mut self.0 else {
+            return false;
+        };
+        let Some(from) = (*start as usize).checked_sub(n) else {
+            return false;
+        };
+        let Some(buf) = Rc::get_mut(bytes) else {
+            return false;
+        };
+        fill(&mut buf[from..*start as usize]);
+        *start = offset(from);
+        true
     }
 
     /// Length of the visible window in bytes.
     pub fn len(&self) -> usize {
-        self.end - self.start
+        match &self.0 {
+            Repr::Inline { len, .. } => usize::from(*len),
+            Repr::Shared { start, end, .. } => (end - start) as usize,
+        }
     }
 
     /// `true` if the window is empty.
     pub fn is_empty(&self) -> bool {
-        self.start == self.end
+        self.len() == 0
     }
 
-    /// A sub-window sharing the same allocation (zero-copy). `range` is
-    /// relative to this payload's window.
+    /// A sub-window: of a buffered payload, one sharing the same
+    /// allocation (zero-copy); of an inline one, an inline copy. `range`
+    /// is relative to this payload's window. Allocates nothing.
     ///
     /// # Panics
     ///
@@ -99,27 +176,38 @@ impl Payload {
             "slice {range:?} out of bounds for payload of {} bytes",
             self.len()
         );
-        Payload {
-            bytes: self.bytes.clone(),
-            start: self.start + range.start,
-            end: self.start + range.end,
+        match &self.0 {
+            Repr::Inline { bytes, .. } => {
+                let mut window = [0; Payload::INLINE];
+                window[..range.len()].copy_from_slice(&bytes[range.clone()]);
+                Payload(Repr::Inline {
+                    len: range.len() as u8,
+                    bytes: window,
+                })
+            }
+            Repr::Shared { bytes, start, .. } => Payload(Repr::Shared {
+                bytes: bytes.clone(),
+                start: start + offset(range.start),
+                end: start + offset(range.end),
+            }),
         }
     }
 
     /// The visible bytes as a plain slice.
     pub fn as_slice(&self) -> &[u8] {
-        match &self.bytes {
-            Some(bytes) => &bytes[self.start..self.end],
-            None => &[],
+        match &self.0 {
+            Repr::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Repr::Shared { bytes, start, end } => &bytes[*start as usize..*end as usize],
         }
     }
 
     /// `true` if `self` and `other` are windows of the same allocation
-    /// (or both own none) — the structural zero-copy property tests pin.
+    /// (or both own none, as inline payloads) — the structural zero-copy
+    /// property tests pin.
     pub fn shares_buffer_with(&self, other: &Payload) -> bool {
-        match (&self.bytes, &other.bytes) {
-            (Some(a), Some(b)) => Rc::ptr_eq(a, b),
-            (None, None) => true,
+        match (&self.0, &other.0) {
+            (Repr::Shared { bytes: a, .. }, Repr::Shared { bytes: b, .. }) => Rc::ptr_eq(a, b),
+            (Repr::Inline { .. }, Repr::Inline { .. }) => true,
             _ => false,
         }
     }
@@ -143,9 +231,10 @@ impl AsRef<[u8]> for Payload {
     }
 }
 
-/// Copies the vector's bytes into a fresh `Rc<[u8]>` (one allocation and
-/// one copy; the vector's own buffer is freed). Prefer [`Payload::build`]
-/// where the length is known before the bytes are produced.
+/// Copies the vector's bytes (into a fresh `Rc<[u8]>` past
+/// [`Payload::INLINE`] bytes: one allocation and one copy; the vector's
+/// own buffer is freed). Prefer [`Payload::build`] where the length is
+/// known before the bytes are produced.
 impl From<Vec<u8>> for Payload {
     fn from(v: Vec<u8>) -> Payload {
         Payload::copy_from(&v)
@@ -212,22 +301,32 @@ impl fmt::Debug for Payload {
 mod tests {
     use super::*;
 
+    /// Past the inline limit, so the payload owns a buffer to share.
+    fn buffered(len: u8) -> Payload {
+        Payload::from((0..len).collect::<Vec<u8>>())
+    }
+
+    fn is_inline(p: &Payload) -> bool {
+        matches!(p.0, Repr::Inline { .. })
+    }
+
     #[test]
     fn clone_shares_the_allocation() {
-        let p = Payload::from(vec![1u8, 2, 3]);
+        let p = buffered(40);
         let q = p.clone();
+        assert!(!is_inline(&p));
         assert!(p.shares_buffer_with(&q));
-        assert_eq!(&*q, &[1, 2, 3]);
+        assert_eq!(q, p);
     }
 
     #[test]
     fn slice_is_a_window_not_a_copy() {
-        let p = Payload::from(vec![0u8, 1, 2, 3, 4, 5]);
-        let s = p.slice(2..5);
+        let p = buffered(40);
+        let s = p.slice(2..37);
         assert!(p.shares_buffer_with(&s));
-        assert_eq!(&*s, &[2, 3, 4]);
+        assert_eq!(&*s, &(2..37).collect::<Vec<u8>>()[..]);
         let ss = s.slice(1..2);
-        assert!(p.shares_buffer_with(&ss));
+        assert!(p.shares_buffer_with(&ss), "even a short window shares");
         assert_eq!(&*ss, &[3]);
     }
 
@@ -238,12 +337,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn out_of_bounds_slice_of_a_buffer_panics() {
+        buffered(31).slice(0..32);
+    }
+
+    #[test]
     fn equality_is_by_contents() {
         let a = Payload::from(vec![1u8, 2, 3]);
         let b = Payload::from(vec![0u8, 1, 2, 3, 4]).slice(1..4);
         assert_eq!(a, b);
         assert_eq!(a, vec![1u8, 2, 3]);
         assert_eq!(a, &[1u8, 2, 3]);
+        // Inline and buffered forms of the same bytes are equal.
+        assert_eq!(buffered(40).slice(0..3), Payload::from(vec![0u8, 1, 2]));
     }
 
     #[test]
@@ -256,12 +363,35 @@ mod tests {
         for other in [
             Payload::copy_from(&[]),
             Payload::from(Vec::new()),
-            Payload::build(0, |_| unreachable!("nothing to fill")),
+            Payload::build(0, |_| {}),
         ] {
-            assert!(other.bytes.is_none());
+            assert!(is_inline(&other));
             assert_eq!(other, e);
         }
         assert!(e.slice(0..0).is_empty());
+    }
+
+    /// Thirty bytes live in place, thirty-one in a buffer, whichever
+    /// constructor makes them; slicing either keeps its form.
+    #[test]
+    fn thirty_bytes_inline_thirty_one_buffered() {
+        for len in [Payload::INLINE, Payload::INLINE + 1] {
+            let bytes: Vec<u8> = (1..=len as u8).collect();
+            let inline = len <= Payload::INLINE;
+            for p in [
+                Payload::copy_from(&bytes),
+                Payload::from(bytes.clone()),
+                Payload::build(len, |out| out.copy_from_slice(&bytes)),
+                Payload::build_with_headroom(16, len, |out| out.copy_from_slice(&bytes)),
+            ] {
+                assert_eq!(is_inline(&p), inline, "{len} bytes");
+                assert_eq!((p.len(), p.to_vec()), (len, bytes.clone()));
+                let tail = p.slice(1..len);
+                assert_eq!(is_inline(&tail), inline, "a slice keeps its form");
+                assert_eq!(&*tail, &bytes[1..]);
+                assert_eq!(p.clone(), p);
+            }
+        }
     }
 
     #[test]
@@ -272,6 +402,26 @@ mod tests {
             buf[4] = 9;
         });
         assert_eq!(p, &[7u8, 8, 0, 0, 9]);
-        assert!(p.shares_buffer_with(&p.slice(1..3)));
+        let q = Payload::build(40, |buf| buf[39] = 9);
+        assert_eq!(q.len(), 40);
+        assert!(q.shares_buffer_with(&q.slice(1..3)));
+    }
+
+    /// The room in front of a window is written only through the one
+    /// handle on its buffer, and only once.
+    #[test]
+    fn prepend_writes_the_headroom_of_a_sole_handle() {
+        let mut p = Payload::build_with_headroom(4, 40, |buf| buf.fill(7));
+        assert_eq!(p.len(), 40);
+        let held = p.clone();
+        assert!(!p.prepend(4, |_| unreachable!("shared")), "another handle");
+        drop(held);
+        assert!(!p.prepend(5, |_| unreachable!("too far")), "no room");
+        assert!(p.prepend(4, |room| room.copy_from_slice(&[1, 2, 3, 4])));
+        assert_eq!((p.len(), &p[..5]), (44, &[1, 2, 3, 4, 7][..]));
+        assert!(!p.prepend(1, |_| unreachable!("no room left")));
+        let mut small = Payload::build_with_headroom(4, 8, |_| {});
+        assert!(!small.prepend(4, |_| unreachable!("inline")));
+        assert_eq!(small.len(), 8);
     }
 }

@@ -74,7 +74,7 @@ pub trait Process: Any {
 
     /// Called when a datagram addressed to this process arrives. The
     /// [`Payload`](crate::Payload) is a shared handle on the transmitted
-    /// bytes — cloning or slicing it never copies.
+    /// bytes — cloning or slicing it never allocates.
     fn on_datagram(
         &mut self,
         ctx: &mut crate::world::Ctx<'_>,

@@ -660,7 +660,7 @@ pub type QueueWire = (u64, u64, u64, u16, Bytes);
 /// then yield the **maximum** proposal (Figure 5.1's client side).
 ///
 /// As a *reply* collator it sees raw return-message votes and must emit
-/// one (`circus::unwrap_reply_vote`/`wrap_reply_vote`).
+/// one (`circus::reply_vote`/`wrap_reply_vote`).
 pub struct MaxTime;
 
 impl Collate for MaxTime {
@@ -672,7 +672,7 @@ impl Collate for MaxTime {
                 VoteSlot::Pending => return Decision::Wait,
                 VoteSlot::Dead => {}
                 VoteSlot::Vote(v) => {
-                    let t = circus::unwrap_reply_vote(v).and_then(|p| from_bytes::<u64>(&p).ok());
+                    let t = circus::reply_vote(v).and_then(|p| from_bytes::<u64>(p).ok());
                     match t {
                         Some(t) => {
                             max = max.max(t);
@@ -757,7 +757,7 @@ impl Collate for AllAck {
                     ))
                 }
                 VoteSlot::Vote(v) => {
-                    if circus::unwrap_reply_vote(v).is_none() {
+                    if circus::reply_vote(v).is_none() {
                         return Decision::Fail(circus::CollateError::Rejected(
                             "member rejected accept".into(),
                         ));
