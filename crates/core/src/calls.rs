@@ -46,7 +46,7 @@ pub(crate) struct Call<'a> {
     pub(crate) troupe: &'a Troupe,
     pub(crate) module: u16,
     pub(crate) proc: u16,
-    pub(crate) args: Vec<u8>,
+    pub(crate) args: &'a [u8],
     pub(crate) collation: CollationPolicy,
     pub(crate) client_troupe: TroupeId,
 }
@@ -60,7 +60,7 @@ impl<'a> Call<'a> {
         thread: ThreadId,
         troupe: &'a Troupe,
         (module, proc): (u16, u16),
-        args: Vec<u8>,
+        args: &'a [u8],
         collation: CollationPolicy,
     ) -> Call<'a> {
         let client_troupe = TroupeId::UNREGISTERED;
@@ -503,7 +503,7 @@ pub(crate) mod tests {
     }
 
     /// A `Unanimous` call of procedure 0 of module 1 of `troupe`.
-    pub(crate) fn call_to(troupe: &Troupe, thread: ThreadId, args: Vec<u8>) -> Call<'_> {
+    pub(crate) fn call_to<'a>(troupe: &'a Troupe, thread: ThreadId, args: &'a [u8]) -> Call<'a> {
         Call::solo(thread, troupe, (1, 0), args, CollationPolicy::Unanimous)
     }
 
@@ -533,7 +533,7 @@ pub(crate) mod tests {
         /// Begins one call of `args` to `troupe` on a fresh thread and
         /// flushes it to the wire.
         fn call(&mut self, troupe: &Troupe, args: Vec<u8>, policy: CollationPolicy) -> u64 {
-            let mut call = call_to(troupe, self.threads.fresh(), args);
+            let mut call = call_to(troupe, self.threads.fresh(), &args);
             call.collation = policy;
             let (io, conns, dead) = (&mut self.io, &mut self.conns, &self.dead);
             let admit = |addr, _| !dead.contains(&addr);

@@ -538,7 +538,7 @@ mod tests {
     /// Begins one call of `args` to `troupe` on a fresh thread.
     fn call(n: &mut Node, io: &mut MockIo, troupe: &Troupe, args: &[u8]) -> CallHandle {
         let thread = n.fresh_thread();
-        n.begin_call(io, call_to(troupe, thread, args.to_vec()))
+        n.begin_call(io, call_to(troupe, thread, args))
     }
 
     /// Requires the node's next event to be `handle` failing for want of

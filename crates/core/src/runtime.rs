@@ -49,7 +49,7 @@ impl<'a, 'b, 'w> NodeCtx<'a, 'b, 'w> {
         args: Vec<u8>,
         collation: CollationPolicy,
     ) -> CallHandle {
-        let mut call = Call::solo(thread, troupe, (module, proc), args, collation);
+        let mut call = Call::solo(thread, troupe, (module, proc), &args, collation);
         call.client_troupe = self.node.troupe_id();
         self.node.begin_call(self.io, call)
     }
@@ -69,7 +69,7 @@ impl<'a, 'b, 'w> NodeCtx<'a, 'b, 'w> {
         args: Vec<u8>,
         collation: CollationPolicy,
     ) -> CallHandle {
-        let call = Call::solo(thread, troupe, (module, proc), args, collation);
+        let call = Call::solo(thread, troupe, (module, proc), &args, collation);
         self.node.begin_call(self.io, call)
     }
 

@@ -4,6 +4,7 @@
 //! onward through `calls` if the service makes a nested call — and
 //! returns the reply to every member of the calling troupe.
 
+use std::cell::Cell;
 use std::rc::Rc;
 
 use super::{AppEvent, Node};
@@ -17,6 +18,14 @@ use crate::message::{encode, Arrival, CallKey, CallMessage, ReturnMessage};
 use crate::netio::{make_tag, NetIo, TAG_PENDING};
 use crate::service::{self, CallError, NodeEffect, OutCall, ServiceCtx, Step, TroupeTarget};
 use simnet::{Payload, SockAddr, Syscall};
+
+thread_local! {
+    /// The members of the last call-back's target troupe, handed back for
+    /// the next call-back on this thread to refill: once one has run, a
+    /// call-back builds its troupe without allocating. (A buffer, not
+    /// state: nothing reads what it held.)
+    static CALLERS: Cell<Vec<ModuleAddr>> = const { Cell::new(Vec::new()) };
+}
 
 impl Node {
     fn reply(&mut self, io: &mut dyn NetIo, at: &Arrival, reply: Payload) {
@@ -181,23 +190,46 @@ impl Node {
         if out.proc == reserved_procs::GET_STATE_SINCE && out.args.is_empty() {
             let service = self.services.get(&out.module);
             if let Some(tok) = service.and_then(|s| s.recovery_token()) {
-                out.args = tok;
+                out.args = tok.into();
             }
         }
-        let troupe = self.resolve_target(&key, &out)?;
+        let callback = matches!(out.target, TroupeTarget::Caller);
+        let troupe = match out.target {
+            TroupeTarget::Troupe(t) => t,
+            TroupeTarget::Caller => self.caller_troupe(&key, out.module)?,
+        };
         self.assemblies.set_state(&key, PendState::AwaitingNested);
         // Thread-ID propagation (§3.4.1): the nested call runs on behalf
         // of the incoming thread. A solo nested call presents as
         // unregistered, so the server does not wait for the other
         // members' (never-coming) copies.
-        let (procedure, args) = ((out.module, out.proc), out.args);
-        let mut call = Call::solo(key.thread, &troupe, procedure, args, out.collation);
+        let procedure = (out.module, out.proc);
+        let mut call = Call::solo(key.thread, &troupe, procedure, &out.args, out.collation);
         if !out.solo {
             call.client_troupe = self.my_troupe;
         }
         let parent = self.assemblies.invoke_span(&key);
         self.begin(io, call, CallPurpose::Nested { key, parent });
+        if callback {
+            CALLERS.set(troupe.members);
+        }
         Ok(())
+    }
+
+    /// The troupe that made the call `key`, as members of `module`: the
+    /// target of a call-back (§5.3), built in the member buffer the last
+    /// call-back handed back.
+    fn caller_troupe(&self, key: &CallKey, module: u16) -> Result<Troupe, String> {
+        let members: &[SockAddr] = if key.client_troupe == TroupeId::UNREGISTERED {
+            self.assemblies.members(key)
+        } else {
+            let known = self.directory.members(key.client_troupe);
+            known.ok_or_else(|| "caller troupe unknown".to_string())?
+        };
+        let mut buf = CALLERS.take();
+        buf.clear();
+        buf.extend(members.iter().map(|&a| ModuleAddr::new(a, module)));
+        Ok(Troupe::new(key.client_troupe, buf))
     }
 
     /// Applies effects queued by a service handler.
@@ -222,22 +254,6 @@ impl Node {
                 NodeEffect::NotifyAgent { tag } => {
                     self.events.push_back(AppEvent::Notify { tag });
                 }
-            }
-        }
-    }
-
-    fn resolve_target(&self, key: &CallKey, out: &OutCall) -> Result<Troupe, String> {
-        match &out.target {
-            TroupeTarget::Troupe(t) => Ok(t.clone()),
-            TroupeTarget::Caller => {
-                let members: &[SockAddr] = if key.client_troupe == TroupeId::UNREGISTERED {
-                    self.assemblies.members(key)
-                } else {
-                    let known = self.directory.members(key.client_troupe);
-                    known.ok_or_else(|| "caller troupe unknown".to_string())?
-                };
-                let members = members.iter().map(|&a| ModuleAddr::new(a, out.module));
-                Ok(Troupe::new(key.client_troupe, members.collect()))
             }
         }
     }
@@ -293,7 +309,7 @@ impl Node {
             thread,
             binder,
             (binding::BINDING_MODULE, proc),
-            args,
+            &args,
             majority,
         );
         self.begin(io, call, purpose);

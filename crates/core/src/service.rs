@@ -15,7 +15,7 @@ use crate::addr::{Troupe, TroupeId};
 use crate::binding::reserved_procs;
 use crate::collate::{CollateError, CollationPolicy};
 use crate::thread::ThreadId;
-use simnet::{SockAddr, Time};
+use simnet::{Payload, SockAddr, Time};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -91,8 +91,9 @@ pub struct OutCall {
     pub module: u16,
     /// Procedure number within the module.
     pub proc: u16,
-    /// Externalized arguments.
-    pub args: Vec<u8>,
+    /// Externalized arguments (up to [`Payload::INLINE`] bytes held in
+    /// place: a short call-back's arguments cost no allocation).
+    pub args: Payload,
     /// How to collate the replies.
     pub collation: CollationPolicy,
     /// Present the caller as a plain unregistered client even if this

@@ -370,7 +370,7 @@ impl Service for Forwarder {
             target: TroupeTarget::Troupe(self.downstream.clone()),
             module: MODULE,
             proc: PROC_WHO,
-            args: Vec::new(),
+            args: Vec::new().into(),
             collation: CollationPolicy::Unanimous,
             solo: false,
         })
@@ -482,7 +482,7 @@ impl Service for CallbackServer {
             target: TroupeTarget::Caller,
             module: 2,
             proc: 0,
-            args: b"are you ready?".to_vec(),
+            args: b"are you ready?".into(),
             collation: CollationPolicy::Unanimous,
             solo: false,
         })

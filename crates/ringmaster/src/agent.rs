@@ -229,7 +229,7 @@ impl RingmasterService {
             target: TroupeTarget::Troupe(target),
             module,
             proc: reserved_procs::SET_TROUPE_ID,
-            args: to_bytes(&id),
+            args: to_bytes(&id).into(),
             collation: CollationPolicy::Unanimous,
             solo: false,
         })

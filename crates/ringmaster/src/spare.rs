@@ -223,7 +223,7 @@ impl Service for SpareService {
             target: TroupeTarget::Troupe(self.binder.clone()),
             module: BINDING_MODULE,
             proc: binding_procs::LOOKUP_TROUPE_BY_NAME,
-            args: to_bytes(&self.name),
+            args: to_bytes(&self.name).into(),
             collation: CollationPolicy::Majority,
             solo: true,
         })
@@ -253,7 +253,7 @@ impl Service for SpareService {
                     target: TroupeTarget::Troupe(self.survivors_troupe()),
                     module: self.module,
                     proc: reserved_procs::WEDGE,
-                    args: Vec::new(),
+                    args: Vec::new().into(),
                     collation: CollationPolicy::Unanimous,
                     solo: true,
                 })
@@ -277,7 +277,7 @@ impl Service for SpareService {
                     target: TroupeTarget::Troupe(self.survivors_troupe()),
                     module: self.module,
                     proc,
-                    args: Vec::new(),
+                    args: Vec::new().into(),
                     collation: CollationPolicy::FirstCome,
                     solo: true,
                 })
@@ -327,7 +327,7 @@ impl Service for SpareService {
                     target: TroupeTarget::Troupe(self.binder.clone()),
                     module: BINDING_MODULE,
                     proc: binding_procs::ADD_TROUPE_MEMBER,
-                    args: to_bytes(&req),
+                    args: to_bytes(&req).into(),
                     collation: CollationPolicy::Majority,
                     solo: true,
                 })
@@ -341,7 +341,7 @@ impl Service for SpareService {
                     target: TroupeTarget::Troupe(self.survivors_troupe()),
                     module: self.module,
                     proc: reserved_procs::UNWEDGE,
-                    args: Vec::new(),
+                    args: Vec::new().into(),
                     collation: CollationPolicy::Unanimous,
                     solo: true,
                 })

@@ -63,7 +63,6 @@ impl TxnClient {
         if self.next >= self.script.len() {
             return;
         }
-        let ops = self.script[self.next].clone();
         self.nonce += 1;
         // Every submission (including a retry) is a NEW distributed
         // thread: a retried transaction is a new transaction (§2.3.1).
@@ -74,10 +73,7 @@ impl TxnClient {
             &self.troupe,
             self.module,
             PROC_EXECUTE,
-            to_bytes(&ExecuteRequest {
-                nonce: self.nonce,
-                ops,
-            }),
+            ExecuteRequest::encode(self.nonce, &self.script[self.next]),
             CollationPolicy::Unanimous,
         );
     }

@@ -29,8 +29,10 @@ use circus::{
     StateSince, Step, ThreadId, TroupeTarget, VoteSlot,
 };
 use obs::fnv1a;
-use simnet::Disk;
-use wire::{from_bytes, to_bytes, Externalize, Internalize, Reader, WireError, Writer};
+use simnet::{Disk, Payload};
+use wire::{
+    encode_with, from_bytes, to_bytes, Externalize, Internalize, Reader, WireError, Writer,
+};
 
 /// Procedure number of `execute_transaction` at the store troupe.
 pub const PROC_EXECUTE: u16 = 0;
@@ -49,10 +51,17 @@ pub struct ExecuteRequest {
     pub ops: Vec<Op>,
 }
 
+impl ExecuteRequest {
+    /// The arguments of an `execute_transaction` of borrowed `ops`: the
+    /// bytes of `to_bytes` of the request that owned them.
+    pub(crate) fn encode(nonce: u64, ops: &[Op]) -> Vec<u8> {
+        to_bytes(&(nonce, ops))
+    }
+}
+
 impl Externalize for ExecuteRequest {
     fn externalize(&self, w: &mut Writer) {
-        w.put_u64(self.nonce);
-        self.ops.externalize(w);
+        (self.nonce, self.ops.as_slice()).externalize(w);
     }
 }
 
@@ -248,7 +257,7 @@ impl TroupeStoreService {
             target: TroupeTarget::Caller,
             module: self.commit_module,
             proc: PROC_READY_TO_COMMIT,
-            args: to_bytes(&ready),
+            args: verdict(ready),
             collation: CollationPolicy::Unanimous,
             solo: false,
         })
@@ -256,27 +265,22 @@ impl TroupeStoreService {
 
     /// Runs (or re-runs) a transaction and decides its next step.
     fn run(&mut self, invocation: u64) -> Step {
-        let rec = self.by_invocation.get(&invocation).expect("txn record");
-        let (txn, ops) = (rec.txn, rec.ops.clone());
-        match self.tm.try_execute(txn, &ops) {
+        let rec = self.by_invocation.get_mut(&invocation).expect("txn record");
+        let txn = rec.txn;
+        let ready = match self.tm.try_execute(txn, &rec.ops) {
             ExecOutcome::Executed(results) => {
-                self.waiting.remove(&txn);
-                self.by_invocation
-                    .get_mut(&invocation)
-                    .expect("txn record")
-                    .results = Some(results);
-                self.vote_call(true)
+                rec.results = Some(results);
+                true
             }
             ExecOutcome::MustWait(_) => {
                 self.waiting.insert(txn, invocation);
-                Step::Suspend
+                return Step::Suspend;
             }
-            ExecOutcome::Deadlock => {
-                // Aborted locally; still vote so every member aborts.
-                self.waiting.remove(&txn);
-                self.vote_call(false)
-            }
-        }
+            // Aborted locally; still vote so every member aborts.
+            ExecOutcome::Deadlock => false,
+        };
+        self.waiting.remove(&txn);
+        self.vote_call(ready)
     }
 
     /// Re-runs every transaction unblocked by a lock release, queueing
@@ -381,22 +385,20 @@ impl Service for TroupeStoreService {
         };
         let (outcome, unblocked) = match rec.results {
             Some(results) if go => {
-                // Capture the workspace before the commit folds it away:
-                // the log record needs per-commit writes, not the merged
-                // image.
-                let writes = self.tm.store().workspace(rec.txn);
                 if !self.committed.insert(rec.thread, rec.nonce) {
                     self.duplicate_commits += 1;
                 }
                 ctx.metrics.add("txn.commits", 1);
-                let unblocked = self.tm.commit(rec.txn);
+                // The workspace the commit folds away is the log record's
+                // per-commit writes: logged, then kept for deltas.
+                let (writes, unblocked) = self.tm.commit(rec.txn);
                 let crec = CommitRecord {
                     thread: rec.thread,
                     nonce: rec.nonce,
                     writes,
                 };
-                self.retain(crec.clone());
                 self.log_commit(&crec, ctx);
+                self.retain(crec);
                 (TxnOutcome::Committed(results), unblocked)
             }
             _ => {
@@ -570,11 +572,23 @@ impl Service for TroupeStoreService {
     }
 }
 
+/// A `ready_to_commit` vote or verdict, externalized: two bytes, held in
+/// place.
+fn verdict(ready: bool) -> Payload {
+    encode_with(&ready, Payload::copy_from)
+}
+
 /// The vote collator used by the client's `ready_to_commit` module: wait
 /// for every server member's vote; any `false` vote — or any member
 /// declared dead, which is how a timeout-resolved commit deadlock
 /// manifests — aborts.
 struct ReadyVotes;
+
+thread_local! {
+    /// The one `ReadyVotes` every `ready_to_commit` assembly on this
+    /// thread collates with (the collator holds no state).
+    static READY_VOTES: Rc<dyn Collate> = Rc::new(ReadyVotes);
+}
 
 impl Collate for ReadyVotes {
     fn decide(&self, slots: &[VoteSlot]) -> Decision {
@@ -582,10 +596,10 @@ impl Collate for ReadyVotes {
         for s in slots {
             match s {
                 VoteSlot::Pending => pending = true,
-                VoteSlot::Dead => return Decision::Ready(to_bytes(&false).into()),
+                VoteSlot::Dead => return Decision::Ready(verdict(false)),
                 VoteSlot::Vote(v) => {
                     if !from_bytes::<bool>(v).unwrap_or(false) {
-                        return Decision::Ready(to_bytes(&false).into());
+                        return Decision::Ready(verdict(false));
                     }
                 }
             }
@@ -593,7 +607,7 @@ impl Collate for ReadyVotes {
         if pending {
             Decision::Wait
         } else {
-            Decision::Ready(to_bytes(&true).into())
+            Decision::Ready(verdict(true))
         }
     }
 }
@@ -614,7 +628,7 @@ impl Service for CommitVoterService {
     }
 
     fn arg_collation(&self, _proc: u16) -> CollationPolicy {
-        CollationPolicy::Custom(Rc::new(ReadyVotes))
+        CollationPolicy::Custom(READY_VOTES.with(Rc::clone))
     }
 }
 
@@ -639,6 +653,7 @@ mod tests {
             ops: vec![Op::Add(crate::store::ObjId(1), 5)],
         };
         assert_eq!(from_bytes::<ExecuteRequest>(&to_bytes(&r)).unwrap(), r);
+        assert_eq!(ExecuteRequest::encode(r.nonce, &r.ops), to_bytes(&r));
     }
 
     #[test]

@@ -5,14 +5,19 @@
 //! relation is called a deadlock; the transactions involved will wait
 //! forever."
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use crate::store::TxnId;
 
 /// The waits-for relation.
 #[derive(Debug, Default)]
 pub struct WaitsFor {
-    edges: BTreeMap<TxnId, BTreeSet<TxnId>>,
+    /// Its edges, `(waiter, holder)`: one set, so a waiter's edges are a
+    /// range of it rather than a set of their own.
+    edges: BTreeSet<(TxnId, TxnId)>,
+    /// [`WaitsFor::on_cycle`]'s walk: the transactions it has reached,
+    /// kept between probes so that a probe allocates nothing once warm.
+    reached: Vec<TxnId>,
 }
 
 impl WaitsFor {
@@ -24,54 +29,41 @@ impl WaitsFor {
     /// Records that `waiter` waits for `holder`.
     pub fn add(&mut self, waiter: TxnId, holder: TxnId) {
         if waiter != holder {
-            self.edges.entry(waiter).or_default().insert(holder);
+            self.edges.insert((waiter, holder));
         }
     }
 
     /// Removes every edge involving `txn` (it committed or aborted).
     pub fn remove(&mut self, txn: TxnId) {
-        self.edges.remove(&txn);
-        for targets in self.edges.values_mut() {
-            targets.remove(&txn);
-        }
-        self.edges.retain(|_, v| !v.is_empty());
+        self.edges.retain(|&(w, h)| w != txn && h != txn);
     }
 
-    /// Finds a cycle containing `start`, if one exists, following the
-    /// waits-for edges depth-first.
-    pub fn cycle_from(&self, start: TxnId) -> Option<Vec<TxnId>> {
-        let mut path = vec![start];
-        let mut on_path = BTreeSet::from([start]);
-        self.dfs(start, start, &mut path, &mut on_path)
-    }
-
-    fn dfs(
-        &self,
-        start: TxnId,
-        at: TxnId,
-        path: &mut Vec<TxnId>,
-        on_path: &mut BTreeSet<TxnId>,
-    ) -> Option<Vec<TxnId>> {
-        let nexts = self.edges.get(&at)?;
-        for &next in nexts {
-            if next == start {
-                return Some(path.clone());
-            }
-            if on_path.insert(next) {
-                path.push(next);
-                if let Some(c) = self.dfs(start, next, path, on_path) {
-                    return Some(c);
+    /// Whether `start` is on a cycle: whether following the waits-for
+    /// edges from it, breadth-first, leads back to it.
+    pub fn on_cycle(&mut self, start: TxnId) -> bool {
+        let reached = &mut self.reached;
+        reached.clear();
+        reached.push(start);
+        let mut i = 0;
+        while let Some(&at) = reached.get(i) {
+            i += 1;
+            for &(_, next) in self.edges.range((at, TxnId(0))..=(at, TxnId(u64::MAX))) {
+                if next == start {
+                    return true;
                 }
-                path.pop();
-                on_path.remove(&next);
+                if !reached.contains(&next) {
+                    reached.push(next);
+                }
             }
         }
-        None
+        false
     }
 
     /// `true` if any deadlock exists anywhere in the relation.
-    pub fn has_cycle(&self) -> bool {
-        self.edges.keys().any(|&t| self.cycle_from(t).is_some())
+    pub fn has_cycle(&mut self) -> bool {
+        let mut waiters: Vec<TxnId> = self.edges.iter().map(|&(w, _)| w).collect();
+        waiters.dedup();
+        waiters.into_iter().any(|t| self.on_cycle(t))
     }
 }
 
@@ -88,7 +80,7 @@ mod tests {
         let mut g = WaitsFor::new();
         g.add(T1, T2);
         g.add(T2, T3);
-        assert!(g.cycle_from(T1).is_none());
+        assert!(!g.on_cycle(T1));
         assert!(!g.has_cycle());
     }
 
@@ -97,8 +89,7 @@ mod tests {
         let mut g = WaitsFor::new();
         g.add(T1, T2);
         g.add(T2, T1);
-        let c = g.cycle_from(T1).expect("cycle");
-        assert!(c.contains(&T1));
+        assert!(g.on_cycle(T1) && g.on_cycle(T2));
         assert!(g.has_cycle());
     }
 
@@ -108,7 +99,20 @@ mod tests {
         g.add(T1, T2);
         g.add(T2, T3);
         g.add(T3, T1);
-        assert_eq!(g.cycle_from(T1).unwrap().len(), 3);
+        assert!([T1, T2, T3].into_iter().all(|t| g.on_cycle(t)));
+    }
+
+    /// A transaction waiting on a deadlock it is not part of is not on
+    /// the cycle: aborting it would break nothing.
+    #[test]
+    fn waiting_into_a_cycle_is_not_being_on_it() {
+        let mut g = WaitsFor::new();
+        g.add(T1, T2);
+        g.add(T2, T3);
+        g.add(T3, T2);
+        assert!(!g.on_cycle(T1));
+        assert!(g.on_cycle(T2) && g.on_cycle(T3));
+        assert!(g.has_cycle());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! queues. Each transaction holds all acquired locks until it commits or
 //! aborts, which guarantees serializability.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::store::{ObjId, TxnId};
 
@@ -25,10 +25,86 @@ impl Mode {
     }
 }
 
+/// The holders of one lock and their (strongest) modes, in transaction
+/// order. A lone holder — every exclusive lock, and most shared ones —
+/// is held in place; only two or more (shared) holders spill to a map,
+/// a vector sorted by transaction, which folds back when one is left.
+/// Either way the entry is as small as the one vector.
+#[derive(Debug, Default)]
+enum Holders {
+    #[default]
+    None,
+    One(TxnId, Mode),
+    Many(Vec<(TxnId, Mode)>),
+}
+
+const _: () = assert!(std::mem::size_of::<Holders>() == std::mem::size_of::<Vec<(TxnId, Mode)>>());
+
+impl Holders {
+    fn iter(&self) -> impl Iterator<Item = (TxnId, Mode)> + '_ {
+        let (one, many) = match self {
+            Holders::None => (None, None),
+            Holders::One(t, m) => (Some((*t, *m)), None),
+            Holders::Many(many) => (None, Some(many)),
+        };
+        let many = many.into_iter().flatten().copied();
+        one.into_iter().chain(many)
+    }
+
+    fn get(&self, txn: TxnId) -> Option<Mode> {
+        self.iter().find(|(t, _)| *t == txn).map(|(_, m)| m)
+    }
+
+    fn is_empty(&self) -> bool {
+        matches!(self, Holders::None)
+    }
+
+    /// `true` if `txn` holds the lock and nobody else does.
+    fn is_only(&self, txn: TxnId) -> bool {
+        matches!(self, Holders::One(t, _) if *t == txn)
+    }
+
+    /// Adds `txn` in `mode`, or sets the mode it holds in.
+    fn insert(&mut self, txn: TxnId, mode: Mode) {
+        match self {
+            Holders::None => *self = Holders::One(txn, mode),
+            Holders::One(t, m) if *t == txn => *m = mode,
+            Holders::One(t, m) => {
+                let mut many = vec![(*t, *m), (txn, mode)];
+                many.sort_unstable_by_key(|&(t, _)| t);
+                *self = Holders::Many(many);
+            }
+            Holders::Many(many) => match many.binary_search_by_key(&txn, |&(t, _)| t) {
+                Ok(i) => many[i].1 = mode,
+                Err(i) => many.insert(i, (txn, mode)),
+            },
+        }
+    }
+
+    fn remove(&mut self, txn: TxnId) {
+        match self {
+            Holders::One(t, _) if *t == txn => *self = Holders::None,
+            Holders::Many(many) => {
+                many.retain(|&(t, _)| t != txn);
+                if let [(t, m)] = many[..] {
+                    *self = Holders::One(t, m);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Whether `mode` may be granted to `txn` beside the holders: every
+    /// holder is compatible with it, or `txn` upgrades with no co-holder.
+    fn admit(&self, txn: TxnId, mode: Mode) -> bool {
+        self.iter().all(|(_, h)| h.compatible(mode))
+            || (mode == Mode::Exclusive && self.is_only(txn))
+    }
+}
+
 #[derive(Debug, Default)]
 struct LockState {
-    /// Current holders and their (strongest) mode.
-    holders: BTreeMap<TxnId, Mode>,
+    holders: Holders,
     /// FIFO queue of waiting requests.
     waiters: VecDeque<(TxnId, Mode)>,
 }
@@ -61,35 +137,29 @@ impl LockManager {
     /// behind it either way.
     pub fn acquire(&mut self, txn: TxnId, obj: ObjId, mode: Mode) -> Acquire {
         let state = self.locks.entry(obj).or_default();
-        if let Some(&held) = state.holders.get(&txn) {
+        if let Some(held) = state.holders.get(txn) {
             match (held, mode) {
                 (Mode::Exclusive, _) | (_, Mode::Shared) => return Acquire::Granted,
                 (Mode::Shared, Mode::Exclusive) => {
-                    if state.holders.len() == 1 {
+                    if state.holders.is_only(txn) {
                         state.holders.insert(txn, Mode::Exclusive);
                         return Acquire::Granted;
                     }
                     // Upgrade blocked by a co-holder.
-                    let blocker = *state
-                        .holders
-                        .keys()
-                        .find(|t| **t != txn)
+                    let (blocker, _) = (state.holders.iter())
+                        .find(|(t, _)| *t != txn)
                         .expect("another holder exists");
                     state.waiters.push_back((txn, mode));
                     return Acquire::Waiting(blocker);
                 }
             }
         }
-        let all_compatible = state.holders.values().all(|h| h.compatible(mode));
+        let all_compatible = state.holders.iter().all(|(_, h)| h.compatible(mode));
         if all_compatible && state.waiters.is_empty() {
             state.holders.insert(txn, mode);
             Acquire::Granted
         } else {
-            let blocker = state
-                .holders
-                .keys()
-                .next()
-                .copied()
+            let blocker = (state.holders.iter().next().map(|(t, _)| t))
                 .or_else(|| state.waiters.front().map(|(t, _)| *t))
                 .expect("conflict implies a holder or waiter");
             state.waiters.push_back((txn, mode));
@@ -98,44 +168,35 @@ impl LockManager {
     }
 
     /// Releases everything `txn` holds or waits for; returns the
-    /// transactions granted locks as a result (they may now be runnable).
+    /// transactions granted locks as a result (they may now be runnable),
+    /// in transaction order, each once. Allocates only when it grants.
     pub fn release_all(&mut self, txn: TxnId) -> Vec<TxnId> {
-        let mut granted = BTreeSet::new();
-        let mut empty = Vec::new();
-        for (obj, state) in self.locks.iter_mut() {
-            state.holders.remove(&txn);
+        let mut granted = Vec::new();
+        self.locks.retain(|_, state| {
+            state.holders.remove(txn);
             state.waiters.retain(|(t, _)| *t != txn);
             // Promote waiters FIFO while compatible.
             while let Some(&(waiter, mode)) = state.waiters.front() {
-                let compatible = state.holders.values().all(|h| h.compatible(mode))
-                    // An S-holder upgrading to X with no co-holders.
-                    || (state.holders.len() == 1
-                        && state.holders.contains_key(&waiter)
-                        && mode == Mode::Exclusive);
-                if compatible {
-                    state.waiters.pop_front();
-                    state.holders.insert(waiter, mode);
-                    granted.insert(waiter);
-                } else {
+                if !state.holders.admit(waiter, mode) {
                     break;
                 }
+                state.waiters.pop_front();
+                state.holders.insert(waiter, mode);
+                granted.push(waiter);
             }
-            if state.holders.is_empty() && state.waiters.is_empty() {
-                empty.push(*obj);
-            }
-        }
-        for obj in empty {
-            self.locks.remove(&obj);
-        }
-        granted.into_iter().collect()
+            !(state.holders.is_empty() && state.waiters.is_empty())
+        });
+        granted.sort_unstable();
+        granted.dedup();
+        granted
     }
 
     /// Whether `txn` currently holds `obj` in at least `mode`.
     pub fn holds(&self, txn: TxnId, obj: ObjId, mode: Mode) -> bool {
         self.locks
             .get(&obj)
-            .and_then(|s| s.holders.get(&txn))
-            .map(|&h| h == Mode::Exclusive || mode == Mode::Shared)
+            .and_then(|s| s.holders.get(txn))
+            .map(|h| h == Mode::Exclusive || mode == Mode::Shared)
             .unwrap_or(false)
     }
 

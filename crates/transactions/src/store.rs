@@ -21,8 +21,10 @@ pub struct TxnId(pub u64);
 #[derive(Debug, Default)]
 pub struct Store {
     committed: BTreeMap<ObjId, i64>,
+    /// Each transaction's tentative writes, `(object, value)` in object
+    /// order, one per object: the form its commit-log record carries.
     /// Point lookups and `clear` only, never walked.
-    workspaces: HashMap<TxnId, BTreeMap<ObjId, i64>>,
+    workspaces: HashMap<TxnId, Vec<(u64, i64)>>,
 }
 
 impl Store {
@@ -35,12 +37,11 @@ impl Store {
     /// else the committed value. Intermediate effects of *other*
     /// transactions are never visible (atomicity, §2.3.1).
     pub fn read(&self, txn: TxnId, obj: ObjId) -> i64 {
-        if let Some(ws) = self.workspaces.get(&txn) {
-            if let Some(v) = ws.get(&obj) {
-                return *v;
-            }
+        let ws = self.workspaces.get(&txn).map_or(&[][..], Vec::as_slice);
+        match ws.binary_search_by_key(&obj.0, |&(o, _)| o) {
+            Ok(i) => ws[i].1,
+            Err(_) => self.read_committed(obj),
         }
-        self.committed.get(&obj).copied().unwrap_or(0)
     }
 
     /// Reads the committed value directly (for observers/tests).
@@ -48,18 +49,34 @@ impl Store {
         self.committed.get(&obj).copied().unwrap_or(0)
     }
 
-    /// Writes a tentative value into `txn`'s workspace.
-    pub fn write(&mut self, txn: TxnId, obj: ObjId, value: i64) {
-        self.workspaces.entry(txn).or_default().insert(obj, value);
+    /// Sizes `txn`'s workspace for `writes` writes, so that a transaction
+    /// which announces them before it writes allocates its workspace once,
+    /// exactly.
+    pub(crate) fn reserve(&mut self, txn: TxnId, writes: usize) {
+        self.workspaces
+            .entry(txn)
+            .or_default()
+            .reserve_exact(writes);
     }
 
-    /// Makes `txn`'s tentative updates permanent.
-    pub fn commit(&mut self, txn: TxnId) {
-        if let Some(ws) = self.workspaces.remove(&txn) {
-            for (obj, v) in ws {
-                self.committed.insert(obj, v);
-            }
+    /// Writes a tentative value into `txn`'s workspace.
+    pub fn write(&mut self, txn: TxnId, obj: ObjId, value: i64) {
+        let ws = self.workspaces.entry(txn).or_default();
+        match ws.binary_search_by_key(&obj.0, |&(o, _)| o) {
+            Ok(i) => ws[i].1 = value,
+            Err(i) => ws.insert(i, (obj.0, value)),
         }
+    }
+
+    /// Makes `txn`'s tentative updates permanent and hands them back, in
+    /// object order — the payload of its commit-log record — with no
+    /// spare capacity (a workspace reserved for more writes than distinct
+    /// objects is shrunk).
+    pub fn commit(&mut self, txn: TxnId) -> Vec<(u64, i64)> {
+        let mut ws = self.workspaces.remove(&txn).unwrap_or_default();
+        self.apply_committed(&ws);
+        ws.shrink_to_fit();
+        ws
     }
 
     /// Discards `txn`'s tentative updates, "leaving no trace of ever
@@ -71,16 +88,6 @@ impl Store {
     /// Externalizes the committed image (state transfer, §6.4.1).
     pub fn snapshot(&self) -> Vec<(u64, i64)> {
         self.committed.iter().map(|(o, v)| (o.0, *v)).collect()
-    }
-
-    /// Externalizes `txn`'s tentative writes, in object order — the
-    /// payload of a commit-log record, captured just before the commit
-    /// folds the workspace away.
-    pub fn workspace(&self, txn: TxnId) -> Vec<(u64, i64)> {
-        self.workspaces
-            .get(&txn)
-            .map(|ws| ws.iter().map(|(o, v)| (o.0, *v)).collect())
-            .unwrap_or_default()
     }
 
     /// Applies the writes of an already-committed transaction directly
@@ -134,6 +141,20 @@ mod tests {
     }
 
     #[test]
+    fn commit_hands_back_its_writes_in_object_order_exactly_sized() {
+        let mut s = Store::new();
+        s.reserve(T1, 3);
+        s.write(T1, B, 1);
+        s.write(T1, A, 2);
+        s.write(T1, B, 3);
+        let writes = s.commit(T1);
+        assert_eq!(writes, vec![(A.0, 2), (B.0, 3)]);
+        assert_eq!(writes.capacity(), 2, "no slack kept with the record");
+        assert_eq!(s.read_committed(B), 3);
+        assert!(s.commit(T2).is_empty(), "no workspace, no writes");
+    }
+
+    #[test]
     fn abort_leaves_no_trace() {
         let mut s = Store::new();
         s.write(T1, A, 10);
@@ -173,9 +194,8 @@ mod tests {
         );
         // A commit of the stale transaction after restore is a no-op:
         // its workspace is gone.
-        s.commit(T2);
+        assert!(s.commit(T2).is_empty());
         assert_eq!(s.read_committed(A), 5);
-        assert!(s.workspace(T2).is_empty());
     }
 
     #[test]

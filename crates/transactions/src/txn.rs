@@ -119,7 +119,7 @@ impl LocalTm {
                 Acquire::Granted => {}
                 Acquire::Waiting(blocker) => {
                     self.waits.add(txn, blocker);
-                    if self.waits.cycle_from(txn).is_some() {
+                    if self.waits.on_cycle(txn) {
                         // Break the deadlock by aborting the requester
                         // ("any transaction in the cycle may be aborted
                         // and restarted", §2.3.1).
@@ -131,6 +131,8 @@ impl LocalTm {
             }
         }
         self.waits.remove(txn);
+        let writes = ops.iter().filter(|op| op.mode() == Mode::Exclusive);
+        self.store.reserve(txn, writes.count());
         let mut results = Vec::with_capacity(ops.len());
         for op in ops {
             let v = match op {
@@ -150,12 +152,13 @@ impl LocalTm {
         ExecOutcome::Executed(results)
     }
 
-    /// Commits `txn`; returns transactions granted locks by the release
-    /// (the caller should re-run them).
-    pub fn commit(&mut self, txn: TxnId) -> Vec<TxnId> {
-        self.store.commit(txn);
+    /// Commits `txn`; returns its writes in object order (its commit-log
+    /// record's, see [`Store::commit`]) and the transactions granted locks
+    /// by the release (the caller should re-run them).
+    pub fn commit(&mut self, txn: TxnId) -> (Vec<(u64, i64)>, Vec<TxnId>) {
+        let writes = self.store.commit(txn);
         self.waits.remove(txn);
-        self.locks.release_all(txn)
+        (writes, self.locks.release_all(txn))
     }
 
     /// Aborts `txn`; returns transactions granted locks by the release.
@@ -195,8 +198,8 @@ mod tests {
             tm.try_execute(T2, &[Op::Add(A, 10)]),
             ExecOutcome::MustWait(T1)
         );
-        let unblocked = tm.commit(T1);
-        assert_eq!(unblocked, vec![T2]);
+        let (writes, unblocked) = tm.commit(T1);
+        assert_eq!((writes, unblocked), (vec![(A.0, 1)], vec![T2]));
         // Re-run T2: it sees T1's committed value.
         assert_eq!(
             tm.try_execute(T2, &[Op::Add(A, 10)]),

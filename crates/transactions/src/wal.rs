@@ -120,12 +120,20 @@ impl Internalize for CommitRecord {
     }
 }
 
-/// Wraps `payload` in a frame.
+/// Wraps `payload` in a frame, written over `buf` (grown, exactly, only
+/// for a frame longer than any it held).
+fn frame_into(buf: &mut Vec<u8>, payload: &[u8]) {
+    buf.clear();
+    buf.reserve_exact(12 + payload.len());
+    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    buf.extend_from_slice(payload);
+}
+
+/// Wraps `payload` in a fresh frame.
 fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(12 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&fnv1a(payload).to_le_bytes());
-    frame.extend_from_slice(payload);
+    let mut frame = Vec::new();
+    frame_into(&mut frame, payload);
     frame
 }
 
@@ -196,6 +204,10 @@ pub struct Wal {
     /// A failed append left a commit out of the log, which therefore
     /// takes no further record until a checkpoint covers the gap.
     gap: bool,
+    /// The frame of the record being appended, rewritten by every append:
+    /// a commit's frame costs no allocation once the buffer has held one
+    /// as long.
+    frame: Vec<u8>,
 }
 
 impl Wal {
@@ -209,6 +221,7 @@ impl Wal {
             snapshot_every,
             since_snapshot: 0,
             gap: false,
+            frame: Vec::new(),
         }
     }
 
@@ -226,7 +239,8 @@ impl Wal {
         if self.gap {
             return Err(DiskError::Transient);
         }
-        if let Err(e) = self.disk.append(LOG_FILE, &encode_with(rec, frame)) {
+        encode_with(rec, |payload| frame_into(&mut self.frame, payload));
+        if let Err(e) = self.disk.append(LOG_FILE, &self.frame) {
             self.gap = true;
             return Err(e);
         }
@@ -483,6 +497,41 @@ mod tests {
         let got = Wal::new(d.clone(), 0).recover();
         assert!(got.records.is_empty());
         assert_eq!(got.torn_bytes, torn);
+    }
+
+    /// Every append rewrites the one frame buffer whole: a short record
+    /// after a long one leaves no stale tail on the disk, and an append
+    /// that fails after the buffer was reused is contained like any other.
+    #[test]
+    fn a_reused_frame_buffer_appends_exactly_each_frame() {
+        let d = disk(DiskConfig::faultless());
+        let mut w = Wal::new(d.clone(), 0);
+        let long = rec(1, 1, (0..40).map(|o| (o, -(o as i64))).collect());
+        let short = rec(2, 2, vec![(5, 50)]);
+        w.append_commit(&long).unwrap();
+        w.append_commit(&short).unwrap();
+        let framed = |r: &CommitRecord| encode_with(r, frame);
+        assert_eq!(
+            d.read(LOG_FILE),
+            Some([framed(&long), framed(&short)].concat())
+        );
+        assert_eq!(Wal::new(d, 0).recover().records, vec![long, short.clone()]);
+
+        // The same log, moved to a disk whose every append fails.
+        let mut cfg = DiskConfig::faultless();
+        cfg.write_error = 1.0;
+        let failing = disk(cfg);
+        w.disk = failing.clone();
+        assert_eq!(w.append_commit(&short), Err(DiskError::Transient));
+        let landed = failing.read(LOG_FILE).unwrap_or_default();
+        assert!(
+            framed(&short).starts_with(&landed),
+            "a prefix of this frame alone"
+        );
+        assert!(w.snapshot_due(), "the gap forces a checkpoint");
+        assert!(w.append_commit(&short).is_err());
+        w.checkpoint(&ledger_of(&[1, 2]), &[(5, 50)]);
+        assert!(!w.snapshot_due() && failing.is_empty(LOG_FILE));
     }
 
     // ---- the real service on the real files -------------------------

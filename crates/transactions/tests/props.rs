@@ -1,8 +1,14 @@
 //! Property-based tests: serializability of the local transaction
-//! manager and structural invariants of nested transactions.
+//! manager, the lock table against a model, and structural invariants of
+//! nested transactions.
+
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use proptest::prelude::*;
-use transactions::{ExecOutcome, LocalTm, NestedError, NestedTm, ObjId, Op, TxnId};
+use proptest::test_runner::TestRng;
+use transactions::{
+    Acquire, ExecOutcome, LocalTm, LockManager, Mode, NestedError, NestedTm, ObjId, Op, TxnId,
+};
 
 /// Strategy for a small transaction: 1–4 operations over 3 objects.
 fn txn_strategy() -> impl Strategy<Value = Vec<Op>> {
@@ -61,7 +67,7 @@ proptest! {
             }
             ExecOutcome::MustWait(blocker) => {
                 prop_assert_eq!(blocker, a);
-                let unblocked = tm.commit(a);
+                let (_, unblocked) = tm.commit(a);
                 prop_assert!(unblocked.contains(&b));
                 match tm.try_execute(b, &t2) {
                     ExecOutcome::Executed(_) => { tm.commit(b); }
@@ -221,10 +227,9 @@ proptest! {
                 1 => {
                     if let Some(t) = open.first().copied() {
                         open.remove(0);
-                        for (o, v) in s.workspace(t) {
+                        for (o, v) in s.commit(t) {
                             model.insert(o, v);
                         }
-                        s.commit(t);
                     }
                 }
                 // Abort the newest open transaction.
@@ -245,8 +250,7 @@ proptest! {
                         // Every workspace is gone: commits of formerly
                         // open transactions must change nothing.
                         for t in open.drain(..) {
-                            prop_assert!(s.workspace(t).is_empty());
-                            s.commit(t);
+                            prop_assert!(s.commit(t).is_empty());
                         }
                         let now: Vec<(u64, i64)> = s.snapshot();
                         let want: Vec<(u64, i64)> =
@@ -272,4 +276,194 @@ proptest! {
             prop_assert_eq!(fresh.read_committed(ObjId(o)), s.read_committed(ObjId(o)));
         }
     }
+}
+
+/// One step of a lock-table script.
+#[derive(Clone, Copy, Debug)]
+enum LockStep {
+    Acquire(TxnId, ObjId, Mode),
+    ReleaseAll(TxnId),
+    Holds(TxnId, ObjId, Mode),
+}
+
+/// Scripts over four transactions, three objects and both modes: mostly
+/// acquires, so that locks pile up, queue and change hands.
+fn lock_script() -> impl Strategy<Value = Vec<LockStep>> {
+    proptest::collection::vec(
+        (0u8..8, 1u64..5, 0u64..3, any::<bool>()).prop_map(|(kind, t, o, shared)| {
+            let (t, o) = (TxnId(t), ObjId(o));
+            let mode = if shared {
+                Mode::Shared
+            } else {
+                Mode::Exclusive
+            };
+            match kind {
+                0..=4 => LockStep::Acquire(t, o, mode),
+                5 | 6 => LockStep::ReleaseAll(t),
+                _ => LockStep::Holds(t, o, mode),
+            }
+        }),
+        1..48,
+    )
+}
+
+/// One object's lock in the model: its holders and their modes, and its
+/// FIFO queue of waiters.
+type ModelLock = (BTreeMap<TxnId, Mode>, VecDeque<(TxnId, Mode)>);
+
+/// The lock table as plainly as it can be written: per object, a map of
+/// holders to their modes and a queue of waiters; an object with neither
+/// is not in the table.
+#[derive(Default)]
+struct LockModel {
+    locks: BTreeMap<ObjId, ModelLock>,
+}
+
+fn compatible(a: Mode, b: Mode) -> bool {
+    a == Mode::Shared && b == Mode::Shared
+}
+
+impl LockModel {
+    /// `Acquire` plus whether it was a shared holder's upgrade blocked by
+    /// a co-holder.
+    fn acquire(&mut self, txn: TxnId, obj: ObjId, mode: Mode) -> (Acquire, bool) {
+        let (holders, waiters) = self.locks.entry(obj).or_default();
+        match holders.get(&txn) {
+            Some(Mode::Exclusive) => return (Acquire::Granted, false),
+            Some(_) if mode == Mode::Shared => return (Acquire::Granted, false),
+            Some(_) if holders.len() == 1 => {
+                holders.insert(txn, Mode::Exclusive);
+                return (Acquire::Granted, false);
+            }
+            Some(_) => {
+                let blocker = *holders.keys().find(|t| **t != txn).unwrap();
+                waiters.push_back((txn, mode));
+                return (Acquire::Waiting(blocker), true);
+            }
+            None => {}
+        }
+        if holders.values().all(|h| compatible(*h, mode)) && waiters.is_empty() {
+            holders.insert(txn, mode);
+            return (Acquire::Granted, false);
+        }
+        let first_waiter = waiters.front().map(|(t, _)| *t);
+        let blocker = holders.keys().next().copied().or(first_waiter).unwrap();
+        waiters.push_back((txn, mode));
+        (Acquire::Waiting(blocker), false)
+    }
+
+    fn release_all(&mut self, txn: TxnId) -> Vec<TxnId> {
+        let mut granted = BTreeSet::new();
+        for (holders, waiters) in self.locks.values_mut() {
+            holders.remove(&txn);
+            waiters.retain(|(t, _)| *t != txn);
+            while let Some(&(waiter, mode)) = waiters.front() {
+                let upgrade = holders.len() == 1 && holders.contains_key(&waiter);
+                if !(holders.values().all(|h| compatible(*h, mode))
+                    || (upgrade && mode == Mode::Exclusive))
+                {
+                    break;
+                }
+                waiters.pop_front();
+                holders.insert(waiter, mode);
+                granted.insert(waiter);
+            }
+        }
+        self.locks
+            .retain(|_, (h, w)| !h.is_empty() || !w.is_empty());
+        granted.into_iter().collect()
+    }
+
+    fn holds(&self, txn: TxnId, obj: ObjId, mode: Mode) -> bool {
+        let held = self.locks.get(&obj).and_then(|(h, _)| h.get(&txn));
+        held.is_some_and(|h| *h == Mode::Exclusive || mode == Mode::Shared)
+    }
+
+    fn holder_counts(&self) -> BTreeMap<ObjId, usize> {
+        self.locks.iter().map(|(o, (h, _))| (*o, h.len())).collect()
+    }
+}
+
+/// How often a script made a lock's holders go from one to several, from
+/// several back to one, and a shared holder's upgrade wait behind a
+/// co-holder.
+#[derive(Default, Debug)]
+struct LockCoverage {
+    spills: u32,
+    folds: u32,
+    blocked_upgrades: u32,
+}
+
+/// Runs `script` on a `LockManager` and on the model, requiring every
+/// answer and the number of active objects to agree at each step.
+fn check_locks(script: &[LockStep]) -> LockCoverage {
+    let (mut lm, mut model) = (LockManager::new(), LockModel::default());
+    let mut cov = LockCoverage::default();
+    let mut before = BTreeMap::new();
+    for (i, &step) in script.iter().enumerate() {
+        match step {
+            LockStep::Acquire(t, o, m) => {
+                let (want, blocked_upgrade) = model.acquire(t, o, m);
+                assert_eq!(
+                    lm.acquire(t, o, m),
+                    want,
+                    "step {i}: {step:?} of {script:?}"
+                );
+                cov.blocked_upgrades += u32::from(blocked_upgrade);
+            }
+            LockStep::ReleaseAll(t) => {
+                let want = model.release_all(t);
+                assert_eq!(lm.release_all(t), want, "step {i}: {step:?} of {script:?}");
+            }
+            LockStep::Holds(t, o, m) => {
+                let want = model.holds(t, o, m);
+                assert_eq!(lm.holds(t, o, m), want, "step {i}: {step:?} of {script:?}");
+            }
+        }
+        assert_eq!(
+            lm.active_objects(),
+            model.locks.len(),
+            "step {i} of {script:?}"
+        );
+        let after = model.holder_counts();
+        for (o, &n) in &after {
+            let was = before.get(o).copied().unwrap_or(0);
+            cov.spills += u32::from(was == 1 && n > 1);
+            cov.folds += u32::from(was > 1 && n == 1);
+        }
+        before = after;
+    }
+    cov
+}
+
+proptest! {
+    /// The lock table answers every acquire, release and query as the
+    /// map-of-maps model does: the same grants, the same blocker, the same
+    /// transactions granted by a release in the same order, and the same
+    /// objects left active.
+    #[test]
+    fn lock_manager_matches_its_model(script in lock_script()) {
+        check_locks(&script);
+    }
+}
+
+/// The scripts `lock_manager_matches_its_model` draws from do reach the
+/// paths its model exists for: a lone holder joined by others and left
+/// alone again, and a shared holder's upgrade blocked by a co-holder.
+#[test]
+fn lock_scripts_reach_the_spill_the_fold_and_the_blocked_upgrade() {
+    let mut rng =
+        TestRng::for_test("lock_scripts_reach_the_spill_the_fold_and_the_blocked_upgrade");
+    let strategy = lock_script();
+    let mut total = LockCoverage::default();
+    for _ in 0..96 {
+        let cov = check_locks(&strategy.generate(&mut rng));
+        total.spills += cov.spills;
+        total.folds += cov.folds;
+        total.blocked_upgrades += cov.blocked_upgrades;
+    }
+    assert!(
+        total.spills > 0 && total.folds > 0 && total.blocked_upgrades > 0,
+        "{total:?}"
+    );
 }

@@ -131,12 +131,28 @@ impl Internalize for Bytes {
     }
 }
 
-impl<T: Externalize> Externalize for Vec<T> {
+/// A SEQUENCE, as `Vec<T>` externalizes: a borrowed sequence encodes
+/// without being copied into a vector first.
+impl<T: Externalize> Externalize for [T] {
     fn externalize(&self, w: &mut Writer) {
         w.put_seq_len(self.len());
         for item in self {
             item.externalize(w);
         }
+    }
+}
+
+impl<T: Externalize> Externalize for Vec<T> {
+    fn externalize(&self, w: &mut Writer) {
+        self.as_slice().externalize(w);
+    }
+}
+
+/// A reference externalizes as what it refers to, so a tuple or record
+/// may borrow its fields.
+impl<T: Externalize + ?Sized> Externalize for &T {
+    fn externalize(&self, w: &mut Writer) {
+        (**self).externalize(w);
     }
 }
 
@@ -257,6 +273,16 @@ mod tests {
         round_trip(Some(42u32));
         round_trip(Option::<u32>::None);
         round_trip((1u16, String::from("x"), false));
+    }
+
+    #[test]
+    fn borrowed_sequences_encode_as_vectors() {
+        let v = vec![(1u16, 2u64), (3, 4)];
+        assert_eq!(to_bytes(v.as_slice()), to_bytes(&v));
+        assert_eq!(
+            to_bytes(&(7u32, v.as_slice())),
+            to_bytes(&(7u32, v.clone()))
+        );
     }
 
     #[test]

@@ -471,7 +471,7 @@ impl Service for CallBackService {
             target: TroupeTarget::Caller,
             module: CALLBACK_MODULE,
             proc: PROC_ECHO,
-            args: args.to_vec(),
+            args: args.into(),
             collation: CollationPolicy::Unanimous,
             solo: false,
         })

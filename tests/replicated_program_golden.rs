@@ -64,7 +64,7 @@ impl Service for Middle {
             target: TroupeTarget::Troupe(self.leaf.clone()),
             module: WORK,
             proc: 0,
-            args: args.to_vec(),
+            args: args.into(),
             collation: CollationPolicy::Unanimous,
             solo: false,
         })
@@ -82,7 +82,7 @@ impl Service for Middle {
                     target: TroupeTarget::Caller,
                     module: READY,
                     proc: 0,
-                    args: b"ready?".to_vec(),
+                    args: b"ready?".into(),
                     collation: CollationPolicy::Unanimous,
                     solo: false,
                 })
