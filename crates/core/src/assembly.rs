@@ -17,6 +17,7 @@ use crate::collate::{CollateError, Collation, Decision, Slots};
 use crate::message::{Arrival, CallKey, CallMessage};
 use crate::netio::NetIo;
 use obs::SpanId;
+use pairedmsg::Framed;
 use simnet::{Duration, Payload, SockAddr, Time};
 
 /// Where an open assembly stands.
@@ -81,7 +82,7 @@ struct DoneCall {
     /// Encoded `ReturnMessage`, buffered for client members whose call
     /// messages arrive after execution ("execution of the procedure thus
     /// appears instantaneous to the slow client troupe members", §4.3.4).
-    reply: Payload,
+    reply: Framed,
     at: Time,
     /// Invoke span the buffered reply is attributed to.
     span: u64,
@@ -169,7 +170,7 @@ impl Assemblies {
 
     /// The return of an already-answered call, ready and waiting for a
     /// slow member (§4.3.4), with the span it is attributed to.
-    pub(crate) fn buffered(&self, key: &CallKey) -> Option<(Payload, u64)> {
+    pub(crate) fn buffered(&self, key: &CallKey) -> Option<(Framed, u64)> {
         self.done.get(key).map(|d| (d.reply.clone(), d.span))
     }
 
@@ -306,15 +307,16 @@ impl Assemblies {
     /// are grouped by the call number each called on, one `send` per
     /// group, so a group of two or more can share one multicast (§4.3.3).
     /// In the fault-free case every member called on the same number and
-    /// the group is the whole troupe, which is sent as it stands — and,
-    /// when nobody is left to keep it for, is handed `reply` itself: the
-    /// only handle, so its first segment goes out from its own buffer.
+    /// the group is the whole troupe, which is sent as it stands. Each
+    /// `send` is handed `reply` itself, the only handle at first, so the
+    /// first group's datagrams are windows of its buffer; it leaves
+    /// `reply` a handle for the next group and for keeping.
     pub(crate) fn close(
         &mut self,
         key: &CallKey,
-        reply: Payload,
+        mut reply: Framed,
         now: Time,
-        mut send: impl FnMut(&[SockAddr], u32, u64, Payload),
+        mut send: impl FnMut(&[SockAddr], u32, u64, &mut Framed),
     ) {
         let Some(p) = self.pending.remove(key) else {
             return;
@@ -323,10 +325,9 @@ impl Assemblies {
         self.by_invocation.remove(&p.invocation);
         let span = p.invoke_span.raw();
         let members = p.client_members.as_slice();
-        let kept = p.responders.contains(&None).then(|| reply.clone());
         match p.responders.split_first() {
             Some((&Some(cn), rest)) if rest.iter().all(|&r| r == Some(cn)) => {
-                send(members, cn, span, reply);
+                send(members, cn, span, &mut reply);
             }
             _ => {
                 let heard = members.iter().zip(&p.responders);
@@ -336,11 +337,11 @@ impl Assemblies {
                 heard.sort_by_key(|&(cn, _)| cn);
                 for group in heard.chunk_by(|a, b| a.0 == b.0) {
                     let tos: Vec<SockAddr> = group.iter().map(|&(_, to)| to).collect();
-                    send(&tos, group[0].0, span, reply.clone());
+                    send(&tos, group[0].0, span, &mut reply);
                 }
             }
         }
-        if let Some(reply) = kept {
+        if p.responders.contains(&None) {
             let at = now;
             self.done.insert(*key, DoneCall { reply, at, span });
         }
@@ -510,7 +511,7 @@ mod tests {
             }
             let key = key.expect("a call message");
             let mut sends = Vec::new();
-            a.close(&key, Payload::empty(), Time::ZERO, |tos, cn, _, _| {
+            a.close(&key, Framed::default(), Time::ZERO, |tos, cn, _, _| {
                 sends.push((tos.to_vec(), cn));
             });
             (sends, a.buffered(&key).is_some())
@@ -552,7 +553,7 @@ mod tests {
         let (key_one, key_two) = (message(host(1), 1).1.key(), message(host(3), 2).1.key());
         assert_eq!(a.time_out(one, late), Some((key_one, true)));
         assert_eq!(a.split_calls, Some(1), "member 3, heard as 2");
-        a.close(&key_one, Payload::empty(), late, |_, _, _, _| {});
+        a.close(&key_one, Framed::default(), late, |_, _, _, _| {});
         assert_eq!(a.time_out(two, late), Some((key_two, true)));
         assert_eq!(
             a.split_calls,
@@ -579,7 +580,7 @@ mod tests {
             let execute = |a: &mut Assemblies, key: CallKey, suspend: bool| match a.execute(&io, key) {
                 Some(Ok(_)) if suspend => a.set_state(&key, PendState::Suspended),
                 Some(Ok(_)) => a.set_state(&key, PendState::AwaitingNested),
-                Some(Err(_)) => a.close(&key, Payload::empty(), late, |_, _, _, _| {}),
+                Some(Err(_)) => a.close(&key, Framed::default(), late, |_, _, _, _| {}),
                 None => {}
             };
             for (op, arg) in ops {
@@ -604,7 +605,7 @@ mod tests {
                     4 if a.suspended(a.pending.get(&key).map_or(0, |p| p.invocation)).is_some() => {
                         let unheard = a.pending[&key].responders.contains(&None);
                         let mut sent = 0;
-                        a.close(&key, Payload::empty(), late, |tos, _, _, _| sent += tos.len());
+                        a.close(&key, Framed::default(), late, |tos, _, _, _| sent += tos.len());
                         prop_assert_eq!(sent < 3, unheard);
                         prop_assert_eq!(a.buffered(&key).is_some(), unheard);
                     }
@@ -613,7 +614,7 @@ mod tests {
                 check(&a);
             }
             for key in a.keys() {
-                a.close(&key, Payload::empty(), late, |_, _, _, _| {});
+                a.close(&key, Framed::default(), late, |_, _, _, _| {});
             }
             prop_assert!(a.pending.is_empty());
             prop_assert!(a.by_serial.is_empty() && a.by_invocation.is_empty());

@@ -270,9 +270,9 @@ impl ClientCalls {
         io.charge(Syscall::GetTimeOfDay);
         io.charge(Syscall::SetITimer);
         io.charge(Syscall::SigBlock);
-        // Encode the call message once; every member's sender (and every
-        // retransmission) shares this buffer.
-        let mut bytes = encode(&msg);
+        // Encode the call message once, as its datagrams; every member's
+        // sender (and every retransmission) shares this buffer.
+        let mut bytes = encode(&config.pm, &msg);
 
         // Mint the causal span covering this call. Application calls and
         // binding lookups start new trees; a nested call made by a service
@@ -313,7 +313,7 @@ impl ClientCalls {
         let shared = (blast.len() > 1).then(|| {
             let next = |a| self.call_numbers.get(a).copied().unwrap_or(1);
             let cn = blast.iter().map(next).max().expect("addresses members");
-            conns.blast(io, MsgType::Call, cn, span, &bytes, &blast);
+            conns.blast(io, MsgType::Call, cn, span, &mut bytes, &blast);
             cn
         });
 
@@ -334,8 +334,9 @@ impl ClientCalls {
             *next = cn + 1;
             if shared.is_none() {
                 // The first member's sender takes the only handle on the
-                // call and sends its first segment from its buffer; the
-                // others share the call and copy.
+                // call and writes its headers into it; a member at the
+                // same call number shares those datagrams, one at another
+                // copies them.
                 let endpoint = conns.endpoint(addr);
                 let sent = endpoint.send_shared(now, MsgType::Call, cn, span, &mut bytes);
                 if sent.is_err() {
@@ -667,21 +668,26 @@ pub(crate) mod tests {
     }
 
     /// The zero-copy contract on the multicast path: a two-segment call
-    /// to a five-member troupe encodes each segment exactly once.
-    /// Per-member senders adopt a shared handle on the message bytes and
-    /// each encoded datagram is refcount-shared across all five
-    /// destinations — no per-destination encode, no per-destination copy.
-    /// (The encode counter only counts in debug builds.)
+    /// to a five-member troupe copies no segment. The call is encoded as
+    /// its datagrams, the cut writes both headers into its one buffer, and
+    /// each multicast datagram is a window of it, refcount-shared across
+    /// all five destinations and the members' adopted senders — no
+    /// per-destination encode, no per-destination copy. (The encode
+    /// counter only counts in debug builds.)
     #[test]
     #[cfg(debug_assertions)]
-    fn multicast_call_to_five_members_encodes_each_segment_once() {
+    fn multicast_call_to_five_members_copies_no_segment() {
         let mut r = rig();
         let before = pairedmsg::segment::encodes();
         r.unanimous(&troupe_of(5), args_of(2));
         let encoded = pairedmsg::segment::encodes() - before;
         assert_eq!(r.io.mcasts.len(), 2);
         assert_eq!(r.io.mcasts[0].0.len(), 5, "all five members addressed");
-        assert_eq!(encoded, 2, "one encode per segment, not per member");
+        assert_eq!(encoded, 0, "no segment copied, for any member");
+        let [(_, first), (_, second)] = &r.io.mcasts[..] else {
+            unreachable!("two segments")
+        };
+        assert!(first.shares_buffer_with(second), "one buffer");
     }
 
     /// Members refused admission are excluded from the multicast address
@@ -785,7 +791,7 @@ pub(crate) mod tests {
             let mut r = rig();
             let a = Troupe::new(TroupeId(9), members(1..=3));
             let b = Troupe::new(TroupeId(10), members(2..=5));
-            let ok = encode(&ReturnMessage::Normal(b"ok".to_vec()));
+            let ok = Payload::from(wire::to_bytes(&ReturnMessage::Normal(b"ok".to_vec())));
             let peer = |arg: u8| SockAddr::new(HostId(1 + u32::from(arg) % 5), 70);
             let die = |r: &mut Rig, peer| {
                 for h in r.calls.peer_dead(peer) {

@@ -4,10 +4,12 @@
 use std::collections::{BTreeMap, HashMap};
 
 use crate::census;
-use crate::message::{encode, ReturnMessage};
+use crate::message::ReturnMessage;
 use crate::netio::{make_tag, NetIo, TAG_CONN};
-use pairedmsg::{Endpoint, Event, MsgSender, MsgType, ProtocolMode, SegmentHeader, MAX_SEGMENTS};
-use simnet::{Payload, SockAddr, Syscall, Time};
+use pairedmsg::{
+    Endpoint, Event, Framed, MsgSender, MsgType, ProtocolMode, SegmentHeader, MAX_SEGMENTS,
+};
+use simnet::{SockAddr, Syscall, Time};
 
 struct Conn {
     id: u64,
@@ -155,66 +157,71 @@ impl Conns {
     /// retransmission toward a straggler, and, for a call, the implicit
     /// ack the return carries and crash-detection probing. Adopting
     /// *after* the blast starts each retransmission clock at the last
-    /// `sendmsg`, not k `sendmsg`s before it.
+    /// `sendmsg`, not k `sendmsg`s before it. The segments are cut from
+    /// `msg` itself, taken over while the caller holds it alone, so each
+    /// is a window of its buffer; `msg` is left a handle on it.
     pub(crate) fn blast(
         &mut self,
         io: &mut dyn NetIo,
         msg_type: MsgType,
         cn: u32,
         span: u64,
-        bytes: &Payload,
+        msg: &mut Framed,
         addrs: &[SockAddr],
     ) {
         // Cut off to the side: the peers' own senders differ from this
         // one in their jitter seeds only.
-        let cut = MsgSender::new(io.now(), &self.pm, msg_type, cn, span, bytes.clone())
+        let mut cut = MsgSender::new(io.now(), &self.pm, msg_type, cn, span, std::mem::take(msg))
             .expect("the caller counted the segments");
         match msg_type {
             MsgType::Call => self.mcast_calls += 1,
             MsgType::Return => self.mcast_returns += 1,
         }
         self.mcast_segments += u64::from(cut.total());
-        for number in 1..=cut.total() {
-            io.multicast_spanned(addrs, cut.datagram(number, false), span);
+        for datagram in cut.initial_datagrams() {
+            io.multicast_spanned(addrs, datagram, span);
         }
+        *msg = cut.framed().clone();
         let now = io.now();
         for &addr in addrs {
             let endpoint = self.endpoint(addr);
-            let adopted = endpoint.adopt(now, msg_type, cn, span, bytes.clone());
+            let adopted = endpoint.adopt(now, msg_type, cn, span, msg.clone());
             adopted.expect("the cut above fitted");
         }
     }
 
     /// Sends a return message to the peers at `tos`, on call number `cn`
     /// of each connection: once for all by [`Conns::blast`] when there are
-    /// two or more and the reply can be shared, else queued per peer. A
-    /// `reply` handed over as its only handle is sent to its first peer
-    /// from its own buffer (`Endpoint::send_shared`).
+    /// two or more and the reply can be shared, else queued per peer.
+    /// `reply` is taken over while the caller holds it alone, so its
+    /// datagrams are windows of it, and left a handle on it
+    /// (`Endpoint::send_shared`).
     pub(crate) fn send_return(
         &mut self,
         io: &mut dyn NetIo,
         tos: &[SockAddr],
         cn: u32,
         span: u64,
-        mut reply: Payload,
+        reply: &mut Framed,
     ) {
         if tos.len() > 1 && self.shareable(reply.len(), true) {
-            return self.blast(io, MsgType::Return, cn, span, &reply, tos);
+            return self.blast(io, MsgType::Return, cn, span, reply, tos);
         }
         for &to in tos {
-            self.queue_return(io.now(), to, cn, span, &mut reply);
+            self.queue_return(io.now(), to, cn, span, reply);
         }
     }
 
     /// Queues a return message on call number `cn` of the connection to
     /// `to`, leaving `reply` a handle on it for the next peer.
-    fn queue_return(&mut self, now: Time, to: SockAddr, cn: u32, span: u64, reply: &mut Payload) {
+    fn queue_return(&mut self, now: Time, to: SockAddr, cn: u32, span: u64, reply: &mut Framed) {
         let endpoint = self.endpoint(to);
         if let Err(too_long) = endpoint.send_shared(now, MsgType::Return, cn, span, reply) {
             // Silence would hang the caller for ever: its call was
             // acknowledged and this member keeps answering its probes. A
             // reply the protocol cannot carry is the procedure's error.
-            let error = encode(&ReturnMessage::Error(format!("reply not sent: {too_long}")));
+            let error =
+                wire::to_bytes(&ReturnMessage::Error(format!("reply not sent: {too_long}")));
             // A few dozen bytes: this fits whatever a call fitted in.
             let _ = endpoint.send(now, MsgType::Return, cn, span, error);
         }

@@ -12,18 +12,17 @@
 
 use crate::addr::TroupeId;
 use crate::thread::ThreadId;
+use pairedmsg::Framed;
 use simnet::{Payload, SockAddr};
 use wire::{Externalize, Internalize, Reader, WireError, Writer};
 
-/// Externalizes a message into its one allocation: the `Payload` every
-/// sender, retransmission and buffered copy of it then shares. Room for a
-/// segment header is left in front, so a sender that gets the only handle
-/// sends its first segment from this buffer too (`pairedmsg::MsgSender`).
-pub(crate) fn encode(msg: &impl Externalize) -> Payload {
-    wire::encode_with(msg, |bytes| {
-        let fill = |out: &mut [u8]| out.copy_from_slice(bytes);
-        Payload::build_with_headroom(pairedmsg::HEADER_LEN, bytes.len(), fill)
-    })
+/// Externalizes a message into its one allocation, laid out as its
+/// datagrams under the node's paired-message configuration `pm`
+/// (`pairedmsg::Config::frame`): the buffer every sender, retransmission
+/// and buffered copy of it then shares, and every first transmission of
+/// it is a window of.
+pub(crate) fn encode(pm: &pairedmsg::Config, msg: &impl Externalize) -> Framed {
+    wire::encode_with(msg, |bytes| pm.frame(bytes))
 }
 
 /// Groups the call messages of one replicated call: "two or more call

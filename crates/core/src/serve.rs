@@ -17,6 +17,7 @@ use crate::collate::{Collation, CollationPolicy};
 use crate::message::{encode, Arrival, CallKey, CallMessage, ReturnMessage};
 use crate::netio::{make_tag, NetIo, TAG_PENDING};
 use crate::service::{self, CallError, NodeEffect, OutCall, ServiceCtx, Step, TroupeTarget};
+use pairedmsg::Framed;
 use simnet::{Payload, SockAddr, Syscall};
 
 thread_local! {
@@ -28,8 +29,8 @@ thread_local! {
 }
 
 impl Node {
-    fn reply(&mut self, io: &mut dyn NetIo, at: &Arrival, reply: Payload) {
-        (self.conns).send_return(io, &[at.from], at.pm_cn, at.span, reply);
+    fn reply(&mut self, io: &mut dyn NetIo, at: &Arrival, mut reply: Framed) {
+        (self.conns).send_return(io, &[at.from], at.pm_cn, at.span, &mut reply);
     }
 
     /// Handles a call message arriving from a client troupe member.
@@ -46,7 +47,7 @@ impl Node {
         // troupe ID must be rejected so stale client caches are detected.
         if msg.server_troupe != self.my_troupe && msg.server_troupe != TroupeId::UNREGISTERED {
             io.metrics().add("adv.rejected", 1);
-            let reply = encode(&ReturnMessage::WrongTroupe(self.my_troupe));
+            let reply = encode(&self.config.pm, &ReturnMessage::WrongTroupe(self.my_troupe));
             return self.reply(io, &at, reply);
         }
 
@@ -57,7 +58,7 @@ impl Node {
         }
 
         if !self.services.contains_key(&msg.module) && msg.proc < reserved_procs::RESERVED_BASE {
-            let reply = encode(&ReturnMessage::NoSuchProcedure);
+            let reply = encode(&self.config.pm, &ReturnMessage::NoSuchProcedure);
             return self.reply(io, &at, reply);
         }
 
@@ -120,7 +121,8 @@ impl Node {
                 // lookup through the binding agent).
                 let why = "caller is not a member of the calling troupe";
                 self.directory.forget(key.client_troupe);
-                return self.reply(io, &at, encode(&ReturnMessage::Error(why.into())));
+                let reply = encode(&self.config.pm, &ReturnMessage::Error(why.into()));
+                return self.reply(io, &at, reply);
             }
         }
         self.try_execute(io, key);
@@ -142,7 +144,7 @@ impl Node {
             }
             Some(Err(e)) => {
                 let why = format!("argument collation failed: {e}");
-                self.finish_pending(io, key, encode(&ReturnMessage::Error(why)));
+                self.finish_pending(io, key, encode(&self.config.pm, &ReturnMessage::Error(why)));
             }
         }
     }
@@ -172,7 +174,7 @@ impl Node {
                 Err(e) => ReturnMessage::Error(e),
             },
         };
-        self.finish_pending(io, key, encode(&reply));
+        self.finish_pending(io, key, encode(&self.config.pm, &reply));
     }
 
     /// Makes the nested call `out` on behalf of the invocation `key`.
@@ -280,13 +282,13 @@ impl Node {
     /// Sends the reply to every client member heard from — once for all
     /// of them, by multicast, where they share a call number (§4.3.3) —
     /// and buffers it for the rest (§4.3.4).
-    fn finish_pending(&mut self, io: &mut dyn NetIo, key: CallKey, reply: Payload) {
+    fn finish_pending(&mut self, io: &mut dyn NetIo, key: CallKey, reply: Framed) {
         if !self.assemblies.is_open(&key) {
             return;
         }
         io.charge(Syscall::Compute); // Externalize reply.
         let (now, conns) = (io.now(), &mut self.conns);
-        let send = |tos: &[SockAddr], cn, span, reply: Payload| {
+        let send = |tos: &[SockAddr], cn, span, reply: &mut Framed| {
             conns.send_return(io, tos, cn, span, reply);
         };
         self.assemblies.close(&key, reply, now, send);
@@ -350,7 +352,7 @@ impl Node {
     }
 
     fn fail_parked(&mut self, io: &mut dyn NetIo, troupe: TroupeId, why: &str) {
-        let reply = encode(&ReturnMessage::Error(why.to_string()));
+        let reply = encode(&self.config.pm, &ReturnMessage::Error(why.to_string()));
         for pk in self.directory.answer(troupe, None) {
             self.reply(io, &pk.at, reply.clone());
         }

@@ -3,8 +3,8 @@
 use simnet::net::ETHERNET_MTU;
 use simnet::Duration;
 
+use crate::frame::Framed;
 use crate::segment::{HEADER_LEN, MAX_SEGMENTS};
-use crate::sender::SendError;
 
 /// Which multi-segment transmission discipline to use (§4.2.5).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -132,22 +132,18 @@ impl Config {
         self.max_segment_data * MAX_SEGMENTS
     }
 
-    /// `Ok` if a message of `len` bytes fits in [`MAX_SEGMENTS`]
-    /// segments.
-    pub fn fits(&self, len: usize) -> Result<(), SendError> {
-        if self.segments_of(len) > MAX_SEGMENTS {
-            return Err(SendError::TooLong {
-                len,
-                max: self.max_message_len(),
-            });
-        }
-        Ok(())
-    }
-
     /// Segments a message of `len` bytes is cut into (an empty message
     /// still travels as one).
     pub fn segments_of(&self, len: usize) -> usize {
         len.div_ceil(self.max_segment_data.max(1)).max(1)
+    }
+
+    /// Lays `message` out as its datagrams, [`HEADER_LEN`] bytes of room
+    /// in front of each segment's data ([`Framed`]): the one copy of its
+    /// bytes that every sender, retransmission and peer then cuts windows
+    /// from. The only place a message is framed.
+    pub fn frame(&self, message: &[u8]) -> Framed {
+        Framed::new(self.max_segment_data, message)
     }
 
     /// Worst-case time from first transmission to retransmission

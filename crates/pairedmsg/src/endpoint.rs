@@ -64,6 +64,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::config::{Config, MAX_UNANSWERED_PROBES, PROBE_INTERVAL};
+use crate::frame::Framed;
 use crate::receiver::MsgReceiver;
 use crate::replay::ReplayLog;
 use crate::segment::{MsgType, Segment, SegmentError, SegmentHeader};
@@ -279,10 +280,8 @@ impl Endpoint {
     }
 
     /// Starts transmitting a message attributed to causal span `span`
-    /// (0 = none): [`Endpoint::adopt`] it, then queue its initial
-    /// segments. Handed the only handle on a message with room in front,
-    /// the first segment is written there rather than copied
-    /// ([`MsgSender`]).
+    /// (0 = none): frames it ([`Config::frame`], its one copy), then sends
+    /// that as [`Endpoint::send_shared`] does.
     pub fn send(
         &mut self,
         now: Time,
@@ -291,29 +290,32 @@ impl Endpoint {
         span: u64,
         data: impl Into<Payload>,
     ) -> Result<(), SendError> {
-        self.send_shared(now, msg_type, call_number, span, &mut data.into())
+        let mut framed = self.config.frame(&data.into());
+        self.send_shared(now, msg_type, call_number, span, &mut framed)
     }
 
-    /// [`Endpoint::send`] of a message other peers are sent as well:
-    /// `msg` is left a handle on it for the next. Sent to the first of
-    /// them while the caller holds it alone, it is taken over, its first
-    /// segment written in front of it; the others share it and copy. A
-    /// message too long to send is left as it was.
+    /// Starts transmitting a framed message, which other peers may be sent
+    /// as well: [`Endpoint::adopt`] it, then queue its initial segments.
+    /// `msg` is left a handle on it for the next peer. Handed over while
+    /// the caller holds it alone, its initial headers are written into
+    /// its rooms and every first transmission is a window of it; a peer
+    /// sent it later at the same call number finds them there and shares
+    /// those datagrams; one at another call number copies them
+    /// ([`MsgSender`]). A message too long to send is left as it was.
     pub fn send_shared(
         &mut self,
         now: Time,
         msg_type: MsgType,
         call_number: u32,
         span: u64,
-        msg: &mut Payload,
+        msg: &mut Framed,
     ) -> Result<(), SendError> {
         if self.dead {
             return Ok(());
         }
-        self.config.fits(msg.len())?;
-        let taken = std::mem::take(msg);
-        let mut sender = self.sender(now, msg_type, call_number, span, taken)?;
-        *msg = sender.message();
+        msg.fits()?;
+        let mut sender = self.sender(now, msg_type, call_number, span, std::mem::take(msg))?;
+        *msg = sender.framed().clone();
         self.out.extend(sender.initial_datagrams());
         self.track(sender);
         Ok(())
@@ -338,10 +340,10 @@ impl Endpoint {
         msg_type: MsgType,
         call_number: u32,
         span: u64,
-        data: impl Into<Payload>,
+        data: Framed,
     ) -> Result<(), SendError> {
         if !self.dead {
-            let sender = self.sender(now, msg_type, call_number, span, data.into())?;
+            let sender = self.sender(now, msg_type, call_number, span, data)?;
             self.track(sender);
         }
         Ok(())
@@ -358,7 +360,7 @@ impl Endpoint {
         msg_type: MsgType,
         call_number: u32,
         span: u64,
-        data: Payload,
+        data: Framed,
     ) -> Result<MsgSender, SendError> {
         let mut sender = MsgSender::new(now, &self.config, msg_type, call_number, span, data)?;
         sender.mark_transmitted();
@@ -529,7 +531,7 @@ impl Endpoint {
     /// call is noted on its record.
     fn answer_please_ack(&mut self, h: SegmentHeader, total: u8) {
         if h.msg_type == MsgType::Call {
-            let held = self.senders.get(&(MsgType::Return, h.call_number));
+            let held = self.senders.get_mut(&(MsgType::Return, h.call_number));
             if let Some(ret) = held.filter(|s| s.held()) {
                 self.out.push_back(ret.datagram(1, false));
                 self.stats.retransmits += 1;

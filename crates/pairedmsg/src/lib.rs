@@ -9,6 +9,8 @@
 //!
 //! - messages are carried in segments with the header of Figure 4.2 —
 //!   its 8 bytes plus an 8-byte causal span id, 16 in all ([`segment`]);
+//!   a message is laid out as its datagrams once, with room for each
+//!   header, and every first transmission is a window of it ([`frame`]);
 //! - a segment is as large as the wire allows and no larger: by default
 //!   1,484 data bytes, the 1,500-byte Ethernet MTU less those 16, so a
 //!   full segment is exactly one frame. Table 4.2 charges per datagram
@@ -56,6 +58,7 @@
 
 pub mod config;
 pub mod endpoint;
+pub mod frame;
 pub mod receiver;
 pub mod replay;
 pub mod segment;
@@ -63,6 +66,7 @@ pub mod sender;
 
 pub use config::{Config, ProtocolMode};
 pub use endpoint::{Endpoint, EndpointStats, Event};
+pub use frame::Framed;
 pub use receiver::{MsgReceiver, RecvActions};
 pub use replay::ReplayLog;
 pub use segment::{MsgType, Segment, SegmentError, SegmentHeader, HEADER_LEN, MAX_SEGMENTS};

@@ -7,8 +7,28 @@
 //! gap, an immediate acknowledgment prompts the sender to retransmit the
 //! first lost segment (§4.2.4).
 
+use std::cell::RefCell;
+
 use crate::segment::{MsgType, Segment};
 use simnet::Payload;
+
+/// The most slots (512 bytes) of a receiver's vector kept for a later
+/// one: a message of up to 16 segments, 23 KiB at the default grain, is
+/// assembled in a vector an earlier one left.
+const SPARE_SLOTS: usize = 16;
+
+/// The most such vectors kept: as many multi-segment messages as a
+/// thread assembles at once (the members of a troupe a bulk call was
+/// multicast to, its returns at the caller) take no vector of their own.
+const SPARE_VECTORS: usize = 8;
+
+thread_local! {
+    /// Emptied slot vectors of receivers this thread dropped, for the
+    /// next to take: a buffer, not state (nothing reads what they held),
+    /// of at most [`SPARE_VECTORS`] × [`SPARE_SLOTS`] slots, 4 KiB. A
+    /// hostile 255-segment message leaves nothing behind.
+    static SPARE: RefCell<Vec<Vec<Option<Payload>>>> = const { RefCell::new(Vec::new()) };
+}
 
 /// What the receiver wants done after absorbing a segment.
 #[derive(Debug, Default, PartialEq, Eq)]
@@ -30,17 +50,23 @@ pub struct MsgReceiver {
     slots: Vec<Option<Payload>>,
     /// Highest consecutive segment number received.
     ack_number: u8,
+    /// Segments received, the consecutive prefix included.
+    received: u8,
 }
 
 impl MsgReceiver {
-    /// Starts assembling the message that `first` belongs to.
+    /// Starts assembling the message that `first` belongs to, in a slot
+    /// vector a receiver dropped on this thread left, if there is one.
     pub fn new(first: &Segment) -> MsgReceiver {
+        let mut slots = SPARE.with_borrow_mut(Vec::pop).unwrap_or_default();
+        slots.resize(usize::from(first.header.total), None);
         MsgReceiver {
             msg_type: first.header.msg_type,
             call_number: first.header.call_number,
             total: first.header.total,
-            slots: vec![None; first.header.total as usize],
+            slots,
             ack_number: 0,
+            received: 0,
         }
     }
 
@@ -63,10 +89,7 @@ impl MsgReceiver {
     /// out-of-order buffering the PARC discipline bounds to zero
     /// (§4.2.5).
     pub fn buffered_out_of_order(&self) -> usize {
-        self.slots[self.ack_number as usize..]
-            .iter()
-            .filter(|s| s.is_some())
-            .count()
+        usize::from(self.received - self.ack_number)
     }
 
     /// Absorbs one data segment of this message.
@@ -90,6 +113,7 @@ impl MsgReceiver {
         let was_complete = self.complete();
         if self.slots[idx].is_none() {
             self.slots[idx] = Some(seg.data.clone());
+            self.received += 1;
             // Advance the ack number over any newly-filled prefix.
             while (self.ack_number as usize) < self.slots.len()
                 && self.slots[self.ack_number as usize].is_some()
@@ -123,25 +147,44 @@ impl MsgReceiver {
     ///
     /// Panics if the message is not complete; callers must check
     /// [`MsgReceiver::complete`] first.
-    pub fn assemble(mut self) -> Payload {
+    pub fn assemble(self) -> Payload {
         assert!(self.complete(), "assembling an incomplete message");
-        if self.slots.len() == 1 {
-            return self.slots[0]
-                .take()
-                .expect("complete message has all slots");
+        fn part(slot: &Option<Payload>) -> &Payload {
+            slot.as_ref().expect("complete message has all slots")
         }
-        fn part(slot: &Option<Payload>) -> &[u8] {
-            slot.as_deref().expect("complete message has all slots")
-        }
-        let len = self.slots.iter().map(|s| part(s).len()).sum();
-        Payload::build(len, |out| {
-            let mut at = 0;
-            for slot in &self.slots {
-                let bytes = part(slot);
-                out[at..at + bytes.len()].copy_from_slice(bytes);
-                at += bytes.len();
+        match self.slots.as_slice() {
+            [only] => part(only).clone(),
+            slots => {
+                let len = slots.iter().map(|s| part(s).len()).sum();
+                Payload::build(len, |out| {
+                    let mut at = 0;
+                    for slot in slots {
+                        let bytes = part(slot);
+                        out[at..at + bytes.len()].copy_from_slice(bytes);
+                        at += bytes.len();
+                    }
+                })
             }
-        })
+        }
+    }
+}
+
+/// Leaves the slot vector, emptied, for a later receiver on this thread,
+/// within the bounds of [`SPARE`].
+impl Drop for MsgReceiver {
+    fn drop(&mut self) {
+        if self.slots.capacity() > SPARE_SLOTS {
+            return;
+        }
+        // `try_with`: a receiver dropped while the thread exits keeps its
+        // vector rather than panic in `drop`.
+        let _ = SPARE.try_with(|spare| {
+            let mut spare = spare.borrow_mut();
+            if spare.len() < SPARE_VECTORS {
+                self.slots.clear();
+                spare.push(std::mem::take(&mut self.slots));
+            }
+        });
     }
 }
 
@@ -240,5 +283,43 @@ mod tests {
         let bad = Segment::data(MsgType::Call, 7, 0, 3, 3, false, b"zz".to_vec());
         let a = r.on_segment(&bad);
         assert_eq!(a, RecvActions::default());
+    }
+
+    /// Out-of-order buffering is counted as segments arrive: the
+    /// segments held past the consecutive prefix, duplicates once.
+    #[test]
+    fn buffered_out_of_order_counts_the_segments_past_the_prefix() {
+        let mut r = MsgReceiver::new(&seg(1, 5, false, b""));
+        for (n, buffered) in [(3, 1), (5, 2), (3, 2), (1, 2), (2, 1), (4, 0)] {
+            r.on_segment(&seg(n, 5, false, b"x"));
+            assert_eq!(r.buffered_out_of_order(), buffered, "after {n}");
+        }
+        assert!(r.complete());
+    }
+
+    /// A receiver leaves its slot vector, emptied, to a later one on its
+    /// thread, within the bounds: `SPARE_VECTORS` of `SPARE_SLOTS` slots.
+    #[test]
+    fn a_dropped_receiver_leaves_its_slot_vector_to_the_next() {
+        let mut r = MsgReceiver::new(&seg(1, 6, false, b""));
+        for n in 1..=6 {
+            r.on_segment(&seg(n, 6, false, b"ab"));
+        }
+        let buffer = r.slots.as_ptr();
+        assert_eq!(r.assemble(), b"abababababab");
+        let r = MsgReceiver::new(&seg(1, 5, false, b""));
+        assert_eq!(
+            (r.slots.len(), r.slots.as_ptr()),
+            (5, buffer),
+            "the same vector"
+        );
+        drop(r);
+        drop(MsgReceiver::new(&seg(1, 255, false, b"")));
+        assert!(SPARE.with_borrow(Vec::is_empty), "255 slots are not kept");
+        let open: Vec<MsgReceiver> = (0..10)
+            .map(|_| MsgReceiver::new(&seg(1, 2, false, b"")))
+            .collect();
+        drop(open);
+        assert_eq!(SPARE.with_borrow(Vec::len), SPARE_VECTORS);
     }
 }

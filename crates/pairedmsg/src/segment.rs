@@ -30,10 +30,11 @@ thread_local! {
     static ENCODES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Number of datagrams this thread has built so far, by
-/// [`Segment::encode`] or [`SegmentHeader::prepend_to`] (debug builds
-/// only; always 0 in release). Lets tests pin the zero-copy contract, e.g.
-/// "a 5-member multicast performs exactly one encode per segment".
+/// Number of datagrams this thread has copied together so far, by
+/// [`Segment::encode`] (debug builds only; always 0 in release). A
+/// datagram cut from a framed message ([`crate::Framed`]) is a window,
+/// not a copy, and does not count. Lets tests pin the zero-copy contract,
+/// e.g. "a 5-member multicast copies no segment".
 pub fn encodes() -> u64 {
     #[cfg(debug_assertions)]
     {
@@ -113,8 +114,8 @@ pub struct SegmentHeader {
 }
 
 impl SegmentHeader {
-    /// Writes the header's 16 bytes into `out`.
-    fn write(&self, out: &mut [u8]) {
+    /// The header's 16 bytes, as they go on the wire.
+    pub(crate) fn to_bytes(self) -> [u8; HEADER_LEN] {
         let mut bits = 0u8;
         if self.please_ack {
             bits |= PLEASE_ACK;
@@ -125,28 +126,14 @@ impl SegmentHeader {
         if self.probe {
             bits |= PROBE;
         }
+        let mut out = [0; HEADER_LEN];
         out[0] = self.msg_type.to_byte();
         out[1] = bits;
         out[2] = self.total;
         out[3] = self.number;
         out[4..8].copy_from_slice(&self.call_number.to_be_bytes());
-        out[8..HEADER_LEN].copy_from_slice(&self.span.to_be_bytes());
-    }
-
-    /// Builds the datagram of this header and the front of `message` in
-    /// the message's own buffer: writes the header into the
-    /// [`HEADER_LEN`] bytes reserved in front of it
-    /// ([`Payload::build_with_headroom`]), if `message` is the only handle
-    /// on that buffer, and widens `message` over them. `false` (and
-    /// `message` unchanged) otherwise: the datagram is then built by
-    /// [`Segment::encode`]. A datagram built here counts in [`encodes`]
-    /// as one `encode` builds does.
-    pub fn prepend_to(&self, message: &mut Payload) -> bool {
-        let written = message.prepend(HEADER_LEN, |out| self.write(out));
-        if written {
-            count_encode();
-        }
-        written
+        out[8..].copy_from_slice(&self.span.to_be_bytes());
+        out
     }
 
     /// Decodes the header at the front of a datagram, checking it as
@@ -306,13 +293,14 @@ impl Segment {
     /// Encodes the segment as a datagram payload, copying header and data
     /// into the datagram's one buffer (none for up to
     /// [`Payload::INLINE`] bytes: acks, probes); every hop, duplicate and
-    /// multicast destination afterwards shares it. The other way a
-    /// datagram is built is [`SegmentHeader::prepend_to`], which writes a
-    /// message's first header in front of it instead.
+    /// multicast destination afterwards shares it. A message's data
+    /// segments are cut from its framed form instead ([`crate::Framed`]),
+    /// and copied here only when the header they need is not the one in
+    /// their room.
     pub fn encode(&self) -> Payload {
         count_encode();
         Payload::build(HEADER_LEN + self.data.len(), |out| {
-            self.header.write(&mut out[..HEADER_LEN]);
+            out[..HEADER_LEN].copy_from_slice(&self.header.to_bytes());
             out[HEADER_LEN..].copy_from_slice(&self.data);
         })
     }
@@ -409,28 +397,6 @@ mod tests {
             assert_eq!(back, s);
             assert!(back.data.is_empty() || back.data.shares_buffer_with(&wire));
         }
-    }
-
-    /// A header written in front of a message makes the datagram
-    /// `encode` would copy together, in the message's own buffer; a
-    /// message another handle shares, or one with no room, is left alone.
-    #[test]
-    fn prepended_header_makes_the_encoded_datagram() {
-        let message = || Payload::build_with_headroom(HEADER_LEN, 40, |out| out.fill(3));
-        let seg = Segment::data(MsgType::Return, 9, 5, 1, 1, false, message());
-        let mut msg = message();
-        let before = encodes();
-        assert!(seg.header.prepend_to(&mut msg));
-        assert_eq!(encodes(), before + u64::from(cfg!(debug_assertions)));
-        assert_eq!(msg, seg.encode());
-
-        let mut shared = message();
-        let kept = shared.clone();
-        assert!(!seg.header.prepend_to(&mut shared));
-        assert_eq!(shared, kept);
-        let mut roomless = Payload::from(vec![3u8; 40]);
-        assert!(!seg.header.prepend_to(&mut roomless));
-        assert_eq!(roomless.len(), 40);
     }
 
     #[test]

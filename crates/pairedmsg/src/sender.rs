@@ -10,20 +10,21 @@
 //!
 //! Acknowledgment numbers are cumulative, so the queue of unacknowledged
 //! segments is always the suffix `acked + 1 ..= total`: the sender keeps
-//! one counter and the message buffer, and cuts each segment as a window
-//! of that buffer when it is (re)transmitted — it owns no per-segment
-//! state.
+//! one counter and the message in its framed layout ([`Framed`]), and
+//! owns no per-segment state.
 //!
-//! A sender made from the only handle on a message encoded with room in
-//! front (`circus`'s encoder leaves [`HEADER_LEN`] bytes) writes its
-//! first segment's header there: that datagram is the front of the
-//! message's own buffer, and costs no allocation. Every other datagram —
-//! a later segment, a retransmission (*please ack* set), a copy of a
-//! message that other peers' senders share — is built by
-//! [`Segment::encode`], one allocation each past 30 bytes.
+//! A sender made from the only handle on the message writes every
+//! segment's initial header into its room at once, so each first
+//! transmission is a window of the message's buffer and costs no
+//! allocation. A sender that shares the message takes the same windows
+//! wherever the rooms already hold its headers: every peer sent it at
+//! one call number. Only a datagram whose header differs — a
+//! retransmission (*please ack* set), a peer at another call number — is
+//! built by [`Segment::encode`], one allocation each past 30 bytes.
 
 use crate::config::{backed_off_interval, Config, ProtocolMode, RETRANSMIT_INTERVAL};
-use crate::segment::{MsgType, Segment, SegmentHeader, HEADER_LEN};
+use crate::frame::Framed;
+use crate::segment::{MsgType, Segment, SegmentHeader};
 use simnet::{Duration, Payload, Time};
 
 /// Why a message could not be sent.
@@ -56,13 +57,8 @@ pub struct MsgSender {
     msg_type: MsgType,
     call_number: u32,
     span: u64,
-    /// The whole message, after segment 1's header if `headed`: segment
-    /// `n` is the `n`-th `chunk`-byte window past that header.
-    data: Payload,
-    /// `data` begins with segment 1's header, written in front of the
-    /// message in its own buffer (module docs).
-    headed: bool,
-    chunk: usize,
+    /// The whole message, laid out as its datagrams.
+    data: Framed,
     total: u8,
     /// Highest segment number acknowledged so far.
     acked: u8,
@@ -93,30 +89,27 @@ pub enum SenderTick {
 }
 
 impl MsgSender {
-    /// Segments `data` and queues every segment. `initial_datagrams`
-    /// returns the first transmission.
-    /// `span` is the causal span id stamped into every segment of the
-    /// message (0 = none).
+    /// Takes over the framed message `data` and queues every segment,
+    /// each one's initial header written into its room if `data` is the
+    /// only handle (module docs). `initial_datagrams` returns the first
+    /// transmission. `span` is the causal span id stamped into every
+    /// segment of the message (0 = none).
     pub fn new(
         now: Time,
         config: &Config,
         msg_type: MsgType,
         call_number: u32,
         span: u64,
-        data: impl Into<Payload>,
+        data: Framed,
     ) -> Result<MsgSender, SendError> {
-        let data = data.into();
-        config.fits(data.len())?;
-        let chunk = config.max_segment_data.max(1);
-        let n_segments = config.segments_of(data.len());
+        data.fits()?;
+        let total = data.total();
         let mut sender = MsgSender {
             msg_type,
             call_number,
             span,
             data,
-            headed: false,
-            chunk,
-            total: n_segments as u8,
+            total: total as u8,
             acked: 0,
             next_retransmit: Some(now + RETRANSMIT_INTERVAL),
             jitter_permille: config.jitter_permille,
@@ -126,30 +119,21 @@ impl MsgSender {
             mode: config.mode,
             sent_through: 0,
         };
-        let header = sender.header(1, sender.initial_please_ack(1));
-        sender.headed = header.prepend_to(&mut sender.data);
-        Ok(sender)
-    }
-
-    /// Bytes of `data` in front of the message: segment 1's header, if
-    /// written there.
-    fn head(&self) -> usize {
-        if self.headed {
-            HEADER_LEN
-        } else {
-            0
+        // Every room at once, while no window of the buffer is out yet.
+        for number in 1..=sender.total {
+            let header = sender.header(number, sender.initial_please_ack(number));
+            sender.data.put_header(header);
         }
+        Ok(sender)
     }
 
     /// Segment `number` (1-based, `<= total`) of the message. Its data is
     /// a zero-copy window into the one message buffer.
     pub fn segment(&self, number: u8, please_ack: bool) -> Segment {
         debug_assert!((1..=self.total).contains(&number));
-        let start = self.head() + (number as usize - 1) * self.chunk;
-        let end = (start + self.chunk).min(self.data.len());
         Segment {
             header: self.header(number, please_ack),
-            data: self.data.slice(start..end),
+            data: self.data.data(number),
         }
     }
 
@@ -166,19 +150,20 @@ impl MsgSender {
         }
     }
 
-    /// Segment `number` as a datagram: the one written in front of the
-    /// message if it is that segment with those bits, else a fresh encode.
-    pub fn datagram(&self, number: u8, please_ack: bool) -> Payload {
-        if self.headed && number == 1 && please_ack == self.initial_please_ack(1) {
-            let end = (HEADER_LEN + self.chunk).min(self.data.len());
-            return self.data.slice(0..end);
+    /// Segment `number` as a datagram: a window of the message's buffer
+    /// if its room holds this header or may be written (module docs),
+    /// else a fresh encode.
+    pub fn datagram(&mut self, number: u8, please_ack: bool) -> Payload {
+        let header = self.header(number, please_ack);
+        if self.data.put_header(header) {
+            return self.data.window(number);
         }
         self.segment(number, please_ack).encode()
     }
 
-    /// The message being sent.
-    pub fn message(&self) -> Payload {
-        self.data.slice(self.head()..self.data.len())
+    /// The message being sent, framed: a handle on its buffer.
+    pub fn framed(&self) -> &Framed {
+        &self.data
     }
 
     /// How many segments the message was cut into.
@@ -228,7 +213,10 @@ impl MsgSender {
     pub fn initial_datagrams(&mut self) -> impl Iterator<Item = Payload> + '_ {
         let parc = self.mode == ProtocolMode::Parc;
         self.sent_through = if parc { 1 } else { self.total };
-        (1..=self.sent_through).map(move |n| self.datagram(n, self.initial_please_ack(n)))
+        (1..=self.sent_through).map(move |n| {
+            let please_ack = self.initial_please_ack(n);
+            self.datagram(n, please_ack)
+        })
     }
 
     /// Takes the message off the retransmission clock: it has been sent
@@ -322,6 +310,10 @@ mod tests {
         }
     }
 
+    fn sender(cfg: &Config, msg_type: MsgType, message: &[u8]) -> MsgSender {
+        MsgSender::new(Time::ZERO, cfg, msg_type, 1, 0, cfg.frame(message)).unwrap()
+    }
+
     fn initial_segments(s: &mut MsgSender) -> Vec<Segment> {
         let decode = |d: Payload| Segment::decode(&d).expect("a segment");
         s.initial_datagrams().map(decode).collect()
@@ -329,7 +321,7 @@ mod tests {
 
     #[test]
     fn small_message_is_one_segment() {
-        let mut s = MsgSender::new(Time::ZERO, &config(), MsgType::Call, 1, 0, b"ab").unwrap();
+        let mut s = sender(&config(), MsgType::Call, b"ab");
         let segs = initial_segments(&mut s);
         assert_eq!(segs.len(), 1);
         assert_eq!(segs[0].header.total, 1);
@@ -339,14 +331,13 @@ mod tests {
 
     #[test]
     fn empty_message_still_has_one_segment() {
-        let mut s = MsgSender::new(Time::ZERO, &config(), MsgType::Return, 1, 0, b"").unwrap();
+        let mut s = sender(&config(), MsgType::Return, b"");
         assert_eq!(s.initial_datagrams().count(), 1);
     }
 
     #[test]
     fn large_message_segments_in_order() {
-        let mut s =
-            MsgSender::new(Time::ZERO, &config(), MsgType::Call, 1, 0, b"abcdefghij").unwrap();
+        let mut s = sender(&config(), MsgType::Call, b"abcdefghij");
         let segs = initial_segments(&mut s);
         assert_eq!(segs.len(), 3);
         assert_eq!(segs[0].data, b"abcd");
@@ -357,17 +348,20 @@ mod tests {
 
     #[test]
     fn oversize_message_rejected() {
-        let data = vec![0u8; 4 * 255 + 1];
+        let cfg = config();
+        let data = cfg.frame(&[0u8; 4 * 255 + 1]);
         assert!(matches!(
-            MsgSender::new(Time::ZERO, &config(), MsgType::Call, 1, 0, &data),
-            Err(SendError::TooLong { .. })
+            MsgSender::new(Time::ZERO, &cfg, MsgType::Call, 1, 0, data),
+            Err(SendError::TooLong {
+                len: 1_021,
+                max: 1_020
+            })
         ));
     }
 
     #[test]
     fn acks_remove_prefix() {
-        let mut s =
-            MsgSender::new(Time::ZERO, &config(), MsgType::Call, 1, 0, b"abcdefghij").unwrap();
+        let mut s = sender(&config(), MsgType::Call, b"abcdefghij");
         s.on_ack(Time::ZERO, 2);
         assert!(!s.complete());
         s.on_ack(Time::ZERO, 3);
@@ -378,7 +372,7 @@ mod tests {
     #[test]
     fn retransmit_first_unacked_with_please_ack() {
         let cfg = config();
-        let mut s = MsgSender::new(Time::ZERO, &cfg, MsgType::Call, 1, 0, b"abcdefghij").unwrap();
+        let mut s = sender(&cfg, MsgType::Call, b"abcdefghij");
         let _ = s.initial_datagrams().count();
         s.on_ack(Time::ZERO, 1);
         let due = s.deadline().unwrap();
@@ -397,7 +391,7 @@ mod tests {
             max_retransmits: 2,
             ..config()
         };
-        let mut s = MsgSender::new(Time::ZERO, &cfg, MsgType::Call, 1, 0, b"x").unwrap();
+        let mut s = sender(&cfg, MsgType::Call, b"x");
         let _ = s.initial_datagrams().count();
         for _ in 0..2 {
             let now = s.deadline().unwrap();
@@ -413,7 +407,7 @@ mod tests {
             max_retransmits: 2,
             ..config()
         };
-        let mut s = MsgSender::new(Time::ZERO, &cfg, MsgType::Call, 1, 0, b"abcdefgh").unwrap();
+        let mut s = sender(&cfg, MsgType::Call, b"abcdefgh");
         let _ = s.initial_datagrams().count();
         let now = s.deadline().unwrap();
         assert!(matches!(s.on_tick(now), SenderTick::Retransmit(_)));
@@ -426,7 +420,7 @@ mod tests {
 
     #[test]
     fn held_message_has_no_deadline_until_acknowledged() {
-        let mut s = MsgSender::new(Time::ZERO, &config(), MsgType::Return, 1, 0, b"x").unwrap();
+        let mut s = sender(&config(), MsgType::Return, b"x");
         let _ = s.initial_datagrams().count();
         s.hold();
         assert!(s.held());
@@ -438,14 +432,14 @@ mod tests {
 
     #[test]
     fn tick_before_deadline_is_idle() {
-        let mut s = MsgSender::new(Time::ZERO, &config(), MsgType::Call, 1, 0, b"x").unwrap();
+        let mut s = sender(&config(), MsgType::Call, b"x");
         assert_eq!(s.on_tick(Time::ZERO), SenderTick::Idle);
     }
 
     /// Drives a sender to GiveUp, returning the successive waits between
     /// scheduled deadlines.
     fn drain_schedule(cfg: &Config) -> Vec<u64> {
-        let mut s = MsgSender::new(Time::ZERO, cfg, MsgType::Call, 7, 0, b"x").unwrap();
+        let mut s = MsgSender::new(Time::ZERO, cfg, MsgType::Call, 7, 0, cfg.frame(b"x")).unwrap();
         let _ = s.initial_datagrams().count();
         let mut waits = Vec::new();
         let mut last = Time::ZERO;
@@ -506,7 +500,7 @@ mod tests {
             jitter_permille: 0,
             ..config()
         };
-        let mut s = MsgSender::new(Time::ZERO, &cfg, MsgType::Call, 1, 0, b"abcdefgh").unwrap();
+        let mut s = sender(&cfg, MsgType::Call, b"abcdefgh");
         let _ = s.initial_datagrams().count();
         let mut now = s.deadline().unwrap();
         assert!(matches!(s.on_tick(now), SenderTick::Retransmit(_)));

@@ -286,10 +286,11 @@ fn adopted_call_round_trips_through_endpoints() {
     let mut link = Link::new(cfg.clone());
 
     // The blast is cut by a sender of the caller's own, off to the side.
-    let blast = MsgSender::new(now, &cfg, MsgType::Call, 1, 0, b"abcdefghij").unwrap();
+    let message = cfg.frame(b"abcdefghij");
+    let blast = MsgSender::new(now, &cfg, MsgType::Call, 1, 0, message.clone()).unwrap();
     assert_eq!(blast.total(), 3);
     link.end(CLIENT)
-        .adopt(now, MsgType::Call, 1, 0, b"abcdefghij")
+        .adopt(now, MsgType::Call, 1, 0, message)
         .unwrap();
     assert_eq!(link.carry(CLIENT), 0, "nothing of its own");
     for n in 1..=blast.total() {
@@ -314,8 +315,9 @@ fn adopted_call_round_trips_through_endpoints() {
 fn straggler_served_by_unicast_retransmission() {
     let blasted = Time::from_millis(113);
     let mut link = Link::new(small_segments());
+    let message = small_segments().frame(b"abcdefghij");
     link.end(CLIENT)
-        .adopt(blasted, MsgType::Call, 1, 0, b"abcdefghij")
+        .adopt(blasted, MsgType::Call, 1, 0, message)
         .unwrap();
     let due = link.end(CLIENT).poll_timer().expect("retransmission armed");
     assert_eq!(due, blasted + RETRANSMIT_INTERVAL);

@@ -263,6 +263,7 @@ impl Conversation {
                 continue;
             }
             self.adopted += 1;
+            let reply = self.config.frame(&reply);
             let cut = MsgSender::new(now, &self.config, MsgType::Return, cn, span, reply.clone());
             let cut = cut.unwrap();
             let server = &mut self.pair.ends[SERVER];

@@ -15,14 +15,16 @@
 //! vector's bytes (`Rc<[u8]>` cannot adopt a `Vec`'s buffer), so encoders
 //! that know their length up front write through `build` instead.
 //!
-//! A buffer may be written once more after it is built, while one handle
-//! alone holds it: [`Payload::build_with_headroom`] leaves room in front
-//! of the window, and [`Payload::prepend`] fills that room and widens the
-//! window over it, if `Rc::get_mut` says no other handle exists (the rule
-//! `Rc::make_mut` follows, without its copy). That is how a message's
-//! first segment header is written in front of the message, not copied
-//! with it into a second buffer. A payload handed to the network is
-//! shared by then, so nothing it carries is ever written again.
+//! A buffer may be written after it is built, but only where no other
+//! handle can see it: [`Payload::stamp`] writes bytes into the window if
+//! `Rc::get_mut` says this handle is the only one (the rule
+//! `Rc::make_mut` follows, without its copy), and through a shared handle
+//! it writes nothing, succeeding only if the bytes are there already.
+//! That is how a message laid out as its datagrams (`pairedmsg`'s
+//! framing) gets each segment's header written in front of its data, and
+//! how every peer sent it at the same call number shares those
+//! datagrams. A payload handed to the network is shared by then, so
+//! nothing it carries is ever written again.
 //!
 //! The simulator is single-threaded per [`World`](crate::World) (the
 //! chaos harness parallelizes across *worlds*, one per seed), so the
@@ -99,18 +101,6 @@ impl Payload {
     /// header + data, a reassembled message — and would otherwise build a
     /// `Vec` only to copy it into the `Rc`.
     pub fn build(len: usize, fill: impl FnOnce(&mut [u8])) -> Payload {
-        Payload::build_with_headroom(0, len, fill)
-    }
-
-    /// [`Payload::build`] with `headroom` zeroed bytes reserved in front of
-    /// the `len`-byte window, for [`Payload::prepend`] to fill later. A
-    /// payload short enough to live inline does so, with no headroom:
-    /// building anything in front of it copies it, allocating nothing.
-    pub fn build_with_headroom(
-        headroom: usize,
-        len: usize,
-        fill: impl FnOnce(&mut [u8]),
-    ) -> Payload {
         if len <= Payload::INLINE {
             let mut bytes = [0; Payload::INLINE];
             fill(&mut bytes[..len]);
@@ -119,34 +109,44 @@ impl Payload {
                 bytes,
             });
         }
-        let mut bytes: Rc<[u8]> = std::iter::repeat_n(0u8, headroom + len).collect();
-        fill(&mut Rc::get_mut(&mut bytes).expect("a fresh Rc has one owner")[headroom..]);
+        let mut bytes: Rc<[u8]> = std::iter::repeat_n(0u8, len).collect();
+        fill(Rc::get_mut(&mut bytes).expect("a fresh Rc has one owner"));
         Payload(Repr::Shared {
             bytes,
-            start: offset(headroom),
-            end: offset(headroom + len),
+            start: 0,
+            end: offset(len),
         })
     }
 
-    /// Widens the window by `n` bytes at the front, which `fill` writes,
-    /// if this handle is the only one on its buffer and the buffer holds
-    /// `n` bytes in front of the window (left by
-    /// [`Payload::build_with_headroom`]). Otherwise — an inline payload, a
-    /// shared buffer, no room — changes nothing and returns `false`: the
-    /// caller copies instead. No other handle can see the bytes written,
-    /// so the payload stays immutable to everyone who holds it.
-    pub fn prepend(&mut self, n: usize, fill: impl FnOnce(&mut [u8])) -> bool {
-        let Repr::Shared { bytes, start, .. } = &mut self.0 else {
-            return false;
+    /// Makes the window's bytes at `at` equal `bytes` without a copy, if
+    /// it can: this handle writes them if it is the only one on its
+    /// buffer (an inline payload always is), and a shared handle never
+    /// writes — it succeeds only where the bytes are there already.
+    /// Otherwise returns `false` and changes nothing: the caller copies
+    /// instead. No other handle can see a byte written, so the payload
+    /// stays immutable to everyone who holds it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bytes would run past the window.
+    pub fn stamp(&mut self, at: usize, bytes: &[u8]) -> bool {
+        let range = at..at + bytes.len();
+        assert!(
+            range.end <= self.len(),
+            "stamp {range:?} out of bounds for payload of {} bytes",
+            self.len()
+        );
+        if self.as_slice()[range.clone()] == *bytes {
+            return true;
+        }
+        let window = match &mut self.0 {
+            Repr::Inline { len, bytes } => &mut bytes[..usize::from(*len)],
+            Repr::Shared { bytes, start, end } => match Rc::get_mut(bytes) {
+                Some(buf) => &mut buf[*start as usize..*end as usize],
+                None => return false,
+            },
         };
-        let Some(from) = (*start as usize).checked_sub(n) else {
-            return false;
-        };
-        let Some(buf) = Rc::get_mut(bytes) else {
-            return false;
-        };
-        fill(&mut buf[from..*start as usize]);
-        *start = offset(from);
+        window[range].copy_from_slice(bytes);
         true
     }
 
@@ -382,7 +382,6 @@ mod tests {
                 Payload::copy_from(&bytes),
                 Payload::from(bytes.clone()),
                 Payload::build(len, |out| out.copy_from_slice(&bytes)),
-                Payload::build_with_headroom(16, len, |out| out.copy_from_slice(&bytes)),
             ] {
                 assert_eq!(is_inline(&p), inline, "{len} bytes");
                 assert_eq!((p.len(), p.to_vec()), (len, bytes.clone()));
@@ -407,21 +406,35 @@ mod tests {
         assert!(q.shares_buffer_with(&q.slice(1..3)));
     }
 
-    /// The room in front of a window is written only through the one
-    /// handle on its buffer, and only once.
+    /// Only the one handle on a buffer writes into it; a shared handle
+    /// never writes, and succeeds only over bytes that already match.
     #[test]
-    fn prepend_writes_the_headroom_of_a_sole_handle() {
-        let mut p = Payload::build_with_headroom(4, 40, |buf| buf.fill(7));
-        assert_eq!(p.len(), 40);
+    fn stamp_writes_through_a_sole_handle_and_matches_through_a_shared_one() {
+        let mut p = Payload::build(40, |buf| buf.fill(7));
+        assert!(p.stamp(2, &[1, 2, 3]), "the only handle writes");
+        assert_eq!(&p[..6], &[7, 7, 1, 2, 3, 7]);
         let held = p.clone();
-        assert!(!p.prepend(4, |_| unreachable!("shared")), "another handle");
-        drop(held);
-        assert!(!p.prepend(5, |_| unreachable!("too far")), "no room");
-        assert!(p.prepend(4, |room| room.copy_from_slice(&[1, 2, 3, 4])));
-        assert_eq!((p.len(), &p[..5]), (44, &[1, 2, 3, 4, 7][..]));
-        assert!(!p.prepend(1, |_| unreachable!("no room left")));
-        let mut small = Payload::build_with_headroom(4, 8, |_| {});
-        assert!(!small.prepend(4, |_| unreachable!("inline")));
-        assert_eq!(small.len(), 8);
+        assert!(p.stamp(2, &[1, 2, 3]), "the bytes are there already");
+        assert!(!p.stamp(2, &[1, 2, 4]), "another handle sees them");
+        assert!(!p.stamp(0, &[0]), "not even one byte");
+        assert_eq!(
+            (&p[..6], &held[..6]),
+            (&[7, 7, 1, 2, 3, 7][..], &[7, 7, 1, 2, 3, 7][..])
+        );
+        let mut window = p.slice(4..40);
+        assert!(!window.stamp(0, &[9]), "a window shares its buffer too");
+        drop((held, p));
+        assert!(window.stamp(0, &[9]), "until it is the last handle");
+        assert_eq!(&window[..2], &[9, 7]);
+        let mut small = Payload::build(8, |_| {});
+        let kept = small.clone();
+        assert!(small.stamp(7, &[5]), "an inline payload is its own");
+        assert_eq!((small[7], kept[7]), (5, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn stamp_past_the_window_panics() {
+        Payload::build(40, |_| {}).slice(0..10).stamp(8, &[1, 2, 3]);
     }
 }

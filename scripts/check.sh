@@ -39,7 +39,7 @@ phase() {
   echo "==> $1"
 }
 
-phase "cargo fmt --check (and the shape of the source: audited hash maps, no per-thread hash map in the call runtime, no crates/*/src/*.rs file over 900 lines (every crate), one multicast blast, no cargo feature, no ledger that grows with the run, no spawn loop or echo service beside the testbed's, EXPERIMENTS.md within 50,000 bytes, DESIGN.md within 80,000)"
+phase "cargo fmt --check (and the shape of the source: audited hash maps, no per-thread hash map in the call runtime, no crates/*/src/*.rs file over 900 lines (every crate), one multicast blast, one framing site, no cargo feature, no ledger that grows with the run, no spawn loop or echo service beside the testbed's, EXPERIMENTS.md within 50,000 bytes, DESIGN.md within 80,000)"
 cargo fmt --all --check
 # A HashMap/HashSet field iterates in a per-process order: each one in the
 # protocol crates says, on the line above it, why that is never observed.
@@ -58,6 +58,15 @@ wc -l crates/*/src/*.rs | awk '$2 != "total" && $1 > 900 { print $2 ": " $1 " li
 # from anywhere else in the call runtime is a second copy of it.
 if grep -n '\.multicast_spanned(' crates/core/src/*.rs | grep -v '^crates/core/src/conn\.rs:'; then
   echo "a multicast outside conn.rs (named above): send it through Conns::blast" >&2
+  exit 1
+fi
+# A message is laid out as its datagrams in one place, pairedmsg's framing
+# function (`Config::frame`, over `Framed::new`): a header stamped into a
+# payload anywhere but frame.rs is a second message layout beside it.
+if grep -rn --include='*.rs' -e '\.stamp(' -e 'Framed::new(' crates/*/src src |
+  grep -v -e '^crates/pairedmsg/src/frame\.rs:' -e '^crates/simnet/src/payload\.rs:' \
+    -e '^crates/pairedmsg/src/config\.rs:.*Framed::new('; then
+  echo "a payload framed or stamped outside pairedmsg's frame.rs (named above): frame the message with Config::frame" >&2
   exit 1
 fi
 # A cargo feature is a second program nobody tests: there are none, and

@@ -46,44 +46,50 @@ use rdp::transactions::{
 use rdp::wire::{from_bytes, to_bytes};
 
 /// Allocations per replicated echo call the call path may spend.
-/// Measured: 11.5 — the 13.5 DESIGN.md "Data plane: who allocates what"
+/// Measured: 9.53 — the 11.5 DESIGN.md "Data plane: who allocates what"
 /// names one by one, less the two the client itself used to make in the
 /// measured window (its arguments and a copy of the troupe; the testbed
 /// `Caller`'s requests are queued beforehand). The parent of the PR that
 /// introduced this gate spent 133.4; the one before messages were sent
 /// from their own buffers, small payloads kept inline and one-caller
-/// assemblies given no vectors, 21.5. One stray `Vec` per call does not
-/// fit under it.
-const CALL_BUDGET: f64 = 12.0;
+/// assemblies given no vectors, 21.5; the one before members called at
+/// one call number shared one call datagram, 11.53. One stray `Vec` per
+/// call does not fit under it.
+const CALL_BUDGET: f64 = 10.03;
 
-/// The same for an 8 KiB echo call: 43.5 measured (52.5 before the
-/// change that set `CALL_BUDGET` to 12). Sending the call once per
-/// member spent eleven more.
-const BULK_CALL_BUDGET: f64 = 44.0;
+/// The same for an 8 KiB echo call: 16.51 measured; 43.51 before every
+/// first transmission was a window of the message's one framed buffer
+/// and a multi-segment receive reused its slot vector, 52.5 before the
+/// change that set `CALL_BUDGET` to 12. Sending the call once per member
+/// spent eleven more.
+const BULK_CALL_BUDGET: f64 = 17.01;
 
 /// Allocations per ordered broadcast (two n=3 calls, an 8-byte payload)
-/// by the library `Broadcaster`. Measured: 32.0 (65.0 before small
+/// by the library `Broadcaster`. Measured: 28.03 (32.02 before members
+/// called at one call number shared one call datagram, 65.0 before small
 /// payloads were kept inline and custom collators read their votes in
 /// place); the `Broadcaster` that copied the troupe for each call spent
 /// two more, the one that also cloned the payload five times per
 /// broadcast seven.
-const BROADCAST_BUDGET: f64 = 32.5;
+const BROADCAST_BUDGET: f64 = 28.53;
 
 /// Allocations per transaction (one `Add` on a durable n=3 store, the
 /// client voting through its `ready_to_commit` call-back). Measured:
-/// 33.78; 59.78 before a commit stopped copying what it keeps (a lock
+/// 31.78; 33.78 before members called at one call number shared one call
+/// datagram, 59.78 before a commit stopped copying what it keeps (a lock
 /// holder map per locked object, the workspace copied into its log
 /// record and the record into the retained ones, a fresh frame per log
 /// append, a heap-held 2-byte vote and a one-member caller troupe per
 /// call-back), 78.8 before the change that set `CALL_BUDGET` to 12.
-const COMMIT_BUDGET: f64 = 34.28;
+const COMMIT_BUDGET: f64 = 32.28;
 
 /// Allocations per transaction committed by two library `TxnClient`s
 /// contending for one hot object on the same durable store, so that lock
 /// waits, their wake-ups and the waits-for probe run as well. Measured:
-/// 37.51; 75.01 before a commit stopped copying what it keeps (and a
+/// 35.51; 37.51 before members called at one call number shared one call
+/// datagram, 75.01 before a commit stopped copying what it keeps (and a
 /// waits-for relation that kept a set per waiter spent 1.5 more).
-const CONTENDED_COMMIT_BUDGET: f64 = 38.01;
+const CONTENDED_COMMIT_BUDGET: f64 = 36.01;
 
 /// Bytes of live heap 20 000 steady-state echo calls may add. Measured:
 /// −456 (B-tree nodes come and go); the parent of the PR that introduced
