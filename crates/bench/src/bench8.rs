@@ -209,7 +209,7 @@ pub fn run(scheme: Scheme, clients: u32) -> Cell {
             // Operations never conflict: nothing to abort.
             |c: &CmClient| Progress {
                 finished: c.finished(),
-                done: c.completed,
+                done: c.confirmed.len() as u32,
                 aborts: 0,
             },
         ),

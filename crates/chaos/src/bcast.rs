@@ -42,10 +42,9 @@ use std::fmt;
 
 use circus::Service;
 use simnet::{HostId, SockAddr, World};
-use transactions::{AppliedOrder, OrderedApply, OrderedBroadcastService};
+use transactions::{AppliedOrder, OrderedApply, OrderedBroadcastService, ProposeAccept};
 use wire::to_bytes;
 
-use crate::client::ProposeAccept;
 use crate::harness::{Quiesced, Workload};
 use crate::oracle::{
     check_bounded_state, check_census, check_monotonicity, check_replication, check_split_calls,
@@ -124,7 +123,7 @@ impl Workload for Bcast {
     fn check(&self, q: &Quiesced, extra: &mut BcastExtra, out: &mut Vec<Violation>) {
         let (mut confirmed, mut unconfirmed) = (Vec::new(), 0);
         q.each_client::<ProposeAccept>(|_, a| {
-            confirmed.extend_from_slice(&a.confirmed);
+            confirmed.extend_from_slice(&a.results);
             unconfirmed += a.unconfirmed();
         });
         extra.broadcasts = confirmed.len();

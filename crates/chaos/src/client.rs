@@ -1,37 +1,13 @@
-//! The workload client: one rebinding core, three protocols.
+//! The workload client: one rebinding core over the library's protocols.
 //!
-//! [`Client`] is the part of a chaos client that is the same whatever it
-//! is asking the troupe to do — the full binding story of Chapter 6. It
-//! *imports* the troupe by name from the Ringmaster into an
-//! [`ImportCache`], walks a seeded script against the cached binding one
-//! item at a time, paces itself with think time, retries failures under
-//! a bounded exponential backoff, and on a stale-binding rejection (§6.2)
-//! invalidates, rebinds, and retries. What one script item *is*, how it
-//! is sent, and what a reply means belong to a [`Protocol`] — one per
-//! synchronization scheme of §5.5:
-//!
-//! - [`Txn`] submits a transaction to the troupe commit protocol. Every
-//!   submission, a retry included, is a *new* transaction on a new
-//!   distributed thread (§2.3.1); the protocol records each one's
-//!   `(thread, nonce)` key and outcome so the oracles can audit
-//!   exactly-once execution against the members' commit ledgers.
-//! - [`ProposeAccept`] drives the ordered broadcast protocol (§5.4) with
-//!   the retry discipline its safety depends on: proposals go to *every*
-//!   member ([`strict_max_time_collation`]) so each holds a queue
-//!   placeholder that blocks later messages, accepts must be
-//!   acknowledged by *every* member ([`all_ack_collation`]) so no
-//!   member's applied order silently falls behind, and once an accept
-//!   has been sent the broadcast never re-proposes — every retry carries
-//!   the same accepted time and payload, so a partially delivered accept
-//!   can only be completed, never contradicted.
-//! - [`CmBatch`] submits commutative operations (counter increments, set
-//!   inserts): no phases, no locks — a failed call is retried under the
-//!   *same* idempotence id until every member has acknowledged it, which
-//!   is all that convergence needs.
-//!
-//! The client is generic, not boxed: each workload's client is its own
-//! monomorphised type, and [`Client`] derefs to its protocol so the
-//! oracles read the protocol's ledgers straight off the agent.
+//! [`Client`] runs a [`Script`] of one scheme's [`Protocol`] — [`Txn`],
+//! [`ProposeAccept`] or [`CmBatch`], as the library's fixed-troupe
+//! clients do — and adds what chaos needs: it *imports* the troupe by
+//! name into an [`ImportCache`] and rebinds on a stale-binding rejection
+//! (§6.2); it paces itself with think time, so faults land on a live
+//! workload; and it keeps the commit audit the store oracles join
+//! against the members' commit ledgers. [`Scripted`] draws its items.
+//! It derefs to its script, and through it to the protocol.
 
 use circus::binding::BINDING_MODULE;
 use circus::{
@@ -40,11 +16,8 @@ use circus::{
 use ringmaster::ImportCache;
 use simnet::{Duration, SimRng};
 use transactions::{
-    all_ack_collation, strict_max_time_collation, Accept, Backoff, CmOp, CmRequest,
-    CommitVoterService, ExecuteRequest, ObjId, Op, Propose, TxnOutcome, PROC_ACCEPT_TIME,
-    PROC_CM_EXECUTE, PROC_EXECUTE, PROC_GET_PROPOSED_TIME,
+    CmBatch, CmOp, CommitVoterService, Next, ObjId, Op, ProposeAccept, Protocol, Script, Txn,
 };
-use wire::{from_bytes, to_bytes};
 
 use crate::harness::COMMIT_MODULE;
 
@@ -55,32 +28,8 @@ const RETRY_KEY: TimerKey = TimerKey::new(0x6368); // "ch"
 /// than an idle, already-finished one.
 const THINK_MEAN_US: u64 = 1_200_000;
 
-/// What a protocol made of one completed workload call.
-pub enum Step {
-    /// The script item is done; the client moves on to the next one.
-    Confirmed,
-    /// The item entered its next phase; send again at once.
-    Again,
-    /// The call failed (the reason is kept for the give-up message);
-    /// resend the item's current phase after a backoff.
-    Retry(String),
-    /// Unrecoverable: the client stops.
-    Fatal(String),
-}
-
-/// One call for the client to make: `(procedure, arguments, collation)`.
-pub type Request = (u16, Vec<u8>, CollationPolicy);
-
-/// One synchronization scheme's client side: what a script item is, how
-/// scripts are drawn, what call (re)sends an item, and what a reply
-/// means. The ids, phases and ledgers live here; binding, pacing, backoff
-/// and rebinding live in [`Client`].
-pub trait Protocol: 'static {
-    /// One script entry.
-    type Item;
-    /// Consecutive failed attempts tolerated before the client gives up;
-    /// the budget refills at every confirmed item.
-    const RETRIES: u32;
+/// A protocol as chaos scripts it: its seeded items and quiesce probe.
+pub trait Scripted: Protocol<Item: Clone> {
     /// Whether the think timer is armed after the *last* scripted item
     /// too (it fires into an empty script; it still draws from the
     /// world's RNG, so it is part of the run).
@@ -88,7 +37,7 @@ pub trait Protocol: 'static {
 
     /// The protocol state of client number `client` (ids minted by
     /// different clients must never collide).
-    fn new(client: usize) -> Self;
+    fn for_client(client: usize) -> Self;
 
     /// Draws script item number `index` of client number `client`.
     fn script_item(rng: &mut SimRng, client: usize, index: usize) -> Self::Item;
@@ -102,23 +51,14 @@ pub trait Protocol: 'static {
         node
     }
 
-    /// Called once per script item before its first send: mint whatever
-    /// identifies the item across retries.
-    fn start(&mut self) {}
-
-    /// The call that sends, or resends, the current phase of `item`; the
-    /// client makes it on the fresh distributed thread `thread`.
-    fn request(&mut self, thread: ThreadId, item: &Self::Item) -> Request;
-
-    /// Digests the outcome of the call [`request`](Protocol::request)
-    /// asked for.
-    /// Stale-binding rejections never get here: the call did not execute
-    /// and the client rebinds and resends.
-    fn reply(&mut self, result: Result<Vec<u8>, CallError>) -> Step;
+    /// The nonce of the submission just requested, for a protocol whose
+    /// members keep a commit ledger: the client audits it.
+    fn audited(&self) -> Option<u64> {
+        None
+    }
 }
 
 /// What the client's one in-flight call is.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Pending {
     /// A name lookup or rebind at the binding agent.
     Binding,
@@ -133,74 +73,45 @@ pub struct Client<P: Protocol> {
     name: &'static str,
     module: u16,
     cache: ImportCache,
-    script: Vec<P::Item>,
-    /// Index of the item being worked on (confirmed items lie below it).
-    next: usize,
-    /// Whether `script[next]` has been started and awaits confirmation.
-    started: bool,
-    backoff: Backoff,
+    script: Script<P>,
     pending: Option<Pending>,
-    retries_left: u32,
     /// How many times a stale binding forced a rebind.
     pub rebinds: u32,
-    /// Unrecoverable failures.
-    pub errors: Vec<String>,
-    proto: P,
+    /// Every audited submission ever made: `(thread, nonce, item)`.
+    pub submitted: Vec<(ThreadId, u64, P::Item)>,
+    /// Keys the client *knows* committed (it saw the item confirmed).
+    pub committed_keys: Vec<(ThreadId, u64)>,
+    /// Keys the client saw refused (aborted): a member committing one
+    /// violates atomicity. A failed call's key is in neither list.
+    pub aborted_keys: Vec<(ThreadId, u64)>,
 }
 
 /// The transaction client of the store and recovery workloads.
 pub type RebindingClient = Client<Txn>;
 
 impl<P: Protocol> std::ops::Deref for Client<P> {
-    type Target = P;
-    fn deref(&self) -> &P {
-        &self.proto
+    type Target = Script<P>;
+    fn deref(&self) -> &Script<P> {
+        &self.script
     }
 }
 
-/// For a test that doctors a client's record behind the oracles' back.
-impl<P: Protocol> std::ops::DerefMut for Client<P> {
-    fn deref_mut(&mut self) -> &mut P {
-        &mut self.proto
-    }
-}
-
-impl<P: Protocol> Client<P> {
+impl<P: Scripted> Client<P> {
     /// A client importing `name` from `binder` and running `script`
     /// against module `module` of whatever troupe the name resolves to.
-    pub fn new(
-        binder: Troupe,
-        name: &'static str,
-        module: u16,
-        script: Vec<P::Item>,
-        proto: P,
-    ) -> Self {
+    pub fn new(binder: Troupe, name: &'static str, module: u16, script: Script<P>) -> Self {
         Client {
             binder,
             name,
             module,
             cache: ImportCache::new(),
             script,
-            next: 0,
-            started: false,
-            backoff: Backoff::default_1985(),
             pending: None,
-            retries_left: P::RETRIES,
             rebinds: 0,
-            errors: Vec::new(),
-            proto,
+            submitted: Vec::new(),
+            committed_keys: Vec::new(),
+            aborted_keys: Vec::new(),
         }
-    }
-
-    /// `true` once the whole script is confirmed (or the client failed
-    /// hard).
-    pub fn finished(&self) -> bool {
-        (self.next >= self.script.len() && self.pending.is_none()) || !self.errors.is_empty()
-    }
-
-    /// Script items confirmed so far.
-    pub fn confirmed_items(&self) -> usize {
-        self.next
     }
 
     /// The binding cache, for the stale-binding oracle.
@@ -236,15 +147,8 @@ impl<P: Protocol> Client<P> {
     /// Sends (or resends) the current phase of the item in progress, or
     /// starts the next scripted one.
     fn drive(&mut self, nc: &mut NodeCtx<'_, '_, '_>) {
-        if self.pending.is_some() || !self.errors.is_empty() {
+        if self.pending.is_some() || !self.script.start() {
             return;
-        }
-        if !self.started {
-            if self.next >= self.script.len() {
-                return;
-            }
-            self.proto.start();
-            self.started = true;
         }
         let Some(troupe) = self.cache.get(self.name).cloned() else {
             self.lookup(nc, false);
@@ -252,22 +156,34 @@ impl<P: Protocol> Client<P> {
         };
         self.pending = Some(Pending::Work);
         let thread = nc.fresh_thread();
-        let (proc, args, collation) = self.proto.request(thread, &self.script[self.next]);
+        let (proc, args, collation) = self.script.request();
+        if let Some(nonce) = self.script.audited() {
+            self.submitted
+                .push((thread, nonce, self.script.current().clone()));
+        }
         nc.call(thread, &troupe, self.module, proc, args, collation);
     }
 
-    fn retry_later(&mut self, nc: &mut NodeCtx<'_, '_, '_>, why: &str) {
-        if self.retries_left == 0 {
-            self.errors.push(format!("gave up after retries: {why}"));
-            return;
+    /// Digests the reply to a workload call.
+    fn work_done(&mut self, nc: &mut NodeCtx<'_, '_, '_>, result: Result<Vec<u8>, CallError>) {
+        let next = self.script.reply(nc, RETRY_KEY, result);
+        let key = self.submitted.last().map(|s| (s.0, s.1));
+        match next {
+            Next::Confirmed => {
+                self.committed_keys.extend(key);
+                if P::THINK_AFTER_LAST || !self.script.finished() {
+                    let think = 200_000 + nc.sim().rng().below(2 * THINK_MEAN_US);
+                    nc.set_app_timer(Duration::from_micros(think), RETRY_KEY);
+                }
+            }
+            Next::Again => self.drive(nc),
+            Next::Refused(_) => self.aborted_keys.extend(key),
+            _ => {}
         }
-        self.retries_left -= 1;
-        let delay = self.backoff.next_delay(nc.sim().rng());
-        nc.set_app_timer(delay, RETRY_KEY);
     }
 }
 
-impl<P: Protocol> Agent for Client<P> {
+impl<P: Scripted> Agent for Client<P> {
     fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, _tag: u64) {
         self.drive(nc);
     }
@@ -282,33 +198,20 @@ impl<P: Protocol> Agent for Client<P> {
             None => {}
             Some(Pending::Binding) => match result {
                 Ok(bytes) if self.cache.store_reply(self.name, &bytes).is_some() => self.drive(nc),
-                Ok(_) => self.retry_later(nc, "name not bound"),
-                Err(e) => self.retry_later(nc, &format!("lookup failed: {e}")),
-            },
-            Some(Pending::Work) => match result {
-                Err(e) if ImportCache::should_rebind(&e) => {
-                    // The call never executed under the stale incarnation
-                    // (§6.2: WrongTroupe is rejected before dispatch).
-                    self.cache.invalidate(self.name);
-                    self.rebinds += 1;
-                    self.lookup(nc, true);
+                Ok(_) => self.script.retry_later(nc, RETRY_KEY, &"name not bound"),
+                Err(e) => {
+                    let why = format_args!("lookup failed: {e}");
+                    self.script.retry_later(nc, RETRY_KEY, &why);
                 }
-                result => match self.proto.reply(result) {
-                    Step::Confirmed => {
-                        self.next += 1;
-                        self.started = false;
-                        self.backoff.reset();
-                        self.retries_left = P::RETRIES;
-                        if P::THINK_AFTER_LAST || self.next < self.script.len() {
-                            let think = 200_000 + nc.sim().rng().below(2 * THINK_MEAN_US);
-                            nc.set_app_timer(Duration::from_micros(think), RETRY_KEY);
-                        }
-                    }
-                    Step::Again => self.drive(nc),
-                    Step::Retry(why) => self.retry_later(nc, &why),
-                    Step::Fatal(why) => self.errors.push(why),
-                },
             },
+            // The call never executed under the stale incarnation (§6.2:
+            // WrongTroupe is rejected before dispatch).
+            Some(Pending::Work) if result.as_ref().is_err_and(ImportCache::should_rebind) => {
+                self.cache.invalidate(self.name);
+                self.rebinds += 1;
+                self.lookup(nc, true);
+            }
+            Some(Pending::Work) => self.work_done(nc, result),
         }
     }
 
@@ -319,31 +222,10 @@ impl<P: Protocol> Agent for Client<P> {
     }
 }
 
-/// The troupe commit protocol's client side, with the submission ledgers
-/// the store oracles audit.
-#[derive(Default)]
-pub struct Txn {
-    nonce: u64,
-    /// Every submission ever made: `(thread, nonce, ops)` — the oracles
-    /// join the members' commit ledgers against this.
-    pub submitted: Vec<(ThreadId, u64, Vec<Op>)>,
-    /// Keys the client *knows* committed (it saw `Committed`).
-    pub committed_keys: Vec<(ThreadId, u64)>,
-    /// Keys the client saw explicitly aborted; a member committing one of
-    /// these violates commit atomicity.
-    pub aborted_keys: Vec<(ThreadId, u64)>,
-    /// Per-transaction results, in script order.
-    pub committed_results: Vec<Vec<i64>>,
-    /// Abort count (deadlock pressure plus fault-induced vote failures).
-    pub aborts: u32,
-}
-
-impl Protocol for Txn {
-    type Item = Vec<Op>;
-    const RETRIES: u32 = 200;
+impl Scripted for Txn {
     const THINK_AFTER_LAST: bool = true;
 
-    fn new(_client: usize) -> Txn {
+    fn for_client(_client: usize) -> Txn {
         Txn::default()
     }
 
@@ -373,84 +255,21 @@ impl Protocol for Txn {
         node.service(COMMIT_MODULE, Box::new(CommitVoterService))
     }
 
-    fn request(&mut self, thread: ThreadId, ops: &Vec<Op>) -> Request {
-        // Every submission, including a retry, is a new transaction
-        // under a new nonce (and the fresh thread the client minted).
-        self.nonce += 1;
-        let req = ExecuteRequest {
-            nonce: self.nonce,
-            ops: ops.clone(),
-        };
-        let args = to_bytes(&req);
-        self.submitted.push((thread, self.nonce, req.ops));
-        (PROC_EXECUTE, args, CollationPolicy::Unanimous)
-    }
-
-    fn reply(&mut self, result: Result<Vec<u8>, CallError>) -> Step {
-        let &(thread, nonce, _) = self.submitted.last().expect("a reply follows a request");
-        match result {
-            Ok(bytes) => match from_bytes::<TxnOutcome>(&bytes) {
-                Ok(TxnOutcome::Committed(results)) => {
-                    self.committed_keys.push((thread, nonce));
-                    self.committed_results.push(results);
-                    Step::Confirmed
-                }
-                Ok(TxnOutcome::Aborted(_)) => {
-                    self.aborted_keys.push((thread, nonce));
-                    self.aborts += 1;
-                    Step::Retry("aborted".into())
-                }
-                Err(e) => Step::Fatal(format!("garbled outcome: {e}")),
-            },
-            Err(e) => {
-                // Ambiguous: the call failed at this client, but some
-                // members may have executed it. It is *not* recorded as
-                // aborted — the oracles treat its key as unknown.
-                self.aborts += 1;
-                Step::Retry(format!("call failed: {e}"))
-            }
-        }
+    fn audited(&self) -> Option<u64> {
+        Some(self.nonce())
     }
 }
 
-/// The ordered broadcast protocol's client side. `accepted_time` is the
-/// phase: `None` while proposing, and fixed forever at the transition to
-/// accepting — a re-propose after a partially delivered accept could
-/// mint a second accepted time and split the troupe's applied order.
-pub struct ProposeAccept {
-    next_msg_id: u64,
-    /// Ids minted so far.
-    minted: usize,
-    msg_id: u64,
-    accepted_time: Option<u64>,
-    /// Message ids whose accept every member acknowledged — each must
-    /// appear in every member's applied order at quiesce.
-    pub confirmed: Vec<u64>,
+/// Each client mints ids from a range of its own.
+fn first_id(client: usize) -> u64 {
+    1 + client as u64 * 1_000_000
 }
 
-impl ProposeAccept {
-    /// Ids minted but never confirmed (abandoned, or still in progress):
-    /// each may split a member's applied-id range in two.
-    pub fn unconfirmed(&self) -> usize {
-        self.minted - self.confirmed.len()
-    }
-}
-
-impl Protocol for ProposeAccept {
-    type Item = Vec<u8>;
-    const RETRIES: u32 = 300;
+impl Scripted for ProposeAccept {
     const THINK_AFTER_LAST: bool = false;
 
-    /// Message ids are globally unique: each client mints from a range
-    /// of its own.
-    fn new(client: usize) -> ProposeAccept {
-        ProposeAccept {
-            next_msg_id: 1 + client as u64 * 1_000_000,
-            minted: 0,
-            msg_id: 0,
-            accepted_time: None,
-            confirmed: Vec::new(),
-        }
+    fn for_client(client: usize) -> ProposeAccept {
+        ProposeAccept::new(first_id(client))
     }
 
     fn script_item(rng: &mut SimRng, _client: usize, _index: usize) -> Vec<u8> {
@@ -461,93 +280,13 @@ impl Protocol for ProposeAccept {
     fn probe(client: usize) -> Vec<u8> {
         vec![0xEE, client as u8]
     }
-
-    fn start(&mut self) {
-        self.msg_id = self.next_msg_id;
-        self.next_msg_id += 1;
-        self.minted += 1;
-        self.accepted_time = None;
-    }
-
-    fn request(&mut self, _thread: ThreadId, payload: &Vec<u8>) -> Request {
-        // The payload rides along in both phases: a member that missed
-        // the proposal installs the message from the accept.
-        let (msg_id, payload) = (self.msg_id, payload.clone());
-        match self.accepted_time {
-            // A proposal (or proposal retry: the members' idempotence
-            // cache answers duplicates with the stored time) must reach
-            // every member, so each holds a queue placeholder that
-            // blocks later messages until this one resolves.
-            None => (
-                PROC_GET_PROPOSED_TIME,
-                to_bytes(&Propose { msg_id, payload }),
-                strict_max_time_collation(),
-            ),
-            // The accept must be acknowledged by every member — a
-            // member that never hears it would silently diverge — and
-            // every retry carries the same agreed time and payload.
-            Some(accepted_time) => (
-                PROC_ACCEPT_TIME,
-                to_bytes(&Accept {
-                    msg_id,
-                    accepted_time,
-                    payload,
-                }),
-                all_ack_collation(),
-            ),
-        }
-    }
-
-    fn reply(&mut self, result: Result<Vec<u8>, CallError>) -> Step {
-        match (result, self.accepted_time) {
-            (Ok(bytes), None) => match from_bytes::<u64>(&bytes) {
-                Ok(max) => {
-                    self.accepted_time = Some(max);
-                    Step::Again
-                }
-                Err(_) => Step::Fatal("garbled max proposal".into()),
-            },
-            (Ok(_), Some(_)) => {
-                self.confirmed.push(self.msg_id);
-                Step::Confirmed
-            }
-            (Err(e), _) => Step::Retry(format!("broadcast call failed: {e}")),
-        }
-    }
 }
 
-/// The commutative-operations client side: one batch under one
-/// idempotence id until every member has acknowledged it.
-pub struct CmBatch {
-    next_op_id: u64,
-    /// Ids minted so far.
-    minted: usize,
-    op_id: u64,
-    /// Idempotence ids every member acknowledged — each must be in
-    /// every member's seen ledger at quiesce.
-    pub confirmed: Vec<u64>,
-}
-
-impl CmBatch {
-    /// Ids minted but never confirmed (abandoned, or still in progress):
-    /// each may split a member's dedup-ledger range in two.
-    pub fn unconfirmed(&self) -> usize {
-        self.minted - self.confirmed.len()
-    }
-}
-
-impl Protocol for CmBatch {
-    type Item = Vec<CmOp>;
-    const RETRIES: u32 = 300;
+impl Scripted for CmBatch {
     const THINK_AFTER_LAST: bool = false;
 
-    fn new(client: usize) -> CmBatch {
-        CmBatch {
-            next_op_id: 1 + client as u64 * 1_000_000,
-            minted: 0,
-            op_id: 0,
-            confirmed: Vec::new(),
-        }
+    fn for_client(client: usize) -> CmBatch {
+        CmBatch::new(first_id(client))
     }
 
     /// Counter bumps over a small object set, plus set inserts of
@@ -568,32 +307,5 @@ impl Protocol for CmBatch {
 
     fn probe(client: usize) -> Vec<CmOp> {
         vec![CmOp::Insert(0xEE00 + client as u64)]
-    }
-
-    fn start(&mut self) {
-        self.op_id = self.next_op_id;
-        self.next_op_id += 1;
-        self.minted += 1;
-    }
-
-    fn request(&mut self, _thread: ThreadId, ops: &Vec<CmOp>) -> Request {
-        // Every member must acknowledge (the ops commute, but a member
-        // that never *receives* one diverges); members that already
-        // executed this op_id answer from their seen ledger.
-        let req = CmRequest {
-            op_id: self.op_id,
-            ops: ops.clone(),
-        };
-        (PROC_CM_EXECUTE, to_bytes(&req), all_ack_collation())
-    }
-
-    fn reply(&mut self, result: Result<Vec<u8>, CallError>) -> Step {
-        match result {
-            Ok(_) => {
-                self.confirmed.push(self.op_id);
-                Step::Confirmed
-            }
-            Err(e) => Step::Retry(format!("commutative call failed: {e}")),
-        }
     }
 }

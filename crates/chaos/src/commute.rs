@@ -24,9 +24,8 @@ use std::fmt;
 
 use circus::Service;
 use simnet::{HostId, SockAddr, World};
-use transactions::CommutativeService;
+use transactions::{CmBatch, CommutativeService};
 
-use crate::client::CmBatch;
 use crate::harness::{Quiesced, Workload};
 use crate::oracle::{
     check_bounded_state, check_census, check_monotonicity, check_replication, check_split_calls,

@@ -16,11 +16,11 @@
 //!
 //! A [`Workload`] supplies only what actually differs between the
 //! synchronization schemes of §5.5: the member [`Service`], the client
-//! [`Protocol`] with its seeded script and quiesce probe, the oracles,
-//! and the extra report fields. (The recovery workload also replaces the
-//! fault schedule with a script of its own.) Adding a fifth workload is
-//! implementing this trait; sweeps, determinism, the golden table and
-//! the repro line come with it.
+//! [`Scripted`] protocol with its seeded script and quiesce probe, the
+//! oracles, and the extra report fields. (The recovery workload also
+//! replaces the fault schedule with a script of its own.) Adding a fifth
+//! workload is implementing this trait; sweeps, determinism, the golden
+//! table and the repro line come with it.
 
 use std::fmt;
 
@@ -31,8 +31,9 @@ use ringmaster::{registration, spawn_ringmaster, SpareAgent, SpareService, SPARE
 use simnet::{
     Duration, HostId, NetConfig, SimRng, SockAddr, SyscallCosts, TraceRing, Until, World,
 };
+use transactions::Script;
 
-use crate::client::{Client, Protocol};
+use crate::client::{Client, Scripted};
 use crate::drive::Driver;
 use crate::oracle::Violation;
 use crate::plan::{FaultPlan, PlanOptions, PlannedFault};
@@ -95,7 +96,7 @@ impl Default for ScenarioOptions {
 /// What one synchronization scheme brings to the chaos scenario.
 pub trait Workload: Sync {
     /// The client side of the scheme: protocol, script, quiesce probe.
-    type Proto: Protocol;
+    type Proto: Scripted;
     /// Workload-specific report fields, printed after the common ones.
     type Extra: Clone + Default + fmt::Debug + fmt::Display + Send;
 
@@ -193,7 +194,7 @@ pub struct Quiesced {
 }
 
 /// Visits the client agent of every live process in `clients`.
-pub fn each_client<P: Protocol>(
+pub fn each_client<P: Scripted>(
     w: &World,
     clients: &[SockAddr],
     mut f: impl FnMut(SockAddr, &Client<P>),
@@ -210,7 +211,7 @@ pub fn each_client<P: Protocol>(
 
 impl Quiesced {
     /// Visits every client agent, in address order.
-    pub fn each_client<P: Protocol>(&self, f: impl FnMut(SockAddr, &Client<P>)) {
+    pub fn each_client<P: Scripted>(&self, f: impl FnMut(SockAddr, &Client<P>)) {
         each_client(&self.world, &self.client_addrs, f);
     }
 
@@ -233,7 +234,7 @@ impl Quiesced {
 }
 
 /// `true` once every client has finished its script (or failed hard).
-pub fn clients_finished<P: Protocol>(w: &World, clients: &[SockAddr]) -> bool {
+pub fn clients_finished<P: Scripted>(w: &World, clients: &[SockAddr]) -> bool {
     clients.iter().all(|&c| {
         w.with_proc(c, |p: &CircusProcess| {
             p.agent_as::<Client<P>>().is_some_and(|a| a.finished())
@@ -349,13 +350,8 @@ pub fn quiesce<W: Workload>(wl: &W, seed: u64, opts: &ScenarioOptions) -> (Quies
         let script = (0..opts.txns_per_client)
             .map(|n| W::Proto::script_item(&mut wrng, i, n))
             .collect();
-        let client = Client::new(
-            rm.clone(),
-            W::TROUPE,
-            MEMBER_MODULE,
-            script,
-            W::Proto::new(i),
-        );
+        let script = Script::new(script, W::Proto::for_client(i));
+        let client = Client::new(rm.clone(), W::TROUPE, MEMBER_MODULE, script);
         // Clients observe member deaths first (their calls fail), so
         // they too carry the binder and report suspects to it.
         let p = W::Proto::client_node(NodeBuilder::new(c, config.clone()).agent(Box::new(client)))

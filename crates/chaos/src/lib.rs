@@ -21,8 +21,9 @@
 //!   fault script of its own: crash a durable member, reboot it on its
 //!   disk, rejoin by log replay);
 //! - [`client`] — the one rebinding [`Client`] (import by name, pace,
-//!   back off, retry, rebind when stale — Chapter 6) and the three
-//!   [`Protocol`]s it speaks;
+//!   rebind when stale — Chapter 6, and the commit audit) over the
+//!   library's three [`transactions::Protocol`]s, each [`Scripted`] with
+//!   its seeded script and quiesce probe;
 //! - [`plan`] — seeded [`FaultPlan`]s: host crashes and restarts, process
 //!   kills, single-host partitions, loss/duplication bursts, and
 //!   [`NetConfig`](simnet::NetConfig) swaps at simulated times, all
@@ -65,7 +66,7 @@ pub mod report;
 pub mod store;
 
 pub use bcast::{Bcast, BcastExtra, ChaosApp};
-pub use client::{Client, CmBatch, ProposeAccept, Protocol, RebindingClient, Step, Txn};
+pub use client::{Client, RebindingClient, Scripted};
 pub use commute::{Commute, CommuteExtra};
 pub use drive::Driver;
 pub use harness::{

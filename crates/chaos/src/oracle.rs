@@ -55,9 +55,9 @@ use std::fmt::Write as _;
 use circus::binding::RINGMASTER_PORT;
 use circus::{census, CircusProcess, ThreadId, Troupe};
 use simnet::SockAddr;
-use transactions::{Ledger, ObjId, Op, TroupeStoreService};
+use transactions::{Ledger, ObjId, Op, TroupeStoreService, Txn};
 
-use crate::client::{Protocol, Txn};
+use crate::client::Scripted;
 use crate::drive::ringmaster_at;
 use crate::harness::{Quiesced, REPLICATION};
 
@@ -533,7 +533,7 @@ impl Scale {
 /// member's registry, spare pools and suspect queue hold theirs. Reads
 /// the endpoint totals [`check_monotonicity`] published, so it runs after
 /// it.
-pub fn check_census<P: Protocol>(q: &Quiesced, out: &mut Vec<Violation>) {
+pub fn check_census<P: Scripted>(q: &Quiesced, out: &mut Vec<Violation>) {
     let addrs = q.world.proc_addrs();
     let mut censuses = Vec::with_capacity(addrs.len());
     for a in addrs {

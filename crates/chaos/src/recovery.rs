@@ -37,9 +37,8 @@ use std::fmt;
 use circus::{NodeBuilder, Service};
 use ringmaster::{SpareAgent, SpareService, SPARE_CTL_MODULE};
 use simnet::{DiskConfig, Duration, HostId, SockAddr, Until, World};
-use transactions::{RecoveryInfo, TroupeStoreService};
+use transactions::{RecoveryInfo, TroupeStoreService, Txn};
 
-use crate::client::Txn;
 use crate::drive::Driver;
 use crate::harness::{
     Quiesced, ScenarioOptions, Workload, COMMIT_MODULE, MEMBER_MODULE, MEMBER_PORT, REPLICATION,

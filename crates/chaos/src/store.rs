@@ -10,9 +10,8 @@ use std::fmt;
 
 use circus::Service;
 use simnet::{HostId, SockAddr, World};
-use transactions::TroupeStoreService;
+use transactions::{TroupeStoreService, Txn};
 
-use crate::client::Txn;
 use crate::harness::{each_client, quiesce, Quiesced, ScenarioOptions, Workload, COMMIT_MODULE};
 use crate::oracle::{check_all, Violation};
 

@@ -81,7 +81,8 @@ pub const PROC_ACCEPT_TIME: u16 = 1;
 /// GC is *correct* (see the module docs) but costs an extra queue pass.
 pub const DEFAULT_PROPOSAL_TTL_US: u64 = 30_000_000;
 
-/// Argument of `get_proposed_time`.
+/// Argument of `get_proposed_time`, owned. The wire form has one encoder
+/// and one decoder, [`ProposeRef`]'s; this is its owned copy.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Propose {
     /// Client-unique message identifier (also the tie-breaker between
@@ -91,18 +92,29 @@ pub struct Propose {
     pub payload: Vec<u8>,
 }
 
+impl Propose {
+    /// The arguments of a `get_proposed_time` of a borrowed payload.
+    pub fn encode(msg_id: u64, payload: &[u8]) -> Vec<u8> {
+        to_bytes(&ProposeRef { msg_id, payload })
+    }
+}
+
 impl Externalize for Propose {
     fn externalize(&self, w: &mut Writer) {
-        w.put_u64(self.msg_id);
-        w.put_bytes(&self.payload);
+        ProposeRef {
+            msg_id: self.msg_id,
+            payload: &self.payload,
+        }
+        .externalize(w);
     }
 }
 
 impl Internalize for Propose {
     fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let p = ProposeRef::read(r)?;
         Ok(Propose {
-            msg_id: r.get_u64()?,
-            payload: r.get_bytes()?,
+            msg_id: p.msg_id,
+            payload: p.payload.to_vec(),
         })
     }
 }
@@ -124,14 +136,26 @@ impl<'a> ProposeRef<'a> {
     /// Decodes the `get_proposed_time` arguments without allocating.
     pub fn parse(args: &'a [u8]) -> Result<ProposeRef<'a>, WireError> {
         let mut r = Reader::new(args);
+        let p = ProposeRef::read(&mut r)?;
+        r.expect_end()?;
+        Ok(p)
+    }
+
+    fn read(r: &mut Reader<'a>) -> Result<ProposeRef<'a>, WireError> {
         let msg_id = r.get_u64()?;
         let payload = r.get_bytes_borrowed()?;
-        r.expect_end()?;
         Ok(ProposeRef { msg_id, payload })
     }
 }
 
-/// Argument of `accept_time`.
+impl Externalize for ProposeRef<'_> {
+    fn externalize(&self, w: &mut Writer) {
+        w.put_u64(self.msg_id);
+        w.put_bytes(self.payload);
+    }
+}
+
+/// Argument of `accept_time`, owned (see [`Propose`]).
 ///
 /// Carrying the payload makes the accept *self-contained*: a member that
 /// never saw the proposal — a rejoined spare, or one whose orphan GC
@@ -147,20 +171,35 @@ pub struct Accept {
     pub payload: Vec<u8>,
 }
 
+impl Accept {
+    /// The arguments of an `accept_time` of a borrowed payload.
+    pub fn encode(msg_id: u64, accepted_time: u64, payload: &[u8]) -> Vec<u8> {
+        to_bytes(&AcceptRef {
+            msg_id,
+            accepted_time,
+            payload,
+        })
+    }
+}
+
 impl Externalize for Accept {
     fn externalize(&self, w: &mut Writer) {
-        w.put_u64(self.msg_id);
-        w.put_u64(self.accepted_time);
-        w.put_bytes(&self.payload);
+        AcceptRef {
+            msg_id: self.msg_id,
+            accepted_time: self.accepted_time,
+            payload: &self.payload,
+        }
+        .externalize(w);
     }
 }
 
 impl Internalize for Accept {
     fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let a = AcceptRef::read(r)?;
         Ok(Accept {
-            msg_id: r.get_u64()?,
-            accepted_time: r.get_u64()?,
-            payload: r.get_bytes()?,
+            msg_id: a.msg_id,
+            accepted_time: a.accepted_time,
+            payload: a.payload.to_vec(),
         })
     }
 }
@@ -180,15 +219,28 @@ impl<'a> AcceptRef<'a> {
     /// Decodes the `accept_time` arguments without allocating.
     pub fn parse(args: &'a [u8]) -> Result<AcceptRef<'a>, WireError> {
         let mut r = Reader::new(args);
+        let a = AcceptRef::read(&mut r)?;
+        r.expect_end()?;
+        Ok(a)
+    }
+
+    fn read(r: &mut Reader<'a>) -> Result<AcceptRef<'a>, WireError> {
         let msg_id = r.get_u64()?;
         let accepted_time = r.get_u64()?;
         let payload = r.get_bytes_borrowed()?;
-        r.expect_end()?;
         Ok(AcceptRef {
             msg_id,
             accepted_time,
             payload,
         })
+    }
+}
+
+impl Externalize for AcceptRef<'_> {
+    fn externalize(&self, w: &mut Writer) {
+        w.put_u64(self.msg_id);
+        w.put_u64(self.accepted_time);
+        w.put_bytes(self.payload);
     }
 }
 
@@ -656,83 +708,54 @@ pub type StateWire = (
 /// payload)`.
 pub type QueueWire = (u64, u64, u64, u16, Bytes);
 
-/// Reply collator for `get_proposed_time`: wait for every live member,
-/// then yield the **maximum** proposal (Figure 5.1's client side).
-///
-/// As a *reply* collator it sees raw return-message votes and must emit
-/// one (`circus::reply_vote`/`wrap_reply_vote`).
-pub struct MaxTime;
-
-impl Collate for MaxTime {
-    fn decide(&self, slots: &[VoteSlot]) -> Decision {
-        let mut max = 0u64;
-        let mut any = false;
-        for s in slots {
-            match s {
-                VoteSlot::Pending => return Decision::Wait,
-                VoteSlot::Dead => {}
-                VoteSlot::Vote(v) => {
-                    let t = circus::reply_vote(v).and_then(|p| from_bytes::<u64>(p).ok());
-                    match t {
-                        Some(t) => {
-                            max = max.max(t);
-                            any = true;
-                        }
-                        None => {
-                            return Decision::Fail(circus::CollateError::Rejected(
-                                "garbled time proposal".into(),
-                            ))
-                        }
-                    }
-                }
-            }
-        }
-        if any {
-            Decision::Ready(circus::wrap_reply_vote(to_bytes(&max)).into())
-        } else {
-            Decision::Fail(circus::CollateError::AllDead)
-        }
-    }
-}
-
-/// The collation policy for `get_proposed_time` calls.
-pub fn max_time_collation() -> CollationPolicy {
-    CollationPolicy::Custom(Rc::new(MaxTime))
-}
-
-/// Like [`MaxTime`], but Dead-intolerant: the propose round fails unless
-/// **every** member of the current incarnation voted.
+/// Reply collator for `get_proposed_time`: wait for every member, then
+/// yield the **maximum** proposal (Figure 5.1's client side). It is
+/// Dead-intolerant: the propose round fails unless **every** member of
+/// the current incarnation voted.
 ///
 /// Skipping dead slots is how the identical-order guarantee breaks under
 /// partitions: a member that misses a proposal has nothing queued to
 /// block later broadcasts, so it can apply a concurrent message first
-/// and diverge. A fault-tolerant client retries the propose round (a
-/// fresh round is always safe before any accept is sent) until the
-/// partition heals or the unreachable member is evicted and the retry
-/// lands on the re-incarnated troupe.
-pub struct StrictMaxTime;
+/// and diverge. The client retries the propose round (a fresh round is
+/// always safe before any accept is sent) until the partition heals or
+/// the unreachable member is evicted and the retry lands on the
+/// re-incarnated troupe.
+///
+/// As a *reply* collator it sees raw return-message votes and must emit
+/// one (`circus::reply_vote`/`wrap_reply_vote`).
+pub(crate) struct StrictMaxTime;
 
 impl Collate for StrictMaxTime {
     fn decide(&self, slots: &[VoteSlot]) -> Decision {
+        if slots.iter().any(|s| matches!(s, VoteSlot::Dead)) {
+            return Decision::Fail(circus::CollateError::Rejected(
+                "member unreachable during propose".into(),
+            ));
+        }
+        let mut max = 0u64;
         for s in slots {
-            if matches!(s, VoteSlot::Dead) {
-                return Decision::Fail(circus::CollateError::Rejected(
-                    "member unreachable during propose".into(),
-                ));
+            let VoteSlot::Vote(v) = s else {
+                return Decision::Wait;
+            };
+            match circus::reply_vote(v).and_then(|p| from_bytes::<u64>(p).ok()) {
+                Some(t) => max = max.max(t),
+                None => {
+                    return Decision::Fail(circus::CollateError::Rejected(
+                        "garbled time proposal".into(),
+                    ))
+                }
             }
         }
-        MaxTime.decide(slots)
+        if slots.is_empty() {
+            Decision::Fail(circus::CollateError::AllDead)
+        } else {
+            Decision::Ready(circus::wrap_reply_vote(to_bytes(&max)).into())
+        }
     }
 }
 
-/// The collation policy for `get_proposed_time` calls that must reach
-/// every member (chaos clients; see [`StrictMaxTime`]).
-pub fn strict_max_time_collation() -> CollationPolicy {
-    CollationPolicy::Custom(Rc::new(StrictMaxTime))
-}
-
-/// Reply collator for `accept_time` under faults: succeed only when
-/// **every** member of the current incarnation acknowledged the accept.
+/// Reply collator for `accept_time`: succeed only when **every** member
+/// of the current incarnation acknowledged the accept.
 ///
 /// [`CollationPolicy::Unanimous`] proceeds past `Dead` slots, which
 /// would let an accept "succeed" while a partitioned member never hears
@@ -742,12 +765,24 @@ pub fn strict_max_time_collation() -> CollationPolicy {
 /// on the re-incarnated troupe, whose spare carries the full protocol
 /// state). The replies' contents are ignored — members legitimately
 /// reply different bytes while a message is pending behind an earlier
-/// proposal — so the collation yields a canonical empty result.
-pub struct AllAck;
+/// proposal — so the collation yields `empty`, the canonical empty
+/// result, built once. The commutative client acknowledges its batches
+/// the same way.
+pub(crate) struct AllAck {
+    empty: simnet::Payload,
+}
+
+impl AllAck {
+    pub(crate) fn new() -> AllAck {
+        let empty = circus::wrap_reply_vote(to_bytes(&Bytes(Vec::new())));
+        AllAck {
+            empty: simnet::Payload::copy_from(&empty),
+        }
+    }
+}
 
 impl Collate for AllAck {
     fn decide(&self, slots: &[VoteSlot]) -> Decision {
-        let mut any = false;
         for s in slots {
             match s {
                 VoteSlot::Pending => return Decision::Wait,
@@ -762,22 +797,34 @@ impl Collate for AllAck {
                             "member rejected accept".into(),
                         ));
                     }
-                    any = true;
                 }
             }
         }
-        if any {
-            Decision::Ready(circus::wrap_reply_vote(to_bytes(&Bytes(Vec::new()))).into())
-        } else {
+        if slots.is_empty() {
             Decision::Fail(circus::CollateError::AllDead)
+        } else {
+            Decision::Ready(self.empty.clone())
         }
     }
 }
 
-/// The collation policy for `accept_time` calls that must reach every
-/// member (chaos clients; see [`AllAck`]).
-pub fn all_ack_collation() -> CollationPolicy {
-    CollationPolicy::Custom(Rc::new(AllAck))
+thread_local! {
+    /// The one `StrictMaxTime` every propose round on this thread collates
+    /// with, and the one `AllAck` every accept and commutative batch does
+    /// (neither holds per-call state).
+    static STRICT_MAX_TIME: Rc<dyn Collate> = Rc::new(StrictMaxTime);
+    static ALL_ACK: Rc<dyn Collate> = Rc::new(AllAck::new());
+}
+
+/// The collation of `get_proposed_time` calls (see [`StrictMaxTime`]).
+pub(crate) fn strict_max_time_collation() -> CollationPolicy {
+    CollationPolicy::Custom(STRICT_MAX_TIME.with(Rc::clone))
+}
+
+/// The collation of `accept_time` and commutative calls (see
+/// [`AllAck`]).
+pub(crate) fn all_ack_collation() -> CollationPolicy {
+    CollationPolicy::Custom(ALL_ACK.with(Rc::clone))
 }
 
 #[cfg(test)]

@@ -1,31 +1,26 @@
 use super::*;
 
 #[test]
-fn propose_accept_round_trip_wire() {
+fn propose_accept_encode_from_borrowed_parts_and_round_trip() {
     let p = Propose {
         msg_id: 7,
         payload: vec![1, 2],
     };
+    assert_eq!(Propose::encode(7, &[1, 2]), to_bytes(&p));
     assert_eq!(from_bytes::<Propose>(&to_bytes(&p)).unwrap(), p);
     let a = Accept {
         msg_id: 7,
         accepted_time: 99,
         payload: vec![1, 2],
     };
+    assert_eq!(Accept::encode(7, 99, &[1, 2]), to_bytes(&a));
     assert_eq!(from_bytes::<Accept>(&to_bytes(&a)).unwrap(), a);
 }
 
 #[test]
 fn borrowed_views_parse_without_copying() {
-    let p = to_bytes(&Propose {
-        msg_id: 7,
-        payload: vec![1, 2, 3],
-    });
-    let a = to_bytes(&Accept {
-        msg_id: 7,
-        accepted_time: 99,
-        payload: vec![1, 2, 3],
-    });
+    let p = Propose::encode(7, &[1, 2, 3]);
+    let a = Accept::encode(7, 99, &[1, 2, 3]);
     let before = wire::byte_copies();
     let pr = ProposeRef::parse(&p).unwrap();
     let ar = AcceptRef::parse(&a).unwrap();
@@ -46,49 +41,28 @@ fn vote(t: u64) -> VoteSlot {
 }
 
 #[test]
-fn max_time_takes_maximum() {
-    let c = MaxTime;
-    let slots = vec![vote(10), vote(30), vote(20)];
-    assert_eq!(
-        c.decide(&slots),
-        Decision::Ready(circus::wrap_reply_vote(to_bytes(&30u64)).into())
-    );
-}
-
-#[test]
-fn max_time_waits_for_all() {
-    let c = MaxTime;
-    let slots = vec![vote(10), VoteSlot::Pending];
-    assert_eq!(c.decide(&slots), Decision::Wait);
-}
-
-#[test]
-fn max_time_skips_dead() {
-    let c = MaxTime;
-    let slots = vec![vote(10), VoteSlot::Dead];
-    assert_eq!(
-        c.decide(&slots),
-        Decision::Ready(circus::wrap_reply_vote(to_bytes(&10u64)).into())
-    );
-}
-
-#[test]
-fn strict_max_time_fails_on_dead_members() {
+fn strict_max_time_takes_the_maximum_of_every_member() {
     let c = StrictMaxTime;
-    assert!(matches!(
-        c.decide(&[vote(10), VoteSlot::Dead]),
-        Decision::Fail(circus::CollateError::Rejected(_))
-    ));
-    assert_eq!(c.decide(&[vote(10), VoteSlot::Pending]), Decision::Wait);
     assert_eq!(
-        c.decide(&[vote(10), vote(30)]),
+        c.decide(&[vote(10), vote(30), vote(20)]),
         Decision::Ready(circus::wrap_reply_vote(to_bytes(&30u64)).into())
     );
+    assert_eq!(c.decide(&[vote(10), VoteSlot::Pending]), Decision::Wait);
+    // A dead member fails the round at once, pending votes or not.
+    for slots in [
+        [vote(10), VoteSlot::Dead],
+        [VoteSlot::Pending, VoteSlot::Dead],
+    ] {
+        assert!(matches!(
+            c.decide(&slots),
+            Decision::Fail(circus::CollateError::Rejected(_))
+        ));
+    }
 }
 
 #[test]
 fn all_ack_needs_every_member() {
-    let c = AllAck;
+    let c = AllAck::new();
     assert_eq!(c.decide(&[vote(1), VoteSlot::Pending]), Decision::Wait);
     assert!(matches!(
         c.decide(&[vote(1), VoteSlot::Dead]),
@@ -173,10 +147,7 @@ fn propose_from(
     s.dispatch(
         &mut c,
         PROC_GET_PROPOSED_TIME,
-        &to_bytes(&Propose {
-            msg_id: id,
-            payload: payload.to_vec(),
-        }),
+        &Propose::encode(id, payload),
     )
 }
 
@@ -193,15 +164,7 @@ fn accept_from(
     p: &[u8],
 ) -> Step {
     let mut c = ctx_from(origin, now);
-    s.dispatch(
-        &mut c,
-        PROC_ACCEPT_TIME,
-        &to_bytes(&Accept {
-            msg_id: id,
-            accepted_time: t,
-            payload: p.to_vec(),
-        }),
-    )
+    s.dispatch(&mut c, PROC_ACCEPT_TIME, &Accept::encode(id, t, p))
 }
 
 fn reply_bytes(step: Step) -> Vec<u8> {
@@ -386,11 +349,7 @@ fn h2_second_accept_after_the_client_moved_on_is_not_reapplied() {
     assert_eq!(s.retry_cache_len(), 1);
     // A retry of accept(10) that crossed the original arrives now.
     let mut c = ctx_from(A, 400);
-    let accept_10 = to_bytes(&Accept {
-        msg_id: 10,
-        accepted_time: 150,
-        payload: b"k".to_vec(),
-    });
+    let accept_10 = Accept::encode(10, 150, b"k");
     let second = reply_bytes(s.dispatch(&mut c, PROC_ACCEPT_TIME, &accept_10));
     assert!(
         from_bytes::<Bytes>(&second).unwrap().0.is_empty(),

@@ -1,345 +1,275 @@
-//! Client-side agents: transaction submission with retry/backoff, and
-//! the two-phase ordered broadcast driver (Figure 5.1, client side).
+//! The client side of each §5.5 synchronization scheme, and the one
+//! closed-loop driver that runs a script of them against a troupe.
+//!
+//! A [`Protocol`] is one scheme's client, with the retry discipline its
+//! safety depends on:
+//!
+//! - [`Txn`]: every submission, a retry included, is a *new* transaction
+//!   under a new nonce on a new distributed thread (§2.3.1); aborts are
+//!   retried after a binary exponential backoff (§5.3.1).
+//! - [`ProposeAccept`] (§5.4): proposals and accepts must reach *every*
+//!   member, and once an accept has been sent the broadcast never
+//!   re-proposes — every retry carries the same accepted time and
+//!   payload, so a partially delivered accept can only be completed,
+//!   never contradicted.
+//! - [`CmBatch`]: a batch is retried under the *same* idempotence id
+//!   until every member has acknowledged it. The operations commute, but
+//!   a member that never *receives* one diverges.
+//!
+//! [`Script`] is what every client does alike: walk the items one at a
+//! time, back off and retry within the protocol's budget. [`ClosedLoop`]
+//! runs a script against a fixed troupe — [`TxnClient`], [`Broadcaster`]
+//! and [`CmClient`] are its instances — and the chaos harness runs the
+//! same scripts through a binding cache that rebinds when stale.
+
+use std::fmt;
+use std::ops::Deref;
 
 use crate::backoff::Backoff;
 use crate::broadcast::{
-    max_time_collation, Accept, Propose, PROC_ACCEPT_TIME, PROC_GET_PROPOSED_TIME,
+    all_ack_collation, strict_max_time_collation, Accept, Propose, PROC_ACCEPT_TIME,
+    PROC_GET_PROPOSED_TIME,
 };
 use crate::commit::{ExecuteRequest, TxnOutcome, PROC_EXECUTE};
 use crate::commute::{CmOp, CmRequest, PROC_CM_EXECUTE};
 use crate::txn::Op;
-use circus::{Agent, CallError, CallHandle, CollationPolicy, NodeCtx, ThreadId, TimerKey, Troupe};
-use wire::{from_bytes, to_bytes, Bytes};
+use circus::{Agent, CallError, CallHandle, CollationPolicy, NodeCtx, TimerKey, Troupe};
+use wire::from_bytes;
 
 const RETRY_KEY: TimerKey = TimerKey::new(0x7472); // "tr"
 
-/// An agent that executes a scripted sequence of transactions against a
-/// transactional store troupe, retrying aborts with binary exponential
-/// backoff (§5.3.1). Poke it once to start; it runs the whole script.
-pub struct TxnClient {
-    /// The store troupe.
-    pub troupe: Troupe,
-    /// Module number of the store at the troupe.
-    pub module: u16,
-    script: Vec<Vec<Op>>,
+/// What a protocol made of one completed call.
+#[derive(Debug)]
+pub enum Next {
+    /// The script item is done; the client moves on to the next one.
+    Confirmed,
+    /// The item entered its next phase; send again at once.
+    Again,
+    /// The members refused the item (an aborted transaction); resend
+    /// after a backoff.
+    Refused(&'static str),
+    /// The call failed, so whether the members executed it is unknown;
+    /// resend the current phase after a backoff.
+    Failed(CallError),
+    /// Unrecoverable: the client stops.
+    Fatal(String),
+}
+
+/// One call for the client to make: `(procedure, arguments, collation)`.
+pub type Request = (u16, Vec<u8>, CollationPolicy);
+
+/// One scheme's client side: its ids, phases and results. Backoff lives
+/// in [`Script`], binding and pacing in the agent that drives it.
+pub trait Protocol: 'static {
+    /// One script entry.
+    type Item;
+    /// Consecutive failed attempts tolerated before the client gives up;
+    /// the budget refills at every confirmed item.
+    const RETRIES: u32;
+
+    /// Called once per script item before its first send: mint whatever
+    /// identifies the item across retries.
+    fn start(&mut self) {}
+
+    /// The call that sends, or resends, the current phase of `item`.
+    fn request(&mut self, item: &Self::Item) -> Request;
+
+    /// Digests the outcome of the call [`request`](Protocol::request)
+    /// asked for.
+    fn reply(&mut self, result: Result<Vec<u8>, CallError>) -> Next;
+}
+
+/// A protocol's script in progress, with the current item's retry budget
+/// and backoff. Derefs to the protocol, whose ledgers the caller reads.
+pub struct Script<P: Protocol> {
+    items: Vec<P::Item>,
+    /// Index of the item being worked on (confirmed items lie below it).
     next: usize,
-    nonce: u64,
-    thread: Option<ThreadId>,
+    /// Whether `items[next]` has been started and awaits confirmation.
+    started: bool,
     backoff: Backoff,
-    /// Per-transaction committed results, in script order.
-    pub committed: Vec<Vec<i64>>,
-    /// Number of aborts observed (deadlock pressure, §5.3.1).
-    pub aborts: u32,
-    /// Unrecoverable errors.
-    pub errors: Vec<String>,
-    /// Retries remaining before giving up on one transaction.
     retries_left: u32,
+    /// Unrecoverable failures.
+    pub errors: Vec<String>,
+    proto: P,
 }
 
-impl TxnClient {
-    /// Creates a client running `script` against `troupe`/`module`.
-    pub fn new(troupe: Troupe, module: u16, script: Vec<Vec<Op>>) -> TxnClient {
-        TxnClient {
-            troupe,
-            module,
-            script,
+impl<P: Protocol> Deref for Script<P> {
+    type Target = P;
+    fn deref(&self) -> &P {
+        &self.proto
+    }
+}
+
+impl<P: Protocol> Script<P> {
+    /// `items`, to be run through `proto`.
+    pub fn new(items: Vec<P::Item>, proto: P) -> Script<P> {
+        Script {
+            items,
             next: 0,
-            nonce: 0,
-            thread: None,
+            started: false,
             backoff: Backoff::default_1985(),
-            committed: Vec::new(),
-            aborts: 0,
+            retries_left: P::RETRIES,
             errors: Vec::new(),
-            retries_left: 40,
+            proto,
         }
     }
 
-    /// `true` once the whole script has committed (or failed hard).
+    /// `true` once every item is confirmed (or the script failed hard).
     pub fn finished(&self) -> bool {
-        self.next >= self.script.len() || !self.errors.is_empty()
+        self.next >= self.items.len() || !self.errors.is_empty()
     }
 
-    fn submit(&mut self, nc: &mut NodeCtx<'_, '_, '_>) {
-        if self.next >= self.script.len() {
-            return;
+    /// Items confirmed so far.
+    pub fn confirmed_items(&self) -> usize {
+        self.next
+    }
+
+    /// Appends one more item.
+    pub fn push(&mut self, item: P::Item) {
+        self.items.push(item);
+    }
+
+    /// Starts the next item unless one is in progress; `false` when there
+    /// is nothing to send (every item confirmed, or the script failed).
+    pub fn start(&mut self) -> bool {
+        if !self.started {
+            if self.finished() {
+                return false;
+            }
+            self.proto.start();
+            self.started = true;
         }
-        self.nonce += 1;
-        // Every submission (including a retry) is a NEW distributed
-        // thread: a retried transaction is a new transaction (§2.3.1).
-        let thread = nc.fresh_thread();
-        self.thread = Some(thread);
-        nc.call(
-            thread,
-            &self.troupe,
-            self.module,
-            PROC_EXECUTE,
-            ExecuteRequest::encode(self.nonce, &self.script[self.next]),
-            CollationPolicy::Unanimous,
-        );
-    }
-}
-
-impl Agent for TxnClient {
-    fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, _tag: u64) {
-        self.submit(nc);
+        self.errors.is_empty()
     }
 
-    fn on_call_done(
+    /// The item [`start`](Script::start) said is in progress.
+    pub fn current(&self) -> &P::Item {
+        &self.items[self.next]
+    }
+
+    /// The call that sends the current phase of the item in progress.
+    pub fn request(&mut self) -> Request {
+        self.proto.request(&self.items[self.next])
+    }
+
+    /// Digests the reply to the last [`request`](Script::request) and
+    /// returns it for the caller to act on: a confirmed item moves the
+    /// script on, a refusal or failure [retries](Script::retry_later), and
+    /// a fatal error stops it.
+    pub fn reply(
         &mut self,
         nc: &mut NodeCtx<'_, '_, '_>,
-        _handle: CallHandle,
+        key: TimerKey,
         result: Result<Vec<u8>, CallError>,
-    ) {
-        let outcome = match result {
-            Ok(bytes) => from_bytes::<TxnOutcome>(&bytes),
-            Err(e) => {
-                // The whole replicated call failed (e.g. commit deadlock
-                // resolved by vote-assembly timeout can surface as a
-                // remote abort; member disagreement would be a bug).
-                self.aborts += 1;
-                if self.retries_left == 0 {
-                    self.errors.push(format!("call failed: {e}"));
-                    return;
-                }
-                self.retries_left -= 1;
-                let delay = self.backoff.next_delay(nc.sim().rng());
-                nc.set_app_timer(delay, RETRY_KEY);
-                return;
-            }
-        };
-        match outcome {
-            Ok(TxnOutcome::Committed(results)) => {
-                self.committed.push(results);
+    ) -> Next {
+        let next = self.proto.reply(result);
+        match &next {
+            Next::Confirmed => {
                 self.next += 1;
+                self.started = false;
                 self.backoff.reset();
-                self.retries_left = 40;
-                self.submit(nc);
+                self.retries_left = P::RETRIES;
             }
-            Ok(TxnOutcome::Aborted(_)) => {
-                self.aborts += 1;
-                if self.retries_left == 0 {
-                    self.errors.push("transaction starved".into());
-                    return;
-                }
-                self.retries_left -= 1;
-                let delay = self.backoff.next_delay(nc.sim().rng());
-                nc.set_app_timer(delay, RETRY_KEY);
-            }
-            Err(e) => self.errors.push(format!("garbled outcome: {e}")),
+            Next::Again => {}
+            Next::Refused(why) => self.retry_later(nc, key, why),
+            Next::Failed(e) => self.retry_later(nc, key, e),
+            Next::Fatal(why) => self.errors.push(why.clone()),
         }
+        next
     }
 
-    fn on_app_timer(&mut self, nc: &mut NodeCtx<'_, '_, '_>, key: TimerKey) {
-        if key == RETRY_KEY {
-            self.submit(nc);
+    /// Spends one retry on a failure: arms timer `key` to resend after
+    /// the next backoff delay or, once the budget is gone, fails the
+    /// script with `why`, the last reason.
+    pub fn retry_later(
+        &mut self,
+        nc: &mut NodeCtx<'_, '_, '_>,
+        key: TimerKey,
+        why: &dyn fmt::Display,
+    ) {
+        if self.retries_left == 0 {
+            self.errors.push(format!("gave up after retries: {why}"));
+            return;
         }
+        self.retries_left -= 1;
+        let delay = self.backoff.next_delay(nc.sim().rng());
+        nc.set_app_timer(delay, key);
     }
 }
 
-/// One broadcast in flight. The payload is held through the proposal
-/// because `accept_time` carries it (a member that missed the proposal
-/// installs the message from the accept), and moves into the accept.
-#[derive(Debug)]
-enum InFlight {
-    Proposing { msg_id: u64, payload: Vec<u8> },
-    Accepting,
-}
-
-/// An agent that performs ordered broadcasts (Figure 5.1's
-/// `atomic_broadcast`): `get_proposed_time` at the troupe, take the
-/// maximum, `accept_time`. Poke it once per queued message.
-pub struct Broadcaster {
-    /// The ordered-broadcast troupe.
+/// Runs a script of protocol `P` against one fixed troupe, each call on a
+/// fresh distributed thread. Poke it once to start. Derefs to its
+/// [`Script`], and through it to the protocol.
+pub struct ClosedLoop<P: Protocol> {
+    /// The troupe.
     pub troupe: Troupe,
-    /// Module number of the broadcast service.
+    /// Module number of the scheme's service at the troupe.
     pub module: u16,
-    /// Messages to broadcast, consumed front to back: each entry is taken
-    /// out (left empty) as its broadcast starts.
-    script: Vec<Vec<u8>>,
-    next: usize,
-    /// Globally unique message-id seed (callers give each broadcaster a
-    /// distinct one).
-    next_msg_id: u64,
-    inflight: Option<InFlight>,
-    /// Application results of completed broadcasts.
-    pub results: Vec<Vec<u8>>,
-    /// Failures.
-    pub errors: Vec<String>,
+    script: Script<P>,
+    waiting: bool,
+}
+
+/// The transaction client.
+pub type TxnClient = ClosedLoop<Txn>;
+/// The ordered broadcast client (Figure 5.1's `atomic_broadcast`).
+pub type Broadcaster = ClosedLoop<ProposeAccept>;
+/// The commutative-operations client.
+pub type CmClient = ClosedLoop<CmBatch>;
+
+impl TxnClient {
+    /// A client running `script` against `troupe`/`module`.
+    pub fn new(troupe: Troupe, module: u16, script: Vec<Vec<Op>>) -> TxnClient {
+        ClosedLoop::over(troupe, module, Txn::default(), script)
+    }
 }
 
 impl Broadcaster {
-    /// Creates a broadcaster; `id_base` must be unique per broadcaster
-    /// (message ids are `id_base`, `id_base+1`, ...).
+    /// A broadcaster of `script`, minting message ids from `id_base` up.
     pub fn new(troupe: Troupe, module: u16, id_base: u64, script: Vec<Vec<u8>>) -> Broadcaster {
-        Broadcaster {
-            troupe,
-            module,
-            script,
-            next: 0,
-            next_msg_id: id_base,
-            inflight: None,
-            results: Vec::new(),
-            errors: Vec::new(),
-        }
+        ClosedLoop::over(troupe, module, ProposeAccept::new(id_base), script)
     }
-
-    /// `true` once every scripted message has been broadcast.
-    pub fn finished(&self) -> bool {
-        self.next >= self.script.len() && self.inflight.is_none()
-    }
-
-    fn propose_next(&mut self, nc: &mut NodeCtx<'_, '_, '_>) {
-        if self.next >= self.script.len() {
-            return;
-        }
-        let payload = std::mem::take(&mut self.script[self.next]);
-        self.next += 1;
-        let msg_id = self.next_msg_id;
-        self.next_msg_id += 1;
-        let propose = Propose { msg_id, payload };
-        let args = to_bytes(&propose);
-        self.inflight = Some(InFlight::Proposing {
-            msg_id,
-            payload: propose.payload,
-        });
-        let thread = nc.fresh_thread();
-        nc.call(
-            thread,
-            &self.troupe,
-            self.module,
-            PROC_GET_PROPOSED_TIME,
-            args,
-            max_time_collation(),
-        );
-    }
-}
-
-impl Agent for Broadcaster {
-    fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, _tag: u64) {
-        if self.inflight.is_none() {
-            self.propose_next(nc);
-        }
-    }
-
-    fn on_call_done(
-        &mut self,
-        nc: &mut NodeCtx<'_, '_, '_>,
-        _handle: CallHandle,
-        result: Result<Vec<u8>, CallError>,
-    ) {
-        let Some(inflight) = self.inflight.take() else {
-            return;
-        };
-        let bytes = match result {
-            Ok(b) => b,
-            Err(e) => {
-                self.errors.push(format!("broadcast failed: {e}"));
-                return;
-            }
-        };
-        match inflight {
-            InFlight::Proposing { msg_id, payload } => {
-                let Ok(max) = from_bytes::<u64>(&bytes) else {
-                    self.errors.push("garbled max proposal".into());
-                    return;
-                };
-                self.inflight = Some(InFlight::Accepting);
-                let thread = nc.fresh_thread();
-                nc.call(
-                    thread,
-                    &self.troupe,
-                    self.module,
-                    PROC_ACCEPT_TIME,
-                    to_bytes(&Accept {
-                        msg_id,
-                        accepted_time: max,
-                        payload,
-                    }),
-                    // Members may drain different amounts of queue at
-                    // accept time depending on concurrent broadcasts, so
-                    // the replies (the application result or empty) can
-                    // differ transiently; first-come suffices since the
-                    // *ordering* guarantee is what matters.
-                    CollationPolicy::FirstCome,
-                );
-            }
-            InFlight::Accepting => {
-                if let Ok(Bytes(result)) = from_bytes::<Bytes>(&bytes) {
-                    self.results.push(result);
-                }
-                self.propose_next(nc);
-            }
-        }
-    }
-}
-
-/// An agent that submits scripted batches of commutative operations
-/// (crate::commute) — one replicated call each, no locks, no phases.
-/// Poke it once to start; it runs the whole script.
-pub struct CmClient {
-    /// The commutative troupe.
-    pub troupe: Troupe,
-    /// Module number of the commutative service at the troupe.
-    pub module: u16,
-    script: Vec<Vec<CmOp>>,
-    next: usize,
-    /// Globally unique idempotence-id seed (callers give each client a
-    /// distinct one).
-    next_op_id: u64,
-    waiting: bool,
-    /// Number of confirmed requests.
-    pub completed: u32,
-    /// Unrecoverable errors.
-    pub errors: Vec<String>,
 }
 
 impl CmClient {
-    /// Creates a client running `script` against `troupe`/`module`;
-    /// `id_base` must be unique per client.
+    /// A client of the batches of `script`, minting idempotence ids from
+    /// `id_base` up.
     pub fn new(troupe: Troupe, module: u16, id_base: u64, script: Vec<Vec<CmOp>>) -> CmClient {
-        CmClient {
-            troupe,
-            module,
-            script,
-            next: 0,
-            next_op_id: id_base,
-            waiting: false,
-            completed: 0,
-            errors: Vec::new(),
-        }
-    }
-
-    /// `true` once the whole script has been confirmed (or failed hard).
-    pub fn finished(&self) -> bool {
-        (self.next >= self.script.len() && !self.waiting) || !self.errors.is_empty()
-    }
-
-    fn submit(&mut self, nc: &mut NodeCtx<'_, '_, '_>) {
-        if self.next >= self.script.len() {
-            return;
-        }
-        let ops = self.script[self.next].clone();
-        self.next += 1;
-        let op_id = self.next_op_id;
-        self.next_op_id += 1;
-        self.waiting = true;
-        let thread = nc.fresh_thread();
-        nc.call(
-            thread,
-            &self.troupe,
-            self.module,
-            PROC_CM_EXECUTE,
-            to_bytes(&CmRequest { op_id, ops }),
-            CollationPolicy::Unanimous,
-        );
+        ClosedLoop::over(troupe, module, CmBatch::new(id_base), script)
     }
 }
 
-impl Agent for CmClient {
-    fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, _tag: u64) {
-        if !self.waiting {
-            self.submit(nc);
+impl<P: Protocol> ClosedLoop<P> {
+    fn over(troupe: Troupe, module: u16, proto: P, items: Vec<P::Item>) -> ClosedLoop<P> {
+        ClosedLoop {
+            troupe,
+            module,
+            script: Script::new(items, proto),
+            waiting: false,
         }
+    }
+
+    fn send(&mut self, nc: &mut NodeCtx<'_, '_, '_>) {
+        if self.waiting || !self.script.start() {
+            return;
+        }
+        self.waiting = true;
+        let thread = nc.fresh_thread();
+        let (proc, args, collation) = self.script.request();
+        nc.call(thread, &self.troupe, self.module, proc, args, collation);
+    }
+}
+
+impl<P: Protocol> Deref for ClosedLoop<P> {
+    type Target = Script<P>;
+    fn deref(&self) -> &Script<P> {
+        &self.script
+    }
+}
+
+impl<P: Protocol> Agent for ClosedLoop<P> {
+    fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, _tag: u64) {
+        self.send(nc);
     }
 
     fn on_call_done(
@@ -349,12 +279,204 @@ impl Agent for CmClient {
         result: Result<Vec<u8>, CallError>,
     ) {
         self.waiting = false;
+        if let Next::Confirmed | Next::Again = self.script.reply(nc, RETRY_KEY, result) {
+            self.send(nc);
+        }
+    }
+
+    fn on_app_timer(&mut self, nc: &mut NodeCtx<'_, '_, '_>, key: TimerKey) {
+        if key == RETRY_KEY {
+            self.send(nc);
+        }
+    }
+}
+
+/// The troupe commit protocol's client side.
+#[derive(Default)]
+pub struct Txn {
+    nonce: u64,
+    /// Per-transaction results, in script order.
+    pub committed: Vec<Vec<i64>>,
+    /// Abort count (deadlock pressure plus fault-induced vote failures).
+    pub aborts: u32,
+}
+
+impl Txn {
+    /// The nonce of the last submission: with the thread it was made on,
+    /// the key the members' commit ledgers record it under.
+    pub fn nonce(&self) -> u64 {
+        self.nonce
+    }
+}
+
+impl Protocol for Txn {
+    type Item = Vec<Op>;
+    const RETRIES: u32 = 200;
+
+    fn request(&mut self, ops: &Vec<Op>) -> Request {
+        self.nonce += 1;
+        let args = ExecuteRequest::encode(self.nonce, ops);
+        (PROC_EXECUTE, args, CollationPolicy::Unanimous)
+    }
+
+    fn reply(&mut self, result: Result<Vec<u8>, CallError>) -> Next {
+        let outcome = match result {
+            Ok(bytes) => from_bytes::<TxnOutcome>(&bytes),
+            Err(e) => {
+                self.aborts += 1;
+                return Next::Failed(e);
+            }
+        };
+        match outcome {
+            Ok(TxnOutcome::Committed(results)) => {
+                self.committed.push(results);
+                Next::Confirmed
+            }
+            Ok(TxnOutcome::Aborted(_)) => {
+                self.aborts += 1;
+                Next::Refused("aborted")
+            }
+            Err(e) => Next::Fatal(format!("garbled outcome: {e}")),
+        }
+    }
+}
+
+/// The ordered broadcast protocol's client side.
+pub struct ProposeAccept {
+    first_id: u64,
+    /// Ids minted so far, one per script item: the current one is
+    /// `first_id + minted - 1`.
+    minted: usize,
+    /// The phase: `None` while proposing, then fixed for good — a
+    /// re-propose could mint a second time and split the applied order.
+    accepted_time: Option<u64>,
+    /// The ids of the broadcasts every member acknowledged, in order:
+    /// each must appear in every member's applied order.
+    pub results: Vec<u64>,
+}
+
+impl ProposeAccept {
+    /// A broadcaster minting message ids from `first_id` up; each
+    /// broadcaster's range must be its own.
+    pub fn new(first_id: u64) -> ProposeAccept {
+        ProposeAccept {
+            first_id,
+            minted: 0,
+            accepted_time: None,
+            results: Vec::new(),
+        }
+    }
+
+    /// Ids minted but never confirmed (abandoned, or still in progress):
+    /// each may split a member's applied-id range in two.
+    pub fn unconfirmed(&self) -> usize {
+        self.minted - self.results.len()
+    }
+
+    fn msg_id(&self) -> u64 {
+        self.first_id + self.minted as u64 - 1
+    }
+}
+
+impl Protocol for ProposeAccept {
+    type Item = Vec<u8>;
+    const RETRIES: u32 = 300;
+
+    fn start(&mut self) {
+        self.minted += 1;
+        self.accepted_time = None;
+    }
+
+    /// The payload rides in both phases: a member that missed the
+    /// proposal installs the message from the accept.
+    fn request(&mut self, payload: &Vec<u8>) -> Request {
+        let msg_id = self.msg_id();
+        match self.accepted_time {
+            None => (
+                PROC_GET_PROPOSED_TIME,
+                Propose::encode(msg_id, payload),
+                strict_max_time_collation(),
+            ),
+            Some(time) => (
+                PROC_ACCEPT_TIME,
+                Accept::encode(msg_id, time, payload),
+                all_ack_collation(),
+            ),
+        }
+    }
+
+    fn reply(&mut self, result: Result<Vec<u8>, CallError>) -> Next {
+        match (result, self.accepted_time) {
+            (Ok(bytes), None) => match from_bytes::<u64>(&bytes) {
+                Ok(max) => {
+                    self.accepted_time = Some(max);
+                    Next::Again
+                }
+                Err(_) => Next::Fatal("garbled max proposal".into()),
+            },
+            (Ok(_), Some(_)) => {
+                self.results.push(self.msg_id());
+                Next::Confirmed
+            }
+            (Err(e), _) => Next::Failed(e),
+        }
+    }
+}
+
+/// The commutative-operations client side: one batch under one
+/// idempotence id until every member has acknowledged it (members that
+/// already applied the id answer from their seen ledger).
+pub struct CmBatch {
+    first_id: u64,
+    /// Ids minted so far (see [`ProposeAccept`]).
+    minted: usize,
+    /// Idempotence ids every member acknowledged — each must be in
+    /// every member's seen ledger.
+    pub confirmed: Vec<u64>,
+}
+
+impl CmBatch {
+    /// A client minting idempotence ids from `first_id` up; each client's
+    /// range must be its own.
+    pub fn new(first_id: u64) -> CmBatch {
+        CmBatch {
+            first_id,
+            minted: 0,
+            confirmed: Vec::new(),
+        }
+    }
+
+    /// Ids minted but never confirmed (abandoned, or still in progress):
+    /// each may split a member's dedup-ledger range in two.
+    pub fn unconfirmed(&self) -> usize {
+        self.minted - self.confirmed.len()
+    }
+
+    fn op_id(&self) -> u64 {
+        self.first_id + self.minted as u64 - 1
+    }
+}
+
+impl Protocol for CmBatch {
+    type Item = Vec<CmOp>;
+    const RETRIES: u32 = 300;
+
+    fn start(&mut self) {
+        self.minted += 1;
+    }
+
+    fn request(&mut self, ops: &Vec<CmOp>) -> Request {
+        let args = CmRequest::encode(self.op_id(), ops);
+        (PROC_CM_EXECUTE, args, all_ack_collation())
+    }
+
+    fn reply(&mut self, result: Result<Vec<u8>, CallError>) -> Next {
         match result {
             Ok(_) => {
-                self.completed += 1;
-                self.submit(nc);
+                self.confirmed.push(self.op_id());
+                Next::Confirmed
             }
-            Err(e) => self.errors.push(format!("commutative call failed: {e}")),
+            Err(e) => Next::Failed(e),
         }
     }
 }

@@ -633,6 +633,15 @@ impl Service for CommitVoterService {
 }
 
 #[cfg(test)]
+impl TroupeStoreService {
+    /// Dispatches an `execute_transaction` of `ops` under `nonce` as a
+    /// client's call would arrive, for a test that drives a member alone.
+    pub(crate) fn execute(&mut self, ctx: &mut ServiceCtx, nonce: u64, ops: &[Op]) -> Step {
+        self.dispatch(ctx, PROC_EXECUTE, &ExecuteRequest::encode(nonce, ops))
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -82,10 +82,17 @@ pub struct CmRequest {
     pub ops: Vec<CmOp>,
 }
 
+impl CmRequest {
+    /// The arguments of an `apply_commutative` of borrowed `ops`: the
+    /// bytes of `to_bytes` of the request that owned them.
+    pub fn encode(op_id: u64, ops: &[CmOp]) -> Vec<u8> {
+        to_bytes(&(op_id, ops))
+    }
+}
+
 impl Externalize for CmRequest {
     fn externalize(&self, w: &mut Writer) {
-        w.put_u64(self.op_id);
-        self.ops.externalize(w);
+        (self.op_id, self.ops.as_slice()).externalize(w);
     }
 }
 
@@ -258,11 +265,7 @@ mod tests {
 
     fn execute(s: &mut CommutativeService, op_id: u64, ops: Vec<CmOp>) -> Step {
         let mut c = ctx(100);
-        s.dispatch(
-            &mut c,
-            PROC_CM_EXECUTE,
-            &to_bytes(&CmRequest { op_id, ops }),
-        )
+        s.dispatch(&mut c, PROC_CM_EXECUTE, &CmRequest::encode(op_id, &ops))
     }
 
     #[test]
@@ -272,6 +275,7 @@ mod tests {
             ops: vec![CmOp::Incr(ObjId(1), -3), CmOp::Insert(42)],
         };
         assert_eq!(from_bytes::<CmRequest>(&to_bytes(&req)).unwrap(), req);
+        assert_eq!(CmRequest::encode(req.op_id, &req.ops), to_bytes(&req));
     }
 
     #[test]

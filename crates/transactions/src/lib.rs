@@ -28,6 +28,10 @@
 //! idempotence (Shapiro's commutative replicated data types), trading
 //! expressiveness for abort-free, starvation-free throughput.
 //!
+//! Each scheme has one client side, a [`Protocol`] in [`client`]:
+//! [`Txn`], [`ProposeAccept`] and [`CmBatch`], run against a fixed troupe
+//! by [`TxnClient`], [`Broadcaster`] and [`CmClient`].
+//!
 //! Transactions are *lightweight* (§5.2): entirely volatile, because
 //! troupes mask partial failures, so no stable storage or crash-recovery
 //! log is needed; permanence comes from replication. Transactions "can
@@ -52,11 +56,13 @@ mod wedge;
 
 pub use backoff::Backoff;
 pub use broadcast::{
-    all_ack_collation, max_time_collation, strict_max_time_collation, Accept, AcceptRef,
-    AppliedOrder, OrderedApply, OrderedBroadcastService, Propose, ProposeRef,
+    Accept, AcceptRef, AppliedOrder, OrderedApply, OrderedBroadcastService, Propose, ProposeRef,
     DEFAULT_PROPOSAL_TTL_US, PROC_ACCEPT_TIME, PROC_GET_PROPOSED_TIME, RECENT_IDS,
 };
-pub use client::{Broadcaster, CmClient, TxnClient};
+pub use client::{
+    Broadcaster, ClosedLoop, CmBatch, CmClient, Next, ProposeAccept, Protocol, Request, Script,
+    Txn, TxnClient,
+};
 pub use commit::{
     CommitVoterService, ExecuteRequest, RecoveryInfo, TroupeStoreService, TxnOutcome, PROC_EXECUTE,
     PROC_PEEK, PROC_READY_TO_COMMIT,

@@ -360,7 +360,7 @@ mod tests {
     use std::collections::BTreeMap;
 
     use super::*;
-    use crate::commit::{ExecuteRequest, TroupeStoreService, PROC_EXECUTE};
+    use crate::commit::TroupeStoreService;
     use crate::store::ObjId;
     use crate::txn::Op;
     use circus::{Service, ServiceCtx, StateSince, Step, TroupeId};
@@ -576,11 +576,7 @@ mod tests {
             metrics: metrics.clone(),
             effects: Vec::new(),
         };
-        let request = ExecuteRequest {
-            nonce: n,
-            ops: ops(n),
-        };
-        let step = svc.dispatch(&mut ctx, PROC_EXECUTE, &to_bytes(&request));
+        let step = svc.execute(&mut ctx, n, &ops(n));
         assert!(matches!(step, Step::Call(_)), "no lock to wait for");
         let step = svc.resume(&mut ctx, Ok(to_bytes(&go)));
         assert!(matches!(step, Step::Reply(_)));

@@ -2,7 +2,7 @@
 //! broadcasters, skewed member clocks, per-member reordered and
 //! duplicated accept delivery — every member must end with an
 //! identical folded `applied_order` and a byte-identical application
-//! log (Figure 5.1's claim, the `MaxTime` max-of-proposals rule).
+//! log (Figure 5.1's claim, the max-of-proposals rule).
 
 use circus::Service;
 use proptest::prelude::*;
@@ -77,7 +77,7 @@ proptest! {
                 let step = svc.dispatch(
                     &mut c,
                     PROC_GET_PROPOSED_TIME,
-                    &to_bytes(&Propose { msg_id, payload: payload.clone() }),
+                    &Propose::encode(msg_id, &payload),
                 );
                 let circus::Step::Reply(bytes) = step else {
                     panic!("propose refused");
@@ -96,12 +96,12 @@ proptest! {
             for &i in &order {
                 let reps = if dups[m * MAX_MSGS + i] { 2 } else { 1 };
                 for _ in 0..reps {
-                    let (msg_id, time, payload) = accepted[i].clone();
+                    let (msg_id, time, payload) = &accepted[i];
                     let mut c = ctx(now);
                     let step = svc.dispatch(
                         &mut c,
                         PROC_ACCEPT_TIME,
-                        &to_bytes(&Accept { msg_id, accepted_time: time, payload }),
+                        &Accept::encode(*msg_id, *time, payload),
                     );
                     prop_assert!(matches!(step, circus::Step::Reply(_)));
                 }

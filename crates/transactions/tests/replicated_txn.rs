@@ -1,13 +1,14 @@
 //! End-to-end tests of replicated transactions: the troupe commit
-//! protocol under no conflict, conflict, and deadlock; and the ordered
-//! broadcast protocol's identical-order guarantee.
+//! protocol under no conflict, conflict, and deadlock; the ordered
+//! broadcast protocol's identical-order guarantee; and both broadcast
+//! and commutative clients reaching every member through a partition.
 
 use circus::testbed::{addr, agent, service, spawn_troupe};
 use circus::{NodeBuilder, NodeConfig, Troupe, TroupeId};
-use simnet::{Duration, SockAddr, World};
+use simnet::{Duration, HostId, Partition, SockAddr, Until, World};
 use transactions::{
-    AppliedOrder, Broadcaster, CommitVoterService, ObjId, Op, OrderedApply,
-    OrderedBroadcastService, TroupeStoreService, TxnClient,
+    AppliedOrder, Broadcaster, CmClient, CmOp, CommitVoterService, CommutativeService, ObjId, Op,
+    OrderedApply, OrderedBroadcastService, TroupeStoreService, TxnClient,
 };
 use wire::{from_bytes, to_bytes};
 
@@ -276,7 +277,7 @@ fn ordered_broadcast_identical_order_at_all_members() {
     w.run(simnet::Until::Elapsed(Duration::from_secs(120)));
 
     for &s in &senders {
-        let finished = agent(&w, s, Broadcaster::finished);
+        let finished = agent(&w, s, |b: &Broadcaster| b.finished());
         assert!(finished, "broadcaster {s} incomplete");
     }
 
@@ -314,4 +315,76 @@ fn ordered_broadcast_no_starvation_under_contention() {
     for m in &troupe.members[1..] {
         assert_eq!(applied_order(&w, m.addr), order0);
     }
+}
+
+// ---------------------------------------------------------------------
+// A member partitioned away for longer than the crash horizon.
+// ---------------------------------------------------------------------
+
+/// Isolates member host 3 300 ms into the run, heals the partition 60 s
+/// later (well past the paired-message crash horizon, so the clients'
+/// calls see the member dead for a while), and runs on to 600 s.
+fn partition_member_three(w: &mut World) {
+    w.run(Until::Elapsed(Duration::from_millis(300)));
+    w.set_partition(Partition::isolate(vec![HostId(3)]));
+    w.run(Until::Elapsed(Duration::from_secs(60)));
+    w.set_partition(Partition::none());
+    w.run(Until::Elapsed(Duration::from_secs(600)));
+}
+
+#[test]
+fn broadcast_reaches_a_member_partitioned_past_the_crash_horizon() {
+    let mut w = World::new(7);
+    let troupe = spawn_broadcast_troupe(&mut w, 3);
+    let senders = spawn_broadcasters(&mut w, &troupe, 1, 8);
+    w.poke(senders[0], 0);
+    partition_member_three(&mut w);
+
+    let (finished, errors) = agent(&w, senders[0], |b: &Broadcaster| {
+        (b.finished(), b.errors.clone())
+    });
+    assert!(finished && errors.is_empty(), "broadcaster: {errors:?}");
+    let order0 = applied_order(&w, troupe.members[0].addr);
+    assert_eq!((order0.0.len(), order0.1.len()), (8, 8));
+    for m in &troupe.members[1..] {
+        assert_eq!(applied_order(&w, m.addr), order0, "member {}", m.addr);
+    }
+}
+
+#[test]
+fn commutative_ops_reach_a_member_partitioned_past_the_crash_horizon() {
+    const CM_MODULE: u16 = 4;
+    let mut w = World::new(7);
+    let addrs: Vec<SockAddr> = (1..=3).map(|h| addr(h, 72)).collect();
+    let config = NodeConfig::default();
+    let troupe = spawn_troupe(
+        &mut w,
+        TroupeId(99),
+        &addrs,
+        CM_MODULE,
+        &config,
+        None,
+        CommutativeService::new,
+    );
+    let client = addr(30, 50);
+    let script = vec![vec![CmOp::Incr(ObjId(1), 1)]; 8];
+    let p = NodeBuilder::new(client, config)
+        .agent(Box::new(CmClient::new(troupe, CM_MODULE, 1_000, script)))
+        .build()
+        .expect("valid node");
+    w.spawn(client, Box::new(p));
+    w.poke(client, 0);
+    partition_member_three(&mut w);
+
+    let (finished, errors) = agent(&w, client, |c: &CmClient| (c.finished(), c.errors.clone()));
+    assert!(finished && errors.is_empty(), "client: {errors:?}");
+    let counters: Vec<i64> = addrs
+        .iter()
+        .map(|&m| {
+            service(&w, m, CM_MODULE, |s: &CommutativeService| {
+                s.counter(ObjId(1))
+            })
+        })
+        .collect();
+    assert_eq!(counters, [8, 8, 8]);
 }

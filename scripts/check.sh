@@ -39,7 +39,7 @@ phase() {
   echo "==> $1"
 }
 
-phase "cargo fmt --check (and the shape of the source: audited hash maps, no per-thread hash map in the call runtime, no crates/*/src/*.rs file over 900 lines (every crate), one multicast blast, one framing site, no cargo feature, no ledger that grows with the run, no spawn loop or echo service beside the testbed's, EXPERIMENTS.md within 50,000 bytes, DESIGN.md within 80,000)"
+phase "cargo fmt --check (and the shape of the source: audited hash maps, no per-thread hash map in the call runtime, no crates/*/src/*.rs file over 900 lines (every crate), one multicast blast, one framing site, one client side per synchronization scheme, no cargo feature, no ledger that grows with the run, no spawn loop or echo service beside the testbed's, EXPERIMENTS.md within 50,000 bytes, DESIGN.md within 80,000)"
 cargo fmt --all --check
 # A HashMap/HashSet field iterates in a per-process order: each one in the
 # protocol crates says, on the line above it, why that is never observed.
@@ -67,6 +67,15 @@ if grep -rn --include='*.rs' -e '\.stamp(' -e 'Framed::new(' crates/*/src src |
   grep -v -e '^crates/pairedmsg/src/frame\.rs:' -e '^crates/simnet/src/payload\.rs:' \
     -e '^crates/pairedmsg/src/config\.rs:.*Framed::new('; then
   echo "a payload framed or stamped outside pairedmsg's frame.rs (named above): frame the message with Config::frame" >&2
+  exit 1
+fi
+# Each synchronization scheme has one client side, the protocols of
+# transactions' client.rs: a scheme's procedure named anywhere else (its
+# service and wire types aside) is a second copy of that client.
+if grep -rnw --include='*.rs' -e PROC_EXECUTE -e PROC_GET_PROPOSED_TIME -e PROC_ACCEPT_TIME \
+  -e PROC_CM_EXECUTE crates/*/src src |
+  grep -v -E '^crates/transactions/src/(client|commit|broadcast(/tests)?|commute|lib)\.rs:'; then
+  echo "a scheme's procedure named outside transactions' client and services (named above): drive the scheme through its transactions::Protocol" >&2
   exit 1
 fi
 # A cargo feature is a second program nobody tests: there are none, and

@@ -38,10 +38,9 @@ use rdp::circus::{
 };
 use rdp::simnet::{DiskConfig, SockAddr, TimerWheel, Until, World};
 use rdp::transactions::{
-    max_time_collation, Accept, Broadcaster, CmOp, CmRequest, CommitVoterService,
-    CommutativeService, ExecuteRequest, ObjId, Op, OrderedApply, OrderedBroadcastService, Propose,
-    TroupeStoreService, TxnClient, TxnOutcome, PROC_ACCEPT_TIME, PROC_CM_EXECUTE, PROC_EXECUTE,
-    PROC_GET_PROPOSED_TIME,
+    Broadcaster, CmBatch, CmOp, CommitVoterService, CommutativeService, ExecuteRequest, Next,
+    ObjId, Op, OrderedApply, OrderedBroadcastService, ProposeAccept, Protocol, TroupeStoreService,
+    TxnClient, TxnOutcome, PROC_EXECUTE,
 };
 use rdp::wire::{from_bytes, to_bytes};
 
@@ -65,13 +64,15 @@ const CALL_BUDGET: f64 = 10.03;
 const BULK_CALL_BUDGET: f64 = 17.01;
 
 /// Allocations per ordered broadcast (two n=3 calls, an 8-byte payload)
-/// by the library `Broadcaster`. Measured: 28.03 (32.02 before members
-/// called at one call number shared one call datagram, 65.0 before small
-/// payloads were kept inline and custom collators read their votes in
-/// place); the `Broadcaster` that copied the troupe for each call spent
-/// two more, the one that also cloned the payload five times per
-/// broadcast seven.
-const BROADCAST_BUDGET: f64 = 28.53;
+/// by the library `Broadcaster`. Measured: 26.02; 28.03 before it took
+/// the fault-safe collations, which every call shares (its lenient
+/// propose built a collator per call, and it kept each accept's decoded
+/// result), 32.02 before members called at one call number shared one
+/// call datagram, 65.0 before small payloads were kept inline and custom
+/// collators read their votes in place; the `Broadcaster` that copied
+/// the troupe for each call spent two more, the one that also cloned the
+/// payload five times per broadcast seven.
+const BROADCAST_BUDGET: f64 = 26.52;
 
 /// Allocations per transaction (one `Add` on a durable n=3 store, the
 /// client voting through its `ready_to_commit` call-back). Measured:
@@ -353,39 +354,37 @@ impl OrderedApply for Sum {
 /// First message id [`BroadcastLoop`] mints.
 const FIRST_MSG_ID: u64 = 1_000;
 
-/// Sequential ordered broadcasts (Figure 5.1's client side), message
-/// `id` carrying `id` as its payload.
+/// Sequential ordered broadcasts by the library's [`ProposeAccept`], all
+/// on one distributed thread, the `k`th carrying `FIRST_MSG_ID + k` as
+/// its payload.
 struct BroadcastLoop {
     troupe: Troupe,
     thread: Option<ThreadId>,
-    msg_id: u64,
-    accepting: bool,
+    proto: ProposeAccept,
+    payload: Vec<u8>,
+    done: u64,
     remaining: u64,
     wrong: u64,
 }
 
 impl BroadcastLoop {
-    fn propose(&mut self, nc: &mut NodeCtx<'_, '_, '_>) {
+    fn broadcast_next(&mut self, nc: &mut NodeCtx<'_, '_, '_>) {
+        self.proto.start();
+        self.payload = to_bytes(&(FIRST_MSG_ID + self.done));
+        self.send(nc);
+    }
+
+    fn send(&mut self, nc: &mut NodeCtx<'_, '_, '_>) {
         let thread = *self.thread.get_or_insert_with(|| nc.fresh_thread());
-        let propose = Propose {
-            msg_id: self.msg_id,
-            payload: to_bytes(&self.msg_id),
-        };
-        nc.call(
-            thread,
-            &self.troupe,
-            MODULE,
-            PROC_GET_PROPOSED_TIME,
-            to_bytes(&propose),
-            max_time_collation(),
-        );
+        let (proc, args, collation) = self.proto.request(&self.payload);
+        nc.call(thread, &self.troupe, MODULE, proc, args, collation);
     }
 }
 
 impl Agent for BroadcastLoop {
     fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, tag: u64) {
         self.remaining = tag;
-        self.propose(nc);
+        self.broadcast_next(nc);
     }
 
     fn on_call_done(
@@ -394,40 +393,24 @@ impl Agent for BroadcastLoop {
         _handle: CallHandle,
         result: Result<Vec<u8>, CallError>,
     ) {
-        let Ok(bytes) = result else {
-            self.wrong += 1;
-            return;
-        };
-        if self.accepting {
-            self.accepting = false;
-            self.msg_id += 1;
-            self.remaining -= 1;
-            if self.remaining > 0 {
-                self.propose(nc);
-            }
-            return;
+        match self.proto.reply(result) {
+            Next::Again => return self.send(nc),
+            // The protocol's ledger of confirmed ids would grow with the
+            // run; the loop forgets it.
+            Next::Confirmed => self.proto.results.clear(),
+            _ => self.wrong += 1,
         }
-        self.accepting = true;
-        let thread = self.thread.expect("proposed on it");
-        let accept = Accept {
-            msg_id: self.msg_id,
-            accepted_time: from_bytes(&bytes).unwrap_or(0),
-            payload: to_bytes(&self.msg_id),
-        };
-        nc.call(
-            thread,
-            &self.troupe,
-            MODULE,
-            PROC_ACCEPT_TIME,
-            to_bytes(&accept),
-            CollationPolicy::FirstCome,
-        );
+        self.done += 1;
+        self.remaining -= 1;
+        if self.remaining > 0 {
+            self.broadcast_next(nc);
+        }
     }
 }
 
 impl ClosedLoop for BroadcastLoop {
     fn completed(&self) -> u64 {
-        self.msg_id - FIRST_MSG_ID
+        self.done
     }
 }
 
@@ -440,8 +423,9 @@ fn ordered_broadcast_heap_is_flat() {
         |troupe| BroadcastLoop {
             troupe,
             thread: None,
-            msg_id: FIRST_MSG_ID,
-            accepting: false,
+            proto: ProposeAccept::new(FIRST_MSG_ID),
+            payload: Vec::new(),
+            done: 0,
             remaining: 0,
             wrong: 0,
         },
@@ -450,9 +434,8 @@ fn ordered_broadcast_heap_is_flat() {
         run_calls::<BroadcastLoop>(w, client, n);
     });
 
-    // Let the last accept reach the members the first-come collation did
-    // not wait for, then: everything applied, nothing remembered per
-    // message.
+    // Let the last exchange settle, then: everything applied, nothing
+    // remembered per message.
     w.run(Until::Idle);
     let (done, wrong) = agent(&w, client, |c: &BroadcastLoop| (c.completed(), c.wrong));
     assert_eq!((done, wrong), (40_000, 0));
@@ -471,11 +454,14 @@ fn ordered_broadcast_heap_is_flat() {
     }
 }
 
-/// Sequential commutative requests: one counter increment each.
+/// Sequential commutative requests by the library's [`CmBatch`], all on
+/// one distributed thread: one counter increment each.
 struct CommuteLoop {
     troupe: Troupe,
     thread: Option<ThreadId>,
-    op_id: u64,
+    proto: CmBatch,
+    ops: Vec<CmOp>,
+    done: u64,
     remaining: u64,
     wrong: u64,
 }
@@ -483,18 +469,9 @@ struct CommuteLoop {
 impl CommuteLoop {
     fn submit(&mut self, nc: &mut NodeCtx<'_, '_, '_>) {
         let thread = *self.thread.get_or_insert_with(|| nc.fresh_thread());
-        let req = CmRequest {
-            op_id: self.op_id,
-            ops: vec![CmOp::Incr(ObjId(1), 1)],
-        };
-        nc.call(
-            thread,
-            &self.troupe,
-            MODULE,
-            PROC_CM_EXECUTE,
-            to_bytes(&req),
-            CollationPolicy::Unanimous,
-        );
+        self.proto.start();
+        let (proc, args, collation) = self.proto.request(&self.ops);
+        nc.call(thread, &self.troupe, MODULE, proc, args, collation);
     }
 }
 
@@ -510,10 +487,12 @@ impl Agent for CommuteLoop {
         _handle: CallHandle,
         result: Result<Vec<u8>, CallError>,
     ) {
-        if result.is_err() {
-            self.wrong += 1;
+        match self.proto.reply(result) {
+            // As for the broadcast loop: forget the confirmed ids.
+            Next::Confirmed => self.proto.confirmed.clear(),
+            _ => self.wrong += 1,
         }
-        self.op_id += 1;
+        self.done += 1;
         self.remaining -= 1;
         if self.remaining > 0 {
             self.submit(nc);
@@ -523,7 +502,7 @@ impl Agent for CommuteLoop {
 
 impl ClosedLoop for CommuteLoop {
     fn completed(&self) -> u64 {
-        self.op_id
+        self.done
     }
 }
 
@@ -533,7 +512,9 @@ fn commutative_heap_is_flat() {
     let (_, client) = spawn_rig(&mut w, CommutativeService::new, |troupe| CommuteLoop {
         troupe,
         thread: None,
-        op_id: 0,
+        proto: CmBatch::new(0),
+        ops: vec![CmOp::Incr(ObjId(1), 1)],
+        done: 0,
         remaining: 0,
         wrong: 0,
     });

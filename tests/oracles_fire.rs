@@ -3,8 +3,8 @@
 //! An oracle that has never been seen to fail vouches for nothing.
 
 use chaos::{
-    quiesce, Bcast, ChaosApp, Client, Commute, Protocol, Quiesced, Recovery, ScenarioOptions,
-    Store, Txn, Violation, Workload, MEMBER_MODULE,
+    quiesce, Bcast, ChaosApp, Client, Commute, Quiesced, Recovery, ScenarioOptions, Scripted,
+    Store, Violation, Workload, MEMBER_MODULE,
 };
 use circus::binding::{reserved_procs, BINDING_MODULE, RINGMASTER_PORT};
 use circus::census::{CALL_NUMBERS, OUTSTANDING_CALLS};
@@ -20,7 +20,7 @@ use simnet::{Duration, HostId, SockAddr, Until};
 use transactions::broadcast::StateWire;
 use transactions::{
     AppliedOrder, CommitRecord, CommutativeService, ExecuteRequest, LedgerWire, ObjId, Op,
-    OrderedBroadcastService, TroupeStoreService, PROC_EXECUTE, RECENT_IDS,
+    OrderedBroadcastService, TroupeStoreService, Txn, PROC_EXECUTE, RECENT_IDS,
 };
 use wire::{from_bytes, to_bytes, Bytes};
 
