@@ -39,6 +39,7 @@ impl fmt::Display for ModuleAddr {
     }
 }
 
+// not a declaration: flattens simnet's `SockAddr`, which has no wire form.
 impl Externalize for ModuleAddr {
     fn externalize(&self, w: &mut Writer) {
         w.put_u32(self.addr.host.0);
@@ -47,6 +48,7 @@ impl Externalize for ModuleAddr {
     }
 }
 
+// not a declaration: rebuilds the `SockAddr` flattened above.
 impl Internalize for ModuleAddr {
     fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let host = HostId(r.get_u32()?);
@@ -56,10 +58,12 @@ impl Internalize for ModuleAddr {
     }
 }
 
-/// A permanently unique troupe identifier (§6.3), also serving as the
-/// troupe's incarnation number for cache invalidation (§6.2).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TroupeId(pub u64);
+wire::newtype! {
+    /// A permanently unique troupe identifier (§6.3), also serving as the
+    /// troupe's incarnation number for cache invalidation (§6.2).
+    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    pub struct TroupeId(pub u64);
+}
 
 impl TroupeId {
     /// The identifier of an unregistered, single-member pseudo-troupe.
@@ -79,26 +83,16 @@ impl fmt::Display for TroupeId {
     }
 }
 
-impl Externalize for TroupeId {
-    fn externalize(&self, w: &mut Writer) {
-        w.put_u64(self.0);
+wire::record! {
+    /// A troupe: a set of replicas of a module on machines with independent
+    /// failure modes (§3.5.1).
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub struct Troupe {
+        /// The troupe's current incarnation.
+        pub id: TroupeId,
+        /// Module addresses of the members.
+        pub members: Vec<ModuleAddr>,
     }
-}
-
-impl Internalize for TroupeId {
-    fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(TroupeId(r.get_u64()?))
-    }
-}
-
-/// A troupe: a set of replicas of a module on machines with independent
-/// failure modes (§3.5.1).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Troupe {
-    /// The troupe's current incarnation.
-    pub id: TroupeId,
-    /// Module addresses of the members.
-    pub members: Vec<ModuleAddr>,
 }
 
 impl Troupe {
@@ -125,22 +119,6 @@ impl Troupe {
     /// Returns `true` if `addr` hosts a member of this troupe.
     pub fn has_member_at(&self, addr: SockAddr) -> bool {
         self.members.iter().any(|m| m.addr == addr)
-    }
-}
-
-impl Externalize for Troupe {
-    fn externalize(&self, w: &mut Writer) {
-        self.id.externalize(w);
-        self.members.externalize(w);
-    }
-}
-
-impl Internalize for Troupe {
-    fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Troupe {
-            id: TroupeId::internalize(r)?,
-            members: Vec::internalize(r)?,
-        })
     }
 }
 

@@ -14,6 +14,7 @@
 use std::collections::BTreeMap;
 
 use obs::fnv1a_fold;
+use wire::{Externalize, Internalize, Reader, WireError, Writer};
 
 /// An exact set of `u64` ids held as inclusive ranges that are pairwise
 /// disjoint and never adjacent (so equal sets have equal representations).
@@ -133,28 +134,37 @@ impl IdSet {
         }
         h
     }
+}
 
-    /// The wire form: the inclusive ranges, ascending.
-    pub fn to_wire(&self) -> Vec<(u64, u64)> {
-        self.ranges.iter().map(|(&lo, &hi)| (lo, hi)).collect()
+// not a declaration: the ranges, ascending, laid out as `Vec<(u64, u64)>`.
+impl Externalize for IdSet {
+    fn externalize(&self, w: &mut Writer) {
+        w.put_seq_len(self.ranges.len());
+        for (&lo, &hi) in &self.ranges {
+            w.put_u64(lo);
+            w.put_u64(hi);
+        }
     }
+}
 
-    /// Rebuilds a set from its wire form; `None` unless the ranges are
-    /// well-formed, ascending, disjoint and coalesced — exactly what
-    /// [`to_wire`](IdSet::to_wire) emits.
-    pub fn from_wire(ranges: Vec<(u64, u64)>) -> Option<IdSet> {
+// not a declaration: rejects ranges no `IdSet` could have written.
+impl Internalize for IdSet {
+    /// Accepts exactly what `externalize` writes: well-formed ranges,
+    /// ascending, disjoint and coalesced.
+    fn internalize(r: &mut Reader<'_>) -> Result<IdSet, WireError> {
+        let mut ranges = BTreeMap::new();
         let mut prev_hi: Option<u64> = None;
-        for &(lo, hi) in &ranges {
+        for _ in 0..r.get_seq_len()? {
+            let (lo, hi) = (r.get_u64()?, r.get_u64()?);
             // Strictly past the previous range with a gap of at least one.
             let clear = prev_hi.is_none_or(|p| p.checked_add(1).is_some_and(|n| n < lo));
             if lo > hi || !clear {
-                return None;
+                return Err(WireError::Invalid("IdSet"));
             }
             prev_hi = Some(hi);
+            ranges.insert(lo, hi);
         }
-        Some(IdSet {
-            ranges: ranges.into_iter().collect(),
-        })
+        Ok(IdSet { ranges })
     }
 }
 
@@ -163,6 +173,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
+    use wire::{from_bytes, to_bytes};
 
     #[test]
     fn consecutive_ids_cost_one_range_per_run() {
@@ -177,7 +188,7 @@ mod tests {
         assert!(!s.insert(500), "a second insert is refused");
         assert!(!s.contains(1_001), "the gap between runs is not inferred");
         assert!(s.insert(u64::MAX) && s.insert(0));
-        assert_eq!(s.to_wire()[0], (0, 1_000), "0 joined the run above it");
+        assert_eq!(s.range_count(), 3, "0 joined the run above it");
         assert!(s.remove(500) && !s.remove(500) && !s.contains(500));
         assert_eq!(s.range_count(), 4, "a removal splits its range");
         assert!(s.remove(u64::MAX) && s.max() == Some(1_001_000));
@@ -185,7 +196,8 @@ mod tests {
 
     #[test]
     fn wire_form_rejects_what_insert_could_not_have_built() {
-        assert!(IdSet::from_wire(vec![(1, 3), (5, 9)]).is_some());
+        let decode = |ranges: &[(u64, u64)]| from_bytes::<IdSet>(&to_bytes(ranges));
+        assert!(decode(&[(1, 3), (5, 9)]).is_ok());
         for bad in [
             vec![(3, 1)],         // inverted
             vec![(1, 3), (4, 9)], // adjacent: not coalesced
@@ -193,7 +205,7 @@ mod tests {
             vec![(5, 9), (1, 3)], // descending
             vec![(1, u64::MAX), (0, 0)],
         ] {
-            assert_eq!(IdSet::from_wire(bad.clone()), None, "{bad:?}");
+            assert_eq!(decode(&bad), Err(WireError::Invalid("IdSet")), "{bad:?}");
         }
     }
 
@@ -235,12 +247,13 @@ mod tests {
             for floor in [0, 31, 95] {
                 prop_assert_eq!(set.len_above(floor), model.range(floor + 1..).count() as u64);
             }
-            let wire = set.to_wire();
-            for pair in wire.windows(2) {
+            let bytes = to_bytes(&set);
+            let ranges: Vec<(u64, u64)> = from_bytes(&bytes).unwrap();
+            for pair in ranges.windows(2) {
                 prop_assert!(pair[0].1 + 1 < pair[1].0, "{:?} touch or overlap", pair);
             }
-            prop_assert!(wire.iter().all(|&(lo, hi)| lo <= hi));
-            prop_assert_eq!(IdSet::from_wire(wire), Some(set));
+            prop_assert!(ranges.iter().all(|&(lo, hi)| lo <= hi));
+            prop_assert_eq!(from_bytes::<IdSet>(&bytes), Ok(set));
         }
     }
 }

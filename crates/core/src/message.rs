@@ -76,6 +76,7 @@ pub struct CallMessage<A = Vec<u8>> {
     pub args: A,
 }
 
+// not a declaration: generic over the buffer its arguments are borrowed from.
 impl<A: AsRef<[u8]>> Externalize for CallMessage<A> {
     fn externalize(&self, w: &mut Writer) {
         self.thread.externalize(w);
@@ -115,6 +116,7 @@ impl<A> CallMessage<A> {
     }
 }
 
+// not a declaration: shares `internalize_with` with the in-place `decode`.
 impl Internalize for CallMessage {
     fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
         CallMessage::internalize_with(r, Reader::get_bytes)
@@ -154,6 +156,7 @@ const ST_ERROR: u16 = 1;
 const ST_WRONG_TROUPE: u16 = 2;
 const ST_NO_SUCH_PROC: u16 = 3;
 
+// not a declaration: the status words are `ReturnView`'s, which decodes it.
 impl Externalize for ReturnMessage {
     fn externalize(&self, w: &mut Writer) {
         match self {
@@ -176,6 +179,7 @@ impl Externalize for ReturnMessage {
     }
 }
 
+// not a declaration: decodes through the borrowed `ReturnView`.
 impl Internalize for ReturnMessage {
     fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(match ReturnView::internalize(r)? {

@@ -36,6 +36,7 @@ impl fmt::Display for ThreadId {
     }
 }
 
+// not a declaration: flattens simnet's `SockAddr`, which has no wire form.
 impl Externalize for ThreadId {
     fn externalize(&self, w: &mut Writer) {
         w.put_u32(self.origin.host.0);
@@ -44,6 +45,7 @@ impl Externalize for ThreadId {
     }
 }
 
+// not a declaration: rebuilds the `SockAddr` flattened above.
 impl Internalize for ThreadId {
     fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let host = HostId(r.get_u32()?);

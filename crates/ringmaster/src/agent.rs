@@ -19,7 +19,7 @@ use circus::{
     TroupeId, TroupeTarget,
 };
 use simnet::SockAddr;
-use wire::{from_bytes, to_bytes, Externalize, Internalize, Reader, WireError, Writer};
+use wire::{from_bytes, to_bytes};
 
 /// The `NotifyAgent` tag pushed when a suspect report or spare
 /// registration arrives: wake the co-located [`SelfHealAgent`]
@@ -41,26 +41,12 @@ fn make_id(name: &str, generation: u64) -> TroupeId {
     TroupeId(h.max(1))
 }
 
-/// One registry entry.
-#[derive(Clone, PartialEq, Eq, Debug)]
-struct Entry {
-    troupe: Troupe,
-    generation: u64,
-}
-
-impl Externalize for Entry {
-    fn externalize(&self, w: &mut Writer) {
-        self.troupe.externalize(w);
-        w.put_u64(self.generation);
-    }
-}
-
-impl Internalize for Entry {
-    fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Entry {
-            troupe: Troupe::internalize(r)?,
-            generation: r.get_u64()?,
-        })
+wire::record! {
+    /// One registry entry.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    struct Entry {
+        troupe: Troupe,
+        generation: u64,
     }
 }
 

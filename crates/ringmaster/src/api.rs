@@ -7,17 +7,19 @@
 use circus::binding::{binding_procs, BINDING_MODULE};
 use circus::testbed::Request;
 use circus::{CollationPolicy, ModuleAddr, Troupe, TroupeId};
-use wire::{to_bytes, Externalize, Internalize, Reader, WireError, Writer};
+use wire::to_bytes;
 
-/// `register_troupe(troupe_name, troupe) returns (troupe_id)` — initial
-/// registration of a whole troupe by a third party such as the
-/// configuration manager (§6.2).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct RegisterTroupe {
-    /// The interface name being exported.
-    pub name: String,
-    /// Module addresses of all members.
-    pub members: Vec<ModuleAddr>,
+wire::record! {
+    /// `register_troupe(troupe_name, troupe) returns (troupe_id)` — initial
+    /// registration of a whole troupe by a third party such as the
+    /// configuration manager (§6.2).
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub struct RegisterTroupe {
+        /// The interface name being exported.
+        pub name: String,
+        /// Module addresses of all members.
+        pub members: Vec<ModuleAddr>,
+    }
 }
 
 /// The `register_troupe` call a configuration manager's process makes of
@@ -32,129 +34,57 @@ pub fn registration(binder: &Troupe, name: &str, members: &[ModuleAddr]) -> Requ
         .collate(CollationPolicy::Majority)
 }
 
-impl Externalize for RegisterTroupe {
-    fn externalize(&self, w: &mut Writer) {
-        w.put_string(&self.name);
-        self.members.externalize(w);
+wire::record! {
+    /// `add_troupe_member(troupe_name, troupe_member) returns (troupe_id)` —
+    /// a server exporting a module, or a replacement member joining (§6.2,
+    /// Figure 6.2).
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub struct AddTroupeMember {
+        /// The interface name.
+        pub name: String,
+        /// The joining member.
+        pub member: ModuleAddr,
     }
 }
 
-impl Internalize for RegisterTroupe {
-    fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(RegisterTroupe {
-            name: r.get_string()?,
-            members: Vec::internalize(r)?,
-        })
+wire::record! {
+    /// `remove_troupe_member(troupe_name, troupe_member) returns (troupe_id)`
+    /// — garbage collection of defunct members (§6.1, §6.4).
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub struct RemoveTroupeMember {
+        /// The interface name.
+        pub name: String,
+        /// The departing member.
+        pub member: ModuleAddr,
     }
 }
 
-/// `add_troupe_member(troupe_name, troupe_member) returns (troupe_id)` —
-/// a server exporting a module, or a replacement member joining (§6.2,
-/// Figure 6.2).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct AddTroupeMember {
-    /// The interface name.
-    pub name: String,
-    /// The joining member.
-    pub member: ModuleAddr,
-}
-
-impl Externalize for AddTroupeMember {
-    fn externalize(&self, w: &mut Writer) {
-        w.put_string(&self.name);
-        self.member.externalize(w);
+wire::record! {
+    /// `rebind(troupe_name, stale_id) returns (troupe)` — a client detected
+    /// an invalid binding; the stale id is a hint the agent may verify and
+    /// purge (§6.1: "it need not be deleted immediately, nor should it be
+    /// blindly accepted as invalid in an insecure environment").
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub struct Rebind {
+        /// The interface name to re-import.
+        pub name: String,
+        /// The binding the client found to be stale.
+        pub stale: TroupeId,
     }
 }
 
-impl Internalize for AddTroupeMember {
-    fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(AddTroupeMember {
-            name: r.get_string()?,
-            member: ModuleAddr::internalize(r)?,
-        })
-    }
-}
-
-/// `remove_troupe_member(troupe_name, troupe_member) returns (troupe_id)`
-/// — garbage collection of defunct members (§6.1, §6.4).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct RemoveTroupeMember {
-    /// The interface name.
-    pub name: String,
-    /// The departing member.
-    pub member: ModuleAddr,
-}
-
-impl Externalize for RemoveTroupeMember {
-    fn externalize(&self, w: &mut Writer) {
-        w.put_string(&self.name);
-        self.member.externalize(w);
-    }
-}
-
-impl Internalize for RemoveTroupeMember {
-    fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(RemoveTroupeMember {
-            name: r.get_string()?,
-            member: ModuleAddr::internalize(r)?,
-        })
-    }
-}
-
-/// `rebind(troupe_name, stale_id) returns (troupe)` — a client detected
-/// an invalid binding; the stale id is a hint the agent may verify and
-/// purge (§6.1: "it need not be deleted immediately, nor should it be
-/// blindly accepted as invalid in an insecure environment").
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Rebind {
-    /// The interface name to re-import.
-    pub name: String,
-    /// The binding the client found to be stale.
-    pub stale: TroupeId,
-}
-
-impl Externalize for Rebind {
-    fn externalize(&self, w: &mut Writer) {
-        w.put_string(&self.name);
-        self.stale.externalize(w);
-    }
-}
-
-impl Internalize for Rebind {
-    fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Rebind {
-            name: r.get_string()?,
-            stale: TroupeId::internalize(r)?,
-        })
-    }
-}
-
-/// `register_spare(troupe_name, control_module) returns ()` — offer a
-/// warm standby for the named troupe. The Ringmaster records the spare's
-/// control module; when a member of that troupe is confirmed dead, the
-/// self-healing agent activates the spare, which wedges the survivors,
-/// copies their state, and joins (§6.4.1–§6.4.2, automated in-system).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct RegisterSpare {
-    /// The troupe the spare can replace a member of.
-    pub name: String,
-    /// The spare's activation endpoint (its control module).
-    pub ctl: ModuleAddr,
-}
-
-impl Externalize for RegisterSpare {
-    fn externalize(&self, w: &mut Writer) {
-        w.put_string(&self.name);
-        self.ctl.externalize(w);
-    }
-}
-
-impl Internalize for RegisterSpare {
-    fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(RegisterSpare {
-            name: r.get_string()?,
-            ctl: ModuleAddr::internalize(r)?,
-        })
+wire::record! {
+    /// `register_spare(troupe_name, control_module) returns ()` — offer a
+    /// warm standby for the named troupe. The Ringmaster records the spare's
+    /// control module; when a member of that troupe is confirmed dead, the
+    /// self-healing agent activates the spare, which wedges the survivors,
+    /// copies their state, and joins (§6.4.1–§6.4.2, automated in-system).
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub struct RegisterSpare {
+        /// The troupe the spare can replace a member of.
+        pub name: String,
+        /// The spare's activation endpoint (its control module).
+        pub ctl: ModuleAddr,
     }
 }
 

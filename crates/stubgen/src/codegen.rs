@@ -1,9 +1,10 @@
 //! Rust code generation from a checked interface program.
 //!
 //! The generated module contains, per the stub compiler description of
-//! §7.1: external-representation code for every declared type, client
-//! stubs (request builders and reply decoders), and a server skeleton —
-//! a handler trait plus a dispatcher implementing `circus::Service`.
+//! §7.1: a `wire` declaration for every declared constructor type (which
+//! supplies its external representation), client stubs (request builders
+//! and reply decoders), and a server skeleton — a handler trait plus a
+//! dispatcher implementing `circus::Service`.
 //!
 //! Two lessons from the paper shape the output:
 //!
@@ -82,113 +83,56 @@ fn rust_type(ty: &Type) -> String {
 
 fn gen_type_decl(out: &mut String, name: &str, ty: &Type) {
     match ty {
-        Type::Record(fields) => gen_record(out, name, fields),
-        Type::Enumeration(items) => gen_enumeration(out, name, items),
-        Type::Choice(arms) => gen_choice(out, name, arms),
+        Type::Record(fields) => declare(
+            out,
+            "record",
+            "Clone, Debug, PartialEq",
+            &format!("pub struct {name}"),
+            fields
+                .iter()
+                .map(|f| format!("pub {}: {}", snake(&f.name), rust_type(&f.ty))),
+        ),
+        Type::Enumeration(items) => declare(
+            out,
+            "enumeration",
+            "Clone, Copy, Debug, PartialEq, Eq, Hash",
+            &format!("pub enum {name}"),
+            items
+                .iter()
+                .map(|(item, value)| format!("{} = {value}", camel(item))),
+        ),
+        Type::Choice(arms) => declare(
+            out,
+            "choice",
+            "Clone, Debug, PartialEq",
+            &format!("pub enum {name}"),
+            arms.iter()
+                .map(|(arm, value, ty)| format!("{}({}) = {value}", camel(arm), rust_type(ty))),
+        ),
         other => {
             let _ = writeln!(out, "pub type {name} = {};\n", rust_type(other));
         }
     }
 }
 
-fn gen_record(out: &mut String, name: &str, fields: &[Field]) {
-    let _ = writeln!(out, "#[derive(Clone, Debug, PartialEq)]");
-    let _ = writeln!(out, "pub struct {name} {{");
-    for f in fields {
-        let _ = writeln!(out, "    pub {}: {},", snake(&f.name), rust_type(&f.ty));
-    }
-    let _ = writeln!(out, "}}\n");
-    let _ = writeln!(out, "impl wire::Externalize for {name} {{");
-    let _ = writeln!(out, "    fn externalize(&self, w: &mut wire::Writer) {{");
-    for f in fields {
-        let _ = writeln!(
-            out,
-            "        wire::Externalize::externalize(&self.{}, w);",
-            snake(&f.name)
-        );
+/// Emits a constructor type as its `wire` declaration (`wire::record!`,
+/// `wire::enumeration!` or `wire::choice!`), which lays it out on the
+/// wire: `item` is the type's head, `members` its fields, items or arms.
+fn declare(
+    out: &mut String,
+    kind: &str,
+    derives: &str,
+    item: &str,
+    members: impl Iterator<Item = String>,
+) {
+    let _ = writeln!(
+        out,
+        "wire::{kind}! {{\n    #[derive({derives})]\n    {item} {{"
+    );
+    for member in members {
+        let _ = writeln!(out, "        {member},");
     }
     let _ = writeln!(out, "    }}\n}}\n");
-    let _ = writeln!(out, "impl wire::Internalize for {name} {{");
-    let _ = writeln!(
-        out,
-        "    fn internalize(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {{"
-    );
-    let _ = writeln!(out, "        Ok({name} {{");
-    for f in fields {
-        let _ = writeln!(
-            out,
-            "            {}: wire::Internalize::internalize(r)?,",
-            snake(&f.name)
-        );
-    }
-    let _ = writeln!(out, "        }})\n    }}\n}}\n");
-}
-
-fn gen_enumeration(out: &mut String, name: &str, items: &[(String, u16)]) {
-    let _ = writeln!(out, "#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]");
-    let _ = writeln!(out, "pub enum {name} {{");
-    for (item, value) in items {
-        let _ = writeln!(out, "    {} = {},", camel(item), value);
-    }
-    let _ = writeln!(out, "}}\n");
-    let _ = writeln!(out, "impl wire::Externalize for {name} {{");
-    let _ = writeln!(out, "    fn externalize(&self, w: &mut wire::Writer) {{");
-    let _ = writeln!(out, "        w.put_u16(*self as u16);");
-    let _ = writeln!(out, "    }}\n}}\n");
-    let _ = writeln!(out, "impl wire::Internalize for {name} {{");
-    let _ = writeln!(
-        out,
-        "    fn internalize(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {{"
-    );
-    let _ = writeln!(out, "        match r.get_u16()? {{");
-    for (item, value) in items {
-        let _ = writeln!(out, "            {} => Ok({name}::{}),", value, camel(item));
-    }
-    let _ = writeln!(
-        out,
-        "            other => Err(wire::WireError::BadEnum(other)),"
-    );
-    let _ = writeln!(out, "        }}\n    }}\n}}\n");
-}
-
-fn gen_choice(out: &mut String, name: &str, arms: &[(String, u16, Type)]) {
-    let _ = writeln!(out, "#[derive(Clone, Debug, PartialEq)]");
-    let _ = writeln!(out, "pub enum {name} {{");
-    for (arm, _, ty) in arms {
-        let _ = writeln!(out, "    {}({}),", camel(arm), rust_type(ty));
-    }
-    let _ = writeln!(out, "}}\n");
-    let _ = writeln!(out, "impl wire::Externalize for {name} {{");
-    let _ = writeln!(out, "    fn externalize(&self, w: &mut wire::Writer) {{");
-    let _ = writeln!(out, "        match self {{");
-    for (arm, value, _) in arms {
-        let _ = writeln!(
-            out,
-            "            {name}::{}(v) => {{ w.put_designator({}); wire::Externalize::externalize(v, w); }}",
-            camel(arm),
-            value
-        );
-    }
-    let _ = writeln!(out, "        }}\n    }}\n}}\n");
-    let _ = writeln!(out, "impl wire::Internalize for {name} {{");
-    let _ = writeln!(
-        out,
-        "    fn internalize(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {{"
-    );
-    let _ = writeln!(out, "        match r.get_designator()? {{");
-    for (arm, value, _) in arms {
-        let _ = writeln!(
-            out,
-            "            {} => Ok({name}::{}(wire::Internalize::internalize(r)?)),",
-            value,
-            camel(arm)
-        );
-    }
-    let _ = writeln!(
-        out,
-        "            other => Err(wire::WireError::BadChoice(other)),"
-    );
-    let _ = writeln!(out, "        }}\n    }}\n}}\n");
 }
 
 pub(crate) fn camel(name: &str) -> String {

@@ -87,7 +87,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Every generated valid program compiles, and the output contains
-    /// the expected top-level artifacts.
+    /// the expected top-level artifacts and a declaration per constructor
+    /// type.
     #[test]
     fn valid_programs_compile(src in program_strategy()) {
         let out = compile(&src, Options { explicit_replication: true })
@@ -96,6 +97,15 @@ proptest! {
         prop_assert!(out.contains("pub struct IfaceDispatcher"));
         prop_assert!(out.contains("pub mod client"));
         prop_assert!(out.contains("pub enum IfaceError"));
+        // Each constructor type is its `wire` declaration, never an impl.
+        for (kind, declared) in [
+            ("RECORD", "wire::record! {"),
+            ("{ red(", "wire::enumeration! {"),
+            ("CHOICE", "wire::choice! {"),
+        ] {
+            prop_assert_eq!(src.contains(kind), out.contains(declared));
+        }
+        prop_assert!(!out.contains("impl wire::"));
     }
 
     /// Arbitrary text never panics the compiler.

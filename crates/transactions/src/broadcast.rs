@@ -99,6 +99,7 @@ impl Propose {
     }
 }
 
+// not a declaration: delegates to `ProposeRef`, the one encoder of the form.
 impl Externalize for Propose {
     fn externalize(&self, w: &mut Writer) {
         ProposeRef {
@@ -109,6 +110,7 @@ impl Externalize for Propose {
     }
 }
 
+// not a declaration: delegates to `ProposeRef`, the one decoder of the form.
 impl Internalize for Propose {
     fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let p = ProposeRef::read(r)?;
@@ -148,6 +150,7 @@ impl<'a> ProposeRef<'a> {
     }
 }
 
+// not a declaration: a zero-copy view whose payload is borrowed.
 impl Externalize for ProposeRef<'_> {
     fn externalize(&self, w: &mut Writer) {
         w.put_u64(self.msg_id);
@@ -182,6 +185,7 @@ impl Accept {
     }
 }
 
+// not a declaration: delegates to `AcceptRef`, the one encoder of the form.
 impl Externalize for Accept {
     fn externalize(&self, w: &mut Writer) {
         AcceptRef {
@@ -193,6 +197,7 @@ impl Externalize for Accept {
     }
 }
 
+// not a declaration: delegates to `AcceptRef`, the one decoder of the form.
 impl Internalize for Accept {
     fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let a = AcceptRef::read(r)?;
@@ -236,6 +241,7 @@ impl<'a> AcceptRef<'a> {
     }
 }
 
+// not a declaration: a zero-copy view whose payload is borrowed.
 impl Externalize for AcceptRef<'_> {
     fn externalize(&self, w: &mut Writer) {
         w.put_u64(self.msg_id);
@@ -262,26 +268,14 @@ pub trait OrderedApply: 'static {
     fn restore(&mut self, _state: &[u8]) {}
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum QStatus {
-    Proposed,
-    Accepted,
-}
-
-impl QStatus {
-    fn to_wire(self) -> u16 {
-        match self {
-            QStatus::Proposed => 0,
-            QStatus::Accepted => 1,
-        }
-    }
-
-    fn from_wire(w: u16) -> Option<QStatus> {
-        match w {
-            0 => Some(QStatus::Proposed),
-            1 => Some(QStatus::Accepted),
-            _ => None,
-        }
+wire::enumeration! {
+    /// Where a queued message stands in Figure 5.1's two phases.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum QStatus {
+        /// Proposed: its time is not agreed yet, so it blocks the queue.
+        Proposed = 0,
+        /// Accepted at its agreed time: it applies once that time comes.
+        Accepted = 1,
     }
 }
 
@@ -352,23 +346,38 @@ impl AppliedOrder {
     pub fn recent(&self) -> Vec<u64> {
         self.recent.iter().copied().collect()
     }
+}
 
-    /// The wire form: `(count, fold, recent)`.
-    pub fn to_wire(&self) -> (u64, u64, Vec<u64>) {
-        (self.count, self.fold, self.recent())
-    }
-
-    /// Rebuilds a folded order from its wire form; `None` if the window
-    /// is longer than [`RECENT_IDS`] or than the count.
-    pub fn from_wire((count, fold, recent): (u64, u64, Vec<u64>)) -> Option<AppliedOrder> {
-        if recent.len() > RECENT_IDS || recent.len() as u64 > count {
-            return None;
+// not a declaration: the window is a `VecDeque`, laid out as `(count, fold, recent)`.
+impl Externalize for AppliedOrder {
+    fn externalize(&self, w: &mut Writer) {
+        w.put_u64(self.count);
+        w.put_u64(self.fold);
+        w.put_seq_len(self.recent.len());
+        for id in &self.recent {
+            w.put_u64(*id);
         }
-        let mut order = AppliedOrder::default();
-        order.recent.extend(recent);
-        order.count = count;
-        order.fold = fold;
-        Some(order)
+    }
+}
+
+// not a declaration: rejects a window no `AppliedOrder` could have kept.
+impl Internalize for AppliedOrder {
+    /// Rejects a window longer than [`RECENT_IDS`] or than the count.
+    fn internalize(r: &mut Reader<'_>) -> Result<AppliedOrder, WireError> {
+        let (count, fold) = (r.get_u64()?, r.get_u64()?);
+        let len = r.get_seq_len()?;
+        if len > RECENT_IDS || len as u64 > count {
+            return Err(WireError::Invalid("AppliedOrder"));
+        }
+        let mut order = AppliedOrder {
+            count,
+            fold,
+            ..AppliedOrder::default()
+        };
+        for _ in 0..len {
+            order.recent.push_back(r.get_u64()?);
+        }
+        Ok(order)
     }
 }
 
@@ -635,36 +644,31 @@ impl<A: OrderedApply> Service for OrderedBroadcastService<A> {
         // broadcasts), the applied order (the oracle's object of proof),
         // the applied ids (so retried accepts stay no-ops) and the retry
         // cache (so a live retry gets the dead member's answer).
-        let retry = self
+        let retry: Vec<(u64, u64, u64, Bytes)> = self
             .retry
             .iter()
             .map(|(&(origin, id), &(time, ref result))| (origin, id, time, Bytes(result.clone())))
             .collect();
-        let queue = self
+        let queue: Vec<QueueWire> = self
             .queue
             .iter()
-            .map(|(&(time, id), e)| {
-                let payload = Bytes(e.payload.to_vec());
-                (time, id, e.origin, e.status.to_wire(), payload)
-            })
+            .map(|(&(time, id), e)| (time, id, e.origin, e.status, Bytes(e.payload.to_vec())))
             .collect();
-        let state: StateWire = (
-            Bytes(self.app.snapshot()),
-            self.applied_order.to_wire(),
-            self.applied_ids.to_wire(),
+        let snapshot = Bytes(self.app.snapshot());
+        to_bytes(&(
+            snapshot,
+            &self.applied_order,
+            &self.applied_ids,
             retry,
             queue,
-        );
-        to_bytes(&state)
+        ))
     }
 
     fn set_state(&mut self, state: &[u8]) {
         let Ok((Bytes(snapshot), order, ids, retry, queue)) = from_bytes::<StateWire>(state) else {
-            return; // Garbled transfer: keep the blank state, the donor retries.
-        };
-        let (Some(order), Some(ids)) = (AppliedOrder::from_wire(order), IdSet::from_wire(ids))
-        else {
-            return; // As above.
+            // Garbled transfer, any part of it: keep the state held (blank,
+            // for a joining spare, whose join goes on all the same).
+            return;
         };
         self.app.restore(&snapshot);
         self.applied_order = order;
@@ -676,9 +680,6 @@ impl<A: OrderedApply> Service for OrderedBroadcastService<A> {
         self.queue.clear();
         self.position.clear();
         for (time, id, origin, status, Bytes(payload)) in queue {
-            let Some(status) = QStatus::from_wire(status) else {
-                continue;
-            };
             self.queue.insert(
                 (time, id),
                 QEntry {
@@ -693,20 +694,19 @@ impl<A: OrderedApply> Service for OrderedBroadcastService<A> {
 }
 
 /// What `get_state` externalizes and `set_state` expects: the application
-/// snapshot, the folded applied order ([`AppliedOrder::to_wire`]), the
-/// applied ids ([`IdSet::to_wire`]), the retry cache as `(origin, msg_id,
-/// accepted time, result)` rows, and the queue.
+/// snapshot, the folded applied order, the applied ids, the retry cache as
+/// `(origin, msg_id, accepted time, result)` rows, and the queue.
 pub type StateWire = (
     Bytes,
-    (u64, u64, Vec<u64>),
-    Vec<(u64, u64)>,
+    AppliedOrder,
+    IdSet,
     Vec<(u64, u64, u64, Bytes)>,
     Vec<QueueWire>,
 );
 
 /// One queue entry in state transfer: `(time, msg_id, origin, status,
 /// payload)`.
-pub type QueueWire = (u64, u64, u64, u16, Bytes);
+pub type QueueWire = (u64, u64, u64, QStatus, Bytes);
 
 /// Reply collator for `get_proposed_time`: wait for every member, then
 /// yield the **maximum** proposal (Figure 5.1's client side). It is

@@ -458,6 +458,42 @@ fn garbled_ledgers_leave_the_blank_state() {
 }
 
 #[test]
+fn an_unknown_queue_status_leaves_the_blank_state() {
+    let mut donor = log_service();
+    propose(&mut donor, 100, 1, b"m");
+    accept(&mut donor, 200, 1, 150, b"m");
+    propose_from(&mut donor, A, 300, 2, b"in flight");
+    let (app, order, ids, retry, queue) = from_bytes::<StateWire>(&donor.get_state()).unwrap();
+    assert_eq!(queue.len(), 1, "message 2 is in flight");
+    // A status word no member writes: neither proposed nor accepted. A
+    // spare that dropped the row alone would lack a message its peers
+    // queue, and could apply a later one ahead of it.
+    let queue: Vec<_> = (queue.into_iter())
+        .map(|(time, id, origin, _, payload)| (time, id, origin, 2u16, payload))
+        .collect();
+    let mut spare = log_service();
+    spare.set_state(&to_bytes(&(app, order, ids, retry, queue)));
+    assert!(spare.applied_order.is_empty() && !spare.has_applied(1));
+    assert_eq!(spare.queue_len(), 0);
+    assert!(spare.app().entries.is_empty());
+}
+
+#[test]
+fn applied_order_rejects_a_window_it_could_not_have_kept() {
+    let o = order(&[4, 9, 2]);
+    assert_eq!(from_bytes::<AppliedOrder>(&to_bytes(&o)), Ok(o));
+    let decode = |count: u64, recent: Vec<u64>| {
+        from_bytes::<AppliedOrder>(&to_bytes(&(count, FNV1A_BASIS, recent)))
+    };
+    let full: Vec<u64> = (1..=RECENT_IDS as u64).collect();
+    assert!(decode(RECENT_IDS as u64 + 5, full.clone()).is_ok());
+    let bad = WireError::Invalid("AppliedOrder");
+    assert_eq!(decode(3, full), Err(bad.clone()), "longer than the count");
+    let long: Vec<u64> = (0..=RECENT_IDS as u64).collect();
+    assert_eq!(decode(100, long), Err(bad), "longer than RECENT_IDS");
+}
+
+#[test]
 fn wedge_refuses_work_then_lapses() {
     let mut s = log_service();
     let mut c = ctx(1_000_000);

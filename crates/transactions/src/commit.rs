@@ -18,7 +18,7 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
 
-use crate::ledger::{Ledger, LedgerWire};
+use crate::ledger::Ledger;
 use crate::pack_origin;
 use crate::store::TxnId;
 use crate::txn::{ExecOutcome, LocalTm, Op};
@@ -30,9 +30,7 @@ use circus::{
 };
 use obs::fnv1a;
 use simnet::{Disk, Payload};
-use wire::{
-    encode_with, from_bytes, to_bytes, Externalize, Internalize, Reader, WireError, Writer,
-};
+use wire::{encode_with, from_bytes, to_bytes};
 
 /// Procedure number of `execute_transaction` at the store troupe.
 pub const PROC_EXECUTE: u16 = 0;
@@ -41,14 +39,16 @@ pub const PROC_PEEK: u16 = 1;
 /// Procedure number of `ready_to_commit` at the client's commit module.
 pub const PROC_READY_TO_COMMIT: u16 = 0;
 
-/// A transaction submitted for execution.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ExecuteRequest {
-    /// Client-chosen value distinguishing retries of the same logical
-    /// transaction (each retry is a new transaction).
-    pub nonce: u64,
-    /// The operations, executed as one atomic unit.
-    pub ops: Vec<Op>,
+wire::record! {
+    /// A transaction submitted for execution.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub struct ExecuteRequest {
+        /// Client-chosen value distinguishing retries of the same logical
+        /// transaction (each retry is a new transaction).
+        pub nonce: u64,
+        /// The operations, executed as one atomic unit.
+        pub ops: Vec<Op>,
+    }
 }
 
 impl ExecuteRequest {
@@ -59,52 +59,14 @@ impl ExecuteRequest {
     }
 }
 
-impl Externalize for ExecuteRequest {
-    fn externalize(&self, w: &mut Writer) {
-        (self.nonce, self.ops.as_slice()).externalize(w);
-    }
-}
-
-impl Internalize for ExecuteRequest {
-    fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ExecuteRequest {
-            nonce: r.get_u64()?,
-            ops: Vec::internalize(r)?,
-        })
-    }
-}
-
-/// The fate of a submitted transaction.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum TxnOutcome {
-    /// Committed at every member; per-operation results.
-    Committed(Vec<i64>),
-    /// Aborted (deadlock, vote failure, or conflict); retry with backoff.
-    Aborted(String),
-}
-
-impl Externalize for TxnOutcome {
-    fn externalize(&self, w: &mut Writer) {
-        match self {
-            TxnOutcome::Committed(vals) => {
-                w.put_designator(0);
-                vals.externalize(w);
-            }
-            TxnOutcome::Aborted(why) => {
-                w.put_designator(1);
-                w.put_string(why);
-            }
-        }
-    }
-}
-
-impl Internalize for TxnOutcome {
-    fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.get_designator()? {
-            0 => Ok(TxnOutcome::Committed(Vec::internalize(r)?)),
-            1 => Ok(TxnOutcome::Aborted(r.get_string()?)),
-            d => Err(WireError::BadChoice(d)),
-        }
+wire::choice! {
+    /// The fate of a submitted transaction.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub enum TxnOutcome {
+        /// Committed at every member; per-operation results.
+        Committed(Vec<i64>) = 0,
+        /// Aborted (deadlock, vote failure, or conflict); retry with backoff.
+        Aborted(String) = 1,
     }
 }
 
@@ -443,17 +405,15 @@ impl Service for TroupeStoreService {
     }
 
     fn get_state(&self) -> Vec<u8> {
-        to_bytes(&(self.tm.store().snapshot(), self.committed.to_wire()))
+        to_bytes(&(self.tm.store().snapshot(), &self.committed))
     }
 
     /// Installs a peer's `(image, ledger)`. A state that does not decode,
     /// or whose ledger is not well-formed, is dropped whole: the member
-    /// keeps what it had and the donor's transfer is retried.
+    /// keeps what it had (nothing, for a joining spare, whose join goes
+    /// on to `add_troupe_member` all the same).
     fn set_state(&mut self, state: &[u8]) {
-        let Ok((snap, ledger)) = from_bytes::<(Vec<(u64, i64)>, LedgerWire)>(state) else {
-            return;
-        };
-        let Some(ledger) = Ledger::from_wire(ledger) else {
+        let Ok((snap, ledger)) = from_bytes::<(Vec<(u64, i64)>, Ledger)>(state) else {
             return;
         };
         self.tm.store_mut().restore(&snap);

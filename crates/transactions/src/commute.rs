@@ -26,7 +26,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use circus::{Service, ServiceCtx, Step};
-use wire::{from_bytes, to_bytes, Externalize, Internalize, Reader, WireError, Writer};
+use wire::{from_bytes, to_bytes};
 
 use crate::store::ObjId;
 use crate::wedge::Wedge;
@@ -36,50 +36,28 @@ use obs::{fnv1a_fold, FNV1A_BASIS};
 /// Procedure number of `apply_commutative` at the troupe.
 pub const PROC_CM_EXECUTE: u16 = 0;
 
-/// One commutative operation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CmOp {
-    /// Add a (possibly negative) delta to a counter.
-    Incr(ObjId, i64),
-    /// Insert an element into the grow-only set.
-    Insert(u64),
-}
-
-impl Externalize for CmOp {
-    fn externalize(&self, w: &mut Writer) {
-        match self {
-            CmOp::Incr(obj, delta) => {
-                w.put_u16(0);
-                w.put_u64(obj.0);
-                w.put_i64(*delta);
-            }
-            CmOp::Insert(elem) => {
-                w.put_u16(1);
-                w.put_u64(*elem);
-            }
-        }
+wire::choice! {
+    /// One commutative operation.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum CmOp {
+        /// Add a (possibly negative) delta to a counter.
+        Incr(ObjId, i64) = 0,
+        /// Insert an element into the grow-only set.
+        Insert(u64) = 1,
     }
 }
 
-impl Internalize for CmOp {
-    fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.get_designator()? {
-            0 => Ok(CmOp::Incr(ObjId(r.get_u64()?), r.get_i64()?)),
-            1 => Ok(CmOp::Insert(r.get_u64()?)),
-            d => Err(WireError::BadChoice(d)),
-        }
+wire::record! {
+    /// Argument of `apply_commutative`: a batch of commutative operations
+    /// under one client-unique idempotence id.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub struct CmRequest {
+        /// Client-unique id; retries reuse it, members dedup on it.
+        pub op_id: u64,
+        /// The operations, applied atomically with respect to dedup (all or
+        /// none count as "seen").
+        pub ops: Vec<CmOp>,
     }
-}
-
-/// Argument of `apply_commutative`: a batch of commutative operations
-/// under one client-unique idempotence id.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct CmRequest {
-    /// Client-unique id; retries reuse it, members dedup on it.
-    pub op_id: u64,
-    /// The operations, applied atomically with respect to dedup (all or
-    /// none count as "seen").
-    pub ops: Vec<CmOp>,
 }
 
 impl CmRequest {
@@ -87,21 +65,6 @@ impl CmRequest {
     /// bytes of `to_bytes` of the request that owned them.
     pub fn encode(op_id: u64, ops: &[CmOp]) -> Vec<u8> {
         to_bytes(&(op_id, ops))
-    }
-}
-
-impl Externalize for CmRequest {
-    fn externalize(&self, w: &mut Writer) {
-        (self.op_id, self.ops.as_slice()).externalize(w);
-    }
-}
-
-impl Internalize for CmRequest {
-    fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(CmRequest {
-            op_id: r.get_u64()?,
-            ops: Vec::<CmOp>::internalize(r)?,
-        })
     }
 }
 
@@ -226,16 +189,15 @@ impl Service for CommutativeService {
     fn get_state(&self) -> Vec<u8> {
         let counters: Vec<(u64, i64)> = self.counters.iter().map(|(&k, &v)| (k, v)).collect();
         let gset: Vec<u64> = self.gset.iter().copied().collect();
-        to_bytes(&(counters, gset, self.seen.to_wire()))
+        to_bytes(&(counters, gset, &self.seen))
     }
 
     fn set_state(&mut self, state: &[u8]) {
-        type Wire = (Vec<(u64, i64)>, Vec<u64>, Vec<(u64, u64)>);
+        type Wire = (Vec<(u64, i64)>, Vec<u64>, IdSet);
         let Ok((counters, gset, seen)) = from_bytes::<Wire>(state) else {
-            return; // Garbled transfer: keep the blank state, the donor retries.
-        };
-        let Some(seen) = IdSet::from_wire(seen) else {
-            return; // As above.
+            // Garbled transfer: keep the state held (blank, for a joining
+            // spare, whose join goes on all the same).
+            return;
         };
         self.counters = counters.into_iter().collect();
         self.gset = gset.into_iter().collect();

@@ -15,10 +15,7 @@ use obs::fnv1a_fold;
 
 use crate::pack_origin;
 use circus::IdSet;
-
-/// The wire form of a [`Ledger`]: per origin, ascending, its nonce ranges
-/// ([`IdSet::to_wire`]).
-pub type LedgerWire = Vec<(u64, Vec<(u64, u64)>)>;
+use wire::{Externalize, Internalize, Reader, WireError, Writer};
 
 /// The committed `(origin, nonce)` keys of one store member.
 #[derive(Clone, Default, PartialEq, Eq, Debug)]
@@ -98,29 +95,34 @@ impl Ledger {
         }
         h
     }
+}
 
-    /// The wire form.
-    pub fn to_wire(&self) -> LedgerWire {
-        self.origins
-            .iter()
-            .map(|(&o, s)| (o, s.to_wire()))
-            .collect()
+// not a declaration: per origin, ascending, its nonces, as `Vec<(u64, IdSet)>`.
+impl Externalize for Ledger {
+    fn externalize(&self, w: &mut Writer) {
+        w.put_seq_len(self.origins.len());
+        for (origin, set) in &self.origins {
+            (origin, set).externalize(w);
+        }
     }
+}
 
-    /// Rebuilds a ledger from its wire form; `None` unless it is exactly
-    /// what [`to_wire`](Ledger::to_wire) emits: origins strictly
+// not a declaration: rejects a ledger no `insert` could have built.
+impl Internalize for Ledger {
+    /// Accepts exactly what `externalize` writes: origins strictly
     /// ascending, each set non-empty and well-formed.
-    pub fn from_wire(wire: LedgerWire) -> Option<Ledger> {
+    fn internalize(r: &mut Reader<'_>) -> Result<Ledger, WireError> {
         let mut origins = BTreeMap::new();
         let mut prev: Option<u64> = None;
-        for (origin, ranges) in wire {
-            if prev.is_some_and(|p| p >= origin) || ranges.is_empty() {
-                return None;
+        for _ in 0..r.get_seq_len()? {
+            let (origin, set) = <(u64, IdSet)>::internalize(r)?;
+            if prev.is_some_and(|p| p >= origin) || set.is_empty() {
+                return Err(WireError::Invalid("Ledger"));
             }
             prev = Some(origin);
-            origins.insert(origin, IdSet::from_wire(ranges)?);
+            origins.insert(origin, set);
         }
-        Some(Ledger { origins })
+        Ok(Ledger { origins })
     }
 }
 
@@ -128,6 +130,7 @@ impl Ledger {
 mod tests {
     use super::*;
     use simnet::{HostId, SockAddr};
+    use wire::{from_bytes, to_bytes};
 
     fn on(host: u32) -> ThreadId {
         ThreadId {
@@ -159,20 +162,20 @@ mod tests {
         assert!(part.is_subset(&l) && !l.is_subset(&part));
         part.insert(on(3), 1);
         assert!(!part.is_subset(&l), "another client's key");
-        assert_eq!(Ledger::from_wire(l.to_wire()), Some(l));
+        assert_eq!(from_bytes::<Ledger>(&to_bytes(&l)), Ok(l));
     }
 
     #[test]
     fn wire_form_rejects_what_insert_could_not_have_built() {
-        let good = vec![(1, vec![(1, 3)]), (2, vec![(1, 1)])];
-        assert!(Ledger::from_wire(good).is_some());
+        let decode = |wire: &[(u64, Vec<(u64, u64)>)]| from_bytes::<Ledger>(&to_bytes(wire));
+        assert!(decode(&[(1, vec![(1, 3)]), (2, vec![(1, 1)])]).is_ok());
         for bad in [
             vec![(2, vec![(1, 3)]), (1, vec![(1, 1)])], // descending origins
             vec![(1, vec![(1, 3)]), (1, vec![(5, 6)])], // a repeated origin
             vec![(1, vec![])],                          // an empty set
             vec![(1, vec![(3, 1)])],                    // a malformed set
         ] {
-            assert_eq!(Ledger::from_wire(bad.clone()), None, "{bad:?}");
+            assert!(decode(&bad).is_err(), "{bad:?}");
         }
     }
 }

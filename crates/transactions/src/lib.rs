@@ -32,10 +32,14 @@
 //! [`Txn`], [`ProposeAccept`] and [`CmBatch`], run against a fixed troupe
 //! by [`TxnClient`], [`Broadcaster`] and [`CmClient`].
 //!
-//! Transactions are *lightweight* (§5.2): entirely volatile, because
-//! troupes mask partial failures, so no stable storage or crash-recovery
-//! log is needed; permanence comes from replication. Transactions "can
-//! be dynamically nested, just like procedure activation records":
+//! Transactions are *lightweight* (§5.2) by default: volatile, because
+//! troupes mask partial failures, so permanence comes from replication.
+//! [`wal`] is the optional local log (a store built
+//! [`with_durability`](TroupeStoreService::with_durability)): commit
+//! records and checkpoints on the member's own disk, from which a
+//! restarted member recovers and then rejoins by the delta catch-up of
+//! §6.4 instead of a full state transfer. Transactions "can be
+//! dynamically nested, just like procedure activation records":
 //! [`NestedTm`] implements the Moss-style nested semantics of §2.3.2.
 
 #![warn(missing_docs)]
@@ -69,7 +73,7 @@ pub use commit::{
 };
 pub use commute::{CmOp, CmRequest, CommutativeService, PROC_CM_EXECUTE};
 pub use deadlock::WaitsFor;
-pub use ledger::{Ledger, LedgerWire};
+pub use ledger::Ledger;
 pub use lock::{Acquire, LockManager, Mode};
 pub use nested::{NestedError, NestedTm};
 pub use store::{ObjId, Store, TxnId};

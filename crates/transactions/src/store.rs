@@ -9,9 +9,11 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-/// Names a shared object.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct ObjId(pub u64);
+wire::newtype! {
+    /// Names a shared object.
+    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+    pub struct ObjId(pub u64);
+}
 
 /// Names a transaction within one store.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]

@@ -13,17 +13,18 @@
 use crate::deadlock::WaitsFor;
 use crate::lock::{Acquire, LockManager, Mode};
 use crate::store::{ObjId, Store, TxnId};
-use wire::{Externalize, Internalize, Reader, WireError, Writer};
 
-/// One operation within a transaction.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Op {
-    /// Read an object (shared lock); yields its value.
-    Read(ObjId),
-    /// Overwrite an object (exclusive lock); yields the new value.
-    Write(ObjId, i64),
-    /// Add a delta to an object (exclusive lock); yields the new value.
-    Add(ObjId, i64),
+wire::choice! {
+    /// One operation within a transaction.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub enum Op {
+        /// Read an object (shared lock); yields its value.
+        Read(ObjId) = 0,
+        /// Overwrite an object (exclusive lock); yields the new value.
+        Write(ObjId, i64) = 1,
+        /// Add a delta to an object (exclusive lock); yields the new value.
+        Add(ObjId, i64) = 2,
+    }
 }
 
 impl Op {
@@ -37,38 +38,6 @@ impl Op {
         match self {
             Op::Read(_) => Mode::Shared,
             Op::Write(..) | Op::Add(..) => Mode::Exclusive,
-        }
-    }
-}
-
-impl Externalize for Op {
-    fn externalize(&self, w: &mut Writer) {
-        match self {
-            Op::Read(o) => {
-                w.put_designator(0);
-                w.put_u64(o.0);
-            }
-            Op::Write(o, v) => {
-                w.put_designator(1);
-                w.put_u64(o.0);
-                w.put_i64(*v);
-            }
-            Op::Add(o, v) => {
-                w.put_designator(2);
-                w.put_u64(o.0);
-                w.put_i64(*v);
-            }
-        }
-    }
-}
-
-impl Internalize for Op {
-    fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.get_designator()? {
-            0 => Ok(Op::Read(ObjId(r.get_u64()?))),
-            1 => Ok(Op::Write(ObjId(r.get_u64()?), r.get_i64()?)),
-            2 => Ok(Op::Add(ObjId(r.get_u64()?), r.get_i64()?)),
-            d => Err(WireError::BadChoice(d)),
         }
     }
 }

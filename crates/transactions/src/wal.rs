@@ -72,9 +72,9 @@
 use circus::ThreadId;
 use obs::fnv1a;
 use simnet::{Disk, DiskError};
-use wire::{encode_with, from_bytes, Externalize, Internalize, Reader, WireError, Writer};
+use wire::{encode_with, from_bytes};
 
-use crate::ledger::{Ledger, LedgerWire};
+use crate::ledger::Ledger;
 
 /// The log file name on the member's disk.
 pub const LOG_FILE: &str = "wal.log";
@@ -84,39 +84,17 @@ pub const SNAP_SLOTS: [&str; 2] = ["snap.0", "snap.1"];
 /// A store image: every object's committed value, in object order.
 type Image = Vec<(u64, i64)>;
 
-/// One committed transaction, as logged: enough to replay the commit
-/// (identity for exactly-once dedup, writes for the store image).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct CommitRecord {
-    /// The distributed thread that ran the transaction.
-    pub thread: ThreadId,
-    /// The client's retry-distinguishing nonce.
-    pub nonce: u64,
-    /// The committed writes, in object order.
-    pub writes: Vec<(u64, i64)>,
-}
-
-impl CommitRecord {
-    fn decode(bytes: &[u8]) -> Option<CommitRecord> {
-        from_bytes::<CommitRecord>(bytes).ok()
-    }
-}
-
-impl Externalize for CommitRecord {
-    fn externalize(&self, w: &mut Writer) {
-        self.thread.externalize(w);
-        w.put_u64(self.nonce);
-        self.writes.externalize(w);
-    }
-}
-
-impl Internalize for CommitRecord {
-    fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(CommitRecord {
-            thread: ThreadId::internalize(r)?,
-            nonce: r.get_u64()?,
-            writes: Vec::internalize(r)?,
-        })
+wire::record! {
+    /// One committed transaction, as logged: enough to replay the commit
+    /// (identity for exactly-once dedup, writes for the store image).
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub struct CommitRecord {
+        /// The distributed thread that ran the transaction.
+        pub thread: ThreadId,
+        /// The client's retry-distinguishing nonce.
+        pub nonce: u64,
+        /// The committed writes, in object order.
+        pub writes: Vec<(u64, i64)>,
     }
 }
 
@@ -277,15 +255,9 @@ impl Wal {
     fn write_slot(&mut self, ledger: &Ledger, image: &[(u64, i64)]) {
         let slot = SNAP_SLOTS[self.next_slot];
         self.seq += 1;
-        // Decoded by `parse_slot` as `(u64, Image, LedgerWire)`.
-        let mut w = Writer::new();
-        w.put_u64(self.seq);
-        w.put_seq_len(image.len());
-        for entry in image {
-            entry.externalize(&mut w);
-        }
-        ledger.to_wire().externalize(&mut w);
-        self.disk.set_contents(slot, &frame(&w.finish()));
+        // Decoded by `parse_slot` as `(u64, Image, Ledger)`.
+        let framed = encode_with(&(self.seq, image, ledger), frame);
+        self.disk.set_contents(slot, &framed);
         self.disk.fsync(slot);
         self.next_slot ^= 1;
     }
@@ -329,7 +301,7 @@ impl Wal {
         out.log_bytes = log.len();
         let mut good = 0;
         let mut frames = Frames::new(&log);
-        while let Some(rec) = frames.next().and_then(CommitRecord::decode) {
+        while let Some(rec) = frames.next().and_then(|b| from_bytes(b).ok()) {
             out.records.push(rec);
             good = frames.off;
         }
@@ -350,8 +322,7 @@ impl Wal {
 /// its ledger well-formed.
 fn parse_slot(bytes: &[u8]) -> Option<(u64, Checkpoint)> {
     let payload = Frames::new(bytes).next()?;
-    let (seq, image, ledger) = from_bytes::<(u64, Image, LedgerWire)>(payload).ok()?;
-    let ledger = Ledger::from_wire(ledger)?;
+    let (seq, image, ledger) = from_bytes::<(u64, Image, Ledger)>(payload).ok()?;
     Some((seq, Checkpoint { ledger, image }))
 }
 

@@ -23,6 +23,9 @@ pub enum WireError {
     BadEnum(u16),
     /// Bytes remained after the top-level value was internalized.
     Trailing(usize),
+    /// The words decoded, but as a value its type could not have built
+    /// (ranges out of order, say); names the type.
+    Invalid(&'static str),
 }
 
 impl fmt::Display for WireError {
@@ -35,6 +38,7 @@ impl fmt::Display for WireError {
             WireError::BadLength(n) => write!(f, "implausible length {n}"),
             WireError::BadEnum(w) => write!(f, "unknown enumeration value {w}"),
             WireError::Trailing(n) => write!(f, "{n} trailing bytes after value"),
+            WireError::Invalid(what) => write!(f, "ill-formed {what}"),
         }
     }
 }

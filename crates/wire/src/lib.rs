@@ -24,6 +24,7 @@
 
 #![warn(missing_docs)]
 
+pub mod declare;
 pub mod error;
 pub mod reader;
 pub mod types;

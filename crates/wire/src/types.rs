@@ -2,10 +2,10 @@
 //! built-in Courier types.
 //!
 //! A type implementing both traits can cross machine boundaries in call
-//! and return messages. Stub compilers (the `stubgen` crate) generate
-//! these implementations for user-declared RECORD, CHOICE, and
-//! enumeration types, exactly as the paper's stub compilers generated
-//! externalization procedures (§7.1.4).
+//! and return messages. User-declared RECORD, CHOICE, enumeration and
+//! newtype types get theirs from the declarations of [`crate::declare`],
+//! which the `stubgen` compiler emits as the paper's stub compilers
+//! generated externalization procedures (§7.1.4).
 
 use crate::error::WireError;
 use crate::reader::Reader;

@@ -19,7 +19,7 @@ use ringmaster::RingmasterService;
 use simnet::{Duration, HostId, SockAddr, Until};
 use transactions::broadcast::StateWire;
 use transactions::{
-    AppliedOrder, CommitRecord, CommutativeService, ExecuteRequest, LedgerWire, ObjId, Op,
+    AppliedOrder, CommitRecord, CommutativeService, ExecuteRequest, Ledger, ObjId, Op,
     OrderedBroadcastService, TroupeStoreService, Txn, PROC_EXECUTE, RECENT_IDS,
 };
 use wire::{from_bytes, to_bytes, Bytes};
@@ -56,7 +56,7 @@ fn doctor_state<S: Service>(
 /// A store member's state with one object's value altered in the image
 /// and the commit ledger left as it was.
 fn alter_one_value(state: Vec<u8>) -> Vec<u8> {
-    type State = (Vec<(u64, i64)>, LedgerWire);
+    type State = (Vec<(u64, i64)>, Ledger);
     let (mut image, ledger) = from_bytes::<State>(&state).expect("the store's own state");
     image.first_mut().expect("something was committed").1 += 1;
     to_bytes(&(image, ledger))
@@ -92,11 +92,12 @@ fn bcast_oracles_fire_on_a_swapped_order_a_forgotten_id_and_a_hoarded_cache() {
     // Two applied ids swapped in one member's order: same ids, same
     // count, same application state bytes — only the fold knows.
     doctor_state::<Member>(&mut q, victim, |state| {
-        let (app, (count, _, mut ids), set, retry, queue) = decode(&state);
-        assert!(ids.len() as u64 == count && ids.len() <= RECENT_IDS);
+        let (app, order, set, retry, queue) = decode(&state);
+        let mut ids = order.recent();
+        assert!(ids.len() == order.len() && ids.len() <= RECENT_IDS);
         ids.swap(0, 1);
         let swapped: AppliedOrder = ids.into_iter().collect();
-        to_bytes(&(app, swapped.to_wire(), set, retry, queue))
+        to_bytes(&(app, swapped, set, retry, queue))
     });
     let violations = check(&Bcast, &q);
     assert_only(&violations, "identical-applied-order");
@@ -110,8 +111,7 @@ fn bcast_oracles_fire_on_a_swapped_order_a_forgotten_id_and_a_hoarded_cache() {
     // One confirmed id gone from one member's applied-id set.
     doctor_state::<Member>(&mut q, victim, |_| {
         let (app, order, mut set, retry, queue) = decode(&clean);
-        assert!(set[0].0 < set[0].1, "a client's run of ids");
-        set[0].0 += 1;
+        assert!(set.remove(order.recent()[0]), "the first id applied");
         to_bytes(&(app, order, set, retry, queue))
     });
     let violations = check(&Bcast, &q);
@@ -123,12 +123,10 @@ fn bcast_oracles_fire_on_a_swapped_order_a_forgotten_id_and_a_hoarded_cache() {
     // entry per applied id, as the pre-compaction ledger held.
     doctor_state::<Member>(&mut q, victim, |_| {
         let (app, order, set, _, queue) = decode(&clean);
-        let hoard: Vec<(u64, u64, u64, Bytes)> = set
-            .iter()
-            .flat_map(|&(lo, hi)| lo..=hi)
+        let hoard: Vec<(u64, u64, u64, Bytes)> = (order.recent().into_iter())
             .map(|id| (0, id, 0, Bytes(Vec::new())))
             .collect();
-        assert_eq!(hoard.len() as u64, order.0);
+        assert_eq!(hoard.len(), order.len());
         to_bytes(&(app, order, set, hoard, queue))
     });
     let violations = check(&Bcast, &q);
