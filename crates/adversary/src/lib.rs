@@ -41,7 +41,7 @@ pub mod oracle;
 
 pub use gen::{hostile_datagram, stale_call_segment, HostileKind};
 pub use inject::{install_adversary, AdvInjector, ATTACKER_HOST};
-pub use oracle::{check_adversary, sum_prefix};
+pub use oracle::check_adversary;
 
 /// The committed regression seed corpus (`tests/corpus/adversary.seeds`
 /// at the repository root): one seed per line, `#` comments.

@@ -15,40 +15,20 @@
 //!   member evicted: every eviction in the run is matched by a repair,
 //!   so only genuinely crashed members left the ring.
 //!
-//! All three read the run's frozen `metrics_json` dump, so they apply
+//! All three read the run's frozen metrics snapshot, so they apply
 //! equally to live runs and corpus replays.
 
 use chaos::{Report, Violation};
-
-/// Sums every counter in the dump whose key starts with `prefix`.
-pub fn sum_prefix(json: &str, prefix: &str) -> u64 {
-    let needle = format!("\"{prefix}");
-    let mut total = 0;
-    let mut rest = json;
-    while let Some(at) = rest.find(&needle) {
-        rest = &rest[at + 1..];
-        let Some(colon) = rest.find(':') else { break };
-        // Only count exact metric keys, not string values that happen
-        // to share the prefix.
-        if !rest[..colon].ends_with('"') {
-            continue;
-        }
-        let after = &rest[colon + 1..];
-        let end = after.find([',', '}']).unwrap_or(after.len());
-        total += after[..end].trim().parse().unwrap_or(0);
-    }
-    total
-}
 
 /// Runs the three adversary oracles against a finished run. Empty means
 /// the run passed.
 pub fn check_adversary<E>(r: &Report<E>) -> Vec<Violation> {
     let mut out = Vec::new();
 
-    let injected = r.counter("adv.injected");
-    let rejected = r.counter("adv.rejected");
-    let accepted = r.counter("adv.accepted");
-    let by_family = sum_prefix(&r.metrics_json, "adv.gen.");
+    let injected = r.metrics.get("adv.injected");
+    let rejected = r.metrics.get("adv.rejected");
+    let accepted = r.metrics.get("adv.accepted");
+    let by_family = r.metrics.sum("adv.gen.", "");
 
     if injected == 0 || rejected == 0 {
         out.push(Violation {
@@ -68,8 +48,8 @@ pub fn check_adversary<E>(r: &Report<E>) -> Vec<Violation> {
             ),
         });
     }
-    let evictions = r.counter("ring.evictions");
-    let repairs = r.counter("ring.repairs");
+    let evictions = r.metrics.get("ring.evictions");
+    let repairs = r.metrics.get("ring.repairs");
     if evictions != repairs {
         out.push(Violation {
             oracle: "adv-no-false-eviction",
@@ -81,16 +61,4 @@ pub fn check_adversary<E>(r: &Report<E>) -> Vec<Violation> {
         });
     }
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sum_prefix_sums_only_matching_keys() {
-        let json = r#"{"metrics":{"adv.gen.random":3,"adv.gen.stale":2,"adv.injected":5},"spans":{"count":0,"hash":0}}"#;
-        assert_eq!(sum_prefix(json, "adv.gen."), 5);
-        assert_eq!(sum_prefix(json, "nope."), 0);
-    }
 }

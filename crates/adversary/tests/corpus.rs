@@ -45,15 +45,18 @@ fn corpus_replays_green() {
     );
     // The corpus must keep covering the PR-4 decode-fix class: at least
     // one seed has to drive the segment-position generator.
-    let badpos: u64 = reports.iter().map(|r| r.counter("adv.gen.badpos")).sum();
+    let badpos: u64 = reports
+        .iter()
+        .map(|r| r.metrics.get("adv.gen.badpos"))
+        .sum();
     assert!(badpos > 0, "no corpus seed exercised adv.gen.badpos");
     for r in &reports {
         eprintln!(
             "corpus seed {:>3}: injected={:<4} rejected={:<4} accepted={:<4} trace {:#018x}",
             r.seed,
-            r.counter("adv.injected"),
-            r.counter("adv.rejected"),
-            r.counter("adv.accepted"),
+            r.metrics.get("adv.injected"),
+            r.metrics.get("adv.rejected"),
+            r.metrics.get("adv.accepted"),
             r.trace_hash,
         );
     }

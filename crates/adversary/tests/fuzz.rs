@@ -29,8 +29,8 @@ fn sweep(seeds: &[u64], opts: &ScenarioOptions) {
     let mut failures = Vec::new();
     let (mut injected_total, mut please_acks) = (0u64, 0u64);
     for r in &reports {
-        injected_total += r.counter("adv.injected");
-        please_acks += r.counter("adv.gen.pleaseack");
+        injected_total += r.metrics.get("adv.injected");
+        please_acks += r.metrics.get("adv.gen.pleaseack");
         if !r.passed() {
             failures.push(r.failure_summary());
         }
@@ -91,10 +91,9 @@ fn same_seed_injection_is_bit_deterministic() {
     let b = run(&Store, 7, &opts);
     assert_eq!(a.trace_hash, b.trace_hash, "trace hash diverged");
     assert_eq!(a.trace_events, b.trace_events, "event count diverged");
-    assert_eq!(a.metrics_json, b.metrics_json, "metrics dump diverged");
-    assert_eq!(a.span_hash, b.span_hash, "span hash diverged");
+    assert_eq!(a.metrics, b.metrics, "metrics diverged");
     assert!(
-        a.counter("adv.injected") > 0,
+        a.metrics.get("adv.injected") > 0,
         "determinism check must exercise the injector"
     );
 }

@@ -51,19 +51,16 @@ struct Snap {
 }
 
 fn snapshot(w: &World, addr: SockAddr) -> Snap {
-    node(w, addr, |n| {
-        let reg = obs::Registry::new();
-        n.publish_metrics(&reg);
-        Snap {
-            addr,
-            duplicate_call_deliveries: reg.get(&format!("rpc.{addr}.duplicate_call_deliveries")),
-            replays_suppressed: reg.get(&format!("rpc.{addr}.replays_suppressed")),
-            conns: n.conn_count(),
-            store_digest: n
-                .service_as::<TroupeStoreService>(MEMBER_MODULE)
-                .expect("store member exports the store service")
-                .state_digest(),
-        }
+    let reg = w.metrics();
+    node(w, addr, |n| Snap {
+        addr,
+        duplicate_call_deliveries: reg.get(&format!("rpc.{addr}.duplicate_call_deliveries")),
+        replays_suppressed: reg.get(&format!("rpc.{addr}.replays_suppressed")),
+        conns: n.conn_count(),
+        store_digest: n
+            .service_as::<TroupeStoreService>(MEMBER_MODULE)
+            .expect("store member exports the store service")
+            .state_digest(),
     })
 }
 

@@ -114,10 +114,11 @@ pub fn ablation_waiting() -> String {
 /// and the receiver's peak out-of-order buffering (§4.2.5's comparison
 /// of the Circus and Xerox PARC disciplines).
 fn transfer_stats(config: pairedmsg::Config, segments: usize) -> (u64, u64, usize) {
-    use pairedmsg::{Endpoint, Event as PmEvent, MsgType};
+    use pairedmsg::{Counters, Endpoint, Event as PmEvent, MsgType};
     let seg = 32usize;
-    let mut tx = Endpoint::new(config.clone());
-    let mut rx = Endpoint::new(config);
+    let reg = obs::Registry::new();
+    let mut tx = Endpoint::counting(config.clone(), Counters::register(&reg, "tx"));
+    let mut rx = Endpoint::counting(config, Counters::register(&reg, "rx"));
     let payload = vec![7u8; seg * segments];
     let now = Time::ZERO;
     tx.send(now, MsgType::Call, 1, 0, &payload).unwrap();
@@ -136,9 +137,6 @@ fn transfer_stats(config: pairedmsg::Config, segments: usize) -> (u64, u64, usiz
         }
         assert!(moved, "transfer stalled");
     }
-    let reg = obs::Registry::new();
-    tx.publish_metrics(&reg, "tx");
-    rx.publish_metrics(&reg, "rx");
     (
         reg.get("tx.segments_sent"),
         reg.get("rx.segments_sent"),

@@ -264,10 +264,7 @@ pub fn run_paced_echo(replicas: usize, calls: u32, gap: Duration) -> PacedResult
             w.run(simnet::Until::Elapsed(gap));
         }
     };
-    let retransmits = |w: &World| {
-        w.refresh_metrics();
-        w.metrics().sum_suffix(".retransmits")
-    };
+    let retransmits = |w: &World| w.metrics().sum_suffix(".retransmits");
     periods(&mut w, WARMUP);
     for &a in &everyone {
         w.reset_cpu(a);

@@ -319,29 +319,13 @@ fn check_stale_bindings(q: &Quiesced, clients: &[ClientView], out: &mut Vec<Viol
 
 /// The serial-number-monotonicity oracle (shared by every workload): no
 /// endpoint ever sent a call number out of order or delivered a call
-/// twice (§4.2.4). Every node publishes its endpoint totals into the
-/// registry; the oracle reads them back from there rather than reaching
-/// into the protocol structs.
+/// twice (§4.2.4), as every node counts it into the registry.
 pub fn check_monotonicity(q: &Quiesced, out: &mut Vec<Violation>) {
-    const ORACLE: &str = "serial-monotonicity";
-    q.world.refresh_metrics();
-    let reg = q.world.metrics();
-    for addr in q.world.proc_addrs() {
-        let regressions = reg.get(&format!("rpc.{addr}.send_call_regressions"));
-        if regressions != 0 {
-            out.push(Violation {
-                oracle: ORACLE,
-                detail: format!("{addr} sent {regressions} non-monotonic call number(s)"),
-            });
-        }
-        let duplicates = reg.get(&format!("rpc.{addr}.duplicate_call_deliveries"));
-        if duplicates != 0 {
-            out.push(Violation {
-                oracle: ORACLE,
-                detail: format!("{addr} delivered {duplicates} duplicate call(s)"),
-            });
-        }
-    }
+    let regressions = |a: &str, n| format!("{a} sent {n} non-monotonic call number(s)");
+    let duplicates = |a: &str, n| format!("{a} delivered {n} duplicate call(s)");
+    let oracle = "serial-monotonicity";
+    nonzero_rpc(q, ".send_call_regressions", oracle, regressions, out);
+    nonzero_rpc(q, ".duplicate_call_deliveries", oracle, duplicates, out);
 }
 
 /// The split-call oracle (every workload): no server ever timed out an
@@ -349,24 +333,32 @@ pub fn check_monotonicity(q: &Quiesced, out: &mut Vec<Violation>) {
 /// thread)` under another number. The members of a troupe number a
 /// logical call alike (§4.3.2); one that did not split the call into two
 /// assemblies, each waiting out the assembly timeout and each executing.
-/// Reads the `rpc.<addr>.split_calls` totals [`check_monotonicity`]
-/// published, so it runs after it.
 pub fn check_split_calls(q: &Quiesced, out: &mut Vec<Violation>) {
-    let (reg, mut key) = (q.world.metrics(), String::new());
-    for addr in q.world.proc_addrs() {
-        key.clear();
-        let _ = write!(key, "rpc.{addr}.split_calls");
-        let split = reg.get(&key);
-        if split != 0 {
-            out.push(Violation {
-                oracle: "split-call",
-                detail: format!(
-                    "{addr} timed out {split} assembly wait(s) on a client member heard on \
-                     the same thread under another call_seq"
-                ),
-            });
+    let split = |a: &str, n| {
+        format!(
+            "{a} timed out {n} assembly wait(s) on a client member heard on the same thread \
+             under another call_seq"
+        )
+    };
+    nonzero_rpc(q, ".split_calls", "split-call", split, out);
+}
+
+/// One `oracle` violation, worded by `detail`, for each process whose
+/// `rpc.<addr>{suffix}` count is not zero: every process that ever
+/// counted one, killed ones and dropped connections included.
+fn nonzero_rpc(
+    q: &Quiesced,
+    suffix: &str,
+    oracle: &'static str,
+    detail: impl Fn(&str, u64) -> String,
+    out: &mut Vec<Violation>,
+) {
+    q.world.metrics().each("rpc.", suffix, |addr, n| {
+        if n != 0 {
+            let detail = detail(addr, n);
+            out.push(Violation { oracle, detail });
         }
-    }
+    });
 }
 
 /// The no-permanent-under-replication oracle (shared by every
@@ -517,8 +509,9 @@ impl Scale {
             census::DIRECTORY_ENTRIES => 1 + self.incarnations,
             // Parked only while its lookup is out, at most one per peer.
             census::PARKED_CALLS => self.processes * held(census::OUTSTANDING_CALLS),
-            // Each is a message delivered on a connection still held; its
-            // expiry is what bounds it in time (pairedmsg's
+            // Each is a message delivered (`delivered` counts the whole
+            // run's, the held connections' among them); its expiry is what
+            // bounds it in time (pairedmsg's
             // `per_peer_state_is_bounded_by_the_replay_ttl`).
             census::REPLAY_RECORDS => delivered,
             other => panic!("census label {other:?} has no bound in the bounded-state oracle"),
@@ -530,9 +523,7 @@ impl Scale {
 /// live process — members, spares, clients, the Ringmaster troupe, the
 /// registrar — holds each [`census`](circus::Node::census) count within
 /// the bound `Scale::bound` states for it; then every live Ringmaster
-/// member's registry, spare pools and suspect queue hold theirs. Reads
-/// the endpoint totals [`check_monotonicity`] published, so it runs after
-/// it.
+/// member's registry, spare pools and suspect queue hold theirs.
 pub fn check_census<P: Scripted>(q: &Quiesced, out: &mut Vec<Violation>) {
     let addrs = q.world.proc_addrs();
     let mut censuses = Vec::with_capacity(addrs.len());

@@ -11,7 +11,7 @@
 
 use std::fmt;
 
-use simnet::{Duration, NetView, TraceEvent, TraceRing};
+use simnet::{TraceEvent, TraceRing};
 
 use crate::harness::{quiesce, ScenarioOptions, Workload};
 use crate::oracle::Violation;
@@ -49,17 +49,10 @@ pub struct Report<E> {
     pub all_clients_finished: bool,
     /// Oracle violations.
     pub violations: Vec<Violation>,
-    /// Simulated CPU time summed from the metrics registry over every
-    /// process the run charged (crashed processes included, up to their
-    /// last incarnation).
-    pub cpu_total: Duration,
-    /// The world's network counters, snapshotted from the registry.
-    pub net: NetView,
-    /// Deterministic JSON dump of the whole metrics registry at quiesce —
-    /// same seed, same bytes.
-    pub metrics_json: String,
-    /// FNV-1a hash over the causal span records minted during the run.
-    pub span_hash: u64,
+    /// The whole metrics registry at quiesce, the span hash over the
+    /// causal span records minted during the run included — same seed,
+    /// same snapshot (and the same bytes from [`obs::Snapshot::to_json`]).
+    pub metrics: obs::Snapshot,
     /// The workload's own figures.
     pub extra: E,
 }
@@ -74,12 +67,6 @@ impl<E> Report<E> {
             && self.all_clients_finished
     }
 
-    /// One counter out of the run's metrics dump. Lazy counters that
-    /// never ticked are absent from the dump and read as 0.
-    pub fn counter(&self, name: &str) -> u64 {
-        counter_in(&self.metrics_json, name)
-    }
-
     /// A copy-pasteable command reproducing this run by seed.
     pub fn repro(&self) -> String {
         format!(
@@ -87,16 +74,6 @@ impl<E> Report<E> {
             self.seed, self.workload
         )
     }
-}
-
-fn counter_in(json: &str, name: &str) -> u64 {
-    let needle = format!("\"{name}\":");
-    let Some(at) = json.find(&needle) else {
-        return 0;
-    };
-    let rest = &json[at + needle.len()..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().unwrap_or(0)
 }
 
 /// One sweep row: the common figures, then the workload's.
@@ -185,10 +162,6 @@ pub fn run<W: Workload>(wl: &W, seed: u64, opts: &ScenarioOptions) -> Report<W::
         client_errors.extend(a.errors.iter().cloned());
     });
 
-    // The registry is the single source of CPU and network totals: the
-    // report and any table derived from the registry can never disagree.
-    q.world.refresh_metrics();
-    let reg = q.world.metrics();
     Report {
         workload: W::NAME,
         seed,
@@ -201,10 +174,7 @@ pub fn run<W: Workload>(wl: &W, seed: u64, opts: &ScenarioOptions) -> Report<W::
         client_errors,
         all_clients_finished: q.all_clients_finished,
         violations,
-        cpu_total: Duration::from_micros(reg.sum_suffix(".total_us")),
-        net: q.world.net_stats(),
-        metrics_json: reg.dump_json(),
-        span_hash: reg.span_hash(),
+        metrics: q.world.metrics().snapshot(),
         driver_warnings: q.driver_warnings,
         extra,
     }
@@ -289,18 +259,4 @@ pub fn sweep<W: Workload>(
                 .expect("every seed produced a report")
         })
         .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::counter_in;
-
-    #[test]
-    fn counter_parses_and_defaults() {
-        let json =
-            r#"{"metrics":{"adv.injected":12,"adv.rejected":9},"spans":{"count":0,"hash":0}}"#;
-        assert_eq!(counter_in(json, "adv.injected"), 12);
-        assert_eq!(counter_in(json, "adv.rejected"), 9);
-        assert_eq!(counter_in(json, "adv.accepted"), 0);
-    }
 }

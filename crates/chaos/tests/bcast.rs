@@ -34,10 +34,7 @@ fn bcast_same_seed_is_bit_identical() {
     let b = run(&Bcast, 3, &opts);
     assert_eq!(a.trace_hash, b.trace_hash, "trace hashes diverge");
     assert_eq!(a.trace_events, b.trace_events);
-    assert_eq!(a.cpu_total, b.cpu_total);
-    assert_eq!(a.net, b.net);
-    assert_eq!(a.metrics_json, b.metrics_json, "metrics dumps diverge");
-    assert_eq!(a.span_hash, b.span_hash, "span hashes diverge");
+    assert_eq!(a.metrics, b.metrics, "metrics diverge");
 }
 
 /// The spare-rejoin regression: kill a member in the middle of the

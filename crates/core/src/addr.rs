@@ -115,11 +115,6 @@ impl Troupe {
     pub fn degree(&self) -> usize {
         self.members.len()
     }
-
-    /// Returns `true` if `addr` hosts a member of this troupe.
-    pub fn has_member_at(&self, addr: SockAddr) -> bool {
-        self.members.iter().any(|m| m.addr == addr)
-    }
 }
 
 #[cfg(test)]
@@ -148,8 +143,6 @@ mod tests {
         let t = Troupe::singleton(maddr(1, 7, 0));
         assert_eq!(t.degree(), 1);
         assert_eq!(t.id, TroupeId::UNREGISTERED);
-        assert!(t.has_member_at(SockAddr::new(HostId(1), 7)));
-        assert!(!t.has_member_at(SockAddr::new(HostId(2), 7)));
     }
 
     #[test]

@@ -14,6 +14,7 @@ use std::rc::Rc;
 
 use crate::census;
 use crate::collate::{CollateError, Collation, Decision, Slots};
+use crate::counts::RpcCounts;
 use crate::message::{Arrival, CallKey, CallMessage};
 use crate::netio::NetIo;
 use obs::SpanId;
@@ -116,29 +117,17 @@ pub(crate) struct Assemblies {
     /// Point lookups, and `purge_done`'s `retain` — whose predicate has no
     /// side effect, so its order cannot be observed: otherwise never walked.
     done: HashMap<CallKey, DoneCall>,
-    /// Silent members of timed-out assemblies heard on the same `(client
-    /// troupe, thread)` under another number ([`Assemblies::time_out`]);
-    /// `None` until an assembly of two or more members opens, the only
-    /// kind that can split.
-    split_calls: Option<u64>,
+    /// Where invocations and split calls ([`Assemblies::time_out`]) are
+    /// counted; the split calls from the first assembly of two or more
+    /// members on, the only kind that can split.
+    pub(crate) counts: RpcCounts,
 }
 
 impl Assemblies {
-    /// Assemblies that reached a collation decision and ran service code.
-    pub(crate) fn invocations(&self) -> u64 {
-        self.last_invocation
-    }
-
     /// The engine's part of [`Node::census`](crate::Node::census).
     pub(crate) fn census(&self, out: &mut Vec<(&'static str, usize)>) {
         out.push((census::OPEN_ASSEMBLIES, self.pending.len()));
         out.push((census::BUFFERED_RETURNS, self.done.len()));
-    }
-
-    /// The split calls counted here ([`Assemblies::time_out`]), once an
-    /// assembly of two or more members has opened.
-    pub(crate) fn split_calls(&self) -> Option<u64> {
-        self.split_calls
     }
 
     /// One line per open assembly, each followed by one per member it
@@ -156,7 +145,7 @@ impl Assemblies {
                 ));
             }
         }
-        if let Some(n) = self.split_calls.filter(|&n| n > 0) {
+        if let Some(n) = self.counts.split_calls.get().filter(|&n| n > 0) {
             out.push(format!(
                 "split calls={n}: timed out on members heard under another call_seq"
             ));
@@ -208,7 +197,7 @@ impl Assemblies {
                 let serial = self.last_serial;
                 self.by_serial.insert(serial, key);
                 if n > 1 {
-                    self.split_calls.get_or_insert(0);
+                    self.counts.split_calls.handle();
                 }
                 let p = e.insert(Pending {
                     serial,
@@ -251,6 +240,7 @@ impl Assemblies {
             Decision::Fail(e) => return Some(Err(e)),
         };
         self.last_invocation += 1;
+        self.counts.invocations.inc();
         p.invocation = self.last_invocation;
         // The invoke span parents to the wire span of the call message
         // that opened the assembly, stitching the server-side execution
@@ -362,7 +352,7 @@ impl Assemblies {
             return Some((key, false));
         }
         let split = self.split_members(&key, p).count() as u64;
-        *self.split_calls.get_or_insert(0) += split;
+        self.counts.split_calls.handle().add(split);
         let p = self.pending.get_mut(&key).expect("read above");
         for (i, responder) in p.responders.iter().enumerate() {
             if responder.is_none() {
@@ -532,7 +522,10 @@ mod tests {
     fn a_member_heard_under_another_number_is_a_split_call() {
         let troupe: Rc<[SockAddr]> = (1..=3).map(host).collect();
         let late = Time::ZERO + Duration::from_secs(11);
-        let mut a = Assemblies::default();
+        let mut a = Assemblies {
+            counts: RpcCounts::register(&obs::Registry::new(), host(9)),
+            ..Assemblies::default()
+        };
         // Members 1 and 2 number the call 1; member 3 numbers it 2.
         let mut serials = Vec::new();
         for (h, seq) in [(1, 1), (3, 2), (2, 1)] {
@@ -546,17 +539,17 @@ mod tests {
         a.stuck(&mut stuck);
         let named = stuck.iter().filter(|l| l.starts_with("split assembly"));
         assert_eq!(named.count(), 1 + 2, "{stuck:?}");
-        assert_eq!(a.split_calls, Some(0));
+        assert_eq!(a.counts.split_calls.get(), Some(0));
         let &[one, two] = serials.as_slice() else {
             panic!("two assemblies: {serials:?}")
         };
         let (key_one, key_two) = (message(host(1), 1).1.key(), message(host(3), 2).1.key());
         assert_eq!(a.time_out(one, late), Some((key_one, true)));
-        assert_eq!(a.split_calls, Some(1), "member 3, heard as 2");
+        assert_eq!(a.counts.split_calls.get(), Some(1), "member 3, heard as 2");
         a.close(&key_one, Framed::default(), late, |_, _, _, _| {});
         assert_eq!(a.time_out(two, late), Some((key_two, true)));
         assert_eq!(
-            a.split_calls,
+            a.counts.split_calls.get(),
             Some(1),
             "members 1 and 2 are in no open assembly"
         );

@@ -485,6 +485,7 @@ impl ClientCalls {
 pub(crate) mod tests {
     use super::*;
     use crate::addr::ModuleAddr;
+    use crate::counts::RpcCounts;
     use crate::message::ReturnMessage;
     use crate::netio::mock::*;
     use crate::thread::ThreadIdGen;
@@ -715,6 +716,7 @@ pub(crate) mod tests {
     #[test]
     fn interleaved_data_planes_never_regress_a_peers_call_number() {
         let mut r = rig();
+        r.conns.counts = RpcCounts::register(&obs::Registry::new(), ME);
         let a = Troupe::new(TroupeId(9), members(1..=3));
         let b = Troupe::new(TroupeId(10), members(2..=5));
         let troupes = [&a, &b, &troupe_of(1)];
@@ -742,9 +744,7 @@ pub(crate) mod tests {
             let before = last.insert(to, at).unwrap_or((0, 0));
             assert!(at > before, "{to}: {at:?} after {before:?}");
         }
-        for endpoint in r.conns.endpoints() {
-            assert_eq!(endpoint.stats().send_call_regressions, 0);
-        }
+        assert_eq!(r.conns.counts.pm.send_call_regressions.get(), 0);
     }
 
     /// A member's solo call on a thread leaves the number its troupe's

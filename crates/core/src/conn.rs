@@ -4,6 +4,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use crate::census;
+use crate::counts::RpcCounts;
 use crate::message::ReturnMessage;
 use crate::netio::{make_tag, NetIo, TAG_CONN};
 use pairedmsg::{
@@ -37,11 +38,8 @@ pub(crate) struct Conns {
     ids: HashMap<u64, SockAddr>,
     /// The id of the next connection made.
     next_id: u64,
-    /// Calls and returns whose data segments went out by multicast, and
-    /// the segments so transmitted (each charged a single `sendmsg`).
-    mcast_calls: u64,
-    mcast_returns: u64,
-    mcast_segments: u64,
+    /// Where every connection counts, and the multicasts are counted.
+    pub(crate) counts: RpcCounts,
 }
 
 impl Conns {
@@ -55,9 +53,7 @@ impl Conns {
             table: BTreeMap::new(),
             ids: HashMap::new(),
             next_id: 0,
-            mcast_calls: 0,
-            mcast_returns: 0,
-            mcast_segments: 0,
+            counts: RpcCounts::default(),
         }
     }
 
@@ -80,6 +76,7 @@ impl Conns {
     /// The endpoint for `addr`, connecting first if need be.
     pub(crate) fn endpoint(&mut self, addr: SockAddr) -> &mut Endpoint {
         let (me, ids, next_id, pm) = (self.me, &mut self.ids, &mut self.next_id, &self.pm);
+        let counts = &self.counts.pm;
         let conn = self.table.entry(addr).or_insert_with(|| {
             let id = *next_id;
             *next_id += 1;
@@ -94,7 +91,7 @@ impl Conns {
             pm.jitter_seed ^= obs::fnv1a_fold(h, &addr.port.to_le_bytes());
             Conn {
                 id,
-                endpoint: Endpoint::new(pm),
+                endpoint: Endpoint::counting(pm, counts.clone()),
                 armed: None,
                 arm_gen: 0,
             }
@@ -129,11 +126,6 @@ impl Conns {
         if let Some(conn) = self.table.remove(&addr) {
             self.ids.remove(&conn.id);
         }
-    }
-
-    /// Calls, returns and segments sent by multicast so far.
-    pub(crate) fn multicast_totals(&self) -> (u64, u64, u64) {
-        (self.mcast_calls, self.mcast_returns, self.mcast_segments)
     }
 
     /// Whether a message of `len` bytes to two or more peers goes out
@@ -174,10 +166,13 @@ impl Conns {
         let mut cut = MsgSender::new(io.now(), &self.pm, msg_type, cn, span, std::mem::take(msg))
             .expect("the caller counted the segments");
         match msg_type {
-            MsgType::Call => self.mcast_calls += 1,
-            MsgType::Return => self.mcast_returns += 1,
+            MsgType::Call => self.counts.mcast_calls.inc(),
+            MsgType::Return => self.counts.mcast_returns.handle().inc(),
         }
-        self.mcast_segments += u64::from(cut.total());
+        // The segments bypass the endpoints; each goes to the network once.
+        let segments = u64::from(cut.total());
+        self.counts.mcast_segments.add(segments);
+        self.counts.pm.segments_sent.add(segments);
         for datagram in cut.initial_datagrams() {
             io.multicast_spanned(addrs, datagram, span);
         }

@@ -42,6 +42,7 @@ mod calls;
 pub mod census;
 pub mod collate;
 mod conn;
+mod counts;
 mod directory;
 pub mod idset;
 pub mod message;

@@ -20,6 +20,7 @@ use crate::binding::binding_procs::REPORT_SUSPECT;
 use crate::binding::{self, reserved_procs};
 use crate::calls::{Call, CallPurpose, ClientCalls, Finished, Returned};
 use crate::conn::Conns;
+use crate::counts::RpcCounts;
 use crate::directory::Directory;
 use crate::message::Arrival;
 use crate::netio::make_tag;
@@ -232,11 +233,17 @@ impl Node {
         }
     }
 
-    /// Runs every exported service's [`Service::on_start`] hook. Called
-    /// once by the process wrapper when it starts, *before* the agent —
-    /// a durable service recovers its state from the local disk here.
-    pub fn start_services(&mut self, io: &mut dyn NetIo) {
+    /// Starts the node: resolves its `rpc.{me}.*` handles in the
+    /// process's registry, where its connections and assemblies count from
+    /// then on, then runs every exported service's [`Service::on_start`]
+    /// hook. Called once by the process wrapper when it starts, *before*
+    /// the agent — a durable service recovers its state from the local
+    /// disk here.
+    pub fn start(&mut self, io: &mut dyn NetIo) {
         let metrics = io.metrics();
+        let counts = RpcCounts::register(&metrics, self.me);
+        self.assemblies.counts = counts.clone();
+        self.conns.counts = counts;
         for svc in self.services.values_mut() {
             svc.on_start(&metrics);
         }
@@ -262,45 +269,6 @@ impl Node {
     /// `1..=` this.
     pub fn threads_minted(&self) -> u32 {
         self.threads.minted()
-    }
-
-    /// Number of service invocations this member has started — assemblies
-    /// that reached a collation decision and ran service code. The chaos
-    /// harness compares this across troupe members at quiesce.
-    pub fn invocations(&self) -> u64 {
-        self.assemblies.invocations()
-    }
-
-    /// Publishes this node's protocol counters into a metrics registry,
-    /// under `rpc.{me}.*` gauges: paired-message endpoint totals summed
-    /// over all peers (in deterministic sorted order) plus the invocation
-    /// count. This is the only sanctioned way out for the endpoint
-    /// statistics — the chaos serial-number oracle and the §4.2.5
-    /// ablation read the registry, never the stats structs.
-    pub fn publish_metrics(&self, reg: &obs::Registry) {
-        let mut total = pairedmsg::EndpointStats::default();
-        for endpoint in self.conns.endpoints() {
-            total.absorb(&endpoint.stats());
-        }
-        // Multicast segments bypass the endpoints; each went to the
-        // network once.
-        let (mcast_calls, mcast_returns, mcast_segments) = self.conns.multicast_totals();
-        total.segments_sent += mcast_segments;
-        let me = self.me;
-        total.publish(reg, &format!("rpc.{me}"));
-        reg.set_gauge(&format!("rpc.{me}.invocations"), self.invocations());
-        reg.set_gauge(&format!("rpc.{me}.mcast_calls"), mcast_calls);
-        reg.set_gauge(&format!("rpc.{me}.mcast_segments"), mcast_segments);
-        // Only a member that closed a many-to-one assembly has one to
-        // count; a node that never did keeps the key out of the dump.
-        if mcast_returns > 0 {
-            reg.set_gauge(&format!("rpc.{me}.mcast_returns"), mcast_returns);
-        }
-        // Likewise only a node that opened an assembly of two or more
-        // client members has one that could split.
-        if let Some(split) = self.assemblies.split_calls() {
-            reg.set_gauge(&format!("rpc.{me}.split_calls"), split);
-        }
     }
 
     /// Drains the next application event.

@@ -379,7 +379,7 @@ impl Process for CircusProcess {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         // Services first: a durable service recovers its state from the
         // local disk before the agent (or any peer) can observe it.
-        self.node.start_services(ctx);
+        self.node.start(ctx);
         self.with_agent_ctx(ctx, |agent, nc| agent.on_start(nc));
     }
 
@@ -398,10 +398,6 @@ impl Process for CircusProcess {
 
     fn on_poke(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
         self.with_agent_ctx(ctx, |agent, nc| agent.on_poke(nc, tag));
-    }
-
-    fn publish_metrics(&self, reg: &obs::Registry) {
-        self.node.publish_metrics(reg);
     }
 }
 

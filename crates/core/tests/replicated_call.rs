@@ -232,6 +232,40 @@ fn crash_of_one_member_is_masked() {
     assert_quiescent(&w);
 }
 
+/// A node's counts are the registry's, not its connections': the client's
+/// retransmissions to a member whose host is down, and every segment it
+/// sent, keep counting through the `PeerDead` that drops its connection
+/// to that member, and never go down.
+#[test]
+fn a_count_never_goes_down() {
+    let mut w = world(7);
+    let troupe = spawn_server_troupe(&mut w, 10, 1, 3);
+    w.crash_host(HostId(2));
+    let echo = Request::new(&troupe, MODULE, PROC_ECHO, b"anyone".to_vec());
+    let client = spawn_client(&mut w, vec![echo]);
+    let reg = w.metrics();
+    let counts = || {
+        let key = |what| format!("rpc.{client}.{what}");
+        [reg.get(&key("retransmits")), reg.get(&key("segments_sent"))]
+    };
+    let gave_up = |w: &World| agent(w, client, |c: &Caller| !c.dead_members.is_empty());
+    let rose = |after: [u64; 2], before: [u64; 2]| after[0] >= before[0] && after[1] >= before[1];
+    w.poke(client, 0);
+    let mut before = counts();
+    while !gave_up(&w) {
+        assert!(w.step(), "the client never gave the member up");
+        let after = counts();
+        assert!(rose(after, before), "{after:?} after {before:?}");
+        before = after;
+    }
+    let retransmits = u64::from(pairedmsg::Config::default().max_retransmits);
+    assert!(before[0] >= retransmits, "{before:?}");
+    run(&mut w, 60);
+    assert_eq!(results(&w, client), vec![Ok(b"anyone".to_vec())]);
+    let after = counts();
+    assert!(rose(after, before), "{after:?} after {before:?}");
+}
+
 #[test]
 fn total_failure_reported() {
     let mut w = world(8);

@@ -5,8 +5,8 @@
 //! * a **metrics registry** ([`Registry`]) of named counters, gauges and
 //!   histograms — registered per host by key convention (`cpu.h1:70.…`,
 //!   `net.sent`, `rpc.h3:70.calls_delivered`), cheap to bump on the
-//!   simulated hot path (a handle is one shared `Cell`), and dumpable as
-//!   sorted text or JSON;
+//!   simulated hot path (a handle is one shared `Cell`), and read whole as
+//!   a plain-data [`Snapshot`], which renders as sorted text or JSON;
 //! * **causal spans** for replicated calls: a [`SpanId`] is minted when a
 //!   client begins a call, rides the paired-message segment header across
 //!   the wire, and every service invocation / nested call / directory
@@ -27,10 +27,12 @@
 
 mod fnv;
 mod registry;
+mod snapshot;
 mod span;
 mod view;
 
 pub use fnv::{fnv1a, fnv1a_fold, FNV1A_BASIS};
 pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
+pub use snapshot::{Reading, Snapshot};
 pub use span::{SpanId, SpanRecord, SpanTree};
 pub use view::{CpuView, NetView};

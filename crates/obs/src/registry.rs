@@ -11,12 +11,13 @@
 //!
 //! Handles are `Rc<Cell<_>>` under the hood, so a hot-path update is one
 //! `Cell` store — no string lookup. Name-based convenience methods
-//! (`add`, `set_gauge`, `observe`) do the lookup each time; they allocate
-//! a key only the first time a name is seen.
+//! (`add`, `observe`) do the lookup each time; they allocate a key only
+//! the first time a name is seen.
 //!
-//! Dumps ([`Registry::dump_text`], [`Registry::dump_json`]) iterate a
-//! `BTreeMap`, so output order is the sorted key order — deterministic by
-//! construction.
+//! A [`Snapshot`] copies the table out as plain data, and the dumps
+//! ([`Registry::dump_text`], [`Registry::dump_json`]) render one. The
+//! table is a `BTreeMap`, so output order is the sorted key order —
+//! deterministic by construction.
 //!
 //! Spans are *consumed* as they are minted, not stored: each record is
 //! folded into a running FNV-1a hash and counted, and only the most recent
@@ -26,19 +27,26 @@
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::{self, Write as _};
+use std::ops::Bound;
 use std::rc::Rc;
 
 use crate::fnv::{fnv1a_fold, FNV1A_BASIS};
+use crate::snapshot::{Reading, Snapshot};
 use crate::span::{SpanId, SpanRecord, SpanTree};
 
 /// Handle to a monotone counter. Cloning shares the underlying cell.
-#[derive(Clone, Debug)]
-pub struct Counter(Rc<Cell<u64>>);
+///
+/// A handle no registry holds, `Counter::default()`, counts nothing and
+/// reads 0: what a component counts into before it is given a registry.
+#[derive(Clone, Debug, Default)]
+pub struct Counter(Option<Rc<Cell<u64>>>);
 
 impl Counter {
     /// Adds `v` to the counter.
     pub fn add(&self, v: u64) {
-        self.0.set(self.0.get().wrapping_add(v));
+        if let Some(c) = &self.0 {
+            c.set(c.get().wrapping_add(v));
+        }
     }
 
     /// Adds one.
@@ -48,28 +56,33 @@ impl Counter {
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.0.get()
+        self.0.as_ref().map_or(0, |c| c.get())
     }
 
     /// Resets to zero (used by `World::reset_cpu`-style warmup clears).
     pub fn reset(&self) {
-        self.0.set(0);
+        if let Some(c) = &self.0 {
+            c.set(0);
+        }
     }
 }
 
-/// Handle to a last-write-wins gauge.
-#[derive(Clone, Debug)]
-pub struct Gauge(Rc<Cell<u64>>);
+/// Handle to a last-write-wins gauge; `Gauge::default()`, like a
+/// default [`Counter`], is held by no registry and keeps nothing.
+#[derive(Clone, Debug, Default)]
+pub struct Gauge(Option<Rc<Cell<u64>>>);
 
 impl Gauge {
     /// Overwrites the gauge value.
     pub fn set(&self, v: u64) {
-        self.0.set(v);
+        if let Some(g) = &self.0 {
+            g.set(v);
+        }
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.0.get()
+        self.0.as_ref().map_or(0, |g| g.get())
     }
 }
 
@@ -139,6 +152,16 @@ enum Metric {
     Histogram(Histogram),
 }
 
+impl Metric {
+    fn reading(&self) -> Reading {
+        match self {
+            Metric::Counter(c) => Reading::Count(c.get()),
+            Metric::Gauge(g) => Reading::Count(g.get()),
+            Metric::Histogram(h) => Reading::Histogram(h.snapshot()),
+        }
+    }
+}
+
 /// How many of the most recent spans a registry retains (the same window
 /// the chaos harness gives its `TraceRing`): a few hundred calls' worth of
 /// forest for a post-mortem, 160 KB at most.
@@ -156,8 +179,9 @@ struct Inner {
     next_span: u64,
     /// Every distinct span label minted so far; records share these.
     labels: BTreeSet<Rc<str>>,
-    /// Where a label is formatted before it is looked up in `labels`.
-    label_scratch: String,
+    /// Where a span label or a metric key is formatted before it is
+    /// looked up.
+    scratch: String,
 }
 
 impl Default for Inner {
@@ -168,19 +192,24 @@ impl Default for Inner {
             span_hash: FNV1A_BASIS,
             next_span: 0,
             labels: BTreeSet::new(),
-            label_scratch: String::new(),
+            scratch: String::new(),
         }
     }
 }
 
 impl Inner {
     /// The metric named `name`, registered with `make` the first time.
-    /// Only that first time allocates (the key).
-    fn metric(&mut self, name: &str, make: impl FnOnce() -> Metric) -> &Metric {
-        if !self.metrics.contains_key(name) {
-            self.metrics.insert(name.to_string(), make());
+    /// `name` is formatted into `scratch`, where it stays, so only that
+    /// first time allocates (the key).
+    fn metric(&mut self, name: impl fmt::Display, make: fn() -> Metric) -> Metric {
+        self.scratch.clear();
+        write!(self.scratch, "{name}").expect("writing to a String cannot fail");
+        if let Some(m) = self.metrics.get(self.scratch.as_str()) {
+            return m.clone();
         }
-        &self.metrics[name]
+        let m = make();
+        self.metrics.insert(self.scratch.clone(), m.clone());
+        m
     }
 
     /// Folds `r` into the running hash, then retains it as the newest of
@@ -213,44 +242,44 @@ impl Registry {
     }
 
     /// Registers (or finds) the counter named `name` and returns a handle.
+    /// `name` is anything printable — a `&str`, or `format_args!` of a
+    /// key's parts, which costs no allocation once the key exists.
     ///
     /// Panics if `name` is already registered as a different metric kind.
-    pub fn counter(&self, name: &str) -> Counter {
+    pub fn counter(&self, name: impl fmt::Display) -> Counter {
+        let fresh = || Metric::Counter(Counter(Some(Rc::new(Cell::new(0)))));
         let mut inner = self.0.borrow_mut();
-        match inner.metric(name, || Metric::Counter(Counter(Rc::new(Cell::new(0))))) {
-            Metric::Counter(c) => c.clone(),
-            other => panic!("metric {name:?} already registered as {other:?}"),
+        match inner.metric(name, fresh) {
+            Metric::Counter(c) => c,
+            other => panic!("metric {:?} already registered as {other:?}", inner.scratch),
         }
     }
 
-    /// Registers (or finds) the gauge named `name`.
-    pub fn gauge(&self, name: &str) -> Gauge {
+    /// Registers (or finds) the gauge named `name`, as
+    /// [`Registry::counter`] does a counter.
+    pub fn gauge(&self, name: impl fmt::Display) -> Gauge {
+        let fresh = || Metric::Gauge(Gauge(Some(Rc::new(Cell::new(0)))));
         let mut inner = self.0.borrow_mut();
-        match inner.metric(name, || Metric::Gauge(Gauge(Rc::new(Cell::new(0))))) {
-            Metric::Gauge(g) => g.clone(),
-            other => panic!("metric {name:?} already registered as {other:?}"),
+        match inner.metric(name, fresh) {
+            Metric::Gauge(g) => g,
+            other => panic!("metric {:?} already registered as {other:?}", inner.scratch),
         }
     }
 
-    /// Registers (or finds) the histogram named `name`.
-    pub fn histogram(&self, name: &str) -> Histogram {
+    /// Registers (or finds) the histogram named `name`, as
+    /// [`Registry::counter`] does a counter.
+    pub fn histogram(&self, name: impl fmt::Display) -> Histogram {
+        let fresh = || Metric::Histogram(Histogram(Rc::new(Cell::new(HistState::default()))));
         let mut inner = self.0.borrow_mut();
-        match inner.metric(name, || {
-            Metric::Histogram(Histogram(Rc::new(Cell::new(HistState::default()))))
-        }) {
-            Metric::Histogram(h) => h.clone(),
-            other => panic!("metric {name:?} already registered as {other:?}"),
+        match inner.metric(name, fresh) {
+            Metric::Histogram(h) => h,
+            other => panic!("metric {:?} already registered as {other:?}", inner.scratch),
         }
     }
 
     /// By-name convenience: bump the counter `name` by `v`.
     pub fn add(&self, name: &str, v: u64) {
         self.counter(name).add(v);
-    }
-
-    /// By-name convenience: set the gauge `name` to `v`.
-    pub fn set_gauge(&self, name: &str, v: u64) {
-        self.gauge(name).set(v);
     }
 
     /// By-name convenience: record one histogram sample.
@@ -261,12 +290,8 @@ impl Registry {
     /// Value of the counter or gauge `name` (0 if absent; histogram sum
     /// for histograms).
     pub fn get(&self, name: &str) -> u64 {
-        match self.0.borrow().metrics.get(name) {
-            Some(Metric::Counter(c)) => c.get(),
-            Some(Metric::Gauge(g)) => g.get(),
-            Some(Metric::Histogram(h)) => h.snapshot().sum,
-            None => 0,
-        }
+        let inner = self.0.borrow();
+        inner.metrics.get(name).map_or(0, |m| m.reading().value())
     }
 
     /// Sum of every counter/gauge whose key ends with `suffix`.
@@ -274,17 +299,25 @@ impl Registry {
     /// This is how cross-host totals are taken (`.total_us` over all
     /// `cpu.<addr>.total_us` keys) without the caller enumerating hosts.
     pub fn sum_suffix(&self, suffix: &str) -> u64 {
-        self.0
-            .borrow()
+        let mut total = 0;
+        self.each("", suffix, |_, v| total += v);
+        total
+    }
+
+    /// Calls `f(middle, value)` for every metric whose key is `prefix`,
+    /// then `middle`, then `suffix`, in key order, without allocating:
+    /// `each("rpc.", ".retransmits", ..)` visits every process address
+    /// that ever counted one, dead or alive.
+    pub fn each(&self, prefix: &str, suffix: &str, mut f: impl FnMut(&str, u64)) {
+        let inner = self.0.borrow();
+        let from = inner
             .metrics
-            .iter()
-            .filter(|(k, _)| k.ends_with(suffix))
-            .map(|(_, m)| match m {
-                Metric::Counter(c) => c.get(),
-                Metric::Gauge(g) => g.get(),
-                Metric::Histogram(h) => h.snapshot().sum,
-            })
-            .sum()
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded));
+        for (k, m) in from.take_while(|(k, _)| k.starts_with(prefix)) {
+            if let Some(middle) = k[prefix.len()..].strip_suffix(suffix) {
+                f(middle, m.reading().value());
+            }
+        }
     }
 
     /// All registered keys, sorted.
@@ -315,12 +348,12 @@ impl Registry {
     pub fn span_child(&self, parent: SpanId, label: impl fmt::Display, at_us: u64) -> SpanId {
         let mut guard = self.0.borrow_mut();
         let inner = &mut *guard;
-        inner.label_scratch.clear();
-        write!(inner.label_scratch, "{label}").expect("writing to a String cannot fail");
-        let label = match inner.labels.get(inner.label_scratch.as_str()) {
+        inner.scratch.clear();
+        write!(inner.scratch, "{label}").expect("writing to a String cannot fail");
+        let label = match inner.labels.get(inner.scratch.as_str()) {
             Some(known) => known.clone(),
             None => {
-                let fresh: Rc<str> = Rc::from(inner.label_scratch.as_str());
+                let fresh: Rc<str> = Rc::from(inner.scratch.as_str());
                 inner.labels.insert(fresh.clone());
                 fresh
             }
@@ -365,69 +398,28 @@ impl Registry {
     // Dumps
     // ------------------------------------------------------------------
 
-    /// Text dump: one `key value` line per metric, keys sorted.
-    pub fn dump_text(&self) -> String {
+    /// Every metric's current reading and the span totals, as plain data.
+    pub fn snapshot(&self) -> Snapshot {
         let inner = self.0.borrow();
-        let mut out = String::new();
-        for (k, m) in inner.metrics.iter() {
-            match m {
-                Metric::Counter(c) => out.push_str(&format!("{k} {}\n", c.get())),
-                Metric::Gauge(g) => out.push_str(&format!("{k} {}\n", g.get())),
-                Metric::Histogram(h) => {
-                    let s = h.snapshot();
-                    out.push_str(&format!(
-                        "{k} count={} sum={} min={} max={}\n",
-                        s.count, s.sum, s.min, s.max
-                    ));
-                }
-            }
+        Snapshot {
+            metrics: inner
+                .metrics
+                .iter()
+                .map(|(k, m)| (k.clone(), m.reading()))
+                .collect(),
+            spans: inner.next_span,
+            span_hash: inner.span_hash,
         }
-        out.push_str(&format!("spans {}\n", inner.next_span));
-        out
     }
 
-    /// JSON dump: `{"metrics":{...},"spans":{"count":N,"hash":H}}`, keys
-    /// sorted. Hand-rolled (the workspace carries no serde); keys are
-    /// code-controlled but escaped anyway.
+    /// [`Snapshot::to_text`] of the registry now.
+    pub fn dump_text(&self) -> String {
+        self.snapshot().to_text()
+    }
+
+    /// [`Snapshot::to_json`] of the registry now.
     pub fn dump_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out
-        }
-        let inner = self.0.borrow();
-        let mut out = String::from("{\"metrics\":{");
-        let mut first = true;
-        for (k, m) in inner.metrics.iter() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("\"{}\":", esc(k)));
-            match m {
-                Metric::Counter(c) => out.push_str(&c.get().to_string()),
-                Metric::Gauge(g) => out.push_str(&g.get().to_string()),
-                Metric::Histogram(h) => {
-                    let s = h.snapshot();
-                    out.push_str(&format!(
-                        "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{}}}",
-                        s.count, s.sum, s.min, s.max
-                    ));
-                }
-            }
-        }
-        out.push_str(&format!(
-            "}},\"spans\":{{\"count\":{},\"hash\":{}}}}}",
-            inner.next_span, inner.span_hash
-        ));
-        out
+        self.snapshot().to_json()
     }
 }
 
@@ -474,6 +466,21 @@ mod tests {
         r.add("cpu.h2:70.total_us", 32);
         r.add("cpu.h1:70.user_us", 4);
         assert_eq!(r.sum_suffix(".total_us"), 42);
+        let mut seen = Vec::new();
+        r.each("cpu.", ".total_us", |host, v| {
+            seen.push((host.to_string(), v))
+        });
+        assert_eq!(seen, [("h1:70".to_string(), 10), ("h2:70".to_string(), 32)]);
+        assert_eq!(r.snapshot().sum("cpu.", ".total_us"), 42);
+        assert_eq!(r.snapshot().sum("cpu.h1", ""), 14);
+    }
+
+    #[test]
+    fn a_handle_no_registry_holds_counts_nothing() {
+        let (c, g) = (Counter::default(), Gauge::default());
+        c.add(5);
+        g.set(7);
+        assert_eq!((c.get(), g.get()), (0, 0));
     }
 
     #[test]
@@ -483,7 +490,7 @@ mod tests {
             r.add("b", 2);
             r.add("a", 1);
             r.observe("h", 5);
-            r.set_gauge("g", 9);
+            r.gauge("g").set(9);
             r.span_root("call", 100);
             r
         };
@@ -495,6 +502,12 @@ mod tests {
         let b = text.find("b 2").unwrap();
         assert!(a < b, "keys must come out sorted:\n{text}");
         assert!(x.dump_json().starts_with("{\"metrics\":{\"a\":1,\"b\":2,"));
+        let snap = x.snapshot();
+        assert_eq!(
+            (snap.get("g"), snap.get("h"), snap.get("absent")),
+            (9, 5, 0)
+        );
+        assert_eq!(snap.spans, 1);
     }
 
     #[test]

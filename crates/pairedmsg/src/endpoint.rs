@@ -24,7 +24,7 @@
 //!   retransmission timer. When a *please ack* duplicate of the call
 //!   arrives, the held return's segment goes back instead of an ack of
 //!   the call, without *please ack*, counted in
-//!   [`EndpointStats::retransmits`]. The return is held until the
+//!   [`Counters::retransmits`]. The return is held until the
 //!   caller's next call or an explicit ack retires it, or until its
 //!   call's replay record expires (`replay_ttl`), lazily, in the purge
 //!   every arrival runs: no timer of its own.
@@ -62,6 +62,7 @@
 //! a configuration that breaks this.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
 
 use crate::config::{Config, MAX_UNANSWERED_PROBES, PROBE_INTERVAL};
 use crate::frame::Framed;
@@ -69,6 +70,7 @@ use crate::receiver::MsgReceiver;
 use crate::replay::ReplayLog;
 use crate::segment::{MsgType, Segment, SegmentError, SegmentHeader};
 use crate::sender::{MsgSender, SendError, SenderTick};
+use obs::{Counter, Gauge, Registry};
 use simnet::{Payload, Time};
 
 /// Something the endpoint wants delivered to the layer above.
@@ -98,75 +100,50 @@ struct ProbeState {
     unanswered: u32,
 }
 
-/// Traffic counters, used by the §4.2.5 protocol-discipline ablation and
-/// the chaos harness's serial-number-monotonicity oracle.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EndpointStats {
+/// Where an endpoint counts its traffic, as it happens: registry handles,
+/// one set shared by every endpoint of a process (`rpc.<addr>.*`), so its
+/// totals outlive the connections that counted them. The default set is
+/// held by no registry and counts nothing.
+#[derive(Clone, Debug, Default)]
+pub struct Counters {
     /// Segments handed to the network (data, acks, and probes).
-    pub segments_sent: u64,
+    pub segments_sent: Counter,
     /// Data segments sent again: by a retransmission timer, *please ack*
-    /// set, or a held return re-sent to answer its call's *please ack*
-    /// duplicate (a subset of `segments_sent`).
-    pub retransmits: u64,
-    /// Explicit acknowledgments handed to the network (a subset of
-    /// `segments_sent`).
-    pub acks_sent: u64,
-    /// Largest number of out-of-order segments buffered by any receiver
-    /// at once — the buffering cost the PARC discipline avoids (§4.2.5).
-    pub max_recv_buffered: usize,
+    /// set, or a held return answering its call's *please ack* duplicate.
+    pub retransmits: Counter,
+    /// Explicit acknowledgments handed to the network.
+    pub acks_sent: Counter,
+    /// Most out-of-order segments one receiver buffered at once — the
+    /// buffering cost the PARC discipline avoids (§4.2.5).
+    pub max_recv_buffered: Gauge,
     /// Complete Call messages delivered upward.
-    pub calls_delivered: u64,
+    pub calls_delivered: Counter,
     /// Complete Return messages delivered upward.
-    pub returns_delivered: u64,
-    /// Call messages delivered upward more than once for the same call
-    /// number — must stay zero: each serial number executes at most once
-    /// (§4.2.4). Checked by the chaos harness at quiesce.
-    pub duplicate_call_deliveries: u64,
-    /// Outgoing calls whose call number did not exceed every call number
-    /// previously sent to this peer — must stay zero: senders allocate
-    /// serial numbers monotonically.
-    pub send_call_regressions: u64,
+    pub returns_delivered: Counter,
+    /// Calls delivered upward twice at one call number: must stay zero
+    /// (§4.2.4); the chaos harness checks it at quiesce.
+    pub duplicate_call_deliveries: Counter,
+    /// Calls sent at a number not above every number sent to the peer
+    /// before: must stay zero.
+    pub send_call_regressions: Counter,
     /// Incoming segments ignored as replays of purged exchanges.
-    pub replays_suppressed: u64,
+    pub replays_suppressed: Counter,
 }
 
-impl EndpointStats {
-    /// Folds another endpoint's counters into these: sums, and the
-    /// larger of the two buffering high-water marks.
-    pub fn absorb(&mut self, other: &EndpointStats) {
-        self.segments_sent += other.segments_sent;
-        self.retransmits += other.retransmits;
-        self.acks_sent += other.acks_sent;
-        self.max_recv_buffered = self.max_recv_buffered.max(other.max_recv_buffered);
-        self.calls_delivered += other.calls_delivered;
-        self.returns_delivered += other.returns_delivered;
-        self.duplicate_call_deliveries += other.duplicate_call_deliveries;
-        self.send_call_regressions += other.send_call_regressions;
-        self.replays_suppressed += other.replays_suppressed;
-    }
-
-    /// Sets one gauge per counter, `{prefix}.{field name}`.
-    pub fn publish(&self, reg: &obs::Registry, prefix: &str) {
-        // One key buffer for the lot: a chaos sweep publishes every node
-        // of every scenario.
-        let mut key = String::with_capacity(prefix.len() + 32);
-        key.push_str(prefix);
-        key.push('.');
-        let stem = key.len();
-        for (name, value) in [
-            ("segments_sent", self.segments_sent),
-            ("retransmits", self.retransmits),
-            ("acks_sent", self.acks_sent),
-            ("max_recv_buffered", self.max_recv_buffered as u64),
-            ("calls_delivered", self.calls_delivered),
-            ("returns_delivered", self.returns_delivered),
-            ("duplicate_call_deliveries", self.duplicate_call_deliveries),
-            ("send_call_regressions", self.send_call_regressions),
-            ("replays_suppressed", self.replays_suppressed),
-        ] {
-            key.truncate(stem);
-            key.push_str(name);
-            reg.set_gauge(&key, value);
+impl Counters {
+    /// Registers (or finds) one metric per field, `{prefix}.{field name}`.
+    pub fn register(reg: &Registry, prefix: impl fmt::Display) -> Counters {
+        let counter = |name: &str| reg.counter(format_args!("{prefix}.{name}"));
+        Counters {
+            segments_sent: counter("segments_sent"),
+            retransmits: counter("retransmits"),
+            acks_sent: counter("acks_sent"),
+            max_recv_buffered: reg.gauge(format_args!("{prefix}.max_recv_buffered")),
+            calls_delivered: counter("calls_delivered"),
+            returns_delivered: counter("returns_delivered"),
+            duplicate_call_deliveries: counter("duplicate_call_deliveries"),
+            send_call_regressions: counter("send_call_regressions"),
+            replays_suppressed: counter("replays_suppressed"),
         }
     }
 }
@@ -193,17 +170,24 @@ pub struct Endpoint {
     /// Highest call number we ourselves have sent (monotonicity audit).
     highest_sent_call: Option<u32>,
     dead: bool,
-    stats: EndpointStats,
+    counters: Counters,
 }
 
 impl Endpoint {
-    /// Creates an endpoint with the given configuration.
+    /// Creates an endpoint with the given configuration that counts its
+    /// traffic nowhere ([`Endpoint::counting`] counts it).
     ///
     /// # Panics
     ///
     /// Panics if `config.replay_ttl` is shorter than
     /// [`Config::crash_horizon`] ([`Config::validate`]).
     pub fn new(config: Config) -> Endpoint {
+        Endpoint::counting(config, Counters::default())
+    }
+
+    /// Creates an endpoint that counts its traffic into `counters`, as
+    /// [`Endpoint::new`] otherwise.
+    pub fn counting(config: Config, counters: Counters) -> Endpoint {
         config.validate();
         Endpoint {
             config,
@@ -217,20 +201,8 @@ impl Endpoint {
             highest_delivered_call: None,
             highest_sent_call: None,
             dead: false,
-            stats: EndpointStats::default(),
+            counters,
         }
-    }
-
-    /// Traffic counters (§4.2.5 ablation).
-    pub fn stats(&self) -> EndpointStats {
-        self.stats
-    }
-
-    /// Publishes the traffic counters into a metrics registry as gauges
-    /// under `prefix` (e.g. `pm.h1:70`). Consumers read the registry;
-    /// the raw [`EndpointStats`] struct stays an implementation detail.
-    pub fn publish_metrics(&self, reg: &obs::Registry, prefix: &str) {
-        self.stats.publish(reg, prefix);
     }
 
     /// Completed incoming messages remembered (for re-acknowledgment,
@@ -382,7 +354,7 @@ impl Endpoint {
                 self.awaiting_return.push(call_number);
             }
             if self.highest_sent_call.is_some_and(|hi| call_number <= hi) {
-                self.stats.send_call_regressions += 1;
+                self.counters.send_call_regressions.inc();
             }
             self.highest_sent_call = Some(
                 self.highest_sent_call
@@ -494,7 +466,7 @@ impl Endpoint {
         // gets through (suppressing on the highest *delivered* number
         // starved exactly that case).
         if h.msg_type == MsgType::Call && self.replay.suppresses(h.call_number) {
-            self.stats.replays_suppressed += 1;
+            self.counters.replays_suppressed.inc();
             return;
         }
 
@@ -512,10 +484,8 @@ impl Endpoint {
             .entry(key)
             .or_insert_with(|| MsgReceiver::new(&seg));
         let actions = receiver.on_segment(&seg);
-        self.stats.max_recv_buffered = self
-            .stats
-            .max_recv_buffered
-            .max(receiver.buffered_out_of_order());
+        let most = &self.counters.max_recv_buffered;
+        most.set(most.get().max(receiver.buffered_out_of_order() as u64));
         if actions.completed {
             let recv = self.receivers.remove(&key).expect("receiver exists");
             let total = recv.total();
@@ -534,7 +504,7 @@ impl Endpoint {
             let held = self.senders.get_mut(&(MsgType::Return, h.call_number));
             if let Some(ret) = held.filter(|s| s.held()) {
                 self.out.push_back(ret.datagram(1, false));
-                self.stats.retransmits += 1;
+                self.counters.retransmits.inc();
                 return;
             }
             self.replay.note_acked((MsgType::Call, h.call_number));
@@ -560,16 +530,16 @@ impl Endpoint {
                     self.highest_delivered_call
                         .map_or(h.call_number, |hi| hi.max(h.call_number)),
                 );
-                self.stats.calls_delivered += 1;
+                self.counters.calls_delivered.inc();
                 if !self.replay.note_call_delivered(h.call_number) {
-                    self.stats.duplicate_call_deliveries += 1;
+                    self.counters.duplicate_call_deliveries.inc();
                 }
                 // Deferred ack: hold the ack back in the hope the
                 // return message will serve instead (§4.2.4).
                 want_ack = false;
             }
             MsgType::Return => {
-                self.stats.returns_delivered += 1;
+                self.counters.returns_delivered.inc();
                 self.awaiting_return.retain(|&cn| cn != h.call_number);
                 // Exchange over: stop probing for it, but keep watch
                 // over any other call still awaiting its return.
@@ -651,7 +621,9 @@ impl Endpoint {
                 }
             }
         }
-        self.stats.retransmits += (self.out.len() - queued) as u64;
+        self.counters
+            .retransmits
+            .add((self.out.len() - queued) as u64);
         match &mut self.probe {
             Some(p) if now >= p.next => {
                 if p.unanswered >= MAX_UNANSWERED_PROBES {
@@ -685,9 +657,9 @@ impl Endpoint {
     pub fn poll_transmit(&mut self) -> Option<Payload> {
         let datagram = self.out.pop_front()?;
         let h = SegmentHeader::decode(&datagram).expect("the endpoint encodes whole segments");
-        self.stats.segments_sent += 1;
+        self.counters.segments_sent.inc();
         if h.ack && !h.probe {
-            self.stats.acks_sent += 1;
+            self.counters.acks_sent.inc();
         }
         Some(datagram)
     }
@@ -738,7 +710,8 @@ mod tests {
         let config = Config::default();
         let window = (config.replay_ttl.as_micros() / STEP.as_micros()) as usize;
         let mut client = Endpoint::new(config.clone());
-        let mut server = Endpoint::new(config);
+        let reg = Registry::new();
+        let mut server = Endpoint::counting(config, Counters::register(&reg, "server"));
         let mut now = Time::ZERO;
         for cn in 1..=10_000u32 {
             exchange(now, cn, &mut client, &mut server);
@@ -758,13 +731,13 @@ mod tests {
             assert!(e.senders.len() <= 1 && e.receivers.is_empty());
         }
         assert_eq!(server.replay.watermark(), Some(10_000 - window as u32));
-        assert_eq!(server.stats().duplicate_call_deliveries, 0);
+        assert_eq!(reg.get("server.duplicate_call_deliveries"), 0);
 
         // A forged duplicate *below* the watermark is suppressed before
         // delivery, so the audit has nothing to say about it...
         let old = Segment::data(MsgType::Call, 17, 0, 1, 1, false, b"ping".to_vec());
         server.on_segment(now, old);
-        assert_eq!(server.stats().replays_suppressed, 1);
+        assert_eq!(reg.get("server.replays_suppressed"), 1);
         assert!(server.poll_event().is_none());
 
         // ...and one *above* it that somehow gets delivered twice (its
@@ -775,7 +748,7 @@ mod tests {
         let dup = Segment::data(MsgType::Call, live, 0, 1, 1, false, b"ping".to_vec());
         server.on_segment(now, dup);
         assert!(server.poll_event().is_some(), "re-delivered upward");
-        assert_eq!(server.stats().duplicate_call_deliveries, 1);
+        assert_eq!(reg.get("server.duplicate_call_deliveries"), 1);
     }
 
     /// What a caller keeps of the calls it sent is the calls in flight,

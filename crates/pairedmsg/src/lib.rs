@@ -65,7 +65,7 @@ pub mod segment;
 pub mod sender;
 
 pub use config::{Config, ProtocolMode};
-pub use endpoint::{Endpoint, EndpointStats, Event};
+pub use endpoint::{Counters, Endpoint, Event};
 pub use frame::Framed;
 pub use receiver::{MsgReceiver, RecvActions};
 pub use replay::ReplayLog;

@@ -270,9 +270,9 @@ fn concurrent_calls_completing_out_of_order_both_deliver() {
     }
     assert_eq!(link.expect(SERVER, MsgType::Call, 1), b"first");
 
-    let stats = link.end(SERVER).stats();
-    assert_eq!(stats.calls_delivered, 2);
-    assert_eq!(stats.duplicate_call_deliveries, 0);
+    let counts = &link.pair.counts[SERVER];
+    assert_eq!(counts.calls_delivered.get(), 2);
+    assert_eq!(counts.duplicate_call_deliveries.get(), 0);
 }
 
 /// The receiving endpoint cannot tell a multicast copy from a unicast
@@ -305,7 +305,7 @@ fn adopted_call_round_trips_through_endpoints() {
     link.carry(SERVER);
     link.expect(CLIENT, MsgType::Return, 1);
     assert!(link.end(CLIENT).is_idle());
-    assert_eq!(link.end(CLIENT).stats().send_call_regressions, 0);
+    assert_eq!(link.pair.counts[CLIENT].send_call_regressions.get(), 0);
 }
 
 /// A member that missed the multicast is served by the ordinary

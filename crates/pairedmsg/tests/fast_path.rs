@@ -388,18 +388,17 @@ fn config() -> Config {
 fn transcript(seed: u64) -> u64 {
     let mut c = Conversation::new(seed, config(), false);
     c.run();
-    for e in &c.pair.ends {
-        let s = e.stats();
+    for s in &c.pair.counts {
         c.fold.words(
             6,
             &[
-                s.segments_sent,
-                s.max_recv_buffered as u64,
-                s.calls_delivered,
-                s.returns_delivered,
-                s.duplicate_call_deliveries,
-                s.send_call_regressions,
-                s.replays_suppressed,
+                s.segments_sent.get(),
+                s.max_recv_buffered.get(),
+                s.calls_delivered.get(),
+                s.returns_delivered.get(),
+                s.duplicate_call_deliveries.get(),
+                s.send_call_regressions.get(),
+                s.replays_suppressed.get(),
             ],
         );
     }
@@ -460,9 +459,9 @@ fn the_rules_hold_over_a_seeded_sweep() {
         // Stop-and-wait never buffers a segment out of order (§4.2.5),
         // though a late replay of an expired return may.
         if mode == ProtocolMode::Parc && c.lossless {
-            assert!(c.pair.ends.iter().all(|e| e.stats().max_recv_buffered <= 1));
+            assert!(c.pair.counts.iter().all(|s| s.max_recv_buffered.get() <= 1));
         }
-        let suppressed = c.pair.ends[SERVER].stats().replays_suppressed;
+        let suppressed = c.pair.counts[SERVER].replays_suppressed.get();
         let counts = [
             ("adopted", c.adopted),
             ("suppressed", suppressed),

@@ -33,7 +33,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use pairedmsg::config::{MAX_UNANSWERED_PROBES, RETRANSMIT_INTERVAL};
-use pairedmsg::{Config, Endpoint, Event, MsgType, Segment, SegmentHeader};
+use pairedmsg::{Config, Counters, Endpoint, Event, MsgType, Segment, SegmentHeader};
 use simnet::{Duration, Time};
 
 /// The two sides of a [`Pair`]'s wire.
@@ -341,18 +341,25 @@ fn discharge<K: Ord>(map: &mut BTreeMap<K, u32>, key: K) -> bool {
 /// Two endpoints with the checker on the wire between them. A test moves
 /// segments with [`Pair::drain`] and [`Pair::arrive`] (losing or
 /// reordering them as it likes, after [`Spec::unreliable`] if it does),
-/// and reads what each side delivered with [`Pair::event`].
+/// and reads what each side delivered with [`Pair::event`], and what
+/// each counted in `counts`.
 pub struct Pair {
     pub ends: [Endpoint; 2],
+    pub counts: [Counters; 2],
     pub spec: Spec,
     events: [VecDeque<Event>; 2],
 }
 
 impl Pair {
     pub fn new(config: Config) -> Pair {
+        let reg = obs::Registry::new();
+        let counts = ["client", "server"].map(|side| Counters::register(&reg, side));
         Pair {
             spec: Spec::new(&config),
-            ends: [Endpoint::new(config.clone()), Endpoint::new(config)],
+            ends: counts
+                .clone()
+                .map(|c| Endpoint::counting(config.clone(), c)),
+            counts,
             events: Default::default(),
         }
     }

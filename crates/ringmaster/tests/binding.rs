@@ -222,7 +222,6 @@ fn idle_sweep_evicts_and_replaces_a_silently_dead_member() {
     // install alike: no assembly split, so none waited out the assembly
     // timeout (10 s here), and the repair took the sweep, the probe round
     // and the join alone.
-    w.refresh_metrics();
     assert_eq!(reg.sum_suffix(".split_calls"), 0);
     let mttr = Duration::from_micros(reg.get("ring.mttr_us"));
     assert!(mttr < secs(12), "MTTR {mttr:?}");

@@ -73,18 +73,17 @@ pub(crate) struct CpuCounters {
 
 impl CpuCounters {
     pub(crate) fn new(reg: &Registry, addr: SockAddr) -> CpuCounters {
-        let p = format!("cpu.{addr}");
         CpuCounters {
-            user_us: reg.counter(&format!("{p}.user_us")),
-            kernel_us: reg.counter(&format!("{p}.kernel_us")),
-            total_us: reg.counter(&format!("{p}.total_us")),
+            user_us: reg.counter(format_args!("cpu.{addr}.user_us")),
+            kernel_us: reg.counter(format_args!("cpu.{addr}.kernel_us")),
+            total_us: reg.counter(format_args!("cpu.{addr}.total_us")),
             sys_us: ALL_SYSCALLS
                 .iter()
-                .map(|s| reg.counter(&format!("{p}.sys.{}.us", s.name())))
+                .map(|s| reg.counter(format_args!("cpu.{addr}.sys.{}.us", s.name())))
                 .collect(),
             sys_n: ALL_SYSCALLS
                 .iter()
-                .map(|s| reg.counter(&format!("{p}.sys.{}.n", s.name())))
+                .map(|s| reg.counter(format_args!("cpu.{addr}.sys.{}.n", s.name())))
                 .collect(),
         }
     }

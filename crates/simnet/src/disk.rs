@@ -146,7 +146,7 @@ impl DiskState {
             .entry(name)
             .or_insert_with(|| {
                 self.metrics
-                    .counter(&format!("disk.h{}.{}", self.host.0, name))
+                    .counter(format_args!("disk.h{}.{}", self.host.0, name))
             })
             .add(v);
     }

@@ -97,10 +97,11 @@ pub trait Process: Any {
         Some(crate::cpu::Syscall::RecvMsg)
     }
 
-    /// Called when the world refreshes its metrics registry (before a
-    /// dump): publish gauges derived from internal state, e.g. per-peer
-    /// protocol counters. The world already accounts CPU and network
-    /// traffic; most processes need nothing here.
+    /// Called when [`World::refresh_metrics`](crate::World::refresh_metrics)
+    /// asks for it: a process that keeps a figure only in its own state
+    /// can set it into the registry here. No process in this workspace
+    /// does: each counts into registry handles as its events happen, and
+    /// the world accounts CPU and network traffic itself.
     fn publish_metrics(&self, _reg: &obs::Registry) {}
 }
 

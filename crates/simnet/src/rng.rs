@@ -106,12 +106,6 @@ impl SimRng {
         }
         v
     }
-
-    /// Splits off an independent generator (for a subsystem that must not
-    /// perturb the parent's stream).
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::new(self.next_u64())
-    }
 }
 
 #[cfg(test)]
@@ -196,14 +190,5 @@ mod tests {
         for &c in counts.values() {
             assert!((800..1200).contains(&c), "count {c} out of range");
         }
-    }
-
-    #[test]
-    fn fork_is_independent() {
-        let mut a = SimRng::new(5);
-        let mut child = a.fork();
-        // Forked stream should not equal the parent's continued stream.
-        let same = (0..16).filter(|_| a.next_u64() == child.next_u64()).count();
-        assert!(same < 4);
     }
 }

@@ -287,27 +287,15 @@ impl World {
         self.core.registry.clone()
     }
 
-    /// Asks every live process to publish its internal counters into the
-    /// registry (deterministic: processes are visited in address order).
+    /// Asks every live process to publish what it keeps outside the
+    /// registry ([`Process::publish_metrics`]; processes are visited in
+    /// address order).
     pub fn refresh_metrics(&self) {
         for slot in self.procs.values() {
             if let Some(p) = slot.proc.as_deref() {
                 p.publish_metrics(&self.core.registry);
             }
         }
-    }
-
-    /// Refreshes process metrics, then dumps the registry as JSON. For a
-    /// fixed seed and workload the output is bit-identical across runs.
-    pub fn metrics_json(&self) -> String {
-        self.refresh_metrics();
-        self.core.registry.dump_json()
-    }
-
-    /// Refreshes process metrics, then dumps the registry as sorted text.
-    pub fn metrics_text(&self) -> String {
-        self.refresh_metrics();
-        self.core.registry.dump_text()
     }
 
     /// Runs `f` against the process at `addr` downcast to `P`.

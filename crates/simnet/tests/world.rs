@@ -575,7 +575,7 @@ fn spanned_sends_attribute_trace_events() {
 }
 
 #[test]
-fn metrics_json_is_seed_deterministic() {
+fn metrics_dump_is_seed_deterministic() {
     fn run(seed: u64) -> String {
         let mut world = World::with_config(seed, NetConfig::lossy(0.2), SyscallCosts::default());
         let server = addr(1, 7);
@@ -584,7 +584,7 @@ fn metrics_json_is_seed_deterministic() {
         world.spawn(client, Box::new(Pinger::new(server, 20)));
         world.poke(client, 0);
         world.run(simnet::Until::Elapsed(Duration::from_secs(5)));
-        world.metrics_json()
+        world.metrics().dump_json()
     }
     assert_eq!(run(42), run(42));
     assert_ne!(run(42), run(43), "different seeds should diverge");

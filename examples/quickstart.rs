@@ -67,7 +67,7 @@ fn main() {
     // in a run this short).
     println!(
         "\n==> metrics registry after the run\n{}",
-        world.metrics_text()
+        world.metrics().dump_text()
     );
     println!(
         "==> causal span forest\n{}",

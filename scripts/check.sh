@@ -39,7 +39,7 @@ phase() {
   echo "==> $1"
 }
 
-phase "cargo fmt --check (and the shape of the source: audited hash maps, no per-thread hash map in the call runtime, no crates/*/src/*.rs file over 900 lines (every crate), one multicast blast, one framing site, one client side per synchronization scheme, one encoding site (a Courier type's wire form is its wire declaration, or the line above its impl says not a declaration:), no cargo feature, no ledger that grows with the run, no spawn loop or echo service beside the testbed's, EXPERIMENTS.md within 50,000 bytes, DESIGN.md within 80,000)"
+phase "cargo fmt --check (and the shape of the source: audited hash maps, no per-thread hash map in the call runtime, no crates/*/src/*.rs file over 900 lines (every crate), one multicast blast, one framing site, one client side per synchronization scheme, one encoding site (a Courier type's wire form is its wire declaration, or the line above its impl says not a declaration:), one way to count (no publish_metrics impl, refresh_metrics() call or set_gauge outside obs and simnet's hooks), no cargo feature, no ledger that grows with the run, no spawn loop or echo service beside the testbed's, EXPERIMENTS.md within 50,000 bytes, DESIGN.md within 80,000)"
 cargo fmt --all --check
 # A HashMap/HashSet field iterates in a per-process order: each one in the
 # protocol crates says, on the line above it, why that is never observed.
@@ -85,6 +85,17 @@ fi
 find crates src tests examples -path crates/wire/src -prune -o -name '*.rs' -print0 |
   xargs -0 awk 'FNR == 1 { prev = "" } /impl(<.*>)? (wire::)?(Externalize|Internalize)(<.*>)? for / && prev !~ /not a declaration:/ { print FILENAME ":" FNR ": an encoding written out:" $0; bad = 1 } { prev = $0 } END { exit bad }' ||
   { echo "a hand-written Externalize/Internalize (named above): declare the type with wire's record!/choice!/enumeration!/newtype!, or say on the line above why it is not a declaration:" >&2; exit 1; }
+# Every metric family counts into its registry handles as events happen,
+# the call runtime's `rpc.<addr>.*` included: a process that publishes
+# totals when asked, a caller that asks (`refresh_metrics`), or a gauge
+# set by name (`set_gauge`, which obs no longer has) is a second, partial
+# way of counting beside it. Only simnet, which defines the hook, names it.
+if grep -rnE --include='*.rs' -e 'fn publish_metrics' -e '\.refresh_metrics\(\)' -e 'set_gauge\(' \
+  crates src tests examples |
+  grep -v -e '^crates/obs/' -e '^crates/simnet/src/process\.rs:' -e '^crates/simnet/src/world\.rs:'; then
+  echo "a second way of counting (named above): bump a registry handle where the event happens" >&2
+  exit 1
+fi
 # A cargo feature is a second program nobody tests: there are none, and
 # nothing is compiled conditionally on one.
 if grep -n '^\[features\]' Cargo.toml crates/*/Cargo.toml; then

@@ -46,8 +46,8 @@ fn rows<W: Workload>(
             r.seed,
             r.trace_hash,
             r.trace_events,
-            r.span_hash,
-            rdp::obs::fnv1a(r.metrics_json.as_bytes()),
+            r.metrics.span_hash,
+            rdp::obs::fnv1a(r.metrics.to_json().as_bytes()),
             r.passed()
         )
         .expect("write to string");

@@ -16,17 +16,21 @@ use rdp::circus::testbed::{
     addr, enqueue, results, spawn_caller, spawn_troupe, CountingService, Request, MODULE, PROC_ADD,
 };
 use rdp::circus::{CollationPolicy, NodeConfig, TroupeId};
+use rdp::obs::Snapshot;
 use rdp::simnet::{Duration, World};
 use rdp::wire::to_bytes;
 
 #[test]
 fn fixed_seed_metrics_dump_matches_golden() {
-    golden::check_golden("tests/golden/metrics_seed42.json", &metrics_seed42());
+    golden::check_golden(
+        "tests/golden/metrics_seed42.json",
+        &metrics_seed42().to_json(),
+    );
 }
 
-/// The metrics dump of a 3-member troupe answering three calls from one
+/// The metrics of a 3-member troupe answering three calls from one
 /// client, back to back, at seed 42.
-fn metrics_seed42() -> String {
+fn metrics_seed42() -> Snapshot {
     let mut w = World::new(42);
     let config = NodeConfig::default();
     let members = [addr(1, 70), addr(2, 70), addr(3, 70)];
@@ -50,31 +54,7 @@ fn metrics_seed42() -> String {
     let totals = results(&w, client);
     let expected: Vec<_> = (1..=3u32).map(|n| Ok(to_bytes(&n))).collect();
     assert_eq!(totals, expected, "three sequential calls");
-    w.metrics_json()
-}
-
-/// The keys of a registry's JSON dump, in dump order.
-fn metric_keys(json: &str) -> Vec<&str> {
-    let mut rest = json
-        .strip_prefix(r#"{"metrics":{"#)
-        .expect("a registry dump");
-    let (mut keys, mut depth) = (Vec::new(), 0usize);
-    while let Some(c) = rest.chars().next() {
-        match c {
-            '"' if depth == 0 => {
-                let end = 1 + rest[1..].find('"').expect("a closed key");
-                keys.push(&rest[1..end]);
-                rest = &rest[end + 1..];
-                continue;
-            }
-            '{' => depth += 1,
-            '}' if depth == 0 => break,
-            '}' => depth -= 1,
-            _ => {}
-        }
-        rest = &rest[c.len_utf8()..];
-    }
-    keys
+    w.metrics().snapshot()
 }
 
 /// A key with each process address in it (`h10:10`) written `<addr>`.
@@ -100,10 +80,10 @@ fn family(key: &str) -> String {
 fn metric_families_match_the_catalogue() {
     let store = chaos::run(&Store, 1, &Store::options());
     assert!(store.passed(), "{}", store.failure_summary());
-    let dumps = [metrics_seed42(), store.metrics_json];
-    let families: BTreeSet<String> = dumps
+    let runs = [metrics_seed42(), store.metrics];
+    let families: BTreeSet<String> = runs
         .iter()
-        .flat_map(|dump| metric_keys(dump).into_iter().map(family))
+        .flat_map(|run| run.metrics.keys().map(|key| family(key)))
         .collect();
     let mut catalogue = String::from(
         "# Metric key families (tests/metrics_golden.rs): the seed-42 dump and chaos store seed 1.\n",

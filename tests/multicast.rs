@@ -371,7 +371,6 @@ fn idle_return_costs_no_ack() {
     assert_eq!(tap.data, CALLS * 2 * n);
     assert_eq!(tap.overhead, 0, "no ack, re-send or probe");
     // The endpoints' own counters tell the tap's story.
-    w.refresh_metrics();
     let reg = w.metrics();
     assert_eq!(reg.sum_suffix(".acks_sent"), 0);
     assert_eq!(reg.sum_suffix(".retransmits"), 0);
@@ -406,7 +405,6 @@ fn faulty_paced_run(seed: u64) -> (u64, u64) {
         assert_ran_each_once(&w, m, CALLS, seed);
     }
     assert_eq!(tap.resent[1], 0, "seed {seed}: a return asked for an ack");
-    w.refresh_metrics();
     let resent = (1..=N)
         .map(|m| w.metrics().get(&format!("rpc.{}.retransmits", member(m))))
         .sum();
@@ -444,7 +442,6 @@ fn back_to_back_calls_leave_nothing_to_acknowledge() {
     w.poke(CLIENT, 2);
     w.run(Until::Elapsed(Duration::from_secs(5)));
     assert_eq!(completions(&w), 3);
-    w.refresh_metrics();
     let reg = w.metrics();
     assert_eq!(reg.sum_suffix(".retransmits"), 0, "no member re-sent");
     assert_eq!(reg.sum_suffix(".acks_sent"), 0, "nobody answered");
@@ -557,7 +554,6 @@ fn callback_round_costs_3n_plus_1_sendmsgs() {
     assert_eq!(w.net_stats().multicasts, CALLS);
     assert_eq!(tap.data, CALLS * 4 * n);
     assert_eq!(tap.overhead, 0);
-    w.refresh_metrics();
     let reg = w.metrics();
     assert_eq!(reg.get(&format!("rpc.{CLIENT}.mcast_returns")), CALLS);
     assert_eq!(reg.sum_suffix(".acks_sent"), 0);
@@ -596,7 +592,6 @@ fn faulty_callback_run(seed: u64) -> (u64, u64) {
     );
     assert_all_echoed(&w, CALLS, &payload, seed);
     assert_callbacks_ran_once(&w, CALLS, seed);
-    w.refresh_metrics();
     let resent = w.metrics().get(&format!("rpc.{CLIENT}.retransmits"));
     let hash = w
         .trace_sink_as::<TraceRing>()

@@ -363,16 +363,13 @@ fn stale_binding_fires_on_a_registry_that_moved_on() {
     );
 }
 
-#[test]
-fn serial_monotonicity_fires_on_a_rewound_call_number() {
+/// Rewinds one client's next call to one member to call number 1, which
+/// that connection carried long ago, and runs until the client's next
+/// transaction has its call messages out, before any reaches a member.
+fn rewind_a_call() -> (Quiesced, SockAddr, SockAddr) {
     let (mut q, _) = quiesce(&Store, 3, &Store::options());
     assert!(check(&Store, &q).is_empty(), "the scenario starts clean");
     let (client, member) = (q.client_addrs[0], q.members[0].addr);
-
-    // One client's next call to one member rewound to call number 1, which
-    // that connection carried long ago; then the client starts one more
-    // transaction. The oracles look as soon as its call messages are out,
-    // before any reaches a member.
     node_mut(&mut q.world, client, |n| n.set_call_number(member, 1));
     agent_mut(&mut q.world, client, |c: &mut Client<Txn>| {
         c.enqueue(Txn::probe(0))
@@ -385,11 +382,46 @@ fn serial_monotonicity_fires_on_a_rewound_call_number() {
     while !outstanding(&q) {
         assert!(q.world.step(), "the client never called");
     }
-    let violations = check(&Store, &q);
-    assert_only(&violations, "serial-monotonicity");
-    assert_eq!(violations.len(), 1, "{violations:?}");
+    (q, client, member)
+}
+
+/// The oracles name the client's one rewound call, and whatever else.
+fn assert_regression_named(q: &Quiesced, client: SockAddr) -> Vec<Violation> {
+    let violations = check(&Store, q);
+    let named = reports_of(&violations, "serial-monotonicity");
     let sent = format!("{client} sent 1 non-monotonic call number");
-    assert!(violations[0].detail.contains(&sent), "{violations:?}");
+    assert!(
+        named.len() == 1 && named[0].contains(&sent),
+        "{violations:?}"
+    );
+    violations
+}
+
+#[test]
+fn serial_monotonicity_fires_on_a_rewound_call_number() {
+    let (q, client, _) = rewind_a_call();
+    assert_only(&assert_regression_named(&q, client), "serial-monotonicity");
+}
+
+/// The count outlives the connection that made it: the member is killed,
+/// and the client declares it dead and drops its connection to it.
+#[test]
+fn serial_monotonicity_fires_on_a_rewound_call_to_a_member_since_killed() {
+    let (mut q, client, member) = rewind_a_call();
+    let held = node(&q.world, client, Node::conn_count);
+    q.world.kill(member);
+    while node(&q.world, client, Node::conn_count) >= held {
+        assert!(q.world.step(), "the client never gave the member up");
+    }
+    assert_regression_named(&q, client);
+}
+
+/// The count outlives the process that made it.
+#[test]
+fn serial_monotonicity_fires_on_a_rewound_call_from_a_client_since_killed() {
+    let (mut q, client, _) = rewind_a_call();
+    q.world.kill(client);
+    assert_regression_named(&q, client);
 }
 
 #[test]

@@ -290,7 +290,6 @@ fn row(seed: u64) -> String {
 
     let ring = w.trace_sink_as::<TraceRing>().expect("the trace ring");
     let (trace_hash, trace_events) = (ring.hash(), ring.seen());
-    w.refresh_metrics();
     let reg = w.metrics();
     format!(
         "replicated_program {seed} {trace_hash:#018x} {trace_events} {:#018x} {:#018x}\n",

@@ -48,7 +48,6 @@ fn crashed_replica_spans(seed: u64, multicast: bool) {
 
     // The registry's own delivery counters are the ground truth for how
     // many sub-calls actually reached a member.
-    w.refresh_metrics();
     let reg = w.metrics();
     let delivered: u64 = members
         .iter()
