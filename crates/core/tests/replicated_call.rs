@@ -508,10 +508,14 @@ fn reserved_procedures_work() {
 /// A ready_to_commit-style callback service: on PROC_ECHO it calls BACK
 /// to the caller troupe's module 2, then replies with what the caller
 /// troupe answered (the call-back pattern of §5.3).
-struct CallbackServer;
+#[derive(Default)]
+struct CallbackServer {
+    executions: u32,
+}
 
 impl Service for CallbackServer {
     fn dispatch(&mut self, _ctx: &mut ServiceCtx, _proc: u16, _args: &[u8]) -> Step {
+        self.executions += 1;
         Step::Call(OutCall {
             target: TroupeTarget::Caller,
             module: 2,
@@ -542,7 +546,7 @@ impl Service for ReadyResponder {
 #[test]
 fn callback_to_caller_troupe() {
     let mut w = world(15);
-    let server = spawn_members(&mut w, 50, 1, 1, || CallbackServer);
+    let server = spawn_members(&mut w, 50, 1, 1, CallbackServer::default);
 
     // The client exports module 2 to receive callbacks.
     let client_addr = addr(100, 200);
@@ -562,6 +566,78 @@ fn callback_to_caller_troupe() {
     w.poke(client_addr, 0);
     run(&mut w, 10);
     assert_eq!(results(&w, client_addr), vec![Ok(b"yes".to_vec())]);
+    assert_quiescent(&w);
+}
+
+/// A crashed client member under the server's dead-peer marker costs a
+/// later call nothing (§4.3.2). With no binding agent, nothing evicts it:
+/// the call that finds it dead waits out the assembly timeout for its
+/// call message and the crash horizon for its call-back; the call made
+/// while the marker lives excuses it from the assembly at once and does
+/// not call it back.
+#[test]
+fn a_member_under_its_dead_peer_marker_is_excused_from_later_calls() {
+    let mut w = world(16);
+    let server = spawn_members(&mut w, 52, 1, 1, CallbackServer::default);
+    let server_addr = server.members[0].addr;
+    let executions = |w: &World| service(w, server_addr, MODULE, |s: &CallbackServer| s.executions);
+    let clients: Vec<SockAddr> = (10..13).map(|h| addr(h, 50)).collect();
+    let config = NodeConfig::default();
+    spawn_troupe(&mut w, TroupeId(53), &clients, 2, &config, None, || {
+        ReadyResponder
+    });
+    introduce(&mut w, server_addr, 53, &clients);
+    let thread = ThreadId {
+        origin: addr(200, 1),
+        serial: 1,
+    };
+    let ask = Request::new(&server, MODULE, PROC_ECHO, Vec::new()).on(thread);
+    let call = |w: &mut World, members: &[SockAddr]| {
+        for &m in members {
+            enqueue(w, m, [ask.clone()]);
+            w.poke(m, 0);
+        }
+    };
+    let took = |w: &World, m: SockAddr| {
+        agent(w, m, |c: &Caller| {
+            let last = c.completed.last().expect("a finished call");
+            assert_eq!(last.result, Ok(b"yes".to_vec()));
+            last.done.since(last.begun)
+        })
+    };
+    let (live, dead) = (&clients[..2], clients[2]);
+
+    call(&mut w, &clients);
+    run(&mut w, 2);
+    assert_eq!(executions(&w), 1);
+
+    // Call 2: the assembly timeout (10 s), then the call-back's crash
+    // horizon (4.5 s) before `PeerDead` marks the member dead.
+    w.crash_host(dead.host);
+    call(&mut w, live);
+    run(&mut w, 16);
+    assert_eq!(executions(&w), 2);
+    for &m in live {
+        assert!(
+            took(&w, m) > Duration::from_secs(14),
+            "{m} took {:?}",
+            took(&w, m)
+        );
+    }
+
+    // Call 3, under the marker: one execution, in well under a second
+    // of simulated time.
+    call(&mut w, live);
+    run(&mut w, 1);
+    assert_eq!(executions(&w), 3);
+    for &m in live {
+        assert_eq!(results(&w, m).len(), 3);
+        assert!(
+            took(&w, m) < Duration::from_secs(1),
+            "{m} took {:?}",
+            took(&w, m)
+        );
+    }
     assert_quiescent(&w);
 }
 

@@ -102,8 +102,9 @@ impl RingmasterService {
         self.suspects.len()
     }
 
-    /// Re-queues a suspect whose handling could not complete (e.g. the
-    /// eviction round found no majority); a later wake retries it.
+    /// Queues a suspect once: a report, or one whose handling could not
+    /// complete (e.g. the eviction round found no majority), which a later
+    /// wake retries.
     pub fn requeue_suspect(&mut self, addr: SockAddr) {
         if !self.suspects.contains(&addr) {
             self.suspects.push(addr);
@@ -151,6 +152,19 @@ impl RingmasterService {
     /// never registered).
     pub fn generation(&self, name: &str) -> u64 {
         self.registry.get(name).map_or(0, |e| e.generation)
+    }
+
+    /// The healer's next liveness sweep: the `cursor`-th member, counting
+    /// round-robin over every troupe but the Ringmaster's own in name
+    /// order, with its troupe's name.
+    pub(crate) fn sweep_target(&self, cursor: usize) -> Option<(String, ModuleAddr)> {
+        let members = || {
+            (self.registry.iter())
+                .filter(|(name, _)| *name != "ringmaster")
+                .flat_map(|(name, e)| e.troupe.members.iter().map(move |m| (name, *m)))
+        };
+        let (name, member) = members().nth(cursor.checked_rem(members().count())?)?;
+        Some((name.clone(), member))
     }
 
     /// The full registry — `(name, current troupe)` in name order — for
@@ -286,9 +300,7 @@ impl Service for RingmasterService {
                 let Ok(addr) = circus::binding::decode_report_suspect(args) else {
                     return Step::Error("bad report_suspect arguments".into());
                 };
-                if !self.suspects.contains(&addr) {
-                    self.suspects.push(addr);
-                }
+                self.requeue_suspect(addr);
                 ctx.push_effect(NodeEffect::NotifyAgent { tag: NOTIFY_HEAL });
                 Step::Reply(Vec::new())
             }

@@ -4,24 +4,24 @@
 //! the reconfiguration steps but drives them by hand. This module closes
 //! the loop *inside* the system: a [`SelfHealAgent`] co-located with one
 //! Ringmaster member consumes the suspect reports that clients' call
-//! engines file via `report_suspect`, confirms each suspicion with a
-//! bounded-retry `null` probe (§6.1's "are you there?"), and only on a
+//! engines file via `report_suspect`, confirms each suspicion with
+//! `null` calls of its own (§6.1's "are you there?"), and only on a
 //! confirmed death evicts the member and activates a registered spare,
 //! which wedges the survivors, copies their state, and joins (§6.4.1).
 //!
-//! The probe round is a deliberate deviation from the dissertation,
-//! which treats retransmission exhaustion at *one* observer as death.
-//! A transient partition makes live members look dead to whoever is on
-//! the wrong side; acting on the report alone would evict healthy
-//! members and churn incarnations. The probe makes eviction fail-safe:
-//! a suspicion the Ringmaster can refute is cleared, never acted on.
+//! The one rule: a member is evicted after `PROBE_ATTEMPTS` consecutive
+//! unanswered `null` calls of the healer's own, and one answer clears the
+//! suspicion. The dissertation treats retransmission exhaustion at *one*
+//! observer as death; but a transient partition makes live members look
+//! dead to whoever is on the wrong side, and acting on a report alone
+//! would evict healthy members and churn incarnations.
 //!
 //! Suspicions normally arrive from peers whose calls to the dead member
 //! exhaust retransmission — detection parasitic on application traffic.
 //! An idle system generates none, so the healer also runs a slow
-//! round-robin *liveness sweep* over the registered members; an
-//! unanswered sweep probe raises an ordinary suspicion and goes through
-//! the same confirmation round as a reported one.
+//! round-robin *liveness sweep* over the registered members. A sweep is
+//! the same `null` call as a probe: an unanswered one is its suspicion's
+//! first unanswered call.
 //!
 //! Only the configured leader member runs a healer — the Ringmaster
 //! troupe's replies are collated, but its members' *agents* are
@@ -33,17 +33,17 @@ use circus::binding::{binding_procs, reserved_procs, BINDING_MODULE};
 use circus::{
     Agent, CallError, CallHandle, CollationPolicy, ModuleAddr, NodeCtx, TimerKey, Troupe, TroupeId,
 };
-use simnet::{Duration, Time};
+use simnet::{Duration, SockAddr, Time};
 use wire::to_bytes;
 
 use crate::agent::RingmasterService;
 use crate::api::RemoveTroupeMember;
 use crate::spare::activate;
 
-/// Probe attempts before a suspicion is confirmed. Each attempt waits
-/// out the full retransmission schedule (`Config::crash_horizon`), so
-/// two attempts tolerate a partition lasting almost twice the horizon
-/// beyond the report.
+/// Consecutive unanswered `null` calls of the healer's own (a sweep
+/// counts) that confirm a death. Each waits out the full retransmission
+/// schedule (`Config::crash_horizon`), so an eviction rests on two
+/// horizons of the healer's own silence.
 const PROBE_ATTEMPTS: u32 = 2;
 
 /// Hard deadline on one repair step; an operation stuck past this (e.g.
@@ -61,17 +61,13 @@ const TICK_KEY: TimerKey = TimerKey::new(0x48_4541_4C54_4943); // "HEALTIC"
 #[derive(Debug)]
 enum HealState {
     Idle,
-    /// An unsolicited liveness sweep of one registered member. A sweep
-    /// that goes unanswered raises a *suspicion* — it never evicts
-    /// directly; confirmation still goes through the probe round.
-    Sweeping {
-        member: ModuleAddr,
-    },
-    /// Confirming a suspicion with `null` probes.
+    /// A `null` call to `member`, after `unanswered` unanswered ones: a
+    /// probe of a suspicion, or (not yet `suspected`) a liveness sweep.
     Probing {
         name: String,
         member: ModuleAddr,
-        attempts: u32,
+        unanswered: u32,
+        suspected: bool,
     },
     /// Confirmed dead: removing the member's binding.
     Evicting {
@@ -146,8 +142,19 @@ impl SelfHealAgent {
             .map(f)
     }
 
-    /// One `null` call to a single member — §6.1's "are you there?".
-    fn null_call(&mut self, nc: &mut NodeCtx<'_, '_, '_>, member: ModuleAddr) {
+    /// One `null` call to `member` — §6.1's "are you there?" — as the
+    /// next probe of a suspicion or, not yet `suspected`, as a sweep.
+    fn null_call(
+        &mut self,
+        nc: &mut NodeCtx<'_, '_, '_>,
+        name: String,
+        member: ModuleAddr,
+        unanswered: u32,
+        suspected: bool,
+    ) {
+        if suspected {
+            nc.metrics().add("ring.probes", 1);
+        }
         let thread = nc.fresh_thread();
         let target = Troupe::new(TroupeId::UNREGISTERED, vec![member]);
         self.inflight = Some(nc.call_solo(
@@ -158,34 +165,48 @@ impl SelfHealAgent {
             Vec::new(),
             CollationPolicy::FirstCome,
         ));
+        self.state = HealState::Probing {
+            name,
+            member,
+            unanswered,
+            suspected,
+        };
     }
 
-    fn send_probe(&mut self, nc: &mut NodeCtx<'_, '_, '_>, member: ModuleAddr) {
-        nc.metrics().add("ring.probes", 1);
-        self.null_call(nc, member);
-    }
-
-    /// Probes the next registered member in round-robin order. Detection
+    /// Sweeps the next registered member in round-robin order. Detection
     /// is otherwise parasitic on application traffic; the sweep notices a
     /// crash even when every client is idle.
     fn start_sweep(&mut self, nc: &mut NodeCtx<'_, '_, '_>) {
-        let targets = Self::with_service(nc, |s| {
-            s.bindings()
-                .into_iter()
-                .filter(|(name, _)| name != "ringmaster")
-                .flat_map(|(_, t)| t.members)
-                .collect::<Vec<_>>()
-        })
-        .unwrap_or_default();
-        if targets.is_empty() {
+        let cursor = self.sweep_cursor;
+        let Some((name, member)) = Self::with_service(nc, |s| s.sweep_target(cursor)).flatten()
+        else {
             return;
-        }
-        let member = targets[self.sweep_cursor % targets.len()];
+        };
         self.sweep_cursor = self.sweep_cursor.wrapping_add(1);
         nc.metrics().add("ring.sweeps", 1);
         self.deadline = nc.now() + OP_TIMEOUT;
-        self.state = HealState::Sweeping { member };
-        self.null_call(nc, member);
+        self.null_call(nc, name, member, 0, false);
+    }
+
+    /// Raises a suspicion of the member at `addr`: the troupe and member
+    /// to probe, or `None` if there is nothing to repair.
+    fn suspect(
+        &mut self,
+        nc: &mut NodeCtx<'_, '_, '_>,
+        addr: SockAddr,
+    ) -> Option<(String, ModuleAddr)> {
+        // Not a current member of anything — already evicted, or a plain
+        // client — leaves nothing to repair. Nor does the Ringmaster heal
+        // itself: evicting one of its own members would have the healer
+        // mutating the very quorum its eviction call needs (§6.3's
+        // degenerate binding applies — its membership is configuration).
+        let (name, member) = Self::with_service(nc, |s| s.troupe_of_member(addr))
+            .flatten()
+            .filter(|(name, _)| name != "ringmaster")?;
+        nc.metrics().add("ring.suspicions", 1);
+        self.started = nc.now();
+        self.deadline = nc.now() + OP_TIMEOUT;
+        Some((name, member))
     }
 
     fn start_eviction(&mut self, nc: &mut NodeCtx<'_, '_, '_>, name: String, member: ModuleAddr) {
@@ -211,54 +232,37 @@ impl SelfHealAgent {
         self.state = HealState::Activating { name };
     }
 
+    /// Activates a registered spare into troupe `name`, or leaves it
+    /// under-replicated until `register_spare` notifies that one arrived.
+    fn rejoin(&mut self, nc: &mut NodeCtx<'_, '_, '_>, name: String) {
+        match Self::with_service(nc, |s| s.take_spare(&name)).flatten() {
+            Some(ctl) => self.start_activation(nc, name, ctl),
+            None => self.pending_rejoins.push(name),
+        }
+    }
+
     /// Starts the next piece of work if idle: a parked rejoin for which a
     /// spare has appeared, else the next queued suspicion.
     fn kick(&mut self, nc: &mut NodeCtx<'_, '_, '_>) {
-        loop {
-            if !matches!(self.state, HealState::Idle) {
-                return;
-            }
-            // Troupes evicted below strength come first: they are the
-            // availability hole (§6.4.2).
-            let mut i = 0;
-            while i < self.pending_rejoins.len() {
-                let name = self.pending_rejoins[i].clone();
-                let ctl = Self::with_service(nc, |s| s.take_spare(&name)).flatten();
-                if let Some(ctl) = ctl {
-                    self.pending_rejoins.remove(i);
-                    self.started = nc.now();
-                    self.start_activation(nc, name, ctl);
-                    return;
-                }
-                i += 1;
-            }
-            let Some(suspect) = Self::with_service(nc, |s| s.take_suspect()).flatten() else {
-                return;
-            };
-            let Some((name, member)) =
-                Self::with_service(nc, |s| s.troupe_of_member(suspect)).flatten()
-            else {
-                // Not a current member of anything — already evicted, or
-                // a plain client. Nothing to repair.
-                continue;
-            };
-            if name == "ringmaster" {
-                // The Ringmaster does not heal itself: evicting one of
-                // its own members would have the healer mutating the very
-                // quorum its eviction call needs (§6.3's degenerate
-                // binding applies — its membership is configuration).
-                continue;
-            }
-            nc.metrics().add("ring.suspicions", 1);
-            self.started = nc.now();
-            self.deadline = nc.now() + OP_TIMEOUT;
-            self.state = HealState::Probing {
-                name,
-                member,
-                attempts: 0,
-            };
-            self.send_probe(nc, member);
+        if !matches!(self.state, HealState::Idle) {
             return;
+        }
+        // Troupes evicted below strength come first: they are the
+        // availability hole (§6.4.2).
+        for i in 0..self.pending_rejoins.len() {
+            let name = self.pending_rejoins[i].clone();
+            if let Some(ctl) = Self::with_service(nc, |s| s.take_spare(&name)).flatten() {
+                self.pending_rejoins.remove(i);
+                self.started = nc.now();
+                self.start_activation(nc, name, ctl);
+                return;
+            }
+        }
+        while let Some(addr) = Self::with_service(nc, |s| s.take_suspect()).flatten() {
+            if let Some((name, member)) = self.suspect(nc, addr) {
+                self.null_call(nc, name, member, 0, true);
+                return;
+            }
         }
     }
 }
@@ -281,8 +285,12 @@ impl Agent for SelfHealAgent {
             // drain never completes). Abandon it; the wedge TTL at the
             // store and the suspect requeue below make this safe.
             nc.metrics().add("ring.abandoned_steps", 1);
-            if let HealState::Probing { member, .. } | HealState::Evicting { member, .. } =
-                &self.state
+            if let HealState::Probing {
+                member,
+                suspected: true,
+                ..
+            }
+            | HealState::Evicting { member, .. } = &self.state
             {
                 let addr = member.addr;
                 Self::with_service(nc, |s| s.requeue_suspect(addr));
@@ -309,54 +317,40 @@ impl Agent for SelfHealAgent {
         self.inflight = None;
         match std::mem::replace(&mut self.state, HealState::Idle) {
             HealState::Idle => {}
-            HealState::Sweeping { member } => {
-                if result.is_err() {
-                    // An unanswered sweep is a *suspicion*, nothing more:
-                    // it joins the queue and must survive the same probe
-                    // confirmation as a reported one before any eviction.
-                    let addr = member.addr;
-                    Self::with_service(nc, |s| s.requeue_suspect(addr));
-                }
-            }
             HealState::Probing {
                 name,
                 member,
-                attempts,
+                unanswered,
+                suspected,
             } => match result {
                 Ok(_) => {
-                    // The suspect answered: cleared, never evicted. This
-                    // is the fail-safe path a transient partition takes.
-                    nc.metrics().add("ring.false_suspicions", 1);
+                    // The member answered: a suspicion is cleared, never
+                    // evicted. This is the fail-safe path a transient
+                    // partition takes.
+                    if suspected {
+                        nc.metrics().add("ring.false_suspicions", 1);
+                    }
                 }
                 Err(_) => {
-                    let attempts = attempts + 1;
-                    if attempts < PROBE_ATTEMPTS {
-                        self.state = HealState::Probing {
-                            name,
-                            member,
-                            attempts,
-                        };
-                        self.send_probe(nc, member);
-                        return;
+                    // An unanswered sweep is the suspicion's first
+                    // unanswered call, re-resolved as a report is.
+                    let suspicion = match suspected {
+                        true => Some((name, member)),
+                        false => self.suspect(nc, member.addr),
+                    };
+                    if let Some((name, member)) = suspicion {
+                        if unanswered + 1 < PROBE_ATTEMPTS {
+                            self.null_call(nc, name, member, unanswered + 1, true);
+                        } else {
+                            self.start_eviction(nc, name, member);
+                        }
                     }
-                    self.start_eviction(nc, name, member);
-                    return;
                 }
             },
             HealState::Evicting { name, member } => match result {
                 Ok(_) => {
                     nc.metrics().add("ring.evictions", 1);
-                    match Self::with_service(nc, |s| s.take_spare(&name)).flatten() {
-                        Some(ctl) => {
-                            self.start_activation(nc, name, ctl);
-                            return;
-                        }
-                        None => {
-                            // Under-replicated until a spare registers;
-                            // `register_spare` notifies us when one does.
-                            self.pending_rejoins.push(name);
-                        }
-                    }
+                    self.rejoin(nc, name);
                 }
                 Err(_) => {
                     // No majority for the eviction (the Ringmaster itself
@@ -371,17 +365,9 @@ impl Agent for SelfHealAgent {
                     reg.add("ring.repairs", 1);
                     reg.observe("ring.mttr_us", nc.now().since(self.started).as_micros());
                 }
-                Err(_) => {
-                    // The spare failed to activate (died in the window?).
-                    // Try the next one, or park the rejoin.
-                    match Self::with_service(nc, |s| s.take_spare(&name)).flatten() {
-                        Some(ctl) => {
-                            self.start_activation(nc, name, ctl);
-                            return;
-                        }
-                        None => self.pending_rejoins.push(name),
-                    }
-                }
+                // The spare failed to activate (died in the window?): try
+                // the next one.
+                Err(_) => self.rejoin(nc, name),
             },
         }
         self.kick(nc);

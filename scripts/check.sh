@@ -39,7 +39,7 @@ phase() {
   echo "==> $1"
 }
 
-phase "cargo fmt --check (and the shape of the source: audited hash maps, no per-thread hash map in the call runtime, no crates/*/src/*.rs file over 900 lines (every crate), one multicast blast, one framing site, one client side per synchronization scheme, one encoding site (a Courier type's wire form is its wire declaration, or the line above its impl says not a declaration:), one way to count (no publish_metrics impl, refresh_metrics() call or set_gauge outside obs and simnet's hooks), no cargo feature, no ledger that grows with the run, no spawn loop or echo service beside the testbed's, EXPERIMENTS.md within 50,000 bytes, DESIGN.md within 80,000)"
+phase "cargo fmt --check (and the shape of the source: audited hash maps, no per-thread hash map in the call runtime, no crates/*/src/*.rs file over 900 lines (every crate), one multicast blast, one framing site, one client side per synchronization scheme, one encoding site (a Courier type's wire form is its wire declaration, or the line above its impl says not a declaration:), one way to count (no publish_metrics impl, refresh_metrics() call or set_gauge outside obs and simnet's hooks), no cargo feature, no ledger that grows with the run, no spawn loop or echo service beside the testbed's, EXPERIMENTS.md within 50,000 bytes, DESIGN.md within 80,000, a CHANGES.md entry within 1,536)"
 cargo fmt --all --check
 # A HashMap/HashSet field iterates in a per-process order: each one in the
 # protocol crates says, on the line above it, why that is never observed.
@@ -122,6 +122,10 @@ for cap in EXPERIMENTS.md:50000 DESIGN.md:80000; do
     exit 1
   fi
 done
+# A CHANGES.md entry is one line of at most 1,536 bytes: what changed,
+# which goldens and gates moved and why, and what was left out. The
+# test-by-test account belongs in the commit message.
+LC_ALL=C awk 'length($0) > 1536 { print "CHANGES.md:" FNR ": an entry of " length($0) " bytes, over its cap of 1536: shorten it"; bad = 1 } END { exit bad }' CHANGES.md
 
 # Tests, examples and experiments stand their troupes up with
 # `circus::testbed` and serve its one echo: a hand-rolled member spawn or

@@ -4,15 +4,17 @@
 //! Every other golden drives its troupes from unregistered clients, so
 //! the many-to-one half of the call runtime — directory hit,
 //! park-and-lookup through the binding agent, an assembly of m > 1 call
-//! messages, the assembly timeout, dead-peer slots in an assembly, the
-//! buffered return for a slow client member, call-backs to the calling
-//! troupe, nested calls from registered members — was checked by outcome
-//! assertions only, which a reordered `sendmsg` or timer arm passes.
-//! This table pins that half to the byte: same columns as
-//! `chaos_hashes.txt`, three seeds of one scripted world. A change that
-//! moves no row changed no simulated behaviour there. Regenerate
-//! deliberately with
+//! messages, the assembly timeout, the buffered return for a slow client
+//! member, call-backs to the calling troupe, nested calls from registered
+//! members, a call from the incarnation the healer's eviction leaves —
+//! was checked by outcome assertions only, which a reordered `sendmsg`
+//! or timer arm passes. This table pins that half to the byte: same
+//! columns as `chaos_hashes.txt`, three seeds of one scripted world. A
+//! change that moves no row changed no simulated behaviour there.
+//! Regenerate deliberately with
 //! `UPDATE_GOLDEN=1 cargo test --test replicated_program_golden`.
+//! (Dead-peer slots in an assembly are pinned by
+//! `crates/core/tests/replicated_call.rs`.)
 
 mod golden;
 
@@ -275,8 +277,26 @@ fn row(seed: u64) -> String {
     assert_eq!(results(&w, clients[0]), vec![answer(1), answer(2)]);
     assert_eq!(results(&w, clients[1]), vec![answer(1), answer(2)]);
 
-    // Call 3: the crash is now known, so neither the assembly nor the
-    // call-back waits for the dead member.
+    // The healer evicts the crashed member, and the two survivors hold
+    // the troupe's new incarnation. The informed servers have no binding
+    // agent to ask for its membership, so, as at registration, the
+    // script stands in for it.
+    let reg = w.metrics();
+    let deadline = w.now() + Duration::from_secs(60);
+    let evicted = w.run(Until::pred(deadline, |_| reg.get("ring.evictions") == 1));
+    assert!(evicted, "the crashed member was never evicted");
+    let survivors = &clients[..2];
+    let client_id = node(&w, survivors[0], Node::troupe_id);
+    assert_eq!(node(&w, survivors[1], Node::troupe_id), client_id);
+    for &a in informed {
+        node_mut(&mut w, a, |n| {
+            n.preload_directory(client_id, survivors.to_vec())
+        });
+    }
+
+    // Call 3, from the new incarnation: every server member knows its
+    // two members, so neither the assembly nor the call-back waits for
+    // the dead one.
     poke(&mut w, 0, PROC_STRICT);
     poke(&mut w, 1, PROC_STRICT);
     run(&mut w, 1_000);
@@ -284,7 +304,7 @@ fn row(seed: u64) -> String {
     assert_eq!(results(&w, clients[1]).last(), Some(&answer(3)));
     assert_eq!(executions(&w), vec![3; 5]);
 
-    // Let the suspicion the uninformed server reported run its course.
+    // Let the world settle before the quiescence check.
     run(&mut w, 30_000);
     assert_quiescent(&w);
 
