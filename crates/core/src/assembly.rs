@@ -227,7 +227,7 @@ impl Assemblies {
     /// must close it.
     pub(crate) fn execute(
         &mut self,
-        io: &dyn NetIo,
+        io: &mut dyn NetIo,
         key: CallKey,
     ) -> Option<Result<(Invocation, Payload), CollateError>> {
         let p = self.pending.get_mut(&key)?;
@@ -245,10 +245,9 @@ impl Assemblies {
         // The invoke span parents to the wire span of the call message
         // that opened the assembly, stitching the server-side execution
         // into the client's call tree.
-        p.invoke_span = io.metrics().span_child(
+        p.invoke_span = io.span(
             SpanId::from_raw(p.call_span),
             format_args!("invoke m{}.p{}", p.module, p.proc),
-            io.now().as_micros(),
         );
         self.by_invocation.insert(p.invocation, key);
         Some(Ok((p.invocation(), args)))
@@ -566,11 +565,11 @@ mod tests {
             ops in proptest::collection::vec((0u8..5, any::<u8>()), 1..120)
         ) {
             let mut a = Assemblies::default();
-            let io = MockIo::default();
+            let mut io = MockIo::default();
             let troupe: Rc<[SockAddr]> = (1..=3).map(host).collect();
             let late = Time::ZERO + Duration::from_secs(11);
             // Runs the assembly if it is ready, and leaves it executing.
-            let execute = |a: &mut Assemblies, key: CallKey, suspend: bool| match a.execute(&io, key) {
+            let mut execute = |a: &mut Assemblies, key: CallKey, suspend: bool| match a.execute(&mut io, key) {
                 Some(Ok(_)) if suspend => a.set_state(&key, PendState::Suspended),
                 Some(Ok(_)) => a.set_state(&key, PendState::AwaitingNested),
                 Some(Err(_)) => a.close(&key, Framed::default(), late, |_, _, _, _| {}),

@@ -278,21 +278,16 @@ impl ClientCalls {
         // binding lookups start new trees; a nested call made by a service
         // hangs off that invocation's span, so one client call's whole
         // fan-out — including onward hops — reconstructs as a single tree.
-        let reg = io.metrics();
-        let now = io.now();
         let span = match &purpose {
-            CallPurpose::App => {
-                reg.span_root(format_args!("call m{module}.p{proc}"), now.as_micros())
+            CallPurpose::App => io.span(SpanId::NONE, format_args!("call m{module}.p{proc}")),
+            CallPurpose::Nested { parent, .. } => {
+                io.span(*parent, format_args!("nested m{module}.p{proc}"))
             }
-            CallPurpose::Nested { parent, .. } => reg.span_child(
-                *parent,
-                format_args!("nested m{module}.p{proc}"),
-                now.as_micros(),
-            ),
-            CallPurpose::DirLookup { .. } => reg.span_root("lookup", now.as_micros()),
-            CallPurpose::SuspectReport => reg.span_root("report suspect", now.as_micros()),
+            CallPurpose::DirLookup { .. } => io.span(SpanId::NONE, format_args!("lookup")),
+            CallPurpose::SuspectReport => io.span(SpanId::NONE, format_args!("report suspect")),
         }
         .raw();
+        let now = io.now();
 
         // The data plane is read off the call (§4.3.3): two or more
         // segments to two or more live members are sent once, by

@@ -7,9 +7,7 @@ use crate::census;
 use crate::counts::RpcCounts;
 use crate::message::ReturnMessage;
 use crate::netio::{make_tag, NetIo, TAG_CONN};
-use pairedmsg::{
-    Endpoint, Event, Framed, MsgSender, MsgType, ProtocolMode, SegmentHeader, MAX_SEGMENTS,
-};
+use pairedmsg::{Endpoint, Event, Framed, MsgSender, MsgType, ProtocolMode, MAX_SEGMENTS};
 use simnet::{SockAddr, Syscall, Time};
 
 struct Conn {
@@ -174,7 +172,7 @@ impl Conns {
         self.counts.mcast_segments.add(segments);
         self.counts.pm.segments_sent.add(segments);
         for datagram in cut.initial_datagrams() {
-            io.multicast_spanned(addrs, datagram, span);
+            io.multicast(addrs, datagram);
         }
         *msg = cut.framed().clone();
         let now = io.now();
@@ -228,8 +226,7 @@ impl Conns {
         for (&addr, conn) in self.table.iter_mut() {
             let now = io.now();
             while let Some(datagram) = conn.endpoint.poll_transmit() {
-                let span = SegmentHeader::decode(&datagram).map_or(0, |h| h.span);
-                io.send_spanned(addr, datagram, span);
+                io.send(addr, datagram);
             }
             // Re-arm the protocol timer if none is armed or the deadline
             // moved earlier; the generation stamp invalidates the

@@ -2,6 +2,9 @@
 //! account, a metrics registry — and the one timer tag space it shares
 //! between its protocol timers and the application's.
 
+use std::fmt;
+
+use obs::SpanId;
 use simnet::{Duration, Payload, SockAddr, Syscall, Time, TimerId};
 
 /// Abstraction over the I/O facilities a node needs; implemented for the
@@ -14,20 +17,13 @@ pub trait NetIo {
     /// Transmits a datagram (charging one `sendmsg`). The payload handle
     /// is cheap to clone; implementations never copy the bytes.
     fn send(&mut self, to: SockAddr, bytes: Payload);
-    /// Transmits a datagram attributed to causal span `span` (0 = none).
-    /// The default drops the attribution; the simulator overrides it so
-    /// network trace events carry the span.
-    fn send_spanned(&mut self, to: SockAddr, bytes: Payload, _span: u64) {
-        self.send(to, bytes);
-    }
-    /// Transmits the same datagram to every destination, attributed to
-    /// causal span `span`. The default degenerates to per-destination
-    /// unicast (m `sendmsg` charges, same shared payload); the simulator
-    /// overrides it with true Ethernet multicast — one `sendmsg` charge
-    /// for all copies (§4.3.3).
-    fn multicast_spanned(&mut self, tos: &[SockAddr], bytes: Payload, span: u64) {
+    /// Transmits the same datagram to every destination. The default
+    /// degenerates to per-destination unicast (m `sendmsg` charges, same
+    /// shared payload); the simulator overrides it with true Ethernet
+    /// multicast — one `sendmsg` charge for all copies (§4.3.3).
+    fn multicast(&mut self, tos: &[SockAddr], bytes: Payload) {
         for &to in tos {
-            self.send_spanned(to, bytes.clone(), span);
+            self.send(to, bytes.clone());
         }
     }
     /// Arms a timer, returning its cancelable id.
@@ -47,6 +43,13 @@ pub trait NetIo {
     fn metrics(&self) -> obs::Registry {
         obs::Registry::new()
     }
+    /// Mints a causal span under `parent` ([`SpanId::NONE`] for a root),
+    /// now. The default mints in [`NetIo::metrics`]; the simulator's mint
+    /// also joins the trace stream ([`simnet::Ctx::span`]).
+    fn span(&mut self, parent: SpanId, label: fmt::Arguments<'_>) -> SpanId {
+        let at_us = self.now().as_micros();
+        self.metrics().mint_span(parent, label, at_us).0
+    }
 }
 
 impl NetIo for simnet::Ctx<'_> {
@@ -59,11 +62,8 @@ impl NetIo for simnet::Ctx<'_> {
     fn send(&mut self, to: SockAddr, bytes: Payload) {
         simnet::Ctx::send(self, to, bytes);
     }
-    fn send_spanned(&mut self, to: SockAddr, bytes: Payload, span: u64) {
-        simnet::Ctx::send_spanned(self, to, bytes, span);
-    }
-    fn multicast_spanned(&mut self, tos: &[SockAddr], bytes: Payload, span: u64) {
-        simnet::Ctx::multicast_spanned(self, tos, bytes, span);
+    fn multicast(&mut self, tos: &[SockAddr], bytes: Payload) {
+        simnet::Ctx::multicast(self, tos, bytes);
     }
     fn set_timer(&mut self, delay: Duration, tag: u64) -> TimerId {
         simnet::Ctx::set_timer(self, delay, tag)
@@ -76,6 +76,9 @@ impl NetIo for simnet::Ctx<'_> {
     }
     fn metrics(&self) -> obs::Registry {
         simnet::Ctx::metrics(self)
+    }
+    fn span(&mut self, parent: SpanId, label: fmt::Arguments<'_>) -> SpanId {
+        simnet::Ctx::span(self, parent, label)
     }
 }
 
@@ -182,7 +185,7 @@ pub(crate) mod mock {
             self.note(to, &bytes);
             self.sent.push((to, bytes));
         }
-        fn multicast_spanned(&mut self, tos: &[SockAddr], bytes: Payload, _span: u64) {
+        fn multicast(&mut self, tos: &[SockAddr], bytes: Payload) {
             tos.iter().for_each(|&to| self.note(to, &bytes));
             self.mcasts.push((tos.to_vec(), bytes));
         }

@@ -19,20 +19,21 @@
 //! table is a `BTreeMap`, so output order is the sorted key order —
 //! deterministic by construction.
 //!
-//! Spans are *consumed* as they are minted, not stored: each record is
-//! folded into a running FNV-1a hash and counted, and only the most recent
-//! 4 096 are retained for inspection, so the registry's memory does not
-//! grow with the length of the run.
+//! Spans are *consumed* as they are minted, not stored: each one is folded
+//! into a running FNV-1a hash and counted, and its label interned. The
+//! registry keeps no span; the simulator hands each mint to its trace
+//! sinks as one more event, and a forest is built from whatever stream a
+//! sink retains.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 use std::ops::Bound;
 use std::rc::Rc;
 
 use crate::fnv::{fnv1a_fold, FNV1A_BASIS};
 use crate::snapshot::{Reading, Snapshot};
-use crate::span::{SpanId, SpanRecord, SpanTree};
+use crate::span::SpanId;
 
 /// Handle to a monotone counter. Cloning shares the underlying cell.
 ///
@@ -162,23 +163,17 @@ impl Metric {
     }
 }
 
-/// How many of the most recent spans a registry retains (the same window
-/// the chaos harness gives its `TraceRing`): a few hundred calls' worth of
-/// forest for a post-mortem, 160 KB at most.
-const SPAN_WINDOW: usize = 4_096;
-
 #[derive(Debug)]
 struct Inner {
     metrics: BTreeMap<String, Metric>,
-    /// The last [`SPAN_WINDOW`] spans, oldest first. Grows as it fills —
-    /// a short run holds no more than it minted.
-    recent_spans: VecDeque<SpanRecord>,
     /// FNV-1a over every span ever minted, folded in at mint time.
     span_hash: u64,
     /// Spans minted so far; also the id of the latest one.
     next_span: u64,
-    /// Every distinct span label minted so far; records share these.
-    labels: BTreeSet<Rc<str>>,
+    /// Every distinct span label minted so far, by intern id.
+    labels: Vec<Rc<str>>,
+    /// Each label's intern id: an index into `labels`.
+    label_ids: BTreeMap<Rc<str>, u32>,
     /// Where a span label or a metric key is formatted before it is
     /// looked up.
     scratch: String,
@@ -188,10 +183,10 @@ impl Default for Inner {
     fn default() -> Inner {
         Inner {
             metrics: BTreeMap::new(),
-            recent_spans: VecDeque::new(),
             span_hash: FNV1A_BASIS,
             next_span: 0,
-            labels: BTreeSet::new(),
+            labels: Vec::new(),
+            label_ids: BTreeMap::new(),
             scratch: String::new(),
         }
     }
@@ -212,26 +207,21 @@ impl Inner {
         m
     }
 
-    /// Folds `r` into the running hash, then retains it as the newest of
-    /// the window. Evicting *before* the push keeps the deque's buffer at
-    /// [`SPAN_WINDOW`] slots instead of doubling past it.
-    fn record_span(&mut self, r: SpanRecord) {
-        let mut h = self.span_hash;
-        let mut mix = |bytes: &[u8]| h = fnv1a_fold(h, bytes);
-        mix(&r.id.0.to_le_bytes());
-        mix(&r.parent.0.to_le_bytes());
-        mix(&r.at_us.to_le_bytes());
-        mix(r.label.as_bytes());
-        mix(&[0xff]);
-        self.span_hash = h;
-        if self.recent_spans.len() == SPAN_WINDOW {
-            self.recent_spans.pop_front();
+    /// The intern id of the label formatted in `scratch`, interning it
+    /// the first time.
+    fn intern_scratch(&mut self) -> u32 {
+        if let Some(&id) = self.label_ids.get(self.scratch.as_str()) {
+            return id;
         }
-        self.recent_spans.push_back(r);
+        let id = u32::try_from(self.labels.len()).expect("fewer than 2^32 span labels");
+        let label: Rc<str> = Rc::from(self.scratch.as_str());
+        self.labels.push(label.clone());
+        self.label_ids.insert(label, id);
+        id
     }
 }
 
-/// Cheaply cloneable handle to one shared metrics table + span stream.
+/// Cheaply cloneable handle to one shared metrics table + span fold.
 #[derive(Clone, Debug, Default)]
 pub struct Registry(Rc<RefCell<Inner>>);
 
@@ -329,13 +319,12 @@ impl Registry {
     // Spans
     // ------------------------------------------------------------------
 
-    /// Mints a root span (no parent). See [`Registry::span_child`] for
-    /// how `label` is taken.
-    pub fn span_root(&self, label: impl fmt::Display, at_us: u64) -> SpanId {
-        self.span_child(SpanId::NONE, label, at_us)
-    }
-
-    /// Mints a child of `parent` (pass [`SpanId::NONE`] for a root).
+    /// Mints a child of `parent` ([`SpanId::NONE`] for a root) at `at_us`
+    /// and folds it into [`span_hash`](Registry::span_hash) and
+    /// [`span_count`](Registry::span_count); the registry keeps nothing
+    /// else of it. Returns the span's id and its label's intern id — what
+    /// a trace stream carries ([`span_label`](Registry::span_label) reads
+    /// the label back).
     ///
     /// Ids are allocated from a single registry-global counter, so for a
     /// deterministic workload the numbering — and therefore the whole
@@ -344,54 +333,46 @@ impl Registry {
     /// `label` is anything printable: a `&str`, or — on a hot path —
     /// `format_args!("call m{module}.p{proc}")`. It is formatted into a
     /// reused buffer and interned, so a label seen before costs no
-    /// allocation and every record bearing it shares one string.
-    pub fn span_child(&self, parent: SpanId, label: impl fmt::Display, at_us: u64) -> SpanId {
+    /// allocation.
+    pub fn mint_span(&self, parent: SpanId, label: impl fmt::Display, at_us: u64) -> (SpanId, u32) {
         let mut guard = self.0.borrow_mut();
         let inner = &mut *guard;
         inner.scratch.clear();
         write!(inner.scratch, "{label}").expect("writing to a String cannot fail");
-        let label = match inner.labels.get(inner.scratch.as_str()) {
-            Some(known) => known.clone(),
-            None => {
-                let fresh: Rc<str> = Rc::from(inner.scratch.as_str());
-                inner.labels.insert(fresh.clone());
-                fresh
-            }
-        };
+        let label = inner.intern_scratch();
         inner.next_span += 1;
         let id = SpanId(inner.next_span);
-        inner.record_span(SpanRecord {
-            id,
-            parent,
-            at_us,
-            label,
-        });
-        id
+        let mut h = inner.span_hash;
+        let mut mix = |bytes: &[u8]| h = fnv1a_fold(h, bytes);
+        mix(&id.0.to_le_bytes());
+        mix(&parent.0.to_le_bytes());
+        mix(&at_us.to_le_bytes());
+        mix(inner.scratch.as_bytes());
+        mix(&[0xff]);
+        inner.span_hash = h;
+        (id, label)
     }
 
-    /// The retained spans — the most recent 4 096 — in minting order.
-    pub fn span_records(&self) -> Vec<SpanRecord> {
-        self.0.borrow().recent_spans.iter().cloned().collect()
+    /// The label [`Registry::mint_span`] interned as `label`.
+    ///
+    /// Panics if this registry minted no such label: the id came from
+    /// another world's stream.
+    pub fn span_label(&self, label: u32) -> Rc<str> {
+        let inner = self.0.borrow();
+        let known = inner.labels.get(label as usize);
+        known.expect("a label this registry interned").clone()
     }
 
-    /// Number of spans minted (retained or not).
+    /// Number of spans minted.
     pub fn span_count(&self) -> u64 {
         self.0.borrow().next_span
     }
 
-    /// FNV-1a hash over every span ever minted (id, parent, time, label),
-    /// retained or not. Same seed ⇒ same hash; any divergence in call
-    /// causality changes it.
+    /// FNV-1a hash over every span ever minted (id, parent, time, label).
+    /// Same seed ⇒ same hash; any divergence in call causality changes
+    /// it.
     pub fn span_hash(&self) -> u64 {
         self.0.borrow().span_hash
-    }
-
-    /// Builds the causal forest over the retained spans. A span whose
-    /// parent has left the window is a root, and
-    /// [`render`](SpanTree::render) says how much of the run the forest
-    /// covers.
-    pub fn span_tree(&self) -> SpanTree {
-        SpanTree::window(self.span_records(), self.span_count())
     }
 
     // ------------------------------------------------------------------
@@ -491,7 +472,7 @@ mod tests {
             r.add("a", 1);
             r.observe("h", 5);
             r.gauge("g").set(9);
-            r.span_root("call", 100);
+            r.mint_span(SpanId::NONE, "call", 100);
             r
         };
         let (x, y) = (build(), build());
@@ -513,27 +494,36 @@ mod tests {
     #[test]
     fn span_ids_are_deterministic() {
         let r = Registry::new();
-        let root = r.span_root("call m1.p2", 10);
-        let kid = r.span_child(root, "invoke m1.p2", 20);
-        assert_eq!(root, SpanId(1));
-        assert_eq!(kid, SpanId(2));
+        let (root, call) = r.mint_span(SpanId::NONE, "call m1.p2", 10);
+        let (kid, invoke) = r.mint_span(root, "invoke m1.p2", 20);
+        assert_eq!((root, kid), (SpanId(1), SpanId(2)));
         assert_eq!(r.span_count(), 2);
+        assert_eq!(
+            (&*r.span_label(call), &*r.span_label(invoke)),
+            ("call m1.p2", "invoke m1.p2")
+        );
+        assert_eq!(
+            r.mint_span(kid, "call m1.p2", 30),
+            (SpanId(3), call),
+            "one label, one id"
+        );
         let s = Registry::new();
-        s.span_root("call m1.p2", 10);
-        s.span_child(SpanId(1), "invoke m1.p2", 20);
+        s.mint_span(SpanId::NONE, "call m1.p2", 10);
+        s.mint_span(SpanId(1), "invoke m1.p2", 20);
+        s.mint_span(SpanId(2), "call m1.p2", 30);
         assert_eq!(r.span_hash(), s.span_hash());
     }
 
     /// The span hash as it was computed before it became a running fold:
-    /// one pass over the stored records.
-    fn hash_of(records: &[SpanRecord]) -> u64 {
+    /// one pass over stored records.
+    fn hash_of(records: &[(u64, u64, u64, String)]) -> u64 {
         let mut h = FNV1A_BASIS;
-        for r in records {
+        for (id, parent, at_us, label) in records {
             let fields: [&[u8]; 5] = [
-                &r.id.0.to_le_bytes(),
-                &r.parent.0.to_le_bytes(),
-                &r.at_us.to_le_bytes(),
-                r.label.as_bytes(),
+                &id.to_le_bytes(),
+                &parent.to_le_bytes(),
+                &at_us.to_le_bytes(),
+                label.as_bytes(),
                 &[0xff],
             ];
             for f in fields {
@@ -547,74 +537,25 @@ mod tests {
     fn running_span_hash_equals_the_hash_of_the_records() {
         let r = Registry::new();
         assert_eq!(r.span_hash(), hash_of(&[]));
+        let mut records = Vec::new();
         let mut parent = SpanId::NONE;
-        for i in 0..SPAN_WINDOW as u64 {
-            parent = r.span_child(parent, format_args!("call m{}.p{}", i % 3, i % 5), 7 * i);
-            if i % 4 == 3 {
-                parent = SpanId::NONE;
-            }
+        for i in 0..5_000u64 {
+            let label = format!("call m{}.p{}", i % 3, i % 5);
+            let (id, _) = r.mint_span(parent, &label, 7 * i);
+            records.push((id.0, parent.0, 7 * i, label));
+            parent = if i % 4 == 3 { SpanId::NONE } else { id };
         }
-        let records = r.span_records();
-        assert_eq!(records.len(), SPAN_WINDOW, "nothing evicted yet");
+        assert_eq!(r.span_count(), 5_000);
         assert_eq!(r.span_hash(), hash_of(&records));
-    }
-
-    #[test]
-    fn span_window_keeps_the_tail_and_counts_everything() {
-        const EXTRA: u64 = 10;
-        let minted = SPAN_WINDOW as u64 + EXTRA;
-        let whole = Registry::new();
-        let mut all = Vec::new();
-        // Pairs: an odd-numbered `call` root and its even-numbered child.
-        for i in 0..minted {
-            let (parent, label) = if i % 2 == 0 {
-                (SpanId::NONE, "call")
-            } else {
-                (SpanId(i), "invoke")
-            };
-            let id = whole.span_child(parent, label, i);
-            all.push(SpanRecord {
-                id,
-                parent,
-                at_us: i,
-                label: label.into(),
-            });
-        }
-        assert_eq!(whole.span_count(), minted);
-        assert!(whole.dump_text().ends_with(&format!("spans {minted}\n")));
-        assert_eq!(
-            whole.span_hash(),
-            hash_of(&all),
-            "evicted spans stay hashed"
-        );
-        let kept = whole.span_records();
-        assert_eq!(kept.len(), SPAN_WINDOW);
-        assert_eq!(kept, all[EXTRA as usize..], "the most recent, oldest first");
-
-        // One more mint evicts root #11 and leaves its child #12 oldest.
-        whole.span_root("call", minted);
-        let tree = whole.span_tree();
-        assert_eq!(tree.roots()[0], EXTRA + 2, "child of an evicted parent");
-        assert_eq!(tree.record(EXTRA + 2).unwrap().parent, SpanId(EXTRA + 1));
-        assert!(tree.record(EXTRA + 1).is_none());
-        let header = format!("# last {SPAN_WINDOW} of {} spans\n", minted + 1);
-        assert!(tree.render().starts_with(&header), "{}", tree.render());
-    }
-
-    #[test]
-    fn whole_forest_renders_without_a_header() {
-        let r = Registry::new();
-        let root = r.span_root("call", 10);
-        r.span_child(root, "invoke", 20);
-        assert_eq!(r.span_tree().render(), "#1 call @10us\n  #2 invoke @20us\n");
+        assert!(r.dump_text().ends_with("spans 5000\n"));
     }
 
     #[test]
     fn span_hash_is_label_sensitive() {
         let r = Registry::new();
-        r.span_root("call", 1);
+        r.mint_span(SpanId::NONE, "call", 1);
         let s = Registry::new();
-        s.span_root("cull", 1);
+        s.mint_span(SpanId::NONE, "cull", 1);
         assert_ne!(r.span_hash(), s.span_hash());
     }
 }

@@ -5,7 +5,9 @@
 //! phase. Spans form a tree via parent links; the id is minted by the
 //! [`Registry`](crate::Registry) from a global counter (so numbering is
 //! deterministic) and travels across the simulated wire as a plain `u64`
-//! in the paired-message segment header — `0` means "no span".
+//! in the paired-message segment header — `0` means "no span". The
+//! registry only folds a mint; a [`SpanTree`] is built from the
+//! [`SpanRecord`]s some retained event stream kept.
 
 use std::collections::BTreeMap;
 
@@ -34,7 +36,7 @@ impl SpanId {
     }
 }
 
-/// One minted span.
+/// One minted span, as a forest holds it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpanRecord {
     /// This span's id (never [`SpanId::NONE`]).
@@ -51,8 +53,9 @@ pub struct SpanRecord {
 /// The causal tree over a set of [`SpanRecord`]s.
 ///
 /// A record whose parent is [`SpanId::NONE`] — or whose parent id is not
-/// in the set (the registry retains only the most recent spans, so a long
-/// run's oldest retained children have lost their parents) — is a root.
+/// in the set (a bounded stream retains only the most recent spans, so a
+/// long run's oldest retained children have lost their parents) — is a
+/// root.
 #[derive(Clone, Debug)]
 pub struct SpanTree {
     records: BTreeMap<u64, SpanRecord>,
@@ -63,16 +66,12 @@ pub struct SpanTree {
 }
 
 impl SpanTree {
-    /// Builds the tree from a record set.
-    pub fn build(records: Vec<SpanRecord>) -> SpanTree {
-        let minted = records.len() as u64;
-        SpanTree::window(records, minted)
-    }
-
     /// Builds the forest over `records`, the retained tail of a run that
-    /// minted `minted` spans in all.
-    pub(crate) fn window(records: Vec<SpanRecord>, minted: u64) -> SpanTree {
+    /// minted `minted` spans in all (no more than `records` holds: the
+    /// whole run).
+    pub fn window(records: impl IntoIterator<Item = SpanRecord>, minted: u64) -> SpanTree {
         let map: BTreeMap<u64, SpanRecord> = records.into_iter().map(|r| (r.id.0, r)).collect();
+        let minted = minted.max(map.len() as u64);
         let mut children: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
         let mut roots = Vec::new();
         for (id, r) in map.iter() {
@@ -103,15 +102,6 @@ impl SpanTree {
     /// Direct children of `id`, ascending.
     pub fn children(&self, id: u64) -> &[u64] {
         self.children.get(&id).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Number of spans in the subtree rooted at `id` (including `id`).
-    pub fn subtree_size(&self, id: u64) -> usize {
-        1 + self
-            .children(id)
-            .iter()
-            .map(|&c| self.subtree_size(c))
-            .sum::<usize>()
     }
 
     /// Leaves (spans with no children) in the subtree rooted at `id`.
@@ -196,35 +186,37 @@ mod tests {
     fn fan_out_tree_counts_leaves() {
         // One client call fanning out to three invocations, one of which
         // makes a nested call.
-        let t = SpanTree::build(vec![
-            rec(1, 0, "call m1.p2"),
-            rec(2, 1, "invoke m1.p2"),
-            rec(3, 1, "invoke m1.p2"),
-            rec(4, 1, "invoke m1.p2"),
-            rec(5, 2, "nested m9.p1"),
-        ]);
+        let t = SpanTree::window(
+            vec![
+                rec(1, 0, "call m1.p2"),
+                rec(2, 1, "invoke m1.p2"),
+                rec(3, 1, "invoke m1.p2"),
+                rec(4, 1, "invoke m1.p2"),
+                rec(5, 2, "nested m9.p1"),
+            ],
+            0,
+        );
         assert_eq!(t.roots(), &[1]);
-        assert_eq!(t.subtree_size(1), 5);
         assert_eq!(t.leaf_count(1), 3);
         assert_eq!(t.children(1), &[2, 3, 4]);
     }
 
     #[test]
     fn orphaned_parent_becomes_root() {
-        let t = SpanTree::build(vec![rec(7, 3, "invoke")]);
+        let t = SpanTree::window(vec![rec(7, 3, "invoke")], 0);
         assert_eq!(t.roots(), &[7]);
         assert_eq!(t.leaf_count(7), 1);
     }
 
     #[test]
     fn render_is_indented_and_stable() {
-        let t = SpanTree::build(vec![rec(1, 0, "call"), rec(2, 1, "invoke")]);
+        let t = SpanTree::window(vec![rec(1, 0, "call"), rec(2, 1, "invoke")], 0);
         assert_eq!(t.render(), "#1 call @10us\n  #2 invoke @20us\n");
     }
 
     #[test]
     fn roots_labeled_filters() {
-        let t = SpanTree::build(vec![rec(1, 0, "call m1.p2"), rec(2, 0, "lookup t9")]);
+        let t = SpanTree::window(vec![rec(1, 0, "call m1.p2"), rec(2, 0, "lookup t9")], 0);
         assert_eq!(t.roots_labeled(|l| l.starts_with("call")), vec![1]);
     }
 }

@@ -8,8 +8,9 @@
 //! read it.
 
 use std::collections::{BTreeMap, HashSet};
+use std::fmt;
 
-use obs::{Counter, CpuView, NetView, Registry};
+use obs::{Counter, CpuView, NetView, Registry, SpanId};
 
 use crate::cpu::{Syscall, SyscallCosts, ALL_SYSCALLS};
 use crate::disk::Disk;
@@ -19,7 +20,7 @@ use crate::process::{HostId, Process, SockAddr, TimerId};
 use crate::rng::SimRng;
 use crate::sched::TimerWheel;
 use crate::time::{Duration, Time};
-use crate::trace::{DropReason, TraceEvent, TraceSink};
+use crate::trace::{head, wire_len, DropReason, TraceEvent, TraceSink};
 
 /// Pre-resolved handles for the global `net.*` counters, so the hot path
 /// never does a name lookup.
@@ -126,7 +127,6 @@ pub(crate) enum EventKind {
         from: SockAddr,
         to: SockAddr,
         data: Payload,
-        span: u64,
     },
     Timer {
         owner: SockAddr,
@@ -202,8 +202,9 @@ pub(crate) struct Core {
     /// dispatcher so timers armed by the handler carry the owner's epoch
     /// (stale timers for replaced processes are dropped at fire time).
     pub(crate) epoch_hint: u64,
-    /// Optional structured event-trace recorder.
-    pub(crate) sink: Option<Box<dyn TraceSink>>,
+    /// The structured event-trace recorders, each fed every event in
+    /// order; none, and no event is built.
+    pub(crate) sinks: Vec<Box<dyn TraceSink>>,
     /// The world seed, kept so per-host disk fault streams can be derived
     /// from it without touching the world RNG.
     pub(crate) seed: u64,
@@ -238,19 +239,21 @@ impl Core {
     }
 
     pub(crate) fn trace(&mut self, ev: TraceEvent) {
-        if let Some(sink) = self.sink.as_mut() {
-            sink.record(&ev);
-        }
+        self.trace_with(|| ev);
     }
 
     /// Pay-for-what-you-use tracing: the event is only *constructed* when
     /// a sink is installed. Hot-path call sites (every send, delivery,
-    /// drop, timer fire) use this so steady-state runs with no sink skip
-    /// the `TraceEvent` build entirely.
+    /// drop, timer fire, span mint) use this so steady-state runs with no
+    /// sink skip the `TraceEvent` build entirely.
     #[inline]
     pub(crate) fn trace_with(&mut self, ev: impl FnOnce() -> TraceEvent) {
-        if let Some(sink) = self.sink.as_mut() {
-            sink.record(&ev());
+        if self.sinks.is_empty() {
+            return;
+        }
+        let ev = ev();
+        for sink in &mut self.sinks {
+            sink.record(&ev);
         }
     }
 
@@ -259,40 +262,35 @@ impl Core {
     }
 
     /// Schedules the delivery (with loss/duplication/jitter) of one
-    /// datagram departing `from` at time `depart`, attributed to causal
-    /// span `span` (0 = none). The payload is never copied: each
-    /// scheduled copy (duplication, multicast fan-out) shares the same
-    /// buffer.
-    fn transmit(&mut self, from: SockAddr, to: SockAddr, data: Payload, span: u64, depart: Time) {
+    /// datagram departing `from` at time `depart`. The payload is never
+    /// copied: each scheduled copy (duplication, multicast fan-out) shares
+    /// the same buffer.
+    fn transmit(&mut self, from: SockAddr, to: SockAddr, data: Payload, depart: Time) {
         self.net_ctr.sent.inc();
         self.trace_with(|| TraceEvent::Send {
             at: depart,
             from,
             to,
-            len: data.len(),
-            span,
+            len: wire_len(&data),
+            head: head(&data),
         });
-        if data.len() > self.net.mtu {
+        let dropped = if data.len() > self.net.mtu {
             self.net_ctr.oversize.inc();
-            self.trace_with(|| TraceEvent::Drop {
-                at: depart,
-                from,
-                to,
-                len: data.len(),
-                reason: DropReason::Oversize,
-                span,
-            });
-            return;
-        }
-        if self.rng.chance(self.net.loss) {
+            Some(DropReason::Oversize)
+        } else if self.rng.chance(self.net.loss) {
             self.net_ctr.lost.inc();
+            Some(DropReason::Loss)
+        } else {
+            None
+        };
+        if let Some(reason) = dropped {
             self.trace_with(|| TraceEvent::Drop {
                 at: depart,
                 from,
                 to,
-                len: data.len(),
-                reason: DropReason::Loss,
-                span,
+                len: wire_len(&data),
+                reason,
+                head: head(&data),
             });
             return;
         }
@@ -302,7 +300,7 @@ impl Core {
                 at: depart,
                 from,
                 to,
-                span,
+                head: head(&data),
             });
             2
         } else {
@@ -311,15 +309,8 @@ impl Core {
         for _ in 0..copies {
             let jitter = self.rng.exponential(self.net.jitter_mean);
             let at = depart + self.net.latency_for(data.len()) + jitter;
-            self.push(
-                at,
-                EventKind::Datagram {
-                    from,
-                    to,
-                    data: data.clone(),
-                    span,
-                },
-            );
+            let data = data.clone();
+            self.push(at, EventKind::Datagram { from, to, data });
         }
     }
 }
@@ -355,47 +346,46 @@ impl<'a> Ctx<'a> {
         self.send_as(Syscall::SendMsg, to, data);
     }
 
-    /// Sends a datagram attributed to causal span `span` (0 = none),
-    /// charging one `sendmsg`. Trace events for the datagram's journey
-    /// carry the span id.
-    pub fn send_spanned(&mut self, to: SockAddr, data: impl Into<Payload>, span: u64) {
-        self.charge(Syscall::SendMsg);
-        self.core
-            .transmit(self.me, to, data.into(), span, self.vnow);
-    }
-
     /// Sends a datagram, charging the given syscall (e.g. `write` for the
     /// stream-socket comparison rig).
     pub fn send_as(&mut self, sys: Syscall, to: SockAddr, data: impl Into<Payload>) {
         self.charge(sys);
-        self.core.transmit(self.me, to, data.into(), 0, self.vnow);
+        self.core.transmit(self.me, to, data.into(), self.vnow);
     }
 
     /// Sends the same datagram to every destination with a *single*
     /// `sendmsg` charge, modelling Ethernet multicast (§4.3.3: "a
-    /// multicast implementation requires only m+n messages").
+    /// multicast implementation requires only m+n messages"). The payload
+    /// is converted once; every destination shares the same buffer
+    /// (`Payload::clone` never allocates).
     pub fn multicast(&mut self, tos: &[SockAddr], data: impl Into<Payload>) {
-        self.multicast_spanned(tos, data, 0);
-    }
-
-    /// Like [`Ctx::multicast`], but attributes every copy of the datagram
-    /// to causal span `span` (0 = none), so a multicast call segment's
-    /// journeys are stitched into the same trace tree as unicast ones.
-    /// The payload is converted once; every destination shares the same
-    /// buffer (`Payload::clone` never allocates).
-    pub fn multicast_spanned(&mut self, tos: &[SockAddr], data: impl Into<Payload>, span: u64) {
         self.charge(Syscall::SendMsg);
         self.core.net_ctr.multicasts.inc();
         let data = data.into();
         for &to in tos {
-            self.core
-                .transmit(self.me, to, data.clone(), span, self.vnow);
+            self.core.transmit(self.me, to, data.clone(), self.vnow);
         }
     }
 
     /// The world's metrics registry (cheap clone of a shared handle).
     pub fn metrics(&self) -> Registry {
         self.core.registry.clone()
+    }
+
+    /// Mints a causal span under `parent` ([`SpanId::NONE`] for a root)
+    /// at the handler's virtual time: the registry folds it
+    /// ([`Registry::mint_span`]) and every trace sink gets it as a
+    /// [`TraceEvent::Span`], ahead of the datagrams it causes.
+    pub fn span(&mut self, parent: SpanId, label: impl fmt::Display) -> SpanId {
+        let at = self.vnow;
+        let (id, label) = self.core.registry.mint_span(parent, label, at.as_micros());
+        self.core.trace_with(|| TraceEvent::Span {
+            at,
+            id,
+            parent,
+            label,
+        });
+        id
     }
 
     /// Arms a timer to fire after `delay`; `tag` is returned to
@@ -482,7 +472,7 @@ impl Core {
             cancelled: HashSet::new(),
             pending: Vec::new(),
             epoch_hint: 0,
-            sink: None,
+            sinks: Vec::new(),
             seed,
             disks: BTreeMap::new(),
         }

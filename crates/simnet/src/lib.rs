@@ -18,9 +18,11 @@
 //!   network partitions (§4.3.5);
 //! - a seeded [`rng::SimRng`] so every run is exactly reproducible;
 //! - **event tracing** ([`trace::TraceSink`]): every send, delivery, drop
-//!   (with reason), timer firing, spawn/kill, and host crash/restart can be
-//!   recorded; [`trace::TraceRing`] folds the stream into one value so
-//!   "same seed ⇒ same trace" is a one-line assertion.
+//!   (with reason, and each datagram's leading header bytes), timer
+//!   firing, spawn/kill, host crash/restart and causal span mint is one
+//!   stream, fanned out to every installed sink; [`trace::TraceRing`]
+//!   folds it into one value so "same seed ⇒ same trace" is a one-line
+//!   assertion, and is the one retained window of it.
 //!
 //! # Examples
 //!

@@ -1,18 +1,43 @@
-//! Structured event tracing for the simulated world.
+//! Structured event tracing for the simulated world: the one stream the
+//! system emits about itself.
 //!
 //! Every observable state transition in the simulator — a datagram handed
-//! to the network, a delivery, a drop (with its reason), a timer firing, a
-//! process spawn/kill, a host crash/restart — can be reported to a
-//! [`TraceSink`] installed on the [`World`](crate::World). Because the
-//! simulation is deterministic, the sequence of [`TraceEvent`]s is a pure
-//! function of the seed and the workload; [`TraceRing`] folds it into a
-//! single value so "same seed ⇒ same trace" becomes a one-line assertion,
-//! and keeps as many of the latest events as it is asked to for inspection.
+//! to the network (with its first [`HEAD_LEN`] bytes: a paired-message
+//! segment's whole §4.2 header), a delivery, a drop (with its reason), a
+//! timer firing, a process spawn/kill, a host crash/restart, a causal span
+//! minted — is reported to every [`TraceSink`] installed on the
+//! [`World`](crate::World). Because the simulation is deterministic, the
+//! sequence of [`TraceEvent`]s is a pure function of the seed and the
+//! workload; [`TraceRing`] folds it into a single value so "same seed ⇒
+//! same trace" becomes a one-line assertion, keeps as many of the latest
+//! events as it is asked to for inspection, and builds the span forest
+//! over the ones it kept.
 
 use std::any::Any;
 
+use obs::{Registry, SpanId, SpanRecord, SpanTree};
+
+use crate::payload::Payload;
 use crate::process::{HostId, SockAddr, TimerId};
 use crate::time::Time;
+
+/// How many leading bytes of each datagram its events carry: a
+/// paired-message segment header, span included, is exactly this long.
+pub const HEAD_LEN: usize = 16;
+
+/// The first [`HEAD_LEN`] bytes of `data`, zero-padded.
+pub(crate) fn head(data: &Payload) -> [u8; HEAD_LEN] {
+    let mut head = [0; HEAD_LEN];
+    let n = data.len().min(HEAD_LEN);
+    head[..n].copy_from_slice(&data[..n]);
+    head
+}
+
+/// A datagram's length as its events carry it (the MTU is far below
+/// 4 GiB; an oversize send saturates).
+pub(crate) fn wire_len(data: &Payload) -> u32 {
+    u32::try_from(data.len()).unwrap_or(u32::MAX)
+}
 
 /// Why the network dropped a datagram.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,9 +64,9 @@ pub enum TraceEvent {
         /// Destination.
         to: SockAddr,
         /// Payload length in bytes.
-        len: usize,
-        /// Causal span attribution (0 = none).
-        span: u64,
+        len: u32,
+        /// The datagram's first [`HEAD_LEN`] bytes, zero-padded.
+        head: [u8; HEAD_LEN],
     },
     /// The duplication model scheduled a second copy of a datagram.
     Duplicate {
@@ -51,8 +76,8 @@ pub enum TraceEvent {
         from: SockAddr,
         /// Destination.
         to: SockAddr,
-        /// Causal span attribution (0 = none).
-        span: u64,
+        /// The datagram's first [`HEAD_LEN`] bytes, zero-padded.
+        head: [u8; HEAD_LEN],
     },
     /// A datagram reached a live process.
     Deliver {
@@ -63,9 +88,9 @@ pub enum TraceEvent {
         /// Destination.
         to: SockAddr,
         /// Payload length in bytes.
-        len: usize,
-        /// Causal span attribution (0 = none).
-        span: u64,
+        len: u32,
+        /// The datagram's first [`HEAD_LEN`] bytes, zero-padded.
+        head: [u8; HEAD_LEN],
     },
     /// A datagram was dropped.
     Drop {
@@ -77,11 +102,11 @@ pub enum TraceEvent {
         /// Destination.
         to: SockAddr,
         /// Payload length in bytes.
-        len: usize,
+        len: u32,
         /// What killed it.
         reason: DropReason,
-        /// Causal span attribution (0 = none).
-        span: u64,
+        /// The datagram's first [`HEAD_LEN`] bytes, zero-padded.
+        head: [u8; HEAD_LEN],
     },
     /// A timer came due (it may still be ignored if its owning process
     /// was since replaced).
@@ -135,108 +160,90 @@ pub enum TraceEvent {
         /// Destination.
         to: SockAddr,
         /// Payload length in bytes.
-        len: usize,
+        len: u32,
+    },
+    /// A causal span was minted ([`Ctx::span`](crate::Ctx::span)), ahead
+    /// of the datagrams it causes.
+    Span {
+        /// Mint time.
+        at: Time,
+        /// The new span.
+        id: SpanId,
+        /// Its parent, or [`SpanId::NONE`] for a root.
+        parent: SpanId,
+        /// Its label's intern id in the world's registry
+        /// ([`Registry::span_label`]).
+        label: u32,
     },
 }
 
+// Every retained event is one slot of a ring: the ring's heap is its
+// capacity times this.
+const _: () = assert!(std::mem::size_of::<TraceEvent>() <= 48);
+// A sweep's reports cross threads with their trace samples.
+const _: fn() = || {
+    fn is_send<T: Send>() {}
+    is_send::<TraceEvent>();
+};
+
 impl TraceEvent {
-    /// Folds the event into an FNV-1a hash state; the encoding covers every
-    /// field, so any divergence between two runs changes the hash.
+    /// Folds the event into an FNV-1a hash state: its kind, its time, every
+    /// other field as a little-endian word and a datagram's head bytes, so
+    /// any divergence between two runs changes the hash.
     fn fold_into(&self, h: &mut u64) {
-        fn mix(h: &mut u64, v: u64) {
-            *h = obs::fnv1a_fold(*h, &v.to_le_bytes());
-        }
-        fn mix_addr(h: &mut u64, a: SockAddr) {
-            mix(h, a.host.0 as u64);
-            mix(h, a.port as u64);
-        }
-        match *self {
-            TraceEvent::Send {
+        use TraceEvent::*;
+        let addr = |a: SockAddr| u64::from(a.host.0) << 16 | u64::from(a.port);
+        let (kind, at, words, head): (u64, _, [u64; 4], &[u8]) = match *self {
+            Send {
                 at,
                 from,
                 to,
                 len,
-                span,
-            } => {
-                mix(h, 1);
-                mix(h, at.as_micros());
-                mix_addr(h, from);
-                mix_addr(h, to);
-                mix(h, len as u64);
-                mix(h, span);
-            }
-            TraceEvent::Duplicate { at, from, to, span } => {
-                mix(h, 2);
-                mix(h, at.as_micros());
-                mix_addr(h, from);
-                mix_addr(h, to);
-                mix(h, span);
-            }
-            TraceEvent::Deliver {
+                ref head,
+            } => (1, at, [addr(from), addr(to), len.into(), 0], head),
+            Duplicate {
+                at,
+                from,
+                to,
+                ref head,
+            } => (2, at, [addr(from), addr(to), 0, 0], head),
+            Deliver {
                 at,
                 from,
                 to,
                 len,
-                span,
-            } => {
-                mix(h, 3);
-                mix(h, at.as_micros());
-                mix_addr(h, from);
-                mix_addr(h, to);
-                mix(h, len as u64);
-                mix(h, span);
-            }
-            TraceEvent::Drop {
+                ref head,
+            } => (3, at, [addr(from), addr(to), len.into(), 0], head),
+            Drop {
                 at,
                 from,
                 to,
                 len,
                 reason,
-                span,
-            } => {
-                mix(h, 4);
-                mix(h, at.as_micros());
-                mix_addr(h, from);
-                mix_addr(h, to);
-                mix(h, len as u64);
-                mix(h, reason as u64);
-                mix(h, span);
-            }
-            TraceEvent::TimerFire { at, owner, id, tag } => {
-                mix(h, 5);
-                mix(h, at.as_micros());
-                mix_addr(h, owner);
-                mix(h, id.0);
-                mix(h, tag);
-            }
-            TraceEvent::Spawn { at, addr } => {
-                mix(h, 6);
-                mix(h, at.as_micros());
-                mix_addr(h, addr);
-            }
-            TraceEvent::Kill { at, addr } => {
-                mix(h, 7);
-                mix(h, at.as_micros());
-                mix_addr(h, addr);
-            }
-            TraceEvent::CrashHost { at, host } => {
-                mix(h, 8);
-                mix(h, at.as_micros());
-                mix(h, host.0 as u64);
-            }
-            TraceEvent::RestartHost { at, host } => {
-                mix(h, 9);
-                mix(h, at.as_micros());
-                mix(h, host.0 as u64);
-            }
-            TraceEvent::Inject { at, from, to, len } => {
-                mix(h, 10);
-                mix(h, at.as_micros());
-                mix_addr(h, from);
-                mix_addr(h, to);
-                mix(h, len as u64);
-            }
+                ref head,
+            } => (
+                4,
+                at,
+                [addr(from), addr(to), len.into(), reason as u64],
+                head,
+            ),
+            TimerFire { at, owner, id, tag } => (5, at, [addr(owner), id.0, tag, 0], &[]),
+            Spawn { at, addr: a } => (6, at, [addr(a), 0, 0, 0], &[]),
+            Kill { at, addr: a } => (7, at, [addr(a), 0, 0, 0], &[]),
+            CrashHost { at, host } => (8, at, [host.0.into(), 0, 0, 0], &[]),
+            RestartHost { at, host } => (9, at, [host.0.into(), 0, 0, 0], &[]),
+            Inject { at, from, to, len } => (10, at, [addr(from), addr(to), len.into(), 0], &[]),
+            Span {
+                at,
+                id,
+                parent,
+                label,
+            } => (11, at, [id.raw(), parent.raw(), label.into(), 0], &[]),
+        };
+        for w in [kind, at.as_micros()].into_iter().chain(words) {
+            *h = obs::fnv1a_fold(*h, &w.to_le_bytes());
         }
+        *h = obs::fnv1a_fold(*h, head);
     }
 }
 
@@ -248,8 +255,8 @@ pub trait TraceSink: Any {
     fn as_any(&self) -> &dyn Any;
 }
 
-/// The one trace sink: folds *every* event into a running FNV-1a hash,
-/// counts it, and retains the last `capacity` events.
+/// The one retained window: folds *every* event into a running FNV-1a
+/// hash, counts it, and retains the last `capacity` events.
 ///
 /// Two runs with the same seed and workload must produce the same
 /// [`hash`](TraceRing::hash), so "same seed ⇒ same trace" is a one-line
@@ -258,7 +265,9 @@ pub trait TraceSink: Any {
 /// and count only), the tail leading up to the quiesce — what a failure
 /// post-mortem wants, at fixed memory however long the run (the chaos
 /// harness keeps 4 096) — or everything ([`TraceRing::unbounded`], for
-/// tests that inspect whole streams).
+/// tests that inspect whole streams). Span mints are events like any
+/// other, so the forest ([`TraceRing::span_tree`]) covers what the window
+/// does, at no memory of its own.
 #[derive(Clone, Debug)]
 pub struct TraceRing {
     hash: u64,
@@ -297,11 +306,42 @@ impl TraceRing {
 
     /// The retained events, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
-        let mut out = Vec::with_capacity(self.ring.len());
-        out.extend_from_slice(&self.ring[self.head..]);
-        out.extend_from_slice(&self.ring[..self.head]);
-        out
+        self.retained().cloned().collect()
     }
+
+    fn retained(&self) -> impl Iterator<Item = &TraceEvent> {
+        self.ring[self.head..].iter().chain(&self.ring[..self.head])
+    }
+
+    /// The causal forest over the span mints this ring retains; `reg` is
+    /// the registry of the world it recorded, which names their labels and
+    /// counts the spans the ring did not keep.
+    pub fn span_tree(&self, reg: &Registry) -> SpanTree {
+        span_tree(self.retained(), reg)
+    }
+}
+
+/// The causal forest over the [`TraceEvent::Span`]s of `events`, a stream
+/// retained from the world whose registry is `reg`. A span whose parent
+/// the stream no longer holds is a root, and
+/// [`render`](SpanTree::render) says how much of the run the forest
+/// covers.
+pub fn span_tree<'a>(events: impl IntoIterator<Item = &'a TraceEvent>, reg: &Registry) -> SpanTree {
+    let records = events.into_iter().filter_map(|ev| match *ev {
+        TraceEvent::Span {
+            at,
+            id,
+            parent,
+            label,
+        } => Some(SpanRecord {
+            id,
+            parent,
+            at_us: at.as_micros(),
+            label: reg.span_label(label),
+        }),
+        _ => None,
+    });
+    SpanTree::window(records, reg.span_count())
 }
 
 impl TraceSink for TraceRing {
@@ -336,7 +376,7 @@ mod tests {
                 from: addr(1, 2),
                 to: addr(3, 4),
                 len: 9,
-                span: 7,
+                head: [7; HEAD_LEN],
             },
             TraceEvent::CrashHost {
                 at: Time::from_micros(5),
@@ -360,7 +400,7 @@ mod tests {
             from: addr(1, 2),
             to: addr(3, 4),
             len: 10,
-            span: 0,
+            head: [0; HEAD_LEN],
         };
         let variants = [
             TraceEvent::Deliver {
@@ -368,35 +408,35 @@ mod tests {
                 from: addr(1, 2),
                 to: addr(3, 4),
                 len: 10,
-                span: 0,
+                head: [0; HEAD_LEN],
             },
             TraceEvent::Deliver {
                 at: Time::from_micros(1),
                 from: addr(1, 5),
                 to: addr(3, 4),
                 len: 10,
-                span: 0,
+                head: [0; HEAD_LEN],
             },
             TraceEvent::Deliver {
                 at: Time::from_micros(1),
                 from: addr(1, 2),
                 to: addr(3, 4),
                 len: 11,
-                span: 0,
+                head: [0; HEAD_LEN],
             },
             TraceEvent::Deliver {
                 at: Time::from_micros(1),
                 from: addr(1, 2),
                 to: addr(3, 4),
                 len: 10,
-                span: 3,
+                head: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3],
             },
             TraceEvent::Send {
                 at: Time::from_micros(1),
                 from: addr(1, 2),
                 to: addr(3, 4),
                 len: 10,
-                span: 0,
+                head: [0; HEAD_LEN],
             },
         ];
         let mut h0 = TraceRing::new(0);

@@ -22,7 +22,7 @@ use crate::net::{NetConfig, Partition};
 use crate::payload::Payload;
 use crate::process::{HostId, Process, SockAddr, TimerId};
 use crate::time::{Duration, Time};
-use crate::trace::{DropReason, TraceEvent, TraceSink};
+use crate::trace::{head, wire_len, DropReason, TraceEvent, TraceSink};
 
 /// A hostile datagram produced by a [`TrafficInjector`].
 #[derive(Clone, Debug)]
@@ -102,16 +102,24 @@ impl World {
         &self.core.net
     }
 
-    /// Installs a structured trace recorder; every subsequent send,
-    /// delivery, drop, timer firing, spawn/kill, and host crash/restart is
-    /// reported to it in simulation order.
+    /// Installs `sink` as the world's only trace recorder, replacing any
+    /// others; every subsequent send, delivery, drop, timer firing,
+    /// spawn/kill, host crash/restart and span mint is reported to it in
+    /// simulation order.
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.core.sink = Some(sink);
+        self.core.sinks = vec![sink];
     }
 
-    /// The installed trace sink, downcast to its concrete type.
+    /// Installs `sink` beside the recorders already installed: each gets
+    /// every event, in installation order.
+    pub fn add_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
+        self.core.sinks.push(sink);
+    }
+
+    /// The first installed trace sink of type `T`.
     pub fn trace_sink_as<T: TraceSink>(&self) -> Option<&T> {
-        self.core.sink.as_deref()?.as_any().downcast_ref::<T>()
+        let mut sinks = self.core.sinks.iter();
+        sinks.find_map(|sink| sink.as_any().downcast_ref::<T>())
     }
 
     /// Installs a traffic injector and arms its first tick `first` from
@@ -139,17 +147,9 @@ impl World {
             at,
             from,
             to,
-            len: data.len(),
+            len: wire_len(&data),
         });
-        self.core.push(
-            at,
-            EventKind::Datagram {
-                from,
-                to,
-                data,
-                span: 0,
-            },
-        );
+        self.core.push(at, EventKind::Datagram { from, to, data });
     }
 
     /// Imposes (or lifts, with `Partition::none()`) a network partition.
@@ -355,12 +355,7 @@ impl World {
         self.core.now = at;
         self.events += 1;
         match kind {
-            EventKind::Datagram {
-                from,
-                to,
-                data,
-                span,
-            } => self.deliver(from, to, data, span),
+            EventKind::Datagram { from, to, data } => self.deliver(from, to, data),
             EventKind::Timer {
                 owner,
                 id,
@@ -401,29 +396,25 @@ impl World {
         true
     }
 
-    fn deliver(&mut self, from: SockAddr, to: SockAddr, data: Payload, span: u64) {
+    fn deliver(&mut self, from: SockAddr, to: SockAddr, data: Payload) {
         let at = self.core.now;
-        if !self.core.host_up(to.host) || !self.procs.contains_key(&to) {
+        let dropped = if !self.core.host_up(to.host) || !self.procs.contains_key(&to) {
             self.core.net_ctr.undeliverable.inc();
-            self.core.trace_with(|| TraceEvent::Drop {
-                at,
-                from,
-                to,
-                len: data.len(),
-                reason: DropReason::Undeliverable,
-                span,
-            });
-            return;
-        }
-        if !self.core.partition.connected(from.host, to.host) {
+            Some(DropReason::Undeliverable)
+        } else if !self.core.partition.connected(from.host, to.host) {
             self.core.net_ctr.partitioned.inc();
+            Some(DropReason::Partitioned)
+        } else {
+            None
+        };
+        if let Some(reason) = dropped {
             self.core.trace_with(|| TraceEvent::Drop {
                 at,
                 from,
                 to,
-                len: data.len(),
-                reason: DropReason::Partitioned,
-                span,
+                len: wire_len(&data),
+                reason,
+                head: head(&data),
             });
             return;
         }
@@ -432,8 +423,8 @@ impl World {
             at,
             from,
             to,
-            len: data.len(),
-            span,
+            len: wire_len(&data),
+            head: head(&data),
         });
         if let Some(mut inj) = self.injector.take() {
             inj.observe(at, from, to, &data);

@@ -2,9 +2,9 @@
 //! serialization, fault injection, and determinism.
 
 use simnet::{
-    trace::{DropReason, TraceEvent, TraceRing},
-    Ctx, Duration, HostId, NetConfig, Partition, Payload, Process, SockAddr, Syscall, SyscallCosts,
-    Time, World,
+    trace::{DropReason, TraceEvent, TraceRing, TraceSink, HEAD_LEN},
+    Ctx, Duration, HostId, NetConfig, Partition, Payload, Process, Registry, SockAddr, SpanId,
+    Syscall, SyscallCosts, Time, World,
 };
 
 /// Replies to every datagram with the same payload.
@@ -542,14 +542,14 @@ fn registry_is_the_single_source_of_cpu_and_net_counters() {
 }
 
 #[test]
-fn spanned_sends_attribute_trace_events() {
+fn a_span_mint_is_an_event_ahead_of_the_sends_it_causes() {
     struct Spanner {
         to: SockAddr,
     }
     impl Process for Spanner {
         fn on_poke(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
-            let span = ctx.metrics().span_root("call", ctx.now().as_micros());
-            ctx.send_spanned(self.to, b"hi".to_vec(), span.raw());
+            let span = ctx.span(SpanId::NONE, "call");
+            ctx.send(self.to, span.raw().to_be_bytes().to_vec());
         }
         fn on_datagram(&mut self, _ctx: &mut Ctx<'_>, _from: SockAddr, _data: Payload) {}
     }
@@ -563,15 +563,89 @@ fn spanned_sends_attribute_trace_events() {
     world.run(simnet::Until::Elapsed(Duration::from_secs(1)));
 
     let log = world.trace_sink_as::<TraceRing>().unwrap();
-    assert!(log
-        .events()
+    let events = log.events();
+    let minted = events.iter().position(|e| {
+        matches!(e, TraceEvent::Span { id, parent, .. } if *id == SpanId(1) && parent.is_none())
+    });
+    let sent = events
         .iter()
-        .any(|e| matches!(e, TraceEvent::Send { span: 1, .. })));
-    assert!(log
-        .events()
+        .position(|e| matches!(e, TraceEvent::Send { .. }));
+    assert!(minted.expect("the mint") < sent.expect("the send"));
+    // The datagram's head rides every event of its journey, zero-padded.
+    let mut head = [0; HEAD_LEN];
+    head[7] = 1;
+    assert!(events
         .iter()
-        .any(|e| matches!(e, TraceEvent::Deliver { span: 1, .. })));
+        .any(|e| matches!(e, TraceEvent::Deliver { len: 8, head: h, .. } if *h == head)));
     assert_eq!(world.metrics().span_count(), 1);
+    assert_eq!(log.span_tree(&world.metrics()).render(), "#1 call @0us\n");
+}
+
+/// A sink that counts the events it is given.
+#[derive(Default)]
+struct Tally(u64);
+
+impl TraceSink for Tally {
+    fn record(&mut self, _ev: &TraceEvent) {
+        self.0 += 1;
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+#[test]
+fn every_sink_sees_every_event_and_set_replaces_them_all() {
+    let mut world = World::new(3);
+    let (server, client) = (addr(1, 7), addr(0, 100));
+    world.set_trace_sink(Box::new(Tally(1_000)));
+    world.set_trace_sink(Box::new(TraceRing::new(0)));
+    world.add_trace_sink(Box::new(Tally::default()));
+    world.add_trace_sink(Box::new(Tally(7)));
+    world.spawn(server, Box::new(Echo));
+    world.spawn(client, Box::new(Pinger::new(server, 5)));
+    world.poke(client, 0);
+    world.run(simnet::Until::Elapsed(Duration::from_secs(2)));
+    let seen = world.trace_sink_as::<TraceRing>().unwrap().seen();
+    assert!(seen > 10);
+    assert_eq!(
+        world.trace_sink_as::<Tally>().unwrap().0,
+        seen,
+        "the first Tally"
+    );
+}
+
+/// A forest built from a ring covers the spans the ring still holds:
+/// a child whose parent was pushed out is a root, and the render says
+/// how many of the run's spans it shows.
+#[test]
+fn span_tree_is_built_from_the_retained_stream() {
+    let reg = Registry::new();
+    let mut ring = TraceRing::new(3);
+    let mut parent = SpanId::NONE;
+    for i in 0..4u64 {
+        let at = Time::from_micros(10 * i);
+        let (id, label) = reg.mint_span(parent, format_args!("call {i}"), at.as_micros());
+        ring.record(&TraceEvent::Span {
+            at,
+            id,
+            parent,
+            label,
+        });
+        parent = id;
+    }
+    ring.record(&TraceEvent::Kill {
+        at: Time::from_micros(50),
+        addr: addr(1, 1),
+    });
+    let tree = ring.span_tree(&reg);
+    assert_eq!(tree.roots(), &[3]);
+    assert_eq!(
+        tree.render(),
+        "# last 2 of 4 spans\n#3 call 2 @20us\n  #4 call 3 @30us\n"
+    );
+    let whole = simnet::trace::span_tree(&[], &reg);
+    assert!(whole.roots().is_empty());
 }
 
 #[test]

@@ -17,10 +17,14 @@ use rdp::circus::testbed::{
     addr, call, spawn_caller, spawn_troupe, CountingService, Request, MODULE, PROC_ECHO,
 };
 use rdp::circus::{NodeConfig, TroupeId};
-use rdp::simnet::{Duration, HostId, World};
+use rdp::simnet::{Duration, HostId, TraceRing, World};
 
 fn main() {
     let mut world = World::new(7);
+    // The world's event stream — datagrams, timers, crashes, span mints —
+    // is kept, last 4 096 events, by one ring; the span forest is read
+    // from it at the end.
+    world.set_trace_sink(Box::new(TraceRing::new(4_096)));
     let config = NodeConfig::default();
 
     // The troupe: three replicas of one module on three machines, sharing
@@ -61,16 +65,18 @@ fn main() {
     println!("\nwith every member dead, the total failure is reported, not hung —");
     println!("replication masks partial failures; only total failure is visible (§3.5).");
 
-    // Everything the run did is in the world's metrics registry: CPU per
-    // host, datagram counts, per-node RPC counters, call latency, and
-    // the causal span trees of the latest replicated calls (all of them,
-    // in a run this short).
+    // What the run counted is in the world's metrics registry: CPU per
+    // host, datagram counts, per-node RPC counters, call latency, spans
+    // minted. The causal span trees of the replicated calls are built
+    // from the ring (its render says so if the window lost older spans).
+    let metrics = world.metrics();
     println!(
         "\n==> metrics registry after the run\n{}",
-        world.metrics().dump_text()
+        metrics.dump_text()
     );
+    let ring = world.trace_sink_as::<TraceRing>().expect("installed above");
     println!(
         "==> causal span forest\n{}",
-        world.metrics().span_tree().render()
+        ring.span_tree(&metrics).render()
     );
 }

@@ -39,7 +39,7 @@ phase() {
   echo "==> $1"
 }
 
-phase "cargo fmt --check (and the shape of the source: audited hash maps, no per-thread hash map in the call runtime, no crates/*/src/*.rs file over 900 lines (every crate), one multicast blast, one framing site, one client side per synchronization scheme, one encoding site (a Courier type's wire form is its wire declaration, or the line above its impl says not a declaration:), one way to count (no publish_metrics impl, refresh_metrics() call or set_gauge outside obs and simnet's hooks), no cargo feature, no ledger that grows with the run, no spawn loop or echo service beside the testbed's, EXPERIMENTS.md within 50,000 bytes, DESIGN.md within 80,000, a CHANGES.md entry within 1,536)"
+phase "cargo fmt --check (and the shape of the source: audited hash maps, no per-thread hash map in the call runtime, no crates/*/src/*.rs file over 900 lines (every crate), one multicast blast, one window of events (no span window beside the trace ring), one framing site, one client side per synchronization scheme, one encoding site (a Courier type's wire form is its wire declaration, or the line above its impl says not a declaration:), one way to count (no publish_metrics impl, refresh_metrics() call or set_gauge outside obs and simnet's hooks), no cargo feature, no ledger that grows with the run, no spawn loop or echo service beside the testbed's, EXPERIMENTS.md within 50,000 bytes, DESIGN.md within 80,000, a CHANGES.md entry within 1,536)"
 cargo fmt --all --check
 # A HashMap/HashSet field iterates in a per-process order: each one in the
 # protocol crates says, on the line above it, why that is never observed.
@@ -56,8 +56,17 @@ fi
 wc -l crates/*/src/*.rs | awk '$2 != "total" && $1 > 900 { print $2 ": " $1 " lines (over 900)"; bad = 1 } END { exit bad }'
 # Calls and returns share one blast, `Conns::blast`: a multicast sent
 # from anywhere else in the call runtime is a second copy of it.
-if grep -n '\.multicast_spanned(' crates/core/src/*.rs | grep -v '^crates/core/src/conn\.rs:'; then
+if grep -n '\.multicast(' crates/core/src/*.rs | grep -v '^crates/core/src/conn\.rs:'; then
   echo "a multicast outside conn.rs (named above): send it through Conns::blast" >&2
+  exit 1
+fi
+# The system records itself in one stream with one retained window,
+# `simnet::TraceRing`: span mints are events on it, and the registry only
+# folds them. A span window beside it, or a kept collection of span
+# records anywhere, is the second window the stream replaced.
+if grep -rnE --include='*.rs' -e 'recent_spans|SPAN_WINDOW' -e '(Vec|VecDeque)<(obs::)?SpanRecord>' \
+  crates/*/src; then
+  echo "a second window of spans (named above): keep the span mints in a TraceRing" >&2
   exit 1
 fi
 # A message is laid out as its datagrams in one place, pairedmsg's framing

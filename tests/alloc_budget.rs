@@ -24,6 +24,9 @@
 //!   [`CONTENDED_COMMIT_BUDGET`].
 //! - The timer wheel must not allocate at all over a steady-state
 //!   pop + insert loop.
+//! - A world with no trace sink keeps no spans: what its registry holds
+//!   after 20 000 echo calls is within [`NO_SINK_GROWTH_BUDGET`] bytes of
+//!   what it holds after 100.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -97,6 +100,11 @@ const CONTENDED_COMMIT_BUDGET: f64 = 36.01;
 /// this gate grew by 5.2 MB — one doubling of a `Vec` that kept a 40-byte
 /// span record, four per call, for ever.
 const HEAP_GROWTH_BUDGET: i64 = 16 * 1024;
+
+/// Bytes a world's registry may hold after 20 000 echo calls beyond what
+/// it holds after 100, with no trace sink installed. A registry that kept
+/// the last 4 096 spans, four per call, held 160 KB more.
+const NO_SINK_GROWTH_BUDGET: i64 = 64 * 1024;
 
 thread_local! {
     /// Heap allocations made by this thread (`alloc`, `alloc_zeroed` and
@@ -305,9 +313,9 @@ fn replicated_bulk_echo_call_stays_within_its_allocation_budget() {
 
 // The heap-flat tests run on the 1985 testbed (`world`), where an echo
 // call takes ~61 simulated ms, so 20 000 warm-up operations span 20
-// simulated minutes or more — past the 60 s replay and done-call TTLs,
-// the span window and every buffer's high-water mark. Whatever still
-// grows after that grows with the number of operations.
+// simulated minutes or more — past the 60 s replay and done-call TTLs
+// and every buffer's high-water mark. Whatever still grows after that
+// grows with the number of operations.
 
 /// Warms the rig up with 20 000 operations (`run(w, n)` runs `n` more),
 /// runs 20 000 more and holds the live heap's growth over those to
@@ -339,6 +347,37 @@ fn replicated_echo_heap_is_flat() {
     assert_heap_is_flat(&mut w, "echo calls", |w, n| {
         run_echo_calls(w, client, &troupe, 64, n);
     });
+}
+
+/// Runs the echo rig with no trace sink for `calls` echo calls, drops
+/// the world and returns the live heap its metrics registry — the handle
+/// that outlives it — still holds.
+fn registry_heap_after(calls: u64) -> i64 {
+    const BATCH: u64 = 100;
+    let before = live_bytes();
+    let reg = {
+        let mut w = world(1985);
+        let (troupe, client) = spawn_echo_rig(&mut w);
+        for _ in 0..calls / BATCH {
+            run_echo_calls(&mut w, client, &troupe, 64, BATCH);
+        }
+        w.metrics()
+    };
+    assert_eq!(reg.span_count(), 4 * calls, "a call span, three invokes");
+    live_bytes() - before
+}
+
+#[test]
+fn a_world_with_no_sink_keeps_no_spans() {
+    let early = registry_heap_after(100);
+    let late = registry_heap_after(20_000);
+    println!("registry heap after 100 echo calls: {early} bytes; after 20 000: {late}");
+    assert!(
+        late - early < NO_SINK_GROWTH_BUDGET,
+        "the registry grew by {} bytes from echo call 100 to 20 000 (budget \
+         {NO_SINK_GROWTH_BUDGET})",
+        late - early
+    );
 }
 
 /// The broadcast application: a running sum of the 8-byte payloads.
