@@ -18,7 +18,14 @@
 //!   crash-detection horizon (the exponential backoff schedule sums to
 //!   `Config::crash_horizon()` ≈ 4.5 s by default), so a *partitioned*
 //!   member is delayed, not declared dead — a partition is not a crash
-//!   (§4.3.5).
+//!   (§4.3.5), and no port-unreachable notice crosses one.
+//!
+//! The two member faults differ in how their death is learnt. A crashed
+//! host is down and answers nothing, so its member is declared dead at
+//! the crash horizon. A killed process leaves its host up, and the host
+//! answers each datagram to the empty port with port-unreachable, so its
+//! member is declared dead within a round trip of the first call to it.
+//! The recovery window after either is sized for the slower, the crash.
 
 use simnet::{Duration, SimRng, Time};
 
@@ -196,11 +203,12 @@ impl FaultPlan {
                     } else {
                         Fault::KillProc { victim_idx }
                     };
-                    // The self-healing pipeline needs clean air: ~4.5 s
-                    // for an observer to report the death, two probe
-                    // rounds of the same horizon each to confirm it,
-                    // then eviction and spare activation. Budget a
-                    // window comfortably past that MTTR.
+                    // The self-healing pipeline needs clean air: after a
+                    // host crash, ~4.5 s for an observer to report the
+                    // death, two probe rounds of the same horizon each to
+                    // confirm it, then eviction and spare activation (a
+                    // kill's host answers at once). Budget a window
+                    // comfortably past the crash's MTTR.
                     (f, Duration::from_micros(30_000_000))
                 }
                 _ => {

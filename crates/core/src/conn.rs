@@ -97,6 +97,13 @@ impl Conns {
         &mut conn.endpoint
     }
 
+    /// `peer`'s host answered with port-unreachable: the connection to
+    /// it, if there is one, declares it dead. Says whether there was.
+    pub(crate) fn on_unreachable(&mut self, peer: SockAddr) -> bool {
+        let conn = self.table.get_mut(&peer);
+        conn.map(|c| c.endpoint.on_unreachable()).is_some()
+    }
+
     /// The next event the endpoint for `peer` has queued, if the
     /// connection still exists.
     pub(crate) fn poll_event(&mut self, peer: SockAddr) -> Option<Event> {

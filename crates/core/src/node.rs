@@ -368,6 +368,18 @@ impl Node {
         self.flush_all(io);
     }
 
+    /// Feeds a port-unreachable notice about `dead` (call this from
+    /// `Process::on_unreachable`): a connection to it ends in `PeerDead`
+    /// at once, the same death its crash horizon would have declared.
+    pub fn on_unreachable(&mut self, io: &mut dyn NetIo, dead: SockAddr) {
+        io.charge(Syscall::Select);
+        io.charge(Syscall::SigBlock);
+        if self.conns.on_unreachable(dead) {
+            self.drain_pm_events(io, dead);
+            self.flush_all(io);
+        }
+    }
+
     /// Handles every event the endpoint for `peer` has queued. Handling
     /// one never queues another on the same endpoint (only datagrams and
     /// timer ticks do), and `PeerDead` — always an endpoint's last event —
@@ -451,9 +463,10 @@ impl Node {
         }
     }
 
-    /// Handles the death of a peer process (§4.2.3): every outstanding
-    /// call with a member there proceeds without it, and pending
-    /// many-to-one calls stop expecting its call message.
+    /// Handles the death of a peer process (§4.2.3), declared by its
+    /// crash horizon or on its host's word: every outstanding call with a
+    /// member there proceeds without it, and pending many-to-one calls
+    /// stop expecting its call message.
     fn on_peer_dead(&mut self, io: &mut dyn NetIo, addr: SockAddr) {
         for handle in self.calls.peer_dead(addr) {
             self.decide(io, handle);

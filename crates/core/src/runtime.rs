@@ -388,6 +388,11 @@ impl Process for CircusProcess {
         self.pump(ctx);
     }
 
+    fn on_unreachable(&mut self, ctx: &mut Ctx<'_>, dead: SockAddr) {
+        self.node.on_unreachable(ctx, dead);
+        self.pump(ctx);
+    }
+
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _timer: TimerId, tag: u64) {
         if let Some(key) = self.node.on_timer(ctx, tag) {
             self.with_agent_ctx(ctx, |agent, nc| agent.on_app_timer(nc, key));

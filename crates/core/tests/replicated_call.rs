@@ -232,6 +232,45 @@ fn crash_of_one_member_is_masked() {
     assert_quiescent(&w);
 }
 
+/// A member whose process was killed, its host up, is dead on its host's
+/// word: the host answers the call with port-unreachable, and the call
+/// completes from the survivors within a second. A member whose host is
+/// down answers nothing, and the call still waits out the crash horizon.
+#[test]
+fn a_killed_member_is_given_up_at_once_a_crashed_one_at_the_horizon() {
+    for crash in [false, true] {
+        let mut w = world(7);
+        let troupe = spawn_server_troupe(&mut w, 10, 1, 3);
+        let victim = troupe.members[1].addr;
+        if crash {
+            w.crash_host(victim.host);
+        } else {
+            w.kill(victim);
+        }
+        let echo = Request::new(&troupe, MODULE, PROC_ECHO, b"who".to_vec());
+        let client = spawn_client(&mut w, vec![echo]);
+        w.poke(client, 0);
+        run(&mut w, 60);
+        let (result, took) = agent(&w, client, |c: &Caller| {
+            let call = &c.completed[0];
+            (call.result.clone(), call.done.since(call.begun))
+        });
+        assert_eq!(result, Ok(b"who".to_vec()));
+        let dead = agent(&w, client, |c: &Caller| c.dead_members.clone());
+        assert_eq!(dead, vec![victim]);
+        assert_eq!(w.net_stats().unreachable, u64::from(!crash));
+        if crash {
+            assert!(
+                took > Duration::from_millis(4_500),
+                "crashed: took {took:?}"
+            );
+        } else {
+            assert!(took < Duration::from_secs(1), "killed: took {took:?}");
+        }
+        assert_quiescent(&w);
+    }
+}
+
 /// A node's counts are the registry's, not its connections': the client's
 /// retransmissions to a member whose host is down, and every segment it
 /// sent, keep counting through the `PeerDead` that drops its connection

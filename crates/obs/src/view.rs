@@ -27,6 +27,8 @@ pub struct NetView {
     pub oversize: u64,
     /// Multicast operations (one op may send many datagrams).
     pub multicasts: u64,
+    /// Port-unreachable notices that reached their senders.
+    pub unreachable: u64,
 }
 
 /// Snapshot of one process's CPU account (`cpu.<addr>.*` keys).

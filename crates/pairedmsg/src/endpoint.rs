@@ -89,7 +89,9 @@ pub enum Event {
         data: Payload,
     },
     /// Retransmissions or probes went unanswered long enough to presume
-    /// the peer has crashed (§4.2.3). The endpoint is dead afterwards.
+    /// the peer has crashed (§4.2.3), or its host said that nothing holds
+    /// its port ([`Endpoint::on_unreachable`]). The endpoint is dead
+    /// afterwards.
     PeerDead,
 }
 
@@ -370,6 +372,13 @@ impl Endpoint {
         let seg = Segment::decode(bytes)?;
         self.on_segment(now, seg);
         Ok(())
+    }
+
+    /// The peer's host answered one of this endpoint's datagrams with
+    /// port-unreachable: no process holds the peer's port, so the peer is
+    /// dead now, not a crash horizon from now (§4.2.3).
+    pub fn on_unreachable(&mut self) {
+        self.declare_dead();
     }
 
     /// Feeds an already-decoded segment.

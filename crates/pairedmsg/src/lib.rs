@@ -40,7 +40,8 @@
 //!   callee no longer notices a dead caller through a one-segment return
 //!   ([`endpoint`], "How a return gets acknowledged", which gives the
 //!   whole argument);
-//! - crash detection uses probes and timeouts (§4.2.3), surfacing
+//! - crash detection uses probes and timeouts (§4.2.3), or the peer's
+//!   host's port-unreachable notice, surfacing
 //!   [`endpoint::Event::PeerDead`];
 //! - completed call numbers are remembered to suppress replay of delayed
 //!   duplicates (§4.2.4), for a bounded time ([`replay`]).

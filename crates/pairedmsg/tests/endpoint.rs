@@ -1,8 +1,8 @@
 //! Transcripts of two endpoints over an in-memory wire, for what no §4.2
 //! rule states: PARC datagram counts, probes that keep a peer alive, one
-//! `PeerDead` per incarnation, abandon, oversize, concurrent calls out of
-//! order, adopted calls, and a dead caller noticed through a timed return
-//! but not through a held one. Each runs under the §4.2 checker too
+//! `PeerDead` per incarnation (a port-unreachable notice's included),
+//! abandon, oversize, concurrent calls out of order, adopted calls, and a
+//! dead caller noticed through a timed return but not through a held one. Each runs under the §4.2 checker too
 //! (`spec`: its `Pair` asserts when dropped). Loss, duplication, replays,
 //! held and timed returns, crash detection and the idle floor are the
 //! checker's, over the seeded sweep in `fast_path.rs`.
@@ -181,6 +181,25 @@ fn dead_peer_reported_once_despite_queued_retransmits() {
     link.pair.tick(now + Duration::from_secs(60), CLIENT);
     assert!(link.pair.event(CLIENT).is_none());
     assert!(link.pair.drain(now, CLIENT).is_empty());
+}
+
+/// A port-unreachable notice is the peer's death on its host's word: the
+/// endpoint raises `PeerDead` at once, not a crash horizon later, and a
+/// second notice, or the horizon running out, raises no other.
+#[test]
+fn a_notice_declares_the_peer_dead_at_once_and_once() {
+    let mut link = Link::new(Config::default());
+    link.send(CLIENT, 1, b"a");
+    link.send(CLIENT, 2, b"b");
+    link.lose();
+    link.now += Duration::from_millis(1);
+    for _ in 0..2 {
+        link.pair.unreachable(link.now, CLIENT);
+    }
+    assert_eq!(link.pair.event(CLIENT), Some(Event::PeerDead));
+    assert!(link.end(CLIENT).is_dead());
+    assert!(link.end(CLIENT).poll_timer().is_none());
+    assert_eq!(link.black_hole(CLIENT), (0, 0));
 }
 
 #[test]

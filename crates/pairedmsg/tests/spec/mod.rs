@@ -13,8 +13,9 @@
 //! - **S3** `ack T n k` leaves an endpoint only if it holds segments
 //!   `1..=k` of `(T, n)`;
 //! - **S4** `PeerDead` fires only after one of the endpoint's messages
-//!   has gone a jitter-reduced crash horizon without progress, or after
-//!   `MAX_UNANSWERED_PROBES` probes went unanswered;
+//!   has gone a jitter-reduced crash horizon without progress, after
+//!   `MAX_UNANSWERED_PROBES` probes went unanswered, or after a
+//!   port-unreachable notice for its peer reached it;
 //! - **S5** a *please ack* copy of a message the endpoint delivered whole,
 //!   whose record is younger than `replay_ttl`, is answered before the
 //!   endpoint's queue is next drained: by an ack of the whole message or,
@@ -82,6 +83,8 @@ struct End {
     waiting: BTreeMap<Key, Waiting>,
     /// Probes sent since the last arrival (S4).
     probes: u32,
+    /// A port-unreachable notice for the peer arrived (S4).
+    notified: bool,
     dead: bool,
 }
 
@@ -107,8 +110,9 @@ pub struct Spec {
     pub violations: Vec<Violation>,
     /// How much the run exercised the rules: `owed` *please ack* copies
     /// (S5), held returns `resent_held` on request and `resent_timed` on
-    /// the callee's clock (S2), `PeerDead` after unanswered probes or a
-    /// horizon of silence (S4), exchanges held to their `floor` (S6).
+    /// the callee's clock (S2), `PeerDead` after unanswered probes, a
+    /// horizon of silence or a notice (S4), exchanges held to their
+    /// `floor` (S6).
     pub tally: BTreeMap<&'static str, u64>,
 }
 
@@ -258,6 +262,13 @@ impl Spec {
         }
     }
 
+    /// The peer's host told side `to` that nothing holds the peer's port:
+    /// a `PeerDead` may follow at once (S4).
+    pub fn unreachable(&mut self, to: usize) {
+        count(&mut self.tally, "notices");
+        self.ends[to].notified = true;
+    }
+
     /// Side `side` drained its queue: every *please ack* copy that arrived
     /// before must have been answered (S5).
     pub fn drained(&mut self, at: Time, side: usize) {
@@ -288,7 +299,9 @@ impl Spec {
                 me.dead = true;
                 me.owed.clear();
                 let silent = me.waiting.values().map(|w| at.since(w.since)).max();
-                if me.probes >= MAX_UNANSWERED_PROBES {
+                if me.notified {
+                    count(&mut self.tally, "dead_by_notice");
+                } else if me.probes >= MAX_UNANSWERED_PROBES {
                     count(&mut self.tally, "dead_by_probes");
                 } else if silent.is_some_and(|d| d >= self.horizon) {
                     count(&mut self.tally, "dead_by_silence");
@@ -379,6 +392,14 @@ impl Pair {
     pub fn arrive(&mut self, at: Time, to: usize, seg: Segment) {
         self.spec.arrived(at, to, &seg.header);
         self.ends[to].on_segment(at, seg);
+        self.flush(at, to);
+    }
+
+    /// The peer's host answers side `to`'s last datagram with
+    /// port-unreachable at `at`.
+    pub fn unreachable(&mut self, at: Time, to: usize) {
+        self.spec.unreachable(to);
+        self.ends[to].on_unreachable();
         self.flush(at, to);
     }
 

@@ -135,6 +135,20 @@ fn s4_fires_on_peer_dead_after_an_answered_probe() {
     });
 }
 
+/// A port-unreachable notice licenses a `PeerDead` at once, but only on
+/// the connection it is for: doctored, the notice reached the client's
+/// checker of a connection to another peer.
+#[test]
+fn s4_fires_on_peer_dead_after_a_notice_for_another_peer() {
+    fires(Rule::S4, |spec, doctored| {
+        spec.sent(ms(0), CLIENT, &call(1, 1, 1, false));
+        let mut other = Spec::new(&Config::default());
+        let notified = if doctored { &mut other } else { &mut *spec };
+        notified.unreachable(CLIENT);
+        spec.event(ms(1), CLIENT, &Event::PeerDead);
+    });
+}
+
 #[test]
 fn s5_fires_on_a_please_ack_copy_left_unanswered() {
     fires(Rule::S5, |spec, doctored| {

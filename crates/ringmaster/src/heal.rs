@@ -17,11 +17,18 @@
 //! would evict healthy members and churn incarnations.
 //!
 //! Suspicions normally arrive from peers whose calls to the dead member
-//! exhaust retransmission — detection parasitic on application traffic.
-//! An idle system generates none, so the healer also runs a slow
-//! round-robin *liveness sweep* over the registered members. A sweep is
-//! the same `null` call as a probe: an unanswered one is its suspicion's
-//! first unanswered call.
+//! fail — detection parasitic on application traffic: a killed member's
+//! host answers them with port-unreachable at once, a crashed host's
+//! silence takes the crash horizon. An idle system generates none, so
+//! the healer also runs a slow round-robin *liveness sweep* over the
+//! registered members. A sweep is the same `null` call as a probe: an
+//! unanswered one is its suspicion's first unanswered call.
+//!
+//! The healer's own calls fail on the same two kinds of evidence: the
+//! horizon of silence, or the member's host saying that nothing holds its
+//! port. No notice crosses a partition, so a partitioned member only
+//! looks silent, and an answer once the partition heals clears it: the
+//! rule needs no exception for notices.
 //!
 //! Only the configured leader member runs a healer — the Ringmaster
 //! troupe's replies are collated, but its members' *agents* are
@@ -41,9 +48,11 @@ use crate::api::RemoveTroupeMember;
 use crate::spare::activate;
 
 /// Consecutive unanswered `null` calls of the healer's own (a sweep
-/// counts) that confirm a death. Each waits out the full retransmission
-/// schedule (`Config::crash_horizon`), so an eviction rests on two
-/// horizons of the healer's own silence.
+/// counts) that confirm a death. Each ends on the member's host's
+/// port-unreachable notice, one round trip, when the host is up and its
+/// port empty; otherwise it waits out the full retransmission schedule
+/// (`Config::crash_horizon`). An eviction so rests on two failed calls
+/// of the healer's own, never on a report alone.
 const PROBE_ATTEMPTS: u32 = 2;
 
 /// Hard deadline on one repair step; an operation stuck past this (e.g.

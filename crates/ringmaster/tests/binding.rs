@@ -257,6 +257,55 @@ fn an_unanswered_sweep_alone_never_evicts() {
 }
 
 #[test]
+fn a_killed_member_is_evicted_on_its_hosts_word_within_a_second() {
+    // The member's process is killed and its host stays up. A client's
+    // call finds the port empty and reports the suspect; each of the
+    // healer's two probes is answered by the host's port-unreachable
+    // notice instead of waiting out the crash horizon, so the repair
+    // takes round trips, not horizons.
+    let mut w = world(3);
+    let rm = spawn_ringmaster(&mut w, &hosts(&[1, 2, 3]), NodeConfig::default());
+    let registered = register_counter_troupe(&mut w, &rm, "counter", &[4, 5, 6]);
+    let spare = addr(7, 70);
+    let p = counter_spare(spare, &rm)
+        .agent(Box::new(SpareAgent::new(rm.clone(), "counter")))
+        .build()
+        .expect("valid node");
+    w.spawn(spare, Box::new(p));
+    let ring = simnet::TraceRing::unbounded();
+    w.add_trace_sink(Box::new(ring));
+
+    let victim = addr(6, 70);
+    w.kill(victim);
+    let client = spawn_caller(&mut w, addr(92, 10), NodeConfig::default(), Some(&rm));
+    assert!(call(&mut w, client, add(&registered, 1), secs(1)).is_ok());
+    let reg = w.metrics();
+    let deadline = w.now() + secs(60);
+    let repaired = w.run(simnet::Until::pred(deadline, |_| {
+        reg.get("ring.repairs") == 1
+    }));
+    assert!(repaired, "the killed member was never replaced");
+
+    assert_eq!(reg.get("ring.suspicions"), 1);
+    assert_eq!(reg.get("ring.probes"), 2);
+    assert_eq!(reg.get("ring.false_suspicions"), 0);
+    assert_eq!(reg.get("ring.evictions"), 1);
+    // The client's call, then each probe, failed on a notice.
+    let events = w.trace_sink_as::<simnet::TraceRing>().unwrap().events();
+    let notices = |to: u32| {
+        let to_host = |e: &&simnet::TraceEvent| {
+            matches!(e, simnet::TraceEvent::Unreachable { to: t, dead, .. }
+                if t.host == HostId(to) && *dead == victim)
+        };
+        events.iter().filter(to_host).count()
+    };
+    assert_eq!(notices(92), 1);
+    assert_eq!((1..=3).map(notices).sum::<usize>(), 2);
+    let mttr = Duration::from_micros(reg.get("ring.mttr_us"));
+    assert!(mttr < secs(1), "MTTR {mttr:?}");
+}
+
+#[test]
 fn server_resolves_client_troupe_via_binder() {
     // A registered client troupe calls a server that has NO preloaded
     // directory entry: the server must park the call, resolve the

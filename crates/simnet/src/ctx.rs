@@ -22,6 +22,9 @@ use crate::sched::TimerWheel;
 use crate::time::{Duration, Time};
 use crate::trace::{head, wire_len, DropReason, TraceEvent, TraceSink};
 
+/// Port-unreachable notices delivered to their senders.
+pub(crate) const UNREACHABLE: &str = "net.unreachable";
+
 /// Pre-resolved handles for the global `net.*` counters, so the hot path
 /// never does a name lookup.
 pub(crate) struct NetCounters {
@@ -33,6 +36,9 @@ pub(crate) struct NetCounters {
     pub(crate) undeliverable: Counter,
     pub(crate) oversize: Counter,
     pub(crate) multicasts: Counter,
+    /// Where `net.unreachable` is counted, by name: it is registered at
+    /// the first notice, so a run without one dumps no such key.
+    reg: Registry,
 }
 
 impl NetCounters {
@@ -46,6 +52,7 @@ impl NetCounters {
             undeliverable: reg.counter("net.undeliverable"),
             oversize: reg.counter("net.oversize"),
             multicasts: reg.counter("net.multicasts"),
+            reg: reg.clone(),
         }
     }
 
@@ -59,6 +66,7 @@ impl NetCounters {
             undeliverable: self.undeliverable.get(),
             oversize: self.oversize.get(),
             multicasts: self.multicasts.get(),
+            unreachable: self.reg.get(UNREACHABLE),
         }
     }
 }
@@ -141,6 +149,12 @@ pub(crate) enum EventKind {
     Poke {
         at: SockAddr,
         tag: u64,
+    },
+    /// A live host's port-unreachable notice on its way back to `to`, the
+    /// sender of a datagram that found no process at `dead`.
+    Unreachable {
+        to: SockAddr,
+        dead: SockAddr,
     },
     /// An armed [`TrafficInjector`](crate::TrafficInjector) tick: the
     /// injector runs and may queue forged datagrams and/or re-arm itself.
@@ -312,6 +326,18 @@ impl Core {
             let data = data.clone();
             self.push(at, EventKind::Datagram { from, to, data });
         }
+    }
+
+    /// Sends the port-unreachable notice for a datagram from `to` that
+    /// found no process at `dead` (its host up and reachable): the world's
+    /// own header-only datagram, lost, delayed and jittered as any other.
+    pub(crate) fn answer_unreachable(&mut self, to: SockAddr, dead: SockAddr) {
+        if self.rng.chance(self.net.loss) {
+            return;
+        }
+        let jitter = self.rng.exponential(self.net.jitter_mean);
+        let at = self.now + self.net.latency_for(0) + jitter;
+        self.push(at, EventKind::Unreachable { to, dead });
     }
 }
 

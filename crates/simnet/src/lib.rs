@@ -15,14 +15,17 @@
 //! - a **datagram network** with loss, duplication, delay jitter, MTU,
 //!   partitions, and true multicast (§2.2's assumptions);
 //! - **fault injection**: fail-stop process and host crashes (§3.5.1) and
-//!   network partitions (§4.3.5);
+//!   network partitions (§4.3.5); a live host answers a datagram to a
+//!   port nothing holds with a port-unreachable notice to its sender
+//!   ([`Process::on_unreachable`]), a down one answers nothing;
 //! - a seeded [`rng::SimRng`] so every run is exactly reproducible;
 //! - **event tracing** ([`trace::TraceSink`]): every send, delivery, drop
-//!   (with reason, and each datagram's leading header bytes), timer
-//!   firing, spawn/kill, host crash/restart and causal span mint is one
-//!   stream, fanned out to every installed sink; [`trace::TraceRing`]
-//!   folds it into one value so "same seed ⇒ same trace" is a one-line
-//!   assertion, and is the one retained window of it.
+//!   (with reason, and each datagram's leading header bytes),
+//!   port-unreachable notice, timer firing, spawn/kill, host
+//!   crash/restart and causal span mint is one stream, fanned out to
+//!   every installed sink; [`trace::TraceRing`] folds it into one value
+//!   so "same seed ⇒ same trace" is a one-line assertion, and is the one
+//!   retained window of it.
 //!
 //! # Examples
 //!

@@ -82,6 +82,13 @@ pub trait Process: Any {
         data: crate::payload::Payload,
     );
 
+    /// Called when a datagram this process sent reached a live host that
+    /// had no process at its port `dead`: the host's port-unreachable
+    /// notice, charged as a datagram arrival. A down host, a partition or
+    /// the loss model leaves the sender to hear nothing instead. Only the
+    /// world makes a notice: no datagram, forged or not, can pose as one.
+    fn on_unreachable(&mut self, _ctx: &mut crate::world::Ctx<'_>, _dead: SockAddr) {}
+
     /// Called when a timer set via `Ctx::set_timer` expires.
     fn on_timer(&mut self, _ctx: &mut crate::world::Ctx<'_>, _timer: TimerId, _tag: u64) {}
 

@@ -4,14 +4,15 @@
 //! Every observable state transition in the simulator — a datagram handed
 //! to the network (with its first [`HEAD_LEN`] bytes: a paired-message
 //! segment's whole §4.2 header), a delivery, a drop (with its reason), a
-//! timer firing, a process spawn/kill, a host crash/restart, a causal span
-//! minted — is reported to every [`TraceSink`] installed on the
-//! [`World`](crate::World). Because the simulation is deterministic, the
-//! sequence of [`TraceEvent`]s is a pure function of the seed and the
-//! workload; [`TraceRing`] folds it into a single value so "same seed ⇒
-//! same trace" becomes a one-line assertion, keeps as many of the latest
-//! events as it is asked to for inspection, and builds the span forest
-//! over the ones it kept.
+//! port-unreachable notice delivered, a timer firing, a process
+//! spawn/kill, a host crash/restart, a causal span minted — is reported
+//! to every [`TraceSink`] installed on the [`World`](crate::World).
+//! Because the simulation is deterministic, the sequence of
+//! [`TraceEvent`]s is a pure function of the seed and the workload;
+//! [`TraceRing`] folds it into a single value so "same seed ⇒ same trace"
+//! becomes a one-line assertion, keeps as many of the latest events as it
+//! is asked to for inspection, and builds the span forest over the ones
+//! it kept.
 
 use std::any::Any;
 
@@ -162,6 +163,17 @@ pub enum TraceEvent {
         /// Payload length in bytes.
         len: u32,
     },
+    /// A live host found no process at a datagram's port, and its
+    /// port-unreachable notice reached the datagram's sender
+    /// ([`Process::on_unreachable`](crate::Process::on_unreachable)).
+    Unreachable {
+        /// Arrival time of the notice.
+        at: Time,
+        /// The sender it reached.
+        to: SockAddr,
+        /// The empty port the sender's datagram was addressed to.
+        dead: SockAddr,
+    },
     /// A causal span was minted ([`Ctx::span`](crate::Ctx::span)), ahead
     /// of the datagrams it causes.
     Span {
@@ -233,6 +245,7 @@ impl TraceEvent {
             CrashHost { at, host } => (8, at, [host.0.into(), 0, 0, 0], &[]),
             RestartHost { at, host } => (9, at, [host.0.into(), 0, 0, 0], &[]),
             Inject { at, from, to, len } => (10, at, [addr(from), addr(to), len.into(), 0], &[]),
+            Unreachable { at, to, dead } => (12, at, [addr(to), addr(dead), 0, 0], &[]),
             Span {
                 at,
                 id,

@@ -16,7 +16,7 @@ use obs::{CpuView, NetView, Registry};
 
 use crate::cpu::{Syscall, SyscallCosts};
 pub use crate::ctx::Ctx;
-use crate::ctx::{Core, CpuCounters, EventKind, Pending};
+use crate::ctx::{Core, CpuCounters, EventKind, Pending, UNREACHABLE};
 use crate::disk::{Disk, DiskConfig};
 use crate::net::{NetConfig, Partition};
 use crate::payload::Payload;
@@ -103,9 +103,9 @@ impl World {
     }
 
     /// Installs `sink` as the world's only trace recorder, replacing any
-    /// others; every subsequent send, delivery, drop, timer firing,
-    /// spawn/kill, host crash/restart and span mint is reported to it in
-    /// simulation order.
+    /// others; every subsequent send, delivery, drop, port-unreachable
+    /// notice, timer firing, spawn/kill, host crash/restart and span mint
+    /// is reported to it in simulation order.
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.core.sinks = vec![sink];
     }
@@ -373,6 +373,7 @@ impl World {
                     .trace_with(|| TraceEvent::TimerFire { at, owner, id, tag });
                 self.dispatch(owner, Some(epoch), |p, ctx| p.on_timer(ctx, id, tag), None);
             }
+            EventKind::Unreachable { to, dead } => self.notify(to, dead),
             EventKind::Start { at, epoch } => {
                 self.dispatch(at, Some(epoch), |p, ctx| p.on_start(ctx), None);
             }
@@ -398,8 +399,14 @@ impl World {
 
     fn deliver(&mut self, from: SockAddr, to: SockAddr, data: Payload) {
         let at = self.core.now;
-        let dropped = if !self.core.host_up(to.host) || !self.procs.contains_key(&to) {
+        let up = self.core.host_up(to.host);
+        let dropped = if !up || !self.procs.contains_key(&to) {
             self.core.net_ctr.undeliverable.inc();
+            // A live host says that nothing holds the port, if the sender
+            // can hear it; a down one says nothing.
+            if up && self.core.partition.connected(from.host, to.host) {
+                self.core.answer_unreachable(from, to);
+            }
             Some(DropReason::Undeliverable)
         } else if !self.core.partition.connected(from.host, to.host) {
             self.core.net_ctr.partitioned.inc();
@@ -434,6 +441,27 @@ impl World {
             to,
             None,
             move |p, ctx| p.on_datagram(ctx, from, data),
+            Some(()),
+        );
+    }
+
+    /// A port-unreachable notice about `dead` arrives back at `to`: it
+    /// reaches a live sender across no partition, as a datagram would.
+    fn notify(&mut self, to: SockAddr, dead: SockAddr) {
+        let heard = self.core.host_up(to.host)
+            && self.procs.contains_key(&to)
+            && self.core.partition.connected(dead.host, to.host);
+        if !heard {
+            return;
+        }
+        self.core.registry.add(UNREACHABLE, 1);
+        let at = self.core.now;
+        self.core
+            .trace_with(|| TraceEvent::Unreachable { at, to, dead });
+        self.dispatch(
+            to,
+            None,
+            move |p, ctx| p.on_unreachable(ctx, dead),
             Some(()),
         );
     }

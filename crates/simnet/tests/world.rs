@@ -683,3 +683,124 @@ fn trace_hash_is_seed_deterministic() {
     assert_eq!(run(42), run(42));
     assert_ne!(run(42).0, run(43).0, "different seeds should diverge");
 }
+
+/// Pings on poke, and records every port-unreachable notice it hears.
+struct Notified {
+    ping: Pinger,
+    notices: Vec<(Time, SockAddr)>,
+}
+
+impl Process for Notified {
+    fn on_poke(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
+        self.ping.on_poke(ctx, tag);
+    }
+    fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: SockAddr, data: Payload) {
+        self.ping.on_datagram(ctx, from, data);
+    }
+    fn on_unreachable(&mut self, ctx: &mut Ctx<'_>, dead: SockAddr) {
+        self.notices.push((ctx.now(), dead));
+    }
+}
+
+/// A world where the process at h0:100 pings h1:7, and nothing listens
+/// there; `between` runs after the pings leave and before they arrive.
+/// Returns the world and the notices the pinger heard.
+fn ping_an_empty_port(
+    count: usize,
+    between: impl FnOnce(&mut World),
+) -> (World, Vec<(Time, SockAddr)>) {
+    let mut world = World::new(7);
+    world.set_trace_sink(Box::new(TraceRing::unbounded()));
+    let (client, empty) = (addr(0, 100), addr(1, 7));
+    world.spawn(addr(1, 8), Box::new(Echo));
+    let ping = Pinger::new(empty, count);
+    let notices = Vec::new();
+    world.spawn(client, Box::new(Notified { ping, notices }));
+    world.poke(client, 0);
+    world.run(simnet::Until::pred(Time::from_secs(1), |w| {
+        w.net_stats().sent == count as u64
+    }));
+    between(&mut world);
+    world.run(simnet::Until::Elapsed(Duration::from_secs(1)));
+    let notices = world.with_proc(client, |n: &Notified| n.notices.clone());
+    (world, notices.expect("the pinger"))
+}
+
+/// A live host answers every datagram to a port nothing holds with one
+/// port-unreachable notice, which travels back like a datagram, is
+/// charged to the sender as one, is counted in `net.unreachable` and is
+/// an event of the stream, after the drop that caused it.
+#[test]
+fn a_live_host_answers_each_datagram_to_an_empty_port_with_one_notice() {
+    let (world, notices) = ping_an_empty_port(3, |_| {});
+    let (client, empty) = (addr(0, 100), addr(1, 7));
+    assert_eq!(notices.len(), 3);
+    let sent_at = Time::ZERO + Duration::from_micros(8_100);
+    for &(at, dead) in &notices {
+        assert_eq!(dead, empty);
+        assert!(at >= sent_at + NetConfig::lan_1985().base_latency.saturating_mul(2));
+    }
+    let stats = world.net_stats();
+    assert_eq!((stats.unreachable, stats.undeliverable), (3, 3));
+    assert_eq!(world.metrics().get("net.unreachable"), 3);
+    let cpu = world.cpu(client);
+    assert_eq!(cpu.count_of(Syscall::RecvMsg.index()), 3);
+
+    let events = world.trace_sink_as::<TraceRing>().unwrap().events();
+    let kinds: Vec<&str> = events
+        .iter()
+        .filter_map(|e| match *e {
+            TraceEvent::Drop {
+                to,
+                reason: DropReason::Undeliverable,
+                ..
+            } if to == empty => Some("drop"),
+            TraceEvent::Unreachable { to, dead, .. } if (to, dead) == (client, empty) => {
+                Some("notice")
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(kinds.len(), 6, "{events:?}");
+    assert_eq!(kinds.iter().filter(|&&k| k == "notice").count(), 3);
+    assert_eq!(kinds[0], "drop");
+}
+
+/// A down host answers nothing, and a notice crosses no partition: not
+/// the datagram's on the way out, nor its own on the way back, nor one
+/// the loss model takes.
+#[test]
+fn no_notice_from_a_down_host_across_a_partition_or_when_lost() {
+    let isolate = |w: &mut World| w.set_partition(Partition::isolate(vec![HostId(1)]));
+    let dropped = |w: &World| w.net_stats().undeliverable + w.net_stats().partitioned == 1;
+    type Between = Box<dyn FnOnce(&mut World)>;
+    let cases: [(&str, Between); 4] = [
+        ("host down", Box::new(|w| w.crash_host(HostId(1)))),
+        (
+            "partitioned at send, healed before a notice could return",
+            Box::new(move |w| {
+                isolate(w);
+                w.run(simnet::Until::pred(Time::from_secs(1), dropped));
+                w.set_partition(Partition::none());
+            }),
+        ),
+        (
+            "partitioned at arrival",
+            Box::new(move |w| {
+                w.run(simnet::Until::pred(Time::from_secs(1), dropped));
+                isolate(w);
+            }),
+        ),
+        ("lost", Box::new(|w| w.set_net(NetConfig::lossy(1.0)))),
+    ];
+    for (case, between) in cases {
+        let (world, notices) = ping_an_empty_port(1, between);
+        assert_eq!(notices, [], "{case}");
+        assert_eq!(world.net_stats().unreachable, 0, "{case}");
+        let events = world.trace_sink_as::<TraceRing>().unwrap().events();
+        let heard = events
+            .iter()
+            .any(|e| matches!(e, TraceEvent::Unreachable { .. }));
+        assert!(!heard, "{case}");
+    }
+}

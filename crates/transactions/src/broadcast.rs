@@ -711,7 +711,11 @@ pub type QueueWire = (u64, u64, u64, QStatus, Bytes);
 /// Reply collator for `get_proposed_time`: wait for every member, then
 /// yield the **maximum** proposal (Figure 5.1's client side). It is
 /// Dead-intolerant: the propose round fails unless **every** member of
-/// the current incarnation voted.
+/// the current incarnation voted. A dead member fails it only once every
+/// live one has answered, so a survivor's `WrongTroupe`, which fails the
+/// call before collation, always wins over it and the client rebinds:
+/// failing on the dead slot at once would keep a client on a stale
+/// binding retrying while the dead member's marker lasts.
 ///
 /// Skipping dead slots is how the identical-order guarantee breaks under
 /// partitions: a member that misses a proposal has nothing queued to
@@ -727,26 +731,28 @@ pub(crate) struct StrictMaxTime;
 
 impl Collate for StrictMaxTime {
     fn decide(&self, slots: &[VoteSlot]) -> Decision {
-        if slots.iter().any(|s| matches!(s, VoteSlot::Dead)) {
-            return Decision::Fail(circus::CollateError::Rejected(
-                "member unreachable during propose".into(),
-            ));
-        }
-        let mut max = 0u64;
+        let (mut max, mut dead) = (0u64, false);
         for s in slots {
-            let VoteSlot::Vote(v) = s else {
-                return Decision::Wait;
-            };
-            match circus::reply_vote(v).and_then(|p| from_bytes::<u64>(p).ok()) {
-                Some(t) => max = max.max(t),
-                None => {
-                    return Decision::Fail(circus::CollateError::Rejected(
-                        "garbled time proposal".into(),
-                    ))
+            match s {
+                VoteSlot::Pending => return Decision::Wait,
+                VoteSlot::Dead => dead = true,
+                VoteSlot::Vote(v) => {
+                    match circus::reply_vote(v).and_then(|p| from_bytes::<u64>(p).ok()) {
+                        Some(t) => max = max.max(t),
+                        None => {
+                            return Decision::Fail(circus::CollateError::Rejected(
+                                "garbled time proposal".into(),
+                            ))
+                        }
+                    }
                 }
             }
         }
-        if slots.is_empty() {
+        if dead {
+            Decision::Fail(circus::CollateError::Rejected(
+                "member unreachable during propose".into(),
+            ))
+        } else if slots.is_empty() {
             Decision::Fail(circus::CollateError::AllDead)
         } else {
             Decision::Ready(circus::wrap_reply_vote(to_bytes(&max)).into())
@@ -760,10 +766,11 @@ impl Collate for StrictMaxTime {
 /// [`CollationPolicy::Unanimous`] proceeds past `Dead` slots, which
 /// would let an accept "succeed" while a partitioned member never hears
 /// it — that member's applied order then silently diverges. `AllAck`
-/// fails instead; the client retries the *same* accepted time until the
-/// partition heals or the dead member is evicted (the retry then lands
-/// on the re-incarnated troupe, whose spare carries the full protocol
-/// state). The replies' contents are ignored — members legitimately
+/// fails instead, once every live member has answered (as
+/// [`StrictMaxTime`] does); the client retries the *same* accepted time
+/// until the partition heals or the dead member is evicted (the retry
+/// then lands on the re-incarnated troupe, whose spare carries the full
+/// protocol state). The replies' contents are ignored — members legitimately
 /// reply different bytes while a message is pending behind an earlier
 /// proposal — so the collation yields `empty`, the canonical empty
 /// result, built once. The commutative client acknowledges its batches
@@ -783,14 +790,11 @@ impl AllAck {
 
 impl Collate for AllAck {
     fn decide(&self, slots: &[VoteSlot]) -> Decision {
+        let mut dead = false;
         for s in slots {
             match s {
                 VoteSlot::Pending => return Decision::Wait,
-                VoteSlot::Dead => {
-                    return Decision::Fail(circus::CollateError::Rejected(
-                        "member unreachable during accept".into(),
-                    ))
-                }
+                VoteSlot::Dead => dead = true,
                 VoteSlot::Vote(v) => {
                     if circus::reply_vote(v).is_none() {
                         return Decision::Fail(circus::CollateError::Rejected(
@@ -800,7 +804,11 @@ impl Collate for AllAck {
                 }
             }
         }
-        if slots.is_empty() {
+        if dead {
+            Decision::Fail(circus::CollateError::Rejected(
+                "member unreachable during accept".into(),
+            ))
+        } else if slots.is_empty() {
             Decision::Fail(circus::CollateError::AllDead)
         } else {
             Decision::Ready(self.empty.clone())

@@ -48,16 +48,16 @@ fn strict_max_time_takes_the_maximum_of_every_member() {
         Decision::Ready(circus::wrap_reply_vote(to_bytes(&30u64)).into())
     );
     assert_eq!(c.decide(&[vote(10), VoteSlot::Pending]), Decision::Wait);
-    // A dead member fails the round at once, pending votes or not.
-    for slots in [
-        [vote(10), VoteSlot::Dead],
-        [VoteSlot::Pending, VoteSlot::Dead],
-    ] {
-        assert!(matches!(
-            c.decide(&slots),
-            Decision::Fail(circus::CollateError::Rejected(_))
-        ));
-    }
+    // A dead member fails the round once every live member has answered,
+    // not before: a live member's answer may yet be a stale binding.
+    assert!(matches!(
+        c.decide(&[vote(10), VoteSlot::Dead]),
+        Decision::Fail(circus::CollateError::Rejected(_))
+    ));
+    assert_eq!(
+        c.decide(&[VoteSlot::Pending, VoteSlot::Dead]),
+        Decision::Wait
+    );
 }
 
 #[test]
@@ -68,6 +68,10 @@ fn all_ack_needs_every_member() {
         c.decide(&[vote(1), VoteSlot::Dead]),
         Decision::Fail(circus::CollateError::Rejected(_))
     ));
+    assert_eq!(
+        c.decide(&[VoteSlot::Dead, VoteSlot::Pending]),
+        Decision::Wait
+    );
     // Differing reply bytes are fine: only the ack matters.
     assert_eq!(
         c.decide(&[vote(1), vote(2)]),

@@ -1,14 +1,16 @@
 //! End-to-end tests of replicated transactions: the troupe commit
 //! protocol under no conflict, conflict, and deadlock; the ordered
-//! broadcast protocol's identical-order guarantee; and both broadcast
-//! and commutative clients reaching every member through a partition.
+//! broadcast protocol's identical-order guarantee; both broadcast and
+//! commutative clients reaching every member through a partition; and a
+//! stale binding winning over a dead member.
 
-use circus::testbed::{addr, agent, service, spawn_troupe};
-use circus::{NodeBuilder, NodeConfig, Troupe, TroupeId};
+use circus::testbed::{addr, agent, node_mut, service, spawn_troupe};
+use circus::{Agent, CallError, CallHandle, NodeBuilder, NodeConfig, NodeCtx, Troupe, TroupeId};
 use simnet::{Duration, HostId, Partition, SockAddr, Until, World};
 use transactions::{
-    AppliedOrder, Broadcaster, CmClient, CmOp, CommitVoterService, CommutativeService, ObjId, Op,
-    OrderedApply, OrderedBroadcastService, TroupeStoreService, TxnClient,
+    AppliedOrder, Broadcaster, CmBatch, CmClient, CmOp, CommitVoterService, CommutativeService,
+    ObjId, Op, OrderedApply, OrderedBroadcastService, ProposeAccept, Protocol, TroupeStoreService,
+    TxnClient,
 };
 use wire::{from_bytes, to_bytes};
 
@@ -387,4 +389,91 @@ fn commutative_ops_reach_a_member_partitioned_past_the_crash_horizon() {
         })
         .collect();
     assert_eq!(counters, [8, 8, 8]);
+}
+
+// ---------------------------------------------------------------------
+// A stale binding to a troupe with a dead member.
+// ---------------------------------------------------------------------
+
+/// Sends, on each poke, the first request its protocol makes for `item`
+/// to the troupe it holds, and keeps every result.
+struct FirstRequest<P: Protocol> {
+    proto: P,
+    item: P::Item,
+    troupe: Troupe,
+    module: u16,
+    results: Vec<Result<Vec<u8>, CallError>>,
+}
+
+impl<P: Protocol> Agent for FirstRequest<P> {
+    fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, _tag: u64) {
+        self.proto.start();
+        let (proc, args, collation) = self.proto.request(&self.item);
+        let thread = nc.fresh_thread();
+        nc.call(thread, &self.troupe, self.module, proc, args, collation);
+    }
+
+    fn on_call_done(
+        &mut self,
+        _nc: &mut NodeCtx<'_, '_, '_>,
+        _handle: CallHandle,
+        result: Result<Vec<u8>, CallError>,
+    ) {
+        self.results.push(result);
+    }
+}
+
+/// Member 1's process dies, and the survivors move on to incarnation 89
+/// while the client still holds 88. The client's first call learns the
+/// death; its second, with the member under the dead-peer marker that
+/// death left, must still hear a survivor's `WrongTroupe`, or the client
+/// retries its stale binding until the marker lapses.
+fn stale_binding_wins_over_a_dead_member<P: Protocol, S: circus::Service>(
+    module: u16,
+    item: P::Item,
+    proto: P,
+    service: impl FnMut() -> S,
+) {
+    let mut w = World::new(9);
+    let addrs: Vec<SockAddr> = (1..=3).map(|h| addr(h, 73)).collect();
+    let config = NodeConfig::default();
+    let troupe = spawn_troupe(&mut w, TroupeId(88), &addrs, module, &config, None, service);
+    let client = addr(30, 50);
+    let agent_of = FirstRequest {
+        proto,
+        item,
+        troupe,
+        module,
+        results: Vec::new(),
+    };
+    let p = NodeBuilder::new(client, config)
+        .agent(Box::new(agent_of))
+        .build()
+        .expect("valid node");
+    w.spawn(client, Box::new(p));
+
+    w.kill(addrs[0]);
+    let results = |w: &World| agent(w, client, |a: &FirstRequest<P>| a.results.clone());
+    let called = |n: usize| move |w: &World| results(w).len() == n;
+    w.poke(client, 0);
+    let deadline = w.now() + Duration::from_secs(6);
+    assert!(w.run(Until::pred(deadline, called(1))), "the first call");
+    for &m in &addrs[1..] {
+        node_mut(&mut w, m, |n| n.set_troupe_id(TroupeId(89)));
+    }
+    w.poke(client, 0);
+    let deadline = w.now() + Duration::from_secs(1);
+    assert!(w.run(Until::pred(deadline, called(2))), "the second call");
+    let last = results(&w).pop().expect("two results");
+    assert_eq!(last, Err(CallError::StaleBinding(Some(TroupeId(89)))));
+}
+
+#[test]
+fn a_stale_binding_wins_over_a_dead_member_in_propose_and_in_commutative_calls() {
+    stale_binding_wins_over_a_dead_member(BCAST_MODULE, vec![1], ProposeAccept::new(1), || {
+        OrderedBroadcastService::new(LogApp { log: Vec::new() })
+    });
+    let batch = vec![CmOp::Incr(ObjId(1), 1)];
+    let commutative = CommutativeService::new;
+    stale_binding_wins_over_a_dead_member(4, batch, CmBatch::new(1), commutative);
 }

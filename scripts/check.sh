@@ -39,7 +39,7 @@ phase() {
   echo "==> $1"
 }
 
-phase "cargo fmt --check (and the shape of the source: audited hash maps, no per-thread hash map in the call runtime, no crates/*/src/*.rs file over 900 lines (every crate), one multicast blast, one window of events (no span window beside the trace ring), one framing site, one client side per synchronization scheme, one encoding site (a Courier type's wire form is its wire declaration, or the line above its impl says not a declaration:), one way to count (no publish_metrics impl, refresh_metrics() call or set_gauge outside obs and simnet's hooks), no cargo feature, no ledger that grows with the run, no spawn loop or echo service beside the testbed's, EXPERIMENTS.md within 50,000 bytes, DESIGN.md within 80,000, a CHANGES.md entry within 1,536)"
+phase "cargo fmt --check (and the shape of the source: audited hash maps, no per-thread hash map in the call runtime, no crates/*/src/*.rs file over 900 lines (every crate), one multicast blast, one window of events (no span window beside the trace ring), one framing site, one client side per synchronization scheme, one encoding site (a Courier type's wire form is its wire declaration, or the line above its impl says not a declaration:), one way to die (a PeerDead is pushed only in Endpoint::declare_dead), one way to count (no publish_metrics impl, refresh_metrics() call or set_gauge outside obs and simnet's hooks), no cargo feature, no ledger that grows with the run, no spawn loop or echo service beside the testbed's, EXPERIMENTS.md within 50,000 bytes, DESIGN.md within 80,000, a CHANGES.md entry within 1,536)"
 cargo fmt --all --check
 # A HashMap/HashSet field iterates in a per-process order: each one in the
 # protocol crates says, on the line above it, why that is never observed.
@@ -78,6 +78,13 @@ if grep -rn --include='*.rs' -e '\.stamp(' -e 'Framed::new(' crates/*/src src |
   echo "a payload framed or stamped outside pairedmsg's frame.rs (named above): frame the message with Config::frame" >&2
   exit 1
 fi
+# A peer dies one way, `Endpoint::declare_dead`, whatever the evidence: a
+# crash horizon of silence, unanswered probes, or its host's
+# port-unreachable notice. A `PeerDead` pushed anywhere else is a second
+# way to die beside it, one the idempotence there does not cover.
+find crates/*/src src -name '*.rs' -print0 |
+  xargs -0 awk 'FNR == 1 { cur = "" } match($0, /fn [a-z_0-9]+/) { cur = substr($0, RSTART + 3, RLENGTH - 3) } /push[a-z_]*\(.*PeerDead/ && !(FILENAME == "crates/pairedmsg/src/endpoint.rs" && cur == "declare_dead") { print FILENAME ":" FNR ": a PeerDead pushed outside Endpoint::declare_dead:" $0; bad = 1 } END { exit bad }' ||
+  { echo "a second way for a peer to die (named above): call Endpoint::declare_dead" >&2; exit 1; }
 # Each synchronization scheme has one client side, the protocols of
 # transactions' client.rs: a scheme's procedure named anywhere else (its
 # service and wire types aside) is a second copy of that client.

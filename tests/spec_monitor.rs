@@ -11,7 +11,8 @@
 //! - S1 (no call delivered upward twice), S4 (no early `PeerDead`) and S5
 //!   (a *please ack* copy answered before the queue drains) need the
 //!   endpoints' upward events, which the stream does not carry: they stay
-//!   silent;
+//!   silent, though each port-unreachable notice, the evidence S4 accepts
+//!   beside a horizon of silence, is fed to the connection it is for;
 //! - S6 (a quick exchange costs two datagrams) holds on a reliable wire
 //!   only, and a chaos wire loses and duplicates: it is off.
 
@@ -112,6 +113,10 @@ impl TraceSink for SpecSink {
                     spec.arrived(at, 1 - side, &h);
                 }
             }
+            TraceEvent::Unreachable { to, dead, .. } => {
+                let (spec, side) = self.spec(to, dead);
+                spec.unreachable(side);
+            }
             TraceEvent::Spawn { addr, .. } => {
                 let (gone, kept) = std::mem::take(&mut self.conns)
                     .into_iter()
@@ -192,10 +197,11 @@ fn a_chaos_store_run_keeps_the_paired_message_rules() {
     assert!(sink.broken().is_empty(), "{:#?}", sink.broken());
     // It saw the whole conversation, faults included, and S2 had work
     // to do: held returns re-sent, asked for and on the callee's clock.
+    // A killed member's host answered calls to it with notices.
     assert!(q.plan.faults.len() > 1, "{:?}", q.plan);
-    let counts = ["segments", "resent_held", "resent_timed"].map(|w| sink.count(w));
+    let counts = ["segments", "resent_held", "resent_timed", "notices"].map(|w| sink.count(w));
     assert!(
-        counts[0] > 1_000 && counts[1] > 0 && counts[2] > 0,
+        counts[0] > 1_000 && counts[1] > 0 && counts[2] > 0 && counts[3] > 0,
         "{counts:?}"
     );
 }
