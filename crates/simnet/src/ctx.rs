@@ -1,6 +1,7 @@
 //! The handle a process acts through ([`Ctx`]) and the process-independent
-//! part of the world it acts on ([`Core`]): the event queue, the network,
-//! the cost table, the metrics registry, the hosts and their disks.
+//! part of the world it acts on ([`Core`]): the event queue
+//! ([`EventQueue`]), the network, the cost table, the metrics registry,
+//! the hosts and their disks.
 //!
 //! Every charge a handler makes advances its virtual clock and adds to
 //! the running process's `cpu.<addr>.*` counters at once; those counters
@@ -18,7 +19,7 @@ use crate::net::{NetConfig, Partition};
 use crate::payload::Payload;
 use crate::process::{HostId, Process, SockAddr, TimerId};
 use crate::rng::SimRng;
-use crate::sched::TimerWheel;
+use crate::sched::EventQueue;
 use crate::time::{Duration, Time};
 use crate::trace::{head, wire_len, DropReason, TraceEvent, TraceSink};
 
@@ -189,8 +190,10 @@ pub struct Ctx<'a> {
 /// The shared, process-independent part of the world.
 pub(crate) struct Core {
     pub(crate) now: Time,
+    /// The next event's insertion sequence: ties at one microsecond pop
+    /// in the order the events were queued.
     pub(crate) seq: u64,
-    pub(crate) queue: TimerWheel<EventKind>,
+    pub(crate) queue: EventQueue<EventKind>,
     pub(crate) rng: SimRng,
     pub(crate) net: NetConfig,
     pub(crate) costs: SyscallCosts,
@@ -201,16 +204,13 @@ pub(crate) struct Core {
     pub(crate) next_timer: u64,
     /// Timers armed but neither fired nor cancelled. Membership is what
     /// makes [`World::cancel_timer`](crate::World::cancel_timer)'s `bool`
-    /// truthful: a hit moves the id to `cancelled`, a miss (already fired,
-    /// already cancelled, or never ours) ticks `sim.timer.cancel_miss`.
-    /// Insert, remove, contains: never walked.
-    pub(crate) live: HashSet<TimerId>,
-    /// Cancelled timers whose queue entries have not yet popped. A
-    /// cancelled timer still occupies its slot and still advances the
-    /// clock when it comes due — it just fires into the void (the golden
+    /// truthful: a hit removes the id, a miss (already fired, already
+    /// cancelled, or never ours) ticks `sim.timer.cancel_miss`. A timer
+    /// that pops without its id here was cancelled: it is a tombstone,
+    /// which still advances the clock but reaches no process (the golden
     /// traces were recorded with the tombstone's pop in them).
     /// Insert and remove only: never walked.
-    pub(crate) cancelled: HashSet<TimerId>,
+    pub(crate) live: HashSet<TimerId>,
     pub(crate) pending: Vec<Pending>,
     /// Epoch of the process whose handler is currently running; set by the
     /// dispatcher so timers armed by the handler carry the owner's epoch
@@ -239,7 +239,6 @@ impl Core {
     /// [`World::cancel_timer`](crate::World::cancel_timer).
     pub(crate) fn cancel_timer(&mut self, id: TimerId) -> bool {
         if self.live.remove(&id) {
-            self.cancelled.insert(id);
             true
         } else {
             // Cold path by construction (a miss is a caller bug or a
@@ -485,7 +484,7 @@ impl Core {
         Core {
             now: Time::ZERO,
             seq: 0,
-            queue: TimerWheel::new(),
+            queue: EventQueue::new(),
             rng: SimRng::new(seed),
             net,
             costs,
@@ -495,7 +494,6 @@ impl Core {
             hosts: BTreeMap::new(),
             next_timer: 0,
             live: HashSet::new(),
-            cancelled: HashSet::new(),
             pending: Vec::new(),
             epoch_hint: 0,
             sinks: Vec::new(),

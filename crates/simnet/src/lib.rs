@@ -18,7 +18,10 @@
 //!   network partitions (§4.3.5); a live host answers a datagram to a
 //!   port nothing holds with a port-unreachable notice to its sender
 //!   ([`Process::on_unreachable`]), a down one answers nothing;
-//! - a seeded [`rng::SimRng`] so every run is exactly reproducible;
+//! - one **event queue** ([`EventQueue`], a binary heap) that pops every
+//!   datagram arrival, timer and poke in `(time, insertion sequence)`
+//!   order, and a seeded [`rng::SimRng`], so every run is exactly
+//!   reproducible;
 //! - **event tracing** ([`trace::TraceSink`]): every send, delivery, drop
 //!   (with reason, and each datagram's leading header bytes),
 //!   port-unreachable notice, timer firing, spawn/kill, host
@@ -80,7 +83,7 @@ pub use obs::{fnv1a, CpuView, NetView, Registry, SpanId};
 pub use payload::Payload;
 pub use process::{HostId, Process, SockAddr, TimerId};
 pub use rng::SimRng;
-pub use sched::TimerWheel;
+pub use sched::{EventQueue, TimerWheel};
 pub use time::{Duration, Time};
 pub use trace::{DropReason, TraceEvent, TraceRing, TraceSink};
 pub use world::{Ctx, ForgedDatagram, TrafficInjector, Until, World};

@@ -3,7 +3,8 @@
 //! core, in `ctx.rs`).
 //!
 //! The world is a deterministic discrete-event simulator. All events live
-//! in one queue ordered by `(time, insertion sequence)`; all randomness
+//! in one queue ([`EventQueue`](crate::EventQueue)) ordered by `(time,
+//! insertion sequence)`, cancelled timers among them; all randomness
 //! comes from one seeded [`SimRng`](crate::SimRng). Each host has a serial
 //! CPU: handling an event begins no earlier than the host's `busy_until`,
 //! and every syscall charge advances it — so CPU costs serialize exactly
@@ -362,13 +363,12 @@ impl World {
                 tag,
                 epoch,
             } => {
-                if self.core.cancelled.remove(&id) {
-                    // A cancelled timer's slot still pops (and the pop
-                    // advanced the clock and the event counter above) —
-                    // it just no longer reaches its owner.
+                if !self.core.live.remove(&id) {
+                    // A cancelled timer still pops (and the pop advanced
+                    // the clock and the event counter above) — it just
+                    // no longer reaches its owner.
                     return true;
                 }
-                self.core.live.remove(&id);
                 self.core
                     .trace_with(|| TraceEvent::TimerFire { at, owner, id, tag });
                 self.dispatch(owner, Some(epoch), |p, ctx| p.on_timer(ctx, id, tag), None);

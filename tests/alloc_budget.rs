@@ -22,8 +22,8 @@
 //!   durable members at most [`COMMIT_BUDGET`], and one committed by two
 //!   library `TxnClient`s contending for a hot object at most
 //!   [`CONTENDED_COMMIT_BUDGET`].
-//! - The timer wheel must not allocate at all over a steady-state
-//!   pop + insert loop.
+//! - The world's event queue must not allocate at all over a
+//!   steady-state pop + insert loop.
 //! - A world with no trace sink keeps no spans: what its registry holds
 //!   after 20 000 echo calls is within [`NO_SINK_GROWTH_BUDGET`] bytes of
 //!   what it holds after 100.
@@ -39,7 +39,7 @@ use rdp::circus::{
     Agent, CallError, CallHandle, CollationPolicy, NodeBuilder, NodeConfig, NodeCtx, Service,
     ThreadId, Troupe, TroupeId,
 };
-use rdp::simnet::{DiskConfig, SockAddr, TimerWheel, Until, World};
+use rdp::simnet::{DiskConfig, EventQueue, SockAddr, Until, World};
 use rdp::transactions::{
     Broadcaster, CmBatch, CmOp, CommitVoterService, CommutativeService, ExecuteRequest, Next,
     ObjId, Op, OrderedApply, OrderedBroadcastService, ProposeAccept, Protocol, TroupeStoreService,
@@ -831,10 +831,9 @@ fn library_broadcaster_stays_within_its_allocation_budget() {
 }
 
 #[test]
-fn timer_wheel_steady_state_allocates_nothing() {
+fn event_queue_steady_state_allocates_nothing() {
     // 64 timers pending; each expiry arms a successor a protocol-like
-    // distance ahead (retransmit, probe, assembly and TTL horizons), so
-    // every level of the wheel is exercised, cascades included.
+    // distance ahead (retransmit, probe, assembly and TTL horizons).
     const HORIZONS_US: [u64; 4] = [300_000, 2_000_000, 10_000_000, 60_000_000];
     let mut x = 0x9E37_79B9_7F4A_7C15u64;
     let mut rnd = move || {
@@ -843,25 +842,25 @@ fn timer_wheel_steady_state_allocates_nothing() {
         x ^= x << 17;
         x
     };
-    let mut wheel: TimerWheel<u64> = TimerWheel::new();
+    let mut queue: EventQueue<u64> = EventQueue::new();
     let mut seq = 0u64;
     for i in 0..64 {
-        wheel.insert(1 + rnd() % 300_000, seq, i);
+        queue.insert(1 + rnd() % 300_000, seq, i);
         seq += 1;
     }
-    let mut turn = |wheel: &mut TimerWheel<u64>, i: u64| {
-        let (at, _, item) = wheel.pop().expect("wheel stays primed");
+    let mut turn = |queue: &mut EventQueue<u64>, i: u64| {
+        let (at, _, item) = queue.pop().expect("queue stays primed");
         let ahead = HORIZONS_US[(i % 4) as usize] + rnd() % 1_000;
-        wheel.insert(at + ahead, seq, item);
+        queue.insert(at + ahead, seq, item);
         seq += 1;
     };
-    // Warm-up: let the slab and the batch reach their high-water marks.
+    // Warm-up: let the heap's buffer reach its high-water mark.
     for i in 0..10_000 {
-        turn(&mut wheel, i);
+        turn(&mut queue, i);
     }
     let before = allocations();
     for i in 0..100_000 {
-        turn(&mut wheel, i);
+        turn(&mut queue, i);
     }
     assert_eq!(
         allocations() - before,
