@@ -8,10 +8,17 @@
 //! CHAOS_SEED=<seed> cargo test -p chaos --test store -- --nocapture
 //! ```
 
+use std::any::Any;
+use std::collections::BTreeMap;
+
 use chaos::{
-    assert_all_passed, chaos_jobs, run, sweep, sweep_seeds, PlanOptions, ScenarioOptions, Store,
+    assert_all_passed, chaos_jobs, check_all, run, run_scenario, sweep, sweep_seeds, Fault,
+    FaultPlan, PlanOptions, ScenarioOptions, Store,
 };
-use simnet::Duration;
+use circus::CircusProcess;
+use pairedmsg::{MsgType, SegmentHeader};
+use ringmaster::{SpareService, SPARE_CTL_MODULE};
+use simnet::{Duration, SockAddr, Time, TraceEvent, TraceSink};
 
 /// A pinned regression seed riding along with the default range: it
 /// used to panic in the lock manager ("another holder exists") when a
@@ -142,6 +149,91 @@ fn self_heal_gate_two_crashes_two_ringmaster_repairs() {
     assert_eq!(r.metrics.get("ring.evictions"), 2);
     assert_eq!(r.metrics.get("ring.repairs"), 2);
     assert_eq!(r.metrics.get("spare.activations"), 2);
+}
+
+/// Every return any process sent, by sender and span: when its first
+/// copy left for each destination. One multicast sends every copy at one
+/// instant; per-member sends each cost a `sendmsg` of CPU time.
+#[derive(Default)]
+struct ReturnTap {
+    first: BTreeMap<(SockAddr, u64), BTreeMap<SockAddr, Time>>,
+}
+
+impl TraceSink for ReturnTap {
+    fn record(&mut self, ev: &TraceEvent) {
+        let TraceEvent::Send {
+            at, from, to, head, ..
+        } = ev
+        else {
+            return;
+        };
+        let Ok(h) = SegmentHeader::decode(head) else {
+            return;
+        };
+        if h.msg_type == MsgType::Return && !h.ack && !h.probe {
+            let copies = self.first.entry((*from, h.span)).or_default();
+            copies.entry(*to).or_insert(*at);
+        }
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+}
+
+/// A joiner numbers its calls as its troupe does (§4.3.3): the seed's
+/// plan kills a member, a spare takes its place, and from then on every
+/// `ready_to_commit` call-back return that reaches the joiner leaves its
+/// client as one multicast. Numbering its calls from 1, the joiner would
+/// split each into a multicast to the survivors and a unicast to itself.
+#[test]
+fn after_a_repair_every_return_to_the_joiner_is_one_multicast() {
+    const SEED: u64 = 31;
+    let plan = FaultPlan::generate(SEED, &PlanOptions::default());
+    let kills = plan.faults.iter();
+    let kills = kills.filter(|f| matches!(f.fault, Fault::KillProc { .. }));
+    assert_eq!(kills.count(), 1, "pick a seed whose plan kills a member");
+    let opts = ScenarioOptions {
+        injector: Some(|_, w| w.add_trace_sink(Box::<ReturnTap>::default())),
+        ..ScenarioOptions::default()
+    };
+    let q = run_scenario(SEED, &opts);
+    let violations = check_all(&q);
+    assert!(violations.is_empty(), "{violations:?}");
+    assert_eq!(q.repairs, 1);
+    let joined = |a: SockAddr| {
+        let ctl = |p: &CircusProcess| {
+            let spare = p.node().service_as::<SpareService>(SPARE_CTL_MODULE);
+            spare.is_some_and(|s| s.activated)
+        };
+        q.world.with_proc(a, ctl).unwrap_or(false)
+    };
+    let members = q.members.iter().map(|m| m.addr);
+    let joiner = members.filter(|&a| joined(a)).collect::<Vec<_>>();
+    assert_eq!(joiner.len(), 1);
+
+    let tap = q.world.trace_sink_as::<ReturnTap>().expect("the tap");
+    let to_joiner = (tap.first.iter())
+        .filter(|((from, _), copies)| {
+            q.client_addrs.contains(from) && copies.contains_key(&joiner[0])
+        })
+        .map(|(_, copies)| copies);
+    let (mut returns, mut split) = (0, Vec::new());
+    for copies in to_joiner {
+        returns += 1;
+        let mut at = copies.values();
+        let first = at.next().expect("a copy");
+        if copies.len() < 2 || at.any(|t| t != first) {
+            split.push(copies.clone());
+        }
+    }
+    assert!(returns > 10, "only {returns} returns reached the joiner");
+    let first = split.first();
+    assert_eq!(
+        split.len(),
+        0,
+        "of {returns} returns to the joiner; {first:?}"
+    );
 }
 
 /// The parallel sweep is pure speed, zero semantics: every per-seed

@@ -49,6 +49,10 @@ pub mod binding_procs {
     /// confirmed-dead member of the named troupe (§6.4.2's replacement
     /// policy, automated).
     pub const REGISTER_SPARE: u16 = 7;
+    /// `replace_troupe_member(troupe_name, dead_member, new_member) ->
+    /// troupe_id` — a joining member takes a confirmed-dead one's place in
+    /// one membership change (§6.4.1–§6.4.2).
+    pub const REPLACE_TROUPE_MEMBER: u16 = 8;
 }
 
 /// Reserved procedure numbers answered by the runtime for *every*

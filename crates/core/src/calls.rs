@@ -7,21 +7,24 @@
 //! `(client troupe, thread)`'s `call_seq` never repeats over the node's
 //! life ([`CallSeqs`]).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use crate::addr::{Troupe, TroupeId};
+use crate::binding::reserved_procs::{GET_STATE, GET_STATE_SINCE};
 use crate::census;
 use crate::collate::{Collation, CollationPolicy, Decision};
 use crate::conn::Conns;
 use crate::idset::IdSet;
-use crate::message::{encode, CallKey, CallMessage, ReturnView};
+use crate::message::{encode, wrap_reply_vote, CallKey, CallMessage, ReturnView};
 use crate::netio::NetIo;
 use crate::node::{CallHandle, NodeConfig};
+use crate::numbers::{CallNumbers, StateTransfer};
 use crate::service::CallError;
 use crate::thread::ThreadId;
 use obs::SpanId;
 use pairedmsg::MsgType;
 use simnet::{Payload, SockAddr, Syscall, Time};
+use wire::from_bytes;
 
 /// Why a call was made, which is where its result must go.
 #[derive(Debug)]
@@ -85,6 +88,8 @@ struct Outstanding {
     unresolved: usize,
     /// When the call began, for the `rpc.call_latency_us` histogram.
     begun: Time,
+    /// A state fetch: each answer carries its member's call numbers.
+    transfer: bool,
 }
 
 /// A call finished: what the dispatcher needs to route its result.
@@ -190,18 +195,8 @@ pub(crate) struct ClientCalls {
     route: BTreeMap<(SockAddr, u32), (u64, usize)>,
     seqs: CallSeqs,
     last_handle: u64,
-    /// Next outgoing call number per peer. A unicast call takes each
-    /// member's own next number. A multicast call must reach every member
-    /// under the *same* number — the precondition for byte-identical
-    /// segments (§4.3.3) — so it takes the largest of its members' next
-    /// numbers and moves all of them past it.
-    /// Lives here, not on the connection: a connection dropped after a
-    /// false crash suspicion (healed partition) is recreated fresh, but
-    /// the peer's surviving endpoint still remembers earlier call
-    /// numbers — restarting at 1 would make new calls look like replays
-    /// there, acknowledged (or suppressed) without ever being delivered.
-    /// Point lookups only, never walked.
-    call_numbers: HashMap<SockAddr, u32>,
+    /// Next outgoing call number per peer.
+    pub(crate) numbers: CallNumbers,
 }
 
 impl ClientCalls {
@@ -225,15 +220,10 @@ impl ClientCalls {
             (census::OWN_SEQ_RANGES, own),
             (census::FOREIGN_SEQ_RANGES, foreign),
             (census::MULTI_CALL_THREADS, self.seqs.many.len()),
-            (census::CALL_NUMBERS, self.call_numbers.len()),
+            (census::CALL_NUMBERS, self.numbers.len()),
             (census::OUTSTANDING_CALLS, self.outstanding.len()),
             (census::ROUTES, self.route.len()),
         ]);
-    }
-
-    /// Makes `next` the call number of the next call to `peer`.
-    pub(crate) fn set_call_number(&mut self, peer: SockAddr, next: u32) {
-        self.call_numbers.insert(peer, next);
     }
 
     /// Sends `call` to every member of its troupe that `admit` lets
@@ -306,8 +296,8 @@ impl ClientCalls {
         // A blast must reach every member under the same number: the
         // largest any of them is due.
         let shared = (blast.len() > 1).then(|| {
-            let next = |a| self.call_numbers.get(a).copied().unwrap_or(1);
-            let cn = blast.iter().map(next).max().expect("addresses members");
+            let cn = blast.iter().map(|&a| self.numbers.due(a)).max();
+            let cn = cn.expect("addresses members");
             conns.blast(io, MsgType::Call, cn, span, &mut bytes, &blast);
             cn
         });
@@ -317,6 +307,7 @@ impl ClientCalls {
             purpose: Some(purpose),
             unresolved: 0,
             begun: now,
+            transfer: matches!(proc, GET_STATE | GET_STATE_SINCE),
         };
         self.outstanding.insert(handle, call);
         for (i, member) in troupe.members.iter().enumerate() {
@@ -324,9 +315,7 @@ impl ClientCalls {
                 continue; // Not admitted.
             }
             let addr = member.addr;
-            let next = self.call_numbers.entry(addr).or_insert(1);
-            let cn = shared.unwrap_or(*next);
-            *next = cn + 1;
+            let cn = self.numbers.take(addr, shared);
             if shared.is_none() {
                 // The first member's sender takes the only handle on the
                 // call and writes its headers into it; a member at the
@@ -435,9 +424,21 @@ impl ClientCalls {
         // incarnation no longer matches, so no member executed (§6.2).
         // The message is checked whole but in place; what is collated is
         // the arrival datagram's own window.
+        let transfer = self.outstanding.get(&handle).is_some_and(|c| c.transfer);
+        let mut state = None;
         let fatal = match ReturnView::decode(&data) {
             Ok(ReturnView::WrongTroupe(hint)) => Some(CallError::StaleBinding(Some(hint))),
             Ok(ReturnView::NoSuchProcedure) => Some(CallError::NoSuchProcedure),
+            // A survivor's state comes with its call numbers: the joiner
+            // raises its own to them, and collates the state alone.
+            Ok(ReturnView::Normal(body)) if transfer => match from_bytes::<StateTransfer>(body) {
+                Ok(t) => {
+                    self.numbers.raise(io.me(), &t.call_numbers);
+                    state = Some(Payload::from(wrap_reply_vote(t.state.0)));
+                    None
+                }
+                Err(_) => Some(CallError::Garbled),
+            },
             Ok(_) => None,
             Err(_) => {
                 io.metrics().add("adv.rejected", 1);
@@ -448,7 +449,7 @@ impl ClientCalls {
             return self.fail(handle, err).map(Returned::Finished);
         }
         let call = self.outstanding.get_mut(&handle)?;
-        call.collation.add_vote(member, data);
+        call.collation.add_vote(member, state.unwrap_or(data));
         // The watchdog compares stragglers against the value already
         // delivered (§4.3.4).
         let violation =
@@ -487,7 +488,7 @@ pub(crate) mod tests {
     use pairedmsg::MAX_SEGMENTS;
     use proptest::prelude::*;
     use simnet::HostId;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeSet, HashMap};
 
     fn members(hosts: std::ops::RangeInclusive<u32>) -> Vec<ModuleAddr> {
         let member = |h| ModuleAddr::new(SockAddr::new(HostId(h), 70), 1);
@@ -599,7 +600,7 @@ pub(crate) mod tests {
             assert!(!h.please_ack);
         }
         for addr in addrs_of(&troupe) {
-            assert_eq!(r.calls.call_numbers[&addr], 4, "every counter past it");
+            assert_eq!(r.calls.numbers.due(addr), 4, "every counter past it");
         }
         // Each connection still runs a retransmission clock, so a
         // straggler gets the unicast fallback.
@@ -700,7 +701,7 @@ pub(crate) mod tests {
         for (tos, _) in &r.io.mcasts {
             assert_eq!(tos, &[troupe.members[0].addr, troupe.members[2].addr]);
         }
-        assert!(!r.calls.call_numbers.contains_key(&dead));
+        assert_eq!(r.calls.numbers.due(dead), 1, "never numbered");
         assert_eq!(r.calls.route.len(), 2);
     }
 
@@ -816,7 +817,7 @@ pub(crate) mod tests {
                     // The next call to this peer reuses a number: if a
                     // return is still awaited there, its route is displaced.
                     _ => {
-                        r.calls.call_numbers.insert(peer(arg), 1);
+                        r.calls.numbers.set(peer(arg), 1);
                         displaced = true;
                     }
                 }

@@ -46,7 +46,8 @@ pub const FOREIGN_SEQ_RANGES: &str = "foreign-thread seq ranges";
 /// thread it is activated on).
 pub const MULTI_CALL_THREADS: &str = "multi-call threads";
 /// Peers this node keeps a next call number for: every process it has
-/// ever called, dead ones included.
+/// ever called, dead ones included, and every peer the troupe member it
+/// fetched its state from had one for.
 pub const CALL_NUMBERS: &str = "call numbers";
 /// Calls begun and not yet forgotten: still awaiting collation, or
 /// finished first-come calls absorbing their stragglers' returns.

@@ -49,6 +49,7 @@ pub mod message;
 pub mod model;
 mod netio;
 pub mod node;
+mod numbers;
 pub mod runtime;
 pub mod service;
 pub mod testbed;

@@ -160,7 +160,7 @@ impl Node {
     /// census: `tests/oracles_fire.rs` proves both oracles fire with it.
     #[doc(hidden)]
     pub fn set_call_number(&mut self, peer: SockAddr, next: u32) {
-        self.calls.set_call_number(peer, next);
+        self.calls.numbers.set(peer, next);
     }
 
     /// Creates a node for the process at `me`.

@@ -10,8 +10,9 @@ use std::rc::Rc;
 use super::{AppEvent, Node};
 use crate::addr::{ModuleAddr, Troupe, TroupeId};
 use crate::assembly::{Invocation, Members, Outsider, PendState};
+use crate::binding;
 use crate::binding::binding_procs::LOOKUP_TROUPE_BY_ID;
-use crate::binding::{self, reserved_procs};
+use crate::binding::reserved_procs::{self, GET_STATE, GET_STATE_SINCE};
 use crate::calls::{Call, CallPurpose};
 use crate::collate::{Collation, CollationPolicy};
 use crate::message::{encode, Arrival, CallKey, CallMessage, ReturnMessage};
@@ -138,7 +139,12 @@ impl Node {
                 io.charge(Syscall::Compute); // Internalize args.
                 let (services, me) = (&mut self.services, &mut self.my_troupe);
                 let Invocation { module, proc, .. } = invocation;
-                let step = service::dispatch(services, me, &mut ctx, module, proc, &args);
+                let mut step = service::dispatch(services, me, &mut ctx, module, proc, &args);
+                if let (GET_STATE | GET_STATE_SINCE, Step::Reply(state)) = (proc, &mut step) {
+                    // The joiner fetching it numbers its calls as this
+                    // member does from then on (§4.3.3).
+                    *state = self.calls.numbers.transfer(std::mem::take(state));
+                }
                 self.apply_effects(io, ctx.effects);
                 self.apply_step(io, key, step);
             }

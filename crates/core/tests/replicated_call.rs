@@ -544,6 +544,68 @@ fn reserved_procedures_work() {
     assert_quiescent(&w);
 }
 
+/// A state fetch hands the fetcher its troupe's call numbers (§4.3.3,
+/// §6.4.1): the joiner's next call to each peer goes out under the larger
+/// of its own number and the survivor's, never a lower one, and the
+/// survivor's number for the joiner itself is not taken. The service's
+/// `get_state` contract is unchanged: the state arrives as it left.
+#[test]
+fn a_state_fetch_raises_the_fetchers_call_numbers_to_the_survivors() {
+    let mut w = world(15);
+    let survivor = spawn_server_troupe(&mut w, 10, 1, 1);
+    let (ahead, behind) = (
+        spawn_server_troupe(&mut w, 11, 2, 1),
+        spawn_server_troupe(&mut w, 12, 3, 1),
+    );
+    let (a, b) = (ahead.members[0].addr, behind.members[0].addr);
+    let fetch = circus::binding::reserved_procs::GET_STATE;
+    let client = spawn_client(
+        &mut w,
+        vec![
+            Request::new(&survivor, MODULE, fetch, Vec::new()),
+            Request::new(&ahead, MODULE, PROC_ECHO, b"a".to_vec()),
+            Request::new(&behind, MODULE, PROC_ECHO, b"b".to_vec()),
+        ],
+    );
+    node_mut(&mut w, survivor.members[0].addr, |n| {
+        n.set_call_number(a, 9);
+        n.set_call_number(b, 3);
+        n.set_call_number(client, 40);
+    });
+    node_mut(&mut w, client, |n| n.set_call_number(b, 6));
+    w.add_trace_sink(Box::new(simnet::TraceRing::unbounded()));
+    for _ in 0..3 {
+        w.poke(client, 0);
+        run(&mut w, 5);
+    }
+
+    let results = results(&w, client);
+    let state: (u32, u32) = from_bytes(results[0].as_ref().unwrap()).unwrap();
+    assert_eq!(state, (0, 0));
+    let events = w.trace_sink_as::<simnet::TraceRing>().unwrap().events();
+    let numbered = |to| {
+        let sent = events.iter().filter_map(|e| match e {
+            simnet::TraceEvent::Send {
+                from, to: t, head, ..
+            } if *from == client && *t == to => pairedmsg::SegmentHeader::decode(head).ok(),
+            _ => None,
+        });
+        let calls = sent.filter(|h| h.msg_type == pairedmsg::MsgType::Call && !h.ack);
+        calls.map(|h| h.call_number).collect::<Vec<_>>()
+    };
+    assert_eq!(numbered(a), [9], "raised to the survivor's");
+    assert_eq!(numbered(b), [6], "its own, the larger");
+    let census = node(&w, client, circus::Node::census);
+    let numbers = census
+        .iter()
+        .find(|(l, _)| *l == circus::census::CALL_NUMBERS);
+    assert_eq!(
+        numbers,
+        Some(&(circus::census::CALL_NUMBERS, 3)),
+        "none for itself"
+    );
+}
+
 /// A ready_to_commit-style callback service: on PROC_ECHO it calls BACK
 /// to the caller troupe's module 2, then replies with what the caller
 /// troupe answered (the call-back pattern of §5.3).

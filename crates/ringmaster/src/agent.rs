@@ -12,7 +12,9 @@
 
 use std::collections::BTreeMap;
 
-use crate::api::{AddTroupeMember, Rebind, RegisterSpare, RegisterTroupe, RemoveTroupeMember};
+use crate::api::{
+    AddTroupeMember, Rebind, RegisterSpare, RegisterTroupe, RemoveTroupeMember, ReplaceTroupeMember,
+};
 use circus::binding::{binding_procs, reserved_procs};
 use circus::{
     CallError, CollationPolicy, ModuleAddr, NodeEffect, OutCall, Service, ServiceCtx, Step, Troupe,
@@ -183,6 +185,29 @@ impl RingmasterService {
             .map(|e| &e.troupe)
     }
 
+    /// Adds `member` to troupe `name` — in place of `dead`, if given — as
+    /// one membership change.
+    fn join(
+        &mut self,
+        ctx: &mut ServiceCtx,
+        name: &str,
+        member: ModuleAddr,
+        dead: Option<ModuleAddr>,
+    ) -> Step {
+        // A spare that joins a troupe stops being a spare.
+        for pool in self.spares.values_mut() {
+            pool.retain(|m| m.addr != member.addr);
+        }
+        let mut members = (self.registry.get(name))
+            .map(|e| e.troupe.members.clone())
+            .unwrap_or_default();
+        // A member rejoining from the same address replaces its old
+        // registration (machine reuse after a crash).
+        members.retain(|m| m.addr != member.addr && Some(*m) != dead);
+        members.push(member);
+        self.mutate(ctx, name, members)
+    }
+
     /// Applies a membership mutation: allocates the next incarnation and
     /// prepares the `set_troupe_id` round.
     fn mutate(&mut self, ctx: &mut ServiceCtx, name: &str, new_members: Vec<ModuleAddr>) -> Step {
@@ -249,20 +274,13 @@ impl Service for RingmasterService {
                 let Ok(req) = from_bytes::<AddTroupeMember>(args) else {
                     return Step::Error("bad add_troupe_member arguments".into());
                 };
-                // A spare that joins a troupe stops being a spare.
-                for pool in self.spares.values_mut() {
-                    pool.retain(|m| m.addr != req.member.addr);
-                }
-                let mut members = self
-                    .registry
-                    .get(&req.name)
-                    .map(|e| e.troupe.members.clone())
-                    .unwrap_or_default();
-                // A member rejoining from the same address replaces its
-                // old registration (machine reuse after a crash).
-                members.retain(|m| m.addr != req.member.addr);
-                members.push(req.member);
-                self.mutate(ctx, &req.name, members)
+                self.join(ctx, &req.name, req.member, None)
+            }
+            binding_procs::REPLACE_TROUPE_MEMBER => {
+                let Ok(req) = from_bytes::<ReplaceTroupeMember>(args) else {
+                    return Step::Error("bad replace_troupe_member arguments".into());
+                };
+                self.join(ctx, &req.name, req.member, Some(req.dead))
             }
             binding_procs::REMOVE_TROUPE_MEMBER => {
                 let Ok(req) = from_bytes::<RemoveTroupeMember>(args) else {

@@ -60,6 +60,22 @@ wire::record! {
 }
 
 wire::record! {
+    /// `replace_troupe_member(troupe_name, dead_member, new_member) returns
+    /// (troupe_id)` — a spare joining in place of a confirmed-dead member:
+    /// the removal and the addition are one membership change, so the
+    /// troupe is re-incarnated once (§6.4.1–§6.4.2).
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub struct ReplaceTroupeMember {
+        /// The interface name.
+        pub name: String,
+        /// The member leaving.
+        pub dead: ModuleAddr,
+        /// The member joining.
+        pub member: ModuleAddr,
+    }
+}
+
+wire::record! {
     /// `rebind(troupe_name, stale_id) returns (troupe)` — a client detected
     /// an invalid binding; the stale id is a hint the agent may verify and
     /// purge (§6.1: "it need not be deleted immediately, nor should it be
@@ -126,6 +142,16 @@ mod tests {
             member: maddr(3),
         };
         assert_eq!(from_bytes::<RemoveTroupeMember>(&to_bytes(&m)).unwrap(), m);
+    }
+
+    #[test]
+    fn replace_member_round_trips() {
+        let m = ReplaceTroupeMember {
+            name: "fs".into(),
+            dead: maddr(3),
+            member: maddr(4),
+        };
+        assert_eq!(from_bytes::<ReplaceTroupeMember>(&to_bytes(&m)).unwrap(), m);
     }
 
     #[test]

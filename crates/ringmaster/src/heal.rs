@@ -1,4 +1,5 @@
-//! In-system self-healing: probe-confirmed eviction and spare rejoin.
+//! In-system self-healing: a probe-confirmed death repaired in one
+//! membership change.
 //!
 //! §3.5.1 leaves crash recovery to "some outside agency"; §6.4 sketches
 //! the reconfiguration steps but drives them by hand. This module closes
@@ -6,8 +7,14 @@
 //! Ringmaster member consumes the suspect reports that clients' call
 //! engines file via `report_suspect`, confirms each suspicion with
 //! `null` calls of its own (§6.1's "are you there?"), and only on a
-//! confirmed death evicts the member and activates a registered spare,
-//! which wedges the survivors, copies their state, and joins (§6.4.1).
+//! confirmed death repairs the troupe. A registered spare is activated
+//! *in the dead member's place*: it wedges the survivors, copies their
+//! state (and their call numbers), and the Ringmaster swaps it for the
+//! dead member in one registry mutation (§6.4.1) — one new incarnation,
+//! one `set_troupe_id` round, one rebind per client. With no spare, the
+//! member is evicted alone and the troupe runs short until one registers
+//! and joins; a spare that fails to take the place falls back to that
+//! eviction.
 //!
 //! The one rule: a member is evicted after `PROBE_ATTEMPTS` consecutive
 //! unanswered `null` calls of the healer's own, and one answer clears the
@@ -78,14 +85,17 @@ enum HealState {
         unanswered: u32,
         suspected: bool,
     },
-    /// Confirmed dead: removing the member's binding.
+    /// Confirmed dead with no spare to take its place: removing the
+    /// member's binding.
     Evicting {
         name: String,
         member: ModuleAddr,
     },
-    /// Driving a spare's activation (wedge + state transfer + join).
+    /// Driving a spare's activation (wedge + state transfer + join), in
+    /// the `dead` member's place or into a troupe already short of it.
     Activating {
         name: String,
+        dead: Option<ModuleAddr>,
     },
 }
 
@@ -108,7 +118,8 @@ pub struct SelfHealAgent {
     /// path of last resort, so a crash is noticed even with no client
     /// traffic at all.
     sweep_cursor: usize,
-    /// Completed repairs: eviction plus successful spare activation.
+    /// Completed repairs: spares activated in a dead member's place, or
+    /// into a troupe its eviction left short.
     pub repairs: u64,
 }
 
@@ -235,17 +246,32 @@ impl SelfHealAgent {
         self.state = HealState::Evicting { name, member };
     }
 
-    fn start_activation(&mut self, nc: &mut NodeCtx<'_, '_, '_>, name: String, ctl: ModuleAddr) {
-        self.inflight = Some(activate(nc, ctl, &name));
+    fn start_activation(
+        &mut self,
+        nc: &mut NodeCtx<'_, '_, '_>,
+        name: String,
+        ctl: ModuleAddr,
+        dead: Option<ModuleAddr>,
+    ) {
+        self.inflight = Some(activate(nc, ctl, &name, dead));
         self.deadline = nc.now() + OP_TIMEOUT;
-        self.state = HealState::Activating { name };
+        self.state = HealState::Activating { name, dead };
+    }
+
+    /// Repairs a confirmed death: a registered spare takes the member's
+    /// place in one membership change; with none, the member is evicted.
+    fn repair(&mut self, nc: &mut NodeCtx<'_, '_, '_>, name: String, member: ModuleAddr) {
+        match Self::with_service(nc, |s| s.take_spare(&name)).flatten() {
+            Some(ctl) => self.start_activation(nc, name, ctl, Some(member)),
+            None => self.start_eviction(nc, name, member),
+        }
     }
 
     /// Activates a registered spare into troupe `name`, or leaves it
     /// under-replicated until `register_spare` notifies that one arrived.
     fn rejoin(&mut self, nc: &mut NodeCtx<'_, '_, '_>, name: String) {
         match Self::with_service(nc, |s| s.take_spare(&name)).flatten() {
-            Some(ctl) => self.start_activation(nc, name, ctl),
+            Some(ctl) => self.start_activation(nc, name, ctl, None),
             None => self.pending_rejoins.push(name),
         }
     }
@@ -263,7 +289,7 @@ impl SelfHealAgent {
             if let Some(ctl) = Self::with_service(nc, |s| s.take_spare(&name)).flatten() {
                 self.pending_rejoins.remove(i);
                 self.started = nc.now();
-                self.start_activation(nc, name, ctl);
+                self.start_activation(nc, name, ctl, None);
                 return;
             }
         }
@@ -299,7 +325,10 @@ impl Agent for SelfHealAgent {
                 suspected: true,
                 ..
             }
-            | HealState::Evicting { member, .. } = &self.state
+            | HealState::Evicting { member, .. }
+            | HealState::Activating {
+                dead: Some(member), ..
+            } = &self.state
             {
                 let addr = member.addr;
                 Self::with_service(nc, |s| s.requeue_suspect(addr));
@@ -351,7 +380,7 @@ impl Agent for SelfHealAgent {
                         if unanswered + 1 < PROBE_ATTEMPTS {
                             self.null_call(nc, name, member, unanswered + 1, true);
                         } else {
-                            self.start_eviction(nc, name, member);
+                            self.repair(nc, name, member);
                         }
                     }
                 }
@@ -367,16 +396,20 @@ impl Agent for SelfHealAgent {
                     Self::with_service(nc, |s| s.requeue_suspect(member.addr));
                 }
             },
-            HealState::Activating { name } => match result {
-                Ok(_) => {
+            HealState::Activating { name, dead } => match (result, dead) {
+                (Ok(_), _) => {
                     self.repairs += 1;
                     let reg = nc.metrics();
+                    if dead.is_some() {
+                        reg.add("ring.evictions", 1);
+                    }
                     reg.add("ring.repairs", 1);
                     reg.observe("ring.mttr_us", nc.now().since(self.started).as_micros());
                 }
-                // The spare failed to activate (died in the window?): try
-                // the next one.
-                Err(_) => self.rejoin(nc, name),
+                // The spare failed to take the dead member's place (died
+                // in the window?): evict the member, then try the next.
+                (Err(_), Some(member)) => self.start_eviction(nc, name, member),
+                (Err(_), None) => self.rejoin(nc, name),
             },
         }
         self.kick(nc);

@@ -10,15 +10,16 @@
 //!   troupe via a nested replicated `set_troupe_id` (Figure 6.2);
 //! - [`ImportCache`] — the client-side cache with `rebind` support
 //!   (§6.1–§6.2's cache invalidation);
-//! - [`SelfHealAgent`] — in-system failure recovery: probe-confirmed
-//!   eviction of suspects reported by the call runtime — or found by its
-//!   own liveness sweep, §6.1's "are you there?" collector — then
-//!   automatic replacement from a pool of warm spares (§6.4, automated);
+//! - [`SelfHealAgent`] — in-system failure recovery: a suspect reported
+//!   by the call runtime — or found by its own liveness sweep, §6.1's
+//!   "are you there?" collector — is probed, and a confirmed death is
+//!   repaired from a pool of warm spares in one membership change, or
+//!   evicted while the pool is empty (§6.4, automated);
 //! - [`SpareService`] / [`SpareAgent`] — adding a new troupe member
 //!   (§6.4.1), the one way there is: the joining process exports the
 //!   control module and somebody — the healer, or an operator's process
-//!   — calls [`activate`] on it: wedge, copy state, `add_troupe_member`,
-//!   unwedge.
+//!   — calls [`activate`] on it: wedge, copy state, `add_troupe_member`
+//!   (or `replace_troupe_member`, in a dead member's place), unwedge.
 //!
 //! The availability analysis that answers *when* to replace crashed
 //! members (§6.4.2) lives in the `analysis` crate.
@@ -34,6 +35,7 @@ pub mod spare;
 pub use agent::RingmasterService;
 pub use api::{
     registration, AddTroupeMember, Rebind, RegisterSpare, RegisterTroupe, RemoveTroupeMember,
+    ReplaceTroupeMember,
 };
 pub use cache::{BindingRequest, ImportCache};
 pub use heal::SelfHealAgent;

@@ -8,16 +8,26 @@
 //! * a [`SpareAgent`] that offers the process to the Ringmaster with
 //!   `register_spare` as soon as it starts, and
 //! * a [`SpareService`] (the *control module*, exported at
-//!   [`SPARE_CTL_MODULE`]) whose single `activate` procedure performs
-//!   the whole §6.4.1 join when the self-healing agent calls it:
-//!   look the troupe up, **wedge** the survivors so the module
-//!   quiesces, copy their state, register with `add_troupe_member`
-//!   (which re-incarnates the troupe), and unwedge.
+//!   [`SPARE_CTL_MODULE`]) whose `activate` procedure performs the whole
+//!   §6.4.1 join: look the troupe up, **wedge** the survivors so the
+//!   module quiesces, copy their state, register with
+//!   `add_troupe_member` (which re-incarnates the troupe), and unwedge.
+//!   Its `replace` procedure is the same join in a confirmed-dead
+//!   member's place: the dead member is neither wedged nor fetched from,
+//!   and `replace_troupe_member` removes it and adds the spare in one
+//!   registry mutation, so a repair re-incarnates the troupe once.
 //!
 //! This is the only join path, whoever starts it: the self-healing agent
-//! calls `activate` on a spare the Ringmaster had registered; an
-//! operator's administrative process calls it on a process it has just
-//! started. Both go through [`activate`].
+//! calls `replace` on a spare the Ringmaster had registered (or
+//! `activate`, into a troupe an eviction left short); an operator's
+//! administrative process calls `activate` on a process it has just
+//! started. All go through [`activate`].
+//!
+//! The survivor's node answers the fetch with its next call number per
+//! peer beside the state, and the joiner's node raises its own to them:
+//! the joiner then numbers its calls as its troupe does, so the returns
+//! of the many-to-one calls it joins in go back by one multicast
+//! (§4.3.3).
 //!
 //! Wedging before the state fetch is what makes the transfer consistent
 //! (§6.4.1): no state change can land between the snapshot and the
@@ -43,7 +53,7 @@ use circus::{
 use simnet::Duration;
 use wire::{from_bytes, to_bytes};
 
-use crate::api::RegisterSpare;
+use crate::api::{AddTroupeMember, RegisterSpare, ReplaceTroupeMember};
 
 /// Module number of the spare's control service. High and well clear of
 /// application modules, below the reserved procedure space semantics
@@ -51,16 +61,29 @@ use crate::api::RegisterSpare;
 /// spot it in traces).
 pub const SPARE_CTL_MODULE: u16 = 0xFE00;
 
-/// `activate(troupe_name) returns ()` — the one procedure of the control
-/// module. Called solo, through [`activate`].
+/// `activate(troupe_name) returns ()` — join the troupe. Called solo,
+/// through [`activate`].
 const PROC_ACTIVATE: u16 = 0;
 
+/// `replace(troupe_name, dead_member) returns ()` — join the troupe in
+/// place of its confirmed-dead member. Called solo, through [`activate`].
+const PROC_REPLACE: u16 = 1;
+
 /// The caller's half of a join: asks the control module at `ctl` to join
-/// its process to the troupe registered under `name`. The reply is empty
-/// on success and the control module's abort message otherwise.
-pub fn activate(nc: &mut NodeCtx<'_, '_, '_>, ctl: ModuleAddr, name: &str) -> CallHandle {
+/// its process to the troupe registered under `name` — in place of
+/// `dead`, if given. The reply is empty on success and the control
+/// module's abort message otherwise.
+pub fn activate(
+    nc: &mut NodeCtx<'_, '_, '_>,
+    ctl: ModuleAddr,
+    name: &str,
+    dead: Option<ModuleAddr>,
+) -> CallHandle {
     let thread = nc.fresh_thread();
-    let r = activation(ctl, name);
+    let mut r = activation(ctl, name);
+    if let Some(dead) = dead {
+        (r.proc, r.args) = (PROC_REPLACE, to_bytes(&(name, dead)));
+    }
     nc.call_solo(thread, &r.troupe, r.module, r.proc, r.args, r.collation)
 }
 
@@ -94,7 +117,8 @@ enum Stage {
     Wedging,
     /// Fetching the quiescent state from a survivor.
     Fetching,
-    /// Registering this process's module with `add_troupe_member`.
+    /// Registering this process's module with `add_troupe_member`, or
+    /// with `replace_troupe_member` in the dead member's place.
     Adding,
     /// Releasing the survivors' wedge.
     Unwedging,
@@ -128,7 +152,10 @@ pub struct SpareService {
     /// interface as the troupe's members).
     module: u16,
     stage: Option<Stage>,
-    /// Members found at lookup time — wedged, fetched from, unwedged.
+    /// The confirmed-dead member this activation replaces, if any.
+    dead: Option<ModuleAddr>,
+    /// Members found at lookup time, the dead one excluded — wedged,
+    /// fetched from, unwedged.
     survivors: Vec<ModuleAddr>,
     /// Set once an activation has completed; the process is then an
     /// ordinary troupe member and the control module refuses re-use.
@@ -148,6 +175,7 @@ impl SpareService {
             name: name.into(),
             module,
             stage: None,
+            dead: None,
             survivors: Vec::new(),
             activated: false,
             use_delta: false,
@@ -165,9 +193,9 @@ impl SpareService {
     }
 
     fn survivors_troupe(&self) -> Troupe {
-        // Unchecked incarnation: the eviction that triggered this
-        // activation has already re-incarnated the troupe, and the id in
-        // the lookup reply may already be stale again.
+        // Unchecked incarnation: the survivors answer whoever wedges
+        // them, and the id in the lookup reply may already be stale (an
+        // operator's join, or a member evicted meanwhile).
         Troupe::new(TroupeId::UNREGISTERED, self.survivors.clone())
     }
 
@@ -199,17 +227,19 @@ impl SpareService {
 
 impl Service for SpareService {
     fn dispatch(&mut self, _ctx: &mut ServiceCtx, proc: u16, args: &[u8]) -> Step {
-        if proc != PROC_ACTIVATE {
-            return Step::Error(format!("spare control: no such procedure {proc}"));
-        }
+        let request = match proc {
+            PROC_ACTIVATE => from_bytes::<String>(args).map(|name| (name, None)),
+            PROC_REPLACE => from_bytes::<(String, ModuleAddr)>(args).map(|(n, d)| (n, Some(d))),
+            _ => return Step::Error(format!("spare control: no such procedure {proc}")),
+        };
         if self.activated {
             return Step::Error("spare already activated".into());
         }
         if self.stage.is_some() {
             return Step::Error("activation already in progress".into());
         }
-        let name = match from_bytes::<String>(args) {
-            Ok(n) => n,
+        let (name, dead) = match request {
+            Ok(r) => r,
             Err(e) => return Step::Error(format!("garbled activate args: {e}")),
         };
         if name != self.name {
@@ -219,6 +249,7 @@ impl Service for SpareService {
             ));
         }
         self.stage = Some(Stage::Lookup);
+        self.dead = dead;
         Step::Call(OutCall {
             target: TroupeTarget::Troupe(self.binder.clone()),
             module: BINDING_MODULE,
@@ -235,19 +266,22 @@ impl Service for SpareService {
         };
         match stage {
             Stage::Lookup => {
-                let troupe = match reply {
+                self.survivors = match reply {
                     Ok(bytes) => match from_bytes::<Option<Troupe>>(&bytes) {
-                        Ok(Some(t)) if !t.members.is_empty() => t,
-                        Ok(_) => {
-                            return self.abort(ctx, stage, "troupe has no surviving members".into())
-                        }
+                        Ok(t) => t.map_or_else(Vec::new, |t| t.members),
                         Err(e) => {
                             return self.abort(ctx, stage, format!("garbled lookup reply: {e}"))
                         }
                     },
                     Err(e) => return self.abort(ctx, stage, format!("lookup failed: {e}")),
                 };
-                self.survivors = troupe.members;
+                // The dead member is neither wedged nor fetched from: its
+                // place is what this join takes.
+                let dead = self.dead;
+                self.survivors.retain(|m| Some(*m) != dead);
+                if self.survivors.is_empty() {
+                    return self.abort(ctx, stage, "troupe has no surviving members".into());
+                }
                 self.stage = Some(Stage::Wedging);
                 Step::Call(OutCall {
                     target: TroupeTarget::Troupe(self.survivors_troupe()),
@@ -319,22 +353,31 @@ impl Service for SpareService {
                     });
                 }
                 self.stage = Some(Stage::Adding);
-                let req = crate::api::AddTroupeMember {
-                    name: self.name.clone(),
-                    member: ModuleAddr::new(ctx.me, self.module),
+                let (name, member) = (self.name.clone(), ModuleAddr::new(ctx.me, self.module));
+                // In a dead member's place, the removal rides the addition:
+                // one membership change, one new incarnation.
+                let (proc, args) = match self.dead {
+                    None => (
+                        binding_procs::ADD_TROUPE_MEMBER,
+                        to_bytes(&AddTroupeMember { name, member }),
+                    ),
+                    Some(dead) => (
+                        binding_procs::REPLACE_TROUPE_MEMBER,
+                        to_bytes(&ReplaceTroupeMember { name, dead, member }),
+                    ),
                 };
                 Step::Call(OutCall {
                     target: TroupeTarget::Troupe(self.binder.clone()),
                     module: BINDING_MODULE,
-                    proc: binding_procs::ADD_TROUPE_MEMBER,
-                    args: to_bytes(&req).into(),
+                    proc,
+                    args: args.into(),
                     collation: CollationPolicy::Majority,
                     solo: true,
                 })
             }
             Stage::Adding => {
                 if let Err(e) = reply {
-                    return self.abort(ctx, stage, format!("add_troupe_member failed: {e}"));
+                    return self.abort(ctx, stage, format!("membership change failed: {e}"));
                 }
                 self.stage = Some(Stage::Unwedging);
                 Step::Call(OutCall {

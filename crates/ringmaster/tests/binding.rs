@@ -306,6 +306,64 @@ fn a_killed_member_is_evicted_on_its_hosts_word_within_a_second() {
 }
 
 #[test]
+fn a_repair_is_one_membership_change_with_a_spare_and_two_without() {
+    // A confirmed death with a spare registered: the spare takes the dead
+    // member's place in one registry mutation, one new incarnation. With
+    // none, the member is evicted (one) and the spare that registers later
+    // joins (two).
+    for spare_waiting in [true, false] {
+        let mut w = world(3);
+        let rm = spawn_ringmaster(&mut w, &hosts(&[1, 2, 3]), NodeConfig::default());
+        let registered = register_counter_troupe(&mut w, &rm, "counter", &[4, 5, 6]);
+        let generation = |w: &World| {
+            let member = addr(1, RINGMASTER_PORT);
+            service(w, member, BINDING_MODULE, |s: &RingmasterService| {
+                s.generation("counter")
+            })
+        };
+        let before = generation(&w);
+        let spare = addr(7, 70);
+        let start_spare = |w: &mut World| {
+            let p = counter_spare(spare, &rm)
+                .agent(Box::new(SpareAgent::new(rm.clone(), "counter")))
+                .build()
+                .expect("valid node");
+            w.spawn(spare, Box::new(p));
+        };
+        if spare_waiting {
+            start_spare(&mut w);
+        }
+        w.kill(addr(6, 70));
+        let client = spawn_caller(&mut w, addr(92, 10), NodeConfig::default(), Some(&rm));
+        assert!(call(&mut w, client, add(&registered, 1), secs(1)).is_ok());
+        let reg = w.metrics();
+        let deadline = w.now() + secs(60);
+        assert!(w.run(simnet::Until::pred(deadline, |_| {
+            reg.get("ring.evictions") == 1
+        })));
+        if !spare_waiting {
+            start_spare(&mut w);
+        }
+        let repaired = w.run(simnet::Until::pred(deadline, |_| {
+            reg.get("ring.repairs") == 1
+        }));
+        assert!(repaired, "spare waiting: {spare_waiting}");
+
+        let steps = if spare_waiting { 1 } else { 2 };
+        assert_eq!(
+            generation(&w),
+            before + steps,
+            "spare waiting: {spare_waiting}"
+        );
+        let current = registered_as(&w, 1, "counter").expect("bound");
+        let members: Vec<SockAddr> = current.members.iter().map(|m| m.addr).collect();
+        assert_eq!(members, [addr(4, 70), addr(5, 70), spare]);
+        assert_eq!(node(&w, spare, Node::troupe_id), current.id);
+        assert_eq!(counter(&w, spare), 1, "the state came with it");
+    }
+}
+
+#[test]
 fn server_resolves_client_troupe_via_binder() {
     // A registered client troupe calls a server that has NO preloaded
     // directory entry: the server must park the call, resolve the

@@ -70,6 +70,10 @@ wire::choice! {
     }
 }
 
+/// The reason every aborted transaction's outcome gives, whichever
+/// member refused it and why: the returns of one call must agree.
+const ABORTED: &str = "transaction aborted";
+
 /// Commit records kept in memory for serving recovery deltas. Far above
 /// anything a scenario produces; if exceeded, the oldest records are
 /// dropped and the coverage check in `get_state_since` falls back to a
@@ -303,13 +307,14 @@ impl Service for TroupeStoreService {
                     return Step::Error("bad execute_transaction arguments".into());
                 };
                 if self.wedge.active(ctx.now) {
-                    // Wedged (§6.4.1): refuse new work with an ordinary
-                    // abort so the client retries with backoff and lands
-                    // on the re-incarnated troupe.
+                    // Wedged (§6.4.1): refuse new work with the very abort
+                    // a member not yet wedged gives when its vote fails,
+                    // so the members' returns collate (§4.3.1); the client
+                    // retries with backoff and lands on the re-incarnated
+                    // troupe.
                     ctx.metrics.add("txn.aborts", 1);
-                    return Step::Reply(to_bytes(&TxnOutcome::Aborted(
-                        "wedged for membership change".into(),
-                    )));
+                    ctx.metrics.add("txn.wedge_refusals", 1);
+                    return Step::Reply(to_bytes(&TxnOutcome::Aborted(ABORTED.into())));
                 }
                 let txn = TxnId(self.next_txn);
                 self.next_txn += 1;
@@ -365,10 +370,7 @@ impl Service for TroupeStoreService {
             }
             _ => {
                 ctx.metrics.add("txn.aborts", 1);
-                (
-                    TxnOutcome::Aborted("transaction aborted".into()),
-                    self.tm.abort(rec.txn),
-                )
+                (TxnOutcome::Aborted(ABORTED.into()), self.tm.abort(rec.txn))
             }
         };
         self.wake(ctx, unblocked);

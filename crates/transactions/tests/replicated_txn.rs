@@ -1,16 +1,17 @@
 //! End-to-end tests of replicated transactions: the troupe commit
 //! protocol under no conflict, conflict, and deadlock; the ordered
 //! broadcast protocol's identical-order guarantee; both broadcast and
-//! commutative clients reaching every member through a partition; and a
-//! stale binding winning over a dead member.
+//! commutative clients reaching every member through a partition; a
+//! wedged member's refusal collating with its peers' abort; and a stale
+//! binding winning over a dead member.
 
-use circus::testbed::{addr, agent, node_mut, service, spawn_troupe};
+use circus::testbed::{addr, agent, call, node_mut, service, spawn_troupe};
 use circus::{Agent, CallError, CallHandle, NodeBuilder, NodeConfig, NodeCtx, Troupe, TroupeId};
 use simnet::{Duration, HostId, Partition, SockAddr, Until, World};
 use transactions::{
     AppliedOrder, Broadcaster, CmBatch, CmClient, CmOp, CommitVoterService, CommutativeService,
-    ObjId, Op, OrderedApply, OrderedBroadcastService, ProposeAccept, Protocol, TroupeStoreService,
-    TxnClient,
+    ExecuteRequest, ObjId, Op, OrderedApply, OrderedBroadcastService, ProposeAccept, Protocol,
+    TroupeStoreService, TxnClient, TxnOutcome, PROC_EXECUTE,
 };
 use wire::{from_bytes, to_bytes};
 
@@ -194,6 +195,43 @@ fn aborted_transactions_leave_no_trace() {
     for m in &troupe.members {
         assert_eq!(member_committed(&w, m.addr, A), 8, "A at {}", m.addr);
         assert_eq!(member_committed(&w, m.addr, B), 8, "B at {}", m.addr);
+    }
+}
+
+/// A member wedged for a membership change (§6.4.1) refuses a
+/// transaction at once, and its peers, whose `ready_to_commit` round
+/// misses its vote, abort it: the refusal is the same outcome as their
+/// abort, so the client's Unanimous collation sees one `Aborted`, not a
+/// `Disagreement` (a determinism violation that is not one).
+#[test]
+fn a_wedged_member_refuses_with_the_abort_its_peers_give() {
+    let mut w = World::new(5);
+    let troupe = spawn_store_troupe(&mut w, 3);
+    let client = addr(10, 50);
+    spawn_troupe(
+        &mut w,
+        TroupeId::UNREGISTERED,
+        &[client],
+        COMMIT_MODULE,
+        &config(),
+        None,
+        || CommitVoterService,
+    );
+    let wedged = Troupe::new(TroupeId::UNREGISTERED, vec![troupe.members[2]]);
+    let wedge = circus::binding::reserved_procs::WEDGE;
+    let wedge = circus::testbed::Request::new(&wedged, STORE_MODULE, wedge, Vec::new());
+    let patience = Duration::from_secs(30);
+    assert_eq!(call(&mut w, client, wedge, patience), Ok(Vec::new()));
+
+    let ops = vec![Op::Add(A, 1)];
+    let txn = to_bytes(&ExecuteRequest { nonce: 1, ops });
+    let txn = circus::testbed::Request::new(&troupe, STORE_MODULE, PROC_EXECUTE, txn);
+    let outcome = call(&mut w, client, txn, patience).expect("one outcome");
+    let outcome = from_bytes::<TxnOutcome>(&outcome).expect("an outcome");
+    assert!(matches!(outcome, TxnOutcome::Aborted(_)), "{outcome:?}");
+    assert_eq!(w.metrics().get("txn.wedge_refusals"), 1);
+    for m in &troupe.members {
+        assert_eq!(member_committed(&w, m.addr, A), 0, "at {}", m.addr);
     }
 }
 

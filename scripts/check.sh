@@ -39,7 +39,7 @@ phase() {
   echo "==> $1"
 }
 
-phase "cargo fmt --check (and the shape of the source: audited hash maps, no per-thread hash map in the call runtime, no crates/*/src/*.rs file over 900 lines (every crate), one multicast blast, one window of events (no span window beside the trace ring), one framing site, one client side per synchronization scheme, one encoding site (a Courier type's wire form is its wire declaration, or the line above its impl says not a declaration:), one way to die (a PeerDead is pushed only in Endpoint::declare_dead), one way to count (no publish_metrics impl, refresh_metrics() call or set_gauge outside obs and simnet's hooks), no cargo feature, no ledger that grows with the run, no spawn loop or echo service beside the testbed's, EXPERIMENTS.md within 50,000 bytes, DESIGN.md within 80,000, a CHANGES.md entry within 1,536)"
+phase "cargo fmt --check (and the shape of the source: audited hash maps, no per-thread hash map in the call runtime, no crates/*/src/*.rs file over 900 lines (every crate), one multicast blast, one window of events (no span window beside the trace ring), one framing site, one client side per synchronization scheme, one encoding site (a Courier type's wire form is its wire declaration, or the line above its impl says not a declaration:), one way to die (a PeerDead is pushed only in Endpoint::declare_dead), call numbers only rise (set_call_number, the test hook that can rewind one, has no caller under crates/*/src), one way to count (no publish_metrics impl, refresh_metrics() call or set_gauge outside obs and simnet's hooks), no cargo feature, no ledger that grows with the run, no spawn loop or echo service beside the testbed's, EXPERIMENTS.md within 50,000 bytes, DESIGN.md within 80,000, a CHANGES.md entry within 1,536)"
 cargo fmt --all --check
 # A HashMap/HashSet field iterates in a per-process order: each one in the
 # protocol crates says, on the line above it, why that is never observed.
@@ -85,6 +85,14 @@ fi
 find crates/*/src src -name '*.rs' -print0 |
   xargs -0 awk 'FNR == 1 { cur = "" } match($0, /fn [a-z_0-9]+/) { cur = substr($0, RSTART + 3, RLENGTH - 3) } /push[a-z_]*\(.*PeerDead/ && !(FILENAME == "crates/pairedmsg/src/endpoint.rs" && cur == "declare_dead") { print FILENAME ":" FNR ": a PeerDead pushed outside Endpoint::declare_dead:" $0; bad = 1 } END { exit bad }' ||
   { echo "a second way for a peer to die (named above): call Endpoint::declare_dead" >&2; exit 1; }
+# Call numbers only rise: a number reused toward a peer is taken there
+# for a replay. `Node::set_call_number`, the test hook that can rewind
+# one, has no caller in the crates, so a joiner adopts its troupe's
+# numbers only through `CallNumbers::raise`, which never lowers one.
+if grep -rn --include='*.rs' 'set_call_number(' crates/*/src | grep -v 'fn set_call_number('; then
+  echo "set_call_number called in the crates (named above): a call number only rises; adopt numbers with CallNumbers::raise" >&2
+  exit 1
+fi
 # Each synchronization scheme has one client side, the protocols of
 # transactions' client.rs: a scheme's procedure named anywhere else (its
 # service and wire types aside) is a second copy of that client.
