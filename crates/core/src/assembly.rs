@@ -1,7 +1,9 @@
 //! The many-to-one server algorithm (§4.3.2): group the call messages of
 //! one replicated call by `(client troupe, thread, call sequence)`,
 //! collate the argument sets, let the procedure execute exactly once,
-//! and keep its return for the client members still to call (§4.3.4).
+//! and keep its return for the client members still to call (§4.3.4) —
+//! and, where a member sent only its digest, for a client that must fetch
+//! it because the data member died.
 //!
 //! Invariants kept here: `pending`, `by_serial` and (once executing)
 //! `by_invocation` are one index — opened by [`Assemblies::join`] and
@@ -15,7 +17,7 @@ use std::rc::Rc;
 use crate::census;
 use crate::collate::{CollateError, Collation, Decision, Slots};
 use crate::counts::RpcCounts;
-use crate::message::{Arrival, CallKey, CallMessage};
+use crate::message::{digest, Arrival, CallKey, CallMessage};
 use crate::netio::NetIo;
 use obs::SpanId;
 use pairedmsg::Framed;
@@ -52,14 +54,31 @@ impl Members {
     }
 }
 
+/// How one client member's copy of a call asked to be answered.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct Responder {
+    /// The paired-message call number to reply on.
+    cn: u32,
+    /// The copy named another server member as the data member: a return
+    /// of two or more segments goes back to it as a digest.
+    digest: bool,
+}
+
+/// What a group of client members is sent: the return, or its digest.
+#[derive(Debug)]
+pub(crate) enum Answer {
+    Full(Framed),
+    Digest(u64),
+}
+
 struct Pending {
     serial: u64,
     module: u16,
     proc: u16,
     client_members: Members,
-    /// Per member: the paired-message call number to reply on, once its
-    /// call message has arrived.
-    responders: Slots<Option<u32>>,
+    /// Per member, once its call message has arrived: how to answer it.
+    /// Where the call named a data member, this is the designation.
+    responders: Slots<Option<Responder>>,
     args: Collation,
     state: PendState,
     deadline: Time,
@@ -82,11 +101,17 @@ const DONE_TTL: Duration = Duration::from_secs(60);
 struct DoneCall {
     /// Encoded `ReturnMessage`, buffered for client members whose call
     /// messages arrive after execution ("execution of the procedure thus
-    /// appears instantaneous to the slow client troupe members", §4.3.4).
+    /// appears instantaneous to the slow client troupe members", §4.3.4),
+    /// or for a client that fetches it in the data member's place.
     reply: Framed,
     at: Time,
     /// Invoke span the buffered reply is attributed to.
     span: u64,
+    /// The reply's digest, once a member has been sent it.
+    digest: Option<u64>,
+    /// Every client member was answered: the reply is kept only for a
+    /// fetch, and the thread's next call here forgets it.
+    answered: bool,
 }
 
 /// The sender of a call message is not a member of the troupe it claims
@@ -158,9 +183,22 @@ impl Assemblies {
     }
 
     /// The return of an already-answered call, ready and waiting for a
-    /// slow member (§4.3.4), with the span it is attributed to.
-    pub(crate) fn buffered(&self, key: &CallKey) -> Option<(Framed, u64)> {
-        self.done.get(key).map(|d| (d.reply.clone(), d.span))
+    /// slow member (§4.3.4) — its digest if the member's copy of the call
+    /// asked for one and the return spans two or more segments — with the
+    /// span it is attributed to.
+    pub(crate) fn buffered(&mut self, key: &CallKey, wants_digest: bool) -> Option<(Answer, u64)> {
+        let d = self.done.get_mut(key)?;
+        if wants_digest && d.reply.total() > 1 {
+            let hash = *d.digest.get_or_insert_with(|| digest(d.reply.parts()));
+            return Some((Answer::Digest(hash), d.span));
+        }
+        Some((Answer::Full(d.reply.clone()), d.span))
+    }
+
+    /// The return `fetch_return` asks for: answered from what is buffered
+    /// and nothing else.
+    pub(crate) fn fetch(&self, key: &CallKey) -> Option<&Framed> {
+        self.done.get(key).map(|d| &d.reply)
     }
 
     pub(crate) fn is_open(&self, key: &CallKey) -> bool {
@@ -178,6 +216,7 @@ impl Assemblies {
         &mut self,
         at: &Arrival,
         msg: CallMessage<Payload>,
+        digest: bool,
         members: Members,
         fresh: impl FnOnce(&[SockAddr]) -> (Collation, Time),
     ) -> Result<Option<u64>, Outsider> {
@@ -191,6 +230,15 @@ impl Assemblies {
             }
             Entry::Vacant(e) => {
                 let i = index_in(&members).ok_or(Outsider)?;
+                // The thread's next call is here: a return kept for a
+                // fetch alone is done with.
+                let previous = CallKey {
+                    call_seq: key.call_seq.wrapping_sub(1),
+                    ..key
+                };
+                if self.done.get(&previous).is_some_and(|d| d.answered) {
+                    self.done.remove(&previous);
+                }
                 let n = members.as_slice().len();
                 let (args, deadline) = fresh(members.as_slice());
                 self.last_serial += 1;
@@ -216,7 +264,10 @@ impl Assemblies {
                 (p, i, (n > 1).then_some(serial))
             }
         };
-        p.responders[i] = Some(at.pm_cn);
+        p.responders[i] = Some(Responder {
+            cn: at.pm_cn,
+            digest,
+        });
         p.args.add_vote(i, msg.args);
         Ok(stall)
     }
@@ -292,20 +343,23 @@ impl Assemblies {
 
     /// Closes the assembly for `key`, out of every index at once:
     /// `send`s `reply` to every client member heard from, under the invoke
-    /// span, and keeps it for the rest (§4.3.4). The members heard from
-    /// are grouped by the call number each called on, one `send` per
-    /// group, so a group of two or more can share one multicast (§4.3.3).
-    /// In the fault-free case every member called on the same number and
-    /// the group is the whole troupe, which is sent as it stands. Each
-    /// `send` is handed `reply` itself, the only handle at first, so the
-    /// first group's datagrams are windows of its buffer; it leaves
-    /// `reply` a handle for the next group and for keeping.
+    /// span, and keeps it for the rest (§4.3.4). A member whose copy named
+    /// another server member as the data member is sent the reply's
+    /// digest instead, if the reply spans two or more segments, and the
+    /// reply is kept for its fetch. The members heard from are grouped by
+    /// the call number each called on and what each is sent, one `send`
+    /// per group, so a group of two or more can share one multicast
+    /// (§4.3.3). In the fault-free case every member called on the same
+    /// number and the group is the whole troupe, which is sent as it
+    /// stands. Each `send` is handed the reply itself, the only handle at
+    /// first, so the first group's datagrams are windows of its buffer; it
+    /// leaves a handle for the next group and for keeping.
     pub(crate) fn close(
         &mut self,
         key: &CallKey,
-        mut reply: Framed,
+        reply: Framed,
         now: Time,
-        mut send: impl FnMut(&[SockAddr], u32, u64, &mut Framed),
+        mut send: impl FnMut(&[SockAddr], u32, u64, &mut Answer),
     ) {
         let Some(p) = self.pending.remove(key) else {
             return;
@@ -314,25 +368,39 @@ impl Assemblies {
         self.by_invocation.remove(&p.invocation);
         let span = p.invoke_span.raw();
         let members = p.client_members.as_slice();
+        let digested = reply.total() > 1 && p.responders.iter().flatten().any(|r| r.digest);
+        let hash = digested.then(|| digest(reply.parts()));
+        let (mut full, mut short) = (Answer::Full(reply), hash.map(Answer::Digest));
         match p.responders.split_first() {
-            Some((&Some(cn), rest)) if rest.iter().all(|&r| r == Some(cn)) => {
-                send(members, cn, span, &mut reply);
+            Some((&Some(first), rest)) if rest.iter().all(|&r| r == Some(first)) => {
+                let to = if first.digest { short.as_mut() } else { None };
+                send(members, first.cn, span, to.unwrap_or(&mut full));
             }
             _ => {
                 let heard = members.iter().zip(&p.responders);
-                let mut heard: Vec<(u32, SockAddr)> =
-                    heard.filter_map(|(&to, cn)| Some(((*cn)?, to))).collect();
+                let mut heard: Vec<(u32, bool, SockAddr)> = heard
+                    .filter_map(|(&to, r)| Some(((*r)?.cn, (*r)?.digest && digested, to)))
+                    .collect();
                 // Stable: each group keeps the troupe's order.
-                heard.sort_by_key(|&(cn, _)| cn);
-                for group in heard.chunk_by(|a, b| a.0 == b.0) {
-                    let tos: Vec<SockAddr> = group.iter().map(|&(_, to)| to).collect();
-                    send(&tos, group[0].0, span, &mut reply);
+                heard.sort_by_key(|&(cn, digest, _)| (cn, digest));
+                for group in heard.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+                    let tos: Vec<SockAddr> = group.iter().map(|&(.., to)| to).collect();
+                    let to = if group[0].1 { short.as_mut() } else { None };
+                    send(&tos, group[0].0, span, to.unwrap_or(&mut full));
                 }
             }
         }
-        if p.responders.contains(&None) {
-            let at = now;
-            self.done.insert(*key, DoneCall { reply, at, span });
+        let answered = !p.responders.contains(&None);
+        if let (Answer::Full(reply), false) = (full, answered && hash.is_none()) {
+            let (at, digest) = (now, hash);
+            let done = DoneCall {
+                reply,
+                at,
+                span,
+                digest,
+                answered,
+            };
+            self.done.insert(*key, done);
         }
     }
 
@@ -457,6 +525,7 @@ mod tests {
             module: 1,
             proc: 0,
             args: Payload::copy_from(b"same"),
+            data_member: None,
         };
         (at, msg)
     }
@@ -495,7 +564,7 @@ mod tests {
                     (args, Time::ZERO)
                 };
                 assert!(a
-                    .join(&at, msg, Members::Troupe(troupe.clone()), fresh)
+                    .join(&at, msg, false, Members::Troupe(troupe.clone()), fresh)
                     .is_ok());
             }
             let key = key.expect("a call message");
@@ -503,7 +572,7 @@ mod tests {
             a.close(&key, Framed::default(), Time::ZERO, |tos, cn, _, _| {
                 sends.push((tos.to_vec(), cn));
             });
-            (sends, a.buffered(&key).is_some())
+            (sends, a.buffered(&key, false).is_some())
         };
         let whole = (vec![(troupe.to_vec(), 4)], false);
         assert_eq!(closed(&[(1, 4), (2, 4), (3, 4)]), whole);
@@ -531,7 +600,7 @@ mod tests {
             let (at, msg) = message(host(h), seq);
             let fresh =
                 |m: &[SockAddr]| (Collation::new(CollationPolicy::Unanimous, m.len()), late);
-            let joined = a.join(&at, msg, Members::Troupe(troupe.clone()), fresh);
+            let joined = a.join(&at, msg, false, Members::Troupe(troupe.clone()), fresh);
             serials.extend(joined.expect("a member"));
         }
         let mut stuck = Vec::new();
@@ -580,10 +649,10 @@ mod tests {
                 let (at, msg) = message(peer, 1 + u32::from(arg) % 3);
                 let key = msg.key();
                 match op {
-                    0 | 1 if a.buffered(&key).is_none() => {
+                    0 | 1 if a.buffered(&key, false).is_none() => {
                         let was_open = a.is_open(&key);
                         let fresh = |m: &[SockAddr]| (Collation::new(CollationPolicy::Unanimous, m.len()), late);
-                        let joined = a.join(&at, msg, Members::Troupe(troupe.clone()), fresh);
+                        let joined = a.join(&at, msg, false, Members::Troupe(troupe.clone()), fresh);
                         prop_assert_eq!(joined.is_ok(), troupe.contains(&peer));
                         prop_assert_eq!(a.is_open(&key), was_open || joined.is_ok());
                         execute(&mut a, key, flag);
@@ -599,7 +668,7 @@ mod tests {
                         let mut sent = 0;
                         a.close(&key, Framed::default(), late, |tos, _, _, _| sent += tos.len());
                         prop_assert_eq!(sent < 3, unheard);
-                        prop_assert_eq!(a.buffered(&key).is_some(), unheard);
+                        prop_assert_eq!(a.buffered(&key, false).is_some(), unheard);
                     }
                     _ => {}
                 }

@@ -82,6 +82,12 @@ pub mod reserved_procs {
     /// stamps an empty-args outgoing call with the local module's own
     /// [`Service::recovery_token`](crate::service::Service::recovery_token).
     pub const GET_STATE_SINCE: u16 = 0xFF05;
+    /// `fetch_return(call key) -> return message`: the return of a call
+    /// this member answered with a digest, kept for a client whose data
+    /// member died before its full return arrived. Answered from the
+    /// returns the member keeps (§4.3.4) and nothing else: it never
+    /// executes a service.
+    pub const FETCH_RETURN: u16 = 0xFF06;
 }
 
 /// Encodes the argument of `report_suspect` (a process address).
@@ -149,6 +155,7 @@ mod tests {
         assert!(reserved_procs::WEDGE >= reserved_procs::RESERVED_BASE);
         assert!(reserved_procs::UNWEDGE >= reserved_procs::RESERVED_BASE);
         assert!(reserved_procs::GET_STATE_SINCE >= reserved_procs::RESERVED_BASE);
+        assert!(reserved_procs::FETCH_RETURN >= reserved_procs::RESERVED_BASE);
     }
 
     #[test]

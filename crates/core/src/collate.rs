@@ -15,6 +15,8 @@ use std::rc::Rc;
 
 use simnet::Payload;
 
+use crate::message::{digest, digest_vote};
+
 /// The state of one troupe member's contribution to a replicated call.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum VoteSlot {
@@ -169,6 +171,11 @@ impl<T> DerefMut for Slots<T> {
 pub struct Collation {
     policy: CollationPolicy,
     slots: Slots<VoteSlot>,
+    /// Set on a unanimous call that named a data member, whose other
+    /// members' votes may be digests of the return: the digest of the
+    /// full vote, made once there is both a full vote and a digest to
+    /// compare with it.
+    digests: Option<Option<u64>>,
 }
 
 impl Collation {
@@ -177,7 +184,63 @@ impl Collation {
         Collation {
             policy,
             slots: Slots::new(n, VoteSlot::Pending),
+            digests: None,
         }
+    }
+
+    /// Lets the votes be digests: the call named a data member, and a
+    /// unanimous collation then compares each digest with the full vote
+    /// and decides only once it holds one.
+    pub(crate) fn take_digests(&mut self) {
+        self.digests = Some(None);
+    }
+
+    /// The hash `vote` carries if it is a digest this collation takes.
+    fn digest_of(&self, vote: &Payload) -> Option<u64> {
+        self.digests.and(digest_vote(vote))
+    }
+
+    /// The full vote: the first vote that is not a digest.
+    fn full(&self) -> Option<&Payload> {
+        let mut votes = self.slots.iter().filter_map(VoteSlot::vote);
+        votes.find(|v| self.digest_of(v).is_none())
+    }
+
+    /// `true` once some vote is a digest.
+    fn digested(&self) -> bool {
+        let mut votes = self.slots.iter().filter_map(VoteSlot::vote);
+        self.digests.is_some() && votes.any(|v| digest_vote(v).is_some())
+    }
+
+    /// Hashes the full vote, once, as soon as there is a digest to
+    /// compare it with.
+    fn hash_full(&mut self) {
+        let due = self.digests == Some(None) && self.digested();
+        if let Some(hash) = due.then(|| self.full().map(|v| digest([&v[..]]))).flatten() {
+            self.digests = Some(Some(hash));
+        }
+    }
+
+    /// Records the full return fetched from a digest member as the vote
+    /// of the data member, slot `data`, which died before its own came.
+    pub(crate) fn add_fetched(&mut self, data: usize, full: Payload) {
+        if let Some(slot @ VoteSlot::Dead) = self.slots.get_mut(data) {
+            *slot = VoteSlot::Vote(full);
+            self.hash_full();
+        }
+    }
+
+    /// `true` if the full return must be fetched from a digest member: the
+    /// data member, slot `data`, is dead without having voted, no full
+    /// vote is in hand, and some member has sent a digest of one.
+    pub(crate) fn wants_fetch(&self, data: usize) -> bool {
+        self.is_dead(data) && self.full().is_none() && self.digested()
+    }
+
+    /// `true` if the collation waits for nothing but a fetched return.
+    pub(crate) fn stranded(&self) -> bool {
+        let pending = self.slots.contains(&VoteSlot::Pending);
+        !pending && self.full().is_none() && self.digested()
     }
 
     /// Number of expected messages (the troupe's degree at call time).
@@ -191,6 +254,7 @@ impl Collation {
     pub fn add_vote(&mut self, i: usize, data: impl Into<Payload>) {
         if let Some(slot @ VoteSlot::Pending) = self.slots.get_mut(i) {
             *slot = VoteSlot::Vote(data.into());
+            self.hash_full();
         }
     }
 
@@ -235,20 +299,29 @@ impl Collation {
 
     fn decide_unanimous(&self) -> Decision {
         let mut first: Option<&Payload> = None;
-        let mut pending = 0usize;
+        let (mut pending, mut digested) = (0usize, false);
+        let full = self.digests.flatten();
         for s in &self.slots {
             match s {
                 VoteSlot::Pending => pending += 1,
                 VoteSlot::Dead => {}
-                VoteSlot::Vote(v) => match first {
-                    None => first = Some(v),
-                    Some(f) if f != v => return Decision::Fail(CollateError::Disagreement),
-                    Some(_) => {}
+                VoteSlot::Vote(v) => match (self.digest_of(v), first) {
+                    (Some(hash), _) => {
+                        digested = true;
+                        if full.is_some_and(|f| f != hash) {
+                            return Decision::Fail(CollateError::Disagreement);
+                        }
+                    }
+                    (None, None) => first = Some(v),
+                    (None, Some(f)) if f != v => return Decision::Fail(CollateError::Disagreement),
+                    (None, Some(_)) => {}
                 },
             }
         }
         match (pending, first) {
             (0, Some(v)) => Decision::Ready(v.clone()),
+            // Digests vouch for a return that is still to be fetched.
+            (0, None) if digested => Decision::Wait,
             (0, None) => Decision::Fail(CollateError::AllDead),
             _ => Decision::Wait,
         }
@@ -527,6 +600,68 @@ mod tests {
         c.mark_dead(0);
         c.mark_dead(1);
         assert_eq!(c.decide(), Decision::Fail(CollateError::AllDead));
+    }
+
+    /// A return message and digest votes of it, as members send them.
+    fn full_and_digest(body: &[u8]) -> (Payload, Payload) {
+        let full = wire::to_bytes(&crate::ReturnMessage::Normal(body.to_vec()));
+        let hash = crate::message::digest([&full[..]]);
+        let digest = wire::to_bytes(&crate::ReturnMessage::Digest(hash));
+        (full.into(), digest.into())
+    }
+
+    /// A unanimous collation that takes digests compares each with the
+    /// full vote, whichever comes first, and decides with the full vote.
+    #[test]
+    fn digests_are_compared_with_the_full_vote() {
+        let (full, digest) = full_and_digest(&[7; 64]);
+        let (_, other) = full_and_digest(&[8; 64]);
+        for order in [[0, 1, 2], [1, 2, 0], [2, 0, 1]] {
+            let mut c = Collation::new(CollationPolicy::Unanimous, 3);
+            c.take_digests();
+            for i in order {
+                assert_eq!(c.decide(), Decision::Wait);
+                c.add_vote(i, if i == 0 { full.clone() } else { digest.clone() });
+            }
+            assert_eq!(c.decide(), Decision::Ready(full.clone()));
+
+            let mut c = Collation::new(CollationPolicy::Unanimous, 3);
+            c.take_digests();
+            for i in order {
+                c.add_vote(i, [&full, &digest, &other][i].clone());
+            }
+            assert_eq!(c.decide(), Decision::Fail(CollateError::Disagreement));
+        }
+        // Without `take_digests` a digest is a vote like any other.
+        let mut c = Collation::new(CollationPolicy::Unanimous, 2);
+        c.add_vote(0, full.clone());
+        c.add_vote(1, digest.clone());
+        assert_eq!(c.decide(), Decision::Fail(CollateError::Disagreement));
+    }
+
+    /// With the data member dead and only digests in, the collation waits
+    /// for the fetched return, then checks it against them.
+    #[test]
+    fn digests_alone_wait_for_a_fetched_return() {
+        let (full, digest) = full_and_digest(&[7; 64]);
+        let (other, _) = full_and_digest(&[9; 64]);
+        for (fetched, verdict) in [
+            (full.clone(), Decision::Ready(full.clone())),
+            (other, Decision::Fail(CollateError::Disagreement)),
+        ] {
+            let mut c = Collation::new(CollationPolicy::Unanimous, 3);
+            c.take_digests();
+            c.add_vote(1, digest.clone());
+            assert!(!c.wants_fetch(0), "the data member may yet answer");
+            c.mark_dead(0);
+            assert!(c.wants_fetch(0) && !c.stranded());
+            c.add_vote(2, digest.clone());
+            assert!(c.stranded());
+            assert_eq!(c.decide(), Decision::Wait);
+            c.add_fetched(0, fetched);
+            assert!(!c.wants_fetch(0) && !c.stranded());
+            assert_eq!(c.decide(), verdict);
+        }
     }
 
     #[test]

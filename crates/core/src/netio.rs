@@ -155,6 +155,8 @@ pub(crate) mod mock {
         pub(crate) mcasts: Vec<(Vec<SockAddr>, Payload)>,
         pub(crate) numbers: Vec<(SockAddr, (u32, u8))>,
         pub(crate) timers: Vec<(Duration, u64)>,
+        /// Where the mocked process counts.
+        pub(crate) reg: obs::Registry,
     }
 
     /// The address every mocked process runs at.
@@ -194,6 +196,9 @@ pub(crate) mod mock {
             TimerId(self.timers.len() as u64 - 1)
         }
         fn charge(&mut self, _sys: Syscall) {}
+        fn metrics(&self) -> obs::Registry {
+            self.reg.clone()
+        }
     }
 }
 

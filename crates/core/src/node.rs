@@ -14,11 +14,12 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use crate::addr::{Troupe, TroupeId};
+use crate::addr::{ModuleAddr, Troupe, TroupeId};
 use crate::assembly::Assemblies;
 use crate::binding::binding_procs::REPORT_SUSPECT;
 use crate::binding::{self, reserved_procs};
-use crate::calls::{Call, CallPurpose, ClientCalls, Finished, Returned};
+use crate::calls::{Call, CallPurpose, ClientCalls, Fetch, Finished, Returned};
+use crate::collate::CollationPolicy;
 use crate::conn::Conns;
 use crate::counts::RpcCounts;
 use crate::directory::Directory;
@@ -315,11 +316,47 @@ impl Node {
         handle
     }
 
-    /// Applies call `handle`'s collation decision, if it has one now.
+    /// Applies call `handle`'s collation decision, if it has one now, or
+    /// fetches its return if its data member died.
     fn decide(&mut self, io: &mut dyn NetIo, handle: u64) {
-        if let Some(finished) = self.calls.decide(handle) {
-            self.finish_call(io, finished);
+        if let Some(returned) = self.calls.advance(handle) {
+            self.returned(io, returned);
         }
+    }
+
+    /// Acts on what a return, a death or a fetch led to.
+    fn returned(&mut self, io: &mut dyn NetIo, returned: Returned) {
+        match returned {
+            Returned::Finished(call) => self.finish_call(io, call),
+            Returned::Violation(handle) => {
+                let alarm = AppEvent::DeterminismViolation { handle };
+                self.events.push_back(alarm);
+            }
+            Returned::Fetch(fetch) => self.fetch(io, fetch),
+        }
+    }
+
+    /// Asks one member that sent a digest for the return the dead data
+    /// member never delivered. A call of its own, alone, to that member:
+    /// not one the directory learns a troupe from.
+    fn fetch(&mut self, io: &mut dyn NetIo, fetch: Fetch) {
+        let Fetch {
+            handle,
+            from,
+            key,
+            troupe,
+            module,
+        } = fetch;
+        let troupe = Troupe::new(troupe, vec![ModuleAddr::new(from, module)]);
+        let (args, first) = (key.encode(), CollationPolicy::FirstCome);
+        let procedure = (module, reserved_procs::FETCH_RETURN);
+        let call = Call::solo(key.thread, &troupe, procedure, &args, first);
+        let directory = &mut self.directory;
+        let admit = |addr, now| directory.admit(addr, now);
+        let (conns, config, purpose) =
+            (&mut self.conns, &self.config, CallPurpose::Fetch { handle });
+        let handle = self.calls.begin(io, conns, config, call, purpose, admit);
+        self.decide(io, handle);
     }
 
     /// Routes a finished call's result according to its purpose.
@@ -337,6 +374,11 @@ impl Node {
             }
             CallPurpose::Nested { key, .. } => self.resume_service(io, key, result),
             CallPurpose::DirLookup { troupe } => self.finish_lookup(io, troupe, result),
+            CallPurpose::Fetch { handle } => {
+                if let Some(returned) = self.calls.fetched(handle, result) {
+                    self.returned(io, returned);
+                }
+            }
             // Fire-and-forget: the binding agent confirms (or clears) the
             // suspicion on its own; a failed report just means the binder
             // was unreachable, and the next death report will retry.
@@ -445,14 +487,11 @@ impl Node {
                 call_number,
                 data,
                 ..
-            } => match (self.calls).on_return(io, (from, call_number), data) {
-                Some(Returned::Finished(call)) => self.finish_call(io, call),
-                Some(Returned::Violation(handle)) => {
-                    let alarm = AppEvent::DeterminismViolation { handle };
-                    self.events.push_back(alarm);
+            } => {
+                if let Some(returned) = (self.calls).on_return(io, (from, call_number), data) {
+                    self.returned(io, returned);
                 }
-                None => {}
-            },
+            }
             PmEvent::Message {
                 msg_type: MsgType::Call,
                 call_number: pm_cn,

@@ -158,7 +158,7 @@ proptest! {
     }
 
     /// Call messages round-trip through the wire format for arbitrary
-    /// field values.
+    /// field values, with a data member named or not.
     #[test]
     fn call_message_round_trips(
         host: u32,
@@ -170,6 +170,7 @@ proptest! {
         module: u16,
         proc: u16,
         args in proptest::collection::vec(any::<u8>(), 0..200),
+        named: Option<(u32, u16)>,
     ) {
         let msg = CallMessage {
             thread: ThreadId { origin: SockAddr::new(HostId(host), port), serial },
@@ -179,6 +180,7 @@ proptest! {
             module,
             proc,
             args,
+            data_member: named.map(|(host, port)| SockAddr::new(HostId(host), port)),
         };
         let got = wire::from_bytes::<CallMessage>(&wire::to_bytes(&msg)).unwrap();
         prop_assert_eq!(got, msg);
@@ -196,6 +198,7 @@ proptest! {
             ReturnMessage::Error(err.clone()),
             ReturnMessage::WrongTroupe(TroupeId(id)),
             ReturnMessage::NoSuchProcedure,
+            ReturnMessage::Digest(id),
         ] {
             let got = wire::from_bytes::<ReturnMessage>(&wire::to_bytes(&msg)).unwrap();
             prop_assert_eq!(got, msg);

@@ -63,7 +63,7 @@ impl Framed {
 
     /// Segments the message is cut into (an empty one still travels as
     /// one).
-    pub(crate) fn total(&self) -> usize {
+    pub fn total(&self) -> usize {
         self.bytes.len().div_ceil(HEADER_LEN + self.chunk)
     }
 
@@ -100,6 +100,15 @@ impl Framed {
     pub fn data(&self, number: u8) -> Payload {
         let range = self.datagram_range(number);
         self.bytes.slice(range.start + HEADER_LEN..range.end)
+    }
+
+    /// The message's bytes, segment by segment: borrows of the buffer,
+    /// past the rooms.
+    pub fn parts(&self) -> impl Iterator<Item = &[u8]> {
+        (1..=self.total()).map(|n| {
+            let range = self.datagram_range(n as u8);
+            &self.bytes[range.start + HEADER_LEN..range.end]
+        })
     }
 
     /// Puts `header` in the room of the segment it numbers, if it can
@@ -145,8 +154,10 @@ mod tests {
         let parts: Vec<Vec<u8>> = (1..=3).map(|n| framed.data(n).to_vec()).collect();
         assert_eq!(parts, [vec![1, 2, 3, 4], vec![5, 6, 7, 8], vec![9, 10]]);
         assert_eq!(framed.bytes.len(), 3 * HEADER_LEN + 10);
+        assert_eq!(framed.parts().collect::<Vec<_>>(), parts, "borrowed alike");
         let empty = Framed::new(4, &[]);
         assert_eq!((empty.total(), empty.len(), empty.data(1).len()), (1, 0, 0));
+        assert_eq!(empty.parts().collect::<Vec<_>>(), [&[] as &[u8]]);
         for (len, total) in [(8, 2), (9, 3), (1, 1)] {
             assert_eq!(
                 Framed::new(4, &message[..len]).total(),

@@ -16,12 +16,19 @@
 //! does run backwards, the log stays correct but may keep a record past
 //! its time, until everything queued before it has expired too.)
 //!
+//! The records themselves are kept in one queue in key order — calls by
+//! number, then returns by number — and found by binary search: call
+//! numbers rise per peer, so a record almost always lands at the back of
+//! its type's run and expires from the front of it, and the log holds no
+//! hash table and allocates nothing per record once its queues have grown
+//! to the window.
+//!
 //! Everything here is bounded by the TTL window: the records, the queue,
 //! and the exactly-once audit set, which forgets a call number as soon as
 //! the watermark covers it — arrivals that low are suppressed before they
 //! could be delivered twice, so the audit cannot fire for them anyway.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use crate::segment::MsgType;
 use simnet::{Duration, Time};
@@ -37,12 +44,46 @@ struct Completed {
     acked: bool,
 }
 
+/// The remembered messages, ascending by key.
+#[derive(Debug, Default)]
+struct Records(VecDeque<(MsgKey, Completed)>);
+
+impl Records {
+    /// Where `key`'s record is, or where it would go.
+    fn find(&self, key: MsgKey) -> Result<usize, usize> {
+        // Most lookups are for the newest record: check the back first.
+        match self.0.back() {
+            Some(&(last, _)) if last < key => Err(self.0.len()),
+            _ => self.0.binary_search_by_key(&key, |&(k, _)| k),
+        }
+    }
+
+    fn get(&self, key: MsgKey) -> Option<&Completed> {
+        self.find(key).ok().map(|i| &self.0[i].1)
+    }
+
+    fn get_mut(&mut self, key: MsgKey) -> Option<&mut Completed> {
+        self.find(key).ok().map(|i| &mut self.0[i].1)
+    }
+
+    fn insert(&mut self, key: MsgKey, record: Completed) {
+        match self.find(key) {
+            Ok(i) => self.0[i].1 = record,
+            Err(i) => self.0.insert(i, (key, record)),
+        }
+    }
+
+    fn remove(&mut self, key: MsgKey) -> Option<Completed> {
+        let i = self.find(key).ok()?;
+        self.0.remove(i).map(|(_, c)| c)
+    }
+}
+
 /// The completed-exchange memory of one [`Endpoint`](crate::Endpoint).
 #[derive(Debug, Default)]
 pub struct ReplayLog {
-    /// Looked up by key only, so the hasher's per-process seed cannot leak
-    /// into behaviour; `keys` sorts what it collects: otherwise never walked.
-    records: HashMap<MsgKey, Completed>,
+    /// In key order (module docs).
+    records: Records,
     /// `(key, completion time)` in completion order. An entry whose time
     /// no longer matches its record (the key was recorded again) is stale
     /// and skipped.
@@ -74,8 +115,8 @@ impl ReplayLog {
                 break;
             }
             self.order.pop_front();
-            if self.records.get(&key).is_some_and(|c| c.at == at) {
-                self.records.remove(&key);
+            if self.records.get(key).is_some_and(|c| c.at == at) {
+                self.records.remove(key);
                 if let (MsgType::Call, cn) = key {
                     self.watermark = Some(self.watermark.map_or(cn, |wm| wm.max(cn)));
                     expired_call(cn);
@@ -105,7 +146,7 @@ impl ReplayLog {
     /// Notes that the remembered message `key` was acknowledged in full,
     /// explicitly.
     pub fn note_acked(&mut self, key: MsgKey) {
-        if let Some(c) = self.records.get_mut(&key) {
+        if let Some(c) = self.records.get_mut(key) {
             c.acked = true;
         }
     }
@@ -113,13 +154,13 @@ impl ReplayLog {
     /// Whether the remembered message `key` was acknowledged explicitly;
     /// `None` if it is not remembered.
     pub fn acked(&self, key: MsgKey) -> Option<bool> {
-        self.records.get(&key).map(|c| c.acked)
+        self.records.get(key).map(|c| c.acked)
     }
 
     /// The segment count of the remembered message `key`, if it is still
     /// remembered.
     pub fn total_of(&self, key: MsgKey) -> Option<u8> {
-        self.records.get(&key).map(|c| c.total)
+        self.records.get(key).map(|c| c.total)
     }
 
     /// `true` if a call numbered `call_number` is a replay of an exchange
@@ -141,19 +182,17 @@ impl ReplayLog {
 
     /// The remembered keys, sorted.
     pub fn keys(&self) -> Vec<MsgKey> {
-        let mut keys: Vec<MsgKey> = self.records.keys().copied().collect();
-        keys.sort_unstable();
-        keys
+        self.records.0.iter().map(|&(key, _)| key).collect()
     }
 
     /// Number of remembered messages.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.records.0.len()
     }
 
     /// `true` if nothing is remembered.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len() == 0
     }
 
     #[cfg(test)]
@@ -170,7 +209,7 @@ impl ReplayLog {
     /// test injects to reach the exactly-once audit.
     #[cfg(test)]
     pub(crate) fn forget_record(&mut self, key: MsgKey) -> bool {
-        self.records.remove(&key).is_some()
+        self.records.remove(key).is_some()
     }
 }
 
@@ -235,6 +274,36 @@ mod tests {
         assert_eq!(log.total_of((MsgType::Return, 1)), Some(2));
         purge(&mut log, at(90_000));
         assert!(log.is_empty());
+    }
+
+    /// Records completed out of call-number order are found, replaced
+    /// and expired as a map would have them, and `keys` comes back sorted.
+    #[test]
+    fn out_of_order_records_behave_as_a_map() {
+        let mut log = ReplayLog::new();
+        for (i, cn) in [5u32, 2, 9, 7, 2, 1].into_iter().enumerate() {
+            log.record((MsgType::Return, cn), i as u8, at(i as u64));
+        }
+        log.record((MsgType::Call, 3), 1, at(10));
+        let keys = |cns: &[u32]| {
+            let returns = cns.iter().map(|&cn| (MsgType::Return, cn));
+            [(MsgType::Call, 3)]
+                .into_iter()
+                .chain(returns)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(log.keys(), keys(&[1, 2, 5, 7, 9]));
+        assert_eq!(
+            log.total_of((MsgType::Return, 2)),
+            Some(4),
+            "the newer record"
+        );
+        assert_eq!(log.total_of((MsgType::Return, 3)), None);
+        // The first record of 2 is stale in the queue; its newer one lives.
+        assert!(purge(&mut log, at(60_003)).is_empty(), "returns only");
+        assert_eq!(log.keys(), keys(&[1, 2]));
+        purge(&mut log, at(60_010));
+        assert!(log.is_empty() && log.watermark() == Some(3));
     }
 
     #[test]

@@ -30,6 +30,13 @@ impl Writer {
         self.buf
     }
 
+    /// Makes room for exactly `additional` more bytes: a value that knows
+    /// its length grows the buffer once, to that length, and so never
+    /// doubles it for the last few bytes written after a large block.
+    pub fn reserve_exact(&mut self, additional: usize) {
+        self.buf.reserve_exact(additional);
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()

@@ -39,7 +39,7 @@ phase() {
   echo "==> $1"
 }
 
-phase "cargo fmt --check (and the shape of the source: audited hash maps, no per-thread hash map in the call runtime, no crates/*/src/*.rs file over 900 lines (every crate), one multicast blast, one window of events (no span window beside the trace ring), one framing site, one client side per synchronization scheme, one encoding site (a Courier type's wire form is its wire declaration, or the line above its impl says not a declaration:), one way to die (a PeerDead is pushed only in Endpoint::declare_dead), call numbers only rise (set_call_number, the test hook that can rewind one, has no caller under crates/*/src), one way to count (no publish_metrics impl, refresh_metrics() call or set_gauge outside obs and simnet's hooks), no cargo feature, no ledger that grows with the run, no spawn loop or echo service beside the testbed's, EXPERIMENTS.md within 50,000 bytes, DESIGN.md within 80,000, a CHANGES.md entry within 1,536)"
+phase "cargo fmt --check (and the shape of the source: audited hash maps, no per-thread hash map in the call runtime, no crates/*/src/*.rs file over 900 lines (every crate), one multicast blast, one window of events (no span window beside the trace ring), one framing site, one digest site (a return is hashed only by message::digest in core/src/message.rs), one client side per synchronization scheme, one encoding site (a Courier type's wire form is its wire declaration, or the line above its impl says not a declaration:), one way to die (a PeerDead is pushed only in Endpoint::declare_dead), call numbers only rise (set_call_number, the test hook that can rewind one, has no caller under crates/*/src), one way to count (no publish_metrics impl, refresh_metrics() call or set_gauge outside obs and simnet's hooks), no cargo feature, no ledger that grows with the run, no spawn loop or echo service beside the testbed's, EXPERIMENTS.md within 50,000 bytes, DESIGN.md within 80,000, a CHANGES.md entry within 1,536)"
 cargo fmt --all --check
 # A HashMap/HashSet field iterates in a per-process order: each one in the
 # protocol crates says, on the line above it, why that is never observed.
@@ -76,6 +76,20 @@ if grep -rn --include='*.rs' -e '\.stamp(' -e 'Framed::new(' crates/*/src src |
   grep -v -e '^crates/pairedmsg/src/frame\.rs:' -e '^crates/simnet/src/payload\.rs:' \
     -e '^crates/pairedmsg/src/config\.rs:.*Framed::new('; then
   echo "a payload framed or stamped outside pairedmsg's frame.rs (named above): frame the message with Config::frame" >&2
+  exit 1
+fi
+# A return is hashed in one place, `digest` in core/src/message.rs: the
+# member that sends a digest and the client that checks it must hash
+# alike, and a second hash of a return is one the other side cannot
+# match. No other function of the call runtime computes a digest, and no
+# other file of it hashes at all but for two hashes of no return: a
+# connection's jitter seed (conn.rs) and an id set's fold (idset.rs).
+if grep -rnE --include='*.rs' 'fn [a-z_]*digest[a-z_]*(<[^>]*>)?\([^)]*\) -> u64' crates/core/src |
+  grep -v '^crates/core/src/message\.rs:' ||
+  grep -rnE --include='*.rs' 'fnv1a|Hasher|hash_one|wrapping_mul|rotate_left' crates/core/src |
+  grep -vE -e '^crates/core/src/message\.rs:' -e '^crates/core/src/conn\.rs:.*(let h = obs::fnv1a|jitter_seed \^= obs::fnv1a_fold)' \
+    -e '^crates/core/src/idset\.rs:.*fnv1a_fold'; then
+  echo "a return hashed outside core/src/message.rs (named above): hash it with message::digest" >&2
   exit 1
 fi
 # A peer dies one way, `Endpoint::declare_dead`, whatever the evidence: a

@@ -7,7 +7,9 @@
 //! `sendmsg`s, as the paper measured. From two segments up it is sent
 //! once, by troupe-wide multicast: k `sendmsg`s instead of n·k, "m+n
 //! messages". `multicast_small_calls` extends that to single segments.
-//! Each server member returns to its one caller on its own; the return of
+//! Each server member returns to its one caller on its own — in full from
+//! the data member a unanimous blast names, as a one-segment digest from
+//! the others once the return spans two or more segments; the return of
 //! a many-to-one call — a troupe calling back, as in the commit round —
 //! goes to the calling members once, by multicast. Reliability is per
 //! member either way: acknowledgment, retransmission toward a straggler
@@ -227,9 +229,10 @@ fn multisegment_call_multicasts_once_per_segment() {
 }
 
 /// The floor on the paper's cost model (Table 4.2 charges per datagram):
-/// an 8 KiB echo at n = 3 is 3 members × (6 call + 6 return) full
-/// Ethernet frames and not one datagram more, and the 6 call frames cost
-/// the client one `sendmsg` each, not one per member.
+/// an 8 KiB echo at n = 3 is 3 members × 6 call frames, the data member's
+/// 6 return frames and a digest from each other member, and not one
+/// datagram more, and the 6 call frames cost the client one `sendmsg`
+/// each, not one per member.
 #[test]
 fn bulk_echo_sends_exactly_the_frames_the_ethernet_needs() {
     const CALLS: u64 = 5;
@@ -240,10 +243,11 @@ fn bulk_echo_sends_exactly_the_frames_the_ethernet_needs() {
     let per_message = 8192usize.div_ceil(grain) as u64;
     assert_eq!(tap.totals, [per_message as u8; 2]);
     assert_eq!(per_message, 6);
-    assert_eq!(sendmsgs, CALLS * (6 + 3 * 6), "24 per call");
+    // One full return; a one-segment digest from each other member.
+    assert_eq!(sendmsgs, CALLS * (6 + 6 + 2), "14 per call");
     assert_eq!(w.net_stats().multicasts, CALLS * 6);
-    assert_eq!(w.net_stats().sent, CALLS * 3 * (6 + 6), "36 per call");
-    assert_eq!(tap.data, CALLS * 36, "every datagram a first transmission");
+    assert_eq!(w.net_stats().sent, CALLS * (3 * 6 + 6 + 2), "26 per call");
+    assert_eq!(tap.data, CALLS * 26, "every datagram a first transmission");
     assert_eq!(tap.overhead, 0, "no ack, retransmission or probe");
     assert_eq!(w.net_stats().oversize, 0);
     assert_eq!(tap.largest, mtu, "a full segment is exactly one frame");
@@ -254,10 +258,11 @@ fn call_header_counts_toward_the_segment() {
     let grain = pairedmsg::Config::default().max_segment_data;
     // A segment's worth of arguments no longer fits one segment once the
     // call header is in front of it; the echo's return spills too. Two
-    // segments are enough to share: 2 for the call, 3 × 2 coming back.
+    // segments are enough to share: 2 for the call, 2 coming back from
+    // the data member and a digest from each other member.
     let (sendmsgs, tap, _) = closed_loop(2, grain);
     assert_eq!(tap.totals, [2, 2]);
-    assert_eq!(sendmsgs, 2 * (2 + 3 * 2));
+    assert_eq!(sendmsgs, 2 * (2 + 2 + 2));
     // The paper's own tables use calls like this one: a single segment.
     let (sendmsgs, tap, _) = closed_loop(2, 64);
     assert_eq!(tap.totals, [1, 1]);
@@ -266,7 +271,9 @@ fn call_header_counts_toward_the_segment() {
 }
 
 /// `sendmsg`s per n = 3 echo call of k segments each way: 2n at k = 1,
-/// k + n·k from there up, and nothing but first transmissions at any
+/// k + k + (n − 1) from there up (the call once, the data member's
+/// return, a digest from each other member), and nothing but first
+/// transmissions at any
 /// size — at 9 segments per-member transmission took 381 ms a call, past
 /// the 300 ms interval, and re-sent a *please ack* every other call.
 #[test]
@@ -279,10 +286,14 @@ fn sendmsgs_per_call_follow_the_segment_count() {
         // return headers fit the slack.
         let (sendmsgs, tap, w) = closed_loop(CALLS, (k as usize - 1) * grain + grain / 2);
         assert_eq!(tap.totals, [k as u8; 2]);
-        let (call, mcasts) = if k == 1 { (N, 0) } else { (k, k) };
-        assert_eq!(sendmsgs, CALLS * (call + N * k), "sendmsgs at k = {k}");
+        let (call, mcasts, back) = if k == 1 { (N, 0, N) } else { (k, k, k + N - 1) };
+        assert_eq!(sendmsgs, CALLS * (call + back), "sendmsgs at k = {k}");
         assert_eq!(w.net_stats().multicasts, CALLS * mcasts, "k = {k}");
-        assert_eq!(w.net_stats().sent, CALLS * 2 * N * k, "datagrams, k = {k}");
+        assert_eq!(
+            w.net_stats().sent,
+            CALLS * (N * k + back),
+            "datagrams, k = {k}"
+        );
         assert_eq!(tap.overhead, 0, "ack, retransmission or probe at k = {k}");
     }
 }
