@@ -207,7 +207,7 @@ pub fn stale_call_segment(attacker: SockAddr) -> impl Strategy<Value = Hostile> 
                 module: 1 + (proc % 2), // the scenario's store/commit modules
                 proc,
                 args,
-                data_member: None,
+                members: vec![],
             };
             let b = Segment::data(MsgType::Call, 1, 0, 1, 1, true, wire::to_bytes(&msg))
                 .encode()

@@ -42,7 +42,7 @@ fn stale_incarnation_call_is_rejected_without_suspicion() {
         module: MEMBER_MODULE,
         proc: 0,
         args: vec![0xde, 0xad],
-        data_member: None,
+        members: vec![],
     };
     let seg = Segment::data(MsgType::Call, 1, 0, 1, 1, true, wire::to_bytes(&msg)).encode();
     q.world.inject_datagram(attacker, member, seg);

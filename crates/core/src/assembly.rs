@@ -2,8 +2,8 @@
 //! one replicated call by `(client troupe, thread, call sequence)`,
 //! collate the argument sets, let the procedure execute exactly once,
 //! and keep its return for the client members still to call (§4.3.4) —
-//! and, where a member sent only its digest, for a client that must fetch
-//! it because the data member died.
+//! and, where it was sent in parts, for a client that must fetch it whole
+//! because a part's owner died.
 //!
 //! Invariants kept here: `pending`, `by_serial` and (once executing)
 //! `by_invocation` are one index — opened by [`Assemblies::join`] and
@@ -17,7 +17,7 @@ use std::rc::Rc;
 use crate::census;
 use crate::collate::{CollateError, Collation, Decision, Slots};
 use crate::counts::RpcCounts;
-use crate::message::{digest, Arrival, CallKey, CallMessage};
+use crate::message::{encode, parts, Arrival, CallKey, CallMessage, Cut, ReturnMessage};
 use crate::netio::NetIo;
 use obs::SpanId;
 use pairedmsg::Framed;
@@ -59,16 +59,8 @@ impl Members {
 struct Responder {
     /// The paired-message call number to reply on.
     cn: u32,
-    /// The copy named another server member as the data member: a return
-    /// of two or more segments goes back to it as a digest.
-    digest: bool,
-}
-
-/// What a group of client members is sent: the return, or its digest.
-#[derive(Debug)]
-pub(crate) enum Answer {
-    Full(Framed),
-    Digest(u64),
+    /// The part of a return of two or more segments the copy asked for.
+    cut: Option<Cut>,
 }
 
 struct Pending {
@@ -77,7 +69,6 @@ struct Pending {
     proc: u16,
     client_members: Members,
     /// Per member, once its call message has arrived: how to answer it.
-    /// Where the call named a data member, this is the designation.
     responders: Slots<Option<Responder>>,
     args: Collation,
     state: PendState,
@@ -99,19 +90,42 @@ struct Pending {
 const DONE_TTL: Duration = Duration::from_secs(60);
 
 struct DoneCall {
-    /// Encoded `ReturnMessage`, buffered for client members whose call
-    /// messages arrive after execution ("execution of the procedure thus
-    /// appears instantaneous to the slow client troupe members", §4.3.4),
-    /// or for a client that fetches it in the data member's place.
+    /// The answer framed for client members whose call messages arrive
+    /// after execution ("execution of the procedure thus appears
+    /// instantaneous to the slow client troupe members", §4.3.4): the
+    /// answer to a copy of the call that asked for `cut`.
     reply: Framed,
+    cut: Option<Cut>,
     at: Time,
     /// Invoke span the buffered reply is attributed to.
     span: u64,
-    /// The reply's digest, once a member has been sent it.
+}
+
+/// A return sent in parts, kept unframed with its digest: for a client
+/// that fetches it whole because a part's owner died, and to cut another
+/// part for a slow member whose copy named another list. Kept until the
+/// calling thread's next call here, or [`DONE_TTL`].
+struct Kept {
+    reply: ReturnMessage,
+    digest: u64,
+    at: Time,
+}
+
+/// The answer to a copy of a call that asked for `cut`: that part of
+/// `reply`, whose digest is `digest`, framed under `pm`, where the return
+/// is cut for it; else the return whole.
+fn answer(
+    pm: &pairedmsg::Config,
+    reply: &ReturnMessage,
     digest: Option<u64>,
-    /// Every client member was answered: the reply is kept only for a
-    /// fetch, and the thread's next call here forgets it.
-    answered: bool,
+    cut: Option<Cut>,
+) -> Framed {
+    let len = reply.encoded_len();
+    let layout = |c: Cut| parts(len, c.of.into(), pm.max_segment_data);
+    match cut.zip(digest).and_then(|(c, d)| Some((c, d, layout(c)?))) {
+        Some((c, d, l)) => encode(pm, &reply.part(d, l.range(c.index.into()))),
+        None => encode(pm, reply),
+    }
 }
 
 /// The sender of a call message is not a member of the troupe it claims
@@ -142,6 +156,8 @@ pub(crate) struct Assemblies {
     /// Point lookups, and `purge_done`'s `retain` — whose predicate has no
     /// side effect, so its order cannot be observed: otherwise never walked.
     done: HashMap<CallKey, DoneCall>,
+    /// As `done`: point lookups and a `retain`, otherwise never walked.
+    kept: HashMap<CallKey, Kept>,
     /// Where invocations and split calls ([`Assemblies::time_out`]) are
     /// counted; the split calls from the first assembly of two or more
     /// members on, the only kind that can split.
@@ -152,7 +168,7 @@ impl Assemblies {
     /// The engine's part of [`Node::census`](crate::Node::census).
     pub(crate) fn census(&self, out: &mut Vec<(&'static str, usize)>) {
         out.push((census::OPEN_ASSEMBLIES, self.pending.len()));
-        out.push((census::BUFFERED_RETURNS, self.done.len()));
+        out.push((census::BUFFERED_RETURNS, self.done.len() + self.kept.len()));
     }
 
     /// One line per open assembly, each followed by one per member it
@@ -180,25 +196,30 @@ impl Assemblies {
     /// Forgets buffered returns older than [`DONE_TTL`].
     pub(crate) fn purge_done(&mut self, now: Time) {
         self.done.retain(|_, d| now.since(d.at) < DONE_TTL);
+        self.kept.retain(|_, k| now.since(k.at) < DONE_TTL);
     }
 
     /// The return of an already-answered call, ready and waiting for a
-    /// slow member (§4.3.4) — its digest if the member's copy of the call
-    /// asked for one and the return spans two or more segments — with the
-    /// span it is attributed to.
-    pub(crate) fn buffered(&mut self, key: &CallKey, wants_digest: bool) -> Option<(Answer, u64)> {
-        let d = self.done.get_mut(key)?;
-        if wants_digest && d.reply.total() > 1 {
-            let hash = *d.digest.get_or_insert_with(|| digest(d.reply.parts()));
-            return Some((Answer::Digest(hash), d.span));
-        }
-        Some((Answer::Full(d.reply.clone()), d.span))
+    /// slow member (§4.3.4) — the part `cut` its copy of the call asked
+    /// for, if the return was cut — with the span it is attributed to.
+    pub(crate) fn buffered(
+        &self,
+        key: &CallKey,
+        cut: Option<Cut>,
+        pm: &pairedmsg::Config,
+    ) -> Option<(Framed, u64)> {
+        let d = self.done.get(key)?;
+        let reply = match self.kept.get(key) {
+            Some(k) if d.cut != cut => answer(pm, &k.reply, Some(k.digest), cut),
+            _ => d.reply.clone(),
+        };
+        Some((reply, d.span))
     }
 
-    /// The return `fetch_return` asks for: answered from what is buffered
-    /// and nothing else.
-    pub(crate) fn fetch(&self, key: &CallKey) -> Option<&Framed> {
-        self.done.get(key).map(|d| &d.reply)
+    /// The return `fetch_return` asks for: answered from what is kept and
+    /// nothing else.
+    pub(crate) fn fetch(&self, key: &CallKey) -> Option<&ReturnMessage> {
+        self.kept.get(key).map(|k| &k.reply)
     }
 
     pub(crate) fn is_open(&self, key: &CallKey) -> bool {
@@ -215,8 +236,8 @@ impl Assemblies {
     pub(crate) fn join(
         &mut self,
         at: &Arrival,
-        msg: CallMessage<Payload>,
-        digest: bool,
+        msg: CallMessage<Payload, Payload>,
+        cut: Option<Cut>,
         members: Members,
         fresh: impl FnOnce(&[SockAddr]) -> (Collation, Time),
     ) -> Result<Option<u64>, Outsider> {
@@ -236,8 +257,8 @@ impl Assemblies {
                     call_seq: key.call_seq.wrapping_sub(1),
                     ..key
                 };
-                if self.done.get(&previous).is_some_and(|d| d.answered) {
-                    self.done.remove(&previous);
+                if !self.done.contains_key(&previous) {
+                    self.kept.remove(&previous);
                 }
                 let n = members.as_slice().len();
                 let (args, deadline) = fresh(members.as_slice());
@@ -264,10 +285,7 @@ impl Assemblies {
                 (p, i, (n > 1).then_some(serial))
             }
         };
-        p.responders[i] = Some(Responder {
-            cn: at.pm_cn,
-            digest,
-        });
+        p.responders[i] = Some(Responder { cn: at.pm_cn, cut });
         p.args.add_vote(i, msg.args);
         Ok(stall)
     }
@@ -342,24 +360,27 @@ impl Assemblies {
     }
 
     /// Closes the assembly for `key`, out of every index at once:
-    /// `send`s `reply` to every client member heard from, under the invoke
-    /// span, and keeps it for the rest (§4.3.4). A member whose copy named
-    /// another server member as the data member is sent the reply's
-    /// digest instead, if the reply spans two or more segments, and the
-    /// reply is kept for its fetch. The members heard from are grouped by
-    /// the call number each called on and what each is sent, one `send`
-    /// per group, so a group of two or more can share one multicast
-    /// (§4.3.3). In the fault-free case every member called on the same
-    /// number and the group is the whole troupe, which is sent as it
-    /// stands. Each `send` is handed the reply itself, the only handle at
-    /// first, so the first group's datagrams are windows of its buffer; it
-    /// leaves a handle for the next group and for keeping.
+    /// `send`s `reply`, framed under `pm`, to every client member heard
+    /// from, under the invoke span, and keeps it for the rest (§4.3.4). A
+    /// member whose copy named the server members is sent the part its
+    /// position there names, if the reply spans two or more segments; the
+    /// reply is then kept unframed for a fetch, and never framed whole
+    /// unless some copy named no members. The members heard from are
+    /// grouped by the part each is sent and the call number each called
+    /// on, one `send` per group, so a group of two or more can share one
+    /// multicast (§4.3.3). In the fault-free case every member called on
+    /// the same number and asked for the same part, and the group is the
+    /// whole troupe, which is sent as it stands. Each `send` is handed the
+    /// answer itself, the only handle at first, so the first group's
+    /// datagrams are windows of its buffer; it leaves a handle for the
+    /// next group and for keeping.
     pub(crate) fn close(
         &mut self,
         key: &CallKey,
-        reply: Framed,
+        reply: ReturnMessage,
+        pm: &pairedmsg::Config,
         now: Time,
-        mut send: impl FnMut(&[SockAddr], u32, u64, &mut Answer),
+        mut send: impl FnMut(&[SockAddr], u32, u64, &mut Framed),
     ) {
         let Some(p) = self.pending.remove(key) else {
             return;
@@ -368,39 +389,55 @@ impl Assemblies {
         self.by_invocation.remove(&p.invocation);
         let span = p.invoke_span.raw();
         let members = p.client_members.as_slice();
-        let digested = reply.total() > 1 && p.responders.iter().flatten().any(|r| r.digest);
-        let hash = digested.then(|| digest(reply.parts()));
-        let (mut full, mut short) = (Answer::Full(reply), hash.map(Answer::Digest));
-        match p.responders.split_first() {
+        // Hashed only if some copy is sent a part.
+        let len = reply.encoded_len();
+        let cut = |c: Cut| parts(len, c.of.into(), pm.max_segment_data).is_some();
+        let mut heard = p.responders.iter().flatten();
+        let digest = heard
+            .any(|r| r.cut.is_some_and(cut))
+            .then(|| reply.digest());
+        let (cut, framed) = match p.responders.split_first() {
             Some((&Some(first), rest)) if rest.iter().all(|&r| r == Some(first)) => {
-                let to = if first.digest { short.as_mut() } else { None };
-                send(members, first.cn, span, to.unwrap_or(&mut full));
+                let mut framed = answer(pm, &reply, digest, first.cut);
+                send(members, first.cn, span, &mut framed);
+                (first.cut, framed)
             }
             _ => {
                 let heard = members.iter().zip(&p.responders);
-                let mut heard: Vec<(u32, bool, SockAddr)> = heard
-                    .filter_map(|(&to, r)| Some(((*r)?.cn, (*r)?.digest && digested, to)))
+                let mut heard: Vec<(Option<Cut>, u32, SockAddr)> = heard
+                    .filter_map(|(&to, r)| Some(((*r)?.cut, (*r)?.cn, to)))
                     .collect();
                 // Stable: each group keeps the troupe's order.
-                heard.sort_by_key(|&(cn, digest, _)| (cn, digest));
+                heard.sort_by_key(|&(cut, cn, _)| (cut, cn));
+                // The last answer framed, with the part it is.
+                let mut framed: Option<(Option<Cut>, Framed)> = None;
                 for group in heard.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+                    let (cut, cn) = (group[0].0, group[0].1);
+                    if framed.as_ref().is_none_or(|f| f.0 != cut) {
+                        framed = Some((cut, answer(pm, &reply, digest, cut)));
+                    }
                     let tos: Vec<SockAddr> = group.iter().map(|&(.., to)| to).collect();
-                    let to = if group[0].1 { short.as_mut() } else { None };
-                    send(&tos, group[0].0, span, to.unwrap_or(&mut full));
+                    let (_, answer) = framed.as_mut().expect("framed above");
+                    send(&tos, cn, span, answer);
                 }
+                framed.expect("a member's message opened the assembly")
             }
+        };
+        if p.responders.contains(&None) {
+            let (reply, at) = (framed, now);
+            self.done.insert(
+                *key,
+                DoneCall {
+                    reply,
+                    cut,
+                    at,
+                    span,
+                },
+            );
         }
-        let answered = !p.responders.contains(&None);
-        if let (Answer::Full(reply), false) = (full, answered && hash.is_none()) {
-            let (at, digest) = (now, hash);
-            let done = DoneCall {
-                reply,
-                at,
-                span,
-                digest,
-                answered,
-            };
-            self.done.insert(*key, done);
+        if let Some(digest) = digest {
+            let at = now;
+            self.kept.insert(*key, Kept { reply, digest, at });
         }
     }
 
@@ -509,8 +546,12 @@ mod tests {
         SockAddr::new(HostId(h), 50)
     }
 
+    fn pm() -> pairedmsg::Config {
+        pairedmsg::Config::default()
+    }
+
     /// The copy of troupe 7's call number `seq` that `from` sends.
-    fn message(from: SockAddr, seq: u32) -> (Arrival, CallMessage<Payload>) {
+    fn message(from: SockAddr, seq: u32) -> (Arrival, CallMessage<Payload, Payload>) {
         let (origin, pm_cn) = (host(9), seq);
         let at = Arrival {
             from,
@@ -525,7 +566,7 @@ mod tests {
             module: 1,
             proc: 0,
             args: Payload::copy_from(b"same"),
-            data_member: None,
+            members: Payload::default(),
         };
         (at, msg)
     }
@@ -564,15 +605,21 @@ mod tests {
                     (args, Time::ZERO)
                 };
                 assert!(a
-                    .join(&at, msg, false, Members::Troupe(troupe.clone()), fresh)
+                    .join(&at, msg, None, Members::Troupe(troupe.clone()), fresh)
                     .is_ok());
             }
             let key = key.expect("a call message");
             let mut sends = Vec::new();
-            a.close(&key, Framed::default(), Time::ZERO, |tos, cn, _, _| {
-                sends.push((tos.to_vec(), cn));
-            });
-            (sends, a.buffered(&key, false).is_some())
+            a.close(
+                &key,
+                ReturnMessage::NoSuchProcedure,
+                &pm(),
+                Time::ZERO,
+                |tos, cn, _, _| {
+                    sends.push((tos.to_vec(), cn));
+                },
+            );
+            (sends, a.buffered(&key, None, &pm()).is_some())
         };
         let whole = (vec![(troupe.to_vec(), 4)], false);
         assert_eq!(closed(&[(1, 4), (2, 4), (3, 4)]), whole);
@@ -580,6 +627,77 @@ mod tests {
         assert_eq!(closed(&[(2, 7), (1, 4)]), (split, true));
         let pair = vec![(vec![host(2), host(3)], 4), (vec![host(1)], 9)];
         assert_eq!(closed(&[(3, 4), (1, 9), (2, 4)]), (pair, false));
+    }
+
+    /// Copies that name the server members are each sent the part this
+    /// member's position names, framed once for all of them; the return
+    /// is kept unframed for a fetch and to cut a slow member's part, and
+    /// is forgotten at the thread's next call. A copy that names no
+    /// members, or a return of one segment, is answered whole.
+    #[test]
+    fn a_return_of_two_segments_or_more_is_sent_in_parts() {
+        let troupe: Rc<[SockAddr]> = (1..=3).map(host).collect();
+        let big = ReturnMessage::Normal(vec![3; 5000]);
+        let layout = parts(big.encoded_len(), 3, pm().max_segment_data).expect("cut");
+        let part = |index: u16| wire::to_bytes(&big.part(big.digest(), layout.range(index.into())));
+        let bytes = |framed: &Framed| framed.parts().flatten().copied().collect::<Vec<u8>>();
+        let cut = |index| Some(Cut { index, of: 3 });
+        let mut a = Assemblies::default();
+        // Call `seq` from the members at `hosts`, each asking for part 1,
+        // closed with `reply`: what is sent, to whom.
+        let call = |a: &mut Assemblies, seq, hosts: &[u32], reply: &ReturnMessage| {
+            for &h in hosts {
+                let (at, msg) = message(host(h), seq);
+                let fresh = |m: &[SockAddr]| {
+                    (
+                        Collation::new(CollationPolicy::Unanimous, m.len()),
+                        Time::ZERO,
+                    )
+                };
+                let joined = a.join(&at, msg, cut(1), Members::Troupe(troupe.clone()), fresh);
+                assert!(joined.is_ok());
+            }
+            let key = message(host(1), seq).1.key();
+            let mut sent = Vec::new();
+            a.close(
+                &key,
+                reply.clone(),
+                &pm(),
+                Time::ZERO,
+                |tos, _, _, framed| {
+                    sent.push((tos.to_vec(), bytes(framed)));
+                },
+            );
+            (key, sent)
+        };
+        // Member 3 is slow.
+        let (key, sent) = call(&mut a, 1, &[1, 2], &big);
+        assert_eq!(sent, [(vec![host(1), host(2)], part(1))]);
+        let answer = |a: &Assemblies, cut| bytes(&a.buffered(&key, cut, &pm()).expect("kept").0);
+        assert_eq!(answer(&a, cut(1)), part(1));
+        assert_eq!(
+            answer(&a, cut(2)),
+            part(2),
+            "cut again from the kept return"
+        );
+        assert_eq!(
+            answer(&a, None),
+            wire::to_bytes(&big),
+            "whole, to a copy naming none"
+        );
+        assert_eq!(a.fetch(&key), Some(&big));
+        // Every member answered, the thread's next call forgets the return;
+        // one still to call keeps it.
+        let (next, _) = call(&mut a, 2, &[1, 2, 3], &big);
+        assert_eq!((a.fetch(&key), a.fetch(&next)), (Some(&big), Some(&big)));
+        call(&mut a, 3, &[1, 2, 3], &big);
+        assert!(a.fetch(&next).is_none());
+        assert!(a.fetch(&key).is_some(), "member 3 has yet to call");
+        // A return of one segment is sent whole, and not kept.
+        let small = ReturnMessage::Normal(vec![3; 50]);
+        let (key, sent) = call(&mut a, 4, &[1, 2, 3], &small);
+        assert_eq!(sent, [(troupe.to_vec(), wire::to_bytes(&small))]);
+        assert!(a.fetch(&key).is_none());
     }
 
     /// A member heard on the assembly's `(client troupe, thread)` under
@@ -600,7 +718,7 @@ mod tests {
             let (at, msg) = message(host(h), seq);
             let fresh =
                 |m: &[SockAddr]| (Collation::new(CollationPolicy::Unanimous, m.len()), late);
-            let joined = a.join(&at, msg, false, Members::Troupe(troupe.clone()), fresh);
+            let joined = a.join(&at, msg, None, Members::Troupe(troupe.clone()), fresh);
             serials.extend(joined.expect("a member"));
         }
         let mut stuck = Vec::new();
@@ -614,7 +732,13 @@ mod tests {
         let (key_one, key_two) = (message(host(1), 1).1.key(), message(host(3), 2).1.key());
         assert_eq!(a.time_out(one, late), Some((key_one, true)));
         assert_eq!(a.counts.split_calls.get(), Some(1), "member 3, heard as 2");
-        a.close(&key_one, Framed::default(), late, |_, _, _, _| {});
+        a.close(
+            &key_one,
+            ReturnMessage::NoSuchProcedure,
+            &pm(),
+            late,
+            |_, _, _, _| {},
+        );
         assert_eq!(a.time_out(two, late), Some((key_two, true)));
         assert_eq!(
             a.counts.split_calls.get(),
@@ -641,7 +765,7 @@ mod tests {
             let mut execute = |a: &mut Assemblies, key: CallKey, suspend: bool| match a.execute(&mut io, key) {
                 Some(Ok(_)) if suspend => a.set_state(&key, PendState::Suspended),
                 Some(Ok(_)) => a.set_state(&key, PendState::AwaitingNested),
-                Some(Err(_)) => a.close(&key, Framed::default(), late, |_, _, _, _| {}),
+                Some(Err(_)) => a.close(&key, ReturnMessage::NoSuchProcedure, &pm(), late, |_, _, _, _| {}),
                 None => {}
             };
             for (op, arg) in ops {
@@ -649,10 +773,10 @@ mod tests {
                 let (at, msg) = message(peer, 1 + u32::from(arg) % 3);
                 let key = msg.key();
                 match op {
-                    0 | 1 if a.buffered(&key, false).is_none() => {
+                    0 | 1 if a.buffered(&key, None, &pm()).is_none() => {
                         let was_open = a.is_open(&key);
                         let fresh = |m: &[SockAddr]| (Collation::new(CollationPolicy::Unanimous, m.len()), late);
-                        let joined = a.join(&at, msg, false, Members::Troupe(troupe.clone()), fresh);
+                        let joined = a.join(&at, msg, None, Members::Troupe(troupe.clone()), fresh);
                         prop_assert_eq!(joined.is_ok(), troupe.contains(&peer));
                         prop_assert_eq!(a.is_open(&key), was_open || joined.is_ok());
                         execute(&mut a, key, flag);
@@ -666,16 +790,16 @@ mod tests {
                     4 if a.suspended(a.pending.get(&key).map_or(0, |p| p.invocation)).is_some() => {
                         let unheard = a.pending[&key].responders.contains(&None);
                         let mut sent = 0;
-                        a.close(&key, Framed::default(), late, |tos, _, _, _| sent += tos.len());
+                        a.close(&key, ReturnMessage::NoSuchProcedure, &pm(), late, |tos, _, _, _| sent += tos.len());
                         prop_assert_eq!(sent < 3, unheard);
-                        prop_assert_eq!(a.buffered(&key, false).is_some(), unheard);
+                        prop_assert_eq!(a.buffered(&key, None, &pm()).is_some(), unheard);
                     }
                     _ => {}
                 }
                 check(&a);
             }
             for key in a.keys() {
-                a.close(&key, Framed::default(), late, |_, _, _, _| {});
+                a.close(&key, ReturnMessage::NoSuchProcedure, &pm(), late, |_, _, _, _| {});
             }
             prop_assert!(a.pending.is_empty());
             prop_assert!(a.by_serial.is_empty() && a.by_invocation.is_empty());

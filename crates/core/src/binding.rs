@@ -83,8 +83,8 @@ pub mod reserved_procs {
     /// [`Service::recovery_token`](crate::service::Service::recovery_token).
     pub const GET_STATE_SINCE: u16 = 0xFF05;
     /// `fetch_return(call key) -> return message`: the return of a call
-    /// this member answered with a digest, kept for a client whose data
-    /// member died before its full return arrived. Answered from the
+    /// this member answered with a part of it, kept for a client some part
+    /// of whose return never arrived, its owner dead. Answered from the
     /// returns the member keeps (§4.3.4) and nothing else: it never
     /// executes a service.
     pub const FETCH_RETURN: u16 = 0xFF06;

@@ -2,13 +2,13 @@
 //! to every member of the server troupe — once per member, or once for
 //! all by multicast (§4.3.3) — and collate the returns.
 //!
-//! A unanimous call that goes out by blast names its first admitted
-//! member the *data member*: that member returns the result, and every
-//! other member whose return spans two or more segments returns its
-//! digest, which the collation compares with the full vote. Should the
-//! data member die before its return is in, the full return is fetched
-//! from a member that sent a digest (`fetch_return`, answered from what
-//! that member kept and never executed).
+//! A unanimous call that goes out by blast names the members it went to,
+//! in order: each returns its part of a return of two or more segments
+//! (`message::parts`) with the digest of the whole, and the collation
+//! joins the parts and checks every digest against them. Should a part's
+//! owner die before its part is in, the whole return is fetched from a
+//! member whose part is (`fetch_return`, answered from what that member
+//! kept and never executed).
 //!
 //! Invariants kept here: a call's `unresolved` is the number of its live
 //! `route` entries, each peer's call numbers strictly increase, and a
@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use crate::addr::{Troupe, TroupeId};
 use crate::binding::reserved_procs::{FETCH_RETURN, GET_STATE, GET_STATE_SINCE};
 use crate::census;
-use crate::collate::{CollateError, Collation, CollationPolicy, Decision};
+use crate::collate::{CollateError, Collation, CollationPolicy, Decision, PartsDecision};
 use crate::conn::Conns;
 use crate::idset::IdSet;
 use crate::message::{encode, wrap_reply_vote, CallKey, CallMessage, ReturnView};
@@ -47,8 +47,8 @@ pub(crate) enum CallPurpose {
     /// An internal `report_suspect` to the binding agent (§3.5.1, §6.4):
     /// fire-and-forget; the result is discarded.
     SuspectReport,
-    /// A `fetch_return` for call `handle`, whose data member died before
-    /// its return was in.
+    /// A `fetch_return` for call `handle`, a part of whose return never
+    /// came: its owner died first.
     Fetch { handle: u64 },
 }
 
@@ -101,33 +101,32 @@ struct Outstanding {
     begun: Time,
     /// A state fetch: each answer carries its member's call numbers.
     transfer: bool,
-    /// The data member the call named, if it named one.
-    designated: Option<Designated>,
 }
 
-/// A call's data member, and what fetching the return in its place
-/// takes.
-struct Designated {
-    /// The data member and its collation slot.
-    addr: SockAddr,
-    slot: usize,
-    /// The call as `fetch_return` names it, and the troupe and module
-    /// it went to.
+/// The members a call named to cut its return among
+/// (`CallMessage::members`), and what fetching the whole return takes.
+struct Layout {
+    /// The members named, in the order of their parts; then those whose
+    /// parts are in, in the order they came, whom a fetch asks in turn.
+    /// The blast's address list, whose buffer holds them all.
+    addrs: Vec<SockAddr>,
+    /// How many members were named.
+    owners: usize,
+    /// The segment size the parts are cut to.
+    segment: usize,
+    /// The call as `fetch_return` names it, and the troupe and module it
+    /// went to.
     key: CallKey,
     troupe: TroupeId,
     module: u16,
-    /// The members that sent a digest, in the order they did: whom a
-    /// fetch asks, in turn. The blast's address list, whose buffer holds
-    /// them all.
-    voters: Vec<SockAddr>,
-    /// How many of `voters` have been asked.
+    /// How many of the members whose parts are in have been asked.
     asked: usize,
     /// A fetch is out.
     fetching: bool,
 }
 
 /// A `fetch_return` to make: ask `from`, a member of `troupe` that sent
-/// call `handle` a digest, for the return of `key` at `module`.
+/// call `handle` its part, for the return of `key` at `module`.
 #[derive(Debug)]
 pub(crate) struct Fetch {
     pub(crate) handle: u64,
@@ -153,7 +152,7 @@ pub(crate) enum Returned {
     /// The watchdog (§4.3.4) saw a straggler disagree with the value this
     /// call already delivered.
     Violation(CallHandle),
-    /// The call's data member is dead: its return must be fetched.
+    /// A part's owner is dead: the whole return must be fetched.
     Fetch(Fetch),
 }
 
@@ -233,6 +232,17 @@ impl CallSeqs {
     }
 }
 
+/// A return message, read whole in place, as the result of the call.
+fn result(bytes: &[u8]) -> Result<Vec<u8>, CallError> {
+    match ReturnView::decode(bytes) {
+        Ok(ReturnView::Normal(data)) => Ok(data.to_vec()),
+        Ok(ReturnView::Error(e)) => Err(CallError::Remote(e.to_owned())),
+        Ok(ReturnView::WrongTroupe(hint)) => Err(CallError::StaleBinding(Some(hint))),
+        Ok(ReturnView::NoSuchProcedure) => Err(CallError::NoSuchProcedure),
+        Ok(ReturnView::Part { .. }) | Err(_) => Err(CallError::Garbled),
+    }
+}
+
 #[derive(Default)]
 pub(crate) struct ClientCalls {
     /// `outstanding` and `route` are walked when a peer dies, so ordered:
@@ -240,6 +250,9 @@ pub(crate) struct ClientCalls {
     outstanding: BTreeMap<u64, Outstanding>,
     /// `(peer, call number)` of each awaited return to `(handle, member)`.
     route: BTreeMap<(SockAddr, u32), (u64, usize)>,
+    /// The layouts of the outstanding calls that named one, by handle:
+    /// a call that names none carries nothing for it.
+    layouts: BTreeMap<u64, Layout>,
     seqs: CallSeqs,
     last_handle: u64,
     /// Next outgoing call number per peer.
@@ -304,8 +317,9 @@ impl ClientCalls {
             module,
             proc,
             args: call.args,
-            data_member: None,
+            members: &[][..],
         };
+        let key = msg.key();
         // Externalize once; the timer package reads the clock and arms the
         // interval timer for the exchange (§4.2.4), inside a critical
         // region.
@@ -336,24 +350,36 @@ impl ClientCalls {
         // configuration multicasts those too.
         let small = config.multicast_small_calls;
         let shareable = conns.shareable(msg.encoded_len(), small);
+        let transfer = matches!(proc, GET_STATE | GET_STATE_SINCE);
         let unanimous = matches!(call.collation, CollationPolicy::Unanimous);
         let mut collation = Collation::new(call.collation, troupe.members.len());
-        let (mut blast, mut data) = (Vec::new(), None);
+        // Room for the members whose parts come in behind those named.
+        let mut blast = Vec::with_capacity(if shareable {
+            2 * troupe.members.len()
+        } else {
+            0
+        });
         for (i, member) in troupe.members.iter().enumerate() {
             if !admit(member.addr, now) {
                 collation.mark_dead(i);
             } else if shareable {
-                data = data.or(Some(i));
                 blast.push(member.addr);
             }
         }
-        // A unanimous blast of two or more segments names its data member,
-        // behind the arguments, unless that would make it too long to send.
-        let bulk = config.pm.segments_of(msg.encoded_len()) > 1;
-        msg.data_member = (unanimous && bulk && blast.len() > 1).then(|| blast[0]);
-        if !conns.shareable(msg.encoded_len(), small) {
-            msg.data_member = None;
+        // A unanimous blast of two or more segments names its members,
+        // behind the arguments, unless that would make it too long to
+        // send: they return its result in parts.
+        let named = unanimous
+            && !transfer
+            && blast.len() > 1
+            && config.pm.segments_of(msg.encoded_len()) > 1;
+        if named {
+            msg.members = &blast[..];
+            if !conns.shareable(msg.encoded_len(), small) {
+                msg.members = &[];
+            }
         }
+        let named = !msg.members.is_empty();
         // Encode the call message once, as its datagrams; every member's
         // sender (and every retransmission) shares this buffer.
         let mut bytes = encode(&config.pm, &msg);
@@ -365,28 +391,26 @@ impl ClientCalls {
             conns.blast(io, MsgType::Call, cn, span, &mut bytes, &blast);
             cn
         });
-        let designated = msg.data_member.zip(data).map(|(addr, slot)| {
-            collation.take_digests();
-            blast.clear();
-            Designated {
-                addr,
-                slot,
-                key: msg.key(),
+        if named {
+            let layout = Layout {
+                owners: blast.len(),
+                addrs: blast,
+                segment: config.pm.max_segment_data,
+                key,
                 troupe: troupe.id,
                 module,
-                voters: blast,
                 asked: 0,
                 fetching: false,
-            }
-        });
+            };
+            self.layouts.insert(handle, layout);
+        }
 
         let call = Outstanding {
             collation,
             purpose: Some(purpose),
             unresolved: 0,
             begun: now,
-            transfer: matches!(proc, GET_STATE | GET_STATE_SINCE),
-            designated,
+            transfer,
         };
         self.outstanding.insert(handle, call);
         for (i, member) in troupe.members.iter().enumerate() {
@@ -435,48 +459,52 @@ impl ClientCalls {
     /// finishes it, says so — once.
     pub(crate) fn decide(&mut self, handle: u64) -> Option<Finished> {
         let call = self.outstanding.get(&handle)?;
-        let result = match call.purpose.as_ref().map(|_| call.collation.decide()) {
-            None | Some(Decision::Wait) => None,
-            // The one copy of the results: out of the datagram they
-            // arrived in, into the caller's vector.
-            Some(Decision::Ready(bytes)) => Some(match ReturnView::decode(&bytes) {
-                Ok(ReturnView::Normal(data)) => Ok(data.to_vec()),
-                Ok(ReturnView::Error(e)) => Err(CallError::Remote(e.to_owned())),
-                Ok(ReturnView::WrongTroupe(hint)) => Err(CallError::StaleBinding(Some(hint))),
-                Ok(ReturnView::NoSuchProcedure) => Err(CallError::NoSuchProcedure),
-                Ok(ReturnView::Digest(_)) | Err(_) => Err(CallError::Garbled),
-            }),
-            Some(Decision::Fail(e)) => Some(Err(e.into())),
-        };
+        let result = call.purpose.as_ref().and_then(|_| {
+            let decision = match self.layouts.get(&handle) {
+                Some(l) => call.collation.decide_parts(l.owners, l.segment),
+                None => PartsDecision::Decided(call.collation.decide()),
+            };
+            match decision {
+                PartsDecision::Decided(Decision::Wait) => None,
+                // The one copy of the results: out of the datagram they
+                // arrived in, or out of the parts, into the caller's vector.
+                PartsDecision::Decided(Decision::Ready(bytes)) => Some(result(&bytes)),
+                PartsDecision::Joined(Ok(results)) => Some(Ok(results)),
+                PartsDecision::Joined(Err(joined)) => Some(result(&joined)),
+                PartsDecision::Decided(Decision::Fail(e)) => Some(Err(e.into())),
+                PartsDecision::Garbled => Some(Err(CallError::Garbled)),
+            }
+        });
         self.settle(handle, result)
     }
 
     /// Moves call `handle` on as far as it can go now: finishes it if its
-    /// collation has decided; else asks for its return to be fetched if
-    /// its data member is dead and a member that sent a digest is left to
-    /// ask; else, if nothing but a fetch could finish it and no member is
-    /// left to ask, fails it as though every member had died.
+    /// collation has decided; else asks for its whole return to be
+    /// fetched if a part's owner is dead and a member whose part is in is
+    /// left to ask; else, if nothing but a fetch could finish it and no
+    /// member is left to ask, fails it as though every member had died.
     pub(crate) fn advance(&mut self, handle: u64) -> Option<Returned> {
         if let Some(finished) = self.decide(handle) {
             return Some(Returned::Finished(finished));
         }
-        let call = self.outstanding.get_mut(&handle)?;
-        let d = call.designated.as_mut().filter(|d| !d.fetching)?;
+        let call = self.outstanding.get(&handle)?;
         call.purpose.as_ref()?;
-        if call.collation.wants_fetch(d.slot) {
-            if let Some(&from) = d.voters.get(d.asked) {
-                (d.asked, d.fetching) = (d.asked + 1, true);
-                let (key, troupe, module) = (d.key, d.troupe, d.module);
-                return Some(Returned::Fetch(Fetch {
-                    handle,
-                    from,
-                    key,
-                    troupe,
-                    module,
-                }));
-            }
+        let l = self.layouts.get_mut(&handle).filter(|l| !l.fetching)?;
+        if !call.collation.wants_whole(l.owners) {
+            return None;
         }
-        let stranded = call.collation.stranded();
+        if let Some(&from) = l.addrs.get(l.owners + l.asked) {
+            (l.asked, l.fetching) = (l.asked + 1, true);
+            let (key, troupe, module) = (l.key, l.troupe, l.module);
+            return Some(Returned::Fetch(Fetch {
+                handle,
+                from,
+                key,
+                troupe,
+                module,
+            }));
+        }
+        let stranded = !call.collation.is_pending();
         let all_dead = CallError::from(CollateError::AllDead);
         stranded
             .then(|| self.fail(handle, all_dead))?
@@ -484,17 +512,17 @@ impl ClientCalls {
     }
 
     /// The `fetch_return` for call `handle` is over: a return fetched is
-    /// collated in the data member's place, and the call moves on.
+    /// collated in a dead owner's place, and the call moves on.
     pub(crate) fn fetched(
         &mut self,
         handle: u64,
         result: Result<Vec<u8>, CallError>,
     ) -> Option<Returned> {
         let call = self.outstanding.get_mut(&handle)?;
-        if let Some(d) = call.designated.as_mut() {
-            d.fetching = false;
-            if let Ok(full) = result {
-                call.collation.add_fetched(d.slot, Payload::from(full));
+        if let Some(l) = self.layouts.get_mut(&handle) {
+            l.fetching = false;
+            if let Ok(whole) = result {
+                call.collation.add_fetched(Payload::from(whole));
             }
         }
         self.advance(handle)
@@ -530,6 +558,7 @@ impl ClientCalls {
         });
         if call.purpose.is_none() && call.unresolved == 0 {
             self.outstanding.remove(&handle);
+            self.layouts.remove(&handle);
         }
         finished
     }
@@ -567,21 +596,18 @@ impl ClientCalls {
                 }
                 Err(_) => Some(CallError::Garbled),
             },
-            // A digest answers only a call that named a data member, and
-            // only from another member.
-            Ok(ReturnView::Digest(_)) => {
-                let call = self.outstanding.get_mut(&handle);
-                match call.and_then(|c| c.designated.as_mut()) {
-                    Some(d) if d.addr != from => {
-                        d.voters.push(from);
-                        None
-                    }
-                    _ => {
-                        io.metrics().add("adv.rejected", 1);
-                        Some(CallError::Garbled)
-                    }
+            // A part answers only a call that named its members, and only
+            // from one of them.
+            Ok(ReturnView::Part { .. }) => match self.layouts.get_mut(&handle) {
+                Some(l) if l.addrs[..l.owners].contains(&from) => {
+                    l.addrs.push(from);
+                    None
                 }
-            }
+                _ => {
+                    io.metrics().add("adv.rejected", 1);
+                    Some(CallError::Garbled)
+                }
+            },
             Ok(_) => None,
             Err(_) => {
                 io.metrics().add("adv.rejected", 1);
@@ -598,6 +624,14 @@ impl ClientCalls {
         let violation =
             call.purpose.is_none() && call.collation.is_watchdog() && !call.collation.votes_agree();
         let advanced = self.advance(handle);
+        // Parts cut other than their layout cuts are found once all are in.
+        if let Some(Returned::Finished(Finished {
+            result: Err(CallError::Garbled),
+            ..
+        })) = &advanced
+        {
+            io.metrics().add("adv.rejected", 1);
+        }
         if violation {
             return Some(Returned::Violation(CallHandle(handle)));
         }

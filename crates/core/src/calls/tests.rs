@@ -284,29 +284,42 @@ fn route_of(r: &Rig, handle: u64, i: usize) -> (SockAddr, u32) {
     *route.expect("awaited").0
 }
 
-/// A return message and a digest vote of it, as members send them.
-fn full_and_digest(body: &[u8]) -> (Payload, Payload) {
-    let full = wire::to_bytes(&ReturnMessage::Normal(body.to_vec()));
-    let hash = crate::message::digest([&full[..]]);
-    let digest = wire::to_bytes(&ReturnMessage::Digest(hash));
-    (full.into(), digest.into())
+/// A normal return of `results`, whole, and the parts of it three
+/// members send, cut at the default segment.
+fn cut(results: &[u8]) -> (Payload, Vec<Payload>) {
+    let reply = ReturnMessage::Normal(results.to_vec());
+    let whole = wire::to_bytes(&reply);
+    let segment = pairedmsg::Config::default().max_segment_data;
+    let layout = crate::message::parts(whole.len(), 3, segment).expect("cut");
+    let part = |i| wire::to_bytes(&reply.part(reply.digest(), layout.range(i))).into();
+    (whole.into(), (0..3).map(part).collect())
 }
 
-/// A unanimous blast of two or more segments names its first admitted
-/// member as the data member; a single segment, or a blast collated any
-/// other way, names none, and its message is the one it always was.
+fn garbled(returned: Option<Returned>) -> bool {
+    matches!(
+        returned,
+        Some(Returned::Finished(Finished {
+            result: Err(CallError::Garbled),
+            ..
+        }))
+    )
+}
+
+/// A unanimous blast of two or more segments names its admitted members
+/// in order; a single segment, or a blast collated any other way, names
+/// none, and its message is the one it always was.
 #[test]
-fn a_unanimous_bulk_blast_names_its_first_admitted_member() {
+fn a_unanimous_bulk_blast_names_its_admitted_members() {
     let troupe = troupe_of(3);
     let mut r = rig();
     r.dead = vec![troupe.members[0].addr];
     r.unanimous(&troupe, args_of(2));
-    assert_eq!(blasted(&r.io).data_member, Some(troupe.members[1].addr));
+    assert_eq!(blasted(&r.io).members, addrs_of(&troupe)[1..]);
     assert_eq!(r.io.mcasts[0].0, addrs_of(&troupe)[1..]);
 
     let mut r = rig();
     r.call(&troupe, args_of(2), CollationPolicy::Majority);
-    assert_eq!(blasted(&r.io).data_member, None);
+    assert_eq!(blasted(&r.io).members, []);
     let mut r = rig();
     r.unanimous(&troupe, args_of(1));
     let (_, datagram) = &r.io.sent[0];
@@ -314,55 +327,64 @@ fn a_unanimous_bulk_blast_names_its_first_admitted_member() {
         .expect("a segment")
         .data;
     let msg: CallMessage = from_bytes(&data).expect("a call message");
-    assert_eq!(msg.data_member, None);
+    assert_eq!(msg.members, []);
     assert_eq!(wire::to_bytes(&msg), &data[..], "as it was laid out before");
 }
 
-/// A digest answers only a call that named a data member, and only from
-/// another member: on any other call, or from the data member itself,
-/// it is garbled, and counted in `adv.rejected`.
+/// A part answers only a call that named its members, only from one of
+/// them, and only cut as the layout cuts: a part on any other call, from
+/// any other address, or cut otherwise, is garbled, and counted in
+/// `adv.rejected`.
 #[test]
-fn a_digest_where_none_was_asked_for_is_garbled() {
-    let (_, digest) = full_and_digest(b"x");
+fn a_part_the_layout_does_not_give_is_garbled() {
+    let (_, sent) = cut(&[4; 5000]);
     let troupe = troupe_of(3);
-    let garbled = |returned: Option<Returned>| {
-        matches!(
-            returned,
-            Some(Returned::Finished(Finished {
-                result: Err(CallError::Garbled),
-                ..
-            }))
-        )
-    };
-    // A single segment: no data member named.
+    // A single segment: no members named.
     let mut r = rig();
     let handle = r.unanimous(&troupe, args_of(1));
     let at = route_of(&r, handle, 1);
-    assert!(garbled(r.calls.on_return(&mut r.io, at, digest.clone())));
+    assert!(garbled(r.calls.on_return(&mut r.io, at, sent[1].clone())));
     assert_eq!(r.io.reg.get("adv.rejected"), 1);
-    // A bulk blast: the data member may not send one.
+    // From an address the call did not name (a route doctored to lead
+    // there: the engine routes only the members it named).
     let handle = r.unanimous(&troupe, args_of(2));
-    let at = route_of(&r, handle, 1);
-    assert!(r.calls.on_return(&mut r.io, at, digest.clone()).is_none());
-    let at = route_of(&r, handle, 0);
-    assert!(garbled(r.calls.on_return(&mut r.io, at, digest)));
+    let outsider = (SockAddr::new(HostId(66), 6), 1);
+    r.calls.route.insert(outsider, (handle, 0));
+    r.calls.call_mut(handle).unresolved += 1;
+    assert!(garbled(r.calls.on_return(
+        &mut r.io,
+        outsider,
+        sent[0].clone()
+    )));
     assert_eq!(r.io.reg.get("adv.rejected"), 2);
+    // Two tail parts swapped: each is a part the layout gives some member,
+    // but not the one that sent it.
+    let handle = r.unanimous(&troupe, args_of(2));
+    let (_, short) = cut(&[4; 2000]);
+    for (i, part) in [(0, &short[0]), (1, &short[2]), (2, &short[1])] {
+        let at = route_of(&r, handle, i);
+        let returned = r.calls.on_return(&mut r.io, at, part.clone());
+        assert_eq!(garbled(returned), i == 2, "garbled once all are in");
+    }
+    assert_eq!(r.io.reg.get("adv.rejected"), 3);
+    assert!(!r.calls.outstanding.contains_key(&handle));
+    assert!(!r.calls.layouts.contains_key(&handle));
 }
 
-/// The data member dead with only digests in: the return is fetched
-/// from each member that sent one, in turn, until one answers; the call
-/// fails as if every member had died when none does, and completes with
-/// the fetched return when one does.
+/// An owner dead before its part came: the whole return is fetched from
+/// each member whose part is in, in the order they came, until one
+/// answers; the call fails as if every member had died when none does,
+/// and completes with the fetched return when one does.
 #[test]
-fn a_dead_data_member_is_replaced_by_a_fetch() {
+fn a_dead_owner_is_replaced_by_a_fetch() {
     let troupe = troupe_of(3);
-    let (full, digest) = full_and_digest(&[3; 2000]);
+    let (whole, sent) = cut(&[3; 5000]);
     for answered in [false, true] {
         let mut r = rig();
         let handle = r.unanimous(&troupe, args_of(2));
         for i in [2, 1] {
             let at = route_of(&r, handle, i);
-            assert!(r.calls.on_return(&mut r.io, at, digest.clone()).is_none());
+            assert!(r.calls.on_return(&mut r.io, at, sent[i].clone()).is_none());
         }
         let dead = troupe.members[0].addr;
         assert_eq!(r.calls.peer_dead(dead), [handle]);
@@ -375,18 +397,22 @@ fn a_dead_data_member_is_replaced_by_a_fetch() {
         assert!(r.calls.advance(handle).is_none(), "one fetch at a time");
         let refused = Err(CallError::Remote("no return kept".into()));
         assert_eq!(asked(r.calls.fetched(handle, refused.clone())).1, member(1));
-        let last = if answered { Ok(full.to_vec()) } else { refused };
+        let last = if answered {
+            Ok(whole.to_vec())
+        } else {
+            refused
+        };
         let result = match r.calls.fetched(handle, last) {
             Some(Returned::Finished(f)) => f.result,
             other => panic!("expected the call to finish, got {other:?}"),
         };
         let want = if answered {
-            Ok(vec![3; 2000])
+            Ok(vec![3; 5000])
         } else {
             Err(CallError::AllMembersDead)
         };
         assert_eq!(result, want);
-        assert!(r.calls.outstanding.is_empty());
+        assert!(r.calls.outstanding.is_empty() && r.calls.layouts.is_empty());
     }
 }
 

@@ -62,10 +62,9 @@ pub const OPEN_ASSEMBLIES: &str = "open assemblies";
 /// Returns kept for client-troupe members not heard from when their
 /// assembly closed, each for `DONE_TTL` (60 s) and until the next call
 /// message arrives: one per assembly that closed short of a member. Plus
-/// the returns of unanimous blasts this member answered with a digest,
-/// kept for a fetch until the calling thread's next call reaches it: one
-/// per thread that made a call of two or more segments here within the
-/// TTL.
+/// the returns of unanimous blasts this member answered in parts, kept
+/// for a fetch until the calling thread's next call reaches it: one per
+/// thread that made a call of two or more segments here within the TTL.
 pub const BUFFERED_RETURNS: &str = "buffered returns";
 /// Client-troupe memberships known: one per troupe incarnation learned
 /// from an outgoing call, a binding-agent answer or a preload.

@@ -15,7 +15,7 @@ use std::rc::Rc;
 
 use simnet::Payload;
 
-use crate::message::{digest, digest_vote};
+use crate::message::{digest, join_parts, part_vote, parts};
 
 /// The state of one troupe member's contribution to a replicated call.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -171,11 +171,21 @@ impl<T> DerefMut for Slots<T> {
 pub struct Collation {
     policy: CollationPolicy,
     slots: Slots<VoteSlot>,
-    /// Set on a unanimous call that named a data member, whose other
-    /// members' votes may be digests of the return: the digest of the
-    /// full vote, made once there is both a full vote and a digest to
-    /// compare with it.
-    digests: Option<Option<u64>>,
+}
+
+/// What a unanimous collation decides of votes that may be parts of one
+/// return (`message::parts`).
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum PartsDecision {
+    /// What it decides of whole votes, or of a whole vote and parts that
+    /// each vouch for it.
+    Decided(Decision),
+    /// Every part is in and each vouches for the return they make, read
+    /// by `message::join_parts`: the results of a normal return, or any
+    /// other message joined whole.
+    Joined(Result<Vec<u8>, Vec<u8>>),
+    /// The parts are not cut as a return of their length is.
+    Garbled,
 }
 
 impl Collation {
@@ -184,63 +194,90 @@ impl Collation {
         Collation {
             policy,
             slots: Slots::new(n, VoteSlot::Pending),
-            digests: None,
         }
     }
 
-    /// Lets the votes be digests: the call named a data member, and a
-    /// unanimous collation then compares each digest with the full vote
-    /// and decides only once it holds one.
-    pub(crate) fn take_digests(&mut self) {
-        self.digests = Some(None);
+    fn votes(&self) -> impl Iterator<Item = &Payload> + Clone {
+        self.slots.iter().filter_map(VoteSlot::vote)
     }
 
-    /// The hash `vote` carries if it is a digest this collation takes.
-    fn digest_of(&self, vote: &Payload) -> Option<u64> {
-        self.digests.and(digest_vote(vote))
+    /// The parts among the votes, in member order: digest and bytes.
+    fn parts(&self) -> impl Iterator<Item = (u64, &[u8])> + Clone {
+        self.votes().filter_map(|v| part_vote(v))
     }
 
-    /// The full vote: the first vote that is not a digest.
-    fn full(&self) -> Option<&Payload> {
-        let mut votes = self.slots.iter().filter_map(VoteSlot::vote);
-        votes.find(|v| self.digest_of(v).is_none())
+    /// The first vote that is not a part.
+    fn whole(&self) -> Option<&Payload> {
+        self.votes().find(|v| part_vote(v).is_none())
     }
 
-    /// `true` once some vote is a digest.
-    fn digested(&self) -> bool {
-        let mut votes = self.slots.iter().filter_map(VoteSlot::vote);
-        self.digests.is_some() && votes.any(|v| digest_vote(v).is_some())
+    /// `true` while some member is still to answer.
+    pub(crate) fn is_pending(&self) -> bool {
+        self.slots.contains(&VoteSlot::Pending)
     }
 
-    /// Hashes the full vote, once, as soon as there is a digest to
-    /// compare it with.
-    fn hash_full(&mut self) {
-        let due = self.digests == Some(None) && self.digested();
-        if let Some(hash) = due.then(|| self.full().map(|v| digest([&v[..]]))).flatten() {
-            self.digests = Some(Some(hash));
+    /// A unanimous collation of a call whose return `owners` members cut
+    /// into parts, each framed in `segment`-byte segments, all admitted in
+    /// member order: its votes are parts, or whole returns (one segment's,
+    /// or one fetched in a dead owner's place). It decides once no member
+    /// is still to answer. Whole votes must agree, and every part's digest
+    /// must be the digest of the return: of the whole vote where there is
+    /// one, else of the parts joined, once every owner's is in and they
+    /// are cut as [`parts`] cuts a return of their length. The return is
+    /// hashed once, read out of the parts once.
+    pub(crate) fn decide_parts(&self, owners: usize, segment: usize) -> PartsDecision {
+        let disagree = PartsDecision::Decided(Decision::Fail(CollateError::Disagreement));
+        if self.is_pending() {
+            return PartsDecision::Decided(Decision::Wait);
+        }
+        if self.parts().next().is_none() {
+            return PartsDecision::Decided(self.decide_unanimous());
+        }
+        let whole = self.whole();
+        let bytes = self.parts().map(|(_, bytes)| bytes);
+        let hash = match whole {
+            Some(whole) if self.votes().any(|v| part_vote(v).is_none() && v != whole) => {
+                return disagree
+            }
+            Some(whole) => digest([&whole[..]]),
+            // An owner died before its part came: the return is fetched.
+            None if bytes.clone().count() < owners => {
+                return PartsDecision::Decided(Decision::Wait)
+            }
+            None => {
+                let len = bytes.clone().map(<[u8]>::len).sum();
+                let Some(layout) = parts(len, owners, segment) else {
+                    return PartsDecision::Garbled;
+                };
+                let ranges = (0..owners).map(|i| layout.range(i).len());
+                if !bytes.clone().map(<[u8]>::len).eq(ranges) {
+                    return PartsDecision::Garbled;
+                }
+                digest(bytes.clone())
+            }
+        };
+        if self.parts().any(|(part, _)| part != hash) {
+            return disagree;
+        }
+        match whole {
+            Some(whole) => PartsDecision::Decided(Decision::Ready(whole.clone())),
+            None => PartsDecision::Joined(join_parts(bytes)),
         }
     }
 
-    /// Records the full return fetched from a digest member as the vote
-    /// of the data member, slot `data`, which died before its own came.
-    pub(crate) fn add_fetched(&mut self, data: usize, full: Payload) {
-        if let Some(slot @ VoteSlot::Dead) = self.slots.get_mut(data) {
-            *slot = VoteSlot::Vote(full);
-            self.hash_full();
+    /// `true` if the whole return must be fetched: some part's owner died
+    /// before its part came (`owners` of the slots were admitted, so more
+    /// dead than were refused is an owner), and no whole vote is in hand.
+    pub(crate) fn wants_whole(&self, owners: usize) -> bool {
+        let dead = self.slots.iter().filter(|s| **s == VoteSlot::Dead).count();
+        dead > self.slots.len() - owners && self.whole().is_none()
+    }
+
+    /// Records the whole return fetched in a dead owner's place.
+    pub(crate) fn add_fetched(&mut self, whole: Payload) {
+        if let Some(slot) = self.slots.iter_mut().find(|s| **s == VoteSlot::Dead) {
+            *slot = VoteSlot::Vote(whole);
         }
-    }
-
-    /// `true` if the full return must be fetched from a digest member: the
-    /// data member, slot `data`, is dead without having voted, no full
-    /// vote is in hand, and some member has sent a digest of one.
-    pub(crate) fn wants_fetch(&self, data: usize) -> bool {
-        self.is_dead(data) && self.full().is_none() && self.digested()
-    }
-
-    /// `true` if the collation waits for nothing but a fetched return.
-    pub(crate) fn stranded(&self) -> bool {
-        let pending = self.slots.contains(&VoteSlot::Pending);
-        !pending && self.full().is_none() && self.digested()
     }
 
     /// Number of expected messages (the troupe's degree at call time).
@@ -254,7 +291,6 @@ impl Collation {
     pub fn add_vote(&mut self, i: usize, data: impl Into<Payload>) {
         if let Some(slot @ VoteSlot::Pending) = self.slots.get_mut(i) {
             *slot = VoteSlot::Vote(data.into());
-            self.hash_full();
         }
     }
 
@@ -299,29 +335,20 @@ impl Collation {
 
     fn decide_unanimous(&self) -> Decision {
         let mut first: Option<&Payload> = None;
-        let (mut pending, mut digested) = (0usize, false);
-        let full = self.digests.flatten();
+        let mut pending = 0usize;
         for s in &self.slots {
             match s {
                 VoteSlot::Pending => pending += 1,
                 VoteSlot::Dead => {}
-                VoteSlot::Vote(v) => match (self.digest_of(v), first) {
-                    (Some(hash), _) => {
-                        digested = true;
-                        if full.is_some_and(|f| f != hash) {
-                            return Decision::Fail(CollateError::Disagreement);
-                        }
-                    }
-                    (None, None) => first = Some(v),
-                    (None, Some(f)) if f != v => return Decision::Fail(CollateError::Disagreement),
-                    (None, Some(_)) => {}
+                VoteSlot::Vote(v) => match first {
+                    None => first = Some(v),
+                    Some(f) if f != v => return Decision::Fail(CollateError::Disagreement),
+                    Some(_) => {}
                 },
             }
         }
         match (pending, first) {
             (0, Some(v)) => Decision::Ready(v.clone()),
-            // Digests vouch for a return that is still to be fetched.
-            (0, None) if digested => Decision::Wait,
             (0, None) => Decision::Fail(CollateError::AllDead),
             _ => Decision::Wait,
         }
@@ -602,66 +629,112 @@ mod tests {
         assert_eq!(c.decide(), Decision::Fail(CollateError::AllDead));
     }
 
-    /// A return message and digest votes of it, as members send them.
-    fn full_and_digest(body: &[u8]) -> (Payload, Payload) {
-        let full = wire::to_bytes(&crate::ReturnMessage::Normal(body.to_vec()));
-        let hash = crate::message::digest([&full[..]]);
-        let digest = wire::to_bytes(&crate::ReturnMessage::Digest(hash));
-        (full.into(), digest.into())
+    const SEGMENT: usize = 1484;
+
+    /// A normal return of `results`, whole, and the parts of it its
+    /// `owners` members send.
+    fn cut(results: &[u8], owners: usize) -> (Payload, Vec<Payload>) {
+        let reply = crate::ReturnMessage::Normal(results.to_vec());
+        let whole = wire::to_bytes(&reply);
+        let layout = parts(whole.len(), owners, SEGMENT).expect("two segments or more");
+        let part = |i| wire::to_bytes(&reply.part(reply.digest(), layout.range(i))).into();
+        (whole.into(), (0..owners).map(part).collect())
     }
 
-    /// A unanimous collation that takes digests compares each with the
-    /// full vote, whichever comes first, and decides with the full vote.
+    /// Parts are joined once every owner's is in, in whatever order they
+    /// came, and checked against their digests and the layout.
     #[test]
-    fn digests_are_compared_with_the_full_vote() {
-        let (full, digest) = full_and_digest(&[7; 64]);
-        let (_, other) = full_and_digest(&[8; 64]);
+    fn parts_are_joined_once_all_are_in() {
+        let results = vec![7; 5000];
+        let (_, sent) = cut(&results, 3);
         for order in [[0, 1, 2], [1, 2, 0], [2, 0, 1]] {
             let mut c = Collation::new(CollationPolicy::Unanimous, 3);
-            c.take_digests();
             for i in order {
-                assert_eq!(c.decide(), Decision::Wait);
-                c.add_vote(i, if i == 0 { full.clone() } else { digest.clone() });
+                assert_eq!(
+                    c.decide_parts(3, SEGMENT),
+                    PartsDecision::Decided(Decision::Wait)
+                );
+                c.add_vote(i, sent[i].clone());
             }
-            assert_eq!(c.decide(), Decision::Ready(full.clone()));
-
-            let mut c = Collation::new(CollationPolicy::Unanimous, 3);
-            c.take_digests();
-            for i in order {
-                c.add_vote(i, [&full, &digest, &other][i].clone());
-            }
-            assert_eq!(c.decide(), Decision::Fail(CollateError::Disagreement));
+            assert_eq!(
+                c.decide_parts(3, SEGMENT),
+                PartsDecision::Joined(Ok(results.clone()))
+            );
         }
-        // Without `take_digests` a digest is a vote like any other.
-        let mut c = Collation::new(CollationPolicy::Unanimous, 2);
-        c.add_vote(0, full.clone());
-        c.add_vote(1, digest.clone());
-        assert_eq!(c.decide(), Decision::Fail(CollateError::Disagreement));
-    }
-
-    /// With the data member dead and only digests in, the collation waits
-    /// for the fetched return, then checks it against them.
-    #[test]
-    fn digests_alone_wait_for_a_fetched_return() {
-        let (full, digest) = full_and_digest(&[7; 64]);
-        let (other, _) = full_and_digest(&[9; 64]);
-        for (fetched, verdict) in [
-            (full.clone(), Decision::Ready(full.clone())),
-            (other, Decision::Fail(CollateError::Disagreement)),
+        // One byte off inside a part, or a digest off, is a disagreement;
+        // a part cut other than the layout cuts is garbled.
+        let (_, other) = cut(&[8; 5000], 3);
+        let mut flipped = sent[2].to_vec();
+        *flipped.last_mut().expect("bytes") ^= 1;
+        // Of 2,006 bytes, member 1's part is empty and member 2's full.
+        let (_, mut swapped) = cut(&[7; 2000], 3);
+        swapped.swap(1, 2);
+        let (hash, bytes) = crate::message::part_vote(&sent[2]).expect("a part");
+        let short = crate::ReturnMessage::Part {
+            digest: hash,
+            bytes: bytes[1..].to_vec(),
+        };
+        for (votes, verdict) in [
+            (
+                vec![sent[0].clone(), other[1].clone(), sent[2].clone()],
+                PartsDecision::Decided(Decision::Fail(CollateError::Disagreement)),
+            ),
+            (
+                vec![sent[0].clone(), sent[1].clone(), flipped.into()],
+                PartsDecision::Decided(Decision::Fail(CollateError::Disagreement)),
+            ),
+            (swapped, PartsDecision::Garbled),
+            (
+                vec![
+                    sent[0].clone(),
+                    sent[1].clone(),
+                    wire::to_bytes(&short).into(),
+                ],
+                PartsDecision::Garbled,
+            ),
         ] {
             let mut c = Collation::new(CollationPolicy::Unanimous, 3);
-            c.take_digests();
-            c.add_vote(1, digest.clone());
-            assert!(!c.wants_fetch(0), "the data member may yet answer");
-            c.mark_dead(0);
-            assert!(c.wants_fetch(0) && !c.stranded());
-            c.add_vote(2, digest.clone());
-            assert!(c.stranded());
-            assert_eq!(c.decide(), Decision::Wait);
-            c.add_fetched(0, fetched);
-            assert!(!c.wants_fetch(0) && !c.stranded());
-            assert_eq!(c.decide(), verdict);
+            for (i, vote) in votes.into_iter().enumerate() {
+                c.add_vote(i, vote);
+            }
+            assert_eq!(c.decide_parts(3, SEGMENT), verdict);
         }
+    }
+
+    /// With an owner dead before its part came, the collation wants the
+    /// whole return, then checks it against every part in.
+    #[test]
+    fn a_dead_owner_waits_for_the_whole_return() {
+        let (whole, sent) = cut(&[7; 5000], 3);
+        let (other, _) = cut(&[9; 5000], 3);
+        for (fetched, verdict) in [
+            (whole.clone(), Decision::Ready(whole.clone())),
+            (other, Decision::Fail(CollateError::Disagreement)),
+        ] {
+            // Four members, the first refused when the call was made.
+            let mut c = Collation::new(CollationPolicy::Unanimous, 4);
+            c.mark_dead(0);
+            c.add_vote(2, sent[1].clone());
+            assert!(!c.wants_whole(3), "every owner may yet answer");
+            c.mark_dead(1);
+            assert!(c.wants_whole(3) && c.is_pending());
+            c.add_vote(3, sent[2].clone());
+            assert_eq!(
+                c.decide_parts(3, SEGMENT),
+                PartsDecision::Decided(Decision::Wait)
+            );
+            c.add_fetched(fetched);
+            assert!(!c.wants_whole(3));
+            assert_eq!(c.decide_parts(3, SEGMENT), PartsDecision::Decided(verdict));
+        }
+        // Whole votes alone are collated as they always were.
+        let mut c = Collation::new(CollationPolicy::Unanimous, 2);
+        c.add_vote(0, whole.clone());
+        c.add_vote(1, whole.clone());
+        assert_eq!(
+            c.decide_parts(2, SEGMENT),
+            PartsDecision::Decided(Decision::Ready(whole))
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@ use simnet::{Payload, SockAddr, Time};
 /// A call message parked until its client troupe's membership is known.
 pub(crate) struct Parked {
     pub(crate) at: Arrival,
-    pub(crate) msg: CallMessage<Payload>,
+    pub(crate) msg: CallMessage<Payload, Payload>,
 }
 
 #[derive(Default)]
@@ -82,7 +82,7 @@ impl Directory {
     /// Parks a call message of a troupe whose membership is unknown.
     /// `true` if nobody has been asked about that troupe yet: the caller
     /// asks now, and [`Directory::answer`]s when it knows.
-    pub(crate) fn park(&mut self, at: Arrival, msg: CallMessage<Payload>) -> bool {
+    pub(crate) fn park(&mut self, at: Arrival, msg: CallMessage<Payload, Payload>) -> bool {
         let troupe = msg.client_troupe;
         let parked = self.parked.entry(troupe).or_default();
         parked.push(Parked { at, msg });

@@ -317,7 +317,7 @@ impl Node {
     }
 
     /// Applies call `handle`'s collation decision, if it has one now, or
-    /// fetches its return if its data member died.
+    /// fetches its whole return if a part's owner died.
     fn decide(&mut self, io: &mut dyn NetIo, handle: u64) {
         if let Some(returned) = self.calls.advance(handle) {
             self.returned(io, returned);
@@ -336,9 +336,9 @@ impl Node {
         }
     }
 
-    /// Asks one member that sent a digest for the return the dead data
-    /// member never delivered. A call of its own, alone, to that member:
-    /// not one the directory learns a troupe from.
+    /// Asks one member whose part is in for the whole return, a part of
+    /// which a dead member never delivered. A call of its own, alone, to
+    /// that member: not one the directory learns a troupe from.
     fn fetch(&mut self, io: &mut dyn NetIo, fetch: Fetch) {
         let Fetch {
             handle,

@@ -2,22 +2,22 @@
 //! `directory` who is calling, adds the message to its `assembly`, runs
 //! the exported service when the assembly is ready — sending the thread
 //! onward through `calls` if the service makes a nested call — and
-//! returns the reply to every member of the calling troupe: in full, or
-//! as its digest where the call named another member as its data member.
-//! A `fetch_return` is answered from the returns kept, and runs nothing.
+//! returns the reply to every member of the calling troupe: whole, or the
+//! part of it this member's position names where the call named the
+//! members it went to. A `fetch_return` is answered from the returns
+//! kept, and runs nothing.
 
 use std::cell::Cell;
 use std::rc::Rc;
 
 use super::{AppEvent, Node};
 use crate::addr::{ModuleAddr, Troupe, TroupeId};
-use crate::assembly::{Answer, Invocation, Members, Outsider, PendState};
+use crate::assembly::{Invocation, Members, Outsider, PendState};
 use crate::binding;
 use crate::binding::binding_procs::LOOKUP_TROUPE_BY_ID;
 use crate::binding::reserved_procs::{self, FETCH_RETURN, GET_STATE, GET_STATE_SINCE};
 use crate::calls::{Call, CallPurpose};
 use crate::collate::{Collation, CollationPolicy};
-use crate::conn::Conns;
 use crate::message::{encode, Arrival, CallKey, CallMessage, ReturnMessage};
 use crate::netio::{make_tag, NetIo, TAG_PENDING};
 use crate::service::{self, CallError, NodeEffect, OutCall, ServiceCtx, Step, TroupeTarget};
@@ -32,32 +32,9 @@ thread_local! {
     static CALLERS: Cell<Vec<ModuleAddr>> = const { Cell::new(Vec::new()) };
 }
 
-/// Sends `answer` to the client members at `tos` on call number `cn`:
-/// the return, or its digest framed under `pm` (26 bytes, held in place).
-fn send_answer(
-    conns: &mut Conns,
-    io: &mut dyn NetIo,
-    pm: &pairedmsg::Config,
-    (tos, cn, span): (&[SockAddr], u32, u64),
-    answer: &mut Answer,
-) {
-    match answer {
-        Answer::Full(reply) => conns.send_return(io, tos, cn, span, reply),
-        Answer::Digest(hash) => {
-            let mut digest = encode(pm, &ReturnMessage::Digest(*hash));
-            conns.send_return(io, tos, cn, span, &mut digest);
-        }
-    }
-}
-
 impl Node {
-    fn reply(&mut self, io: &mut dyn NetIo, at: &Arrival, reply: Framed) {
-        self.answer(io, at, Answer::Full(reply));
-    }
-
-    fn answer(&mut self, io: &mut dyn NetIo, at: &Arrival, mut answer: Answer) {
-        let to = (std::slice::from_ref(&at.from), at.pm_cn, at.span);
-        send_answer(&mut self.conns, io, &self.config.pm, to, &mut answer);
+    fn reply(&mut self, io: &mut dyn NetIo, at: &Arrival, mut reply: Framed) {
+        (self.conns).send_return(io, &[at.from], at.pm_cn, at.span, &mut reply);
     }
 
     /// Handles a call message arriving from a client troupe member.
@@ -84,9 +61,9 @@ impl Node {
 
         // A slow member of an already-answered call: its return message
         // is ready and waiting (§4.3.4).
-        let digest = msg.asks_digest_of(self.me);
-        if let Some((answer, span)) = self.assemblies.buffered(&msg.key(), digest) {
-            return self.answer(io, &Arrival { span, ..at }, answer);
+        let cut = msg.cut_of(self.me);
+        if let Some((reply, span)) = self.assemblies.buffered(&msg.key(), cut, &self.config.pm) {
+            return self.reply(io, &Arrival { span, ..at }, reply);
         }
 
         if !self.services.contains_key(&msg.module) && msg.proc < reserved_procs::RESERVED_BASE {
@@ -110,14 +87,14 @@ impl Node {
     }
 
     /// Answers `fetch_return(key)`: the return of the call `key` this
-    /// member kept when it sent only its digest, carried as the normal
+    /// member kept when it sent a part of it, carried as the normal
     /// result; an error if it is no longer kept. Nothing is executed.
     fn fetch_return(&mut self, io: &mut dyn NetIo, at: &Arrival, args: &[u8]) {
         io.charge(Syscall::Compute); // Externalize the kept return.
         let kept = CallKey::decode(args).ok();
         let kept = kept.and_then(|key| self.assemblies.fetch(&key));
         let reply = match kept {
-            Some(full) => ReturnMessage::Normal(full.parts().collect::<Vec<_>>().concat()),
+            Some(whole) => ReturnMessage::Normal(wire::to_bytes(whole)),
             None => ReturnMessage::Error("fetch_return: no return kept for the call".into()),
         };
         let reply = encode(&self.config.pm, &reply);
@@ -130,11 +107,11 @@ impl Node {
         &mut self,
         io: &mut dyn NetIo,
         at: Arrival,
-        msg: CallMessage<Payload>,
+        msg: CallMessage<Payload, Payload>,
         members: Members,
     ) {
         let (key, module, proc) = (msg.key(), msg.module, msg.proc);
-        let digest = msg.asks_digest_of(self.me);
+        let cut = msg.cut_of(self.me);
         let (now, wait) = (io.now(), self.config.assembly_timeout);
         let (services, directory) = (&self.services, &self.directory);
         let fresh = |members: &[SockAddr]| {
@@ -153,7 +130,7 @@ impl Node {
             }
             (args, now + wait)
         };
-        match self.assemblies.join(&at, msg, digest, members, fresh) {
+        match self.assemblies.join(&at, msg, cut, members, fresh) {
             Ok(None) => {}
             Ok(Some(serial)) => {
                 io.charge(Syscall::SetITimer);
@@ -197,7 +174,7 @@ impl Node {
             }
             Some(Err(e)) => {
                 let why = format!("argument collation failed: {e}");
-                self.finish_pending(io, key, encode(&self.config.pm, &ReturnMessage::Error(why)));
+                self.finish_pending(io, key, ReturnMessage::Error(why));
             }
         }
     }
@@ -227,7 +204,7 @@ impl Node {
                 Err(e) => ReturnMessage::Error(e),
             },
         };
-        self.finish_pending(io, key, encode(&self.config.pm, &reply));
+        self.finish_pending(io, key, reply);
     }
 
     /// Makes the nested call `out` on behalf of the invocation `key`.
@@ -332,19 +309,19 @@ impl Node {
         self.apply_step(io, key, step);
     }
 
-    /// Sends the reply to every client member heard from — once for all
-    /// of them, by multicast, where they share a call number (§4.3.3) —
-    /// and buffers it for the rest (§4.3.4).
-    fn finish_pending(&mut self, io: &mut dyn NetIo, key: CallKey, reply: Framed) {
+    /// Sends the reply — or each member's part of it — to every client
+    /// member heard from, once for all of them, by multicast, where they
+    /// share a call number (§4.3.3), and buffers it for the rest (§4.3.4).
+    fn finish_pending(&mut self, io: &mut dyn NetIo, key: CallKey, reply: ReturnMessage) {
         if !self.assemblies.is_open(&key) {
             return;
         }
         io.charge(Syscall::Compute); // Externalize reply.
         let (now, conns, pm) = (io.now(), &mut self.conns, &self.config.pm);
-        let send = |tos: &[SockAddr], cn, span, answer: &mut Answer| {
-            send_answer(conns, io, pm, (tos, cn, span), answer);
+        let send = |tos: &[SockAddr], cn, span, reply: &mut Framed| {
+            conns.send_return(io, tos, cn, span, reply);
         };
-        self.assemblies.close(&key, reply, now, send);
+        self.assemblies.close(&key, reply, pm, now, send);
     }
 
     /// Makes an administrative call to the binding agent troupe. Solo:
@@ -370,7 +347,12 @@ impl Node {
         self.begin(io, call, purpose);
     }
 
-    fn park_and_lookup(&mut self, io: &mut dyn NetIo, at: Arrival, msg: CallMessage<Payload>) {
+    fn park_and_lookup(
+        &mut self,
+        io: &mut dyn NetIo,
+        at: Arrival,
+        msg: CallMessage<Payload, Payload>,
+    ) {
         let troupe = msg.client_troupe;
         if !self.directory.park(at, msg) {
             return; // Already asked: the answer releases this message too.

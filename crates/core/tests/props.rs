@@ -158,7 +158,7 @@ proptest! {
     }
 
     /// Call messages round-trip through the wire format for arbitrary
-    /// field values, with a data member named or not.
+    /// field values, with members named or not.
     #[test]
     fn call_message_round_trips(
         host: u32,
@@ -170,7 +170,7 @@ proptest! {
         module: u16,
         proc: u16,
         args in proptest::collection::vec(any::<u8>(), 0..200),
-        named: Option<(u32, u16)>,
+        named in proptest::collection::vec(any::<(u32, u16)>(), 0..4),
     ) {
         let msg = CallMessage {
             thread: ThreadId { origin: SockAddr::new(HostId(host), port), serial },
@@ -180,7 +180,7 @@ proptest! {
             module,
             proc,
             args,
-            data_member: named.map(|(host, port)| SockAddr::new(HostId(host), port)),
+            members: named.into_iter().map(|(host, port)| SockAddr::new(HostId(host), port)).collect(),
         };
         let got = wire::from_bytes::<CallMessage>(&wire::to_bytes(&msg)).unwrap();
         prop_assert_eq!(got, msg);
@@ -198,7 +198,7 @@ proptest! {
             ReturnMessage::Error(err.clone()),
             ReturnMessage::WrongTroupe(TroupeId(id)),
             ReturnMessage::NoSuchProcedure,
-            ReturnMessage::Digest(id),
+            ReturnMessage::Part { digest: id, bytes: data.clone() },
         ] {
             let got = wire::from_bytes::<ReturnMessage>(&wire::to_bytes(&msg)).unwrap();
             prop_assert_eq!(got, msg);

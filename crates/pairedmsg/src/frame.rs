@@ -63,7 +63,7 @@ impl Framed {
 
     /// Segments the message is cut into (an empty one still travels as
     /// one).
-    pub fn total(&self) -> usize {
+    pub(crate) fn total(&self) -> usize {
         self.bytes.len().div_ceil(HEADER_LEN + self.chunk)
     }
 

@@ -16,6 +16,14 @@ use crate::writer::Writer;
 pub trait Externalize {
     /// Appends this value's external representation to `w`.
     fn externalize(&self, w: &mut Writer);
+
+    /// The length of this value's external representation, if the value
+    /// knows it without writing it. [`encode_with`] makes room for exactly
+    /// that much before writing, so a message that writes a few bytes
+    /// past a large block never doubles the scratch buffer for them.
+    fn external_len(&self) -> Option<usize> {
+        None
+    }
 }
 
 /// Translation from external representation back to internal form
@@ -35,8 +43,9 @@ thread_local! {
 
 /// A scratch buffer that grew beyond this is dropped rather than kept, so
 /// one large state transfer does not pin its size for the thread's life.
-/// 16 KiB holds every routine message (an 8 KiB bulk call with the
-/// `Writer`'s doubling) and is small beside any world's heap.
+/// 16 KiB holds every routine message (an 8 KiB bulk call or return,
+/// which knows its length and is written into exactly that much room)
+/// and is small beside any world's heap.
 const SCRATCH_KEEP: usize = 1 << 14;
 
 /// Externalizes `v` into the thread's scratch buffer and hands the encoded
@@ -49,6 +58,9 @@ const SCRATCH_KEEP: usize = 1 << 14;
 /// encodes a nested value just sees an empty scratch.
 pub fn encode_with<T: Externalize + ?Sized, R>(v: &T, sink: impl FnOnce(&[u8]) -> R) -> R {
     let mut w = Writer::reusing(SCRATCH.take());
+    if let Some(len) = v.external_len() {
+        w.reserve_exact(len);
+    }
     v.externalize(&mut w);
     let buf = w.finish();
     let out = sink(&buf);
@@ -153,6 +165,10 @@ impl<T: Externalize> Externalize for Vec<T> {
 impl<T: Externalize + ?Sized> Externalize for &T {
     fn externalize(&self, w: &mut Writer) {
         (**self).externalize(w);
+    }
+
+    fn external_len(&self) -> Option<usize> {
+        (**self).external_len()
     }
 }
 

@@ -33,8 +33,14 @@ impl Writer {
     /// Makes room for exactly `additional` more bytes: a value that knows
     /// its length grows the buffer once, to that length, and so never
     /// doubles it for the last few bytes written after a large block.
-    pub fn reserve_exact(&mut self, additional: usize) {
+    pub(crate) fn reserve_exact(&mut self, additional: usize) {
         self.buf.reserve_exact(additional);
+    }
+
+    /// Appends bytes already in external form, as they are: the runs of a
+    /// block whose length word has been written.
+    pub fn put_raw(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
     }
 
     /// Bytes written so far.

@@ -39,7 +39,7 @@ phase() {
   echo "==> $1"
 }
 
-phase "cargo fmt --check (and the shape of the source: audited hash maps, no per-thread hash map in the call runtime, no crates/*/src/*.rs file over 900 lines (every crate), one multicast blast, one window of events (no span window beside the trace ring), one framing site, one digest site (a return is hashed only by message::digest in core/src/message.rs), one client side per synchronization scheme, one encoding site (a Courier type's wire form is its wire declaration, or the line above its impl says not a declaration:), one way to die (a PeerDead is pushed only in Endpoint::declare_dead), call numbers only rise (set_call_number, the test hook that can rewind one, has no caller under crates/*/src), one way to count (no publish_metrics impl, refresh_metrics() call or set_gauge outside obs and simnet's hooks), no cargo feature, no ledger that grows with the run, no spawn loop or echo service beside the testbed's, EXPERIMENTS.md within 50,000 bytes, DESIGN.md within 80,000, a CHANGES.md entry within 1,536)"
+phase "cargo fmt --check (and the shape of the source: audited hash maps, no per-thread hash map in the call runtime, no crates/*/src/*.rs file over 900 lines (every crate), one multicast blast, one window of events (no span window beside the trace ring), one framing site, one digest site (a return is hashed only by message::digest in core/src/message.rs), one part layout (only message::parts in core/src/message.rs computes where a return is cut), one client side per synchronization scheme, one encoding site (a Courier type's wire form is its wire declaration, or the line above its impl says not a declaration:), one way to die (a PeerDead is pushed only in Endpoint::declare_dead), call numbers only rise (set_call_number, the test hook that can rewind one, has no caller under crates/*/src), one way to count (no publish_metrics impl, refresh_metrics() call or set_gauge outside obs and simnet's hooks), no cargo feature, no ledger that grows with the run, no spawn loop or echo service beside the testbed's, EXPERIMENTS.md within 50,000 bytes, DESIGN.md within 80,000, a CHANGES.md entry within 1,536)"
 cargo fmt --all --check
 # A HashMap/HashSet field iterates in a per-process order: each one in the
 # protocol crates says, on the line above it, why that is never observed.
@@ -90,6 +90,17 @@ if grep -rnE --include='*.rs' 'fn [a-z_]*digest[a-z_]*(<[^>]*>)?\([^)]*\) -> u64
   grep -vE -e '^crates/core/src/message\.rs:' -e '^crates/core/src/conn\.rs:.*(let h = obs::fnv1a|jitter_seed \^= obs::fnv1a_fold)' \
     -e '^crates/core/src/idset\.rs:.*fnv1a_fold'; then
   echo "a return hashed outside core/src/message.rs (named above): hash it with message::digest" >&2
+  exit 1
+fi
+# A return is cut in one place, `parts` in core/src/message.rs: a member
+# cuts its part and a client checks the parts it joins by the same layout,
+# and a second layout is one the other side cannot join. Elsewhere in the
+# call runtime the segment size is only handed to `parts` or kept for it,
+# never computed with.
+if grep -rnE --include='*.rs' -e 'max_segment_data' -e '\b(segment|tail)\b *[-+*/%]' crates/core/src |
+  grep -vE -e '^crates/core/src/message\.rs:' -e '^crates/core/src/calls/tests\.rs:' \
+    -e 'parts\(.*max_segment_data\)' -e 'segment: [a-z_.]*max_segment_data,'; then
+  echo "a return cut outside core/src/message.rs (named above): cut it with message::parts" >&2
   exit 1
 fi
 # A peer dies one way, `Endpoint::declare_dead`, whatever the evidence: a

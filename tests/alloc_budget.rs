@@ -59,9 +59,11 @@ use rdp::wire::{from_bytes, to_bytes};
 /// call does not fit under it.
 const CALL_BUDGET: f64 = 10.03;
 
-/// The same for an 8 KiB echo call: 14.50 measured; 16.51 before two
-/// members sent a one-segment digest of the return in place of it (two
-/// reassemblies fewer at the client), 43.51 before every first
+/// The same for an 8 KiB echo call: 14.50 measured, as when one member
+/// returned in full (every member now returns a part, and only the head
+/// is reassembled); 16.51 before two members sent a one-segment digest of
+/// the return in place of it (two reassemblies fewer at the client),
+/// 43.51 before every first
 /// transmission was a window of the message's one framed buffer and a
 /// multi-segment receive reused its slot vector, 52.5 before the change
 /// that set `CALL_BUDGET` to 12. Sending the call once per member spent

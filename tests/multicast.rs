@@ -7,9 +7,10 @@
 //! `sendmsg`s, as the paper measured. From two segments up it is sent
 //! once, by troupe-wide multicast: k `sendmsg`s instead of n·k, "m+n
 //! messages". `multicast_small_calls` extends that to single segments.
-//! Each server member returns to its one caller on its own — in full from
-//! the data member a unanimous blast names, as a one-segment digest from
-//! the others once the return spans two or more segments; the return of
+//! Each server member returns to its one caller on its own — the whole
+//! return once it fits one segment, else, to a unanimous blast, its part:
+//! the data member the head, each other member one segment of the tail;
+//! the return of
 //! a many-to-one call — a troupe calling back, as in the commit round —
 //! goes to the calling members once, by multicast. Reliability is per
 //! member either way: acknowledgment, retransmission toward a straggler
@@ -229,10 +230,10 @@ fn multisegment_call_multicasts_once_per_segment() {
 }
 
 /// The floor on the paper's cost model (Table 4.2 charges per datagram):
-/// an 8 KiB echo at n = 3 is 3 members × 6 call frames, the data member's
-/// 6 return frames and a digest from each other member, and not one
-/// datagram more, and the 6 call frames cost the client one `sendmsg`
-/// each, not one per member.
+/// an 8 KiB echo at n = 3 is 3 members × 6 call frames and the 6 frames of
+/// the return in parts — the data member's 4-frame head and one tail frame
+/// from each other member — and not one datagram more, and the 6 call
+/// frames cost the client one `sendmsg` each, not one per member.
 #[test]
 fn bulk_echo_sends_exactly_the_frames_the_ethernet_needs() {
     const CALLS: u64 = 5;
@@ -241,13 +242,14 @@ fn bulk_echo_sends_exactly_the_frames_the_ethernet_needs() {
     let (sendmsgs, tap, w) = closed_loop(CALLS, 8192);
     // The call and return headers fit the last segment's slack.
     let per_message = 8192usize.div_ceil(grain) as u64;
-    assert_eq!(tap.totals, [per_message as u8; 2]);
+    assert_eq!(tap.totals, [per_message as u8, 4]);
     assert_eq!(per_message, 6);
-    // One full return; a one-segment digest from each other member.
-    assert_eq!(sendmsgs, CALLS * (6 + 6 + 2), "14 per call");
+    // The head in four segments; one segment of the tail from each other
+    // member.
+    assert_eq!(sendmsgs, CALLS * (6 + 4 + 2), "12 per call");
     assert_eq!(w.net_stats().multicasts, CALLS * 6);
-    assert_eq!(w.net_stats().sent, CALLS * (3 * 6 + 6 + 2), "26 per call");
-    assert_eq!(tap.data, CALLS * 26, "every datagram a first transmission");
+    assert_eq!(w.net_stats().sent, CALLS * (3 * 6 + 4 + 2), "24 per call");
+    assert_eq!(tap.data, CALLS * 24, "every datagram a first transmission");
     assert_eq!(tap.overhead, 0, "no ack, retransmission or probe");
     assert_eq!(w.net_stats().oversize, 0);
     assert_eq!(tap.largest, mtu, "a full segment is exactly one frame");
@@ -257,12 +259,14 @@ fn bulk_echo_sends_exactly_the_frames_the_ethernet_needs() {
 fn call_header_counts_toward_the_segment() {
     let grain = pairedmsg::Config::default().max_segment_data;
     // A segment's worth of arguments no longer fits one segment once the
-    // call header is in front of it; the echo's return spills too. Two
-    // segments are enough to share: 2 for the call, 2 coming back from
-    // the data member and a digest from each other member.
+    // call header (and the list of the three members it names) is in
+    // front of it; the echo's return spills too. Two segments are enough
+    // to share: 2 for the call, and the return in three one-segment
+    // parts — a 20-byte head, one part carrying the digest alone, and a
+    // full segment of the tail.
     let (sendmsgs, tap, _) = closed_loop(2, grain);
-    assert_eq!(tap.totals, [2, 2]);
-    assert_eq!(sendmsgs, 2 * (2 + 2 + 2));
+    assert_eq!(tap.totals, [2, 1]);
+    assert_eq!(sendmsgs, 2 * (2 + 3));
     // The paper's own tables use calls like this one: a single segment.
     let (sendmsgs, tap, _) = closed_loop(2, 64);
     assert_eq!(tap.totals, [1, 1]);
@@ -271,11 +275,12 @@ fn call_header_counts_toward_the_segment() {
 }
 
 /// `sendmsg`s per n = 3 echo call of k segments each way: 2n at k = 1,
-/// k + k + (n − 1) from there up (the call once, the data member's
-/// return, a digest from each other member), and nothing but first
-/// transmissions at any
-/// size — at 9 segments per-member transmission took 381 ms a call, past
-/// the 300 ms interval, and re-sent a *please ack* every other call.
+/// k + max(n, k) from there up (the call once; the return in parts, each
+/// of at least one segment: at these sizes the head takes k − n + 1 of
+/// the k, and a member whose part would be empty still sends its
+/// digest), and nothing but first transmissions at any size — at 9
+/// segments per-member transmission took 381 ms a call, past the 300 ms
+/// interval, and re-sent a *please ack* every other call.
 #[test]
 fn sendmsgs_per_call_follow_the_segment_count() {
     const N: u64 = 3;
@@ -285,8 +290,13 @@ fn sendmsgs_per_call_follow_the_segment_count() {
         // Arguments ending half-way into the k-th segment: the call and
         // return headers fit the slack.
         let (sendmsgs, tap, w) = closed_loop(CALLS, (k as usize - 1) * grain + grain / 2);
-        assert_eq!(tap.totals, [k as u8; 2]);
-        let (call, mcasts, back) = if k == 1 { (N, 0, N) } else { (k, k, k + N - 1) };
+        let head = if k == 1 {
+            1
+        } else {
+            k.saturating_sub(N - 1).max(1)
+        };
+        assert_eq!(tap.totals, [k as u8, head as u8]);
+        let (call, mcasts, back) = if k == 1 { (N, 0, N) } else { (k, k, k.max(N)) };
         assert_eq!(sendmsgs, CALLS * (call + back), "sendmsgs at k = {k}");
         assert_eq!(w.net_stats().multicasts, CALLS * mcasts, "k = {k}");
         assert_eq!(
