@@ -50,6 +50,13 @@ pub const CLIENT_PORT: u16 = 10;
 /// because the healer replaces every confirmed-dead member from the
 /// spare pool, the degree the troupe must be back at by quiesce.
 pub const REPLICATION: usize = 3;
+/// How many trace events a chaos world retains: the run's last, up to
+/// quiesce, which its [`Report`](crate::Report) carries as its sample and
+/// a failure prints. The hash and the count still cover every event; a
+/// longer tail is one replay of the seed away, through an
+/// [`injector`](ScenarioOptions::injector) hook that adds a sink of its
+/// own ([`World::add_trace_sink`]).
+pub const TRACE_SAMPLE: usize = 64;
 /// The configlang specification the initial placement is solved from.
 pub const TROUPE_SPEC: &str =
     "troupe(x, y, z) where x.memory >= 8 and y.memory >= 8 and z.memory >= 8";
@@ -251,10 +258,10 @@ pub fn quiesce<W: Workload>(wl: &W, seed: u64, opts: &ScenarioOptions) -> (Quies
     let mut w = World::with_config(seed, NetConfig::lan_1985(), SyscallCosts::default());
     let baseline = w.net().clone();
     // The sink must be installed before the first spawn so the whole run,
-    // setup included, is covered by the trace hash. A bounded ring keeps
-    // memory flat no matter how long the run is: the hash still covers
-    // every event, only the retained window is capped.
-    w.set_trace_sink(Box::new(TraceRing::new(4_096)));
+    // setup included, is covered by the trace hash. The ring keeps only
+    // what the report reads, at one fixed allocation however long the
+    // run: the hash still covers every event.
+    w.set_trace_sink(Box::new(TraceRing::new(TRACE_SAMPLE)));
 
     let config = NodeConfig {
         assembly_timeout: Duration::from_micros(1_500_000),

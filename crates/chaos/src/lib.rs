@@ -71,7 +71,7 @@ pub use commute::{Commute, CommuteExtra};
 pub use drive::Driver;
 pub use harness::{
     quiesce, Quiesced, ScenarioOptions, Workload, CLIENT_PORT, COMMIT_MODULE, MEMBER_MODULE,
-    MEMBER_PORT, REPLICATION,
+    MEMBER_PORT, REPLICATION, TRACE_SAMPLE,
 };
 pub use oracle::{check_all, Violation};
 pub use plan::{Fault, FaultPlan, PlanOptions, PlannedFault};

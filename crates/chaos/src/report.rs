@@ -16,9 +16,6 @@ use simnet::{TraceEvent, TraceRing};
 use crate::harness::{quiesce, ScenarioOptions, Workload};
 use crate::oracle::Violation;
 
-/// How many retained trace events a report carries for inspection.
-const TRACE_SAMPLE: usize = 64;
-
 /// Everything one chaos run produced: the common fields, plus the
 /// workload's own in `extra`.
 #[derive(Clone, Debug)]
@@ -31,8 +28,9 @@ pub struct Report<E> {
     pub trace_hash: u64,
     /// Total trace events emitted.
     pub trace_events: u64,
-    /// A few retained events (the oldest the ring still holds), for
-    /// eyeballing a diverging run.
+    /// The run's last [`TRACE_SAMPLE`](crate::TRACE_SAMPLE) events, up to
+    /// quiesce, oldest first: the whole window the harness retains, which
+    /// [`failure_summary`](Report::failure_summary) prints.
     pub trace_sample: Vec<TraceEvent>,
     /// Faults the plan scheduled.
     pub faults: usize,
@@ -97,7 +95,8 @@ impl<E: fmt::Display> fmt::Display for Report<E> {
 }
 
 impl<E: fmt::Display> Report<E> {
-    /// A one-paragraph failure description, repro line first.
+    /// A one-paragraph failure description, repro line first and the
+    /// retained tail of the trace last, one event a line.
     pub fn failure_summary(&self) -> String {
         let mut s = format!(
             "{} chaos seed {} FAILED — reproduce with:\n    {}\n{self}\n",
@@ -117,7 +116,74 @@ impl<E: fmt::Display> Report<E> {
         for v in &self.violations {
             s.push_str(&format!("violation: {v}\n"));
         }
+        if !self.trace_sample.is_empty() {
+            s.push_str(&format!(
+                "trace: the last {} of {} events\n",
+                self.trace_sample.len(),
+                self.trace_events
+            ));
+        }
+        for ev in &self.trace_sample {
+            s.push_str(&format!("    {}\n", trace_line(ev)));
+        }
         s
+    }
+}
+
+/// One trace event as a failure prints it: time, kind, endpoints, length,
+/// and a datagram's first 8 head bytes in hex.
+fn trace_line(ev: &TraceEvent) -> String {
+    use TraceEvent::*;
+    let hex = |head: &[u8]| -> String { head[..8].iter().map(|b| format!("{b:02x}")).collect() };
+    match *ev {
+        Send {
+            at,
+            from,
+            to,
+            len,
+            ref head,
+        } => format!("{at} send {from} -> {to} len {len} head {}", hex(head)),
+        Duplicate {
+            at,
+            from,
+            to,
+            ref head,
+        } => format!("{at} duplicate {from} -> {to} head {}", hex(head)),
+        Deliver {
+            at,
+            from,
+            to,
+            len,
+            ref head,
+        } => format!("{at} deliver {from} -> {to} len {len} head {}", hex(head)),
+        Drop {
+            at,
+            from,
+            to,
+            len,
+            reason,
+            ref head,
+        } => format!(
+            "{at} drop ({reason:?}) {from} -> {to} len {len} head {}",
+            hex(head)
+        ),
+        TimerFire { at, owner, id, tag } => format!("{at} timer {owner} id {} tag {tag}", id.0),
+        Spawn { at, addr } => format!("{at} spawn {addr}"),
+        Kill { at, addr } => format!("{at} kill {addr}"),
+        CrashHost { at, host } => format!("{at} crash {host}"),
+        RestartHost { at, host } => format!("{at} restart {host}"),
+        Inject { at, from, to, len } => format!("{at} inject {from} -> {to} len {len}"),
+        Unreachable { at, to, dead } => format!("{at} unreachable {dead} -> {to}"),
+        Span {
+            at,
+            id,
+            parent,
+            label,
+        } => format!(
+            "{at} span {} parent {} label {label}",
+            id.raw(),
+            parent.raw()
+        ),
     }
 }
 
@@ -149,10 +215,7 @@ pub fn run<W: Workload>(wl: &W, seed: u64, opts: &ScenarioOptions) -> Report<W::
     let (trace_hash, trace_events, trace_sample) = q
         .world
         .trace_sink_as::<TraceRing>()
-        .map(|ring| {
-            let sample = ring.events().into_iter().take(TRACE_SAMPLE).collect();
-            (ring.hash(), ring.seen(), sample)
-        })
+        .map(|ring| (ring.hash(), ring.seen(), ring.events()))
         .unwrap_or((0, 0, Vec::new()));
 
     let mut rebinds = 0u32;
@@ -259,4 +322,68 @@ pub fn sweep<W: Workload>(
                 .expect("every seed produced a report")
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use simnet::{HostId, SockAddr, Time, TraceSink};
+
+    use super::*;
+    use crate::TRACE_SAMPLE;
+
+    /// A failing report over `n` traced events, its trace taken from a
+    /// ring of the harness's size as [`run`] takes it.
+    fn failing_report(n: u64) -> Report<String> {
+        let mut ring = TraceRing::new(TRACE_SAMPLE);
+        for i in 0..n {
+            ring.record(&TraceEvent::Send {
+                at: Time::from_micros(i),
+                from: SockAddr::new(HostId(1), 10),
+                to: SockAddr::new(HostId(10), 70),
+                len: 100,
+                head: [0xab; simnet::trace::HEAD_LEN],
+            });
+        }
+        Report {
+            workload: "store",
+            seed: 7,
+            trace_hash: ring.hash(),
+            trace_events: ring.seen(),
+            trace_sample: ring.events(),
+            faults: 0,
+            repairs: 0,
+            rebinds: 0,
+            client_errors: Vec::new(),
+            driver_warnings: Vec::new(),
+            all_clients_finished: true,
+            violations: vec![Violation {
+                oracle: "planted",
+                detail: "for the test".into(),
+            }],
+            metrics: obs::Snapshot::default(),
+            extra: String::new(),
+        }
+    }
+
+    #[test]
+    fn a_failure_prints_the_tail_of_its_trace() {
+        for n in [3, TRACE_SAMPLE as u64, 1_000] {
+            let r = failing_report(n);
+            assert!(!r.passed());
+            let summary = r.failure_summary();
+            let (head, tail) = summary
+                .split_once("violation: [planted] for the test\n")
+                .expect("the violation is printed");
+            assert!(head.starts_with("store chaos seed 7 FAILED"));
+            let lines: Vec<&str> = tail.lines().collect();
+            let shown = n.min(TRACE_SAMPLE as u64);
+            assert_eq!(lines[0], format!("trace: the last {shown} of {n} events"));
+            assert_eq!(lines.len() as u64, 1 + shown, "{summary}");
+            let last_at = Time::from_micros(n - 1);
+            assert_eq!(
+                *lines.last().unwrap(),
+                format!("    {last_at} send h1:10 -> h10:70 len 100 head abababababababab")
+            );
+        }
+    }
 }

@@ -277,10 +277,12 @@ pub trait TraceSink: Any {
 /// stream can be inspected afterwards: none ([`TraceRing::new`]`(0)`, hash
 /// and count only), the tail leading up to the quiesce — what a failure
 /// post-mortem wants, at fixed memory however long the run (the chaos
-/// harness keeps 4 096) — or everything ([`TraceRing::unbounded`], for
-/// tests that inspect whole streams). Span mints are events like any
-/// other, so the forest ([`TraceRing::span_tree`]) covers what the window
-/// does, at no memory of its own.
+/// harness keeps the 64 its report prints; a deterministic run gives a
+/// longer tail to a replay of its seed) — or everything
+/// ([`TraceRing::unbounded`], for tests that inspect whole streams). Span
+/// mints are events like any other, so the forest
+/// ([`TraceRing::span_tree`]) covers what the window does, at no memory
+/// of its own.
 #[derive(Clone, Debug)]
 pub struct TraceRing {
     hash: u64,

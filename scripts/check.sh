@@ -206,24 +206,25 @@ bash benchmark/check.sh >/dev/null
 # The benchmark's sim_* columns are a pure function of seed, size and the
 # code under crates/; the driver compares them parent against change, and
 # this pins them between its runs, so a moved simulated clock is a diff
-# here first. The same runs ratchet the host clock's allocations: each
-# workload's host_allocs_per_op may not pass its ceiling in
-# tests/golden/bench_smoke_allocs.txt by more than 0.5 % (chaos_faults
-# repeats to within a few allocations in millions, not exactly), and
-# UPDATE_GOLDEN lowers a ceiling to what was measured, never raises one.
-# Reuses the build benchmark/check.sh just made.
-phase "benchmark simulated clock and allocations (--smoke, seed 1985: 5 workloads x 5 sim_* figures against tests/golden/bench_smoke_sim.txt, host_allocs_per_op under the ceilings in tests/golden/bench_smoke_allocs.txt)"
+# here first. The same runs ratchet the host clock: each workload's
+# host_allocs_per_op and host_peak_heap_mb may not pass its ceiling in
+# tests/golden/bench_smoke_allocs.txt and tests/golden/bench_smoke_heap.txt
+# by more than 0.5 % (chaos_faults allocations repeat to within a few in
+# millions, not exactly), and UPDATE_GOLDEN lowers a ceiling to what was
+# measured, never raises one. Reuses the build benchmark/check.sh just made.
+phase "benchmark simulated clock, allocations and heap (--smoke, seed 1985: 5 workloads x 5 sim_* figures against tests/golden/bench_smoke_sim.txt, host_allocs_per_op and host_peak_heap_mb under the ceilings in tests/golden/bench_smoke_allocs.txt and bench_smoke_heap.txt)"
 sim_golden=tests/golden/bench_smoke_sim.txt
 sim_actual=target/bench_smoke_sim.actual
-alloc_golden=tests/golden/bench_smoke_allocs.txt
-alloc_actual=target/bench_smoke_allocs.actual
 : >"$sim_actual"
-: >"$alloc_actual"
+: >target/host_allocs_per_op.actual
+: >target/host_peak_heap_mb.actual
 for w in echo_small echo_bulk commit_contended ordered_bcast chaos_faults; do
   out=$(CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$PWD/target}" \
     bash benchmark/run.sh --smoke --workload "$w" --seed 1985 --trace 0)
   awk -v w="$w" '/^sim_/ { print w, $1, $2, $3 }' <<<"$out" >>"$sim_actual"
-  awk -v w="$w" '/^host_allocs_per_op / { print w, $1, $2, $3 }' <<<"$out" >>"$alloc_actual"
+  for m in host_allocs_per_op host_peak_heap_mb; do
+    awk -v w="$w" -v m="$m" '$1 == m { print w, $1, $2, $3 }' <<<"$out" >>"target/$m.actual"
+  done
 done
 if ! diff -u "$sim_golden" "$sim_actual"; then
   if [ -n "${UPDATE_GOLDEN:-}" ]; then
@@ -234,23 +235,29 @@ if ! diff -u "$sim_golden" "$sim_actual"; then
     exit 1
   fi
 fi
-if [ -n "${UPDATE_GOLDEN:-}" ]; then
-  lowered=target/bench_smoke_allocs.lowered
-  awk 'FILENAME == ARGV[1] { ceiling[$1] = $0; value[$1] = $3; next }
-       ($1 in value) && value[$1] <= $3 { print ceiling[$1]; next }
-       { print }' "$alloc_golden" "$alloc_actual" >"$lowered"
-  if ! diff -u "$alloc_golden" "$lowered"; then
-    cp "$lowered" "$alloc_golden"
-    echo "UPDATE_GOLDEN lowered the ceilings above in $alloc_golden"
+for ratchet in host_allocs_per_op:tests/golden/bench_smoke_allocs.txt \
+  host_peak_heap_mb:tests/golden/bench_smoke_heap.txt; do
+  m=${ratchet%%:*}
+  golden=${ratchet#*:}
+  actual=target/$m.actual
+  if [ -n "${UPDATE_GOLDEN:-}" ]; then
+    lowered=target/$m.lowered
+    awk 'FILENAME == ARGV[1] { ceiling[$1] = $0; value[$1] = $3; next }
+         ($1 in value) && value[$1] <= $3 { print ceiling[$1]; next }
+         { print }' "$golden" "$actual" >"$lowered"
+    if ! diff -u "$golden" "$lowered"; then
+      cp "$lowered" "$golden"
+      echo "UPDATE_GOLDEN lowered the ceilings above in $golden"
+    fi
   fi
-fi
-if ! awk 'FILENAME == ARGV[1] { ceiling[$1] = $3; next }
-          !($1 in ceiling) { print $1 ": no allocation ceiling"; bad = 1; next }
-          $3 > ceiling[$1] * 1.005 { print $1 ": " $3 " allocations per op, over its ceiling of " ceiling[$1] " by more than 0.5 %"; bad = 1 }
-          END { exit bad }' "$alloc_golden" "$alloc_actual"; then
-  echo "a workload allocates more per operation than its ceiling allows: find the allocation, do not raise the ceiling" >&2
-  exit 1
-fi
+  if ! awk 'FILENAME == ARGV[1] { ceiling[$1] = $3; next }
+            !($1 in ceiling) { print $1 ": no " $2 " ceiling"; bad = 1; next }
+            $3 > ceiling[$1] * 1.005 { print $1 ": " $2 " " $3 ", over its ceiling of " ceiling[$1] " by more than 0.5 %"; bad = 1 }
+            END { exit bad }' "$golden" "$actual"; then
+    echo "a workload allocates more than its $m ceiling in $golden allows: find the allocation, do not raise the ceiling" >&2
+    exit 1
+  fi
+done
 
 # The full fuzz sweep's seed range rotates off the committed epoch
 # counter (bump tests/corpus/seed_epoch to move CI onto 100 fresh

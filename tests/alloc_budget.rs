@@ -27,10 +27,13 @@
 //! - A world with no trace sink keeps no spans: what its registry holds
 //!   after 20 000 echo calls is within [`NO_SINK_GROWTH_BUDGET`] bytes of
 //!   what it holds after 100.
+//! - A chaos world retains only the trace its report reads: the last
+//!   `chaos::TRACE_SAMPLE` events up to quiesce.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use rdp::chaos::{run_scenario, ScenarioOptions, Store, TRACE_SAMPLE};
 use rdp::circus::testbed::{
     addr, agent, agent_mut, enqueue, service, spawn_troupe, world, Caller, CountingService,
     Request, MODULE, PROC_ECHO,
@@ -39,7 +42,9 @@ use rdp::circus::{
     Agent, CallError, CallHandle, CollationPolicy, NodeBuilder, NodeConfig, NodeCtx, Service,
     ThreadId, Troupe, TroupeId,
 };
-use rdp::simnet::{DiskConfig, EventQueue, SockAddr, Until, World};
+use rdp::simnet::{
+    DiskConfig, Duration, EventQueue, SockAddr, TraceEvent, TraceRing, TraceSink, Until, World,
+};
 use rdp::transactions::{
     Broadcaster, CmBatch, CmOp, CommitVoterService, CommutativeService, ExecuteRequest, Next,
     ObjId, Op, OrderedApply, OrderedBroadcastService, ProposeAccept, Protocol, TroupeStoreService,
@@ -382,6 +387,67 @@ fn a_world_with_no_sink_keeps_no_spans() {
          {NO_SINK_GROWTH_BUDGET})",
         late - early
     );
+}
+
+/// Every event of a world from its installation on (a second `TraceRing`
+/// would hide behind the harness's in `World::trace_sink_as`).
+struct Everything(Vec<TraceEvent>);
+
+impl TraceSink for Everything {
+    fn record(&mut self, ev: &TraceEvent) {
+        self.0.push(ev.clone());
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+/// A chaos world retains only the trace its report reads: the last
+/// [`TRACE_SAMPLE`] events up to quiesce. A window of 4 096 held 192 KiB
+/// there, a third of the world's heap, of which the report kept the
+/// oldest 64. The hash and the count still cover every event.
+#[test]
+fn a_chaos_world_keeps_only_the_trace_it_reports() {
+    let opts = ScenarioOptions::default();
+    let report = rdp::chaos::run(&Store, 1, &opts);
+    let mut q = run_scenario(1, &opts);
+    let window = |w: &World| {
+        w.trace_sink_as::<TraceRing>()
+            .expect("the harness's ring")
+            .events()
+    };
+    let ring = q
+        .world
+        .trace_sink_as::<TraceRing>()
+        .expect("the harness's ring");
+    assert!(ring.seen() > TRACE_SAMPLE as u64, "{} events", ring.seen());
+    assert_eq!(
+        window(&q.world).len(),
+        TRACE_SAMPLE,
+        "the window is the sample"
+    );
+    assert_eq!(report.trace_events, ring.seen());
+    assert_eq!(report.trace_hash, ring.hash());
+    assert_eq!(
+        report.trace_sample,
+        window(&q.world),
+        "the report keeps all of it"
+    );
+
+    // The window is the world's tail: run on past quiesce beside a sink
+    // that keeps every event, and the window ends where that stream does.
+    let before = window(&q.world);
+    q.world.add_trace_sink(Box::new(Everything(Vec::new())));
+    q.world
+        .run(Until::Elapsed(Duration::from_micros(10_000_000)));
+    let after = &q
+        .world
+        .trace_sink_as::<Everything>()
+        .expect("installed above")
+        .0;
+    assert!(!after.is_empty(), "the world is still running");
+    let stream: Vec<TraceEvent> = before.iter().chain(after).cloned().collect();
+    assert_eq!(window(&q.world), stream[stream.len() - TRACE_SAMPLE..]);
 }
 
 /// The broadcast application: a running sum of the 8-byte payloads.
