@@ -25,32 +25,6 @@ use std::fmt;
 
 use simnet::Payload;
 
-#[cfg(debug_assertions)]
-thread_local! {
-    static ENCODES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Number of datagrams this thread has copied together so far, by
-/// [`Segment::encode`] (debug builds only; always 0 in release). A
-/// datagram cut from a framed message ([`crate::Framed`]) is a window,
-/// not a copy, and does not count. Lets tests pin the zero-copy contract,
-/// e.g. "a 5-member multicast copies no segment".
-pub fn encodes() -> u64 {
-    #[cfg(debug_assertions)]
-    {
-        ENCODES.with(|c| c.get())
-    }
-    #[cfg(not(debug_assertions))]
-    {
-        0
-    }
-}
-
-fn count_encode() {
-    #[cfg(debug_assertions)]
-    ENCODES.with(|c| c.set(c.get() + 1));
-}
-
 /// Whether a segment belongs to a call or a return message.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum MsgType {
@@ -298,7 +272,6 @@ impl Segment {
     /// and copied here only when the header they need is not the one in
     /// their room.
     pub fn encode(&self) -> Payload {
-        count_encode();
         Payload::build(HEADER_LEN + self.data.len(), |out| {
             out[..HEADER_LEN].copy_from_slice(&self.header.to_bytes());
             out[HEADER_LEN..].copy_from_slice(&self.data);
@@ -525,17 +498,9 @@ mod tests {
         // The decoded data is a window into the wire payload, not a copy.
         assert_eq!(back.data, wire.slice(HEADER_LEN..wire.len()));
         assert!(back.data.shares_buffer_with(&wire));
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    fn encode_counter_counts_encodes() {
-        let s = Segment::data(MsgType::Call, 1, 0, 1, 1, false, vec![1u8, 2]);
-        let before = encodes();
-        let wire = s.encode();
-        assert_eq!(encodes(), before + 1);
-        let _ = Segment::decode(&wire).unwrap();
-        let _ = wire.clone();
-        assert_eq!(encodes(), before + 1, "decode and clone never re-encode");
+        assert!(
+            wire.clone().shares_buffer_with(&wire),
+            "a clone is a handle"
+        );
     }
 }

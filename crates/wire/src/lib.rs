@@ -31,6 +31,6 @@ pub mod types;
 pub mod writer;
 
 pub use error::WireError;
-pub use reader::{byte_copies, Reader};
+pub use reader::Reader;
 pub use types::{encode_with, from_bytes, to_bytes, Bytes, Externalize, Internalize};
 pub use writer::Writer;

@@ -3,39 +3,6 @@
 
 use crate::error::WireError;
 
-#[cfg(debug_assertions)]
-thread_local! {
-    /// Copies made by the *allocating* byte readers ([`Reader::get_bytes`]
-    /// and everything built on it). Decode paths that claim to be
-    /// zero-copy pin themselves by asserting this counter does not move —
-    /// the internalization mirror of pairedmsg's `encodes()` counter.
-    static BYTE_COPIES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Total byte-block copies made by allocating reads on this thread.
-///
-/// Debug builds only; always 0 in release builds. Tests snapshot it
-/// before and after a decode to assert a path borrows from the datagram
-/// instead of allocating.
-pub fn byte_copies() -> u64 {
-    #[cfg(debug_assertions)]
-    {
-        BYTE_COPIES.with(|c| c.get())
-    }
-    #[cfg(not(debug_assertions))]
-    {
-        0
-    }
-}
-
-#[cfg(debug_assertions)]
-fn count_byte_copy() {
-    BYTE_COPIES.with(|c| c.set(c.get() + 1));
-}
-
-#[cfg(not(debug_assertions))]
-fn count_byte_copy() {}
-
 /// A cursor over a buffer of external representation.
 #[derive(Clone, Debug)]
 pub struct Reader<'a> {
@@ -118,7 +85,6 @@ impl<'a> Reader<'a> {
 
     /// Reads a length-prefixed, word-padded opaque byte block.
     pub fn get_bytes(&mut self) -> Result<Vec<u8>, WireError> {
-        count_byte_copy();
         Ok(self.get_bytes_borrowed()?.to_vec())
     }
 
@@ -160,7 +126,6 @@ impl<'a> Reader<'a> {
 
     /// Reads a STRING (length-prefixed UTF-8, word-padded).
     pub fn get_string(&mut self) -> Result<String, WireError> {
-        count_byte_copy();
         Ok(self.get_str_borrowed()?.to_owned())
     }
 
@@ -261,19 +226,14 @@ mod tests {
 
         let mut owned = Reader::new(&bytes);
         let mut borrowed = Reader::new(&bytes);
-        let before = byte_copies();
         let b = borrowed.get_bytes_borrowed().unwrap();
-        let after_borrowed = byte_copies();
         let o = owned.get_bytes().unwrap();
-        // The counter is compiled out of release builds.
-        if cfg!(debug_assertions) {
-            assert_eq!(
-                after_borrowed, before,
-                "borrowed read must not copy the block"
-            );
-            assert!(byte_copies() > before, "owned read counts its copy");
-        }
         assert_eq!(b, o.as_slice());
+        assert_eq!(
+            b.as_ptr_range(),
+            bytes[4..7].as_ptr_range(),
+            "a borrow, not a copy"
+        );
         // Both readers consumed the pad byte and line up on the word.
         assert_eq!(borrowed.get_u16().unwrap(), 42);
         assert_eq!(owned.get_u16().unwrap(), 42);

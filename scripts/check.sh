@@ -39,7 +39,7 @@ phase() {
   echo "==> $1"
 }
 
-phase "cargo fmt --check (and the shape of the source: audited hash maps, no per-thread hash map in the call runtime, no crates/*/src/*.rs file over 900 lines (every crate), one multicast blast, one window of events (no span window beside the trace ring), one framing site, one digest site (a return is hashed only by message::digest in core/src/message.rs), one part layout (only message::parts in core/src/message.rs computes where a return is cut), one client side per synchronization scheme, one encoding site (a Courier type's wire form is its wire declaration, or the line above its impl says not a declaration:), one way to die (a PeerDead is pushed only in Endpoint::declare_dead), call numbers only rise (set_call_number, the test hook that can rewind one, has no caller under crates/*/src), one way to count (no publish_metrics impl, refresh_metrics() call or set_gauge outside obs and simnet's hooks), no cargo feature, no ledger that grows with the run, no spawn loop or echo service beside the testbed's, EXPERIMENTS.md within 50,000 bytes, DESIGN.md within 80,000, a CHANGES.md entry within 1,536)"
+phase "cargo fmt --check (and the shape of the source: audited hash maps, no per-thread hash map in the call runtime, no crates/*/src/*.rs file over 900 lines (every crate), one multicast blast, one window of events (no span window beside the trace ring), one framing site, one digest site (a return is hashed only by message::digest in core/src/message.rs), one part layout (only message::parts in core/src/message.rs computes where a return is cut), one client side per synchronization scheme, one encoding site (a Courier type's wire form is its wire declaration, or the line above its impl says not a declaration:), one way to die (a PeerDead is pushed only in Endpoint::declare_dead), call numbers only rise (set_call_number, the test hook that can rewind one, has no caller under crates/*/src), one way to count (no publish_metrics impl, refresh_metrics() call or set_gauge outside obs and simnet's hooks), no cargo feature, no cfg(debug_assertions) under crates/*/src, one GlobalAlloc impl (tests/alloc_budget.rs), no ledger that grows with the run, no spawn loop or echo service beside the testbed's, EXPERIMENTS.md within 50,000 bytes, DESIGN.md within 80,000, a CHANGES.md entry within 1,536)"
 cargo fmt --all --check
 # A HashMap/HashSet field iterates in a per-process order: each one in the
 # protocol crates says, on the line above it, why that is never observed.
@@ -155,6 +155,22 @@ if grep -rn 'cfg(feature' crates src tests; then
   echo "code conditional on a cargo feature (named above)" >&2
   exit 1
 fi
+# A debug build is the same program: nothing under crates/*/src, test
+# modules included, is compiled or asserted differently in one
+# (`debug_assert!` is a check, not a second program).
+if grep -rnE --include='*.rs' 'cfg!?\(debug_assertions\)' crates/*/src; then
+  echo "code conditional on a debug build (named above): state the claim so it holds in both builds" >&2
+  exit 1
+fi
+# Allocations are counted by one allocator, tests/alloc_budget.rs's (the
+# frozen benchmark keeps its own): a second counting binary is a copy of it.
+allocators=$(grep -rnE --include='*.rs' --exclude-dir=benchmark --exclude-dir=target \
+  'impl\b.*\bGlobalAlloc\b.* for ' . || true)
+if [ "$(grep -c . <<<"$allocators")" -ne 1 ] || [[ "$allocators" != ./tests/alloc_budget.rs:* ]]; then
+  echo "${allocators:-no GlobalAlloc impl}" >&2
+  echo "not exactly one GlobalAlloc impl outside benchmark/, in tests/alloc_budget.rs (named above): count allocations there" >&2
+  exit 1
+fi
 # The broadcast and commutative ledgers are bounded by the number of
 # clients (tests/alloc_budget.rs holds them flat); the phrase is how the
 # old, unbounded cache described itself.
@@ -189,9 +205,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 phase "cargo test --workspace (unit + integration tests, every chaos sweep, adversary corpus, golden files)"
 cargo test --workspace -q
 
-# Release builds compile some counters out (`pairedmsg::segment::encodes`,
-# `wire::byte_copies`), so a test that asserts one holds in debug only and
-# fails here. The allocation budgets and heap-flat gates run here too,
+# The same program as the debug run (check.sh allows no
+# `cfg(debug_assertions)` under crates/*/src), so every claim holds in both;
+# this run is the build the benchmark measures. The allocation budgets,
+# framing and scratch checks and heap-flat gates run here too,
 # `commit_store_heap_is_flat` beside `commit_store_heap_is_flat_on_fresh_threads`
 # (a fresh distributed thread per transaction, as `TxnClient` makes them).
 phase "cargo test --workspace --release (the same suite, as the benchmark builds the crates)"

@@ -1,13 +1,13 @@
-//! The allocation budget of the steady-state call path — a gate, not a
-//! comment. This binary carries its own counting `#[global_allocator]`,
-//! which counts per thread (the test harness allocates on its own threads
-//! while tests run), so the numbers are exact and repeat per seed.
+//! What the system allocates, counted — gates, not comments. This is the
+//! one binary with a counting `#[global_allocator]`; it counts per thread
+//! (the test harness allocates on its own threads while tests run), so
+//! the numbers are exact and repeat per seed.
 //!
 //! - One n=3 `Unanimous` 64-byte echo call (a single segment, sent per
 //!   member) must average at most [`CALL_BUDGET`] heap allocations,
 //!   measured over 1 000 calls after a 200-call warm-up, and one 8 KiB
 //!   call (six segments each way, the call multicast) at most
-//!   [`BULK_CALL_BUDGET`]. The budgets move down, never up, in later PRs.
+//!   [`BULK_CALL_BUDGET`]. The budgets move down, never up.
 //! - The same call must leave no heap behind: once every TTL window and
 //!   high-water mark has been passed, 20 000 more calls may grow the live
 //!   heap by at most [`HEAP_GROWTH_BUDGET`] bytes in all. The same holds
@@ -29,6 +29,15 @@
 //!   what it holds after 100.
 //! - A chaos world retains only the trace its report reads: the last
 //!   `chaos::TRACE_SAMPLE` events up to quiesce.
+//! - A message is framed once (`pairedmsg::Config::frame`) and sent from
+//!   its only handle: every first transmission, unicast or cut for a
+//!   multicast and adopted by its peers, is a window of that buffer and
+//!   allocates nothing, and peers at one call number share its datagrams.
+//!   Only a datagram whose header differs — another call number, a
+//!   *please ack* retransmission — is copied, once.
+//! - `wire::encode_with` writes every message into one scratch buffer per
+//!   thread: alternating bulk calls and returns allocate nothing once it
+//!   has grown, and a return written past a large block grows it once.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -39,75 +48,48 @@ use rdp::circus::testbed::{
     Request, MODULE, PROC_ECHO,
 };
 use rdp::circus::{
-    Agent, CallError, CallHandle, CollationPolicy, NodeBuilder, NodeConfig, NodeCtx, Service,
-    ThreadId, Troupe, TroupeId,
+    Agent, CallError, CallHandle, CallMessage, CollationPolicy, NodeBuilder, NodeConfig, NodeCtx,
+    ReturnMessage, Service, ThreadId, Troupe, TroupeId,
 };
+use rdp::pairedmsg::{Config, Endpoint, Event, Framed, MsgSender, MsgType, Segment};
 use rdp::simnet::{
-    DiskConfig, Duration, EventQueue, SockAddr, TraceEvent, TraceRing, TraceSink, Until, World,
+    DiskConfig, Duration, EventQueue, Payload, SockAddr, Time, TraceEvent, TraceRing, TraceSink,
+    Until, World,
 };
 use rdp::transactions::{
     Broadcaster, CmBatch, CmOp, CommitVoterService, CommutativeService, ExecuteRequest, Next,
     ObjId, Op, OrderedApply, OrderedBroadcastService, ProposeAccept, Protocol, TroupeStoreService,
     TxnClient, TxnOutcome, PROC_EXECUTE,
 };
-use rdp::wire::{from_bytes, to_bytes};
+use rdp::wire::{encode_with, from_bytes, to_bytes, Externalize};
 
 /// Allocations per replicated echo call the call path may spend.
-/// Measured: 9.53 — the 11.5 DESIGN.md "Data plane: who allocates what"
-/// names one by one, less the two the client itself used to make in the
-/// measured window (its arguments and a copy of the troupe; the testbed
-/// `Caller`'s requests are queued beforehand). The parent of the PR that
-/// introduced this gate spent 133.4; the one before messages were sent
-/// from their own buffers, small payloads kept inline and one-caller
-/// assemblies given no vectors, 21.5; the one before members called at
-/// one call number shared one call datagram, 11.53. One stray `Vec` per
-/// call does not fit under it.
+/// Measured: 9.53; one stray allocation per call would read 10.53.
 const CALL_BUDGET: f64 = 10.03;
 
-/// The same for an 8 KiB echo call: 14.50 measured, as when one member
-/// returned in full (every member now returns a part, and only the head
-/// is reassembled); 16.51 before two members sent a one-segment digest of
-/// the return in place of it (two reassemblies fewer at the client),
-/// 43.51 before every first
-/// transmission was a window of the message's one framed buffer and a
-/// multi-segment receive reused its slot vector, 52.5 before the change
-/// that set `CALL_BUDGET` to 12. Sending the call once per member spent
-/// eleven more.
+/// The same for an 8 KiB echo call. Measured: 14.50; one stray
+/// allocation per call would read 15.50.
 const BULK_CALL_BUDGET: f64 = 15.0;
 
 /// Allocations per ordered broadcast (two n=3 calls, an 8-byte payload)
-/// by the library `Broadcaster`. Measured: 26.02; 28.03 before it took
-/// the fault-safe collations, which every call shares (its lenient
-/// propose built a collator per call, and it kept each accept's decoded
-/// result), 32.02 before members called at one call number shared one
-/// call datagram, 65.0 before small payloads were kept inline and custom
-/// collators read their votes in place; the `Broadcaster` that copied
-/// the troupe for each call spent two more, the one that also cloned the
-/// payload five times per broadcast seven.
+/// by the library `Broadcaster`. Measured: 26.02; one stray allocation
+/// per broadcast would read 27.02.
 const BROADCAST_BUDGET: f64 = 26.52;
 
 /// Allocations per transaction (one `Add` on a durable n=3 store, the
 /// client voting through its `ready_to_commit` call-back). Measured:
-/// 31.78; 33.78 before members called at one call number shared one call
-/// datagram, 59.78 before a commit stopped copying what it keeps (a lock
-/// holder map per locked object, the workspace copied into its log
-/// record and the record into the retained ones, a fresh frame per log
-/// append, a heap-held 2-byte vote and a one-member caller troupe per
-/// call-back), 78.8 before the change that set `CALL_BUDGET` to 12.
+/// 31.78; one stray allocation per transaction would read 32.78.
 const COMMIT_BUDGET: f64 = 32.28;
 
 /// Allocations per transaction committed by two library `TxnClient`s
 /// contending for one hot object on the same durable store, so that lock
 /// waits, their wake-ups and the waits-for probe run as well. Measured:
-/// 35.51; 37.51 before members called at one call number shared one call
-/// datagram, 75.01 before a commit stopped copying what it keeps (and a
-/// waits-for relation that kept a set per waiter spent 1.5 more).
+/// 35.51; one stray allocation per transaction would read 36.51.
 const CONTENDED_COMMIT_BUDGET: f64 = 36.01;
 
 /// Bytes of live heap 20 000 steady-state echo calls may add. Measured:
-/// −456 (B-tree nodes come and go); the parent of the PR that introduced
-/// this gate grew by 5.2 MB — one doubling of a `Vec` that kept a 40-byte
-/// span record, four per call, for ever.
+/// −456 (B-tree nodes come and go); a `Vec` that kept a 40-byte span
+/// record, four per call, for ever would grow it by 5.2 MB.
 const HEAP_GROWTH_BUDGET: i64 = 16 * 1024;
 
 /// Bytes a world's registry may hold after 20 000 echo calls beyond what
@@ -937,4 +919,231 @@ fn event_queue_steady_state_allocates_nothing() {
         0,
         "steady-state pop + insert must not allocate"
     );
+}
+
+/// An 8 KiB message: six segments at the default grain.
+const BULK: usize = 8 * 1024;
+
+/// A `len`-byte message, framed as `circus` frames one.
+fn framed(len: usize) -> Framed {
+    let bytes: Vec<u8> = (0..len).map(|i| i as u8).collect();
+    Config::default().frame(&bytes)
+}
+
+/// A client endpoint that has made `n` exchanges of `len`-byte messages
+/// with a server of its own, so its tables and queues hold what a steady
+/// call of that size needs.
+fn warm_endpoint(n: u32, len: usize) -> Endpoint {
+    fn deliver(from: &mut Endpoint, to: &mut Endpoint, msg_type: MsgType, cn: u32, len: usize) {
+        from.send_shared(Time::ZERO, msg_type, cn, 0, &mut framed(len))
+            .unwrap();
+        while let Some(datagram) = from.poll_transmit() {
+            to.on_datagram(Time::ZERO, &datagram).unwrap();
+        }
+        assert!(matches!(to.poll_event(), Some(Event::Message { .. })));
+    }
+    let [mut client, mut server] = [(); 2].map(|_| Endpoint::new(Config::default()));
+    for cn in 1..=n {
+        deliver(&mut client, &mut server, MsgType::Call, cn, len);
+        deliver(&mut server, &mut client, MsgType::Return, cn, len);
+    }
+    client
+}
+
+/// Drains `endpoint`'s queued datagrams into `out`, which has the room.
+fn drain(endpoint: &mut Endpoint, out: &mut Vec<Payload>) {
+    while let Some(datagram) = endpoint.poll_transmit() {
+        out.push(datagram);
+    }
+}
+
+/// Every datagram in `sent` is the message's: `Segment::encode` of its
+/// header over the contiguous message.
+fn assert_encodes_of(sent: &[Payload], message: &Framed) {
+    for datagram in sent {
+        let header = Segment::decode(datagram).unwrap().header;
+        let data = message.data(header.number);
+        let seg = Segment { header, data };
+        assert_eq!(datagram, &seg.encode(), "segment {}", header.number);
+    }
+}
+
+#[test]
+fn a_six_segment_message_sent_from_its_only_handle_allocates_nothing() {
+    let mut client = warm_endpoint(3, BULK);
+    let mut sent = Vec::with_capacity(8);
+    let mut message = framed(BULK);
+    let before = allocations();
+    client
+        .send_shared(Time::ZERO, MsgType::Call, 4, 0, &mut message)
+        .unwrap();
+    drain(&mut client, &mut sent);
+    assert_eq!(allocations() - before, 0, "six windows of the message");
+    assert_eq!(sent.len(), 6);
+    assert!(sent.iter().all(|d| d.shares_buffer_with(&sent[0])));
+    assert_encodes_of(&sent, &message);
+}
+
+/// A multicast cut from the only handle, then adopted by three peers'
+/// endpoints, is the same six windows.
+#[test]
+fn a_six_segment_blast_from_its_only_handle_allocates_nothing() {
+    let config = Config::default();
+    let mut peers: Vec<Endpoint> = (0..3).map(|_| warm_endpoint(3, BULK)).collect();
+    let mut sent = Vec::with_capacity(8);
+    let message = framed(BULK);
+    let before = allocations();
+    let mut cut = MsgSender::new(Time::ZERO, &config, MsgType::Call, 4, 0, message).unwrap();
+    sent.extend(cut.initial_datagrams());
+    for peer in &mut peers {
+        let message = cut.framed().clone();
+        peer.adopt(Time::ZERO, MsgType::Call, 4, 0, message)
+            .unwrap();
+        drain(peer, &mut sent);
+    }
+    assert_eq!(allocations() - before, 0, "six windows of the message");
+    assert_eq!(sent.len(), 6, "the peers queue nothing of their own");
+    assert!(sent.iter().all(|d| d.shares_buffer_with(&sent[0])));
+    assert_encodes_of(&sent, cut.framed());
+}
+
+/// Sends one framed message to three warm peers at `call_numbers`, the
+/// first handed its only handle, and returns the allocations that took,
+/// each peer's datagrams and the message.
+fn fan_out(len: usize, call_numbers: [u32; 3]) -> (u64, Vec<Vec<Payload>>, Framed) {
+    let mut peers: Vec<Endpoint> = (0..3).map(|_| warm_endpoint(3, len)).collect();
+    let mut sent: Vec<Vec<Payload>> = (0..3).map(|_| Vec::with_capacity(8)).collect();
+    let mut message = framed(len);
+    let before = allocations();
+    for ((peer, out), cn) in peers.iter_mut().zip(&mut sent).zip(call_numbers) {
+        peer.send_shared(Time::ZERO, MsgType::Call, cn, 0, &mut message)
+            .unwrap();
+        drain(peer, out);
+    }
+    (allocations() - before, sent, message)
+}
+
+#[test]
+fn a_fan_out_at_one_call_number_shares_one_datagram_per_segment() {
+    for (len, segments) in [(64, 1), (BULK, 6)] {
+        let (spent, sent, message) = fan_out(len, [4, 4, 4]);
+        assert_eq!(spent, 0, "{len} bytes to three peers");
+        for peer in &sent {
+            assert_eq!(peer.len(), segments);
+            for (datagram, first) in peer.iter().zip(&sent[0]) {
+                assert!(datagram.shares_buffer_with(first));
+            }
+            assert_encodes_of(peer, &message);
+        }
+    }
+}
+
+#[test]
+fn a_peer_at_another_call_number_copies_its_datagrams() {
+    for (len, segments) in [(64, 1), (BULK, 6)] {
+        let (spent, sent, message) = fan_out(len, [4, 5, 4]);
+        assert_eq!(spent, segments, "{len} bytes: the second peer copies");
+        assert!(!sent[1][0].shares_buffer_with(&sent[0][0]));
+        assert!(sent[2][0].shares_buffer_with(&sent[0][0]));
+        let (spent, ..) = fan_out(len, [4, 5, 6]);
+        assert_eq!(spent, 2 * segments, "{len} bytes: two peers copy");
+        for peer in &sent {
+            assert_encodes_of(peer, &message);
+        }
+    }
+}
+
+#[test]
+fn a_please_ack_retransmission_copies_one_segment_and_moves_no_datagram() {
+    let mut client = warm_endpoint(3, BULK);
+    let mut sent = Vec::with_capacity(8);
+    client
+        .send_shared(Time::ZERO, MsgType::Call, 4, 0, &mut framed(BULK))
+        .unwrap();
+    drain(&mut client, &mut sent);
+    let bytes: Vec<Vec<u8>> = sent.iter().map(|d| d.to_vec()).collect();
+
+    let due = client
+        .poll_timer()
+        .expect("the call's retransmission timer");
+    let before = allocations();
+    client.on_timer(due);
+    let again = client.poll_transmit().expect("a retransmission");
+    assert_eq!(allocations() - before, 1, "one segment copied");
+    assert!(client.poll_transmit().is_none());
+
+    let (h, h0) = (
+        Segment::decode(&again).unwrap().header,
+        Segment::decode(&sent[0]).unwrap().header,
+    );
+    assert!(h.please_ack && !h0.please_ack && h.number == 1);
+    assert!(!again.shares_buffer_with(&sent[0]));
+    let control_bits_aside = |d: &Payload| (d[0], d[2..].to_vec());
+    assert_eq!(control_bits_aside(&again), control_bits_aside(&sent[0]));
+    let now: Vec<Vec<u8>> = sent.iter().map(|d| d.to_vec()).collect();
+    assert_eq!(now, bytes, "a datagram on the wire is never written again");
+}
+
+/// The allocations `wire::encode_with` makes encoding `msg` into a sink
+/// that allocates nothing, and the length it encoded.
+fn encode_counted(msg: &impl Externalize) -> (u64, usize) {
+    let before = allocations();
+    let len = encode_with(msg, <[u8]>::len);
+    (allocations() - before, len)
+}
+
+/// Runs `check` on a fresh thread: its scratch buffer starts empty.
+fn on_a_fresh_thread(check: impl FnOnce() + Send + 'static) {
+    std::thread::spawn(check).join().expect("the check passes");
+}
+
+/// An 8 KiB echo's return (8,198 bytes) and a call naming three members
+/// (8,254), one after the other, as a server member that calls onward
+/// encodes them: after the first pair, neither allocates or grows the
+/// scratch buffer again.
+#[test]
+fn alternating_bulk_returns_and_calls_reuse_the_scratch_buffer() {
+    on_a_fresh_thread(|| {
+        let call = CallMessage {
+            thread: ThreadId {
+                origin: addr(9, 70),
+                serial: 1,
+            },
+            call_seq: 1,
+            client_troupe: TroupeId(3),
+            server_troupe: TroupeId(4),
+            module: 1,
+            proc: 0,
+            args: vec![7u8; 8198],
+            members: member_addrs(),
+        };
+        let reply = ReturnMessage::Normal(vec![7u8; 8192]);
+        let (_, call_len) = encode_counted(&call);
+        let (_, reply_len) = encode_counted(&reply);
+        assert_eq!((reply_len, call_len), (8198, 8254));
+        for pair in 0..100 {
+            let (reply_allocs, _) = encode_counted(&reply);
+            let (call_allocs, _) = encode_counted(&call);
+            assert_eq!((reply_allocs, call_allocs), (0, 0), "pair {pair}");
+        }
+    });
+}
+
+/// A return whose last bytes come after a large block — the pad of an
+/// odd-length result, or of a part's bytes — is written into room made
+/// for all of it at once: one allocation, from an empty scratch buffer,
+/// not one and two doublings.
+#[test]
+fn a_return_written_past_a_large_block_grows_the_scratch_once() {
+    on_a_fresh_thread(|| {
+        let normal = ReturnMessage::Normal(vec![1u8; 8191]);
+        assert_eq!(encode_counted(&normal), (1, 8198));
+    });
+    on_a_fresh_thread(|| {
+        let part = ReturnMessage::Part {
+            digest: 7,
+            bytes: vec![1u8; 8191],
+        };
+        assert_eq!(encode_counted(&part), (1, 8206));
+    });
 }
