@@ -22,7 +22,6 @@ use crate::binding::reserved_procs::{FETCH_RETURN, GET_STATE, GET_STATE_SINCE};
 use crate::census;
 use crate::collate::{CollateError, Collation, CollationPolicy, Decision, PartsDecision};
 use crate::conn::Conns;
-use crate::idset::IdSet;
 use crate::message::{encode, wrap_reply_vote, CallKey, CallMessage, ReturnView};
 use crate::netio::NetIo;
 use crate::node::{CallHandle, NodeConfig};
@@ -32,7 +31,7 @@ use crate::thread::ThreadId;
 use obs::SpanId;
 use pairedmsg::MsgType;
 use simnet::{Payload, SockAddr, Syscall, Time};
-use wire::from_bytes;
+use wire::{from_bytes, IdSet};
 
 /// Why a call was made, which is where its result must go.
 #[derive(Debug)]

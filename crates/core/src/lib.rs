@@ -13,8 +13,9 @@
 //! - [`Troupe`], [`ModuleAddr`], [`TroupeId`] — the representation handed
 //!   out by the binding agent (§4.3, §6.3);
 //! - [`ThreadId`] and the thread-ID propagation algorithm (§3.4.1);
-//! - [`IdSet`] — an exact set of ids held as ranges, shared by the call
-//!   runtime's per-thread call sequences and the services' ledgers;
+//! - [`IdSet`] (re-exported from `wire`) — an exact set of ids held as
+//!   ranges, shared by the call runtime's per-thread call sequences, the
+//!   services' ledgers and the paired-message exactly-once audit;
 //! - [`CallMessage`]/[`ReturnMessage`] — call/return contents (§4.3);
 //! - [`Collation`] and collators: unanimous, first-come, majority, and
 //!   application-specific (§4.3.4–§4.3.6, §7.4);
@@ -44,7 +45,6 @@ pub mod collate;
 mod conn;
 mod counts;
 mod directory;
-pub mod idset;
 pub mod message;
 pub mod model;
 mod netio;
@@ -60,7 +60,6 @@ pub use collate::{
     decode_gathered, gather_all_collation, Collate, CollateError, Collation, CollationPolicy,
     Decision, GatherAll, VoteSlot,
 };
-pub use idset::IdSet;
 pub use message::{reply_vote, unwrap_reply_vote, wrap_reply_vote, CallMessage, ReturnMessage};
 pub use node::{AppEvent, CallHandle, NetIo, Node, NodeConfig, TimerHandle, TimerKey};
 pub use runtime::{Agent, BuildError, CircusProcess, NodeBuilder, NodeCtx};
@@ -68,3 +67,4 @@ pub use service::{
     CallError, NodeEffect, OutCall, Service, ServiceCtx, StateSince, Step, TroupeTarget,
 };
 pub use thread::{ThreadId, ThreadIdGen};
+pub use wire::IdSet;

@@ -708,40 +708,53 @@ mod tests {
         assert!(matches!(client.poll_event(), Some(Event::Message { .. })));
     }
 
+    /// Runs `calls` sequential exchanges `step` apart; returns the client,
+    /// the server (counting into `reg`) and the clock after the last.
+    fn sequential(calls: u32, step: Duration, reg: &Registry) -> (Endpoint, Endpoint, Time) {
+        let config = Config::default();
+        let mut client = Endpoint::new(config.clone());
+        let mut server = Endpoint::counting(config, Counters::register(reg, "server"));
+        let mut now = Time::ZERO;
+        for cn in 1..=calls {
+            exchange(now, cn, &mut client, &mut server);
+            now += step;
+        }
+        (client, server, now)
+    }
+
     /// Every piece of per-peer state is bounded by the replay TTL, not by
-    /// the number of exchanges ever made: after 10 000 sequential calls
-    /// whose clock runs far past `replay_ttl`, the completed records, the
-    /// purge queue and the exactly-once audit set each hold one TTL
-    /// window's worth — and the audit still fires above the watermark.
+    /// the number of exchanges ever made: after sequential calls whose
+    /// clock runs far past `replay_ttl`, the completed records and the
+    /// exactly-once audit set each hold one TTL window's worth, in one run
+    /// however many calls a window holds — and the audit still fires
+    /// above the watermark.
     #[test]
     fn per_peer_state_is_bounded_by_the_replay_ttl() {
-        const STEP: Duration = Duration::from_millis(50);
-        let config = Config::default();
-        let window = (config.replay_ttl.as_micros() / STEP.as_micros()) as usize;
-        let mut client = Endpoint::new(config.clone());
-        let reg = Registry::new();
-        let mut server = Endpoint::counting(config, Counters::register(&reg, "server"));
-        let mut now = Time::ZERO;
-        for cn in 1..=10_000u32 {
-            exchange(now, cn, &mut client, &mut server);
-            now += STEP;
+        let ttl = Config::default().replay_ttl;
+        for step in [Duration::from_millis(50), Duration::from_millis(5)] {
+            let window = (ttl.as_micros() / step.as_micros()) as usize;
+            let calls = (window * 8 + 400) as u32;
+            let reg = Registry::new();
+            let (client, server, _) = sequential(calls, step, &reg);
+            for (name, e) in [("client", &client), ("server", &server)] {
+                let r = &e.replay;
+                assert!(
+                    r.len() <= window + 1,
+                    "{name} remembers {} exchanges, window {window}",
+                    r.len()
+                );
+                assert_eq!(r.run_count(), 1, "{name} at {step:?} steps");
+                assert!(r.audit_len() <= window as u64 + 1, "{name} audit set");
+                // (The server's last return waits for a later call to
+                // acknowledge it implicitly.)
+                assert!(e.senders.len() <= 1 && e.receivers.is_empty());
+            }
+            assert_eq!(server.replay.watermark(), Some(calls - window as u32));
+            assert_eq!(reg.get("server.duplicate_call_deliveries"), 0);
         }
-        for (name, e) in [("client", &client), ("server", &server)] {
-            let r = &e.replay;
-            assert!(
-                r.len() <= window + 1,
-                "{name} remembers {} exchanges, window {window}",
-                r.len()
-            );
-            assert!(r.order_len() <= window + 1, "{name} purge queue");
-            assert!(r.audit_len() <= window + 1, "{name} audit set");
-            // (The server's last return waits for a later call to
-            // acknowledge it implicitly.)
-            assert!(e.senders.len() <= 1 && e.receivers.is_empty());
-        }
-        assert_eq!(server.replay.watermark(), Some(10_000 - window as u32));
-        assert_eq!(reg.get("server.duplicate_call_deliveries"), 0);
 
+        let reg = Registry::new();
+        let (_, mut server, now) = sequential(10_000, Duration::from_millis(50), &reg);
         // A forged duplicate *below* the watermark is suppressed before
         // delivery, so the audit has nothing to say about it...
         let old = Segment::data(MsgType::Call, 17, 0, 1, 1, false, b"ping".to_vec());

@@ -296,10 +296,13 @@ proptest! {
 }
 
 /// The purge this crate used before the completion-ordered queue: scan
-/// every record. Kept here, and only here, as the reference.
+/// every record. Kept here, and only here, as the reference, with each
+/// record's segment count and acked bit beside it in plain maps.
 #[derive(Default)]
 struct RetainLog {
     completed: std::collections::BTreeMap<(MsgType, u32), Time>,
+    totals: std::collections::BTreeMap<(MsgType, u32), u8>,
+    acked: std::collections::BTreeSet<(MsgType, u32)>,
     watermark: Option<u32>,
 }
 
@@ -316,8 +319,22 @@ impl RetainLog {
             }
             keep
         });
+        self.totals.retain(|k, _| self.completed.contains_key(k));
+        self.acked.retain(|k| self.completed.contains_key(k));
         self.watermark = watermark;
         expired
+    }
+
+    fn record(&mut self, key: (MsgType, u32), total: u8, at: Time) {
+        self.completed.insert(key, at);
+        self.totals.insert(key, total);
+        self.acked.remove(&key);
+    }
+
+    fn note_acked(&mut self, key: (MsgType, u32)) {
+        if self.completed.contains_key(&key) {
+            self.acked.insert(key);
+        }
     }
 }
 
@@ -359,6 +376,91 @@ proptest! {
                 prop_assert_eq!(log.total_of(key), Some(total));
             }
             prop_assert_eq!(log.len(), reference.completed.len());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Runs answer every question a map would: after every step of
+    /// completions that mostly extend a run, mixed with explicit acks,
+    /// keys completed again inside a run, completions out of order or
+    /// older than the run's last, and purges at a clock that never runs
+    /// backwards, the log agrees with the reference on the expired calls,
+    /// the watermark, `keys()`, and `acked` and `total_of` for every key.
+    #[test]
+    fn runs_answer_as_the_retain_reference(seed: u64, steps in 1usize..200) {
+        let ttl = simnet::Duration::from_millis(1_000);
+        let mut rng = simnet::SimRng::new(seed);
+        let mut log = pairedmsg::ReplayLog::new();
+        let mut reference = RetainLog::default();
+        let mut now = Time::ZERO;
+        let mut next = [1u32; 2];
+        for _ in 0..steps {
+            now += simnet::Duration::from_micros(match rng.below(8) {
+                0 => 0,
+                1 => 1_000_000 + rng.below(500_000),
+                _ => rng.below(200_000),
+            });
+            let mut expired = Vec::new();
+            log.purge(now, ttl, |cn| expired.push(cn));
+            expired.sort_unstable();
+            prop_assert_eq!(expired, reference.purge(now, ttl));
+            prop_assert_eq!(log.watermark(), reference.watermark);
+            for _ in 0..rng.below(5) {
+                let t = rng.below(2) as usize;
+                let msg_type = [MsgType::Call, MsgType::Return][t];
+                let remembered: Vec<_> = reference.completed.keys().copied().collect();
+                let pick = |rng: &mut simnet::SimRng| remembered[rng.below(remembered.len() as u64) as usize];
+                match rng.below(10) {
+                    // Acknowledge a remembered message, or one that is not.
+                    0 | 1 => {
+                        let key = if remembered.is_empty() || rng.chance(0.2) {
+                            (msg_type, rng.below(u64::from(next[t]) + 2) as u32)
+                        } else {
+                            pick(&mut rng)
+                        };
+                        log.note_acked(key);
+                        reference.note_acked(key);
+                        continue;
+                    }
+                    // Complete a remembered message again.
+                    2 if !remembered.is_empty() => {
+                        let key = pick(&mut rng);
+                        let total = 1 + rng.below(2) as u8;
+                        log.record(key, total, now);
+                        reference.record(key, total, now);
+                    }
+                    // Complete one out of order, or at an older time.
+                    3 => {
+                        let key = (msg_type, rng.below(u64::from(next[t]) + 3) as u32);
+                        let at = Time::from_micros(now.as_micros().saturating_sub(rng.below(400_000)));
+                        let total = 1 + rng.below(2) as u8;
+                        log.record(key, total, at);
+                        reference.record(key, total, at);
+                    }
+                    // The common case: the next number.
+                    _ => {
+                        let key = (msg_type, next[t]);
+                        next[t] += 1 + u32::from(rng.chance(0.05));
+                        let total = if rng.chance(0.9) { 1 } else { 2 };
+                        log.record(key, total, now);
+                        reference.record(key, total, now);
+                    }
+                }
+            }
+            prop_assert_eq!(log.keys(), reference.completed.keys().copied().collect::<Vec<_>>());
+            prop_assert_eq!(log.len(), reference.completed.len());
+            for (t, msg_type) in [MsgType::Call, MsgType::Return].into_iter().enumerate() {
+                for cn in 0..next[t] + 3 {
+                    let key = (msg_type, cn);
+                    let remembered = reference.completed.contains_key(&key);
+                    prop_assert_eq!(log.total_of(key), reference.totals.get(&key).copied(), "{:?}", key);
+                    let acked = remembered.then(|| reference.acked.contains(&key));
+                    prop_assert_eq!(log.acked(key), acked, "{:?}", key);
+                }
+            }
         }
     }
 }

@@ -14,7 +14,8 @@
 use std::collections::BTreeMap;
 
 use obs::fnv1a_fold;
-use wire::{Externalize, Internalize, Reader, WireError, Writer};
+
+use crate::{Externalize, Internalize, Reader, WireError, Writer};
 
 /// An exact set of `u64` ids held as inclusive ranges that are pairwise
 /// disjoint and never adjacent (so equal sets have equal representations).
@@ -80,6 +81,21 @@ impl IdSet {
         true
     }
 
+    /// Takes out every id at or below `floor`; a range that straddles it
+    /// keeps its part above.
+    pub fn remove_through(&mut self, floor: u64) {
+        while let Some((&lo, &hi)) = self.ranges.first_key_value() {
+            if lo > floor {
+                break;
+            }
+            self.ranges.remove(&lo);
+            // `floor < hi`, so `+ 1` cannot wrap.
+            if hi > floor {
+                self.ranges.insert(floor + 1, hi);
+            }
+        }
+    }
+
     /// Number of ids held (saturating: the full `u64` domain does not fit).
     pub fn len(&self) -> u64 {
         self.ranges.iter().fold(0u64, |n, (&lo, &hi)| {
@@ -124,6 +140,11 @@ impl IdSet {
     /// Number of ranges the ids are held in — what the set costs.
     pub fn range_count(&self) -> usize {
         self.ranges.len()
+    }
+
+    /// The ranges, ascending, as inclusive `(first, last)` pairs.
+    pub fn ranges(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.ranges.iter().map(|(&lo, &hi)| (lo, hi))
     }
 
     /// Folds the ranges into a running FNV digest.
@@ -171,9 +192,9 @@ impl Internalize for IdSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{from_bytes, to_bytes};
     use proptest::prelude::*;
     use std::collections::BTreeSet;
-    use wire::{from_bytes, to_bytes};
 
     #[test]
     fn consecutive_ids_cost_one_range_per_run() {
@@ -218,6 +239,7 @@ mod tests {
             ids in proptest::collection::vec(0u64..96, 0..200),
             others in proptest::collection::vec(0u64..96, 0..200),
             removed in proptest::collection::vec(0u64..96, 0..60),
+            floor in 0u64..100,
         ) {
             let mut set = IdSet::new();
             let mut model = BTreeSet::new();
@@ -239,6 +261,10 @@ mod tests {
             for &id in &removed {
                 prop_assert_eq!(set.remove(id), model.remove(&id));
             }
+            let mut low = set.clone();
+            low.remove_through(floor);
+            let above: Vec<u64> = model.range(floor + 1..).copied().collect();
+            prop_assert_eq!(low.ranges().flat_map(|(lo, hi)| lo..=hi).collect::<Vec<_>>(), above);
             for id in 0..100 {
                 prop_assert_eq!(set.contains(id), model.contains(&id));
             }

@@ -11,6 +11,10 @@
 //! word. 64-bit integers are a documented extension (troupe and thread
 //! IDs must be "permanently unique", §6.3).
 //!
+//! The crate also holds [`IdSet`], the workspace's one exact set of ids
+//! stored as ranges, whose wire form is its ranges: it sits this low so
+//! the paired-message layer can keep its exactly-once audit in it too.
+//!
 //! # Examples
 //!
 //! ```
@@ -26,11 +30,13 @@
 
 pub mod declare;
 pub mod error;
+mod idset;
 pub mod reader;
 pub mod types;
 pub mod writer;
 
 pub use error::WireError;
+pub use idset::IdSet;
 pub use reader::Reader;
 pub use types::{encode_with, from_bytes, to_bytes, Bytes, Externalize, Internalize};
 pub use writer::Writer;

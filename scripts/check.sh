@@ -39,7 +39,7 @@ phase() {
   echo "==> $1"
 }
 
-phase "cargo fmt --check (and the shape of the source: audited hash maps, no per-thread hash map in the call runtime, no crates/*/src/*.rs file over 900 lines (every crate), one multicast blast, one window of events (no span window beside the trace ring), one framing site, one digest site (a return is hashed only by message::digest in core/src/message.rs), one part layout (only message::parts in core/src/message.rs computes where a return is cut), one client side per synchronization scheme, one encoding site (a Courier type's wire form is its wire declaration, or the line above its impl says not a declaration:), one way to die (a PeerDead is pushed only in Endpoint::declare_dead), call numbers only rise (set_call_number, the test hook that can rewind one, has no caller under crates/*/src), one way to count (no publish_metrics impl, refresh_metrics() call or set_gauge outside obs and simnet's hooks), no cargo feature, no cfg(debug_assertions) under crates/*/src, one GlobalAlloc impl (tests/alloc_budget.rs), no ledger that grows with the run, no spawn loop or echo service beside the testbed's, EXPERIMENTS.md within 50,000 bytes, DESIGN.md within 80,000, a CHANGES.md entry within 1,536)"
+phase "cargo fmt --check (and the shape of the source: audited hash maps, no per-thread hash map in the call runtime, no crates/*/src/*.rs file over 900 lines (every crate), one multicast blast, one window of events (no span window beside the trace ring), one framing site, one digest site (a return is hashed only by message::digest in core/src/message.rs), one part layout (only message::parts in core/src/message.rs computes where a return is cut), replay memory in runs (no per-message queue or BTreeSet in pairedmsg's replay.rs), one range set (wire::IdSet), one client side per synchronization scheme, one encoding site (a Courier type's wire form is its wire declaration, or the line above its impl says not a declaration:), one way to die (a PeerDead is pushed only in Endpoint::declare_dead), call numbers only rise (set_call_number, the test hook that can rewind one, has no caller under crates/*/src), one way to count (no publish_metrics impl, refresh_metrics() call or set_gauge outside obs and simnet's hooks), no cargo feature, no cfg(debug_assertions) under crates/*/src, one GlobalAlloc impl (tests/alloc_budget.rs), no ledger that grows with the run, no spawn loop or echo service beside the testbed's, EXPERIMENTS.md within 50,000 bytes, DESIGN.md within 80,000, a CHANGES.md entry within 1,536)"
 cargo fmt --all --check
 # A HashMap/HashSet field iterates in a per-process order: each one in the
 # protocol crates says, on the line above it, why that is never observed.
@@ -82,13 +82,12 @@ fi
 # member that sends a digest and the client that checks it must hash
 # alike, and a second hash of a return is one the other side cannot
 # match. No other function of the call runtime computes a digest, and no
-# other file of it hashes at all but for two hashes of no return: a
-# connection's jitter seed (conn.rs) and an id set's fold (idset.rs).
+# other file of it hashes at all but for one hash of no return: a
+# connection's jitter seed (conn.rs).
 if grep -rnE --include='*.rs' 'fn [a-z_]*digest[a-z_]*(<[^>]*>)?\([^)]*\) -> u64' crates/core/src |
   grep -v '^crates/core/src/message\.rs:' ||
   grep -rnE --include='*.rs' 'fnv1a|Hasher|hash_one|wrapping_mul|rotate_left' crates/core/src |
-  grep -vE -e '^crates/core/src/message\.rs:' -e '^crates/core/src/conn\.rs:.*(let h = obs::fnv1a|jitter_seed \^= obs::fnv1a_fold)' \
-    -e '^crates/core/src/idset\.rs:.*fnv1a_fold'; then
+  grep -vE -e '^crates/core/src/message\.rs:' -e '^crates/core/src/conn\.rs:.*(let h = obs::fnv1a|jitter_seed \^= obs::fnv1a_fold)'; then
   echo "a return hashed outside core/src/message.rs (named above): hash it with message::digest" >&2
   exit 1
 fi
@@ -101,6 +100,27 @@ if grep -rnE --include='*.rs' -e 'max_segment_data' -e '\b(segment|tail)\b *[-+*
   grep -vE -e '^crates/core/src/message\.rs:' -e '^crates/core/src/calls/tests\.rs:' \
     -e 'parts\(.*max_segment_data\)' -e 'segment: [a-z_.]*max_segment_data,'; then
   echo "a return cut outside core/src/message.rs (named above): cut it with message::parts" >&2
+  exit 1
+fi
+# What an endpoint remembers of its completed messages is runs of call
+# numbers (pairedmsg's replay.rs): a collection of per-message keys or
+# completion times there, or a BTreeSet for its exactly-once audit, is
+# the per-message storage the runs replaced.
+if grep -nE 'BTreeSet|(^ +(pub(\([a-z]+\))? )?[a-z_]+: |struct [A-Za-z]+\().*(Vec|VecDeque|BTreeMap|HashMap|HashSet)<\(?(MsgKey|MsgType|[^>]*\bTime\))' \
+  crates/pairedmsg/src/replay.rs; then
+  echo "per-message storage in the replay log (named above): extend its runs" >&2
+  exit 1
+fi
+# Ids are kept exactly in one range set, `wire::IdSet` (re-exported by
+# circus): the replay audit, the call runtime's serials and the services'
+# ledgers all use it. A second `IdSet`, or a field mapping range starts
+# to range ends, is a second copy of it.
+idsets=$(grep -rnE '\bstruct IdSet\b' crates/*/src || true)
+if [ "$(grep -c . <<<"$idsets")" -ne 1 ] || [[ "$idsets" != crates/wire/src/idset.rs:* ]] ||
+  grep -rnE '^ +(pub(\([a-z]+\))? )?[a-z_]+: (std::collections::)?BTreeMap<u(32|64), u(32|64)>,' crates/*/src |
+  grep -v '^crates/wire/src/idset\.rs:'; then
+  echo "${idsets:-no struct IdSet}" >&2
+  echo "not exactly one range set, wire::IdSet in crates/wire/src/idset.rs (named above): keep the ids in it" >&2
   exit 1
 fi
 # A peer dies one way, `Endpoint::declare_dead`, whatever the evidence: a

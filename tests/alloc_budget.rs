@@ -44,12 +44,12 @@ use std::cell::Cell;
 
 use rdp::chaos::{run_scenario, ScenarioOptions, Store, TRACE_SAMPLE};
 use rdp::circus::testbed::{
-    addr, agent, agent_mut, enqueue, service, spawn_troupe, world, Caller, CountingService,
+    addr, agent, agent_mut, enqueue, node, service, spawn_troupe, world, Caller, CountingService,
     Request, MODULE, PROC_ECHO,
 };
 use rdp::circus::{
-    Agent, CallError, CallHandle, CallMessage, CollationPolicy, NodeBuilder, NodeConfig, NodeCtx,
-    ReturnMessage, Service, ThreadId, Troupe, TroupeId,
+    census, Agent, CallError, CallHandle, CallMessage, CollationPolicy, NodeBuilder, NodeConfig,
+    NodeCtx, ReturnMessage, Service, ThreadId, Troupe, TroupeId,
 };
 use rdp::pairedmsg::{Config, Endpoint, Event, Framed, MsgSender, MsgType, Segment};
 use rdp::simnet::{
@@ -64,33 +64,40 @@ use rdp::transactions::{
 use rdp::wire::{encode_with, from_bytes, to_bytes, Externalize};
 
 /// Allocations per replicated echo call the call path may spend.
-/// Measured: 9.53; one stray allocation per call would read 10.53.
-const CALL_BUDGET: f64 = 10.03;
+/// Measured: 9.01; one stray allocation per call would read 10.01.
+const CALL_BUDGET: f64 = 9.51;
 
-/// The same for an 8 KiB echo call. Measured: 14.50; one stray
-/// allocation per call would read 15.50.
-const BULK_CALL_BUDGET: f64 = 15.0;
+/// The same for an 8 KiB echo call. Measured: 14.01; one stray
+/// allocation per call would read 15.01.
+const BULK_CALL_BUDGET: f64 = 14.51;
 
 /// Allocations per ordered broadcast (two n=3 calls, an 8-byte payload)
-/// by the library `Broadcaster`. Measured: 26.02; one stray allocation
-/// per broadcast would read 27.02.
-const BROADCAST_BUDGET: f64 = 26.52;
+/// by the library `Broadcaster`. Measured: 25.01; one stray allocation
+/// per broadcast would read 26.01.
+const BROADCAST_BUDGET: f64 = 25.51;
 
 /// Allocations per transaction (one `Add` on a durable n=3 store, the
 /// client voting through its `ready_to_commit` call-back). Measured:
-/// 31.78; one stray allocation per transaction would read 32.78.
-const COMMIT_BUDGET: f64 = 32.28;
+/// 30.52; one stray allocation per transaction would read 31.52.
+const COMMIT_BUDGET: f64 = 31.02;
 
 /// Allocations per transaction committed by two library `TxnClient`s
 /// contending for one hot object on the same durable store, so that lock
 /// waits, their wake-ups and the waits-for probe run as well. Measured:
-/// 35.51; one stray allocation per transaction would read 36.51.
-const CONTENDED_COMMIT_BUDGET: f64 = 36.01;
+/// 34.06; one stray allocation per transaction would read 35.06.
+const CONTENDED_COMMIT_BUDGET: f64 = 34.56;
 
 /// Bytes of live heap 20 000 steady-state echo calls may add. Measured:
 /// −456 (B-tree nodes come and go); a `Vec` that kept a 40-byte span
 /// record, four per call, for ever would grow it by 5.2 MB.
 const HEAP_GROWTH_BUDGET: i64 = 16 * 1024;
+
+/// Bytes of heap one n=3 echo member may hold once it has served calls
+/// for longer than the 60 s `replay_ttl` (~980 remembered calls), all of
+/// it freed when the member is killed. Measured: 14 KiB; a 24-byte record,
+/// a 16-byte expiry-queue entry and an audit-set node per remembered call
+/// held 62.5 KB.
+const MEMBER_HEAP_BUDGET: i64 = 24 * 1024;
 
 /// Bytes a world's registry may hold after 20 000 echo calls beyond what
 /// it holds after 100, with no trace sink installed. A registry that kept
@@ -338,6 +345,37 @@ fn replicated_echo_heap_is_flat() {
     assert_heap_is_flat(&mut w, "echo calls", |w, n| {
         run_echo_calls(w, client, &troupe, 64, n);
     });
+}
+
+/// What a member remembers of the calls it served within the last
+/// `replay_ttl` (§4.2.4) is runs of call numbers, not a record per call:
+/// after 2 000 echo calls, ~122 simulated seconds, the whole member
+/// process — freed by killing it — is within [`MEMBER_HEAP_BUDGET`].
+#[test]
+fn a_member_remembers_a_ttl_of_calls_in_little_heap() {
+    let mut w = world(1985);
+    let (troupe, client) = spawn_echo_rig(&mut w);
+    run_echo_calls(&mut w, client, &troupe, 64, 2_000);
+    let member = member_addrs()[0];
+    let remembered = node(&w, member, |n| {
+        let census = n.census();
+        census
+            .iter()
+            .find(|&&(label, _)| label == census::REPLAY_RECORDS)
+            .map(|&(_, n)| n)
+    });
+    assert!(
+        remembered.is_some_and(|n| n > 900),
+        "a full replay window: {remembered:?} calls"
+    );
+    let before = live_bytes();
+    w.kill(member);
+    let freed = before - live_bytes();
+    println!("an echo member remembering {remembered:?} calls held {freed} bytes");
+    assert!(
+        freed <= MEMBER_HEAP_BUDGET,
+        "killing the member freed {freed} bytes (budget {MEMBER_HEAP_BUDGET})"
+    );
 }
 
 /// Runs the echo rig with no trace sink for `calls` echo calls, drops
