@@ -10,8 +10,7 @@
 //! [`Assemblies::execute`], closed by [`Assemblies::close`] alone; only a
 //! member of the client troupe opens an assembly; each executes once.
 
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::census;
@@ -22,6 +21,7 @@ use crate::netio::NetIo;
 use obs::SpanId;
 use pairedmsg::Framed;
 use simnet::{Duration, Payload, SockAddr, Time};
+use wire::VecMap;
 
 /// Where an open assembly stands.
 #[derive(Debug, PartialEq, Eq)]
@@ -146,7 +146,7 @@ pub(crate) struct Invocation {
 pub(crate) struct Assemblies {
     /// Walked when a peer dies, so ordered: assemblies then execute in
     /// key order, not in a hasher's.
-    pending: BTreeMap<CallKey, Pending>,
+    pending: VecMap<CallKey, Pending>,
     /// Point lookups only, never walked.
     by_serial: HashMap<u64, CallKey>,
     /// Point lookups only, never walked.
@@ -243,13 +243,9 @@ impl Assemblies {
     ) -> Result<Option<u64>, Outsider> {
         let key = msg.key();
         let index_in = |m: &Members| m.as_slice().iter().position(|m| *m == at.from);
-        let (p, i, stall) = match self.pending.entry(key) {
-            Entry::Occupied(e) => {
-                let p = e.into_mut();
-                let i = index_in(&p.client_members).ok_or(Outsider)?;
-                (p, i, None)
-            }
-            Entry::Vacant(e) => {
+        let (i, stall) = match self.pending.get(&key) {
+            Some(p) => (index_in(&p.client_members).ok_or(Outsider)?, None),
+            None => {
                 let i = index_in(&members).ok_or(Outsider)?;
                 // The thread's next call is here: a return kept for a
                 // fetch alone is done with.
@@ -268,7 +264,7 @@ impl Assemblies {
                 if n > 1 {
                     self.counts.split_calls.handle();
                 }
-                let p = e.insert(Pending {
+                let p = Pending {
                     serial,
                     module: msg.module,
                     proc: msg.proc,
@@ -280,11 +276,13 @@ impl Assemblies {
                     invocation: 0,
                     call_span: at.span,
                     invoke_span: SpanId::NONE,
-                });
+                };
+                self.pending.insert(key, p);
                 // Only multi-member assemblies can stall on a silent member.
-                (p, i, (n > 1).then_some(serial))
+                (i, (n > 1).then_some(serial))
             }
         };
+        let p = self.pending.get_mut(&key).expect("opened above");
         p.responders[i] = Some(Responder { cn: at.pm_cn, cut });
         p.args.add_vote(i, msg.args);
         Ok(stall)
@@ -754,6 +752,7 @@ mod tests {
         /// outsider has opened anything; a closed call leaves its return
         /// behind exactly if some member has yet to call; and closing
         /// the rest leaves nothing.
+        #[test]
         fn indexes_agree_and_the_last_close_leaves_nothing(
             ops in proptest::collection::vec((0u8..5, any::<u8>()), 1..120)
         ) {

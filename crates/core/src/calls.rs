@@ -31,7 +31,7 @@ use crate::thread::ThreadId;
 use obs::SpanId;
 use pairedmsg::MsgType;
 use simnet::{Payload, SockAddr, Syscall, Time};
-use wire::{from_bytes, IdSet};
+use wire::{from_bytes, IdSet, VecMap};
 
 /// Why a call was made, which is where its result must go.
 #[derive(Debug)]
@@ -246,7 +246,7 @@ fn result(bytes: &[u8]) -> Result<Vec<u8>, CallError> {
 pub(crate) struct ClientCalls {
     /// `outstanding` and `route` are walked when a peer dies, so ordered:
     /// calls then fail over in key order, not in a hasher's.
-    outstanding: BTreeMap<u64, Outstanding>,
+    outstanding: VecMap<u64, Outstanding>,
     /// `(peer, call number)` of each awaited return to `(handle, member)`.
     route: BTreeMap<(SockAddr, u32), (u64, usize)>,
     /// The layouts of the outstanding calls that named one, by handle:

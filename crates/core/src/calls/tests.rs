@@ -451,6 +451,7 @@ proptest! {
     /// number, the invariant holds; and when every peer has died, no
     /// route is left, and no call either unless a displaced route
     /// took its member's return away.
+    #[test]
     fn unresolved_is_the_calls_live_routes(
         ops in proptest::collection::vec((0u8..5, any::<u8>()), 1..80)
     ) {
@@ -508,6 +509,7 @@ proptest! {
     /// range per troupe and origin, plus one per run of serials
     /// skipped between two that called, plus one per pair that called
     /// twice.
+    #[test]
     fn call_seqs_agree_with_a_map_per_thread(
         calls in proptest::collection::vec((0u64..2, 0u32..3, 0u32..40), 1..200)
     ) {

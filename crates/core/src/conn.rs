@@ -1,7 +1,7 @@
 //! The table of paired-message connections, one per peer process, and
 //! the one protocol timer each keeps armed.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use crate::census;
 use crate::counts::RpcCounts;
@@ -9,6 +9,7 @@ use crate::message::ReturnMessage;
 use crate::netio::{make_tag, NetIo, TAG_CONN};
 use pairedmsg::{Endpoint, Event, Framed, MsgSender, MsgType, ProtocolMode, MAX_SEGMENTS};
 use simnet::{SockAddr, Syscall, Time};
+use wire::VecMap;
 
 struct Conn {
     id: u64,
@@ -23,13 +24,19 @@ struct Conn {
 /// Only 24 bits of a timer's generation survive the tag.
 const GEN_MASK: u64 = 0x00FF_FFFF;
 
+/// Connections a table makes room for at its first. A process of a
+/// troupe world talks to its own troupe's members, its clients or
+/// servers and the Ringmaster: five to eight peers, as a rule, which a
+/// table grown from four would reallocate to reach.
+const PEERS: usize = 8;
+
 /// Every connection of one node, made on first use.
 pub(crate) struct Conns {
     me: SockAddr,
     pm: pairedmsg::Config,
     /// Ordered: `flush_all` walks it, and the order of its `sendmsg`s is
     /// part of the trace.
-    table: BTreeMap<SockAddr, Conn>,
+    table: VecMap<SockAddr, Conn>,
     /// Connection id (what a timer tag carries) to peer address: one entry
     /// per connection in `table`, so a dropped connection's timers find
     /// nothing. Point lookups only, never walked.
@@ -48,7 +55,7 @@ impl Conns {
         Conns {
             me,
             pm,
-            table: BTreeMap::new(),
+            table: VecMap::new(),
             ids: HashMap::new(),
             next_id: 0,
             counts: RpcCounts::default(),
@@ -75,7 +82,10 @@ impl Conns {
     pub(crate) fn endpoint(&mut self, addr: SockAddr) -> &mut Endpoint {
         let (me, ids, next_id, pm) = (self.me, &mut self.ids, &mut self.next_id, &self.pm);
         let counts = &self.counts.pm;
-        let conn = self.table.entry(addr).or_insert_with(|| {
+        if self.table.is_empty() {
+            self.table.reserve(PEERS);
+        }
+        let conn = self.table.get_or_insert_with(addr, || {
             let id = *next_id;
             *next_id += 1;
             ids.insert(id, addr);

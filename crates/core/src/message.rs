@@ -677,6 +677,7 @@ mod tests {
     proptest::proptest! {
         /// A message hashes alike however it is cut into parts, and a
         /// change to any one byte moves its digest.
+        #[test]
         fn a_digest_is_of_the_bytes_not_the_cut(
             message in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..200),
             cuts in proptest::collection::vec(0usize..200, 0..6),
@@ -704,6 +705,7 @@ mod tests {
         /// bytes as leave the head one, at most one a member. Each part,
         /// written from the return's runs, is the `Part` of those bytes,
         /// and the parts join back into the return.
+        #[test]
         fn parts_tile_the_return(
             results in 0usize..9000,
             owners in 1usize..6,

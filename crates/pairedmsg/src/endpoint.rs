@@ -61,7 +61,7 @@
 //! jitter), 60 s against 4.5 s by default, and [`Endpoint::new`] refuses
 //! a configuration that breaks this.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 use crate::config::{Config, MAX_UNANSWERED_PROBES, PROBE_INTERVAL};
@@ -72,6 +72,7 @@ use crate::segment::{MsgType, Segment, SegmentError, SegmentHeader};
 use crate::sender::{MsgSender, SendError, SenderTick};
 use obs::{Counter, Gauge, Registry};
 use simnet::{Payload, Time};
+use wire::VecMap;
 
 /// Something the endpoint wants delivered to the layer above.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -154,8 +155,12 @@ impl Counters {
 #[derive(Debug)]
 pub struct Endpoint {
     config: Config,
-    senders: BTreeMap<(MsgType, u32), MsgSender>,
-    receivers: BTreeMap<(MsgType, u32), MsgReceiver>,
+    /// Outgoing messages not yet acknowledged, held returns among them:
+    /// a few at a time, kept in key order (an ack retires one, a call
+    /// the returns below its number).
+    senders: VecMap<(MsgType, u32), MsgSender>,
+    /// Incoming messages of two or more segments being assembled.
+    receivers: VecMap<(MsgType, u32), MsgReceiver>,
     /// Completed incoming messages, kept for re-acknowledgment, replay
     /// suppression, and the lifetime of held returns.
     replay: ReplayLog,
@@ -193,8 +198,8 @@ impl Endpoint {
         config.validate();
         Endpoint {
             config,
-            senders: BTreeMap::new(),
-            receivers: BTreeMap::new(),
+            senders: VecMap::new(),
+            receivers: VecMap::new(),
             replay: ReplayLog::new(),
             out: VecDeque::new(),
             events: VecDeque::new(),
@@ -454,9 +459,7 @@ impl Endpoint {
             }
             MsgType::Call => {
                 let stale = (MsgType::Return, 0)..(MsgType::Return, h.call_number);
-                while let Some((&k, _)) = self.senders.range(stale.clone()).next() {
-                    self.senders.remove(&k);
-                }
+                self.senders.retain(|k, _| !stale.contains(k));
             }
         }
 
@@ -490,8 +493,7 @@ impl Endpoint {
 
         let receiver = self
             .receivers
-            .entry(key)
-            .or_insert_with(|| MsgReceiver::new(&seg));
+            .get_or_insert_with(key, || MsgReceiver::new(&seg));
         let actions = receiver.on_segment(&seg);
         let most = &self.counters.max_recv_buffered;
         most.set(most.get().max(receiver.buffered_out_of_order() as u64));

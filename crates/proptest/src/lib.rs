@@ -41,7 +41,10 @@ macro_rules! proptest {
     };
 }
 
-/// Internal: expands each `fn` in a `proptest!` block into a `#[test]`.
+/// Internal: expands each `fn` in a `proptest!` block into a test body.
+/// The caller writes the `#[test]` itself, as the real crate requires; the
+/// attributes are passed through as written, so a property is registered
+/// once.
 #[doc(hidden)]
 #[macro_export]
 macro_rules! __proptest_fns {
@@ -52,7 +55,6 @@ macro_rules! __proptest_fns {
      $($rest:tt)*
     ) => {
         $(#[$meta])*
-        #[test]
         fn $name() {
             let __cfg: $crate::test_runner::Config = $cfg;
             let mut __rng = $crate::test_runner::TestRng::for_test(concat!(

@@ -13,7 +13,9 @@
 //!
 //! The crate also holds [`IdSet`], the workspace's one exact set of ids
 //! stored as ranges, whose wire form is its ranges: it sits this low so
-//! the paired-message layer can keep its exactly-once audit in it too.
+//! the paired-message layer can keep its exactly-once audit in it too;
+//! and [`VecMap`], the small ordered map the protocol's per-peer and
+//! per-call tables are kept in, for the same reason.
 //!
 //! # Examples
 //!
@@ -33,10 +35,12 @@ pub mod error;
 mod idset;
 pub mod reader;
 pub mod types;
+mod vecmap;
 pub mod writer;
 
 pub use error::WireError;
 pub use idset::IdSet;
 pub use reader::Reader;
 pub use types::{encode_with, from_bytes, to_bytes, Bytes, Externalize, Internalize};
+pub use vecmap::VecMap;
 pub use writer::Writer;

@@ -39,7 +39,7 @@ phase() {
   echo "==> $1"
 }
 
-phase "cargo fmt --check (and the shape of the source: audited hash maps, no per-thread hash map in the call runtime, no crates/*/src/*.rs file over 900 lines (every crate), one multicast blast, one window of events (no span window beside the trace ring), one framing site, one digest site (a return is hashed only by message::digest in core/src/message.rs), one part layout (only message::parts in core/src/message.rs computes where a return is cut), replay memory in runs (no per-message queue or BTreeSet in pairedmsg's replay.rs), one range set (wire::IdSet), one client side per synchronization scheme, one encoding site (a Courier type's wire form is its wire declaration, or the line above its impl says not a declaration:), one way to die (a PeerDead is pushed only in Endpoint::declare_dead), call numbers only rise (set_call_number, the test hook that can rewind one, has no caller under crates/*/src), one way to count (no publish_metrics impl, refresh_metrics() call or set_gauge outside obs and simnet's hooks), no cargo feature, no cfg(debug_assertions) under crates/*/src, one GlobalAlloc impl (tests/alloc_budget.rs), no ledger that grows with the run, no spawn loop or echo service beside the testbed's, EXPERIMENTS.md within 50,000 bytes, DESIGN.md within 80,000, a CHANGES.md entry within 1,536)"
+phase "cargo fmt --check (and the shape of the source: audited hash maps, no per-thread hash map in the call runtime, no crates/*/src/*.rs file over 900 lines (every crate), one multicast blast, one window of events (no span window beside the trace ring), one framing site, one digest site (a return is hashed only by message::digest in core/src/message.rs), one part layout (only message::parts in core/src/message.rs computes where a return is cut), replay memory in runs (no per-message queue or BTreeSet in pairedmsg's replay.rs), one range set (wire::IdSet), per-peer and per-call tables in one small map (wire::VecMap), one client side per synchronization scheme, one encoding site (a Courier type's wire form is its wire declaration, or the line above its impl says not a declaration:), one way to die (a PeerDead is pushed only in Endpoint::declare_dead), call numbers only rise (set_call_number, the test hook that can rewind one, has no caller under crates/*/src), one way to count (no publish_metrics impl, refresh_metrics() call or set_gauge outside obs and simnet's hooks), no cargo feature, no cfg(debug_assertions) under crates/*/src, one GlobalAlloc impl (tests/alloc_budget.rs), no ledger that grows with the run, no spawn loop or echo service beside the testbed's, EXPERIMENTS.md within 50,000 bytes, DESIGN.md within 80,000, a CHANGES.md entry within 1,536)"
 cargo fmt --all --check
 # A HashMap/HashSet field iterates in a per-process order: each one in the
 # protocol crates says, on the line above it, why that is never observed.
@@ -123,6 +123,28 @@ if [ "$(grep -c . <<<"$idsets")" -ne 1 ] || [[ "$idsets" != crates/wire/src/idse
   echo "not exactly one range set, wire::IdSet in crates/wire/src/idset.rs (named above): keep the ids in it" >&2
   exit 1
 fi
+# The per-peer and per-call tables of large records are kept in one small
+# ordered map, `wire::VecMap` (a sorted vector: it costs the entries it
+# has room for, where a B-tree leaf costs eleven): an endpoint's senders
+# and receivers, a node's connections, its open assemblies and its
+# outstanding calls. A second small-map type, or one of those fields
+# declared as anything else, is a step back to the leaf.
+vecmaps=$(grep -rnE '\bstruct VecMap\b' crates/*/src || true)
+if [ "$(grep -c . <<<"$vecmaps")" -ne 1 ] || [[ "$vecmaps" != crates/wire/src/vecmap.rs:* ]]; then
+  echo "${vecmaps:-no struct VecMap}" >&2
+  echo "not exactly one small map, wire::VecMap in crates/wire/src/vecmap.rs (named above): keep the tables in it" >&2
+  exit 1
+fi
+for table in pairedmsg/src/endpoint.rs:senders pairedmsg/src/endpoint.rs:receivers \
+  core/src/conn.rs:table core/src/assembly.rs:pending core/src/calls.rs:outstanding; do
+  file=crates/${table%%:*} field=${table##*:}
+  decls=$(grep -nE "^ +(pub(\([a-z]+\))? )?$field: [A-Za-z:]+<.*>,$" "$file" || true)
+  if [ "$(grep -c . <<<"$decls")" -ne 1 ] || ! grep -qE ": VecMap<" <<<"$decls"; then
+    echo "$file: ${decls:-no field $field}" >&2
+    echo "$field in $file is not declared once, as a VecMap (named above): keep the table in wire::VecMap" >&2
+    exit 1
+  fi
+done
 # A peer dies one way, `Endpoint::declare_dead`, whatever the evidence: a
 # crash horizon of silence, unanswered probes, or its host's
 # port-unreachable notice. A `PeerDead` pushed anywhere else is a second

@@ -29,6 +29,9 @@
 //!   what it holds after 100.
 //! - A chaos world retains only the trace its report reads: the last
 //!   `chaos::TRACE_SAMPLE` events up to quiesce.
+//! - A client's connections cost what they hold: one call to each member
+//!   of an n=3 troupe leaves at most [`CONNECTION_HEAP_BUDGET`] bytes at
+//!   the client.
 //! - A message is framed once (`pairedmsg::Config::frame`) and sent from
 //!   its only handle: every first transmission, unicast or cut for a
 //!   multicast and adopted by its peers, is a window of that buffer and
@@ -98,6 +101,15 @@ const HEAP_GROWTH_BUDGET: i64 = 16 * 1024;
 /// a 16-byte expiry-queue entry and an audit-set node per remembered call
 /// held 62.5 KB.
 const MEMBER_HEAP_BUDGET: i64 = 24 * 1024;
+
+/// Bytes a client process may hold, beyond what it held before it called,
+/// once it has made one echo call to each member of an n=3 troupe: its
+/// connection table (room for eight 424-byte connections), the three
+/// connections' tables of messages in flight and what the call runtime
+/// keeps of the call. Measured: 9,036. Tables kept as B-trees held 13,492:
+/// a 4,768-byte leaf for the connections, a 1,160-byte one per connection
+/// for its senders and a 1,424-byte one for the outstanding calls.
+const CONNECTION_HEAP_BUDGET: i64 = 10 * 1024;
 
 /// Bytes a world's registry may hold after 20 000 echo calls beyond what
 /// it holds after 100, with no trace sink installed. A registry that kept
@@ -375,6 +387,31 @@ fn a_member_remembers_a_ttl_of_calls_in_little_heap() {
     assert!(
         freed <= MEMBER_HEAP_BUDGET,
         "killing the member freed {freed} bytes (budget {MEMBER_HEAP_BUDGET})"
+    );
+}
+
+/// A table of connections, or of a connection's messages in flight, costs
+/// the entries it has room for, not a B-tree leaf of eleven: what a
+/// client holds once it has called each member of an n=3 troupe is within
+/// [`CONNECTION_HEAP_BUDGET`] of what it held before.
+#[test]
+fn a_connection_costs_what_it_holds() {
+    // The heap killing the client frees, after `calls` echo calls.
+    let held_after = |calls: u64| {
+        let mut w = World::new(1985);
+        let (troupe, client) = spawn_echo_rig(&mut w);
+        if calls > 0 {
+            run_echo_calls(&mut w, client, &troupe, 64, calls);
+        }
+        let before = live_bytes();
+        w.kill(client);
+        before - live_bytes()
+    };
+    let connected = held_after(1) - held_after(0);
+    println!("one call to each of three members left {connected} bytes at the client");
+    assert!(
+        connected <= CONNECTION_HEAP_BUDGET,
+        "the client's call left {connected} bytes (budget {CONNECTION_HEAP_BUDGET})"
     );
 }
 
