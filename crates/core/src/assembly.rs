@@ -5,10 +5,10 @@
 //! and, where it was sent in parts, for a client that must fetch it whole
 //! because a part's owner died.
 //!
-//! Invariants kept here: `pending`, `by_serial` and (once executing)
-//! `by_invocation` are one index — opened by [`Assemblies::join`] and
-//! [`Assemblies::execute`], closed by [`Assemblies::close`] alone; only a
-//! member of the client troupe opens an assembly; each executes once.
+//! Invariants kept here: an assembly is opened by [`Assemblies::join`]
+//! and closed by [`Assemblies::close`] alone, and is found by its timer's
+//! serial or its invocation by a walk of the open ones; only a member of
+//! the client troupe opens an assembly; each executes once.
 
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -89,26 +89,22 @@ struct Pending {
 /// (§4.3.4).
 const DONE_TTL: Duration = Duration::from_secs(60);
 
-struct DoneCall {
-    /// The answer framed for client members whose call messages arrive
-    /// after execution ("execution of the procedure thus appears
-    /// instantaneous to the slow client troupe members", §4.3.4): the
-    /// answer to a copy of the call that asked for `cut`.
-    reply: Framed,
+/// What is kept of an answered call for [`DONE_TTL`] after its close.
+struct Answered {
+    /// For client members whose call messages arrive after execution
+    /// ("execution of the procedure thus appears instantaneous to the slow
+    /// client troupe members", §4.3.4), if some member had yet to call.
+    slow: Option<Framed>,
+    /// The part `slow` answers a copy of the call that asked for it.
     cut: Option<Cut>,
+    /// A return sent in parts, unframed, with its digest: for a client
+    /// that fetches it whole because a part's owner died, and to cut
+    /// another part for a slow member whose copy named another list.
+    /// Without `slow`, kept only until the calling thread's next call.
+    kept: Option<(ReturnMessage, u64)>,
     at: Time,
     /// Invoke span the buffered reply is attributed to.
     span: u64,
-}
-
-/// A return sent in parts, kept unframed with its digest: for a client
-/// that fetches it whole because a part's owner died, and to cut another
-/// part for a slow member whose copy named another list. Kept until the
-/// calling thread's next call here, or [`DONE_TTL`].
-struct Kept {
-    reply: ReturnMessage,
-    digest: u64,
-    at: Time,
 }
 
 /// The answer to a copy of a call that asked for `cut`: that part of
@@ -147,17 +143,11 @@ pub(crate) struct Assemblies {
     /// Walked when a peer dies, so ordered: assemblies then execute in
     /// key order, not in a hasher's.
     pending: VecMap<CallKey, Pending>,
-    /// Point lookups only, never walked.
-    by_serial: HashMap<u64, CallKey>,
-    /// Point lookups only, never walked.
-    by_invocation: HashMap<u64, CallKey>,
     last_serial: u64,
     last_invocation: u64,
     /// Point lookups, and `purge_done`'s `retain` — whose predicate has no
     /// side effect, so its order cannot be observed: otherwise never walked.
-    done: HashMap<CallKey, DoneCall>,
-    /// As `done`: point lookups and a `retain`, otherwise never walked.
-    kept: HashMap<CallKey, Kept>,
+    answered: HashMap<CallKey, Answered>,
     /// Where invocations and split calls ([`Assemblies::time_out`]) are
     /// counted; the split calls from the first assembly of two or more
     /// members on, the only kind that can split.
@@ -168,7 +158,7 @@ impl Assemblies {
     /// The engine's part of [`Node::census`](crate::Node::census).
     pub(crate) fn census(&self, out: &mut Vec<(&'static str, usize)>) {
         out.push((census::OPEN_ASSEMBLIES, self.pending.len()));
-        out.push((census::BUFFERED_RETURNS, self.done.len() + self.kept.len()));
+        out.push((census::BUFFERED_RETURNS, self.answered.len()));
     }
 
     /// One line per open assembly, each followed by one per member it
@@ -195,8 +185,7 @@ impl Assemblies {
 
     /// Forgets buffered returns older than [`DONE_TTL`].
     pub(crate) fn purge_done(&mut self, now: Time) {
-        self.done.retain(|_, d| now.since(d.at) < DONE_TTL);
-        self.kept.retain(|_, k| now.since(k.at) < DONE_TTL);
+        self.answered.retain(|_, a| now.since(a.at) < DONE_TTL);
     }
 
     /// The return of an already-answered call, ready and waiting for a
@@ -208,18 +197,20 @@ impl Assemblies {
         cut: Option<Cut>,
         pm: &pairedmsg::Config,
     ) -> Option<(Framed, u64)> {
-        let d = self.done.get(key)?;
-        let reply = match self.kept.get(key) {
-            Some(k) if d.cut != cut => answer(pm, &k.reply, Some(k.digest), cut),
-            _ => d.reply.clone(),
+        let a = self.answered.get(key)?;
+        let slow = a.slow.as_ref()?;
+        let reply = match &a.kept {
+            Some((reply, digest)) if a.cut != cut => answer(pm, reply, Some(*digest), cut),
+            _ => slow.clone(),
         };
-        Some((reply, d.span))
+        Some((reply, a.span))
     }
 
     /// The return `fetch_return` asks for: answered from what is kept and
     /// nothing else.
     pub(crate) fn fetch(&self, key: &CallKey) -> Option<&ReturnMessage> {
-        self.kept.get(key).map(|k| &k.reply)
+        let kept = self.answered.get(key)?.kept.as_ref();
+        kept.map(|(reply, _)| reply)
     }
 
     pub(crate) fn is_open(&self, key: &CallKey) -> bool {
@@ -253,14 +244,14 @@ impl Assemblies {
                     call_seq: key.call_seq.wrapping_sub(1),
                     ..key
                 };
-                if !self.done.contains_key(&previous) {
-                    self.kept.remove(&previous);
+                let kept = self.answered.get(&previous);
+                if kept.is_some_and(|a| a.slow.is_none()) {
+                    self.answered.remove(&previous);
                 }
                 let n = members.as_slice().len();
                 let (args, deadline) = fresh(members.as_slice());
                 self.last_serial += 1;
                 let serial = self.last_serial;
-                self.by_serial.insert(serial, key);
                 if n > 1 {
                     self.counts.split_calls.handle();
                 }
@@ -316,7 +307,6 @@ impl Assemblies {
             SpanId::from_raw(p.call_span),
             format_args!("invoke m{}.p{}", p.module, p.proc),
         );
-        self.by_invocation.insert(p.invocation, key);
         Some(Ok((p.invocation(), args)))
     }
 
@@ -341,8 +331,9 @@ impl Assemblies {
 
     /// The assembly whose invocation `id` is suspended.
     pub(crate) fn suspended(&self, id: u64) -> Option<CallKey> {
-        let key = *self.by_invocation.get(&id)?;
-        (self.pending.get(&key)?.state == PendState::Suspended).then_some(key)
+        let suspended = |p: &Pending| p.invocation == id && p.state == PendState::Suspended;
+        let found = self.pending.iter().find(|(_, p)| suspended(p));
+        found.map(|(&key, _)| key)
     }
 
     /// The span of the invocation the assembly for `key` is running.
@@ -357,21 +348,20 @@ impl Assemblies {
         p.map_or(&[], |p| p.client_members.as_slice())
     }
 
-    /// Closes the assembly for `key`, out of every index at once:
-    /// `send`s `reply`, framed under `pm`, to every client member heard
-    /// from, under the invoke span, and keeps it for the rest (§4.3.4). A
-    /// member whose copy named the server members is sent the part its
-    /// position there names, if the reply spans two or more segments; the
-    /// reply is then kept unframed for a fetch, and never framed whole
-    /// unless some copy named no members. The members heard from are
-    /// grouped by the part each is sent and the call number each called
-    /// on, one `send` per group, so a group of two or more can share one
-    /// multicast (§4.3.3). In the fault-free case every member called on
-    /// the same number and asked for the same part, and the group is the
-    /// whole troupe, which is sent as it stands. Each `send` is handed the
-    /// answer itself, the only handle at first, so the first group's
-    /// datagrams are windows of its buffer; it leaves a handle for the
-    /// next group and for keeping.
+    /// Closes the assembly for `key`: `send`s `reply`, framed under `pm`,
+    /// to every client member heard from, under the invoke span, and keeps
+    /// it for the rest (§4.3.4). A member whose copy named the server
+    /// members is sent the part its position there names, if the reply
+    /// spans two or more segments; the reply is then kept unframed for a
+    /// fetch, and never framed whole unless some copy named no members.
+    /// The members heard from are grouped by the part each is sent and the
+    /// call number each called on, one `send` per group, so a group of two
+    /// or more can share one multicast (§4.3.3). In the fault-free case
+    /// every member called on the same number and asked for the same part,
+    /// and the group is the whole troupe, which is sent as it stands. Each
+    /// `send` is handed the answer itself, the only handle at first, so
+    /// the first group's datagrams are windows of its buffer; it leaves a
+    /// handle for the next group and for keeping.
     pub(crate) fn close(
         &mut self,
         key: &CallKey,
@@ -383,8 +373,6 @@ impl Assemblies {
         let Some(p) = self.pending.remove(key) else {
             return;
         };
-        self.by_serial.remove(&p.serial);
-        self.by_invocation.remove(&p.invocation);
         let span = p.invoke_span.raw();
         let members = p.client_members.as_slice();
         // Hashed only if some copy is sent a part.
@@ -421,21 +409,18 @@ impl Assemblies {
                 framed.expect("a member's message opened the assembly")
             }
         };
-        if p.responders.contains(&None) {
-            let (reply, at) = (framed, now);
-            self.done.insert(
-                *key,
-                DoneCall {
-                    reply,
-                    cut,
-                    at,
-                    span,
-                },
-            );
-        }
-        if let Some(digest) = digest {
+        let slow = p.responders.contains(&None).then_some(framed);
+        let kept = digest.map(|digest| (reply, digest));
+        if slow.is_some() || kept.is_some() {
             let at = now;
-            self.kept.insert(*key, Kept { reply, digest, at });
+            let answered = Answered {
+                slow,
+                cut,
+                kept,
+                at,
+                span,
+            };
+            self.answered.insert(*key, answered);
         }
     }
 
@@ -448,8 +433,7 @@ impl Assemblies {
     /// another number is alive and called, only not as this call: it is
     /// counted as a split call.
     pub(crate) fn time_out(&mut self, serial: u64, now: Time) -> Option<(CallKey, bool)> {
-        let key = *self.by_serial.get(&serial)?;
-        let p = self.pending.get(&key)?;
+        let (&key, p) = self.pending.iter().find(|(_, p)| p.serial == serial)?;
         if p.state != PendState::Collecting || now < p.deadline {
             return Some((key, false));
         }
@@ -531,7 +515,7 @@ impl Pending {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::addr::TroupeId;
     use crate::collate::CollationPolicy;
@@ -549,7 +533,7 @@ mod tests {
     }
 
     /// The copy of troupe 7's call number `seq` that `from` sends.
-    fn message(from: SockAddr, seq: u32) -> (Arrival, CallMessage<Payload, Payload>) {
+    pub(crate) fn message(from: SockAddr, seq: u32) -> (Arrival, CallMessage<Payload, Payload>) {
         let (origin, pm_cn) = (host(9), seq);
         let at = Arrival {
             from,
@@ -569,18 +553,23 @@ mod tests {
         (at, msg)
     }
 
-    /// The three indexes are one: every open assembly is under its
-    /// serial, under its invocation exactly once it has one, and nothing
-    /// else is under either.
-    fn check(a: &Assemblies) {
-        let executing = a.pending.values().filter(|p| p.invocation != 0);
-        assert_eq!(a.by_serial.len(), a.pending.len());
-        assert_eq!(a.by_invocation.len(), executing.count());
+    /// The lookups answer from the open assemblies alone: `suspended(id)`
+    /// names exactly the suspended assembly whose invocation is `id`, and
+    /// the serial of a closed assembly times nothing out.
+    fn check(a: &mut Assemblies) {
+        let mut suspended = std::collections::BTreeMap::new();
         for (key, p) in &a.pending {
-            assert_eq!(a.by_serial.get(&p.serial), Some(key));
-            let running = a.by_invocation.get(&p.invocation);
-            assert_eq!(running, (p.invocation != 0).then_some(key));
             assert_eq!(p.invocation == 0, p.state == PendState::Collecting);
+            if p.state == PendState::Suspended {
+                suspended.insert(p.invocation, *key);
+            }
+        }
+        for id in 0..=a.last_invocation {
+            assert_eq!(a.suspended(id), suspended.get(&id).copied());
+        }
+        let open: Vec<u64> = a.pending.values().map(|p| p.serial).collect();
+        for serial in (1..=a.last_serial).filter(|s| !open.contains(s)) {
+            assert_eq!(a.time_out(serial, Time::ZERO), None);
         }
     }
 
@@ -748,12 +737,12 @@ mod tests {
     proptest! {
         /// After any sequence of call messages (from the three members
         /// and from an outsider), timeouts, member deaths, suspensions,
-        /// nested-call waits and replies, the indexes agree and no
-        /// outsider has opened anything; a closed call leaves its return
-        /// behind exactly if some member has yet to call; and closing
-        /// the rest leaves nothing.
+        /// nested-call waits and replies, the lookups agree with the open
+        /// assemblies and no outsider has opened anything; a closed call
+        /// leaves its return behind exactly if some member has yet to
+        /// call; and closing the rest leaves nothing.
         #[test]
-        fn indexes_agree_and_the_last_close_leaves_nothing(
+        fn lookups_agree_and_the_last_close_leaves_nothing(
             ops in proptest::collection::vec((0u8..5, any::<u8>()), 1..120)
         ) {
             let mut a = Assemblies::default();
@@ -795,13 +784,13 @@ mod tests {
                     }
                     _ => {}
                 }
-                check(&a);
+                check(&mut a);
             }
             for key in a.keys() {
                 a.close(&key, ReturnMessage::NoSuchProcedure, &pm(), late, |_, _, _, _| {});
             }
             prop_assert!(a.pending.is_empty());
-            prop_assert!(a.by_serial.is_empty() && a.by_invocation.is_empty());
+            check(&mut a);
         }
     }
 }

@@ -59,12 +59,13 @@ pub const ROUTES: &str = "routes";
 /// invocation that is suspended or waiting on a nested call. Each serves
 /// a call some caller still awaits.
 pub const OPEN_ASSEMBLIES: &str = "open assemblies";
-/// Returns kept for client-troupe members not heard from when their
-/// assembly closed, each for `DONE_TTL` (60 s) and until the next call
-/// message arrives: one per assembly that closed short of a member. Plus
-/// the returns of unanimous blasts this member answered in parts, kept
-/// for a fetch until the calling thread's next call reaches it: one per
-/// thread that made a call of two or more segments here within the TTL.
+/// Answered calls whose return is kept, one entry a call for `DONE_TTL`
+/// (60 s), holding the framed return for client-troupe members not heard
+/// from when the assembly closed, the unframed return of a unanimous
+/// blast this member answered in parts (for a fetch), or both. An entry
+/// with only the latter goes at the calling thread's next call here. So:
+/// one per assembly that closed short of a member, plus one per thread
+/// that made a call of two or more segments here within the TTL.
 pub const BUFFERED_RETURNS: &str = "buffered returns";
 /// Client-troupe memberships known: one per troupe incarnation learned
 /// from an outgoing call, a binding-agent answer or a preload.

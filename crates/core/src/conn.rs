@@ -1,8 +1,6 @@
 //! The table of paired-message connections, one per peer process, and
 //! the one protocol timer each keeps armed.
 
-use std::collections::HashMap;
-
 use crate::census;
 use crate::counts::RpcCounts;
 use crate::message::ReturnMessage;
@@ -35,12 +33,10 @@ pub(crate) struct Conns {
     me: SockAddr,
     pm: pairedmsg::Config,
     /// Ordered: `flush_all` walks it, and the order of its `sendmsg`s is
-    /// part of the trace.
+    /// part of the trace. A timer tag carries a connection's id, which is
+    /// found by a walk: one entry per peer, and a dropped connection's
+    /// timers find nothing.
     table: VecMap<SockAddr, Conn>,
-    /// Connection id (what a timer tag carries) to peer address: one entry
-    /// per connection in `table`, so a dropped connection's timers find
-    /// nothing. Point lookups only, never walked.
-    ids: HashMap<u64, SockAddr>,
     /// The id of the next connection made.
     next_id: u64,
     /// Where every connection counts, and the multicasts are counted.
@@ -56,7 +52,6 @@ impl Conns {
             me,
             pm,
             table: VecMap::new(),
-            ids: HashMap::new(),
             next_id: 0,
             counts: RpcCounts::default(),
         }
@@ -80,7 +75,7 @@ impl Conns {
 
     /// The endpoint for `addr`, connecting first if need be.
     pub(crate) fn endpoint(&mut self, addr: SockAddr) -> &mut Endpoint {
-        let (me, ids, next_id, pm) = (self.me, &mut self.ids, &mut self.next_id, &self.pm);
+        let (me, next_id, pm) = (self.me, &mut self.next_id, &self.pm);
         let counts = &self.counts.pm;
         if self.table.is_empty() {
             self.table.reserve(PEERS);
@@ -88,7 +83,6 @@ impl Conns {
         let conn = self.table.get_or_insert_with(addr, || {
             let id = *next_id;
             *next_id += 1;
-            ids.insert(id, addr);
             // Derive a per-connection jitter seed from the endpoint pair
             // so retransmissions of different connections decorrelate
             // deterministically under a fixed simulation seed.
@@ -125,8 +119,8 @@ impl Conns {
     /// is gone).
     pub(crate) fn on_timer(&mut self, low: u64, now: Time) -> Option<SockAddr> {
         let (conn_id, gen) = (low & 0xFFFF_FFFF, low >> 32);
-        let addr = *self.ids.get(&conn_id)?;
-        let conn = self.table.get_mut(&addr)?;
+        let mut conns = self.table.iter_mut();
+        let (&addr, conn) = conns.find(|(_, c)| c.id == conn_id)?;
         if conn.arm_gen & GEN_MASK != gen {
             return None;
         }
@@ -138,9 +132,7 @@ impl Conns {
     /// Drops the connection to a dead peer; a new one is made if the
     /// address is reused by a replacement member.
     pub(crate) fn remove(&mut self, addr: SockAddr) {
-        if let Some(conn) = self.table.remove(&addr) {
-            self.ids.remove(&conn.id);
-        }
+        self.table.remove(&addr);
     }
 
     /// Whether a message of `len` bytes to two or more peers goes out
@@ -263,7 +255,7 @@ impl Conns {
             io.charge(Syscall::GetTimeOfDay);
             io.charge(Syscall::SigBlock);
             io.charge(Syscall::SetITimer);
-            let _ = io.set_timer(t.since(now), tag);
+            io.set_timer(t.since(now), tag);
         }
     }
 }
@@ -288,8 +280,8 @@ mod tests {
     }
 
     /// A dropped connection's timers reach nothing — not the connection
-    /// that replaces it at the same address — and the id table holds the
-    /// live connections only, however many times the peer reconnects.
+    /// that replaces it at the same address — and the table holds the
+    /// live connection only, however many times the peer reconnects.
     #[test]
     fn a_dropped_connection_forgets_its_id() {
         let (mut conns, mut io) = (
@@ -305,6 +297,6 @@ mod tests {
             assert_eq!(conns.on_timer(live, io.now), Some(peer));
             stale = live;
         }
-        assert_eq!((conns.ids.len(), conns.len()), (1, 1));
+        assert_eq!(conns.len(), 1);
     }
 }

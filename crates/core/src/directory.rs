@@ -7,7 +7,7 @@
 //! parked message is handed back exactly once, and a dead-peer marker
 //! outlives its expiry only until the next question about that peer.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::addr::{Troupe, TroupeId};
@@ -25,10 +25,9 @@ pub(crate) struct Parked {
 pub(crate) struct Directory {
     /// Point lookups only, never walked.
     members: HashMap<TroupeId, Rc<[SockAddr]>>,
-    /// Point lookups only, never walked.
+    /// The troupes being asked about, each with the call messages that
+    /// wait for the answer. Point lookups only, never walked.
     parked: HashMap<TroupeId, Vec<Parked>>,
-    /// Troupes being asked about. Point lookups only, never walked.
-    asking: HashSet<TroupeId>,
     /// The binding agent troupe to ask, if one is configured.
     pub(crate) binder: Option<Troupe>,
     /// Peers declared dead by the paired-message layer (§4.2.3), each
@@ -83,10 +82,9 @@ impl Directory {
     /// `true` if nobody has been asked about that troupe yet: the caller
     /// asks now, and [`Directory::answer`]s when it knows.
     pub(crate) fn park(&mut self, at: Arrival, msg: CallMessage<Payload, Payload>) -> bool {
-        let troupe = msg.client_troupe;
-        let parked = self.parked.entry(troupe).or_default();
+        let parked = self.parked.entry(msg.client_troupe).or_default();
         parked.push(Parked { at, msg });
-        self.asking.insert(troupe)
+        parked.len() == 1
     }
 
     /// The question about `troupe` is settled — with its membership, or
@@ -96,7 +94,6 @@ impl Directory {
         troupe: TroupeId,
         members: Option<&Rc<[SockAddr]>>,
     ) -> Vec<Parked> {
-        self.asking.remove(&troupe);
         if let Some(members) = members {
             self.install(troupe, members.clone());
         }
@@ -136,7 +133,36 @@ impl Directory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assembly::tests::message;
     use simnet::{Duration, HostId};
+
+    /// A troupe is asked about once however many of its calls park, and
+    /// another troupe's calls are asked about apart; the answer hands
+    /// every call parked for the troupe back once, in arrival order, and
+    /// the next call to park asks again.
+    #[test]
+    fn a_troupe_is_asked_about_once_and_its_calls_come_back_once() {
+        let mut d = Directory::default();
+        let member = SockAddr::new(HostId(1), 50);
+        let mut park = |troupe, seq| {
+            let (at, mut msg) = message(member, seq);
+            msg.client_troupe = TroupeId(troupe);
+            d.park(at, msg)
+        };
+        let asks = [(7, 1), (7, 2), (8, 1), (7, 3)].map(|(troupe, seq)| park(troupe, seq));
+        assert_eq!(asks, [true, false, true, false]);
+        let members: Rc<[SockAddr]> = [member].into();
+        let back = d.answer(TroupeId(7), Some(&members));
+        let seqs: Vec<u32> = back.iter().map(|p| p.msg.call_seq).collect();
+        assert_eq!(seqs, [1, 2, 3]);
+        assert!(d.answer(TroupeId(7), None).is_empty(), "handed back once");
+        assert_eq!(d.members(TroupeId(7)), Some(&members));
+        assert_eq!(d.answer(TroupeId(8), None).len(), 1);
+        let (at, msg) = message(member, 4);
+        assert!(d.park(at, msg), "asked again");
+        assert_eq!(d.answer(TroupeId(7), None).len(), 1);
+        assert!(d.parked.is_empty());
+    }
 
     /// A marker fails calls fast while it is live; its expiry, or any
     /// word from the peer, re-admits the member and leaves nothing

@@ -61,7 +61,7 @@ pub use collate::{
     Decision, GatherAll, VoteSlot,
 };
 pub use message::{reply_vote, unwrap_reply_vote, wrap_reply_vote, CallMessage, ReturnMessage};
-pub use node::{AppEvent, CallHandle, NetIo, Node, NodeConfig, TimerHandle, TimerKey};
+pub use node::{AppEvent, CallHandle, NetIo, Node, NodeConfig, TimerKey};
 pub use runtime::{Agent, BuildError, CircusProcess, NodeBuilder, NodeCtx};
 pub use service::{
     CallError, NodeEffect, OutCall, Service, ServiceCtx, StateSince, Step, TroupeTarget,

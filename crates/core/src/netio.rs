@@ -5,7 +5,7 @@
 use std::fmt;
 
 use obs::SpanId;
-use simnet::{Duration, Payload, SockAddr, Syscall, Time, TimerId};
+use simnet::{Duration, Payload, SockAddr, Syscall, Time};
 
 /// Abstraction over the I/O facilities a node needs; implemented for the
 /// simulator's [`simnet::Ctx`] and by test mocks.
@@ -26,14 +26,10 @@ pub trait NetIo {
             self.send(to, bytes.clone());
         }
     }
-    /// Arms a timer, returning its cancelable id.
-    fn set_timer(&mut self, delay: Duration, tag: u64) -> TimerId;
-    /// Cancels a pending timer. Returns `true` iff the timer was live.
-    /// The default is for logic-test mocks without a scheduler — it
-    /// reports every cancel as a miss; the simulator overrides it.
-    fn cancel_timer(&mut self, _id: TimerId) -> bool {
-        false
-    }
+    /// Arms a timer that comes back with `tag`. There is no cancelling
+    /// one: a timer its owner has moved past is recognised where it
+    /// fires.
+    fn set_timer(&mut self, delay: Duration, tag: u64);
     /// Charges one operation, priced by the world's cost table, to this
     /// process's CPU account.
     fn charge(&mut self, sys: Syscall);
@@ -65,11 +61,8 @@ impl NetIo for simnet::Ctx<'_> {
     fn multicast(&mut self, tos: &[SockAddr], bytes: Payload) {
         simnet::Ctx::multicast(self, tos, bytes);
     }
-    fn set_timer(&mut self, delay: Duration, tag: u64) -> TimerId {
-        simnet::Ctx::set_timer(self, delay, tag)
-    }
-    fn cancel_timer(&mut self, id: TimerId) -> bool {
-        simnet::Ctx::cancel_timer(self, id)
+    fn set_timer(&mut self, delay: Duration, tag: u64) {
+        simnet::Ctx::set_timer(self, delay, tag);
     }
     fn charge(&mut self, sys: Syscall) {
         simnet::Ctx::charge(self, sys);
@@ -131,12 +124,6 @@ impl TimerKey {
     }
 }
 
-/// A cancelable handle for an armed application timer, returned by
-/// `Node::set_app_timer` / `NodeCtx::set_app_timer` and redeemed with
-/// `Node::cancel_app_timer` / `NodeCtx::cancel_app_timer`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct TimerHandle(pub(crate) TimerId);
-
 /// The one in-memory `NetIo` for exercising a `Node`, or one of its
 /// engines, without a world.
 #[cfg(test)]
@@ -191,9 +178,8 @@ pub(crate) mod mock {
             tos.iter().for_each(|&to| self.note(to, &bytes));
             self.mcasts.push((tos.to_vec(), bytes));
         }
-        fn set_timer(&mut self, delay: Duration, tag: u64) -> TimerId {
+        fn set_timer(&mut self, delay: Duration, tag: u64) {
             self.timers.push((delay, tag));
-            TimerId(self.timers.len() as u64 - 1)
         }
         fn charge(&mut self, _sys: Syscall) {}
         fn metrics(&self) -> obs::Registry {

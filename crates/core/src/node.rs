@@ -25,7 +25,7 @@ use crate::counts::RpcCounts;
 use crate::directory::Directory;
 use crate::message::Arrival;
 use crate::netio::make_tag;
-pub use crate::netio::{split_tag, NetIo, TimerHandle, TimerKey, TAG_APP, TAG_CONN, TAG_PENDING};
+pub use crate::netio::{split_tag, NetIo, TimerKey, TAG_APP, TAG_CONN, TAG_PENDING};
 use crate::service::{CallError, Service};
 use crate::thread::{ThreadId, ThreadIdGen};
 use pairedmsg::{Event as PmEvent, MsgType};
@@ -461,23 +461,9 @@ impl Node {
     /// Arms an application-level timer; it comes back from
     /// [`Node::on_timer`] with the given key. The [`TimerKey`] newtype
     /// proves the tag fits the node's 56-bit tag space, so the old
-    /// truncation hazard is unrepresentable here. The returned handle
-    /// cancels it ([`Node::cancel_app_timer`]).
-    pub fn set_app_timer(
-        &mut self,
-        io: &mut dyn NetIo,
-        delay: Duration,
-        key: TimerKey,
-    ) -> TimerHandle {
-        TimerHandle(io.set_timer(delay, make_tag(TAG_APP, key.raw())))
-    }
-
-    /// Cancels an application timer armed with [`Node::set_app_timer`].
-    /// Returns `true` iff the timer was still pending; cancelling an
-    /// already-fired or already-cancelled timer is a recorded miss
-    /// (`sim.timer.cancel_miss`) and returns `false`.
-    pub fn cancel_app_timer(&mut self, io: &mut dyn NetIo, handle: TimerHandle) -> bool {
-        io.cancel_timer(handle.0)
+    /// truncation hazard is unrepresentable here.
+    pub fn set_app_timer(&mut self, io: &mut dyn NetIo, delay: Duration, key: TimerKey) {
+        io.set_timer(delay, make_tag(TAG_APP, key.raw()));
     }
 
     fn on_pm_event(&mut self, io: &mut dyn NetIo, from: SockAddr, ev: PmEvent) {

@@ -8,7 +8,7 @@
 //! are dispatched by the node itself.
 
 use crate::calls::Call;
-use crate::node::{AppEvent, CallHandle, Node, NodeConfig, TimerHandle, TimerKey};
+use crate::node::{AppEvent, CallHandle, Node, NodeConfig, TimerKey};
 use crate::service::{CallError, Service};
 use crate::{CollationPolicy, ThreadId, Troupe, TroupeId};
 use simnet::{Ctx, Duration, Process, SockAddr, TimerId};
@@ -74,16 +74,9 @@ impl<'a, 'b, 'w> NodeCtx<'a, 'b, 'w> {
     }
 
     /// Arms an application timer; it arrives at [`Agent::on_app_timer`]
-    /// carrying `key`. The returned [`TimerHandle`] cancels it.
-    pub fn set_app_timer(&mut self, delay: Duration, key: TimerKey) -> TimerHandle {
-        self.node.set_app_timer(self.io, delay, key)
-    }
-
-    /// Cancels an application timer armed with
-    /// [`NodeCtx::set_app_timer`]. Returns `true` iff it was still
-    /// pending (a miss ticks `sim.timer.cancel_miss` instead).
-    pub fn cancel_app_timer(&mut self, handle: TimerHandle) -> bool {
-        self.node.cancel_app_timer(self.io, handle)
+    /// carrying `key`.
+    pub fn set_app_timer(&mut self, delay: Duration, key: TimerKey) {
+        self.node.set_app_timer(self.io, delay, key);
     }
 
     /// Direct access to the simulator context (spawning processes during

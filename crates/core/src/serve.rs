@@ -134,7 +134,7 @@ impl Node {
             Ok(None) => {}
             Ok(Some(serial)) => {
                 io.charge(Syscall::SetITimer);
-                let _ = io.set_timer(wait, make_tag(TAG_PENDING, serial));
+                io.set_timer(wait, make_tag(TAG_PENDING, serial));
             }
             Err(Outsider) => {
                 // A caller we do not believe is in the client troupe: it

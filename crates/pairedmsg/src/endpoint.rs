@@ -171,9 +171,6 @@ pub struct Endpoint {
     /// Calls we sent whose returns have not yet been delivered; drives
     /// crash-detection probing.
     awaiting_return: Vec<u32>,
-    /// Highest call number delivered upward as a complete Call message
-    /// (monotonicity audit).
-    highest_delivered_call: Option<u32>,
     /// Highest call number we ourselves have sent (monotonicity audit).
     highest_sent_call: Option<u32>,
     dead: bool,
@@ -205,7 +202,6 @@ impl Endpoint {
             events: VecDeque::new(),
             probe: None,
             awaiting_return: Vec::new(),
-            highest_delivered_call: None,
             highest_sent_call: None,
             dead: false,
             counters,
@@ -228,29 +224,6 @@ impl Endpoint {
     /// most held returns are left.
     pub fn is_idle(&self) -> bool {
         self.senders.values().all(MsgSender::held) && self.probe.is_none()
-    }
-
-    /// Abandons an outstanding call (e.g. the member was dropped from the
-    /// caller's troupe view after a crash elsewhere): stops transmitting
-    /// and probing for it.
-    pub fn abandon_call(&mut self, now: Time, call_number: u32) {
-        self.senders.remove(&(MsgType::Call, call_number));
-        self.awaiting_return.retain(|&cn| cn != call_number);
-        if self.dead {
-            // Dead endpoints must stay inert: re-arming a probe here could
-            // drive a second give-up cycle for a peer already reported dead.
-            return;
-        }
-        if self
-            .probe
-            .as_ref()
-            .is_some_and(|p| p.call_number == call_number)
-        {
-            self.probe = None;
-            if let Some(cn) = self.newest_awaited() {
-                self.arm_probe(now, cn);
-            }
-        }
     }
 
     /// The newest call whose return has not yet been delivered.
@@ -537,10 +510,6 @@ impl Endpoint {
         self.replay.record((h.msg_type, h.call_number), total, now);
         match h.msg_type {
             MsgType::Call => {
-                self.highest_delivered_call = Some(
-                    self.highest_delivered_call
-                        .map_or(h.call_number, |hi| hi.max(h.call_number)),
-                );
                 self.counters.calls_delivered.inc();
                 if !self.replay.note_call_delivered(h.call_number) {
                     self.counters.duplicate_call_deliveries.inc();
@@ -776,8 +745,8 @@ mod tests {
     }
 
     /// What a caller keeps of the calls it sent is the calls in flight,
-    /// never a history: a delivered return, an abandoned call and a lost
-    /// peer each take their entries.
+    /// never a history: a delivered return and a lost peer each take
+    /// their entries.
     #[test]
     fn awaited_returns_are_the_calls_in_flight() {
         let ms = |n| Time::ZERO + Duration::from_millis(n);
@@ -795,8 +764,6 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(client.awaiting_return, [1_001, 1_002]);
-        client.abandon_call(ms(60_100), 1_001);
-        assert_eq!(client.awaiting_return, [1_002]);
         client.declare_dead();
         assert!(client.awaiting_return.is_empty());
     }

@@ -1,11 +1,12 @@
 //! Transcripts of two endpoints over an in-memory wire, for what no §4.2
 //! rule states: PARC datagram counts, probes that keep a peer alive, one
 //! `PeerDead` per incarnation (a port-unreachable notice's included),
-//! abandon, oversize, concurrent calls out of order, adopted calls, and a
-//! dead caller noticed through a timed return but not through a held one. Each runs under the §4.2 checker too
-//! (`spec`: its `Pair` asserts when dropped). Loss, duplication, replays,
-//! held and timed returns, crash detection and the idle floor are the
-//! checker's, over the seeded sweep in `fast_path.rs`.
+//! oversize, concurrent calls out of order, adopted calls, and a dead
+//! caller noticed through a timed return but not through a held one.
+//! Each runs under the §4.2 checker too (`spec`: its `Pair` asserts when
+//! dropped). Loss, duplication, replays, held and timed returns, crash
+//! detection and the idle floor are the checker's, over the seeded sweep
+//! in `fast_path.rs`.
 
 mod spec;
 
@@ -151,36 +152,16 @@ fn probes_answered_keep_connection_alive() {
 }
 
 #[test]
-fn abandon_call_stops_activity() {
-    let mut link = Link::new(Config::default());
-    link.send(CLIENT, 1, b"x");
-    link.lose();
-    link.end(CLIENT).abandon_call(Time::ZERO, 1);
-    assert!(link.end(CLIENT).is_idle());
-    assert!(link.end(CLIENT).poll_timer().is_none());
-}
-
-#[test]
 fn dead_peer_reported_once_despite_queued_retransmits() {
     // Two concurrent calls to a peer that has crashed: both senders'
     // retransmission schedules run out, but only ONE PeerDead may surface
-    // for this peer incarnation — the second give-up (and any abandon of
-    // the still-queued call afterwards) must be swallowed.
+    // for this peer incarnation — the second give-up must be swallowed.
     let mut link = Link::new(Config::default());
     link.send(CLIENT, 1, b"a");
     link.send(CLIENT, 2, b"b");
     let (deaths, _) = link.black_hole(CLIENT);
     assert_eq!(deaths, 1, "duplicate PeerDead for one incarnation");
     assert!(link.end(CLIENT).is_dead());
-
-    // Abandoning the other call after the death must not resurrect any
-    // activity (probe re-arm) or emit further events.
-    let now = link.now;
-    link.end(CLIENT).abandon_call(now, 2);
-    assert!(link.end(CLIENT).poll_timer().is_none());
-    link.pair.tick(now + Duration::from_secs(60), CLIENT);
-    assert!(link.pair.event(CLIENT).is_none());
-    assert!(link.pair.drain(now, CLIENT).is_empty());
 }
 
 /// A port-unreachable notice is the peer's death on its host's word: the
@@ -200,23 +181,6 @@ fn a_notice_declares_the_peer_dead_at_once_and_once() {
     assert!(link.end(CLIENT).is_dead());
     assert!(link.end(CLIENT).poll_timer().is_none());
     assert_eq!(link.black_hole(CLIENT), (0, 0));
-}
-
-#[test]
-fn abandon_then_giveup_single_peer_dead() {
-    // A call is abandoned while its retransmission is queued; the
-    // remaining call still exhausts its schedule. Exactly one PeerDead.
-    let mut link = Link::new(Config::default());
-    link.send(CLIENT, 1, b"x");
-    link.send(CLIENT, 2, b"y");
-    link.lose();
-    // Let one retransmit round pass so both senders have queued output.
-    let now = link.end(CLIENT).poll_timer().unwrap();
-    link.now = now;
-    link.pair.tick(now, CLIENT);
-    link.end(CLIENT).abandon_call(now, 1);
-    assert_eq!(link.black_hole(CLIENT).0, 1);
-    assert!(link.end(CLIENT).is_dead());
 }
 
 #[test]

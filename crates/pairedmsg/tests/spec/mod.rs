@@ -27,7 +27,7 @@
 //! The checker sees only the wire, so where the wire cannot show an
 //! endpoint's state it errs towards silence, never towards a false alarm:
 //! S4 counts every arrival as a life sign and keeps a message it cannot
-//! see retired (a held return, an abandoned call) as still waiting.
+//! see retired (a held return) as still waiting.
 
 #![allow(dead_code)]
 

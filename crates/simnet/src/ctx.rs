@@ -8,7 +8,7 @@
 //! are the one record of CPU time, and [`obs::CpuView`] the one way to
 //! read it.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use obs::{Counter, CpuView, NetView, Registry, SpanId};
@@ -202,15 +202,6 @@ pub(crate) struct Core {
     pub(crate) net_ctr: NetCounters,
     pub(crate) hosts: BTreeMap<HostId, HostState>,
     pub(crate) next_timer: u64,
-    /// Timers armed but neither fired nor cancelled. Membership is what
-    /// makes [`World::cancel_timer`](crate::World::cancel_timer)'s `bool`
-    /// truthful: a hit removes the id, a miss (already fired, already
-    /// cancelled, or never ours) ticks `sim.timer.cancel_miss`. A timer
-    /// that pops without its id here was cancelled: it is a tombstone,
-    /// which still advances the clock but reaches no process (the golden
-    /// traces were recorded with the tombstone's pop in them).
-    /// Insert and remove only: never walked.
-    pub(crate) live: HashSet<TimerId>,
     pub(crate) pending: Vec<Pending>,
     /// Epoch of the process whose handler is currently running; set by the
     /// dispatcher so timers armed by the handler carry the owner's epoch
@@ -233,22 +224,6 @@ impl Core {
         let seq = self.seq;
         self.seq += 1;
         self.queue.insert(at.as_micros(), seq, kind);
-    }
-
-    /// Cancels a live timer; see
-    /// [`World::cancel_timer`](crate::World::cancel_timer).
-    pub(crate) fn cancel_timer(&mut self, id: TimerId) -> bool {
-        if self.live.remove(&id) {
-            true
-        } else {
-            // Cold path by construction (a miss is a caller bug or a
-            // benign race with the fire), so the lazy name lookup is
-            // fine — and the counter only appears in dumps once a miss
-            // actually happens, keeping miss-free golden snapshots
-            // byte-stable.
-            self.registry.add("sim.timer.cancel_miss", 1);
-            false
-        }
     }
 
     pub(crate) fn trace(&mut self, ev: TraceEvent) {
@@ -413,13 +388,15 @@ impl<'a> Ctx<'a> {
         id
     }
 
-    /// Arms a timer to fire after `delay`; `tag` is returned to
-    /// [`Process::on_timer`]. Timer bookkeeping itself is free; protocol
-    /// code models its timer syscalls explicitly (`charge(SetITimer)`).
-    pub fn set_timer(&mut self, delay: Duration, tag: u64) -> TimerId {
+    /// Arms a timer to fire after `delay`; `tag`, with the timer's id
+    /// (ids rise in the order timers are armed), is returned to
+    /// [`Process::on_timer`]. A timer cannot be cancelled: one its owner
+    /// no longer wants is recognised by its tag where it fires. Timer
+    /// bookkeeping itself is free; protocol code models its timer
+    /// syscalls explicitly (`charge(SetITimer)`).
+    pub fn set_timer(&mut self, delay: Duration, tag: u64) {
         let id = TimerId(self.core.next_timer);
         self.core.next_timer += 1;
-        self.core.live.insert(id);
         let epoch = self.core.epoch_hint;
         self.core.push(
             self.vnow + delay,
@@ -430,15 +407,6 @@ impl<'a> Ctx<'a> {
                 epoch,
             },
         );
-        id
-    }
-
-    /// Cancels a pending timer. Returns `true` if the timer was live
-    /// (armed, not yet fired, not yet cancelled); a miss — already
-    /// fired, already cancelled, or a foreign id — returns `false` and
-    /// ticks the `sim.timer.cancel_miss` counter.
-    pub fn cancel_timer(&mut self, id: TimerId) -> bool {
-        self.core.cancel_timer(id)
     }
 
     /// Access to the world's random number generator.
@@ -493,7 +461,6 @@ impl Core {
             net_ctr,
             hosts: BTreeMap::new(),
             next_timer: 0,
-            live: HashSet::new(),
             pending: Vec::new(),
             epoch_hint: 0,
             sinks: Vec::new(),

@@ -56,7 +56,8 @@ impl fmt::Display for SockAddr {
     }
 }
 
-/// Identifies a pending timer so it can be cancelled.
+/// Names one armed timer: the world mints ids in arming order, and
+/// hands each back with its tag when the timer fires.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct TimerId(pub u64);
 

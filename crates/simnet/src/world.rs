@@ -4,11 +4,11 @@
 //!
 //! The world is a deterministic discrete-event simulator. All events live
 //! in one queue ([`EventQueue`](crate::EventQueue)) ordered by `(time,
-//! insertion sequence)`, cancelled timers among them; all randomness
-//! comes from one seeded [`SimRng`](crate::SimRng). Each host has a serial
-//! CPU: handling an event begins no earlier than the host's `busy_until`,
-//! and every syscall charge advances it — so CPU costs serialize exactly
-//! as they did on the paper's uniprocessor VAXen.
+//! insertion sequence)`; all randomness comes from one seeded
+//! [`SimRng`](crate::SimRng). Each host has a serial CPU: handling an
+//! event begins no earlier than the host's `busy_until`, and every
+//! syscall charge advances it — so CPU costs serialize exactly as they
+//! did on the paper's uniprocessor VAXen.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -21,7 +21,7 @@ use crate::ctx::{Core, CpuCounters, EventKind, Pending, UNREACHABLE};
 use crate::disk::{Disk, DiskConfig};
 use crate::net::{NetConfig, Partition};
 use crate::payload::Payload;
-use crate::process::{HostId, Process, SockAddr, TimerId};
+use crate::process::{HostId, Process, SockAddr};
 use crate::time::{Duration, Time};
 use crate::trace::{head, wire_len, DropReason, TraceEvent, TraceSink};
 
@@ -363,12 +363,6 @@ impl World {
                 tag,
                 epoch,
             } => {
-                if !self.core.live.remove(&id) {
-                    // A cancelled timer still pops (and the pop advanced
-                    // the clock and the event counter above) — it just
-                    // no longer reaches its owner.
-                    return true;
-                }
                 self.core
                     .trace_with(|| TraceEvent::TimerFire { at, owner, id, tag });
                 self.dispatch(owner, Some(epoch), |p, ctx| p.on_timer(ctx, id, tag), None);
@@ -528,14 +522,6 @@ impl World {
                 Pending::RestartHost(h) => self.restart_host(h),
             }
         }
-    }
-
-    /// Cancels a pending timer from outside any process handler (test
-    /// drivers, scenario scripts). Same semantics as
-    /// [`Ctx::cancel_timer`]: `true` iff the timer was live; a miss
-    /// ticks `sim.timer.cancel_miss` and returns `false`.
-    pub fn cancel_timer(&mut self, id: TimerId) -> bool {
-        self.core.cancel_timer(id)
     }
 
     /// Runs the event loop until `until` is satisfied. Returns `true`

@@ -325,45 +325,6 @@ fn killed_process_timers_do_not_fire_for_replacement() {
     assert_eq!(world.with_proc(a, |p: &TimerBomb| p.fired), Some(true));
 }
 
-/// A cancelled timer is a tombstone: it still pops, counts as an event
-/// and advances the clock to its deadline, but never reaches `on_timer`.
-#[test]
-fn a_cancelled_timer_pops_without_firing() {
-    #[derive(Default)]
-    struct Doomed {
-        armed_at: Option<Time>,
-        fired: Vec<u64>,
-    }
-    impl Process for Doomed {
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            self.armed_at = Some(ctx.now());
-            let doomed = ctx.set_timer(Duration::from_millis(500), 1);
-            ctx.set_timer(Duration::from_millis(100), 2);
-            assert!(ctx.cancel_timer(doomed));
-        }
-        fn on_datagram(&mut self, _ctx: &mut Ctx<'_>, _from: SockAddr, _data: Payload) {}
-        fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _id: simnet::TimerId, tag: u64) {
-            self.fired.push(tag);
-        }
-    }
-
-    let mut world = World::new(7);
-    let a = addr(0, 50);
-    world.spawn(a, Box::new(Doomed::default()));
-    world.run(simnet::Until::Time(Time::from_millis(200)));
-    // The start and the live timer.
-    assert_eq!(world.events_processed(), 2);
-    world.run(simnet::Until::Idle);
-    assert_eq!(world.events_processed(), 3, "the tombstone pops");
-    let armed_at = world.with_proc(a, |p: &Doomed| p.armed_at).flatten();
-    let deadline = armed_at.expect("started") + Duration::from_millis(500);
-    assert_eq!(world.now(), deadline, "the tombstone's pop moves the clock");
-    assert_eq!(
-        world.with_proc(a, |p: &Doomed| p.fired.clone()),
-        Some(vec![2])
-    );
-}
-
 #[test]
 fn run_until_pred_stops_early() {
     let mut world = World::new(7);

@@ -39,7 +39,7 @@ phase() {
   echo "==> $1"
 }
 
-phase "cargo fmt --check (and the shape of the source: audited hash maps, no per-thread hash map in the call runtime, no crates/*/src/*.rs file over 900 lines (every crate), one multicast blast, one window of events (no span window beside the trace ring), one framing site, one digest site (a return is hashed only by message::digest in core/src/message.rs), one part layout (only message::parts in core/src/message.rs computes where a return is cut), replay memory in runs (no per-message queue or BTreeSet in pairedmsg's replay.rs), one range set (wire::IdSet), per-peer and per-call tables in one small map (wire::VecMap), one client side per synchronization scheme, one encoding site (a Courier type's wire form is its wire declaration, or the line above its impl says not a declaration:), one way to die (a PeerDead is pushed only in Endpoint::declare_dead), call numbers only rise (set_call_number, the test hook that can rewind one, has no caller under crates/*/src), one way to count (no publish_metrics impl, refresh_metrics() call or set_gauge outside obs and simnet's hooks), no cargo feature, no cfg(debug_assertions) under crates/*/src, one GlobalAlloc impl (tests/alloc_budget.rs), no ledger that grows with the run, no spawn loop or echo service beside the testbed's, EXPERIMENTS.md within 50,000 bytes, DESIGN.md within 80,000, a CHANGES.md entry within 1,536)"
+phase "cargo fmt --check (and the shape of the source: audited hash maps, no per-thread hash map in the call runtime, no crates/*/src/*.rs file over 900 lines (every crate), one multicast blast, one window of events (no span window beside the trace ring), one framing site, one digest site (a return is hashed only by message::digest in core/src/message.rs), one part layout (only message::parts in core/src/message.rs computes where a return is cut), replay memory in runs (no per-message queue or BTreeSet in pairedmsg's replay.rs), one range set (wire::IdSet), per-peer and per-call tables in one small map (wire::VecMap), a timer is retired where it fires (no timer cancellation, no live-timer set, no HashMap<u64, CallKey> or HashMap<u64, SockAddr> field in the call runtime), one client side per synchronization scheme, one encoding site (a Courier type's wire form is its wire declaration, or the line above its impl says not a declaration:), one way to die (a PeerDead is pushed only in Endpoint::declare_dead), call numbers only rise (set_call_number, the test hook that can rewind one, has no caller under crates/*/src), one way to count (no publish_metrics impl, refresh_metrics() call or set_gauge outside obs and simnet's hooks), no cargo feature, no cfg(debug_assertions) under crates/*/src, one GlobalAlloc impl (tests/alloc_budget.rs), no ledger that grows with the run, no spawn loop or echo service beside the testbed's, EXPERIMENTS.md within 50,000 bytes, DESIGN.md within 80,000, a CHANGES.md entry within 1,536)"
 cargo fmt --all --check
 # A HashMap/HashSet field iterates in a per-process order: each one in the
 # protocol crates says, on the line above it, why that is never observed.
@@ -145,6 +145,16 @@ for table in pairedmsg/src/endpoint.rs:senders pairedmsg/src/endpoint.rs:receive
     exit 1
   fi
 done
+# A timer is retired where it fires: its owner knows a stale one there (a
+# connection's generation, a closed assembly, a replaced process's
+# epoch), so nothing cancels a timer and the world keeps no set of live
+# ones. Nor does the call runtime keep an index from a number to a call
+# or a peer beside the table that holds them: it walks the table.
+if grep -rnE --include='*.rs' 'cancel_timer|cancel_app_timer|TimerHandle|HashSet<TimerId>' crates/*/src ||
+  grep -rnE --include='*.rs' '^ +(pub(\([a-z]+\))? )?[a-z_]+: (std::collections::)?HashMap<u64, (CallKey|SockAddr)>' crates/core/src; then
+  echo "a timer cancelled, a live-timer set, or a reverse index beside its table (named above): retire the timer where it fires, walk the table" >&2
+  exit 1
+fi
 # A peer dies one way, `Endpoint::declare_dead`, whatever the evidence: a
 # crash horizon of silence, unanswered probes, or its host's
 # port-unreachable notice. A `PeerDead` pushed anywhere else is a second
