@@ -58,7 +58,7 @@ impl Rig {
         let (io, conns, dead) = (&mut self.io, &mut self.conns, &self.dead);
         let admit = |addr, _| !dead.contains(&addr);
         let handle = (self.calls).begin(io, conns, &self.config, call, CallPurpose::App, admit);
-        conns.flush_all(io);
+        while conns.flush(io).is_some() {}
         handle
     }
 

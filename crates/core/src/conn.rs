@@ -1,5 +1,6 @@
 //! The table of paired-message connections, one per peer process, and
-//! the one protocol timer each keeps armed.
+//! the node's one protocol timer for their earliest deadline: one
+//! interval timer per process, as the paper's timer package (§4.2.4).
 
 use crate::census;
 use crate::counts::RpcCounts;
@@ -8,19 +9,6 @@ use crate::netio::{make_tag, NetIo, TAG_CONN};
 use pairedmsg::{Endpoint, Event, Framed, MsgSender, MsgType, ProtocolMode, MAX_SEGMENTS};
 use simnet::{SockAddr, Syscall, Time};
 use wire::VecMap;
-
-struct Conn {
-    id: u64,
-    endpoint: Endpoint,
-    armed: Option<Time>,
-    /// Generation of the most recent timer armed for this connection;
-    /// firings of superseded timers are ignored, so re-arming an earlier
-    /// deadline does not leave a trail of live duplicate timers.
-    arm_gen: u64,
-}
-
-/// Only 24 bits of a timer's generation survive the tag.
-const GEN_MASK: u64 = 0x00FF_FFFF;
 
 /// Connections a table makes room for at its first. A process of a
 /// troupe world talks to its own troupe's members, its clients or
@@ -32,13 +20,14 @@ const PEERS: usize = 8;
 pub(crate) struct Conns {
     me: SockAddr,
     pm: pairedmsg::Config,
-    /// Ordered: `flush_all` walks it, and the order of its `sendmsg`s is
-    /// part of the trace. A timer tag carries a connection's id, which is
-    /// found by a walk: one entry per peer, and a dropped connection's
-    /// timers find nothing.
-    table: VecMap<SockAddr, Conn>,
-    /// The id of the next connection made.
-    next_id: u64,
+    /// Ordered: `flush` walks it, and the order of its `sendmsg`s is
+    /// part of the trace.
+    table: VecMap<SockAddr, Endpoint>,
+    /// The deadline the protocol timer is armed for, until it fires.
+    armed: Option<Time>,
+    /// The generation of the timer armed last, in its tag's 56 low bits:
+    /// an earlier timer, superseded by an earlier deadline, fires idle.
+    arm_gen: u64,
     /// Where every connection counts, and the multicasts are counted.
     pub(crate) counts: RpcCounts,
 }
@@ -52,7 +41,8 @@ impl Conns {
             me,
             pm,
             table: VecMap::new(),
-            next_id: 0,
+            armed: None,
+            arm_gen: 0,
             counts: RpcCounts::default(),
         }
     }
@@ -70,19 +60,16 @@ impl Conns {
 
     /// Every endpoint, in address order.
     pub(crate) fn endpoints(&self) -> impl Iterator<Item = &Endpoint> {
-        self.table.values().map(|c| &c.endpoint)
+        self.table.values()
     }
 
     /// The endpoint for `addr`, connecting first if need be.
     pub(crate) fn endpoint(&mut self, addr: SockAddr) -> &mut Endpoint {
-        let (me, next_id, pm) = (self.me, &mut self.next_id, &self.pm);
-        let counts = &self.counts.pm;
+        let (me, pm, counts) = (self.me, &self.pm, &self.counts.pm);
         if self.table.is_empty() {
             self.table.reserve(PEERS);
         }
-        let conn = self.table.get_or_insert_with(addr, || {
-            let id = *next_id;
-            *next_id += 1;
+        self.table.get_or_insert_with(addr, || {
             // Derive a per-connection jitter seed from the endpoint pair
             // so retransmissions of different connections decorrelate
             // deterministically under a fixed simulation seed.
@@ -91,42 +78,28 @@ impl Conns {
             let h = obs::fnv1a_fold(h, &me.port.to_le_bytes());
             let h = obs::fnv1a_fold(h, &addr.host.0.to_le_bytes());
             pm.jitter_seed ^= obs::fnv1a_fold(h, &addr.port.to_le_bytes());
-            Conn {
-                id,
-                endpoint: Endpoint::counting(pm, counts.clone()),
-                armed: None,
-                arm_gen: 0,
-            }
-        });
-        &mut conn.endpoint
+            Endpoint::counting(pm, counts.clone())
+        })
     }
 
     /// `peer`'s host answered with port-unreachable: the connection to
     /// it, if there is one, declares it dead. Says whether there was.
     pub(crate) fn on_unreachable(&mut self, peer: SockAddr) -> bool {
-        let conn = self.table.get_mut(&peer);
-        conn.map(|c| c.endpoint.on_unreachable()).is_some()
+        let endpoint = self.table.get_mut(&peer);
+        endpoint.map(Endpoint::on_unreachable).is_some()
     }
 
     /// The next event the endpoint for `peer` has queued, if the
     /// connection still exists.
     pub(crate) fn poll_event(&mut self, peer: SockAddr) -> Option<Event> {
-        self.table.get_mut(&peer)?.endpoint.poll_event()
+        self.table.get_mut(&peer)?.poll_event()
     }
 
-    /// A `TAG_CONN` timer fired: ticks the endpoint it was armed for and
-    /// names the peer, unless a newer timer governs (or the connection
-    /// is gone).
-    pub(crate) fn on_timer(&mut self, low: u64, now: Time) -> Option<SockAddr> {
-        let (conn_id, gen) = (low & 0xFFFF_FFFF, low >> 32);
-        let mut conns = self.table.iter_mut();
-        let (&addr, conn) = conns.find(|(_, c)| c.id == conn_id)?;
-        if conn.arm_gen & GEN_MASK != gen {
-            return None;
-        }
-        conn.armed = None;
-        conn.endpoint.on_timer(now);
-        Some(addr)
+    /// A `TAG_CONN` timer of generation `gen` fired: whether it is the one
+    /// armed last, which is then armed no longer. Its deadline has come,
+    /// so the node flushes ([`Conns::flush`]).
+    pub(crate) fn on_timer(&mut self, gen: u64) -> bool {
+        self.armed.take_if(|_| gen == self.arm_gen).is_some()
     }
 
     /// Drops the connection to a dead peer; a new one is made if the
@@ -229,34 +202,41 @@ impl Conns {
         }
     }
 
-    /// Transmits queued segments on every connection and re-arms
-    /// retransmission timers.
-    pub(crate) fn flush_all(&mut self, io: &mut dyn NetIo) {
-        for (&addr, conn) in self.table.iter_mut() {
-            let now = io.now();
-            while let Some(datagram) = conn.endpoint.poll_transmit() {
+    /// Transmits every connection's queued segments, each message's clock
+    /// starting at its first ([`Endpoint::transmit`]). Then ticks and names
+    /// the first endpoint, in table order, whose deadline came meanwhile,
+    /// for the node to drain; if none, arms the timer for the earliest.
+    pub(crate) fn flush(&mut self, io: &mut dyn NetIo) -> Option<SockAddr> {
+        for (&addr, endpoint) in self.table.iter_mut() {
+            while let Some(datagram) = endpoint.transmit(io.now()) {
                 io.send(addr, datagram);
             }
-            // Re-arm the protocol timer if none is armed or the deadline
-            // moved earlier; the generation stamp invalidates the
-            // superseded timer.
-            let Some(t) = conn.endpoint.poll_timer() else {
-                continue;
-            };
-            if conn.armed.is_some_and(|armed| armed <= t) {
-                continue;
-            }
-            conn.armed = Some(t);
-            conn.arm_gen += 1;
-            let tag = make_tag(TAG_CONN, ((conn.arm_gen & GEN_MASK) << 32) | conn.id);
-            // The timer package reads the clock to compute the absolute
-            // deadline, masks interrupts around its queue, and arms the
-            // interval timer (§4.2.4).
-            io.charge(Syscall::GetTimeOfDay);
-            io.charge(Syscall::SigBlock);
-            io.charge(Syscall::SetITimer);
-            io.set_timer(t.since(now), tag);
         }
+        let now = io.now();
+        let is_due = |(_, e): &(&SockAddr, &mut Endpoint)| e.poll_timer().is_some_and(|t| t <= now);
+        if let Some((&addr, due)) = self.table.iter_mut().find(is_due) {
+            due.on_timer(now);
+            return Some(addr);
+        }
+        let next = self.table.values().filter_map(Endpoint::poll_timer).min();
+        // Unless armed already, for that deadline or an earlier one.
+        if let Some(t) = next.filter(|&t| self.armed.is_none_or(|armed| armed > t)) {
+            self.arm(io, t);
+        }
+        None
+    }
+
+    /// Arms the protocol timer for `deadline`, superseding any armed. The
+    /// timer package reads the clock, masks interrupts around its queue
+    /// and arms the interval timer (§4.2.4); the interval is measured
+    /// after those charges, so the timer fires at the deadline.
+    fn arm(&mut self, io: &mut dyn NetIo, deadline: Time) {
+        self.armed = Some(deadline);
+        self.arm_gen += 1;
+        io.charge(Syscall::GetTimeOfDay);
+        io.charge(Syscall::SigBlock);
+        io.charge(Syscall::SetITimer);
+        io.set_timer(deadline.since(io.now()), make_tag(TAG_CONN, self.arm_gen));
     }
 }
 
@@ -265,38 +245,86 @@ mod tests {
     use super::*;
     use crate::netio::mock::{MockIo, ME};
     use crate::netio::split_tag;
-    use simnet::HostId;
+    use simnet::{Duration, HostId};
 
-    /// Sends a call to `peer` and returns the low bits of the timer the
-    /// flush arms for it.
-    fn arm(conns: &mut Conns, io: &mut MockIo, peer: SockAddr, cn: u32) -> u64 {
-        let sent = conns
-            .endpoint(peer)
-            .send(io.now, MsgType::Call, cn, 0, b"x");
-        sent.expect("a small call");
-        conns.flush_all(io);
-        let &(_, tag) = io.timers.last().expect("a timer armed");
-        split_tag(tag).1
+    fn ms(n: u64) -> Time {
+        Time::ZERO + Duration::from_millis(n)
     }
 
-    /// A dropped connection's timers reach nothing — not the connection
-    /// that replaces it at the same address — and the table holds the
-    /// live connection only, however many times the peer reconnects.
+    /// Flushes as the node does, draining nothing: the peers ticked on
+    /// the way.
+    fn flush(conns: &mut Conns, io: &mut MockIo) -> Vec<SockAddr> {
+        let mut ticked = Vec::new();
+        while let Some(peer) = conns.flush(io) {
+            ticked.push(peer);
+        }
+        ticked
+    }
+
+    /// Sends a call to `peer` at `at` and flushes.
+    fn call(conns: &mut Conns, io: &mut MockIo, peer: SockAddr, at: Time) {
+        io.now = at;
+        let sent = conns.endpoint(peer).send(at, MsgType::Call, 1, 0, b"x");
+        sent.expect("a small call");
+        assert_eq!(flush(conns, io), [], "nothing due yet");
+    }
+
+    /// The timer armed last: its generation, from its tag, and deadline.
+    fn armed(conns: &Conns, io: &MockIo) -> (u64, Time) {
+        let &(_, tag) = io.timers.last().expect("a timer armed");
+        let (kind, gen) = split_tag(tag);
+        assert_eq!((kind, gen), (TAG_CONN, conns.arm_gen));
+        (gen, conns.armed.expect("armed"))
+    }
+
+    /// Fires timer `(gen, at)` at its deadline: the peers it ticked, or
+    /// `None` if a later one superseded it.
+    fn fire(conns: &mut Conns, io: &mut MockIo, (gen, at): (u64, Time)) -> Option<Vec<SockAddr>> {
+        io.now = io.now.max(at);
+        conns.on_timer(gen).then(|| flush(conns, io))
+    }
+
+    /// One timer serves every connection: a firing ticks exactly those
+    /// whose deadline has come; an earlier deadline supersedes the armed
+    /// timer, whose firing then ticks none; and a dropped connection's
+    /// deadline governs nothing, not even the connection that replaces it
+    /// at the same address.
     #[test]
-    fn a_dropped_connection_forgets_its_id() {
+    fn a_firing_ticks_exactly_the_due_connections() {
         let (mut conns, mut io) = (
             Conns::new(ME, pairedmsg::Config::default()),
             MockIo::default(),
         );
-        let peer = SockAddr::new(HostId(7), 70);
-        let mut stale = arm(&mut conns, &mut io, peer, 1);
-        for cn in 2..=101 {
-            conns.remove(peer);
-            let live = arm(&mut conns, &mut io, peer, cn);
-            assert_eq!(conns.on_timer(stale, io.now), None, "cycle {cn}");
-            assert_eq!(conns.on_timer(live, io.now), Some(peer));
-            stale = live;
-        }
-        assert_eq!(conns.len(), 1);
+        let [a, b, c] = [7, 8, 9].map(|h| SockAddr::new(HostId(h), 70));
+        call(&mut conns, &mut io, a, ms(0));
+        let first = armed(&conns, &io);
+        assert_eq!(first.1, ms(300));
+        call(&mut conns, &mut io, b, ms(100));
+        assert_eq!(io.timers.len(), 1, "armed already, for an earlier deadline");
+
+        assert_eq!(fire(&mut conns, &mut io, first), Some(vec![a]));
+        let second = armed(&conns, &io);
+        assert_eq!(second.1, ms(400), "b's deadline");
+        assert_eq!(fire(&mut conns, &mut io, second), Some(vec![b]));
+        let superseded = armed(&conns, &io);
+        assert!(superseded.1 > ms(800), "a's second deadline");
+
+        call(&mut conns, &mut io, c, ms(500));
+        let third = armed(&conns, &io);
+        assert_eq!(third.1, ms(800));
+        assert_eq!(fire(&mut conns, &mut io, third), Some(vec![c]));
+        assert_eq!(fire(&mut conns, &mut io, superseded), None);
+
+        let dropped = armed(&conns, &io);
+        conns.remove(a);
+        call(&mut conns, &mut io, a, ms(810));
+        assert_eq!(io.timers.len(), 5, "armed already, for a's old deadline");
+        assert_eq!(fire(&mut conns, &mut io, dropped), Some(vec![]));
+        let next = armed(&conns, &io);
+        assert_eq!(fire(&mut conns, &mut io, next), Some(vec![b]));
+        let replaced = armed(&conns, &io);
+        assert_eq!(replaced.1, ms(1_110), "the new a's deadline");
+        assert_eq!(fire(&mut conns, &mut io, replaced), Some(vec![a]));
+        assert_eq!(conns.len(), 3);
     }
 }

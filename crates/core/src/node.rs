@@ -438,8 +438,7 @@ impl Node {
         let (kind, low) = split_tag(tag);
         match kind {
             TAG_CONN => {
-                if let Some(peer) = self.conns.on_timer(low, io.now()) {
-                    self.drain_pm_events(io, peer);
+                if self.conns.on_timer(low) {
                     self.flush_all(io);
                 }
                 None
@@ -522,10 +521,12 @@ impl Node {
         self.events.push_back(AppEvent::MemberDead { addr });
     }
 
-    /// Transmits queued segments on every connection and re-arms
-    /// retransmission timers.
+    /// Transmits queued segments on every connection, ticking and draining
+    /// each whose deadline comes meanwhile; then arms the protocol timer.
     fn flush_all(&mut self, io: &mut dyn NetIo) {
-        self.conns.flush_all(io);
+        while let Some(peer) = self.conns.flush(io) {
+            self.drain_pm_events(io, peer);
+        }
     }
 }
 

@@ -7,7 +7,11 @@ use circus::{
     CallError, CollationPolicy, NodeConfig, OutCall, Service, ServiceCtx, Step, ThreadId, Troupe,
     TroupeId, TroupeTarget,
 };
-use simnet::{Duration, HostId, SockAddr, Syscall, SyscallCosts, World};
+use pairedmsg::config::RETRANSMIT_INTERVAL;
+use pairedmsg::{MsgType, SegmentHeader};
+use simnet::{
+    Duration, HostId, SockAddr, Syscall, SyscallCosts, Time, TraceEvent, TraceRing, World,
+};
 use wire::{from_bytes, to_bytes};
 
 fn run(world: &mut World, d: u64) {
@@ -269,6 +273,71 @@ fn a_killed_member_is_given_up_at_once_a_crashed_one_at_the_horizon() {
         }
         assert_quiescent(&w);
     }
+}
+
+/// A node runs one protocol timer on an honest clock. A call goes to a
+/// troupe of four: a live member, whose address sorts first, and three
+/// on hosts that are down. Each dead member's first retransmission leaves
+/// exactly `RETRANSMIT_INTERVAL` after its first transmission: its clock
+/// started when that went to the wire, a `sendmsg` or more after the call
+/// was queued, and the timer fires at the deadline, not late by the sends
+/// of the flush that armed it. No flush arms more than one timer, and no
+/// member is given up before the crash horizon.
+#[test]
+fn every_retransmission_clock_starts_at_the_wire() {
+    let mut w = world(7);
+    let troupe = spawn_server_troupe(&mut w, 10, 1, 4);
+    let dead: Vec<SockAddr> = (2..=4).map(|h| addr(h, 70)).collect();
+    for m in &dead {
+        w.crash_host(m.host);
+    }
+    w.set_trace_sink(Box::new(TraceRing::unbounded()));
+    let echo = Request::new(&troupe, MODULE, PROC_ECHO, b"anyone".to_vec());
+    let client = spawn_client(&mut w, vec![echo]);
+    let arms = |w: &World| w.cpu(client).count_of(Syscall::SetITimer.index());
+    w.poke(client, 0);
+    while w.cpu(client).count_of(Syscall::SendMsg.index()) == 0 {
+        assert!(w.step());
+    }
+    // The call's own arming (§4.2.4), and the node's one timer.
+    assert_eq!(arms(&w), 2);
+    let mut before = arms(&w);
+    while w.step() {
+        let after = arms(&w);
+        assert!(after - before <= 1, "one timer per flush");
+        before = after;
+    }
+    assert_eq!(results(&w, client), vec![Ok(b"anyone".to_vec())]);
+
+    let ring = w.trace_sink_as::<TraceRing>().expect("the ring");
+    let horizon = pairedmsg::Config::default().crash_horizon();
+    let done = agent(&w, client, |c: &Caller| c.completed[0].done);
+    for &m in &dead {
+        let calls: Vec<Time> = (ring.events().iter())
+            .filter_map(|ev| match ev {
+                TraceEvent::Send {
+                    at, from, to, head, ..
+                } if (*from, *to) == (client, m) => {
+                    let h = SegmentHeader::decode(head).expect("a segment");
+                    (h.msg_type == MsgType::Call && !h.ack && !h.probe).then_some(*at)
+                }
+                _ => None,
+            })
+            .collect();
+        let retransmits = pairedmsg::Config::default().max_retransmits as usize;
+        assert_eq!(calls.len(), 1 + retransmits, "to {m}");
+        assert_eq!(calls[1].since(calls[0]), RETRANSMIT_INTERVAL, "to {m}");
+        // The call waited for every member to be given up, a horizon
+        // after the first `sendmsg` to it began.
+        let sendmsg = SyscallCosts::vax_4_2bsd().cost(Syscall::SendMsg);
+        assert!(
+            done.since(calls[0]) + sendmsg >= horizon,
+            "{m} given up early"
+        );
+    }
+    let mut gave_up = agent(&w, client, |c: &Caller| c.dead_members.clone());
+    gave_up.sort();
+    assert_eq!(gave_up, dead);
 }
 
 /// A node's counts are the registry's, not its connections': the client's

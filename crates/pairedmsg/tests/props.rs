@@ -1,8 +1,9 @@
 //! Property-based tests: any message survives any bounded loss pattern,
 //! reassembly is exact for arbitrary payloads and segment sizes, every
 //! datagram cut from a framed message is the one a contiguous encode
-//! makes, and an endpoint fed garbage or well-formed hostile segments
-//! neither panics nor breaks a §4.2 rule it alone answers for.
+//! makes, an endpoint fed garbage or well-formed hostile segments
+//! neither panics nor breaks a §4.2 rule it alone answers for, and no
+//! peer is given up before the crash horizon.
 
 mod spec;
 
@@ -272,6 +273,39 @@ proptest! {
             prop_assert_eq!(&datagram[..], &bytes[..]);
         }
         drop(held);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1_024))]
+
+    /// However its jitter falls, a message nobody acknowledges is given up
+    /// no sooner than the crash horizon after its first transmission,
+    /// which may go to the wire a while after the message was queued:
+    /// ticked at every deadline, as early as a timer can, the endpoint
+    /// raises `PeerDead` no sooner.
+    #[test]
+    fn no_peer_is_given_up_before_the_crash_horizon(
+        jitter_seed: u64,
+        call_number: u32,
+        queued_for_ms in 0u64..50,
+    ) {
+        let config = Config { jitter_seed, ..Config::default() };
+        let horizon = config.crash_horizon();
+        let mut endpoint = Endpoint::new(config);
+        endpoint.send(Time::ZERO, MsgType::Call, call_number, 0, b"x").unwrap();
+        let wire = Time::ZERO + Duration::from_millis(queued_for_ms);
+        while endpoint.transmit(wire).is_some() {}
+        loop {
+            let due = endpoint.poll_timer().expect("a deadline until given up");
+            endpoint.on_timer(due);
+            while endpoint.transmit(due).is_some() {}
+            if let Some(event) = endpoint.poll_event() {
+                prop_assert_eq!(event, Event::PeerDead);
+                prop_assert!(due.since(wire) >= horizon, "given up after {}", due.since(wire));
+                break;
+            }
+        }
     }
 }
 

@@ -23,7 +23,8 @@
 //!   library `TxnClient`s contending for a hot object at most
 //!   [`CONTENDED_COMMIT_BUDGET`].
 //! - The world's event queue must not allocate at all over a
-//!   steady-state pop + insert loop.
+//!   steady-state pop + insert loop, nor a node's protocol timer firing
+//!   for connections whose deadline has come.
 //! - A world with no trace sink keeps no spans: what its registry holds
 //!   after 20 000 echo calls is within [`NO_SINK_GROWTH_BUDGET`] bytes of
 //!   what it holds after 100.
@@ -47,12 +48,12 @@ use std::cell::Cell;
 
 use rdp::chaos::{run_scenario, ScenarioOptions, Store, TRACE_SAMPLE};
 use rdp::circus::testbed::{
-    addr, agent, agent_mut, enqueue, node, service, spawn_troupe, world, Caller, CountingService,
-    Request, MODULE, PROC_ECHO,
+    addr, agent, agent_mut, enqueue, node, service, spawn_caller, spawn_troupe, world, Caller,
+    CountingService, Request, MODULE, PROC_ECHO,
 };
 use rdp::circus::{
     census, Agent, CallError, CallHandle, CallMessage, CollationPolicy, NodeBuilder, NodeConfig,
-    NodeCtx, ReturnMessage, Service, ThreadId, Troupe, TroupeId,
+    NodeCtx, ReturnMessage, Service, ServiceCtx, Step, ThreadId, Troupe, TroupeId,
 };
 use rdp::pairedmsg::{Config, Endpoint, Event, Framed, MsgSender, MsgType, Segment};
 use rdp::simnet::{
@@ -104,9 +105,10 @@ const MEMBER_HEAP_BUDGET: i64 = 24 * 1024;
 
 /// Bytes a client process may hold, beyond what it held before it called,
 /// once it has made one echo call to each member of an n=3 troupe: its
-/// connection table (room for eight 424-byte connections), the three
+/// connection table (room for eight 392-byte connections), the three
 /// connections' tables of messages in flight and what the call runtime
-/// keeps of the call. Measured: 9,036. Tables kept as B-trees held 13,492:
+/// keeps of the call. Measured: 8,728 (9,036 while each connection kept
+/// a timer of its own). Tables kept as B-trees held 13,492:
 /// a 4,768-byte leaf for the connections, a 1,160-byte one per connection
 /// for its senders and a 1,424-byte one for the outstanding calls.
 const CONNECTION_HEAP_BUDGET: i64 = 10 * 1024;
@@ -955,6 +957,48 @@ fn library_broadcaster_stays_within_its_allocation_budget() {
         per_broadcast <= BROADCAST_BUDGET,
         "{per_broadcast:.2} allocations per broadcast exceeds the budget of {BROADCAST_BUDGET}"
     );
+}
+
+/// A service every invocation of which blocks for ever: its caller, its
+/// call acknowledged, probes each member every `PROBE_INTERVAL`.
+struct Stall;
+
+impl Service for Stall {
+    fn dispatch(&mut self, _ctx: &mut ServiceCtx, _proc: u16, _args: &[u8]) -> Step {
+        Step::Suspend
+    }
+}
+
+/// A firing of a node's protocol timer that ticks connections whose
+/// deadline has come — here the crash-detection probes of a call to three
+/// members that never returns — allocates nothing once the world is
+/// warm, and nor do the probes and their replies.
+#[test]
+fn a_node_timer_firing_with_due_connections_allocates_nothing() {
+    let mut w = world(1985);
+    let config = NodeConfig::default();
+    let troupe = spawn_troupe(
+        &mut w,
+        TroupeId(4242),
+        &member_addrs(),
+        MODULE,
+        &config,
+        None,
+        || Stall,
+    );
+    let client = spawn_caller(&mut w, addr(10, 50), config, None);
+    let stalled = Request::new(&troupe, MODULE, PROC_ECHO, vec![1; 64]);
+    enqueue(&mut w, client, [stalled]);
+    w.poke(client, 0);
+    // Acknowledged, and probing.
+    w.run(Until::Elapsed(Duration::from_secs(10)));
+    let (reg, sent) = (w.metrics(), format!("rpc.{client}.segments_sent"));
+    let (probes, before) = (reg.get(&sent), allocations());
+    w.run(Until::Elapsed(Duration::from_secs(20)));
+    let spent = allocations() - before;
+    let probes = reg.get(&sent) - probes;
+    assert!(probes >= 3 * 9, "{probes} probes in 20 s");
+    assert_eq!(spent, 0, "{probes} probes");
 }
 
 #[test]
