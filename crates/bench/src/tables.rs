@@ -418,9 +418,9 @@ mod tests {
     /// The committed Table 4.1 (UDP, TCP, Circus n = 1..=5): real, CPU
     /// and user ms per call.
     fn table_4_1_rows() -> Vec<EchoResult> {
-        let rows = [(24.3, 13.3, 0.0), (17.9, 8.3, 0.0), (44.9, 21.7, 6.0)];
-        let circus = [(53.6, 38.3, 9.0), (61.1, 55.0, 12.0), (72.0, 72.0, 15.0)];
-        let rows = rows.into_iter().chain(circus).chain([(89.3, 89.3, 18.0)]);
+        let rows = [(24.3, 13.3, 0.0), (17.9, 8.3, 0.0), (42.6, 19.4, 6.0)];
+        let circus = [(50.7, 35.6, 9.0), (58.8, 51.8, 12.0), (68.0, 68.0, 15.0)];
+        let rows = rows.into_iter().chain(circus).chain([(84.2, 84.2, 18.0)]);
         rows.map(|(real_ms, total_cpu_ms, user_ms)| EchoResult {
             real_ms,
             total_cpu_ms,
@@ -468,11 +468,11 @@ mod tests {
     fn claim_fires_on_a_doctored_table_4_3() {
         let profiled = &ALL_SYSCALLS[..6];
         let committed = [
-            [373, 129, 83, 63, 37, 39],
-            [422, 146, 94, 43, 25, 35],
-            [442, 153, 98, 35, 20, 33],
-            [450, 156, 100, 33, 19, 33],
-            [454, 157, 101, 34, 20, 34],
+            [417, 144, 93, 9, 5, 24],
+            [455, 157, 101, 6, 3, 24],
+            [469, 162, 104, 5, 3, 25],
+            [477, 165, 106, 4, 3, 25],
+            [481, 166, 107, 4, 2, 25],
         ];
         let mut rows = committed.map(|six| profile(six, 0));
         assert_eq!(claim_4_3(&rows, profiled), Ok(()));
@@ -488,11 +488,11 @@ mod tests {
     #[test]
     fn claim_fires_on_a_doctored_fig_4_8() {
         let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(claim_4_8(&xs, &[44.9, 53.6, 61.1, 72.0, 89.3]), Ok(()));
+        assert_eq!(claim_4_8(&xs, &[42.6, 50.7, 58.8, 68.0, 84.2]), Ok(()));
         for ys in [
-            [44.9, 53.6, 53.0, 72.0, 89.3],
-            [44.9, 46.0, 47.0, 48.0, 49.0],
-            [44.9, 90.0, 135.0, 180.0, 225.0],
+            [42.6, 50.7, 50.0, 68.0, 84.2],
+            [42.6, 44.0, 45.0, 46.0, 47.0],
+            [42.6, 90.0, 135.0, 180.0, 225.0],
             [40.0, 41.0, 42.0, 43.0, 90.0],
         ] {
             assert!(claim_4_8(&xs, &ys).is_err(), "{ys:?}");

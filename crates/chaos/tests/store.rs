@@ -86,17 +86,7 @@ fn sweep_seeds_through_all_oracles_multicast() {
 /// healer destroying a healthy member.
 #[test]
 fn partitions_without_crashes_never_evict() {
-    let opts = ScenarioOptions {
-        txns_per_client: 40,
-        plan: PlanOptions {
-            partitions_only: Some((
-                Duration::from_micros(6_000_000),
-                Duration::from_micros(8_000_000),
-            )),
-            ..PlanOptions::default()
-        },
-        ..ScenarioOptions::default()
-    };
+    let opts = partitions_past_the_horizon();
     let mut suspicions_total = 0u64;
     for seed in [11u64, 12, 13] {
         let r = run(&Store, seed, &opts);
@@ -129,6 +119,38 @@ fn partitions_without_crashes_never_evict() {
     );
 }
 
+/// Forty transactions per client under partitions of 6–8 s, each
+/// isolating one store member past the ≈ 4.5 s crash horizon.
+fn partitions_past_the_horizon() -> ScenarioOptions {
+    ScenarioOptions {
+        txns_per_client: 40,
+        plan: PlanOptions {
+            partitions_only: Some((
+                Duration::from_micros(6_000_000),
+                Duration::from_micros(8_000_000),
+            )),
+            ..PlanOptions::default()
+        },
+        ..ScenarioOptions::default()
+    }
+}
+
+/// Every oracle holds over 400 partition-only seeds. A member isolated
+/// after it voted yes sees its `ready_to_commit` call-back fail while
+/// its peers commit: it must stay in doubt, holding its locks, until a
+/// peer tells it the verdict. Aborting alone there fails 76 of these
+/// seeds.
+#[test]
+fn partitions_past_the_horizon_keep_every_oracle() {
+    let seeds = sweep_seeds(1..401);
+    let reports = sweep(&Store, &seeds, &partitions_past_the_horizon(), chaos_jobs());
+    assert_all_passed(&reports);
+    let in_doubt: u64 = reports.iter().map(|r| r.metrics.get("txn.in_doubt")).sum();
+    if seeds.len() > 1 {
+        assert!(in_doubt > 0, "no member was ever in doubt");
+    }
+}
+
 /// The self-heal gate: a fixed seed whose plan kills two store members
 /// must end with the *Ringmaster's own agent* reporting two completed
 /// repairs — probe-confirmed eviction plus spare activation — with the
@@ -152,27 +174,43 @@ fn self_heal_gate_two_crashes_two_ringmaster_repairs() {
 }
 
 /// Every return any process sent, by sender and span: when its first
-/// copy left for each destination. One multicast sends every copy at one
-/// instant; per-member sends each cost a `sendmsg` of CPU time.
+/// copy left for each destination, under which call number. One
+/// multicast sends every copy at one instant; per-member sends each cost
+/// a `sendmsg` of CPU time. And when each call first arrived, by sender,
+/// destination and call number.
 #[derive(Default)]
 struct ReturnTap {
-    first: BTreeMap<(SockAddr, u64), BTreeMap<SockAddr, Time>>,
+    first: BTreeMap<(SockAddr, u64), BTreeMap<SockAddr, (Time, u32)>>,
+    called: BTreeMap<(SockAddr, SockAddr, u32), Time>,
 }
 
 impl TraceSink for ReturnTap {
     fn record(&mut self, ev: &TraceEvent) {
-        let TraceEvent::Send {
-            at, from, to, head, ..
-        } = ev
-        else {
-            return;
+        let (send, &at, &from, &to, head) = match ev {
+            TraceEvent::Send {
+                at, from, to, head, ..
+            } => (true, at, from, to, head),
+            TraceEvent::Deliver {
+                at, from, to, head, ..
+            } => (false, at, from, to, head),
+            _ => return,
         };
         let Ok(h) = SegmentHeader::decode(head) else {
             return;
         };
-        if h.msg_type == MsgType::Return && !h.ack && !h.probe {
-            let copies = self.first.entry((*from, h.span)).or_default();
-            copies.entry(*to).or_insert(*at);
+        if h.ack || h.probe {
+            return;
+        }
+        match h.msg_type {
+            MsgType::Return if send => {
+                let copies = self.first.entry((from, h.span)).or_default();
+                copies.entry(to).or_insert((at, h.call_number));
+            }
+            MsgType::Call if !send => {
+                let key = (from, to, h.call_number);
+                self.called.entry(key).or_insert(at);
+            }
+            _ => {}
         }
     }
 
@@ -183,9 +221,13 @@ impl TraceSink for ReturnTap {
 
 /// A joiner numbers its calls as its troupe does (§4.3.3): the seed's
 /// plan kills a member, a spare takes its place, and from then on every
-/// `ready_to_commit` call-back return that reaches the joiner leaves its
-/// client as one multicast. Numbering its calls from 1, the joiner would
-/// split each into a multicast to the survivors and a unicast to itself.
+/// `ready_to_commit` call-back return that reaches the joiner, once every
+/// member's copy of the call has arrived, leaves its client as one
+/// multicast. Numbering its calls from 1, the joiner would split each
+/// into a multicast to the survivors and a unicast to itself. A return
+/// that left before a straggler's copy arrived (a first "no" vote decides
+/// at once) reaches that straggler on its own, buffered for it (§4.3.4):
+/// those are not counted.
 #[test]
 fn after_a_repair_every_return_to_the_joiner_is_one_multicast() {
     const SEED: u64 = 31;
@@ -213,17 +255,21 @@ fn after_a_repair_every_return_to_the_joiner_is_one_multicast() {
     assert_eq!(joiner.len(), 1);
 
     let tap = q.world.trace_sink_as::<ReturnTap>().expect("the tap");
-    let to_joiner = (tap.first.iter())
-        .filter(|((from, _), copies)| {
-            q.client_addrs.contains(from) && copies.contains_key(&joiner[0])
-        })
-        .map(|(_, copies)| copies);
+    let to_joiner = (tap.first.iter()).filter(|((from, _), copies)| {
+        q.client_addrs.contains(from) && copies.contains_key(&joiner[0])
+    });
     let (mut returns, mut split) = (0, Vec::new());
-    for copies in to_joiner {
+    for ((client, _), copies) in to_joiner {
+        let first = copies.values().map(|&(t, _)| t).min().expect("a copy");
+        let arrived = |(m, &(_, cn)): (&SockAddr, &(Time, u32))| {
+            let at = tap.called.get(&(*m, *client, cn));
+            at.is_some_and(|&t| t <= first)
+        };
+        if !copies.iter().all(arrived) {
+            continue; // Buffered for a straggler.
+        }
         returns += 1;
-        let mut at = copies.values();
-        let first = at.next().expect("a copy");
-        if copies.len() < 2 || at.any(|t| t != first) {
+        if copies.len() < 2 || copies.values().any(|&(t, _)| t != first) {
             split.push(copies.clone());
         }
     }

@@ -329,11 +329,12 @@ impl Assemblies {
         Some(p.invocation())
     }
 
-    /// The assembly whose invocation `id` is suspended.
-    pub(crate) fn suspended(&self, id: u64) -> Option<CallKey> {
+    /// The assembly whose invocation `id` is suspended, and that
+    /// invocation.
+    pub(crate) fn suspended(&self, id: u64) -> Option<(CallKey, Invocation)> {
         let suspended = |p: &Pending| p.invocation == id && p.state == PendState::Suspended;
         let found = self.pending.iter().find(|(_, p)| suspended(p));
-        found.map(|(&key, _)| key)
+        found.map(|(&key, p)| (key, p.invocation()))
     }
 
     /// The span of the invocation the assembly for `key` is running.
@@ -565,7 +566,7 @@ pub(crate) mod tests {
             }
         }
         for id in 0..=a.last_invocation {
-            assert_eq!(a.suspended(id), suspended.get(&id).copied());
+            assert_eq!(a.suspended(id).map(|(k, _)| k), suspended.get(&id).copied());
         }
         let open: Vec<u64> = a.pending.values().map(|p| p.serial).collect();
         for serial in (1..=a.last_serial).filter(|s| !open.contains(s)) {

@@ -63,8 +63,8 @@ pub mod reserved_procs {
     /// `get_state() -> bytes`: externalize the module state for a joining
     /// member (§6.4.1). Runs as a read-only operation.
     pub const GET_STATE: u16 = 0xFF00;
-    /// `set_troupe_id(troupe_id)`: install a new troupe incarnation
-    /// (§6.2, Figure 6.2).
+    /// `set_troupe_id(troupe)`: install a new troupe incarnation, and
+    /// its members (§6.2, Figure 6.2).
     pub const SET_TROUPE_ID: u16 = 0xFF01;
     /// `null()`: the "are you there?" probe (§6.1).
     pub const NULL: u16 = 0xFF02;

@@ -319,13 +319,10 @@ impl ClientCalls {
             members: &[][..],
         };
         let key = msg.key();
-        // Externalize once; the timer package reads the clock and arms the
-        // interval timer for the exchange (§4.2.4), inside a critical
-        // region.
+        // Externalize once. The call arms no timer of its own: the node's
+        // one protocol timer covers it, and the timer package is charged
+        // where that is armed (`Conns::arm`).
         io.charge(Syscall::Compute);
-        io.charge(Syscall::GetTimeOfDay);
-        io.charge(Syscall::SetITimer);
-        io.charge(Syscall::SigBlock);
 
         // Mint the causal span covering this call. Application calls and
         // binding lookups start new trees; a nested call made by a service

@@ -74,6 +74,10 @@ pub const TAG_CONN: u64 = 0;
 pub const TAG_PENDING: u64 = 1;
 /// Application timer; low bits = the application's own tag.
 pub const TAG_APP: u64 = 2;
+/// A service's wake-up ([`NodeEffect::Wake`]); low bits = the invocation.
+///
+/// [`NodeEffect::Wake`]: crate::service::NodeEffect::Wake
+pub const TAG_WAKE: u64 = 3;
 
 pub(crate) fn make_tag(kind: u64, low: u64) -> u64 {
     (kind << TAG_KIND_SHIFT) | (low & ((1 << TAG_KIND_SHIFT) - 1))
@@ -185,7 +189,7 @@ mod tests {
 
     #[test]
     fn tag_split_round_trips() {
-        for kind in [TAG_CONN, TAG_PENDING, TAG_APP] {
+        for kind in [TAG_CONN, TAG_PENDING, TAG_APP, TAG_WAKE] {
             for low in [0u64, 1, 0xFFFF, (1 << 56) - 1] {
                 let tag = make_tag(kind, low);
                 assert_eq!(split_tag(tag), (kind, low & ((1 << 56) - 1)));

@@ -25,7 +25,7 @@ use crate::counts::RpcCounts;
 use crate::directory::Directory;
 use crate::message::Arrival;
 use crate::netio::make_tag;
-pub use crate::netio::{split_tag, NetIo, TimerKey, TAG_APP, TAG_CONN, TAG_PENDING};
+pub use crate::netio::{split_tag, NetIo, TimerKey, TAG_APP, TAG_CONN, TAG_PENDING, TAG_WAKE};
 use crate::service::{CallError, Service};
 use crate::thread::{ThreadId, ThreadIdGen};
 use pairedmsg::{Event as PmEvent, MsgType};
@@ -109,9 +109,9 @@ impl Default for NodeConfig {
 pub struct Node {
     me: SockAddr,
     config: NodeConfig,
-    /// This process's troupe incarnation; `UNREGISTERED` until exported
-    /// through the binding agent.
-    my_troupe: TroupeId,
+    /// This process's troupe incarnation and its members; `UNREGISTERED`,
+    /// with none, until exported through the binding agent.
+    my_troupe: Troupe,
     threads: ThreadIdGen,
     conns: Conns,
     services: BTreeMap<u16, Box<dyn Service>>,
@@ -168,7 +168,7 @@ impl Node {
     pub fn new(me: SockAddr, config: NodeConfig) -> Node {
         Node {
             me,
-            my_troupe: TroupeId::UNREGISTERED,
+            my_troupe: Troupe::new(TroupeId::UNREGISTERED, Vec::new()),
             threads: ThreadIdGen::new(me),
             conns: Conns::new(me, config.pm.clone()),
             services: BTreeMap::new(),
@@ -187,13 +187,14 @@ impl Node {
 
     /// The current troupe incarnation of this member.
     pub fn troupe_id(&self) -> TroupeId {
-        self.my_troupe
+        self.my_troupe.id
     }
 
-    /// Installs a troupe incarnation (normally done remotely through the
+    /// Installs a troupe incarnation whose members are not known here
+    /// (normally the binding agent installs both, remotely, through the
     /// reserved `set_troupe_id` procedure, §6.2).
     pub fn set_troupe_id(&mut self, id: TroupeId) {
-        self.my_troupe = id;
+        self.my_troupe = Troupe::new(id, Vec::new());
     }
 
     /// Exports a service as module number `module`.
@@ -453,6 +454,11 @@ impl Node {
                 None
             }
             TAG_APP => Some(TimerKey::new(low)),
+            TAG_WAKE => {
+                self.wake_service(io, low);
+                self.flush_all(io);
+                None
+            }
             _ => None,
         }
     }

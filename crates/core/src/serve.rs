@@ -19,7 +19,7 @@ use crate::binding::reserved_procs::{self, FETCH_RETURN, GET_STATE, GET_STATE_SI
 use crate::calls::{Call, CallPurpose};
 use crate::collate::{Collation, CollationPolicy};
 use crate::message::{encode, Arrival, CallKey, CallMessage, ReturnMessage};
-use crate::netio::{make_tag, NetIo, TAG_PENDING};
+use crate::netio::{make_tag, NetIo, TAG_PENDING, TAG_WAKE};
 use crate::service::{self, CallError, NodeEffect, OutCall, ServiceCtx, Step, TroupeTarget};
 use pairedmsg::Framed;
 use simnet::{Payload, SockAddr, Syscall};
@@ -49,9 +49,10 @@ impl Node {
 
         // Incarnation check (§6.2): a call bearing the wrong server
         // troupe ID must be rejected so stale client caches are detected.
-        if msg.server_troupe != self.my_troupe && msg.server_troupe != TroupeId::UNREGISTERED {
+        let mine = self.my_troupe.id;
+        if msg.server_troupe != mine && msg.server_troupe != TroupeId::UNREGISTERED {
             io.metrics().add("adv.rejected", 1);
-            let reply = encode(&self.config.pm, &ReturnMessage::WrongTroupe(self.my_troupe));
+            let reply = encode(&self.config.pm, &ReturnMessage::WrongTroupe(mine));
             return self.reply(io, &at, reply);
         }
 
@@ -226,9 +227,21 @@ impl Node {
             }
         }
         let callback = matches!(out.target, TroupeTarget::Caller);
+        let mut thread = key.thread;
         let troupe = match out.target {
             TroupeTarget::Troupe(t) => t,
             TroupeTarget::Caller => self.caller_troupe(&key, out.module)?,
+            TroupeTarget::Peers => {
+                let me = self.me;
+                let peers = self.my_troupe.members.iter().filter(|m| m.addr != me);
+                let peers: Vec<ModuleAddr> = peers.copied().collect();
+                out.module = peers.first().map_or(out.module, |m| m.module);
+                // On a thread of its own: two members asking one peer on
+                // the invocation's thread would send it one call key.
+                thread = self.threads.fresh();
+                // Unchecked: a peer may hold a newer incarnation.
+                Troupe::new(TroupeId::UNREGISTERED, peers)
+            }
         };
         self.assemblies.set_state(&key, PendState::AwaitingNested);
         // Thread-ID propagation (§3.4.1): the nested call runs on behalf
@@ -236,9 +249,9 @@ impl Node {
         // unregistered, so the server does not wait for the other
         // members' (never-coming) copies.
         let procedure = (out.module, out.proc);
-        let mut call = Call::solo(key.thread, &troupe, procedure, &out.args, out.collation);
+        let mut call = Call::solo(thread, &troupe, procedure, &out.args, out.collation);
         if !out.solo {
-            call.client_troupe = self.my_troupe;
+            call.client_troupe = self.my_troupe.id;
         }
         let parent = self.assemblies.invoke_span(&key);
         self.begin(io, call, CallPurpose::Nested { key, parent });
@@ -273,7 +286,7 @@ impl Node {
                 }
                 NodeEffect::InvalidateDirectory { id } => self.directory.forget(id),
                 NodeEffect::StepFor { invocation, step } => {
-                    if let Some(key) = self.assemblies.suspended(invocation) {
+                    if let Some((key, _)) = self.assemblies.suspended(invocation) {
                         self.apply_step(io, key, step);
                     }
                 }
@@ -286,8 +299,27 @@ impl Node {
                 NodeEffect::NotifyAgent { tag } => {
                     self.events.push_back(AppEvent::Notify { tag });
                 }
+                NodeEffect::Wake { invocation, after } => {
+                    io.charge(Syscall::SetITimer);
+                    io.set_timer(after, make_tag(TAG_WAKE, invocation));
+                }
             }
         }
+    }
+
+    /// Wakes the suspended `invocation` ([`NodeEffect::Wake`]); one that
+    /// moved on meanwhile is left alone.
+    pub(super) fn wake_service(&mut self, io: &mut dyn NetIo, invocation: u64) {
+        let Some((key, invocation)) = self.assemblies.suspended(invocation) else {
+            return;
+        };
+        let mut ctx = self.service_ctx(io, &key, &invocation);
+        let step = match self.services.get_mut(&invocation.module) {
+            Some(s) => s.wake(&mut ctx),
+            None => Step::Error("module vanished".into()),
+        };
+        self.apply_effects(io, ctx.effects);
+        self.apply_step(io, key, step);
     }
 
     /// Resumes a service blocked on a nested call.

@@ -15,7 +15,7 @@ use crate::addr::{Troupe, TroupeId};
 use crate::binding::reserved_procs;
 use crate::collate::{CollateError, CollationPolicy};
 use crate::thread::ThreadId;
-use simnet::{Payload, SockAddr, Time};
+use simnet::{Duration, Payload, SockAddr, Time};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -80,6 +80,13 @@ pub enum TroupeTarget {
     /// pattern of the troupe commit protocol ("the roles of client and
     /// server are thus temporarily reversed", §5.3).
     Caller,
+    /// The other members of this member's own troupe, as the binding
+    /// agent's last `set_troupe_id` named them, at the module the troupe
+    /// is registered under (`OutCall::module` is not read); none before
+    /// the first. The call goes out on a fresh thread, not the
+    /// invocation's: how a member asks its peers what they know of a
+    /// shared decision (§5.3's member in doubt).
+    Peers,
 }
 
 /// A nested replicated call requested by a service.
@@ -176,6 +183,15 @@ pub enum NodeEffect {
         /// `Delta` payload).
         delta: Vec<u8>,
     },
+    /// Call [`Service::wake`] for a suspended invocation `after` from now
+    /// (if it is still suspended then): how a service waits before it
+    /// asks again.
+    Wake {
+        /// The suspended invocation to wake.
+        invocation: u64,
+        /// How long to wait.
+        after: Duration,
+    },
 }
 
 /// Reply of the reserved `get_state_since` procedure: either the full
@@ -268,6 +284,13 @@ pub trait Service: std::any::Any {
         Step::Error("service resumed but made no nested call".into())
     }
 
+    /// Advances a suspended invocation whose [`NodeEffect::Wake`] came
+    /// due. The default is for services that never ask to be woken.
+    fn wake(&mut self, ctx: &mut ServiceCtx) -> Step {
+        let _ = ctx;
+        Step::Suspend
+    }
+
     /// How to collate the argument sets of a many-to-one call (§4.3.2).
     /// The default demands identical arguments from every caller; Figure
     /// 7.7's temperature averaging is the canonical override.
@@ -326,10 +349,10 @@ pub trait Service: std::any::Any {
 /// Runs procedure `proc` of the exported module `module`: the service's
 /// own, or one of the runtime-provided procedures every module answers
 /// (§6.2, §6.4.1) — of which `set_troupe_id` installs the new
-/// incarnation in `my_troupe`.
+/// incarnation, with its members, in `my_troupe`.
 pub(crate) fn dispatch(
     services: &mut BTreeMap<u16, Box<dyn Service>>,
-    my_troupe: &mut TroupeId,
+    my_troupe: &mut Troupe,
     ctx: &mut ServiceCtx,
     module: u16,
     proc: u16,
@@ -339,9 +362,9 @@ pub(crate) fn dispatch(
     match (proc, services.get_mut(&module)) {
         (..RESERVED_BASE, Some(s)) => s.dispatch(ctx, proc, args),
         (NULL, _) => Step::Reply(Vec::new()),
-        (SET_TROUPE_ID, _) => match wire::from_bytes::<TroupeId>(args) {
-            Ok(id) => {
-                *my_troupe = id;
+        (SET_TROUPE_ID, _) => match wire::from_bytes::<Troupe>(args) {
+            Ok(troupe) => {
+                *my_troupe = troupe;
                 Step::Reply(Vec::new())
             }
             Err(e) => Step::Error(format!("bad troupe id: {e}")),

@@ -275,6 +275,34 @@ fn a_killed_member_is_given_up_at_once_a_crashed_one_at_the_horizon() {
     }
 }
 
+/// The timer package (§4.2.4: `gettimeofday`, `sigblock`, `setitimer`)
+/// is charged only where the node's one timer is armed. Two calls back
+/// to back: the second's retransmission deadline falls after the one the
+/// first armed, so it adds no `setitimer` and no `gettimeofday` to the
+/// client.
+#[test]
+fn a_call_behind_the_armed_timer_charges_no_timer_package() {
+    let mut w = world(7);
+    let troupe = spawn_server_troupe(&mut w, 10, 1, 3);
+    let echo = || Request::new(&troupe, MODULE, PROC_ECHO, b"twice".to_vec());
+    let client = spawn_client(&mut w, vec![echo(), echo()]);
+    let package = |w: &World| {
+        let cpu = w.cpu(client);
+        [Syscall::SetITimer, Syscall::GetTimeOfDay].map(|s| cpu.count_of(s.index()))
+    };
+    let done = |w: &World| agent(w, client, |c: &Caller| c.completed.len());
+    w.poke(client, 1);
+    while done(&w) < 1 {
+        assert!(w.step());
+    }
+    assert_eq!(package(&w), [1, 1], "the first call arms the node's timer");
+    while done(&w) < 2 {
+        assert!(w.step());
+    }
+    assert_eq!(package(&w), [1, 1], "the second call arms nothing");
+    assert_eq!(results(&w, client), vec![Ok(b"twice".to_vec()); 2]);
+}
+
 /// A node runs one protocol timer on an honest clock. A call goes to a
 /// troupe of four: a live member, whose address sorts first, and three
 /// on hosts that are down. Each dead member's first retransmission leaves
@@ -299,8 +327,8 @@ fn every_retransmission_clock_starts_at_the_wire() {
     while w.cpu(client).count_of(Syscall::SendMsg.index()) == 0 {
         assert!(w.step());
     }
-    // The call's own arming (§4.2.4), and the node's one timer.
-    assert_eq!(arms(&w), 2);
+    // The node's one timer: the call arms none of its own.
+    assert_eq!(arms(&w), 1);
     let mut before = arms(&w);
     while w.step() {
         let after = arms(&w);
@@ -593,7 +621,7 @@ fn reserved_procedures_work() {
                 &troupe,
                 MODULE,
                 circus::binding::reserved_procs::SET_TROUPE_ID,
-                to_bytes(&TroupeId(777)),
+                to_bytes(&Troupe::new(TroupeId(777), troupe.members.clone())),
             ),
         ],
     );

@@ -245,16 +245,17 @@ impl RingmasterService {
             },
         );
         self.in_flight.insert(ctx.invocation, id);
-        // Install the new incarnation at every member of the new troupe
-        // (Figure 6.2). The destination troupe ID is left UNREGISTERED
-        // (unchecked): a joining member is brand new and holds no
-        // incarnation yet, and the existing members are mid-transition.
+        // Install the new incarnation, with its members, at every member
+        // of the new troupe (Figure 6.2). The destination troupe ID is
+        // left UNREGISTERED (unchecked): a joining member is brand new and
+        // holds no incarnation yet, and the existing members are
+        // mid-transition.
         let target = Troupe::new(TroupeId::UNREGISTERED, troupe.members.clone());
         Step::Call(OutCall {
             target: TroupeTarget::Troupe(target),
             module,
             proc: reserved_procs::SET_TROUPE_ID,
-            args: to_bytes(&id).into(),
+            args: to_bytes(&troupe).into(),
             collation: CollationPolicy::Unanimous,
             solo: false,
         })

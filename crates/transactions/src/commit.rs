@@ -14,6 +14,19 @@
 //!
 //! The protocol is *generic* (any local concurrency control) and
 //! *optimistic* (assumes conflicts are rare).
+//!
+//! A member that voted yes and then lost its call-back — the client's
+//! verdict went astray, or the client was cut off — is *in doubt*: the
+//! client may have committed at its peers. It never aborts alone. It
+//! keeps the transaction's locks and workspace and asks its peers
+//! (`txn_outcome`) until one knows the verdict, every `ASK_AGAIN`. Not
+//! the client: the client answered that call already, and a second copy
+//! under the same call key would run its call-back again. A peer knows a
+//! commit from its ledger and an abort for `ABORT_TTL`; a transaction
+//! it has not seen, or not decided, it calls undecided. A client that
+//! dies for ever before its verdict reaches any member leaves its
+//! yes-voters in doubt for ever, holding their locks: two-phase commit's
+//! blocking window, which only a verdict that outlives the client closes.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
@@ -29,15 +42,26 @@ use circus::{
     StateSince, Step, ThreadId, TroupeTarget, VoteSlot,
 };
 use obs::fnv1a;
-use simnet::{Disk, Payload};
+use simnet::{Disk, Duration, Payload, Time};
 use wire::{encode_with, from_bytes, to_bytes};
 
 /// Procedure number of `execute_transaction` at the store troupe.
 pub const PROC_EXECUTE: u16 = 0;
 /// Procedure number of `read_committed` (no transaction machinery).
 pub const PROC_PEEK: u16 = 1;
+/// Procedure number of `txn_outcome(thread, nonce)` at the store troupe,
+/// asked by a member in doubt: `Some(committed)` if this member knows the
+/// verdict, `None` if not.
+pub const PROC_OUTCOME: u16 = 2;
 /// Procedure number of `ready_to_commit` at the client's commit module.
 pub const PROC_READY_TO_COMMIT: u16 = 0;
+
+/// How long a member in doubt waits before it asks its peers again.
+const ASK_AGAIN: Duration = Duration::from_secs(1);
+/// How long a member remembers a transaction it aborted, for a peer in
+/// doubt to ask about (a commit stays in the ledger for good). A peer cut
+/// off for longer stays in doubt.
+const ABORT_TTL: Duration = Duration::from_secs(60);
 
 wire::record! {
     /// A transaction submitted for execution.
@@ -101,7 +125,10 @@ struct TxnRec {
     thread: ThreadId,
     nonce: u64,
     ops: Vec<Op>,
+    /// `Some` once executed: this member votes yes.
     results: Option<Vec<i64>>,
+    /// Voted yes, and the call-back failed: the peers are being asked.
+    in_doubt: bool,
 }
 
 /// The replicated transactional store service: one troupe member's
@@ -126,6 +153,9 @@ pub struct TroupeStoreService {
     committed: Ledger,
     /// Commits whose key the ledger already held: exactly-once broken.
     duplicate_commits: u64,
+    /// The transactions this member aborted in the last [`ABORT_TTL`],
+    /// oldest first, by `(thread, nonce)`: what a peer in doubt asks.
+    aborted: VecDeque<(Time, ThreadId, u64)>,
     /// Wedged for a membership change (§6.4.1): new transactions are
     /// refused with an abort, lock-waiters are aborted, and the wedge
     /// call replies once the last in-flight transaction resolves, so
@@ -156,6 +186,7 @@ impl TroupeStoreService {
             waiting: BTreeMap::new(),
             committed: Ledger::new(),
             duplicate_commits: 0,
+            aborted: VecDeque::new(),
             wedge: Wedge::default(),
             wedge_waiters: Vec::new(),
             wal: None,
@@ -251,7 +282,7 @@ impl TroupeStoreService {
 
     /// Re-runs every transaction unblocked by a lock release, queueing
     /// `StepFor` effects to advance their suspended invocations.
-    fn wake(&mut self, ctx: &mut ServiceCtx, unblocked: Vec<TxnId>) {
+    fn rerun(&mut self, ctx: &mut ServiceCtx, unblocked: Vec<TxnId>) {
         for txn in unblocked {
             if let Some(inv) = self.waiting.remove(&txn) {
                 let step = self.run(inv);
@@ -299,6 +330,63 @@ impl TroupeStoreService {
     }
 }
 
+impl TroupeStoreService {
+    /// What this member knows of `(thread, nonce)`'s verdict.
+    fn outcome(&self, thread: ThreadId, nonce: u64) -> Option<bool> {
+        if self.committed.contains(thread, nonce) {
+            return Some(true);
+        }
+        let aborted = self
+            .aborted
+            .iter()
+            .any(|&(_, t, n)| (t, n) == (thread, nonce));
+        aborted.then_some(false)
+    }
+
+    /// Commits (`go`) or aborts the transaction of `ctx`'s invocation,
+    /// whose verdict this member now knows, and replies its outcome.
+    fn settle(&mut self, ctx: &mut ServiceCtx, go: bool) -> Step {
+        let rec = self
+            .by_invocation
+            .remove(&ctx.invocation)
+            .expect("txn record");
+        let (outcome, unblocked) = match rec.results {
+            Some(results) if go => {
+                if !self.committed.insert(rec.thread, rec.nonce) {
+                    self.duplicate_commits += 1;
+                }
+                ctx.metrics.add("txn.commits", 1);
+                // The workspace the commit folds away is the log record's
+                // per-commit writes: logged, then kept for deltas.
+                let (writes, unblocked) = self.tm.commit(rec.txn);
+                let crec = CommitRecord {
+                    thread: rec.thread,
+                    nonce: rec.nonce,
+                    writes,
+                };
+                self.log_commit(&crec, ctx);
+                self.retain(crec);
+                (TxnOutcome::Committed(results), unblocked)
+            }
+            _ => {
+                ctx.metrics.add("txn.aborts", 1);
+                while self
+                    .aborted
+                    .front()
+                    .is_some_and(|&(t, ..)| t + ABORT_TTL <= ctx.now)
+                {
+                    self.aborted.pop_front();
+                }
+                self.aborted.push_back((ctx.now, rec.thread, rec.nonce));
+                (TxnOutcome::Aborted(ABORTED.into()), self.tm.abort(rec.txn))
+            }
+        };
+        self.rerun(ctx, unblocked);
+        self.check_drained(ctx);
+        Step::Reply(to_bytes(&outcome))
+    }
+}
+
 impl Service for TroupeStoreService {
     fn dispatch(&mut self, ctx: &mut ServiceCtx, proc: u16, args: &[u8]) -> Step {
         match proc {
@@ -326,9 +414,16 @@ impl Service for TroupeStoreService {
                         nonce: req.nonce,
                         ops: req.ops,
                         results: None,
+                        in_doubt: false,
                     },
                 );
                 self.run(ctx.invocation)
+            }
+            PROC_OUTCOME => {
+                let Ok((thread, nonce)) = from_bytes::<(ThreadId, u64)>(args) else {
+                    return Step::Error("bad txn_outcome arguments".into());
+                };
+                Step::Reply(to_bytes(&self.outcome(thread, nonce)))
             }
             PROC_PEEK => {
                 let Ok(obj) = from_bytes::<u64>(args) else {
@@ -343,39 +438,41 @@ impl Service for TroupeStoreService {
     }
 
     fn resume(&mut self, ctx: &mut ServiceCtx, reply: Result<Vec<u8>, CallError>) -> Step {
-        let Some(rec) = self.by_invocation.remove(&ctx.invocation) else {
+        let Some(rec) = self.by_invocation.get_mut(&ctx.invocation) else {
             return Step::Error("spurious resume".into());
         };
-        let go = match reply {
-            Ok(bytes) => from_bytes::<bool>(&bytes).unwrap_or(false),
-            Err(_) => false,
+        // The client's verdict on the votes, or a peer's answer to a
+        // member in doubt; `None` if this member did not learn it.
+        let reply = reply.ok();
+        let verdict = if rec.in_doubt {
+            reply.and_then(|bytes| from_bytes::<Option<bool>>(&bytes).ok().flatten())
+        } else {
+            reply.and_then(|bytes| from_bytes::<bool>(&bytes).ok())
         };
-        let (outcome, unblocked) = match rec.results {
-            Some(results) if go => {
-                if !self.committed.insert(rec.thread, rec.nonce) {
-                    self.duplicate_commits += 1;
-                }
-                ctx.metrics.add("txn.commits", 1);
-                // The workspace the commit folds away is the log record's
-                // per-commit writes: logged, then kept for deltas.
-                let (writes, unblocked) = self.tm.commit(rec.txn);
-                let crec = CommitRecord {
-                    thread: rec.thread,
-                    nonce: rec.nonce,
-                    writes,
-                };
-                self.log_commit(&crec, ctx);
-                self.retain(crec);
-                (TxnOutcome::Committed(results), unblocked)
+        match verdict {
+            Some(go) => self.settle(ctx, go),
+            // A no-voter knows the verdict: abort.
+            None if rec.results.is_none() => self.settle(ctx, false),
+            None if rec.in_doubt => {
+                ctx.push_effect(NodeEffect::Wake {
+                    invocation: ctx.invocation,
+                    after: ASK_AGAIN,
+                });
+                Step::Suspend
             }
-            _ => {
-                ctx.metrics.add("txn.aborts", 1);
-                (TxnOutcome::Aborted(ABORTED.into()), self.tm.abort(rec.txn))
+            None => {
+                rec.in_doubt = true;
+                ctx.metrics.add("txn.in_doubt", 1);
+                ask_peers(rec)
             }
-        };
-        self.wake(ctx, unblocked);
-        self.check_drained(ctx);
-        Step::Reply(to_bytes(&outcome))
+        }
+    }
+
+    fn wake(&mut self, ctx: &mut ServiceCtx) -> Step {
+        match self.by_invocation.get(&ctx.invocation) {
+            Some(rec) if rec.in_doubt => ask_peers(rec),
+            _ => Step::Suspend,
+        }
     }
 
     fn wedge(&mut self, ctx: &mut ServiceCtx) -> Step {
@@ -540,6 +637,48 @@ fn verdict(ready: bool) -> Payload {
     encode_with(&ready, Payload::copy_from)
 }
 
+/// A member in doubt asks its peers for the verdict: alone, so that they
+/// answer at once rather than wait for the other members' copies.
+fn ask_peers(rec: &TxnRec) -> Step {
+    Step::Call(OutCall {
+        target: TroupeTarget::Peers,
+        module: 0,
+        proc: PROC_OUTCOME,
+        args: encode_with(&(rec.thread, rec.nonce), Payload::copy_from),
+        collation: CollationPolicy::Custom(PEER_VERDICTS.with(Rc::clone)),
+        solo: true,
+    })
+}
+
+/// The collator of a member in doubt's `txn_outcome` call: the first
+/// peer that knows the verdict gives it; if none does, `None`. Its votes
+/// are the peers' raw returns (`circus::reply_vote`).
+struct PeerVerdicts;
+
+impl Collate for PeerVerdicts {
+    fn decide(&self, slots: &[VoteSlot]) -> Decision {
+        let mut pending = false;
+        for s in slots {
+            match s {
+                VoteSlot::Pending => pending = true,
+                VoteSlot::Dead => {}
+                VoteSlot::Vote(v) => {
+                    let known =
+                        circus::reply_vote(v).and_then(|p| from_bytes::<Option<bool>>(p).ok());
+                    if known.flatten().is_some() {
+                        return Decision::Ready(v.clone());
+                    }
+                }
+            }
+        }
+        if pending {
+            Decision::Wait
+        } else {
+            Decision::Ready(circus::wrap_reply_vote(to_bytes(&None::<bool>)).into())
+        }
+    }
+}
+
 /// The vote collator used by the client's `ready_to_commit` module: wait
 /// for every server member's vote; any `false` vote — or any member
 /// declared dead, which is how a timeout-resolved commit deadlock
@@ -550,6 +689,8 @@ thread_local! {
     /// The one `ReadyVotes` every `ready_to_commit` assembly on this
     /// thread collates with (the collator holds no state).
     static READY_VOTES: Rc<dyn Collate> = Rc::new(ReadyVotes);
+    /// The one `PeerVerdicts` every `txn_outcome` call collates with.
+    static PEER_VERDICTS: Rc<dyn Collate> = Rc::new(PeerVerdicts);
 }
 
 impl Collate for ReadyVotes {
@@ -652,6 +793,27 @@ mod tests {
         let c = ReadyVotes;
         let slots = vec![VoteSlot::Vote(to_bytes(&true).into()), VoteSlot::Pending];
         assert_eq!(c.decide(&slots), Decision::Wait);
+    }
+
+    /// A peer's answer, as the asker's collator sees it: a raw return.
+    fn answer(known: Option<bool>) -> VoteSlot {
+        VoteSlot::Vote(circus::wrap_reply_vote(to_bytes(&known)).into())
+    }
+
+    #[test]
+    fn peer_verdicts_take_the_first_peer_that_knows() {
+        let c = PeerVerdicts;
+        let decided = |slots: &[VoteSlot]| match c.decide(slots) {
+            Decision::Ready(v) => from_bytes::<Option<bool>>(circus::reply_vote(&v).unwrap()),
+            other => panic!("{other:?}"),
+        };
+        let (committed, aborted) = (answer(Some(true)), answer(Some(false)));
+        assert_eq!(decided(&[answer(None), committed.clone()]), Ok(Some(true)));
+        assert_eq!(decided(&[aborted, VoteSlot::Pending]), Ok(Some(false)));
+        assert_eq!(decided(&[VoteSlot::Dead, answer(None)]), Ok(None));
+        assert_eq!(decided(&[]), Ok(None));
+        let waiting = [answer(None), VoteSlot::Pending];
+        assert_eq!(c.decide(&waiting), Decision::Wait);
     }
 
     #[test]
