@@ -161,7 +161,6 @@ impl Node {
             None => {}
             Some(Ok((invocation, args))) => {
                 let mut ctx = self.service_ctx(io, &key, &invocation);
-                io.charge(Syscall::Compute); // Internalize args.
                 let (services, me) = (&mut self.services, &mut self.my_troupe);
                 let Invocation { module, proc, .. } = invocation;
                 let mut step = service::dispatch(services, me, &mut ctx, module, proc, &args);

@@ -14,15 +14,18 @@
 //! is a stretch of consecutive call numbers that completed with one
 //! segment count and one acked bit, none earlier than the one before it,
 //! stored as a header (first number, segment count, bit, base time) and a
-//! 4-byte completion offset per message. Call numbers rise per peer, so a
-//! completion almost always extends the last run; an explicit ack, a key
-//! completed again or a completion out of order splits off a run of its
-//! own. A run of one message keeps its offset in the header and allocates
-//! nothing; the log holds no hash table and no per-message key.
+//! 2-byte completion offset per message, in whole milliseconds. Call
+//! numbers rise per peer, so a completion almost always extends the last
+//! run; an explicit ack, a key completed again or a completion out of
+//! order splits off a run of its own. A run of one message keeps its
+//! offset in the header and allocates nothing; the log holds no hash table
+//! and no per-message key.
 //!
-//! Expiry is exact and O(expired + runs), not O(remembered): within a run
-//! completion times never fall, so its expired messages are a prefix of
-//! it, and a purge trims each run's prefix — in practice the first run's.
+//! A completion time is kept rounded up to the whole millisecond, so a
+//! record never expires before its TTL, and at most 1 ms after it. Expiry
+//! is O(expired + runs), not O(remembered): within a run completion times
+//! never fall, so its expired messages are a prefix of it, and a purge
+//! trims each run's prefix — in practice the first run's.
 //!
 //! Everything here is bounded by the TTL window: the runs, and the
 //! exactly-once audit, an [`IdSet`] of the delivered call numbers (one
@@ -49,12 +52,17 @@ struct Run {
     total: u8,
     /// An ack of each whole message went out.
     acked: bool,
-    /// What the completion offsets count from.
-    base: Time,
-    /// The first message's completion, in µs past `base`.
-    head: u32,
-    /// The other messages' completions, in µs past `base`.
-    rest: VecDeque<u32>,
+    /// What the completion offsets count from, in whole ms.
+    base: u64,
+    /// The first message's completion, in ms past `base`.
+    head: u16,
+    /// The other messages' completions, in ms past `base`.
+    rest: VecDeque<u16>,
+}
+
+/// `at` in whole milliseconds, rounded up.
+fn ms_up(at: Time) -> u64 {
+    at.as_micros().div_ceil(1_000)
 }
 
 impl Run {
@@ -64,7 +72,7 @@ impl Run {
             lo: cn,
             total,
             acked: false,
-            base: at,
+            base: ms_up(at),
             head: 0,
             rest: VecDeque::new(),
         }
@@ -90,7 +98,7 @@ impl Run {
     }
 
     /// The completion offset of the message `i` places in.
-    fn offset(&self, i: usize) -> u32 {
+    fn offset(&self, i: usize) -> u16 {
         if i == 0 {
             self.head
         } else {
@@ -98,26 +106,37 @@ impl Run {
         }
     }
 
-    /// When the message `i` places in completed.
+    /// When the message `i` places in completed, rounded up to the ms.
     fn at(&self, i: usize) -> Time {
-        self.base + Duration::from_micros(self.offset(i).into())
+        Time::from_millis(self.base + u64::from(self.offset(i)))
     }
 
-    /// Appends message `cn` if it is the next number, of the same shape,
-    /// not older than the last and within `u32::MAX` µs (71 minutes) of
-    /// `base`; `false` if it belongs in a run of its own.
+    /// Appends message `cn` if it is the next number, of the same shape
+    /// and not older than the last; `false` if it belongs in a run of its
+    /// own. An offset past `u16::MAX` ms (65.5 s) rebases the run on its
+    /// first message, and splits it only if that is still too far.
     fn extend(&mut self, cn: u32, total: u8, at: Time) -> bool {
-        let fits = u64::from(cn) == self.end()
-            && total == self.total
-            && !self.acked
-            && at >= self.at(self.len() - 1);
-        match u32::try_from(at.since(self.base).as_micros()) {
-            Ok(offset) if fits => {
-                self.rest.push_back(offset);
-                true
-            }
-            _ => false,
+        let fits = u64::from(cn) == self.end() && total == self.total && !self.acked;
+        let last = u64::from(self.offset(self.len() - 1));
+        let offset = match ms_up(at).checked_sub(self.base) {
+            Some(offset) if fits && offset >= last => offset,
+            _ => return false,
+        };
+        let shift = if offset > u64::from(u16::MAX) {
+            self.head
+        } else {
+            0
+        };
+        let Ok(offset) = u16::try_from(offset - u64::from(shift)) else {
+            return false;
+        };
+        if shift > 0 {
+            self.base += u64::from(shift);
+            self.head = 0;
+            self.rest.iter_mut().for_each(|o| *o -= shift);
         }
+        self.rest.push_back(offset);
+        true
     }
 
     /// Drops the first `k` messages (`k < len`).
@@ -454,12 +473,45 @@ mod tests {
         assert_eq!(purge(&mut log, at(60_010)), [1, 2, 3, 4, 5, 6, 7, 9, 10]);
         assert_eq!(log.keys(), [8, 11, 12].map(call));
         assert_eq!(log.watermark(), Some(10));
-        // An offset past `u32::MAX` µs starts a run of its own.
-        let late = at(21 + 4_294_968);
+        // An offset past `u16::MAX` ms of the run's first message starts a
+        // run of its own.
+        let late = at(21 + 65_536);
         log.record(call(13), 1, late);
         assert_eq!(log.run_count(), 4, "[8] [11] [12] [13]");
         assert_eq!(purge(&mut log, late), [8, 11, 12]);
         assert_eq!(log.keys(), [call(13)]);
+    }
+
+    /// A run whose next offset would pass `u16::MAX` ms moves its base up
+    /// to its first remembered message rather than split, and its records
+    /// still expire at their own times.
+    #[test]
+    fn a_run_rebases_on_its_first_remembered_message() {
+        let call = |cn| (MsgType::Call, cn);
+        let mut log = ReplayLog::new();
+        for (cn, ms) in [(1, 0), (2, 30_000), (3, 50_000)] {
+            log.record(call(cn), 1, at(ms));
+        }
+        assert_eq!(purge(&mut log, at(60_000)), [1]);
+        log.record(call(4), 1, at(70_000));
+        assert_eq!(log.run_count(), 1, "[2, 4], based on 2");
+        assert!(purge(&mut log, at(89_999)).is_empty());
+        assert_eq!(purge(&mut log, at(90_000)), [2]);
+        assert_eq!(purge(&mut log, at(129_999)), [3]);
+        assert_eq!(purge(&mut log, at(130_000)), [4]);
+    }
+
+    /// A completion time is kept rounded up to the whole millisecond: its
+    /// record outlives the TTL by less than 1 ms, never falls short of it.
+    #[test]
+    fn a_record_expires_within_a_millisecond_after_its_ttl() {
+        let mut log = ReplayLog::new();
+        let done = Time::from_micros(1_001);
+        log.record((MsgType::Call, 1), 1, done);
+        let past = |us| Time::from_micros(done.as_micros() + us);
+        assert!(purge(&mut log, past(60_000_000 - 1)).is_empty());
+        assert!(purge(&mut log, past(60_000_998)).is_empty());
+        assert_eq!(purge(&mut log, past(60_000_999)), [1]);
     }
 
     #[test]

@@ -331,7 +331,9 @@ proptest! {
 
 /// The purge this crate used before the completion-ordered queue: scan
 /// every record. Kept here, and only here, as the reference, with each
-/// record's segment count and acked bit beside it in plain maps.
+/// record's exact completion time, segment count and acked bit beside it
+/// in plain maps. It expires a record as the log does, by its time rounded
+/// up to the millisecond.
 #[derive(Default)]
 struct RetainLog {
     completed: std::collections::BTreeMap<(MsgType, u32), Time>,
@@ -346,7 +348,8 @@ impl RetainLog {
         let mut watermark = self.watermark;
         let mut expired = Vec::new();
         self.completed.retain(|&(msg_type, cn), at| {
-            let keep = now.since(*at) < ttl;
+            let kept_as = Time::from_millis(at.as_micros().div_ceil(1_000));
+            let keep = now.since(kept_as) < ttl;
             if !keep && msg_type == MsgType::Call {
                 watermark = Some(watermark.map_or(cn, |wm| wm.max(cn)));
                 expired.push(cn);
@@ -372,6 +375,34 @@ impl RetainLog {
     }
 }
 
+/// Purges `log` at `now` and holds it to its TTL on the exact completion
+/// times the reference keeps: no record forgotten before `ttl`, none kept
+/// `ttl` + 1 ms or longer. Then purges the reference, and returns the
+/// call numbers each of the two expired, sorted.
+fn purge_within_a_ms_of_the_ttl(
+    log: &mut pairedmsg::ReplayLog,
+    reference: &mut RetainLog,
+    now: Time,
+    ttl: simnet::Duration,
+) -> (Vec<u32>, Vec<u32>) {
+    let mut expired = Vec::new();
+    log.purge(now, ttl, |cn| expired.push(cn));
+    expired.sort_unstable();
+    let late = ttl + simnet::Duration::from_millis(1);
+    for (&key, &at) in &reference.completed {
+        let (age, kept) = (now.since(at), log.total_of(key).is_some());
+        assert!(
+            kept || age >= ttl,
+            "{key:?} forgotten {age} after completing"
+        );
+        assert!(
+            !kept || age < late,
+            "{key:?} still kept {age} after completing"
+        );
+    }
+    (expired, reference.purge(now, ttl))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -380,7 +411,8 @@ proptest! {
     /// out, after every step of a random sequence of completions and
     /// (never backwards) clock readings — with few enough distinct keys
     /// that some complete again, both after their record expired and while
-    /// it is still remembered.
+    /// it is still remembered. No record is forgotten before its TTL, nor
+    /// kept 1 ms past it.
     #[test]
     fn queue_purge_matches_the_retain_purge(seed: u64, steps in 1usize..400) {
         let ttl = simnet::Duration::from_millis(1_000);
@@ -395,10 +427,8 @@ proptest! {
                 1 => 1_000_000 + rng.below(500_000),
                 _ => rng.below(300_000),
             });
-            let mut expired = Vec::new();
-            log.purge(now, ttl, |cn| expired.push(cn));
-            expired.sort_unstable();
-            prop_assert_eq!(expired, reference.purge(now, ttl));
+            let (expired, forgotten) = purge_within_a_ms_of_the_ttl(&mut log, &mut reference, now, ttl);
+            prop_assert_eq!(expired, forgotten);
             prop_assert_eq!(log.watermark(), reference.watermark);
             prop_assert_eq!(log.keys(), reference.completed.keys().copied().collect::<Vec<_>>());
             for _ in 0..rng.below(4) {
@@ -422,7 +452,8 @@ proptest! {
     /// keys completed again inside a run, completions out of order or
     /// older than the run's last, and purges at a clock that never runs
     /// backwards, the log agrees with the reference on the expired calls,
-    /// the watermark, `keys()`, and `acked` and `total_of` for every key.
+    /// the watermark, `keys()`, and `acked` and `total_of` for every key;
+    /// and each record expires within 1 ms after its TTL, never before.
     #[test]
     fn runs_answer_as_the_retain_reference(seed: u64, steps in 1usize..200) {
         let ttl = simnet::Duration::from_millis(1_000);
@@ -437,10 +468,8 @@ proptest! {
                 1 => 1_000_000 + rng.below(500_000),
                 _ => rng.below(200_000),
             });
-            let mut expired = Vec::new();
-            log.purge(now, ttl, |cn| expired.push(cn));
-            expired.sort_unstable();
-            prop_assert_eq!(expired, reference.purge(now, ttl));
+            let (expired, forgotten) = purge_within_a_ms_of_the_ttl(&mut log, &mut reference, now, ttl);
+            prop_assert_eq!(expired, forgotten);
             prop_assert_eq!(log.watermark(), reference.watermark);
             for _ in 0..rng.below(5) {
                 let t = rng.below(2) as usize;

@@ -3,9 +3,10 @@
 //! Some of the paper's invariants are held by how the code is laid out
 //! rather than by any run: a peer dies one way (§4.2.3), call numbers only
 //! rise (§4.2.4), calls and returns share one multicast blast (§4.3.3), a
-//! message is framed in one place and a return cut by one layout. Each
-//! rule below reads a set of files line by line and names where a line it
-//! matches may stand. A rule is worth only what its firing is worth, so
+//! message is framed in one place, a return cut by one layout, and each
+//! message marshalled once by the stubs at either end. Each rule below
+//! reads a set of files line by line and names where a line it matches
+//! may stand. A rule is worth only what its firing is worth, so
 //! every rule fires on planted lines (its `plants`), and every file glob
 //! and allowed site it names must match today's tree: a rule whose file
 //! was renamed, or whose exemption no longer excuses anything, fails
@@ -179,10 +180,13 @@ static RULES: &[Rule] = &[
         check: Forbid(
             |l| {
                 l.contains("max_segment_data")
-                    || word_then_op(l, "segment")
-                    || word_then_op(l, "tail")
+                    || ["segment", "tail"]
+                        .iter()
+                        .any(|w| word_then_op(l, w) || op_then_word(l, w))
             },
             &[
+                InFn("crates/core/src/message.rs", "parts"),
+                InFn("crates/core/src/message.rs", "parts_tile_the_return"),
                 File("crates/core/src/calls/tests.rs"),
                 Text("crates/core/src/assembly.rs", "parts(…max_segment_data)"),
                 Text(
@@ -196,6 +200,30 @@ static RULES: &[Rule] = &[
         plants: &[
             "crates/core/src/serve.rs:        let cut = segment * owners;",
             "crates/core/src/conn.rs:        let seg = cfg.max_segment_data;",
+            "crates/core/src/assembly.rs:        let n = len / tail;",
+        ],
+    },
+    Rule {
+        name: "one stub pass per message (aim 1, Table 4.1)",
+        files: &["crates/core/src/**/*.rs"],
+        check: Forbid(
+            |l| has_word(l, "Compute") && !comment(l),
+            &[
+                InFn("crates/core/src/calls.rs", "begin"),
+                InFn("crates/core/src/calls.rs", "on_return"),
+                InFn("crates/core/src/serve.rs", "on_call_message"),
+                InFn("crates/core/src/serve.rs", "fetch_return"),
+                InFn("crates/core/src/serve.rs", "finish_pending"),
+            ],
+        ),
+        fix: "the stubs marshal each message once: a client externalizes its call and \
+              internalizes each return, a member internalizes each call message and \
+              externalizes each reply; charge Syscall::Compute there and nowhere else",
+        plants: &[
+            "crates/core/src/serve.rs:    pub(super) fn try_execute(&mut self, io: &mut dyn NetIo) {\n\
+             io.charge(Syscall::Compute); // Internalize args.",
+            "crates/core/src/serve.rs:    fn apply_step(&mut self, io: &mut dyn NetIo, step: Step) {\n\
+             io.charge(Syscall::Compute);",
         ],
     },
     Rule {
@@ -762,6 +790,21 @@ fn word_then_op(l: &str, word: &str) -> bool {
             .trim_start_matches(' ')
             .starts_with(['-', '+', '*', '/', '%'])
     })
+}
+
+/// A line that is a comment.
+fn comment(l: &str) -> bool {
+    l.trim_start().starts_with("//")
+}
+
+/// Code with an arithmetic operator, then spaces, then `word`: ` / tail`,
+/// but not the hyphen of `two-segment`.
+fn op_then_word(l: &str, word: &str) -> bool {
+    !comment(l)
+        && words(l, word).any(|i| {
+            let before = l[..i].trim_end_matches(' ');
+            before.len() < i && before.ends_with(['-', '+', '*', '/', '%'])
+        })
 }
 
 /// The name and type of a struct field declared on `l`: indented, maybe
