@@ -89,7 +89,7 @@ impl AdvInjector {
         }
     }
 
-    /// A passive recorder: keeps the *latest* [`CAPTURE_CAP`]×8 datagrams
+    /// A passive recorder: keeps the *latest* `CAPTURE_CAP`×8 datagrams
     /// matching `filter` (a ring, so long runs keep their freshest
     /// traffic) and never injects anything. The replay suite drains
     /// [`captures`](AdvInjector::captures) after quiescence.

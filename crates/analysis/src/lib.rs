@@ -14,7 +14,8 @@
 //!   birth–death/M/M/n/n model relating member lifetime, replacement
 //!   time, and degree of replication ([`availability`](mod@availability)).
 //!
-//! Plus the small statistics used by the benchmark harness ([`stats`]).
+//! Plus the small statistics ([`stats`]) behind the `bench` crate's
+//! least-squares fits for Figure 4.8 and BENCH_4.
 
 #![warn(missing_docs)]
 
@@ -26,4 +27,4 @@ pub mod stats;
 pub use availability::{availability, availability_simulated, p_failed, required_repair_time};
 pub use deadlock::{deadlock_probability, deadlock_probability_simulated};
 pub use harmonic::{expected_max_exponential, harmonic, harmonic_asymptotic};
-pub use stats::{linear_fit, mean, percentile, r_squared, stddev};
+pub use stats::{linear_fit, mean, r_squared};

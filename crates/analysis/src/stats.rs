@@ -1,4 +1,5 @@
-//! Small statistics helpers for the benchmark harness.
+//! Small statistics helpers: the least-squares fits behind the `bench`
+//! crate's Figure 4.8 and BENCH_4 claims.
 
 /// Sample mean.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -6,27 +7,6 @@ pub fn mean(xs: &[f64]) -> f64 {
         return 0.0;
     }
     xs.iter().sum::<f64>() / xs.len() as f64
-}
-
-/// Sample standard deviation (n−1 denominator).
-pub fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    let var = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64;
-    var.sqrt()
-}
-
-/// The p-th percentile (0..=100) by nearest-rank on a sorted copy.
-pub fn percentile(xs: &[f64], p: f64) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs"));
-    let rank = ((p / 100.0) * (sorted.len() as f64 - 1.0)).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
 }
 
 /// Least-squares slope and intercept of y over x (for the linear-growth
@@ -66,25 +46,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_stddev() {
+    fn mean_of_a_sample() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&xs) - 5.0).abs() < 1e-12);
-        assert!((stddev(&xs) - 2.138).abs() < 0.01);
     }
 
     #[test]
     fn empty_inputs() {
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(stddev(&[1.0]), 0.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
-    }
-
-    #[test]
-    fn percentiles() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(percentile(&xs, 0.0), 1.0);
-        assert_eq!(percentile(&xs, 50.0), 3.0);
-        assert_eq!(percentile(&xs, 100.0), 5.0);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!   drain) at every member, so a straggler whose agreed time was
 //!   slightly in the future still applies before the oracles look.
 //! - **Bounded state**
-//!   ([`check_bounded_state`](crate::oracle::check_bounded_state)): at
+//!   ([`check_bounded_state`]): at
 //!   quiesce no member holds more retry-cache entries than there are
 //!   clients, more applied-id ranges than one per client plus one per
 //!   id a client minted and never confirmed, or anything queued.

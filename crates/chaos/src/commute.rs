@@ -16,7 +16,7 @@
 //! coincide, with zero aborts along the way (the property BENCH_8
 //! prices against the commit and broadcast protocols). Beside it,
 //! **bounded state**
-//! ([`check_bounded_state`](crate::oracle::check_bounded_state)): each
+//! ([`check_bounded_state`]): each
 //! member holds its dedup ledger in at most one range per client, plus
 //! one per id a client minted and never confirmed.
 

@@ -278,9 +278,9 @@ pub fn sweep_seeds(default: std::ops::Range<u64>) -> Vec<u64> {
 /// Runs `wl` for every seed across `jobs` worker threads (1 = serially,
 /// on this thread) and returns the reports in the order of `seeds`.
 ///
-/// Each worker builds its own [`World`] — the simulator's interior
-/// (`Rc`-based metrics registry, payload handles) is deliberately
-/// thread-*un*safe, so nothing of a run crosses a thread boundary except
+/// Each worker builds its own [`World`](simnet::World) — the
+/// simulator's interior (`Rc`-based metrics registry, payload handles)
+/// is deliberately thread-*un*safe, so nothing of a run crosses a thread boundary except
 /// the finished, plain-data [`Report`]. Every run is a pure function of
 /// its seed, so the schedule (which worker picks which seed, in what
 /// order) cannot change any report: parallel and serial sweeps are

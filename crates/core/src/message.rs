@@ -10,7 +10,7 @@
 //! A return message carries "a 16-bit header (used to distinguish between
 //! normal and error results) and the results" (§4.3) — or, to a call that
 //! named the members it went to, one part of that return: a run of its
-//! bytes, cut by [`parts`], with the [`digest`] of the whole.
+//! bytes, cut by `parts`, with the `digest` of the whole.
 
 use std::ops::Range;
 
@@ -98,7 +98,7 @@ pub struct CallMessage<A = Vec<u8>, M = Vec<SockAddr>> {
     pub args: A,
     /// The server members a unanimous call that goes out by blast went
     /// to: each returns the part of a return of two or more segments that
-    /// its position here names ([`parts`]). Empty on every other call.
+    /// its position here names (`parts`). Empty on every other call.
     /// Six bytes a member, after the arguments, so every other call
     /// message is laid out as if the field did not exist.
     pub members: M,
@@ -301,9 +301,9 @@ pub enum ReturnMessage {
     NoSuchProcedure,
     /// One member's part of a return of two or more segments, to a call
     /// that named its members: the bytes of the return's external form
-    /// that [`parts`] gives the member, and the `digest` of the whole.
+    /// that `parts` gives the member, and the `digest` of the whole.
     Part {
-        /// The [`digest`] of the whole return's external form.
+        /// The `digest` of the whole return's external form.
         digest: u64,
         /// The run of that form the member carries (possibly none).
         bytes: Vec<u8>,

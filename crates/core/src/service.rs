@@ -163,10 +163,10 @@ pub enum NodeEffect {
         /// Its externalized state.
         state: Vec<u8>,
     },
-    /// Wake this node's agent with [`Agent::on_notify`]
-    /// (crate::runtime::Agent::on_notify): a service observed something
-    /// the application half should react to *now* (e.g. the binding
-    /// agent's repair loop), without polling timers.
+    /// Wake this node's agent with
+    /// [`Agent::on_notify`](crate::runtime::Agent::on_notify): a service
+    /// observed something the application half should react to *now*
+    /// (e.g. the binding agent's repair loop), without polling timers.
     NotifyAgent {
         /// Opaque tag passed through to the agent.
         tag: u64,

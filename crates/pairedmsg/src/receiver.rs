@@ -170,7 +170,7 @@ impl MsgReceiver {
 }
 
 /// Leaves the slot vector, emptied, for a later receiver on this thread,
-/// within the bounds of [`SPARE`].
+/// within the bounds of `SPARE`.
 impl Drop for MsgReceiver {
     fn drop(&mut self) {
         if self.slots.capacity() > SPARE_SLOTS {

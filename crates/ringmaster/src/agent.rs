@@ -24,8 +24,9 @@ use simnet::SockAddr;
 use wire::{from_bytes, to_bytes};
 
 /// The `NotifyAgent` tag pushed when a suspect report or spare
-/// registration arrives: wake the co-located [`SelfHealAgent`]
-/// (crate::heal::SelfHealAgent) without waiting for its fallback timer.
+/// registration arrives: wake the co-located
+/// [`SelfHealAgent`](crate::heal::SelfHealAgent) without waiting for its
+/// fallback timer.
 pub const NOTIFY_HEAL: u64 = 0x4845_414C; // "HEAL"
 
 /// Deterministic troupe-ID allocation.

@@ -104,9 +104,6 @@ wire::record! {
     }
 }
 
-/// Result of lookup-style procedures: the troupe, or nothing.
-pub type LookupReply = Option<Troupe>;
-
 #[cfg(test)]
 mod tests {
     use super::*;

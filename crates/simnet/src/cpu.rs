@@ -61,7 +61,7 @@ pub const ALL_SYSCALLS: [Syscall; 10] = [
 impl Syscall {
     /// Stable index of this syscall in per-syscall arrays (the order of
     /// [`ALL_SYSCALLS`]); also the index convention of
-    /// [`obs::CpuView`](obs::CpuView) slots.
+    /// [`obs::CpuView`] slots.
     pub fn index(self) -> usize {
         self as usize
     }

@@ -58,13 +58,6 @@ impl WaitsFor {
         }
         false
     }
-
-    /// `true` if any deadlock exists anywhere in the relation.
-    pub fn has_cycle(&mut self) -> bool {
-        let mut waiters: Vec<TxnId> = self.edges.iter().map(|&(w, _)| w).collect();
-        waiters.dedup();
-        waiters.into_iter().any(|t| self.on_cycle(t))
-    }
 }
 
 #[cfg(test)]
@@ -80,8 +73,7 @@ mod tests {
         let mut g = WaitsFor::new();
         g.add(T1, T2);
         g.add(T2, T3);
-        assert!(!g.on_cycle(T1));
-        assert!(!g.has_cycle());
+        assert!([T1, T2, T3].into_iter().all(|t| !g.on_cycle(t)));
     }
 
     #[test]
@@ -90,7 +82,6 @@ mod tests {
         g.add(T1, T2);
         g.add(T2, T1);
         assert!(g.on_cycle(T1) && g.on_cycle(T2));
-        assert!(g.has_cycle());
     }
 
     #[test]
@@ -112,7 +103,6 @@ mod tests {
         g.add(T3, T2);
         assert!(!g.on_cycle(T1));
         assert!(g.on_cycle(T2) && g.on_cycle(T3));
-        assert!(g.has_cycle());
     }
 
     #[test]
@@ -121,13 +111,13 @@ mod tests {
         g.add(T1, T2);
         g.add(T2, T1);
         g.remove(T2);
-        assert!(!g.has_cycle());
+        assert!(!g.on_cycle(T1) && !g.on_cycle(T2));
     }
 
     #[test]
     fn self_edges_ignored() {
         let mut g = WaitsFor::new();
         g.add(T1, T1);
-        assert!(!g.has_cycle());
+        assert!(!g.on_cycle(T1));
     }
 }

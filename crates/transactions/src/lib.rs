@@ -38,9 +38,7 @@
 //! [`with_durability`](TroupeStoreService::with_durability)): commit
 //! records and checkpoints on the member's own disk, from which a
 //! restarted member recovers and then rejoins by the delta catch-up of
-//! §6.4 instead of a full state transfer. Transactions "can be
-//! dynamically nested, just like procedure activation records":
-//! [`NestedTm`] implements the Moss-style nested semantics of §2.3.2.
+//! §6.4 instead of a full state transfer.
 
 #![warn(missing_docs)]
 
@@ -52,7 +50,6 @@ pub mod commute;
 pub mod deadlock;
 pub mod ledger;
 pub mod lock;
-pub mod nested;
 pub mod store;
 pub mod txn;
 pub mod wal;
@@ -75,7 +72,6 @@ pub use commute::{CmOp, CmRequest, CommutativeService, PROC_CM_EXECUTE};
 pub use deadlock::WaitsFor;
 pub use ledger::Ledger;
 pub use lock::{Acquire, LockManager, Mode};
-pub use nested::{NestedError, NestedTm};
 pub use store::{ObjId, Store, TxnId};
 pub use txn::{ExecOutcome, LocalTm, Op};
 pub use wal::{Checkpoint, CommitRecord, Recovered, Wal};

@@ -1,14 +1,12 @@
 //! Property-based tests: serializability of the local transaction
-//! manager, the lock table against a model, and structural invariants of
-//! nested transactions.
+//! manager, snapshot/restore of the store under commits and aborts, and
+//! the lock table against a model.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
-use transactions::{
-    Acquire, ExecOutcome, LocalTm, LockManager, Mode, NestedError, NestedTm, ObjId, Op, TxnId,
-};
+use transactions::{Acquire, ExecOutcome, LocalTm, LockManager, Mode, ObjId, Op, TxnId};
 
 /// Strategy for a small transaction: 1–4 operations over 3 objects.
 fn txn_strategy() -> impl Strategy<Value = Vec<Op>> {
@@ -95,97 +93,6 @@ proptest! {
             order_ab,
             order_ba
         );
-    }
-
-    /// Random nested-transaction scripts never panic, never corrupt the
-    /// bookkeeping, and only top-level commits change committed state.
-    #[test]
-    fn nested_scripts_maintain_invariants(
-        script in proptest::collection::vec((0u8..6, 0u64..4, -3i64..3), 1..60),
-    ) {
-        let mut tm = NestedTm::new();
-        let mut live: Vec<TxnId> = Vec::new();
-        let mut committed_snapshot: Vec<i64> =
-            (0..4).map(|o| tm.read_committed(ObjId(o))).collect();
-        for (action, sel, val) in script {
-            let pick = |live: &Vec<TxnId>| -> Option<TxnId> {
-                if live.is_empty() {
-                    None
-                } else {
-                    Some(live[sel as usize % live.len()])
-                }
-            };
-            match action {
-                0 => live.push(tm.begin_top()),
-                1 => {
-                    if let Some(parent) = pick(&live) {
-                        if let Ok(c) = tm.begin_child(parent) {
-                            live.push(c);
-                        }
-                    }
-                }
-                2 => {
-                    if let Some(t) = pick(&live) {
-                        let _ = tm.read(t, ObjId(sel % 4));
-                    }
-                }
-                3 => {
-                    if let Some(t) = pick(&live) {
-                        let _ = tm.write(t, ObjId(sel % 4), val);
-                    }
-                }
-                4 => {
-                    if let Some(t) = pick(&live) {
-                        match tm.commit(t) {
-                            Ok(()) => {
-                                live.retain(|&x| x != t);
-                                committed_snapshot =
-                                    (0..4).map(|o| tm.read_committed(ObjId(o))).collect();
-                            }
-                            Err(NestedError::ActiveChildren(_)) => {}
-                            Err(e) => prop_assert!(false, "unexpected {e:?}"),
-                        }
-                    }
-                }
-                _ => {
-                    if let Some(t) = pick(&live) {
-                        tm.abort(t).unwrap();
-                        // The abort may cascade into descendants still in
-                        // `live`; drop everything the manager no longer
-                        // knows.
-                        live.retain(|&x| tm.is_active(x));
-                        // Aborts never change committed state.
-                        let now: Vec<i64> =
-                            (0..4).map(|o| tm.read_committed(ObjId(o))).collect();
-                        prop_assert_eq!(&now, &committed_snapshot);
-                    }
-                }
-            }
-        }
-        // Abort everything left; the manager must end empty.
-        for t in live.clone() {
-            let _ = tm.abort(t);
-        }
-        prop_assert_eq!(tm.active(), 0);
-    }
-
-    /// A chain of nested adds commits the sum exactly once at the root.
-    #[test]
-    fn nested_chain_sums(deltas in proptest::collection::vec(-10i64..10, 1..8)) {
-        let mut tm = NestedTm::new();
-        let root = tm.begin_top();
-        let mut chain = vec![root];
-        for &d in &deltas {
-            let t = *chain.last().expect("non-empty");
-            let c = tm.begin_child(t).unwrap();
-            tm.add(c, ObjId(0), d).unwrap();
-            chain.push(c);
-        }
-        // Commit inside-out.
-        for &t in chain.iter().rev() {
-            tm.commit(t).unwrap();
-        }
-        prop_assert_eq!(tm.read_committed(ObjId(0)), deltas.iter().sum::<i64>());
     }
 
     /// Snapshot/restore round-trips interleaved with commits and aborts:

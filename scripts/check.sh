@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Full pre-merge gate: formatting, lints, the whole test suite (which
-# holds the shape rules of tests/shape.rs, the chaos sweeps of every
-# workload, the adversary corpus and the golden files: chaos hashes,
+# Full pre-merge gate: formatting, lints, doc links, the whole test
+# suite (which holds the shape rules of tests/shape.rs, the chaos sweeps
+# of every workload, the adversary corpus and the golden files: chaos hashes,
 # replicated program, metrics dump, every `repro` experiment) in debug
 # and again in release, the benchmark
 # workspace, the benchmark's simulated clock, and the 100-seed adversary
@@ -45,6 +45,11 @@ cargo fmt --all --check
 
 phase "cargo clippy --workspace (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Doc links are checked by nothing else: a link to a deleted or private
+# item, or one whose target wrapped onto the next line, fails here.
+phase "cargo doc --workspace --no-deps (deny rustdoc warnings: broken, private and redundant links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 phase "cargo test --workspace (unit + integration tests, every chaos sweep, adversary corpus, golden files)"
 cargo test --workspace -q
