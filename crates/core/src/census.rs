@@ -76,8 +76,8 @@ pub const DEAD_PEERS: &str = "dead-peer markers";
 /// Call messages parked while the binding agent is asked for their
 /// client troupe's membership; the lookup is an outstanding call.
 pub const PARKED_CALLS: &str = "parked calls";
-/// Paired-message connections: one per peer sent to or heard from, until
-/// it is declared dead.
+/// Paired-message connections: one per peer sent to or heard from (a
+/// garbled datagram is not heard: it is lost), until it is declared dead.
 pub const CONNECTIONS: &str = "connections";
 /// Completed incoming messages the connections remember, each for the
 /// replay TTL (`pairedmsg::Config::replay_ttl`) and until the next

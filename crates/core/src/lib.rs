@@ -23,8 +23,6 @@
 //!   able to make nested replicated calls;
 //! - [`Node`] — the per-process runtime implementing the one-to-many and
 //!   many-to-one halves of the general many-to-many call (§4.3.1–§4.3.3);
-//! - [`model`] — Chapter 3's formal semantics (event sequences, balanced
-//!   intervals, Theorems 3.4 and 3.7), executable and property-tested;
 //! - [`runtime::CircusProcess`] — the `simnet` driver and the [`runtime::Agent`]
 //!   trait for application code;
 //! - [`testbed`] — what tests, examples and experiments stand their
@@ -46,7 +44,6 @@ mod conn;
 mod counts;
 mod directory;
 pub mod message;
-pub mod model;
 mod netio;
 pub mod node;
 mod numbers;

@@ -28,7 +28,7 @@ use crate::netio::make_tag;
 pub use crate::netio::{split_tag, NetIo, TimerKey, TAG_APP, TAG_CONN, TAG_PENDING, TAG_WAKE};
 use crate::service::{CallError, Service};
 use crate::thread::{ThreadId, ThreadIdGen};
-use pairedmsg::{Event as PmEvent, MsgType};
+use pairedmsg::{Event as PmEvent, MsgType, Segment};
 use simnet::{Duration, Payload, SockAddr, Syscall};
 
 #[path = "serve.rs"]
@@ -398,15 +398,17 @@ impl Node {
         // (§4.2.4). `recvmsg` itself is charged by the world.
         io.charge(Syscall::Select);
         io.charge(Syscall::SigBlock);
-        let now = io.now();
-        self.directory.heard_from(from);
-        if self.conns.endpoint(from).on_datagram(now, &bytes).is_err() {
-            // Garbled segment: treated as lost (§2.2). Counted so the
-            // adversarial harness can assert hostile traffic was seen
-            // and refused rather than silently swallowed.
+        let Ok(seg) = Segment::decode(&bytes) else {
+            // Garbled segment: treated as lost (§2.2), so no sign of life:
+            // it opens no connection and lifts no dead-peer marker.
+            // Counted so the adversarial harness can assert hostile
+            // traffic was seen and refused rather than silently swallowed.
             io.metrics().add("adv.rejected", 1);
             return;
-        }
+        };
+        let now = io.now();
+        self.directory.heard_from(from);
+        self.conns.endpoint(from).on_segment(now, seg);
         self.drain_pm_events(io, from);
         self.flush_all(io);
     }
@@ -629,14 +631,20 @@ mod tests {
         assert_eq!(labels, crate::census::LABELS, "every label, in order");
     }
 
+    /// A garbled datagram is lost (§2.2): no event, no connection, and
+    /// no sign of life that would lift its sender's dead-peer marker.
     #[test]
     fn garbage_datagrams_ignored() {
         let mut n = node();
         let mut io = MockIo::default();
         let from = SockAddr::new(HostId(5), 5);
+        n.directory
+            .mark_dead(from, Time::ZERO + Duration::from_secs(10));
         n.on_datagram(&mut io, from, &b"not a segment!"[..]);
         n.on_datagram(&mut io, from, Payload::empty());
         assert!(n.poll_event().is_none());
+        assert!(n.directory.is_dead(from, io.now), "the marker stays");
+        assert_eq!(n.conns.len(), 0, "no connection opened");
     }
 
     #[test]

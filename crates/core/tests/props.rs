@@ -1,105 +1,13 @@
-//! Property-based tests on the Chapter 3 model, the collators, and the
-//! call/return message wire formats.
+//! Property-based tests on the collators and the call/return message
+//! wire formats.
 
-use circus::model::{is_balanced, Event, History};
 use circus::{
     CallMessage, Collation, CollationPolicy, Decision, ReturnMessage, ThreadId, TroupeId,
 };
 use proptest::prelude::*;
 use simnet::{HostId, SockAddr};
 
-/// Builds a random *valid* history by simulating a call stack: at each
-/// step, either call (always legal) or return (legal when the stack is
-/// non-empty), then drain the stack.
-fn history_strategy() -> impl Strategy<Value = Vec<Event>> {
-    proptest::collection::vec(any::<bool>(), 1..60).prop_map(|choices| {
-        // The paper's Definition 3.2 implies one root call: H = Exec(e0).
-        let mut events = vec![Event::call("Root", "main", vec![], u64::MAX - 1)];
-        let mut stack: Vec<(String, String)> = Vec::new();
-        let mut id = 0u64;
-        let mut fresh = 0u32;
-        for call in choices {
-            if call || stack.is_empty() {
-                let module = format!("M{}", fresh % 3);
-                let proc = format!("p{}", fresh % 5);
-                fresh += 1;
-                events.push(Event::call(&module, &proc, vec![], id));
-                stack.push((module, proc));
-            } else {
-                let (module, proc) = stack.pop().expect("non-empty");
-                events.push(Event::ret(&module, &proc, vec![], id));
-            }
-            id += 1;
-        }
-        while let Some((module, proc)) = stack.pop() {
-            events.push(Event::ret(&module, &proc, vec![], id));
-            id += 1;
-        }
-        events.push(Event::ret("Root", "main", vec![], u64::MAX));
-        events
-    })
-}
-
 proptest! {
-    /// Generated histories always validate, and complete histories are
-    /// balanced from the first event to the last.
-    #[test]
-    fn generated_histories_validate(events in history_strategy()) {
-        let h = History::complete(events.clone()).expect("valid by construction");
-        prop_assert!(is_balanced(h.events()) || h.events().len() < 2);
-        prop_assert!(h.call_stack().is_empty());
-    }
-
-    /// Theorem 3.4: at every prefix, the decomposition yields genuinely
-    /// balanced intervals, and the open calls plus intervals cover every
-    /// event exactly once.
-    #[test]
-    fn decomposition_covers_prefix(events in history_strategy()) {
-        let h = History::complete(events).expect("valid");
-        for last in 0..h.events().len() {
-            let (open, balanced) = h.decompose(last);
-            let mut covered = vec![false; last + 1];
-            for &i in &open {
-                prop_assert!(!covered[i]);
-                covered[i] = true;
-            }
-            for &(s, e) in &balanced {
-                prop_assert!(is_balanced(&h.events()[s..=e]));
-                for slot in covered.iter_mut().take(e + 1).skip(s) {
-                    prop_assert!(!*slot);
-                    *slot = true;
-                }
-            }
-            prop_assert!(covered.into_iter().all(|b| b), "gap in coverage at {last}");
-        }
-    }
-
-    /// Restriction to a module keeps only and all of its events
-    /// (§3.3.1's H^M).
-    #[test]
-    fn restriction_partitions(events in history_strategy()) {
-        let h = History::complete(events).expect("valid");
-        let total: usize = ["M0", "M1", "M2", "Root"]
-            .iter()
-            .map(|m| h.restrict(m).len())
-            .sum();
-        prop_assert_eq!(total, h.events().len());
-    }
-
-    /// Shuffled event sequences rarely validate; when validation fails it
-    /// is a clean error, never a panic.
-    #[test]
-    fn validation_never_panics(
-        events in history_strategy(),
-        swap_a in 0usize..60,
-        swap_b in 0usize..60,
-    ) {
-        let mut events = events;
-        let n = events.len();
-        events.swap(swap_a % n, swap_b % n);
-        let _ = History::complete(events);
-    }
-
     /// Unanimous collation: order of vote arrival never changes the
     /// decision once all votes are in.
     #[test]

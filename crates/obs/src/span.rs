@@ -124,20 +124,6 @@ impl SpanTree {
         }
     }
 
-    /// Number of leaves under `id`.
-    pub fn leaf_count(&self, id: u64) -> usize {
-        self.leaves(id).len()
-    }
-
-    /// Root ids whose label satisfies `pred`.
-    pub fn roots_labeled(&self, pred: impl Fn(&str) -> bool) -> Vec<u64> {
-        self.roots
-            .iter()
-            .copied()
-            .filter(|id| self.records.get(id).is_some_and(|r| pred(&r.label)))
-            .collect()
-    }
-
     /// Indented text rendering of every root's subtree, deterministic.
     /// A forest that covers only the tail of its run says so in a first
     /// line `# last R of M spans`.
@@ -197,7 +183,7 @@ mod tests {
             0,
         );
         assert_eq!(t.roots(), &[1]);
-        assert_eq!(t.leaf_count(1), 3);
+        assert_eq!(t.leaves(1).len(), 3);
         assert_eq!(t.children(1), &[2, 3, 4]);
     }
 
@@ -205,18 +191,12 @@ mod tests {
     fn orphaned_parent_becomes_root() {
         let t = SpanTree::window(vec![rec(7, 3, "invoke")], 0);
         assert_eq!(t.roots(), &[7]);
-        assert_eq!(t.leaf_count(7), 1);
+        assert_eq!(t.leaves(7).len(), 1);
     }
 
     #[test]
     fn render_is_indented_and_stable() {
         let t = SpanTree::window(vec![rec(1, 0, "call"), rec(2, 1, "invoke")], 0);
         assert_eq!(t.render(), "#1 call @10us\n  #2 invoke @20us\n");
-    }
-
-    #[test]
-    fn roots_labeled_filters() {
-        let t = SpanTree::window(vec![rec(1, 0, "call m1.p2"), rec(2, 0, "lookup t9")], 0);
-        assert_eq!(t.roots_labeled(|l| l.starts_with("call")), vec![1]);
     }
 }

@@ -63,16 +63,24 @@ fn crashed_replica_spans(seed: u64, multicast: bool) -> String {
     // leaves are exactly the `invoke` spans of the members that executed.
     let ring = w.trace_sink_as::<TraceRing>().expect("installed above");
     let tree = ring.span_tree(&reg);
-    let roots = tree.roots_labeled(|l| l.starts_with("call "));
+    let roots: Vec<u64> = tree
+        .roots()
+        .iter()
+        .copied()
+        .filter(|&id| {
+            tree.record(id)
+                .is_some_and(|r| r.label.starts_with("call "))
+        })
+        .collect();
     assert_eq!(roots.len(), 1, "one app call, one root:\n{}", tree.render());
-    let root = roots[0];
+    let leaves = tree.leaves(roots[0]);
     assert_eq!(
-        tree.leaf_count(root) as u64,
+        leaves.len() as u64,
         delivered,
         "span leaves must match delivered sub-calls:\n{}",
         tree.render()
     );
-    for leaf in tree.leaves(root) {
+    for leaf in leaves {
         assert!(
             leaf.label.starts_with("invoke "),
             "unexpected leaf {:?} in:\n{}",

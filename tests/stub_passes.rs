@@ -6,16 +6,17 @@
 //!
 //! The tests pin the exact `cpu.<addr>.sys.compute.n` of every process of
 //! an echo, a replicated program, a commit and an ordered broadcast. The
-//! last one adds up an ordered-broadcast member's whole CPU budget per
-//! broadcast, and shows that four closed-loop broadcasters see four such
-//! budgets as their latency: the members are the bottleneck.
+//! last two add up an ordered-broadcast member's and a durable store
+//! member's whole CPU budget per operation, and show that four
+//! closed-loop clients see four such budgets as their latency: the
+//! members are the bottleneck.
 
 use rdp::circus::testbed::{
     addr, agent, enqueue, node_mut, results, spawn_caller, spawn_troupe, world, CountingService,
     Request, MODULE, PROC_ECHO,
 };
 use rdp::circus::{NodeBuilder, NodeConfig, ThreadId, TroupeId};
-use rdp::simnet::{SockAddr, Syscall, Until, World};
+use rdp::simnet::{DiskConfig, Duration, SimRng, SockAddr, Syscall, Until, World};
 use rdp::transactions::{
     Broadcaster, CommitVoterService, ObjId, Op, OrderedApply, OrderedBroadcastService,
     TroupeStoreService, TxnClient,
@@ -40,8 +41,13 @@ fn members(n: usize) -> Vec<SockAddr> {
 
 /// Spawns one client process at `client` hosting `agent`, exporting the
 /// commit voter, and lets the world settle.
-fn spawn_client(w: &mut World, client: SockAddr, agent: impl rdp::circus::Agent) {
-    let p = NodeBuilder::new(client, NodeConfig::default())
+fn spawn_client(
+    w: &mut World,
+    client: SockAddr,
+    config: NodeConfig,
+    agent: impl rdp::circus::Agent,
+) {
+    let p = NodeBuilder::new(client, config)
         .service(COMMIT_MODULE, Box::new(CommitVoterService))
         .agent(Box::new(agent))
         .build()
@@ -168,7 +174,8 @@ fn a_commit_costs_each_member_four_passes_and_the_client_eight() {
         .map(|i| vec![Op::Add(ObjId(1), 1), Op::Add(ObjId(100 + i % 16), 1)])
         .collect();
     let client = addr(10, 50);
-    spawn_client(&mut w, client, TxnClient::new(store, MODULE, script));
+    let txn = TxnClient::new(store, MODULE, script);
+    spawn_client(&mut w, client, NodeConfig::default(), txn);
     w.poke(client, 0);
     w.run(Until::Idle);
     let (committed, errors) = agent(&w, client, |t: &TxnClient| {
@@ -209,11 +216,8 @@ fn spawn_broadcast(w: &mut World, clients: u32, ops: u64) -> Vec<SockAddr> {
             let client = addr(10 + i, 50);
             let script = (0..ops).map(|k| to_bytes(&k)).collect();
             let first_id = (u64::from(i) + 1) * 1_000_000;
-            spawn_client(
-                w,
-                client,
-                Broadcaster::new(troupe.clone(), MODULE, first_id, script),
-            );
+            let broadcaster = Broadcaster::new(troupe.clone(), MODULE, first_id, script);
+            spawn_client(w, client, NodeConfig::default(), broadcaster);
             client
         })
         .collect()
@@ -292,4 +296,124 @@ fn an_ordered_broadcast_member_budget_sums_to_four_clients_latency() {
         (latency_ms - expected_ms).abs() < 0.01,
         "{latency_ms} ms per broadcast, against {expected_ms} ms of member CPU"
     );
+}
+
+/// Transactions each commit-budget client runs.
+const COMMIT_OPS: u64 = 60;
+
+/// `commit_contended`'s rig: `clients` closed-loop `TxnClient`s against
+/// the durable 3-member store (a checkpoint every 64 commits), each
+/// transaction two `Add`s, the first on the hot object with probability
+/// 1/4 and everything else on the client's own 16 objects.
+fn spawn_contended_commit(w: &mut World, clients: u32) -> Vec<SockAddr> {
+    let disks: Vec<_> = members(3)
+        .iter()
+        .map(|a| w.install_disk(a.host, DiskConfig::faultless()))
+        .collect();
+    let mut disks = disks.into_iter();
+    // A commit deadlock resolves by the vote's assembly timeout (§5.3.1).
+    let config = NodeConfig {
+        assembly_timeout: Duration::from_millis(1200),
+        ..NodeConfig::default()
+    };
+    let store = spawn_troupe(w, TroupeId(7), &members(3), MODULE, &config, None, || {
+        let disk = disks.next().expect("one disk per member");
+        TroupeStoreService::with_durability(COMMIT_MODULE, disk, 64)
+    });
+    let mut rng = SimRng::new(1985);
+    (0..clients)
+        .map(|i| {
+            let client = addr(10 + i, 50);
+            let private = |rng: &mut SimRng| ObjId(1000 * u64::from(i + 1) + rng.below(16));
+            let script = (0..COMMIT_OPS)
+                .map(|_| {
+                    let hot = rng.chance(0.25);
+                    let first = if hot { ObjId(1) } else { private(&mut rng) };
+                    vec![Op::Add(first, 1), Op::Add(private(&mut rng), 1)]
+                })
+                .collect();
+            let txn = TxnClient::new(store.clone(), MODULE, script);
+            spawn_client(w, client, config.clone(), txn);
+            client
+        })
+        .collect()
+}
+
+fn commits(w: &World, clients: &[SockAddr]) -> u64 {
+    let done = |&c: &SockAddr| agent(w, c, |t: &TxnClient| t.committed.len() as u64);
+    clients.iter().map(done).sum()
+}
+
+/// A durable store member's budget per committed transaction: the
+/// `execute` call and the `ready_to_commit` return in, each a `select`
+/// and a `recvmsg`; the reply and the vote out by `sendmsg`; four stub
+/// passes; one WAL append and one fsync. The timer package is charged
+/// only when a connection timer is armed, on a few transactions in ten.
+/// Four closed-loop clients keep every member busy, so a transaction
+/// takes four of these budgets.
+#[test]
+fn a_commit_member_budget_sums_to_four_clients_latency() {
+    const CLIENTS: u32 = 4;
+    const WARM: u64 = 40;
+    const TIMED: u64 = 160;
+    let mut w = world(1985);
+    let clients = spawn_contended_commit(&mut w, CLIENTS);
+    for &c in &clients {
+        w.poke(c, 0);
+    }
+    let run_to = |w: &mut World, total: u64| {
+        while commits(w, &clients) < total {
+            assert!(w.step(), "the transactions stalled");
+        }
+        w.now()
+    };
+    let from = run_to(&mut w, WARM);
+    let to = run_to(&mut w, WARM + TIMED);
+    w.run(Until::Idle);
+    let committed = commits(&w, &clients);
+    assert_eq!(committed, u64::from(CLIENTS) * COMMIT_OPS);
+    for &c in &clients {
+        let (aborts, errors) = agent(&w, c, |t: &TxnClient| (t.aborts, t.errors.clone()));
+        assert_eq!((aborts, errors), (0, Vec::<String>::new()), "client {c}");
+    }
+
+    let reg = w.metrics();
+    assert_eq!(
+        reg.get("wal.appends"),
+        3 * committed,
+        "one append per member"
+    );
+    // Each member also checkpoints once on recovery at start and once
+    // per 64 commits: a slot write, fsync'd like an append.
+    let checkpoints = 1 + committed / 64;
+    let latency_ms = to.since(from).as_millis_f64() * f64::from(CLIENTS) / TIMED as f64;
+    for m in members(3) {
+        let cpu = w.cpu(m);
+        for (sys, n) in [
+            (Syscall::SendMsg, 2),
+            (Syscall::RecvMsg, 2),
+            (Syscall::Select, 2),
+            (Syscall::Compute, 4),
+        ] {
+            assert_eq!(
+                cpu.count_of(sys.index()),
+                n * committed,
+                "member {m}, {sys:?}"
+            );
+        }
+        let disk = |name: &str| reg.get(&format!("disk.h{}.{name}", m.host.0));
+        assert_eq!(disk("appends"), committed + checkpoints, "member {m}");
+        assert_eq!(disk("fsyncs"), committed + checkpoints, "member {m}");
+        let arms = cpu.count_of(Syscall::GetTimeOfDay.index()) as f64 / committed as f64;
+        assert!(
+            arms < 0.2,
+            "member {m}: {arms} timer-package arms per commit"
+        );
+        let cpu_ms = cpu.total_us() as f64 / committed as f64 / 1_000.0;
+        let expected_ms = cpu_ms * f64::from(CLIENTS);
+        assert!(
+            (latency_ms - expected_ms).abs() < 0.01 * latency_ms,
+            "member {m}: {latency_ms} ms per transaction, against {expected_ms} ms of member CPU"
+        );
+    }
 }
