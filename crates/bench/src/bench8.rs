@@ -5,9 +5,9 @@
 //! prices that choice: `k` clients all hammering the *same* object of a
 //! 3-member troupe, six operations each, through each scheme —
 //!
-//! - `commit` — the optimistic troupe commit protocol (2PL +
-//!   deadlock-driven abort and retry): conflicts become aborts, and
-//!   throughput collapses as `k` grows;
+//! - `commit` — the optimistic troupe commit protocol (2PL in which a
+//!   transaction never waits behind a younger one, abort and retry):
+//!   conflicts become aborts, and throughput falls as `k` grows;
 //! - `broadcast` — the ordered broadcast protocol (two-phase
 //!   propose/accept): starvation-free, zero aborts, but every operation
 //!   pays two rounds to every member;

@@ -156,7 +156,7 @@ impl<P: Scripted> Client<P> {
         };
         self.pending = Some(Pending::Work);
         let thread = nc.fresh_thread();
-        let (proc, args, collation) = self.script.request();
+        let (proc, args, collation) = self.script.request(nc.now());
         if let Some(nonce) = self.script.audited() {
             self.submitted
                 .push((thread, nonce, self.script.current().clone()));
@@ -230,7 +230,7 @@ impl Scripted for Txn {
     }
 
     /// One or two reads/adds over a small object set, so clients
-    /// conflict (deadlock-and-retry pressure, §5.3.1).
+    /// conflict (abort-and-retry pressure, §5.3.1).
     fn script_item(rng: &mut SimRng, _client: usize, _index: usize) -> Vec<Op> {
         let objs = [ObjId(1), ObjId(2), ObjId(3)];
         let mut txn = Vec::new();

@@ -449,6 +449,9 @@ impl Node {
             TAG_PENDING => {
                 if let Some((key, proceed)) = self.assemblies.time_out(low, io.now()) {
                     if proceed {
+                        // World-wide, not per node: rare, and a per-node
+                        // handle costs every node its key.
+                        io.metrics().add("rpc.assembly_timeouts", 1);
                         self.try_execute(io, key);
                     }
                     self.flush_all(io);

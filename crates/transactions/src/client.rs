@@ -5,8 +5,9 @@
 //! safety depends on:
 //!
 //! - [`Txn`]: every submission, a retry included, is a *new* transaction
-//!   under a new nonce on a new distributed thread (§2.3.1); aborts are
-//!   retried after a binary exponential backoff (§5.3.1).
+//!   under a new nonce on a new distributed thread (§2.3.1), stamped with
+//!   the client's clock at submission; aborts are retried after a binary
+//!   exponential backoff (§5.3.1).
 //! - [`ProposeAccept`] (§5.4): proposals and accepts must reach *every*
 //!   member, and once an accept has been sent the broadcast never
 //!   re-proposes — every retry carries the same accepted time and
@@ -34,6 +35,7 @@ use crate::commit::{ExecuteRequest, TxnOutcome, PROC_EXECUTE};
 use crate::commute::{CmOp, CmRequest, PROC_CM_EXECUTE};
 use crate::txn::Op;
 use circus::{Agent, CallError, CallHandle, CollationPolicy, NodeCtx, TimerKey, Troupe};
+use simnet::Time;
 use wire::from_bytes;
 
 const RETRY_KEY: TimerKey = TimerKey::new(0x7472); // "tr"
@@ -71,8 +73,9 @@ pub trait Protocol: 'static {
     /// identifies the item across retries.
     fn start(&mut self) {}
 
-    /// The call that sends, or resends, the current phase of `item`.
-    fn request(&mut self, item: &Self::Item) -> Request;
+    /// The call that sends, or resends, the current phase of `item`, at
+    /// `now` on the client's clock.
+    fn request(&mut self, item: &Self::Item, now: Time) -> Request;
 
     /// Digests the outcome of the call [`request`](Protocol::request)
     /// asked for.
@@ -148,9 +151,10 @@ impl<P: Protocol> Script<P> {
         &self.items[self.next]
     }
 
-    /// The call that sends the current phase of the item in progress.
-    pub fn request(&mut self) -> Request {
-        self.proto.request(&self.items[self.next])
+    /// The call that sends the current phase of the item in progress, at
+    /// `now` on the client's clock.
+    pub fn request(&mut self, now: Time) -> Request {
+        self.proto.request(&self.items[self.next], now)
     }
 
     /// Digests the reply to the last [`request`](Script::request) and
@@ -255,7 +259,7 @@ impl<P: Protocol> ClosedLoop<P> {
         }
         self.waiting = true;
         let thread = nc.fresh_thread();
-        let (proc, args, collation) = self.script.request();
+        let (proc, args, collation) = self.script.request(nc.now());
         nc.call(thread, &self.troupe, self.module, proc, args, collation);
     }
 }
@@ -297,7 +301,8 @@ pub struct Txn {
     nonce: u64,
     /// Per-transaction results, in script order.
     pub committed: Vec<Vec<i64>>,
-    /// Abort count (deadlock pressure plus fault-induced vote failures).
+    /// Abort count: a member that let a younger transaction overtake
+    /// this one, a failed vote under faults, or a wedged troupe.
     pub aborts: u32,
 }
 
@@ -313,9 +318,9 @@ impl Protocol for Txn {
     type Item = Vec<Op>;
     const RETRIES: u32 = 200;
 
-    fn request(&mut self, ops: &Vec<Op>) -> Request {
+    fn request(&mut self, ops: &Vec<Op>, now: Time) -> Request {
         self.nonce += 1;
-        let args = ExecuteRequest::encode(self.nonce, ops);
+        let args = ExecuteRequest::encode(self.nonce, ops, now.as_micros());
         (PROC_EXECUTE, args, CollationPolicy::Unanimous)
     }
 
@@ -389,7 +394,7 @@ impl Protocol for ProposeAccept {
 
     /// The payload rides in both phases: a member that missed the
     /// proposal installs the message from the accept.
-    fn request(&mut self, payload: &Vec<u8>) -> Request {
+    fn request(&mut self, payload: &Vec<u8>, _now: Time) -> Request {
         let msg_id = self.msg_id();
         match self.accepted_time {
             None => (
@@ -465,7 +470,7 @@ impl Protocol for CmBatch {
         self.minted += 1;
     }
 
-    fn request(&mut self, ops: &Vec<CmOp>) -> Request {
+    fn request(&mut self, ops: &Vec<CmOp>, _now: Time) -> Request {
         let args = CmRequest::encode(self.op_id(), ops);
         (PROC_CM_EXECUTE, args, all_ack_collation())
     }

@@ -7,10 +7,16 @@
 //! reported ready; the many-to-one machinery means a client's answer
 //! waits for all members' votes. Theorem 5.1 follows: two members commit
 //! two transactions only if they attempt them in the same order —
-//! divergent orders leave the vote assemblies incomplete, which surfaces
-//! as a deadlock, resolved here by the assembly timeout into an abort
-//! (deadlock detection, §2.3.1) and client retry with binary exponential
-//! backoff (§5.3.1).
+//! divergent orders leave the vote assemblies incomplete, a deadlock
+//! that §5.3.1 breaks by timeout. Here no such wait can form: each
+//! execute call carries its client's clock at submission, which with
+//! the call's thread is the transaction's [`Stamp`], and a member never
+//! lets an older transaction wait behind a younger one
+//! ([`LocalTm::try_execute`]). The member that ordered the two against
+//! their stamps votes no at once, the client's first "no" aborts the
+//! older transaction everywhere, and the client retries it with binary
+//! exponential backoff (§5.3.1). The assembly timeout is left to cover
+//! members that have gone silent.
 //!
 //! The protocol is *generic* (any local concurrency control) and
 //! *optimistic* (assumes conflicts are rare).
@@ -34,7 +40,7 @@ use std::rc::Rc;
 use crate::ledger::Ledger;
 use crate::pack_origin;
 use crate::store::TxnId;
-use crate::txn::{ExecOutcome, LocalTm, Op};
+use crate::txn::{ExecOutcome, LocalTm, Op, Stamp};
 use crate::wal::{CommitRecord, Wal};
 use crate::wedge::Wedge;
 use circus::{
@@ -76,10 +82,12 @@ wire::record! {
 }
 
 impl ExecuteRequest {
-    /// The arguments of an `execute_transaction` of borrowed `ops`: the
-    /// bytes of `to_bytes` of the request that owned them.
-    pub(crate) fn encode(nonce: u64, ops: &[Op]) -> Vec<u8> {
-        to_bytes(&(nonce, ops))
+    /// The arguments of an `execute_transaction` of borrowed `ops`,
+    /// submitted at `at` (the client's clock, in microseconds): the bytes
+    /// of the request that owned them, then `at`. With the call's thread,
+    /// `at` is the transaction's [`Stamp`].
+    pub(crate) fn encode(nonce: u64, ops: &[Op], at: u64) -> Vec<u8> {
+        to_bytes(&(nonce, ops, at))
     }
 }
 
@@ -89,7 +97,8 @@ wire::choice! {
     pub enum TxnOutcome {
         /// Committed at every member; per-operation results.
         Committed(Vec<i64>) = 0,
-        /// Aborted (deadlock, vote failure, or conflict); retry with backoff.
+        /// Aborted (overtaken by a younger transaction, a failed vote, or
+        /// a wedge); retry with backoff.
         Aborted(String) = 1,
     }
 }
@@ -123,6 +132,8 @@ pub struct RecoveryInfo {
 struct TxnRec {
     txn: TxnId,
     thread: ThreadId,
+    /// The client's clock at submission: the stamp's first half.
+    at: u64,
     nonce: u64,
     ops: Vec<Op>,
     /// `Some` once executed: this member votes yes.
@@ -261,10 +272,11 @@ impl TroupeStoreService {
     }
 
     /// Runs (or re-runs) a transaction and decides its next step.
-    fn run(&mut self, invocation: u64) -> Step {
+    fn run(&mut self, ctx: &mut ServiceCtx, invocation: u64) -> Step {
         let rec = self.by_invocation.get_mut(&invocation).expect("txn record");
         let txn = rec.txn;
-        let ready = match self.tm.try_execute(txn, &rec.ops) {
+        let stamp: Stamp = (rec.at, rec.thread);
+        let ready = match self.tm.try_execute(txn, stamp, &rec.ops) {
             ExecOutcome::Executed(results) => {
                 rec.results = Some(results);
                 true
@@ -274,7 +286,10 @@ impl TroupeStoreService {
                 return Step::Suspend;
             }
             // Aborted locally; still vote so every member aborts.
-            ExecOutcome::Deadlock => false,
+            ExecOutcome::Overtaken(unblocked) => {
+                self.rerun(ctx, unblocked);
+                false
+            }
         };
         self.waiting.remove(&txn);
         self.vote_call(ready)
@@ -285,7 +300,7 @@ impl TroupeStoreService {
     fn rerun(&mut self, ctx: &mut ServiceCtx, unblocked: Vec<TxnId>) {
         for txn in unblocked {
             if let Some(inv) = self.waiting.remove(&txn) {
-                let step = self.run(inv);
+                let step = self.run(ctx, inv);
                 ctx.push_effect(NodeEffect::StepFor {
                     invocation: inv,
                     step,
@@ -391,7 +406,7 @@ impl Service for TroupeStoreService {
     fn dispatch(&mut self, ctx: &mut ServiceCtx, proc: u16, args: &[u8]) -> Step {
         match proc {
             PROC_EXECUTE => {
-                let Ok(req) = from_bytes::<ExecuteRequest>(args) else {
+                let Ok((req, at)) = from_bytes::<(ExecuteRequest, u64)>(args) else {
                     return Step::Error("bad execute_transaction arguments".into());
                 };
                 if self.wedge.active(ctx.now) {
@@ -411,13 +426,14 @@ impl Service for TroupeStoreService {
                     TxnRec {
                         txn,
                         thread: ctx.thread,
+                        at,
                         nonce: req.nonce,
                         ops: req.ops,
                         results: None,
                         in_doubt: false,
                     },
                 );
-                self.run(ctx.invocation)
+                self.run(ctx, ctx.invocation)
             }
             PROC_OUTCOME => {
                 let Ok((thread, nonce)) = from_bytes::<(ThreadId, u64)>(args) else {
@@ -482,7 +498,7 @@ impl Service for TroupeStoreService {
             // Abort every lock-waiter: each votes false so the whole
             // troupe aborts that transaction, and its client retries
             // after the membership change. Waiting out the locks instead
-            // could stall the drain behind a deadlock's assembly timeout.
+            // could stall the drain behind a holder in doubt.
             for inv in std::mem::take(&mut self.waiting).into_values() {
                 ctx.push_effect(NodeEffect::StepFor {
                     invocation: inv,
@@ -681,8 +697,8 @@ impl Collate for PeerVerdicts {
 
 /// The vote collator used by the client's `ready_to_commit` module: wait
 /// for every server member's vote; any `false` vote — or any member
-/// declared dead, which is how a timeout-resolved commit deadlock
-/// manifests — aborts.
+/// declared dead, as a member silent past the assembly timeout is —
+/// aborts.
 struct ReadyVotes;
 
 thread_local! {
@@ -738,9 +754,11 @@ impl Service for CommitVoterService {
 #[cfg(test)]
 impl TroupeStoreService {
     /// Dispatches an `execute_transaction` of `ops` under `nonce` as a
-    /// client's call would arrive, for a test that drives a member alone.
+    /// client's call submitted at `ctx.now` would arrive, for a test that
+    /// drives a member alone.
     pub(crate) fn execute(&mut self, ctx: &mut ServiceCtx, nonce: u64, ops: &[Op]) -> Step {
-        self.dispatch(ctx, PROC_EXECUTE, &ExecuteRequest::encode(nonce, ops))
+        let args = ExecuteRequest::encode(nonce, ops, ctx.now.as_micros());
+        self.dispatch(ctx, PROC_EXECUTE, &args)
     }
 }
 
@@ -765,7 +783,9 @@ mod tests {
             ops: vec![Op::Add(crate::store::ObjId(1), 5)],
         };
         assert_eq!(from_bytes::<ExecuteRequest>(&to_bytes(&r)).unwrap(), r);
-        assert_eq!(ExecuteRequest::encode(r.nonce, &r.ops), to_bytes(&r));
+        let args = ExecuteRequest::encode(r.nonce, &r.ops, 7);
+        assert_eq!(args, to_bytes(&(&r, 7u64)));
+        assert_eq!(from_bytes::<(ExecuteRequest, u64)>(&args), Ok((r, 7)));
     }
 
     #[test]

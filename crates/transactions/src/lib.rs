@@ -10,10 +10,11 @@
 //!
 //! - the **troupe commit protocol** ([`TroupeStoreService`] +
 //!   [`CommitVoterService`]): generic over the local concurrency control
-//!   (here: 2PL with waits-for deadlock detection over a volatile
-//!   workspace store, §5.2) and optimistic; divergent serialization
-//!   orders become deadlocks (Theorem 5.1), resolved by timeout-driven
-//!   abort and client retry with binary exponential [`Backoff`]
+//!   (here: 2PL over a volatile workspace store, §5.2) and optimistic;
+//!   divergent serialization orders would be deadlocks (Theorem 5.1),
+//!   but a transaction never waits behind a younger one, so the member
+//!   that ordered two against their [`Stamp`]s aborts the older at
+//!   once, and its client retries with binary exponential [`Backoff`]
 //!   (§5.3.1);
 //! - the **ordered broadcast protocol** ([`OrderedBroadcastService`],
 //!   Figure 5.1): starvation-free, two-phase (propose/accept) with
@@ -47,7 +48,6 @@ pub mod broadcast;
 pub mod client;
 pub mod commit;
 pub mod commute;
-pub mod deadlock;
 pub mod ledger;
 pub mod lock;
 pub mod store;
@@ -69,11 +69,10 @@ pub use commit::{
     PROC_PEEK, PROC_READY_TO_COMMIT,
 };
 pub use commute::{CmOp, CmRequest, CommutativeService, PROC_CM_EXECUTE};
-pub use deadlock::WaitsFor;
 pub use ledger::Ledger;
 pub use lock::{Acquire, LockManager, Mode};
 pub use store::{ObjId, Store, TxnId};
-pub use txn::{ExecOutcome, LocalTm, Op};
+pub use txn::{ExecOutcome, LocalTm, Op, Stamp};
 pub use wal::{Checkpoint, CommitRecord, Recovered, Wal};
 
 /// Packs a thread origin into the `u64` that keys per-client state (the

@@ -114,8 +114,8 @@ struct LockState {
 pub enum Acquire {
     /// The lock is held; proceed.
     Granted,
-    /// Queued behind a conflicting holder; the returned transaction is
-    /// one the requester now waits for (for the waits-for graph).
+    /// Queued; the returned transaction is one the requester now waits
+    /// behind. [`LockManager::ahead`] names every one.
     Waiting(TxnId),
 }
 
@@ -189,6 +189,22 @@ impl LockManager {
         granted.sort_unstable();
         granted.dedup();
         granted
+    }
+
+    /// The transactions `txn`'s queued request for `obj` waits behind:
+    /// the holders its mode conflicts with, then the waiters queued ahead
+    /// of it. Nothing if `txn` is not queued for `obj`.
+    pub fn ahead(&self, txn: TxnId, obj: ObjId) -> impl Iterator<Item = TxnId> + '_ {
+        let queued = self.locks.get(&obj).and_then(|state| {
+            let at = state.waiters.iter().position(|&(t, _)| t == txn)?;
+            Some((state, at, state.waiters[at].1))
+        });
+        queued.into_iter().flat_map(move |(state, at, mode)| {
+            let holders = state.holders.iter();
+            let holders = holders.filter(move |&(t, held)| t != txn && !held.compatible(mode));
+            let waiters = state.waiters.iter().take(at);
+            holders.map(|(t, _)| t).chain(waiters.map(|&(t, _)| t))
+        })
     }
 
     /// Whether `txn` currently holds `obj` in at least `mode`.
@@ -299,6 +315,25 @@ mod tests {
             lm.acquire(T3, A, Mode::Shared),
             Acquire::Waiting(_)
         ));
+    }
+
+    /// An upgrade waits behind its co-holders; a shared request behind a
+    /// queued exclusive one waits behind that waiter, not behind the
+    /// shared holder it is compatible with.
+    #[test]
+    fn ahead_names_conflicting_holders_then_earlier_waiters() {
+        let mut lm = LockManager::new();
+        const T4: TxnId = TxnId(4);
+        lm.acquire(T1, A, Mode::Shared);
+        lm.acquire(T2, A, Mode::Shared);
+        assert_eq!(lm.acquire(T3, A, Mode::Exclusive), Acquire::Waiting(T1));
+        lm.acquire(T4, A, Mode::Shared);
+        assert_eq!(lm.acquire(T1, A, Mode::Exclusive), Acquire::Waiting(T2));
+        let ahead = |lm: &LockManager, t| lm.ahead(t, A).collect::<Vec<_>>();
+        assert_eq!(ahead(&lm, T3), [T1, T2]);
+        assert_eq!(ahead(&lm, T4), [T3]);
+        assert_eq!(ahead(&lm, T1), [T2, T3, T4]);
+        assert_eq!(ahead(&lm, T2), [], "a holder waits for nothing");
     }
 
     #[test]

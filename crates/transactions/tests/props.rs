@@ -1,12 +1,23 @@
 //! Property-based tests: serializability of the local transaction
-//! manager, snapshot/restore of the store under commits and aborts, and
-//! the lock table against a model.
+//! manager, the stamp rule across three members voting on every
+//! transaction, snapshot/restore of the store under commits and aborts,
+//! and the lock table against a model.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
+use circus::ThreadId;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
-use transactions::{Acquire, ExecOutcome, LocalTm, LockManager, Mode, ObjId, Op, TxnId};
+use simnet::{HostId, SockAddr};
+use transactions::{
+    Acquire, ExecOutcome, LocalTm, LockManager, Mode, ObjId, Op, Stamp, Store, TxnId,
+};
+
+/// The stamp of a transaction submitted at `us` on thread `serial`.
+fn stamp(us: u64, serial: u32) -> Stamp {
+    let origin = SockAddr::new(HostId(10), 50);
+    (us, ThreadId { origin, serial })
+}
 
 /// Strategy for a small transaction: 1–4 operations over 3 objects.
 fn txn_strategy() -> impl Strategy<Value = Vec<Op>> {
@@ -28,7 +39,7 @@ fn run_serial(txns: &[Vec<Op>], order: &[usize]) -> Vec<i64> {
     let mut tm = LocalTm::new();
     for (k, &i) in order.iter().enumerate() {
         let id = TxnId(k as u64 + 1);
-        match tm.try_execute(id, &txns[i]) {
+        match tm.try_execute(id, stamp(k as u64, 1), &txns[i]) {
             ExecOutcome::Executed(_) => {
                 tm.commit(id);
             }
@@ -48,15 +59,18 @@ proptest! {
     fn interleaved_execution_is_serializable(
         t1 in txn_strategy(),
         t2 in txn_strategy(),
+        b_older in any::<bool>(),
     ) {
         let mut tm = LocalTm::new();
         let a = TxnId(1);
         let b = TxnId(2);
+        let (sa, sb) = if b_older { (stamp(2, 1), stamp(1, 2)) } else { (stamp(1, 1), stamp(2, 2)) };
         // Try a first; if it waits (impossible: empty store) run it; then
-        // start b which may wait behind a; commit a; finish b.
-        let ra = tm.try_execute(a, &t1);
+        // start b which may wait behind a (or, older, is overtaken by
+        // it); commit a; finish b.
+        let ra = tm.try_execute(a, sa, &t1);
         prop_assert!(matches!(ra, ExecOutcome::Executed(_)));
-        let rb = tm.try_execute(b, &t2);
+        let rb = tm.try_execute(b, sb, &t2);
         match rb {
             ExecOutcome::Executed(_) => {
                 // Non-conflicting: any commit order, same result.
@@ -67,12 +81,13 @@ proptest! {
                 prop_assert_eq!(blocker, a);
                 let (_, unblocked) = tm.commit(a);
                 prop_assert!(unblocked.contains(&b));
-                match tm.try_execute(b, &t2) {
+                match tm.try_execute(b, sb, &t2) {
                     ExecOutcome::Executed(_) => { tm.commit(b); }
                     other => prop_assert!(false, "retry blocked: {other:?}"),
                 }
             }
-            ExecOutcome::Deadlock => {
+            ExecOutcome::Overtaken(_) => {
+                prop_assert!(b_older, "a younger transaction overtaken");
                 // b aborted; only a commits. Equivalent to serial a-only.
                 tm.commit(a);
                 let interleaved: Vec<i64> =
@@ -104,9 +119,6 @@ proptest! {
     fn snapshot_restore_round_trips_under_commit_abort(
         script in proptest::collection::vec((0u8..5, 0u64..3, -5i64..5), 1..80),
     ) {
-        use std::collections::BTreeMap;
-        use transactions::Store;
-
         let mut s = Store::new();
         // The model: committed image, open workspaces, and the last
         // snapshot (of both store and model).
@@ -182,6 +194,273 @@ proptest! {
         for o in 0..3u64 {
             prop_assert_eq!(fresh.read_committed(ObjId(o)), s.read_committed(ObjId(o)));
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The stamp rule across a troupe.
+// ---------------------------------------------------------------------
+
+/// One member's local transaction manager, as the troupe model drives
+/// it: `LocalTm`, or a copy of it with a fault planted in its rule.
+trait Member {
+    fn try_execute(&mut self, txn: TxnId, stamp: Stamp, ops: &[Op]) -> ExecOutcome;
+    /// Commits `txn`; returns the transactions its release granted locks.
+    fn commit(&mut self, txn: TxnId) -> Vec<TxnId>;
+    /// Aborts `txn`; returns the transactions its release granted locks.
+    fn abort(&mut self, txn: TxnId) -> Vec<TxnId>;
+    fn image(&self) -> Vec<(u64, i64)>;
+}
+
+impl Member for LocalTm {
+    fn try_execute(&mut self, txn: TxnId, stamp: Stamp, ops: &[Op]) -> ExecOutcome {
+        LocalTm::try_execute(self, txn, stamp, ops)
+    }
+    fn commit(&mut self, txn: TxnId) -> Vec<TxnId> {
+        LocalTm::commit(self, txn).1
+    }
+    fn abort(&mut self, txn: TxnId) -> Vec<TxnId> {
+        LocalTm::abort(self, txn)
+    }
+    fn image(&self) -> Vec<(u64, i64)> {
+        self.store().snapshot()
+    }
+}
+
+/// A fault planted in the stamp rule, for the troupe property to catch.
+#[derive(Clone, Copy, Debug)]
+enum Plant {
+    /// An older requester may wait behind a younger transaction.
+    OlderWaits,
+    /// Only the blocker `acquire` returns is compared, not every
+    /// transaction the request queues behind.
+    FirstBlockerOnly,
+}
+
+/// `LocalTm` rebuilt from the public lock table and store, with `plant`
+/// in its rule.
+struct Planted {
+    plant: Plant,
+    locks: LockManager,
+    store: Store,
+    stamps: BTreeMap<TxnId, Stamp>,
+}
+
+impl Planted {
+    fn new(plant: Plant) -> Planted {
+        let (locks, store, stamps) = (LockManager::new(), Store::new(), BTreeMap::new());
+        Planted {
+            plant,
+            locks,
+            store,
+            stamps,
+        }
+    }
+}
+
+impl Member for Planted {
+    fn try_execute(&mut self, txn: TxnId, stamp: Stamp, ops: &[Op]) -> ExecOutcome {
+        self.stamps.insert(txn, stamp);
+        for op in ops {
+            let (obj, mode) = lock_of(op);
+            if let Acquire::Waiting(blocker) = self.locks.acquire(txn, obj, mode) {
+                let wait = match self.plant {
+                    Plant::OlderWaits => true,
+                    Plant::FirstBlockerOnly => self.stamps[&blocker] < stamp,
+                };
+                if wait {
+                    return ExecOutcome::MustWait(blocker);
+                }
+                return ExecOutcome::Overtaken(self.abort(txn));
+            }
+        }
+        let results = ops.iter().map(|op| match *op {
+            Op::Read(o) => self.store.read(txn, o),
+            Op::Write(o, v) => {
+                self.store.write(txn, o, v);
+                v
+            }
+            Op::Add(o, d) => {
+                let v = self.store.read(txn, o) + d;
+                self.store.write(txn, o, v);
+                v
+            }
+        });
+        ExecOutcome::Executed(results.collect())
+    }
+    fn commit(&mut self, txn: TxnId) -> Vec<TxnId> {
+        self.store.commit(txn);
+        self.stamps.remove(&txn);
+        self.locks.release_all(txn)
+    }
+    fn abort(&mut self, txn: TxnId) -> Vec<TxnId> {
+        self.store.abort(txn);
+        self.stamps.remove(&txn);
+        self.locks.release_all(txn)
+    }
+    fn image(&self) -> Vec<(u64, i64)> {
+        self.store.snapshot()
+    }
+}
+
+/// The lock an operation takes.
+fn lock_of(op: &Op) -> (ObjId, Mode) {
+    match *op {
+        Op::Read(o) => (o, Mode::Shared),
+        Op::Write(o, _) | Op::Add(o, _) => (o, Mode::Exclusive),
+    }
+}
+
+/// One troupe case: stamped transactions, each member's arrival order
+/// of them, and the order in which the members take their next arrival.
+#[derive(Debug)]
+struct TroupeCase {
+    txns: Vec<(Stamp, Vec<Op>)>,
+    arrivals: [Vec<usize>; 3],
+    turns: Vec<usize>,
+}
+
+/// Two to five transactions of `txn_strategy`, stamped in 0–3 µs (so
+/// ties fall to the thread), each member's arrivals a shuffle of them.
+struct TroupeCases;
+
+fn shuffled<T>(mut v: Vec<T>, rng: &mut TestRng) -> Vec<T> {
+    for i in (1..v.len()).rev() {
+        v.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    v
+}
+
+impl Strategy for TroupeCases {
+    type Value = TroupeCase;
+    fn generate(&self, rng: &mut TestRng) -> TroupeCase {
+        let k = 2 + rng.below(4) as usize;
+        let txns = (1..=k as u32)
+            .map(|serial| (stamp(rng.below(4), serial), txn_strategy().generate(rng)))
+            .collect();
+        let arrivals = [(); 3].map(|_| shuffled((0..k).collect(), rng));
+        let turns = shuffled((0..3 * k).map(|i| i % 3).collect(), rng);
+        TroupeCase {
+            txns,
+            arrivals,
+            turns,
+        }
+    }
+}
+
+/// Runs `case` through `members`, each taking the transactions in its
+/// own arrival order, with a model vote round: a member votes yes when a
+/// transaction executes and no when it is overtaken; the first "no"
+/// aborts the transaction, three yeses commit it, and a member learns
+/// the verdict once it has voted, as a late voter gets its buffered
+/// return. A shadow `LockManager` per member, fed the same requests,
+/// says whom each wait sits behind.
+///
+/// Errs on a wait behind a younger transaction, a transaction still
+/// undecided once every call has arrived (only a timeout could end it),
+/// or members whose committed images differ.
+fn run_troupe<M: Member>(case: &TroupeCase, mut members: [M; 3]) -> Result<(), String> {
+    let k = case.txns.len();
+    let mut shadows = [(); 3].map(|_| LockManager::new());
+    let mut votes = vec![[None::<bool>; 3]; k];
+    let mut told = vec![[false; 3]; k];
+    let mut verdicts = vec![None::<bool>; k];
+    let mut taken = [0; 3];
+    let mut runs = VecDeque::new();
+    for &m in &case.turns {
+        runs.push_back((m, case.arrivals[m][taken[m]]));
+        taken[m] += 1;
+        while let Some((m, t)) = runs.pop_front() {
+            let (txn, (stamp, ops)) = (TxnId(t as u64 + 1), &case.txns[t]);
+            let queued = ops.iter().map(lock_of).find(|&(obj, mode)| {
+                matches!(shadows[m].acquire(txn, obj, mode), Acquire::Waiting(_))
+            });
+            let yes = match (members[m].try_execute(txn, *stamp, ops), queued) {
+                (ExecOutcome::MustWait(_), Some((obj, _))) => {
+                    let older = |a: TxnId| case.txns[a.0 as usize - 1].0 < *stamp;
+                    match shadows[m].ahead(txn, obj).find(|&a| !older(a)) {
+                        Some(a) => return Err(format!("member {m}: {txn:?} waits behind {a:?}")),
+                        None => continue,
+                    }
+                }
+                (ExecOutcome::Executed(_), None) => true,
+                (ExecOutcome::Overtaken(granted), Some(_)) => {
+                    released(m, txn, &granted, &mut shadows[m], &mut runs)?;
+                    false
+                }
+                (out, queued) => {
+                    return Err(format!("member {m}: {txn:?} {out:?}, queued {queued:?}"))
+                }
+            };
+            votes[t][m] = Some(yes);
+            if verdicts[t].is_none() && (!yes || votes[t].iter().all(|v| *v == Some(true))) {
+                verdicts[t] = Some(yes);
+            }
+            let Some(go) = verdicts[t] else { continue };
+            for v in 0..3 {
+                if votes[t][v].is_none() || std::mem::replace(&mut told[t][v], true) {
+                    continue;
+                }
+                let granted = if go {
+                    members[v].commit(txn)
+                } else {
+                    members[v].abort(txn)
+                };
+                released(v, txn, &granted, &mut shadows[v], &mut runs)?;
+            }
+        }
+    }
+    if let Some(t) = verdicts.iter().position(Option::is_none) {
+        return Err(format!("transaction {t} undecided: votes {:?}", votes[t]));
+    }
+    let images = members.each_ref().map(|m| m.image());
+    if images[1..].iter().any(|i| *i != images[0]) {
+        return Err(format!("members diverged: {images:?}"));
+    }
+    Ok(())
+}
+
+/// Mirrors member `m`'s release of `txn` in its shadow, which must grant
+/// the same transactions, and queues their re-runs.
+fn released(
+    m: usize,
+    txn: TxnId,
+    granted: &[TxnId],
+    shadow: &mut LockManager,
+    runs: &mut VecDeque<(usize, usize)>,
+) -> Result<(), String> {
+    if shadow.release_all(txn) != granted {
+        return Err(format!(
+            "member {m}: its lock table and the shadow diverged"
+        ));
+    }
+    runs.extend(granted.iter().map(|g| (m, g.0 as usize - 1)));
+    Ok(())
+}
+
+proptest! {
+    /// Three members, each with its own arrival order: every wait sits
+    /// behind older transactions only, every transaction is decided by
+    /// the votes alone, and the members commit identical images.
+    #[test]
+    fn stamped_transactions_never_wait_behind_younger_ones_at_any_member(case in TroupeCases) {
+        let members = [(); 3].map(|_| LocalTm::new());
+        if let Err(why) = run_troupe(&case, members) {
+            prop_assert!(false, "{why}: {case:?}");
+        }
+    }
+}
+
+/// The troupe property catches each fault planted in the rule.
+#[test]
+fn the_troupe_property_fails_on_each_planted_fault() {
+    for plant in [Plant::OlderWaits, Plant::FirstBlockerOnly] {
+        let mut rng = TestRng::for_test("the_troupe_property_fails_on_each_planted_fault");
+        let caught = (0..400).find_map(|_| {
+            let case = TroupeCases.generate(&mut rng);
+            run_troupe(&case, [(); 3].map(|_| Planted::new(plant))).err()
+        });
+        assert!(caught.is_some(), "{plant:?} went unnoticed");
     }
 }
 

@@ -1,6 +1,6 @@
 //! End-to-end tests of replicated transactions: the troupe commit
-//! protocol under no conflict, conflict, and deadlock; the ordered
-//! broadcast protocol's identical-order guarantee; both broadcast and
+//! protocol under no conflict, conflict, and opposite lock orders; the
+//! ordered broadcast protocol's identical-order guarantee; both broadcast and
 //! commutative clients reaching every member through a partition; a
 //! wedged member's refusal collating with its peers' abort; and a stale
 //! binding winning over a dead member.
@@ -22,8 +22,8 @@ const COMMIT_MODULE: u16 = 2;
 const A: ObjId = ObjId(1);
 const B: ObjId = ObjId(2);
 
-/// Node config with a short vote-assembly timeout so commit deadlocks
-/// resolve quickly in tests.
+/// Node config with a short vote-assembly timeout, so a silent member
+/// costs little in tests.
 fn config() -> NodeConfig {
     NodeConfig {
         assembly_timeout: Duration::from_millis(1500),
@@ -126,7 +126,7 @@ fn non_conflicting_clients_commit_in_parallel() {
 fn conflicting_clients_serialize_identically_at_all_members() {
     // The heart of Chapter 5: concurrent conflicting transactions must
     // commit in the SAME order at every member (troupe consistency),
-    // with divergent orders resolved through deadlock/abort/retry.
+    // with divergent orders resolved through abort and retry.
     let mut w = World::new(3);
     let troupe = spawn_store_troupe(&mut w, 3);
     let clients: Vec<SockAddr> = (0..4).map(|i| addr(10 + i, 50)).collect();
@@ -165,13 +165,13 @@ fn conflicting_clients_serialize_identically_at_all_members() {
 
 #[test]
 fn aborted_transactions_leave_no_trace() {
-    // A client whose transaction deadlocks locally (forced by lock
-    // ordering) retries; intermediate aborts must not affect state.
+    // A client whose transaction is overtaken (forced by lock ordering)
+    // retries; intermediate aborts must not affect state.
     let mut w = World::new(4);
     let troupe = spawn_store_troupe(&mut w, 2);
     let c1 = addr(10, 50);
     let c2 = addr(11, 50);
-    // Opposite lock orders maximize deadlock probability.
+    // Opposite lock orders maximize the chance of a cycle of waits.
     spawn_txn_client(
         &mut w,
         c1,
@@ -224,7 +224,8 @@ fn a_wedged_member_refuses_with_the_abort_its_peers_give() {
     assert_eq!(call(&mut w, client, wedge, patience), Ok(Vec::new()));
 
     let ops = vec![Op::Add(A, 1)];
-    let txn = to_bytes(&ExecuteRequest { nonce: 1, ops });
+    // The request, then its submission time: the stamp's first half.
+    let txn = to_bytes(&(ExecuteRequest { nonce: 1, ops }, 0u64));
     let txn = circus::testbed::Request::new(&troupe, STORE_MODULE, PROC_EXECUTE, txn);
     let outcome = call(&mut w, client, txn, patience).expect("one outcome");
     let outcome = from_bytes::<TxnOutcome>(&outcome).expect("an outcome");
@@ -446,7 +447,7 @@ struct FirstRequest<P: Protocol> {
 impl<P: Protocol> Agent for FirstRequest<P> {
     fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, _tag: u64) {
         self.proto.start();
-        let (proc, args, collation) = self.proto.request(&self.item);
+        let (proc, args, collation) = self.proto.request(&self.item, nc.now());
         let thread = nc.fresh_thread();
         nc.call(thread, &self.troupe, self.module, proc, args, collation);
     }

@@ -3,11 +3,12 @@
 //!
 //! Three bank replicas hold accounts; two tellers concurrently run
 //! transfer transactions that *conflict* (they touch the same accounts
-//! in opposite orders — the classic deadlock shape). The troupe commit
-//! protocol turns divergent serialization orders into deadlocks, the
-//! assembly timeout resolves them into aborts, and binary exponential
-//! backoff retries them (§5.3.1) — so every replica ends with the same
-//! balances and money is conserved.
+//! in opposite orders — the classic deadlock shape). A replica never lets
+//! an older transfer wait behind a younger one, so the replica that
+//! ordered two against their submission stamps votes no, the older
+//! aborts everywhere, and binary exponential backoff retries it (§5.3.1)
+//! — so every replica ends with the same balances and money is
+//! conserved.
 //!
 //! Run with: `cargo run --example replicated_bank`
 

@@ -87,7 +87,7 @@ const COMMIT_BUDGET: f64 = 31.02;
 
 /// Allocations per transaction committed by two library `TxnClient`s
 /// contending for one hot object on the same durable store, so that lock
-/// waits, their wake-ups and the waits-for probe run as well. Measured:
+/// waits, their wake-ups and the stamp check run as well. Measured:
 /// 34.06; one stray allocation per transaction would read 35.06.
 const CONTENDED_COMMIT_BUDGET: f64 = 34.56;
 
@@ -544,7 +544,7 @@ impl BroadcastLoop {
 
     fn send(&mut self, nc: &mut NodeCtx<'_, '_, '_>) {
         let thread = *self.thread.get_or_insert_with(|| nc.fresh_thread());
-        let (proc, args, collation) = self.proto.request(&self.payload);
+        let (proc, args, collation) = self.proto.request(&self.payload, nc.now());
         nc.call(thread, &self.troupe, MODULE, proc, args, collation);
     }
 }
@@ -638,7 +638,7 @@ impl CommuteLoop {
     fn submit(&mut self, nc: &mut NodeCtx<'_, '_, '_>) {
         let thread = *self.thread.get_or_insert_with(|| nc.fresh_thread());
         self.proto.start();
-        let (proc, args, collation) = self.proto.request(&self.ops);
+        let (proc, args, collation) = self.proto.request(&self.ops, nc.now());
         nc.call(thread, &self.troupe, MODULE, proc, args, collation);
     }
 }
@@ -732,7 +732,7 @@ impl CommitLoop {
             &self.troupe,
             MODULE,
             PROC_EXECUTE,
-            to_bytes(&req),
+            to_bytes(&(req, nc.now().as_micros())),
             CollationPolicy::Unanimous,
         );
     }
@@ -857,7 +857,7 @@ const CONTENDED_TIMED: u64 = 500;
 /// 1 to the hot object and 1 to one of sixteen others, against the
 /// durable n=3 store: whichever reaches the hot object second waits for
 /// its lock, is re-run by `wake` through `StepFor` once the first
-/// commits, and asks the waits-for graph whether waiting deadlocks.
+/// commits, and is checked to wait behind older transactions only.
 /// Returns the allocations per committed transaction over the window.
 fn contended_commit_allocations(w: &mut World) -> f64 {
     let disks: Vec<_> = member_addrs()

@@ -285,7 +285,7 @@ fn exactly_once_fires_on_a_recommitted_key() {
                 nonce,
                 ops: vec![Op::Read(ObjId(1))],
             };
-            let vote = s.dispatch(&mut ctx, PROC_EXECUTE, &to_bytes(&again));
+            let vote = s.dispatch(&mut ctx, PROC_EXECUTE, &to_bytes(&(again, now.as_micros())));
             assert!(matches!(vote, Step::Call(_)), "{vote:?}");
             let reply = s.resume(&mut ctx, Ok(to_bytes(&true)));
             assert!(matches!(reply, Step::Reply(_)), "{reply:?}");

@@ -377,6 +377,25 @@ static RULES: &[Rule] = &[
         plants: &["crates/chaos/src/lib.rs:    let args = (PROC_EXECUTE, txn);"],
     },
     Rule {
+        name: "one deadlock rule (aim 3, Theorem 5.1)",
+        files: &["crates/*/src/**/*.rs"],
+        check: Forbid(
+            |l| {
+                let compares = [" < ", " > ", " <= ", " >= ", ".cmp(", ".min(", ".max("];
+                let stamps = l.to_lowercase().contains("stamp") && contains_any(l, &compares);
+                !comment(l) && (has_word(l, "WaitsFor") || l.contains("on_cycle") || stamps)
+            },
+            &[InFn("crates/transactions/src/txn.rs", "may_wait")],
+        ),
+        fix: "a transaction waits only behind older ones (LocalTm::may_wait), so no cycle of \
+              waits can close: compare stamps there, and detect no cycle anywhere",
+        plants: &[
+            "crates/transactions/src/txn.rs:    waits: WaitsFor,",
+            "crates/transactions/src/txn.rs:                    if self.waits.on_cycle(txn) {",
+            "crates/transactions/src/commit.rs:        if rec.stamp > other.stamp {",
+        ],
+    },
+    Rule {
         name: "one encoding site (aim 2, PR 39)",
         files: &[
             "crates/**/*.rs",

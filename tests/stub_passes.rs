@@ -311,7 +311,7 @@ fn spawn_contended_commit(w: &mut World, clients: u32) -> Vec<SockAddr> {
         .map(|a| w.install_disk(a.host, DiskConfig::faultless()))
         .collect();
     let mut disks = disks.into_iter();
-    // A commit deadlock resolves by the vote's assembly timeout (§5.3.1).
+    // `commit_contended`'s vote-assembly timeout: a silent member's cost.
     let config = NodeConfig {
         assembly_timeout: Duration::from_millis(1200),
         ..NodeConfig::default()
