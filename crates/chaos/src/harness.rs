@@ -266,7 +266,6 @@ pub fn quiesce<W: Workload>(wl: &W, seed: u64, opts: &ScenarioOptions) -> (Quies
     let config = NodeConfig {
         assembly_timeout: Duration::from_micros(1_500_000),
         multicast_small_calls: opts.multicast_small_calls,
-        ..NodeConfig::default()
     };
     let rm_hosts = vec![HostId(1), HostId(2), HostId(3)];
     let rm = spawn_ringmaster(&mut w, &rm_hosts, config.clone());

@@ -108,19 +108,14 @@ struct Answered {
 }
 
 /// The answer to a copy of a call that asked for `cut`: that part of
-/// `reply`, whose digest is `digest`, framed under `pm`, where the return
-/// is cut for it; else the return whole.
-fn answer(
-    pm: &pairedmsg::Config,
-    reply: &ReturnMessage,
-    digest: Option<u64>,
-    cut: Option<Cut>,
-) -> Framed {
+/// `reply`, whose digest is `digest`, where the return is cut for it;
+/// else the return whole.
+fn answer(reply: &ReturnMessage, digest: Option<u64>, cut: Option<Cut>) -> Framed {
     let len = reply.encoded_len();
-    let layout = |c: Cut| parts(len, c.of.into(), pm.max_segment_data);
+    let layout = |c: Cut| parts(len, c.of.into());
     match cut.zip(digest).and_then(|(c, d)| Some((c, d, layout(c)?))) {
-        Some((c, d, l)) => encode(pm, &reply.part(d, l.range(c.index.into()))),
-        None => encode(pm, reply),
+        Some((c, d, l)) => encode(&reply.part(d, l.range(c.index.into()))),
+        None => encode(reply),
     }
 }
 
@@ -191,16 +186,11 @@ impl Assemblies {
     /// The return of an already-answered call, ready and waiting for a
     /// slow member (§4.3.4) — the part `cut` its copy of the call asked
     /// for, if the return was cut — with the span it is attributed to.
-    pub(crate) fn buffered(
-        &self,
-        key: &CallKey,
-        cut: Option<Cut>,
-        pm: &pairedmsg::Config,
-    ) -> Option<(Framed, u64)> {
+    pub(crate) fn buffered(&self, key: &CallKey, cut: Option<Cut>) -> Option<(Framed, u64)> {
         let a = self.answered.get(key)?;
         let slow = a.slow.as_ref()?;
         let reply = match &a.kept {
-            Some((reply, digest)) if a.cut != cut => answer(pm, reply, Some(*digest), cut),
+            Some((reply, digest)) if a.cut != cut => answer(reply, Some(*digest), cut),
             _ => slow.clone(),
         };
         Some((reply, a.span))
@@ -349,9 +339,9 @@ impl Assemblies {
         p.map_or(&[], |p| p.client_members.as_slice())
     }
 
-    /// Closes the assembly for `key`: `send`s `reply`, framed under `pm`,
-    /// to every client member heard from, under the invoke span, and keeps
-    /// it for the rest (§4.3.4). A member whose copy named the server
+    /// Closes the assembly for `key`: `send`s `reply`, framed, to every
+    /// client member heard from, under the invoke span, and keeps it for
+    /// the rest (§4.3.4). A member whose copy named the server
     /// members is sent the part its position there names, if the reply
     /// spans two or more segments; the reply is then kept unframed for a
     /// fetch, and never framed whole unless some copy named no members.
@@ -367,7 +357,6 @@ impl Assemblies {
         &mut self,
         key: &CallKey,
         reply: ReturnMessage,
-        pm: &pairedmsg::Config,
         now: Time,
         mut send: impl FnMut(&[SockAddr], u32, u64, &mut Framed),
     ) {
@@ -378,14 +367,14 @@ impl Assemblies {
         let members = p.client_members.as_slice();
         // Hashed only if some copy is sent a part.
         let len = reply.encoded_len();
-        let cut = |c: Cut| parts(len, c.of.into(), pm.max_segment_data).is_some();
+        let cut = |c: Cut| parts(len, c.of.into()).is_some();
         let mut heard = p.responders.iter().flatten();
         let digest = heard
             .any(|r| r.cut.is_some_and(cut))
             .then(|| reply.digest());
         let (cut, framed) = match p.responders.split_first() {
             Some((&Some(first), rest)) if rest.iter().all(|&r| r == Some(first)) => {
-                let mut framed = answer(pm, &reply, digest, first.cut);
+                let mut framed = answer(&reply, digest, first.cut);
                 send(members, first.cn, span, &mut framed);
                 (first.cut, framed)
             }
@@ -401,7 +390,7 @@ impl Assemblies {
                 for group in heard.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
                     let (cut, cn) = (group[0].0, group[0].1);
                     if framed.as_ref().is_none_or(|f| f.0 != cut) {
-                        framed = Some((cut, answer(pm, &reply, digest, cut)));
+                        framed = Some((cut, answer(&reply, digest, cut)));
                     }
                     let tos: Vec<SockAddr> = group.iter().map(|&(.., to)| to).collect();
                     let (_, answer) = framed.as_mut().expect("framed above");
@@ -529,10 +518,6 @@ pub(crate) mod tests {
         SockAddr::new(HostId(h), 50)
     }
 
-    fn pm() -> pairedmsg::Config {
-        pairedmsg::Config::default()
-    }
-
     /// The copy of troupe 7's call number `seq` that `from` sends.
     pub(crate) fn message(from: SockAddr, seq: u32) -> (Arrival, CallMessage<Payload, Payload>) {
         let (origin, pm_cn) = (host(9), seq);
@@ -601,13 +586,12 @@ pub(crate) mod tests {
             a.close(
                 &key,
                 ReturnMessage::NoSuchProcedure,
-                &pm(),
                 Time::ZERO,
                 |tos, cn, _, _| {
                     sends.push((tos.to_vec(), cn));
                 },
             );
-            (sends, a.buffered(&key, None, &pm()).is_some())
+            (sends, a.buffered(&key, None).is_some())
         };
         let whole = (vec![(troupe.to_vec(), 4)], false);
         assert_eq!(closed(&[(1, 4), (2, 4), (3, 4)]), whole);
@@ -626,7 +610,7 @@ pub(crate) mod tests {
     fn a_return_of_two_segments_or_more_is_sent_in_parts() {
         let troupe: Rc<[SockAddr]> = (1..=3).map(host).collect();
         let big = ReturnMessage::Normal(vec![3; 5000]);
-        let layout = parts(big.encoded_len(), 3, pm().max_segment_data).expect("cut");
+        let layout = parts(big.encoded_len(), 3).expect("cut");
         let part = |index: u16| wire::to_bytes(&big.part(big.digest(), layout.range(index.into())));
         let bytes = |framed: &Framed| framed.parts().flatten().copied().collect::<Vec<u8>>();
         let cut = |index| Some(Cut { index, of: 3 });
@@ -647,21 +631,15 @@ pub(crate) mod tests {
             }
             let key = message(host(1), seq).1.key();
             let mut sent = Vec::new();
-            a.close(
-                &key,
-                reply.clone(),
-                &pm(),
-                Time::ZERO,
-                |tos, _, _, framed| {
-                    sent.push((tos.to_vec(), bytes(framed)));
-                },
-            );
+            a.close(&key, reply.clone(), Time::ZERO, |tos, _, _, framed| {
+                sent.push((tos.to_vec(), bytes(framed)));
+            });
             (key, sent)
         };
         // Member 3 is slow.
         let (key, sent) = call(&mut a, 1, &[1, 2], &big);
         assert_eq!(sent, [(vec![host(1), host(2)], part(1))]);
-        let answer = |a: &Assemblies, cut| bytes(&a.buffered(&key, cut, &pm()).expect("kept").0);
+        let answer = |a: &Assemblies, cut| bytes(&a.buffered(&key, cut).expect("kept").0);
         assert_eq!(answer(&a, cut(1)), part(1));
         assert_eq!(
             answer(&a, cut(2)),
@@ -723,7 +701,6 @@ pub(crate) mod tests {
         a.close(
             &key_one,
             ReturnMessage::NoSuchProcedure,
-            &pm(),
             late,
             |_, _, _, _| {},
         );
@@ -754,7 +731,7 @@ pub(crate) mod tests {
             let mut execute = |a: &mut Assemblies, key: CallKey, suspend: bool| match a.execute(&mut io, key) {
                 Some(Ok(_)) if suspend => a.set_state(&key, PendState::Suspended),
                 Some(Ok(_)) => a.set_state(&key, PendState::AwaitingNested),
-                Some(Err(_)) => a.close(&key, ReturnMessage::NoSuchProcedure, &pm(), late, |_, _, _, _| {}),
+                Some(Err(_)) => a.close(&key, ReturnMessage::NoSuchProcedure, late, |_, _, _, _| {}),
                 None => {}
             };
             for (op, arg) in ops {
@@ -762,7 +739,7 @@ pub(crate) mod tests {
                 let (at, msg) = message(peer, 1 + u32::from(arg) % 3);
                 let key = msg.key();
                 match op {
-                    0 | 1 if a.buffered(&key, None, &pm()).is_none() => {
+                    0 | 1 if a.buffered(&key, None).is_none() => {
                         let was_open = a.is_open(&key);
                         let fresh = |m: &[SockAddr]| (Collation::new(CollationPolicy::Unanimous, m.len()), late);
                         let joined = a.join(&at, msg, None, Members::Troupe(troupe.clone()), fresh);
@@ -779,16 +756,16 @@ pub(crate) mod tests {
                     4 if a.suspended(a.pending.get(&key).map_or(0, |p| p.invocation)).is_some() => {
                         let unheard = a.pending[&key].responders.contains(&None);
                         let mut sent = 0;
-                        a.close(&key, ReturnMessage::NoSuchProcedure, &pm(), late, |tos, _, _, _| sent += tos.len());
+                        a.close(&key, ReturnMessage::NoSuchProcedure, late, |tos, _, _, _| sent += tos.len());
                         prop_assert_eq!(sent < 3, unheard);
-                        prop_assert_eq!(a.buffered(&key, None, &pm()).is_some(), unheard);
+                        prop_assert_eq!(a.buffered(&key, None).is_some(), unheard);
                     }
                     _ => {}
                 }
                 check(&mut a);
             }
             for key in a.keys() {
-                a.close(&key, ReturnMessage::NoSuchProcedure, &pm(), late, |_, _, _, _| {});
+                a.close(&key, ReturnMessage::NoSuchProcedure, late, |_, _, _, _| {});
             }
             prop_assert!(a.pending.is_empty());
             check(&mut a);

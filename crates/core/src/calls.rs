@@ -29,7 +29,7 @@ use crate::numbers::{CallNumbers, StateTransfer};
 use crate::service::CallError;
 use crate::thread::ThreadId;
 use obs::SpanId;
-use pairedmsg::MsgType;
+use pairedmsg::{Config, MsgType};
 use simnet::{Payload, SockAddr, Syscall, Time};
 use wire::{from_bytes, IdSet, VecMap};
 
@@ -111,8 +111,6 @@ struct Layout {
     addrs: Vec<SockAddr>,
     /// How many members were named.
     owners: usize,
-    /// The segment size the parts are cut to.
-    segment: usize,
     /// The call as `fetch_return` names it, and the troupe and module it
     /// went to.
     key: CallKey,
@@ -345,7 +343,7 @@ impl ClientCalls {
         // multicast; a single segment goes out per member unless the
         // configuration multicasts those too.
         let small = config.multicast_small_calls;
-        let shareable = conns.shareable(msg.encoded_len(), small);
+        let shareable = Conns::shareable(msg.encoded_len(), small);
         let transfer = matches!(proc, GET_STATE | GET_STATE_SINCE);
         let unanimous = matches!(call.collation, CollationPolicy::Unanimous);
         let mut collation = Collation::new(call.collation, troupe.members.len());
@@ -368,17 +366,17 @@ impl ClientCalls {
         let named = unanimous
             && !transfer
             && blast.len() > 1
-            && config.pm.segments_of(msg.encoded_len()) > 1;
+            && Config::DEFAULT.segments_of(msg.encoded_len()) > 1;
         if named {
             msg.members = &blast[..];
-            if !conns.shareable(msg.encoded_len(), small) {
+            if !Conns::shareable(msg.encoded_len(), small) {
                 msg.members = &[];
             }
         }
         let named = !msg.members.is_empty();
         // Encode the call message once, as its datagrams; every member's
         // sender (and every retransmission) shares this buffer.
-        let mut bytes = encode(&config.pm, &msg);
+        let mut bytes = encode(&msg);
         // A blast must reach every member under the same number: the
         // largest any of them is due.
         let shared = (blast.len() > 1).then(|| {
@@ -391,7 +389,6 @@ impl ClientCalls {
             let layout = Layout {
                 owners: blast.len(),
                 addrs: blast,
-                segment: config.pm.max_segment_data,
                 key,
                 troupe: troupe.id,
                 module,
@@ -457,7 +454,7 @@ impl ClientCalls {
         let call = self.outstanding.get(&handle)?;
         let result = call.purpose.as_ref().and_then(|_| {
             let decision = match self.layouts.get(&handle) {
-                Some(l) => call.collation.decide_parts(l.owners, l.segment),
+                Some(l) => call.collation.decide_parts(l.owners),
                 None => PartsDecision::Decided(call.collation.decide()),
             };
             match decision {

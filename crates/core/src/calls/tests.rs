@@ -42,7 +42,7 @@ impl Rig {
     fn new(config: NodeConfig) -> Rig {
         Rig {
             calls: ClientCalls::default(),
-            conns: Conns::new(ME, config.pm.clone()),
+            conns: Conns::new(ME),
             config,
             io: MockIo::default(),
             threads: ThreadIdGen::new(ME),
@@ -74,21 +74,11 @@ fn rig() -> Rig {
 /// Arguments whose call message is cut into `k` default segments
 /// (the call header fits the slack `k - 1` full segments leave).
 fn args_of(k: usize) -> Vec<u8> {
-    vec![7; (k - 1) * pairedmsg::Config::default().max_segment_data + 1]
+    vec![7; (k - 1) * pairedmsg::Config::DEFAULT.max_segment_data + 1]
 }
 
 fn addrs_of(troupe: &Troupe) -> Vec<SockAddr> {
     troupe.members.iter().map(|m| m.addr).collect()
-}
-
-/// A paired-message configuration no endpoint would accept fails when
-/// the connection table is built, before any peer is contacted.
-#[test]
-#[should_panic(expected = "shorter than the crash horizon")]
-fn a_replay_ttl_short_of_the_crash_horizon_fails_at_build() {
-    let mut config = NodeConfig::default();
-    config.pm.replay_ttl = config.pm.crash_horizon() - simnet::Duration::from_micros(1);
-    Rig::new(config);
 }
 
 /// The data plane is read off the call: one segment goes out per
@@ -130,10 +120,9 @@ fn call_data_plane_is_chosen_by_segment_count() {
     assert_eq!(r.calls.route.len(), 1 + 3 + 3);
 }
 
-/// A single live target is not worth a multicast, and the PARC
-/// discipline has no blast to share: both stay per member.
+/// A single live target is not worth a multicast: it stays per member.
 #[test]
-fn one_live_member_or_parc_mode_keeps_bulk_calls_unicast() {
+fn one_live_member_keeps_bulk_calls_unicast() {
     let troupe = troupe_of(3);
     let mut r = rig();
     r.dead = addrs_of(&troupe)[1..].to_vec();
@@ -141,18 +130,6 @@ fn one_live_member_or_parc_mode_keeps_bulk_calls_unicast() {
     assert!(r.io.mcasts.is_empty());
     let dests: Vec<SockAddr> = r.io.sent.iter().map(|(to, _)| *to).collect();
     assert_eq!(dests, vec![troupe.members[0].addr; 2], "both segments");
-
-    let mut r = Rig::new(NodeConfig {
-        pm: pairedmsg::Config::parc(),
-        ..NodeConfig::default()
-    });
-    r.unanimous(&troupe, args_of(3));
-    assert!(r.io.mcasts.is_empty());
-    assert_eq!(r.io.sent.len(), 3, "stop-and-wait: one segment each");
-    for (_, bytes) in &r.io.sent {
-        let h = header(bytes);
-        assert!(h.number == 1 && h.please_ack);
-    }
 }
 
 /// A call too long for any sender is nobody's to share: it fails
@@ -286,8 +263,7 @@ fn route_of(r: &Rig, handle: u64, i: usize) -> (SockAddr, u32) {
 fn cut(results: &[u8]) -> (Payload, Vec<Payload>) {
     let reply = ReturnMessage::Normal(results.to_vec());
     let whole = wire::to_bytes(&reply);
-    let segment = pairedmsg::Config::default().max_segment_data;
-    let layout = crate::message::parts(whole.len(), 3, segment).expect("cut");
+    let layout = crate::message::parts(whole.len(), 3).expect("cut");
     let part = |i| wire::to_bytes(&reply.part(reply.digest(), layout.range(i))).into();
     (whole.into(), (0..3).map(part).collect())
 }

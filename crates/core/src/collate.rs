@@ -217,15 +217,14 @@ impl Collation {
     }
 
     /// A unanimous collation of a call whose return `owners` members cut
-    /// into parts, each framed in `segment`-byte segments, all admitted in
-    /// member order: its votes are parts, or whole returns (one segment's,
-    /// or one fetched in a dead owner's place). It decides once no member
-    /// is still to answer. Whole votes must agree, and every part's digest
+    /// into parts, all admitted in member order: its votes are parts, or
+    /// whole returns (one segment's, or one fetched in a dead owner's
+    /// place). It decides once no member is still to answer. Whole votes must agree, and every part's digest
     /// must be the digest of the return: of the whole vote where there is
     /// one, else of the parts joined, once every owner's is in and they
     /// are cut as [`parts`] cuts a return of their length. The return is
     /// hashed once, read out of the parts once.
-    pub(crate) fn decide_parts(&self, owners: usize, segment: usize) -> PartsDecision {
+    pub(crate) fn decide_parts(&self, owners: usize) -> PartsDecision {
         let disagree = PartsDecision::Decided(Decision::Fail(CollateError::Disagreement));
         if self.is_pending() {
             return PartsDecision::Decided(Decision::Wait);
@@ -246,7 +245,7 @@ impl Collation {
             }
             None => {
                 let len = bytes.clone().map(<[u8]>::len).sum();
-                let Some(layout) = parts(len, owners, segment) else {
+                let Some(layout) = parts(len, owners) else {
                     return PartsDecision::Garbled;
                 };
                 let ranges = (0..owners).map(|i| layout.range(i).len());
@@ -629,14 +628,12 @@ mod tests {
         assert_eq!(c.decide(), Decision::Fail(CollateError::AllDead));
     }
 
-    const SEGMENT: usize = 1484;
-
     /// A normal return of `results`, whole, and the parts of it its
     /// `owners` members send.
     fn cut(results: &[u8], owners: usize) -> (Payload, Vec<Payload>) {
         let reply = crate::ReturnMessage::Normal(results.to_vec());
         let whole = wire::to_bytes(&reply);
-        let layout = parts(whole.len(), owners, SEGMENT).expect("two segments or more");
+        let layout = parts(whole.len(), owners).expect("two segments or more");
         let part = |i| wire::to_bytes(&reply.part(reply.digest(), layout.range(i))).into();
         (whole.into(), (0..owners).map(part).collect())
     }
@@ -650,14 +647,11 @@ mod tests {
         for order in [[0, 1, 2], [1, 2, 0], [2, 0, 1]] {
             let mut c = Collation::new(CollationPolicy::Unanimous, 3);
             for i in order {
-                assert_eq!(
-                    c.decide_parts(3, SEGMENT),
-                    PartsDecision::Decided(Decision::Wait)
-                );
+                assert_eq!(c.decide_parts(3), PartsDecision::Decided(Decision::Wait));
                 c.add_vote(i, sent[i].clone());
             }
             assert_eq!(
-                c.decide_parts(3, SEGMENT),
+                c.decide_parts(3),
                 PartsDecision::Joined(Ok(results.clone()))
             );
         }
@@ -697,7 +691,7 @@ mod tests {
             for (i, vote) in votes.into_iter().enumerate() {
                 c.add_vote(i, vote);
             }
-            assert_eq!(c.decide_parts(3, SEGMENT), verdict);
+            assert_eq!(c.decide_parts(3), verdict);
         }
     }
 
@@ -719,20 +713,17 @@ mod tests {
             c.mark_dead(1);
             assert!(c.wants_whole(3) && c.is_pending());
             c.add_vote(3, sent[2].clone());
-            assert_eq!(
-                c.decide_parts(3, SEGMENT),
-                PartsDecision::Decided(Decision::Wait)
-            );
+            assert_eq!(c.decide_parts(3), PartsDecision::Decided(Decision::Wait));
             c.add_fetched(fetched);
             assert!(!c.wants_whole(3));
-            assert_eq!(c.decide_parts(3, SEGMENT), PartsDecision::Decided(verdict));
+            assert_eq!(c.decide_parts(3), PartsDecision::Decided(verdict));
         }
         // Whole votes alone are collated as they always were.
         let mut c = Collation::new(CollationPolicy::Unanimous, 2);
         c.add_vote(0, whole.clone());
         c.add_vote(1, whole.clone());
         assert_eq!(
-            c.decide_parts(2, SEGMENT),
+            c.decide_parts(2),
             PartsDecision::Decided(Decision::Ready(whole))
         );
     }

@@ -6,7 +6,7 @@ use crate::census;
 use crate::counts::RpcCounts;
 use crate::message::ReturnMessage;
 use crate::netio::{make_tag, NetIo, TAG_CONN};
-use pairedmsg::{Endpoint, Event, Framed, MsgSender, MsgType, ProtocolMode, MAX_SEGMENTS};
+use pairedmsg::{Config, Endpoint, Event, Framed, MsgSender, MsgType, MAX_SEGMENTS};
 use simnet::{SockAddr, Syscall, Time};
 use wire::VecMap;
 
@@ -19,7 +19,6 @@ const PEERS: usize = 8;
 /// Every connection of one node, made on first use.
 pub(crate) struct Conns {
     me: SockAddr,
-    pm: pairedmsg::Config,
     /// Ordered: `flush` walks it, and the order of its `sendmsg`s is
     /// part of the trace.
     table: VecMap<SockAddr, Endpoint>,
@@ -33,13 +32,9 @@ pub(crate) struct Conns {
 }
 
 impl Conns {
-    /// Panics on a `pm` no endpoint would accept, rather than at the first
-    /// datagram to or from a peer.
-    pub(crate) fn new(me: SockAddr, pm: pairedmsg::Config) -> Conns {
-        pm.validate();
+    pub(crate) fn new(me: SockAddr) -> Conns {
         Conns {
             me,
-            pm,
             table: VecMap::new(),
             armed: None,
             arm_gen: 0,
@@ -65,7 +60,7 @@ impl Conns {
 
     /// The endpoint for `addr`, connecting first if need be.
     pub(crate) fn endpoint(&mut self, addr: SockAddr) -> &mut Endpoint {
-        let (me, pm, counts) = (self.me, &self.pm, &self.counts.pm);
+        let (me, counts) = (self.me, &self.counts.pm);
         if self.table.is_empty() {
             self.table.reserve(PEERS);
         }
@@ -73,12 +68,15 @@ impl Conns {
             // Derive a per-connection jitter seed from the endpoint pair
             // so retransmissions of different connections decorrelate
             // deterministically under a fixed simulation seed.
-            let mut pm = pm.clone();
             let h = obs::fnv1a(&me.host.0.to_le_bytes());
             let h = obs::fnv1a_fold(h, &me.port.to_le_bytes());
             let h = obs::fnv1a_fold(h, &addr.host.0.to_le_bytes());
-            pm.jitter_seed ^= obs::fnv1a_fold(h, &addr.port.to_le_bytes());
-            Endpoint::counting(pm, counts.clone())
+            let jitter_seed = obs::fnv1a_fold(h, &addr.port.to_le_bytes());
+            let config = Config {
+                jitter_seed,
+                ..Config::DEFAULT
+            };
+            Endpoint::counting(config, counts.clone())
         })
     }
 
@@ -109,14 +107,13 @@ impl Conns {
     }
 
     /// Whether a message of `len` bytes to two or more peers goes out
-    /// once, by multicast (§4.3.3): two or more segments under the eager
-    /// discipline (PARC's stop-and-wait has no blast to share), and one
-    /// segment if `small` says so. An oversize message is nobody's to
-    /// share: it fails per peer.
-    pub(crate) fn shareable(&self, len: usize, small: bool) -> bool {
-        match self.pm.segments_of(len) {
+    /// once, by multicast (§4.3.3): two or more segments, and one segment
+    /// if `small` says so. An oversize message is nobody's to share: it
+    /// fails per peer.
+    pub(crate) fn shareable(len: usize, small: bool) -> bool {
+        match Config::DEFAULT.segments_of(len) {
             1 => small,
-            2..=MAX_SEGMENTS => self.pm.mode == ProtocolMode::Circus,
+            2..=MAX_SEGMENTS => true,
             _ => false,
         }
     }
@@ -143,7 +140,8 @@ impl Conns {
     ) {
         // Cut off to the side: the peers' own senders differ from this
         // one in their jitter seeds only.
-        let mut cut = MsgSender::new(io.now(), &self.pm, msg_type, cn, span, std::mem::take(msg))
+        let data = std::mem::take(msg);
+        let mut cut = MsgSender::new(io.now(), &Config::DEFAULT, msg_type, cn, span, data)
             .expect("the caller counted the segments");
         match msg_type {
             MsgType::Call => self.counts.mcast_calls.inc(),
@@ -179,7 +177,7 @@ impl Conns {
         span: u64,
         reply: &mut Framed,
     ) {
-        if tos.len() > 1 && self.shareable(reply.len(), true) {
+        if tos.len() > 1 && Conns::shareable(reply.len(), true) {
             return self.blast(io, MsgType::Return, cn, span, reply, tos);
         }
         for &to in tos {
@@ -291,10 +289,7 @@ mod tests {
     /// at the same address.
     #[test]
     fn a_firing_ticks_exactly_the_due_connections() {
-        let (mut conns, mut io) = (
-            Conns::new(ME, pairedmsg::Config::default()),
-            MockIo::default(),
-        );
+        let (mut conns, mut io) = (Conns::new(ME), MockIo::default());
         let [a, b, c] = [7, 8, 9].map(|h| SockAddr::new(HostId(h), 70));
         call(&mut conns, &mut io, a, ms(0));
         let first = armed(&conns, &io);

@@ -16,17 +16,16 @@ use std::ops::Range;
 
 use crate::addr::TroupeId;
 use crate::thread::ThreadId;
-use pairedmsg::Framed;
+use pairedmsg::{Config, Framed};
 use simnet::{HostId, Payload, SockAddr};
 use wire::{Externalize, Internalize, Reader, WireError, Writer};
 
 /// Externalizes a message into its one allocation, laid out as its
-/// datagrams under the node's paired-message configuration `pm`
-/// (`pairedmsg::Config::frame`): the buffer every sender, retransmission
-/// and buffered copy of it then shares, and every first transmission of
-/// it is a window of.
-pub(crate) fn encode(pm: &pairedmsg::Config, msg: &impl Externalize) -> Framed {
-    wire::encode_with(msg, |bytes| pm.frame(bytes))
+/// datagrams (`pairedmsg::Config::frame`): the buffer every sender,
+/// retransmission and buffered copy of it then shares, and every first
+/// transmission of it is a window of.
+pub(crate) fn encode(msg: &impl Externalize) -> Framed {
+    wire::encode_with(msg, |bytes| Config::DEFAULT.frame(bytes))
 }
 
 /// Groups the call messages of one replicated call: "two or more call
@@ -236,20 +235,21 @@ pub(crate) struct Cut {
 const PART_HEAD: usize = 2 + 8 + 4;
 
 /// Where a return of `len` encoded bytes is cut among the `owners`
-/// members a call named, each part framed in `segment`-byte segments:
+/// members a call named, each part framed in paired-message segments:
 /// members `1..owners` carry one segment's worth each of its tail, and
 /// member 0 carries the rest, its head. A tail part is as long as fills
 /// one segment, and the return's end is cut into as many of them as
 /// leave the head a byte, at most one a member; a member past those
 /// carries none (its part is the digest alone). `None` where the return
-/// is sent whole: it fits one segment, fewer than two members were
-/// named, or a segment has no room for a part's bytes.
+/// is sent whole: it fits one segment, or fewer than two members were
+/// named.
 ///
 /// Members and clients alike cut here, and nowhere else.
-pub(crate) fn parts(len: usize, owners: usize, segment: usize) -> Option<Parts> {
+pub(crate) fn parts(len: usize, owners: usize) -> Option<Parts> {
+    let segment = Config::DEFAULT.max_segment_data;
     // Even, so that a full tail part needs no pad byte to fill its segment.
-    let tail = segment.saturating_sub(PART_HEAD) & !1;
-    if owners < 2 || tail == 0 || len <= segment {
+    let tail = (segment - PART_HEAD) & !1;
+    if owners < 2 || len <= segment {
         return None;
     }
     let carried = (owners - 1).min((len - 1) / tail);
@@ -709,14 +709,13 @@ mod tests {
         fn parts_tile_the_return(
             results in 0usize..9000,
             owners in 1usize..6,
-            segment in 1usize..1600,
         ) {
+            let segment = Config::DEFAULT.max_segment_data;
             let reply = ReturnMessage::Normal((0..results).map(|i| (i * 7) as u8).collect());
             let (whole, hash) = (to_bytes(&reply), reply.digest());
             let len = whole.len();
-            let Some(layout) = parts(len, owners, segment) else {
-                let tail = segment.saturating_sub(PART_HEAD);
-                proptest::prop_assert!(len <= segment || owners < 2 || tail < 2);
+            let Some(layout) = parts(len, owners) else {
+                proptest::prop_assert!(len <= segment || owners < 2);
                 return Ok(());
             };
             let ranges: Vec<_> = (0..owners).map(|i| layout.range(i)).collect();

@@ -72,9 +72,6 @@ pub enum AppEvent {
 /// Node configuration.
 #[derive(Clone, Debug)]
 pub struct NodeConfig {
-    /// Paired message protocol parameters; building a node with one that
-    /// fails [`pairedmsg::Config::validate`] panics.
-    pub pm: pairedmsg::Config,
     /// How long a server waits for the remaining call messages of a
     /// many-to-one call before treating silent client members as dead.
     pub assembly_timeout: Duration,
@@ -96,7 +93,6 @@ pub struct NodeConfig {
 impl Default for NodeConfig {
     fn default() -> NodeConfig {
         NodeConfig {
-            pm: pairedmsg::Config::default(),
             assembly_timeout: Duration::from_secs(10),
             multicast_small_calls: false,
         }
@@ -170,7 +166,7 @@ impl Node {
             me,
             my_troupe: Troupe::new(TroupeId::UNREGISTERED, Vec::new()),
             threads: ThreadIdGen::new(me),
-            conns: Conns::new(me, config.pm.clone()),
+            conns: Conns::new(me),
             services: BTreeMap::new(),
             calls: ClientCalls::default(),
             assemblies: Assemblies::default(),
@@ -516,7 +512,7 @@ impl Node {
         // genuinely crashed member cannot make later calls re-suffer the
         // retransmission schedule, short enough that a member wrongly
         // suspected across a partition is re-admitted once quiet.
-        let ttl = self.config.pm.crash_horizon().saturating_mul(2);
+        let ttl = pairedmsg::Config::DEFAULT.crash_horizon().saturating_mul(2);
         self.directory.mark_dead(addr, io.now() + ttl);
         // Report the suspected crash to the binding agent (§3.5.1, §6.4)
         // so repair can start in-system: the agent probes the suspect

@@ -52,7 +52,7 @@ impl Node {
         let mine = self.my_troupe.id;
         if msg.server_troupe != mine && msg.server_troupe != TroupeId::UNREGISTERED {
             io.metrics().add("adv.rejected", 1);
-            let reply = encode(&self.config.pm, &ReturnMessage::WrongTroupe(mine));
+            let reply = encode(&ReturnMessage::WrongTroupe(mine));
             return self.reply(io, &at, reply);
         }
 
@@ -63,12 +63,12 @@ impl Node {
         // A slow member of an already-answered call: its return message
         // is ready and waiting (§4.3.4).
         let cut = msg.cut_of(self.me);
-        if let Some((reply, span)) = self.assemblies.buffered(&msg.key(), cut, &self.config.pm) {
+        if let Some((reply, span)) = self.assemblies.buffered(&msg.key(), cut) {
             return self.reply(io, &Arrival { span, ..at }, reply);
         }
 
         if !self.services.contains_key(&msg.module) && msg.proc < reserved_procs::RESERVED_BASE {
-            let reply = encode(&self.config.pm, &ReturnMessage::NoSuchProcedure);
+            let reply = encode(&ReturnMessage::NoSuchProcedure);
             return self.reply(io, &at, reply);
         }
 
@@ -98,7 +98,7 @@ impl Node {
             Some(whole) => ReturnMessage::Normal(wire::to_bytes(whole)),
             None => ReturnMessage::Error("fetch_return: no return kept for the call".into()),
         };
-        let reply = encode(&self.config.pm, &reply);
+        let reply = encode(&reply);
         self.reply(io, at, reply);
     }
 
@@ -147,7 +147,7 @@ impl Node {
                 // lookup through the binding agent).
                 let why = "caller is not a member of the calling troupe";
                 self.directory.forget(key.client_troupe);
-                let reply = encode(&self.config.pm, &ReturnMessage::Error(why.into()));
+                let reply = encode(&ReturnMessage::Error(why.into()));
                 return self.reply(io, &at, reply);
             }
         }
@@ -348,11 +348,11 @@ impl Node {
             return;
         }
         io.charge(Syscall::Compute); // Externalize reply.
-        let (now, conns, pm) = (io.now(), &mut self.conns, &self.config.pm);
+        let (now, conns) = (io.now(), &mut self.conns);
         let send = |tos: &[SockAddr], cn, span, reply: &mut Framed| {
             conns.send_return(io, tos, cn, span, reply);
         };
-        self.assemblies.close(&key, reply, pm, now, send);
+        self.assemblies.close(&key, reply, now, send);
     }
 
     /// Makes an administrative call to the binding agent troupe. Solo:
@@ -418,7 +418,7 @@ impl Node {
     }
 
     fn fail_parked(&mut self, io: &mut dyn NetIo, troupe: TroupeId, why: &str) {
-        let reply = encode(&self.config.pm, &ReturnMessage::Error(why.to_string()));
+        let reply = encode(&ReturnMessage::Error(why.to_string()));
         for pk in self.directory.answer(troupe, None) {
             self.reply(io, &pk.at, reply.clone());
         }

@@ -96,7 +96,7 @@ impl Service for CountingService {
                 self.seen_threads.push(ctx.thread);
                 Step::Reply(args.to_vec())
             }
-            PROC_BLOAT => Step::Reply(vec![0; NodeConfig::default().pm.max_message_len() + 1]),
+            PROC_BLOAT => Step::Reply(vec![0; pairedmsg::Config::DEFAULT.max_message_len() + 1]),
             _ => Step::Error("unknown procedure".into()),
         }
     }

@@ -1174,7 +1174,7 @@ fn reply_too_long_to_send_is_an_error_not_silence() {
     // One round trip of single-segment messages at n = 3 is ~50 ms.
     w.run(simnet::Until::Elapsed(Duration::from_millis(100)));
     let results = results(&w, client);
-    let limit = NodeConfig::default().pm.max_message_len().to_string();
+    let limit = pairedmsg::Config::DEFAULT.max_message_len().to_string();
     assert!(
         matches!(&results[..], [Err(CallError::Remote(why))] if why.contains(&limit)),
         "expected an error naming the {limit}-byte limit, got {results:?}"

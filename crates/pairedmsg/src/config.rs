@@ -43,13 +43,14 @@ const _: () = assert!(BACKOFF_MULTIPLIER >= 1);
 
 /// The retransmission interval after `retries` unacknowledged
 /// retransmissions: `base × multiplier^retries`, capped.
-pub(crate) fn backed_off_interval(retries: u32) -> Duration {
-    let mut us = RETRANSMIT_INTERVAL.as_micros();
-    for _ in 0..retries {
+pub(crate) const fn backed_off_interval(retries: u32) -> Duration {
+    let (mut us, mut i) = (RETRANSMIT_INTERVAL.as_micros(), 0);
+    while i < retries {
         us = us.saturating_mul(BACKOFF_MULTIPLIER);
         if us >= RETRANSMIT_CAP.as_micros() {
             return RETRANSMIT_CAP;
         }
+        i += 1;
     }
     Duration::from_micros(us)
 }
@@ -60,8 +61,9 @@ pub(crate) fn backed_off_interval(retries: u32) -> Duration {
 /// (§4.2.3 discusses the timeout trade-off qualitatively). The ones no
 /// experiment or test varies are the constants above; they and the
 /// defaults here are scaled to the 1985 testbed, where a round trip took
-/// tens of milliseconds.
-#[derive(Clone, Debug)]
+/// tens of milliseconds. A node runs [`Config::DEFAULT`]; the ablations
+/// and this crate's tests build others by hand.
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Config {
     /// Maximum payload bytes per segment. Header plus payload must fit
     /// the network MTU (§4.2.4): the simulated LAN drops a larger
@@ -103,30 +105,38 @@ const _: () = assert!(
     "segment header and Ethernet MTU changed apart: revisit the default segment size"
 );
 
+// The configuration every node runs holds its held returns long enough:
+// `validate`, at build time.
+const _: () = assert!(
+    Config::DEFAULT.replay_ttl.as_micros() >= Config::DEFAULT.crash_horizon().as_micros(),
+    "the default replay_ttl is shorter than the default crash horizon"
+);
+
 impl Default for Config {
     fn default() -> Config {
-        Config {
-            max_segment_data: MTU_SEGMENT_DATA,
-            max_retransmits: 4,
-            jitter_permille: 100,
-            jitter_seed: 0,
-            replay_ttl: Duration::from_secs(60),
-            mode: ProtocolMode::Circus,
-        }
+        Config::DEFAULT
     }
 }
 
 impl Config {
+    /// The Circus configuration of §4.2, the one every node runs.
+    pub const DEFAULT: Config = Config {
+        max_segment_data: MTU_SEGMENT_DATA,
+        max_retransmits: 4,
+        jitter_permille: 100,
+        jitter_seed: 0,
+        replay_ttl: Duration::from_secs(60),
+        mode: ProtocolMode::Circus,
+    };
+
     /// The PARC-style stop-and-wait configuration of §4.2.5.
     pub fn parc() -> Config {
         Config {
             mode: ProtocolMode::Parc,
-            ..Config::default()
+            ..Config::DEFAULT
         }
     }
-}
 
-impl Config {
     /// Largest message this configuration can carry.
     pub fn max_message_len(&self) -> usize {
         self.max_segment_data * MAX_SEGMENTS
@@ -151,10 +161,15 @@ impl Config {
     /// permitted retransmission plus the final wait that ends in giving
     /// up. With the defaults this is 0.3 + 0.6 + 1.2 + 1.2 + 1.2 = 4.5 s.
     /// A sender never gives up sooner, whatever its jitter.
-    pub fn crash_horizon(&self) -> Duration {
-        let total = (0..=self.max_retransmits).fold(0u64, |total, retries| {
-            total.saturating_add(backed_off_interval(retries).as_micros())
-        });
+    pub const fn crash_horizon(&self) -> Duration {
+        let (mut total, mut retries) = (0u64, 0);
+        loop {
+            total = total.saturating_add(backed_off_interval(retries).as_micros());
+            if retries == self.max_retransmits {
+                break;
+            }
+            retries += 1;
+        }
         Duration::from_micros(total)
     }
 
@@ -182,6 +197,14 @@ mod tests {
         // A full segment is one Ethernet frame, header included.
         assert_eq!(c.max_segment_data + HEADER_LEN, ETHERNET_MTU);
         assert_eq!(c.max_message_len(), MAX_SEGMENTS * c.max_segment_data);
+    }
+
+    #[test]
+    fn default_is_the_constant_and_valid() {
+        let (default, constant) = (Config::default(), Config::DEFAULT);
+        assert_eq!(default, constant);
+        default.validate();
+        constant.validate();
     }
 
     #[test]

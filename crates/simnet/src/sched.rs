@@ -1,15 +1,31 @@
 //! The event queue behind [`World`](crate::World): a binary heap on
-//! `(at, seq)`.
+//! `(at, seq)`, the one queue every event of a world passes through —
+//! datagram arrival, timer, poke, injector tick.
 //!
 //! `at` is an absolute microsecond timestamp and `seq` the world's
 //! monotone insertion sequence, so events pop in time order and events of
 //! one microsecond pop in the order they were queued. That total order is
 //! the simulator's determinism contract: same seed, same event order, same
-//! trace. An event may be queued at any time not earlier than the last
-//! pop — before a time [`EventQueue::next_at`] has only peeked at, too (a
-//! driver that stopped short of the next event may queue one "now") —
-//! and queueing one earlier panics, because it would run the simulated
-//! clock backwards.
+//! trace (`tests/golden/chaos_hashes.txt` pins it). An event may be
+//! queued at any time not earlier than the last pop — before a time
+//! [`EventQueue::next_at`] has only peeked at, too (a driver that stopped
+//! short of the next event may queue one "now") — and queueing one
+//! earlier panics: it would run the simulated clock backwards, so the bug
+//! stops where it starts.
+//!
+//! No timer is cancelled. Its owner knows a stale one where it fires (a
+//! node timer's generation, a closed assembly, a replaced process's
+//! epoch), so the queue needs no removal and no handle on a queued event.
+//!
+//! The heap keeps its buffer, so once a run has reached its high-water
+//! mark of queued events the queue allocates nothing
+//! (`tests/alloc_budget.rs` holds the steady state to that). Its host cost
+//! is the benchmark's `simnet.wheel_ns_per_timer`, named for the
+//! hierarchical timer wheel this heap replaced at identical hashes; the
+//! [`TimerWheel`] alias is that wheel's name. Callers see typed timers
+//! (`circus`'s `TimerKey::new(k)` and `Node::set_app_timer`) and one run
+//! loop, `World::run(Until::{Time, Elapsed, Idle, Pred})`, over
+//! `World::step()`.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;

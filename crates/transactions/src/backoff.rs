@@ -6,45 +6,24 @@
 
 use simnet::{Duration, SimRng};
 
-/// Retry-delay generator.
-#[derive(Clone, Debug)]
+/// The first retry's window, suited to the 1985 testbed's ~50 ms calls.
+const BASE: Duration = Duration::from_millis(100);
+/// The widest window.
+const CAP: Duration = Duration::from_secs(10);
+
+/// Retry-delay generator: delays are uniform in `[0, BASE·2^attempt)`,
+/// windows capped at `CAP`.
+#[derive(Clone, Debug, Default)]
 pub struct Backoff {
-    base: Duration,
-    cap: Duration,
     attempt: u32,
 }
 
 impl Backoff {
-    /// Delays are uniform in `[0, base·2^attempt)`, windows capped at
-    /// `cap`.
-    pub fn new(base: Duration, cap: Duration) -> Backoff {
-        Backoff {
-            base,
-            cap,
-            attempt: 0,
-        }
-    }
-
-    /// A backoff suited to the 1985 testbed's ~50 ms calls.
-    pub fn default_1985() -> Backoff {
-        Backoff::new(Duration::from_millis(100), Duration::from_secs(10))
-    }
-
-    /// Number of retries so far.
-    pub fn attempts(&self) -> u32 {
-        self.attempt
-    }
-
     /// Samples the next delay and doubles the window.
     pub fn next_delay(&mut self, rng: &mut SimRng) -> Duration {
         let exp = self.attempt.min(20);
         self.attempt += 1;
-        let window = self
-            .base
-            .saturating_mul(1u64 << exp)
-            .min(self.cap)
-            .as_micros()
-            .max(1);
+        let window = BASE.saturating_mul(1u64 << exp).min(CAP).as_micros().max(1);
         Duration::from_micros(rng.below(window))
     }
 
@@ -64,8 +43,7 @@ mod tests {
         let max_at_attempt = |attempt: u32| -> Duration {
             let mut max = Duration::ZERO;
             for seed in 0..300 {
-                let mut b = Backoff::new(Duration::from_millis(10), Duration::from_secs(100));
-                b.attempt = attempt;
+                let mut b = Backoff { attempt };
                 let mut r = SimRng::new(seed);
                 max = max.max(b.next_delay(&mut r));
             }
@@ -80,31 +58,33 @@ mod tests {
 
     #[test]
     fn delays_within_window() {
-        let mut b = Backoff::new(Duration::from_millis(10), Duration::from_secs(100));
+        let mut b = Backoff::default();
         let mut rng = SimRng::new(2);
         let d = b.next_delay(&mut rng);
-        assert!(d < Duration::from_millis(10));
+        assert!(d < BASE);
         let d = b.next_delay(&mut rng);
-        assert!(d < Duration::from_millis(20));
+        assert!(d < BASE.saturating_mul(2));
     }
 
     #[test]
     fn cap_limits_window() {
-        let mut b = Backoff::new(Duration::from_millis(10), Duration::from_millis(15));
+        // From the eighth retry on, BASE·2^attempt passes the cap.
+        let mut b = Backoff::default();
         let mut rng = SimRng::new(3);
         for _ in 0..30 {
-            assert!(b.next_delay(&mut rng) < Duration::from_millis(15));
+            assert!(b.next_delay(&mut rng) < CAP);
         }
+        assert!(BASE.saturating_mul(1 << 7) > CAP);
     }
 
     #[test]
     fn reset_restarts() {
-        let mut b = Backoff::new(Duration::from_millis(10), Duration::from_secs(1));
+        let mut b = Backoff::default();
         let mut rng = SimRng::new(4);
         b.next_delay(&mut rng);
         b.next_delay(&mut rng);
-        assert_eq!(b.attempts(), 2);
+        assert_eq!(b.attempt, 2);
         b.reset();
-        assert_eq!(b.attempts(), 0);
+        assert_eq!(b.attempt, 0);
     }
 }

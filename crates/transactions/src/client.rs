@@ -111,7 +111,7 @@ impl<P: Protocol> Script<P> {
             items,
             next: 0,
             started: false,
-            backoff: Backoff::default_1985(),
+            backoff: Backoff::default(),
             retries_left: P::RETRIES,
             errors: Vec::new(),
             proto,

@@ -53,8 +53,6 @@ use wire::{encode_with, from_bytes, to_bytes};
 
 /// Procedure number of `execute_transaction` at the store troupe.
 pub const PROC_EXECUTE: u16 = 0;
-/// Procedure number of `read_committed` (no transaction machinery).
-pub const PROC_PEEK: u16 = 1;
 /// Procedure number of `txn_outcome(thread, nonce)` at the store troupe,
 /// asked by a member in doubt: `Some(committed)` if this member knows the
 /// verdict, `None` if not.
@@ -440,14 +438,6 @@ impl Service for TroupeStoreService {
                     return Step::Error("bad txn_outcome arguments".into());
                 };
                 Step::Reply(to_bytes(&self.outcome(thread, nonce)))
-            }
-            PROC_PEEK => {
-                let Ok(obj) = from_bytes::<u64>(args) else {
-                    return Step::Error("bad read_committed arguments".into());
-                };
-                Step::Reply(to_bytes(
-                    &self.tm.store().read_committed(crate::store::ObjId(obj)),
-                ))
             }
             _ => Step::Error(format!("transactional store: unknown procedure {proc}")),
         }

@@ -66,7 +66,7 @@ pub use client::{
 };
 pub use commit::{
     CommitVoterService, ExecuteRequest, RecoveryInfo, TroupeStoreService, TxnOutcome, PROC_EXECUTE,
-    PROC_PEEK, PROC_READY_TO_COMMIT,
+    PROC_READY_TO_COMMIT,
 };
 pub use commute::{CmOp, CmRequest, CommutativeService, PROC_CM_EXECUTE};
 pub use ledger::Ledger;

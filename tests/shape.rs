@@ -164,7 +164,7 @@ static RULES: &[Rule] = &[
             &[
                 File("crates/core/src/message.rs"),
                 Text("crates/core/src/conn.rs", "let h = obs::fnv1a"),
-                Text("crates/core/src/conn.rs", "jitter_seed ^= obs::fnv1a_fold"),
+                Text("crates/core/src/conn.rs", "let jitter_seed = obs::fnv1a_fold"),
             ],
         ),
         fix: "the member that sends a digest and the client that checks it must hash alike: \
@@ -188,15 +188,10 @@ static RULES: &[Rule] = &[
                 InFn("crates/core/src/message.rs", "parts"),
                 InFn("crates/core/src/message.rs", "parts_tile_the_return"),
                 File("crates/core/src/calls/tests.rs"),
-                Text("crates/core/src/assembly.rs", "parts(…max_segment_data)"),
-                Text(
-                    "crates/core/src/calls.rs",
-                    "segment: config.pm.max_segment_data,",
-                ),
             ],
         ),
-        fix: "a member cuts its part and a client joins the parts by one layout: hand the \
-              segment size to message::parts, never compute with it",
+        fix: "a member cuts its part and a client joins the parts by one layout: cut with \
+              message::parts, the one reader of the segment size, never compute with it",
         plants: &[
             "crates/core/src/serve.rs:        let cut = segment * owners;",
             "crates/core/src/conn.rs:        let seg = cfg.max_segment_data;",
