@@ -29,13 +29,11 @@
 //!   clients, more applied-id ranges than one per client plus one per
 //!   id a client minted and never confirmed, or anything queued.
 //!
-//! Members run with a proposal TTL of [`CHAOS_PROPOSAL_TTL_US`], well
-//! above the default: under chaos a client may retry one accept for the
-//! better part of a minute, and garbage-collecting a placeholder whose
-//! accept is still in flight elsewhere would let members apply later
-//! messages in different orders. The default TTL is for servers whose
-//! clients are presumed dead after thirty seconds; the chaos clients
-//! are explicitly immortal and the TTL must dominate their retry
+//! Under chaos a client may retry one accept for the better part of a
+//! minute, and garbage-collecting a placeholder whose accept is still in
+//! flight elsewhere would let members apply later messages in different
+//! orders: the chaos clients are immortal, and the members'
+//! [`PROPOSAL_TTL`](transactions::PROPOSAL_TTL) dominates their retry
 //! horizon.
 
 use std::fmt;
@@ -50,11 +48,6 @@ use crate::oracle::{
     check_bounded_state, check_census, check_monotonicity, check_replication, check_split_calls,
     Violation,
 };
-
-/// Proposal TTL for chaos members: must dominate the clients' accept
-/// retry horizon (fault windows up to ~60 s of self-heal), or orphan GC
-/// would collect placeholders whose accepts are merely delayed.
-pub const CHAOS_PROPOSAL_TTL_US: u64 = 90_000_000;
 
 /// The broadcast application under test: an order-sensitive checksum.
 /// `total` folds each payload's hash in with a multiply, so applying
@@ -114,10 +107,7 @@ impl Workload for Bcast {
     const SCRIPT_LEN: usize = 30;
 
     fn service(&self, _w: &mut World, _host: HostId) -> Box<dyn Service> {
-        Box::new(
-            OrderedBroadcastService::new(ChaosApp::default())
-                .with_proposal_ttl(CHAOS_PROPOSAL_TTL_US),
-        )
+        Box::new(OrderedBroadcastService::new(ChaosApp::default()))
     }
 
     fn check(&self, q: &Quiesced, extra: &mut BcastExtra, out: &mut Vec<Violation>) {

@@ -49,7 +49,7 @@ impl Externalize for ModuleAddr {
 }
 
 // not a declaration: rebuilds the `SockAddr` flattened above.
-impl Internalize for ModuleAddr {
+impl Internalize<'_> for ModuleAddr {
     fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let host = HostId(r.get_u32()?);
         let port = r.get_u16()?;

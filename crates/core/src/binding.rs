@@ -1,20 +1,21 @@
-//! Well-known numbers and encodings shared with the binding agent.
+//! Well-known numbers shared with the binding agent.
 //!
 //! The binding agent (Chapter 6; implemented in the `ringmaster` crate)
 //! is itself a troupe invoked via replicated procedure calls (§6.2). The
 //! call runtime needs a small slice of its interface — `lookup_troupe_by_id`
-//! — to resolve unknown *client* troupe IDs during many-to-one calls
-//! (§4.3.2), so the interface's procedure numbers and those encodings
-//! live here, one layer below the agent itself.
+//! to resolve unknown *client* troupe IDs during many-to-one calls
+//! (§4.3.2), `report_suspect` to report a peer it gave up on — so the
+//! interface's procedure numbers live here, one layer below the agent
+//! itself. Their arguments and replies are plain wire values: a
+//! `TroupeId`, an `Option<Troupe>`, a process as `(host, port)`.
 //!
-//! This module also reserves procedure numbers that every exported module
-//! answers automatically: `set_troupe_id` (generated "in the same way
-//! that stub procedures are produced", §6.2), `get_state` (§6.4.1), and
+//! This module also reserves seven procedure numbers that every exported
+//! module answers automatically: `set_troupe_id` (generated "in the same
+//! way that stub procedures are produced", §6.2), `get_state` (§6.4.1),
 //! the null "are you there?" probe used for binding-agent garbage
-//! collection (§6.1).
-
-use crate::addr::{Troupe, TroupeId};
-use wire::{from_bytes, to_bytes, WireError};
+//! collection (§6.1), `wedge` and `unwedge` around a membership change,
+//! `get_state_since` for a delta catch-up, and `fetch_return` for a
+//! kept return whose part never arrived.
 
 /// The module number under which a binding agent exports its interface.
 pub const BINDING_MODULE: u16 = 0;
@@ -88,82 +89,16 @@ pub mod reserved_procs {
     /// returns the member keeps (§4.3.4) and nothing else: it never
     /// executes a service.
     pub const FETCH_RETURN: u16 = 0xFF06;
-}
 
-/// Encodes the argument of `report_suspect` (a process address).
-pub fn encode_report_suspect(addr: simnet::SockAddr) -> Vec<u8> {
-    to_bytes(&(addr.host.0, addr.port))
-}
-
-/// Decodes the argument of `report_suspect`.
-pub fn decode_report_suspect(bytes: &[u8]) -> Result<simnet::SockAddr, WireError> {
-    let (host, port): (u32, u16) = from_bytes(bytes)?;
-    Ok(simnet::SockAddr::new(simnet::HostId(host), port))
-}
-
-/// Encodes the argument of `lookup_troupe_by_id`.
-pub fn encode_lookup_by_id(id: TroupeId) -> Vec<u8> {
-    to_bytes(&id)
-}
-
-/// Decodes the argument of `lookup_troupe_by_id`.
-pub fn decode_lookup_by_id(bytes: &[u8]) -> Result<TroupeId, WireError> {
-    from_bytes(bytes)
-}
-
-/// Encodes the reply of `lookup_troupe_by_id` (`None` = unknown ID).
-pub fn encode_lookup_reply(t: Option<&Troupe>) -> Vec<u8> {
-    to_bytes(&t.cloned())
-}
-
-/// Decodes the reply of `lookup_troupe_by_id`.
-pub fn decode_lookup_reply(bytes: &[u8]) -> Result<Option<Troupe>, WireError> {
-    from_bytes(bytes)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::addr::ModuleAddr;
-    use simnet::{HostId, SockAddr};
-
-    #[test]
-    fn lookup_encodings_round_trip() {
-        let id = TroupeId(77);
-        assert_eq!(decode_lookup_by_id(&encode_lookup_by_id(id)).unwrap(), id);
-
-        let t = Troupe::new(
-            TroupeId(5),
-            vec![ModuleAddr::new(SockAddr::new(HostId(1), 7), 0)],
-        );
-        assert_eq!(
-            decode_lookup_reply(&encode_lookup_reply(Some(&t))).unwrap(),
-            Some(t)
-        );
-        assert_eq!(
-            decode_lookup_reply(&encode_lookup_reply(None)).unwrap(),
-            None
-        );
-    }
-
-    #[test]
-    #[allow(clippy::assertions_on_constants)]
-    fn reserved_procs_above_base() {
-        assert!(reserved_procs::GET_STATE >= reserved_procs::RESERVED_BASE);
-        assert!(reserved_procs::SET_TROUPE_ID >= reserved_procs::RESERVED_BASE);
-        assert!(reserved_procs::NULL >= reserved_procs::RESERVED_BASE);
-        assert!(reserved_procs::WEDGE >= reserved_procs::RESERVED_BASE);
-        assert!(reserved_procs::UNWEDGE >= reserved_procs::RESERVED_BASE);
-        assert!(reserved_procs::GET_STATE_SINCE >= reserved_procs::RESERVED_BASE);
-        assert!(reserved_procs::FETCH_RETURN >= reserved_procs::RESERVED_BASE);
-    }
-
-    #[test]
-    fn report_suspect_round_trips() {
-        let addr = SockAddr::new(HostId(7), 70);
-        assert_eq!(
-            decode_report_suspect(&encode_report_suspect(addr)).unwrap(),
-            addr
-        );
-    }
+    // Stub compilers number below the base, so every reserved number is
+    // at or above it.
+    const _: () = assert!(
+        GET_STATE >= RESERVED_BASE
+            && SET_TROUPE_ID >= RESERVED_BASE
+            && NULL >= RESERVED_BASE
+            && WEDGE >= RESERVED_BASE
+            && UNWEDGE >= RESERVED_BASE
+            && GET_STATE_SINCE >= RESERVED_BASE
+            && FETCH_RETURN >= RESERVED_BASE
+    );
 }

@@ -231,12 +231,12 @@ impl CallSeqs {
 
 /// A return message, read whole in place, as the result of the call.
 fn result(bytes: &[u8]) -> Result<Vec<u8>, CallError> {
-    match ReturnView::decode(bytes) {
+    match from_bytes(bytes) {
         Ok(ReturnView::Normal(data)) => Ok(data.to_vec()),
         Ok(ReturnView::Error(e)) => Err(CallError::Remote(e.to_owned())),
         Ok(ReturnView::WrongTroupe(hint)) => Err(CallError::StaleBinding(Some(hint))),
         Ok(ReturnView::NoSuchProcedure) => Err(CallError::NoSuchProcedure),
-        Ok(ReturnView::Part { .. }) | Err(_) => Err(CallError::Garbled),
+        Ok(ReturnView::Part(..)) | Err(_) => Err(CallError::Garbled),
     }
 }
 
@@ -576,7 +576,7 @@ impl ClientCalls {
         // the arrival datagram's own window.
         let transfer = self.outstanding.get(&handle).is_some_and(|c| c.transfer);
         let mut state = None;
-        let fatal = match ReturnView::decode(&data) {
+        let fatal = match from_bytes(&data) {
             Ok(ReturnView::WrongTroupe(hint)) => Some(CallError::StaleBinding(Some(hint))),
             Ok(ReturnView::NoSuchProcedure) => Some(CallError::NoSuchProcedure),
             // A survivor's state comes with its call numbers: the joiner
@@ -584,14 +584,14 @@ impl ClientCalls {
             Ok(ReturnView::Normal(body)) if transfer => match from_bytes::<StateTransfer>(body) {
                 Ok(t) => {
                     self.numbers.raise(io.me(), &t.call_numbers);
-                    state = Some(Payload::from(wrap_reply_vote(t.state.0)));
+                    state = Some(Payload::from(wrap_reply_vote(t.state)));
                     None
                 }
                 Err(_) => Some(CallError::Garbled),
             },
             // A part answers only a call that named its members, and only
             // from one of them.
-            Ok(ReturnView::Part { .. }) => match self.layouts.get_mut(&handle) {
+            Ok(ReturnView::Part(..)) => match self.layouts.get_mut(&handle) {
                 Some(l) if l.addrs[..l.owners].contains(&from) => {
                     l.addrs.push(from);
                     None

@@ -395,19 +395,19 @@ impl Collation {
 /// A collator for **explicit replication** (§7.4): wait for every live
 /// member, then deliver the whole response set — each member's raw reply
 /// or `None` for crashed members — as one externalized
-/// `Vec<Option<wire::Bytes>>`. Client code iterates the decoded vector,
+/// `Vec<Option<Vec<u8>>>`. Client code iterates the decoded vector,
 /// which is the Rust rendering of the paper's result *generator*
 /// (Figure 7.6: "pages() generates the set of responses").
 pub struct GatherAll;
 
 impl Collate for GatherAll {
     fn decide(&self, slots: &[VoteSlot]) -> Decision {
-        let mut gathered: Vec<Option<wire::Bytes>> = Vec::with_capacity(slots.len());
+        let mut gathered: Vec<Option<&[u8]>> = Vec::with_capacity(slots.len());
         for s in slots {
             match s {
                 VoteSlot::Pending => return Decision::Wait,
                 VoteSlot::Dead => gathered.push(None),
-                VoteSlot::Vote(v) => gathered.push(Some(wire::Bytes(v.to_vec()))),
+                VoteSlot::Vote(v) => gathered.push(Some(v)),
             }
         }
         if gathered.iter().all(|g| g.is_none()) {
@@ -427,8 +427,7 @@ pub fn gather_all_collation() -> CollationPolicy {
 /// return messages (unwrap with
 /// [`unwrap_reply_vote`](crate::message::unwrap_reply_vote)).
 pub fn decode_gathered(payload: &[u8]) -> Result<Vec<Option<Vec<u8>>>, wire::WireError> {
-    let v: Vec<Option<wire::Bytes>> = wire::from_bytes(payload)?;
-    Ok(v.into_iter().map(|o| o.map(|b| b.0)).collect())
+    wire::from_bytes(payload)
 }
 
 #[cfg(test)]

@@ -28,32 +28,18 @@ pub(crate) fn encode(msg: &impl Externalize) -> Framed {
     wire::encode_with(msg, |bytes| Config::DEFAULT.frame(bytes))
 }
 
-/// Groups the call messages of one replicated call: "two or more call
-/// messages arriving at a server bear the same thread ID and call
-/// sequence number if and only if they are part of the same replicated
-/// call" (§4.3.2), scoped by the client troupe ID.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub(crate) struct CallKey {
-    pub(crate) client_troupe: TroupeId,
-    pub(crate) thread: ThreadId,
-    pub(crate) call_seq: u32,
-}
-
-impl CallKey {
-    /// The argument of `fetch_return`, which names the call whose kept
-    /// return it asks for.
-    pub(crate) fn encode(&self) -> Vec<u8> {
-        wire::to_bytes(&(self.client_troupe, self.thread, self.call_seq))
-    }
-
-    /// Reads the argument of `fetch_return`.
-    pub(crate) fn decode(bytes: &[u8]) -> Result<CallKey, WireError> {
-        let (client_troupe, thread, call_seq) = wire::from_bytes(bytes)?;
-        Ok(CallKey {
-            client_troupe,
-            thread,
-            call_seq,
-        })
+wire::record! {
+    /// Groups the call messages of one replicated call: "two or more call
+    /// messages arriving at a server bear the same thread ID and call
+    /// sequence number if and only if they are part of the same replicated
+    /// call" (§4.3.2), scoped by the client troupe ID. It is also the
+    /// argument of `fetch_return`, which names the call whose kept return
+    /// it asks for.
+    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+    pub(crate) struct CallKey {
+        pub(crate) client_troupe: TroupeId,
+        pub(crate) thread: ThreadId,
+        pub(crate) call_seq: u32,
     }
 }
 
@@ -178,7 +164,7 @@ impl<A, M> CallMessage<A, M> {
 }
 
 // not a declaration: shares `internalize_with` with the in-place `decode`.
-impl Internalize for CallMessage {
+impl Internalize<'_> for CallMessage {
     fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
         CallMessage::internalize_with(r, Reader::get_bytes, |r| {
             let mut members = Vec::new();
@@ -285,7 +271,8 @@ impl Parts {
     }
 }
 
-/// The contents of a return message.
+/// The contents of a return message. It is read as a [`ReturnView`],
+/// which borrows its results and text from the message bytes.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ReturnMessage {
     /// Normal completion with externalized results.
@@ -361,8 +348,8 @@ pub(crate) fn digest<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> u64 {
 /// The digest and the bytes a [`ReturnMessage::Part`] vote carries, read
 /// in place; `None` for every other return.
 pub(crate) fn part_vote(vote: &[u8]) -> Option<(u64, &[u8])> {
-    match ReturnView::decode(vote) {
-        Ok(ReturnView::Part { digest, bytes }) => Some((digest, bytes)),
+    match wire::from_bytes(vote) {
+        Ok(ReturnView::Part(digest, bytes)) => Some((digest, bytes)),
         _ => None,
     }
 }
@@ -490,7 +477,7 @@ impl Externalize for PartOf<'_> {
     }
 }
 
-// not a declaration: the status words are `ReturnView`'s, which decodes it.
+// not a declaration: written from its runs, which a member also hashes and cuts.
 impl Externalize for ReturnMessage {
     fn externalize(&self, w: &mut Writer) {
         for run in self.runs(&mut [0; PART_HEAD]) {
@@ -503,67 +490,26 @@ impl Externalize for ReturnMessage {
     }
 }
 
-// not a declaration: decodes through the borrowed `ReturnView`.
-impl Internalize for ReturnMessage {
-    fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match ReturnView::internalize(r)? {
-            ReturnView::Normal(data) => ReturnMessage::Normal(data.to_vec()),
-            ReturnView::Error(msg) => ReturnMessage::Error(msg.to_owned()),
-            ReturnView::WrongTroupe(id) => ReturnMessage::WrongTroupe(id),
-            ReturnView::NoSuchProcedure => ReturnMessage::NoSuchProcedure,
-            ReturnView::Part { digest, bytes } => ReturnMessage::Part {
-                digest,
-                bytes: bytes.to_vec(),
-            },
-        })
-    }
-}
-
-/// A [`ReturnMessage`] internalized in place: fully validated, but its
-/// results and error text are borrows of the message bytes. The runtime
-/// classifies each member's return this way — no allocation — and copies
-/// the results out only once, for the value the caller finally receives.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ReturnView<'a> {
-    /// Normal completion with externalized results.
-    Normal(&'a [u8]),
-    /// The remote procedure raised an error/exception.
-    Error(&'a str),
-    /// See [`ReturnMessage::WrongTroupe`].
-    WrongTroupe(TroupeId),
-    /// See [`ReturnMessage::NoSuchProcedure`].
-    NoSuchProcedure,
-    /// See [`ReturnMessage::Part`].
-    Part {
-        /// The digest of the whole return.
-        digest: u64,
-        /// The run of the return the part carries.
-        bytes: &'a [u8],
-    },
-}
-
-impl<'a> ReturnView<'a> {
-    /// Internalizes the return message that is the whole of `data`.
-    /// Accepts exactly what `wire::from_bytes::<ReturnMessage>` accepts.
-    pub fn decode(data: &'a [u8]) -> Result<Self, WireError> {
-        let mut r = Reader::new(data);
-        let view = ReturnView::internalize(&mut r)?;
-        r.expect_end()?;
-        Ok(view)
-    }
-
-    fn internalize(r: &mut Reader<'a>) -> Result<Self, WireError> {
-        match r.get_u16()? {
-            ST_NORMAL => Ok(ReturnView::Normal(r.get_bytes_borrowed()?)),
-            ST_ERROR => Ok(ReturnView::Error(r.get_str_borrowed()?)),
-            ST_WRONG_TROUPE => Ok(ReturnView::WrongTroupe(TroupeId::internalize(r)?)),
-            ST_NO_SUCH_PROC => Ok(ReturnView::NoSuchProcedure),
-            ST_PART => Ok(ReturnView::Part {
-                digest: r.get_u64()?,
-                bytes: r.get_bytes_borrowed()?,
-            }),
-            other => Err(WireError::BadChoice(other)),
-        }
+wire::choice! {
+    /// A [`ReturnMessage`] internalized in place: fully validated, but its
+    /// results and error text are borrows of the message bytes. The
+    /// runtime classifies each member's return this way — no allocation —
+    /// and copies the results out only once, for the value the caller
+    /// finally receives. Its designators are the status words
+    /// [`ReturnMessage`] writes.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum ReturnView<'a> {
+        /// Normal completion with externalized results.
+        Normal(&'a [u8]) = ST_NORMAL,
+        /// The remote procedure raised an error/exception.
+        Error(&'a str) = ST_ERROR,
+        /// See [`ReturnMessage::WrongTroupe`].
+        WrongTroupe(TroupeId) = ST_WRONG_TROUPE,
+        /// See [`ReturnMessage::NoSuchProcedure`].
+        NoSuchProcedure = ST_NO_SUCH_PROC,
+        /// See [`ReturnMessage::Part`]: the digest of the whole return,
+        /// and the run of it the part carries.
+        Part(u64, &'a [u8]) = ST_PART,
     }
 }
 
@@ -571,7 +517,7 @@ impl<'a> ReturnView<'a> {
 /// votes are raw [`ReturnMessage`] bytes; this borrows the payload of a
 /// normal return (`None` for errors and binding rejections).
 pub fn reply_vote(vote: &[u8]) -> Option<&[u8]> {
-    match ReturnView::decode(vote) {
+    match wire::from_bytes(vote) {
         Ok(ReturnView::Normal(data)) => Some(data),
         _ => None,
     }
@@ -642,19 +588,35 @@ mod tests {
 
     #[test]
     fn return_variants_round_trip() {
-        for m in [
-            ReturnMessage::Normal(vec![9, 9]),
-            ReturnMessage::Normal(vec![9; 3]),
-            ReturnMessage::Error("boom".into()),
-            ReturnMessage::WrongTroupe(TroupeId(5)),
-            ReturnMessage::NoSuchProcedure,
-            ReturnMessage::Part {
-                digest: u64::MAX - 5,
-                bytes: vec![1, 2, 3],
-            },
+        for (m, view) in [
+            (
+                ReturnMessage::Normal(vec![9, 9]),
+                ReturnView::Normal(&[9, 9]),
+            ),
+            (
+                ReturnMessage::Normal(vec![9; 3]),
+                ReturnView::Normal(&[9; 3]),
+            ),
+            (
+                ReturnMessage::Error("boom".into()),
+                ReturnView::Error("boom"),
+            ),
+            (
+                ReturnMessage::WrongTroupe(TroupeId(5)),
+                ReturnView::WrongTroupe(TroupeId(5)),
+            ),
+            (ReturnMessage::NoSuchProcedure, ReturnView::NoSuchProcedure),
+            (
+                ReturnMessage::Part {
+                    digest: u64::MAX - 5,
+                    bytes: vec![1, 2, 3],
+                },
+                ReturnView::Part(u64::MAX - 5, &[1, 2, 3]),
+            ),
         ] {
             let bytes = to_bytes(&m);
-            assert_eq!(from_bytes::<ReturnMessage>(&bytes).unwrap(), m);
+            assert_eq!(bytes, to_bytes(&view));
+            assert_eq!(from_bytes::<ReturnView>(&bytes), Ok(view));
             assert_eq!(m.encoded_len(), bytes.len());
             assert_eq!(m.digest(), digest([&bytes[..]]), "hashed as written");
         }
@@ -808,19 +770,22 @@ mod tests {
     #[test]
     fn return_view_borrows_what_return_message_owns() {
         let normal = to_bytes(&ReturnMessage::Normal(vec![9, 9, 9]));
-        assert_eq!(
-            ReturnView::decode(&normal),
-            Ok(ReturnView::Normal(&[9, 9, 9]))
-        );
+        let view = from_bytes::<ReturnView>(&normal);
+        assert_eq!(view, Ok(ReturnView::Normal(&[9, 9, 9])));
+        let Ok(ReturnView::Normal(data)) = view else {
+            unreachable!()
+        };
+        assert_eq!(data.as_ptr_range(), normal[6..9].as_ptr_range(), "a borrow");
         let err = to_bytes(&ReturnMessage::Error("boom".into()));
-        assert_eq!(ReturnView::decode(&err), Ok(ReturnView::Error("boom")));
+        assert_eq!(from_bytes(&err), Ok(ReturnView::Error("boom")));
         let mut bad_utf8 = err.clone();
         bad_utf8[6] = 0xFF;
-        assert_eq!(ReturnView::decode(&bad_utf8), Err(WireError::BadString));
-        assert!(from_bytes::<ReturnMessage>(&bad_utf8).is_err());
+        let bad = from_bytes::<ReturnView>(&bad_utf8);
+        assert_eq!(bad, Err(WireError::BadString));
         let mut long = normal.clone();
         long.extend_from_slice(&[0, 0]);
-        assert_eq!(ReturnView::decode(&long), Err(WireError::Trailing(2)));
+        let long = from_bytes::<ReturnView>(&long);
+        assert_eq!(long, Err(WireError::Trailing(2)));
     }
 
     #[test]
@@ -835,6 +800,7 @@ mod tests {
     #[test]
     fn garbage_rejected() {
         assert!(from_bytes::<CallMessage>(&[1, 2, 3]).is_err());
-        assert!(from_bytes::<ReturnMessage>(&[0, 9]).is_err());
+        let bad = from_bytes::<ReturnView>(&[0, 9]);
+        assert_eq!(bad, Err(WireError::BadChoice(9)));
     }
 }

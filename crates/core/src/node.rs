@@ -17,7 +17,7 @@ use std::collections::{BTreeMap, VecDeque};
 use crate::addr::{ModuleAddr, Troupe, TroupeId};
 use crate::assembly::Assemblies;
 use crate::binding::binding_procs::REPORT_SUSPECT;
-use crate::binding::{self, reserved_procs};
+use crate::binding::reserved_procs;
 use crate::calls::{Call, CallPurpose, ClientCalls, Fetch, Finished, Returned};
 use crate::collate::CollationPolicy;
 use crate::conn::Conns;
@@ -345,7 +345,7 @@ impl Node {
             module,
         } = fetch;
         let troupe = Troupe::new(troupe, vec![ModuleAddr::new(from, module)]);
-        let (args, first) = (key.encode(), CollationPolicy::FirstCome);
+        let (args, first) = (wire::to_bytes(&key), CollationPolicy::FirstCome);
         let procedure = (module, reserved_procs::FETCH_RETURN);
         let call = Call::solo(key.thread, &troupe, procedure, &args, first);
         let directory = &mut self.directory;
@@ -522,7 +522,7 @@ impl Node {
         let reporter = (self.directory.binder.clone())
             .filter(|b| !b.members.iter().any(|m| m.addr == self.me));
         if let Some(binder) = reporter {
-            let (proc, args) = (REPORT_SUSPECT, binding::encode_report_suspect(addr));
+            let (proc, args) = (REPORT_SUSPECT, wire::to_bytes(&(addr.host.0, addr.port)));
             self.ask_binder(io, &binder, proc, args, CallPurpose::SuspectReport);
         }
         self.events.push_back(AppEvent::MemberDead { addr });

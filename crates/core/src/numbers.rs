@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use simnet::{HostId, SockAddr};
-use wire::{to_bytes, Bytes};
+use wire::to_bytes;
 
 /// No run numbers its calls to a peer this far, so a transfer that says
 /// so is garbled or forged; adopting it would run the peer's numbers out.
@@ -89,7 +89,7 @@ impl CallNumbers {
             .collect();
         call_numbers.sort_unstable_by_key(|p| (p.host, p.port));
         to_bytes(&StateTransfer {
-            state: Bytes(state),
+            state,
             call_numbers,
         })
     }
@@ -116,7 +116,7 @@ wire::record! {
     #[derive(Clone, PartialEq, Eq, Debug)]
     pub(crate) struct StateTransfer {
         /// What the service's `get_state` (or `get_state_since`) returned.
-        pub(crate) state: Bytes,
+        pub(crate) state: Vec<u8>,
         /// The answering node's next call number per peer.
         pub(crate) call_numbers: Vec<PeerNumber>,
     }
@@ -143,7 +143,7 @@ mod tests {
         let mut joiner = CallNumbers::default();
         joiner.set(at(2), 6);
         let shipped = from_bytes::<StateTransfer>(&survivor.transfer(b"s".to_vec())).unwrap();
-        assert_eq!(shipped.state, Bytes(b"s".to_vec()));
+        assert_eq!(shipped.state, b"s");
         let hosts: Vec<u32> = shipped.call_numbers.iter().map(|p| p.host).collect();
         assert_eq!(hosts, [1, 2, 7], "shipped in peer order");
 

@@ -92,7 +92,7 @@ impl Node {
     /// result; an error if it is no longer kept. Nothing is executed.
     fn fetch_return(&mut self, io: &mut dyn NetIo, at: &Arrival, args: &[u8]) {
         io.charge(Syscall::Compute); // Externalize the kept return.
-        let kept = CallKey::decode(args).ok();
+        let kept = wire::from_bytes::<CallKey>(args).ok();
         let kept = kept.and_then(|key| self.assemblies.fetch(&key));
         let reply = match kept {
             Some(whole) => ReturnMessage::Normal(wire::to_bytes(whole)),
@@ -391,10 +391,7 @@ impl Node {
         let Some(binder) = self.directory.binder.clone() else {
             return self.fail_parked(io, troupe, "client troupe unknown and no binding agent");
         };
-        let (args, purpose) = (
-            binding::encode_lookup_by_id(troupe),
-            CallPurpose::DirLookup { troupe },
-        );
+        let (args, purpose) = (wire::to_bytes(&troupe), CallPurpose::DirLookup { troupe });
         self.ask_binder(io, &binder, LOOKUP_TROUPE_BY_ID, args, purpose);
     }
 
@@ -405,7 +402,7 @@ impl Node {
         result: Result<Vec<u8>, CallError>,
     ) {
         let reply = result.ok();
-        let found = reply.and_then(|bytes| binding::decode_lookup_reply(&bytes).ok());
+        let found = reply.and_then(|bytes| wire::from_bytes::<Option<Troupe>>(&bytes).ok());
         let Some(found) = found.flatten() else {
             return self.fail_parked(io, troupe, "client troupe not registered");
         };

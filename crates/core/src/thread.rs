@@ -46,7 +46,7 @@ impl Externalize for ThreadId {
 }
 
 // not a declaration: rebuilds the `SockAddr` flattened above.
-impl Internalize for ThreadId {
+impl Internalize<'_> for ThreadId {
     fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let host = HostId(r.get_u32()?);
         let port = r.get_u16()?;

@@ -20,7 +20,7 @@ use circus::{
     CallError, CollationPolicy, ModuleAddr, NodeEffect, OutCall, Service, ServiceCtx, Step, Troupe,
     TroupeId, TroupeTarget,
 };
-use simnet::SockAddr;
+use simnet::{HostId, SockAddr};
 use wire::{from_bytes, to_bytes};
 
 /// The `NotifyAgent` tag pushed when a suspect report or spare
@@ -302,10 +302,10 @@ impl Service for RingmasterService {
                 Step::Reply(to_bytes(&self.lookup(&name).cloned()))
             }
             binding_procs::LOOKUP_TROUPE_BY_ID => {
-                let Ok(id) = circus::binding::decode_lookup_by_id(args) else {
+                let Ok(id) = from_bytes::<TroupeId>(args) else {
                     return Step::Error("bad lookup_troupe_by_id arguments".into());
                 };
-                Step::Reply(circus::binding::encode_lookup_reply(self.lookup_by_id(id)))
+                Step::Reply(to_bytes(&self.lookup_by_id(id).cloned()))
             }
             binding_procs::REBIND => {
                 let Ok(req) = from_bytes::<Rebind>(args) else {
@@ -317,9 +317,10 @@ impl Service for RingmasterService {
                 Step::Reply(to_bytes(&self.lookup(&req.name).cloned()))
             }
             binding_procs::REPORT_SUSPECT => {
-                let Ok(addr) = circus::binding::decode_report_suspect(args) else {
+                let Ok((host, port)) = from_bytes::<(u32, u16)>(args) else {
                     return Step::Error("bad report_suspect arguments".into());
                 };
+                let addr = SockAddr::new(HostId(host), port);
                 self.requeue_suspect(addr);
                 ctx.push_effect(NodeEffect::NotifyAgent { tag: NOTIFY_HEAL });
                 Step::Reply(Vec::new())

@@ -62,7 +62,8 @@ use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use circus::{Collate, CollationPolicy, Decision, Service, ServiceCtx, Step, VoteSlot};
-use wire::{from_bytes, to_bytes, Bytes, Externalize, Internalize, Reader, WireError, Writer};
+use simnet::Duration;
+use wire::{from_bytes, to_bytes, Externalize, Internalize, Reader, WireError, Writer};
 
 use crate::pack_origin;
 use crate::wedge::Wedge;
@@ -74,179 +75,46 @@ pub const PROC_GET_PROPOSED_TIME: u16 = 0;
 /// Procedure number of `accept_time`.
 pub const PROC_ACCEPT_TIME: u16 = 1;
 
-/// Default GC horizon for orphaned proposals, in simulated microseconds.
-/// It must comfortably exceed the longest partition plus the slowest
-/// client's accept-retry backoff, so a proposal is only ever collected
-/// when its broadcaster is genuinely gone — a reinstalling accept after
-/// GC is *correct* (see the module docs) but costs an extra queue pass.
-pub const DEFAULT_PROPOSAL_TTL_US: u64 = 30_000_000;
+/// How long a proposal may wait for its accept before a drain collects it
+/// as an orphan. It must dominate the longest partition plus the slowest
+/// client's accept-retry backoff (under chaos, fault windows of up to
+/// ~60 s of self-heal), so a proposal is only ever collected when its
+/// broadcaster is genuinely gone: collecting one whose accept is merely
+/// delayed elsewhere is *correct* (see the module docs) but costs an
+/// extra queue pass.
+pub const PROPOSAL_TTL: Duration = Duration::from_secs(90);
 
-/// Argument of `get_proposed_time`, owned. The wire form has one encoder
-/// and one decoder, [`ProposeRef`]'s; this is its owned copy.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Propose {
-    /// Client-unique message identifier (also the tie-breaker between
-    /// equal proposed times).
-    pub msg_id: u64,
-    /// The message payload.
-    pub payload: Vec<u8>,
-}
-
-impl Propose {
-    /// The arguments of a `get_proposed_time` of a borrowed payload.
-    pub fn encode(msg_id: u64, payload: &[u8]) -> Vec<u8> {
-        to_bytes(&ProposeRef { msg_id, payload })
+wire::record! {
+    /// Argument of `get_proposed_time`. The payload is owned
+    /// (`Propose<Vec<u8>>`, the default) or borrowed (`Propose<&[u8]>`):
+    /// a client encodes from its own buffer, and a member reads the
+    /// payload in place and copies it exactly once, into the refcounted
+    /// queue entry.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub struct Propose<P = Vec<u8>> {
+        /// Client-unique message identifier (also the tie-breaker between
+        /// equal proposed times).
+        pub msg_id: u64,
+        /// The message payload.
+        pub payload: P,
     }
 }
 
-// not a declaration: delegates to `ProposeRef`, the one encoder of the form.
-impl Externalize for Propose {
-    fn externalize(&self, w: &mut Writer) {
-        ProposeRef {
-            msg_id: self.msg_id,
-            payload: &self.payload,
-        }
-        .externalize(w);
-    }
-}
-
-// not a declaration: delegates to `ProposeRef`, the one decoder of the form.
-impl Internalize for Propose {
-    fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let p = ProposeRef::read(r)?;
-        Ok(Propose {
-            msg_id: p.msg_id,
-            payload: p.payload.to_vec(),
-        })
-    }
-}
-
-/// Zero-copy view of a [`Propose`], borrowing the payload from the
-/// datagram buffer. `Internalize` cannot express the borrow (it returns
-/// `Self` for an anonymous reader lifetime), so the borrowed decode is
-/// an inherent parser; the service copies the payload exactly once, into
-/// the refcounted queue entry.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ProposeRef<'a> {
-    /// Client-unique message identifier.
-    pub msg_id: u64,
-    /// The message payload, borrowed from the call arguments.
-    pub payload: &'a [u8],
-}
-
-impl<'a> ProposeRef<'a> {
-    /// Decodes the `get_proposed_time` arguments without allocating.
-    pub fn parse(args: &'a [u8]) -> Result<ProposeRef<'a>, WireError> {
-        let mut r = Reader::new(args);
-        let p = ProposeRef::read(&mut r)?;
-        r.expect_end()?;
-        Ok(p)
-    }
-
-    fn read(r: &mut Reader<'a>) -> Result<ProposeRef<'a>, WireError> {
-        let msg_id = r.get_u64()?;
-        let payload = r.get_bytes_borrowed()?;
-        Ok(ProposeRef { msg_id, payload })
-    }
-}
-
-// not a declaration: a zero-copy view whose payload is borrowed.
-impl Externalize for ProposeRef<'_> {
-    fn externalize(&self, w: &mut Writer) {
-        w.put_u64(self.msg_id);
-        w.put_bytes(self.payload);
-    }
-}
-
-/// Argument of `accept_time`, owned (see [`Propose`]).
-///
-/// Carrying the payload makes the accept *self-contained*: a member that
-/// never saw the proposal — a rejoined spare, or one whose orphan GC
-/// already collected the entry — installs the message directly at the
-/// agreed time instead of failing the broadcast.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Accept {
-    /// The message being accepted.
-    pub msg_id: u64,
-    /// The maximum proposed time, now its acceptance time.
-    pub accepted_time: u64,
-    /// The message payload (see above).
-    pub payload: Vec<u8>,
-}
-
-impl Accept {
-    /// The arguments of an `accept_time` of a borrowed payload.
-    pub fn encode(msg_id: u64, accepted_time: u64, payload: &[u8]) -> Vec<u8> {
-        to_bytes(&AcceptRef {
-            msg_id,
-            accepted_time,
-            payload,
-        })
-    }
-}
-
-// not a declaration: delegates to `AcceptRef`, the one encoder of the form.
-impl Externalize for Accept {
-    fn externalize(&self, w: &mut Writer) {
-        AcceptRef {
-            msg_id: self.msg_id,
-            accepted_time: self.accepted_time,
-            payload: &self.payload,
-        }
-        .externalize(w);
-    }
-}
-
-// not a declaration: delegates to `AcceptRef`, the one decoder of the form.
-impl Internalize for Accept {
-    fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let a = AcceptRef::read(r)?;
-        Ok(Accept {
-            msg_id: a.msg_id,
-            accepted_time: a.accepted_time,
-            payload: a.payload.to_vec(),
-        })
-    }
-}
-
-/// Zero-copy view of an [`Accept`] (see [`ProposeRef`]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct AcceptRef<'a> {
-    /// The message being accepted.
-    pub msg_id: u64,
-    /// The maximum proposed time, now its acceptance time.
-    pub accepted_time: u64,
-    /// The message payload, borrowed from the call arguments.
-    pub payload: &'a [u8],
-}
-
-impl<'a> AcceptRef<'a> {
-    /// Decodes the `accept_time` arguments without allocating.
-    pub fn parse(args: &'a [u8]) -> Result<AcceptRef<'a>, WireError> {
-        let mut r = Reader::new(args);
-        let a = AcceptRef::read(&mut r)?;
-        r.expect_end()?;
-        Ok(a)
-    }
-
-    fn read(r: &mut Reader<'a>) -> Result<AcceptRef<'a>, WireError> {
-        let msg_id = r.get_u64()?;
-        let accepted_time = r.get_u64()?;
-        let payload = r.get_bytes_borrowed()?;
-        Ok(AcceptRef {
-            msg_id,
-            accepted_time,
-            payload,
-        })
-    }
-}
-
-// not a declaration: a zero-copy view whose payload is borrowed.
-impl Externalize for AcceptRef<'_> {
-    fn externalize(&self, w: &mut Writer) {
-        w.put_u64(self.msg_id);
-        w.put_u64(self.accepted_time);
-        w.put_bytes(self.payload);
+wire::record! {
+    /// Argument of `accept_time`, owned or borrowed as [`Propose`] is.
+    ///
+    /// Carrying the payload makes the accept *self-contained*: a member
+    /// that never saw the proposal — a rejoined spare, or one whose
+    /// orphan GC already collected the entry — installs the message
+    /// directly at the agreed time instead of failing the broadcast.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub struct Accept<P = Vec<u8>> {
+        /// The message being accepted.
+        pub msg_id: u64,
+        /// The maximum proposed time, now its acceptance time.
+        pub accepted_time: u64,
+        /// The message payload (see above).
+        pub payload: P,
     }
 }
 
@@ -361,7 +229,7 @@ impl Externalize for AppliedOrder {
 }
 
 // not a declaration: rejects a window no `AppliedOrder` could have kept.
-impl Internalize for AppliedOrder {
+impl Internalize<'_> for AppliedOrder {
     /// Rejects a window longer than [`RECENT_IDS`] or than the count.
     fn internalize(r: &mut Reader<'_>) -> Result<AppliedOrder, WireError> {
         let (count, fold) = (r.get_u64()?, r.get_u64()?);
@@ -411,8 +279,6 @@ pub struct OrderedBroadcastService<A: OrderedApply> {
     /// Retry cache: `(origin, msg_id)` → (accepted time, result), for the
     /// originating client's retries only; its next proposal retires it.
     retry: BTreeMap<(u64, u64), (u64, Vec<u8>)>,
-    /// GC horizon for orphaned proposals (simulated µs).
-    proposal_ttl_us: u64,
     /// Wedged for a membership change.
     wedge: Wedge,
 }
@@ -427,15 +293,8 @@ impl<A: OrderedApply> OrderedBroadcastService<A> {
             applied_order: AppliedOrder::default(),
             applied_ids: IdSet::new(),
             retry: BTreeMap::new(),
-            proposal_ttl_us: DEFAULT_PROPOSAL_TTL_US,
             wedge: Wedge::default(),
         }
-    }
-
-    /// Overrides the orphan-GC horizon (tests use short horizons).
-    pub fn with_proposal_ttl(mut self, ttl_us: u64) -> OrderedBroadcastService<A> {
-        self.proposal_ttl_us = ttl_us;
-        self
     }
 
     /// Read access to the application.
@@ -491,7 +350,7 @@ impl<A: OrderedApply> OrderedBroadcastService<A> {
         let mut wanted = None;
         while let Some((&(time, msg_id), entry)) = self.queue.iter().next() {
             if entry.status == QStatus::Proposed {
-                if now.saturating_sub(time) >= self.proposal_ttl_us {
+                if now.saturating_sub(time) >= PROPOSAL_TTL.as_micros() {
                     // The broadcaster died between the phases (or is so
                     // slow its accept will reinstall the entry anyway):
                     // stop it stalling everything behind it.
@@ -530,7 +389,7 @@ impl<A: OrderedApply> Service for OrderedBroadcastService<A> {
         }
         match proc {
             PROC_GET_PROPOSED_TIME => {
-                let Ok(p) = ProposeRef::parse(args) else {
+                let Ok(p) = from_bytes::<Propose<&[u8]>>(args) else {
                     return Step::Error("bad get_proposed_time arguments".into());
                 };
                 let origin = pack_origin(ctx.thread.origin);
@@ -574,7 +433,7 @@ impl<A: OrderedApply> Service for OrderedBroadcastService<A> {
                 Step::Reply(to_bytes(&time))
             }
             PROC_ACCEPT_TIME => {
-                let Ok(a) = AcceptRef::parse(args) else {
+                let Ok(a) = from_bytes::<Accept<&[u8]>>(args) else {
                     return Step::Error("bad accept_time arguments".into());
                 };
                 let origin = pack_origin(ctx.thread.origin);
@@ -585,7 +444,7 @@ impl<A: OrderedApply> Service for OrderedBroadcastService<A> {
                     ctx.metrics.add("bcast.dup_accepts", 1);
                     let result = self.retry.get(&(origin, a.msg_id));
                     let result = result.map(|(_, r)| r.clone()).unwrap_or_default();
-                    return Step::Reply(to_bytes(&Bytes(result)));
+                    return Step::Reply(to_bytes(&result));
                 }
                 let payload = match self.position.remove(&a.msg_id) {
                     Some(old) => {
@@ -620,7 +479,7 @@ impl<A: OrderedApply> Service for OrderedBroadcastService<A> {
                 // simulated system acceptance times are always in the
                 // past by the time accept_time arrives, so the only
                 // stall is a genuinely earlier concurrent broadcast.
-                Step::Reply(to_bytes(&Bytes(result.unwrap_or_default())))
+                Step::Reply(to_bytes(&result.unwrap_or_default()))
             }
             _ => Step::Error(format!("ordered broadcast: unknown procedure {proc}")),
         }
@@ -644,17 +503,17 @@ impl<A: OrderedApply> Service for OrderedBroadcastService<A> {
         // broadcasts), the applied order (the oracle's object of proof),
         // the applied ids (so retried accepts stay no-ops) and the retry
         // cache (so a live retry gets the dead member's answer).
-        let retry: Vec<(u64, u64, u64, Bytes)> = self
+        let retry: Vec<(u64, u64, u64, Vec<u8>)> = self
             .retry
             .iter()
-            .map(|(&(origin, id), &(time, ref result))| (origin, id, time, Bytes(result.clone())))
+            .map(|(&(origin, id), &(time, ref result))| (origin, id, time, result.clone()))
             .collect();
         let queue: Vec<QueueWire> = self
             .queue
             .iter()
-            .map(|(&(time, id), e)| (time, id, e.origin, e.status, Bytes(e.payload.to_vec())))
+            .map(|(&(time, id), e)| (time, id, e.origin, e.status, e.payload.to_vec()))
             .collect();
-        let snapshot = Bytes(self.app.snapshot());
+        let snapshot = self.app.snapshot();
         to_bytes(&(
             snapshot,
             &self.applied_order,
@@ -665,7 +524,7 @@ impl<A: OrderedApply> Service for OrderedBroadcastService<A> {
     }
 
     fn set_state(&mut self, state: &[u8]) {
-        let Ok((Bytes(snapshot), order, ids, retry, queue)) = from_bytes::<StateWire>(state) else {
+        let Ok((snapshot, order, ids, retry, queue)) = from_bytes::<StateWire>(state) else {
             // Garbled transfer, any part of it: keep the state held (blank,
             // for a joining spare, whose join goes on all the same).
             return;
@@ -675,11 +534,11 @@ impl<A: OrderedApply> Service for OrderedBroadcastService<A> {
         self.applied_ids = ids;
         self.retry = retry
             .into_iter()
-            .map(|(origin, id, time, Bytes(result))| ((origin, id), (time, result)))
+            .map(|(origin, id, time, result)| ((origin, id), (time, result)))
             .collect();
         self.queue.clear();
         self.position.clear();
-        for (time, id, origin, status, Bytes(payload)) in queue {
+        for (time, id, origin, status, payload) in queue {
             self.queue.insert(
                 (time, id),
                 QEntry {
@@ -697,16 +556,16 @@ impl<A: OrderedApply> Service for OrderedBroadcastService<A> {
 /// snapshot, the folded applied order, the applied ids, the retry cache as
 /// `(origin, msg_id, accepted time, result)` rows, and the queue.
 pub type StateWire = (
-    Bytes,
+    Vec<u8>,
     AppliedOrder,
     IdSet,
-    Vec<(u64, u64, u64, Bytes)>,
+    Vec<(u64, u64, u64, Vec<u8>)>,
     Vec<QueueWire>,
 );
 
 /// One queue entry in state transfer: `(time, msg_id, origin, status,
 /// payload)`.
-pub type QueueWire = (u64, u64, u64, QStatus, Bytes);
+pub type QueueWire = (u64, u64, u64, QStatus, Vec<u8>);
 
 /// Reply collator for `get_proposed_time`: wait for every member, then
 /// yield the **maximum** proposal (Figure 5.1's client side). It is
@@ -781,7 +640,7 @@ pub(crate) struct AllAck {
 
 impl AllAck {
     pub(crate) fn new() -> AllAck {
-        let empty = circus::wrap_reply_vote(to_bytes(&Bytes(Vec::new())));
+        let empty = circus::wrap_reply_vote(to_bytes(&[0u8; 0][..]));
         AllAck {
             empty: simnet::Payload::copy_from(&empty),
         }

@@ -1,28 +1,18 @@
 use super::*;
 
 #[test]
-fn propose_accept_encode_from_borrowed_parts_and_round_trip() {
-    let p = Propose {
+fn borrowed_forms_read_without_copying() {
+    let p = to_bytes(&Propose {
         msg_id: 7,
-        payload: vec![1, 2],
-    };
-    assert_eq!(Propose::encode(7, &[1, 2]), to_bytes(&p));
-    assert_eq!(from_bytes::<Propose>(&to_bytes(&p)).unwrap(), p);
-    let a = Accept {
+        payload: &[1u8, 2, 3][..],
+    });
+    let a = to_bytes(&Accept {
         msg_id: 7,
         accepted_time: 99,
-        payload: vec![1, 2],
-    };
-    assert_eq!(Accept::encode(7, 99, &[1, 2]), to_bytes(&a));
-    assert_eq!(from_bytes::<Accept>(&to_bytes(&a)).unwrap(), a);
-}
-
-#[test]
-fn borrowed_views_parse_without_copying() {
-    let p = Propose::encode(7, &[1, 2, 3]);
-    let a = Accept::encode(7, 99, &[1, 2, 3]);
-    let pr = ProposeRef::parse(&p).unwrap();
-    let ar = AcceptRef::parse(&a).unwrap();
+        payload: vec![1u8, 2, 3],
+    });
+    let pr: Propose<&[u8]> = from_bytes(&p).unwrap();
+    let ar: Accept<&[u8]> = from_bytes(&a).unwrap();
     assert_eq!((pr.msg_id, pr.payload), (7, &[1u8, 2, 3][..]));
     assert_eq!(
         (ar.msg_id, ar.accepted_time, ar.payload),
@@ -73,7 +63,7 @@ fn all_ack_needs_every_member() {
     // Differing reply bytes are fine: only the ack matters.
     assert_eq!(
         c.decide(&[vote(1), vote(2)]),
-        Decision::Ready(circus::wrap_reply_vote(to_bytes(&Bytes(Vec::new()))).into())
+        Decision::Ready(circus::wrap_reply_vote(to_bytes(&[0u8; 0][..])).into())
     );
 }
 
@@ -87,18 +77,10 @@ impl OrderedApply for Log {
         to_bytes(&(self.entries.len() as u32))
     }
     fn snapshot(&self) -> Vec<u8> {
-        to_bytes(
-            &self
-                .entries
-                .iter()
-                .map(|e| Bytes(e.clone()))
-                .collect::<Vec<_>>(),
-        )
+        to_bytes(&self.entries)
     }
     fn restore(&mut self, state: &[u8]) {
-        self.entries = from_bytes::<Vec<Bytes>>(state)
-            .map(|v| v.into_iter().map(|Bytes(b)| b).collect())
-            .unwrap_or_default();
+        self.entries = from_bytes(state).unwrap_or_default();
     }
 }
 
@@ -149,7 +131,10 @@ fn propose_from(
     s.dispatch(
         &mut c,
         PROC_GET_PROPOSED_TIME,
-        &Propose::encode(id, payload),
+        &to_bytes(&Propose {
+            msg_id: id,
+            payload,
+        }),
     )
 }
 
@@ -166,7 +151,12 @@ fn accept_from(
     p: &[u8],
 ) -> Step {
     let mut c = ctx_from(origin, now);
-    s.dispatch(&mut c, PROC_ACCEPT_TIME, &Accept::encode(id, t, p))
+    let args = to_bytes(&Accept {
+        msg_id: id,
+        accepted_time: t,
+        payload: p,
+    });
+    s.dispatch(&mut c, PROC_ACCEPT_TIME, &args)
 }
 
 fn reply_bytes(step: Step) -> Vec<u8> {
@@ -232,37 +222,40 @@ fn accepted_message_drains_ahead_of_later_proposed_head() {
 
 #[test]
 fn orphaned_proposal_is_collected_after_ttl() {
-    let mut s = log_service().with_proposal_ttl(1_000);
+    let mut s = log_service();
+    let ttl = PROPOSAL_TTL.as_micros();
     // The broadcaster of msg 9 "crashes" after the propose.
     propose(&mut s, 100, 9, b"orphan");
     // A later broadcast completes both phases before the TTL: it
     // stays stuck behind the orphan.
     propose(&mut s, 200, 10, b"live");
     accept(&mut s, 300, 10, 250, b"live");
+    accept(&mut s, 99 + ttl, 11, 98 + ttl, b"after");
     assert!(s.applied_order.is_empty(), "TTL not yet reached");
-    // Past the TTL the orphan is collected and the queue flows.
-    accept(&mut s, 2_000, 11, 1_500, b"after");
-    assert_eq!(s.applied_order, order(&[10, 11]));
+    // At the TTL the orphan is collected and the queue flows.
+    accept(&mut s, 100 + ttl, 12, 99 + ttl, b"last");
+    assert_eq!(s.applied_order, order(&[10, 11, 12]));
     assert_eq!(s.queue_len(), 0);
     assert_eq!(
         s.app().entries,
-        vec![b"live".to_vec(), b"after".to_vec()],
+        vec![b"live".to_vec(), b"after".to_vec(), b"last".to_vec()],
         "the orphan must never reach the app"
     );
 }
 
 #[test]
 fn accept_after_gc_reinstalls_the_message() {
-    let mut s = log_service().with_proposal_ttl(1_000);
+    let mut s = log_service();
+    let past_ttl = 100 + PROPOSAL_TTL.as_micros();
     propose(&mut s, 100, 9, b"slow");
     // Another broadcast's drain collects the orphan...
-    accept(&mut s, 2_000, 10, 1_900, b"other");
+    accept(&mut s, past_ttl, 10, past_ttl - 100, b"other");
     assert_eq!(s.applied_order, order(&[10]));
     // ...but the slow broadcaster was alive after all: its accept
     // carries the payload and the message still applies.
-    let r = reply_bytes(accept(&mut s, 2_100, 9, 2_050, b"slow"));
+    let r = reply_bytes(accept(&mut s, past_ttl + 100, 9, past_ttl + 50, b"slow"));
     assert_eq!(s.applied_order, order(&[10, 9]));
-    assert!(!from_bytes::<Bytes>(&r).unwrap().0.is_empty());
+    assert!(!from_bytes::<Vec<u8>>(&r).unwrap().is_empty());
 }
 
 #[test]
@@ -297,7 +290,7 @@ fn accept_for_unknown_message_installs_it() {
     let r = reply_bytes(accept(&mut s, 200, 5, 150, b"installed"));
     assert_eq!(s.applied_order, order(&[5]));
     assert_eq!(s.app().entries, vec![b"installed".to_vec()]);
-    assert!(!from_bytes::<Bytes>(&r).unwrap().0.is_empty());
+    assert!(!from_bytes::<Vec<u8>>(&r).unwrap().is_empty());
 }
 
 /// Two client hosts for the hazard tests: `A` is the one under test,
@@ -321,7 +314,7 @@ fn h1_first_accept_arriving_after_the_next_proposal_still_applies() {
     propose_from(&mut s, A, 200, 11, b"k+1");
     let early = reply_bytes(accept_from(&mut s, A, 300, 11, 250, b"k+1"));
     assert!(
-        from_bytes::<Bytes>(&early).unwrap().0.is_empty(),
+        from_bytes::<Vec<u8>>(&early).unwrap().is_empty(),
         "11 waits behind 10's placeholder"
     );
     assert_eq!(s.applied_order, order(&[900]));
@@ -329,7 +322,7 @@ fn h1_first_accept_arriving_after_the_next_proposal_still_applies() {
     // The *first* accept of 10 this member ever sees: it applies, and
     // 11 behind it — nothing was inferred from A having moved on.
     let late = reply_bytes(accept_from(&mut s, A, 400, 10, 150, b"k"));
-    assert!(!from_bytes::<Bytes>(&late).unwrap().0.is_empty());
+    assert!(!from_bytes::<Vec<u8>>(&late).unwrap().is_empty());
     assert_eq!(s.applied_order, order(&[900, 10, 11]));
     assert_eq!(
         s.app().entries,
@@ -345,16 +338,20 @@ fn h2_second_accept_after_the_client_moved_on_is_not_reapplied() {
     let others = bystander_broadcast(&mut s);
     propose_from(&mut s, A, 100, 10, b"k");
     let first = reply_bytes(accept_from(&mut s, A, 200, 10, 150, b"k"));
-    assert!(!from_bytes::<Bytes>(&first).unwrap().0.is_empty());
+    assert!(!from_bytes::<Vec<u8>>(&first).unwrap().is_empty());
     // A's next proposal retires A's cache entry for 10 — and only it.
     propose_from(&mut s, A, 300, 11, b"k+1");
     assert_eq!(s.retry_cache_len(), 1);
     // A retry of accept(10) that crossed the original arrives now.
     let mut c = ctx_from(A, 400);
-    let accept_10 = Accept::encode(10, 150, b"k");
+    let accept_10 = to_bytes(&Accept {
+        msg_id: 10,
+        accepted_time: 150,
+        payload: &b"k"[..],
+    });
     let second = reply_bytes(s.dispatch(&mut c, PROC_ACCEPT_TIME, &accept_10));
     assert!(
-        from_bytes::<Bytes>(&second).unwrap().0.is_empty(),
+        from_bytes::<Vec<u8>>(&second).unwrap().is_empty(),
         "a retired duplicate replies the empty result"
     );
     assert_eq!(c.metrics.get("bcast.dup_accepts"), 1);
@@ -435,7 +432,7 @@ fn state_transfer_carries_the_whole_protocol() {
     // the origin that queue entry carried.
     for (origin, id, t, payload) in [(0, 1, 150, &b"done"[..]), (B, 3, 450, b"blocked")] {
         let dup = reply_bytes(accept_from(&mut spare, origin, 700, id, t, payload));
-        assert!(!from_bytes::<Bytes>(&dup).unwrap().0.is_empty());
+        assert!(!from_bytes::<Vec<u8>>(&dup).unwrap().is_empty());
         assert_eq!(
             dup,
             reply_bytes(accept_from(&mut donor, origin, 700, id, t, payload))

@@ -36,7 +36,7 @@ use crate::commute::{CmOp, CmRequest, PROC_CM_EXECUTE};
 use crate::txn::Op;
 use circus::{Agent, CallError, CallHandle, CollationPolicy, NodeCtx, TimerKey, Troupe};
 use simnet::Time;
-use wire::from_bytes;
+use wire::{from_bytes, to_bytes};
 
 const RETRY_KEY: TimerKey = TimerKey::new(0x7472); // "tr"
 
@@ -320,7 +320,11 @@ impl Protocol for Txn {
 
     fn request(&mut self, ops: &Vec<Op>, now: Time) -> Request {
         self.nonce += 1;
-        let args = ExecuteRequest::encode(self.nonce, ops, now.as_micros());
+        let req = ExecuteRequest {
+            nonce: self.nonce,
+            ops,
+        };
+        let args = to_bytes(&(req, now.as_micros()));
         (PROC_EXECUTE, args, CollationPolicy::Unanimous)
     }
 
@@ -399,12 +403,16 @@ impl Protocol for ProposeAccept {
         match self.accepted_time {
             None => (
                 PROC_GET_PROPOSED_TIME,
-                Propose::encode(msg_id, payload),
+                to_bytes(&Propose { msg_id, payload }),
                 strict_max_time_collation(),
             ),
             Some(time) => (
                 PROC_ACCEPT_TIME,
-                Accept::encode(msg_id, time, payload),
+                to_bytes(&Accept {
+                    msg_id,
+                    accepted_time: time,
+                    payload,
+                }),
                 all_ack_collation(),
             ),
         }
@@ -471,7 +479,10 @@ impl Protocol for CmBatch {
     }
 
     fn request(&mut self, ops: &Vec<CmOp>, _now: Time) -> Request {
-        let args = CmRequest::encode(self.op_id(), ops);
+        let args = to_bytes(&CmRequest {
+            op_id: self.op_id(),
+            ops,
+        });
         (PROC_CM_EXECUTE, args, all_ack_collation())
     }
 

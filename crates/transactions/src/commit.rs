@@ -68,24 +68,19 @@ const ASK_AGAIN: Duration = Duration::from_secs(1);
 const ABORT_TTL: Duration = Duration::from_secs(60);
 
 wire::record! {
-    /// A transaction submitted for execution.
+    /// A transaction submitted for execution, its operations owned
+    /// (`ExecuteRequest<Vec<Op>>`, the default) or borrowed
+    /// (`ExecuteRequest<&[Op]>`, as a client sends them). The arguments of
+    /// `execute_transaction` are the request, then the time it was
+    /// submitted at (the client's clock, in microseconds): with the call's
+    /// thread, that time is the transaction's [`Stamp`].
     #[derive(Clone, PartialEq, Eq, Debug)]
-    pub struct ExecuteRequest {
+    pub struct ExecuteRequest<O = Vec<Op>> {
         /// Client-chosen value distinguishing retries of the same logical
         /// transaction (each retry is a new transaction).
         pub nonce: u64,
         /// The operations, executed as one atomic unit.
-        pub ops: Vec<Op>,
-    }
-}
-
-impl ExecuteRequest {
-    /// The arguments of an `execute_transaction` of borrowed `ops`,
-    /// submitted at `at` (the client's clock, in microseconds): the bytes
-    /// of the request that owned them, then `at`. With the call's thread,
-    /// `at` is the transaction's [`Stamp`].
-    pub(crate) fn encode(nonce: u64, ops: &[Op], at: u64) -> Vec<u8> {
-        to_bytes(&(nonce, ops, at))
+        pub ops: O,
     }
 }
 
@@ -747,7 +742,7 @@ impl TroupeStoreService {
     /// client's call submitted at `ctx.now` would arrive, for a test that
     /// drives a member alone.
     pub(crate) fn execute(&mut self, ctx: &mut ServiceCtx, nonce: u64, ops: &[Op]) -> Step {
-        let args = ExecuteRequest::encode(nonce, ops, ctx.now.as_micros());
+        let args = to_bytes(&(ExecuteRequest { nonce, ops }, ctx.now.as_micros()));
         self.dispatch(ctx, PROC_EXECUTE, &args)
     }
 }
@@ -773,8 +768,11 @@ mod tests {
             ops: vec![Op::Add(crate::store::ObjId(1), 5)],
         };
         assert_eq!(from_bytes::<ExecuteRequest>(&to_bytes(&r)).unwrap(), r);
-        let args = ExecuteRequest::encode(r.nonce, &r.ops, 7);
-        assert_eq!(args, to_bytes(&(&r, 7u64)));
+        let borrowed = ExecuteRequest {
+            nonce: r.nonce,
+            ops: &r.ops[..],
+        };
+        let args = to_bytes(&(borrowed, 7u64));
         assert_eq!(from_bytes::<(ExecuteRequest, u64)>(&args), Ok((r, 7)));
     }
 

@@ -49,22 +49,16 @@ wire::choice! {
 
 wire::record! {
     /// Argument of `apply_commutative`: a batch of commutative operations
-    /// under one client-unique idempotence id.
+    /// under one client-unique idempotence id, owned (`CmRequest<Vec<CmOp>>`,
+    /// the default) or borrowed (`CmRequest<&[CmOp]>`, as a client sends
+    /// them).
     #[derive(Clone, PartialEq, Eq, Debug)]
-    pub struct CmRequest {
+    pub struct CmRequest<O = Vec<CmOp>> {
         /// Client-unique id; retries reuse it, members dedup on it.
         pub op_id: u64,
         /// The operations, applied atomically with respect to dedup (all or
         /// none count as "seen").
-        pub ops: Vec<CmOp>,
-    }
-}
-
-impl CmRequest {
-    /// The arguments of an `apply_commutative` of borrowed `ops`: the
-    /// bytes of `to_bytes` of the request that owned them.
-    pub fn encode(op_id: u64, ops: &[CmOp]) -> Vec<u8> {
-        to_bytes(&(op_id, ops))
+        pub ops: O,
     }
 }
 
@@ -227,7 +221,11 @@ mod tests {
 
     fn execute(s: &mut CommutativeService, op_id: u64, ops: Vec<CmOp>) -> Step {
         let mut c = ctx(100);
-        s.dispatch(&mut c, PROC_CM_EXECUTE, &CmRequest::encode(op_id, &ops))
+        s.dispatch(
+            &mut c,
+            PROC_CM_EXECUTE,
+            &to_bytes(&CmRequest { op_id, ops }),
+        )
     }
 
     #[test]
@@ -237,7 +235,11 @@ mod tests {
             ops: vec![CmOp::Incr(ObjId(1), -3), CmOp::Insert(42)],
         };
         assert_eq!(from_bytes::<CmRequest>(&to_bytes(&req)).unwrap(), req);
-        assert_eq!(CmRequest::encode(req.op_id, &req.ops), to_bytes(&req));
+        let borrowed = CmRequest {
+            op_id: 7,
+            ops: &req.ops[..],
+        };
+        assert_eq!(to_bytes(&borrowed), to_bytes(&req));
     }
 
     #[test]

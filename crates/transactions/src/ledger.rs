@@ -108,7 +108,7 @@ impl Externalize for Ledger {
 }
 
 // not a declaration: rejects a ledger no `insert` could have built.
-impl Internalize for Ledger {
+impl Internalize<'_> for Ledger {
     /// Accepts exactly what `externalize` writes: origins strictly
     /// ascending, each set non-empty and well-formed.
     fn internalize(r: &mut Reader<'_>) -> Result<Ledger, WireError> {

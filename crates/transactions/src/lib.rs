@@ -57,8 +57,8 @@ mod wedge;
 
 pub use backoff::Backoff;
 pub use broadcast::{
-    Accept, AcceptRef, AppliedOrder, OrderedApply, OrderedBroadcastService, Propose, ProposeRef,
-    DEFAULT_PROPOSAL_TTL_US, PROC_ACCEPT_TIME, PROC_GET_PROPOSED_TIME, RECENT_IDS,
+    Accept, AppliedOrder, OrderedApply, OrderedBroadcastService, Propose, PROC_ACCEPT_TIME,
+    PROC_GET_PROPOSED_TIME, PROPOSAL_TTL, RECENT_IDS,
 };
 pub use client::{
     Broadcaster, ClosedLoop, CmBatch, CmClient, Next, ProposeAccept, Protocol, Request, Script,

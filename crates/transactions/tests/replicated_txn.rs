@@ -252,18 +252,12 @@ impl OrderedApply for LogApp {
     }
 
     fn snapshot(&self) -> Vec<u8> {
-        to_bytes(
-            &self
-                .log
-                .iter()
-                .map(|v| wire::Bytes(v.clone()))
-                .collect::<Vec<_>>(),
-        )
+        to_bytes(&self.log)
     }
 
     fn restore(&mut self, state: &[u8]) {
-        if let Ok(entries) = from_bytes::<Vec<wire::Bytes>>(state) {
-            self.log = entries.into_iter().map(|b| b.0).collect();
+        if let Ok(log) = from_bytes(state) {
+            self.log = log;
         }
     }
 }

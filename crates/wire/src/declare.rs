@@ -7,8 +7,15 @@
 //! comments, visibility and fields — and its [`Externalize`] and
 //! [`Internalize`] implementations. The crates declare their wire types
 //! with them and the `stubgen` compiler emits them for an interface's
-//! types; a type laid out any other way (a borrowed view, a set that
-//! checks its ranges) writes its two implementations by hand.
+//! types; a type laid out any other way (a set that checks its ranges,
+//! a message that reads to its end) writes its two implementations by
+//! hand.
+//!
+//! A RECORD or CHOICE may take lifetime and type parameters. A field of
+//! type `&'a [u8]` or `&'a str` borrows from the buffer it is read from,
+//! and a type parameter makes one declaration both the owned form and
+//! the zero-copy view of it (`Form<Vec<u8>>` and `Form<&[u8]>`): the two
+//! cannot lay the form out differently.
 //!
 //! [`Externalize`]: crate::Externalize
 //! [`Internalize`]: crate::Internalize
@@ -27,39 +34,63 @@
 /// let e = Entry { key: 7, tags: vec!["a".into()] };
 /// assert_eq!(wire::to_bytes(&e), wire::to_bytes(&(7u64, vec!["a"])));
 /// ```
+///
+/// With a type parameter, one declaration is the owned form and the view
+/// that borrows from the buffer:
+///
+/// ```
+/// wire::record! {
+///     #[derive(Debug, PartialEq)]
+///     pub struct Note<B = Vec<u8>> {
+///         pub id: u64,
+///         pub body: B,
+///     }
+/// }
+/// let bytes = wire::to_bytes(&Note { id: 1, body: vec![7u8, 8] });
+/// let view: Note<&[u8]> = wire::from_bytes(&bytes).unwrap();
+/// assert_eq!(view, Note { id: 1, body: &[7, 8][..] });
+/// assert_eq!(wire::to_bytes(&view), bytes);
+/// ```
 #[macro_export]
 macro_rules! record {
     (
         $(#[$meta:meta])*
-        $vis:vis struct $name:ident {
+        $vis:vis struct $name:ident $(<$($lt:lifetime),* $(,)? $($param:ident $(= $default:ty)?),*>)? {
             $($(#[$field_meta:meta])* $field_vis:vis $field:ident : $ty:ty),+ $(,)?
         }
     ) => {
         $(#[$meta])*
-        $vis struct $name {
+        $vis struct $name $(<$($lt,)* $($param $(= $default)?),*>)? {
             $($(#[$field_meta])* $field_vis $field: $ty,)+
         }
 
-        impl $crate::Externalize for $name {
+        impl $(<$($lt,)* $($param: $crate::Externalize),*>)? $crate::Externalize
+            for $name $(<$($lt,)* $($param),*>)?
+        {
             fn externalize(&self, w: &mut $crate::Writer) {
                 $($crate::Externalize::externalize(&self.$field, w);)+
             }
         }
 
-        impl $crate::Internalize for $name {
-            fn internalize(r: &mut $crate::Reader<'_>) -> ::core::result::Result<Self, $crate::WireError> {
+        impl<'__r $(, $($lt,)* $($param: $crate::Internalize<'__r>),*)?> $crate::Internalize<'__r>
+            for $name $(<$($lt,)* $($param),*>)?
+        where
+            $($('__r: $lt,)*)?
+        {
+            fn internalize(r: &mut $crate::Reader<'__r>) -> ::core::result::Result<Self, $crate::WireError> {
                 ::core::result::Result::Ok($name {
-                    $($field: <$ty as $crate::Internalize>::internalize(r)?,)+
+                    $($field: <$ty as $crate::Internalize<'__r>>::internalize(r)?,)+
                 })
             }
         }
     };
 }
 
-/// Declares a CHOICE: an enum of tuple variants of one to eight fields,
-/// each with its designator (`Variant(A, B) = 2`, which the emitted enum
-/// does not carry). A value externalizes as its designator word, then its
-/// fields in order; an unknown designator is [`WireError::BadChoice`].
+/// Declares a CHOICE: an enum of variants of no fields or of one to
+/// eight, each with its designator (`Variant(A, B) = 2`, which the
+/// emitted enum does not carry; a constant serves as well as a literal).
+/// A value externalizes as its designator word, then its fields in order;
+/// an unknown designator is [`WireError::BadChoice`].
 ///
 /// ```
 /// wire::choice! {
@@ -67,9 +98,11 @@ macro_rules! record {
 ///     pub enum Shape {
 ///         Circle(u32) = 0,
 ///         Rect(u32, u32) = 5,
+///         Empty = 6,
 ///     }
 /// }
 /// assert_eq!(wire::to_bytes(&Shape::Rect(1, 2)), wire::to_bytes(&(5u16, 1u32, 2u32)));
+/// assert_eq!(wire::to_bytes(&Shape::Empty), vec![0, 6]);
 /// let one = wire::to_bytes(&(1u16, 9u32));
 /// assert_eq!(wire::from_bytes::<Shape>(&one), Err(wire::WireError::BadChoice(1)));
 /// ```
@@ -79,32 +112,38 @@ macro_rules! record {
 macro_rules! choice {
     (
         $(#[$meta:meta])*
-        $vis:vis enum $name:ident {
-            $($(#[$variant_meta:meta])* $variant:ident($($ty:ty),+ $(,)?) = $designator:literal),+ $(,)?
+        $vis:vis enum $name:ident $(<$($lt:lifetime),* $(,)? $($param:ident $(= $default:ty)?),*>)? {
+            $($(#[$variant_meta:meta])* $variant:ident $(($($ty:ty),+ $(,)?))? = $designator:expr),+ $(,)?
         }
     ) => {
         $(#[$meta])*
-        $vis enum $name {
-            $($(#[$variant_meta])* $variant($($ty),+),)+
+        $vis enum $name $(<$($lt,)* $($param $(= $default)?),*>)? {
+            $($(#[$variant_meta])* $variant $(($($ty),+))?,)+
         }
 
-        impl $crate::Externalize for $name {
+        impl $(<$($lt,)* $($param: $crate::Externalize),*>)? $crate::Externalize
+            for $name $(<$($lt,)* $($param),*>)?
+        {
             fn externalize(&self, w: &mut $crate::Writer) {
                 match self {
-                    $($crate::__choice_fields!(@pattern $name $variant [] [$($ty),+] [f0 f1 f2 f3 f4 f5 f6 f7]) => {
+                    $($crate::__choice_fields!(@pattern $name $variant [] [$($($ty),+)?] [f0 f1 f2 f3 f4 f5 f6 f7]) => {
                         w.put_designator($designator);
-                        $crate::__choice_fields!(@put w [] [$($ty),+] [f0 f1 f2 f3 f4 f5 f6 f7]);
+                        $crate::__choice_fields!(@put w [] [$($($ty),+)?] [f0 f1 f2 f3 f4 f5 f6 f7]);
                     })+
                 }
             }
         }
 
-        impl $crate::Internalize for $name {
-            fn internalize(r: &mut $crate::Reader<'_>) -> ::core::result::Result<Self, $crate::WireError> {
+        impl<'__r $(, $($lt,)* $($param: $crate::Internalize<'__r>),*)?> $crate::Internalize<'__r>
+            for $name $(<$($lt,)* $($param),*>)?
+        where
+            $($('__r: $lt,)*)?
+        {
+            fn internalize(r: &mut $crate::Reader<'__r>) -> ::core::result::Result<Self, $crate::WireError> {
                 match r.get_designator()? {
-                    $($designator => ::core::result::Result::Ok($name::$variant(
-                        $(<$ty as $crate::Internalize>::internalize(r)?),+
-                    )),)+
+                    $(d if d == $designator => ::core::result::Result::Ok($name::$variant $((
+                        $(<$ty as $crate::Internalize<'__r>>::internalize(r)?),+
+                    ))?),)+
                     d => ::core::result::Result::Err($crate::WireError::BadChoice(d)),
                 }
             }
@@ -117,6 +156,9 @@ macro_rules! choice {
 #[doc(hidden)]
 #[macro_export]
 macro_rules! __choice_fields {
+    (@pattern $name:ident $variant:ident [] [] $spare:tt) => {
+        $name::$variant
+    };
     (@pattern $name:ident $variant:ident [$($f:ident)*] [] $spare:tt) => {
         $name::$variant($($f),*)
     };
@@ -166,7 +208,7 @@ macro_rules! enumeration {
             }
         }
 
-        impl $crate::Internalize for $name {
+        impl $crate::Internalize<'_> for $name {
             fn internalize(r: &mut $crate::Reader<'_>) -> ::core::result::Result<Self, $crate::WireError> {
                 match r.get_u16()? {
                     $($value => ::core::result::Result::Ok($name::$item),)+
@@ -199,9 +241,9 @@ macro_rules! newtype {
             }
         }
 
-        impl $crate::Internalize for $name {
+        impl $crate::Internalize<'_> for $name {
             fn internalize(r: &mut $crate::Reader<'_>) -> ::core::result::Result<Self, $crate::WireError> {
-                ::core::result::Result::Ok($name(<$ty as $crate::Internalize>::internalize(r)?))
+                ::core::result::Result::Ok($name(<$ty as $crate::Internalize<'_>>::internalize(r)?))
             }
         }
     };

@@ -169,7 +169,7 @@ impl Externalize for IdSet {
 }
 
 // not a declaration: rejects ranges no `IdSet` could have written.
-impl Internalize for IdSet {
+impl Internalize<'_> for IdSet {
     /// Accepts exactly what `externalize` writes: well-formed ranges,
     /// ascending, disjoint and coalesced.
     fn internalize(r: &mut Reader<'_>) -> Result<IdSet, WireError> {

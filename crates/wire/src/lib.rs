@@ -9,7 +9,9 @@
 //! as words, length-prefixed word-padded strings and byte blocks,
 //! SEQUENCEs with 32-bit counts, and CHOICEs introduced by a designator
 //! word. 64-bit integers are a documented extension (troupe and thread
-//! IDs must be "permanently unique", §6.3).
+//! IDs must be "permanently unique", §6.3). A byte block is a `Vec<u8>`,
+//! or a `&[u8]` borrowed from the buffer it is read from, as a STRING may
+//! be a `&str`.
 //!
 //! The crate also holds [`IdSet`], the workspace's one exact set of ids
 //! stored as ranges, whose wire form is its ranges: it sits this low so
@@ -41,6 +43,6 @@ pub mod writer;
 pub use error::WireError;
 pub use idset::IdSet;
 pub use reader::Reader;
-pub use types::{encode_with, from_bytes, to_bytes, Bytes, Externalize, Internalize};
+pub use types::{encode_with, from_bytes, to_bytes, Externalize, Internalize};
 pub use vecmap::VecMap;
 pub use writer::Writer;

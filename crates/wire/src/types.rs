@@ -28,9 +28,14 @@ pub trait Externalize {
 
 /// Translation from external representation back to internal form
 /// ("unmarshaling").
-pub trait Internalize: Sized {
+///
+/// `'a` is the life of the buffer read from: a value may borrow from it
+/// (a packed block as `&'a [u8]`, a STRING as `&'a str`), so one
+/// declaration serves both an owned form and a zero-copy view of it.
+/// An owned type implements it for every `'a`.
+pub trait Internalize<'a>: Sized {
     /// Parses one value from `r`, advancing the cursor.
-    fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError>;
+    fn internalize(r: &mut Reader<'a>) -> Result<Self, WireError>;
 }
 
 thread_local! {
@@ -76,7 +81,7 @@ pub fn to_bytes<T: Externalize + ?Sized>(v: &T) -> Vec<u8> {
 }
 
 /// Internalizes a single value, requiring the buffer to be fully consumed.
-pub fn from_bytes<T: Internalize>(bytes: &[u8]) -> Result<T, WireError> {
+pub fn from_bytes<'a, T: Internalize<'a>>(bytes: &'a [u8]) -> Result<T, WireError> {
     let mut r = Reader::new(bytes);
     let v = T::internalize(&mut r)?;
     r.expect_end()?;
@@ -90,7 +95,7 @@ macro_rules! scalar_impl {
                 w.$put(*self);
             }
         }
-        impl Internalize for $ty {
+        impl Internalize<'_> for $ty {
             fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
                 r.$get()
             }
@@ -112,7 +117,7 @@ impl Externalize for String {
     }
 }
 
-impl Internalize for String {
+impl Internalize<'_> for String {
     fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
         r.get_string()
     }
@@ -124,22 +129,38 @@ impl Externalize for str {
     }
 }
 
-/// An opaque byte block (SEQUENCE OF UNSPECIFIED, packed).
-///
-/// Distinct from `Vec<u8>` so that `Vec<T>`'s generic SEQUENCE encoding
-/// and the packed byte encoding cannot be confused.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
-pub struct Bytes(pub Vec<u8>);
-
-impl Externalize for Bytes {
-    fn externalize(&self, w: &mut Writer) {
-        w.put_bytes(&self.0);
+/// A STRING borrowed from the buffer read (validated, not copied).
+impl<'a: 'b, 'b> Internalize<'a> for &'b str {
+    fn internalize(r: &mut Reader<'a>) -> Result<Self, WireError> {
+        r.get_str_borrowed()
     }
 }
 
-impl Internalize for Bytes {
+/// An opaque byte block (SEQUENCE OF UNSPECIFIED, packed): `u8` is not a
+/// Courier type, so bytes never take the SEQUENCE impls below, and a
+/// block is one length word and the bytes, word-padded.
+impl Externalize for [u8] {
+    fn externalize(&self, w: &mut Writer) {
+        w.put_bytes(self);
+    }
+}
+
+impl Externalize for Vec<u8> {
+    fn externalize(&self, w: &mut Writer) {
+        w.put_bytes(self);
+    }
+}
+
+impl Internalize<'_> for Vec<u8> {
     fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Bytes(r.get_bytes()?))
+        r.get_bytes()
+    }
+}
+
+/// A packed block borrowed from the buffer read: no allocation, no copy.
+impl<'a: 'b, 'b> Internalize<'a> for &'b [u8] {
+    fn internalize(r: &mut Reader<'a>) -> Result<Self, WireError> {
+        r.get_bytes_borrowed()
     }
 }
 
@@ -172,8 +193,8 @@ impl<T: Externalize + ?Sized> Externalize for &T {
     }
 }
 
-impl<T: Internalize> Internalize for Vec<T> {
-    fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
+impl<'a, T: Internalize<'a>> Internalize<'a> for Vec<T> {
+    fn internalize(r: &mut Reader<'a>) -> Result<Self, WireError> {
         let n = r.get_seq_len()?;
         let mut v = Vec::with_capacity(n.min(4096));
         for _ in 0..n {
@@ -191,8 +212,8 @@ impl<T: Externalize, const N: usize> Externalize for [T; N] {
     }
 }
 
-impl<T: Internalize, const N: usize> Internalize for [T; N] {
-    fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
+impl<'a, T: Internalize<'a>, const N: usize> Internalize<'a> for [T; N] {
+    fn internalize(r: &mut Reader<'a>) -> Result<Self, WireError> {
         let mut v = Vec::with_capacity(N);
         for _ in 0..N {
             v.push(T::internalize(r)?);
@@ -215,8 +236,8 @@ impl<T: Externalize> Externalize for Option<T> {
     }
 }
 
-impl<T: Internalize> Internalize for Option<T> {
-    fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
+impl<'a, T: Internalize<'a>> Internalize<'a> for Option<T> {
+    fn internalize(r: &mut Reader<'a>) -> Result<Self, WireError> {
         match r.get_designator()? {
             0 => Ok(None),
             1 => Ok(Some(T::internalize(r)?)),
@@ -229,7 +250,7 @@ impl Externalize for () {
     fn externalize(&self, _w: &mut Writer) {}
 }
 
-impl Internalize for () {
+impl Internalize<'_> for () {
     fn internalize(_r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(())
     }
@@ -242,8 +263,8 @@ macro_rules! tuple_impl {
                 $(self.$idx.externalize(w);)+
             }
         }
-        impl<$($name: Internalize),+> Internalize for ($($name,)+) {
-            fn internalize(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        impl<'a, $($name: Internalize<'a>),+> Internalize<'a> for ($($name,)+) {
+            fn internalize(r: &mut Reader<'a>) -> Result<Self, WireError> {
                 Ok(($($name::internalize(r)?,)+))
             }
         }
@@ -260,7 +281,7 @@ tuple_impl!(A: 0, B: 1, C: 2, D: 3, E: 4);
 mod tests {
     use super::*;
 
-    fn round_trip<T: Externalize + Internalize + PartialEq + std::fmt::Debug>(v: T) {
+    fn round_trip<T: Externalize + for<'a> Internalize<'a> + PartialEq + std::fmt::Debug>(v: T) {
         let bytes = to_bytes(&v);
         let back: T = from_bytes(&bytes).expect("internalize");
         assert_eq!(back, v);
@@ -282,7 +303,7 @@ mod tests {
     #[test]
     fn containers_round_trip() {
         round_trip(String::from("troupe"));
-        round_trip(Bytes(vec![9, 8, 7]));
+        round_trip(vec![9u8, 8, 7]);
         round_trip(vec![1u16, 2, 3]);
         round_trip(Vec::<u32>::new());
         round_trip([1u16, 2, 3]);
@@ -304,7 +325,7 @@ mod tests {
     #[test]
     fn nested_containers() {
         round_trip(vec![vec![1u16], vec![], vec![2, 3]]);
-        round_trip(vec![Some(Bytes(vec![0]))]);
+        round_trip(vec![Some(vec![0u8])]);
     }
 
     #[test]
@@ -324,9 +345,22 @@ mod tests {
     }
 
     #[test]
-    fn vec_u8_and_bytes_differ() {
-        // Vec<u8> has no impl (u8 is not a Courier type); Bytes is packed.
-        let b = to_bytes(&Bytes(vec![1]));
+    fn vec_u8_is_a_packed_block_not_a_sequence() {
+        // u8 is not a Courier type, so bytes never take the SEQUENCE impls
+        // (a count, then a word an element): a block is packed, however
+        // it is held.
+        let b = to_bytes(&vec![1u8]);
         assert_eq!(b, vec![0, 0, 0, 1, 1, 0]);
+        assert_eq!(to_bytes(&[1u8][..]), b);
+        assert_eq!(to_bytes(&vec![1u16]), vec![0, 0, 0, 1, 0, 1]);
+    }
+
+    #[test]
+    fn blocks_and_strings_borrow_from_the_buffer() {
+        let bytes = to_bytes(&(vec![9u8, 8, 7], "troupe"));
+        let (block, text): (&[u8], &str) = from_bytes(&bytes).unwrap();
+        assert_eq!((block, text), (&[9, 8, 7][..], "troupe"));
+        assert_eq!(block.as_ptr_range(), bytes[4..7].as_ptr_range(), "a borrow");
+        round_trip(vec![9u8, 8, 7]);
     }
 }

@@ -3,7 +3,7 @@
 //! lay their types out as Courier does.
 
 use proptest::prelude::*;
-use wire::{from_bytes, to_bytes, Bytes, Reader, WireError};
+use wire::{from_bytes, to_bytes, Reader, WireError};
 
 wire::record! {
     #[derive(Clone, Debug, PartialEq)]
@@ -82,8 +82,8 @@ proptest! {
 
     #[test]
     fn bytes_round_trips(v: Vec<u8>) {
-        let b = Bytes(v.clone());
-        prop_assert_eq!(from_bytes::<Bytes>(&to_bytes(&b)).unwrap().0, v);
+        prop_assert_eq!(from_bytes::<Vec<u8>>(&to_bytes(&v)).unwrap(), v.clone());
+        prop_assert_eq!(from_bytes::<&[u8]>(&to_bytes(&v)).unwrap(), &v[..]);
     }
 
     #[test]
@@ -104,7 +104,8 @@ proptest! {
     #[test]
     fn garbage_never_panics(bytes: Vec<u8>) {
         let _ = from_bytes::<Vec<String>>(&bytes);
-        let _ = from_bytes::<(u64, Bytes, bool)>(&bytes);
+        let _ = from_bytes::<(u64, Vec<u8>, bool)>(&bytes);
+        let _ = from_bytes::<(&[u8], &str)>(&bytes);
         let _ = from_bytes::<Option<Vec<u16>>>(&bytes);
     }
 
@@ -113,7 +114,7 @@ proptest! {
     #[test]
     fn representation_is_word_aligned(s: String, b: Vec<u8>) {
         prop_assert_eq!(to_bytes(&s).len() % 2, 0);
-        prop_assert_eq!(to_bytes(&Bytes(b)).len() % 2, 0);
+        prop_assert_eq!(to_bytes(&b).len() % 2, 0);
     }
 
     /// Sequential reads consume exactly the bytes written.

@@ -22,7 +22,7 @@ use transactions::{
     AppliedOrder, CommitRecord, CommutativeService, ExecuteRequest, Ledger, ObjId, Op,
     OrderedBroadcastService, TroupeStoreService, Txn, PROC_EXECUTE, RECENT_IDS,
 };
-use wire::{from_bytes, to_bytes, Bytes};
+use wire::{from_bytes, to_bytes};
 
 /// What `oracle` reported among `violations`.
 fn reports_of<'a>(violations: &'a [Violation], oracle: &str) -> Vec<&'a str> {
@@ -123,8 +123,8 @@ fn bcast_oracles_fire_on_a_swapped_order_a_forgotten_id_and_a_hoarded_cache() {
     // entry per applied id, as the pre-compaction ledger held.
     doctor_state::<Member>(&mut q, victim, |_| {
         let (app, order, set, _, queue) = decode(&clean);
-        let hoard: Vec<(u64, u64, u64, Bytes)> = (order.recent().into_iter())
-            .map(|id| (0, id, 0, Bytes(Vec::new())))
+        let hoard: Vec<(u64, u64, u64, Vec<u8>)> = (order.recent().into_iter())
+            .map(|id| (0, id, 0, Vec::new()))
             .collect();
         assert_eq!(hoard.len(), order.len());
         to_bytes(&(app, order, set, hoard, queue))

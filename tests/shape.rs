@@ -409,7 +409,28 @@ static RULES: &[Rule] = &[
               on the line above its impl why it is not a declaration:",
         plants: &[
             "crates/core/src/addr.rs:impl Externalize for TroupeId {",
-            "tests/full_stack.rs:impl<'a> wire::Internalize for Probe<'a> {",
+            "crates/core/src/message.rs:impl Internalize<'_> for ReturnMessage {",
+            "tests/full_stack.rs:impl<'a> wire::Internalize<'a> for Probe<'a> {",
+        ],
+    },
+    Rule {
+        name: "a borrowed read is a declaration (aim 2, §7.1.4)",
+        files: &[
+            "crates/**/*.rs",
+            "src/**/*.rs",
+            "tests/**/*.rs",
+            "examples/**/*.rs",
+        ],
+        check: Forbid(
+            |l| l.contains("get_bytes_borrowed(") || l.contains("get_str_borrowed("),
+            &[File("crates/wire/src/**")],
+        ),
+        fix: "a field of type &'a [u8] or &'a str borrows from the buffer it is read from: \
+              declare the form with wire's record!/choice!, generic over the fields it \
+              borrows, and read it with from_bytes",
+        plants: &[
+            "crates/transactions/src/broadcast.rs:        let payload = r.get_bytes_borrowed()?;",
+            "crates/core/src/message.rs:            ST_NORMAL => Ok(ReturnView::Normal(r.get_bytes_borrowed()?)),",
         ],
     },
     Rule {
