@@ -11,9 +11,10 @@
 //! unsynced bytes), and the *same host* then boots a recovery process on
 //! the surviving disk. That process replays snapshot-plus-log locally,
 //! registers itself as the spare for the troupe, and rejoins through the
-//! wedge protocol — asking the survivors only for the *delta* of commits
-//! past its replayed log head (`get_state_since`) rather than a full
-//! state transfer.
+//! wedge protocol. Its node sends the replayed log head (the store's
+//! recovery token) with the state fetch, so the survivors send only the
+//! *delta* of commits past it (`get_state_since`) rather than the whole
+//! state.
 //!
 //! On top of the store oracles, two recovery-specific invariants are
 //! checked at quiesce:
@@ -30,11 +31,12 @@
 //! MTTR is measured in simulated time from the crash to the registry
 //! showing the troupe back at full strength with the recovered member
 //! in it; recovery network cost is the byte length of the state-fetch
-//! reply (`spare.state_bytes`).
+//! reply (`spare.state_bytes`), beside what a whole-state transfer would
+//! have cost (a survivor's `get_state` at the crash).
 
 use std::fmt;
 
-use circus::{NodeBuilder, Service};
+use circus::{CircusProcess, NodeBuilder, Service};
 use ringmaster::{SpareAgent, SpareService, SPARE_CTL_MODULE};
 use simnet::{DiskConfig, Duration, HostId, SockAddr, Until, World};
 use transactions::{RecoveryInfo, TroupeStoreService, Txn};
@@ -53,9 +55,6 @@ pub struct Recovery {
     /// Commits between snapshots at every durable member (0 = snapshot
     /// only on demand, so the whole history stays in the log).
     pub snapshot_every: usize,
-    /// Rejoin with `get_state_since` (delta catch-up) instead of the
-    /// full `get_state` transfer.
-    pub use_delta: bool,
     /// Arm the disks with [`DiskConfig::hostile`] — transient write
     /// errors while running, torn tails and bit flips at crash — instead
     /// of [`DiskConfig::faultless`].
@@ -66,7 +65,6 @@ impl Default for Recovery {
     fn default() -> Recovery {
         Recovery {
             snapshot_every: 8,
-            use_delta: true,
             disk_faults: true,
         }
     }
@@ -82,6 +80,9 @@ pub struct RecoveryExtra {
     pub mttr: Option<Duration>,
     /// Bytes of the state-fetch reply that rejoined the member.
     pub recovery_bytes: u64,
+    /// Bytes of a survivor's whole state at the crash: what a rejoin
+    /// without the log would have fetched.
+    pub full_state_bytes: u64,
     /// Delta fetches served to the rejoining member (0 or 1).
     pub delta_fetches: u64,
     /// Full-state fetches served to the rejoining member.
@@ -100,8 +101,13 @@ impl fmt::Display for RecoveryExtra {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "mttr {:?}, {} recovery bytes ({} delta / {} full fetches), {} commits",
-            self.mttr, self.recovery_bytes, self.delta_fetches, self.full_fetches, self.commits,
+            "mttr {:?}, {} recovery bytes of {} ({} delta / {} full fetches), {} commits",
+            self.mttr,
+            self.recovery_bytes,
+            self.full_state_bytes,
+            self.delta_fetches,
+            self.full_fetches,
+            self.commits,
         )?;
         if let Some(r) = &self.recovery {
             write!(
@@ -169,9 +175,17 @@ impl Workload for Recovery {
         // Crash one durable member. `crash_host` applies the disk's crash
         // semantics (drop unsynced bytes, maybe tear or flip the tail), so
         // what the recovery process finds is exactly what survived.
-        let victim = d.members[(seed % d.members.len() as u64) as usize];
+        let at = (seed % d.members.len() as u64) as usize;
+        let victim = d.members[at];
         let host = victim.addr.host;
         let crash_at = d.w.now();
+        // What a whole-state rejoin would fetch, read off a survivor.
+        let survivor = d.members[(at + 1) % d.members.len()].addr;
+        let whole = d.w.with_proc(survivor, |p: &CircusProcess| {
+            let store = p.node().service_as::<TroupeStoreService>(MEMBER_MODULE);
+            store.map_or(0, |s| s.get_state().len() as u64)
+        });
+        extra.full_state_bytes = whole.unwrap_or(0);
         d.w.crash_host(host);
         d.w.restart_host(host);
 
@@ -184,11 +198,7 @@ impl Workload for Recovery {
         let recovered = SockAddr::new(host, MEMBER_PORT + 1);
         extra.recovered = Some(recovered);
         let disk = d.w.disk(host).expect("member host has a disk");
-        let spare_ctl = if self.use_delta {
-            SpareService::with_delta(d.rm.clone(), Self::TROUPE, MEMBER_MODULE)
-        } else {
-            SpareService::new(d.rm.clone(), Self::TROUPE, MEMBER_MODULE)
-        };
+        let spare_ctl = SpareService::new(d.rm.clone(), Self::TROUPE, MEMBER_MODULE);
         let p = NodeBuilder::new(recovered, d.config.clone())
             .service(MEMBER_MODULE, self.durable_store(disk))
             .service(SPARE_CTL_MODULE, Box::new(spare_ctl))

@@ -9,13 +9,14 @@
 //! itself. Their arguments and replies are plain wire values: a
 //! `TroupeId`, an `Option<Troupe>`, a process as `(host, port)`.
 //!
-//! This module also reserves seven procedure numbers that every exported
+//! This module also reserves six procedure numbers that every exported
 //! module answers automatically: `set_troupe_id` (generated "in the same
 //! way that stub procedures are produced", §6.2), `get_state` (§6.4.1),
 //! the null "are you there?" probe used for binding-agent garbage
 //! collection (§6.1), `wedge` and `unwedge` around a membership change,
-//! `get_state_since` for a delta catch-up, and `fetch_return` for a
-//! kept return whose part never arrived.
+//! and `fetch_return` for a kept return whose part never arrived.
+//! `get_state` takes an optional recovery token: a joining member that
+//! replayed its own log sends one and gets back only what it missed.
 
 /// The module number under which a binding agent exports its interface.
 pub const BINDING_MODULE: u16 = 0;
@@ -61,8 +62,15 @@ pub mod binding_procs {
 pub mod reserved_procs {
     /// First reserved procedure number; stub compilers must assign below.
     pub const RESERVED_BASE: u16 = 0xFF00;
-    /// `get_state() -> bytes`: externalize the module state for a joining
-    /// member (§6.4.1). Runs as a read-only operation.
+    /// `get_state(token) -> bytes`: externalize the module state for a
+    /// joining member (§6.4.1). Runs as a read-only operation. With no
+    /// token it replies with the whole state, as
+    /// [`Service::get_state`](crate::service::Service::get_state) returns
+    /// it; with one, the [`StateSince`](crate::service::StateSince) that
+    /// [`Service::get_state_since`](crate::service::Service::get_state_since)
+    /// makes of it. The joiner's node stamps its own module's
+    /// [`Service::recovery_token`](crate::service::Service::recovery_token)
+    /// into the call, and installs the reply in that module.
     pub const GET_STATE: u16 = 0xFF00;
     /// `set_troupe_id(troupe)`: install a new troupe incarnation, and
     /// its members (§6.2, Figure 6.2).
@@ -76,13 +84,6 @@ pub mod reserved_procs {
     pub const WEDGE: u16 = 0xFF03;
     /// `unwedge()`: resume normal service after a membership change.
     pub const UNWEDGE: u16 = 0xFF04;
-    /// `get_state_since(token) -> StateSince`: externalize only the
-    /// state *past* the caller's recovery token (log-replay recovery's
-    /// delta catch-up), falling back to the full state when no delta can
-    /// be served. Empty-token calls degenerate to `get_state`. The node
-    /// stamps an empty-args outgoing call with the local module's own
-    /// [`Service::recovery_token`](crate::service::Service::recovery_token).
-    pub const GET_STATE_SINCE: u16 = 0xFF05;
     /// `fetch_return(call key) -> return message`: the return of a call
     /// this member answered with a part of it, kept for a client some part
     /// of whose return never arrived, its owner dead. Answered from the
@@ -98,7 +99,6 @@ pub mod reserved_procs {
             && NULL >= RESERVED_BASE
             && WEDGE >= RESERVED_BASE
             && UNWEDGE >= RESERVED_BASE
-            && GET_STATE_SINCE >= RESERVED_BASE
             && FETCH_RETURN >= RESERVED_BASE
     );
 }

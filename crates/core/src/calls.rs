@@ -18,7 +18,7 @@
 use std::collections::BTreeMap;
 
 use crate::addr::{Troupe, TroupeId};
-use crate::binding::reserved_procs::{FETCH_RETURN, GET_STATE, GET_STATE_SINCE};
+use crate::binding::reserved_procs::{FETCH_RETURN, GET_STATE};
 use crate::census;
 use crate::collate::{CollateError, Collation, CollationPolicy, Decision, PartsDecision};
 use crate::conn::Conns;
@@ -39,8 +39,14 @@ pub(crate) enum CallPurpose {
     /// Initiated by the application; completion goes to `AppEvent`.
     App,
     /// A nested call made by the service handling `key`, under the span
-    /// `parent`; completion resumes the service (§3.4).
-    Nested { key: CallKey, parent: SpanId },
+    /// `parent`; completion resumes the service (§3.4). A `get_state`
+    /// names the local module its reply is installed in first, and
+    /// whether the module's recovery token went with it (§6.4.1).
+    Nested {
+        key: CallKey,
+        parent: SpanId,
+        install: Option<(u16, bool)>,
+    },
     /// An internal `lookup_troupe_by_id` to the binding agent (§4.3.2).
     DirLookup { troupe: TroupeId },
     /// An internal `report_suspect` to the binding agent (§3.5.1, §6.4):
@@ -344,7 +350,7 @@ impl ClientCalls {
         // configuration multicasts those too.
         let small = config.multicast_small_calls;
         let shareable = Conns::shareable(msg.encoded_len(), small);
-        let transfer = matches!(proc, GET_STATE | GET_STATE_SINCE);
+        let transfer = proc == GET_STATE;
         let unanimous = matches!(call.collation, CollationPolicy::Unanimous);
         let mut collation = Collation::new(call.collation, troupe.members.len());
         // Room for the members whose parts come in behind those named.

@@ -214,23 +214,6 @@ impl Node {
         any.downcast_mut::<S>()
     }
 
-    /// Installs transferred state into an exported service (the joining
-    /// member's half of §6.4.1's state transfer).
-    pub fn set_service_state(&mut self, module: u16, state: &[u8]) {
-        if let Some(svc) = self.services.get_mut(&module) {
-            svc.set_state(state);
-        }
-    }
-
-    /// Applies a recovery delta to an exported service (the joining
-    /// member's half of delta catch-up; see
-    /// [`Service::get_state_since`]).
-    pub fn apply_service_delta(&mut self, module: u16, delta: &[u8]) {
-        if let Some(svc) = self.services.get_mut(&module) {
-            svc.apply_delta(delta);
-        }
-    }
-
     /// Starts the node: resolves its `rpc.{me}.*` handles in the
     /// process's registry, where its connections and assemblies count from
     /// then on, then runs every exported service's [`Service::on_start`]
@@ -369,7 +352,13 @@ impl Node {
                 );
                 self.events.push_back(AppEvent::CallDone { handle, result });
             }
-            CallPurpose::Nested { key, .. } => self.resume_service(io, key, result),
+            CallPurpose::Nested { key, install, .. } => {
+                let result = result.and_then(|reply| match install {
+                    Some(to) => self.install_state(io, to, &reply).map(|()| reply),
+                    None => Ok(reply),
+                });
+                self.resume_service(io, key, result);
+            }
             CallPurpose::DirLookup { troupe } => self.finish_lookup(io, troupe, result),
             CallPurpose::Fetch { handle } => {
                 if let Some(returned) = self.calls.fetched(handle, result) {
@@ -542,7 +531,7 @@ mod tests {
     use super::*;
     use crate::calls::tests::{call_to, troupe_of};
     use crate::netio::mock::*;
-    use crate::{ModuleAddr, ServiceCtx, Step};
+    use crate::ModuleAddr;
     use simnet::{HostId, Time};
 
     fn node() -> Node {
@@ -677,26 +666,5 @@ mod tests {
         let learned = n.directory.members(TroupeId(33));
         assert_eq!(learned.map(|m| &m[..]), Some(&[member.addr][..]));
         assert!(n.directory.members(TroupeId::UNREGISTERED).is_none());
-    }
-
-    #[test]
-    fn set_service_state_reaches_the_service() {
-        struct Holder {
-            state: Vec<u8>,
-        }
-        impl Service for Holder {
-            fn dispatch(&mut self, _ctx: &mut ServiceCtx, _proc: u16, _args: &[u8]) -> Step {
-                Step::Reply(Vec::new())
-            }
-            fn set_state(&mut self, state: &[u8]) {
-                self.state = state.to_vec();
-            }
-        }
-        let mut n = node();
-        n.export(1, Box::new(Holder { state: Vec::new() }));
-        n.set_service_state(1, &[1, 2, 3]);
-        assert_eq!(n.service_as::<Holder>(1).unwrap().state, vec![1, 2, 3]);
-        // Unknown module: silently ignored.
-        n.set_service_state(9, &[4]);
     }
 }

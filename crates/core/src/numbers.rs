@@ -109,13 +109,13 @@ wire::record! {
 }
 
 wire::record! {
-    /// The answer to the reserved `get_state` and `get_state_since`
-    /// procedures on the wire: the node wraps what the service returned
-    /// with its call numbers, and the fetching node unwraps it, so a
-    /// service's state-transfer contract never sees them.
+    /// The answer to the reserved `get_state` procedure on the wire: the
+    /// node wraps what the service returned with its call numbers, and
+    /// the fetching node unwraps it, so a service's state-transfer
+    /// contract never sees them.
     #[derive(Clone, PartialEq, Eq, Debug)]
     pub(crate) struct StateTransfer {
-        /// What the service's `get_state` (or `get_state_since`) returned.
+        /// The state, whole or as a `StateSince` (see `GET_STATE`).
         pub(crate) state: Vec<u8>,
         /// The answering node's next call number per peer.
         pub(crate) call_numbers: Vec<PeerNumber>,

@@ -15,12 +15,14 @@ use crate::addr::{ModuleAddr, Troupe, TroupeId};
 use crate::assembly::{Invocation, Members, Outsider, PendState};
 use crate::binding;
 use crate::binding::binding_procs::LOOKUP_TROUPE_BY_ID;
-use crate::binding::reserved_procs::{self, FETCH_RETURN, GET_STATE, GET_STATE_SINCE};
+use crate::binding::reserved_procs::{self, FETCH_RETURN, GET_STATE};
 use crate::calls::{Call, CallPurpose};
 use crate::collate::{Collation, CollationPolicy};
 use crate::message::{encode, Arrival, CallKey, CallMessage, ReturnMessage};
 use crate::netio::{make_tag, NetIo, TAG_PENDING, TAG_WAKE};
-use crate::service::{self, CallError, NodeEffect, OutCall, ServiceCtx, Step, TroupeTarget};
+use crate::service::{
+    self, CallError, NodeEffect, OutCall, ServiceCtx, StateSince, Step, TroupeTarget,
+};
 use pairedmsg::Framed;
 use simnet::{Payload, SockAddr, Syscall};
 
@@ -164,7 +166,7 @@ impl Node {
                 let (services, me) = (&mut self.services, &mut self.my_troupe);
                 let Invocation { module, proc, .. } = invocation;
                 let mut step = service::dispatch(services, me, &mut ctx, module, proc, &args);
-                if let (GET_STATE | GET_STATE_SINCE, Step::Reply(state)) = (proc, &mut step) {
+                if let (GET_STATE, Step::Reply(state)) = (proc, &mut step) {
                     // The joiner fetching it numbers its calls as this
                     // member does from then on (§4.3.3).
                     *state = self.calls.numbers.transfer(std::mem::take(state));
@@ -214,16 +216,18 @@ impl Node {
         key: CallKey,
         mut out: OutCall,
     ) -> Result<(), String> {
-        // A `get_state_since` call with empty args asks the node to stamp
-        // in the *local* module's recovery token (how much state the
-        // joiner already replayed from its log). The module may
-        // legitimately have no token — the callee then serves a full
-        // copy.
-        if out.proc == reserved_procs::GET_STATE_SINCE && out.args.is_empty() {
+        // A `get_state` is this node's fetch of its troupe's state for
+        // its own module of that number (§6.4.1). The node stamps in the
+        // module's recovery token, if it keeps one (how much state it
+        // already replayed from its log), and installs the reply there
+        // by the same test when it comes back.
+        let mut install = None;
+        if out.proc == GET_STATE && out.args.is_empty() {
             let service = self.services.get(&out.module);
             if let Some(tok) = service.and_then(|s| s.recovery_token()) {
                 out.args = tok.into();
             }
+            install = Some((out.module, !out.args.is_empty()));
         }
         let callback = matches!(out.target, TroupeTarget::Caller);
         let mut thread = key.thread;
@@ -253,7 +257,12 @@ impl Node {
             call.client_troupe = self.my_troupe.id;
         }
         let parent = self.assemblies.invoke_span(&key);
-        self.begin(io, call, CallPurpose::Nested { key, parent });
+        let purpose = CallPurpose::Nested {
+            key,
+            parent,
+            install,
+        };
+        self.begin(io, call, purpose);
         if callback {
             CALLERS.set(troupe.members);
         }
@@ -289,12 +298,6 @@ impl Node {
                         self.apply_step(io, key, step);
                     }
                 }
-                NodeEffect::SetServiceState { module, state } => {
-                    self.set_service_state(module, &state);
-                }
-                NodeEffect::ApplyServiceDelta { module, delta } => {
-                    self.apply_service_delta(module, &delta);
-                }
                 NodeEffect::NotifyAgent { tag } => {
                     self.events.push_back(AppEvent::Notify { tag });
                 }
@@ -319,6 +322,37 @@ impl Node {
         };
         self.apply_effects(io, ctx.effects);
         self.apply_step(io, key, step);
+    }
+
+    /// Installs the reply to this node's own `get_state` in `module`: as
+    /// a [`StateSince`] if the fetch carried the module's recovery
+    /// `token`, else as the whole state it is. A reply that does not
+    /// decode fails the fetch.
+    pub(super) fn install_state(
+        &mut self,
+        io: &dyn NetIo,
+        (module, token): (u16, bool),
+        reply: &[u8],
+    ) -> Result<(), CallError> {
+        let Some(s) = self.services.get_mut(&module) else {
+            return Ok(());
+        };
+        if !token {
+            s.set_state(reply);
+            return Ok(());
+        }
+        match wire::from_bytes::<StateSince<&[u8]>>(reply) {
+            Ok(StateSince::Delta(delta)) => {
+                io.metrics().add("spare.delta_fetches", 1);
+                s.apply_delta(delta);
+            }
+            Ok(StateSince::Full(state)) => {
+                io.metrics().add("spare.full_fetches", 1);
+                s.set_state(state);
+            }
+            Err(_) => return Err(CallError::Garbled),
+        }
+        Ok(())
     }
 
     /// Resumes a service blocked on a nested call.

@@ -154,15 +154,6 @@ pub enum NodeEffect {
         /// What it should do next.
         step: Step,
     },
-    /// Install transferred state into another exported module of this
-    /// node (the joining member's half of §6.4.1's state transfer, driven
-    /// by a local control service rather than external test code).
-    SetServiceState {
-        /// The module receiving the state.
-        module: u16,
-        /// Its externalized state.
-        state: Vec<u8>,
-    },
     /// Wake this node's agent with
     /// [`Agent::on_notify`](crate::runtime::Agent::on_notify): a service
     /// observed something the application half should react to *now*
@@ -170,18 +161,6 @@ pub enum NodeEffect {
     NotifyAgent {
         /// Opaque tag passed through to the agent.
         tag: u64,
-    },
-    /// Apply a *delta* of state (commits past the receiver's recovery
-    /// token) to another exported module of this node — the catch-up
-    /// half of log-replay recovery, cheaper than
-    /// [`NodeEffect::SetServiceState`] when the joiner already replayed
-    /// most of the state from its local log.
-    ApplyServiceDelta {
-        /// The module receiving the delta.
-        module: u16,
-        /// The externalized delta ([`Service::get_state_since`]'s
-        /// `Delta` payload).
-        delta: Vec<u8>,
     },
     /// Call [`Service::wake`] for a suspended invocation `after` from now
     /// (if it is still suspended then): how a service waits before it
@@ -194,39 +173,19 @@ pub enum NodeEffect {
     },
 }
 
-/// Reply of the reserved `get_state_since` procedure: either the full
-/// state (the peer could not serve a delta for the given token) or just
-/// the commits past the token.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum StateSince {
-    /// The complete module state, as [`Service::get_state`] returns it.
-    Full(Vec<u8>),
-    /// Only the changes past the requester's recovery token, to be
-    /// applied with [`Service::apply_delta`].
-    Delta(Vec<u8>),
-}
-
-impl StateSince {
-    /// Externalizes the reply (1 tag byte + payload).
-    pub fn encode(&self) -> Vec<u8> {
-        let (tag, payload) = match self {
-            StateSince::Full(p) => (0u8, p),
-            StateSince::Delta(p) => (1u8, p),
-        };
-        let mut out = Vec::with_capacity(1 + payload.len());
-        out.push(tag);
-        out.extend_from_slice(payload);
-        out
-    }
-
-    /// Internalizes a reply produced by [`StateSince::encode`].
-    pub fn decode(bytes: &[u8]) -> Result<StateSince, String> {
-        match bytes.split_first() {
-            Some((0, p)) => Ok(StateSince::Full(p.to_vec())),
-            Some((1, p)) => Ok(StateSince::Delta(p.to_vec())),
-            Some((t, _)) => Err(format!("unknown state_since tag {t}")),
-            None => Err("empty state_since reply".into()),
-        }
+wire::choice! {
+    /// Reply of the reserved `get_state` procedure to a call that carries
+    /// a recovery token: the full state (the peer could not serve a delta
+    /// for the token) or just the commits past it. Its blocks are owned
+    /// (`StateSince`, the default) or borrowed from the reply
+    /// (`StateSince<&[u8]>`), as the joiner's node reads it.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum StateSince<B: wire::Block = Vec<u8>> {
+        /// The complete module state, as [`Service::get_state`] returns it.
+        Full(B) = 0,
+        /// Only the changes past the requester's recovery token, to be
+        /// applied with [`Service::apply_delta`].
+        Delta(B) = 1,
     }
 }
 
@@ -329,7 +288,9 @@ pub trait Service: std::any::Any {
     /// A compact token describing how much state this member already
     /// holds (e.g. per-origin commit watermarks after log replay).
     /// `None` — the default — means the service keeps no durable state
-    /// and a joiner must fetch the full state.
+    /// and a joiner must fetch the full state. The joining node sends the
+    /// token with its `get_state` and, by the same test, installs the
+    /// reply as a [`StateSince`] or as the whole state.
     fn recovery_token(&self) -> Option<Vec<u8>> {
         None
     }
@@ -369,14 +330,10 @@ pub(crate) fn dispatch(
             }
             Err(e) => Step::Error(format!("bad troupe id: {e}")),
         },
-        (GET_STATE, Some(s)) => Step::Reply(s.get_state()),
-        // An empty token (the caller has no durable state, or its module
-        // does not implement recovery) degenerates to a full copy, so
-        // mixed troupes stay compatible.
-        (GET_STATE_SINCE, Some(s)) if args.is_empty() => {
-            Step::Reply(StateSince::Full(s.get_state()).encode())
-        }
-        (GET_STATE_SINCE, Some(s)) => Step::Reply(s.get_state_since(args).encode()),
+        // No token (the joiner keeps no durable state): the whole state,
+        // untagged. A token: what the joiner missed, or all of it.
+        (GET_STATE, Some(s)) if args.is_empty() => Step::Reply(s.get_state()),
+        (GET_STATE, Some(s)) => Step::Reply(wire::to_bytes(&s.get_state_since(args))),
         // The service may Suspend until in-flight invocations drain
         // (§6.4.1) and later reply via `StepFor`.
         (WEDGE, Some(s)) => s.wedge(ctx),
@@ -384,7 +341,7 @@ pub(crate) fn dispatch(
             s.unwedge();
             Step::Reply(Vec::new())
         }
-        (..RESERVED_BASE | GET_STATE | GET_STATE_SINCE | WEDGE | UNWEDGE, None) => {
+        (..RESERVED_BASE | GET_STATE | WEDGE | UNWEDGE, None) => {
             Step::Error("no such module".into())
         }
         _ => Step::Error("unknown reserved procedure".into()),

@@ -299,13 +299,13 @@ impl Service for RingmasterService {
                 let Ok(name) = from_bytes::<String>(args) else {
                     return Step::Error("bad lookup_troupe_by_name arguments".into());
                 };
-                Step::Reply(to_bytes(&self.lookup(&name).cloned()))
+                Step::Reply(to_bytes(&self.lookup(&name)))
             }
             binding_procs::LOOKUP_TROUPE_BY_ID => {
                 let Ok(id) = from_bytes::<TroupeId>(args) else {
                     return Step::Error("bad lookup_troupe_by_id arguments".into());
                 };
-                Step::Reply(to_bytes(&self.lookup_by_id(id).cloned()))
+                Step::Reply(to_bytes(&self.lookup_by_id(id)))
             }
             binding_procs::REBIND => {
                 let Ok(req) = from_bytes::<Rebind>(args) else {
@@ -314,7 +314,7 @@ impl Service for RingmasterService {
                 // The stale id is only a hint (§6.1): return whatever is
                 // current; if the registry still holds the reportedly
                 // stale binding, a garbage-collection probe will decide.
-                Step::Reply(to_bytes(&self.lookup(&req.name).cloned()))
+                Step::Reply(to_bytes(&self.lookup(&req.name)))
             }
             binding_procs::REPORT_SUSPECT => {
                 let Ok((host, port)) = from_bytes::<(u32, u16)>(args) else {

@@ -27,7 +27,9 @@
 //! peer beside the state, and the joiner's node raises its own to them:
 //! the joiner then numbers its calls as its troupe does, so the returns
 //! of the many-to-one calls it joins in go back by one multicast
-//! (§4.3.3).
+//! (§4.3.3). The joiner's node also installs the fetched state: a module
+//! that keeps a recovery token (a durable member that replayed its log)
+//! sends it with the fetch and gets back only the commits it missed.
 //!
 //! Wedging before the state fetch is what makes the transfer consistent
 //! (§6.4.1): no state change can land between the snapshot and the
@@ -47,8 +49,8 @@
 use circus::binding::{binding_procs, reserved_procs, BINDING_MODULE};
 use circus::testbed::Request;
 use circus::{
-    Agent, CallError, CallHandle, CollationPolicy, ModuleAddr, NodeCtx, NodeEffect, OutCall,
-    Service, ServiceCtx, StateSince, Step, TimerKey, Troupe, TroupeId, TroupeTarget,
+    Agent, CallError, CallHandle, CollationPolicy, ModuleAddr, NodeCtx, OutCall, Service,
+    ServiceCtx, Step, TimerKey, Troupe, TroupeId, TroupeTarget,
 };
 use simnet::Duration;
 use wire::{from_bytes, to_bytes};
@@ -160,10 +162,6 @@ pub struct SpareService {
     /// Set once an activation has completed; the process is then an
     /// ordinary troupe member and the control module refuses re-use.
     pub activated: bool,
-    /// Fetch only the commits past the local module's recovery token
-    /// (`get_state_since`) instead of the full state. A durable member
-    /// that replayed its commit log before joining needs only the delta.
-    use_delta: bool,
 }
 
 impl SpareService {
@@ -178,18 +176,7 @@ impl SpareService {
             dead: None,
             survivors: Vec::new(),
             activated: false,
-            use_delta: false,
         }
-    }
-
-    /// Like [`SpareService::new`], but the state fetch asks the
-    /// survivors for the *delta* past the local module's recovery token
-    /// (the node stamps the token into the call). Survivors that cannot
-    /// cover the delta fall back to a full state transfer on their own.
-    pub fn with_delta(binder: Troupe, name: impl Into<String>, module: u16) -> SpareService {
-        let mut s = SpareService::new(binder, name, module);
-        s.use_delta = true;
-        s
     }
 
     fn survivors_troupe(&self) -> Troupe {
@@ -297,20 +284,16 @@ impl Service for SpareService {
                     return self.abort(ctx, stage, format!("wedge failed: {e}"));
                 }
                 // Every survivor is quiescent: the snapshot below cannot
-                // race a commit (§6.4.1's consistency requirement). A
-                // delta-capable spare sends GET_STATE_SINCE with empty
-                // args; the node stamps the local module's recovery
-                // token in before the call leaves the process.
+                // race a commit (§6.4.1's consistency requirement). The
+                // node stamps the local module's recovery token, if it
+                // keeps one, into the call, and installs the reply in the
+                // module before this service resumes: the joining node
+                // decides delta or full.
                 self.stage = Some(Stage::Fetching);
-                let proc = if self.use_delta {
-                    reserved_procs::GET_STATE_SINCE
-                } else {
-                    reserved_procs::GET_STATE
-                };
                 Step::Call(OutCall {
                     target: TroupeTarget::Troupe(self.survivors_troupe()),
                     module: self.module,
-                    proc,
+                    proc: reserved_procs::GET_STATE,
                     args: Vec::new().into(),
                     collation: CollationPolicy::FirstCome,
                     solo: true,
@@ -322,36 +305,6 @@ impl Service for SpareService {
                     Err(e) => return self.abort(ctx, stage, format!("get_state failed: {e}")),
                 };
                 ctx.metrics.add("spare.state_bytes", state.len() as u64);
-                if self.use_delta {
-                    match StateSince::decode(&state) {
-                        Ok(StateSince::Delta(delta)) => {
-                            ctx.metrics.add("spare.delta_fetches", 1);
-                            ctx.push_effect(NodeEffect::ApplyServiceDelta {
-                                module: self.module,
-                                delta,
-                            });
-                        }
-                        Ok(StateSince::Full(full)) => {
-                            ctx.metrics.add("spare.full_fetches", 1);
-                            ctx.push_effect(NodeEffect::SetServiceState {
-                                module: self.module,
-                                state: full,
-                            });
-                        }
-                        Err(e) => {
-                            return self.abort(
-                                ctx,
-                                stage,
-                                format!("garbled get_state_since reply: {e}"),
-                            )
-                        }
-                    }
-                } else {
-                    ctx.push_effect(NodeEffect::SetServiceState {
-                        module: self.module,
-                        state,
-                    });
-                }
                 self.stage = Some(Stage::Adding);
                 let (name, member) = (self.name.clone(), ModuleAddr::new(ctx.me, self.module));
                 // In a dead member's place, the removal rides the addition:

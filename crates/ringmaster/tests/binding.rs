@@ -9,7 +9,7 @@ use circus::testbed::{
 };
 use circus::{
     Agent, CallError, CallHandle, CollationPolicy, ModuleAddr, Node, NodeBuilder, NodeConfig,
-    NodeCtx, ThreadId, Troupe, TroupeId,
+    NodeCtx, Service, ServiceCtx, StateSince, Step, ThreadId, Troupe, TroupeId,
 };
 use ringmaster::{
     activation, registration, spawn_ringmaster, ImportCache, RingmasterService, SpareAgent,
@@ -170,6 +170,87 @@ fn join_agent_transfers_state_and_reincarnates() {
     // A client still holding the OLD binding is rejected and can rebind.
     let stale = call(&mut w, driver, add(&registered, 42), secs(10));
     assert_eq!(stale, Err(CallError::StaleBinding(Some(joined))));
+}
+
+/// A counter that keeps its total as a durable member keeps its log: the
+/// total it holds is its recovery token, and a peer's delta is the rest.
+#[derive(Default)]
+struct DurableCounter(CountingService);
+
+impl Service for DurableCounter {
+    fn dispatch(&mut self, ctx: &mut ServiceCtx, proc: u16, args: &[u8]) -> Step {
+        self.0.dispatch(ctx, proc, args)
+    }
+    fn get_state(&self) -> Vec<u8> {
+        self.0.get_state()
+    }
+    fn set_state(&mut self, state: &[u8]) {
+        self.0.set_state(state);
+    }
+    fn recovery_token(&self) -> Option<Vec<u8>> {
+        Some(to_bytes(&self.0.total))
+    }
+    fn get_state_since(&self, token: &[u8]) -> StateSince {
+        match from_bytes::<u32>(token) {
+            Ok(held) if held <= self.0.total => StateSince::Delta(to_bytes(&(self.0.total - held))),
+            _ => StateSince::Full(self.get_state()),
+        }
+    }
+    fn apply_delta(&mut self, delta: &[u8]) {
+        self.0.total += from_bytes::<u32>(delta).unwrap_or(0);
+    }
+}
+
+/// The joining node decides delta or full (§6.4.1): a durable joiner
+/// behind a plain spare control module sends its recovery token with the
+/// fetch and installs only what it lacked.
+#[test]
+fn a_durable_joiner_behind_a_plain_spare_rejoins_by_delta() {
+    let mut w = world(2);
+    let rm = spawn_ringmaster(&mut w, &hosts(&[1, 2, 3]), NodeConfig::default());
+    let (config, members) = (NodeConfig::default(), [addr(4, 70), addr(5, 70)]);
+    let (id, make) = (TroupeId::UNREGISTERED, DurableCounter::default);
+    let troupe = spawn_troupe(&mut w, id, &members, APP_MODULE, &config, Some(&rm), make);
+    let manager = spawn_caller(&mut w, addr(90, 10), config.clone(), None);
+    let register = registration(&rm, "counter", &troupe.members);
+    let id = call(&mut w, manager, register, secs(10)).expect("registered");
+    let troupe = Troupe::new(from_bytes(&id).expect("a troupe id"), troupe.members);
+    assert!(call(&mut w, manager, add(&troupe, 42), secs(10)).is_ok());
+
+    // The joiner replayed 40 of the 42 from its own log.
+    let newbie = addr(6, 70);
+    let replayed = DurableCounter(CountingService {
+        total: 40,
+        ..CountingService::default()
+    });
+    let p = NodeBuilder::new(newbie, config.clone())
+        .service(APP_MODULE, Box::new(replayed))
+        .service(
+            SPARE_CTL_MODULE,
+            Box::new(SpareService::new(rm.clone(), "counter", APP_MODULE)),
+        )
+        .binder(rm.clone())
+        .build()
+        .expect("valid node");
+    w.spawn(newbie, Box::new(p));
+    let ctl = ModuleAddr::new(newbie, SPARE_CTL_MODULE);
+    let joined = call(&mut w, manager, activation(ctl, "counter"), secs(20));
+    assert!(joined.is_ok(), "join did not finish cleanly: {joined:?}");
+
+    let total = service(&w, newbie, APP_MODULE, |s: &DurableCounter| s.0.total);
+    assert_eq!(total, 42, "the delta of 2 came on top of the replayed 40");
+    let reg = w.metrics();
+    let fetches = (
+        reg.get("spare.delta_fetches"),
+        reg.get("spare.full_fetches"),
+    );
+    assert_eq!(
+        fetches,
+        (1, 0),
+        "a plain spare's durable joiner fetches its delta"
+    );
+    let delta = to_bytes(&StateSince::Delta(to_bytes(&2u32)));
+    assert_eq!(reg.get("spare.state_bytes"), delta.len() as u64);
 }
 
 #[test]

@@ -91,7 +91,7 @@ wire::record! {
     /// payload in place and copies it exactly once, into the refcounted
     /// queue entry.
     #[derive(Clone, PartialEq, Eq, Debug)]
-    pub struct Propose<P = Vec<u8>> {
+    pub struct Propose<P: wire::Block = Vec<u8>> {
         /// Client-unique message identifier (also the tie-breaker between
         /// equal proposed times).
         pub msg_id: u64,
@@ -107,8 +107,24 @@ wire::record! {
     /// that never saw the proposal — a rejoined spare, or one whose
     /// orphan GC already collected the entry — installs the message
     /// directly at the agreed time instead of failing the broadcast.
+    ///
+    /// The payload is a byte block and nothing else ([`wire::Block`]): a
+    /// payload of words, which would go out as a SEQUENCE, does not
+    /// compile,
+    ///
+    /// ```compile_fail,E0277
+    /// let words: Vec<i32> = vec![1, 2, 3];
+    /// let _ = transactions::broadcast::Accept { msg_id: 1, accepted_time: 2, payload: words };
+    /// ```
+    ///
+    /// and an untyped literal is read as bytes:
+    ///
+    /// ```
+    /// let a = transactions::broadcast::Accept { msg_id: 1, accepted_time: 2, payload: vec![1, 2, 3] };
+    /// assert_eq!(wire::to_bytes(&a.payload), [0, 0, 0, 3, 1, 2, 3, 0]);
+    /// ```
     #[derive(Clone, PartialEq, Eq, Debug)]
-    pub struct Accept<P = Vec<u8>> {
+    pub struct Accept<P: wire::Block = Vec<u8>> {
         /// The message being accepted.
         pub msg_id: u64,
         /// The maximum proposed time, now its acceptance time.
@@ -503,15 +519,17 @@ impl<A: OrderedApply> Service for OrderedBroadcastService<A> {
         // broadcasts), the applied order (the oracle's object of proof),
         // the applied ids (so retried accepts stay no-ops) and the retry
         // cache (so a live retry gets the dead member's answer).
-        let retry: Vec<(u64, u64, u64, Vec<u8>)> = self
+        // Rows borrow the results and payloads they carry: each is copied
+        // once, into the encoding.
+        let retry: Vec<RetryWire<&[u8]>> = self
             .retry
             .iter()
-            .map(|(&(origin, id), &(time, ref result))| (origin, id, time, result.clone()))
+            .map(|(&(origin, id), (time, result))| (origin, id, *time, &result[..]))
             .collect();
-        let queue: Vec<QueueWire> = self
+        let queue: Vec<QueueWire<&[u8]>> = self
             .queue
             .iter()
-            .map(|(&(time, id), e)| (time, id, e.origin, e.status, e.payload.to_vec()))
+            .map(|(&(time, id), e)| (time, id, e.origin, e.status, &e.payload[..]))
             .collect();
         let snapshot = self.app.snapshot();
         to_bytes(&(
@@ -524,17 +542,19 @@ impl<A: OrderedApply> Service for OrderedBroadcastService<A> {
     }
 
     fn set_state(&mut self, state: &[u8]) {
-        let Ok((snapshot, order, ids, retry, queue)) = from_bytes::<StateWire>(state) else {
+        // Read in place: each result and payload is copied once, out of
+        // the transfer into the member's own tables.
+        let Ok((snapshot, order, ids, retry, queue)) = from_bytes::<StateWire<&[u8]>>(state) else {
             // Garbled transfer, any part of it: keep the state held (blank,
             // for a joining spare, whose join goes on all the same).
             return;
         };
-        self.app.restore(&snapshot);
+        self.app.restore(snapshot);
         self.applied_order = order;
         self.applied_ids = ids;
         self.retry = retry
             .into_iter()
-            .map(|(origin, id, time, result)| ((origin, id), (time, result)))
+            .map(|(origin, id, time, result)| ((origin, id), (time, result.to_vec())))
             .collect();
         self.queue.clear();
         self.position.clear();
@@ -542,7 +562,7 @@ impl<A: OrderedApply> Service for OrderedBroadcastService<A> {
             self.queue.insert(
                 (time, id),
                 QEntry {
-                    payload: simnet::Payload::copy_from(&payload),
+                    payload: simnet::Payload::copy_from(payload),
                     status,
                     origin,
                 },
@@ -553,19 +573,19 @@ impl<A: OrderedApply> Service for OrderedBroadcastService<A> {
 }
 
 /// What `get_state` externalizes and `set_state` expects: the application
-/// snapshot, the folded applied order, the applied ids, the retry cache as
-/// `(origin, msg_id, accepted time, result)` rows, and the queue.
-pub type StateWire = (
-    Vec<u8>,
-    AppliedOrder,
-    IdSet,
-    Vec<(u64, u64, u64, Vec<u8>)>,
-    Vec<QueueWire>,
-);
+/// snapshot, the folded applied order, the applied ids, the retry cache,
+/// and the queue. Its blocks are owned (`StateWire`, the default) or
+/// borrowed from the transfer (`StateWire<&[u8]>`), as [`Propose`]'s
+/// payload is.
+pub type StateWire<B = Vec<u8>> = (B, AppliedOrder, IdSet, Vec<RetryWire<B>>, Vec<QueueWire<B>>);
+
+/// One retry-cache entry in state transfer: `(origin, msg_id, accepted
+/// time, result)`.
+pub type RetryWire<B = Vec<u8>> = (u64, u64, u64, B);
 
 /// One queue entry in state transfer: `(time, msg_id, origin, status,
 /// payload)`.
-pub type QueueWire = (u64, u64, u64, QStatus, Vec<u8>);
+pub type QueueWire<B = Vec<u8>> = (u64, u64, u64, QStatus, B);
 
 /// Reply collator for `get_proposed_time`: wait for every member, then
 /// yield the **maximum** proposal (Figure 5.1's client side). It is

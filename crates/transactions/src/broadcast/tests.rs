@@ -22,6 +22,24 @@ fn borrowed_forms_read_without_copying() {
     // length word, not a copy of it.
     assert_eq!(pr.payload.as_ptr_range(), p[12..15].as_ptr_range());
     assert_eq!(ar.payload.as_ptr_range(), a[20..23].as_ptr_range());
+
+    // A state transfer reads its results and payloads in place too, and
+    // its borrowed form lays the state out as the owned one does.
+    let mut donor = log_service();
+    propose(&mut donor, 100, 1, b"applied");
+    accept(&mut donor, 200, 1, 150, b"applied");
+    propose_from(&mut donor, A, 300, 2, b"in flight");
+    let state = donor.get_state();
+    let owned: StateWire = from_bytes(&state).unwrap();
+    let view: StateWire<&[u8]> = from_bytes(&state).unwrap();
+    assert_eq!(to_bytes(&owned), state);
+    assert_eq!(to_bytes(&view), state);
+    let (result, payload) = (view.3[0].3, view.4[0].4);
+    assert_eq!((result, payload), (&owned.3[0].3[..], &b"in flight"[..]));
+    for block in [result, payload] {
+        let within = state.as_ptr_range();
+        assert!(within.contains(&block.as_ptr()) && block.as_ptr_range().end <= within.end);
+    }
 }
 
 fn vote(t: u64) -> VoteSlot {

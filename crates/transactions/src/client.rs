@@ -399,7 +399,7 @@ impl Protocol for ProposeAccept {
     /// The payload rides in both phases: a member that missed the
     /// proposal installs the message from the accept.
     fn request(&mut self, payload: &Vec<u8>, _now: Time) -> Request {
-        let msg_id = self.msg_id();
+        let (msg_id, payload) = (self.msg_id(), &payload[..]);
         match self.accepted_time {
             None => (
                 PROC_GET_PROPOSED_TIME,

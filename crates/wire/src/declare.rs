@@ -15,8 +15,11 @@
 //! type `&'a [u8]` or `&'a str` borrows from the buffer it is read from,
 //! and a type parameter makes one declaration both the owned form and
 //! the zero-copy view of it (`Form<Vec<u8>>` and `Form<&[u8]>`): the two
-//! cannot lay the form out differently.
+//! cannot lay the form out differently. A type parameter may carry one
+//! bound, which the type and both implementations keep: bound by
+//! [`Block`], it holds a byte block and nothing else.
 //!
+//! [`Block`]: crate::Block
 //! [`Externalize`]: crate::Externalize
 //! [`Internalize`]: crate::Internalize
 
@@ -36,12 +39,13 @@
 /// ```
 ///
 /// With a type parameter, one declaration is the owned form and the view
-/// that borrows from the buffer:
+/// that borrows from the buffer; bound by [`Block`](crate::Block), the
+/// parameter is a byte block, owned or borrowed:
 ///
 /// ```
 /// wire::record! {
 ///     #[derive(Debug, PartialEq)]
-///     pub struct Note<B = Vec<u8>> {
+///     pub struct Note<B: wire::Block = Vec<u8>> {
 ///         pub id: u64,
 ///         pub body: B,
 ///     }
@@ -55,16 +59,16 @@
 macro_rules! record {
     (
         $(#[$meta:meta])*
-        $vis:vis struct $name:ident $(<$($lt:lifetime),* $(,)? $($param:ident $(= $default:ty)?),*>)? {
+        $vis:vis struct $name:ident $(<$($lt:lifetime),* $(,)? $($param:ident $(: $bound:path)? $(= $default:ty)?),*>)? {
             $($(#[$field_meta:meta])* $field_vis:vis $field:ident : $ty:ty),+ $(,)?
         }
     ) => {
         $(#[$meta])*
-        $vis struct $name $(<$($lt,)* $($param $(= $default)?),*>)? {
+        $vis struct $name $(<$($lt,)* $($param $(: $bound)? $(= $default)?),*>)? {
             $($(#[$field_meta])* $field_vis $field: $ty,)+
         }
 
-        impl $(<$($lt,)* $($param: $crate::Externalize),*>)? $crate::Externalize
+        impl $(<$($lt,)* $($param: $crate::Externalize $(+ $bound)?),*>)? $crate::Externalize
             for $name $(<$($lt,)* $($param),*>)?
         {
             fn externalize(&self, w: &mut $crate::Writer) {
@@ -72,7 +76,7 @@ macro_rules! record {
             }
         }
 
-        impl<'__r $(, $($lt,)* $($param: $crate::Internalize<'__r>),*)?> $crate::Internalize<'__r>
+        impl<'__r $(, $($lt,)* $($param: $crate::Internalize<'__r> $(+ $bound)?),*)?> $crate::Internalize<'__r>
             for $name $(<$($lt,)* $($param),*>)?
         where
             $($('__r: $lt,)*)?
@@ -112,16 +116,16 @@ macro_rules! record {
 macro_rules! choice {
     (
         $(#[$meta:meta])*
-        $vis:vis enum $name:ident $(<$($lt:lifetime),* $(,)? $($param:ident $(= $default:ty)?),*>)? {
+        $vis:vis enum $name:ident $(<$($lt:lifetime),* $(,)? $($param:ident $(: $bound:path)? $(= $default:ty)?),*>)? {
             $($(#[$variant_meta:meta])* $variant:ident $(($($ty:ty),+ $(,)?))? = $designator:expr),+ $(,)?
         }
     ) => {
         $(#[$meta])*
-        $vis enum $name $(<$($lt,)* $($param $(= $default)?),*>)? {
+        $vis enum $name $(<$($lt,)* $($param $(: $bound)? $(= $default)?),*>)? {
             $($(#[$variant_meta])* $variant $(($($ty),+))?,)+
         }
 
-        impl $(<$($lt,)* $($param: $crate::Externalize),*>)? $crate::Externalize
+        impl $(<$($lt,)* $($param: $crate::Externalize $(+ $bound)?),*>)? $crate::Externalize
             for $name $(<$($lt,)* $($param),*>)?
         {
             fn externalize(&self, w: &mut $crate::Writer) {
@@ -134,7 +138,7 @@ macro_rules! choice {
             }
         }
 
-        impl<'__r $(, $($lt,)* $($param: $crate::Internalize<'__r>),*)?> $crate::Internalize<'__r>
+        impl<'__r $(, $($lt,)* $($param: $crate::Internalize<'__r> $(+ $bound)?),*)?> $crate::Internalize<'__r>
             for $name $(<$($lt,)* $($param),*>)?
         where
             $($('__r: $lt,)*)?

@@ -43,6 +43,6 @@ pub mod writer;
 pub use error::WireError;
 pub use idset::IdSet;
 pub use reader::Reader;
-pub use types::{encode_with, from_bytes, to_bytes, Externalize, Internalize};
+pub use types::{encode_with, from_bytes, to_bytes, Block, Externalize, Internalize};
 pub use vecmap::VecMap;
 pub use writer::Writer;

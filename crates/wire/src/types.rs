@@ -164,6 +164,22 @@ impl<'a: 'b, 'b> Internalize<'a> for &'b [u8] {
     }
 }
 
+/// A byte block, owned (`Vec<u8>`) or borrowed (`&[u8]`), and nothing
+/// else: the bound of a declared type's parameter that holds one, so a
+/// `Vec<i32>` there (a SEQUENCE, laid out otherwise) does not compile.
+/// Sealed: no other type is a block.
+pub trait Block: sealed::Sealed {}
+
+impl Block for Vec<u8> {}
+
+impl Block for &[u8] {}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for Vec<u8> {}
+    impl Sealed for &[u8] {}
+}
+
 /// A SEQUENCE, as `Vec<T>` externalizes: a borrowed sequence encodes
 /// without being copied into a vector first.
 impl<T: Externalize> Externalize for [T] {

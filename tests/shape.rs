@@ -434,6 +434,32 @@ static RULES: &[Rule] = &[
         ],
     },
     Rule {
+        name: "the joining node decides delta or full (aim 2, §6.4.1)",
+        files: &[
+            "crates/**/*.rs",
+            "src/**/*.rs",
+            "tests/**/*.rs",
+            "examples/**/*.rs",
+        ],
+        check: Forbid(
+            |l| l.contains(".recovery_token()"),
+            &[
+                File("crates/core/src/**"),
+                InFn(
+                    "crates/transactions/src/wal.rs",
+                    "abort_gaps_survive_a_checkpoint_and_a_crash",
+                ),
+            ],
+        ),
+        fix: "a module's recovery token decides once, in the joining node's get_state, whether \
+              the state comes whole or as a delta: send a plain get_state and let the node \
+              stamp the token and install the reply",
+        plants: &[
+            "crates/ringmaster/src/spare.rs:        let delta = ctx.service.recovery_token().is_some();",
+            "crates/chaos/src/recovery.rs:            .map(|s| s.recovery_token())",
+        ],
+    },
+    Rule {
         name: "one way to count (aim 4, PR 40)",
         files: &[
             "crates/**/*.rs",
