@@ -2,6 +2,7 @@
 //!
 //! ```text
 //! repro [EXPERIMENT...]
+//! repro budget RIG [--op N]
 //! ```
 //!
 //! Experiments: the names of [`bench::EXPERIMENTS`] (default: all, in
@@ -19,6 +20,11 @@
 //! `pacing` and `mxn` panic instead of printing a table whose shape
 //! claim does not hold. `cargo test` holds every experiment to its
 //! committed output (`tests/repro_golden.rs`).
+//!
+//! `repro budget RIG` prints the critical-path budget of one operation
+//! of a rig of [`bench::budget::RIGS`] — its median, or the `N`th in
+//! completion order — cell by cell ([`bench::budget`]); its first line
+//! names the median and p99 operations.
 
 use std::process::ExitCode;
 
@@ -33,8 +39,43 @@ fn emit(block: String) {
     }
 }
 
+/// `repro budget RIG [--op N]`.
+fn budget(args: &[String]) -> ExitCode {
+    use bench::budget::{render_op, RIGS};
+    let rig = RIGS.iter().find(|(name, _)| *name == args[0]);
+    let op = match &args[1..] {
+        [] => None,
+        [flag, n] if flag == "--op" => match n.parse::<usize>() {
+            Ok(n) => Some(n),
+            Err(_) => return usage(),
+        },
+        _ => return usage(),
+    };
+    let Some(&(name, run)) = rig else {
+        let known: Vec<&str> = RIGS.iter().map(|(name, _)| *name).collect();
+        eprintln!("unknown rig {:?}; known: {}", args[0], known.join(" "));
+        return ExitCode::from(2);
+    };
+    let measured = run();
+    let op = op.unwrap_or_else(|| measured.median());
+    if op >= measured.ops.len() {
+        eprintln!("{name} has {} operations", measured.ops.len());
+        return ExitCode::from(2);
+    }
+    emit(render_op(name, &measured, op));
+    ExitCode::SUCCESS
+}
+
+fn usage() -> ExitCode {
+    eprintln!("usage: repro [EXPERIMENT...] | repro budget RIG [--op N]");
+    ExitCode::from(2)
+}
+
 fn main() -> ExitCode {
     let wanted: Vec<String> = std::env::args().skip(1).collect();
+    if wanted.len() > 1 && wanted[0] == "budget" {
+        return budget(&wanted[1..]);
+    }
     if let Some(unknown) = wanted
         .iter()
         .find(|w| !EXPERIMENTS.iter().any(|e| e.name == *w))

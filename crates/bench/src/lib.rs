@@ -18,6 +18,7 @@ pub mod ablations;
 pub mod bench4;
 pub mod bench7;
 pub mod bench8;
+pub mod budget;
 pub mod mxn;
 pub mod pacing;
 pub mod tables;
@@ -128,4 +129,5 @@ pub const EXPERIMENTS: &[Experiment] = &[
     table("ablation.protocol", ablations::ablation_protocol),
     table("pacing", pacing::table),
     table("mxn", mxn::table),
+    table("budget", budget::table),
 ];

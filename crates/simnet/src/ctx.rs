@@ -15,6 +15,7 @@ use obs::{Counter, CpuView, NetView, Registry, SpanId};
 
 use crate::cpu::{Syscall, SyscallCosts, ALL_SYSCALLS};
 use crate::disk::Disk;
+use crate::ledger::RunNote;
 use crate::net::{NetConfig, Partition};
 use crate::payload::Payload;
 use crate::process::{HostId, Process, SockAddr, TimerId};
@@ -210,6 +211,8 @@ pub(crate) struct Core {
     /// The structured event-trace recorders, each fed every event in
     /// order; none, and no event is built.
     pub(crate) sinks: Vec<Box<dyn TraceSink>>,
+    /// Whether some sink takes run notes; if none does, none is built.
+    pub(crate) runs: bool,
     /// The world seed, kept so per-host disk fault streams can be derived
     /// from it without touching the world RNG.
     pub(crate) seed: u64,
@@ -220,10 +223,12 @@ pub(crate) struct Core {
 }
 
 impl Core {
-    pub(crate) fn push(&mut self, at: Time, kind: EventKind) {
+    /// Queues an event; returns its insertion sequence number.
+    pub(crate) fn push(&mut self, at: Time, kind: EventKind) -> u64 {
         let seq = self.seq;
         self.seq += 1;
         self.queue.insert(at.as_micros(), seq, kind);
+        seq
     }
 
     pub(crate) fn trace(&mut self, ev: TraceEvent) {
@@ -242,6 +247,19 @@ impl Core {
         let ev = ev();
         for sink in &mut self.sinks {
             sink.record(&ev);
+        }
+    }
+
+    /// Run notes, as [`Core::trace_with`] events: built only when some
+    /// sink takes them, and then handed to every sink.
+    #[inline]
+    pub(crate) fn note(&mut self, note: impl FnOnce() -> RunNote) {
+        if !self.runs {
+            return;
+        }
+        let note = note();
+        for sink in &mut self.sinks {
+            sink.run(&note);
         }
     }
 
@@ -298,7 +316,12 @@ impl Core {
             let jitter = self.rng.exponential(self.net.jitter_mean);
             let at = depart + self.net.latency_for(data.len()) + jitter;
             let data = data.clone();
-            self.push(at, EventKind::Datagram { from, to, data });
+            let event = self.push(at, EventKind::Datagram { from, to, data });
+            self.note(|| RunNote::Queued {
+                event,
+                at: depart,
+                timer: false,
+            });
         }
     }
 
@@ -339,6 +362,7 @@ impl<'a> Ctx<'a> {
     pub fn charge_dur(&mut self, sys: Syscall, d: Duration) {
         self.cpu.record(sys, d);
         self.vnow += d;
+        self.core.note(|| RunNote::Charge { sys, d });
     }
 
     /// Sends a datagram, charging one `sendmsg`.
@@ -398,7 +422,7 @@ impl<'a> Ctx<'a> {
         let id = TimerId(self.core.next_timer);
         self.core.next_timer += 1;
         let epoch = self.core.epoch_hint;
-        self.core.push(
+        let event = self.core.push(
             self.vnow + delay,
             EventKind::Timer {
                 owner: self.me,
@@ -407,6 +431,12 @@ impl<'a> Ctx<'a> {
                 epoch,
             },
         );
+        let at = self.vnow;
+        self.core.note(|| RunNote::Queued {
+            event,
+            at,
+            timer: true,
+        });
     }
 
     /// Access to the world's random number generator.
@@ -464,6 +494,7 @@ impl Core {
             pending: Vec::new(),
             epoch_hint: 0,
             sinks: Vec::new(),
+            runs: false,
             seed,
             disks: BTreeMap::new(),
         }

@@ -28,7 +28,11 @@
 //!   crash/restart and causal span mint is one stream, fanned out to
 //!   every installed sink; [`trace::TraceRing`] folds it into one value
 //!   so "same seed ⇒ same trace" is a one-line assertion, and is the one
-//!   retained window of it.
+//!   retained window of it;
+//! - a **critical-path ledger** ([`Ledger`]): a sink that asks for them
+//!   gets every handler run's notes — its cause, arrival, start, end and
+//!   charges — and walks an operation's latency back into stretches
+//!   that sum to it exactly.
 //!
 //! # Examples
 //!
@@ -67,6 +71,7 @@
 pub mod cpu;
 mod ctx;
 pub mod disk;
+pub mod ledger;
 pub mod net;
 pub mod payload;
 pub mod process;
@@ -78,6 +83,7 @@ pub mod world;
 
 pub use cpu::{Syscall, SyscallCosts, ALL_SYSCALLS};
 pub use disk::{Disk, DiskConfig, DiskError};
+pub use ledger::{Ledger, RunNote, Stretch};
 pub use net::{NetConfig, Partition};
 pub use obs::{fnv1a, CpuView, NetView, Registry, SpanId};
 pub use payload::Payload;

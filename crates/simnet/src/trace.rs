@@ -18,6 +18,7 @@ use std::any::Any;
 
 use obs::{Registry, SpanId, SpanRecord, SpanTree};
 
+use crate::ledger::RunNote;
 use crate::payload::Payload;
 use crate::process::{HostId, SockAddr, TimerId};
 use crate::time::Time;
@@ -260,10 +261,19 @@ impl TraceEvent {
     }
 }
 
-/// Receives every [`TraceEvent`] the world emits.
+/// Receives every [`TraceEvent`] the world emits, and, if it asks, every
+/// handler run's notes ([`RunNote`]).
 pub trait TraceSink: Any {
     /// Called once per event, in simulation order.
     fn record(&mut self, ev: &TraceEvent);
+    /// Whether the world should build run notes for this sink; asked when
+    /// it is installed. No note is built while no sink takes them.
+    fn takes_runs(&self) -> bool {
+        false
+    }
+    /// Called once per run note, in simulation order, while some
+    /// installed sink takes them.
+    fn run(&mut self, _note: &RunNote) {}
     /// Downcast support for [`World::trace_sink_as`](crate::World::trace_sink_as).
     fn as_any(&self) -> &dyn Any;
 }

@@ -19,6 +19,7 @@ use crate::cpu::{Syscall, SyscallCosts};
 pub use crate::ctx::Ctx;
 use crate::ctx::{Core, CpuCounters, EventKind, Pending, UNREACHABLE};
 use crate::disk::{Disk, DiskConfig};
+use crate::ledger::RunNote;
 use crate::net::{NetConfig, Partition};
 use crate::payload::Payload;
 use crate::process::{HostId, Process, SockAddr};
@@ -108,13 +109,15 @@ impl World {
     /// notice, timer firing, spawn/kill, host crash/restart and span mint
     /// is reported to it in simulation order.
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.core.sinks = vec![sink];
+        self.core.sinks.clear();
+        self.add_trace_sink(sink);
     }
 
     /// Installs `sink` beside the recorders already installed: each gets
     /// every event, in installation order.
     pub fn add_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.core.sinks.push(sink);
+        self.core.runs = self.core.sinks.iter().any(|s| s.takes_runs());
     }
 
     /// The first installed trace sink of type `T`.
@@ -349,14 +352,14 @@ impl World {
     /// built from; external drivers may call it directly to interleave
     /// simulation with their own bookkeeping.
     pub fn step(&mut self) -> bool {
-        let Some((at, _, kind)) = self.core.queue.pop() else {
+        let Some((at, event, kind)) = self.core.queue.pop() else {
             return false;
         };
         let at = Time::from_micros(at);
         self.core.now = at;
         self.events += 1;
         match kind {
-            EventKind::Datagram { from, to, data } => self.deliver(from, to, data),
+            EventKind::Datagram { from, to, data } => self.deliver(event, from, to, data),
             EventKind::Timer {
                 owner,
                 id,
@@ -365,14 +368,15 @@ impl World {
             } => {
                 self.core
                     .trace_with(|| TraceEvent::TimerFire { at, owner, id, tag });
-                self.dispatch(owner, Some(epoch), |p, ctx| p.on_timer(ctx, id, tag), None);
+                let on_timer = |p: &mut dyn Process, ctx: &mut Ctx<'_>| p.on_timer(ctx, id, tag);
+                self.dispatch(event, owner, Some(epoch), on_timer, None);
             }
-            EventKind::Unreachable { to, dead } => self.notify(to, dead),
+            EventKind::Unreachable { to, dead } => self.notify(event, to, dead),
             EventKind::Start { at, epoch } => {
-                self.dispatch(at, Some(epoch), |p, ctx| p.on_start(ctx), None);
+                self.dispatch(event, at, Some(epoch), |p, ctx| p.on_start(ctx), None);
             }
             EventKind::Poke { at, tag } => {
-                self.dispatch(at, None, |p, ctx| p.on_poke(ctx, tag), None);
+                self.dispatch(event, at, None, |p, ctx| p.on_poke(ctx, tag), None);
             }
             EventKind::Inject => {
                 let Some(mut inj) = self.injector.take() else {
@@ -391,7 +395,7 @@ impl World {
         true
     }
 
-    fn deliver(&mut self, from: SockAddr, to: SockAddr, data: Payload) {
+    fn deliver(&mut self, event: u64, from: SockAddr, to: SockAddr, data: Payload) {
         let at = self.core.now;
         let up = self.core.host_up(to.host);
         let dropped = if !up || !self.procs.contains_key(&to) {
@@ -432,6 +436,7 @@ impl World {
             self.injector = Some(inj);
         }
         self.dispatch(
+            event,
             to,
             None,
             move |p, ctx| p.on_datagram(ctx, from, data),
@@ -441,7 +446,7 @@ impl World {
 
     /// A port-unreachable notice about `dead` arrives back at `to`: it
     /// reaches a live sender across no partition, as a datagram would.
-    fn notify(&mut self, to: SockAddr, dead: SockAddr) {
+    fn notify(&mut self, event: u64, to: SockAddr, dead: SockAddr) {
         let heard = self.core.host_up(to.host)
             && self.procs.contains_key(&to)
             && self.core.partition.connected(dead.host, to.host);
@@ -453,6 +458,7 @@ impl World {
         self.core
             .trace_with(|| TraceEvent::Unreachable { at, to, dead });
         self.dispatch(
+            event,
             to,
             None,
             move |p, ctx| p.on_unreachable(ctx, dead),
@@ -461,11 +467,18 @@ impl World {
     }
 
     /// Runs one handler for the process at `addr`, with CPU serialization
-    /// on its host. `epoch` (if given) must match the slot's epoch (stale
-    /// timers for replaced processes are dropped). `auto_recv` charges the
-    /// process's receive syscall before the handler runs.
-    fn dispatch<F>(&mut self, addr: SockAddr, epoch: Option<u64>, f: F, auto_recv: Option<()>)
-    where
+    /// on its host, for the queued event numbered `event`. `epoch` (if
+    /// given) must match the slot's epoch (stale timers for replaced
+    /// processes are dropped). `auto_recv` charges the process's receive
+    /// syscall before the handler runs.
+    fn dispatch<F>(
+        &mut self,
+        event: u64,
+        addr: SockAddr,
+        epoch: Option<u64>,
+        f: F,
+        auto_recv: Option<()>,
+    ) where
         F: FnOnce(&mut dyn Process, &mut Ctx<'_>),
     {
         if !self.core.host_up(addr.host) {
@@ -481,8 +494,15 @@ impl World {
             return;
         };
         let host = self.core.hosts.entry(addr.host).or_default();
-        let start = std::cmp::max(self.core.now, host.busy_until);
+        let arrival = self.core.now;
+        let start = std::cmp::max(arrival, host.busy_until);
         self.core.epoch_hint = slot.epoch;
+        self.core.note(|| RunNote::Begin {
+            addr,
+            event,
+            arrival,
+            start,
+        });
         let mut ctx = Ctx {
             core: &mut self.core,
             cpu: &slot.cpu,
@@ -505,6 +525,7 @@ impl World {
             }
         }
         let end = ctx.vnow;
+        self.core.note(|| RunNote::End { end });
         self.core.hosts.entry(addr.host).or_default().busy_until = end;
         // Kills and spawns the handler asked for wait in `pending`, so the
         // slot is still this process's.
