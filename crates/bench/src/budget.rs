@@ -204,8 +204,9 @@ impl Measured {
 /// how many operations it has finished, and a completion is whatever
 /// makes it grow, stamped when the node handed it to the agent (before
 /// the agent begins the next operation).
-struct Stamped<A> {
-    inner: A,
+pub struct Stamped<A> {
+    /// The client agent timed.
+    pub inner: A,
     count: fn(&A) -> usize,
     /// When each operation completed, in order.
     done: Vec<Time>,
@@ -420,14 +421,15 @@ pub fn table_4_1_planted(plant: Duration) -> Measured {
 const PER_CLIENT: usize = 30;
 const WARM: usize = 4;
 
-/// Four closed-loop clients, spawned at hosts 10–13 hosting `make(i)`
-/// (and the commit voter), poked and run to the end; their operations.
-fn four_clients<A: Agent>(
+/// Spawns `n` closed-loop clients at hosts 10, 11, …, each hosting
+/// `make(i)`, [`Stamped`], and the commit voter, and pokes each.
+fn spawn_clients<A: Agent>(
     w: &mut World,
+    n: u32,
     mut make: impl FnMut(u32) -> A,
     count: fn(&A) -> usize,
-) -> Vec<(SockAddr, Vec<Time>)> {
-    let clients: Vec<SockAddr> = (0..4).map(client).collect();
+) -> Vec<SockAddr> {
+    let clients: Vec<SockAddr> = (0..n).map(client).collect();
     for (i, &c) in (0..).zip(&clients) {
         let p = NodeBuilder::new(c, commit_config())
             .service(COMMIT_MODULE, Box::new(CommitVoterService))
@@ -437,12 +439,24 @@ fn four_clients<A: Agent>(
         w.spawn(c, Box::new(p));
         w.poke(c, 0);
     }
-    w.run(Until::Idle);
-    let done = |&c: &SockAddr| (c, agent(w, c, |s: &Stamped<A>| s.done.clone()));
-    clients.iter().map(done).collect()
+    clients
 }
 
-/// `commit_contended`'s node configuration: a 1.2 s vote assembly.
+/// Runs the clients of `w`, stamped agents `A`, to the end: their
+/// closed-loop operations.
+fn measured<A: Agent>(mut w: World, clients: &[SockAddr]) -> Measured {
+    w.run(Until::Idle);
+    let done = |&c: &SockAddr| (c, agent(&w, c, |s: &Stamped<A>| s.done.clone()));
+    let done: Vec<_> = clients.iter().map(done).collect();
+    Measured {
+        ops: closed_loop(&done, WARM),
+        world: w,
+        role: Box::new(by_host),
+    }
+}
+
+/// The commit rig's node configuration: a 1.2 s vote assembly, as
+/// `commit_contended`'s.
 fn commit_config() -> NodeConfig {
     NodeConfig {
         assembly_timeout: Duration::from_millis(1200),
@@ -450,23 +464,20 @@ fn commit_config() -> NodeConfig {
     }
 }
 
-/// `commit_contended`'s rig: four closed-loop `TxnClient`s against the
-/// durable 3-member store (a checkpoint every 64 commits), each
-/// transaction two `Add`s, the first on the hot object with probability
-/// 1/4 and everything else on the client's own 16 objects.
-pub fn commit_contended() -> Measured {
-    commit_rig(PER_CLIENT)
-}
-
-/// [`commit_contended`] with `per_client` transactions a client.
-fn commit_rig(per_client: usize) -> Measured {
-    let mut w = ledgered(1985, Ledger::new());
+/// Spawns the commit rig, a stand-in for the benchmark's
+/// `commit_contended` with its layout, node configuration and mix but
+/// not its seeds or scripts: the durable 3-member store (a checkpoint
+/// every 64 commits) and `clients` closed-loop [`TxnClient`]s, poked,
+/// each `per_client` transactions of two `Add`s, the first on the hot
+/// object with probability 1/4 and everything else on the client's own
+/// 16 objects. Each client agent is a [`Stamped`] `TxnClient`.
+pub fn spawn_commit(w: &mut World, clients: u32, per_client: usize) -> Vec<SockAddr> {
     let mut disks = (members().iter())
         .map(|a| w.install_disk(a.host, DiskConfig::faultless()))
         .collect::<Vec<_>>()
         .into_iter();
     let store = spawn_troupe(
-        &mut w,
+        w,
         TroupeId(7),
         &members(),
         MODULE,
@@ -492,12 +503,15 @@ fn commit_rig(per_client: usize) -> Measured {
             .collect()
     };
     let make = |i| TxnClient::new(store.clone(), MODULE, script(i, &mut rng));
-    let done = four_clients(&mut w, make, |t: &TxnClient| t.committed.len());
-    Measured {
-        ops: closed_loop(&done, WARM),
-        world: w,
-        role: Box::new(by_host),
-    }
+    spawn_clients(w, clients, make, |t: &TxnClient| t.committed.len())
+}
+
+/// The commit rig's median operation: four clients, 30 transactions
+/// each.
+pub fn commit_contended() -> Measured {
+    let mut w = ledgered(1985, Ledger::new());
+    let clients = spawn_commit(&mut w, 4, PER_CLIENT);
+    measured::<TxnClient>(w, &clients)
 }
 
 /// The broadcast application: a running sum.
@@ -510,12 +524,13 @@ impl OrderedApply for Sum {
     }
 }
 
-/// `ordered_bcast`'s rig: four closed-loop broadcasters against the
-/// 3-member ordered broadcast troupe.
-pub fn ordered_bcast() -> Measured {
-    let mut w = ledgered(1985, Ledger::new());
+/// Spawns the broadcast rig, a stand-in for the benchmark's
+/// `ordered_bcast`: the 3-member ordered broadcast troupe and `clients`
+/// closed-loop [`Broadcaster`]s, poked, each with `per_client` messages.
+/// Each client agent is a [`Stamped`] `Broadcaster`.
+pub fn spawn_bcast(w: &mut World, clients: u32, per_client: usize) -> Vec<SockAddr> {
     let troupe = spawn_troupe(
-        &mut w,
+        w,
         TroupeId(7),
         &members(),
         MODULE,
@@ -524,15 +539,17 @@ pub fn ordered_bcast() -> Measured {
         || OrderedBroadcastService::new(Sum(0)),
     );
     let make = |i: u32| {
-        let script = (0..PER_CLIENT as u64).map(|k| wire::to_bytes(&k)).collect();
+        let script = (0..per_client as u64).map(|k| wire::to_bytes(&k)).collect();
         Broadcaster::new(troupe.clone(), MODULE, u64::from(i + 1) * 1_000_000, script)
     };
-    let done = four_clients(&mut w, make, |b: &Broadcaster| b.results.len());
-    Measured {
-        ops: closed_loop(&done, WARM),
-        world: w,
-        role: Box::new(by_host),
-    }
+    spawn_clients(w, clients, make, |b: &Broadcaster| b.results.len())
+}
+
+/// The broadcast rig's operations: four clients, 30 broadcasts each.
+pub fn ordered_bcast() -> Measured {
+    let mut w = ledgered(1985, Ledger::new());
+    let clients = spawn_bcast(&mut w, 4, PER_CLIENT);
+    measured::<Broadcaster>(w, &clients)
 }
 
 /// The chaos store seed the budget table decomposes.
@@ -580,7 +597,8 @@ pub fn chaos_store(seed: u64) -> Measured {
 pub type Rig = fn() -> Measured;
 
 /// Every rig `repro budget` knows, by the benchmark workload it stands
-/// for.
+/// in for: the same layout and costs, not the benchmark's own seeds,
+/// scripts or run lengths.
 pub const RIGS: &[(&str, Rig)] = &[
     ("echo_small", echo_small),
     ("echo_bulk", echo_bulk),
@@ -630,7 +648,8 @@ pub fn table() -> String {
     cells.dedup();
     let mut out = String::from(
         "budget: each rig's median operation, its latency charged cell by cell \
-         along its critical path (ms)\n",
+         along its critical path (ms); the rigs stand in for the benchmark's \
+         workloads\n",
     );
     let heads = ["echo64", "echo8K", "commit", "bcast", "store#1", "t4.1n=1"];
     let _ = write!(out, "{:<20}", "cell");

@@ -72,7 +72,6 @@ struct Pending {
     responders: Slots<Option<Responder>>,
     args: Collation,
     state: PendState,
-    deadline: Time,
     /// Invocation id allocated when the service first executed; reused on
     /// every resume so services can key per-invocation state.
     invocation: u64,
@@ -209,7 +208,7 @@ impl Assemblies {
 
     /// Adds the call message `msg`, arrived at `at`, to its call's
     /// assembly. The call's first message opens the assembly over
-    /// `members`, with the argument collation and deadline `fresh` makes,
+    /// `members`, with the argument collation `fresh` makes,
     /// and comes back with the serial to arm the assembly timeout under
     /// if a silent member could stall it. Only a member's message opens
     /// or joins anything: remote input must not open what no member's
@@ -220,7 +219,7 @@ impl Assemblies {
         msg: CallMessage<Payload, Payload>,
         cut: Option<Cut>,
         members: Members,
-        fresh: impl FnOnce(&[SockAddr]) -> (Collation, Time),
+        fresh: impl FnOnce(&[SockAddr]) -> Collation,
     ) -> Result<Option<u64>, Outsider> {
         let key = msg.key();
         let index_in = |m: &Members| m.as_slice().iter().position(|m| *m == at.from);
@@ -239,7 +238,7 @@ impl Assemblies {
                     self.answered.remove(&previous);
                 }
                 let n = members.as_slice().len();
-                let (args, deadline) = fresh(members.as_slice());
+                let args = fresh(members.as_slice());
                 self.last_serial += 1;
                 let serial = self.last_serial;
                 if n > 1 {
@@ -253,7 +252,6 @@ impl Assemblies {
                     responders: Slots::new(n, None),
                     args,
                     state: PendState::Collecting,
-                    deadline,
                     invocation: 0,
                     call_span: at.span,
                     invoke_span: SpanId::NONE,
@@ -414,17 +412,18 @@ impl Assemblies {
         }
     }
 
-    /// The assembly timeout armed under `serial` fired: the assembly it
-    /// belongs to, if that is still open, and whether it now proceeds
+    /// The assembly timeout armed under `serial` fired, at its deadline:
+    /// the assembly it belongs to, if that is still open, and whether it
+    /// now proceeds
     /// without the silent members ("the client receives notification if
     /// any server troupe member crashes, so it can proceed with those
     /// still available", §4.3.1 — mirrored here on the server side). A
     /// silent member heard on the same `(client troupe, thread)` under
     /// another number is alive and called, only not as this call: it is
     /// counted as a split call.
-    pub(crate) fn time_out(&mut self, serial: u64, now: Time) -> Option<(CallKey, bool)> {
+    pub(crate) fn time_out(&mut self, serial: u64) -> Option<(CallKey, bool)> {
         let (&key, p) = self.pending.iter().find(|(_, p)| p.serial == serial)?;
-        if p.state != PendState::Collecting || now < p.deadline {
+        if p.state != PendState::Collecting {
             return Some((key, false));
         }
         let split = self.split_members(&key, p).count() as u64;
@@ -555,7 +554,7 @@ pub(crate) mod tests {
         }
         let open: Vec<u64> = a.pending.values().map(|p| p.serial).collect();
         for serial in (1..=a.last_serial).filter(|s| !open.contains(s)) {
-            assert_eq!(a.time_out(serial, Time::ZERO), None);
+            assert_eq!(a.time_out(serial), None);
         }
     }
 
@@ -573,10 +572,7 @@ pub(crate) mod tests {
                 let (mut at, msg) = message(host(h), 1);
                 at.pm_cn = pm_cn;
                 key = Some(msg.key());
-                let fresh = |m: &[SockAddr]| {
-                    let args = Collation::new(CollationPolicy::Unanimous, m.len());
-                    (args, Time::ZERO)
-                };
+                let fresh = |m: &[SockAddr]| Collation::new(CollationPolicy::Unanimous, m.len());
                 assert!(a
                     .join(&at, msg, None, Members::Troupe(troupe.clone()), fresh)
                     .is_ok());
@@ -620,12 +616,7 @@ pub(crate) mod tests {
         let call = |a: &mut Assemblies, seq, hosts: &[u32], reply: &ReturnMessage| {
             for &h in hosts {
                 let (at, msg) = message(host(h), seq);
-                let fresh = |m: &[SockAddr]| {
-                    (
-                        Collation::new(CollationPolicy::Unanimous, m.len()),
-                        Time::ZERO,
-                    )
-                };
+                let fresh = |m: &[SockAddr]| Collation::new(CollationPolicy::Unanimous, m.len());
                 let joined = a.join(&at, msg, cut(1), Members::Troupe(troupe.clone()), fresh);
                 assert!(joined.is_ok());
             }
@@ -682,8 +673,7 @@ pub(crate) mod tests {
         let mut serials = Vec::new();
         for (h, seq) in [(1, 1), (3, 2), (2, 1)] {
             let (at, msg) = message(host(h), seq);
-            let fresh =
-                |m: &[SockAddr]| (Collation::new(CollationPolicy::Unanimous, m.len()), late);
+            let fresh = |m: &[SockAddr]| Collation::new(CollationPolicy::Unanimous, m.len());
             let joined = a.join(&at, msg, None, Members::Troupe(troupe.clone()), fresh);
             serials.extend(joined.expect("a member"));
         }
@@ -696,7 +686,7 @@ pub(crate) mod tests {
             panic!("two assemblies: {serials:?}")
         };
         let (key_one, key_two) = (message(host(1), 1).1.key(), message(host(3), 2).1.key());
-        assert_eq!(a.time_out(one, late), Some((key_one, true)));
+        assert_eq!(a.time_out(one), Some((key_one, true)));
         assert_eq!(a.counts.split_calls.get(), Some(1), "member 3, heard as 2");
         a.close(
             &key_one,
@@ -704,7 +694,7 @@ pub(crate) mod tests {
             late,
             |_, _, _, _| {},
         );
-        assert_eq!(a.time_out(two, late), Some((key_two, true)));
+        assert_eq!(a.time_out(two), Some((key_two, true)));
         assert_eq!(
             a.counts.split_calls.get(),
             Some(1),
@@ -741,13 +731,13 @@ pub(crate) mod tests {
                 match op {
                     0 | 1 if a.buffered(&key, None).is_none() => {
                         let was_open = a.is_open(&key);
-                        let fresh = |m: &[SockAddr]| (Collation::new(CollationPolicy::Unanimous, m.len()), late);
+                        let fresh = |m: &[SockAddr]| Collation::new(CollationPolicy::Unanimous, m.len());
                         let joined = a.join(&at, msg, None, Members::Troupe(troupe.clone()), fresh);
                         prop_assert_eq!(joined.is_ok(), troupe.contains(&peer));
                         prop_assert_eq!(a.is_open(&key), was_open || joined.is_ok());
                         execute(&mut a, key, flag);
                     }
-                    2 if a.time_out(a.pending.get(&key).map_or(0, |p| p.serial), late).is_some() => {
+                    2 if a.time_out(a.pending.get(&key).map_or(0, |p| p.serial)).is_some() => {
                         execute(&mut a, key, flag);
                     }
                     3 if a.excuse(&key, peer) => execute(&mut a, key, flag),

@@ -324,8 +324,7 @@ impl ClientCalls {
         };
         let key = msg.key();
         // Externalize once. The call arms no timer of its own: the node's
-        // one protocol timer covers it, and the timer package is charged
-        // where that is armed (`Conns::arm`).
+        // one protocol timer covers it (`Conns::flush`).
         io.charge(Syscall::Compute);
 
         // Mint the causal span covering this call. Application calls and

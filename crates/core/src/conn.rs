@@ -1,6 +1,7 @@
-//! The table of paired-message connections, one per peer process, and
-//! the node's one protocol timer for their earliest deadline: one
-//! interval timer per process, as the paper's timer package (§4.2.4).
+//! The table of paired-message connections, one per peer process, the
+//! node's one protocol timer for their earliest deadline, and the timer
+//! package every timer of the node is armed through: one interval timer
+//! per process, as the paper's timer package (§4.2.4).
 
 use crate::census;
 use crate::counts::RpcCounts;
@@ -16,6 +17,11 @@ use wire::VecMap;
 /// table grown from four would reallocate to reach.
 const PEERS: usize = 8;
 
+/// Pending deadlines the timer package queues in place, without
+/// allocating: a commit store member of the benchmark, the busiest node
+/// there, has twelve at most at once.
+const QUEUED: usize = 16;
+
 /// Every connection of one node, made on first use.
 pub(crate) struct Conns {
     me: SockAddr,
@@ -27,6 +33,14 @@ pub(crate) struct Conns {
     /// The generation of the timer armed last, in its tag's 56 low bits:
     /// an earlier timer, superseded by an earlier deadline, fires idle.
     arm_gen: u64,
+    /// The package's queue, unordered: when each timer armed will fire,
+    /// in place, and in `spilled` once every place holds a deadline yet
+    /// to come. A place whose deadline has come is free.
+    deadlines: [Time; QUEUED],
+    spilled: Vec<Time>,
+    /// Whether a timer armed since the package last charged is ahead of
+    /// every deadline that was pending.
+    owed: bool,
     /// Where every connection counts, and the multicasts are counted.
     pub(crate) counts: RpcCounts,
 }
@@ -38,6 +52,9 @@ impl Conns {
             table: VecMap::new(),
             armed: None,
             arm_gen: 0,
+            deadlines: [Time::ZERO; QUEUED],
+            spilled: Vec::new(),
+            owed: false,
             counts: RpcCounts::default(),
         }
     }
@@ -203,7 +220,8 @@ impl Conns {
     /// Transmits every connection's queued segments, each message's clock
     /// starting at its first ([`Endpoint::transmit`]). Then ticks and names
     /// the first endpoint, in table order, whose deadline came meanwhile,
-    /// for the node to drain; if none, arms the timer for the earliest.
+    /// for the node to drain; if none, arms the timer for the earliest and
+    /// charges the timer package if it is owed.
     pub(crate) fn flush(&mut self, io: &mut dyn NetIo) -> Option<SockAddr> {
         for (&addr, endpoint) in self.table.iter_mut() {
             while let Some(datagram) = endpoint.transmit(io.now()) {
@@ -217,24 +235,46 @@ impl Conns {
             return Some(addr);
         }
         let next = self.table.values().filter_map(Endpoint::poll_timer).min();
-        // Unless armed already, for that deadline or an earlier one.
+        // Unless armed already, for that deadline or an earlier one; a
+        // later one it supersedes fires idle.
         if let Some(t) = next.filter(|&t| self.armed.is_none_or(|armed| armed > t)) {
-            self.arm(io, t);
+            self.armed = Some(t);
+            self.arm_gen += 1;
+            self.arm(io, t, make_tag(TAG_CONN, self.arm_gen));
         }
+        self.charge_package(io);
         None
     }
 
-    /// Arms the protocol timer for `deadline`, superseding any armed. The
-    /// timer package reads the clock, masks interrupts around its queue
-    /// and arms the interval timer (§4.2.4); the interval is measured
-    /// after those charges, so the timer fires at the deadline.
-    fn arm(&mut self, io: &mut dyn NetIo, deadline: Time) {
-        self.armed = Some(deadline);
-        self.arm_gen += 1;
-        io.charge(Syscall::GetTimeOfDay);
-        io.charge(Syscall::SigBlock);
-        io.charge(Syscall::SetITimer);
-        io.set_timer(deadline.since(io.now()), make_tag(TAG_CONN, self.arm_gen));
+    /// Arms a timer of the node's to fire at `deadline` with `tag`, and
+    /// owes the package if it is ahead of every deadline pending.
+    pub(crate) fn arm(&mut self, io: &mut dyn NetIo, deadline: Time, tag: u64) {
+        let now = io.now();
+        self.spilled.retain(|&t| t > now);
+        let mut pending = self
+            .deadlines
+            .iter()
+            .chain(&self.spilled)
+            .filter(|&&t| t > now);
+        self.owed |= pending.all(|&first| deadline < first);
+        match self.deadlines.iter_mut().find(|t| **t <= now) {
+            Some(free) => *free = deadline,
+            None => self.spilled.push(deadline),
+        }
+        io.set_timer(deadline.since(now), tag);
+    }
+
+    /// The timer package, charged once for the timers armed since it last
+    /// ran if it is owed, and not at all otherwise. It runs once the
+    /// handler has armed and sent (a flush's end, the agent's turn's end),
+    /// not in `arm`: every timer of one turn takes its deadline from one
+    /// clock, where a charge in `arm` would push a second one 2.3 ms late.
+    pub(crate) fn charge_package(&mut self, io: &mut dyn NetIo) {
+        if std::mem::take(&mut self.owed) {
+            io.charge(Syscall::GetTimeOfDay);
+            io.charge(Syscall::SigBlock);
+            io.charge(Syscall::SetITimer);
+        }
     }
 }
 
@@ -321,5 +361,24 @@ mod tests {
         assert_eq!(replaced.1, ms(1_110), "the new a's deadline");
         assert_eq!(fire(&mut conns, &mut io, replaced), Some(vec![a]));
         assert_eq!(conns.len(), 3);
+    }
+
+    /// The package is owed exactly when a deadline goes ahead of every
+    /// one pending, in the queue's places or spilled past them.
+    #[test]
+    fn the_package_is_owed_only_ahead_of_every_deadline_pending() {
+        let (mut conns, mut io) = (Conns::new(ME), MockIo::default());
+        let mut owed = |io: &mut MockIo, us: u64| {
+            conns.arm(io, Time::ZERO + Duration::from_micros(us), 0);
+            std::mem::take(&mut conns.owed)
+        };
+        assert!(owed(&mut io, 100_000), "nothing pending");
+        for us in (101..120).map(|ms| ms * 1_000) {
+            assert!(!owed(&mut io, us), "behind 100 ms");
+        }
+        assert!(owed(&mut io, 99_000));
+        io.now = ms(116);
+        assert!(!owed(&mut io, 200_000), "behind 117 ms, spilled");
+        assert!(owed(&mut io, 116_500), "ahead of 117 ms");
     }
 }

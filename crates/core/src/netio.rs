@@ -21,9 +21,11 @@ pub trait NetIo {
     /// simulator, Ethernet multicast, one `sendmsg` charge for all copies
     /// (§4.3.3).
     fn multicast(&mut self, tos: &[SockAddr], bytes: Payload);
-    /// Arms a timer that comes back with `tag`. There is no cancelling
-    /// one: a timer its owner has moved past is recognised where it
-    /// fires.
+    /// Arms a timer that comes back with `tag` after `delay`, at no
+    /// charge: a node arms every timer through its timer package, which
+    /// charges one price for all of them (`conn.rs`). There is no
+    /// cancelling one: a timer its owner has moved past is recognised
+    /// where it fires.
     fn set_timer(&mut self, delay: Duration, tag: u64);
     /// Charges one operation, priced by the world's cost table, to this
     /// process's CPU account.

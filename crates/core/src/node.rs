@@ -109,7 +109,7 @@ pub struct Node {
     /// with none, until exported through the binding agent.
     my_troupe: Troupe,
     threads: ThreadIdGen,
-    conns: Conns,
+    pub(crate) conns: Conns,
     services: BTreeMap<u16, Box<dyn Service>>,
     /// The calls this process makes (§4.3.1).
     calls: ClientCalls,
@@ -432,7 +432,7 @@ impl Node {
                 None
             }
             TAG_PENDING => {
-                if let Some((key, proceed)) = self.assemblies.time_out(low, io.now()) {
+                if let Some((key, proceed)) = self.assemblies.time_out(low) {
                     if proceed {
                         // World-wide, not per node: rare, and a per-node
                         // handle costs every node its key.
@@ -456,9 +456,12 @@ impl Node {
     /// Arms an application-level timer; it comes back from
     /// [`Node::on_timer`] with the given key. The [`TimerKey`] newtype
     /// proves the tag fits the node's 56-bit tag space, so the old
-    /// truncation hazard is unrepresentable here.
+    /// truncation hazard is unrepresentable here. Its timer package, if
+    /// owed, is charged at the node's next flush, or by
+    /// [`CircusProcess`](crate::CircusProcess) once the agent's turn ends.
     pub fn set_app_timer(&mut self, io: &mut dyn NetIo, delay: Duration, key: TimerKey) {
-        io.set_timer(delay, make_tag(TAG_APP, key.raw()));
+        let (deadline, tag) = (io.now() + delay, make_tag(TAG_APP, key.raw()));
+        self.conns.arm(io, deadline, tag);
     }
 
     fn on_pm_event(&mut self, io: &mut dyn NetIo, from: SockAddr, ev: PmEvent) {

@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use simnet::{HostId, SockAddr};
-use wire::to_bytes;
+use wire::{to_bytes, BlockWith, Writer};
 
 /// No run numbers its calls to a peer this far, so a transfer that says
 /// so is garbled or forged; adopting it would run the peer's numbers out.
@@ -77,9 +77,9 @@ impl CallNumbers {
         }
     }
 
-    /// A state-fetch answer: `state` as the service externalized it, with
-    /// these numbers beside it, in peer order.
-    pub(crate) fn transfer(&self, state: Vec<u8>) -> Vec<u8> {
+    /// A state-fetch answer: the state `fill` writes straight into its
+    /// block, with these numbers beside it, in peer order.
+    pub(crate) fn transfer(&self, fill: impl Fn(&mut Writer)) -> Vec<u8> {
         let mut call_numbers: Vec<PeerNumber> = (self.next.iter())
             .map(|(peer, &next)| PeerNumber {
                 host: peer.host.0,
@@ -89,7 +89,7 @@ impl CallNumbers {
             .collect();
         call_numbers.sort_unstable_by_key(|p| (p.host, p.port));
         to_bytes(&StateTransfer {
-            state,
+            state: BlockWith(fill),
             call_numbers,
         })
     }
@@ -112,11 +112,12 @@ wire::record! {
     /// The answer to the reserved `get_state` procedure on the wire: the
     /// node wraps what the service returned with its call numbers, and
     /// the fetching node unwraps it, so a service's state-transfer
-    /// contract never sees them.
+    /// contract never sees them. The state is a block, written by a
+    /// survivor as it externalizes its state or its `StateSince`.
     #[derive(Clone, PartialEq, Eq, Debug)]
-    pub(crate) struct StateTransfer {
+    pub(crate) struct StateTransfer<S = Vec<u8>> {
         /// The state, whole or as a `StateSince` (see `GET_STATE`).
-        pub(crate) state: Vec<u8>,
+        pub(crate) state: S,
         /// The answering node's next call number per peer.
         pub(crate) call_numbers: Vec<PeerNumber>,
     }
@@ -142,7 +143,7 @@ mod tests {
         survivor.set(at(7), 40);
         let mut joiner = CallNumbers::default();
         joiner.set(at(2), 6);
-        let shipped = from_bytes::<StateTransfer>(&survivor.transfer(b"s".to_vec())).unwrap();
+        let shipped = from_bytes::<StateTransfer>(&survivor.transfer(|w| w.put_raw(b"s"))).unwrap();
         assert_eq!(shipped.state, b"s");
         let hosts: Vec<u32> = shipped.call_numbers.iter().map(|p| p.host).collect();
         assert_eq!(hosts, [1, 2, 7], "shipped in peer order");
@@ -155,7 +156,7 @@ mod tests {
         let mut behind = CallNumbers::default();
         behind.set(at(1), 2);
         behind.set(at(3), u32::MAX);
-        let behind = from_bytes::<StateTransfer>(&behind.transfer(Vec::new())).unwrap();
+        let behind = from_bytes::<StateTransfer>(&behind.transfer(|_| {})).unwrap();
         joiner.raise(at(7), &behind.call_numbers);
         assert_eq!(joiner.due(at(1)), 10, "never lowered");
         assert_eq!(joiner.due(at(3)), 1, "a number no run reaches is not taken");

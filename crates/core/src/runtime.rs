@@ -324,11 +324,12 @@ impl CircusProcess {
     }
 
     /// Delivers queued node events to the agent, looping until quiet
-    /// (agent callbacks may themselves complete further calls).
+    /// (agent callbacks may themselves complete further calls), then
+    /// charges the timer package for the timers the agent armed.
     fn pump(&mut self, ctx: &mut Ctx<'_>) {
         for _ in 0..10_000 {
             let Some(ev) = self.node.poll_event() else {
-                return;
+                break;
             };
             let Some(agent) = self.agent.as_deref_mut() else {
                 continue; // Serverside process: drop app events.
@@ -349,6 +350,7 @@ impl CircusProcess {
                 AppEvent::Notify { tag } => agent.on_notify(&mut nc, tag),
             }
         }
+        self.node.conns.charge_package(ctx);
     }
 
     fn with_agent_ctx(

@@ -131,13 +131,13 @@ impl Node {
                     args.mark_dead(i);
                 }
             }
-            (args, now + wait)
+            args
         };
         match self.assemblies.join(&at, msg, cut, members, fresh) {
             Ok(None) => {}
             Ok(Some(serial)) => {
-                io.charge(Syscall::SetITimer);
-                io.set_timer(wait, make_tag(TAG_PENDING, serial));
+                self.conns
+                    .arm(io, now + wait, make_tag(TAG_PENDING, serial));
             }
             Err(Outsider) => {
                 // A caller we do not believe is in the client troupe: it
@@ -164,13 +164,9 @@ impl Node {
             Some(Ok((invocation, args))) => {
                 let mut ctx = self.service_ctx(io, &key, &invocation);
                 let (services, me) = (&mut self.services, &mut self.my_troupe);
+                let numbers = &self.calls.numbers;
                 let Invocation { module, proc, .. } = invocation;
-                let mut step = service::dispatch(services, me, &mut ctx, module, proc, &args);
-                if let (GET_STATE, Step::Reply(state)) = (proc, &mut step) {
-                    // The joiner fetching it numbers its calls as this
-                    // member does from then on (§4.3.3).
-                    *state = self.calls.numbers.transfer(std::mem::take(state));
-                }
+                let step = service::dispatch(services, me, numbers, &mut ctx, module, proc, &args);
                 self.apply_effects(io, ctx.effects);
                 self.apply_step(io, key, step);
             }
@@ -302,8 +298,8 @@ impl Node {
                     self.events.push_back(AppEvent::Notify { tag });
                 }
                 NodeEffect::Wake { invocation, after } => {
-                    io.charge(Syscall::SetITimer);
-                    io.set_timer(after, make_tag(TAG_WAKE, invocation));
+                    let (deadline, tag) = (io.now() + after, make_tag(TAG_WAKE, invocation));
+                    self.conns.arm(io, deadline, tag);
                 }
             }
         }

@@ -14,10 +14,12 @@
 use crate::addr::{Troupe, TroupeId};
 use crate::binding::reserved_procs;
 use crate::collate::{CollateError, CollationPolicy};
+use crate::numbers::CallNumbers;
 use crate::thread::ThreadId;
 use simnet::{Duration, Payload, SockAddr, Time};
 use std::collections::BTreeMap;
 use std::fmt;
+use wire::Externalize;
 
 /// Why a replicated call failed at the caller.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -314,6 +316,7 @@ pub trait Service: std::any::Any {
 pub(crate) fn dispatch(
     services: &mut BTreeMap<u16, Box<dyn Service>>,
     my_troupe: &mut Troupe,
+    numbers: &CallNumbers,
     ctx: &mut ServiceCtx,
     module: u16,
     proc: u16,
@@ -331,9 +334,13 @@ pub(crate) fn dispatch(
             Err(e) => Step::Error(format!("bad troupe id: {e}")),
         },
         // No token (the joiner keeps no durable state): the whole state,
-        // untagged. A token: what the joiner missed, or all of it.
-        (GET_STATE, Some(s)) if args.is_empty() => Step::Reply(s.get_state()),
-        (GET_STATE, Some(s)) => Step::Reply(wire::to_bytes(&s.get_state_since(args))),
+        // untagged. A token: what the joiner missed, or all of it. Either
+        // goes with this member's call numbers, which the joiner numbers
+        // its calls by from then on (§4.3.3).
+        (GET_STATE, Some(s)) => Step::Reply(match args {
+            [] => numbers.transfer(|w| w.put_raw(&s.get_state())),
+            token => numbers.transfer(|w| s.get_state_since(token).externalize(w)),
+        }),
         // The service may Suspend until in-flight invocations drain
         // (§6.4.1) and later reply via `StepFor`.
         (WEDGE, Some(s)) => s.wedge(ctx),

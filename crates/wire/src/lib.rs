@@ -45,4 +45,4 @@ pub use idset::IdSet;
 pub use reader::Reader;
 pub use types::{encode_with, from_bytes, to_bytes, Block, Externalize, Internalize};
 pub use vecmap::VecMap;
-pub use writer::Writer;
+pub use writer::{BlockWith, Writer};

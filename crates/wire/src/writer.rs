@@ -6,6 +6,8 @@
 //! significant byte first", §4.2.1), strings and opaque byte blocks are
 //! length-prefixed and padded to a word boundary.
 
+use crate::types::Externalize;
+
 /// An append-only buffer of external representation.
 #[derive(Clone, Debug, Default)]
 pub struct Writer {
@@ -118,6 +120,26 @@ impl Writer {
     }
 }
 
+/// A byte block whose bytes the function it holds writes in place: laid
+/// out as [`Writer::put_bytes`] lays out those bytes, without a copy of
+/// them first.
+pub struct BlockWith<F>(pub F);
+
+// not a declaration: a `Vec<u8>` block, written where it lies.
+impl<F: Fn(&mut Writer)> Externalize for BlockWith<F> {
+    fn externalize(&self, w: &mut Writer) {
+        let at = w.buf.len();
+        w.put_u32(0);
+        (self.0)(w);
+        let len = w.buf.len() - at - 4;
+        let word = u32::try_from(len).expect("a block is under 4 GiB");
+        w.buf[at..at + 4].copy_from_slice(&word.to_be_bytes());
+        if len % 2 == 1 {
+            w.buf.push(0);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,6 +166,16 @@ mod tests {
         let mut w = Writer::new();
         w.put_bytes(b"ab");
         assert_eq!(w.finish(), vec![0, 0, 0, 2, b'a', b'b']);
+    }
+
+    #[test]
+    fn a_block_written_in_place_is_the_block_of_its_bytes() {
+        for bytes in [&b""[..], b"a", b"ab", b"abc"] {
+            let (mut copied, mut in_place) = (Writer::new(), Writer::new());
+            copied.put_bytes(bytes);
+            BlockWith(|w: &mut Writer| w.put_raw(bytes)).externalize(&mut in_place);
+            assert_eq!(in_place.finish(), copied.finish(), "{bytes:?}");
+        }
     }
 
     #[test]

@@ -33,8 +33,8 @@ fn one_receive() -> Duration {
 /// Four closed-loop clients on one troupe wait for the members: the
 /// median broadcast and the median commit are four members' budgets
 /// (`tests/stub_passes.rs` adds those up by hand: 38.2 and ≈ 43.2 ms),
-/// and the ledger finds member CPU on all of the path but the client's
-/// last receive and the wire.
+/// and the ledger finds member CPU on all of the path but the wire and
+/// the client's receives: its last, and on a commit the vote it serves.
 #[test]
 fn the_median_broadcast_and_commit_are_member_cpu() {
     for (m, budget_ms, within_ms) in [
@@ -45,10 +45,13 @@ fn the_median_broadcast_and_commit_are_member_cpu() {
         let latency = b.op.latency();
         let ms = latency.as_millis_f64();
         assert!((ms - 4.0 * budget_ms).abs() < within_ms, "{ms} ms: {b:?}");
-        assert_eq!(b.role(Role::Client), one_receive(), "{b:?}");
+        let client = b.role(Role::Client);
+        let receives = client.as_micros() / one_receive().as_micros();
+        assert!((1..=2).contains(&receives), "{b:?}");
+        assert_eq!(client.as_micros() % one_receive().as_micros(), 0, "{b:?}");
         let wire = b.get(Cell::Wire);
         assert!(wire < Duration::from_millis(1), "{b:?}");
-        assert_eq!(b.role(Role::Member) + one_receive() + wire, latency);
+        assert_eq!(b.role(Role::Member) + client + wire, latency);
     }
 }
 

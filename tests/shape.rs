@@ -307,6 +307,23 @@ static RULES: &[Rule] = &[
         ],
     },
     Rule {
+        name: "one timer package (aim 1, Table 4.2)",
+        files: &["crates/core/src/**/*.rs"],
+        check: Forbid(
+            |l| (has_word(l, "SetITimer") || has_word(l, "GetTimeOfDay")) && !comment(l),
+            &[InFn("crates/core/src/conn.rs", "charge_package")],
+        ),
+        fix: "a node arms every timer with Conns::arm; the package, Conns::charge_package, \
+              charges gettimeofday, sigblock and setitimer once a handler has armed one ahead \
+              of every deadline pending, and nothing otherwise",
+        plants: &[
+            "crates/core/src/serve.rs:                io.charge(Syscall::SetITimer);\n\
+             io.set_timer(wait, make_tag(TAG_PENDING, serial));",
+            "crates/core/src/serve.rs:                    io.charge(Syscall::SetITimer);\n\
+             io.set_timer(after, make_tag(TAG_WAKE, invocation));",
+        ],
+    },
+    Rule {
         name: "no index beside the call runtime's tables (aim 2, PR 55)",
         files: &["crates/core/src/**/*.rs"],
         check: Forbid(

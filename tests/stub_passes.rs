@@ -11,17 +11,16 @@
 //! closed-loop clients see four such budgets as their latency: the
 //! members are the bottleneck.
 
+use bench::budget::{self, Stamped};
 use rdp::circus::testbed::{
     addr, agent, enqueue, node_mut, results, spawn_caller, spawn_troupe, world, CountingService,
     Request, MODULE, PROC_ECHO,
 };
-use rdp::circus::{NodeBuilder, NodeConfig, ThreadId, TroupeId};
-use rdp::simnet::{DiskConfig, Duration, SimRng, SockAddr, Syscall, Until, World};
+use rdp::circus::{Agent, NodeBuilder, NodeConfig, NodeCtx, ThreadId, TimerKey, TroupeId};
+use rdp::simnet::{Duration, SockAddr, Syscall, Time, Until, World};
 use rdp::transactions::{
-    Broadcaster, CommitVoterService, ObjId, Op, OrderedApply, OrderedBroadcastService,
-    TroupeStoreService, TxnClient,
+    Broadcaster, CommitVoterService, ObjId, Op, TroupeStoreService, TxnClient,
 };
-use rdp::wire::{from_bytes, to_bytes};
 
 /// Operations each ledger test runs.
 const OPS: u64 = 10;
@@ -188,44 +187,9 @@ fn a_commit_costs_each_member_four_passes_and_the_client_eight() {
     }
 }
 
-/// The broadcast application: a running sum.
-struct Sum(u64);
-
-impl OrderedApply for Sum {
-    fn apply(&mut self, payload: &[u8]) -> Vec<u8> {
-        self.0 += from_bytes::<u64>(payload).unwrap_or(0);
-        to_bytes(&self.0)
-    }
-}
-
-/// Spawns the 3-member ordered broadcast troupe and `clients`
-/// broadcasters, each with `ops` messages to send; returns their
-/// addresses.
-fn spawn_broadcast(w: &mut World, clients: u32, ops: u64) -> Vec<SockAddr> {
-    let troupe = spawn_troupe(
-        w,
-        TroupeId(7),
-        &members(3),
-        MODULE,
-        &NodeConfig::default(),
-        None,
-        || OrderedBroadcastService::new(Sum(0)),
-    );
-    (0..clients)
-        .map(|i| {
-            let client = addr(10 + i, 50);
-            let script = (0..ops).map(|k| to_bytes(&k)).collect();
-            let first_id = (u64::from(i) + 1) * 1_000_000;
-            let broadcaster = Broadcaster::new(troupe.clone(), MODULE, first_id, script);
-            spawn_client(w, client, NodeConfig::default(), broadcaster);
-            client
-        })
-        .collect()
-}
-
 fn broadcasts(w: &World, clients: &[SockAddr]) -> u64 {
-    let done = |&c: &SockAddr| agent(w, c, |b: &Broadcaster| b.results.len() as u64);
-    clients.iter().map(done).sum()
+    let done = |&c: &SockAddr| agent(w, c, |b: &Stamped<Broadcaster>| b.inner.results.len());
+    clients.iter().map(|c| done(c) as u64).sum()
 }
 
 /// A broadcast is two rounds, propose and accept, each one call: each
@@ -233,8 +197,7 @@ fn broadcasts(w: &World, clients: &[SockAddr]) -> u64 {
 #[test]
 fn a_broadcast_costs_each_member_four_passes_and_the_broadcaster_eight() {
     let mut w = world(1985);
-    let clients = spawn_broadcast(&mut w, 1, OPS);
-    w.poke(clients[0], 0);
+    let clients = budget::spawn_bcast(&mut w, 1, OPS as usize);
     w.run(Until::Idle);
     assert_eq!(broadcasts(&w, &clients), OPS);
     assert_eq!(passes(&w, clients[0]), 8 * OPS, "broadcaster");
@@ -265,10 +228,7 @@ fn an_ordered_broadcast_member_budget_sums_to_four_clients_latency() {
 
     let mut w = world(1985);
     let ops = (WARM + TIMED).div_ceil(u64::from(CLIENTS)) + 1;
-    let clients = spawn_broadcast(&mut w, CLIENTS, ops);
-    for &c in &clients {
-        w.poke(c, 0);
-    }
+    let clients = budget::spawn_bcast(&mut w, CLIENTS, ops as usize);
     let run_to = |w: &mut World, total: u64| {
         while broadcasts(w, &clients) < total {
             assert!(w.step(), "the broadcasts stalled");
@@ -301,47 +261,9 @@ fn an_ordered_broadcast_member_budget_sums_to_four_clients_latency() {
 /// Transactions each commit-budget client runs.
 const COMMIT_OPS: u64 = 60;
 
-/// `commit_contended`'s rig: `clients` closed-loop `TxnClient`s against
-/// the durable 3-member store (a checkpoint every 64 commits), each
-/// transaction two `Add`s, the first on the hot object with probability
-/// 1/4 and everything else on the client's own 16 objects.
-fn spawn_contended_commit(w: &mut World, clients: u32) -> Vec<SockAddr> {
-    let disks: Vec<_> = members(3)
-        .iter()
-        .map(|a| w.install_disk(a.host, DiskConfig::faultless()))
-        .collect();
-    let mut disks = disks.into_iter();
-    // `commit_contended`'s vote-assembly timeout: a silent member's cost.
-    let config = NodeConfig {
-        assembly_timeout: Duration::from_millis(1200),
-        ..NodeConfig::default()
-    };
-    let store = spawn_troupe(w, TroupeId(7), &members(3), MODULE, &config, None, || {
-        let disk = disks.next().expect("one disk per member");
-        TroupeStoreService::with_durability(COMMIT_MODULE, disk, 64)
-    });
-    let mut rng = SimRng::new(1985);
-    (0..clients)
-        .map(|i| {
-            let client = addr(10 + i, 50);
-            let private = |rng: &mut SimRng| ObjId(1000 * u64::from(i + 1) + rng.below(16));
-            let script = (0..COMMIT_OPS)
-                .map(|_| {
-                    let hot = rng.chance(0.25);
-                    let first = if hot { ObjId(1) } else { private(&mut rng) };
-                    vec![Op::Add(first, 1), Op::Add(private(&mut rng), 1)]
-                })
-                .collect();
-            let txn = TxnClient::new(store.clone(), MODULE, script);
-            spawn_client(w, client, config.clone(), txn);
-            client
-        })
-        .collect()
-}
-
 fn commits(w: &World, clients: &[SockAddr]) -> u64 {
-    let done = |&c: &SockAddr| agent(w, c, |t: &TxnClient| t.committed.len() as u64);
-    clients.iter().map(done).sum()
+    let done = |&c: &SockAddr| agent(w, c, |t: &Stamped<TxnClient>| t.inner.committed.len());
+    clients.iter().map(|c| done(c) as u64).sum()
 }
 
 /// A durable store member's budget per committed transaction: the
@@ -357,10 +279,7 @@ fn a_commit_member_budget_sums_to_four_clients_latency() {
     const WARM: u64 = 40;
     const TIMED: u64 = 160;
     let mut w = world(1985);
-    let clients = spawn_contended_commit(&mut w, CLIENTS);
-    for &c in &clients {
-        w.poke(c, 0);
-    }
+    let clients = budget::spawn_commit(&mut w, CLIENTS, COMMIT_OPS as usize);
     let run_to = |w: &mut World, total: u64| {
         while commits(w, &clients) < total {
             assert!(w.step(), "the transactions stalled");
@@ -373,7 +292,8 @@ fn a_commit_member_budget_sums_to_four_clients_latency() {
     let committed = commits(&w, &clients);
     assert_eq!(committed, u64::from(CLIENTS) * COMMIT_OPS);
     for &c in &clients {
-        let (aborts, errors) = agent(&w, c, |t: &TxnClient| (t.aborts, t.errors.clone()));
+        let txn = |s: &Stamped<TxnClient>| (s.inner.aborts, s.inner.errors.clone());
+        let (aborts, errors) = agent(&w, c, txn);
         assert_eq!((aborts, errors), (0, Vec::<String>::new()), "client {c}");
     }
 
@@ -416,4 +336,85 @@ fn a_commit_member_budget_sums_to_four_clients_latency() {
             "member {m}: {latency_ms} ms per transaction, against {expected_ms} ms of member CPU"
         );
     }
+}
+
+/// The timer package's one price (`circus`'s `conn.rs`): a commit client
+/// opens one vote assembly per transaction, for the members' three
+/// `ready_to_commit` call-backs, while its protocol timer is armed for
+/// an earlier deadline (the execute call's). The assembly's timeout only
+/// joins the package's queue and charges nothing, so every `setitimer`
+/// the client pays comes with its package, and fewer than one a
+/// transaction.
+#[test]
+fn a_vote_assembly_behind_the_protocol_timer_charges_no_setitimer() {
+    let mut w = world(1985);
+    let store = spawn_troupe(
+        &mut w,
+        TroupeId(4242),
+        &members(3),
+        MODULE,
+        &NodeConfig::default(),
+        None,
+        || TroupeStoreService::new(COMMIT_MODULE),
+    );
+    let script = (0..OPS).map(|i| vec![Op::Add(ObjId(i), 1)]).collect();
+    let client = addr(10, 50);
+    spawn_client(
+        &mut w,
+        client,
+        NodeConfig::default(),
+        TxnClient::new(store, MODULE, script),
+    );
+    w.poke(client, 0);
+    w.run(Until::Idle);
+    let committed = agent(&w, client, |t: &TxnClient| t.committed.len() as u64);
+    assert_eq!(committed, OPS);
+    let cpu = w.cpu(client);
+    let n = |sys: Syscall| cpu.count_of(sys.index());
+    assert_eq!(n(Syscall::SetITimer), n(Syscall::GetTimeOfDay), "{cpu:?}");
+    assert!(n(Syscall::SetITimer) < OPS, "{cpu:?}");
+}
+
+const EARLY: TimerKey = TimerKey::new(1);
+const LATE: TimerKey = TimerKey::new(2);
+
+/// Arms `EARLY` one second out and `LATE` two when poked; notes when
+/// each fires.
+#[derive(Default)]
+struct TwoTimers {
+    fired: Vec<(TimerKey, Time)>,
+}
+
+impl Agent for TwoTimers {
+    fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, _tag: u64) {
+        nc.set_app_timer(Duration::from_secs(1), EARLY);
+        nc.set_app_timer(Duration::from_secs(2), LATE);
+    }
+
+    fn on_app_timer(&mut self, nc: &mut NodeCtx<'_, '_, '_>, key: TimerKey) {
+        self.fired.push((key, nc.now()));
+    }
+}
+
+/// An application timer armed ahead of every deadline pending pays the
+/// timer package — `gettimeofday`, `sigblock`, `setitimer` — exactly
+/// once; one armed behind it pays nothing; each fires at its deadline.
+#[test]
+fn an_application_timer_ahead_of_every_deadline_pays_the_package_once() {
+    let mut w = world(1985);
+    let me = addr(10, 50);
+    let node = NodeBuilder::new(me, NodeConfig::default()).agent(Box::<TwoTimers>::default());
+    w.spawn(me, Box::new(node.build().expect("valid node")));
+    w.run(Until::Idle);
+    let poked = w.now();
+    w.poke(me, 0);
+    w.run(Until::Idle);
+    let cpu = w.cpu(me);
+    for sys in [Syscall::GetTimeOfDay, Syscall::SigBlock, Syscall::SetITimer] {
+        assert_eq!(cpu.count_of(sys.index()), 1, "{sys:?}: {cpu:?}");
+    }
+    assert_eq!(cpu.total_us(), 2_300, "the package, and nothing else");
+    let at = |s| poked + Duration::from_secs(s);
+    let fired = agent(&w, me, |t: &TwoTimers| t.fired.clone());
+    assert_eq!(fired, [(EARLY, at(1)), (LATE, at(2))]);
 }
